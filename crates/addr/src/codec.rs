@@ -24,11 +24,10 @@
 //! unsorted set ids, over-long prefixes) — is reported as a
 //! [`CodecError`], never a panic.
 //!
-//! Delta (diff) codecs back the incremental snapshot journal (see
+//! The delta codec backs the incremental snapshot journal (see
 //! `docs/SNAPSHOT_FORMAT.md`): [`write_table_suffix`] exploits that ids
 //! are never reused, so "the table since the last record" is exactly a
-//! suffix of the address column, and [`write_set_diff`] carries a set's
-//! change as two sorted id runs.
+//! suffix of the address column.
 //!
 //! # Example: a checksummed round-trip
 //!
@@ -56,7 +55,6 @@
 
 use crate::prefix::mask;
 use crate::set::AddrSet;
-use crate::store::{AddrIntern, AddrStore};
 use crate::table::{AddrId, AddrTable};
 use crate::Prefix;
 use std::fmt;
@@ -371,12 +369,9 @@ impl<R: Read> Decoder<R> {
 
 // ---- raw-column codecs (composable inside a larger envelope) --------
 
-/// Write an interned store's raw address column. Ids are implicit in
-/// the order: entry `i` is the address behind `AddrId` `i`. Generic
-/// over the backend ([`AddrTable`] or the sharded store): the bytes
-/// depend only on the raw column, which the seam guarantees is
-/// identical across backends.
-pub fn write_table<W: Write, S: AddrStore>(enc: &mut Encoder<W>, t: &S) -> Result<(), CodecError> {
+/// Write an [`AddrTable`]'s raw address column. Ids are implicit in
+/// the order: entry `i` is the address behind `AddrId` `i`.
+pub fn write_table<W: Write>(enc: &mut Encoder<W>, t: &AddrTable) -> Result<(), CodecError> {
     write_table_par(enc, t, 1)
 }
 
@@ -386,9 +381,9 @@ pub fn write_table<W: Write, S: AddrStore>(enc: &mut Encoder<W>, t: &S) -> Resul
 /// the checksum is a byte-stream fold, so the envelope is identical to
 /// the serial write for every thread count (`docs/SNAPSHOT_FORMAT.md`
 /// §6).
-pub fn write_table_par<W: Write, S: AddrStore>(
+pub fn write_table_par<W: Write>(
     enc: &mut Encoder<W>,
-    t: &S,
+    t: &AddrTable,
     threads: usize,
 ) -> Result<(), CodecError> {
     enc.put_len(t.len())?;
@@ -407,11 +402,9 @@ fn encode_u128_chunk(chunk: &[u128], buf: &mut Vec<u8>) {
     }
 }
 
-/// Read a store written by [`write_table`], rebuilding the probe
-/// index. Every id comes back exactly as issued before the save. The
-/// backend is the caller's choice (`read_table::<_, AddrTable>` and the
-/// sharded store rebuild identical ids from the same bytes).
-pub fn read_table<R: Read, T: AddrIntern>(dec: &mut Decoder<R>) -> Result<T, CodecError> {
+/// Read a table written by [`write_table`], rebuilding the probe
+/// index. Every id comes back exactly as issued before the save.
+pub fn read_table<R: Read>(dec: &mut Decoder<R>) -> Result<AddrTable, CodecError> {
     let n = dec.get_len()?;
     if n >= u32::MAX as usize {
         // The table's id space is u32 minus the index sentinel; a
@@ -419,7 +412,7 @@ pub fn read_table<R: Read, T: AddrIntern>(dec: &mut Decoder<R>) -> Result<T, Cod
         // than trip the interner's capacity assert mid-decode.
         return Err(CodecError::Corrupt("table length out of handle range"));
     }
-    let mut t = T::with_store_capacity(Decoder::<R>::reserve_hint(n));
+    let mut t = AddrTable::with_capacity(Decoder::<R>::reserve_hint(n));
     for _ in 0..n {
         let v = dec.get_u128()?;
         let (_, inserted) = t.intern_u128(v);
@@ -479,7 +472,7 @@ pub fn read_prefix<R: Read>(dec: &mut Decoder<R>) -> Result<Prefix, CodecError> 
     Ok(Prefix::from_bits(bits, len))
 }
 
-// ---- delta (diff) codecs --------------------------------------------
+// ---- delta codec -----------------------------------------------------
 
 /// Write the tail of an [`AddrTable`]: every address interned after the
 /// first `from` entries, prefixed by `from` itself so the reader can
@@ -488,9 +481,9 @@ pub fn read_prefix<R: Read>(dec: &mut Decoder<R>) -> Result<Prefix, CodecError> 
 /// This is the append-only building block of the snapshot journal: ids
 /// are never reused or reordered, so "the table since the last record"
 /// is exactly a suffix of the address column.
-pub fn write_table_suffix<W: Write, S: AddrStore>(
+pub fn write_table_suffix<W: Write>(
     enc: &mut Encoder<W>,
-    t: &S,
+    t: &AddrTable,
     from: usize,
 ) -> Result<(), CodecError> {
     write_table_suffix_par(enc, t, from, 1)
@@ -499,9 +492,9 @@ pub fn write_table_suffix<W: Write, S: AddrStore>(
 /// [`write_table_suffix`] with the suffix bytes produced on up to
 /// `threads` workers (same chunk-and-concatenate scheme as
 /// [`write_table_par`]; byte-identical output for every thread count).
-pub fn write_table_suffix_par<W: Write, S: AddrStore>(
+pub fn write_table_suffix_par<W: Write>(
     enc: &mut Encoder<W>,
-    t: &S,
+    t: &AddrTable,
     from: usize,
     threads: usize,
 ) -> Result<(), CodecError> {
@@ -520,9 +513,9 @@ pub fn write_table_suffix_par<W: Write, S: AddrStore>(
 /// `t.len()` exactly — a delta replayed against the wrong parent state
 /// is corruption, not a best-effort merge — and every appended address
 /// must be new to the table.
-pub fn read_table_suffix<R: Read, T: AddrIntern>(
+pub fn read_table_suffix<R: Read>(
     dec: &mut Decoder<R>,
-    t: &mut T,
+    t: &mut AddrTable,
 ) -> Result<usize, CodecError> {
     let from = dec.get_len()?;
     if from != t.len() {
@@ -542,60 +535,10 @@ pub fn read_table_suffix<R: Read, T: AddrIntern>(
     Ok(n)
 }
 
-/// Write the difference between two [`AddrSet`]s as two sorted id runs:
-/// the members of `old` missing from `new` (removals), then the members
-/// of `new` missing from `old` (additions). Applying the diff to `old`
-/// with [`read_set_diff`] reproduces `new` exactly.
-///
-/// The pipeline's journal frames carry their set-valued changes as
-/// bare id runs inline (see `docs/SNAPSHOT_FORMAT.md`); this pair is
-/// the library-level encoding for persisting a *standing* id set
-/// incrementally — e.g. a sharded backend journaling its own
-/// membership columns behind the `AddrTable` seam.
-///
-/// ```
-/// use expanse_addr::codec::{read_set_diff, write_set_diff, Decoder, Encoder};
-/// use expanse_addr::{AddrId, AddrSet};
-///
-/// let old: AddrSet = [1usize, 3, 5].iter().map(|&i| AddrId::from_index(i)).collect();
-/// let new: AddrSet = [1usize, 4, 5].iter().map(|&i| AddrId::from_index(i)).collect();
-/// let mut buf = Vec::new();
-/// let mut enc = Encoder::new(&mut buf, b"EXAMPLE!", 1).unwrap();
-/// write_set_diff(&mut enc, &old, &new).unwrap();
-/// enc.finish().unwrap();
-///
-/// let mut dec = Decoder::new(buf.as_slice(), b"EXAMPLE!", 1).unwrap();
-/// assert_eq!(read_set_diff(&mut dec, &old).unwrap(), new);
-/// ```
-pub fn write_set_diff<W: Write>(
-    enc: &mut Encoder<W>,
-    old: &AddrSet,
-    new: &AddrSet,
-) -> Result<(), CodecError> {
-    write_set(enc, &old.difference(new))?;
-    write_set(enc, &new.difference(old))
-}
-
-/// Apply a diff written by [`write_set_diff`] to `old`, returning the
-/// new set. Every removal must be present in `old` and no addition may
-/// already be a member — anything else means the diff was taken against
-/// a different base set, which is corruption.
-pub fn read_set_diff<R: Read>(dec: &mut Decoder<R>, old: &AddrSet) -> Result<AddrSet, CodecError> {
-    let removed = read_set(dec)?;
-    let added = read_set(dec)?;
-    if removed.intersect(old).len() != removed.len() {
-        return Err(CodecError::Corrupt("set diff removes a non-member"));
-    }
-    if !added.intersect(old).is_empty() {
-        return Err(CodecError::Corrupt("set diff adds an existing member"));
-    }
-    Ok(old.difference(&removed).union(&added))
-}
-
 // ---- standalone envelopes -------------------------------------------
 
-/// Save one interned store in its own checksummed envelope.
-pub fn save_table<W: Write, S: AddrStore>(w: W, t: &S) -> Result<(), CodecError> {
+/// Save one [`AddrTable`] in its own checksummed envelope.
+pub fn save_table<W: Write>(w: W, t: &AddrTable) -> Result<(), CodecError> {
     let mut enc = Encoder::new(w, &TABLE_MAGIC, CODEC_VERSION)?;
     write_table(&mut enc, t)?;
     enc.finish()?;
@@ -605,7 +548,7 @@ pub fn save_table<W: Write, S: AddrStore>(w: W, t: &S) -> Result<(), CodecError>
 /// Load an [`AddrTable`] saved by [`save_table`].
 pub fn load_table<R: Read>(r: R) -> Result<AddrTable, CodecError> {
     let mut dec = Decoder::new(r, &TABLE_MAGIC, CODEC_VERSION)?;
-    let t = read_table::<_, AddrTable>(&mut dec)?;
+    let t = read_table(&mut dec)?;
     dec.finish()?;
     Ok(t)
 }
@@ -765,36 +708,6 @@ mod tests {
         assert!(matches!(
             read_table_suffix(&mut dec, &mut clash),
             Err(CodecError::Corrupt("duplicate address in table suffix"))
-        ));
-    }
-
-    #[test]
-    fn set_diff_roundtrip_and_base_mismatch() {
-        let ids = |v: &[usize]| -> AddrSet { v.iter().map(|&i| AddrId::from_index(i)).collect() };
-        let old = ids(&[1, 3, 5, 9]);
-        let new = ids(&[1, 4, 9, 12]);
-
-        let magic = *b"TESTMAGC";
-        let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf, &magic, 1).unwrap();
-        write_set_diff(&mut enc, &old, &new).unwrap();
-        enc.finish().unwrap();
-
-        let mut dec = Decoder::new(buf.as_slice(), &magic, 1).unwrap();
-        assert_eq!(read_set_diff(&mut dec, &old).unwrap(), new);
-        dec.finish().unwrap();
-
-        // Against a different base, the removals no longer resolve.
-        let mut dec = Decoder::new(buf.as_slice(), &magic, 1).unwrap();
-        assert!(matches!(
-            read_set_diff(&mut dec, &ids(&[1, 4, 9])),
-            Err(CodecError::Corrupt("set diff removes a non-member"))
-        ));
-        // And against a base that already holds an addition: rejected.
-        let mut dec = Decoder::new(buf.as_slice(), &magic, 1).unwrap();
-        assert!(matches!(
-            read_set_diff(&mut dec, &ids(&[3, 4, 5, 9])),
-            Err(CodecError::Corrupt("set diff adds an existing member"))
         ));
     }
 

@@ -49,9 +49,7 @@ pub mod nybbles;
 pub mod par;
 pub mod prefix;
 pub mod set;
-pub mod sharded;
 pub mod sorted;
-pub mod store;
 pub mod table;
 
 pub use codec::{CodecError, Decoder, Encoder};
@@ -61,9 +59,7 @@ pub use mac::MacAddr;
 pub use par::worker_threads;
 pub use prefix::{Prefix, PrefixParseError};
 pub use set::AddrSet;
-pub use sharded::ShardedAddrTable;
 pub use sorted::SortedView;
-pub use store::{AddrIntern, AddrStore};
 pub use table::{AddrId, AddrMap, AddrTable};
 
 use std::net::Ipv6Addr;

@@ -7,12 +7,9 @@
 //! ids are issued in insertion order, ascending-id iteration doubles as
 //! insertion-order iteration. Materializing concrete [`Ipv6Addr`]s is
 //! deferred to [`AddrSet::addrs`], which resolves against the owning
-//! [`AddrTable`](crate::AddrTable) on demand.
+//! [`AddrTable`] on demand.
 
-use crate::store::AddrStore;
-use crate::table::AddrId;
-#[cfg(test)]
-use crate::table::AddrTable;
+use crate::table::{AddrId, AddrTable};
 use std::net::Ipv6Addr;
 
 /// A set of interned addresses: strictly increasing run of ids.
@@ -93,7 +90,7 @@ impl AddrSet {
 
     /// Resolve members to concrete addresses against their table, in id
     /// order, on demand.
-    pub fn addrs<'a, S: AddrStore>(&'a self, table: &'a S) -> impl Iterator<Item = Ipv6Addr> + 'a {
+    pub fn addrs<'a>(&'a self, table: &'a AddrTable) -> impl Iterator<Item = Ipv6Addr> + 'a {
         self.ids.iter().map(|&id| table.addr(id))
     }
 

@@ -1,5 +1,5 @@
-//! [`SortedView`]: a sorted-by-address permutation over an interned
-//! store (any [`AddrStore`] backend).
+//! [`SortedView`]: a sorted-by-address permutation over an
+//! [`AddrTable`].
 //!
 //! The interned store numbers addresses by *insertion* order — the right
 //! order for append-only columns and journal suffixes, but useless for
@@ -18,10 +18,9 @@
 
 use crate::prefix::Prefix;
 use crate::set::AddrSet;
-use crate::store::AddrStore;
-use crate::table::AddrId;
+use crate::table::{AddrId, AddrTable};
 
-/// A permutation of an [`AddrTable`](crate::AddrTable)'s ids, sorted by address value.
+/// A permutation of an [`AddrTable`]'s ids, sorted by address value.
 ///
 /// # Example
 ///
@@ -54,7 +53,7 @@ impl SortedView {
     /// Addresses are unique by construction (the table interns), so the
     /// order is total and the build is a single `O(n log n)` sort of
     /// the dense id range keyed by the raw address column.
-    pub fn build<S: AddrStore>(table: &S) -> SortedView {
+    pub fn build(table: &AddrTable) -> SortedView {
         SortedView::build_par(table, 1)
     }
 
@@ -63,7 +62,7 @@ impl SortedView {
     /// so the sorted order is total and the result is byte-identical to
     /// the serial build for every thread count — this is the parallel
     /// half of `SnapshotView::publish`'s day-end fan-out.
-    pub fn build_par<S: AddrStore>(table: &S, threads: usize) -> SortedView {
+    pub fn build_par(table: &AddrTable, threads: usize) -> SortedView {
         let mut perm: Vec<AddrId> = (0..table.len()).map(AddrId::from_index).collect();
         let raw = table.raw();
         crate::par::par_sort_by_key(&mut perm, threads, |&id| raw[id.index()]);
@@ -101,7 +100,7 @@ impl SortedView {
     /// # Panics
     /// Panics if the view was built from a different (or since-shrunk)
     /// table — ids out of range index past the address column.
-    pub fn range<'a, S: AddrStore>(&'a self, table: &S, prefix: Prefix) -> &'a [AddrId] {
+    pub fn range<'a>(&'a self, table: &AddrTable, prefix: Prefix) -> &'a [AddrId] {
         let lo = prefix.bits();
         let hi = crate::addr_to_u128(prefix.last());
         let start = self.perm.partition_point(|&id| table.bits(id) < lo);
@@ -111,7 +110,7 @@ impl SortedView {
 
     /// [`SortedView::range`] as an [`AddrSet`] (sorted by id), ready for
     /// set algebra against live sets, baselines, or other query results.
-    pub fn range_set<S: AddrStore>(&self, table: &S, prefix: Prefix) -> AddrSet {
+    pub fn range_set(&self, table: &AddrTable, prefix: Prefix) -> AddrSet {
         AddrSet::from_unsorted(self.range(table, prefix).to_vec())
     }
 }
@@ -119,7 +118,6 @@ impl SortedView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::AddrTable;
 
     fn table_of(bits: &[u128]) -> AddrTable {
         let mut t = AddrTable::new();

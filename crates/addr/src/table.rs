@@ -19,11 +19,9 @@
 //!
 //! Ids are assigned in insertion order and are **never reused or
 //! reordered**, so ascending-id iteration is insertion-order iteration
-//! and persists across days. Sharded or persistent backends later slot
-//! in behind the same handle type.
+//! and persists across days.
 
 use crate::fanout::splitmix64;
-use crate::store::{AddrIntern, AddrStore};
 use crate::{addr_to_u128, u128_to_addr};
 use std::net::Ipv6Addr;
 
@@ -53,7 +51,7 @@ impl AddrId {
 }
 
 /// Empty-slot marker in the index (also caps the table at `u32::MAX - 1`
-/// entries per shard).
+/// entries).
 const EMPTY: u32 = u32::MAX;
 
 /// Interning table: unique `u128` address values, densely numbered.
@@ -216,26 +214,6 @@ impl AddrTable {
             }
             self.slots[at] = i as u32;
         }
-    }
-}
-
-impl AddrStore for AddrTable {
-    fn raw(&self) -> &[u128] {
-        &self.addrs
-    }
-
-    fn lookup_u128(&self, v: u128) -> Option<AddrId> {
-        AddrTable::lookup_u128(self, v)
-    }
-}
-
-impl AddrIntern for AddrTable {
-    fn with_store_capacity(n: usize) -> Self {
-        AddrTable::with_capacity(n)
-    }
-
-    fn intern_u128(&mut self, v: u128) -> (AddrId, bool) {
-        AddrTable::intern_u128(self, v)
     }
 }
 

@@ -8,7 +8,7 @@
 //! children non-aliased (or vice versa); LPM ensures the most specific
 //! verdict wins per address.
 
-use expanse_addr::{AddrSet, AddrStore, Prefix};
+use expanse_addr::{AddrSet, AddrTable, Prefix};
 use expanse_trie::PrefixTrie;
 use std::net::Ipv6Addr;
 
@@ -70,7 +70,7 @@ impl AliasFilter {
     /// outputs preserve ascending-id (= insertion) order, so targets
     /// materialized from `kept` are byte-identical to the slice-based
     /// [`AliasFilter::split`] over the same addresses.
-    pub fn split_set<S: AddrStore>(&self, table: &S, ids: &AddrSet) -> (AddrSet, AddrSet) {
+    pub fn split_set(&self, table: &AddrTable, ids: &AddrSet) -> (AddrSet, AddrSet) {
         let mut kept = Vec::new();
         let mut removed = Vec::new();
         for id in ids.iter() {
@@ -101,7 +101,6 @@ impl AliasFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expanse_addr::AddrTable;
 
     #[test]
     fn lpm_decides() {

@@ -5,7 +5,7 @@
 //! (100) known addresses — exempting /64s so every known /64 is analyzed
 //! — and separately probes BGP-announced prefixes as announced.
 
-use expanse_addr::{AddrSet, AddrStore, Prefix};
+use expanse_addr::{AddrSet, AddrTable, Prefix};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
@@ -56,10 +56,9 @@ pub fn plan_targets(hitlist: &[Ipv6Addr], cfg: &PlanConfig) -> Vec<Prefix> {
 }
 
 /// Build the target-based probe plan straight off the interned store:
-/// the pipeline passes its store (any [`AddrStore`] backend) and the
-/// live [`AddrSet`] instead of materializing an owned address vector
-/// every day.
-pub fn plan_targets_set<S: AddrStore>(table: &S, ids: &AddrSet, cfg: &PlanConfig) -> Vec<Prefix> {
+/// the pipeline passes its [`AddrTable`] and the live [`AddrSet`]
+/// instead of materializing an owned address vector every day.
+pub fn plan_targets_set(table: &AddrTable, ids: &AddrSet, cfg: &PlanConfig) -> Vec<Prefix> {
     plan_targets_iter(ids.addrs(table), cfg)
 }
 
@@ -99,7 +98,6 @@ pub fn plan_bgp(announcements: &[Prefix]) -> Vec<Prefix> {
 mod tests {
     use super::*;
     use expanse_addr::u128_to_addr;
-    use expanse_addr::AddrTable;
 
     #[test]
     fn all_64s_planned_regardless_of_count() {

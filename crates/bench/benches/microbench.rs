@@ -205,12 +205,9 @@ fn bench_battery_fanout(c: &mut Criterion) {
 fn bench_addr_store(c: &mut Criterion) {
     // The PR 2 hot path: the daily merge (per-protocol responder lists
     // → per-address protocol set, then hand the map to the snapshot)
-    // and the responsiveness pass, hashmap-style vs the interned
-    // columnar store. Same inputs, same outputs; only the container
-    // changes.
-    use expanse_addr::{addr_to_u128, AddrId, AddrMap, AddrTable};
+    // and the responsiveness pass over the interned columnar store.
+    use expanse_addr::{AddrId, AddrMap, AddrTable};
     use expanse_packet::ProtoSet;
-    use std::collections::HashMap;
 
     const N: u64 = 20_000;
     // Five protocol passes with overlapping responder sets (every 2nd,
@@ -231,20 +228,6 @@ fn bench_addr_store(c: &mut Criterion) {
     g.throughput(Throughput::Elements(
         passes.iter().map(|(_, v)| v.len() as u64).sum(),
     ));
-    g.bench_function("daily_merge_hashmap", |b| {
-        b.iter(|| {
-            let mut resp: HashMap<Ipv6Addr, ProtoSet> = HashMap::new();
-            for (proto, addrs) in &passes {
-                for &a in addrs {
-                    let e = resp.entry(a).or_insert(ProtoSet::EMPTY);
-                    *e = e.with(*proto);
-                }
-            }
-            // The seed's snapshot handoff: clone the whole map.
-            let copy = resp.clone();
-            (resp.len(), copy.len())
-        })
-    });
     g.bench_function("daily_merge_columnar", |b| {
         b.iter(|| {
             let mut resp: AddrMap<ProtoSet> = AddrMap::new();
@@ -259,8 +242,8 @@ fn bench_addr_store(c: &mut Criterion) {
             (resp.len(), copy.len())
         })
     });
-    // Responsiveness pass over the merged day: hash-probed map updates
-    // vs dense id resolution + a column write.
+    // Responsiveness pass over the merged day: dense id resolution + a
+    // column write.
     let mut merged: AddrMap<ProtoSet> = AddrMap::new();
     for (proto, addrs) in &passes {
         for &a in addrs {
@@ -272,28 +255,7 @@ fn bench_addr_store(c: &mut Criterion) {
     for a in 0..N {
         hitlist_table.intern_u128((0x2001_0db8u128 << 96) | u128::from(a));
     }
-    let members: HashMap<u128, ()> = (0..N)
-        .map(|a| ((0x2001_0db8u128 << 96) | u128::from(a), ()))
-        .collect();
     g.throughput(Throughput::Elements(merged.len() as u64));
-    // The seed's last-responsive map was long-lived (accumulating across
-    // days); pre-populate it so the timed region is the steady-state
-    // daily cost — probes and updates — not map construction.
-    let mut last_hash: HashMap<u128, u16> = merged.keys().map(|a| (addr_to_u128(a), 6)).collect();
-    g.bench_function("responsiveness_hashmap", |b| {
-        b.iter(|| {
-            let mut touched = 0usize;
-            for a in merged.keys() {
-                let key = addr_to_u128(a);
-                if members.contains_key(&key) {
-                    let e = last_hash.entry(key).or_insert(7);
-                    *e = (*e).max(7);
-                    touched += 1;
-                }
-            }
-            touched
-        })
-    });
     let mut last_col: Vec<u16> = vec![u16::MAX; hitlist_table.len()];
     g.bench_function("responsiveness_columnar", |b| {
         b.iter(|| {

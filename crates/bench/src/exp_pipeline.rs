@@ -1,7 +1,7 @@
 //! Pipeline throughput bench: the daily merge + responsiveness pass,
-//! hashmap-style vs columnar, plus battery, APD-plan, and
-//! snapshot save/resume throughput — including the incremental journal
-//! (per-day delta bytes vs the full base, and base + delta replay).
+//! plus battery, APD-plan, and snapshot save/resume throughput —
+//! including the incremental journal (per-day delta bytes vs the full
+//! base, and base + delta replay).
 //!
 //! Not a paper artifact — this is the perf trajectory of the system
 //! itself. Besides the rendered report it writes
@@ -9,10 +9,10 @@
 //! numbers can be tracked across PRs.
 
 use crate::ctx::{header, Ctx};
-use expanse_addr::{addr_to_u128, u128_to_addr, AddrId, AddrMap, ShardedAddrTable};
+use expanse_addr::fanout::splitmix64;
+use expanse_addr::{u128_to_addr, AddrId, AddrMap};
 use expanse_core::{Pipeline, PipelineConfig};
 use expanse_packet::ProtoSet;
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::net::Ipv6Addr;
 use std::time::Instant;
@@ -58,24 +58,8 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
     let battery_per_s = (kept.len() * battery.len()) as f64 / battery_s.max(1e-9);
 
     // ---- daily merge: per-protocol replies → per-address ProtoSet -----
-    // Hashmap style (the seed's path): rebuild a HashMap<Ipv6Addr,
-    // ProtoSet> from every protocol's reply map, then clone it for the
-    // snapshot (the clone the columnar path eliminated).
-    let merge_hash_s = time(rounds, || {
-        let mut resp: HashMap<Ipv6Addr, ProtoSet> = HashMap::new();
-        for r in multi.by_protocol.values() {
-            for reply in r.replies.values() {
-                if reply.kind.is_positive() {
-                    let e = resp.entry(reply.target).or_insert(ProtoSet::EMPTY);
-                    *e = e.with(r.protocol);
-                }
-            }
-        }
-        let snapshot_copy = resp.clone();
-        (resp, snapshot_copy)
-    });
-    // Columnar: the same merge into an interned AddrMap; the snapshot
-    // takes ownership instead of cloning.
+    // Merge into an interned AddrMap; the snapshot takes ownership
+    // instead of cloning.
     let merge_col_s = time(rounds, || {
         let mut resp: AddrMap<ProtoSet> = AddrMap::new();
         for r in multi.by_protocol.values() {
@@ -92,30 +76,8 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
     let merged = multi.responsive.len().max(1);
 
     // ---- responsiveness pass: record who answered today ---------------
-    // Hashmap style: membership probe + last-responsive update per
-    // responder against *persistent* maps, the seed's steady state
-    // (Hitlist kept both as long-lived HashMap<u128, _>; the daily cost
-    // is the probes and updates, not map construction).
-    let members: HashMap<u128, ()> = p.hitlist.iter().map(|a| (addr_to_u128(a), ())).collect();
-    let mut last_hash: HashMap<u128, u16> = multi
-        .responsive
-        .keys()
-        .map(|a| (addr_to_u128(a), 6))
-        .collect();
-    let resp_hash_s = time(rounds, || {
-        let mut touched = 0usize;
-        for (a, _) in multi.responsive.iter() {
-            let key = addr_to_u128(a);
-            if members.contains_key(&key) {
-                let e = last_hash.entry(key).or_insert(7);
-                *e = (*e).max(7);
-                touched += 1;
-            }
-        }
-        touched
-    });
-    // Columnar: resolve responders to dense ids once, sort, then write
-    // a u16 column — the pipeline's actual daily pass.
+    // Resolve responders to dense ids once, sort, then write a u16
+    // column — the pipeline's actual daily pass.
     let mut last_col: Vec<u16> = vec![u16::MAX; p.hitlist.table().len()];
     let resp_col_s = time(rounds, || {
         let mut day_pass: Vec<(AddrId, ProtoSet)> = multi
@@ -130,51 +92,26 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
         day_pass.len()
     });
 
-    // ---- parallel fan-out: sharded intern + batched day pass ----------
+    // ---- parallel fan-out: batched day pass --------------------------
     // The model-scale day above sits far below the parallel-dispatch
-    // thresholds, so the fan-out win is measured on a synthetic
-    // hundreds-of-thousands-row column: batch interning into the
-    // sharded store (the merge's insert path) and the batched
-    // responsiveness column pass, single-thread vs the worker pool.
-    // Outputs are byte-identical by construction (the determinism
-    // suites pin that); this measures only the throughput ratio.
-    let fan_threads = expanse_addr::worker_threads().max(4);
+    // thresholds, so the batched responsiveness column pass is measured
+    // on a synthetic hundreds-of-thousands-row hitlist, single-thread
+    // vs the worker pool. Outputs are byte-identical by construction
+    // (the determinism suites pin that); this measures only throughput.
+    let fan_threads = expanse_addr::worker_threads();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Deterministic pseudo-random addresses with ~25% duplicates, so
-    // the intern path sees both inserts and hits.
+    // Deterministic pseudo-random addresses (splitmix64 is a bijection,
+    // so the high halves — and with them the addresses — are distinct).
     let sm = |i: u64| -> u128 {
-        let mut z = (i % (synth_n as u64 * 3 / 4)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z as u128) << 64) | (z ^ (z >> 31)) as u128
+        let hi = splitmix64(i);
+        (u128::from(hi) << 64) | u128::from(splitmix64(hi))
     };
-    let synth: Vec<u128> = (0..synth_n as u64).map(sm).collect();
     let fan_rounds = 3;
-    let intern_1_s = time(fan_rounds, || {
-        let mut t = ShardedAddrTable::with_capacity(synth.len());
-        t.intern_batch(&synth, 1);
-        t.len()
-    });
-    let intern_n_s = time(fan_rounds, || {
-        let mut t = ShardedAddrTable::with_capacity(synth.len());
-        t.intern_batch(&synth, fan_threads);
-        t.len()
-    });
-    let merge_par_1 = synth_n as f64 / intern_1_s.max(1e-9);
-    let merge_par_n = synth_n as f64 / intern_n_s.max(1e-9);
-    let merge_par_speedup = intern_1_s / intern_n_s.max(1e-12);
-
-    // Batched responsiveness pass over a synthetic hitlist of the same
-    // size. The pass re-marks the same day each round (idempotent), so
-    // the timed loops see identical work; a pre-mark outside the timed
+    // The pass re-marks the same day each round (idempotent), so the
+    // timed loops see identical work; a pre-mark outside the timed
     // region takes the one-time column writes off the first round.
     let mut big = expanse_core::Hitlist::new();
-    let synth_addrs: Vec<Ipv6Addr> = {
-        let mut uniq: Vec<u128> = synth.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        uniq.into_iter().map(u128_to_addr).collect()
-    };
+    let synth_addrs: Vec<Ipv6Addr> = (0..synth_n as u64).map(sm).map(u128_to_addr).collect();
     big.add_from(expanse_model::SourceId::Ct, &synth_addrs, 0);
     let day_pass_big: Vec<(AddrId, ProtoSet)> = (0..big.table().len())
         .map(|i| {
@@ -193,8 +130,9 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
     });
     let resp_par_1 = day_pass_big.len() as f64 / mark_1_s.max(1e-9);
     let resp_par_n = day_pass_big.len() as f64 / mark_n_s.max(1e-9);
-    let resp_par_speedup = mark_1_s / mark_n_s.max(1e-12);
-    let num_shards = big.table().shard_count();
+    // More threads than cores measures oversubscription, not scaling:
+    // the N-thread rate is still recorded, a speedup is not.
+    let resp_par_speedup = (fan_threads <= cores).then(|| mark_1_s / mark_n_s.max(1e-12));
 
     // ---- APD plan off the interned store ------------------------------
     let plan_s = time(rounds.min(5), || {
@@ -285,24 +223,16 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
         battery.len()
     ));
     out.push_str(&format!(
-        "merge hashmap     {:>12.0} addr/s\nmerge columnar    {:>12.0} addr/s  ({:.2}x)\n",
-        per_s(merge_hash_s),
+        "merge columnar    {:>12.0} addr/s\nrespond columnar  {:>12.0} addr/s\n",
         per_s(merge_col_s),
-        merge_hash_s / merge_col_s.max(1e-12),
-    ));
-    out.push_str(&format!(
-        "respond hashmap   {:>12.0} addr/s\nrespond columnar  {:>12.0} addr/s  ({:.2}x)\n",
-        per_s(resp_hash_s),
         per_s(resp_col_s),
-        resp_hash_s / resp_col_s.max(1e-12),
     ));
+    let speedup_text = resp_par_speedup.map_or_else(
+        || "oversubscribed, no speedup reported".to_string(),
+        |s| format!("{s:.2}x"),
+    );
     out.push_str(&format!(
-        "merge par intern  {:>12.0} addr/s @1t  {:>12.0} addr/s @{}t  ({:.2}x, {} shards, {} cores)\n",
-        merge_par_1, merge_par_n, fan_threads, merge_par_speedup, num_shards, cores,
-    ));
-    out.push_str(&format!(
-        "respond par batch {:>12.0} addr/s @1t  {:>12.0} addr/s @{}t  ({:.2}x)\n",
-        resp_par_1, resp_par_n, fan_threads, resp_par_speedup,
+        "respond par batch {resp_par_1:>12.0} addr/s @1t  {resp_par_n:>12.0} addr/s @{fan_threads}t  ({speedup_text}, {cores} cores)\n",
     ));
     out.push_str(&format!(
         "apd plan          {plan_addrs_per_s:>12.0} addr/s\n"
@@ -321,18 +251,17 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
         "service render    {render_mb_per_s:>12.1} MB/s  ({render_bytes} bytes: hitlist + one protocol view)\n",
     ));
 
+    let speedup_json = resp_par_speedup
+        .map(|s| format!(", \"parallel_speedup\": {s:.2}"))
+        .unwrap_or_default();
     let json = format!(
-        "{{\n  \"schema\": 5,\n  \"scale\": \"{scale}\",\n  \"hitlist\": {hitlist_len},\n  \
-         \"threads\": {fan_threads},\n  \"cores\": {cores},\n  \"num_shards\": {num_shards},\n  \
+        "{{\n  \"schema\": 6,\n  \"scale\": \"{scale}\",\n  \"hitlist\": {hitlist_len},\n  \
+         \"threads\": {fan_threads},\n  \"cores\": {cores},\n  \
          \"kept_targets\": {},\n  \"responders\": {},\n  \"battery\": {{ \"addr_probes_per_s\": {:.1} }},\n  \
-         \"merge\": {{ \"hashmap_addrs_per_s\": {:.1}, \"columnar_addrs_per_s\": {:.1}, \
-         \"parallel_intern_addrs_per_s_1t\": {merge_par_1:.1}, \
-         \"parallel_intern_addrs_per_s_nt\": {merge_par_n:.1}, \
-         \"parallel_speedup\": {merge_par_speedup:.2} }},\n  \
-         \"responsiveness\": {{ \"hashmap_addrs_per_s\": {:.1}, \"columnar_addrs_per_s\": {:.1}, \
+         \"merge\": {{ \"columnar_addrs_per_s\": {:.1} }},\n  \
+         \"responsiveness\": {{ \"columnar_addrs_per_s\": {:.1}, \
          \"parallel_batch_addrs_per_s_1t\": {resp_par_1:.1}, \
-         \"parallel_batch_addrs_per_s_nt\": {resp_par_n:.1}, \
-         \"parallel_speedup\": {resp_par_speedup:.2} }},\n  \
+         \"parallel_batch_addrs_per_s_nt\": {resp_par_n:.1}{speedup_json} }},\n  \
          \"apd_plan\": {{ \"addrs_per_s\": {:.1} }},\n  \
          \"snapshot\": {{ \"bytes\": {snapshot_bytes}, \"save_mb_per_s\": {:.1}, \"resume_s\": {:.4} }},\n  \
          \"journal\": {{ \"delta_days\": {DELTA_DAYS}, \"delta_bytes_per_day\": {:.1}, \
@@ -341,9 +270,7 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
         kept.len(),
         merged,
         battery_per_s,
-        per_s(merge_hash_s),
         per_s(merge_col_s),
-        per_s(resp_hash_s),
         per_s(resp_col_s),
         plan_addrs_per_s,
         save_mb_per_s,

@@ -8,10 +8,9 @@
 //! # Representation
 //!
 //! The hitlist is a struct-of-arrays over an interned address store:
-//! one [`ShardedAddrTable`] assigns every unique address a dense
-//! [`AddrId`] (sharded probe index, single global column — ids are
-//! identical to the flat `AddrTable`'s, see `ARCHITECTURE.md`),
-//! and provenance/responsiveness live in parallel columns indexed by
+//! one [`AddrTable`] assigns every unique address a dense [`AddrId`]
+//! (see `ARCHITECTURE.md` for the id invariants), and
+//! provenance/responsiveness live in parallel columns indexed by
 //! that id (instead of the seed's three `HashMap<u128, …>` plus a
 //! shadow `order: Vec<Ipv6Addr>`). Ids are stable for the lifetime of
 //! the hitlist — expiry tombstones a row rather than renumbering — so
@@ -20,7 +19,7 @@
 
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
 use expanse_addr::par::par_chunk_bytes;
-use expanse_addr::{AddrId, AddrSet, Prefix, ShardedAddrTable};
+use expanse_addr::{AddrId, AddrSet, AddrTable, Prefix};
 use expanse_model::SourceId;
 use expanse_packet::ProtoSet;
 use std::collections::{BTreeMap, BTreeSet};
@@ -66,7 +65,7 @@ const NEVER: u16 = u16::MAX;
 #[derive(Debug, Clone, Copy)]
 pub struct HitlistColumns<'a> {
     /// The interner (id ↔ address).
-    pub table: &'a ShardedAddrTable,
+    pub table: &'a AddrTable,
     /// Source bitmask per row.
     pub sources: &'a [SourceMask],
     /// First contributing source per row.
@@ -152,7 +151,7 @@ fn read_spent<R: Read>(dec: &mut Decoder<R>) -> Result<BTreeMap<Prefix, u64>, Co
 #[derive(Debug, Clone, Default)]
 pub struct Hitlist {
     /// The interner: id ↔ address.
-    table: ShardedAddrTable,
+    table: AddrTable,
     /// Id → sources that contributed the address.
     sources: Vec<SourceMask>,
     /// Id → first source that contributed it (for "new IPs").
@@ -280,7 +279,7 @@ impl Hitlist {
 
     /// The backing interner. Ids issued by it are valid for the
     /// hitlist's lifetime (expired rows keep their id, tombstoned).
-    pub fn table(&self) -> &ShardedAddrTable {
+    pub fn table(&self) -> &AddrTable {
         &self.table
     }
 
@@ -819,7 +818,7 @@ impl Hitlist {
     /// exactly as issued before the save (tombstoned rows included), so
     /// id-keyed state in the ledger and pipeline stays valid.
     pub fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Hitlist, CodecError> {
-        let table = codec::read_table::<_, ShardedAddrTable>(dec)?;
+        let table = codec::read_table(dec)?;
         let n = table.len();
         let hint = Decoder::<R>::reserve_hint(n);
         let mut sources = Vec::with_capacity(hint);

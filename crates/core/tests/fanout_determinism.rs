@@ -103,7 +103,7 @@ fn adversarial_scenario_round_trips_parallel_and_serial() {
     );
 }
 
-/// The sharded fan-out walks — snapshot encode, delta encode, the
+/// The parallel fan-out walks — snapshot encode, delta encode, the
 /// batched responsiveness pass, the ledger's per-row joins — are
 /// byte-identical across worker counts. This is the in-binary guard
 /// (serial vs N-thread within one process); the CI multi-thread lane

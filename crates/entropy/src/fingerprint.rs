@@ -5,7 +5,7 @@
 //! entropies of nybbles `a..=b` (1-based in the paper; this module uses
 //! the paper's numbering in its API to keep figures comparable).
 
-use expanse_addr::{nybbles::nybble, AddrSet, AddrStore, Prefix};
+use expanse_addr::{nybbles::nybble, AddrSet, AddrTable, Prefix};
 use expanse_stats::entropy::normalized_entropy16;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -38,12 +38,12 @@ impl Fingerprint {
     }
 
     /// [`Fingerprint::compute`] over an interned sample: resolves the
-    /// [`AddrSet`] against its [`AddrTable`](expanse_addr::AddrTable) on the fly, no owned
+    /// [`AddrSet`] against its [`AddrTable`] on the fly, no owned
     /// address vector needed.
     ///
     /// # Panics
     /// Panics on a bad nybble range or an empty set.
-    pub fn compute_set<S: AddrStore>(table: &S, ids: &AddrSet, a: usize, b: usize) -> Fingerprint {
+    pub fn compute_set(table: &AddrTable, ids: &AddrSet, a: usize, b: usize) -> Fingerprint {
         assert!(!ids.is_empty(), "empty address sample");
         Fingerprint::compute_counts(a, b, |j, counts| {
             for addr in ids.addrs(table) {
@@ -137,10 +137,10 @@ pub fn fingerprint_groups<K: Eq + std::hash::Hash + Clone>(
 }
 
 /// [`fingerprint_groups`] over an interned sample: buckets are id runs
-/// against the shared [`AddrTable`](expanse_addr::AddrTable), so grouping a hundred-million-entry
+/// against the shared [`AddrTable`], so grouping a hundred-million-entry
 /// hitlist allocates 4-byte ids per bucket instead of copied addresses.
-pub fn fingerprint_groups_set<K: Eq + std::hash::Hash + Clone, S: AddrStore>(
-    table: &S,
+pub fn fingerprint_groups_set<K: Eq + std::hash::Hash + Clone>(
+    table: &AddrTable,
     ids: &AddrSet,
     a: usize,
     b: usize,
@@ -180,8 +180,8 @@ pub fn fingerprints_by_32(
 }
 
 /// [`fingerprints_by_32`] over an interned sample.
-pub fn fingerprints_by_32_set<S: AddrStore>(
-    table: &S,
+pub fn fingerprints_by_32_set(
+    table: &AddrTable,
     ids: &AddrSet,
     a: usize,
     b: usize,
@@ -198,7 +198,6 @@ pub fn fingerprints_by_32_set<S: AddrStore>(
 mod tests {
     use super::*;
     use expanse_addr::u128_to_addr;
-    use expanse_addr::AddrTable;
 
     fn counter_addrs(n: u128) -> Vec<Ipv6Addr> {
         (1..=n)

@@ -9,7 +9,7 @@
 //! on the query path. Views are published through
 //! [`crate::SnapshotRegistry`] and shared as `Arc<SnapshotView>`.
 
-use expanse_addr::{AddrId, AddrSet, Prefix, ShardedAddrTable, SortedView};
+use expanse_addr::{AddrId, AddrSet, AddrTable, Prefix, SortedView};
 use expanse_apd::ApdConfig;
 use expanse_core::{
     Hitlist, JournalReplay, PersistedState, Pipeline, SchedStatus, Scheduler, SourceMask,
@@ -61,7 +61,7 @@ pub struct ViewStats {
 pub struct SnapshotView {
     /// Completed probing days (the pipeline's day counter at publish).
     day: u16,
-    table: ShardedAddrTable,
+    table: AddrTable,
     sorted: SortedView,
     sources: Vec<SourceMask>,
     last_responsive: Vec<u16>,
@@ -167,7 +167,7 @@ impl SnapshotView {
     }
 
     /// The interner backing the view's ids.
-    pub fn table(&self) -> &ShardedAddrTable {
+    pub fn table(&self) -> &AddrTable {
         &self.table
     }
 
