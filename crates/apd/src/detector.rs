@@ -39,9 +39,11 @@ pub struct DayObservation {
     pub icmp: u16,
     /// Branch bitmap for TCP/80 SYN-ACKs.
     pub tcp: u16,
-    /// TCP replies per branch (for fingerprinting).
+    /// TCP replies per branch (for fingerprinting): 16 slots once any
+    /// branch answered TCP, empty while the whole prefix is silent.
     pub tcp_replies: Vec<Option<ProbeReply>>,
-    /// ICMP replies per branch (TTL evidence).
+    /// ICMP replies per branch (TTL evidence): 16 slots once any branch
+    /// answered ICMPv6, empty before.
     pub icmp_replies: Vec<Option<ProbeReply>>,
 }
 
@@ -57,15 +59,40 @@ impl DayObservation {
     }
 }
 
+/// Record `reply` for `branch`: most fan-out targets are silent, so the
+/// 16 reply slots exist only for prefixes that got an answer.
+fn record_reply(
+    bitmap: &mut u16,
+    replies: &mut Vec<Option<ProbeReply>>,
+    branch: u8,
+    reply: ProbeReply,
+) {
+    *bitmap |= 1 << branch;
+    replies.resize(16, None);
+    replies[usize::from(branch)] = Some(reply);
+}
+
 /// One day's report across all probed prefixes.
 #[derive(Debug, Clone, Default)]
 pub struct DayReport {
-    /// Per-prefix branch observations for the day.
-    pub observations: HashMap<Prefix, DayObservation>,
+    /// Per-prefix branch observations for the day: one entry per
+    /// distinct probed prefix, sorted by prefix.
+    pub observations: Vec<(Prefix, DayObservation)>,
     /// Probes sent.
     pub probes_sent: u64,
     /// Unique target addresses probed (each gets 2 probes).
     pub targets: u64,
+}
+
+impl DayReport {
+    /// The day's observation for `prefix`, if it was probed.
+    pub fn get(&self, prefix: &Prefix) -> Option<&DayObservation> {
+        let i = self
+            .observations
+            .binary_search_by_key(prefix, |(p, _)| *p)
+            .ok()?;
+        Some(&self.observations[i].1)
+    }
 }
 
 /// The stateful detector.
@@ -99,69 +126,61 @@ impl Apd {
         scanner: &mut Scanner<N>,
         prefixes: &[Prefix],
     ) -> DayReport {
-        // Build the combined target list with back-references.
-        let mut targets: Vec<Ipv6Addr> = Vec::with_capacity(prefixes.len() * 16);
-        let mut back: HashMap<Ipv6Addr, (usize, u8)> = HashMap::new();
+        // One observation per distinct prefix, in prefix order (the
+        // pipeline's plan already arrives that way).
+        let mut order: Vec<Prefix> = prefixes.to_vec();
+        order.sort();
+        order.dedup();
+
+        // The combined target list with back-references `(target, plan
+        // index, branch)`. Collisions across overlapping prefixes are
+        // possible (e.g. /64 and /68 plans): sorted by target then plan
+        // index, keeping the first of each target means the first plan
+        // wins and the branch simply gets probed once.
+        let mut fan: Vec<(Ipv6Addr, usize, u8)> = Vec::with_capacity(prefixes.len() * 16);
         for (pi, p) in prefixes.iter().enumerate() {
-            for t in fanout16(*p, self.cfg.salt) {
-                // Collisions across overlapping prefixes are possible
-                // (e.g. /64 and /68 plans); first plan wins, the branch
-                // simply gets probed once.
-                back.entry(t.addr).or_insert((pi, t.branch));
-                targets.push(t.addr);
-            }
+            fan.extend(
+                fanout16(*p, self.cfg.salt)
+                    .into_iter()
+                    .map(|t| (t.addr, pi, t.branch)),
+            );
         }
-        targets.sort();
-        targets.dedup();
+        fan.sort_unstable();
+        fan.dedup_by_key(|f| f.0);
+        let targets: Vec<Ipv6Addr> = fan.iter().map(|f| f.0).collect();
 
         let icmp_scan = scanner.scan(&targets, &IcmpEchoModule);
         let tcp_scan = scanner.scan(&targets, &TcpSynModule::with_synopt(80));
 
         let mut report = DayReport {
+            observations: order
+                .iter()
+                .map(|p| (*p, DayObservation::default()))
+                .collect(),
             probes_sent: icmp_scan.sent + tcp_scan.sent,
             targets: targets.len() as u64,
-            ..DayReport::default()
         };
-        for p in prefixes {
-            report.observations.insert(
-                *p,
-                DayObservation {
-                    icmp: 0,
-                    tcp: 0,
-                    tcp_replies: vec![None; 16],
-                    icmp_replies: vec![None; 16],
-                },
-            );
-        }
-        for (addr, reply) in &icmp_scan.replies {
-            if !reply.kind.is_positive() {
-                continue;
-            }
-            // §5.1's /116 carve case: a reply from a *different* address
-            // does not count for the probed branch.
-            if reply.from != *addr {
-                continue;
-            }
-            if let Some((pi, branch)) = back.get(addr) {
-                let obs = report
-                    .observations
-                    .get_mut(&prefixes[*pi])
-                    .expect("prefix observed");
-                obs.icmp |= 1 << branch;
-                obs.icmp_replies[usize::from(*branch)] = Some(reply.clone());
-            }
-        }
-        for (addr, reply) in &tcp_scan.replies {
+        // The observation a reply to `addr` belongs to, with its branch.
+        // §5.1's /116 carve case: a reply from a *different* address
+        // does not count for the probed branch.
+        let slot_of = |addr: &Ipv6Addr, reply: &ProbeReply| {
             if !reply.kind.is_positive() || reply.from != *addr {
-                continue;
+                return None;
             }
-            if let Some((pi, branch)) = back.get(addr) {
-                let obs = report
-                    .observations
-                    .get_mut(&prefixes[*pi])
-                    .expect("prefix observed");
-                obs.tcp |= 1 << branch;
-                obs.tcp_replies[usize::from(*branch)] = Some(reply.clone());
+            let (_, pi, branch) = fan[fan.binary_search_by_key(addr, |f| f.0).ok()?];
+            let slot = order.binary_search(&prefixes[pi]).ok()?;
+            Some((slot, branch))
+        };
+        for (addr, reply) in icmp_scan.replies {
+            if let Some((slot, branch)) = slot_of(&addr, &reply) {
+                let obs = &mut report.observations[slot].1;
+                record_reply(&mut obs.icmp, &mut obs.icmp_replies, branch, reply);
+            }
+        }
+        for (addr, reply) in tcp_scan.replies {
+            if let Some((slot, branch)) = slot_of(&addr, &reply) {
+                let obs = &mut report.observations[slot].1;
+                record_reply(&mut obs.tcp, &mut obs.tcp_replies, branch, reply);
             }
         }
 
@@ -290,12 +309,43 @@ mod tests {
         let p116 = s.network_mut().population.special.carve116;
         let mut apd = Apd::new(ApdConfig::default());
         let report = apd.run_day(&mut s, &[p116]);
-        let obs = &report.observations[&p116];
+        let obs = report.get(&p116).expect("probed prefix is observed");
         let merged = obs.merged();
         assert_eq!(merged & 1, 0, "branch 0x0 must be silent (carved)");
         let answered = merged.count_ones();
         assert!((13..=15).contains(&answered), "answered={answered}");
         assert!(!apd.aliased_prefixes().contains(&p116));
+    }
+
+    #[test]
+    fn observations_are_sorted_distinct_and_sized_on_first_reply() {
+        let mut s = scanner();
+        let hooks: Vec<Prefix> = s.network_mut().population.special.cdn_hook_48s[..2].to_vec();
+        // Unrouted space: silent by construction.
+        let silent: Prefix = "3fff:0:0:1::/64".parse().unwrap();
+        // Out of order, one prefix twice.
+        let plan = vec![hooks[1], silent, hooks[0], hooks[1]];
+        let mut apd = Apd::new(ApdConfig::default());
+        let report = apd.run_day(&mut s, &plan);
+
+        let mut distinct = plan.clone();
+        distinct.sort();
+        distinct.dedup();
+        let observed: Vec<Prefix> = report.observations.iter().map(|(p, _)| *p).collect();
+        assert_eq!(observed, distinct);
+        assert_eq!(report.targets, 48, "the repeated prefix is probed once");
+        assert_eq!(apd.windows.len(), 3);
+        assert!(report.get(&"3fff::/64".parse().unwrap()).is_none());
+
+        let quiet = report.get(&silent).expect("probed");
+        assert_eq!(quiet.merged(), 0);
+        assert!(quiet.icmp_replies.is_empty() && quiet.tcp_replies.is_empty());
+        let loud = report.get(&hooks[1]).expect("probed");
+        assert!(loud.icmp.count_ones() >= 12, "icmp={:#06x}", loud.icmp);
+        assert_eq!(loud.icmp_replies.len(), 16);
+        for (b, reply) in loud.icmp_replies.iter().enumerate() {
+            assert_eq!(loud.icmp & (1 << b) != 0, reply.is_some(), "branch {b}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (100) known addresses — exempting /64s so every known /64 is analyzed
 //! — and separately probes BGP-announced prefixes as announced.
 
-use expanse_addr::{AddrSet, AddrTable, Prefix};
-use std::collections::HashMap;
+use expanse_addr::prefix::mask;
+use expanse_addr::{addr_to_u128, AddrSet, AddrTable, Prefix};
 use std::net::Ipv6Addr;
 
 /// Planning parameters.
@@ -63,20 +63,21 @@ pub fn plan_targets_set(table: &AddrTable, ids: &AddrSet, cfg: &PlanConfig) -> V
 }
 
 fn plan_targets_iter(hitlist: impl Iterator<Item = Ipv6Addr>, cfg: &PlanConfig) -> Vec<Prefix> {
-    let levels = levels(cfg);
-    let mut counts: HashMap<Prefix, usize> = HashMap::new();
-    // One pass over the addresses, all levels per address: same counts
-    // as a per-level sweep, one address-stream walk.
-    for a in hitlist {
-        for &level in &levels {
-            *counts.entry(Prefix::new(a, level)).or_insert(0) += 1;
+    // Sorted addresses put every prefix's members next to each other at
+    // every level, so counting is one run-length pass per level over a
+    // flat vector — no map: a run *is* a prefix and its length the count.
+    let mut addrs: Vec<u128> = hitlist.map(addr_to_u128).collect();
+    addrs.sort_unstable();
+    let mut out: Vec<Prefix> = Vec::new();
+    for level in levels(cfg) {
+        // `mask` guards the shift at levels 0 and 128.
+        let netmask = mask(level);
+        for run in addrs.chunk_by(|a, b| a & netmask == b & netmask) {
+            if level == cfg.min_level || run.len() > cfg.min_targets {
+                out.push(Prefix::from_bits(run[0], level));
+            }
         }
     }
-    let mut out: Vec<Prefix> = counts
-        .into_iter()
-        .filter(|(p, n)| p.len() == cfg.min_level || *n > cfg.min_targets)
-        .map(|(p, _)| p)
-        .collect();
     out.sort();
     out
 }

@@ -21,6 +21,7 @@ pub fn fanout(ctx: &mut Ctx) -> String {
         "{p96}: exactly 9 of its 16 /100 children are aliased\n\n"
     ));
     let validator = Validator::new(1);
+    let mut probe: Vec<u8> = Vec::new();
     let trials = 200u64;
     let mut random_false_positive = 0usize;
     let mut fanout_false_positive = 0usize;
@@ -28,11 +29,11 @@ pub fn fanout(ctx: &mut Ctx) -> String {
         // Random method: 16 uniformly random addresses in the /96.
         let all_respond = (0..16u64).all(|k| {
             let t = keyed_random_addr(p96, trial * 1000 + k);
-            let probe = IcmpEchoModule.build(p.cfg.scan.src, t, &validator);
-            let replies = p.scanner.network_mut().inject(
-                expanse_netsim::Time::from_micros(trial * 100 + k),
-                &probe.emit(),
-            );
+            IcmpEchoModule.emit_probe(p.cfg.scan.src, t, &validator, &mut probe);
+            let replies = p
+                .scanner
+                .network_mut()
+                .inject(expanse_netsim::Time::from_micros(trial * 100 + k), &probe);
             replies.iter().any(|d| {
                 expanse_packet::Datagram::parse_transport(&d.frame)
                     .ok()
@@ -45,10 +46,10 @@ pub fn fanout(ctx: &mut Ctx) -> String {
         }
         // Fan-out method: one probe per /100 branch.
         let all_branches = fanout16(p96, trial).iter().all(|ft| {
-            let probe = IcmpEchoModule.build(p.cfg.scan.src, ft.addr, &validator);
+            IcmpEchoModule.emit_probe(p.cfg.scan.src, ft.addr, &validator, &mut probe);
             let replies = p.scanner.network_mut().inject(
                 expanse_netsim::Time::from_micros(900_000 + trial * 100 + u64::from(ft.branch)),
-                &probe.emit(),
+                &probe,
             );
             !replies.is_empty()
         });
@@ -114,7 +115,7 @@ pub fn crossproto(ctx: &mut Ctx) -> String {
     for day in 0..6u16 {
         p.scanner.network_mut().set_day(day);
         let report = apd.run_day(&mut p.scanner, &lossy_aliased);
-        for obs in report.observations.values() {
+        for (_, obs) in &report.observations {
             total += 1;
             if obs.icmp == 0xffff {
                 icmp_full_days += 1;

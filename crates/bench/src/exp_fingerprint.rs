@@ -20,11 +20,11 @@ fn aliased_64_evidence(ctx: &mut Ctx) -> Vec<(Prefix, Vec<BranchEvidence>)> {
         .filter(|px| px.len() == 64)
         .collect();
     let mut apd = Apd::new(ApdConfig::default());
-    let mut day_obs: Vec<HashMap<Prefix, expanse_apd::DayObservation>> = Vec::new();
+    let mut day_obs: Vec<expanse_apd::DayReport> = Vec::new();
     for day in 0..2u16 {
         p.scanner.network_mut().set_day(day);
         let report = apd.run_day(&mut p.scanner, &plan);
-        day_obs.push(report.observations);
+        day_obs.push(report);
     }
     let mut out = Vec::new();
     for px in &plan {

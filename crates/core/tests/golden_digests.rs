@@ -1,0 +1,81 @@
+//! Byte identity against *history*, not just serial ≡ parallel.
+//!
+//! The other determinism suites compare two runs of the same commit
+//! (serial vs parallel, live vs resumed), so an optimisation that
+//! changed every output the same way on both sides would pass them.
+//! This file pins three tiny-scale full-APD days to constants recorded
+//! on the commit *before* the probe-path rewrite (PR 13: sorted-run
+//! planning, one route lookup per frame, borrowed parse, reused frame
+//! buffer, dense fan-out bookkeeping). A change that is meant to keep
+//! every output byte passes it unedited; a change that is meant to move
+//! the outputs re-records the constants and says so.
+
+use expanse_core::{Pipeline, PipelineConfig, SchedConfig};
+use expanse_model::ModelConfig;
+
+/// Per-day `battery_digest`, identical with the scheduler off and in
+/// the degenerate config (the degenerate oracle of `sched_determinism`).
+const DIGESTS: [u64; 3] = [
+    621_330_540_362_602_448,
+    8_576_060_311_091_779_024,
+    17_977_382_459_976_938_771,
+];
+
+/// Per-day `probes_sent` (APD fan-out + traceroute + battery).
+const PROBES_SENT: [u64; 3] = [261_898, 261_986, 261_985];
+
+/// `save_full` length and FNV-1a hash after day 3, scheduler off.
+const SAVE_FIXED: (usize, u64) = (731_572, 3_903_657_399_448_402_581);
+
+/// The same for `SchedConfig::degenerate()` (the queue adds entries).
+const SAVE_DEGENERATE: (usize, u64) = (743_092, 6_077_667_759_429_039_273);
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Three full-APD days of the tiny model: digests, probe counts, and
+/// the final full snapshot's (length, hash).
+fn run(sched: SchedConfig) -> ([u64; 3], [u64; 3], (usize, u64)) {
+    let mut cfg = PipelineConfig {
+        trace_budget: 30,
+        full_apd_every: 1,
+        sched,
+        ..PipelineConfig::default()
+    };
+    cfg.plan.min_targets = 30;
+    let mut p = Pipeline::new(ModelConfig::tiny(7), cfg);
+    p.collect_sources(30);
+    let mut digests = [0u64; 3];
+    let mut probes = [0u64; 3];
+    for day in 0..3 {
+        let snap = p.run_day();
+        digests[day] = snap.battery_digest;
+        probes[day] = snap.probes_sent;
+    }
+    let mut full = Vec::new();
+    p.save_full(&mut full).expect("in-memory save");
+    (digests, probes, (full.len(), fnv1a(&full)))
+}
+
+#[test]
+fn fixed_grid_days_match_recorded_history() {
+    let (digests, probes, save) = run(SchedConfig::default());
+    assert_eq!(
+        (digests, probes, save),
+        (DIGESTS, PROBES_SENT, SAVE_FIXED),
+        "outputs moved against the recorded parent commit"
+    );
+}
+
+#[test]
+fn degenerate_scheduler_days_match_recorded_history() {
+    let (digests, probes, save) = run(SchedConfig::degenerate());
+    assert_eq!(
+        (digests, probes, save),
+        (DIGESTS, PROBES_SENT, SAVE_DEGENERATE),
+        "outputs moved against the recorded parent commit"
+    );
+}

@@ -48,22 +48,20 @@ impl AliasTable {
     /// carve-outs: an address in a region's carved branch resolves to
     /// `None` unless a more specific region covers it.
     pub fn resolve(&self, addr: Ipv6Addr) -> Option<(Prefix, AliasRegion)> {
-        // Walk from most specific to least specific covering region.
-        let mut covering: Vec<(Prefix, AliasRegion)> =
-            self.trie.matches(addr).map(|(p, r)| (p, *r)).collect();
-        covering.reverse();
-        for (p, r) in covering {
-            if let Some(branch) = r.carve_branch {
-                if p.len() <= 124 {
-                    let b = nybble(addr, usize::from(p.len()) / 4);
-                    if b == branch && p.len() % 4 == 0 {
-                        continue; // carved out: not served by this region
-                    }
-                }
+        // Covering regions arrive shortest first: the last one that does
+        // not carve `addr` out is the most specific region serving it.
+        let mut serving = None;
+        for (p, r) in self.trie.matches(addr) {
+            let carved = r.carve_branch.is_some_and(|branch| {
+                p.len() <= 124
+                    && p.len() % 4 == 0
+                    && nybble(addr, usize::from(p.len()) / 4) == branch
+            });
+            if !carved {
+                serving = Some((p, *r));
             }
-            return Some((p, r));
         }
-        None
+        serving
     }
 
     /// Number of regions.

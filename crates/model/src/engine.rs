@@ -8,6 +8,7 @@
 use crate::churn;
 use crate::fingerprint::MachineId;
 use crate::host::HostKind;
+use crate::ids::AsCategory;
 use crate::scenario::ScenarioResponder;
 use crate::InternetModel;
 use expanse_addr::fanout::splitmix64;
@@ -90,6 +91,28 @@ impl DayState {
             syn_proxies: Vec::new(),
             scenario_hosts: Arc::default(),
         }
+    }
+}
+
+/// A frame's destination route, resolved once per frame: the covering
+/// announcement, its origin's category, and the forwarding path length.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    /// The longest-matching announced prefix.
+    prefix: Prefix,
+    /// The origin AS's category; `None` for an AS missing from the
+    /// roster (the hop model then treats the path as opaque).
+    category: Option<AsCategory>,
+    /// Hops to the destination, with an unknown category counted as
+    /// [`AsCategory::Enterprise`].
+    path_len: u8,
+}
+
+impl Route {
+    /// The hop limit a reply arrives with: machine initial TTL minus the
+    /// return path length.
+    fn observed_ttl(self, ittl: u8) -> u8 {
+        ittl.saturating_sub(self.path_len)
     }
 }
 
@@ -222,16 +245,19 @@ impl InternetModel {
         Delivery::new(at, datagram.emit())
     }
 
-    /// The hop limit a reply arrives with: machine initial TTL minus the
-    /// return path length.
-    fn observed_ttl(&self, dst: Ipv6Addr, ittl: u8) -> u8 {
-        let cat = self
-            .bgp
-            .origin(dst)
-            .and_then(|asn| self.as_category(asn))
-            .unwrap_or(crate::ids::AsCategory::Enterprise);
-        let plen = self.paths.path_len(dst, cat);
-        ittl.saturating_sub(plen)
+    /// The one longest-prefix match a frame costs; `None` for unrouted
+    /// space.
+    fn route(&self, dst: Ipv6Addr) -> Option<Route> {
+        let (prefix, asn) = self.bgp.lookup(dst)?;
+        let category = self.as_category(asn);
+        let path_len = self
+            .paths
+            .path_len(dst, category.unwrap_or(AsCategory::Enterprise));
+        Some(Route {
+            prefix,
+            category,
+            path_len,
+        })
     }
 
     fn handle_icmp(
@@ -239,10 +265,18 @@ impl InternetModel {
         ds: &mut DayState,
         now: Time,
         hdr: &expanse_packet::Ipv6Header,
-        ident: u16,
-        seq: u16,
-        payload: Vec<u8>,
+        route: Route,
+        msg: Icmpv6Message,
     ) -> Vec<Delivery> {
+        // Only echo requests are answered.
+        let Icmpv6Message::EchoRequest {
+            ident,
+            seq,
+            payload,
+        } = msg
+        else {
+            return Vec::new();
+        };
         let dst = hdr.dst;
         // ICMP rate limiting (§5.1 case 4).
         for (p, bucket) in &mut ds.icmp_buckets {
@@ -273,7 +307,7 @@ impl InternetModel {
         }
         let m = &self.population.machines[machine.0 as usize];
         let flavor = splitmix64(addr_to_u128(dst) as u64 ^ now.0 ^ 0x1c1c);
-        let ttl = self.observed_ttl(dst, m.reply_ittl(flavor));
+        let ttl = route.observed_ttl(m.reply_ittl(flavor));
         vec![self.reply(
             now,
             dst,
@@ -293,6 +327,7 @@ impl InternetModel {
         ds: &mut DayState,
         now: Time,
         hdr: &expanse_packet::Ipv6Header,
+        route: Route,
         seg: TcpSegment,
     ) -> Vec<Delivery> {
         if !seg.flags.contains(TcpFlags::SYN) || seg.flags.contains(TcpFlags::ACK) {
@@ -318,7 +353,7 @@ impl InternetModel {
                 if proxy.on_syn(now) {
                     let m = &self.population.machines[0];
                     let reply = m.syn_ack(&seg, self.abs_ns(ds.day, now), tuple_key, 0);
-                    let ttl = self.observed_ttl(dst, 64);
+                    let ttl = route.observed_ttl(64);
                     return vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Tcp(reply))];
                 }
                 return Vec::new();
@@ -349,7 +384,7 @@ impl InternetModel {
         let flavor = splitmix64(addr_to_u128(dst) as u64 ^ now.0 ^ u64::from(seg.dst_port));
         if serves {
             let reply = m.syn_ack(&seg, self.abs_ns(ds.day, now), tuple_key, flavor);
-            let ttl = self.observed_ttl(dst, m.reply_ittl(flavor));
+            let ttl = route.observed_ttl(m.reply_ittl(flavor));
             vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Tcp(reply))]
         } else if kind.is_some() {
             // Live host, closed port: RST-ACK.
@@ -364,7 +399,7 @@ impl InternetModel {
                 options: Vec::new(),
                 payload: Vec::new(),
             };
-            let ttl = self.observed_ttl(dst, m.reply_ittl(flavor));
+            let ttl = route.observed_ttl(m.reply_ittl(flavor));
             vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Tcp(rst))]
         } else {
             Vec::new()
@@ -376,6 +411,7 @@ impl InternetModel {
         ds: &DayState,
         now: Time,
         hdr: &expanse_packet::Ipv6Header,
+        route: Route,
         u: UdpDatagram,
     ) -> Vec<Delivery> {
         let dst = hdr.dst;
@@ -402,7 +438,7 @@ impl InternetModel {
         }
         let m = &self.population.machines[machine.0 as usize];
         let flavor = splitmix64(addr_to_u128(dst) as u64 ^ 0xd4d4);
-        let ttl = self.observed_ttl(dst, m.reply_ittl(flavor));
+        let ttl = route.observed_ttl(m.reply_ittl(flavor));
         match u.dst_port {
             53 if self.serves_today(ds.day, dst, protos, Protocol::Udp53) => {
                 let Ok(resp) = dns::build_response(&u.payload, 0, 1) else {
@@ -445,13 +481,12 @@ impl InternetModel {
         ds: &DayState,
         now: Time,
         hdr: &expanse_packet::Ipv6Header,
+        route: Route,
         frame: &[u8],
     ) -> Option<Vec<Delivery>> {
         let dst = hdr.dst;
-        let (dst_prefix, asn) = self.bgp.lookup(dst)?;
-        let cat = self.as_category(asn)?;
-        let plen = self.paths.path_len(dst, cat);
-        if hdr.hop_limit >= plen {
+        let cat = route.category?;
+        if hdr.hop_limit >= route.path_len {
             return None; // reaches the destination; caller continues
         }
         let hop = hdr.hop_limit.max(1);
@@ -466,7 +501,7 @@ impl InternetModel {
         if self.lost(ds.day, dst, 0x70 ^ hop, u64::from(hop)) {
             return Some(Vec::new());
         }
-        let hop_addr = self.paths.hop_addr(dst, dst_prefix, cat, hop);
+        let hop_addr = self.paths.hop_addr(dst, route.prefix, cat, hop);
         let mut invoking = frame.to_vec();
         invoking.truncate(88); // header + leading payload bytes
         let msg = Icmpv6Message::TimeExceeded { code: 0, invoking };
@@ -491,21 +526,17 @@ impl InternetModel {
             return Vec::new();
         };
         // Unrouted space: silence (border routers dropping martians).
-        if self.bgp.lookup(hdr.dst).is_none() {
+        let Some(route) = self.route(hdr.dst) else {
             return Vec::new();
-        }
+        };
         // Hop-limited probes burn out in transit.
-        if let Some(out) = self.handle_hops(ds, now, &hdr, frame) {
+        if let Some(out) = self.handle_hops(ds, now, &hdr, route, frame) {
             return out;
         }
         match transport {
-            Transport::Icmpv6(Icmpv6Message::EchoRequest {
-                ident,
-                seq,
-                payload,
-            }) => self.handle_icmp(ds, now, &hdr, ident, seq, payload),
-            Transport::Tcp(seg) => self.handle_tcp(ds, now, &hdr, seg),
-            Transport::Udp(u) => self.handle_udp(ds, now, &hdr, u),
+            Transport::Icmpv6(msg) => self.handle_icmp(ds, now, &hdr, route, msg),
+            Transport::Tcp(seg) => self.handle_tcp(ds, now, &hdr, route, seg),
+            Transport::Udp(u) => self.handle_udp(ds, now, &hdr, route, u),
             _ => Vec::new(),
         }
     }
@@ -621,6 +652,67 @@ mod tests {
             }
         }
         assert!(got, "a live host should answer within 5 days of probing");
+    }
+
+    #[test]
+    fn uncategorised_origin_gets_enterprise_ttl_and_an_opaque_path() {
+        let mut m = model();
+        // Live ICMP servers in eyeball networks: there the known category
+        // (one CPE hop deeper) and the fallback give different TTLs.
+        let mut keys: Vec<u128> = m
+            .population
+            .hosts
+            .iter()
+            .filter(|(k, h)| {
+                let a = expanse_addr::u128_to_addr(**k);
+                h.protos.contains(Protocol::Icmp)
+                    && h.online(0)
+                    && h.kind != HostKind::Client
+                    && m.population.aliases.resolve(a).is_none()
+                    && m.bgp.origin(a).and_then(|asn| m.as_category(asn))
+                        == Some(AsCategory::IspEyeball)
+            })
+            .map(|(k, _)| *k)
+            .collect();
+        keys.sort_unstable();
+        let now = Time::from_millis(3);
+        let reply_ttl = |m: &mut InternetModel, addr: Ipv6Addr, hop: u8| {
+            let out = m.inject(now, &echo(addr, hop));
+            let d = out.first()?;
+            let (h, t) = Datagram::parse_transport(&d.frame).unwrap();
+            assert!(
+                matches!(t, Transport::Icmpv6(Icmpv6Message::EchoReply { .. })),
+                "hop limit {hop}: {t:?}"
+            );
+            Some(h.hop_limit)
+        };
+        // Loss is keyed per (address, day): take the first host that answers.
+        let (addr, known) = keys
+            .into_iter()
+            .map(expanse_addr::u128_to_addr)
+            .find_map(|a| Some((a, reply_ttl(&mut m, a, 64)?)))
+            .expect("an eyeball server answers on day 0");
+
+        // Re-announce the table from an AS that is not on the roster.
+        let ghost = crate::ids::Asn(1);
+        assert_eq!(m.as_category(ghost), None);
+        let announced = m.bgp.announcements().iter().map(|(p, _)| (*p, ghost));
+        m.bgp = crate::bgp::BgpTable::new(announced.collect());
+
+        let enterprise = m.paths.path_len(addr, AsCategory::Enterprise);
+        assert_eq!(
+            m.paths.path_len(addr, AsCategory::IspEyeball),
+            enterprise + 1
+        );
+        let fallback = reply_ttl(&mut m, addr, 64).expect("same probe, same fate");
+        assert_eq!(fallback, known + 1, "Enterprise path is one hop shorter");
+        let machine = m.population.hosts[&addr_to_u128(addr)].machine;
+        let flavor = splitmix64(addr_to_u128(addr) as u64 ^ now.0 ^ 0x1c1c);
+        let ittl = m.population.machines[machine.0 as usize].reply_ittl(flavor);
+        assert_eq!(fallback, ittl - enterprise);
+        // With no category the hop model is opaque: even hop limit 1
+        // reaches the destination instead of burning out in transit.
+        assert_eq!(reply_ttl(&mut m, addr, 1), Some(fallback));
     }
 
     #[test]

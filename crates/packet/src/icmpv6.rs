@@ -78,6 +78,43 @@ pub enum Icmpv6Message {
     },
 }
 
+/// Append one message — type, code, checksum, then `parts` in order —
+/// to `out`, checksummed for transmission between `src` and `dst`.
+fn emit_parts(
+    msg_type: u8,
+    code: u8,
+    parts: [&[u8]; 2],
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    out: &mut Vec<u8>,
+) {
+    let start = out.len();
+    out.extend_from_slice(&[msg_type, code, 0, 0]);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    let ck = transport_checksum(src, dst, proto::ICMPV6, &out[start..]);
+    out[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
+}
+
+/// Append an echo request or reply (`msg_type`) built from borrowed
+/// fields: what [`Icmpv6Message::emit_into`] does for the echo variants,
+/// for a prober that sends the same constant payload in every probe and
+/// has no reason to own a copy of it per message.
+pub fn emit_echo(
+    msg_type: u8,
+    ident: u16,
+    seq: u16,
+    payload: &[u8],
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    out: &mut Vec<u8>,
+) {
+    let [i0, i1] = ident.to_be_bytes();
+    let [s0, s1] = seq.to_be_bytes();
+    emit_parts(msg_type, 0, [&[i0, i1, s0, s1], payload], src, dst, out);
+}
+
 impl Icmpv6Message {
     /// The ICMPv6 type byte.
     pub fn msg_type(&self) -> u8 {
@@ -90,9 +127,27 @@ impl Icmpv6Message {
         }
     }
 
+    /// Encoded length in bytes.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            Icmpv6Message::EchoRequest { payload, .. }
+            | Icmpv6Message::EchoReply { payload, .. } => 8 + payload.len(),
+            Icmpv6Message::DestUnreachable { invoking, .. }
+            | Icmpv6Message::TimeExceeded { invoking, .. } => 8 + invoking.len(),
+            Icmpv6Message::Other { body, .. } => 4 + body.len(),
+        }
+    }
+
     /// Encode with checksum for transmission between `src` and `dst`.
     pub fn emit(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
-        let mut out = vec![0u8; 4]; // type, code, checksum placeholder
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.emit_into(src, dst, &mut out);
+        out
+    }
+
+    /// [`Icmpv6Message::emit`], appended to `out` (the checksum covers
+    /// only the appended message).
+    pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
         match self {
             Icmpv6Message::EchoRequest {
                 ident,
@@ -103,32 +158,18 @@ impl Icmpv6Message {
                 ident,
                 seq,
                 payload,
-            } => {
-                out[0] = self.msg_type();
-                out.extend_from_slice(&ident.to_be_bytes());
-                out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(payload);
-            }
+            } => emit_echo(self.msg_type(), *ident, *seq, payload, src, dst, out),
             Icmpv6Message::DestUnreachable { code, invoking }
             | Icmpv6Message::TimeExceeded { code, invoking } => {
-                out[0] = self.msg_type();
-                out[1] = *code;
-                out.extend_from_slice(&[0u8; 4]); // unused field
-                out.extend_from_slice(invoking);
+                // The second header word is unused.
+                emit_parts(self.msg_type(), *code, [&[0; 4], invoking], src, dst, out);
             }
             Icmpv6Message::Other {
                 icmp_type,
                 code,
                 body,
-            } => {
-                out[0] = *icmp_type;
-                out[1] = *code;
-                out.extend_from_slice(body);
-            }
+            } => emit_parts(*icmp_type, *code, [&[], body], src, dst, out),
         }
-        let ck = transport_checksum(src, dst, proto::ICMPV6, &out);
-        out[2..4].copy_from_slice(&ck.to_be_bytes());
-        out
     }
 
     /// Parse and verify the checksum.

@@ -92,19 +92,30 @@ impl Datagram {
         hop_limit: u8,
         payload: Vec<u8>,
     ) -> Self {
-        let payload_len =
-            u16::try_from(payload.len()).expect("payload exceeds 64 KiB (jumbograms unsupported)");
         Datagram {
-            header: Ipv6Header {
-                src,
-                dst,
-                next_header,
-                hop_limit,
-                traffic_class: 0,
-                flow_label: 0,
-                payload_len,
-            },
+            header: Datagram::header_for(src, dst, next_header, hop_limit, payload.len()),
             payload,
+        }
+    }
+
+    /// The header of a datagram carrying `payload_len` transport bytes.
+    fn header_for(
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        next_header: u8,
+        hop_limit: u8,
+        payload_len: usize,
+    ) -> Ipv6Header {
+        let payload_len =
+            u16::try_from(payload_len).expect("payload exceeds 64 KiB (jumbograms unsupported)");
+        Ipv6Header {
+            src,
+            dst,
+            next_header,
+            hop_limit,
+            traffic_class: 0,
+            flow_label: 0,
+            payload_len,
         }
     }
 
@@ -126,6 +137,28 @@ impl Datagram {
         Datagram::new(src, dst, proto::UDP, hop_limit, payload)
     }
 
+    /// Emit a whole frame into a reused buffer: `frame` is cleared, the
+    /// fixed header written, `body` appends the transport bytes (an
+    /// `emit_into` of this crate), and the payload length is patched in.
+    /// Byte for byte what `Datagram::new(.., body bytes).emit()` returns,
+    /// without the intermediate payload and frame vectors — a prober
+    /// sends hundreds of thousands of probes a scan from one buffer.
+    pub fn emit_with(
+        frame: &mut Vec<u8>,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        next_header: u8,
+        hop_limit: u8,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) {
+        frame.clear();
+        frame.extend_from_slice(&[0; HEADER_LEN]);
+        body(frame);
+        let payload_len = frame.len() - HEADER_LEN;
+        let header = Datagram::header_for(src, dst, next_header, hop_limit, payload_len);
+        frame[..HEADER_LEN].copy_from_slice(&header.emit());
+    }
+
     /// Serialize header + payload.
     pub fn emit(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
@@ -137,23 +170,30 @@ impl Datagram {
     /// Parse a full datagram; the payload length field must match the
     /// buffer exactly (the simulator never fragments).
     pub fn parse(buf: &[u8]) -> Result<Datagram, PacketError> {
-        let header = Ipv6Header::parse(buf)?;
-        let want = usize::from(header.payload_len);
-        let body = &buf[HEADER_LEN..];
-        if body.len() != want {
-            return Err(PacketError::BadLength);
-        }
+        let (header, body) = Datagram::split(buf)?;
         Ok(Datagram {
             header,
             payload: body.to_vec(),
         })
     }
 
-    /// Parse and decode the transport payload in one step.
+    /// The parsed header and the borrowed body of a full datagram,
+    /// length-checked as [`Datagram::parse`] documents.
+    fn split(buf: &[u8]) -> Result<(Ipv6Header, &[u8]), PacketError> {
+        let header = Ipv6Header::parse(buf)?;
+        let body = &buf[HEADER_LEN..];
+        if body.len() != usize::from(header.payload_len) {
+            return Err(PacketError::BadLength);
+        }
+        Ok((header, body))
+    }
+
+    /// Parse and decode the transport payload in one step, straight off
+    /// the borrowed frame (same length and checksum checks as
+    /// [`Datagram::parse`] + [`crate::Transport::parse`], no body copy).
     pub fn parse_transport(buf: &[u8]) -> Result<(Ipv6Header, crate::Transport), PacketError> {
-        let d = Datagram::parse(buf)?;
-        let t = crate::Transport::parse(&d.header, &d.payload)?;
-        Ok((d.header, t))
+        let (header, body) = Datagram::split(buf)?;
+        Ok((header, crate::Transport::parse(&header, body)?))
     }
 }
 
@@ -211,6 +251,102 @@ mod tests {
         assert_eq!(Datagram::parse(&bytes).unwrap(), d);
         bytes.push(0); // trailing junk
         assert_eq!(Datagram::parse(&bytes), Err(PacketError::BadLength));
+    }
+
+    /// One well-formed frame per transport, each with a non-empty
+    /// payload so a payload bit can be flipped.
+    fn transport_frames() -> Vec<(&'static str, Vec<u8>)> {
+        let (s, d) = (addr("2001:db8::1"), addr("2001:db8::2"));
+        let echo = Icmpv6Message::EchoRequest {
+            ident: 7,
+            seq: 9,
+            payload: b"expanse".to_vec(),
+        };
+        let seg = TcpSegment {
+            payload: b"hello".to_vec(),
+            ..TcpSegment::syn_with_options(40000, 80, 1, 2)
+        };
+        let udp = UdpDatagram::new(40000, 53, b"query".to_vec());
+        vec![
+            ("icmpv6", Datagram::icmpv6(s, d, 64, echo).emit()),
+            ("tcp", Datagram::tcp(s, d, 64, &seg).emit()),
+            ("udp", Datagram::udp(s, d, 64, &udp).emit()),
+        ]
+    }
+
+    #[test]
+    fn parse_transport_agrees_with_two_step_parse() {
+        for (name, frame) in transport_frames() {
+            let d = Datagram::parse(&frame).unwrap();
+            let t = crate::Transport::parse(&d.header, &d.payload).unwrap();
+            assert_eq!(
+                Datagram::parse_transport(&frame),
+                Ok((d.header, t)),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_transport_length_must_match() {
+        for (name, frame) in transport_frames() {
+            let mut long = frame.clone();
+            long.push(0); // trailing byte
+            assert_eq!(
+                Datagram::parse_transport(&long),
+                Err(PacketError::BadLength),
+                "{name}: trailing byte"
+            );
+            let short = &frame[..frame.len() - 1]; // body shorter than payload_len
+            assert_eq!(
+                Datagram::parse_transport(short),
+                Err(PacketError::BadLength),
+                "{name}: short body"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_transport_verifies_checksum() {
+        for (name, mut frame) in transport_frames() {
+            let last = frame.len() - 1;
+            frame[last] ^= 0x01; // a payload bit
+            assert_eq!(
+                Datagram::parse_transport(&frame),
+                Err(PacketError::BadChecksum),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn emit_with_equals_owned_emit() {
+        let (s, d) = (addr("2001:db8::1"), addr("2001:db8::2"));
+        let echo = Icmpv6Message::EchoRequest {
+            ident: 7,
+            seq: 9,
+            payload: b"expanse".to_vec(),
+        };
+        let seg = TcpSegment::syn_with_options(40000, 80, 1, 2);
+        let udp = UdpDatagram::new(40000, 53, b"query".to_vec());
+        // One buffer across all three: each emit starts from a clean frame.
+        let mut frame = vec![0xaa; 7];
+        Datagram::emit_with(&mut frame, s, d, proto::ICMPV6, 64, |out| {
+            echo.emit_into(s, d, out)
+        });
+        assert_eq!(frame, Datagram::icmpv6(s, d, 64, echo.clone()).emit());
+        Datagram::emit_with(&mut frame, s, d, proto::ICMPV6, 64, |out| {
+            crate::icmpv6::emit_echo(128, 7, 9, b"expanse", s, d, out)
+        });
+        assert_eq!(frame, Datagram::icmpv6(s, d, 64, echo).emit());
+        Datagram::emit_with(&mut frame, s, d, proto::TCP, 63, |out| {
+            seg.emit_into(s, d, out)
+        });
+        assert_eq!(frame, Datagram::tcp(s, d, 63, &seg).emit());
+        Datagram::emit_with(&mut frame, s, d, proto::UDP, 62, |out| {
+            udp.emit_into(s, d, out)
+        });
+        assert_eq!(frame, Datagram::udp(s, d, 62, &udp).emit());
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! fingerprinting code honest instead of mocked.
 //!
 //! Design follows the smoltcp idiom of explicit representation structs with
-//! `emit`/`parse` pairs, but favours owned [`Vec<u8>`] buffers over
-//! zero-copy views: the simulator stores packets in event queues, so
-//! ownership is the natural shape, and packet rates in the simulation are
-//! far below where zero-copy would matter.
+//! `emit`/`parse` pairs. The representations own their variable-length
+//! fields ([`Vec<u8>`]): the simulator stores packets in event queues, so
+//! ownership is the natural shape. The per-probe path avoids the copies
+//! around them — every `emit` has an `emit_into` that appends to a
+//! caller's buffer, [`Datagram::emit_with`] frames one in place, and
+//! [`Datagram::parse_transport`] parses off the borrowed frame — because
+//! a scan sends hundreds of thousands of probes a virtual day.
 //!
 //! Layers:
 //! - [`ipv6`] — fixed 40-byte IPv6 header + full datagram framing

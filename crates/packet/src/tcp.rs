@@ -152,7 +152,9 @@ impl TcpOption {
     /// Parse all options from an options block. Stops at EOL. Malformed
     /// lengths yield `PacketError::Malformed`.
     pub fn parse_all(mut buf: &[u8]) -> Result<Vec<TcpOption>, PacketError> {
-        let mut out = Vec::new();
+        // Options average four bytes (the §5.4 probe set is 5 in 20):
+        // sized once for the common case, none for an empty block.
+        let mut out = Vec::with_capacity(buf.len().div_ceil(4));
         while let Some(&kind) = buf.first() {
             match kind {
                 0 => {
@@ -272,9 +274,20 @@ impl TcpSegment {
     /// # Panics
     /// Panics if the padded options exceed the 40-byte TCP limit.
     pub fn emit(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.header_len() + self.payload.len());
+        self.emit_into(src, dst, &mut out);
+        out
+    }
+
+    /// [`TcpSegment::emit`], appended to `out` (the checksum covers only
+    /// the appended segment).
+    ///
+    /// # Panics
+    /// Panics if the padded options exceed the 40-byte TCP limit.
+    pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
         let header_len = self.header_len();
         assert!(header_len <= 60, "TCP options exceed 40 bytes");
-        let mut out = Vec::with_capacity(header_len + self.payload.len());
+        let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
@@ -285,13 +298,12 @@ impl TcpSegment {
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(&self.urgent.to_be_bytes());
         for opt in &self.options {
-            opt.emit_into(&mut out);
+            opt.emit_into(out);
         }
-        out.resize(header_len, 0); // zero padding after options
+        out.resize(start + header_len, 0); // zero padding after options
         out.extend_from_slice(&self.payload);
-        let ck = transport_checksum(src, dst, proto::TCP, &out);
-        out[16..18].copy_from_slice(&ck.to_be_bytes());
-        out
+        let ck = transport_checksum(src, dst, proto::TCP, &out[start..]);
+        out[start + 16..start + 18].copy_from_slice(&ck.to_be_bytes());
     }
 
     /// Parse and verify the checksum.

@@ -28,19 +28,26 @@ impl UdpDatagram {
     /// Encode with checksum (mandatory over IPv6; an all-zero checksum is
     /// transmitted as 0xffff per RFC 8200 §8.1).
     pub fn emit(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 + self.payload.len());
+        self.emit_into(src, dst, &mut out);
+        out
+    }
+
+    /// [`UdpDatagram::emit`], appended to `out` (the checksum covers only
+    /// the appended datagram).
+    pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
         let len = 8 + self.payload.len();
-        let mut out = Vec::with_capacity(len);
+        let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&(len as u16).to_be_bytes());
         out.extend_from_slice(&[0, 0]);
         out.extend_from_slice(&self.payload);
-        let mut ck = transport_checksum(src, dst, proto::UDP, &out);
+        let mut ck = transport_checksum(src, dst, proto::UDP, &out[start..]);
         if ck == 0 {
             ck = 0xffff;
         }
-        out[6..8].copy_from_slice(&ck.to_be_bytes());
-        out
+        out[start + 6..start + 8].copy_from_slice(&ck.to_be_bytes());
     }
 
     /// Parse and verify checksum + length.

@@ -2,7 +2,8 @@
 
 use crate::validate::Validator;
 use expanse_packet::{
-    dns, quic, Datagram, Icmpv6Message, Protocol, TcpFlags, TcpSegment, Transport, UdpDatagram,
+    dns, icmpv6, proto, quic, Datagram, Icmpv6Message, Protocol, TcpFlags, TcpSegment, Transport,
+    UdpDatagram,
 };
 use std::net::Ipv6Addr;
 
@@ -69,8 +70,9 @@ pub trait ProbeModule: Send + Sync {
     /// Which service this module scans.
     fn protocol(&self) -> Protocol;
 
-    /// Build the probe datagram for `dst`.
-    fn build(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator) -> Datagram;
+    /// Write the probe frame for `dst` into `frame` (cleared first): the
+    /// scan loop sends every probe of a job from one reused buffer.
+    fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>);
 
     /// Classify a delivered frame: `Some((target, kind, ttl))` if the
     /// frame is a valid reply for this module under validator `v`.
@@ -91,18 +93,13 @@ impl ProbeModule for IcmpEchoModule {
         Protocol::Icmp
     }
 
-    fn build(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator) -> Datagram {
+    fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>) {
         let f = v.fields(dst);
-        Datagram::icmpv6(
-            src,
-            dst,
-            Datagram::DEFAULT_HOP_LIMIT,
-            Icmpv6Message::EchoRequest {
-                ident: f.ident,
-                seq: f.seq,
-                payload: b"expanse-probe".to_vec(),
-            },
-        )
+        let hops = Datagram::DEFAULT_HOP_LIMIT;
+        Datagram::emit_with(frame, src, dst, proto::ICMPV6, hops, |out| {
+            let echo = icmpv6::types::ECHO_REQUEST;
+            icmpv6::emit_echo(echo, f.ident, f.seq, b"expanse-probe", src, dst, out);
+        });
     }
 
     fn classify(
@@ -161,14 +158,17 @@ impl ProbeModule for TcpSynModule {
         }
     }
 
-    fn build(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator) -> Datagram {
+    fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>) {
         let f = v.fields(dst);
         let seg = if self.with_options {
             TcpSegment::syn_with_options(f.src_port, self.port, f.tcp_seq, f.tcp_seq ^ 0x5c5c)
         } else {
             TcpSegment::syn(f.src_port, self.port, f.tcp_seq)
         };
-        Datagram::tcp(src, dst, Datagram::DEFAULT_HOP_LIMIT, &seg)
+        let hops = Datagram::DEFAULT_HOP_LIMIT;
+        Datagram::emit_with(frame, src, dst, proto::TCP, hops, |out| {
+            seg.emit_into(src, dst, out);
+        });
     }
 
     fn classify(
@@ -210,11 +210,14 @@ impl ProbeModule for DnsModule {
         Protocol::Udp53
     }
 
-    fn build(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator) -> Datagram {
+    fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>) {
         let f = v.fields(dst);
         let q = dns::DnsQuery::new(f.ident, "ipv6.expanse.example.com", dns::qtype::AAAA);
         let u = UdpDatagram::new(f.src_port, 53, q.emit());
-        Datagram::udp(src, dst, Datagram::DEFAULT_HOP_LIMIT, &u)
+        let hops = Datagram::DEFAULT_HOP_LIMIT;
+        Datagram::emit_with(frame, src, dst, proto::UDP, hops, |out| {
+            u.emit_into(src, dst, out);
+        });
     }
 
     fn classify(
@@ -267,13 +270,16 @@ impl ProbeModule for QuicModule {
         Protocol::Udp443
     }
 
-    fn build(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator) -> Datagram {
+    fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>) {
         let f = v.fields(dst);
         let dcid = f.tcp_seq.to_be_bytes();
         let scid = f.ident.to_be_bytes();
         let init = quic::QuicLongHeader::initial(&dcid, &scid);
         let u = UdpDatagram::new(f.src_port, 443, init);
-        Datagram::udp(src, dst, Datagram::DEFAULT_HOP_LIMIT, &u)
+        let hops = Datagram::DEFAULT_HOP_LIMIT;
+        Datagram::emit_with(frame, src, dst, proto::UDP, hops, |out| {
+            u.emit_into(src, dst, out);
+        });
     }
 
     fn classify(
@@ -332,14 +338,48 @@ mod tests {
         )
     }
 
+    /// The module's probe for `dst`, emitted over a dirty buffer the way
+    /// a scan job's second and later probes are.
+    fn probe_frame(m: &dyn ProbeModule, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
+        let mut frame = vec![0xee; 100];
+        m.emit_probe(src, dst, &v(), &mut frame);
+        frame
+    }
+
+    #[test]
+    fn probes_are_the_owned_datagrams_byte_for_byte() {
+        let (src, dst) = pair();
+        let f = v().fields(dst);
+        let hops = Datagram::DEFAULT_HOP_LIMIT;
+        let echo = Icmpv6Message::EchoRequest {
+            ident: f.ident,
+            seq: f.seq,
+            payload: b"expanse-probe".to_vec(),
+        };
+        assert_eq!(
+            probe_frame(&IcmpEchoModule, src, dst),
+            Datagram::icmpv6(src, dst, hops, echo).emit()
+        );
+        let syn = TcpSegment::syn_with_options(f.src_port, 443, f.tcp_seq, f.tcp_seq ^ 0x5c5c);
+        assert_eq!(
+            probe_frame(&TcpSynModule::with_synopt(443), src, dst),
+            Datagram::tcp(src, dst, hops, &syn).emit()
+        );
+        let bare = TcpSegment::syn(f.src_port, 80, f.tcp_seq);
+        assert_eq!(
+            probe_frame(&TcpSynModule::new(80), src, dst),
+            Datagram::tcp(src, dst, hops, &bare).emit()
+        );
+    }
+
     #[test]
     fn icmp_build_and_classify_roundtrip() {
         let (src, dst) = pair();
         let m = IcmpEchoModule;
-        let probe = m.build(src, dst, &v());
-        assert_eq!(probe.header.dst, dst);
+        let probe = probe_frame(&m, src, dst);
         // Simulate the target echoing back.
-        let (hdr, t) = Datagram::parse_transport(&probe.emit()).unwrap();
+        let (hdr, t) = Datagram::parse_transport(&probe).unwrap();
+        assert_eq!(hdr.dst, dst);
         let Transport::Icmpv6(Icmpv6Message::EchoRequest {
             ident,
             seq,
@@ -386,8 +426,8 @@ mod tests {
     fn tcp_synack_classified_with_fingerprint() {
         let (src, dst) = pair();
         let m = TcpSynModule::with_synopt(80);
-        let probe = m.build(src, dst, &v());
-        let (_, t) = Datagram::parse_transport(&probe.emit()).unwrap();
+        let probe = probe_frame(&m, src, dst);
+        let (_, t) = Datagram::parse_transport(&probe).unwrap();
         let Transport::Tcp(pseg) = t else { panic!() };
         assert_eq!(pseg.options_text(), "MSS-SACK-TS-N-WS");
         assert_eq!(pseg.mss(), Some(1));
@@ -468,8 +508,8 @@ mod tests {
     fn dns_response_classified() {
         let (src, dst) = pair();
         let m = DnsModule;
-        let probe = m.build(src, dst, &v());
-        let (_, t) = Datagram::parse_transport(&probe.emit()).unwrap();
+        let probe = probe_frame(&m, src, dst);
+        let (_, t) = Datagram::parse_transport(&probe).unwrap();
         let Transport::Udp(u) = t else { panic!() };
         let resp = dns::build_response(&u.payload, 0, 1).unwrap();
         let reply = Datagram::udp(dst, src, 60, &UdpDatagram::new(53, u.src_port, resp));
@@ -490,8 +530,8 @@ mod tests {
     fn quic_version_negotiation_classified() {
         let (src, dst) = pair();
         let m = QuicModule;
-        let probe = m.build(src, dst, &v());
-        let (_, t) = Datagram::parse_transport(&probe.emit()).unwrap();
+        let probe = probe_frame(&m, src, dst);
+        let (_, t) = Datagram::parse_transport(&probe).unwrap();
         let Transport::Udp(u) = t else { panic!() };
         let init = quic::QuicLongHeader::parse(&u.payload).unwrap();
         let vn = quic::QuicLongHeader::version_negotiation(&init.scid, &init.dcid, &[1]);

@@ -92,9 +92,10 @@ impl Permutation {
     /// Panics if `shard >= total` or `total == 0`.
     pub fn shard(&self, shard: u64, total: u64) -> impl Iterator<Item = u64> + '_ {
         assert!(total > 0 && shard < total, "bad shard {shard}/{total}");
-        (0..self.n)
-            .filter(move |i| i % total == shard)
-            .map(move |i| self.at(i))
+        // Positions `shard, shard + total, …`: a stride, so a shard of a
+        // 40-cell battery grid walks n/40 positions, not all n.
+        let stride = usize::try_from(total).unwrap_or(usize::MAX);
+        (shard..self.n).step_by(stride).map(move |i| self.at(i))
     }
 }
 
@@ -144,6 +145,22 @@ mod tests {
         all.sort_unstable();
         let want: Vec<u64> = (0..997).collect();
         assert_eq!(all, want);
+    }
+
+    #[test]
+    fn shard_is_the_positions_congruent_to_it() {
+        // The stride walk against the definition it replaced.
+        for (n, total) in [(1u64, 1u64), (10, 3), (997, 4), (40, 40), (5, 8), (64, 7)] {
+            let p = Permutation::new(n, 11);
+            for shard in 0..total {
+                let got: Vec<u64> = p.shard(shard, total).collect();
+                let want: Vec<u64> = (0..n)
+                    .filter(|i| i % total == shard)
+                    .map(|i| p.at(i))
+                    .collect();
+                assert_eq!(got, want, "n={n} shard={shard}/{total}");
+            }
+        }
     }
 
     #[test]

@@ -190,6 +190,8 @@ impl<N: Network> Scanner<N> {
         let gap = Duration(1_000_000_000 / cfg.rate_pps.max(1));
         let mut rx: EventQueue<Vec<u8>> = EventQueue::new();
         let mut clock = start;
+        // Every probe of the job is emitted into this one buffer.
+        let mut frame: Vec<u8> = Vec::new();
 
         for idx in perm.shard(shard, shards) {
             let dst = targets[idx as usize];
@@ -197,9 +199,9 @@ impl<N: Network> Scanner<N> {
                 result.blacklisted += 1;
                 continue;
             }
-            let probe = module.build(cfg.src, dst, &validator);
+            module.emit_probe(cfg.src, dst, &validator, &mut frame);
             result.sent += 1;
-            for d in net.inject(clock, &probe.emit()) {
+            for d in net.inject(clock, &frame) {
                 rx.push(d.at, d.frame);
             }
             clock += gap;

@@ -33,7 +33,7 @@ fn main() {
         println!(
             "day {day}: {} probes, {} prefixes full today",
             report.probes_sent,
-            report.observations.values().filter(|o| o.full()).count()
+            report.observations.iter().filter(|(_, o)| o.full()).count()
         );
     }
 
@@ -66,7 +66,7 @@ fn main() {
     for day in 4..6u16 {
         scanner.network_mut().set_day(day);
         let report = apd.run_day(&mut scanner, &[hook]);
-        observations.push(report.observations[&hook].clone());
+        observations.push(report.get(&hook).expect("hook was probed").clone());
     }
     let refs: Vec<&apd::DayObservation> = observations.iter().collect();
     let evidence = apd::collect_evidence(&refs);

@@ -25,7 +25,7 @@ fn syn_proxy_80_answers_a_minority_of_tcp_probes() {
     for day in 0..4u16 {
         s.network_mut().set_day(day);
         let report = apd.run_day(&mut s, &[p80]);
-        let obs = &report.observations[&p80];
+        let obs = report.get(&p80).unwrap();
         let tcp_answers = obs.tcp.count_ones();
         // The proxy only wakes after ~12 SYNs land within its window, so
         // only the tail of the 16 TCP probes gets answered.
@@ -59,7 +59,7 @@ fn rate_limited_120s_flap_across_days_and_window_stabilizes() {
     for day in 0..6u16 {
         s.network_mut().set_day(day);
         let report = apd.run_day(&mut s, &prefixes);
-        day_bitmaps.push(report.observations[&prefixes[0]].merged());
+        day_bitmaps.push(report.get(&prefixes[0]).unwrap().merged());
     }
     // Single-day views differ across days (the flapping).
     let distinct: std::collections::HashSet<u16> = day_bitmaps.iter().copied().collect();
