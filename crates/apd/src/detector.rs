@@ -160,25 +160,25 @@ impl Apd {
             probes_sent: icmp_scan.sent + tcp_scan.sent,
             targets: targets.len() as u64,
         };
-        // The observation a reply to `addr` belongs to, with its branch.
-        // §5.1's /116 carve case: a reply from a *different* address
-        // does not count for the probed branch.
-        let slot_of = |addr: &Ipv6Addr, reply: &ProbeReply| {
-            if !reply.kind.is_positive() || reply.from != *addr {
+        // The observation a reply belongs to, with its branch. §5.1's
+        // /116 carve case: a reply from a *different* address does not
+        // count for the probed branch.
+        let slot_of = |reply: &ProbeReply| {
+            if !reply.kind.is_positive() || reply.from != reply.target {
                 return None;
             }
-            let (_, pi, branch) = fan[fan.binary_search_by_key(addr, |f| f.0).ok()?];
+            let (_, pi, branch) = fan[fan.binary_search_by_key(&reply.target, |f| f.0).ok()?];
             let slot = order.binary_search(&prefixes[pi]).ok()?;
             Some((slot, branch))
         };
-        for (addr, reply) in icmp_scan.replies {
-            if let Some((slot, branch)) = slot_of(&addr, &reply) {
+        for reply in icmp_scan.replies {
+            if let Some((slot, branch)) = slot_of(&reply) {
                 let obs = &mut report.observations[slot].1;
                 record_reply(&mut obs.icmp, &mut obs.icmp_replies, branch, reply);
             }
         }
-        for (addr, reply) in tcp_scan.replies {
-            if let Some((slot, branch)) = slot_of(&addr, &reply) {
+        for reply in tcp_scan.replies {
+            if let Some((slot, branch)) = slot_of(&reply) {
                 let obs = &mut report.observations[slot].1;
                 record_reply(&mut obs.tcp, &mut obs.tcp_replies, branch, reply);
             }

@@ -8,7 +8,8 @@
 //! children non-aliased (or vice versa); LPM ensures the most specific
 //! verdict wins per address.
 
-use expanse_addr::{AddrSet, AddrTable, Prefix};
+use expanse_addr::par::par_map_coarse;
+use expanse_addr::{worker_threads, AddrId, AddrSet, AddrTable, Prefix};
 use expanse_trie::PrefixTrie;
 use std::net::Ipv6Addr;
 
@@ -69,16 +70,26 @@ impl AliasFilter {
     /// Split an interned hitlist into (kept, removed) id sets. Both
     /// outputs preserve ascending-id (= insertion) order, so targets
     /// materialized from `kept` are byte-identical to the slice-based
-    /// [`AliasFilter::split`] over the same addresses.
+    /// [`AliasFilter::split`] over the same addresses. The matching
+    /// runs on [`expanse_addr::worker_threads`] workers, one contiguous
+    /// id chunk each; the chunks' outputs concatenate in id order, so
+    /// the result does not depend on the thread count.
     pub fn split_set(&self, table: &AddrTable, ids: &AddrSet) -> (AddrSet, AddrSet) {
-        let mut kept = Vec::new();
-        let mut removed = Vec::new();
-        for id in ids.iter() {
-            if self.is_aliased(table.addr(id)) {
-                removed.push(id);
-            } else {
-                kept.push(id);
-            }
+        let ids = ids.as_slice();
+        // A worker thread costs more than a few thousand matches.
+        let per_worker = ids.len().div_ceil(worker_threads()).max(4096);
+        let chunks: Vec<&[AddrId]> = ids.chunks(per_worker).collect();
+        let parts = par_map_coarse(&chunks, chunks.len(), |chunk| {
+            chunk
+                .iter()
+                .partition::<Vec<AddrId>, _>(|&&id| !self.is_aliased(table.addr(id)))
+        });
+        let n_kept = parts.iter().map(|(k, _)| k.len()).sum();
+        let mut kept = Vec::with_capacity(n_kept);
+        let mut removed = Vec::with_capacity(ids.len() - n_kept);
+        for (k, r) in parts {
+            kept.extend(k);
+            removed.extend(r);
         }
         (AddrSet::from_sorted(kept), AddrSet::from_sorted(removed))
     }
@@ -146,11 +157,18 @@ mod tests {
     #[test]
     fn split_set_matches_slice_split() {
         let f = AliasFilter::new(["2001:db8::/32".parse().unwrap()]);
-        let addrs: Vec<Ipv6Addr> = vec![
+        let mut addrs: Vec<Ipv6Addr> = vec![
             "2001:db8::1".parse().unwrap(),
             "2a00::1".parse().unwrap(),
             "2001:db8:ffff::2".parse().unwrap(),
         ];
+        // Enough ids that more than one worker gets a chunk.
+        let inside: Prefix = "2001:db8:1::/48".parse().unwrap();
+        let outside: Prefix = "2001:db9::/32".parse().unwrap();
+        for i in 0..20_000u64 {
+            let p = if i % 3 == 0 { inside } else { outside };
+            addrs.push(expanse_addr::keyed_random_addr(p, i));
+        }
         let mut table = AddrTable::new();
         let ids: AddrSet = addrs.iter().map(|&a| table.intern(a)).collect();
         let (kept_ids, removed_ids) = f.split_set(&table, &ids);

@@ -60,10 +60,10 @@ pub fn detect<N: Network>(
     for _attempt in 0..3 {
         let scan = scanner.scan(&targets, &IcmpEchoModule);
         probes_sent += scan.sent;
-        for (addr, reply) in &scan.replies {
-            if reply.kind.is_positive() && reply.from == *addr {
-                if let Some(&i) = back.get(addr) {
-                    answered.entry(i).or_default().insert(*addr);
+        for reply in &scan.replies {
+            if reply.kind.is_positive() && reply.from == reply.target {
+                if let Some(&i) = back.get(&reply.target) {
+                    answered.entry(i).or_default().insert(reply.target);
                 }
             }
         }

@@ -4,7 +4,8 @@
 //! loop.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use expanse_addr::{fanout16, keyed_random_addr, u128_to_addr, Prefix};
+use expanse_addr::fanout::splitmix64;
+use expanse_addr::{addr_to_u128, fanout16, keyed_random_addr, u128_to_addr, Prefix};
 use expanse_entropy::Fingerprint;
 use expanse_model::{InternetModel, ModelConfig};
 use expanse_netsim::{Network, Time};
@@ -33,6 +34,34 @@ fn bench_trie(c: &mut Criterion) {
                 }
             }
             hits
+        })
+    });
+    // BGP-table shape: the bench-scale world's announcements (≈ 650
+    // prefixes, /32–/48) looked up with its own pool addresses — the
+    // route lookup every probe pays.
+    let world = InternetModel::build(ModelConfig::paper_scale(0.1));
+    let routes: PrefixTrie<u32> = world
+        .bgp
+        .announcements()
+        .iter()
+        .map(|(p, asn)| (*p, asn.0))
+        .collect();
+    let pool: Vec<Ipv6Addr> = world
+        .population
+        .sites
+        .iter()
+        .flat_map(|site| site.addrs.iter().copied())
+        .collect();
+    let mut queries: Vec<Ipv6Addr> = pool.iter().step_by(pool.len() / 4096).copied().collect();
+    // Scan order is a keyed permutation, not pool order.
+    queries.sort_by_key(|q| splitmix64(addr_to_u128(*q) as u64));
+    g.throughput(Throughput::Elements(queries.len() as u64));
+    g.bench_function("lpm_bgp_table_shape", |b| {
+        b.iter(|| {
+            queries
+                .iter()
+                .filter(|q| routes.longest_match(**q).is_some())
+                .count()
         })
     });
     g.finish();

@@ -130,7 +130,7 @@ fn probe_known_64(
         for a in members.iter().take(16) {
             let mut ev = BranchEvidence::default();
             for scan in [&s1, &s2] {
-                if let Some(r) = scan.replies.get(a) {
+                if let Some(r) = scan.get(*a) {
                     if let ReplyKind::SynAck(info) = &r.kind {
                         ev.ittl.push(expanse_apd::ittl(r.ttl));
                         ev.opts.push(info.options_text.clone());

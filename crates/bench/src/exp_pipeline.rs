@@ -63,7 +63,7 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
     let merge_col_s = time(rounds, || {
         let mut resp: AddrMap<ProtoSet> = AddrMap::new();
         for r in multi.by_protocol.values() {
-            for reply in r.replies.values() {
+            for reply in &r.replies {
                 if reply.kind.is_positive() {
                     let e = resp.entry_or(reply.target, ProtoSet::EMPTY);
                     *e = e.with(r.protocol);

@@ -6,7 +6,7 @@
 use crate::hitlist::Hitlist;
 use crate::longitudinal::Ledger;
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
-use expanse_addr::{AddrId, AddrMap, Prefix};
+use expanse_addr::{addr_to_u128, AddrId, AddrMap, Prefix};
 use expanse_apd::{Apd, ApdConfig, PlanConfig};
 use expanse_model::{InternetModel, ModelConfig, Source, SourceId};
 use expanse_netsim::Time;
@@ -389,29 +389,31 @@ impl Pipeline {
         // yield-per-probe computable on both the fixed and scheduled
         // paths; the scheduler additionally folds the outcomes back
         // into its queue when it planned the day.
-        let mut outcomes: BTreeMap<Prefix, (u64, u64)> = BTreeMap::new();
-        for &a in &targets {
-            outcomes
-                .entry(Prefix::new(a, SCHED_PREFIX_LEN))
-                .or_insert((0, 0))
-                .0 += 1;
-        }
-        for &(id, _) in &day_pass {
-            let a = self.hitlist.table().addr(id);
-            outcomes
-                .entry(Prefix::new(a, SCHED_PREFIX_LEN))
-                .or_insert((0, 0))
-                .1 += 1;
-        }
-        for (&net, &(spent, _)) in &outcomes {
+        // One `(covering /48 bits, is a responder)` mark per target and
+        // per responder, sorted: each /48 is then one run.
+        let net_mask = expanse_addr::prefix::mask(SCHED_PREFIX_LEN);
+        let table = self.hitlist.table();
+        let mut marks: Vec<(u128, bool)> = Vec::with_capacity(targets.len() + day_pass.len());
+        marks.extend(targets.iter().map(|&a| (addr_to_u128(a) & net_mask, false)));
+        marks.extend(
+            day_pass
+                .iter()
+                .map(|&(id, _)| (table.bits(id) & net_mask, true)),
+        );
+        marks.sort_unstable();
+        let outcomes: Vec<(Prefix, u64, u64)> = marks
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let found = run.iter().filter(|mark| mark.1).count();
+                let net = Prefix::from_bits(run[0].0, SCHED_PREFIX_LEN);
+                (net, (run.len() - found) as u64, found as u64)
+            })
+            .collect();
+        for &(net, spent, _) in &outcomes {
             self.hitlist.charge_probes(net, spent);
         }
         if self.cfg.sched.enabled {
-            let folded: Vec<(Prefix, u64, u64)> = outcomes
-                .iter()
-                .map(|(&net, &(spent, found))| (net, spent, found))
-                .collect();
-            self.sched.record_day(day, &folded);
+            self.sched.record_day(day, &outcomes);
         }
 
         // ---- retention: expire long-unresponsive members -------------

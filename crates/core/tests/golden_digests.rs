@@ -6,12 +6,16 @@
 //! This file pins three tiny-scale full-APD days to constants recorded
 //! on the commit *before* the probe-path rewrite (PR 13: sorted-run
 //! planning, one route lookup per frame, borrowed parse, reused frame
-//! buffer, dense fan-out bookkeeping). A change that is meant to keep
-//! every output byte passes it unedited; a change that is meant to move
-//! the outputs re-records the constants and says so.
+//! buffer, dense fan-out bookkeeping), and three days of the
+//! adversarial world — one full-APD day, then two *hot* days — to
+//! constants recorded on the commit before the container rewrite
+//! (PR 14: sorted reply runs, arena trie, flat host index). A change
+//! that is meant to keep every output byte passes it unedited; a change
+//! that is meant to move the outputs re-records the constants and says
+//! so.
 
 use expanse_core::{Pipeline, PipelineConfig, SchedConfig};
-use expanse_model::ModelConfig;
+use expanse_model::{ModelConfig, SourceId};
 
 /// Per-day `battery_digest`, identical with the scheduler off and in
 /// the degenerate config (the degenerate oracle of `sched_determinism`).
@@ -36,21 +40,44 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Three full-APD days of the tiny model: digests, probe counts, and
-/// the final full snapshot's (length, hash).
-fn run(sched: SchedConfig) -> ([u64; 3], [u64; 3], (usize, u64)) {
+/// The adversarial world (rotating /56s, privacy churn, throttled
+/// /64s, alias fabrics) with the daily scenario feed ingested: day 0
+/// runs the full APD plan, days 1–2 are hot days, so the battery's
+/// `scenario_hosts` and extra token-bucket paths carry the digest.
+const ADVERSARIAL_DIGESTS: [u64; 3] = [
+    12_737_875_461_527_271_307,
+    4_764_881_485_117_139_893,
+    10_433_070_167_097_953_532,
+];
+const ADVERSARIAL_PROBES_SENT: [u64; 3] = [264_478, 45_730, 45_817];
+const ADVERSARIAL_SAVE: (usize, u64) = (712_906, 6_921_498_307_009_955_390);
+
+/// Three days of `model`: digests, probe counts, and the final full
+/// snapshot's (length, hash). `feed` ingests the model's scenario feed
+/// before each day, as the bench harness does.
+fn run(
+    model: ModelConfig,
+    full_apd_every: u16,
+    sched: SchedConfig,
+    feed: bool,
+) -> ([u64; 3], [u64; 3], (usize, u64)) {
     let mut cfg = PipelineConfig {
         trace_budget: 30,
-        full_apd_every: 1,
+        full_apd_every,
         sched,
         ..PipelineConfig::default()
     };
     cfg.plan.min_targets = 30;
-    let mut p = Pipeline::new(ModelConfig::tiny(7), cfg);
+    let mut p = Pipeline::new(model, cfg);
     p.collect_sources(30);
     let mut digests = [0u64; 3];
     let mut probes = [0u64; 3];
     for day in 0..3 {
+        if feed {
+            let today = p.day();
+            let addrs = p.model_ref().scenario_feed(today);
+            p.hitlist.add_from(SourceId::RipeAtlas, &addrs, today);
+        }
         let snap = p.run_day();
         digests[day] = snap.battery_digest;
         probes[day] = snap.probes_sent;
@@ -62,7 +89,7 @@ fn run(sched: SchedConfig) -> ([u64; 3], [u64; 3], (usize, u64)) {
 
 #[test]
 fn fixed_grid_days_match_recorded_history() {
-    let (digests, probes, save) = run(SchedConfig::default());
+    let (digests, probes, save) = run(ModelConfig::tiny(7), 1, SchedConfig::default(), false);
     assert_eq!(
         (digests, probes, save),
         (DIGESTS, PROBES_SENT, SAVE_FIXED),
@@ -72,10 +99,29 @@ fn fixed_grid_days_match_recorded_history() {
 
 #[test]
 fn degenerate_scheduler_days_match_recorded_history() {
-    let (digests, probes, save) = run(SchedConfig::degenerate());
+    let (digests, probes, save) = run(ModelConfig::tiny(7), 1, SchedConfig::degenerate(), false);
     assert_eq!(
         (digests, probes, save),
         (DIGESTS, PROBES_SENT, SAVE_DEGENERATE),
+        "outputs moved against the recorded parent commit"
+    );
+}
+
+#[test]
+fn adversarial_hot_days_match_recorded_history() {
+    let (digests, probes, save) = run(
+        ModelConfig::adversarial(7),
+        4096,
+        SchedConfig::default(),
+        true,
+    );
+    assert_eq!(
+        (digests, probes, save),
+        (
+            ADVERSARIAL_DIGESTS,
+            ADVERSARIAL_PROBES_SENT,
+            ADVERSARIAL_SAVE
+        ),
         "outputs moved against the recorded parent commit"
     );
 }

@@ -116,6 +116,12 @@ impl Route {
     }
 }
 
+/// What an ICMPv6 error quotes of the frame that caused it: the IPv6
+/// header and the leading payload bytes, as received.
+fn invoking_quote(frame: &[u8]) -> Vec<u8> {
+    frame[..frame.len().min(88)].to_vec()
+}
+
 /// Which responder answers a destination address.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Responder {
@@ -174,7 +180,7 @@ impl InternetModel {
                 protos: region.protos,
             };
         }
-        if let Some(h) = self.population.hosts.get(&addr_to_u128(dst)) {
+        if let Some(h) = self.population.hosts.get(dst) {
             if h.online(ds.day) {
                 return Responder::Host {
                     machine: h.machine,
@@ -413,6 +419,7 @@ impl InternetModel {
         hdr: &expanse_packet::Ipv6Header,
         route: Route,
         u: UdpDatagram,
+        frame: &[u8],
     ) -> Vec<Delivery> {
         let dst = hdr.dst;
         let responder = self.resolve(ds, dst);
@@ -460,10 +467,9 @@ impl InternetModel {
                 vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Udp(reply))]
             }
             _ if kind.is_some() => {
-                // Live host, closed UDP port: ICMPv6 port unreachable.
-                let mut invoking = hdr.emit().to_vec();
-                invoking.extend_from_slice(&u.emit(hdr.src, hdr.dst));
-                invoking.truncate(88);
+                // Live host, closed UDP port: ICMPv6 port unreachable,
+                // quoting the header + leading payload bytes as received.
+                let invoking = invoking_quote(frame);
                 let msg = Icmpv6Message::DestUnreachable {
                     code: icmpv6::unreach_code::PORT_UNREACHABLE,
                     invoking,
@@ -502,8 +508,7 @@ impl InternetModel {
             return Some(Vec::new());
         }
         let hop_addr = self.paths.hop_addr(dst, route.prefix, cat, hop);
-        let mut invoking = frame.to_vec();
-        invoking.truncate(88); // header + leading payload bytes
+        let invoking = invoking_quote(frame);
         let msg = Icmpv6Message::TimeExceeded { code: 0, invoking };
         let ttl = 255u8.saturating_sub(hop);
         Some(vec![self.reply(
@@ -536,7 +541,7 @@ impl InternetModel {
         match transport {
             Transport::Icmpv6(msg) => self.handle_icmp(ds, now, &hdr, route, msg),
             Transport::Tcp(seg) => self.handle_tcp(ds, now, &hdr, route, seg),
-            Transport::Udp(u) => self.handle_udp(ds, now, &hdr, route, u),
+            Transport::Udp(u) => self.handle_udp(ds, now, &hdr, route, u, frame),
             _ => Vec::new(),
         }
     }
@@ -613,25 +618,21 @@ mod tests {
         // Candidate live ICMP hosts (non-client, not aliased), in a
         // deterministic order. Individual hosts can sit behind lossy
         // paths, so try several candidates across several days.
-        let mut keys: Vec<u128> = m
+        let mut keys: Vec<Ipv6Addr> = m
             .population
             .hosts
             .iter()
-            .filter(|(k, h)| {
+            .filter(|(a, h)| {
                 h.protos.contains(Protocol::Icmp)
                     && h.online(0)
                     && h.kind != HostKind::Client
-                    && m.population
-                        .aliases
-                        .resolve(expanse_addr::u128_to_addr(**k))
-                        .is_none()
+                    && m.population.aliases.resolve(*a).is_none()
             })
-            .map(|(k, _)| *k)
+            .map(|(a, _)| a)
             .collect();
         keys.sort_unstable();
         let mut got = false;
-        'outer: for key in keys.into_iter().take(8) {
-            let addr = expanse_addr::u128_to_addr(key);
+        'outer: for addr in keys.into_iter().take(8) {
             for day in 0..5 {
                 m.set_day(day);
                 let out = m.inject(Time::from_millis(u64::from(day) * 10), &echo(addr, 64));
@@ -659,12 +660,11 @@ mod tests {
         let mut m = model();
         // Live ICMP servers in eyeball networks: there the known category
         // (one CPE hop deeper) and the fallback give different TTLs.
-        let mut keys: Vec<u128> = m
+        let mut keys: Vec<Ipv6Addr> = m
             .population
             .hosts
             .iter()
-            .filter(|(k, h)| {
-                let a = expanse_addr::u128_to_addr(**k);
+            .filter(|&(a, h)| {
                 h.protos.contains(Protocol::Icmp)
                     && h.online(0)
                     && h.kind != HostKind::Client
@@ -672,7 +672,7 @@ mod tests {
                     && m.bgp.origin(a).and_then(|asn| m.as_category(asn))
                         == Some(AsCategory::IspEyeball)
             })
-            .map(|(k, _)| *k)
+            .map(|(a, _)| a)
             .collect();
         keys.sort_unstable();
         let now = Time::from_millis(3);
@@ -689,7 +689,6 @@ mod tests {
         // Loss is keyed per (address, day): take the first host that answers.
         let (addr, known) = keys
             .into_iter()
-            .map(expanse_addr::u128_to_addr)
             .find_map(|a| Some((a, reply_ttl(&mut m, a, 64)?)))
             .expect("an eyeball server answers on day 0");
 
@@ -706,7 +705,12 @@ mod tests {
         );
         let fallback = reply_ttl(&mut m, addr, 64).expect("same probe, same fate");
         assert_eq!(fallback, known + 1, "Enterprise path is one hop shorter");
-        let machine = m.population.hosts[&addr_to_u128(addr)].machine;
+        let machine = m
+            .population
+            .hosts
+            .get(addr)
+            .expect("chosen from hosts")
+            .machine;
         let flavor = splitmix64(addr_to_u128(addr) as u64 ^ now.0 ^ 0x1c1c);
         let ittl = m.population.machines[machine.0 as usize].reply_ittl(flavor);
         assert_eq!(fallback, ittl - enterprise);
@@ -764,8 +768,7 @@ mod tests {
             .iter()
             .flat_map(|s| s.addrs.iter())
             .find(|a| {
-                !m.population.hosts.contains_key(&addr_to_u128(**a))
-                    && m.population.aliases.resolve(**a).is_none()
+                !m.population.hosts.contains(**a) && m.population.aliases.resolve(**a).is_none()
             })
             .copied()
             .expect("a ghost exists");
@@ -782,15 +785,12 @@ mod tests {
             .population
             .hosts
             .iter()
-            .filter(|(k, h)| {
+            .filter(|(a, h)| {
                 h.protos.contains(Protocol::Udp53)
                     && h.online(0)
-                    && m.population
-                        .aliases
-                        .resolve(expanse_addr::u128_to_addr(**k))
-                        .is_none()
+                    && m.population.aliases.resolve(*a).is_none()
             })
-            .map(|(k, _)| expanse_addr::u128_to_addr(*k))
+            .map(|(a, _)| a)
             .next()
             .expect("dns host");
         let q = dns::DnsQuery::new(0x1234, "example.com", dns::qtype::AAAA).emit();

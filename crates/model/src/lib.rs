@@ -82,7 +82,8 @@ pub struct InternetModel {
     /// Lossy prefixes as a trie for per-packet lookup.
     pub(crate) lossy_trie: PrefixTrie<()>,
     pub(crate) day_state: engine::DayState,
-    as_index: HashMap<Asn, usize>,
+    /// `(asn, slot in ases)`, sorted by ASN for binary search.
+    as_index: Vec<(Asn, usize)>,
 }
 
 impl InternetModel {
@@ -118,7 +119,9 @@ impl InternetModel {
         for p in &population.lossy {
             lossy_trie.insert(*p, ());
         }
-        let as_index = ases.iter().enumerate().map(|(i, a)| (a.asn, i)).collect();
+        let mut as_index: Vec<(Asn, usize)> =
+            ases.iter().enumerate().map(|(i, a)| (a.asn, i)).collect();
+        as_index.sort_unstable();
         let mut model = InternetModel {
             config,
             ases,
@@ -146,14 +149,19 @@ impl InternetModel {
         self.day_state.day
     }
 
+    fn as_info(&self, asn: Asn) -> Option<&AsInfo> {
+        let at = self.as_index.binary_search_by_key(&asn, |&(a, _)| a).ok()?;
+        Some(&self.ases[self.as_index[at].1])
+    }
+
     /// Category of an AS.
     pub fn as_category(&self, asn: Asn) -> Option<AsCategory> {
-        self.as_index.get(&asn).map(|i| self.ases[*i].category)
+        self.as_info(asn).map(|a| a.category)
     }
 
     /// Org name of an AS.
     pub fn as_name(&self, asn: Asn) -> Option<&str> {
-        self.as_index.get(&asn).map(|i| self.ases[*i].name.as_str())
+        self.as_info(asn).map(|a| a.name.as_str())
     }
 
     /// Ground truth: is `addr` inside a (served) aliased region?
@@ -188,12 +196,12 @@ impl InternetModel {
         if self.population.aliases.resolve(addr).is_some() {
             return true;
         }
-        let key = expanse_addr::addr_to_u128(addr);
-        if let Some(h) = self.population.hosts.get(&key) {
+        if let Some(h) = self.population.hosts.get(addr) {
             if h.online(day) && !h.protos.is_empty() {
                 return true;
             }
         }
+        let key = expanse_addr::addr_to_u128(addr);
         self.scenario.enabled() && self.scenario.day_hosts(day).contains_key(&key)
     }
 }

@@ -9,7 +9,7 @@ use crate::ids::{AsCategory, AsInfo, Asn};
 use crate::paths::PathModel;
 use crate::scheme::Scheme;
 use expanse_addr::fanout::splitmix64;
-use expanse_addr::{addr_to_u128, Prefix};
+use expanse_addr::{AddrMap, Prefix};
 use expanse_packet::{ProtoSet, Protocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,8 +57,9 @@ pub struct SpecialPrefixes {
 pub struct Population {
     /// Sites.
     pub sites: Vec<SitePool>,
-    /// Live hosts by address.
-    pub hosts: HashMap<u128, HostProfile>,
+    /// Live hosts by address (insertion-ordered, so iteration is
+    /// deterministic).
+    pub hosts: AddrMap<HostProfile>,
     /// Machine personality table.
     pub machines: Vec<Machine>,
     /// Aliased region table.
@@ -377,7 +378,7 @@ impl<'a> Builder<'a> {
     ) -> Population {
         let by_asn: HashMap<Asn, &AsInfo> = ases.iter().map(|a| (a.asn, a)).collect();
         let mut sites: Vec<SitePool> = Vec::new();
-        let mut hosts: HashMap<u128, HostProfile> = HashMap::new();
+        let mut hosts: AddrMap<HostProfile> = AddrMap::new();
         let mut aliases = AliasTable::new();
         let mut alias_pool: Vec<Ipv6Addr> = Vec::new();
         let mut lossy: Vec<Prefix> = Vec::new();
@@ -437,7 +438,7 @@ impl<'a> Builder<'a> {
                     let machine = self.host_machine(kind);
                     let protos = self.protos_for(kind);
                     hosts.insert(
-                        addr_to_u128(addr),
+                        addr,
                         HostProfile {
                             asn: *asn,
                             kind,
@@ -477,8 +478,7 @@ impl<'a> Builder<'a> {
             }
         }
         for (addr, asn) in &cpe_addrs {
-            let key = addr_to_u128(*addr);
-            if hosts.contains_key(&key) {
+            if hosts.contains(*addr) {
                 continue;
             }
             // Only a fraction of CPEs answer direct probes (inbound
@@ -487,7 +487,7 @@ impl<'a> Builder<'a> {
             let responds = self.rng.random_range(0.0..1.0) < 0.5;
             let machine = self.host_machine(HostKind::CpeRouter);
             hosts.insert(
-                key,
+                *addr,
                 HostProfile {
                     asn: *asn,
                     kind: HostKind::CpeRouter,
@@ -538,11 +538,7 @@ impl<'a> Builder<'a> {
     /// machines → inconsistent fingerprints) and "LBs" (one machine with
     /// many bound addresses → consistent fingerprints but NOT aliased).
     /// These produce Table 6's non-aliased validation mix.
-    fn build_server_farms(
-        &mut self,
-        sites: &mut Vec<SitePool>,
-        hosts: &mut HashMap<u128, HostProfile>,
-    ) {
+    fn build_server_farms(&mut self, sites: &mut Vec<SitePool>, hosts: &mut AddrMap<HostProfile>) {
         let hoster_sites: Vec<(Prefix, Asn)> = sites
             .iter()
             .filter(|s| s.category == AsCategory::Hoster && s.site.len() <= 48)
@@ -587,7 +583,7 @@ impl<'a> Builder<'a> {
                     .with(Protocol::Tcp80)
                     .with(Protocol::Tcp443);
                 hosts.insert(
-                    addr_to_u128(addr),
+                    addr,
                     HostProfile {
                         asn,
                         kind: HostKind::WebServer,
@@ -864,10 +860,10 @@ mod tests {
         let pop = build_tiny();
         // Every site pool's first addresses must be live hosts... at least
         // a large fraction of hosts must come from pools.
-        let pool_set: std::collections::HashSet<u128> = pop
+        let pool_set: std::collections::HashSet<Ipv6Addr> = pop
             .sites
             .iter()
-            .flat_map(|s| s.addrs.iter().map(|a| addr_to_u128(*a)))
+            .flat_map(|s| s.addrs.iter().copied())
             .collect();
         let in_pool = pop.hosts.keys().filter(|k| pool_set.contains(k)).count();
         // CPE hosts derive from the path model instead of site pools, so

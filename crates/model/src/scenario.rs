@@ -158,7 +158,7 @@ pub(crate) fn build(cfg: &ScenarioConfig, seed: u64, population: &mut Population
         let stable = u128_to_addr(prefix.bits() | u128::from(iid));
         let machine = new_machine(population, 0x0057_ab1e, i);
         population.hosts.insert(
-            addr_to_u128(stable),
+            stable,
             HostProfile {
                 asn,
                 kind: HostKind::WebServer,
@@ -204,7 +204,7 @@ pub(crate) fn build(cfg: &ScenarioConfig, seed: u64, population: &mut Population
         let machine = new_machine(population, 0x0070_077e, i);
         for k in 0..4u128 {
             population.hosts.insert(
-                addr_to_u128(p64.addr_at(1 + k)),
+                p64.addr_at(1 + k),
                 HostProfile {
                     asn,
                     kind: HostKind::CpeRouter,
@@ -440,7 +440,7 @@ mod tests {
         let iid = addr_to_u128(ph.stable) as u64;
         assert_eq!((iid >> 24) & 0xffff, 0xfffe);
         // ... and registered as a permanent live host.
-        let h = m.population.hosts.get(&addr_to_u128(ph.stable)).unwrap();
+        let h = m.population.hosts.get(ph.stable).unwrap();
         assert_eq!(h.death_day, u16::MAX);
         // Both days' feeds carry the stable address.
         assert!(s.feed(0).contains(&ph.stable));

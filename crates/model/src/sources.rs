@@ -226,16 +226,15 @@ pub fn build_sources(model: &InternetModel) -> Vec<Source> {
     // CPE addresses for Scamper: registered CpeRouter hosts + path-model
     // ghosts are already part of hosts; collect them.
     let cpe: Vec<Ipv6Addr> = {
-        // hosts is a HashMap: sort for run-to-run determinism before the
-        // keyed shuffle below.
-        let mut v: Vec<u128> = pop
+        // Address order (not build order) feeds the keyed shuffle below.
+        let mut v: Vec<Ipv6Addr> = pop
             .hosts
             .iter()
             .filter(|(_, h)| h.kind == crate::host::HostKind::CpeRouter)
-            .map(|(k, _)| *k)
+            .map(|(a, _)| a)
             .collect();
         v.sort_unstable();
-        v.into_iter().map(expanse_addr::u128_to_addr).collect()
+        v
     };
 
     let mut out = Vec::new();

@@ -49,16 +49,25 @@ impl DnsQuery {
     /// Panics if a label exceeds 63 bytes.
     pub fn emit(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(17 + self.qname.len());
-        out.extend_from_slice(&self.id.to_be_bytes());
-        let flags: u16 = if self.rd { 0x0100 } else { 0x0000 };
-        out.extend_from_slice(&flags.to_be_bytes());
-        out.extend_from_slice(&1u16.to_be_bytes()); // QDCOUNT
-        out.extend_from_slice(&[0; 6]); // AN/NS/AR counts
-        emit_name(&mut out, &self.qname);
-        out.extend_from_slice(&self.qtype.to_be_bytes());
-        out.extend_from_slice(&1u16.to_be_bytes()); // IN class
+        emit_query(self.id, &self.qname, self.qtype, self.rd, &mut out);
         out
     }
+}
+
+/// Append the wire bytes of a one-question query: what
+/// [`DnsQuery::emit`] produces, from borrowed fields.
+///
+/// # Panics
+/// Panics if a label exceeds 63 bytes.
+pub fn emit_query(id: u16, qname: &str, qtype: u16, rd: bool, out: &mut Vec<u8>) {
+    out.extend_from_slice(&id.to_be_bytes());
+    let flags: u16 = if rd { 0x0100 } else { 0x0000 };
+    out.extend_from_slice(&flags.to_be_bytes());
+    out.extend_from_slice(&1u16.to_be_bytes()); // QDCOUNT
+    out.extend_from_slice(&[0; 6]); // AN/NS/AR counts
+    emit_name(out, qname);
+    out.extend_from_slice(&qtype.to_be_bytes());
+    out.extend_from_slice(&1u16.to_be_bytes()); // IN class
 }
 
 /// Encode a dotted name as length-prefixed labels.

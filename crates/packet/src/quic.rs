@@ -35,16 +35,25 @@ impl QuicLongHeader {
     /// # Panics
     /// Panics if a connection id exceeds 20 bytes.
     pub fn initial(dcid: &[u8], scid: &[u8]) -> Vec<u8> {
-        assert!(dcid.len() <= 20 && scid.len() <= 20, "cid too long");
         let mut out = Vec::with_capacity(MIN_INITIAL_SIZE);
+        Self::initial_into(dcid, scid, &mut out);
+        out
+    }
+
+    /// [`QuicLongHeader::initial`], appended to `out`.
+    ///
+    /// # Panics
+    /// Panics if a connection id exceeds 20 bytes.
+    pub fn initial_into(dcid: &[u8], scid: &[u8], out: &mut Vec<u8>) {
+        assert!(dcid.len() <= 20 && scid.len() <= 20, "cid too long");
+        let start = out.len();
         out.push(0xc0); // long header, fixed bit, type=Initial
         out.extend_from_slice(&PROBE_VERSION.to_be_bytes());
         out.push(dcid.len() as u8);
         out.extend_from_slice(dcid);
         out.push(scid.len() as u8);
         out.extend_from_slice(scid);
-        out.resize(MIN_INITIAL_SIZE, 0);
-        out
+        out.resize(start + MIN_INITIAL_SIZE, 0);
     }
 
     /// Build a Version Negotiation reply: version field zero, server's

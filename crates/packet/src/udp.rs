@@ -36,18 +36,9 @@ impl UdpDatagram {
     /// [`UdpDatagram::emit`], appended to `out` (the checksum covers only
     /// the appended datagram).
     pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
-        let len = 8 + self.payload.len();
-        let start = out.len();
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&(len as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0]);
-        out.extend_from_slice(&self.payload);
-        let mut ck = transport_checksum(src, dst, proto::UDP, &out[start..]);
-        if ck == 0 {
-            ck = 0xffff;
-        }
-        out[start + 6..start + 8].copy_from_slice(&ck.to_be_bytes());
+        emit_with(self.src_port, self.dst_port, src, dst, out, |out| {
+            out.extend_from_slice(&self.payload);
+        });
     }
 
     /// Parse and verify checksum + length.
@@ -68,6 +59,31 @@ impl UdpDatagram {
             payload: buf[8..].to_vec(),
         })
     }
+}
+
+/// Append a UDP datagram whose payload is whatever `payload` appends to
+/// `out`: what [`UdpDatagram::emit_into`] does, for a prober that builds
+/// each payload in place and has no reason to own a copy of it.
+pub fn emit_with(
+    src_port: u16,
+    dst_port: u16,
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
+    out.extend_from_slice(&src_port.to_be_bytes());
+    out.extend_from_slice(&dst_port.to_be_bytes());
+    out.extend_from_slice(&[0; 4]); // length and checksum, patched below
+    payload(out);
+    let len = out.len() - start;
+    out[start + 4..start + 6].copy_from_slice(&(len as u16).to_be_bytes());
+    let mut ck = transport_checksum(src, dst, proto::UDP, &out[start..]);
+    if ck == 0 {
+        ck = 0xffff;
+    }
+    out[start + 6..start + 8].copy_from_slice(&ck.to_be_bytes());
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Trie iterators.
 
-use crate::node::{bit, Node};
+use crate::node::{Node, NIL, ROOT};
 use crate::trie::PrefixTrie;
 use expanse_addr::{addr_to_u128, Prefix};
 use std::net::Ipv6Addr;
@@ -10,18 +10,24 @@ use std::net::Ipv6Addr;
 /// Yields prefixes in `(bits, len)` order: address order, with covering
 /// prefixes before their more-specifics.
 pub struct Iter<'a, V> {
-    stack: Vec<(&'a Node<V>, u128, u8)>,
+    nodes: &'a [Node<V>],
+    stack: Vec<u32>,
 }
 
 impl<'a, V> Iter<'a, V> {
-    pub(crate) fn new(root: &'a Node<V>, bits: u128, depth: u8) -> Self {
+    /// Walk the subtree rooted at arena slot `top`.
+    pub(crate) fn new(nodes: &'a [Node<V>], top: u32) -> Self {
         Iter {
-            stack: vec![(root, bits, depth)],
+            nodes,
+            stack: vec![top],
         }
     }
 
     pub(crate) fn empty() -> Self {
-        Iter { stack: Vec::new() }
+        Iter {
+            nodes: &[],
+            stack: Vec::new(),
+        }
     }
 }
 
@@ -29,19 +35,16 @@ impl<'a, V> Iterator for Iter<'a, V> {
     type Item = (Prefix, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some((node, bits, depth)) = self.stack.pop() {
+        while let Some(slot) = self.stack.pop() {
+            let node = &self.nodes[slot as usize];
             // Push children in reverse order so the 0 branch pops first.
-            if depth < 128 {
-                let child_bit = 127 - u32::from(depth);
-                if let Some(c) = node.children[1].as_deref() {
-                    self.stack.push((c, bits | (1u128 << child_bit), depth + 1));
-                }
-                if let Some(c) = node.children[0].as_deref() {
-                    self.stack.push((c, bits, depth + 1));
+            for &child in node.children.iter().rev() {
+                if child != NIL {
+                    self.stack.push(child);
                 }
             }
             if let Some(v) = node.value.as_ref() {
-                return Some((Prefix::from_bits(bits, depth), v));
+                return Some((Prefix::from_bits(node.bits, node.len), v));
             }
         }
         None
@@ -50,19 +53,19 @@ impl<'a, V> Iterator for Iter<'a, V> {
 
 /// Iterator over all stored prefixes covering one address, shortest first.
 pub struct MatchesIter<'a, V> {
-    node: Option<&'a Node<V>>,
+    nodes: &'a [Node<V>],
+    /// Next node on the key's path ([`NIL`] when the walk is over); it
+    /// always covers the key.
+    next: u32,
     key: u128,
-    depth: u8,
-    done: bool,
 }
 
 impl<'a, V> MatchesIter<'a, V> {
     pub(crate) fn new(trie: &'a PrefixTrie<V>, addr: Ipv6Addr) -> Self {
         MatchesIter {
-            node: Some(&trie.root),
+            nodes: &trie.nodes,
+            next: ROOT,
             key: addr_to_u128(addr),
-            depth: 0,
-            done: false,
         }
     }
 }
@@ -71,23 +74,17 @@ impl<'a, V> Iterator for MatchesIter<'a, V> {
     type Item = (Prefix, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while !self.done {
-            let node = self.node?;
-            let here = node
-                .value
-                .as_ref()
-                .map(|v| (Prefix::from_bits(self.key, self.depth), v));
-            if self.depth == 128 {
-                self.done = true;
-            } else {
-                self.node = node.children[bit(self.key, self.depth)].as_deref();
-                self.depth += 1;
-                if self.node.is_none() {
-                    self.done = true;
+        while self.next != NIL {
+            let node = &self.nodes[self.next as usize];
+            self.next = NIL;
+            if node.len < 128 {
+                let child = node.child_toward(self.key);
+                if child != NIL && self.nodes[child as usize].covers(self.key, 128) {
+                    self.next = child;
                 }
             }
-            if here.is_some() {
-                return here;
+            if let Some(v) = node.value.as_ref() {
+                return Some((Prefix::from_bits(node.bits, node.len), v));
             }
         }
         None

@@ -1,4 +1,4 @@
-//! Bit-level radix trie over IPv6 prefixes.
+//! Path-compressed radix trie over IPv6 prefixes.
 //!
 //! The substrate for every prefix-keyed lookup in the workspace:
 //!
@@ -9,9 +9,15 @@
 //!   prefix or not"*),
 //! - per-prefix response ledgers in the pipeline.
 //!
-//! The trie is a plain binary trie with path pruning on removal. Values
-//! live only on nodes that correspond to inserted prefixes; internal nodes
-//! are structural.
+//! The trie is a path-compressed binary radix trie in a `Vec` arena:
+//! each node stores the full `(bits, len)` of the prefix it stands for
+//! and the `u32` slots of its two children, so one lookup step is "does
+//! the child on the key's side cover the key?" and a walk takes one step
+//! per stored branching point on the key's path instead of one pointer
+//! chase per bit. Values live only on nodes that correspond to inserted
+//! prefixes; the other nodes are forks where two stored prefixes
+//! diverge. Removal splices out nodes left without value and with fewer
+//! than two children and recycles their slots.
 //!
 //! # Example
 //!

@@ -1,14 +1,22 @@
 //! The trie proper: insert, get, remove, longest-prefix match.
 
 use crate::iter::{Iter, MatchesIter};
-use crate::node::{bit, Node};
+use crate::node::{bit, common_len, Node, NIL, ROOT};
+use expanse_addr::prefix::mask;
 use expanse_addr::{addr_to_u128, Prefix};
 use std::net::Ipv6Addr;
 
 /// A map from IPv6 prefixes to values with longest-prefix-match lookup.
+///
+/// Nodes live in one `Vec` arena and point at each other by `u32` slot;
+/// edges are path-compressed, so a lookup takes one step per *stored
+/// branching point* on the key's path, not one per bit.
 #[derive(Debug, Clone)]
 pub struct PrefixTrie<V> {
-    pub(crate) root: Node<V>,
+    /// The arena. Slot [`ROOT`] is `::/0`; freed slots are listed in
+    /// `free` and reused by the next insert.
+    pub(crate) nodes: Vec<Node<V>>,
+    free: Vec<u32>,
     len: usize,
 }
 
@@ -22,7 +30,8 @@ impl<V> PrefixTrie<V> {
     /// An empty trie.
     pub fn new() -> Self {
         PrefixTrie {
-            root: Node::new(),
+            nodes: vec![Node::new(0, 0, None)],
+            free: Vec::new(),
             len: 0,
         }
     }
@@ -37,16 +46,97 @@ impl<V> PrefixTrie<V> {
         self.len == 0
     }
 
+    /// Number of live nodes, the root included: stored prefixes plus the
+    /// valueless branching points between them. An empty trie has one.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    #[inline]
+    fn node(&self, slot: u32) -> &Node<V> {
+        &self.nodes[slot as usize]
+    }
+
+    fn alloc(&mut self, node: Node<V>) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.nodes[slot as usize] = node;
+            return slot;
+        }
+        let slot = u32::try_from(self.nodes.len()).unwrap_or(NIL);
+        assert!(slot != NIL, "PrefixTrie arena full");
+        self.nodes.push(node);
+        slot
+    }
+
+    /// Slot of the node for exactly `prefix`, if the tree has one (it
+    /// may be a valueless branching point).
+    fn find(&self, prefix: Prefix) -> Option<u32> {
+        let (bits, len) = (prefix.bits(), prefix.len());
+        let mut slot = ROOT;
+        loop {
+            let n = self.node(slot);
+            // `n` covers `prefix`, so equal length means equal prefix.
+            if n.len == len {
+                return Some(slot);
+            }
+            slot = n.child_toward(bits);
+            if slot == NIL || !self.node(slot).covers(bits, len) {
+                return None;
+            }
+        }
+    }
+
+    /// Slot of the node for exactly `prefix`, created (valueless) if
+    /// absent: a new leaf, a new node on a compressed edge, or a new
+    /// leaf beside a new branching point where the edge diverges.
+    fn find_or_create(&mut self, prefix: Prefix) -> u32 {
+        let (bits, len) = (prefix.bits(), prefix.len());
+        let mut slot = ROOT;
+        loop {
+            let n = self.node(slot);
+            if n.len == len {
+                return slot;
+            }
+            let side = bit(bits, n.len);
+            let child = n.children[side];
+            if child == NIL {
+                let leaf = self.alloc(Node::new(bits, len, None));
+                self.nodes[slot as usize].children[side] = leaf;
+                return leaf;
+            }
+            let c = self.node(child);
+            let (c_bits, c_len) = (c.bits, c.len);
+            let common = common_len(c_bits, bits).min(c_len).min(len);
+            if common == c_len {
+                slot = child;
+                continue;
+            }
+            // `created` is the node for `prefix`; `top` replaces `child`
+            // under `slot`.
+            let (top, created) = if common == len {
+                // `prefix` sits on the edge above `child`.
+                let mut mid = Node::new(bits, len, None);
+                mid.children[bit(c_bits, len)] = child;
+                let mid = self.alloc(mid);
+                (mid, mid)
+            } else {
+                // The edge diverges: fork at the last shared bit.
+                let leaf = self.alloc(Node::new(bits, len, None));
+                let mut fork = Node::new(bits & mask(common), common, None);
+                fork.children[bit(c_bits, common)] = child;
+                fork.children[bit(bits, common)] = leaf;
+                (self.alloc(fork), leaf)
+            };
+            self.nodes[slot as usize].children[side] = top;
+            return created;
+        }
+    }
+
     /// Insert `prefix -> value`. Returns the previous value if the prefix
     /// was already present.
     pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
-        let key = prefix.bits();
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = bit(key, i);
-            node = node.children[b].get_or_insert_with(|| Box::new(Node::new()));
-        }
-        let old = node.value.replace(value);
+        let slot = self.find_or_create(prefix);
+        let old = self.nodes[slot as usize].value.replace(value);
         if old.is_none() {
             self.len += 1;
         }
@@ -55,100 +145,96 @@ impl<V> PrefixTrie<V> {
 
     /// Exact-match lookup.
     pub fn get(&self, prefix: Prefix) -> Option<&V> {
-        let key = prefix.bits();
-        let mut node = &self.root;
-        for i in 0..prefix.len() {
-            node = node.children[bit(key, i)].as_deref()?;
-        }
-        node.value.as_ref()
+        self.node(self.find(prefix)?).value.as_ref()
     }
 
     /// Exact-match mutable lookup.
     pub fn get_mut(&mut self, prefix: Prefix) -> Option<&mut V> {
-        let key = prefix.bits();
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            node = node.children[bit(key, i)].as_deref_mut()?;
-        }
-        node.value.as_mut()
+        let slot = self.find(prefix)?;
+        self.nodes[slot as usize].value.as_mut()
     }
 
     /// Exact-match lookup, inserting a default value if absent.
     pub fn get_or_insert_with(&mut self, prefix: Prefix, f: impl FnOnce() -> V) -> &mut V {
-        let key = prefix.bits();
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = bit(key, i);
-            node = node.children[b].get_or_insert_with(|| Box::new(Node::new()));
-        }
-        if node.value.is_none() {
-            node.value = Some(f());
+        let slot = self.find_or_create(prefix);
+        let value = &mut self.nodes[slot as usize].value;
+        if value.is_none() {
             self.len += 1;
         }
-        node.value.as_mut().expect("value just ensured")
+        value.get_or_insert_with(f)
     }
 
-    /// Remove a prefix, returning its value. Prunes now-empty branches.
+    /// Remove a prefix, returning its value. Prunes the branch: a node
+    /// left without value and with fewer than two children is spliced
+    /// out and its slot recycled.
     pub fn remove(&mut self, prefix: Prefix) -> Option<V> {
-        fn rec<V>(node: &mut Node<V>, key: u128, depth: u8, len: u8) -> Option<V> {
-            if depth == len {
-                return node.value.take();
+        let (bits, len) = (prefix.bits(), prefix.len());
+        let (mut grandparent, mut parent, mut slot) = (NIL, NIL, ROOT);
+        while self.node(slot).len != len {
+            let child = self.node(slot).child_toward(bits);
+            if child == NIL || !self.node(child).covers(bits, len) {
+                return None;
             }
-            let b = bit(key, depth);
-            let child = node.children[b].as_deref_mut()?;
-            let out = rec(child, key, depth + 1, len);
-            if out.is_some() && child.is_empty_leaf() {
-                node.children[b] = None;
-            }
-            out
+            (grandparent, parent, slot) = (parent, slot, child);
         }
-        let out = rec(&mut self.root, prefix.bits(), 0, prefix.len());
-        if out.is_some() {
-            self.len -= 1;
+        let out = self.nodes[slot as usize].value.take()?;
+        self.len -= 1;
+        if self.splice_out(parent, slot) {
+            // The parent lost a child; it may be a bare fork no longer.
+            self.splice_out(grandparent, parent);
         }
-        out
+        Some(out)
+    }
+
+    /// Unlink `slot` from `parent` if it stores no value and has at most
+    /// one child (which then takes its place). The root (`parent ==
+    /// NIL`) always stays. Returns whether `parent` lost a child
+    /// outright.
+    fn splice_out(&mut self, parent: u32, slot: u32) -> bool {
+        let n = self.node(slot);
+        if parent == NIL || n.value.is_some() {
+            return false;
+        }
+        let heir = match n.children {
+            [NIL, only] | [only, NIL] => only,
+            _ => return false,
+        };
+        let side = bit(n.bits, self.node(parent).len);
+        self.nodes[parent as usize].children[side] = heir;
+        self.nodes[slot as usize].children = [NIL, NIL];
+        self.free.push(slot);
+        heir == NIL
     }
 
     /// Longest-prefix match: the most specific stored prefix covering
     /// `addr`, with its value.
     pub fn longest_match(&self, addr: Ipv6Addr) -> Option<(Prefix, &V)> {
         let key = addr_to_u128(addr);
-        let mut node = &self.root;
-        let mut best: Option<(u8, &V)> = node.value.as_ref().map(|v| (0, v));
-        for i in 0..128u8 {
-            match node.children[bit(key, i)].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((i + 1, v));
-                    }
-                }
-                None => break,
+        let mut n = self.node(ROOT);
+        let mut best = None;
+        loop {
+            if let Some(v) = n.value.as_ref() {
+                best = Some((n, v));
+            }
+            if n.len == 128 {
+                break;
+            }
+            let child = n.child_toward(key);
+            if child == NIL {
+                break;
+            }
+            n = self.node(child);
+            if !n.covers(key, 128) {
+                break;
             }
         }
-        best.map(|(len, v)| (Prefix::from_bits(key, len), v))
+        best.map(|(n, v)| (Prefix::from_bits(n.bits, n.len), v))
     }
 
     /// Shortest-prefix match: the least specific stored prefix covering
     /// `addr`. Useful for finding covering aggregates.
     pub fn shortest_match(&self, addr: Ipv6Addr) -> Option<(Prefix, &V)> {
-        let key = addr_to_u128(addr);
-        let mut node = &self.root;
-        if let Some(v) = node.value.as_ref() {
-            return Some((Prefix::DEFAULT, v));
-        }
-        for i in 0..128u8 {
-            match node.children[bit(key, i)].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        return Some((Prefix::from_bits(key, i + 1), v));
-                    }
-                }
-                None => break,
-            }
-        }
-        None
+        self.matches(addr).next()
     }
 
     /// All stored prefixes covering `addr`, from shortest to longest.
@@ -158,47 +244,46 @@ impl<V> PrefixTrie<V> {
 
     /// In-order iteration over `(Prefix, &V)` pairs.
     pub fn iter(&self) -> Iter<'_, V> {
-        Iter::new(&self.root, 0, 0)
+        Iter::new(&self.nodes, ROOT)
     }
 
     /// Iterate over stored prefixes covered by `within` (including itself).
     pub fn iter_within(&self, within: Prefix) -> Iter<'_, V> {
-        let key = within.bits();
-        let mut node = &self.root;
-        for i in 0..within.len() {
-            match node.children[bit(key, i)].as_deref() {
-                Some(child) => node = child,
-                None => return Iter::empty(),
-            }
+        match self.subtree(within) {
+            Some(slot) => Iter::new(&self.nodes, slot),
+            None => Iter::empty(),
         }
-        Iter::new(node, key, within.len())
+    }
+
+    /// Slot of the topmost node `p` covers: the root of everything
+    /// stored at or under `p`.
+    fn subtree(&self, p: Prefix) -> Option<u32> {
+        let (bits, len) = (p.bits(), p.len());
+        let mut slot = ROOT;
+        loop {
+            let n = self.node(slot);
+            // `n` covers `p`, so equal length means `n` is `p`.
+            if n.len == len {
+                return Some(slot);
+            }
+            let child = n.child_toward(bits);
+            if child == NIL {
+                return None;
+            }
+            let c = self.node(child);
+            if !c.covers(bits, len) {
+                // Not on `p`'s path: under `p`, or beside it.
+                return (c.len > len && common_len(c.bits, bits) >= len).then_some(child);
+            }
+            slot = child;
+        }
     }
 
     /// Do any stored prefixes intersect `p` (cover it or be covered by it)?
     pub fn intersects(&self, p: Prefix) -> bool {
-        // A covering prefix exists if any node on the path to p has a value;
-        // a covered prefix exists if the subtree at p is non-empty.
-        let key = p.bits();
-        let mut node = &self.root;
-        if node.value.is_some() {
-            return true;
-        }
-        for i in 0..p.len() {
-            match node.children[bit(key, i)].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if node.value.is_some() {
-                        return true;
-                    }
-                }
-                None => return false,
-            }
-        }
-        // Reached p's node: any value at-or-below means intersection.
-        fn subtree_nonempty<V>(n: &Node<V>) -> bool {
-            n.value.is_some() || n.children.iter().flatten().any(|c| subtree_nonempty(c))
-        }
-        subtree_nonempty(node)
+        // A stored prefix covering `p`'s first address either covers `p`
+        // or lies inside it; any other prefix inside `p` is in its subtree.
+        self.shortest_match(p.first()).is_some() || self.iter_within(p).next().is_some()
     }
 
     /// Collect all stored prefixes (sorted by address then length).
@@ -208,8 +293,7 @@ impl<V> PrefixTrie<V> {
 
     /// Clear the trie.
     pub fn clear(&mut self) {
-        self.root = Node::new();
-        self.len = 0;
+        *self = PrefixTrie::new();
     }
 }
 
@@ -256,7 +340,7 @@ mod tests {
         assert_eq!(t.remove(p("2001:db8::/32")), None);
         assert!(t.is_empty());
         // Removal pruned the path.
-        assert!(t.root.is_empty_leaf());
+        assert_eq!(t.node_count(), 1);
     }
 
     #[test]

@@ -1,0 +1,114 @@
+//! Stateful oracle: random interleavings of insert / remove /
+//! get-or-insert over a small pool of nesting and diverging prefixes,
+//! checked against a `BTreeMap<Prefix, V>` after every step. The pool is
+//! small so that compressed edges get split, forks get spliced out and
+//! arena slots get recycled many times per case.
+
+use expanse_addr::Prefix;
+use expanse_trie::PrefixTrie;
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::net::Ipv6Addr;
+
+/// A chain of prefixes nesting down one address (lengths 0, 1, 127 and
+/// 128 included), the sibling diverging from the chain at each depth,
+/// and a few prefixes far from all of them.
+fn pool() -> Vec<Prefix> {
+    let spine: u128 = 0x2001_0db8_0407_8000_0123_4567_89ab_cdef;
+    let chain = [0u8, 1, 2, 3, 16, 31, 32, 33, 48, 64, 96, 126, 127, 128];
+    let mut pool: Vec<Prefix> = chain.iter().map(|&l| Prefix::from_bits(spine, l)).collect();
+    for &len in &chain[1..] {
+        let flipped = spine ^ (1u128 << (128 - u32::from(len)));
+        pool.push(Prefix::from_bits(flipped, len));
+    }
+    for far in [
+        "2a00::/12",
+        "2a00:1450::/32",
+        "2a00:1450:4001::/48",
+        "fe80::/10",
+    ] {
+        pool.push(far.parse().expect("pool prefix"));
+    }
+    pool
+}
+
+type Model = BTreeMap<Prefix, u32>;
+
+fn covering(model: &Model, addr: Ipv6Addr) -> Vec<(Prefix, u32)> {
+    let mut hits: Vec<(Prefix, u32)> = model
+        .iter()
+        .filter(|(p, _)| p.contains(addr))
+        .map(|(p, v)| (*p, *v))
+        .collect();
+    hits.sort_by_key(|(p, _)| p.len());
+    hits
+}
+
+fn check(trie: &PrefixTrie<u32>, model: &Model, pool: &[Prefix]) {
+    assert_eq!(trie.len(), model.len());
+    assert_eq!(trie.is_empty(), model.is_empty());
+    let all: Vec<(Prefix, u32)> = trie.iter().map(|(p, v)| (p, *v)).collect();
+    let want: Vec<(Prefix, u32)> = model.iter().map(|(p, v)| (*p, *v)).collect();
+    assert_eq!(all, want, "iter() order and content");
+    // Live nodes: one per stored prefix, the root, and at most one fork
+    // per stored prefix — anything more is an unpruned branch.
+    assert!(trie.node_count() <= 2 * model.len() + 1);
+
+    for &p in pool {
+        assert_eq!(trie.get(p), model.get(&p), "get {p}");
+        for addr in [p.first(), p.last()] {
+            let hits = covering(model, addr);
+            let got: Vec<(Prefix, u32)> = trie.matches(addr).map(|(q, v)| (q, *v)).collect();
+            assert_eq!(got, hits, "matches {addr}");
+            let longest = trie.longest_match(addr).map(|(q, v)| (q, *v));
+            assert_eq!(longest, hits.last().copied(), "longest_match {addr}");
+            let shortest = trie.shortest_match(addr).map(|(q, v)| (q, *v));
+            assert_eq!(shortest, hits.first().copied(), "shortest_match {addr}");
+        }
+        let within: Vec<(Prefix, u32)> = trie.iter_within(p).map(|(q, v)| (q, *v)).collect();
+        let want: Vec<(Prefix, u32)> = model
+            .iter()
+            .filter(|(q, _)| p.covers(q))
+            .map(|(q, v)| (*q, *v))
+            .collect();
+        assert_eq!(within, want, "iter_within {p}");
+        let touches = model.keys().any(|q| p.covers(q) || q.covers(&p));
+        assert_eq!(trie.intersects(p), touches, "intersects {p}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn trie_agrees_with_btreemap_after_every_step(
+        steps in proptest::collection::vec((0u8..4, any::<u16>(), any::<u32>()), 1..80),
+    ) {
+        let pool = pool();
+        let mut trie: PrefixTrie<u32> = PrefixTrie::new();
+        let mut model = Model::new();
+        for (op, pick, value) in steps {
+            let p = pool[usize::from(pick) % pool.len()];
+            match op {
+                0 | 1 => prop_assert_eq!(trie.insert(p, value), model.insert(p, value)),
+                2 => prop_assert_eq!(trie.remove(p), model.remove(&p)),
+                _ => {
+                    let got = *trie.get_or_insert_with(p, || value);
+                    prop_assert_eq!(got, *model.entry(p).or_insert(value));
+                    if let Some(v) = trie.get_mut(p) {
+                        *v = v.wrapping_add(1);
+                    }
+                    model.entry(p).and_modify(|v| *v = v.wrapping_add(1));
+                }
+            }
+            check(&trie, &model, &pool);
+        }
+        // Removing everything prunes every branch: only the root stays.
+        for p in model.keys().copied().collect::<Vec<_>>() {
+            prop_assert!(trie.remove(p).is_some());
+        }
+        model.clear();
+        check(&trie, &model, &pool);
+        prop_assert_eq!(trie.node_count(), 1);
+    }
+}

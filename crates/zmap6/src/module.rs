@@ -2,8 +2,8 @@
 
 use crate::validate::Validator;
 use expanse_packet::{
-    dns, icmpv6, proto, quic, Datagram, Icmpv6Message, Protocol, TcpFlags, TcpSegment, Transport,
-    UdpDatagram,
+    dns, icmpv6, proto, quic, udp, Datagram, Icmpv6Message, Protocol, TcpFlags, TcpSegment,
+    Transport,
 };
 use std::net::Ipv6Addr;
 
@@ -74,8 +74,10 @@ pub trait ProbeModule: Send + Sync {
     /// scan loop sends every probe of a job from one reused buffer.
     fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>);
 
-    /// Classify a delivered frame: `Some((target, kind, ttl))` if the
-    /// frame is a valid reply for this module under validator `v`.
+    /// Classify a delivered frame: `Some((target, kind))` — the probed
+    /// address the reply validates for and what it says about it — if
+    /// the frame is a valid reply for this module under validator `v`.
+    /// (The observed hop limit is the caller's to read off `hdr`.)
     fn classify(
         &self,
         hdr: &expanse_packet::Ipv6Header,
@@ -200,6 +202,9 @@ impl ProbeModule for TcpSynModule {
     }
 }
 
+/// The name every DNS probe asks for.
+const DNS_PROBE_NAME: &str = "ipv6.expanse.example.com";
+
 /// UDP/53 DNS module: sends an AAAA query; any well-formed response
 /// counts.
 #[derive(Debug, Clone, Copy, Default)]
@@ -212,11 +217,11 @@ impl ProbeModule for DnsModule {
 
     fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>) {
         let f = v.fields(dst);
-        let q = dns::DnsQuery::new(f.ident, "ipv6.expanse.example.com", dns::qtype::AAAA);
-        let u = UdpDatagram::new(f.src_port, 53, q.emit());
         let hops = Datagram::DEFAULT_HOP_LIMIT;
         Datagram::emit_with(frame, src, dst, proto::UDP, hops, |out| {
-            u.emit_into(src, dst, out);
+            udp::emit_with(f.src_port, 53, src, dst, out, |out| {
+                dns::emit_query(f.ident, DNS_PROBE_NAME, dns::qtype::AAAA, true, out);
+            });
         });
     }
 
@@ -274,11 +279,11 @@ impl ProbeModule for QuicModule {
         let f = v.fields(dst);
         let dcid = f.tcp_seq.to_be_bytes();
         let scid = f.ident.to_be_bytes();
-        let init = quic::QuicLongHeader::initial(&dcid, &scid);
-        let u = UdpDatagram::new(f.src_port, 443, init);
         let hops = Datagram::DEFAULT_HOP_LIMIT;
         Datagram::emit_with(frame, src, dst, proto::UDP, hops, |out| {
-            u.emit_into(src, dst, out);
+            udp::emit_with(f.src_port, 443, src, dst, out, |out| {
+                quic::QuicLongHeader::initial_into(&dcid, &scid, out);
+            });
         });
     }
 
@@ -326,6 +331,7 @@ pub fn standard_battery() -> Vec<Box<dyn ProbeModule>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expanse_packet::UdpDatagram;
 
     fn v() -> Validator {
         Validator::new(7)
@@ -369,6 +375,23 @@ mod tests {
         assert_eq!(
             probe_frame(&TcpSynModule::new(80), src, dst),
             Datagram::tcp(src, dst, hops, &bare).emit()
+        );
+        let query = dns::DnsQuery::new(f.ident, DNS_PROBE_NAME, dns::qtype::AAAA);
+        assert_eq!(
+            probe_frame(&DnsModule, src, dst),
+            Datagram::udp(
+                src,
+                dst,
+                hops,
+                &UdpDatagram::new(f.src_port, 53, query.emit())
+            )
+            .emit()
+        );
+        let initial =
+            quic::QuicLongHeader::initial(&f.tcp_seq.to_be_bytes(), &f.ident.to_be_bytes());
+        assert_eq!(
+            probe_frame(&QuicModule, src, dst),
+            Datagram::udp(src, dst, hops, &UdpDatagram::new(f.src_port, 443, initial)).emit()
         );
     }
 

@@ -4,7 +4,7 @@ use crate::module::ReplyKind;
 use expanse_addr::{AddrId, AddrMap};
 use expanse_netsim::Time;
 use expanse_packet::{ProtoSet, Protocol};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 /// One validated reply.
@@ -39,8 +39,10 @@ pub struct ScanResult {
     pub unvalidated: u64,
     /// Duplicate replies discarded.
     pub duplicates: u64,
-    /// First validated reply per target.
-    pub replies: HashMap<Ipv6Addr, ProbeReply>,
+    /// First validated reply per target: a run sorted by `target`, one
+    /// entry per target (once [`ScanResult::settle`] has run, which
+    /// every scan entry point does before returning).
+    pub replies: Vec<ProbeReply>,
 }
 
 impl ScanResult {
@@ -54,16 +56,36 @@ impl ScanResult {
             malformed: 0,
             unvalidated: 0,
             duplicates: 0,
-            replies: HashMap::new(),
+            replies: Vec::new(),
         }
     }
 
     /// Targets with a positive service answer.
     pub fn responsive(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
         self.replies
-            .values()
+            .iter()
             .filter(|r| r.kind.is_positive())
             .map(|r| r.target)
+    }
+
+    /// The reply recorded for `target`, if it answered (binary search
+    /// over the sorted run).
+    pub fn get(&self, target: Ipv6Addr) -> Option<&ProbeReply> {
+        let at = self.replies.binary_search_by_key(&target, |r| r.target);
+        at.ok().map(|i| &self.replies[i])
+    }
+
+    /// Bring `replies` into its settled form — sorted by target, one
+    /// entry per target — after replies were pushed in arrival order
+    /// (the scan loop) or appended shard by shard
+    /// ([`ScanResult::absorb_shard`]). The sort is stable, so the
+    /// earliest-pushed reply of a target is the one kept; every other
+    /// counts as a duplicate (zmap's first-reply-wins dedup).
+    pub fn settle(&mut self) {
+        self.replies.sort_by_key(|r| r.target);
+        let pushed = self.replies.len();
+        self.replies.dedup_by_key(|r| r.target);
+        self.duplicates += (pushed - self.replies.len()) as u64;
     }
 
     /// Count of positive responders.
@@ -80,18 +102,19 @@ impl ScanResult {
         }
     }
 
-    /// Fold a same-protocol sub-shard result in: counters add, reply
-    /// maps union. Sub-shards partition the *positions* of the target
-    /// list, so for duplicate-free target lists the reply maps are
-    /// disjoint; if a target appears twice and its replies land in two
-    /// shards, the first-merged shard wins and the other reply counts
-    /// as a duplicate — mirroring the unsharded scan's first-reply-wins
-    /// accounting (`received == replies + duplicates + malformed +
-    /// unvalidated` stays intact).
+    /// Fold a same-protocol sub-shard result in: counters add, the
+    /// shard's reply run is appended. Call [`ScanResult::settle`] once
+    /// after the last shard. Sub-shards partition the *positions* of
+    /// the target list, so for duplicate-free target lists the reply
+    /// runs are disjoint; if a target appears twice and its replies
+    /// land in two shards, the first-merged shard wins and the other
+    /// reply counts as a duplicate — mirroring the unsharded scan's
+    /// first-reply-wins accounting (`received == replies + duplicates +
+    /// malformed + unvalidated` stays intact).
     ///
     /// # Panics
     /// Panics if `part` scanned a different protocol.
-    pub fn absorb_shard(&mut self, part: ScanResult) {
+    pub fn absorb_shard(&mut self, mut part: ScanResult) {
         assert_eq!(
             self.protocol, part.protocol,
             "absorb_shard across protocols"
@@ -102,13 +125,7 @@ impl ScanResult {
         self.malformed += part.malformed;
         self.unvalidated += part.unvalidated;
         self.duplicates += part.duplicates;
-        for (target, reply) in part.replies {
-            if let std::collections::hash_map::Entry::Vacant(e) = self.replies.entry(target) {
-                e.insert(reply);
-            } else {
-                self.duplicates += 1;
-            }
-        }
+        self.replies.append(&mut part.replies);
     }
 }
 
@@ -116,16 +133,16 @@ impl ScanResult {
 #[derive(Debug, Clone, Default)]
 pub struct MultiScanResult {
     /// Per-protocol scan results.
-    pub by_protocol: HashMap<Protocol, ScanResult>,
+    pub by_protocol: BTreeMap<Protocol, ScanResult>,
     /// Per-address positive protocol set: a columnar interned map
     /// (address column + `ProtoSet` column) instead of a per-day
-    /// `HashMap<Ipv6Addr, ProtoSet>` rebuild. Its equality is
-    /// content-based, so executors that merge in different orders still
-    /// compare equal.
+    /// hash-map rebuild. Its equality is content-based, so executors
+    /// that merge in different orders still compare equal.
     pub responsive: AddrMap<ProtoSet>,
     /// Caller-domain ids of the responsive addresses, parallel to
     /// `responsive`'s insertion order: entry *i* is the resolved id of
-    /// the *i*-th distinct responder. Filled only by
+    /// the *i*-th distinct responder (protocols in merge order, each
+    /// protocol's new responders in target order). Filled only by
     /// [`MultiScanResult::merge_resolved`] (the pipeline resolves
     /// against its hitlist during the merge itself, instead of a
     /// per-responder hash lookup afterwards); stays empty under plain
@@ -155,7 +172,7 @@ impl MultiScanResult {
         r: ScanResult,
         mut resolve: Option<&mut dyn FnMut(Ipv6Addr) -> AddrId>,
     ) {
-        for reply in r.replies.values() {
+        for reply in &r.replies {
             if reply.kind.is_positive() {
                 let (_, new, e) = self.responsive.entry_or_full(reply.target, ProtoSet::EMPTY);
                 *e = e.with(r.protocol);
@@ -208,7 +225,8 @@ impl MultiScanResult {
     }
 
     /// A canonical FNV-1a digest over every field of every reply, walked
-    /// in sorted order so hash-map iteration order cannot leak in. The
+    /// in place: protocols in `Protocol` order, each protocol's replies
+    /// in target order, then the responsive map sorted by address. The
     /// encoding is injective (variable-length fields are
     /// length-prefixed), so equal results always produce equal digests
     /// and unequal results collide only at ordinary 64-bit hash odds;
@@ -218,13 +236,10 @@ impl MultiScanResult {
     /// whole merged battery, so it must stay off the daily loop's back).
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        let mut protocols: Vec<Protocol> = self.by_protocol.keys().copied().collect();
-        protocols.sort();
         // Count-prefix every list so the byte stream is self-delimiting
         // (injectivity must not lean on unenforced counter invariants).
-        h.eat(&(protocols.len() as u64).to_le_bytes());
-        for p in protocols {
-            let r = &self.by_protocol[&p];
+        h.eat(&(self.by_protocol.len() as u64).to_le_bytes());
+        for (p, r) in &self.by_protocol {
             h.eat(&[p.index() as u8]);
             for n in [
                 r.sent,
@@ -236,33 +251,31 @@ impl MultiScanResult {
             ] {
                 h.eat(&n.to_le_bytes());
             }
-            let mut targets: Vec<Ipv6Addr> = r.replies.keys().copied().collect();
-            targets.sort();
-            h.eat(&(targets.len() as u64).to_le_bytes());
-            for t in targets {
-                let reply = &r.replies[&t];
-                h.eat(&t.octets());
+            h.eat(&(r.replies.len() as u64).to_le_bytes());
+            for reply in &r.replies {
+                h.eat(&reply.target.octets());
                 h.eat(&reply.from.octets());
                 h.eat(&reply.at.0.to_le_bytes());
                 h.eat(&[reply.ttl]);
                 h.eat_kind(&reply.kind);
             }
         }
-        let addrs = self.responsive.sorted_addrs();
-        h.eat(&(addrs.len() as u64).to_le_bytes());
-        for a in addrs {
+        let mut responsive: Vec<(Ipv6Addr, ProtoSet)> =
+            self.responsive.iter().map(|(a, set)| (a, *set)).collect();
+        responsive.sort_unstable_by_key(|&(a, _)| a);
+        h.eat(&(responsive.len() as u64).to_le_bytes());
+        for (a, set) in responsive {
             h.eat(&a.octets());
-            h.eat(&[self.responsive.get(a).expect("sorted key present").0]);
+            h.eat(&[set.0]);
         }
         h.0
     }
 }
 
 /// Equality ignores [`MultiScanResult::responsive_ids`]: the id column
-/// mirrors `responsive`'s keys through an external table, and merge
-/// order (which is hash-map driven inside each protocol) may permute it
-/// without changing the content the digest and the determinism guards
-/// compare.
+/// mirrors `responsive`'s keys through an external table, so it adds
+/// nothing to the content the digest and the determinism guards compare
+/// (and a plain [`MultiScanResult::merge`] leaves it empty).
 impl PartialEq for MultiScanResult {
     fn eq(&self, other: &Self) -> bool {
         self.by_protocol == other.by_protocol && self.responsive == other.responsive
@@ -356,21 +369,17 @@ mod tests {
     fn hit_rate_counts_only_positive() {
         let mut r = ScanResult::new(Protocol::Tcp80);
         r.sent = 4;
-        r.replies
-            .insert("::1".parse().unwrap(), reply("::1", ReplyKind::Rst));
-        r.replies.insert(
-            "::2".parse().unwrap(),
-            reply(
-                "::2",
-                ReplyKind::SynAck(crate::module::SynAckInfo {
-                    options_text: "MSS".into(),
-                    mss: Some(1440),
-                    wscale: None,
-                    window: 100,
-                    timestamps: None,
-                }),
-            ),
-        );
+        r.replies.push(reply("::1", ReplyKind::Rst));
+        r.replies.push(reply(
+            "::2",
+            ReplyKind::SynAck(crate::module::SynAckInfo {
+                options_text: "MSS".into(),
+                mss: Some(1440),
+                wscale: None,
+                window: 100,
+                timestamps: None,
+            }),
+        ));
         assert_eq!(r.responsive_count(), 1);
         assert_eq!(r.hit_rate(), 0.25);
     }
@@ -379,20 +388,16 @@ mod tests {
     fn multi_merge_builds_protosets() {
         let mut m = MultiScanResult::default();
         let mut icmp = ScanResult::new(Protocol::Icmp);
-        icmp.replies
-            .insert("::1".parse().unwrap(), reply("::1", ReplyKind::EchoReply));
+        icmp.replies.push(reply("::1", ReplyKind::EchoReply));
         m.merge(icmp);
         let mut dns = ScanResult::new(Protocol::Udp53);
-        dns.replies.insert(
-            "::1".parse().unwrap(),
-            reply(
-                "::1",
-                ReplyKind::DnsResponse {
-                    rcode: 0,
-                    answers: 1,
-                },
-            ),
-        );
+        dns.replies.push(reply(
+            "::1",
+            ReplyKind::DnsResponse {
+                rcode: 0,
+                answers: 1,
+            },
+        ));
         m.merge(dns);
         let set = *m.responsive.get("::1".parse().unwrap()).unwrap();
         assert!(set.contains(Protocol::Icmp));

@@ -215,6 +215,8 @@ impl<N: Network> Scanner<N> {
         while let Some((at, frame)) = rx.pop_due(deadline) {
             Self::receive(&mut result, module, &validator, at, &frame);
         }
+        // First reply wins (zmap dedup); duplicates are counted.
+        result.settle();
         (result, deadline)
     }
 
@@ -234,19 +236,14 @@ impl<N: Network> Scanner<N> {
             result.unvalidated += 1;
             return;
         };
-        let reply = ProbeReply {
+        // Arrival order; `scan_job` settles the run once at the end.
+        result.replies.push(ProbeReply {
             target,
             from: hdr.src,
             at,
             ttl: hdr.hop_limit,
             kind,
-        };
-        // First reply wins (zmap dedup); duplicates are counted.
-        if let std::collections::hash_map::Entry::Vacant(e) = result.replies.entry(target) {
-            e.insert(reply);
-        } else {
-            result.duplicates += 1;
-        }
+        });
     }
 }
 
@@ -400,9 +397,10 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
     }
 
     /// Fold the grid's cells into one [`MultiScanResult`], in module
-    /// order, summing counters and unioning the (disjoint) per-target
-    /// reply maps; the scanner clock advances to the slowest cell's end
-    /// time, like a barrier over parallel zmap processes.
+    /// order, summing counters and concatenating the (disjoint)
+    /// per-target reply runs, settled once per protocol; the scanner
+    /// clock advances to the slowest cell's end time, like a barrier
+    /// over parallel zmap processes.
     fn merge_battery(
         &mut self,
         modules: &[Box<dyn ProbeModule>],
@@ -426,6 +424,7 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
                 merged.absorb_shard(part);
                 end = end.max(cell_end);
             }
+            merged.settle();
             match resolve.as_deref_mut() {
                 Some(resolve) => multi.merge_resolved(merged, resolve),
                 None => multi.merge(merged),
@@ -446,19 +445,9 @@ pub fn responsive_sets(multi: &MultiScanResult) -> Vec<(Protocol, Vec<Ipv6Addr>)
     Protocol::ALL
         .iter()
         .map(|p| {
-            let mut v: Vec<Ipv6Addr> = multi
-                .by_protocol
-                .get(p)
-                .map(|r| {
-                    r.replies
-                        .values()
-                        .filter(|rep| rep.kind.is_positive())
-                        .map(|rep| rep.target)
-                        .collect()
-                })
-                .unwrap_or_default();
-            v.sort();
-            (*p, v)
+            let scan = multi.by_protocol.get(p);
+            let positive = scan.map(|r| r.responsive().collect());
+            (*p, positive.unwrap_or_default())
         })
         .collect()
 }
@@ -485,7 +474,7 @@ mod tests {
         assert_eq!(r.sent, 50);
         // Aliased: nearly everything answers (minus base loss).
         assert!(r.replies.len() >= 40, "{} replies", r.replies.len());
-        assert!(r.replies.values().all(|rep| rep.kind.is_positive()));
+        assert!(r.replies.iter().all(|rep| rep.kind.is_positive()));
         assert_eq!(r.malformed, 0);
         assert_eq!(r.unvalidated, 0);
     }
@@ -511,7 +500,7 @@ mod tests {
             .collect();
         let r = s.scan(&targets, &TcpSynModule::with_synopt(80));
         assert!(r.replies.len() >= 20, "{}", r.replies.len());
-        for rep in r.replies.values() {
+        for rep in &r.replies {
             match &rep.kind {
                 ReplyKind::SynAck(info) => {
                     assert!(!info.options_text.is_empty());
@@ -627,7 +616,7 @@ mod tests {
                 *sent_per_protocol.entry(*p).or_default() += r.sent;
                 seen.entry(*p)
                     .or_default()
-                    .extend(r.replies.keys().copied());
+                    .extend(r.replies.iter().map(|rep| rep.target));
             }
         }
         for (p, sent) in &sent_per_protocol {
