@@ -8,10 +8,10 @@
 
 use crate::window::WindowState;
 use expanse_addr::{fanout16, Prefix};
-use expanse_netsim::Network;
+use expanse_netsim::SnapshotNetwork;
 use expanse_zmap6::module::{IcmpEchoModule, TcpSynModule};
 use expanse_zmap6::{ProbeReply, Scanner};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 
 /// Detector configuration.
@@ -100,8 +100,8 @@ impl DayReport {
 pub struct Apd {
     /// Detector configuration.
     pub cfg: ApdConfig,
-    /// Sliding-window state per prefix.
-    pub windows: HashMap<Prefix, WindowState>,
+    /// Sliding-window state per prefix, in prefix order.
+    pub windows: BTreeMap<Prefix, WindowState>,
     /// Prefixes whose window state changed since the last journal sync
     /// point (see [`Apd::mark_synced`] in [`crate::persist`]); kept
     /// sorted so delta frames are written in deterministic order.
@@ -113,7 +113,7 @@ impl Apd {
     pub fn new(cfg: ApdConfig) -> Self {
         Apd {
             cfg,
-            windows: HashMap::new(),
+            windows: BTreeMap::new(),
             dirty: BTreeSet::new(),
         }
     }
@@ -121,7 +121,7 @@ impl Apd {
     /// Probe all `prefixes` once (one "day"), update window state, and
     /// return the raw observations. Probing batches the fan-out targets
     /// of every prefix into two scans (one per protocol), zmap-style.
-    pub fn run_day<N: Network>(
+    pub fn run_day<N: SnapshotNetwork + Sync>(
         &mut self,
         scanner: &mut Scanner<N>,
         prefixes: &[Prefix],
@@ -147,7 +147,11 @@ impl Apd {
         }
         fan.sort_unstable();
         fan.dedup_by_key(|f| f.0);
-        let targets: Vec<Ipv6Addr> = fan.iter().map(|f| f.0).collect();
+        // Split the address column off for the scans; `back[i]` keeps
+        // the `(plan index, branch)` of `targets[i]`, so no second copy
+        // of the addresses rides through the probing.
+        let (targets, back): (Vec<Ipv6Addr>, Vec<(usize, u8)>) =
+            fan.into_iter().map(|(a, pi, b)| (a, (pi, b))).unzip();
 
         let icmp_scan = scanner.scan(&targets, &IcmpEchoModule);
         let tcp_scan = scanner.scan(&targets, &TcpSynModule::with_synopt(80));
@@ -167,7 +171,7 @@ impl Apd {
             if !reply.kind.is_positive() || reply.from != reply.target {
                 return None;
             }
-            let (_, pi, branch) = fan[fan.binary_search_by_key(&reply.target, |f| f.0).ok()?];
+            let (pi, branch) = back[targets.binary_search(&reply.target).ok()?];
             let slot = order.binary_search(&prefixes[pi]).ok()?;
             Some((slot, branch))
         };
@@ -198,26 +202,14 @@ impl Apd {
     /// Current windowed classification: prefixes whose branches have all
     /// responded within the window.
     pub fn aliased_prefixes(&self) -> Vec<Prefix> {
-        let mut v: Vec<Prefix> = self
-            .windows
-            .iter()
-            .filter(|(_, w)| w.aliased())
-            .map(|(p, _)| *p)
-            .collect();
-        v.sort();
-        v
+        let aliased = self.windows.iter().filter(|(_, w)| w.aliased());
+        aliased.map(|(p, _)| *p).collect()
     }
 
     /// Prefixes whose classification has flipped at least once.
     pub fn unstable_prefixes(&self) -> Vec<Prefix> {
-        let mut v: Vec<Prefix> = self
-            .windows
-            .iter()
-            .filter(|(_, w)| w.flips() > 0)
-            .map(|(p, _)| *p)
-            .collect();
-        v.sort();
-        v
+        let flipped = self.windows.iter().filter(|(_, w)| w.flips() > 0);
+        flipped.map(|(p, _)| *p).collect()
     }
 
     /// Build the longest-prefix-match filter from the current aliased

@@ -8,10 +8,9 @@
 //! half the probes.
 
 use expanse_addr::{keyed_random_addr, Prefix};
-use expanse_netsim::Network;
+use expanse_netsim::SnapshotNetwork;
 use expanse_zmap6::module::IcmpEchoModule;
 use expanse_zmap6::Scanner;
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv6Addr;
 
 /// Result of a Murdock-style detection pass.
@@ -27,53 +26,58 @@ pub struct MurdockResult {
 
 /// Run the baseline over a hitlist: every /96 containing at least one
 /// hitlist address is tested with 3 random addresses × 3 probes.
-pub fn detect<N: Network>(
+pub fn detect<N: SnapshotNetwork + Sync>(
     scanner: &mut Scanner<N>,
     hitlist: &[Ipv6Addr],
     salt: u64,
 ) -> MurdockResult {
     // Collect the /96s.
-    let mut p96s: HashSet<Prefix> = HashSet::new();
-    for &a in hitlist {
-        p96s.insert(Prefix::new(a, 96));
-    }
-    let mut p96s: Vec<Prefix> = p96s.into_iter().collect();
+    let mut p96s: Vec<Prefix> = hitlist.iter().map(|&a| Prefix::new(a, 96)).collect();
     p96s.sort();
+    p96s.dedup();
 
-    // Three purely random addresses per /96 (no fan-out discipline).
-    let mut targets: Vec<Ipv6Addr> = Vec::with_capacity(p96s.len() * 3);
-    let mut back: HashMap<Ipv6Addr, usize> = HashMap::new();
+    // Three purely random addresses per /96 (no fan-out discipline),
+    // as the detector's sorted back-reference vector `(target, /96
+    // index)`. Distinct /96s are disjoint, so no target repeats.
+    let mut fan: Vec<(Ipv6Addr, usize)> = Vec::with_capacity(p96s.len() * 3);
     for (i, p) in p96s.iter().enumerate() {
         for k in 0..3u64 {
-            let t = keyed_random_addr(*p, salt ^ (k.wrapping_mul(0x9e37_79b9)));
-            back.insert(t, i);
-            targets.push(t);
+            fan.push((
+                keyed_random_addr(*p, salt ^ (k.wrapping_mul(0x9e37_79b9))),
+                i,
+            ));
         }
     }
-    targets.sort();
-    targets.dedup();
+    fan.sort_unstable();
+    fan.dedup_by_key(|f| f.0);
+    let targets: Vec<Ipv6Addr> = fan.iter().map(|f| f.0).collect();
 
     // 3 probes per address (same-day retries; in both the paper's
     // methodology and this simulation, retries mostly share fate).
-    let mut answered: HashMap<usize, HashSet<Ipv6Addr>> = HashMap::new();
+    let mut answered = vec![false; targets.len()];
     let mut probes_sent = 0u64;
     for _attempt in 0..3 {
         let scan = scanner.scan(&targets, &IcmpEchoModule);
         probes_sent += scan.sent;
         for reply in &scan.replies {
             if reply.kind.is_positive() && reply.from == reply.target {
-                if let Some(&i) = back.get(&reply.target) {
-                    answered.entry(i).or_default().insert(reply.target);
+                if let Ok(t) = targets.binary_search(&reply.target) {
+                    answered[t] = true;
                 }
             }
         }
     }
 
+    // Aliased: all three of a /96's addresses answered.
+    let mut hits = vec![0u8; p96s.len()];
+    for (&(_, i), _) in fan.iter().zip(&answered).filter(|(_, a)| **a) {
+        hits[i] += 1;
+    }
     let aliased: Vec<Prefix> = p96s
         .iter()
-        .enumerate()
-        .filter(|(i, _)| answered.get(i).is_some_and(|s| s.len() == 3))
-        .map(|(_, p)| *p)
+        .zip(&hits)
+        .filter(|(_, h)| **h == 3)
+        .map(|(p, _)| *p)
         .collect();
 
     MurdockResult {

@@ -4,13 +4,13 @@
 //! window map (the LPM filter is derived from it on demand), so a
 //! snapshot stores exactly that: each prefix with its window length,
 //! the day bitmaps it currently holds, the previous classification,
-//! and the flip counter. Prefixes are written in sorted order so the
-//! byte stream never depends on hash-map iteration order.
+//! and the flip counter. Prefixes are written in sorted order — the
+//! map's own.
 
 use crate::detector::{Apd, ApdConfig};
 use crate::window::WindowState;
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{Read, Write};
 
 /// Write one prefix's window state (everything but the prefix key).
@@ -80,10 +80,8 @@ impl Apd {
     /// Serialize the detector's window state into an open snapshot
     /// envelope.
     pub fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        let mut entries: Vec<_> = self.windows.iter().collect();
-        entries.sort_by_key(|(p, _)| **p);
-        enc.put_len(entries.len())?;
-        for (p, w) in entries {
+        enc.put_len(self.windows.len())?;
+        for (p, w) in &self.windows {
             codec::write_prefix(enc, *p)?;
             write_window(enc, w)?;
         }
@@ -95,7 +93,7 @@ impl Apd {
     /// configuration, like every other knob.
     pub fn decode<R: Read>(cfg: ApdConfig, dec: &mut Decoder<R>) -> Result<Apd, CodecError> {
         let n = dec.get_len()?;
-        let mut windows = HashMap::with_capacity(Decoder::<R>::reserve_hint(n));
+        let mut windows = BTreeMap::new();
         let mut prev = None;
         for _ in 0..n {
             let p = codec::read_prefix(dec)?;

@@ -52,6 +52,24 @@ const ADVERSARIAL_DIGESTS: [u64; 3] = [
 const ADVERSARIAL_PROBES_SENT: [u64; 3] = [264_478, 45_730, 45_817];
 const ADVERSARIAL_SAVE: (usize, u64) = (712_906, 6_921_498_307_009_955_390);
 
+/// Distinct fan-out targets of today's full APD plan — the send slots
+/// of each of the day's two APD scans. A single scan goes onto the
+/// worker pool from 4096 slots up (`POOL_MIN_SLOTS` in
+/// `expanse-zmap6`); the pinned digests must cover that path, not only
+/// the one-thread fallback below it.
+fn apd_fanout(p: &Pipeline) -> usize {
+    let live = p.hitlist.live_set();
+    let plan = expanse_apd::plan_targets_set(p.hitlist.table(), &live, &p.cfg.plan);
+    let mut targets: Vec<_> = plan
+        .iter()
+        .flat_map(|q| expanse_addr::fanout16(*q, p.apd.cfg.salt))
+        .map(|t| t.addr)
+        .collect();
+    targets.sort_unstable();
+    targets.dedup();
+    targets.len()
+}
+
 /// Three days of `model`: digests, probe counts, and the final full
 /// snapshot's (length, hash). `feed` ingests the model's scenario feed
 /// before each day, as the bench harness does.
@@ -77,6 +95,10 @@ fn run(
             let today = p.day();
             let addrs = p.model_ref().scenario_feed(today);
             p.hitlist.add_from(SourceId::RipeAtlas, &addrs, today);
+        }
+        if p.day().is_multiple_of(full_apd_every) {
+            let slots = apd_fanout(&p);
+            assert!(slots >= 4096, "day {day}: APD fan-out of {slots}");
         }
         let snap = p.run_day();
         digests[day] = snap.battery_digest;

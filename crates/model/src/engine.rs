@@ -23,7 +23,7 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 /// Per-day mutable middlebox state, rebuilt on `set_day`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DayState {
     pub day: u16,
     pub icmp_buckets: Vec<(Prefix, TokenBucket)>,
@@ -582,6 +582,15 @@ impl expanse_netsim::SnapshotNetwork for InternetModel {
             day: self.day_state.clone(),
         }
     }
+
+    /// The buckets and proxies are all a [`ScanView`] owns, and the
+    /// engine consults each only for destinations under its prefix —
+    /// everything else is answered from the shared immutable world.
+    fn stateful(&self, dst: Ipv6Addr) -> bool {
+        let ds = &self.day_state;
+        ds.icmp_buckets.iter().any(|(p, _)| p.contains(dst))
+            || ds.syn_proxies.iter().any(|(p, _)| p.contains(dst))
+    }
 }
 
 #[cfg(test)]
@@ -1018,5 +1027,159 @@ mod tests {
                 > 1,
             "daily variation expected: {counts:?}"
         );
+    }
+
+    /// One adversarial world for every case of the `stateful` property:
+    /// the model is not `Clone`, and a build per case would dominate.
+    /// State left by earlier cases only widens what the property meets.
+    fn shared_world() -> std::sync::MutexGuard<'static, InternetModel> {
+        static WORLD: std::sync::OnceLock<std::sync::Mutex<InternetModel>> =
+            std::sync::OnceLock::new();
+        WORLD
+            .get_or_init(|| {
+                let mut m = InternetModel::build(ModelConfig::adversarial(11));
+                m.set_day(2);
+                std::sync::Mutex::new(m)
+            })
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The prefixes whose buckets and proxies today's day state holds.
+    fn middlebox_prefixes(m: &InternetModel) -> Vec<Prefix> {
+        let special = &m.population.special;
+        let mut v = vec![special.rate_limit_parent];
+        v.extend(&special.syn_proxy);
+        v.extend(&m.scenario.throttled);
+        v
+    }
+
+    /// A destination of every kind the engine tells apart.
+    fn pick_dst(m: &InternetModel, pick: u32) -> Ipv6Addr {
+        let k = u64::from(pick >> 3);
+        let nth = |n: usize| k as usize % n;
+        let pop = &m.population;
+        match pick % 8 {
+            0 => pop
+                .hosts
+                .keys()
+                .nth(nth(pop.hosts.len()))
+                .expect("in range"),
+            1 => pop.alias_pool[nth(pop.alias_pool.len())],
+            2 => {
+                let hooks = &pop.special.cdn_hook_48s;
+                expanse_addr::keyed_random_addr(hooks[nth(hooks.len())], k)
+            }
+            3 => {
+                let site = &pop.sites[nth(pop.sites.len())];
+                site.addrs[nth(site.addrs.len())]
+            }
+            4 => expanse_addr::u128_to_addr((0x3fffu128 << 112) | u128::from(k)),
+            5 => {
+                let feed = m.scenario_feed(m.day());
+                feed[nth(feed.len())]
+            }
+            6 => expanse_addr::keyed_random_addr(pop.special.partial96, k),
+            _ => {
+                let boxes = middlebox_prefixes(m);
+                expanse_addr::keyed_random_addr(boxes[nth(boxes.len())], k)
+            }
+        }
+    }
+
+    /// An ICMPv6 echo, a TCP SYN or a UDP probe to `dst`; one in five
+    /// hop-limited like a traceroute probe.
+    fn probe(dst: Ipv6Addr, transport: u8, key: u32) -> Vec<u8> {
+        let hop = if key.is_multiple_of(5) {
+            1 + (key % 7) as u8
+        } else {
+            64
+        };
+        let port = [80, 443, 53, 8080][(key >> 8) as usize % 4];
+        let src_port = 32768 + (key >> 16) as u16 % 16384;
+        match transport {
+            0 => Datagram::icmpv6(
+                vantage(),
+                dst,
+                hop,
+                Icmpv6Message::EchoRequest {
+                    ident: key as u16,
+                    seq: (key >> 16) as u16,
+                    payload: vec![0xab; 8],
+                },
+            ),
+            1 => {
+                let seg = TcpSegment::syn_with_options(src_port, port, key, key ^ 0x5a5a);
+                Datagram::tcp(vantage(), dst, hop, &seg)
+            }
+            _ => {
+                let payload = if port == 443 {
+                    quic::QuicLongHeader::initial(&key.to_be_bytes(), &[7; 8])
+                } else {
+                    dns::DnsQuery::new(key as u16, "example.com", dns::qtype::AAAA).emit()
+                };
+                Datagram::udp(
+                    vantage(),
+                    dst,
+                    hop,
+                    &UdpDatagram::new(src_port, port, payload),
+                )
+            }
+        }
+        .emit()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The `SnapshotNetwork::stateful` contract: a frame to a
+        /// destination it clears gets the same deliveries from the model
+        /// and from any snapshot, whatever state either is in, and
+        /// changes neither.
+        #[test]
+        fn stateless_destinations_answer_alike_from_model_and_snapshots(
+            picks in proptest::collection::vec(
+                (proptest::any::<u32>(), 0u8..3, proptest::any::<u32>(), 0u64..20_000_000),
+                1..64,
+            ),
+        ) {
+            use expanse_netsim::SnapshotNetwork;
+            let mut m = shared_world();
+            for p in middlebox_prefixes(&m) {
+                proptest::prop_assert!(m.stateful(expanse_addr::keyed_random_addr(p, 3)));
+            }
+            // Stateful traffic between two captures of the day state:
+            // drain the buckets, trip the proxies.
+            let early_day = m.day_state.clone();
+            let clock = |us: u64| Time::from_micros(us);
+            for (i, p) in middlebox_prefixes(&m).into_iter().enumerate() {
+                for k in 0..14u32 {
+                    let dst = expanse_addr::keyed_random_addr(p, u64::from(k));
+                    m.inject(clock(picks[0].3 + u64::from(k)), &probe(dst, (i as u8 + k as u8) % 2, k | 1));
+                }
+            }
+            let late_day = m.day_state.clone();
+            proptest::prop_assert!(late_day != early_day, "the stateful traffic left no trace");
+
+            let cleared: Vec<(Time, Vec<u8>)> = picks
+                .iter()
+                .map(|&(pick, transport, key, us)| (pick_dst(&m, pick), transport, key, us))
+                .filter(|&(dst, ..)| !m.stateful(dst))
+                .map(|(dst, transport, key, us)| (clock(us), probe(dst, transport, key)))
+                .collect();
+            let from_model: Vec<Vec<Delivery>> =
+                cleared.iter().map(|(at, f)| m.inject(*at, f)).collect();
+            proptest::prop_assert_eq!(&m.day_state, &late_day);
+
+            let mut early = ScanView { model: &m, day: early_day.clone() };
+            let mut fresh = m.snapshot();
+            // Snapshots may answer in any order.
+            for ((at, f), want) in cleared.iter().zip(&from_model).rev() {
+                proptest::prop_assert_eq!(&early.inject(*at, f), want);
+                proptest::prop_assert_eq!(&fresh.inject(*at, f), want);
+            }
+            proptest::prop_assert_eq!(&early.day, &early_day);
+            proptest::prop_assert_eq!(&fresh.day, &late_day);
+        }
     }
 }

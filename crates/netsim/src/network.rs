@@ -4,6 +4,7 @@
 use crate::loss::KeyedLoss;
 use crate::time::{Duration, Time};
 use expanse_addr::fanout::splitmix64;
+use std::net::Ipv6Addr;
 
 /// A frame delivered back to the prober at a virtual time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +46,11 @@ pub trait Network {
 /// middleboxes across concurrent scanners, so per-stream state sees
 /// proportionally less probe pressure as streams multiply. Treat the
 /// stream count as part of the experiment configuration.
+///
+/// A single probe stream can also be spread over snapshots without any
+/// modeling cost, for the destinations [`SnapshotNetwork::stateful`]
+/// clears: their frames meet no state a snapshot owns, so it does not
+/// matter which snapshot — or the network itself — answers them.
 pub trait SnapshotNetwork: Network {
     /// The per-stream handle; borrows `self` immutably.
     type Snapshot<'a>: Network + Send
@@ -53,6 +59,22 @@ pub trait SnapshotNetwork: Network {
 
     /// Take a snapshot of the current network state.
     fn snapshot(&self) -> Self::Snapshot<'_>;
+
+    /// Can a frame to `dst` read or change state that a snapshot owns?
+    ///
+    /// Contract: when this returns `false`, injecting a frame addressed
+    /// to `dst` at time `t` yields the same deliveries from the network
+    /// and from any snapshot of it, however many other frames either
+    /// has seen, and mutates neither. Callers may then answer such
+    /// frames from any snapshot in any order; frames to stateful
+    /// destinations must reach one network in send order. The default
+    /// claims nothing (`true`): correct for every implementor, and what
+    /// a wrapper whose state is keyed on something other than the
+    /// destination has to keep.
+    fn stateful(&self, dst: Ipv6Addr) -> bool {
+        let _ = dst;
+        true
+    }
 }
 
 impl<N: Network + ?Sized> Network for &mut N {
@@ -257,7 +279,6 @@ impl<N: Network> Network for TraceRecorder<N> {
 mod tests {
     use super::*;
     use expanse_packet::{Datagram, Icmpv6Message};
-    use std::net::Ipv6Addr;
 
     /// A toy network: echoes every ICMPv6 echo request after 1 ms.
     struct Echoer;

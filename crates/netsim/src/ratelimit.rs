@@ -10,7 +10,7 @@ use crate::time::{Duration, Time};
 
 /// A token bucket: `capacity` tokens, refilled continuously at
 /// `refill_per_sec` tokens per second.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenBucket {
     capacity: f64,
     tokens: f64,

@@ -13,7 +13,7 @@ use crate::time::{Duration, Time};
 use std::collections::VecDeque;
 
 /// Stateful SYN proxy for one protected prefix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynProxy {
     /// SYNs within this window count toward activation.
     pub window: Duration,

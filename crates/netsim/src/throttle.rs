@@ -100,6 +100,9 @@ impl<'a, N: SnapshotNetwork + 'a> Network for ThrottledSnapshot<'a, N> {
     }
 }
 
+/// Keeps the default `stateful == true` for every destination: the
+/// buckets are keyed on a reply's *source*, which the probed address
+/// does not determine (an off-path router may answer for it).
 impl<N: SnapshotNetwork> SnapshotNetwork for ThrottledNetwork<N> {
     type Snapshot<'a>
         = ThrottledSnapshot<'a, N>
@@ -217,6 +220,15 @@ mod tests {
         assert_eq!(net.inject(Time::from_millis(10), &echo_to(dst, 1)).len(), 0);
         // A second later the bucket holds a fresh token.
         assert_eq!(net.inject(Time::from_secs(2), &echo_to(dst, 2)).len(), 1);
+    }
+
+    #[test]
+    fn every_destination_is_stateful_unless_a_network_says_otherwise() {
+        let other: Ipv6Addr = "2001:db8:9::1".parse().unwrap();
+        assert!(Echoer.stateful(other), "the trait default claims nothing");
+        let net = ThrottledNetwork::new(Echoer).with_router(router64(), 1.0, 1.0);
+        assert!(net.stateful(router64().addr_at(1)));
+        assert!(net.stateful(other), "throttles key on the reply source");
     }
 
     #[test]

@@ -1,6 +1,22 @@
 //! The scan loop: permute targets, rate-limit sends, collect and
 //! validate replies.
 //!
+//! # One job: collect, then order
+//!
+//! A scan never reacts to its replies. The targets of a job therefore
+//! map to send slots, and the slots to send instants, before the first
+//! probe leaves (`Job`); injecting a slot and classifying what comes
+//! back is independent of every other slot unless the network keeps
+//! state for the destination; and the receive side — a queue popped in
+//! `(arrival time, push order)` — is a sort by `(arrival time, send
+//! slot, index within the inject)` over what was collected. Both
+//! callers run that one loop: a battery cell injects every slot into
+//! its own snapshot, and [`Scanner::scan`] spreads the slots over
+//! worker snapshots, keeping only the
+//! [`stateful`](SnapshotNetwork::stateful) destinations for the network
+//! itself, in send order. The result does not depend on who injected
+//! what; `tests/scan_pooled.rs` pins it to the serial loop's.
+//!
 //! # The battery fan-out
 //!
 //! The multi-protocol battery ([`Scanner::scan_battery`]) is the
@@ -30,7 +46,7 @@ use crate::module::ProbeModule;
 use crate::permute::Permutation;
 use crate::results::{MultiScanResult, ProbeReply, ScanResult};
 use crate::validate::Validator;
-use expanse_netsim::{Duration, EventQueue, Network, SnapshotNetwork, Time};
+use expanse_netsim::{Duration, Network, SnapshotNetwork, Time};
 use expanse_packet::{Datagram, Protocol};
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -151,27 +167,228 @@ impl<N: Network> Scanner<N> {
     pub fn set_now(&mut self, t: Time) {
         self.clock = t;
     }
+}
 
-    /// Scan `targets` with one module. Probes are sent in permuted order
-    /// at the configured rate; replies are validated statelessly.
-    pub fn scan(&mut self, targets: &[Ipv6Addr], module: &dyn ProbeModule) -> ScanResult {
-        let (shard, shards) = self.cfg.shard;
-        let (result, end) = Self::scan_job(
-            &mut self.net,
-            &self.cfg,
-            self.clock,
-            targets,
+/// A single job goes onto the worker pool only at or above this many
+/// send slots (the floor `AliasFilter::split_set` uses): below it the
+/// thread spawns cost more than the probes.
+const POOL_MIN_SLOTS: usize = 4096;
+
+/// The send side of one scan job, fixed before the first probe leaves.
+///
+/// A scan never reacts to its replies, so which target takes which send
+/// slot, and the instant each slot's probe leaves, are known up front:
+/// any part of the job can be injected anywhere, in any order, as long
+/// as the network answers it the same — and the receive side is a sort.
+struct Job<'a> {
+    cfg: &'a ScanConfig,
+    module: &'a dyn ProbeModule,
+    validator: Validator,
+    targets: &'a [Ipv6Addr],
+    /// Target index per send slot, in permuted shard order.
+    slots: Vec<u32>,
+    /// Targets the blacklist suppressed; they take no slot.
+    blacklisted: u64,
+    start: Time,
+    gap: Duration,
+    /// The end of the cooldown after the last slot: later deliveries are
+    /// never received. (An empty target list ends where it starts.)
+    end: Time,
+}
+
+/// What injecting some of a job's slots brought back by the job's end.
+#[derive(Default)]
+struct Collected {
+    received: u64,
+    malformed: u64,
+    unvalidated: u64,
+    /// Validated replies, each with its place in the receive queue's
+    /// tie-break order: `(send slot, index within that inject)`.
+    replies: Vec<(usize, usize, ProbeReply)>,
+    /// Slots left to the caller because their destination is stateful.
+    deferred: Vec<usize>,
+}
+
+impl<'a> Job<'a> {
+    /// Lay out shard `shard` of `shards` over `targets`.
+    fn new(
+        cfg: &'a ScanConfig,
+        start: Time,
+        targets: &'a [Ipv6Addr],
+        module: &'a dyn ProbeModule,
+        shard: u64,
+        shards: u64,
+    ) -> Self {
+        let mut job = Job {
+            cfg,
             module,
-            shard,
-            shards,
+            validator: Validator::new(cfg.seed),
+            targets,
+            slots: Vec::new(),
+            blacklisted: 0,
+            start,
+            gap: Duration(1_000_000_000 / cfg.rate_pps.max(1)),
+            end: start,
+        };
+        if targets.is_empty() {
+            return job;
+        }
+        assert!(
+            u32::try_from(targets.len()).is_ok(),
+            "target list beyond u32 positions"
         );
+        let perm = Permutation::new(targets.len() as u64, cfg.seed);
+        let positions = perm.shard(shard, shards);
+        // The walk's length is known: one allocation, not a doubling
+        // chain (a cell lays out its job on a fresh worker thread).
+        job.slots.reserve_exact(positions.size_hint().0);
+        for idx in positions {
+            if cfg.blacklist.contains(targets[idx as usize]) {
+                job.blacklisted += 1;
+            } else {
+                job.slots.push(idx as u32);
+            }
+        }
+        job.end = job.clock(job.slots.len()) + cfg.cooldown;
+        job
+    }
+
+    /// When slot `slot`'s probe leaves (`slots.len()`: the send loop's end).
+    fn clock(&self, slot: usize) -> Time {
+        self.start + Duration(self.gap.0 * slot as u64)
+    }
+
+    /// Inject `slots` into `net`, each at its own clock, and classify
+    /// what comes back by the job's end. Slots whose destination `defer`
+    /// claims are skipped and handed back instead.
+    fn collect<M: Network>(
+        &self,
+        net: &mut M,
+        slots: impl Iterator<Item = usize>,
+        defer: impl Fn(Ipv6Addr) -> bool,
+    ) -> Collected {
+        let mut out = Collected::default();
+        // Every probe of the walk is emitted into this one buffer.
+        let mut frame: Vec<u8> = Vec::new();
+        for slot in slots {
+            let dst = self.targets[self.slots[slot] as usize];
+            if defer(dst) {
+                out.deferred.push(slot);
+                continue;
+            }
+            self.module
+                .emit_probe(self.cfg.src, dst, &self.validator, &mut frame);
+            let now = self.clock(slot);
+            for (nth, d) in net.inject(now, &frame).into_iter().enumerate() {
+                debug_assert!(d.at >= now, "delivery before its probe left");
+                if d.at > self.end {
+                    continue;
+                }
+                out.received += 1;
+                let Ok((hdr, transport)) = Datagram::parse_transport(&d.frame) else {
+                    out.malformed += 1;
+                    continue;
+                };
+                let Some((target, kind)) = self.module.classify(&hdr, &transport, &self.validator)
+                else {
+                    out.unvalidated += 1;
+                    continue;
+                };
+                let reply = ProbeReply {
+                    target,
+                    from: hdr.src,
+                    at: d.at,
+                    ttl: hdr.hop_limit,
+                    kind,
+                };
+                out.replies.push((slot, nth, reply));
+            }
+        }
+        out
+    }
+
+    /// Put the collected parts in receive order and settle the result.
+    /// Returns it with the job's end time.
+    fn finish(self, parts: Vec<Collected>) -> (ScanResult, Time) {
+        let mut result = ScanResult::new(self.module.protocol());
+        result.sent = self.slots.len() as u64;
+        result.blacklisted = self.blacklisted;
+        let mut arrivals = Vec::with_capacity(parts.iter().map(|p| p.replies.len()).sum());
+        for mut part in parts {
+            result.received += part.received;
+            result.malformed += part.malformed;
+            result.unvalidated += part.unvalidated;
+            arrivals.append(&mut part.replies);
+        }
+        // The order a receive queue pops in: arrival time, ties in push
+        // order — and pushes happen slot by slot, delivery by delivery.
+        arrivals.sort_unstable_by_key(|(slot, nth, reply)| (reply.at, *slot, *nth));
+        result.replies = arrivals.into_iter().map(|(_, _, reply)| reply).collect();
+        // First reply wins (zmap dedup); duplicates are counted.
+        result.settle();
+        (result, self.end)
+    }
+}
+
+impl<N: SnapshotNetwork + Sync> Scanner<N> {
+    /// Scan `targets` with one module: probes leave in permuted order
+    /// at the configured rate, one send slot each (blacklisted targets
+    /// take none), and replies are validated statelessly.
+    ///
+    /// Replies are received in the order `(arrival time, send slot,
+    /// index within that probe's deliveries)` up to the end of the
+    /// cooldown, and the first validated reply per target wins. That
+    /// order is all a result depends on, so a job of 4096 send slots
+    /// or more is spread over [`expanse_addr::worker_threads`] workers —
+    /// each walks a contiguous range of slots against its own snapshot
+    /// — except for the probes to [`SnapshotNetwork::stateful`]
+    /// destinations, which reach the network itself afterwards, in send
+    /// order with their original clocks: middlebox state ends the scan
+    /// where a one-thread walk leaves it, and the result is identical
+    /// for any worker count. The network must not deliver a frame
+    /// before the `now` of the inject that caused it.
+    pub fn scan(&mut self, targets: &[Ipv6Addr], module: &dyn ProbeModule) -> ScanResult {
+        self.scan_pooled(expanse_addr::worker_threads(), targets, module)
+    }
+
+    /// [`Scanner::scan`] on `workers` workers.
+    fn scan_pooled(
+        &mut self,
+        workers: usize,
+        targets: &[Ipv6Addr],
+        module: &dyn ProbeModule,
+    ) -> ScanResult {
+        let (shard, shards) = self.cfg.shard;
+        let job = Job::new(&self.cfg, self.clock, targets, module, shard, shards);
+        let n = job.slots.len();
+        let n_ranges = if n < POOL_MIN_SLOTS {
+            1
+        } else {
+            workers.max(1)
+        };
+        let per_range = n.div_ceil(n_ranges).max(1);
+        let ranges: Vec<std::ops::Range<usize>> = (0..n)
+            .step_by(per_range)
+            .map(|lo| lo..(lo + per_range).min(n))
+            .collect();
+        let net = &self.net;
+        let mut parts = expanse_addr::par::par_map_coarse(&ranges, ranges.len(), |range| {
+            job.collect(&mut net.snapshot(), range.clone(), |dst| net.stateful(dst))
+        });
+        // Ranges ascend, so their leftovers concatenate in send order.
+        let deferred: Vec<usize> = parts
+            .iter_mut()
+            .flat_map(|p| std::mem::take(&mut p.deferred))
+            .collect();
+        parts.push(job.collect(&mut self.net, deferred.into_iter(), |_| false));
+        let (result, end) = job.finish(parts);
         self.clock = end;
         result
     }
 
-    /// One scan job: the core rate-limited send/receive loop over shard
-    /// `shard` of `shards`, against `net`, starting at `start`. Pure in
-    /// its inputs — this is the unit the battery fan-out distributes.
+    /// One battery cell: shard `shard` of `shards`, every slot against
+    /// `net` (the cell's own snapshot), starting at `start`. Pure in its
+    /// inputs — this is the unit the battery fan-out distributes.
     fn scan_job<M: Network>(
         net: &mut M,
         cfg: &ScanConfig,
@@ -181,73 +398,11 @@ impl<N: Network> Scanner<N> {
         shard: u64,
         shards: u64,
     ) -> (ScanResult, Time) {
-        let validator = Validator::new(cfg.seed);
-        let mut result = ScanResult::new(module.protocol());
-        if targets.is_empty() {
-            return (result, start);
-        }
-        let perm = Permutation::new(targets.len() as u64, cfg.seed);
-        let gap = Duration(1_000_000_000 / cfg.rate_pps.max(1));
-        let mut rx: EventQueue<Vec<u8>> = EventQueue::new();
-        let mut clock = start;
-        // Every probe of the job is emitted into this one buffer.
-        let mut frame: Vec<u8> = Vec::new();
-
-        for idx in perm.shard(shard, shards) {
-            let dst = targets[idx as usize];
-            if cfg.blacklist.contains(dst) {
-                result.blacklisted += 1;
-                continue;
-            }
-            module.emit_probe(cfg.src, dst, &validator, &mut frame);
-            result.sent += 1;
-            for d in net.inject(clock, &frame) {
-                rx.push(d.at, d.frame);
-            }
-            clock += gap;
-            // Drain replies that have arrived by now.
-            while let Some((at, frame)) = rx.pop_due(clock) {
-                Self::receive(&mut result, module, &validator, at, &frame);
-            }
-        }
-        // Cooldown drain.
-        let deadline = clock + cfg.cooldown;
-        while let Some((at, frame)) = rx.pop_due(deadline) {
-            Self::receive(&mut result, module, &validator, at, &frame);
-        }
-        // First reply wins (zmap dedup); duplicates are counted.
-        result.settle();
-        (result, deadline)
+        let job = Job::new(cfg, start, targets, module, shard, shards);
+        let all = job.collect(net, 0..job.slots.len(), |_| false);
+        job.finish(vec![all])
     }
 
-    fn receive(
-        result: &mut ScanResult,
-        module: &dyn ProbeModule,
-        validator: &Validator,
-        at: Time,
-        frame: &[u8],
-    ) {
-        result.received += 1;
-        let Ok((hdr, transport)) = Datagram::parse_transport(frame) else {
-            result.malformed += 1;
-            return;
-        };
-        let Some((target, kind)) = module.classify(&hdr, &transport, validator) else {
-            result.unvalidated += 1;
-            return;
-        };
-        // Arrival order; `scan_job` settles the run once at the end.
-        result.replies.push(ProbeReply {
-            target,
-            from: hdr.src,
-            at,
-            ttl: hdr.hop_limit,
-            kind,
-        });
-    }
-}
-
-impl<N: SnapshotNetwork + Sync> Scanner<N> {
     /// Run the paper's whole §6 battery over `targets`: one pass per
     /// protocol, each split into [`Fanout::shards_per_protocol`]
     /// sub-shards, merged per-address. Dispatches to the parallel or
@@ -453,6 +608,10 @@ pub fn responsive_sets(multi: &MultiScanResult) -> Vec<(Protocol, Vec<Ipv6Addr>)
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::module::{IcmpEchoModule, ReplyKind, TcpSynModule};
@@ -652,6 +811,80 @@ mod tests {
                 assert_eq!(r.sent, 37, "shards={shards}");
             }
         }
+    }
+
+    /// `tests/scan_pooled.rs` at explicit worker counts: the whole
+    /// `ScanResult` of each of the four scans and the clocks between
+    /// them are the same for 1, 2, 3 and 8 workers, and fingerprint to
+    /// what the serial loop left on the parent commit.
+    fn sweep_workers<N: SnapshotNetwork + Sync>(
+        build: impl Fn() -> N,
+        (targets, blacklisted): (Vec<Ipv6Addr>, Vec<expanse_addr::Prefix>),
+        recorded: common::Fingerprint,
+    ) {
+        let mut blacklist = Blacklist::new();
+        for p in blacklisted {
+            blacklist.add(p);
+        }
+        let cfg = ScanConfig {
+            shard: (1, 3),
+            blacklist,
+            ..ScanConfig::default()
+        };
+        let tcp = TcpSynModule::with_synopt(80);
+        let modules: [&dyn ProbeModule; 4] = [&IcmpEchoModule, &tcp, &IcmpEchoModule, &tcp];
+        let run = |workers: usize| -> Vec<(ScanResult, Time)> {
+            let mut s = Scanner::new(build(), cfg.clone());
+            let scan = |m: &&dyn ProbeModule| (s.scan_pooled(workers, &targets, *m), s.now());
+            modules.iter().map(scan).collect()
+        };
+        let one = run(1);
+        assert!(one[0].0.sent as usize >= POOL_MIN_SLOTS, "below the floor");
+        assert!(one[0].0.blacklisted > 0 && one[0].0.duplicates > 0);
+        let digest = |r: &ScanResult| {
+            let mut multi = MultiScanResult::default();
+            multi.merge(r.clone());
+            multi.digest()
+        };
+        let (d, t) = (|i: usize| digest(&one[i].0), |i: usize| one[i].1 .0);
+        assert_eq!([d(0), d(1), t(1), d(2), d(3), t(3)], recorded);
+        for workers in [2, 3, 8] {
+            assert_eq!(run(workers), one, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn pooled_scan_is_worker_count_independent() {
+        let net = common::plain();
+        let mix = common::mix(&net);
+        let stateful = mix.0.iter().filter(|t| net.stateful(**t)).count();
+        assert!((500..mix.0.len() / 8).contains(&stateful), "{stateful}");
+        sweep_workers(common::plain, mix, common::RECORDED_PLAIN);
+    }
+
+    #[test]
+    fn pooled_scan_keeps_throttled_64s_in_send_order() {
+        let net = common::adversarial();
+        let p64 = net.scenario.throttled[0];
+        assert!(net.stateful(p64.addr_at(1)));
+        let mix = common::mix(&net);
+        sweep_workers(common::adversarial, mix, common::RECORDED_ADVERSARIAL);
+    }
+
+    #[test]
+    fn pooled_scan_leaves_an_opaque_wrapper_serial() {
+        let net = common::throttled();
+        let mix = common::mix(net.inner());
+        assert!(mix.0.iter().all(|t| net.stateful(*t)));
+        sweep_workers(common::throttled, mix, common::RECORDED_THROTTLED);
+    }
+
+    #[test]
+    fn empty_target_list_takes_no_time() {
+        let mut s = scanner();
+        let r = s.scan(&[], &IcmpEchoModule);
+        assert_eq!(r, ScanResult::new(Protocol::Icmp));
+        assert_eq!(s.now(), Time::ZERO, "no probes, no cooldown");
     }
 
     #[test]
