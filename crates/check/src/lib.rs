@@ -16,10 +16,9 @@
 //!
 //! Audited exceptions are annotated in source with a `//` comment reading
 //! `check:` + ` allow(<lint>, <reason>)` on (or directly above) the
-//! offending line. Grandfathered findings live in a committed
-//! baseline (see [`baseline`]) so the gate can be ratcheted down.
+//! offending line. There is no other exemption mechanism: every deny
+//! finding fails the gate.
 
-pub mod baseline;
 pub mod lexer;
 pub mod lints;
 pub mod locks;
@@ -85,8 +84,7 @@ impl Severity {
     }
 }
 
-/// One diagnostic: file:line, lint id, severity, message, and the
-/// normalized source-line key used for baseline matching.
+/// One diagnostic: file:line, lint id, severity, message.
 #[derive(Clone, Debug)]
 pub struct Finding {
     pub lint: &'static str,
@@ -96,10 +94,6 @@ pub struct Finding {
     pub line: usize,
     pub severity: Severity,
     pub message: String,
-    /// Trimmed raw source line (or the message, for file-less findings);
-    /// baseline entries match on `(lint, file, key)` so they survive
-    /// unrelated edits that only shift line numbers.
-    pub key: String,
 }
 
 impl Finding {
@@ -107,21 +101,15 @@ impl Finding {
         lint: &'static str,
         file: &str,
         line0: usize,
-        raw_lines: &[&str],
         severity: Severity,
         message: String,
     ) -> Self {
-        let key = raw_lines
-            .get(line0)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default();
         Finding {
             lint,
             file: file.to_string(),
             line: line0 + 1,
             severity,
             message,
-            key,
         }
     }
 }
@@ -298,7 +286,7 @@ pub fn default_policy() -> Policy {
     }
 }
 
-/// Result of a full workspace scan, before baseline application.
+/// Result of a full workspace scan.
 #[derive(Debug, Default)]
 pub struct Analysis {
     pub findings: Vec<Finding>,
@@ -326,29 +314,23 @@ pub fn run_checks(root: &Path, policy: &Policy) -> io::Result<Analysis> {
 
 /// Lint one source file (exposed for fixture tests).
 pub fn check_source(rel: &str, text: &str, policy: &Policy, analysis: &mut Analysis) {
-    let raw_lines: Vec<&str> = text.lines().collect();
     let sf = lexer::lex(text);
 
     let mut findings = Vec::new();
     for surface in &policy.panic_surfaces {
         if surface.file == rel {
-            findings.extend(lints::panic_index_lints(rel, &raw_lines, &sf, surface));
+            findings.extend(lints::panic_index_lints(rel, &sf, surface));
         }
     }
     if policy.det_prefixes.iter().any(|p| rel.starts_with(p)) {
         let thread_exempt = policy.thread_exempt.iter().any(|f| f == rel);
-        findings.extend(lints::determinism_lints(
-            rel,
-            &raw_lines,
-            &sf,
-            thread_exempt,
-        ));
+        findings.extend(lints::determinism_lints(rel, &sf, thread_exempt));
     }
     if policy.lock_prefixes.iter().any(|p| rel.starts_with(p)) {
-        findings.extend(locks::lock_lints(rel, &raw_lines, &sf, policy));
+        findings.extend(locks::lock_lints(rel, &sf, policy));
     }
 
-    let (mut allows, malformed) = collect_allows(rel, &raw_lines, &sf);
+    let (mut allows, malformed) = collect_allows(rel, &sf);
     findings.retain(|f| {
         if !SUPPRESSIBLE.contains(&f.lint) {
             return true;
@@ -373,7 +355,6 @@ pub fn check_source(rel: &str, text: &str, policy: &Policy, analysis: &mut Analy
                 "unused-allow",
                 rel,
                 a.at,
-                &raw_lines,
                 Severity::Warn,
                 format!("allow({}) suppresses no finding; remove it", a.lint),
             ));
@@ -395,7 +376,7 @@ struct Allow {
 
 const ALLOW_TRIGGER: &str = "check: allow";
 
-fn collect_allows(rel: &str, raw_lines: &[&str], sf: &SourceFile) -> (Vec<Allow>, Vec<Finding>) {
+fn collect_allows(rel: &str, sf: &SourceFile) -> (Vec<Allow>, Vec<Finding>) {
     let mut allows = Vec::new();
     let mut malformed = Vec::new();
     for (i, line) in sf.lines.iter().enumerate() {
@@ -417,7 +398,6 @@ fn collect_allows(rel: &str, raw_lines: &[&str], sf: &SourceFile) -> (Vec<Allow>
                     "annotation",
                     rel,
                     i,
-                    raw_lines,
                     Severity::Deny,
                     "malformed annotation: expected `check: allow(<lint>, <reason>)`".to_string(),
                 ));
@@ -428,7 +408,6 @@ fn collect_allows(rel: &str, raw_lines: &[&str], sf: &SourceFile) -> (Vec<Allow>
                     "annotation",
                     rel,
                     i,
-                    raw_lines,
                     Severity::Deny,
                     format!("annotation names unknown lint `{lint}`"),
                 ));
@@ -439,7 +418,6 @@ fn collect_allows(rel: &str, raw_lines: &[&str], sf: &SourceFile) -> (Vec<Allow>
                     "annotation",
                     rel,
                     i,
-                    raw_lines,
                     Severity::Deny,
                     format!("allow({lint}) is missing its reason"),
                 ));

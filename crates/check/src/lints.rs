@@ -60,12 +60,7 @@ const PRE_BRACKET_KEYWORDS: &[&str] = &[
 ];
 
 /// The `panic` + `index` lints over one audited surface.
-pub fn panic_index_lints(
-    rel: &str,
-    raw_lines: &[&str],
-    sf: &SourceFile,
-    surface: &Surface,
-) -> Vec<Finding> {
+pub fn panic_index_lints(rel: &str, sf: &SourceFile, surface: &Surface) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut ranges: Vec<(usize, usize)> = Vec::new();
     if surface.items.is_empty() {
@@ -83,7 +78,6 @@ pub fn panic_index_lints(
                         "audited item `{marker}` not found; update the surface list in \
                          expanse-check's policy"
                     ),
-                    key: format!("surface:{marker}"),
                 }),
             }
         }
@@ -101,7 +95,6 @@ pub fn panic_index_lints(
                         "panic",
                         rel,
                         i,
-                        raw_lines,
                         Severity::Deny,
                         format!(
                             "`{tok}` in panic-audited surface: torn input must map to Err, \
@@ -115,7 +108,6 @@ pub fn panic_index_lints(
                     "index",
                     rel,
                     i,
-                    raw_lines,
                     Severity::Deny,
                     "slice/array indexing in panic-audited surface: use `.get(..)` so \
                      short input maps to Err"
@@ -166,12 +158,7 @@ fn index_sites(code: &str) -> Vec<usize> {
 }
 
 /// The determinism lints over one file of an audited crate.
-pub fn determinism_lints(
-    rel: &str,
-    raw_lines: &[&str],
-    sf: &SourceFile,
-    thread_exempt: bool,
-) -> Vec<Finding> {
+pub fn determinism_lints(rel: &str, sf: &SourceFile, thread_exempt: bool) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (i, line) in sf.lines.iter().enumerate() {
         if sf.in_test_region(i) {
@@ -184,7 +171,6 @@ pub fn determinism_lints(
                     "hashmap",
                     rel,
                     i,
-                    raw_lines,
                     Severity::Deny,
                     format!(
                         "`{word}` in determinism-audited crate: iteration order feeds \
@@ -200,7 +186,6 @@ pub fn determinism_lints(
                     "time",
                     rel,
                     i,
-                    raw_lines,
                     Severity::Deny,
                     format!(
                         "`{word}` in determinism-audited crate: wall clocks make runs \
@@ -216,7 +201,6 @@ pub fn determinism_lints(
                         "thread",
                         rel,
                         i,
-                        raw_lines,
                         Severity::Deny,
                         format!(
                             "`{tok}` outside expanse_addr::par: ad-hoc threading must \
@@ -244,9 +228,8 @@ mod tests {
     }
 
     fn panic_lints_of(src: &str) -> Vec<&'static str> {
-        let raw: Vec<&str> = src.lines().collect();
         let sf = lex(src);
-        panic_index_lints("f.rs", &raw, &sf, &surface("f.rs"))
+        panic_index_lints("f.rs", &sf, &surface("f.rs"))
             .into_iter()
             .map(|f| f.lint)
             .collect()
@@ -292,13 +275,12 @@ mod tests {
     #[test]
     fn item_scoped_surface_only_covers_items() {
         let src = "impl Outside {\n    fn f(&self) { x.unwrap(); }\n}\nimpl Audited {\n    fn g(&self) { y.unwrap(); }\n}\n";
-        let raw: Vec<&str> = src.lines().collect();
         let sf = lex(src);
         let s = Surface {
             file: "f.rs".into(),
             items: vec!["impl Audited".into()],
         };
-        let found = panic_index_lints("f.rs", &raw, &sf, &s);
+        let found = panic_index_lints("f.rs", &sf, &s);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 5);
     }
@@ -306,13 +288,12 @@ mod tests {
     #[test]
     fn missing_item_marker_is_a_finding() {
         let src = "fn only() {}\n";
-        let raw: Vec<&str> = src.lines().collect();
         let sf = lex(src);
         let s = Surface {
             file: "f.rs".into(),
             items: vec!["impl Gone".into()],
         };
-        let found = panic_index_lints("f.rs", &raw, &sf, &s);
+        let found = panic_index_lints("f.rs", &sf, &s);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].lint, "surface");
     }
@@ -324,9 +305,8 @@ mod tests {
     }
 
     fn det_lints_of(src: &str) -> Vec<&'static str> {
-        let raw: Vec<&str> = src.lines().collect();
         let sf = lex(src);
-        determinism_lints("f.rs", &raw, &sf, false)
+        determinism_lints("f.rs", &sf, false)
             .into_iter()
             .map(|f| f.lint)
             .collect()
@@ -353,8 +333,7 @@ mod tests {
         assert!(det_lints_of("use std::collections::BTreeMap;").is_empty());
         assert!(det_lints_of("let x = MyHashMapLike::new();").is_empty());
         assert!(det_lints_of("let d = Duration::from_secs(1);").is_empty());
-        let raw = ["thread::scope(|s| {});"];
-        let sf = lex(raw[0]);
-        assert!(determinism_lints("par.rs", &raw, &sf, true).is_empty());
+        let sf = lex("thread::scope(|s| {});");
+        assert!(determinism_lints("par.rs", &sf, true).is_empty());
     }
 }

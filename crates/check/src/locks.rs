@@ -76,7 +76,7 @@ struct Guard {
     temp: bool,
 }
 
-pub fn lock_lints(rel: &str, raw_lines: &[&str], sf: &SourceFile, policy: &Policy) -> Vec<Finding> {
+pub fn lock_lints(rel: &str, sf: &SourceFile, policy: &Policy) -> Vec<Finding> {
     if policy.lock_classes.is_empty() {
         return Vec::new();
     }
@@ -108,7 +108,6 @@ pub fn lock_lints(rel: &str, raw_lines: &[&str], sf: &SourceFile, policy: &Polic
                         "lock-order",
                         rel,
                         line0,
-                        raw_lines,
                         Severity::Deny,
                         format!(
                             "re-entrant acquisition of `{}` while already held — \
@@ -121,7 +120,6 @@ pub fn lock_lints(rel: &str, raw_lines: &[&str], sf: &SourceFile, policy: &Polic
                         "lock-order",
                         rel,
                         line0,
-                        raw_lines,
                         Severity::Deny,
                         format!(
                             "`{}` acquired while holding `{}` — inverts the canonical \
@@ -152,7 +150,6 @@ pub fn lock_lints(rel: &str, raw_lines: &[&str], sf: &SourceFile, policy: &Polic
                     "lock-io",
                     rel,
                     cc.line_of[i],
-                    raw_lines,
                     Severity::Deny,
                     format!(
                         "blocking I/O while holding `{}` — drop the guard before \
@@ -301,9 +298,8 @@ mod tests {
     }
 
     fn lints_of(src: &str) -> Vec<(String, usize)> {
-        let raw: Vec<&str> = src.lines().collect();
         let sf = lex(src);
-        lock_lints("f.rs", &raw, &sf, &policy())
+        lock_lints("f.rs", &sf, &policy())
             .into_iter()
             .map(|f| (f.lint.to_string(), f.line))
             .collect()

@@ -1,53 +1,35 @@
 //! `expanse-check` CLI.
 //!
 //! ```text
-//! expanse-check [--root DIR] [--baseline FILE] [--json FILE] [--deny-new]
-//!               [--write-baseline] [--list-lints]
+//! expanse-check [--root DIR] [--json FILE] [--list-lints]
 //! ```
 //!
-//! Default mode reports and exits 0 (CI-friendly dry run). `--deny-new`
-//! turns the report into a gate: exit 1 on any non-baselined deny finding
-//! *or* any stale baseline entry (the ratchet: when code improves, the
-//! baseline must shrink with it). `--write-baseline` regenerates the
-//! baseline from the current tree. Exit 2 means the tool itself failed
-//! (bad usage, unreadable workspace).
+//! One mode: print the findings, write `CHECK_report.json`, exit 1 on any
+//! deny finding. Exit 2 means the tool itself failed (bad usage,
+//! unreadable workspace).
 
-use expanse_check::baseline::Baseline;
-use expanse_check::report::Report;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     json: Option<PathBuf>,
-    deny_new: bool,
-    write_baseline: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: expanse-check [--root DIR] [--baseline FILE] [--json FILE] \
-     [--deny-new] [--write-baseline] [--list-lints]"
+    "usage: expanse-check [--root DIR] [--json FILE] [--list-lints]"
 }
 
 fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
-        baseline: None,
         json: None,
-        deny_new: false,
-        write_baseline: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => opts.root = args.next().ok_or("--root needs a value")?.into(),
-            "--baseline" => {
-                opts.baseline = Some(args.next().ok_or("--baseline needs a value")?.into())
-            }
             "--json" => opts.json = Some(args.next().ok_or("--json needs a value")?.into()),
-            "--deny-new" => opts.deny_new = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--list-lints" => {
                 for (lint, desc) in expanse_check::LINTS {
                     println!("{lint:<12} {desc}");
@@ -81,10 +63,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("CHECK_baseline.txt"));
     let json_path = opts
         .json
         .clone()
@@ -99,47 +77,15 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.write_baseline {
-        let base = Baseline::from_findings(&analysis.findings);
-        if let Err(e) = std::fs::write(&baseline_path, base.serialize()) {
-            eprintln!("expanse-check: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "expanse-check: wrote {} entries to {}",
-            base.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("expanse-check: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Baseline::default(), // no baseline committed: everything is new
-    };
-    let entries = baseline.len();
-    let applied = baseline.apply(analysis.findings.clone());
-    let report = Report::build(&analysis, applied, entries);
-
-    if let Err(e) = std::fs::write(&json_path, report.json()) {
+    if let Err(e) = std::fs::write(&json_path, analysis.json()) {
         eprintln!("expanse-check: writing {}: {e}", json_path.display());
         return ExitCode::from(2);
     }
-    print!("{}", report.human());
+    print!("{}", analysis.human());
 
-    let gate_failed = opts.deny_new && (report.new_deny() > 0 || report.baseline_stale > 0);
-    if gate_failed {
-        eprintln!(
-            "expanse-check: gate failed ({} new deny findings, {} stale baseline entries)",
-            report.new_deny(),
-            report.baseline_stale
-        );
+    let deny = analysis.deny();
+    if deny > 0 {
+        eprintln!("expanse-check: gate failed ({deny} deny findings)");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

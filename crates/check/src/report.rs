@@ -3,39 +3,13 @@
 //! workspace's no-external-deps constraint and vendored serde is not worth
 //! wiring in for one flat document).
 
-use crate::baseline::Applied;
-use crate::{Analysis, Finding, Severity};
+use crate::{Analysis, Severity};
 use std::collections::BTreeMap;
 
-pub struct Report {
-    pub files_scanned: usize,
-    /// All findings before baseline application.
-    pub total: usize,
-    /// Findings suppressed by used allow annotations.
-    pub allowed: usize,
-    pub baselined: usize,
-    pub new: Vec<Finding>,
-    pub baseline_entries: usize,
-    pub baseline_matched: usize,
-    pub baseline_stale: usize,
-}
-
-impl Report {
-    pub fn build(analysis: &Analysis, applied: Applied, baseline_entries: usize) -> Report {
-        Report {
-            files_scanned: analysis.files_scanned,
-            total: analysis.findings.len(),
-            allowed: analysis.allowed,
-            baselined: applied.baselined,
-            new: applied.new,
-            baseline_entries,
-            baseline_matched: applied.matched,
-            baseline_stale: applied.stale,
-        }
-    }
-
-    pub fn new_deny(&self) -> usize {
-        self.new
+impl Analysis {
+    /// Findings that fail the gate.
+    pub fn deny(&self) -> usize {
+        self.findings
             .iter()
             .filter(|f| f.severity == Severity::Deny)
             .count()
@@ -43,7 +17,7 @@ impl Report {
 
     pub fn per_lint(&self) -> BTreeMap<&'static str, usize> {
         let mut map = BTreeMap::new();
-        for f in &self.new {
+        for f in &self.findings {
             *map.entry(f.lint).or_insert(0) += 1;
         }
         map
@@ -51,50 +25,33 @@ impl Report {
 
     pub fn human(&self) -> String {
         let mut out = String::new();
-        for f in &self.new {
+        for f in &self.findings {
             out.push_str(&format!("{f}\n"));
         }
-        if !self.new.is_empty() {
+        if !self.findings.is_empty() {
             out.push('\n');
         }
         out.push_str(&format!(
-            "expanse-check: {} files scanned, {} findings ({} allowed by annotation, \
-             {} baselined, {} new)\n",
+            "expanse-check: {} files scanned, {} findings ({} allowed by annotation, {} deny)\n",
             self.files_scanned,
-            self.total + self.allowed,
+            self.findings.len() + self.allowed,
             self.allowed,
-            self.baselined,
-            self.new.len(),
+            self.deny(),
         ));
-        out.push_str(&format!(
-            "baseline: {} entries, {} matched, {} stale\n",
-            self.baseline_entries, self.baseline_matched, self.baseline_stale,
-        ));
-        if self.baseline_stale > 0 {
-            out.push_str(
-                "stale baseline entries: the tree improved — regenerate with --write-baseline\n",
-            );
-        }
         out
     }
 
     pub fn json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": 1,\n");
+        out.push_str("  \"schema\": 2,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!(
             "  \"findings_total\": {},\n",
-            self.total + self.allowed
+            self.findings.len() + self.allowed
         ));
         out.push_str(&format!("  \"allowed\": {},\n", self.allowed));
-        out.push_str(&format!("  \"baselined\": {},\n", self.baselined));
-        out.push_str(&format!("  \"new_total\": {},\n", self.new.len()));
-        out.push_str(&format!("  \"new_deny\": {},\n", self.new_deny()));
-        out.push_str(&format!(
-            "  \"baseline\": {{ \"entries\": {}, \"matched\": {}, \"stale\": {} }},\n",
-            self.baseline_entries, self.baseline_matched, self.baseline_stale
-        ));
+        out.push_str(&format!("  \"deny\": {},\n", self.deny()));
         out.push_str("  \"per_lint\": {");
         let per_lint = self.per_lint();
         let mut first = true;
@@ -106,8 +63,8 @@ impl Report {
             out.push_str(&format!("\"{lint}\": {n}"));
         }
         out.push_str("},\n");
-        out.push_str("  \"new\": [\n");
-        for (i, f) in self.new.iter().enumerate() {
+        out.push_str("  \"findings\": [\n");
+        for (i, f) in self.findings.iter().enumerate() {
             out.push_str(&format!(
                 "    {{ \"lint\": {}, \"file\": {}, \"line\": {}, \"severity\": {}, \"message\": {} }}{}\n",
                 json_str(f.lint),
@@ -115,7 +72,7 @@ impl Report {
                 f.line,
                 json_str(f.severity.as_str()),
                 json_str(&f.message),
-                if i + 1 == self.new.len() { "" } else { "," }
+                if i + 1 == self.findings.len() { "" } else { "," }
             ));
         }
         out.push_str("  ]\n");
@@ -145,6 +102,7 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Finding;
 
     #[test]
     fn json_escaping() {
@@ -159,21 +117,16 @@ mod tests {
             line: 3,
             severity: Severity::Deny,
             message: "`x.unwrap()` found".to_string(),
-            key: "x.unwrap();".to_string(),
         };
-        let report = Report {
+        let report = Analysis {
+            findings: vec![f],
             files_scanned: 2,
-            total: 1,
             allowed: 1,
-            baselined: 0,
-            new: vec![f],
-            baseline_entries: 0,
-            baseline_matched: 0,
-            baseline_stale: 0,
         };
         let json = report.json();
-        assert!(json.contains("\"new_total\": 1"));
-        assert!(json.contains("\"new_deny\": 1"));
+        assert!(json.contains("\"schema\": 2"));
+        assert!(json.contains("\"findings_total\": 2"));
+        assert!(json.contains("\"deny\": 1"));
         assert!(json.contains("\"per_lint\": {\"panic\": 1}"));
         let human = report.human();
         assert!(human.contains("a.rs:3: [panic/deny]"));

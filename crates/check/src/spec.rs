@@ -44,8 +44,7 @@ impl Ctx {
             file: file.to_string(),
             line: line0 + 1,
             severity: Severity::Deny,
-            message: message.clone(),
-            key: message,
+            message,
         });
     }
 }

@@ -28,3 +28,10 @@ pub fn ordered(items: &[u64]) -> usize {
     }
     m.len()
 }
+
+// An audited exception: the annotation suppresses the finding.
+pub fn audited(items: &[u64]) -> bool {
+    // check: allow(hashmap, membership probe only; never iterated)
+    let seen: std::collections::HashSet<u64> = items.iter().copied().collect();
+    seen.contains(&0)
+}

@@ -11,11 +11,10 @@
 //! one [`AddrTable`] assigns every unique address a dense [`AddrId`]
 //! (see `ARCHITECTURE.md` for the id invariants), and
 //! provenance/responsiveness live in parallel columns indexed by
-//! that id (instead of the seed's three `HashMap<u128, …>` plus a
-//! shadow `order: Vec<Ipv6Addr>`). Ids are stable for the lifetime of
-//! the hitlist — expiry tombstones a row rather than renumbering — so
-//! the pipeline, ledger, and daily snapshot can key state by id across
-//! days, and every daily pass is a sequential column walk.
+//! that id. Ids are stable for the lifetime of the hitlist — expiry
+//! tombstones a row rather than renumbering — so the pipeline, ledger,
+//! and daily snapshot can key state by id across days, and every daily
+//! pass is a sequential column walk.
 
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
 use expanse_addr::par::par_chunk_bytes;

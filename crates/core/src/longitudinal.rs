@@ -8,15 +8,13 @@
 //! The ledger keys everything by the hitlist's stable [`AddrId`]s:
 //! baselines are [`AddrSet`] id runs and each day's survival count is a
 //! linear merge-join of the baseline against the day's sorted
-//! `(id, protocols)` pass — no per-day `HashSet<Ipv6Addr>` membership
-//! probing.
+//! `(id, protocols)` pass — no per-day hashed membership probing.
 
 use crate::hitlist::Hitlist;
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
 use expanse_addr::{AddrId, AddrSet};
 use expanse_model::SourceId;
 use expanse_packet::{ProtoSet, Protocol};
-use std::collections::HashMap;
 use std::io::{Read, Write};
 
 /// Row keys of the Fig 8 matrix: sources, with CT/AXFR split into
@@ -78,9 +76,10 @@ pub struct Ledger {
     /// off, ICMP throttled) to a permanently empty baseline and a NaN
     /// series forever — the Fig 8 analogue of the PR 3 empty-day bug.
     baselines: Vec<(Fig8Row, AddrSet)>,
-    /// Per day, per row: surviving fraction of the baseline (`NaN`
-    /// before the row's baseline day).
-    survival: HashMap<Fig8Row, Vec<f64>>,
+    /// Per row, in [`Fig8Row::all`] order, per day: surviving fraction of
+    /// the baseline (`NaN` before the row's baseline day). Empty until
+    /// the first day is recorded or decoded.
+    survival: Vec<Vec<f64>>,
     /// First day ever recorded; recording must then stay consecutive.
     first_day: Option<u16>,
     days_recorded: u16,
@@ -202,15 +201,18 @@ impl Ledger {
                     n as f64 / baseline.len() as f64
                 }
             });
-        for ((row, _), alive) in self.baselines.iter().zip(alive) {
-            self.survival.entry(*row).or_default().push(alive);
+        self.survival.resize(Fig8Row::all().len(), Vec::new());
+        for (series, alive) in self.survival.iter_mut().zip(alive) {
+            series.push(alive);
         }
         self.days_recorded += 1;
     }
 
     /// The survival series for a row (`NaN` for empty baselines).
     pub fn series(&self, row: Fig8Row) -> &[f64] {
-        self.survival.get(&row).map(|v| v.as_slice()).unwrap_or(&[])
+        let at = Fig8Row::all().iter().position(|r| *r == row);
+        at.and_then(|i| self.survival.get(i))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Baseline size for a row.
@@ -233,7 +235,7 @@ impl Ledger {
 
     /// Serialize baselines, survival series, and the day counters into
     /// an open snapshot envelope. Rows are written in [`Fig8Row::all`]
-    /// order so the byte stream never depends on hash-map iteration.
+    /// order.
     pub fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
         match self.first_day {
             None => enc.put_u8(0)?,
@@ -263,8 +265,8 @@ impl Ledger {
         };
         let days_recorded = dec.get_u16()?;
         let baselines = Self::decode_baselines(dec)?;
-        let mut survival: HashMap<Fig8Row, Vec<f64>> = HashMap::new();
-        for row in Fig8Row::all() {
+        let mut survival = Vec::new();
+        for _ in Fig8Row::all() {
             let len = dec.get_len()?;
             // `record_day` pushes exactly one value per row per day, so
             // every series is exactly `days_recorded` long. A snapshot
@@ -280,9 +282,7 @@ impl Ledger {
             for _ in 0..len {
                 series.push(dec.get_f64()?);
             }
-            if !series.is_empty() {
-                survival.insert(row, series);
-            }
+            survival.push(series);
         }
         let synced_established = established(&baselines);
         Ok(Ledger {
@@ -430,11 +430,8 @@ impl Ledger {
             _ => return Err(CodecError::Corrupt("ledger baseline tag out of range")),
         }
         let delta_days = usize::from(new_days - base);
-        for row in Fig8Row::all() {
-            if delta_days == 0 {
-                continue;
-            }
-            let series = self.survival.entry(row).or_default();
+        self.survival.resize(Fig8Row::all().len(), Vec::new());
+        for series in &mut self.survival {
             for _ in 0..delta_days {
                 series.push(dec.get_f64()?);
             }

@@ -7,7 +7,7 @@
 use crate::segment::{apply_segment, segment, segment_value, Segment};
 use expanse_addr::u128_to_addr;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::net::Ipv6Addr;
 
 /// Max distinct values retained per segment distribution.
@@ -27,7 +27,7 @@ impl ValueDist {
     /// range — plus a short tail beyond it — receive a small probability
     /// mass. This is Entropy/IP's range mining: it lets the generator
     /// interpolate counter values the seeds skipped.
-    fn extrapolate_ranges(counts: &mut HashMap<u64, u64>) {
+    fn extrapolate_ranges(counts: &mut BTreeMap<u64, u64>) {
         let n = counts.len() as u64;
         if n < 8 {
             return;
@@ -55,7 +55,7 @@ impl ValueDist {
         }
     }
 
-    fn from_counts(counts: &HashMap<u64, u64>) -> ValueDist {
+    fn from_counts(counts: &BTreeMap<u64, u64>) -> ValueDist {
         let total: u64 = counts.values().sum();
         let mut entries: Vec<(u64, f64)> = counts
             .iter()
@@ -87,7 +87,7 @@ pub struct EipModel {
     pub marginals: Vec<ValueDist>,
     /// Chain conditionals: `cond[i][prev_value]` = distribution of
     /// segment i given segment i-1's value (i ≥ 1).
-    pub conditionals: Vec<HashMap<u64, ValueDist>>,
+    pub conditionals: Vec<BTreeMap<u64, ValueDist>>,
     /// Number of training seeds.
     pub n_seeds: usize,
 }
@@ -100,8 +100,8 @@ pub fn train(seeds: &[Ipv6Addr]) -> EipModel {
     assert!(!seeds.is_empty(), "cannot train on an empty seed set");
     let segments = segment(seeds);
     let n = segments.len();
-    let mut marginal_counts: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n];
-    let mut cond_counts: Vec<HashMap<u64, HashMap<u64, u64>>> = vec![HashMap::new(); n];
+    let mut marginal_counts: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); n];
+    let mut cond_counts: Vec<BTreeMap<u64, BTreeMap<u64, u64>>> = vec![BTreeMap::new(); n];
     for &addr in seeds {
         let mut prev = 0u64;
         for (i, seg) in segments.iter().enumerate() {
@@ -124,7 +124,7 @@ pub fn train(seeds: &[Ipv6Addr]) -> EipModel {
             ValueDist::from_counts(&c)
         })
         .collect();
-    let conditionals: Vec<HashMap<u64, ValueDist>> = cond_counts
+    let conditionals: Vec<BTreeMap<u64, ValueDist>> = cond_counts
         .into_iter()
         .map(|m| {
             m.into_iter()
@@ -209,7 +209,7 @@ impl EipModel {
             prev: 0,
         });
         let mut out = Vec::with_capacity(budget);
-        let mut seen: HashSet<u128> = HashSet::new();
+        let mut seen: BTreeSet<u128> = BTreeSet::new();
         // Cap the frontier so adversarial models cannot eat memory.
         let frontier_cap = budget.saturating_mul(8).max(4096);
         while let Some(state) = heap.pop() {
@@ -293,7 +293,7 @@ mod tests {
         let site: expanse_addr::Prefix = "2001:db8::/32".parse().unwrap();
         assert!(gen.iter().all(|a| site.contains(*a)), "escaped the site");
         // No duplicates.
-        let set: HashSet<_> = gen.iter().collect();
+        let set: BTreeSet<_> = gen.iter().collect();
         assert_eq!(set.len(), gen.len());
     }
 
@@ -304,7 +304,7 @@ mod tests {
         // 120 distinct seeds.
         let m = train(&seeds());
         let gen = m.generate(250);
-        let seed_set: HashSet<Ipv6Addr> = seeds().into_iter().collect();
+        let seed_set: BTreeSet<Ipv6Addr> = seeds().into_iter().collect();
         assert!(seed_set.len() < 200);
         // Generation beyond the seed count means new addresses appeared.
         let new = gen.iter().filter(|a| !seed_set.contains(a)).count();
@@ -328,10 +328,11 @@ mod tests {
         assert_eq!(m.probability("2a00::1".parse().unwrap()), 0.0);
     }
 
+    /// Two trainings in one process: no container's iteration order may
+    /// reach the generated list.
     #[test]
     fn deterministic() {
-        let m = train(&seeds());
-        assert_eq!(m.generate(40), m.generate(40));
+        assert_eq!(train(&seeds()).generate(40), train(&seeds()).generate(40));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use expanse_addr::{nybbles::nybble, AddrSet, AddrTable, Prefix};
 use expanse_stats::entropy::normalized_entropy16;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 /// The paper's minimum sample size per network (eq. 1: `n ≥ 100`).
@@ -108,15 +108,16 @@ impl Fingerprint {
 ///
 /// `group` maps an address to its aggregate key (e.g. its /32 prefix or
 /// its origin AS); aggregates below the threshold are dropped, matching
-/// the paper's `n ≥ 100` rule.
-pub fn fingerprint_groups<K: Eq + std::hash::Hash + Clone>(
+/// the paper's `n ≥ 100` rule. Groups come back largest sample first,
+/// equal sizes in ascending key order.
+pub fn fingerprint_groups<K: Ord + Clone>(
     addrs: &[Ipv6Addr],
     a: usize,
     b: usize,
     min_addrs: usize,
     mut group: impl FnMut(Ipv6Addr) -> Option<K>,
 ) -> Vec<(K, Fingerprint, usize)> {
-    let mut buckets: HashMap<K, Vec<Ipv6Addr>> = HashMap::new();
+    let mut buckets: BTreeMap<K, Vec<Ipv6Addr>> = BTreeMap::new();
     for &addr in addrs {
         if let Some(k) = group(addr) {
             buckets.entry(k).or_default().push(addr);
@@ -130,8 +131,8 @@ pub fn fingerprint_groups<K: Eq + std::hash::Hash + Clone>(
             (k, Fingerprint::compute(&v, a, b), n)
         })
         .collect();
-    // No deterministic order from the HashMap: callers sort by key where
-    // needed; give them a stable baseline by sample size descending.
+    // Buckets arrive in key order and the sort is stable, so equal sizes
+    // stay in key order.
     out.sort_by_key(|x| std::cmp::Reverse(x.2));
     out
 }
@@ -139,7 +140,7 @@ pub fn fingerprint_groups<K: Eq + std::hash::Hash + Clone>(
 /// [`fingerprint_groups`] over an interned sample: buckets are id runs
 /// against the shared [`AddrTable`], so grouping a hundred-million-entry
 /// hitlist allocates 4-byte ids per bucket instead of copied addresses.
-pub fn fingerprint_groups_set<K: Eq + std::hash::Hash + Clone>(
+pub fn fingerprint_groups_set<K: Ord + Clone>(
     table: &AddrTable,
     ids: &AddrSet,
     a: usize,
@@ -147,7 +148,7 @@ pub fn fingerprint_groups_set<K: Eq + std::hash::Hash + Clone>(
     min_addrs: usize,
     mut group: impl FnMut(Ipv6Addr) -> Option<K>,
 ) -> Vec<(K, Fingerprint, usize)> {
-    let mut buckets: HashMap<K, Vec<expanse_addr::AddrId>> = HashMap::new();
+    let mut buckets: BTreeMap<K, Vec<expanse_addr::AddrId>> = BTreeMap::new();
     for id in ids.iter() {
         if let Some(k) = group(table.addr(id)) {
             buckets.entry(k).or_default().push(id);
@@ -174,9 +175,7 @@ pub fn fingerprints_by_32(
     b: usize,
     min_addrs: usize,
 ) -> Vec<(Prefix, Fingerprint, usize)> {
-    let mut out = fingerprint_groups(addrs, a, b, min_addrs, |addr| Some(Prefix::new(addr, 32)));
-    out.sort_by(|x, y| y.2.cmp(&x.2).then_with(|| x.0.cmp(&y.0)));
-    out
+    fingerprint_groups(addrs, a, b, min_addrs, |addr| Some(Prefix::new(addr, 32)))
 }
 
 /// [`fingerprints_by_32`] over an interned sample.
@@ -187,11 +186,9 @@ pub fn fingerprints_by_32_set(
     b: usize,
     min_addrs: usize,
 ) -> Vec<(Prefix, Fingerprint, usize)> {
-    let mut out = fingerprint_groups_set(table, ids, a, b, min_addrs, |addr| {
+    fingerprint_groups_set(table, ids, a, b, min_addrs, |addr| {
         Some(Prefix::new(addr, 32))
-    });
-    out.sort_by(|x, y| y.2.cmp(&x.2).then_with(|| x.0.cmp(&y.0)));
-    out
+    })
 }
 
 #[cfg(test)]
@@ -269,6 +266,30 @@ mod tests {
             Fingerprint::full(&addrs),
             Fingerprint::compute_set(&table, &ids, 9, 32)
         );
+    }
+
+    /// Regression: equal-sized groups used to come back in `RandomState`
+    /// order, and `cluster_networks` seeds k-means from that order.
+    #[test]
+    fn equal_sized_groups_come_back_in_key_order() {
+        let keys: Vec<u128> = (0..40).map(|g| 0x2001_0db8 + g).collect();
+        let addrs: Vec<Ipv6Addr> = keys
+            .iter()
+            .flat_map(|&k| (1..=60u128).map(move |i| u128_to_addr((k << 96) | i)))
+            .collect();
+        let key = |a: Ipv6Addr| Some(expanse_addr::addr_to_u128(a) >> 96);
+        let got: Vec<u128> = fingerprint_groups(&addrs, 9, 32, 50, key)
+            .iter()
+            .map(|g| g.0)
+            .collect();
+        assert_eq!(got, keys);
+        let mut table = AddrTable::new();
+        let ids: AddrSet = addrs.iter().map(|&a| table.intern(a)).collect();
+        let got_set: Vec<u128> = fingerprint_groups_set(&table, &ids, 9, 32, 50, key)
+            .iter()
+            .map(|g| g.0)
+            .collect();
+        assert_eq!(got_set, keys);
     }
 
     #[test]

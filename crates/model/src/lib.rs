@@ -55,7 +55,7 @@ use expanse_addr::Prefix;
 use expanse_trie::PrefixTrie;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The assembled synthetic Internet.
 ///
@@ -212,7 +212,7 @@ pub fn build_ases(config: &ModelConfig) -> Vec<AsInfo> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xa5e5);
     let mut out = Vec::with_capacity(config.n_as);
     let mut next_asn = 64500u32;
-    let mut ordinals: HashMap<AsCategory, usize> = HashMap::new();
+    let mut ordinals: BTreeMap<AsCategory, usize> = BTreeMap::new();
     // Guarantee at least 2 CDNs (hook + inner hook), 1 transit, 1 hoster,
     // eyeballs regardless of scale. (Popped back-to-front.)
     let mut forced = vec![

@@ -13,7 +13,7 @@ use expanse_addr::{AddrMap, Prefix};
 use expanse_packet::{ProtoSet, Protocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 
 /// One allocation site: an announced prefix with an addressing scheme and
@@ -376,7 +376,7 @@ impl<'a> Builder<'a> {
         announcements: &[(Prefix, Asn)],
         paths: &PathModel,
     ) -> Population {
-        let by_asn: HashMap<Asn, &AsInfo> = ases.iter().map(|a| (a.asn, a)).collect();
+        let by_asn: BTreeMap<Asn, &AsInfo> = ases.iter().map(|a| (a.asn, a)).collect();
         let mut sites: Vec<SitePool> = Vec::new();
         let mut hosts: AddrMap<HostProfile> = AddrMap::new();
         let mut aliases = AliasTable::new();
@@ -384,7 +384,7 @@ impl<'a> Builder<'a> {
         let mut lossy: Vec<Prefix> = Vec::new();
 
         // ---- budget live hosts per category --------------------------------
-        let mut cat_sites: HashMap<AsCategory, Vec<(Prefix, Asn)>> = HashMap::new();
+        let mut cat_sites: BTreeMap<AsCategory, Vec<(Prefix, Asn)>> = BTreeMap::new();
         for (p, asn) in announcements {
             let cat = by_asn[asn].category;
             cat_sites.entry(cat).or_default().push((*p, *asn));
@@ -394,7 +394,7 @@ impl<'a> Builder<'a> {
         // across their prefixes (§4, Fig 3b: "operators using the same
         // addressing scheme ... in their prefixes"). This is also what
         // keeps /32-level entropy fingerprints crisp.
-        let mut scheme_of_as: HashMap<Asn, Scheme> = HashMap::new();
+        let mut scheme_of_as: BTreeMap<Asn, Scheme> = BTreeMap::new();
         for cat in AsCategory::ALL {
             let Some(list) = cat_sites.get(&cat) else {
                 continue;
@@ -469,7 +469,7 @@ impl<'a> Builder<'a> {
             if sp.category != AsCategory::IspEyeball {
                 continue;
             }
-            let mut seen64 = std::collections::HashSet::new();
+            let mut seen64 = BTreeSet::new();
             for a in &sp.addrs {
                 let c64 = Prefix::new(*a, 64);
                 if seen64.insert(c64.bits()) {

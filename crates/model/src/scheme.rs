@@ -8,7 +8,7 @@
 //!
 //! All generation is deterministic in `(site, seed)`.
 
-use expanse_addr::{u128_to_addr, MacAddr, Prefix};
+use expanse_addr::{u128_to_addr, AddrTable, MacAddr, Prefix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv6Addr;
@@ -74,9 +74,9 @@ impl Scheme {
         );
         let subnet_bits = 64 - u32::from(site.len());
         let mut out = Vec::with_capacity(n);
-        let mut seen = std::collections::HashSet::with_capacity(n);
+        let mut seen = AddrTable::with_capacity(n);
         let mut push = |addr: u128, out: &mut Vec<Ipv6Addr>| {
-            if seen.insert(addr) {
+            if seen.intern_u128(addr).1 {
                 out.push(u128_to_addr(addr));
                 true
             } else {

@@ -9,11 +9,11 @@ use crate::ids::AsCategory;
 use crate::population::Population;
 use crate::InternetModel;
 use expanse_addr::fanout::splitmix64;
-use expanse_addr::Prefix;
+use expanse_addr::{AddrTable, Prefix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 /// Source identifiers, in the paper's Table 2 order.
@@ -215,8 +215,7 @@ pub fn build_sources(model: &InternetModel) -> Vec<Source> {
     let days = model.config.runup_days;
 
     // Pre-index pool addresses by category.
-    let mut by_cat: std::collections::HashMap<AsCategory, Vec<Ipv6Addr>> =
-        std::collections::HashMap::new();
+    let mut by_cat: BTreeMap<AsCategory, Vec<Ipv6Addr>> = BTreeMap::new();
     for site in &pop.sites {
         by_cat
             .entry(site.category)
@@ -255,14 +254,14 @@ pub fn build_sources(model: &InternetModel) -> Vec<Source> {
         let n_alias = ((want as f64) * alias_share(id)) as usize;
         let n_rest = want - n_alias;
         let mut pool: Vec<Ipv6Addr> = Vec::with_capacity(want);
-        let mut seen: HashSet<u128> = HashSet::with_capacity(want);
+        let mut seen = AddrTable::with_capacity(want);
 
         // Aliased share: deterministic slice walk with per-source offset.
         if n_alias > 0 && !pop.alias_pool.is_empty() {
             let start = splitmix64(seed ^ id as u64) as usize % pop.alias_pool.len();
             for i in 0..n_alias {
                 let a = pop.alias_pool[(start + i * 7) % pop.alias_pool.len()];
-                if seen.insert(expanse_addr::addr_to_u128(a)) {
+                if seen.intern_u128(expanse_addr::addr_to_u128(a)).1 {
                     pool.push(a);
                 }
             }
@@ -275,7 +274,7 @@ pub fn build_sources(model: &InternetModel) -> Vec<Source> {
             for site in &pop.sites {
                 if site.category == AsCategory::Hoster && site.site.len() == 64 {
                     for a in &site.addrs {
-                        if seen.insert(expanse_addr::addr_to_u128(*a)) {
+                        if seen.intern_u128(expanse_addr::addr_to_u128(*a)).1 {
                             pool.push(*a);
                         }
                     }
@@ -289,7 +288,7 @@ pub fn build_sources(model: &InternetModel) -> Vec<Source> {
             let mut cpe_shuffled = cpe.clone();
             cpe_shuffled.shuffle(&mut rng);
             for a in cpe_shuffled.into_iter().take(n_rest) {
-                if seen.insert(expanse_addr::addr_to_u128(a)) {
+                if seen.intern_u128(expanse_addr::addr_to_u128(a)).1 {
                     pool.push(a);
                 }
             }
@@ -300,7 +299,7 @@ pub fn build_sources(model: &InternetModel) -> Vec<Source> {
                     hop_net.subprefix(32, (splitmix64(i as u64) % 4096) as u128),
                     seed ^ i as u64,
                 );
-                if seen.insert(expanse_addr::addr_to_u128(a)) {
+                if seen.intern_u128(expanse_addr::addr_to_u128(a)).1 {
                     pool.push(a);
                 }
             }
@@ -321,7 +320,7 @@ pub fn build_sources(model: &InternetModel) -> Vec<Source> {
                 let stride = 1 + splitmix64(id as u64 ^ 0x57) as usize % 5;
                 for i in 0..n.min(cands.len() * 2) {
                     let a = cands[(start + i * stride) % cands.len()];
-                    if seen.insert(expanse_addr::addr_to_u128(a)) {
+                    if seen.intern_u128(expanse_addr::addr_to_u128(a)).1 {
                         pool.push(a);
                     }
                     if pool.len() >= want {

@@ -8,11 +8,10 @@
 //! fields constant per flow), Time-Exceeded collection, path assembly,
 //! and router-address harvesting.
 
-use expanse_addr::addr_to_u128;
 use expanse_netsim::{Duration, EventQueue, Network, Time};
 use expanse_packet::{Datagram, Icmpv6Message, Transport};
 use expanse_zmap6::Validator;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 /// Traceroute configuration.
@@ -159,7 +158,7 @@ impl<N: Network> Tracer<N> {
     /// Trace many targets, harvesting unique router addresses — the
     /// Scamper hitlist source.
     pub fn harvest(&mut self, targets: &[Ipv6Addr]) -> HarvestResult {
-        let mut routers: HashSet<u128> = HashSet::new();
+        let mut routers: BTreeSet<Ipv6Addr> = BTreeSet::new();
         let mut reached = 0usize;
         let mut probes = 0u64;
         for &dst in targets {
@@ -170,17 +169,12 @@ impl<N: Network> Tracer<N> {
             }
             for r in path.routers() {
                 if r != dst {
-                    routers.insert(addr_to_u128(r));
+                    routers.insert(r);
                 }
             }
         }
-        let mut addrs: Vec<Ipv6Addr> = routers
-            .into_iter()
-            .map(expanse_addr::u128_to_addr)
-            .collect();
-        addrs.sort();
         HarvestResult {
-            routers: addrs,
+            routers: routers.into_iter().collect(),
             targets_traced: targets.len(),
             targets_reached: reached,
             probes_sent: probes,
@@ -295,5 +289,12 @@ mod tests {
         let pb = b.trace(dst);
         assert_eq!(pa.hops, pb.hops);
         assert_eq!(pa.reached, pb.reached);
+        let targets: Vec<Ipv6Addr> = a.network_mut().population.sites[..20]
+            .iter()
+            .map(|s| s.addrs[0])
+            .collect();
+        let (ha, hb) = (a.harvest(&targets), b.harvest(&targets));
+        assert!(!ha.routers.is_empty());
+        assert_eq!(ha.routers, hb.routers);
     }
 }

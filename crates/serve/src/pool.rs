@@ -78,18 +78,20 @@ pub fn execute(pin: &Pinned, req: &Request) -> Response {
 /// that fails to decode gets an [`ResponseBody::Error`] response — the
 /// stream stays alive; garbage in one frame never kills a connection.
 pub fn handle_envelope(registry: &SnapshotRegistry, envelope: &[u8]) -> Vec<u8> {
+    match decode_request(envelope) {
+        Ok(req) => encode_response(&execute(&registry.pin(), &req)),
+        Err(_) => error_frame(registry, ERR_MALFORMED),
+    }
+}
+
+/// One Error response frame for the server's current epoch.
+pub(crate) fn error_frame(registry: &SnapshotRegistry, code: u8) -> Vec<u8> {
     let pin = registry.pin();
-    let resp = match decode_request(envelope) {
-        Ok(req) => execute(&pin, &req),
-        Err(_) => Response {
-            epoch: pin.epoch,
-            day: pin.view.days_complete(),
-            body: ResponseBody::Error {
-                code: ERR_MALFORMED,
-            },
-        },
-    };
-    encode_response(&resp)
+    encode_response(&Response {
+        epoch: pin.epoch,
+        day: pin.view.days_complete(),
+        body: ResponseBody::Error { code },
+    })
 }
 
 /// Serve a whole stream of request frames on `threads` workers,

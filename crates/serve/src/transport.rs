@@ -39,11 +39,10 @@
 
 use crate::cache::{CacheConfig, CacheStats, ResponseCache};
 use crate::limiter::{AdmissionControl, ClientKey, RateLimitConfig};
-use crate::pool::execute;
+use crate::pool::{error_frame, execute};
 use crate::protocol::{
-    self, decode_request, decode_response, encode_response, Response, ResponseBody,
-    ERR_FRAME_TOO_LARGE, ERR_MALFORMED, ERR_OVERLOADED, ERR_RATE_LIMITED, ERR_SHUTTING_DOWN,
-    ERR_TIMEOUT,
+    self, decode_request, decode_response, encode_response, Response, ERR_FRAME_TOO_LARGE,
+    ERR_MALFORMED, ERR_OVERLOADED, ERR_RATE_LIMITED, ERR_SHUTTING_DOWN, ERR_TIMEOUT,
 };
 use crate::registry::SnapshotRegistry;
 use expanse_addr::CodecError;
@@ -739,16 +738,6 @@ fn accept_loop(shared: &Arc<Shared>, sock: &ListenSocket) {
         }
     }
     sock.cleanup();
-}
-
-/// One Error response frame for the server's current epoch.
-fn error_frame(registry: &SnapshotRegistry, code: u8) -> Vec<u8> {
-    let pin = registry.pin();
-    encode_response(&Response {
-        epoch: pin.epoch,
-        day: pin.view.days_complete(),
-        body: ResponseBody::Error { code },
-    })
 }
 
 /// Best-effort rejection of a connection at accept time: one Error

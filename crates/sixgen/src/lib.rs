@@ -21,7 +21,7 @@
 //! ```
 
 use expanse_addr::nybbles::{from_nybbles, nybbles, NYBBLES};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 /// Configuration for region growth.
@@ -150,7 +150,7 @@ impl Region {
 /// followed by a density filter.
 pub fn grow_regions(seeds: &[Ipv6Addr], cfg: &SixGenConfig) -> Vec<Region> {
     let mut regions: Vec<Region> = Vec::new();
-    let mut seen: HashSet<Ipv6Addr> = HashSet::new();
+    let mut seen: BTreeSet<Ipv6Addr> = BTreeSet::new();
     for &seed in seeds {
         if !seen.insert(seed) {
             continue;
@@ -191,7 +191,7 @@ pub fn grow_regions(seeds: &[Ipv6Addr], cfg: &SixGenConfig) -> Vec<Region> {
 /// budget split region by region.
 pub fn generate(regions: &[Region], budget: usize) -> Vec<Ipv6Addr> {
     let mut out: Vec<Ipv6Addr> = Vec::with_capacity(budget);
-    let mut seen: HashSet<u128> = HashSet::with_capacity(budget);
+    let mut seen: BTreeSet<u128> = BTreeSet::new();
     for r in regions {
         if out.len() >= budget {
             break;
@@ -266,7 +266,7 @@ mod tests {
             targets.len()
         );
         // Distinct.
-        let set: HashSet<_> = targets.iter().collect();
+        let set: BTreeSet<_> = targets.iter().collect();
         assert_eq!(set.len(), targets.len());
     }
 

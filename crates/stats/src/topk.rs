@@ -2,27 +2,26 @@
 //!
 //! Used for the "Top AS1/AS2/AS3" columns of Table 2 and Table 8.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
-/// A frequency counter over hashable keys.
+/// A frequency counter over ordered keys.
 #[derive(Debug, Clone)]
-pub struct Counter<K: Eq + Hash> {
-    counts: HashMap<K, u64>,
+pub struct Counter<K: Ord> {
+    counts: BTreeMap<K, u64>,
     total: u64,
 }
 
-impl<K: Eq + Hash + Clone + Ord> Default for Counter<K> {
+impl<K: Ord + Clone> Default for Counter<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Eq + Hash + Clone + Ord> Counter<K> {
+impl<K: Ord + Clone> Counter<K> {
     /// An empty counter.
     pub fn new() -> Self {
         Counter {
-            counts: HashMap::new(),
+            counts: BTreeMap::new(),
             total: 0,
         }
     }
@@ -71,18 +70,18 @@ impl<K: Eq + Hash + Clone + Ord> Counter<K> {
             .collect()
     }
 
-    /// All counts (unordered), for feeding concentration curves.
+    /// All counts in ascending key order, for feeding concentration curves.
     pub fn counts(&self) -> impl Iterator<Item = u64> + '_ {
         self.counts.values().copied()
     }
 
-    /// Iterate over `(key, count)` pairs (unordered).
+    /// Iterate over `(key, count)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> + '_ {
         self.counts.iter().map(|(k, &c)| (k, c))
     }
 }
 
-impl<K: Eq + Hash + Clone + Ord> FromIterator<K> for Counter<K> {
+impl<K: Ord + Clone> FromIterator<K> for Counter<K> {
     fn from_iter<T: IntoIterator<Item = K>>(iter: T) -> Self {
         let mut c = Counter::new();
         for k in iter {
@@ -122,6 +121,20 @@ mod tests {
         c.add("b", 5);
         c.add("a", 5);
         assert_eq!(c.top(2), vec![("a", 5), ("b", 5)]);
+    }
+
+    /// Two counters fed the same keys in different orders walk identically.
+    #[test]
+    fn iteration_is_key_ordered_across_instances() {
+        let keys: Vec<u64> = (0..300u64).map(|i| (i * 7919) % 101).collect();
+        let a: Counter<u64> = keys.iter().copied().collect();
+        let b: Counter<u64> = keys.iter().rev().copied().collect();
+        assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
+        assert_eq!(
+            a.counts().collect::<Vec<_>>(),
+            b.counts().collect::<Vec<_>>()
+        );
+        assert!(a.iter().map(|(k, _)| *k).is_sorted());
     }
 
     #[test]
