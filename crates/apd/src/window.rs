@@ -62,11 +62,6 @@ impl WindowState {
     pub fn flips(&self) -> u32 {
         self.flips
     }
-
-    /// Days currently held.
-    pub fn days_held(&self) -> usize {
-        self.days.len()
-    }
 }
 
 #[cfg(test)]

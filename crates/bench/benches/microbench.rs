@@ -9,7 +9,7 @@ use expanse_addr::{addr_to_u128, fanout16, keyed_random_addr, u128_to_addr, Pref
 use expanse_entropy::Fingerprint;
 use expanse_model::{InternetModel, ModelConfig};
 use expanse_netsim::{Network, Time};
-use expanse_packet::{Datagram, Icmpv6Message, Protocol, TcpSegment};
+use expanse_packet::{Datagram, Icmpv6Message, TcpSegment};
 use expanse_trie::PrefixTrie;
 use expanse_zmap6::{module::IcmpEchoModule, Permutation, ScanConfig, Scanner};
 use std::net::Ipv6Addr;
@@ -192,172 +192,6 @@ fn bench_scanner(c: &mut Criterion) {
     });
 }
 
-fn bench_battery_fanout(c: &mut Criterion) {
-    // The PR 1 hot path: the full five-protocol battery over one model
-    // snapshot, serial grid walk vs. worker-pool execution of the same
-    // grid. The determinism guard asserts identical results; this
-    // measures the wall-clock win.
-    let model = InternetModel::build(ModelConfig::tiny(42));
-    let hook = model.population.special.cdn_hook_48s[0];
-    let targets: Vec<Ipv6Addr> = (0..512u64).map(|i| keyed_random_addr(hook, i)).collect();
-    let battery = expanse_zmap6::module::standard_battery();
-    let mut g = c.benchmark_group("battery");
-    g.throughput(Throughput::Elements(
-        targets.len() as u64 * battery.len() as u64,
-    ));
-    // (shards_per_protocol, parallel): unsharded_serial is the 1-shard
-    // grid — the cheapest decomposition under the new snapshot
-    // semantics (each protocol starts from a fresh day-state snapshot,
-    // unlike the seed's chained-clock single pass), so the comparison
-    // isolates sharding and executor cost, not the semantic change.
-    for (name, shards, parallel) in [
-        ("unsharded_serial", 1, false),
-        ("serial_grid", 8, false),
-        ("parallel_grid", 8, true),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let mut cfg = ScanConfig::default();
-                    cfg.fanout.shards_per_protocol = shards;
-                    cfg.fanout.parallel = parallel;
-                    Scanner::new(InternetModel::build(ModelConfig::tiny(42)), cfg)
-                },
-                |mut s| s.scan_battery(&targets, &battery),
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-fn bench_addr_store(c: &mut Criterion) {
-    // The PR 2 hot path: the daily merge (per-protocol responder lists
-    // → per-address protocol set, then hand the map to the snapshot)
-    // and the responsiveness pass over the interned columnar store.
-    use expanse_addr::{AddrId, AddrMap, AddrTable};
-    use expanse_packet::ProtoSet;
-
-    const N: u64 = 20_000;
-    // Five protocol passes with overlapping responder sets (every 2nd,
-    // 3rd, ... address answers), like a real battery day.
-    let passes: Vec<(Protocol, Vec<Ipv6Addr>)> = Protocol::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let step = i as u64 + 2;
-            let addrs: Vec<Ipv6Addr> = (0..N)
-                .filter(|a| a % step == 0)
-                .map(|a| u128_to_addr((0x2001_0db8u128 << 96) | u128::from(a)))
-                .collect();
-            (p, addrs)
-        })
-        .collect();
-    let mut g = c.benchmark_group("addr_store");
-    g.throughput(Throughput::Elements(
-        passes.iter().map(|(_, v)| v.len() as u64).sum(),
-    ));
-    g.bench_function("daily_merge_columnar", |b| {
-        b.iter(|| {
-            let mut resp: AddrMap<ProtoSet> = AddrMap::new();
-            for (proto, addrs) in &passes {
-                for &a in addrs {
-                    let e = resp.entry_or(a, ProtoSet::EMPTY);
-                    *e = e.with(*proto);
-                }
-            }
-            // The columnar handoff: the snapshot takes ownership.
-            let copy = std::mem::take(&mut resp);
-            (resp.len(), copy.len())
-        })
-    });
-    // Responsiveness pass over the merged day: dense id resolution + a
-    // column write.
-    let mut merged: AddrMap<ProtoSet> = AddrMap::new();
-    for (proto, addrs) in &passes {
-        for &a in addrs {
-            let e = merged.entry_or(a, ProtoSet::EMPTY);
-            *e = e.with(*proto);
-        }
-    }
-    let mut hitlist_table = AddrTable::new();
-    for a in 0..N {
-        hitlist_table.intern_u128((0x2001_0db8u128 << 96) | u128::from(a));
-    }
-    g.throughput(Throughput::Elements(merged.len() as u64));
-    let mut last_col: Vec<u16> = vec![u16::MAX; hitlist_table.len()];
-    g.bench_function("responsiveness_columnar", |b| {
-        b.iter(|| {
-            let mut day_pass: Vec<AddrId> = merged
-                .keys()
-                .filter_map(|a| hitlist_table.lookup(a))
-                .collect();
-            day_pass.sort_unstable();
-            for id in &day_pass {
-                last_col[id.index()] = 7;
-            }
-            day_pass.len()
-        })
-    });
-    g.finish();
-}
-
-fn bench_serve_query(c: &mut Criterion) {
-    // The PR 5 hot path: the serving layer's query engine over one
-    // immutable snapshot view — point lookups, prefix pages through
-    // the sorted permutation, deterministic sampling, and prefix
-    // stats.
-    use expanse_core::Hitlist;
-    use expanse_model::SourceId;
-    use expanse_serve::{Query, SnapshotView};
-
-    const N: u64 = 50_000;
-    let mut h = Hitlist::new();
-    let addrs: Vec<Ipv6Addr> = (0..N)
-        .map(|i| {
-            // 16 /48s under one /32, dense low bits: realistic clustering.
-            u128_to_addr((0x2001_0db8u128 << 96) | (u128::from(i % 16) << 80) | u128::from(i))
-        })
-        .collect();
-    h.add_from(SourceId::Ct, &addrs, 0);
-    for (i, &a) in addrs.iter().enumerate() {
-        if i % 3 != 0 {
-            h.mark_responsive(a, 5, expanse_packet::ProtoSet((i % 31 + 1) as u8 & 0b11111));
-        }
-    }
-    let aliased: Vec<Prefix> = (0..4u128)
-        .map(|i| Prefix::from_bits((0x2001_0db8u128 << 96) | (i << 80), 48))
-        .collect();
-
-    let mut g = c.benchmark_group("serve_query");
-    g.bench_function("view_build_50k", |b| {
-        b.iter(|| SnapshotView::from_hitlist(6, &h, aliased.clone()))
-    });
-    let view = SnapshotView::from_hitlist(6, &h, aliased);
-    let probes: Vec<Ipv6Addr> = (0..1024u64)
-        .map(|i| addrs[(i as usize * 97) % addrs.len()])
-        .collect();
-    g.throughput(Throughput::Elements(probes.len() as u64));
-    g.bench_function("lookup_1k", |b| {
-        b.iter(|| probes.iter().filter(|&&a| view.lookup(a).is_some()).count())
-    });
-    g.throughput(Throughput::Elements(1));
-    let q48 = Query::all()
-        .under(Prefix::from_bits(
-            (0x2001_0db8u128 << 96) | (5u128 << 80),
-            48,
-        ))
-        .responsive();
-    g.bench_function("prefix_page_256", |b| b.iter(|| view.page(&q48, None, 256)));
-    g.bench_function("sample_100_of_all", |b| {
-        b.iter(|| view.sample(&Query::all(), 100, 42))
-    });
-    g.bench_function("stats_under_32", |b| {
-        b.iter(|| view.stats(Some(Prefix::from_bits(0x2001_0db8u128 << 96, 32))))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_trie,
@@ -367,9 +201,6 @@ criterion_group!(
     bench_generators,
     bench_packet,
     bench_permutation,
-    bench_scanner,
-    bench_battery_fanout,
-    bench_addr_store,
-    bench_serve_query
+    bench_scanner
 );
 criterion_main!(benches);

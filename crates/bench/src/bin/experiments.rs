@@ -79,7 +79,6 @@ fn main() {
                 "table3",
                 "fig7",
                 "bench-pipeline",
-                "bench-serve",
                 "bench-scenarios",
                 "bench-sched",
             ]

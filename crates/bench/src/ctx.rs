@@ -2,7 +2,7 @@
 //! experiments so `all` doesn't rebuild the world 28 times.
 
 use expanse_core::{Hitlist, Pipeline, PipelineConfig};
-use expanse_model::{InternetModel, ModelConfig, SourceId};
+use expanse_model::ModelConfig;
 use std::net::Ipv6Addr;
 use std::path::PathBuf;
 
@@ -90,12 +90,6 @@ impl Ctx {
         self.pipeline.as_mut().expect("just built")
     }
 
-    /// A fresh, independent model (for experiments that mutate day state
-    /// in ways the shared pipeline should not see).
-    pub fn fresh_model(&self) -> InternetModel {
-        InternetModel::build(self.scale.model_config(self.seed))
-    }
-
     /// The full hitlist address vector (materialized from the shared
     /// pipeline's interned store, insertion order).
     pub fn hitlist_addrs(&mut self) -> Vec<Ipv6Addr> {
@@ -123,9 +117,4 @@ pub fn pct(x: f64) -> String {
 /// Pretty header for a report section.
 pub fn header(title: &str, paper_ref: &str) -> String {
     format!("=== {title} ===\n    (paper: {paper_ref})\n\n")
-}
-
-/// All source ids with their reveal pools, in Table 2 order.
-pub fn source_order() -> [SourceId; 7] {
-    SourceId::ALL
 }

@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of the design choices the paper (§4–§5) and
+//! `ARCHITECTURE.md` call out.
 
 use crate::ctx::{header, pct, Ctx};
 use expanse_addr::{fanout16, keyed_random_addr, Prefix};

@@ -3,8 +3,8 @@
 //! Not a paper artifact — it quantifies the value of the feedback
 //! scheduler (`expanse-sched`) over §5.1's fixed daily grid: how much
 //! of the full-grid discovery a budgeted run keeps at 25 / 50 / 100 %
-//! of the grid's daily spend, what each battery slot buys
-//! (addresses/probe), and how fast `plan_day` turns the queue over.
+//! of the grid's daily spend, and what each battery slot buys
+//! (addresses/probe).
 //! All runs use the adversarial scenario model, so the budget has to
 //! coexist with alias fabrics and churn. Writes `BENCH_sched.json`
 //! (uploaded and jq-gated by CI: zero cap violations, ≥ 80 % of
@@ -14,11 +14,7 @@ use crate::ctx::{header, pct, Ctx};
 use expanse_addr::Prefix;
 use expanse_core::{Pipeline, PipelineConfig, SchedConfig};
 use expanse_model::{ModelConfig, SourceId};
-use expanse_sched::{PrefixDemand, Scheduler, MAX_DEMAND_SAMPLE, SCHED_PREFIX_LEN};
 use std::collections::BTreeMap;
-use std::hint::black_box;
-use std::net::Ipv6Addr;
-use std::time::Instant;
 
 /// Probing days per run — matches the scenario bench, spanning three
 /// rotation epochs of the adversarial preset.
@@ -26,15 +22,6 @@ const DAYS: u16 = 10;
 
 /// Budget tiers, as percentages of the fixed grid's mean daily spend.
 const TIERS: &[u64] = &[25, 50, 100];
-
-/// Mean seconds per round of `f` over `rounds` runs.
-fn time<T>(rounds: usize, mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        black_box(f());
-    }
-    t0.elapsed().as_secs_f64() / rounds as f64
-}
 
 /// Everything one 10-day run yields for the comparison.
 struct RunStats {
@@ -49,7 +36,7 @@ struct RunStats {
 /// Drive `DAYS` probing days of the adversarial model under `sched`,
 /// feeding the scenario layer's churn daily, and measure discovery and
 /// spend black-box from the hitlist's persisted `probes_spent` ledger.
-fn run_days(model_cfg: &ModelConfig, sched: SchedConfig, cap: Option<u64>) -> (Pipeline, RunStats) {
+fn run_days(model_cfg: &ModelConfig, sched: SchedConfig, cap: Option<u64>) -> RunStats {
     let cfg = PipelineConfig {
         sched,
         ..PipelineConfig::default()
@@ -81,40 +68,11 @@ fn run_days(model_cfg: &ModelConfig, sched: SchedConfig, cap: Option<u64>) -> (P
         .filter(|&a| p.hitlist.last_responsive(a).is_some())
         .count() as u64;
     let probes: u64 = before.values().sum();
-    (
-        p,
-        RunStats {
-            discovered,
-            probes,
-            cap_violations,
-        },
-    )
-}
-
-/// Rebuild today's demand rows from a finished pipeline's hitlist, the
-/// way `Pipeline::schedule_targets` does: members grouped by /48 with a
-/// bounded ascending sample. Used to time `plan_day` standalone.
-fn demands_of(p: &Pipeline) -> Vec<PrefixDemand> {
-    let mut groups: BTreeMap<Prefix, Vec<Ipv6Addr>> = BTreeMap::new();
-    for a in p.hitlist.iter() {
-        groups
-            .entry(Prefix::new(a, SCHED_PREFIX_LEN))
-            .or_default()
-            .push(a);
+    RunStats {
+        discovered,
+        probes,
+        cap_violations,
     }
-    groups
-        .into_iter()
-        .map(|(net, addrs)| {
-            let candidates = addrs.len() as u64;
-            let mut sample: Vec<Ipv6Addr> = addrs.into_iter().take(MAX_DEMAND_SAMPLE).collect();
-            sample.sort_unstable();
-            PrefixDemand {
-                net,
-                candidates,
-                sample,
-            }
-        })
-        .collect()
 }
 
 /// Run the bench; writes `BENCH_sched.json` next to the reports.
@@ -128,7 +86,7 @@ pub fn bench_sched(ctx: &mut Ctx) -> String {
     model_cfg.scenario = ModelConfig::adversarial(ctx.seed).scenario;
 
     // ---- the yardstick: the fixed daily grid, unbudgeted --------------
-    let (fixed_pipe, fixed) = run_days(&model_cfg, SchedConfig::default(), None);
+    let fixed = run_days(&model_cfg, SchedConfig::default(), None);
     let fixed_daily = (fixed.probes / u64::from(DAYS)).max(1);
     // One hard per-/48 cap across all tiers: a quarter of the grid's
     // daily spend, so dense prefixes genuinely compete for slots.
@@ -151,7 +109,7 @@ pub fn bench_sched(ctx: &mut Ctx) -> String {
     );
     for &tier_pct in TIERS {
         let budget = (fixed_daily * tier_pct / 100).max(1);
-        let (_, run) = run_days(&model_cfg, SchedConfig::budgeted(budget, cap), Some(cap));
+        let run = run_days(&model_cfg, SchedConfig::budgeted(budget, cap), Some(cap));
         let ratio = run.discovered as f64 / (fixed.discovered as f64).max(1.0);
         let per_probe = run.discovered as f64 / (run.probes as f64).max(1.0);
         if tier_pct == 50 {
@@ -173,27 +131,6 @@ pub fn bench_sched(ctx: &mut Ctx) -> String {
         ));
     }
 
-    // ---- queue throughput: plan_day over the full demand set ----------
-    // Timed on a scheduler warmed with the fixed run's history, so the
-    // priority function reads real yield/staleness state.
-    let demands = demands_of(&fixed_pipe);
-    let mut sch = Scheduler::new();
-    sch.record_day(
-        DAYS,
-        &demands
-            .iter()
-            .map(|d| (d.net, d.candidates, d.candidates / 2))
-            .collect::<Vec<_>>(),
-    );
-    let plan_cfg = SchedConfig::budgeted((fixed_daily / 2).max(1), cap);
-    let plan_s = time(20, || sch.plan_day(&plan_cfg, DAYS + 1, &demands, &[], &[]));
-    let queue_ops_per_s = demands.len() as f64 / plan_s.max(1e-9);
-    out.push_str(&format!(
-        "\nqueue: plan_day over {} /48 demands in {:.1} µs ({:.0} prefix-jobs/s)\n",
-        demands.len(),
-        plan_s * 1e6,
-        queue_ops_per_s,
-    ));
     out.push_str(&format!(
         "\ngates: cap violations {violations_total} (must be 0), \
          50%-budget discovery {} (must be ≥ 80%)\n",
@@ -201,16 +138,13 @@ pub fn bench_sched(ctx: &mut Ctx) -> String {
     ));
 
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \"scale\": \"{scale}\",\n  \"days\": {DAYS},\n  \
+        "{{\n  \"schema\": 2,\n  \"scale\": \"{scale}\",\n  \"days\": {DAYS},\n  \
          \"fixed\": {{ \"discovered\": {}, \"probes\": {}, \"daily_spend\": {fixed_daily} }},\n  \
          \"per_48_cap\": {cap},\n  \"tiers\": [\n{}\n  ],\n  \
-         \"discovery_ratio_50\": {ratio_50:.4},\n  \"cap_violations\": {violations_total},\n  \
-         \"queue\": {{ \"prefixes\": {}, \"plan_day_s\": {plan_s:.6}, \
-         \"ops_per_s\": {queue_ops_per_s:.0} }}\n}}\n",
+         \"discovery_ratio_50\": {ratio_50:.4},\n  \"cap_violations\": {violations_total}\n}}\n",
         fixed.discovered,
         fixed.probes,
         tier_rows.join(",\n"),
-        demands.len(),
     );
     ctx.write("BENCH_sched.json", &json);
     out.push_str("\nwrote BENCH_sched.json\n");

@@ -19,16 +19,66 @@
 //!   drain was clean and nothing was served after it.
 
 use crate::ctx::{header, Ctx};
-use crate::exp_serve::workload;
+use expanse_addr::fanout::splitmix64;
+use expanse_addr::Prefix;
 use expanse_core::Pipeline;
+use expanse_packet::{ProtoSet, Protocol};
 use expanse_serve::protocol::{decode_response, encode_request, ERR_SHUTTING_DOWN, MAX_FRAME_LEN};
 use expanse_serve::{
-    BindAddr, FrameAssembler, ResponseBody, Server, ServerConfig, SnapshotRegistry, SnapshotView,
+    BindAddr, FrameAssembler, Query, Request, ResponseBody, Server, ServerConfig, SnapshotRegistry,
+    SnapshotView,
 };
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Ipv6Addr, SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// A mixed request workload over the view's real contents: point
+/// lookups (hits and misses), prefix pages with filters, samples, and
+/// stats, in a deterministic shuffle.
+fn workload(view: &SnapshotView, count: usize) -> Vec<Request> {
+    let live: Vec<Ipv6Addr> = view
+        .live_set()
+        .iter()
+        .map(|id| view.table().addr(id))
+        .collect();
+    assert!(!live.is_empty(), "bench needs a populated view");
+    let mut reqs = Vec::with_capacity(count);
+    for i in 0..count {
+        let r = splitmix64(0x5e7e_0bad ^ i as u64);
+        let addr = live[(r >> 8) as usize % live.len()];
+        reqs.push(match r % 10 {
+            // Half the workload is point lookups, the common case.
+            0..=3 => Request::Lookup { addr },
+            4 => Request::Lookup {
+                // A guaranteed miss.
+                addr: expanse_addr::u128_to_addr(u128::MAX ^ r as u128),
+            },
+            5 | 6 => Request::Select {
+                query: Query::all().under(Prefix::new(addr, 32 + (r % 3) as u8 * 16)),
+                cursor: None,
+                limit: 128,
+            },
+            7 => Request::Select {
+                query: Query::all()
+                    .responsive()
+                    .on_protocols(ProtoSet::only(Protocol::ALL[(r % 5) as usize]))
+                    .non_aliased(),
+                cursor: None,
+                limit: 128,
+            },
+            8 => Request::Sample {
+                query: Query::all().responsive(),
+                k: 64,
+                seed: r,
+            },
+            _ => Request::Stats {
+                prefix: Some(Prefix::new(addr, 32)),
+            },
+        });
+    }
+    reqs
+}
 
 /// Read one whole frame (sans length prefix) from a blocking socket
 /// with a wall-clock deadline; socket read timeout must be short.

@@ -8,8 +8,8 @@
 //!
 //! Absolute numbers are *scaled* (the model defaults to ≈1:100 of the
 //! paper's population); every report therefore prints shapes — shares,
-//! ratios, orderings — next to the paper's reported values, and
-//! `EXPERIMENTS.md` records the comparison.
+//! ratios, orderings — next to the paper's reported values.
+//! `ARCHITECTURE.md` is the system inventory.
 
 pub mod ctx;
 pub mod exp_ablations;
@@ -22,7 +22,6 @@ pub mod exp_probing;
 pub mod exp_rdns_crowd;
 pub mod exp_scenarios;
 pub mod exp_sched;
-pub mod exp_serve;
 pub mod exp_serve_load;
 pub mod exp_sources;
 
@@ -61,7 +60,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "abl-cluster-as",
     "abl-bgp-apd",
     "bench-pipeline",
-    "bench-serve",
     "bench-serve-load",
     "bench-scenarios",
     "bench-sched",
@@ -101,7 +99,6 @@ pub fn run(id: &str, ctx: &mut Ctx) -> Option<String> {
         "abl-cluster-as" => exp_ablations::cluster_as(ctx),
         "abl-bgp-apd" => exp_ablations::bgp_apd(ctx),
         "bench-pipeline" => exp_pipeline::bench_pipeline(ctx),
-        "bench-serve" => exp_serve::bench_serve(ctx),
         "bench-serve-load" => exp_serve_load::bench_serve_load(ctx),
         "bench-scenarios" => exp_scenarios::bench_scenarios(ctx),
         "bench-sched" => exp_sched::bench_sched(ctx),

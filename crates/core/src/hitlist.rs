@@ -457,11 +457,6 @@ impl Hitlist {
             .unwrap_or(ProtoSet::EMPTY)
     }
 
-    /// [`Hitlist::protos_of`] by id (tombstoned rows included).
-    pub fn protos_of_id(&self, id: AddrId) -> ProtoSet {
-        self.protos[id.index()]
-    }
-
     /// Borrow every column at once, for building immutable serving
     /// views without cloning through per-row accessors. Row `i`
     /// corresponds to `AddrId` `i`; `last_responsive` uses `0xffff` as

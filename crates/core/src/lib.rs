@@ -40,7 +40,7 @@ pub use journal::{Journal, JournalPolicy, JournalRecord, JournalStore, PathStore
 pub use longitudinal::{Fig8Row, Ledger};
 pub use pipeline::{
     DailySnapshot, DayEndHook, JournalReplay, PersistedState, Pipeline, PipelineConfig,
-    RetentionConfig,
+    RetentionConfig, StageReport,
 };
 pub use report::{render_source_table, source_table, total_row, SourceRow};
 // The scheduler rides through the pipeline's journal and status

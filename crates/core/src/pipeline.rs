@@ -6,7 +6,7 @@
 use crate::hitlist::Hitlist;
 use crate::longitudinal::Ledger;
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
-use expanse_addr::{addr_to_u128, AddrId, AddrMap, Prefix};
+use expanse_addr::{addr_to_u128, AddrId, AddrMap, AddrSet, Prefix};
 use expanse_apd::{Apd, ApdConfig, PlanConfig};
 use expanse_model::{InternetModel, ModelConfig, Source, SourceId};
 use expanse_netsim::Time;
@@ -112,6 +112,43 @@ pub struct DailySnapshot {
     pub battery_digest: u64,
 }
 
+/// What each stage of one day did, as exact counts: the same for a
+/// given seed on every machine and at every thread count. Probes are
+/// split by job kind (APD echo fan-out, follow-up traces, the
+/// responsiveness battery), the way `expanse-sched` types its jobs.
+///
+/// Counts only — where the day's *time* went is what the repo
+/// benchmark's `--trace 1` reports. The report is read through
+/// [`Pipeline::last_report`] and is never encoded, journaled or
+/// digested.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageReport {
+    /// Prefixes in today's APD plan.
+    pub plan_prefixes: u64,
+    /// APD fan-out probes sent.
+    pub apd_probes: u64,
+    /// Live members at day start that survived the alias filter.
+    pub kept: u64,
+    /// Live members at day start under an aliased prefix.
+    pub removed: u64,
+    /// Battery targets: all of `kept` with the scheduler off, the
+    /// admitted subset with it on.
+    pub admitted: u64,
+    /// Traceroute probes sent.
+    pub trace_probes: u64,
+    /// Router addresses the traces harvested.
+    pub routers: u64,
+    /// Battery probes sent, all protocols.
+    pub battery_probes: u64,
+    /// Addresses that answered the battery on at least one protocol.
+    pub responders: u64,
+    /// Members expired by the retention policy.
+    pub expired: u64,
+    /// Addresses the day newly interned into the hitlist's table
+    /// (harvested routers not seen before).
+    pub interned: u64,
+}
+
 /// The full system: model + probers + state.
 pub struct Pipeline {
     /// Configuration.
@@ -146,10 +183,13 @@ pub struct Pipeline {
     /// Day-end observer (see [`Pipeline::on_day_end`]); not persisted —
     /// a resumed pipeline starts with no hook.
     day_end_hook: Option<DayEndHook>,
+    /// See [`Pipeline::last_report`]; not persisted either.
+    last_report: StageReport,
 }
 
 /// A day-end observer: called with the pipeline (post-day state, day
-/// counter already advanced) and the day's snapshot at the end of every
+/// counter already advanced, [`Pipeline::last_report`] already the
+/// day's) and the day's snapshot at the end of every
 /// [`Pipeline::run_day_full`]. The serving daemon uses one to publish
 /// each completed day as a fresh registry epoch without the driver loop
 /// having to know about registries.
@@ -174,6 +214,7 @@ impl Pipeline {
             synced_hot: BTreeSet::new(),
             synced_day: 0,
             day_end_hook: None,
+            last_report: StageReport::default(),
         }
     }
 
@@ -199,15 +240,9 @@ impl Pipeline {
 
     /// Ingest every source's addresses known by runup day `runup_day`.
     pub fn collect_sources(&mut self, runup_day: u32) {
-        // Clone the reveal slices out to appease the borrow checker.
-        let batches: Vec<(SourceId, Vec<Ipv6Addr>)> = self
-            .sources
-            .iter()
-            .map(|s| (s.id, s.addrs_on_day(runup_day).to_vec()))
-            .collect();
         let day = self.day;
-        for (id, addrs) in batches {
-            self.hitlist.add_from(id, &addrs, day);
+        for s in &self.sources {
+            self.hitlist.add_from(s.id, s.addrs_on_day(runup_day), day);
         }
     }
 
@@ -235,23 +270,84 @@ impl Pipeline {
         self.run_day_full().0
     }
 
+    /// The [`StageReport`] of the last day this pipeline ran — all zero
+    /// before the first. It lives beside the snapshot, never in it: no
+    /// save, journal record or digest carries it, so a resumed pipeline
+    /// starts at zero again.
+    pub fn last_report(&self) -> StageReport {
+        self.last_report
+    }
+
     /// [`Pipeline::run_day`], also returning the battery's merged scan
     /// result (the fan-out determinism guard compares these across
     /// executors). The snapshot takes ownership of the merged responsive
     /// map; the returned result carries the per-protocol breakdown.
+    ///
+    /// The body is the day's stage list and nothing else: the eight
+    /// stages are the private methods below, in this order.
     pub fn run_day_full(&mut self) -> (DailySnapshot, MultiScanResult) {
         let day = self.day;
         self.scanner.network_mut().set_day(day);
-        let mut probes = 0u64;
-
+        let rows_before = self.hitlist.table().len();
         // One id-space view of the hitlist for the whole day: the APD
         // plan, the alias split, and the battery targets all derive from
-        // it (routers harvested mid-day join tomorrow's view, as before).
+        // it (routers harvested mid-day join tomorrow's view).
         let live = self.hitlist.live_set();
+        let (aliased_now, plan_prefixes, apd_probes) = self.detect_aliases(day, &live);
+        let (kept, removed) = self.filter_aliased(&aliased_now, &live);
+        let kept_len = kept.len();
+        let (targets, sched_plan) = self.schedule_targets(day, kept, &aliased_now);
+        let (routers_found, trace_probes) = self.trace_routers(day, &targets, sched_plan.as_ref());
+        let (mut multi, battery_digest) = self.probe_battery(&targets);
+        let day_pass = self.record_day_pass(day, &multi);
+        self.account_probes(day, &targets, &day_pass);
+        let expired_today = self.expire_members(day);
 
-        // ---- aliased prefix detection --------------------------------
+        let report = StageReport {
+            plan_prefixes,
+            apd_probes,
+            kept: kept_len as u64,
+            removed,
+            admitted: targets.len() as u64,
+            trace_probes,
+            routers: routers_found as u64,
+            battery_probes: multi.total_sent(),
+            responders: day_pass.len() as u64,
+            expired: expired_today as u64,
+            interned: (self.hitlist.table().len() - rows_before) as u64,
+        };
+        let snapshot = DailySnapshot {
+            day,
+            hitlist_total: self.hitlist.len(),
+            hitlist_after_apd: kept_len,
+            aliased_prefixes: aliased_now,
+            // The snapshot takes the merged responsive map over; the
+            // returned MultiScanResult keeps the per-protocol results
+            // (its own responsive map is left empty).
+            responsive: multi.take_responsive(),
+            routers_found,
+            expired_today,
+            probes_sent: report.apd_probes + report.trace_probes + report.battery_probes,
+            battery_digest,
+        };
+        self.last_report = report;
+        self.day += 1;
+        // Take/call/put-back so the hook can read `&self` (it observes
+        // the post-day pipeline) while being stored inside it.
+        if let Some(mut hook) = self.day_end_hook.take() {
+            hook(self, &snapshot);
+            self.day_end_hook = Some(hook);
+        }
+        (snapshot, multi)
+    }
+
+    /// Stage 1, aliased prefix detection: plan (full every
+    /// `full_apd_every` days, the hot set between), probe, slide the
+    /// windows, classify. Returns today's aliased prefixes (sorted), the
+    /// plan size and the probes sent.
+    fn detect_aliases(&mut self, day: u16, live: &AddrSet) -> (Vec<Prefix>, u64, u64) {
         let mut plan: Vec<Prefix> = if day.is_multiple_of(self.cfg.full_apd_every) {
-            expanse_apd::plan_targets_set(self.hitlist.table(), &live, &self.cfg.plan)
+            expanse_apd::plan_targets_set(self.hitlist.table(), live, &self.cfg.plan)
         } else {
             self.hot_prefixes.iter().copied().collect()
         };
@@ -275,16 +371,14 @@ impl Pipeline {
         // set, the LPM filter, and the snapshot all read this vector
         // (it is only current *after* today's window update above).
         let aliased_now = self.apd.aliased_prefixes();
+        let mut probes = 0;
         if let Some(report) = report {
-            probes += report.probes_sent;
+            probes = report.probes_sent;
             // Maintain the hot set from today's evidence: a prefix at
             // ≥ 14/16 branches is nearly aliased and worth daily
             // attention — but once the windowed detector classifies it
             // aliased it needs no extra probing (the verdict holds
             // until the next full run), and one that went cold leaves.
-            // The set membership updates keep this O(probed · log hot)
-            // instead of the old O(probed · hot) `Vec::contains` scan,
-            // and the old set-only-grows behavior is gone.
             for (p, o) in &report.observations {
                 let nearly = o.merged().count_ones() >= 14;
                 if nearly && aliased_now.binary_search(p).is_err() {
@@ -294,101 +388,129 @@ impl Pipeline {
                 }
             }
         }
+        (aliased_now, plan.len() as u64, probes)
+    }
+
+    /// Stage 2, alias filter: split the day's live members on today's
+    /// aliased prefixes. Returns the non-aliased targets, materialized
+    /// once in id (= insertion) order — the same byte-for-byte target
+    /// list the fan-out grid's snapshot workers partition — and the
+    /// number of members removed.
+    fn filter_aliased(&self, aliased_now: &[Prefix], live: &AddrSet) -> (Vec<Ipv6Addr>, u64) {
         let filter = expanse_apd::AliasFilter::new(aliased_now.iter().copied());
-        let (kept_ids, _removed) = filter.split_set(self.hitlist.table(), &live);
-        // Materialize the non-aliased targets once, in id (= insertion)
-        // order — the same byte-for-byte target list the fan-out grid's
-        // snapshot workers partition, so the canonical digest is
-        // unchanged by the id-based plumbing.
-        let kept: Vec<Ipv6Addr> = kept_ids.addrs(self.hitlist.table()).collect();
-        let kept_len = kept.len();
+        let (kept_ids, removed) = filter.split_set(self.hitlist.table(), live);
+        let kept = kept_ids.addrs(self.hitlist.table()).collect();
+        (kept, removed.len() as u64)
+    }
 
-        // ---- probe scheduling ----------------------------------------
-        // Enabled: the scheduler plans the day (budget, caps, splits)
-        // and the battery scans the admitted subset — still an id-order
-        // subsequence of `kept`, so the degenerate config reproduces
-        // the fixed grid byte-for-byte. Disabled: `kept` scans whole.
-        let (targets, sched_plan) = if self.cfg.sched.enabled {
-            let (t, p) = self.schedule_targets(day, &kept, &aliased_now);
-            (t, Some(p))
-        } else {
-            (kept, None)
-        };
+    /// Stage 3, probe scheduling. Enabled: the scheduler plans the day
+    /// (budget, caps, splits) and the battery scans the admitted subset
+    /// — still an id-order subsequence of `kept`, so the degenerate
+    /// config reproduces the fixed grid byte-for-byte. Disabled: `kept`
+    /// scans whole.
+    fn schedule_targets(
+        &mut self,
+        day: u16,
+        kept: Vec<Ipv6Addr>,
+        aliased_now: &[Prefix],
+    ) -> (Vec<Ipv6Addr>, Option<SchedPlan>) {
+        if !self.cfg.sched.enabled {
+            return (kept, None);
+        }
+        let (groups, demands) = sched_demands(&kept);
+        let mut plan = self.sched_plan(day, &demands, aliased_now);
+        let targets = sched_admit(day, &kept, &groups, &mut plan);
+        (targets, Some(plan))
+    }
 
-        // ---- scamper: learn router addresses -------------------------
-        // Scheduled follow-up traces (suspect confirmation) take the
-        // head of the trace budget; the remainder subsamples today's
-        // battery targets exactly as the fixed path always has.
-        let trace_targets: Vec<Ipv6Addr> = if let Some(plan) = &sched_plan {
-            let mut tt = plan.trace_targets();
-            tt.truncate(self.cfg.trace_budget);
-            let seen: BTreeSet<Ipv6Addr> = tt.iter().copied().collect();
-            let room = self.cfg.trace_budget - tt.len();
-            tt.extend(
-                targets
-                    .iter()
-                    .copied()
-                    .filter(|a| !seen.contains(a))
-                    .take(room),
-            );
-            tt
-        } else {
+    /// Scheduling step 2 of 3: plan the day's demands against the
+    /// budget. The hot set (nearly-aliased, not yet classified) is the
+    /// suspect signal; APD verdicts are today's aliased list.
+    fn sched_plan(
+        &mut self,
+        day: u16,
+        demands: &[PrefixDemand],
+        aliased_now: &[Prefix],
+    ) -> SchedPlan {
+        let suspects: Vec<Prefix> = self.hot_prefixes.iter().copied().collect();
+        self.sched
+            .plan_day(&self.cfg.sched, day, demands, aliased_now, &suspects)
+    }
+
+    /// Stage 4, scamper: trace a budgeted subsample and add the routers
+    /// it learns to the hitlist. Scheduled follow-up traces (suspect
+    /// confirmation) take the head of the trace budget; the remainder
+    /// subsamples today's battery targets. Returns the routers found
+    /// and the probes sent.
+    fn trace_routers(
+        &mut self,
+        day: u16,
+        targets: &[Ipv6Addr],
+        sched_plan: Option<&SchedPlan>,
+    ) -> (usize, u64) {
+        let budget = self.cfg.trace_budget;
+        let mut trace_targets = sched_plan.map_or_else(Vec::new, SchedPlan::trace_targets);
+        trace_targets.truncate(budget);
+        let seen: BTreeSet<Ipv6Addr> = trace_targets.iter().copied().collect();
+        let room = budget - trace_targets.len();
+        trace_targets.extend(
             targets
                 .iter()
                 .copied()
-                .take(self.cfg.trace_budget)
-                .collect()
+                .filter(|a| !seen.contains(a))
+                .take(room),
+        );
+        let cfg = TraceConfig {
+            src: self.cfg.scan.src,
+            seed: self.cfg.scan.seed ^ 0x7ace,
+            ..TraceConfig::default()
         };
-        let routers = {
-            let mut tracer = Tracer::new(
-                self.scanner.network_mut(),
-                TraceConfig {
-                    src: self.cfg.scan.src,
-                    seed: self.cfg.scan.seed ^ 0x7ace,
-                    ..TraceConfig::default()
-                },
-            );
-            let harvest = tracer.harvest(&trace_targets);
-            probes += harvest.probes_sent;
-            harvest.routers
-        };
-        let routers_found = routers.len();
-        self.hitlist.add_from(SourceId::Scamper, &routers, day);
+        let harvest = Tracer::new(self.scanner.network_mut(), cfg).harvest(&trace_targets);
+        self.hitlist
+            .add_from(SourceId::Scamper, &harvest.routers, day);
+        (harvest.routers.len(), harvest.probes_sent)
+    }
 
-        // ---- responsiveness battery ----------------------------------
-        // Responders resolve to hitlist ids *during* the merge (battery
-        // targets are live members, so every responder resolves), so
-        // the day pass below is a zip instead of a per-responder hash
-        // lookup.
-        let battery = standard_battery();
-        let threads = expanse_addr::worker_threads();
+    /// Stage 5, the responsiveness battery over `targets`. Responders
+    /// resolve to hitlist ids *during* the merge (battery targets are
+    /// live members, so every responder resolves), so the day pass is a
+    /// zip instead of a per-responder lookup. Returns the merged result
+    /// and its canonical digest.
+    fn probe_battery(&mut self, targets: &[Ipv6Addr]) -> (MultiScanResult, u64) {
         let hl = &self.hitlist;
-        let mut multi: MultiScanResult =
-            self.scanner
-                .scan_battery_resolved(&targets, &battery, &mut |a| {
-                    // Scan targets were drawn from the hitlist above.
-                    #[allow(clippy::expect_used)]
-                    let id = hl.id_of(a).expect("responder not in hitlist");
-                    id
-                });
-        probes += multi.total_sent();
-        let battery_digest = multi.digest();
+        let multi = self
+            .scanner
+            .scan_battery_resolved(targets, &standard_battery(), &mut |a| {
+                // Scan targets were drawn from the hitlist above.
+                #[allow(clippy::expect_used)]
+                let id = hl.id_of(a).expect("responder not in hitlist");
+                id
+            });
+        let digest = multi.digest();
+        (multi, digest)
+    }
 
-        // ---- ledger: one dense id pass over the day's responders -----
-        // Sorted by id for the ledger's merge-joins; ids are distinct
-        // (one per responder), so the parallel sort is deterministic.
+    /// Stage 6, the day pass: one dense id run over the day's
+    /// responders, written to the ledger and the hitlist's
+    /// responsiveness columns. Sorted by id for the ledger's
+    /// merge-joins; ids are distinct (one per responder), so the
+    /// parallel sort is deterministic.
+    fn record_day_pass(&mut self, day: u16, multi: &MultiScanResult) -> Vec<(AddrId, ProtoSet)> {
+        let threads = expanse_addr::worker_threads();
         let mut day_pass: Vec<(AddrId, ProtoSet)> = multi.resolved_pairs().collect();
         expanse_addr::par::par_sort_by_key(&mut day_pass, threads, |&(id, _)| id);
         self.ledger
             .record_day_threads(day, &day_pass, &self.hitlist, threads);
         self.hitlist.mark_responsive_batch(day, &day_pass, threads);
+        day_pass
+    }
 
-        // ---- discovery-cost accounting -------------------------------
-        // Per covering /48: battery slots spent today and responders
-        // credited to them. The hitlist's `probes_spent` counters make
-        // yield-per-probe computable on both the fixed and scheduled
-        // paths; the scheduler additionally folds the outcomes back
-        // into its queue when it planned the day.
+    /// Stage 7, discovery-cost accounting. Per covering /48: battery
+    /// slots spent today and responders credited to them. The hitlist's
+    /// `probes_spent` counters make yield-per-probe computable on both
+    /// the fixed and scheduled paths; the scheduler additionally folds
+    /// the outcomes back into its queue when it planned the day.
+    fn account_probes(&mut self, day: u16, targets: &[Ipv6Addr], day_pass: &[(AddrId, ProtoSet)]) {
         // One `(covering /48 bits, is a responder)` mark per target and
         // per responder, sorted: each /48 is then one run.
         let net_mask = expanse_addr::prefix::mask(SCHED_PREFIX_LEN);
@@ -415,128 +537,18 @@ impl Pipeline {
         if self.cfg.sched.enabled {
             self.sched.record_day(day, &outcomes);
         }
+    }
 
-        // ---- retention: expire long-unresponsive members -------------
-        // Runs after today's responses are recorded, so an address that
-        // answered today can never expire today.
-        let expired_today = match self.cfg.retention.window {
+    /// Stage 8, retention: expire long-unresponsive members. Runs after
+    /// today's responses are recorded, so an address that answered today
+    /// can never expire today. Returns the members expired.
+    fn expire_members(&mut self, day: u16) -> usize {
+        match self.cfg.retention.window {
             Some(window) if day.is_multiple_of(self.cfg.retention.every.max(1)) => {
                 self.hitlist.expire_unresponsive(day, window)
             }
             _ => 0,
-        };
-
-        let snapshot = DailySnapshot {
-            day,
-            hitlist_total: self.hitlist.len(),
-            hitlist_after_apd: kept_len,
-            aliased_prefixes: aliased_now,
-            // The snapshot takes the merged responsive map over; the
-            // returned MultiScanResult keeps the per-protocol results
-            // (its own responsive map is left empty).
-            responsive: multi.take_responsive(),
-            routers_found,
-            expired_today,
-            probes_sent: probes,
-            battery_digest,
-        };
-        self.day += 1;
-        // Take/call/put-back so the hook can read `&self` (it observes
-        // the post-day pipeline) while being stored inside it.
-        if let Some(mut hook) = self.day_end_hook.take() {
-            hook(self, &snapshot);
-            self.day_end_hook = Some(hook);
         }
-        (snapshot, multi)
-    }
-
-    /// Build the day's battery target list through the scheduler.
-    ///
-    /// Groups the kept members by covering /48, builds one
-    /// [`PrefixDemand`] per group (candidate count + a bounded sorted
-    /// sample for the entropy fingerprint and follow-up traces), plans
-    /// the day against the budget, then admits members against the
-    /// per-prefix quotas. Capped prefixes rotate deterministically: the
-    /// admission window's start offset advances by `quota` positions
-    /// per day, so a /48 held under its cap cycles through *all* its
-    /// members across days instead of re-probing the same head.
-    ///
-    /// The returned list is an id-order subsequence of `kept`; with the
-    /// degenerate config every member is admitted and the list *is*
-    /// `kept`, which is what makes the scheduled and fixed paths
-    /// byte-identical there.
-    fn schedule_targets(
-        &mut self,
-        day: u16,
-        kept: &[Ipv6Addr],
-        aliased_now: &[Prefix],
-    ) -> (Vec<Ipv6Addr>, SchedPlan) {
-        let mut groups: BTreeMap<Prefix, Vec<Ipv6Addr>> = BTreeMap::new();
-        for &a in kept {
-            groups
-                .entry(Prefix::new(a, SCHED_PREFIX_LEN))
-                .or_default()
-                .push(a);
-        }
-        let demands: Vec<PrefixDemand> = groups
-            .iter()
-            .map(|(&net, members)| {
-                let mut sample: Vec<Ipv6Addr> =
-                    members.iter().copied().take(MAX_DEMAND_SAMPLE).collect();
-                sample.sort_unstable();
-                PrefixDemand {
-                    net,
-                    candidates: members.len() as u64,
-                    sample,
-                }
-            })
-            .collect();
-        // The hot set (nearly-aliased, not yet classified) is the
-        // suspect signal; APD verdicts are today's aliased list.
-        let suspects: Vec<Prefix> = self.hot_prefixes.iter().copied().collect();
-        let mut plan = self
-            .sched
-            .plan_day(&self.cfg.sched, day, &demands, aliased_now, &suspects);
-
-        // Admission: regroup members under their quota key (/52 child
-        // when the /48 was split, the /48 itself otherwise), then admit
-        // a rotated window of each group. Id order within groups.
-        let mut qgroups: BTreeMap<Prefix, Vec<Ipv6Addr>> = BTreeMap::new();
-        for (&net, members) in &groups {
-            for &a in members {
-                let p52 = Prefix::new(a, SPLIT_PREFIX_LEN);
-                let key = if plan.quotas.contains_key(&p52) {
-                    p52
-                } else {
-                    net
-                };
-                qgroups.entry(key).or_default().push(a);
-            }
-        }
-        let mut selected: BTreeSet<Ipv6Addr> = BTreeSet::new();
-        for (key, members) in &qgroups {
-            let Some(&quota) = plan.quotas.get(key) else {
-                continue;
-            };
-            let m = members.len();
-            let q = quota.min(m as u64) as usize;
-            if q == 0 {
-                continue;
-            }
-            let start = if q >= m { 0 } else { (day as usize * q) % m };
-            for i in 0..q {
-                let a = members[(start + i) % m];
-                if plan.admit(a) {
-                    selected.insert(a);
-                }
-            }
-        }
-        let targets: Vec<Ipv6Addr> = kept
-            .iter()
-            .copied()
-            .filter(|a| selected.contains(a))
-            .collect();
-        (targets, plan)
     }
 
     /// Current probing day (next `run_day` uses this).
@@ -698,9 +710,94 @@ impl Pipeline {
             day: st.day,
             synced_day: st.day,
             day_end_hook: None,
+            last_report: StageReport::default(),
         };
         Ok((p, replay))
     }
+}
+
+/// The kept members grouped by covering /48, id order within a group.
+type Groups = BTreeMap<Prefix, Vec<Ipv6Addr>>;
+
+/// Scheduling step 1 of 3: group the kept members by covering /48 and
+/// build one [`PrefixDemand`] per group (candidate count + a bounded
+/// sorted sample for the entropy fingerprint and follow-up traces).
+fn sched_demands(kept: &[Ipv6Addr]) -> (Groups, Vec<PrefixDemand>) {
+    let mut groups = Groups::new();
+    for &a in kept {
+        groups
+            .entry(Prefix::new(a, SCHED_PREFIX_LEN))
+            .or_default()
+            .push(a);
+    }
+    let demands = groups
+        .iter()
+        .map(|(&net, members)| {
+            let mut sample: Vec<Ipv6Addr> =
+                members.iter().copied().take(MAX_DEMAND_SAMPLE).collect();
+            sample.sort_unstable();
+            PrefixDemand {
+                net,
+                candidates: members.len() as u64,
+                sample,
+            }
+        })
+        .collect();
+    (groups, demands)
+}
+
+/// Scheduling step 3 of 3: admit members against the plan's per-prefix
+/// quotas. Members regroup under their quota key (/52 child when the
+/// /48 was split, the /48 itself otherwise) and a rotated window of
+/// each group is admitted: the window's start offset advances by
+/// `quota` positions per day, so a /48 held under its cap cycles
+/// through *all* its members across days instead of re-probing the
+/// same head.
+///
+/// The returned list is an id-order subsequence of `kept`; with the
+/// degenerate config every member is admitted and the list *is*
+/// `kept`, which is what makes the scheduled and fixed paths
+/// byte-identical there.
+fn sched_admit(
+    day: u16,
+    kept: &[Ipv6Addr],
+    groups: &Groups,
+    plan: &mut SchedPlan,
+) -> Vec<Ipv6Addr> {
+    let mut qgroups = Groups::new();
+    for (&net, members) in groups {
+        for &a in members {
+            let p52 = Prefix::new(a, SPLIT_PREFIX_LEN);
+            let key = if plan.quotas.contains_key(&p52) {
+                p52
+            } else {
+                net
+            };
+            qgroups.entry(key).or_default().push(a);
+        }
+    }
+    let mut selected: BTreeSet<Ipv6Addr> = BTreeSet::new();
+    for (key, members) in &qgroups {
+        let Some(&quota) = plan.quotas.get(key) else {
+            continue;
+        };
+        let m = members.len();
+        let q = quota.min(m as u64) as usize;
+        if q == 0 {
+            continue;
+        }
+        let start = if q >= m { 0 } else { (day as usize * q) % m };
+        for i in 0..q {
+            let a = members[(start + i) % m];
+            if plan.admit(a) {
+                selected.insert(a);
+            }
+        }
+    }
+    kept.iter()
+        .copied()
+        .filter(|a| selected.contains(a))
+        .collect()
 }
 
 /// The pipeline's journaled persistent state, decoupled from the

@@ -1,11 +1,11 @@
 //! A synthetic IPv6 Internet for measurement-system experiments.
 //!
 //! This crate is the substitute substrate for the paper's real-world
-//! vantage (see `DESIGN.md` §1): a deterministic, generative model of
-//! autonomous systems, BGP announcements, addressing schemes, live hosts
-//! with TCP/IP personalities, aliased CDN prefixes, lossy and
-//! rate-limited corners, hitlist sources, an rDNS tree, and crowdsourcing
-//! panels.
+//! vantage (see the crate map in `ARCHITECTURE.md`): a deterministic,
+//! generative model of autonomous systems, BGP announcements, addressing
+//! schemes, live hosts with TCP/IP personalities, aliased CDN prefixes,
+//! lossy and rate-limited corners, hitlist sources, an rDNS tree, and
+//! crowdsourcing panels.
 //!
 //! The model implements [`expanse_netsim::Network`]: probers inject raw
 //! IPv6 frames and receive raw reply frames, exactly as they would from a

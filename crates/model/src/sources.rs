@@ -6,7 +6,6 @@
 //! lists; `addrs_on_day(d)` returns the cumulative prefix of the list.
 
 use crate::ids::AsCategory;
-use crate::population::Population;
 use crate::InternetModel;
 use expanse_addr::fanout::splitmix64;
 use expanse_addr::{AddrTable, Prefix};
@@ -336,12 +335,6 @@ pub fn build_sources(model: &InternetModel) -> Vec<Source> {
         out.push(Source { id, pool, growth });
     }
     out
-}
-
-/// A rough upper bound on how many addresses `build_sources` will emit —
-/// used by capacity planners in the bench harness.
-pub fn expected_total(pop: &Population) -> usize {
-    pop.alias_pool.len() + pop.pool_size()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! Internet, plus composable wrappers (fault injection, tracing).
 
 use crate::loss::KeyedLoss;
-use crate::time::{Duration, Time};
+use crate::time::Time;
 use expanse_addr::fanout::splitmix64;
 use std::net::Ipv6Addr;
 
@@ -97,7 +97,6 @@ pub struct FaultInjector<N> {
     inner: N,
     drop: KeyedLoss,
     corrupt: KeyedLoss,
-    extra_delay: Duration,
     counter: u64,
 }
 
@@ -108,15 +107,8 @@ impl<N: Network> FaultInjector<N> {
             inner,
             drop: KeyedLoss::new(splitmix64(seed ^ 0xd0d0), drop_chance),
             corrupt: KeyedLoss::new(splitmix64(seed ^ 0xc0c0), corrupt_chance),
-            extra_delay: Duration::ZERO,
             counter: 0,
         }
-    }
-
-    /// Add a fixed extra delay to every delivery.
-    pub fn with_extra_delay(mut self, d: Duration) -> Self {
-        self.extra_delay = d;
-        self
     }
 
     fn frame_key(&mut self, frame: &[u8]) -> u64 {
@@ -157,7 +149,7 @@ impl<N: Network> Network for FaultInjector<N> {
             if self.drop.drops(rkey) {
                 continue;
             }
-            out.push(Delivery::new(d.at + self.extra_delay, d.frame));
+            out.push(d);
         }
         out
     }
@@ -278,6 +270,7 @@ impl<N: Network> Network for TraceRecorder<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Duration;
     use expanse_packet::{Datagram, Icmpv6Message};
 
     /// A toy network: echoes every ICMPv6 echo request after 1 ms.

@@ -219,13 +219,6 @@ impl SnapshotView {
         self.table.lookup(addr).map(|id| self.record(id))
     }
 
-    /// All member ids under `prefix` (live and tombstoned), as an
-    /// [`AddrSet`] ready for set algebra. Two binary searches over the
-    /// sorted permutation — no scan.
-    pub fn in_prefix(&self, prefix: Prefix) -> AddrSet {
-        self.sorted.range_set(&self.table, prefix)
-    }
-
     /// Aggregate statistics, scoped to `prefix` if given.
     pub fn stats(&self, prefix: Option<Prefix>) -> ViewStats {
         let mut s = ViewStats::default();

@@ -178,10 +178,10 @@ fn run(args: &[String]) -> Result<(), String> {
         p.on_day_end(Box::new(move |p, snap| {
             let epoch = reg.publish(SnapshotView::publish(p));
             println!(
-                "day {} complete: epoch {epoch} published ({} members, {} responsive)",
+                "day {} complete: epoch {epoch} published ({} members) {:?}",
                 snap.day,
                 snap.hitlist_total,
-                snap.responsive.len()
+                p.last_report()
             );
         }));
         std::thread::spawn(move || {

@@ -27,10 +27,10 @@
 //! `--shards` — and each job runs against its own snapshot of the
 //! network starting from the same virtual instant. Because the
 //! decomposition is fixed by [`Fanout`] (not by the executing thread
-//! count), a worker pool ([`Scanner::scan_battery_parallel`]) and a
-//! sequential loop ([`Scanner::scan_battery_serial`]) produce
-//! **identical** [`MultiScanResult`]s; `tests/fanout_determinism.rs`
-//! in `expanse-core` holds that guarantee.
+//! count), a worker pool and a sequential loop ([`Fanout::parallel`]
+//! picks) produce **identical** [`MultiScanResult`]s;
+//! `tests/fanout_determinism.rs` in `expanse-core` holds that
+//! guarantee.
 //!
 //! The price of independence is deliberate: destination-side middlebox
 //! state (ICMP token buckets, SYN-proxy counters) is *private per job*,
@@ -405,19 +405,16 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
 
     /// Run the paper's whole §6 battery over `targets`: one pass per
     /// protocol, each split into [`Fanout::shards_per_protocol`]
-    /// sub-shards, merged per-address. Dispatches to the parallel or
-    /// serial executor per `cfg.fanout.parallel`; both produce identical
-    /// results for the same configuration.
+    /// sub-shards, merged per-address. The worker pool or the one-thread
+    /// walk executes the grid per `cfg.fanout.parallel`; both produce
+    /// identical results for the same configuration.
     pub fn scan_battery(
         &mut self,
         targets: &[Ipv6Addr],
         modules: &[Box<dyn ProbeModule>],
     ) -> MultiScanResult {
-        if self.cfg.fanout.parallel {
-            self.scan_battery_parallel(targets, modules)
-        } else {
-            self.scan_battery_serial(targets, modules)
-        }
+        let cells = self.battery_cells(targets, modules);
+        self.merge_battery(modules, cells, None)
     }
 
     /// [`Scanner::scan_battery`], resolving each responsive address to a
@@ -433,26 +430,26 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         modules: &[Box<dyn ProbeModule>],
         resolve: &mut dyn FnMut(Ipv6Addr) -> expanse_addr::AddrId,
     ) -> MultiScanResult {
-        let cells = if self.cfg.fanout.parallel {
-            self.battery_cells_parallel(targets, modules)
-        } else {
-            self.battery_cells_serial(targets, modules)
-        };
+        let cells = self.battery_cells(targets, modules);
         self.merge_battery(modules, cells, Some(resolve))
     }
 
-    /// The battery grid, walked by one thread. Reference executor for
-    /// determinism checks and single-core baselines.
-    pub fn scan_battery_serial(
+    /// The battery grid's cells, from the executor `cfg.fanout.parallel`
+    /// names.
+    fn battery_cells(
         &mut self,
         targets: &[Ipv6Addr],
         modules: &[Box<dyn ProbeModule>],
-    ) -> MultiScanResult {
-        let cells = self.battery_cells_serial(targets, modules);
-        self.merge_battery(modules, cells, None)
+    ) -> Vec<Option<(ScanResult, Time)>> {
+        if self.cfg.fanout.parallel {
+            self.battery_cells_parallel(targets, modules)
+        } else {
+            self.battery_cells_serial(targets, modules)
+        }
     }
 
-    /// One-thread executor for the battery grid's cells.
+    /// One-thread executor for the battery grid's cells: the reference
+    /// the determinism checks compare the pool against.
     fn battery_cells_serial(
         &mut self,
         targets: &[Ipv6Addr],
@@ -475,20 +472,10 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         cells
     }
 
-    /// The battery grid, walked by a worker pool sized by
+    /// Worker-pool executor for the battery grid's cells, sized by
     /// [`expanse_addr::worker_threads`] (the `EXPANSE_THREADS` knob).
     /// Each worker claims cells off a shared counter; every cell clones
     /// the network snapshot, so execution order cannot influence results.
-    pub fn scan_battery_parallel(
-        &mut self,
-        targets: &[Ipv6Addr],
-        modules: &[Box<dyn ProbeModule>],
-    ) -> MultiScanResult {
-        let cells = self.battery_cells_parallel(targets, modules);
-        self.merge_battery(modules, cells, None)
-    }
-
-    /// Worker-pool executor for the battery grid's cells.
     fn battery_cells_parallel(
         &mut self,
         targets: &[Ipv6Addr],

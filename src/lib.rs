@@ -21,8 +21,9 @@
 //! - [`serve`]: the concurrent query engine over epoch-swapped
 //!   snapshot views
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
+//! See `ARCHITECTURE.md` for the system inventory; the `experiments`
+//! binary (`expanse-bench`) prints every table and figure next to the
+//! paper's reported values.
 
 pub use expanse_addr as addr;
 pub use expanse_apd as apd;
