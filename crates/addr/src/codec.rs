@@ -63,10 +63,14 @@ use std::io::{self, Read, Write};
 /// Current snapshot format version, shared by every envelope this
 /// workspace writes. Version 2 added the hitlist's per-address
 /// last-responsive protocol column; version 3 added the hitlist's
-/// per-prefix probe-spend counters and the scheduler section (see
-/// `docs/SNAPSHOT_FORMAT.md`). Older journals are regenerated by
+/// per-prefix probe-spend counters and the scheduler section; version
+/// 4 left every base payload as it was and re-coded the journal's delta
+/// sections to carry what changed — [`Encoder::put_varint`] counts,
+/// front-coded [`PrefixRun`]s, gap-coded id runs
+/// ([`write_set_gaps`]) and APD day bitmaps instead of whole windows
+/// (see `docs/SNAPSHOT_FORMAT.md`). Older journals are regenerated by
 /// re-running, not migrated.
-pub const CODEC_VERSION: u16 = 3;
+pub const CODEC_VERSION: u16 = 4;
 
 /// Envelope magic for a standalone [`AddrTable`] snapshot.
 pub const TABLE_MAGIC: [u8; 8] = *b"EXPADDRT";
@@ -238,12 +242,32 @@ impl<W: Write> Encoder<W> {
         self.put_u64(n as u64)
     }
 
+    /// Write a `u64` as a LEB128 `varint`: seven value bits per byte,
+    /// least significant group first, the high bit set on every byte
+    /// but the last. This writer only ever emits the shortest form,
+    /// which is the only one [`Decoder::get_varint`] accepts.
+    pub fn put_varint(&mut self, mut v: u64) -> Result<(), CodecError> {
+        while v >= 0x80 {
+            self.put_u8((v & 0x7f) as u8 | 0x80)?;
+            v >>= 7;
+        }
+        self.put_u8(v as u8)
+    }
+
     /// Seal the envelope: append the checksum and hand the writer back.
     pub fn finish(mut self) -> Result<W, CodecError> {
         let h = self.hash;
         self.w.write_all(&h.to_le_bytes())?;
         Ok(self.w)
     }
+}
+
+/// A decoded collection length, unless it is beyond [`MAX_LEN`].
+fn plausible_len(n: u64) -> Result<usize, CodecError> {
+    if n > MAX_LEN {
+        return Err(CodecError::Corrupt("implausible length prefix"));
+    }
+    Ok(n as usize)
 }
 
 /// Checksummed little-endian reader mirroring [`Encoder`].
@@ -340,11 +364,36 @@ impl<R: Read> Decoder<R> {
 
     /// Read a collection length prefix, rejecting implausible values.
     pub fn get_len(&mut self) -> Result<usize, CodecError> {
-        let n = self.get_u64()?;
-        if n > MAX_LEN {
-            return Err(CodecError::Corrupt("implausible length prefix"));
+        plausible_len(self.get_u64()?)
+    }
+
+    /// Read a `varint` written by [`Encoder::put_varint`]. The encoding
+    /// is canonical: more than ten bytes, a tenth byte carrying bits
+    /// beyond `u64`, and a non-minimal form (a trailing zero group) are
+    /// all corruption.
+    pub fn get_varint(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.get_u8()?;
+            let group = u64::from(b & 0x7f);
+            if shift == 63 && group > 1 {
+                return Err(CodecError::Corrupt("varint overflows u64"));
+            }
+            v |= group << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift != 0 {
+                    return Err(CodecError::Corrupt("varint not minimal"));
+                }
+                return Ok(v);
+            }
         }
-        Ok(n as usize)
+        Err(CodecError::Corrupt("varint longer than ten bytes"))
+    }
+
+    /// Read a collection length written as a `varint`, with the same
+    /// plausibility bound as [`Decoder::get_len`].
+    pub fn get_varint_len(&mut self) -> Result<usize, CodecError> {
+        plausible_len(self.get_varint()?)
     }
 
     /// How much to `Vec::reserve` for a decoded collection of `n`
@@ -473,6 +522,131 @@ pub fn read_prefix<R: Read>(dec: &mut Decoder<R>) -> Result<Prefix, CodecError> 
 }
 
 // ---- delta codec -----------------------------------------------------
+
+/// Write an [`AddrSet`] as a gap-coded id run: `count` as a varint,
+/// the first id as a varint, then `gap − 1` to each next id as a
+/// varint. Strictly increasing ids make every gap ≥ 1, so a dense run —
+/// a day's responders — costs about a byte an id.
+pub fn write_set_gaps<W: Write>(enc: &mut Encoder<W>, s: &AddrSet) -> Result<(), CodecError> {
+    enc.put_varint(s.len() as u64)?;
+    let mut floor = 0u64;
+    for id in s.iter() {
+        let v = id.index() as u64;
+        enc.put_varint(v - floor)?;
+        floor = v + 1;
+    }
+    Ok(())
+}
+
+/// Read an [`AddrSet`] written by [`write_set_gaps`]. Ids come out
+/// strictly increasing by construction; one at or past the handle
+/// range (`0xffff_ffff`, as in [`read_set`]) is corruption.
+pub fn read_set_gaps<R: Read>(dec: &mut Decoder<R>) -> Result<AddrSet, CodecError> {
+    let n = dec.get_varint_len()?;
+    let mut ids = Vec::with_capacity(Decoder::<R>::reserve_hint(n));
+    let mut floor = 0u64;
+    for _ in 0..n {
+        let v = floor
+            .checked_add(dec.get_varint()?)
+            .filter(|&v| v < u64::from(u32::MAX))
+            .ok_or(CodecError::Corrupt("set id out of handle range"))?;
+        ids.push(AddrId::from_index(v as usize));
+        floor = v + 1;
+    }
+    Ok(AddrSet::from_sorted(ids))
+}
+
+/// Bytes of a prefix's bits that its length makes significant.
+fn significant_bytes(len: u8) -> usize {
+    usize::from(len).div_ceil(8)
+}
+
+/// Front coding over a strictly ascending run of [`Prefix`]es: each is
+/// `len (u8) · shared (u8) · tail`, where `shared` counts the leading
+/// bytes of its big-endian bits it has in common with the previous
+/// prefix and `tail` is the rest of its `⌈len / 8⌉` significant bytes.
+/// Sorted /48s and /64s differ in their last byte or two, so a prefix
+/// costs 3–4 bytes instead of [`write_prefix`]'s 17.
+///
+/// One value carries the run's state on either side — a fresh one per
+/// run — so callers can interleave each prefix with its own payload.
+/// Order is checked on both sides; the reader also keeps
+/// [`read_prefix`]'s range and host-bit checks.
+#[derive(Debug, Default)]
+pub struct PrefixRun {
+    prev: Option<Prefix>,
+}
+
+impl PrefixRun {
+    /// Start a run.
+    pub fn new() -> Self {
+        PrefixRun::default()
+    }
+
+    /// Refuse a prefix that does not sort strictly after the last one.
+    fn advance(&mut self, p: Prefix) -> Result<(), CodecError> {
+        if self.prev.is_some_and(|q| q >= p) {
+            return Err(CodecError::Corrupt("prefix run not strictly sorted"));
+        }
+        self.prev = Some(p);
+        Ok(())
+    }
+
+    /// The previous prefix's big-endian bits and how many of those
+    /// bytes are significant (none before the first prefix).
+    fn held(&self) -> ([u8; 16], usize) {
+        self.prev.map_or(([0; 16], 0), |q| {
+            (q.bits().to_be_bytes(), significant_bytes(q.len()))
+        })
+    }
+
+    /// Write the next prefix of the run, sharing as many leading bytes
+    /// with the previous one as both hold.
+    pub fn write<W: Write>(&mut self, enc: &mut Encoder<W>, p: Prefix) -> Result<(), CodecError> {
+        let (prev, held) = self.held();
+        self.advance(p)?;
+        let bytes = p.bits().to_be_bytes();
+        let n = significant_bytes(p.len());
+        let shared = bytes
+            .iter()
+            .zip(&prev)
+            .take(n.min(held))
+            .take_while(|(a, b)| a == b)
+            .count();
+        enc.put_u8(p.len())?;
+        enc.put_u8(shared as u8)?;
+        enc.put_bytes(bytes.get(shared..n).unwrap_or_default())
+    }
+
+    /// Read the next prefix of the run.
+    pub fn read<R: Read>(&mut self, dec: &mut Decoder<R>) -> Result<Prefix, CodecError> {
+        let len = dec.get_u8()?;
+        if len > 128 {
+            return Err(CodecError::Corrupt("prefix length out of range"));
+        }
+        let shared = usize::from(dec.get_u8()?);
+        let n = significant_bytes(len);
+        let (mut bytes, held) = self.held();
+        let tail = match bytes.get_mut(shared..n) {
+            Some(tail) if shared <= held => tail,
+            _ => {
+                return Err(CodecError::Corrupt(
+                    "prefix run shares more bytes than its neighbours hold",
+                ))
+            }
+        };
+        dec.fill(tail)?;
+        // Whatever the previous prefix held past this one's length.
+        bytes.iter_mut().skip(n).for_each(|b| *b = 0);
+        let bits = u128::from_be_bytes(bytes);
+        if bits & !mask(len) != 0 {
+            return Err(CodecError::Corrupt("prefix has host bits set"));
+        }
+        let p = Prefix::from_bits(bits, len);
+        self.advance(p)?;
+        Ok(p)
+    }
+}
 
 /// Write the tail of an [`AddrTable`]: every address interned after the
 /// first `from` entries, prefixed by `from` itself so the reader can

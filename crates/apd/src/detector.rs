@@ -11,7 +11,7 @@ use expanse_addr::{fanout16, Prefix};
 use expanse_netsim::SnapshotNetwork;
 use expanse_zmap6::module::{IcmpEchoModule, TcpSynModule};
 use expanse_zmap6::{ProbeReply, Scanner};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 /// Detector configuration.
@@ -103,9 +103,12 @@ pub struct Apd {
     /// Sliding-window state per prefix, in prefix order.
     pub windows: BTreeMap<Prefix, WindowState>,
     /// Prefixes whose window state changed since the last journal sync
-    /// point (see [`Apd::mark_synced`] in [`crate::persist`]); kept
-    /// sorted so delta frames are written in deterministic order.
-    pub(crate) dirty: BTreeSet<Prefix>,
+    /// point (see [`Apd::mark_synced`] in [`crate::persist`]), each with
+    /// the number of days pushed into its window since then — what the
+    /// next delta frame replays. Sorted, so frames are written in
+    /// deterministic order; never larger than `windows`, so a run that
+    /// never syncs does not grow it without bound.
+    pub(crate) dirty: BTreeMap<Prefix, u32>,
 }
 
 impl Apd {
@@ -114,7 +117,7 @@ impl Apd {
         Apd {
             cfg,
             windows: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            dirty: BTreeMap::new(),
         }
     }
 
@@ -190,13 +193,21 @@ impl Apd {
 
         // Update sliding windows.
         for (p, obs) in &report.observations {
-            self.windows
-                .entry(*p)
-                .or_insert_with(|| WindowState::new(self.cfg.window))
-                .push_day(obs.merged());
-            self.dirty.insert(*p);
+            self.push_day(*p, obs.merged());
         }
         report
+    }
+
+    /// Record one day's merged branch bitmap for `p`, opening its
+    /// window on first sight, and count the push towards the next
+    /// journal delta.
+    pub(crate) fn push_day(&mut self, p: Prefix, merged: u16) {
+        self.windows
+            .entry(p)
+            .or_insert_with(|| WindowState::new(self.cfg.window))
+            .push_day(merged);
+        let pushes = self.dirty.entry(p).or_insert(0);
+        *pushes = pushes.saturating_add(1);
     }
 
     /// Current windowed classification: prefixes whose branches have all

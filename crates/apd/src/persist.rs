@@ -6,11 +6,16 @@
 //! the day bitmaps it currently holds, the previous classification,
 //! and the flip counter. Prefixes are written in sorted order — the
 //! map's own.
+//!
+//! A journal delta stores less: per touched prefix, the day bitmaps
+//! pushed since the sync point, which the reader feeds through the same
+//! [`WindowState::push_day`] the live detector runs — slide,
+//! classification and flip counter follow from the replay.
 
 use crate::detector::{Apd, ApdConfig};
 use crate::window::WindowState;
-use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use expanse_addr::codec::{self, CodecError, Decoder, Encoder, PrefixRun};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 
 /// Write one prefix's window state (everything but the prefix key).
@@ -28,9 +33,9 @@ fn write_window<W: Write>(enc: &mut Encoder<W>, w: &WindowState) -> Result<(), C
     enc.put_u32(w.flips)
 }
 
-/// Decode one window state written by [`write_window`], validating it
-/// against the detector configuration.
-fn read_window<R: Read>(cfg: &ApdConfig, dec: &mut Decoder<R>) -> Result<WindowState, CodecError> {
+/// Decode a stored window length, validating it against the detector
+/// configuration.
+fn read_window_len<R: Read>(cfg: &ApdConfig, dec: &mut Decoder<R>) -> Result<usize, CodecError> {
     let window = usize::try_from(dec.get_u64()?)
         .map_err(|_| CodecError::Corrupt("window length out of range"))?;
     // Every live WindowState is built with the config's window
@@ -43,6 +48,13 @@ fn read_window<R: Read>(cfg: &ApdConfig, dec: &mut Decoder<R>) -> Result<WindowS
             "snapshot window length disagrees with detector config",
         ));
     }
+    Ok(window)
+}
+
+/// Decode one window state written by [`write_window`], validating it
+/// against the detector configuration.
+fn read_window<R: Read>(cfg: &ApdConfig, dec: &mut Decoder<R>) -> Result<WindowState, CodecError> {
+    let window = read_window_len(cfg, dec)?;
     let held = dec.get_len()?;
     // Saturating guard: a corrupted `window` near usize::MAX
     // must reject as corruption, not overflow the `+ 1`; and
@@ -108,7 +120,7 @@ impl Apd {
             cfg,
             windows,
             // A freshly decoded snapshot is by definition a sync point.
-            dirty: BTreeSet::new(),
+            dirty: BTreeMap::new(),
         })
     }
 
@@ -123,36 +135,77 @@ impl Apd {
         self.dirty.len()
     }
 
-    /// Serialize every window touched since the last sync point into an
-    /// open delta frame. Windows are never removed, so rewriting the
-    /// touched entries (sorted, full state each — a window is ≤
-    /// `window + 1` small bitmaps) is the complete difference.
+    /// Serialize what happened to every window touched since the last
+    /// sync point into an open delta frame: the window length once,
+    /// then per prefix (sorted, front-coded) the day bitmaps pushed
+    /// since — the tail of the days it holds. Windows are never
+    /// removed, so that is the complete difference. A window pushed
+    /// more often than it holds days has lost some of those bitmaps to
+    /// the slide; it travels as its full state behind a zero push
+    /// count instead, so any number of days between syncs replays
+    /// exactly.
     pub fn encode_delta<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        enc.put_len(self.dirty.len())?;
-        for p in &self.dirty {
-            let w = self
-                .windows
-                .get(p)
-                .expect("dirty prefix lost its window state");
-            codec::write_prefix(enc, *p)?;
-            write_window(enc, w)?;
+        enc.put_u64(self.cfg.window as u64)?;
+        enc.put_varint(self.dirty.len() as u64)?;
+        let mut run = PrefixRun::new();
+        for (p, &pushes) in &self.dirty {
+            let Some(w) = self.windows.get(p) else {
+                return Err(CodecError::Corrupt("dirty prefix lost its window state"));
+            };
+            run.write(enc, *p)?;
+            match w.days.len().checked_sub(pushes as usize) {
+                Some(before) => {
+                    enc.put_varint(u64::from(pushes))?;
+                    for &d in w.days.iter().skip(before) {
+                        enc.put_u16(d)?;
+                    }
+                }
+                None => {
+                    enc.put_varint(0)?;
+                    write_window(enc, w)?;
+                }
+            }
         }
         Ok(())
     }
 
-    /// Apply a delta written by [`Apd::encode_delta`]: upsert each
-    /// carried window. Afterwards this state *is* the new sync point.
+    /// Apply a delta written by [`Apd::encode_delta`]: replay each
+    /// carried push through [`WindowState::push_day`] (opening the
+    /// window of a prefix first seen since the sync point), or adopt a
+    /// full window state where the writer fell back to one. Afterwards
+    /// this state *is* the new sync point.
     pub fn apply_delta<R: Read>(&mut self, dec: &mut Decoder<R>) -> Result<(), CodecError> {
-        let n = dec.get_len()?;
-        let mut prev = None;
+        let window = read_window_len(&self.cfg, dec)?;
+        let holds = window.saturating_add(1);
+        let n = dec.get_varint_len()?;
+        let mut run = PrefixRun::new();
         for _ in 0..n {
-            let p = codec::read_prefix(dec)?;
-            if prev.is_some_and(|q| q >= p) {
-                return Err(CodecError::Corrupt("delta prefixes not strictly sorted"));
+            let p = run.read(dec)?;
+            let pushes = dec.get_varint()?;
+            if pushes == 0 {
+                let w = read_window(&self.cfg, dec)?;
+                // The writer falls back only once more days were
+                // pushed than a window holds, which leaves it full.
+                if w.days.len() != holds {
+                    return Err(CodecError::Corrupt(
+                        "full window entry in a delta is not a full window",
+                    ));
+                }
+                self.windows.insert(p, w);
+                continue;
             }
-            prev = Some(p);
-            let w = read_window(&self.cfg, dec)?;
-            self.windows.insert(p, w);
+            if pushes > holds as u64 {
+                return Err(CodecError::Corrupt(
+                    "delta pushes more days than a window holds",
+                ));
+            }
+            let w = self
+                .windows
+                .entry(p)
+                .or_insert_with(|| WindowState::new(window));
+            for _ in 0..pushes {
+                w.push_day(dec.get_u16()?);
+            }
         }
         self.mark_synced();
         Ok(())
@@ -177,15 +230,8 @@ mod tests {
         // p1 goes partial mid-way; p2 becomes and stays aliased (its
         // half-days merge inside the window).
         for (d1, d2) in [(0xffffu16, 0x00ff), (0x0001, 0xff00), (0xffff, 0x0000)] {
-            let w = cfg.window;
-            apd.windows
-                .entry(p1)
-                .or_insert_with(|| WindowState::new(w))
-                .push_day(d1);
-            apd.windows
-                .entry(p2)
-                .or_insert_with(|| WindowState::new(w))
-                .push_day(d2);
+            apd.push_day(p1, d1);
+            apd.push_day(p2, d2);
         }
 
         let mut buf = Vec::new();
@@ -224,19 +270,23 @@ mod tests {
         back
     }
 
-    /// Push one day into a prefix's window the way `run_day` does,
-    /// dirty tracking included.
-    fn push(apd: &mut Apd, p: Prefix, merged: u16) {
-        let w = apd.cfg.window;
-        apd.windows
-            .entry(p)
-            .or_insert_with(|| WindowState::new(w))
-            .push_day(merged);
-        apd.dirty.insert(p);
+    /// The detector's pending delta as one sealed envelope.
+    fn delta_bytes(apd: &Apd) -> Vec<u8> {
+        let mut delta = Vec::new();
+        let mut enc = Encoder::new(&mut delta, b"APDDTEST", 1).unwrap();
+        apd.encode_delta(&mut enc).unwrap();
+        enc.finish().unwrap();
+        delta
+    }
+
+    fn apply(replica: &mut Apd, delta: &[u8]) -> Result<(), CodecError> {
+        let mut dec = Decoder::new(delta, b"APDDTEST", 1).unwrap();
+        replica.apply_delta(&mut dec)?;
+        dec.finish().map(|_| ())
     }
 
     #[test]
-    fn delta_upserts_only_touched_windows() {
+    fn delta_replays_only_touched_windows() {
         let cfg = ApdConfig {
             window: 3,
             ..ApdConfig::default()
@@ -245,24 +295,22 @@ mod tests {
         let p1: Prefix = "2001:db8:1::/48".parse().unwrap();
         let p2: Prefix = "2001:db8:2::/48".parse().unwrap();
         let p3: Prefix = "2001:db8:3::/48".parse().unwrap();
-        push(&mut apd, p1, 0x00ff);
-        push(&mut apd, p2, 0xffff);
+        apd.push_day(p1, 0x00ff);
+        apd.push_day(p2, 0xffff);
         apd.mark_synced();
         let mut replica = full_roundtrip(&apd);
 
         // One existing window advances, one brand-new prefix appears;
         // p2 is untouched and must not be in the delta.
-        push(&mut apd, p1, 0xff00);
-        push(&mut apd, p3, 0xffff);
+        apd.push_day(p1, 0xff00);
+        apd.push_day(p3, 0xffff);
         assert_eq!(apd.delta_prefixes(), 2);
 
-        let mut delta = Vec::new();
-        let mut enc = Encoder::new(&mut delta, b"APDDTEST", 1).unwrap();
-        apd.encode_delta(&mut enc).unwrap();
-        enc.finish().unwrap();
-        let mut dec = Decoder::new(delta.as_slice(), b"APDDTEST", 1).unwrap();
-        replica.apply_delta(&mut dec).unwrap();
-        dec.finish().unwrap();
+        let delta = delta_bytes(&apd);
+        // Envelope (18) + window + count, then per prefix its front
+        // coding (8, then 3 bytes), a push count and one bitmap.
+        assert_eq!(delta.len(), 18 + 8 + 1 + (8 + 3) + (3 + 3));
+        apply(&mut replica, &delta).unwrap();
 
         assert_eq!(replica.windows, apd.windows);
         assert_eq!(replica.aliased_prefixes(), apd.aliased_prefixes());
@@ -270,17 +318,105 @@ mod tests {
 
         // A delta saved under a different window length is a config
         // mismatch on apply, exactly like the full snapshot path.
-        let mut dec = Decoder::new(delta.as_slice(), b"APDDTEST", 1).unwrap();
         let mut other = Apd::new(ApdConfig {
             window: 5,
             ..cfg.clone()
         });
         assert!(matches!(
-            other.apply_delta(&mut dec),
+            apply(&mut other, &delta),
             Err(CodecError::Corrupt(
                 "snapshot window length disagrees with detector config"
             ))
         ));
+    }
+
+    #[test]
+    fn any_number_of_pushes_between_syncs_replays_exactly() {
+        let cfg = ApdConfig {
+            window: 2,
+            ..ApdConfig::default()
+        };
+        let old: Prefix = "2001:db8:1::/48".parse().unwrap();
+        let new: Prefix = "2001:db8:2::/48".parse().unwrap();
+        // Silence until the aliased days slide out, then a full day:
+        // `last` and `flips` have something to follow inside the gap.
+        let days = [0x0000u16, 0x0000, 0x0000, 0xffff];
+        // 1 push, a full window of them, and one more than it holds —
+        // the last only the full-entry fallback can carry.
+        for gap in [1usize, cfg.window + 1, cfg.window + 2] {
+            let mut apd = Apd::new(cfg.clone());
+            apd.push_day(old, 0x0f0f);
+            apd.push_day(old, 0xffff);
+            apd.mark_synced();
+            let flips_at_sync = apd.windows[&old].flips();
+            let mut replica = full_roundtrip(&apd);
+            for &d in &days[..gap] {
+                apd.push_day(old, d);
+                apd.push_day(new, !d);
+            }
+            let delta = delta_bytes(&apd);
+            apply(&mut replica, &delta).unwrap();
+            assert_eq!(replica.windows, apd.windows, "{gap} pushes between syncs");
+            assert_eq!(apd.windows[&old].flips() > flips_at_sync, gap > 1);
+        }
+    }
+
+    #[test]
+    fn dirty_prefix_without_a_window_is_an_encode_error() {
+        let mut apd = Apd::new(ApdConfig::default());
+        apd.dirty.insert("2001:db8::/48".parse().unwrap(), 1);
+        let mut enc = Encoder::new(Vec::new(), b"APDDTEST", 1).unwrap();
+        assert!(matches!(
+            apd.encode_delta(&mut enc),
+            Err(CodecError::Corrupt("dirty prefix lost its window state"))
+        ));
+    }
+
+    #[test]
+    fn crafted_push_counts_and_short_fallbacks_rejected() {
+        let cfg = ApdConfig::default();
+        let craft = |pushes: u64, body: &dyn Fn(&mut Encoder<&mut Vec<u8>>)| {
+            let mut buf = Vec::new();
+            let mut enc = Encoder::new(&mut buf, b"APDDTEST", 1).unwrap();
+            enc.put_u64(cfg.window as u64).unwrap();
+            enc.put_varint(1).unwrap();
+            PrefixRun::new()
+                .write(&mut enc, "2001:db8::/48".parse().unwrap())
+                .unwrap();
+            enc.put_varint(pushes).unwrap();
+            body(&mut enc);
+            enc.finish().unwrap();
+            buf
+        };
+        // More pushes than a window holds: the bitmaps that slid out
+        // cannot have been carried, so the count is a lie.
+        let over = craft(cfg.window as u64 + 2, &|enc| {
+            for _ in 0..cfg.window + 2 {
+                enc.put_u16(0xffff).unwrap();
+            }
+        });
+        assert!(matches!(
+            apply(&mut Apd::new(cfg.clone()), &over),
+            Err(CodecError::Corrupt(
+                "delta pushes more days than a window holds"
+            ))
+        ));
+        // A fallback entry whose window is not full never needed to be
+        // one.
+        let short = craft(0, &|enc| {
+            let mut w = WindowState::new(cfg.window);
+            w.push_day(0xffff);
+            write_window(enc, &w).unwrap();
+        });
+        assert!(matches!(
+            apply(&mut Apd::new(cfg.clone()), &short),
+            Err(CodecError::Corrupt(
+                "full window entry in a delta is not a full window"
+            ))
+        ));
+        // A huge push count errors on the bound, never loops on it.
+        let huge = craft(u64::MAX, &|_| {});
+        assert!(apply(&mut Apd::new(cfg.clone()), &huge).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! and daily snapshot can key state by id across days, and every daily
 //! pass is a sequential column walk.
 
-use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
+use expanse_addr::codec::{self, CodecError, Decoder, Encoder, PrefixRun};
 use expanse_addr::par::par_chunk_bytes;
 use expanse_addr::{AddrId, AddrSet, AddrTable, Prefix};
 use expanse_model::SourceId;
@@ -109,9 +109,8 @@ fn get_protos<R: Read>(dec: &mut Decoder<R>) -> Result<ProtoSet, CodecError> {
     ProtoSet::from_bits(dec.get_u8()?).ok_or(CodecError::Corrupt("protocol set has unknown bits"))
 }
 
-/// Write a run of `(prefix, cumulative spend)` counters. Shared by the
-/// base snapshot (every counter) and delta records (dirty counters as
-/// absolute-value upserts); callers pass ascending runs.
+/// Write the base snapshot's run of `(prefix, cumulative spend)`
+/// counters, ascending.
 fn write_spent<W: Write>(
     enc: &mut Encoder<W>,
     counters: impl ExactSizeIterator<Item = (Prefix, u64)>,
@@ -142,6 +141,45 @@ fn read_spent<R: Read>(dec: &mut Decoder<R>) -> Result<BTreeMap<Prefix, u64>, Co
             return Err(CodecError::Corrupt("zero probe-spend counter"));
         }
         out.insert(p, count);
+    }
+    Ok(out)
+}
+
+/// Write a column as run lengths over its rows: `(count varint, value
+/// u16)` per maximal run of equal values, nothing at all for no rows.
+/// The day's responders all share one `last_responsive`, so a one-day
+/// record spends three bytes here instead of two a row.
+fn write_runs<W: Write>(
+    enc: &mut Encoder<W>,
+    values: impl Iterator<Item = u16>,
+) -> Result<(), CodecError> {
+    let mut values = values.peekable();
+    while let Some(v) = values.next() {
+        let mut n = 1u64;
+        while values.next_if_eq(&v).is_some() {
+            n += 1;
+        }
+        enc.put_varint(n)?;
+        enc.put_u16(v)?;
+    }
+    Ok(())
+}
+
+/// Read `rows` values written by [`write_runs`]. Runs must be
+/// non-empty, differ from their predecessor and add up to exactly
+/// `rows` — one encoding per column.
+fn read_runs<R: Read>(dec: &mut Decoder<R>, rows: usize) -> Result<Vec<u16>, CodecError> {
+    let mut out = Vec::with_capacity(Decoder::<R>::reserve_hint(rows));
+    while out.len() < rows {
+        let n = dec.get_varint_len()?;
+        let v = dec.get_u16()?;
+        if n == 0 || n > rows - out.len() {
+            return Err(CodecError::Corrupt("column run does not fit its rows"));
+        }
+        if out.last() == Some(&v) {
+            return Err(CodecError::Corrupt("column run repeats its predecessor"));
+        }
+        out.resize(out.len() + n, v);
     }
     Ok(out)
 }
@@ -615,13 +653,16 @@ impl Hitlist {
     ///
     /// 1. the interner suffix plus full column values for each appended
     ///    row;
-    /// 2. a sorted id run of *rewritten* rows (revival, new source bit)
-    ///    with their full new column values;
-    /// 3. a sorted id run of rows whose responsiveness alone changed —
-    ///    the daily responders — with one `u16` day + one protocol-set
-    ///    byte column write each;
-    /// 4. a sorted id run of bare tombstone flips (retention expiry),
-    ///    no payload at all.
+    /// 2. a gap-coded id run of *rewritten* rows (revival, new source
+    ///    bit) with their full new column values;
+    /// 3. a gap-coded id run of rows whose responsiveness alone changed
+    ///    — the daily responders — with their `last_responsive` days as
+    ///    run lengths (one run when the record spans one day) and one
+    ///    protocol-set byte each;
+    /// 4. a gap-coded id run of bare tombstone flips (retention expiry),
+    ///    no payload at all;
+    /// 5. the spend counters charged since, as a front-coded prefix run
+    ///    of absolute values.
     ///
     /// Ids never move, so this is the complete difference between the
     /// sync-point state and now.
@@ -630,10 +671,11 @@ impl Hitlist {
     }
 
     /// [`Hitlist::encode_delta`] with the record's sections produced on
-    /// up to `threads` workers. Contiguous row chunks are serialized to
-    /// buffers concurrently and fed through the (checksummed) encoder in
-    /// chunk order, so the journal bytes are identical to the serial
-    /// encode for every thread count.
+    /// up to `threads` workers. Contiguous chunks of the fixed-width
+    /// sections (table suffix, appended and rewritten rows) are
+    /// serialized to buffers concurrently and fed through the
+    /// (checksummed) encoder in chunk order, so the journal bytes are
+    /// identical to the serial encode for every thread count.
     pub fn encode_delta_par<W: Write>(
         &self,
         enc: &mut Encoder<W>,
@@ -649,7 +691,7 @@ impl Hitlist {
             enc.put_bytes(&buf)?;
         }
         let rewritten = self.dirty_run(needs_rewrite);
-        codec::write_set(enc, &rewritten)?;
+        codec::write_set_gaps(enc, &rewritten)?;
         for buf in par_chunk_bytes(rewritten.as_slice(), threads, |c, buf| {
             for id in c {
                 self.encode_row_bytes(id.index(), buf);
@@ -657,26 +699,32 @@ impl Hitlist {
         }) {
             enc.put_bytes(&buf)?;
         }
+        // Gaps and run lengths depend on their predecessors, so these
+        // sections are written serially — the bytes must not depend on
+        // how rows were chunked.
         let last_writes = self.dirty_run(needs_last_write);
-        codec::write_set(enc, &last_writes)?;
-        for buf in par_chunk_bytes(last_writes.as_slice(), threads, |c, buf| {
-            for id in c {
-                buf.extend_from_slice(&self.last_responsive[id.index()].to_le_bytes());
-                buf.push(self.protos[id.index()].0);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
-        }
-        codec::write_set(enc, &self.dirty_run(needs_tombstone))?;
-        write_spent(
+        codec::write_set_gaps(enc, &last_writes)?;
+        write_runs(
             enc,
-            self.spent_dirty.iter().map(|p| {
-                // Chargers never remove counters, so a dirty prefix
-                // always resolves; a missing one would be a logic bug
-                // upstream — encode it as 0 and let apply reject it.
-                (*p, self.probes_spent.get(p).copied().unwrap_or(0))
-            }),
+            last_writes
+                .iter()
+                .map(|id| self.last_responsive[id.index()]),
         )?;
+        let protos: Vec<u8> = last_writes
+            .iter()
+            .map(|id| self.protos[id.index()].0)
+            .collect();
+        enc.put_bytes(&protos)?;
+        codec::write_set_gaps(enc, &self.dirty_run(needs_tombstone))?;
+        enc.put_varint(self.spent_dirty.len() as u64)?;
+        let mut run = PrefixRun::new();
+        for p in &self.spent_dirty {
+            run.write(enc, *p)?;
+            // Chargers never remove counters, so a dirty prefix always
+            // resolves; a missing one would be a logic bug upstream —
+            // encode it as 0 and let apply reject it.
+            enc.put_varint(self.probes_spent.get(p).copied().unwrap_or(0))?;
+        }
         Ok(())
     }
 
@@ -703,7 +751,7 @@ impl Hitlist {
                 Err(CodecError::Corrupt(what))
             }
         };
-        let rewritten = codec::read_set(dec)?;
+        let rewritten = codec::read_set_gaps(dec)?;
         for id in rewritten.iter() {
             let i = in_base(id, "delta rewrites an appended row")?;
             let (m, s, last, protos, added, alive) = Self::decode_row(dec)?;
@@ -716,13 +764,14 @@ impl Hitlist {
             self.added_day[i] = added;
             self.alive[i] = alive;
         }
-        let last_writes = codec::read_set(dec)?;
-        for id in last_writes.iter() {
+        let last_writes = codec::read_set_gaps(dec)?;
+        let days = read_runs(dec, last_writes.len())?;
+        for (id, day) in last_writes.iter().zip(days) {
             let i = in_base(id, "delta writes last-responsive past the base")?;
-            self.last_responsive[i] = dec.get_u16()?;
+            self.last_responsive[i] = day;
             self.protos[i] = get_protos(dec)?;
         }
-        let tombstones = codec::read_set(dec)?;
+        let tombstones = codec::read_set_gaps(dec)?;
         for id in tombstones.iter() {
             let i = in_base(id, "delta tombstones an appended row")?;
             if !self.alive[i] {
@@ -731,8 +780,14 @@ impl Hitlist {
             self.alive[i] = false;
             self.live -= 1;
         }
-        let spent = read_spent(dec)?;
-        for (p, n) in spent {
+        let spent = dec.get_varint_len()?;
+        let mut run = PrefixRun::new();
+        for _ in 0..spent {
+            let p = run.read(dec)?;
+            let n = dec.get_varint()?;
+            if n == 0 {
+                return Err(CodecError::Corrupt("zero probe-spend counter"));
+            }
             // Counters only grow: an upsert below the replica's value
             // cannot follow this state.
             if self.probes_spent.get(&p).is_some_and(|&old| n < old) {

@@ -5,7 +5,7 @@
 
 use crate::hitlist::Hitlist;
 use crate::longitudinal::Ledger;
-use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
+use expanse_addr::codec::{self, CodecError, Decoder, Encoder, PrefixRun};
 use expanse_addr::{addr_to_u128, AddrId, AddrMap, AddrSet, Prefix};
 use expanse_apd::{Apd, ApdConfig, PlanConfig};
 use expanse_model::{InternetModel, ModelConfig, Source, SourceId};
@@ -631,9 +631,10 @@ impl Pipeline {
             .copied()
             .collect();
         for list in [&removed, &added] {
-            enc.put_len(list.len())?;
+            enc.put_varint(list.len() as u64)?;
+            let mut run = PrefixRun::new();
             for &p in list {
-                codec::write_prefix(&mut enc, p)?;
+                run.write(&mut enc, p)?;
             }
         }
         self.hitlist
@@ -883,15 +884,10 @@ impl PersistedState {
         let mut removed = Vec::new();
         let mut added = Vec::new();
         for list in [&mut removed, &mut added] {
-            let n = dec.get_len()?;
-            let mut prev = None;
+            let n = dec.get_varint_len()?;
+            let mut run = PrefixRun::new();
             for _ in 0..n {
-                let p = codec::read_prefix(&mut dec)?;
-                if prev.is_some_and(|q| q >= p) {
-                    return Err(CodecError::Corrupt("hot-prefix diff not strictly sorted"));
-                }
-                prev = Some(p);
-                list.push(p);
+                list.push(run.read(&mut dec)?);
             }
         }
         for p in &removed {
@@ -1044,10 +1040,14 @@ pub const PIPELINE_MAGIC: [u8; 8] = *b"EXP6PIPE";
 /// Envelope magic for one journal delta frame.
 pub const DELTA_MAGIC: [u8; 8] = *b"EXP6DLTA";
 
-/// Smallest well-formed delta frame: magic + version + empty payload +
-/// checksum (an empty payload is impossible — the day pair alone is 4
-/// bytes — but the envelope floor is the meaningful bound here).
-const MIN_FRAME_LEN: u64 = 8 + 2 + 8;
+/// Smallest well-formed delta frame — a record of no change before the
+/// ledger's first day: the envelope (magic 8 + version 2 + checksum 8)
+/// around day pair + clock (12), two empty hot-prefix lists (2), the
+/// hitlist's two table lengths and four empty runs (20), the ledger's
+/// day pair, first-day tag and baseline flag (6), the APD window and an
+/// empty run (9), the scheduler's two scalars and an empty run (17).
+/// Pinned by `no_change_delta_is_the_frame_floor`.
+const MIN_FRAME_LEN: u64 = 18 + 12 + 2 + 20 + 6 + 9 + 17;
 
 /// Reject outer length prefixes beyond this (2^32 bytes) as torn: a
 /// single day's delta outgrowing 4 GiB means the writer should have
@@ -1066,6 +1066,18 @@ mod tests {
         };
         cfg.plan.min_targets = 30;
         Pipeline::new(ModelConfig::tiny(77), cfg)
+    }
+
+    #[test]
+    fn no_change_delta_is_the_frame_floor() {
+        let mut p = tiny_pipeline();
+        let mut journal = Vec::new();
+        p.save_full(&mut journal).unwrap();
+        let base = journal.len();
+        p.append_delta(&mut journal).unwrap();
+        assert_eq!((journal.len() - base) as u64, 8 + MIN_FRAME_LEN);
+        let (_, replay) = PersistedState::load(p.cfg.apd.clone(), &mut journal.as_slice()).unwrap();
+        assert_eq!((replay.deltas_applied, replay.torn_tail), (1, false));
     }
 
     #[test]

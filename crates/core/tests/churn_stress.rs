@@ -8,7 +8,8 @@
 //! tombstone/revival accounting must stay consistent when ghosts are
 //! deliberately re-fed after expiry; and the per-day delta must stay
 //! bounded — churn rewrites rows, it must not make the journal carry
-//! the accumulated past every day.
+//! the accumulated past every day, and a full-APD day's record must fit
+//! a budget counted in planned prefixes and responders.
 
 use expanse_core::{Pipeline, PipelineConfig, RetentionConfig};
 use expanse_model::{ModelConfig, SourceId};
@@ -201,4 +202,36 @@ fn per_day_delta_bytes_stay_bounded_under_churn() {
         late <= early * 2.0,
         "late deltas grew past the early ones: {deltas:?}"
     );
+}
+
+/// A full-APD day's record is sized by what the day learned — a day
+/// bitmap per planned prefix, a protocol byte per responder — not by
+/// the windows and rows it touched: at most 8 bytes a planned prefix
+/// (front-coded key, push count, one bitmap ≈ 6.3) and 4 a responder
+/// (id gap, protocol byte ≈ 2.6), plus slack for the frame, the ledger
+/// day and the day's few appended rows.
+#[test]
+fn full_apd_day_delta_fits_its_size_budget() {
+    let cfg = PipelineConfig {
+        full_apd_every: 1,
+        ..config()
+    };
+    let mut p = Pipeline::new(ModelConfig::tiny(SEED), cfg);
+    p.collect_sources(30);
+    p.warmup_apd(1);
+    let mut journal = Vec::new();
+    p.save_full(&mut journal).expect("base");
+    for day in 0..3 {
+        p.run_day();
+        let report = p.last_report();
+        assert!(report.plan_prefixes > 1000 && report.responders > 1000);
+        let before = journal.len();
+        p.append_delta(&mut journal).expect("append_delta");
+        let bytes = (journal.len() - before) as u64;
+        let budget = 8 * report.plan_prefixes + 4 * report.responders + 4096;
+        assert!(
+            bytes <= budget,
+            "day {day}: {bytes}-byte delta over its {budget}-byte budget ({report:?})"
+        );
+    }
 }

@@ -28,11 +28,21 @@ const DIGESTS: [u64; 3] = [
 /// Per-day `probes_sent` (APD fan-out + traceroute + battery).
 const PROBES_SENT: [u64; 3] = [261_898, 261_986, 261_985];
 
-/// `save_full` length and FNV-1a hash after day 3, scheduler off.
-const SAVE_FIXED: (usize, u64) = (731_572, 3_903_657_399_448_402_581);
+/// `save_full` after day 3, scheduler off: length, FNV-1a of the
+/// *payload* (bytes `[10, len − 8)` — no magic, version or checksum)
+/// and FNV-1a of the whole envelope. Length and payload hash were
+/// recorded on the last codec-version-3 commit and survive a version
+/// bump unedited — the base payload is the same at version 4; the
+/// envelope hash was re-recorded at the bump, and the two version bytes
+/// (plus the checksum over them) are the whole difference.
+const SAVE_FIXED: (usize, u64, u64) = (731_572, 1_855_279_809_987_636_809, 937_634_766_884_496_860);
 
 /// The same for `SchedConfig::degenerate()` (the queue adds entries).
-const SAVE_DEGENERATE: (usize, u64) = (743_092, 6_077_667_759_429_039_273);
+const SAVE_DEGENERATE: (usize, u64, u64) = (
+    743_092,
+    11_701_831_329_155_036_384,
+    2_806_299_343_198_206_529,
+);
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -50,7 +60,11 @@ const ADVERSARIAL_DIGESTS: [u64; 3] = [
     10_433_070_167_097_953_532,
 ];
 const ADVERSARIAL_PROBES_SENT: [u64; 3] = [264_478, 45_730, 45_817];
-const ADVERSARIAL_SAVE: (usize, u64) = (712_906, 6_921_498_307_009_955_390);
+const ADVERSARIAL_SAVE: (usize, u64, u64) = (
+    712_906,
+    11_994_622_209_174_791_743,
+    8_265_905_069_709_357_353,
+);
 
 /// Distinct fan-out targets of today's full APD plan — the send slots
 /// of each of the day's two APD scans. A single scan goes onto the
@@ -71,14 +85,14 @@ fn apd_fanout(p: &Pipeline) -> usize {
 }
 
 /// Three days of `model`: digests, probe counts, and the final full
-/// snapshot's (length, hash). `feed` ingests the model's scenario feed
-/// before each day, as the bench harness does.
+/// snapshot's (length, payload hash, envelope hash). `feed` ingests the
+/// model's scenario feed before each day, as the bench harness does.
 fn run(
     model: ModelConfig,
     full_apd_every: u16,
     sched: SchedConfig,
     feed: bool,
-) -> ([u64; 3], [u64; 3], (usize, u64)) {
+) -> ([u64; 3], [u64; 3], (usize, u64, u64)) {
     let mut cfg = PipelineConfig {
         trace_budget: 30,
         full_apd_every,
@@ -106,7 +120,8 @@ fn run(
     }
     let mut full = Vec::new();
     p.save_full(&mut full).expect("in-memory save");
-    (digests, probes, (full.len(), fnv1a(&full)))
+    let payload = &full[10..full.len() - 8];
+    (digests, probes, (full.len(), fnv1a(payload), fnv1a(&full)))
 }
 
 #[test]

@@ -10,11 +10,17 @@
 //!
 //! Retention expiry is enabled so the guard also covers the
 //! accumulate→expire→publish lifecycle (expiry counts must match too).
+//!
+//! Delta records replay APD day bitmaps rather than carry windows
+//! whole, so the guard also drives records that span one day, a full
+//! window of days, and more days than a window holds; and the version
+//! gate: journals of the previous format are refused outright.
 
-use expanse_addr::CodecError;
-use expanse_core::pipeline::PIPELINE_MAGIC;
-use expanse_core::{service, Pipeline, PipelineConfig, RetentionConfig};
-use expanse_model::ModelConfig;
+use expanse_addr::codec::{Encoder, CODEC_VERSION};
+use expanse_addr::{CodecError, Prefix};
+use expanse_core::pipeline::{DELTA_MAGIC, PIPELINE_MAGIC};
+use expanse_core::{service, PersistedState, Pipeline, PipelineConfig, RetentionConfig};
+use expanse_model::{ModelConfig, SourceId};
 
 const SEED: u64 = 4242;
 const WARMUP: u16 = 2;
@@ -284,4 +290,108 @@ fn corrupted_snapshot_errors_cleanly() {
         Pipeline::resume(ModelConfig::tiny(SEED), config(), &mut evil.as_slice()).is_err(),
         "bit flip at {at} accepted"
     );
+}
+
+/// The four journaled sections as one byte string, whichever struct
+/// holds them (a live pipeline or a journal-loaded state).
+fn section_bytes(
+    hitlist: &expanse_core::Hitlist,
+    ledger: &expanse_core::Ledger,
+    apd: &expanse_apd::Apd,
+    sched: &expanse_core::Scheduler,
+) -> Vec<u8> {
+    let mut enc = Encoder::new(Vec::new(), b"SECTIONS", 1).expect("in-memory envelope");
+    hitlist.encode(&mut enc).expect("hitlist");
+    ledger.encode(&mut enc).expect("ledger");
+    apd.encode(&mut enc).expect("apd");
+    sched.encode(&mut enc).expect("sched");
+    enc.finish().expect("seal")
+}
+
+#[test]
+fn records_spanning_any_number_of_days_replay_exactly() {
+    let cfg = PipelineConfig {
+        full_apd_every: 1,
+        ..config()
+    };
+    let window = cfg.apd.window;
+    let mut p = Pipeline::new(ModelConfig::tiny(SEED), cfg.clone());
+    p.collect_sources(30);
+    p.warmup_apd(WARMUP);
+    let mut journal = Vec::new();
+    p.save_full(&mut journal).expect("base");
+
+    // One day, exactly as many days as a window holds, and one more —
+    // by then every window has slid past its sync-point days, so only
+    // full window entries can carry the record.
+    for (n, gap) in [1, window + 1, window + 2].into_iter().enumerate() {
+        // A /64 nobody has seen: the full plan probes every known /64,
+        // so its window opens inside the gap.
+        let newcomer: Prefix = format!("3fff:{n:x}::/64").parse().expect("prefix");
+        assert!(!p.apd.windows.contains_key(&newcomer));
+        p.hitlist
+            .add_from(SourceId::RipeAtlas, &[newcomer.addr_at(1)], p.day());
+        drive(&mut p, gap);
+        assert!(p.apd.windows.contains_key(&newcomer));
+        p.append_delta(&mut journal).expect("append_delta");
+
+        let (st, replay) =
+            PersistedState::load(cfg.apd.clone(), &mut journal.as_slice()).expect("load");
+        assert_eq!((replay.deltas_applied, replay.torn_tail), (n + 1, false));
+        assert_eq!(st.day, p.day(), "{gap}-day record");
+        assert_eq!(
+            section_bytes(&st.hitlist, &st.ledger, &st.apd, &st.sched),
+            section_bytes(&p.hitlist, &p.ledger, &p.apd, &p.sched),
+            "{gap}-day record: journal-loaded state differs from the live one"
+        );
+        let (mut resumed, _) = Pipeline::resume(
+            ModelConfig::tiny(SEED),
+            cfg.clone(),
+            &mut journal.as_slice(),
+        )
+        .expect("resume");
+        assert_eq!(
+            state_bytes(&mut resumed),
+            state_bytes(&mut p),
+            "{gap}-day record: resumed save_full differs from the live one"
+        );
+    }
+}
+
+#[test]
+fn previous_format_version_is_refused_not_recovered() {
+    let mut p = fresh();
+    let mut journal = Vec::new();
+    p.save_full(&mut journal).expect("base");
+    let resume = |bytes: &[u8]| {
+        Pipeline::resume(ModelConfig::tiny(SEED), config(), &mut &bytes[..]).map(|(_, r)| r)
+    };
+    // Today: found 3, supported 4.
+    let old = CODEC_VERSION - 1;
+    let refused = |r: Result<_, CodecError>| {
+        matches!(r, Err(CodecError::UnsupportedVersion { found, supported })
+            if found == old && supported == CODEC_VERSION)
+    };
+
+    // A base of the previous version: refused at the gate (R1), before
+    // any payload byte is interpreted.
+    let mut old_base = journal.clone();
+    old_base[8..10].copy_from_slice(&old.to_le_bytes());
+    assert!(refused(resume(&old_base)));
+
+    // A whole, checksum-valid delta frame of the previous version
+    // behind a current base: the journal is internally inconsistent — a
+    // hard error (R3), never a torn tail to recover past (R2).
+    let mut enc = Encoder::new(Vec::new(), &DELTA_MAGIC, old).expect("in-memory envelope");
+    enc.put_bytes(&[0; 128]).expect("payload");
+    let frame = enc.finish().expect("seal");
+    journal.extend_from_slice(&(frame.len() as u64).to_le_bytes());
+    journal.extend_from_slice(&frame);
+    assert!(refused(resume(&journal)));
+    // The same frame with a byte flipped fails its checksum first, and
+    // *that* is a torn tail.
+    let last = journal.len() - 20;
+    journal[last] ^= 1;
+    let replay = resume(&journal).expect("torn tail recovers");
+    assert_eq!((replay.deltas_applied, replay.torn_tail), (0, true));
 }

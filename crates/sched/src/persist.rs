@@ -6,11 +6,12 @@
 //! re-planning: the budget the last plan was drawn against and the
 //! slots it allocated. Entries are written in sorted order so the byte
 //! stream never depends on anything but the state itself, and deltas
-//! carry only the entries touched since the last sync point — the same
-//! upsert framing the APD window map uses.
+//! carry only the entries touched since the last sync point, keyed by
+//! a front-coded prefix run.
 
 use crate::{PrefixEntry, Scheduler, NEVER_SCANNED, SCHED_PREFIX_LEN};
-use expanse_addr::codec::{self, CodecError, Decoder, Encoder};
+use expanse_addr::codec::{self, CodecError, Decoder, Encoder, PrefixRun};
+use expanse_addr::Prefix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 
@@ -40,34 +41,19 @@ fn read_entry<R: Read>(dec: &mut Decoder<R>) -> Result<PrefixEntry, CodecError> 
     })
 }
 
-/// Decode a sorted run of `(prefix, entry)` pairs, enforcing the /48
-/// key invariant and strict ascending order.
-fn read_entries<R: Read>(
-    dec: &mut Decoder<R>,
-    n: usize,
-) -> Result<BTreeMap<expanse_addr::Prefix, PrefixEntry>, CodecError> {
-    let mut entries = BTreeMap::new();
-    let mut prev = None;
-    for _ in 0..n {
-        let p = codec::read_prefix(dec)?;
-        if p.len() != SCHED_PREFIX_LEN {
-            return Err(CodecError::Corrupt("scheduler entry key is not a /48"));
-        }
-        if prev.is_some_and(|q| q >= p) {
-            return Err(CodecError::Corrupt(
-                "scheduler entry prefixes not strictly sorted",
-            ));
-        }
-        prev = Some(p);
-        let e = read_entry(dec)?;
-        if e.last_scanned != NEVER_SCANNED && e.spent == 0 && e.found > 0 {
-            return Err(CodecError::Corrupt(
-                "scheduler entry credits finds to zero spend",
-            ));
-        }
-        entries.insert(p, e);
+/// Decode the entry stored under `p`, enforcing the /48 key invariant
+/// and the recording path's spend/find consistency.
+fn read_keyed_entry<R: Read>(dec: &mut Decoder<R>, p: Prefix) -> Result<PrefixEntry, CodecError> {
+    if p.len() != SCHED_PREFIX_LEN {
+        return Err(CodecError::Corrupt("scheduler entry key is not a /48"));
     }
-    Ok(entries)
+    let e = read_entry(dec)?;
+    if e.last_scanned != NEVER_SCANNED && e.spent == 0 && e.found > 0 {
+        return Err(CodecError::Corrupt(
+            "scheduler entry credits finds to zero spend",
+        ));
+    }
+    Ok(e)
 }
 
 impl Scheduler {
@@ -91,7 +77,18 @@ impl Scheduler {
         let last_budget = dec.get_u64()?;
         let last_used = dec.get_u64()?;
         let n = dec.get_len()?;
-        let entries = read_entries(dec, n)?;
+        let mut entries = BTreeMap::new();
+        let mut prev = None;
+        for _ in 0..n {
+            let p = codec::read_prefix(dec)?;
+            if prev.is_some_and(|q| q >= p) {
+                return Err(CodecError::Corrupt(
+                    "scheduler entry prefixes not strictly sorted",
+                ));
+            }
+            prev = Some(p);
+            entries.insert(p, read_keyed_entry(dec, p)?);
+        }
         Ok(Scheduler {
             entries,
             // A freshly decoded snapshot is by definition a sync point.
@@ -114,17 +111,19 @@ impl Scheduler {
 
     /// Serialize the scalars plus every entry touched since the last
     /// sync point into an open delta frame. Entries are never removed,
-    /// so rewriting the touched ones (sorted, full state each — an
-    /// entry is 19 payload bytes) is the complete difference.
+    /// so rewriting the touched ones (sorted and front-coded, full
+    /// state each — an entry is 19 payload bytes) is the complete
+    /// difference.
     pub fn encode_delta<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
         enc.put_u64(self.last_budget)?;
         enc.put_u64(self.last_used)?;
-        enc.put_len(self.dirty.len())?;
+        enc.put_varint(self.dirty.len() as u64)?;
+        let mut run = PrefixRun::new();
         for p in &self.dirty {
             let Some(e) = self.entries.get(p) else {
                 return Err(CodecError::Corrupt("dirty prefix lost its entry state"));
             };
-            codec::write_prefix(enc, *p)?;
+            run.write(enc, *p)?;
             write_entry(enc, e)?;
         }
         Ok(())
@@ -136,11 +135,15 @@ impl Scheduler {
     pub fn apply_delta<R: Read>(&mut self, dec: &mut Decoder<R>) -> Result<(), CodecError> {
         let last_budget = dec.get_u64()?;
         let last_used = dec.get_u64()?;
-        let n = dec.get_len()?;
-        let upserts = read_entries(dec, n)?;
+        let n = dec.get_varint_len()?;
+        let mut run = PrefixRun::new();
+        for _ in 0..n {
+            let p = run.read(dec)?;
+            let e = read_keyed_entry(dec, p)?;
+            self.entries.insert(p, e);
+        }
         self.last_budget = last_budget;
         self.last_used = last_used;
-        self.entries.extend(upserts);
         self.mark_synced();
         Ok(())
     }
