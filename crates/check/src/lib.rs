@@ -146,9 +146,6 @@ pub struct LockClass {
     pub rank: usize,
     /// Acquisition-site tokens matched against whitespace-collapsed code.
     pub tokens: Vec<String>,
-    /// True for admission gates (semaphores) that by design span the
-    /// response write; exempt from `lock-io` but not from ordering.
-    pub io_allowed: bool,
 }
 
 /// What the linter enforces and where. `default_policy` encodes this
@@ -230,45 +227,36 @@ pub fn default_policy() -> Policy {
                 name: s("conns"),
                 rank: 0,
                 tokens: vec![s(".conns.lock(")],
-                io_allowed: false,
             },
             LockClass {
                 name: s("inflight-gate"),
                 rank: 1,
                 tokens: vec![s(".inflight.acquire(")],
-                // The execution permit deliberately spans the response
-                // write: backpressure counts the write as in-flight work.
-                io_allowed: true,
             },
             LockClass {
                 name: s("observers"),
                 rank: 2,
                 tokens: vec![s(".observers.lock(")],
-                io_allowed: false,
             },
             LockClass {
                 name: s("registry-current"),
                 rank: 3,
                 tokens: vec![s(".current.read("), s(".current.write(")],
-                io_allowed: false,
             },
             LockClass {
                 name: s("cache-inner"),
                 rank: 4,
                 tokens: vec![s(".inner.lock(")],
-                io_allowed: false,
             },
             LockClass {
                 name: s("limiter-buckets"),
                 rank: 5,
                 tokens: vec![s(".buckets.lock(")],
-                io_allowed: false,
             },
             LockClass {
                 name: s("gate-held"),
                 rank: 6,
                 tokens: vec![s(".held.lock(")],
-                io_allowed: false,
             },
         ],
         io_tokens: [

@@ -9,8 +9,7 @@
 //! - `lock-order`: acquiring a class while holding a higher-ranked (or the
 //!   same) class — an inversion against the canonical order, or a
 //!   re-entrant acquisition that self-deadlocks a `Mutex`.
-//! - `lock-io`: any non-exempt guard held at a blocking socket/disk write
-//!   token.
+//! - `lock-io`: any guard held at a blocking socket/disk I/O token.
 //!
 //! The analysis is intraprocedural: a lock passed into a helper that then
 //! blocks is invisible. That is the usual tidy-style trade — the canonical
@@ -138,11 +137,10 @@ pub fn lock_lints(rel: &str, sf: &SourceFile, policy: &Policy) -> Vec<Finding> {
             });
         }
 
-        // Blocking I/O while holding a non-exempt guard.
+        // Blocking I/O while holding any guard.
         if policy.io_tokens.iter().any(|t| match_at(chars, i, t)) {
             let blocking_held: Vec<&str> = held
                 .iter()
-                .filter(|g| !policy.lock_classes[g.class].io_allowed)
                 .map(|g| policy.lock_classes[g.class].name.as_str())
                 .collect();
             if !blocking_held.is_empty() {
@@ -279,18 +277,17 @@ mod tests {
     use crate::LockClass;
 
     fn policy() -> Policy {
-        let class = |name: &str, rank: usize, tok: &str, io_allowed: bool| LockClass {
+        let class = |name: &str, rank: usize, tok: &str| LockClass {
             name: name.to_string(),
             rank,
             tokens: vec![tok.to_string()],
-            io_allowed,
         };
         Policy {
             lock_prefixes: vec!["".into()],
             lock_classes: vec![
-                class("a", 0, ".a.lock(", false),
-                class("b", 1, ".b.lock(", false),
-                class("gate", 2, ".gate.acquire(", true),
+                class("a", 0, ".a.lock("),
+                class("b", 1, ".b.lock("),
+                class("gate", 2, ".gate.acquire("),
             ],
             io_tokens: vec!["write_all_deadline(".into(), "conn.write(".into()],
             ..Policy::default()
@@ -361,9 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn io_exempt_gate_is_clean_but_ordered() {
-        let ok = "fn f(s: &S, c: &mut C) {\n    let p = s.gate.acquire();\n    write_all_deadline(c, b\"x\");\n}\n";
-        assert!(lints_of(ok).is_empty());
+    fn gate_is_ordered_like_any_lock() {
         let bad = "fn f(s: &S) {\n    let p = s.gate.acquire();\n    let ga = s.a.lock();\n}\n";
         assert_eq!(lints_of(bad), vec![("lock-order".to_string(), 3)]);
     }

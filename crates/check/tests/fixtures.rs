@@ -57,13 +57,11 @@ fn lock_policy(rel: &str) -> Policy {
                 name: "a".to_string(),
                 rank: 0,
                 tokens: vec![".a.lock(".to_string()],
-                io_allowed: false,
             },
             LockClass {
                 name: "b".to_string(),
                 rank: 1,
                 tokens: vec![".b.lock(".to_string()],
-                io_allowed: false,
             },
         ],
         io_tokens: vec!["conn.write(".to_string()],

@@ -9,11 +9,9 @@
 //! - [`time`]: virtual time ([`Time`]), nanosecond precision
 //! - [`event`]: a stable min-heap event queue
 //! - [`ratelimit`]: token buckets (ICMP rate limiting, §5.1's /120 case)
-//! - [`loss`]: deterministic keyed packet loss (Bernoulli and bursty)
+//! - [`loss`]: deterministic keyed packet loss (Bernoulli)
 //! - [`synproxy`]: the SYN-proxy middlebox of §5.1's /80 anomaly
-//! - [`network`]: the [`Network`] trait plus composable wrappers for
-//!   fault injection and packet tracing (the smoltcp `--drop-chance` /
-//!   `--pcap` idioms)
+//! - [`network`]: the [`Network`] and [`SnapshotNetwork`] traits
 //! - [`throttle`]: per-router ICMPv6 response throttling as a
 //!   snapshot-preserving wrapper (last-hop rate limits, RFC 4443 §2.4f)
 //!
@@ -30,8 +28,8 @@ pub mod throttle;
 pub mod time;
 
 pub use event::EventQueue;
-pub use loss::{BurstLoss, KeyedLoss};
-pub use network::{Delivery, FaultInjector, Network, SnapshotNetwork, TraceRecorder};
+pub use loss::KeyedLoss;
+pub use network::{Delivery, Network, SnapshotNetwork};
 pub use ratelimit::TokenBucket;
 pub use synproxy::SynProxy;
 pub use throttle::{ThrottledNetwork, ThrottledSnapshot};

@@ -52,52 +52,6 @@ impl KeyedLoss {
     }
 }
 
-/// Bursty loss: a keyed Gilbert–Elliott-style model. The key space is
-/// partitioned into epochs; an epoch is either "good" (loss `p_good`) or
-/// "bad" (loss `p_bad`), chosen by hash with probability `p_bad_epoch`.
-///
-/// Deterministic in the key, like [`KeyedLoss`], but correlated: keys that
-/// share an epoch (e.g. probes in the same second to the same prefix)
-/// see correlated loss — matching how real rate-limited or congested
-/// paths fail in bursts rather than independently.
-#[derive(Debug, Clone, Copy)]
-pub struct BurstLoss {
-    seed: u64,
-    /// P good.
-    pub p_good: f64,
-    /// P bad.
-    pub p_bad: f64,
-    /// Fraction of epochs in the bad state.
-    pub p_bad_epoch: f64,
-}
-
-impl BurstLoss {
-    /// # Panics
-    /// Panics if any probability is outside [0, 1].
-    pub fn new(seed: u64, p_good: f64, p_bad: f64, p_bad_epoch: f64) -> Self {
-        for (name, p) in [
-            ("p_good", p_good),
-            ("p_bad", p_bad),
-            ("p_bad_epoch", p_bad_epoch),
-        ] {
-            assert!((0.0..=1.0).contains(&p), "{name} {p} out of range");
-        }
-        BurstLoss {
-            seed,
-            p_good,
-            p_bad,
-            p_bad_epoch,
-        }
-    }
-
-    /// Drop decision for a packet in `epoch` with per-packet `key`.
-    pub fn drops(&self, epoch: u64, key: u64) -> bool {
-        let bad = unit(splitmix64(epoch ^ self.seed ^ 0xb417_57a5)) < self.p_bad_epoch;
-        let p = if bad { self.p_bad } else { self.p_good };
-        unit(splitmix64(key ^ self.seed)) < p
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,25 +91,6 @@ mod tests {
         let agree = (0..10_000u64).filter(|&k| a.drops(k) == b.drops(k)).count();
         // Independent coins agree ~50%.
         assert!((4_000..6_000).contains(&agree), "agree={agree}");
-    }
-
-    #[test]
-    fn burst_loss_is_correlated_within_epoch() {
-        let b = BurstLoss::new(3, 0.01, 0.95, 0.2);
-        let n_epochs = 2_000u64;
-        let per_epoch = 50u64;
-        let mut epoch_rates = Vec::new();
-        for e in 0..n_epochs {
-            let drops = (0..per_epoch)
-                .filter(|&k| b.drops(e, e * per_epoch + k))
-                .count();
-            epoch_rates.push(drops as f64 / per_epoch as f64);
-        }
-        // Bimodal: epochs are mostly-lossy or mostly-clean.
-        let heavy = epoch_rates.iter().filter(|&&r| r > 0.5).count() as f64 / n_epochs as f64;
-        assert!((heavy - 0.2).abs() < 0.05, "heavy={heavy}");
-        let clean = epoch_rates.iter().filter(|&&r| r < 0.2).count() as f64 / n_epochs as f64;
-        assert!((clean - 0.8).abs() < 0.05, "clean={clean}");
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! only the first few replies. [`ThrottledNetwork`] models that at the
 //! network seam: replies whose *source* falls under a registered router
 //! prefix pass through a per-router [`TokenBucket`]; everything else is
-//! untouched. Like [`FaultInjector`](crate::FaultInjector), it wraps any
-//! inner [`Network`] — and it propagates [`SnapshotNetwork`], cloning the
-//! bucket state into each snapshot so parallel fan-out streams start from
-//! identical budgets and the scan grid stays byte-identical regardless of
-//! executor shape.
+//! untouched. It wraps any inner [`Network`] — and it propagates
+//! [`SnapshotNetwork`], cloning the bucket state into each snapshot so
+//! parallel fan-out streams start from identical budgets and the scan
+//! grid stays byte-identical regardless of executor shape.
 
 use crate::network::{Delivery, Network, SnapshotNetwork};
 use crate::ratelimit::TokenBucket;

@@ -31,11 +31,13 @@
 //! - [`protocol`]: a small sans-IO, length-prefixed request/response
 //!   wire format (the same checksummed-envelope idiom as
 //!   [`expanse_addr::codec`]), specified in `docs/SERVE_PROTOCOL.md`.
-//! - [`pool`]: a multi-threaded worker-pool driver that serves a byte
-//!   stream of request frames against a registry.
+//! - [`pool`]: the one request path — [`handle`] turns a request
+//!   envelope into its framed response (decode, admission, pin, cache,
+//!   [`execute`], encode); the socket loop and every in-memory harness
+//!   call it.
 //! - [`transport`]: the real daemon front — TCP and unix-domain
-//!   listeners with connection lifecycle, bounded in-flight
-//!   backpressure, and graceful drain across epoch swaps (the
+//!   listeners with connection lifecycle, a bounded gate on concurrent
+//!   execution, and graceful drain across epoch swaps (the
 //!   `expanse-served` binary is a thin shell around [`Server`]).
 //! - [`cache`]: an encoded-response cache keyed by `(epoch, canonical
 //!   request bytes)` — entries never invalidate, they age out when
@@ -76,7 +78,7 @@ pub mod view;
 
 pub use cache::{CacheConfig, CacheStats, ResponseCache};
 pub use limiter::{AdmissionControl, ClientKey, RateLimitConfig};
-pub use pool::{execute, handle_envelope, serve_stream};
+pub use pool::{execute, handle, handle_envelope, Outcome};
 pub use protocol::{Request, Response, ResponseBody, WireRecord};
 pub use query::{AliasScope, Page, Query};
 pub use registry::{Pinned, PublishObserver, SnapshotRegistry};

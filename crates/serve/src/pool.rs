@@ -1,20 +1,26 @@
-//! The worker-pool driver: serve a byte stream of request frames
-//! against a [`SnapshotRegistry`] on N threads.
+//! The one request path: a framed request envelope in, the framed
+//! response out.
 //!
-//! Still sans-IO — the "connection" is a byte slice of length-prefixed
-//! request frames in, a byte vector of response frames (in request
-//! order) out. Each request pins its own epoch: a publish landing
-//! mid-stream means later requests answer from the new epoch while
-//! already-pinned ones finish on the old, and every response says
-//! which epoch served it. Callers that need one epoch across several
-//! requests (a paginated walk) pin once with
+//! Still sans-IO — [`handle`] takes one request envelope (the bytes a
+//! [`FrameAssembler`](crate::FrameAssembler) yields) and returns the
+//! response frame; it is the only code in the crate that decodes,
+//! admits, pins, probes the cache, executes and encodes a request, so
+//! the socket loop ([`crate::transport`]) and every in-memory harness
+//! answer through the same lines. Each request pins its own epoch: a
+//! publish landing between two requests means the later one answers
+//! from the new epoch while an already-pinned one finishes on the old,
+//! and every response says which epoch served it. Callers that need
+//! one epoch across several requests (a paginated walk) pin once with
 //! [`SnapshotRegistry::pin`] and use [`execute`] directly.
 
+use crate::cache::ResponseCache;
+use crate::limiter::{AdmissionControl, ClientKey};
 use crate::protocol::{
-    decode_request, encode_response, split_frames, Request, Response, ResponseBody, ERR_MALFORMED,
+    decode_request, encode_response, Request, Response, ResponseBody, ERR_MALFORMED,
+    ERR_RATE_LIMITED,
 };
 use crate::registry::{Pinned, SnapshotRegistry};
-use expanse_addr::CodecError;
+use std::sync::Arc;
 
 pub use crate::protocol::MAX_RESULT_ADDRS;
 
@@ -73,15 +79,68 @@ pub fn execute(pin: &Pinned, req: &Request) -> Response {
     }
 }
 
-/// Serve one request envelope (a [`split_frames`] slice): pin the
-/// current epoch, execute, and return the framed response. A frame
-/// that fails to decode gets an [`ResponseBody::Error`] response — the
-/// stream stays alive; garbage in one frame never kills a connection.
-pub fn handle_envelope(registry: &SnapshotRegistry, envelope: &[u8]) -> Vec<u8> {
-    match decode_request(envelope) {
-        Ok(req) => encode_response(&execute(&registry.pin(), &req)),
-        Err(_) => error_frame(registry, ERR_MALFORMED),
+/// Which of the transport's three per-request counters a [`handle`]
+/// call falls under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// The request decoded and was admitted: the response is its
+    /// answer (from the cache or freshly executed — a zero-limit
+    /// `Select`'s in-band error included).
+    Served,
+    /// The envelope failed to decode; the response is an
+    /// [`ERR_MALFORMED`] frame. The stream stays alive — garbage in
+    /// one frame never kills a connection.
+    Malformed,
+    /// Admission control rejected the request; the response is an
+    /// [`ERR_RATE_LIMITED`] frame.
+    RateLimited,
+}
+
+/// Serve one request envelope: decode → admission → pin the current
+/// epoch → cache probe → execute → encode → cache fill. Returns the
+/// framed response and what kind of answer it is. `cache` and
+/// `limiter` are the optional scale layers; `client` is who the
+/// limiter charges.
+pub fn handle(
+    registry: &SnapshotRegistry,
+    cache: Option<&ResponseCache>,
+    limiter: Option<&AdmissionControl>,
+    client: &ClientKey,
+    envelope: &[u8],
+) -> (Arc<[u8]>, Outcome) {
+    let Ok(req) = decode_request(envelope) else {
+        return (
+            error_frame(registry, ERR_MALFORMED).into(),
+            Outcome::Malformed,
+        );
+    };
+    if limiter.is_some_and(|l| !l.admit(client)) {
+        return (
+            error_frame(registry, ERR_RATE_LIMITED).into(),
+            Outcome::RateLimited,
+        );
     }
+    let pin = registry.pin();
+    // `None` when there is no cache or the request is uncacheable.
+    let keyed = cache.and_then(|cache| Some((cache, req.cache_key()?)));
+    if let Some((cache, key)) = &keyed {
+        if let Some(hit) = cache.get(pin.epoch, key) {
+            return (hit, Outcome::Served);
+        }
+    }
+    let bytes = encode_response(&execute(&pin, &req));
+    if let Some((cache, key)) = keyed {
+        cache.put(pin.epoch, key, &bytes);
+    }
+    (bytes.into(), Outcome::Served)
+}
+
+/// [`handle`] with no cache and no limiter, as an owned byte vector:
+/// what a server with both scale layers off answers to `envelope`.
+pub fn handle_envelope(registry: &SnapshotRegistry, envelope: &[u8]) -> Vec<u8> {
+    handle(registry, None, None, &ClientKey::Local, envelope)
+        .0
+        .to_vec()
 }
 
 /// One Error response frame for the server's current epoch.
@@ -92,43 +151,6 @@ pub(crate) fn error_frame(registry: &SnapshotRegistry, code: u8) -> Vec<u8> {
         day: pin.view.days_complete(),
         body: ResponseBody::Error { code },
     })
-}
-
-/// Serve a whole stream of request frames on `threads` workers,
-/// returning the concatenated response frames **in request order**
-/// (responses are reassembled positionally, so pipelined clients can
-/// match them up without per-request tags).
-///
-/// Errors only on a torn stream (a frame length pointing past the
-/// input) — per-frame decode failures come back as in-band error
-/// responses via [`handle_envelope`].
-pub fn serve_stream(
-    registry: &SnapshotRegistry,
-    input: &[u8],
-    threads: usize,
-) -> Result<Vec<u8>, CodecError> {
-    let frames = split_frames(input)?;
-    let threads = threads.max(1);
-    let mut responses: Vec<Vec<u8>> = vec![Vec::new(); frames.len()];
-    if threads == 1 || frames.len() <= 1 {
-        for (slot, envelope) in responses.iter_mut().zip(&frames) {
-            *slot = handle_envelope(registry, envelope);
-        }
-    } else {
-        // Contiguous chunks, one per worker; each worker owns its slice
-        // of the response table, so reassembly is free.
-        let chunk = frames.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for (slots, reqs) in responses.chunks_mut(chunk).zip(frames.chunks(chunk)) {
-                s.spawn(move || {
-                    for (slot, envelope) in slots.iter_mut().zip(reqs) {
-                        *slot = handle_envelope(registry, envelope);
-                    }
-                });
-            }
-        });
-    }
-    Ok(responses.concat())
 }
 
 #[cfg(test)]
@@ -148,44 +170,20 @@ mod tests {
     }
 
     #[test]
-    fn stream_responses_arrive_in_request_order() {
-        let reg = registry(20);
-        let mut stream = Vec::new();
-        for i in 1..=10u128 {
-            stream.extend_from_slice(&encode_request(&Request::Lookup {
-                addr: expanse_addr::u128_to_addr(i),
-            }));
-        }
-        for threads in [1, 4] {
-            let out = serve_stream(&reg, &stream, threads).unwrap();
-            let frames = split_frames(&out).unwrap();
-            assert_eq!(frames.len(), 10);
-            for (i, f) in frames.iter().enumerate() {
-                let resp = decode_response(f).unwrap();
-                match resp.body {
-                    ResponseBody::Record { found: Some(rec) } => {
-                        assert_eq!(rec.addr, expanse_addr::u128_to_addr(i as u128 + 1));
-                    }
-                    other => panic!("unexpected body {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn zero_limit_select_is_rejected_not_falsely_exhausted() {
         let reg = registry(5);
         // Wire level: limit 0 gets an in-band error, never an empty
-        // page claiming exhaustion.
-        let stream = encode_request(&Request::Select {
+        // page claiming exhaustion — and it counts as served, not as
+        // malformed: the frame decoded.
+        let framed = encode_request(&Request::Select {
             query: Query::all(),
             cursor: None,
             limit: 0,
         });
-        let out = serve_stream(&reg, &stream, 1).unwrap();
-        let resp = decode_response(split_frames(&out).unwrap()[0]).unwrap();
+        let (out, outcome) = handle(&reg, None, None, &ClientKey::Local, &framed[4..]);
+        assert_eq!(outcome, Outcome::Served);
         assert!(matches!(
-            resp.body,
+            decode_response(&out[4..]).unwrap().body,
             ResponseBody::Error {
                 code: ERR_MALFORMED
             }
@@ -204,23 +202,26 @@ mod tests {
         let mut bad = encode_request(&Request::Ping);
         let n = bad.len();
         bad[n - 9] ^= 1; // breaks the checksum, not the framing
-        let mut stream = bad;
-        stream.extend_from_slice(&encode_request(&Request::Select {
-            query: Query::all(),
-            cursor: None,
-            limit: 10,
-        }));
-        let out = serve_stream(&reg, &stream, 2).unwrap();
-        let frames = split_frames(&out).unwrap();
-        assert_eq!(frames.len(), 2);
+        let (out, outcome) = handle(&reg, None, None, &ClientKey::Local, &bad[4..]);
+        assert_eq!(outcome, Outcome::Malformed);
+        assert_eq!(&out[..], &handle_envelope(&reg, &bad[4..])[..]);
         assert!(matches!(
-            decode_response(frames[0]).unwrap().body,
+            decode_response(&out[4..]).unwrap().body,
             ResponseBody::Error {
                 code: ERR_MALFORMED
             }
         ));
+        // The next frame on the same "stream" is served as if nothing
+        // had happened.
+        let good = encode_request(&Request::Select {
+            query: Query::all(),
+            cursor: None,
+            limit: 10,
+        });
         assert!(matches!(
-            decode_response(frames[1]).unwrap().body,
+            decode_response(&handle_envelope(&reg, &good[4..])[4..])
+                .unwrap()
+                .body,
             ResponseBody::Page { .. }
         ));
     }

@@ -259,32 +259,6 @@ fn frame(envelope: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Split a byte stream into envelope slices (each without its outer
-/// length prefix). The stream must end exactly at a frame boundary and
-/// every length must be plausible — transports deliver whole streams,
-/// so a torn stream here is an error, not a recovery case (unlike the
-/// snapshot journal's torn *tail*, which has committed data before
-/// it).
-pub fn split_frames(stream: &[u8]) -> Result<Vec<&[u8]>, CodecError> {
-    let mut frames = Vec::new();
-    let mut at = 0usize;
-    while at < stream.len() {
-        let Some((lenb, _)) = stream.get(at..).and_then(|s| s.split_first_chunk::<4>()) else {
-            return Err(CodecError::Corrupt("frame stream torn inside a length"));
-        };
-        let len = u32::from_le_bytes(*lenb) as usize;
-        if len > MAX_FRAME_LEN as usize {
-            return Err(CodecError::Corrupt("implausible frame length"));
-        }
-        let Some(envelope) = stream.get(at + 4..at + 4 + len) else {
-            return Err(CodecError::Corrupt("frame stream torn inside a frame"));
-        };
-        frames.push(envelope);
-        at += 4 + len;
-    }
-    Ok(frames)
-}
-
 // ---- shared field codecs ---------------------------------------------
 
 fn put_opt_u128<W: std::io::Write>(
@@ -443,7 +417,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     frame(envelope)
 }
 
-/// Decode a request envelope (one [`split_frames`] slice).
+/// Decode a request envelope (a frame without its length prefix, as
+/// [`FrameAssembler`](crate::FrameAssembler) yields it).
 pub fn decode_request(envelope: &[u8]) -> Result<Request, CodecError> {
     let mut dec = Decoder::new(envelope, &REQUEST_MAGIC, PROTOCOL_VERSION)?;
     let req = match dec.get_u8()? {
@@ -571,7 +546,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     frame(envelope)
 }
 
-/// Decode a response envelope (one [`split_frames`] slice).
+/// Decode a response envelope (a frame without its length prefix).
 pub fn decode_response(envelope: &[u8]) -> Result<Response, CodecError> {
     let mut dec = Decoder::new(envelope, &RESPONSE_MAGIC, PROTOCOL_VERSION)?;
     let epoch = dec.get_u64()?;
@@ -658,9 +633,8 @@ mod tests {
 
     fn roundtrip_req(req: Request) {
         let framed = encode_request(&req);
-        let frames = split_frames(&framed).unwrap();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(decode_request(frames[0]).unwrap(), req);
+        assert_eq!(framed[..4], (framed.len() as u32 - 4).to_le_bytes());
+        assert_eq!(decode_request(&framed[4..]).unwrap(), req);
     }
 
     #[test]
@@ -767,8 +741,8 @@ mod tests {
                 body,
             };
             let framed = encode_response(&resp);
-            let frames = split_frames(&framed).unwrap();
-            assert_eq!(decode_response(frames[0]).unwrap(), resp);
+            assert_eq!(framed[..4], (framed.len() as u32 - 4).to_le_bytes());
+            assert_eq!(decode_response(&framed[4..]).unwrap(), resp);
         }
     }
 
@@ -778,21 +752,9 @@ mod tests {
         // Flip a payload bit: checksum fails.
         let n = framed.len();
         framed[n - 9] ^= 0x01;
-        let frames = split_frames(&framed).unwrap();
-        assert!(decode_request(frames[0]).is_err());
-        // Torn stream: length prefix promises more than is there.
+        assert!(decode_request(&framed[4..]).is_err());
+        // Torn envelope: the checksum trailer is cut short.
         let whole = encode_request(&Request::Ping);
-        assert!(split_frames(&whole[..whole.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn multi_frame_stream_splits() {
-        let mut stream = encode_request(&Request::Ping);
-        stream.extend_from_slice(&encode_request(&Request::Lookup {
-            addr: "::1".parse().unwrap(),
-        }));
-        let frames = split_frames(&stream).unwrap();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(decode_request(frames[0]).unwrap(), Request::Ping);
+        assert!(decode_request(&whole[4..whole.len() - 1]).is_err());
     }
 }

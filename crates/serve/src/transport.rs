@@ -3,8 +3,8 @@
 //!
 //! Everything below [`Server`] keeps the sans-IO layers intact — a
 //! connection is still "length-prefixed request frames in, response
-//! frames out in request order", executed one pinned epoch at a time
-//! via [`crate::execute`]. What this module adds is the machinery a
+//! frames out in request order", each envelope answered by
+//! [`crate::handle`]. What this module adds is the machinery a
 //! long-lived daemon needs around that core:
 //!
 //! - **Per-connection buffering**: an incremental [`FrameAssembler`]
@@ -20,10 +20,13 @@
 //! - **Backpressure**: a bounded in-flight gate. Connections handle
 //!   requests serially (request N + 1 is not read until response N is
 //!   written), so a slow client's queue lives in its own socket, and
-//!   the gate caps the server-wide concurrent execution.
+//!   the gate caps the server-wide concurrent *execution*: a permit
+//!   covers one [`crate::handle`] call and is released before the
+//!   response is written, so a client that stops reading costs its own
+//!   connection (until the write deadline) and never an execution slot.
 //! - **Scale layers**: an optional [`ResponseCache`] keyed by
 //!   `(epoch, canonical request bytes)` and optional per-client
-//!   [`AdmissionControl`], wired per request.
+//!   [`AdmissionControl`], handed to [`crate::handle`] per request.
 //! - **Graceful drain**: [`Server::begin_drain`] stops admitting new
 //!   connections (each is answered with one
 //!   [`ERR_SHUTTING_DOWN`] frame
@@ -39,10 +42,10 @@
 
 use crate::cache::{CacheConfig, CacheStats, ResponseCache};
 use crate::limiter::{AdmissionControl, ClientKey, RateLimitConfig};
-use crate::pool::{error_frame, execute};
+use crate::pool::{error_frame, handle, Outcome};
 use crate::protocol::{
-    self, decode_request, decode_response, encode_response, Response, ERR_FRAME_TOO_LARGE,
-    ERR_MALFORMED, ERR_OVERLOADED, ERR_RATE_LIMITED, ERR_SHUTTING_DOWN, ERR_TIMEOUT,
+    self, decode_response, Response, ERR_FRAME_TOO_LARGE, ERR_OVERLOADED, ERR_SHUTTING_DOWN,
+    ERR_TIMEOUT,
 };
 use crate::registry::SnapshotRegistry;
 use expanse_addr::CodecError;
@@ -227,12 +230,22 @@ impl Conn {
         }
     }
 
-    /// A handle that force-closes the connection from another thread.
-    fn closer(&self) -> io::Result<Closer> {
+    /// A second handle on the same socket (duplicated fd): the
+    /// connection table keeps one so drain can force-close the
+    /// connection from another thread.
+    fn try_clone(&self) -> io::Result<Conn> {
         Ok(match self {
-            Conn::Tcp(s) => Closer::Tcp(s.try_clone()?),
-            Conn::Unix(s) => Closer::Unix(s.try_clone()?),
+            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
+            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
         })
+    }
+
+    /// Shut both directions down; every handle on the socket sees it.
+    fn shutdown(&self) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+        };
     }
 }
 
@@ -258,22 +271,6 @@ impl Write for Conn {
             Conn::Tcp(s) => s.flush(),
             Conn::Unix(s) => s.flush(),
         }
-    }
-}
-
-/// The force-close half of a connection (duplicated fd).
-#[derive(Debug)]
-enum Closer {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Closer {
-    fn close(&self) {
-        let _ = match self {
-            Closer::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            Closer::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        };
     }
 }
 
@@ -395,9 +392,9 @@ pub struct ServerStats {
     pub rejected_shutdown: u64,
     /// Request frames served (including in-band error answers).
     pub requests: u64,
-    /// Frames answered with [`ERR_MALFORMED`].
+    /// Frames answered with [`protocol::ERR_MALFORMED`].
     pub malformed: u64,
-    /// Requests answered with [`ERR_RATE_LIMITED`].
+    /// Requests answered with [`protocol::ERR_RATE_LIMITED`].
     pub rate_limited: u64,
     /// Connections closed for an oversized frame length.
     pub oversized_frames: u64,
@@ -495,7 +492,7 @@ impl Drop for GateGuard<'_> {
 
 struct ConnTable {
     next_id: u64,
-    live: HashMap<u64, Closer>,
+    live: HashMap<u64, Conn>,
 }
 
 struct Shared {
@@ -653,8 +650,8 @@ impl Server {
             // handlers to observe the closed socket.
             if !table.live.is_empty() {
                 forced_closes = table.live.len() as u64;
-                for closer in table.live.values() {
-                    closer.close();
+                for conn in table.live.values() {
+                    conn.shutdown();
                 }
                 let force_deadline = Instant::now() + Duration::from_secs(2);
                 while !table.live.is_empty() && Instant::now() < force_deadline {
@@ -717,7 +714,7 @@ fn accept_loop(shared: &Arc<Shared>, sock: &ListenSocket) {
                     reject(shared, conn, ERR_OVERLOADED);
                     continue;
                 }
-                let Ok(closer) = conn.closer() else {
+                let Ok(closer) = conn.try_clone() else {
                     continue;
                 };
                 let id = table.next_id;
@@ -778,42 +775,37 @@ fn write_all_deadline(conn: &mut Conn, bytes: &[u8], timeout: Duration) -> bool 
     true
 }
 
-/// Serve one envelope on a connection: decode → admission → cache →
-/// execute → write. Returns `false` when the connection must close
+/// Serve one envelope on a connection: permit → [`handle`] → release
+/// → count → write. Returns `false` when the connection must close
 /// (write failure/timeout).
 fn serve_frame(shared: &Shared, conn: &mut Conn, key: &ClientKey, envelope: &[u8]) -> bool {
-    // The bounded request queue: block here (not reading further
-    // requests) until a server-wide execution slot frees up.
-    let _permit = shared.inflight.acquire();
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    let bytes: Arc<[u8]> = match decode_request(envelope) {
-        Err(_) => {
-            shared.stats.malformed.fetch_add(1, Ordering::Relaxed);
-            Arc::from(error_frame(&shared.registry, ERR_MALFORMED))
-        }
-        Ok(req) => {
-            if shared.limiter.as_ref().is_some_and(|l| !l.admit(key)) {
-                shared.stats.rate_limited.fetch_add(1, Ordering::Relaxed);
-                Arc::from(error_frame(&shared.registry, ERR_RATE_LIMITED))
-            } else {
-                let pin = shared.registry.pin();
-                match (&shared.cache, req.cache_key()) {
-                    (Some(cache), Some(cache_key)) => {
-                        if let Some(hit) = cache.get(pin.epoch, &cache_key) {
-                            hit
-                        } else {
-                            let b = encode_response(&execute(&pin, &req));
-                            cache.put(pin.epoch, cache_key, &b);
-                            Arc::from(b)
-                        }
-                    }
-                    _ => Arc::from(encode_response(&execute(&pin, &req))),
-                }
-            }
-        }
+    let (bytes, outcome) = {
+        // The bounded request queue: block here (not reading further
+        // requests) until a server-wide execution slot frees up. The
+        // permit covers execution only — it is gone before the write,
+        // so a client that stops reading holds no slot.
+        let _permit = shared.inflight.acquire();
+        handle(
+            &shared.registry,
+            shared.cache.as_deref(),
+            shared.limiter.as_ref(),
+            key,
+            envelope,
+        )
     };
+    let stats = &shared.stats;
+    stats.requests.fetch_add(1, Ordering::Relaxed);
+    match outcome {
+        Outcome::Served => {}
+        Outcome::Malformed => {
+            stats.malformed.fetch_add(1, Ordering::Relaxed);
+        }
+        Outcome::RateLimited => {
+            stats.rate_limited.fetch_add(1, Ordering::Relaxed);
+        }
+    }
     if !write_all_deadline(conn, &bytes, shared.cfg.write_timeout) {
-        shared.stats.write_timeouts.fetch_add(1, Ordering::Relaxed);
+        stats.write_timeouts.fetch_add(1, Ordering::Relaxed);
         return false;
     }
     true

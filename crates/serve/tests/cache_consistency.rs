@@ -8,8 +8,8 @@ use expanse_model::SourceId;
 use expanse_serve::pool::MAX_RESULT_ADDRS;
 use expanse_serve::protocol::{encode_request, encode_response};
 use expanse_serve::{
-    execute, AliasScope, BindAddr, CacheConfig, Query, Request, ResponseCache, ServeClient, Server,
-    ServerConfig, SnapshotRegistry, SnapshotView,
+    execute, handle, handle_envelope, AliasScope, BindAddr, CacheConfig, ClientKey, Outcome, Query,
+    Request, ResponseCache, ServeClient, Server, ServerConfig, SnapshotRegistry, SnapshotView,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -19,6 +19,16 @@ fn view_of(n: u128, day: u16) -> SnapshotView {
     let addrs: Vec<std::net::Ipv6Addr> = (1..=n).map(expanse_addr::u128_to_addr).collect();
     h.add_from(SourceId::Ct, &addrs, 0);
     SnapshotView::from_hitlist(day, &h, Vec::new())
+}
+
+/// One request through the shipped path with `cache` attached.
+fn via_cache(
+    registry: &SnapshotRegistry,
+    cache: &ResponseCache,
+    req: &Request,
+) -> (Arc<[u8]>, Outcome) {
+    let framed = encode_request(req);
+    handle(registry, Some(cache), None, &ClientKey::Local, &framed[4..])
 }
 
 // ---- the canonicalization regression ---------------------------------
@@ -63,18 +73,15 @@ fn clamped_limits_share_one_cache_entry() {
     };
     assert_eq!(s1.cache_key(), s2.cache_key());
 
-    // And through a real cache: the second encoding hits the entry the
-    // first one inserted.
+    // And through the request path with a real cache: the second
+    // encoding hits the entry the first one inserted.
     let cache = ResponseCache::new(CacheConfig::default());
     let registry = SnapshotRegistry::new(view_of(8, 1));
-    let pin = registry.pin();
-    let fresh = encode_response(&execute(&pin, &a));
-    cache.put(pin.epoch, a.cache_key().unwrap(), &fresh);
-    let hit = cache
-        .get(pin.epoch, &b.cache_key().unwrap())
-        .expect("b must hit a's entry");
-    assert_eq!(&*hit, &fresh[..]);
-    assert_eq!(cache.stats().hits, 1);
+    let (fresh, _) = via_cache(&registry, &cache, &a);
+    let (hit, _) = via_cache(&registry, &cache, &b);
+    assert_eq!(hit, fresh);
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.inserts, stats.hits), (1, 1, 1));
 }
 
 /// A zero-limit `Select` is answered with an in-band error and must
@@ -180,8 +187,9 @@ proptest! {
     /// For every request: executing the raw request and executing its
     /// canonical form produce byte-identical framed responses — the
     /// exact invariant that makes `(epoch, canonical bytes)` a sound
-    /// cache key. And a cache populated with one encoding answers every
-    /// equivalent encoding with those same bytes.
+    /// cache key. And the request path with a cache attached answers
+    /// the miss and the hit with those same bytes — the bytes a
+    /// cache-less server (`handle_envelope`) answers.
     #[test]
     fn cached_answer_equals_fresh_answer(req in arb_request()) {
         let registry = SnapshotRegistry::new(view_of(120, 1));
@@ -189,14 +197,16 @@ proptest! {
         let fresh = encode_response(&execute(&pin, &req));
         let canonical_fresh = encode_response(&execute(&pin, &req.canonical()));
         prop_assert_eq!(&fresh, &canonical_fresh, "canonicalization changed the answer");
+        prop_assert_eq!(&handle_envelope(&registry, &encode_request(&req)[4..]), &fresh);
 
-        if let Some(key) = req.cache_key() {
-            let cache = ResponseCache::new(CacheConfig::default());
-            cache.put(pin.epoch, key, &fresh);
-            let again = req.cache_key().expect("still cacheable");
-            let hit = cache.get(pin.epoch, &again).expect("just inserted");
-            prop_assert_eq!(&*hit, &fresh[..], "cache returned different bytes");
-        }
+        let cache = ResponseCache::new(CacheConfig::default());
+        let (miss, outcome) = via_cache(&registry, &cache, &req);
+        prop_assert_eq!(outcome, Outcome::Served);
+        prop_assert_eq!(&*miss, &fresh[..], "the cache-filling answer differs");
+        let (hit, _) = via_cache(&registry, &cache, &req);
+        prop_assert_eq!(&*hit, &fresh[..], "cache returned different bytes");
+        let stats = cache.stats();
+        prop_assert_eq!((stats.misses, stats.inserts, stats.hits), (1, 1, 1));
     }
 
     /// Cache entries are epoch-scoped: the same key on a new epoch

@@ -13,9 +13,9 @@ use expanse_addr::{addr_to_u128, u128_to_addr, Prefix};
 use expanse_core::{Pipeline, PipelineConfig, SchedConfig};
 use expanse_model::ModelConfig;
 use expanse_packet::{ProtoSet, Protocol};
-use expanse_serve::protocol::{decode_response, encode_request, split_frames};
+use expanse_serve::protocol::{decode_response, encode_request};
 use expanse_serve::{
-    execute, serve_stream, AliasScope, Pinned, Query, Request, SnapshotRegistry, SnapshotView,
+    execute, handle_envelope, AliasScope, Pinned, Query, Request, SnapshotRegistry, SnapshotView,
 };
 use std::net::Ipv6Addr;
 use std::sync::{Arc, Barrier};
@@ -107,8 +107,22 @@ fn battery(view: &SnapshotView) -> Vec<Request> {
     reqs
 }
 
-fn stream_of(reqs: &[Request]) -> Vec<u8> {
-    reqs.iter().flat_map(encode_request).collect()
+/// Answer every request through the shipped request path
+/// (`handle_envelope`) on `workers` threads, each owning a contiguous
+/// chunk; responses come back framed, in request order.
+fn serve_on(registry: &SnapshotRegistry, reqs: &[Request], workers: usize) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = vec![Vec::new(); reqs.len()];
+    let chunk = reqs.len().div_ceil(workers).max(1);
+    std::thread::scope(|s| {
+        for (slots, reqs) in out.chunks_mut(chunk).zip(reqs.chunks(chunk)) {
+            s.spawn(move || {
+                for (slot, req) in slots.iter_mut().zip(reqs) {
+                    *slot = handle_envelope(registry, &encode_request(req)[4..]);
+                }
+            });
+        }
+    });
+    out
 }
 
 /// Guarantee 1: journal-loaded and live-published views are
@@ -141,13 +155,12 @@ fn journal_view_serves_byte_identically_to_live_view() {
 
     let reqs = battery(&live);
     assert!(reqs.len() > 20);
-    let stream = stream_of(&reqs);
     // Same epoch (0) on both registries; multi-threaded on one side to
     // show thread count cannot leak into results.
     let reg_live = SnapshotRegistry::new(live);
     let reg_loaded = SnapshotRegistry::new(loaded);
-    let out_live = serve_stream(&reg_live, &stream, 4).expect("serve live");
-    let out_loaded = serve_stream(&reg_loaded, &stream, 1).expect("serve loaded");
+    let out_live = serve_on(&reg_live, &reqs, 4);
+    let out_loaded = serve_on(&reg_loaded, &reqs, 1);
     assert_eq!(
         out_live, out_loaded,
         "journal-loaded view diverged from the live published view"
@@ -230,7 +243,6 @@ fn concurrent_publish_stress_keeps_every_response_epoch_consistent() {
 
     let reg = Arc::new(SnapshotRegistry::new((*views[0]).clone()));
     let reqs = battery(&views[0]);
-    let stream = stream_of(&reqs);
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let reg_pub = Arc::clone(&reg);
@@ -247,11 +259,10 @@ fn concurrent_publish_stress_keeps_every_response_epoch_consistent() {
     });
 
     for _ in 0..6 {
-        let out = serve_stream(&reg, &stream, 4).expect("serve under churn");
-        let frames = split_frames(&out).expect("response stream");
+        let frames = serve_on(&reg, &reqs, 4);
         assert_eq!(frames.len(), reqs.len());
-        for (req, frame) in reqs.iter().zip(frames) {
-            let resp = decode_response(frame).expect("response decodes");
+        for (req, frame) in reqs.iter().zip(&frames) {
+            let resp = decode_response(&frame[4..]).expect("response decodes");
             // Which view served it? The publisher cycles through
             // views[1..=3] (epoch e serves views[min(e,3)] only for the
             // first few swaps), so recompute from the day stamp — each

@@ -2,10 +2,12 @@
 //! named CI "Transport correctness gate" runs exactly this file.
 //!
 //! Covered here, each against a real listener:
-//! graceful drain under an epoch swap, torn / oversized / garbage
-//! frame handling, slow-reader and slow-writer clients (byte-at-a-time
-//! frames, mid-frame disconnects, never-reads-response), per-client
-//! rate-limit rejection frames, the accept limit, and UDS round trips.
+//! pipelined requests answered in order, graceful drain under an epoch
+//! swap, torn / oversized / garbage frame handling, slow-reader and
+//! slow-writer clients (byte-at-a-time frames, mid-frame disconnects,
+//! never-reads-response — which must cost no execution slot),
+//! per-client rate-limit rejection frames, the accept limit, and UDS
+//! round trips.
 
 use expanse_core::Hitlist;
 use expanse_model::SourceId;
@@ -53,6 +55,41 @@ fn start_tcp(n: u128, cfg: ServerConfig) -> (Arc<SnapshotRegistry>, Server, Bind
     (registry, server, addr)
 }
 
+/// One server on a loopback TCP port and a UDS path named after `tag`.
+fn start_tcp_and_uds(n: u128, tag: &str) -> (Server, std::path::PathBuf) {
+    let registry = Arc::new(SnapshotRegistry::new(view_of(n, 1)));
+    let sock = std::env::temp_dir().join(format!("exp-serve-{tag}-{}.sock", std::process::id()));
+    let server = Server::start(
+        registry,
+        &[
+            BindAddr::Tcp("127.0.0.1:0".parse().unwrap()),
+            BindAddr::Unix(sock.clone()),
+        ],
+        test_config(),
+    )
+    .expect("bind both");
+    (server, sock)
+}
+
+/// A client that pipelines 64 whole-view `Select`s at a 20 000-row
+/// server and never reads a byte back: the responses outgrow the
+/// socket buffers, so the server's write must block on it.
+fn never_reader(addr: &BindAddr) -> TcpStream {
+    let BindAddr::Tcp(sa) = addr else { panic!() };
+    let mut stream = TcpStream::connect(sa).expect("connect");
+    let req = encode_request(&Request::Select {
+        query: Query::all(),
+        cursor: None,
+        limit: 20_000,
+    });
+    for _ in 0..64 {
+        if stream.write_all(&req).is_err() {
+            break; // server already gave up on us — exactly the point
+        }
+    }
+    stream
+}
+
 fn expect_error(resp: &Response, code: u8) {
     match resp.body {
         ResponseBody::Error { code: got } => assert_eq!(got, code, "wrong error code"),
@@ -64,17 +101,7 @@ fn expect_error(resp: &Response, code: u8) {
 
 #[test]
 fn tcp_and_uds_round_trip_identically() {
-    let registry = Arc::new(SnapshotRegistry::new(view_of(10, 1)));
-    let sock = std::env::temp_dir().join(format!("exp-serve-rt-{}.sock", std::process::id()));
-    let server = Server::start(
-        Arc::clone(&registry),
-        &[
-            BindAddr::Tcp("127.0.0.1:0".parse().unwrap()),
-            BindAddr::Unix(sock.clone()),
-        ],
-        test_config(),
-    )
-    .expect("bind both");
+    let (server, sock) = start_tcp_and_uds(10, "rt");
     let req = Request::Select {
         query: Query::all(),
         cursor: None,
@@ -92,6 +119,35 @@ fn tcp_and_uds_round_trip_identically() {
     assert_eq!(report.stats.requests, 4);
     assert_eq!(report.forced_closes, 0);
     assert!(!sock.exists(), "drain removes the UDS socket path");
+}
+
+#[test]
+fn pipelined_responses_arrive_in_request_order() {
+    let (server, _sock) = start_tcp_and_uds(20, "pipe");
+    // Ten lookups written before the first read: responses carry no
+    // tags, so the N-th answer must be the N-th request's.
+    let framed: Vec<u8> = (1..=10u128)
+        .flat_map(|i| {
+            encode_request(&Request::Lookup {
+                addr: expanse_addr::u128_to_addr(i),
+            })
+        })
+        .collect();
+    for addr in server.local_addrs().to_vec() {
+        let mut client = ServeClient::connect(&addr).expect("connect");
+        client.send_raw(&framed).expect("pipelined send");
+        for i in 1..=10u128 {
+            match client.recv().expect("answer").body {
+                ResponseBody::Record { found: Some(rec) } => {
+                    assert_eq!(rec.addr, expanse_addr::u128_to_addr(i), "on {addr}");
+                }
+                other => panic!("unexpected body {other:?}"),
+            }
+        }
+    }
+    let report = server.drain();
+    assert_eq!(report.stats.requests, 20);
+    assert_eq!(report.forced_closes, 0);
 }
 
 // ---- graceful drain under an epoch swap ------------------------------
@@ -278,19 +334,7 @@ fn never_reading_client_is_disconnected_not_served_forever() {
         ..test_config()
     };
     let (_r, server, addr) = start_tcp(20_000, cfg);
-    let BindAddr::Tcp(sa) = addr else { panic!() };
-    let mut stream = TcpStream::connect(sa).expect("connect");
-    // Pipeline many large-page requests and never read a byte back.
-    let req = encode_request(&Request::Select {
-        query: Query::all(),
-        cursor: None,
-        limit: 20_000,
-    });
-    for _ in 0..64 {
-        if stream.write_all(&req).is_err() {
-            break; // server already gave up on us — exactly the point
-        }
-    }
+    let stream = never_reader(&addr);
     // The server must cut the connection within the write deadline
     // (plus slack), not hold a handler hostage forever.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -308,6 +352,53 @@ fn never_reading_client_is_disconnected_not_served_forever() {
     // And it still serves a well-behaved client afterwards.
     let mut fresh = ServeClient::connect(&addr).expect("listener alive");
     assert!(fresh.call(&Request::Ping).is_ok());
+    drop(fresh);
+    drop(stream);
+    server.drain();
+}
+
+#[test]
+fn never_reading_client_holds_no_execution_slot() {
+    // One execution slot, and a write deadline long enough to tell
+    // "waited for the stalled write" from "did not": a permit that
+    // spanned the response write would park the second client's Ping
+    // behind the never-reader for most of those 3 s.
+    let cfg = ServerConfig {
+        max_inflight: 1,
+        write_timeout: Duration::from_secs(3),
+        ..test_config()
+    };
+    let (_r, server, addr) = start_tcp(20_000, cfg);
+    let stream = never_reader(&addr);
+    // Wedged = the server stopped making progress on the connection:
+    // its socket buffers are full and a response write is blocked.
+    let mut served = 0;
+    let mut quiet_since = Instant::now();
+    while quiet_since.elapsed() < Duration::from_millis(200) {
+        let now = server.stats().requests;
+        if now != served {
+            served = now;
+            quiet_since = Instant::now();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        (1..64).contains(&served),
+        "never-reader not wedged: {served}"
+    );
+    assert_eq!(server.stats().write_timeouts, 0, "wedged, not yet cut off");
+
+    let mut fresh = ServeClient::connect(&addr).expect("listener alive");
+    let t0 = Instant::now();
+    let pong = fresh
+        .call(&Request::Ping)
+        .expect("ping behind a never-reader");
+    let waited = t0.elapsed();
+    assert!(matches!(pong.body, ResponseBody::Pong { .. }));
+    assert!(
+        waited < Duration::from_secs(1),
+        "a never-reading client held the execution slot: Ping took {waited:?}"
+    );
     drop(fresh);
     drop(stream);
     server.drain();
