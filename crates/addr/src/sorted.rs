@@ -101,11 +101,21 @@ impl SortedView {
     /// Panics if the view was built from a different (or since-shrunk)
     /// table — ids out of range index past the address column.
     pub fn range<'a>(&'a self, table: &AddrTable, prefix: Prefix) -> &'a [AddrId] {
+        &self.perm[self.positions(table, prefix)]
+    }
+
+    /// [`SortedView::range`] as positions into the permutation
+    /// ([`SortedView::as_slice`]) — what an index laid out over sorted
+    /// positions needs.
+    ///
+    /// # Panics
+    /// As [`SortedView::range`].
+    pub fn positions(&self, table: &AddrTable, prefix: Prefix) -> std::ops::Range<usize> {
         let lo = prefix.bits();
         let hi = crate::addr_to_u128(prefix.last());
         let start = self.perm.partition_point(|&id| table.bits(id) < lo);
         let end = self.perm[start..].partition_point(|&id| table.bits(id) <= hi) + start;
-        &self.perm[start..end]
+        start..end
     }
 
     /// [`SortedView::range`] as an [`AddrSet`] (sorted by id), ready for

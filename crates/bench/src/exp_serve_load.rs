@@ -438,7 +438,7 @@ pub fn bench_serve_load(ctx: &mut Ctx) -> String {
     ));
 
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \"scale\": \"{scale}\",\n  \
+        "{{\n  \"schema\": 2,\n  \"scale\": \"{scale}\",\n  \
          \"load\": {{ \"duration_s\": {load_elapsed:.2}, \"connections\": {conns}, \
          \"target_qps\": {target_qps:.0}, \"achieved_qps\": {achieved_qps:.1}, \
          \"sent\": {sent}, \"received\": {received}, \"lost_responses\": {lost_responses}, \
@@ -446,7 +446,7 @@ pub fn bench_serve_load(ctx: &mut Ctx) -> String {
          \"epoch_swaps\": {epoch_swaps}, \"epoch_regressions\": {epoch_regressions} }},\n  \
          \"latency_us\": {{ \"p50\": {p50}, \"p90\": {p90}, \"p99\": {p99} }},\n  \
          \"cache\": {{ \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}, \
-         \"inserts\": {}, \"retired\": {}, \"evicted\": {} }},\n  \
+         \"inserts\": {}, \"deferred\": {}, \"retired\": {}, \"evicted\": {} }},\n  \
          \"drain\": {{ \"in_flight\": {}, \"answered\": {}, \"late_responses\": {}, \
          \"shutdown_frame_ok\": {}, \"forced_closes\": {}, \"refused_after\": {}, \
          \"drain_ms\": {} }}\n}}\n",
@@ -454,6 +454,7 @@ pub fn bench_serve_load(ctx: &mut Ctx) -> String {
         cache.misses,
         cache.hit_rate(),
         cache.inserts,
+        cache.deferred,
         cache.retired,
         cache.evicted,
         proof.in_flight,

@@ -23,7 +23,9 @@
 //! - [`Query`]: point lookups, prefix-range queries, per-protocol and
 //!   freshness filters, aliased/non-aliased scoping, set algebra over
 //!   [`expanse_addr::AddrSet`], deterministic seeded sampling, and
-//!   cursor-based pagination whose cursors survive epoch swaps.
+//!   cursor-based pagination whose cursors survive epoch swaps —
+//!   evaluated on per-view predicate bitsets, so a page costs its
+//!   matches, not the rows its filter skips.
 //! - [`SnapshotRegistry`]: the concurrency model — an epoch/RCU-style
 //!   registry that atomically publishes day *N + 1* while in-flight
 //!   readers drain on day *N*. Publishing never blocks queries; a
@@ -40,8 +42,9 @@
 //!   execution, and graceful drain across epoch swaps (the
 //!   `expanse-served` binary is a thin shell around [`Server`]).
 //! - [`cache`]: an encoded-response cache keyed by `(epoch, canonical
-//!   request bytes)` — entries never invalidate, they age out when
-//!   their epoch retires.
+//!   request bytes)` — a response is admitted the second time its key
+//!   is asked for; entries never invalidate, they age out when their
+//!   epoch retires.
 //! - [`limiter`]: per-client token-bucket admission control, reusing
 //!   the simulator's bucket on a wall clock.
 //!

@@ -8,16 +8,24 @@
 //! readers hold today's view, and an immutable snapshot needs no locks
 //! on the query path. Views are published through
 //! [`crate::SnapshotRegistry`] and shared as `Arc<SnapshotView>`.
+//!
+//! A third index, the `PredicateIndex` the query engine evaluates
+//! filters on, is derived from the same columns but only when the first
+//! query asks for it: most published views (every day of a pipeline run
+//! nobody queries, every replica that only answers point lookups) never
+//! pay for it, and publishing costs what it did without it.
 
 use expanse_addr::{AddrId, AddrSet, AddrTable, Prefix, SortedView};
 use expanse_apd::ApdConfig;
 use expanse_core::{
     Hitlist, JournalReplay, PersistedState, Pipeline, SchedStatus, Scheduler, SourceMask,
 };
-use expanse_packet::{ProtoSet, Protocol};
+use expanse_packet::ProtoSet;
 use expanse_trie::PrefixTrie;
 use std::io::Read;
 use std::net::Ipv6Addr;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Everything a point lookup reports about one hitlist member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +60,87 @@ pub struct ViewStats {
     /// Live rows covered by an aliased prefix.
     pub aliased: u64,
     /// Live rows whose last responsive day answered each protocol, in
-    /// [`Protocol::ALL`] order.
+    /// [`expanse_packet::Protocol::ALL`] order.
     pub per_protocol: [u64; 5],
+}
+
+/// Row predicates as bitsets over **sorted positions**: bit `i` of a
+/// set speaks for the row at `sorted().as_slice()[i]`. A prefix bounds
+/// a query to one contiguous position range, so a filter is the AND / OR
+/// of the words in that range and a count is their popcount — no column
+/// load and no alias LPM per row.
+#[derive(Debug, Clone)]
+pub(crate) struct PredicateIndex {
+    /// The row is live.
+    pub(crate) alive: Vec<u64>,
+    /// The row is live and has answered a probe at some point.
+    pub(crate) responsive: Vec<u64>,
+    /// The row is live and its last responsive day answered the
+    /// protocol, one set per [`expanse_packet::Protocol::index`].
+    pub(crate) protos: [Vec<u64>; 5],
+    /// The row (live or not) lies under an aliased prefix.
+    pub(crate) aliased: Vec<u64>,
+}
+
+/// The index words that hold positions `span`.
+pub(crate) fn words_of(span: &Range<usize>) -> Range<usize> {
+    span.start / 64..span.end.div_ceil(64)
+}
+
+/// Set bits `span` of `words`.
+fn set_range(words: &mut [u64], span: Range<usize>) {
+    let touched = words_of(&span);
+    for (w, word) in touched.clone().zip(&mut words[touched]) {
+        *word |= range_mask(w, &span);
+    }
+}
+
+/// The bits of word `w` that lie inside `span`.
+pub(crate) fn range_mask(w: usize, span: &Range<usize>) -> u64 {
+    // Bits below position `n` of word `w`.
+    let below = |n: usize| match n.saturating_sub(w * 64) {
+        bits @ 0..64 => (1u64 << bits) - 1,
+        _ => u64::MAX,
+    };
+    below(span.end) & !below(span.start)
+}
+
+impl PredicateIndex {
+    fn build(view: &SnapshotView) -> PredicateIndex {
+        let perm = view.sorted.as_slice();
+        let empty = vec![0u64; perm.len().div_ceil(64)];
+        let mut ix = PredicateIndex {
+            alive: empty.clone(),
+            responsive: empty.clone(),
+            protos: std::array::from_fn(|_| empty.clone()),
+            aliased: empty,
+        };
+        for (w, chunk) in perm.chunks(64).enumerate() {
+            for (b, id) in chunk.iter().enumerate() {
+                let i = id.index();
+                if !view.alive[i] {
+                    continue;
+                }
+                let bit = 1u64 << b;
+                ix.alive[w] |= bit;
+                if view.last_responsive[i] != Hitlist::NEVER_RESPONSIVE {
+                    ix.responsive[w] |= bit;
+                }
+                for p in view.protos[i].iter() {
+                    ix.protos[p.index()][w] |= bit;
+                }
+            }
+        }
+        // A prefix's members are one contiguous run of the sorted
+        // permutation, so "covered by some aliased prefix" is the union
+        // of those runs: two binary searches per prefix, not a
+        // longest-prefix match per row. Nested prefixes re-mark bits
+        // their cover already set.
+        for &p in &view.aliased {
+            set_range(&mut ix.aliased, view.sorted.positions(&view.table, p));
+        }
+        ix
+    }
 }
 
 /// One immutable published view. See the [module](self) docs.
@@ -71,6 +158,8 @@ pub struct SnapshotView {
     live: AddrSet,
     aliased: Vec<Prefix>,
     alias_trie: PrefixTrie<()>,
+    /// Built by the first query that filters (see [`PredicateIndex`]).
+    index: OnceLock<PredicateIndex>,
     sched: Scheduler,
 }
 
@@ -129,6 +218,7 @@ impl SnapshotView {
             live,
             aliased,
             alias_trie,
+            index: OnceLock::new(),
             sched: Scheduler::new(),
         }
     }
@@ -219,54 +309,97 @@ impl SnapshotView {
         self.table.lookup(addr).map(|id| self.record(id))
     }
 
-    /// Aggregate statistics, scoped to `prefix` if given.
-    pub fn stats(&self, prefix: Option<Prefix>) -> ViewStats {
-        let mut s = ViewStats::default();
-        let mut add = |view: &SnapshotView, id: AddrId| {
-            let i = id.index();
-            s.members += 1;
-            if !view.alive[i] {
-                return;
-            }
-            s.live += 1;
-            if view.last_responsive[i] != Hitlist::NEVER_RESPONSIVE {
-                s.responsive += 1;
-            }
-            if view.alias_covering(view.table.addr(id)).is_some() {
-                s.aliased += 1;
-            }
-            for p in Protocol::ALL {
-                if view.protos[i].contains(p) {
-                    s.per_protocol[p.index()] += 1;
-                }
-            }
-        };
-        match prefix {
-            Some(p) => {
-                for &id in self.sorted.range(&self.table, p) {
-                    add(self, id);
-                }
-            }
-            None => {
-                for id in (0..self.table.len()).map(AddrId::from_index) {
-                    add(self, id);
-                }
-            }
-        }
-        s
+    /// The predicate index, built on first use. Concurrent first
+    /// callers block on one build; every later call is a load.
+    pub(crate) fn index(&self) -> &PredicateIndex {
+        self.index.get_or_init(|| PredicateIndex::build(self))
     }
 
-    // Column peeks used by the query planner (crate-private; the public
-    // surface is `record`).
-    pub(crate) fn is_alive(&self, id: AddrId) -> bool {
-        self.alive[id.index()]
-    }
-
+    /// The one row-level column the query engine still reads: a
+    /// freshness floor above day 0 is not a bitset.
     pub(crate) fn last_of(&self, id: AddrId) -> u16 {
         self.last_responsive[id.index()]
     }
+}
 
-    pub(crate) fn protos_of(&self, id: AddrId) -> ProtoSet {
-        self.protos[id.index()]
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::Query;
+    use expanse_core::PipelineConfig;
+    use expanse_model::{ModelConfig, SourceId};
+    use std::sync::Barrier;
+
+    impl SnapshotView {
+        fn index_built(&self) -> bool {
+            self.index.get().is_some()
+        }
+    }
+
+    #[test]
+    fn only_the_first_filtering_query_builds_the_index() {
+        let mut cfg = PipelineConfig {
+            trace_budget: 20,
+            ..PipelineConfig::default()
+        };
+        cfg.plan.min_targets = 30;
+        let mut p = Pipeline::new(ModelConfig::tiny(4047), cfg);
+        p.collect_sources(30);
+        let mut journal = Vec::new();
+        p.save_full(&mut journal).expect("save base");
+        let (st, _) =
+            PersistedState::load(p.cfg.apd.clone(), &mut journal.as_slice()).expect("load");
+
+        // Neither publish path, nor a copy, nor a point read pays for
+        // the index.
+        let published = SnapshotView::publish(&p);
+        let loaded = SnapshotView::from_state(&st);
+        let cloned = published.clone();
+        let member = published.table().addr(AddrId::from_index(0));
+        assert!(published.lookup(member).is_some());
+        assert!(!published.live_set().is_empty());
+        published.sched_status(4);
+        for view in [&published, &loaded, &cloned] {
+            assert!(!view.index_built());
+        }
+
+        // Each filtering read does, once.
+        let q = Query::all().responsive();
+        published.page(&q, None, 8);
+        assert!(published.index_built());
+        loaded.sample(&q, 8, 1);
+        assert!(loaded.index_built());
+        cloned.stats(None);
+        assert!(cloned.index_built());
+        assert_eq!(published.stats(None), cloned.stats(None));
+        assert_eq!(published.stats(None), loaded.stats(None));
+    }
+
+    #[test]
+    fn racing_first_queries_share_one_build() {
+        let mut h = Hitlist::new();
+        let addrs: Vec<Ipv6Addr> = (1..=5000u128).map(expanse_addr::u128_to_addr).collect();
+        h.add_from(SourceId::Ct, &addrs, 0);
+        let aliased = vec![Prefix::new(expanse_addr::u128_to_addr(0), 118)];
+        let view = SnapshotView::from_hitlist(1, &h, aliased);
+        let q = Query::all().non_aliased();
+        let gate = Barrier::new(2);
+        let first_query = || {
+            gate.wait();
+            let index: *const PredicateIndex = view.index();
+            (
+                index as usize,
+                view.page(&q, Some(900), 64),
+                view.stats(None),
+            )
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(first_query);
+            let b = s.spawn(first_query);
+            (a.join().expect("reader a"), b.join().expect("reader b"))
+        });
+        assert_eq!(a, b, "both readers see the one index and answer alike");
+        assert_eq!(a.2.aliased, 1023);
+        assert_eq!(a.1.addrs[0], expanse_addr::u128_to_addr(1024));
     }
 }

@@ -1,13 +1,14 @@
 //! Property tests: every query primitive (prefix, protocol filter,
-//! freshness, alias scoping, sampling, pagination) agrees with a
-//! brute-force oracle computed from the ground-truth hitlist, and
-//! pagination cursors survive epoch swaps.
+//! freshness, alias scoping, sampling, pagination, counting, stats)
+//! agrees with a brute-force oracle computed from the ground-truth
+//! hitlist, and pagination cursors survive epoch swaps.
 
+use expanse_addr::fanout::splitmix64;
 use expanse_addr::{addr_to_u128, u128_to_addr, Prefix};
 use expanse_core::Hitlist;
 use expanse_model::SourceId;
-use expanse_packet::ProtoSet;
-use expanse_serve::{AliasScope, Query, SnapshotView};
+use expanse_packet::{ProtoSet, Protocol};
+use expanse_serve::{AliasScope, Query, SnapshotView, ViewStats};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
@@ -54,17 +55,44 @@ fn build_world(members: &[MemberSpec], do_expire: bool) -> (Hitlist, Vec<Prefix>
         let revive: Vec<Ipv6Addr> = addrs.iter().copied().step_by(5).collect();
         h.add_from(SourceId::Fdns, &revive, 9);
     }
-    // Alias a few prefixes derived from the population itself.
+    // Alias a few prefixes derived from the population itself: whole
+    // clusters (/96), runs that start and end inside an index word
+    // (/120–/126 over the 256 addresses of a cluster), and — every
+    // third one — a /123 around the same address, which nests under
+    // the wide ones and over the narrow ones.
     let aliased: BTreeSet<Prefix> = members
         .iter()
         .enumerate()
         .filter(|(i, _)| i % 5 == 0)
-        .map(|(i, &(hi, lo, _, _))| {
-            let len = 96 + ((i as u8) % 3) * 8; // /96, /104, /112
-            Prefix::new(member_addr(hi, lo), len)
+        .flat_map(|(i, &(hi, lo, _, _))| {
+            let len = [96, 120, 122, 124, 126][(i / 5) % 5];
+            let nested = (i % 15 == 0).then_some(123);
+            [Some(len), nested]
+                .into_iter()
+                .flatten()
+                .map(move |len| Prefix::new(member_addr(hi, lo), len))
         })
         .collect();
     (h, aliased.into_iter().collect())
+}
+
+/// A random population (duplicate addresses and all), or — a quarter
+/// of the time — the same specs spread over exactly 0, 63, 64, 65 or
+/// 128 distinct addresses of one cluster: views that end on, just
+/// before and just after an index-word boundary.
+fn arb_members() -> impl Strategy<Value = Vec<MemberSpec>> {
+    let spec = (0u8..4, any::<u8>(), any::<u8>(), any::<u8>());
+    (0usize..20, proptest::collection::vec(spec, 1..120)).prop_map(|(edge, members)| {
+        match [0usize, 63, 64, 65, 128].get(edge) {
+            Some(&rows) => (0..rows)
+                .map(|i| {
+                    let (_, _, protos_raw, last_raw) = members[i % members.len()];
+                    (0, i as u8, protos_raw, last_raw)
+                })
+                .collect(),
+            None => members,
+        }
+    })
 }
 
 /// Brute-force oracle: scan every row of the ground-truth hitlist.
@@ -93,17 +121,63 @@ fn oracle(h: &Hitlist, aliased: &[Prefix], q: &Query) -> Vec<Ipv6Addr> {
     out
 }
 
+/// The row-walk statistics oracle: every row of the ground-truth
+/// hitlist, tombstoned ones included, one at a time.
+fn stats_oracle(h: &Hitlist, aliased: &[Prefix], prefix: Option<Prefix>) -> ViewStats {
+    let mut s = ViewStats::default();
+    for (_, a) in h.table().iter() {
+        if prefix.is_some_and(|p| !p.contains(a)) {
+            continue;
+        }
+        s.members += 1;
+        if h.id_of(a).is_none() {
+            continue;
+        }
+        s.live += 1;
+        s.responsive += u64::from(h.last_responsive(a).is_some());
+        s.aliased += u64::from(aliased.iter().any(|p| p.contains(a)));
+        for p in Protocol::ALL {
+            s.per_protocol[p.index()] += u64::from(h.protos_of(a).contains(p));
+        }
+    }
+    s
+}
+
+/// The sampling contract, as the dense algorithm that defined it: a
+/// partial Fisher–Yates over the address-ordered match list, driven by
+/// a splitmix64 stream keyed by the seed and the pick's position.
+fn reference_sample(matches: &[Ipv6Addr], k: usize, seed: u64) -> Vec<Ipv6Addr> {
+    if matches.len() <= k {
+        return matches.to_vec();
+    }
+    let mut idx: Vec<u32> = (0..matches.len() as u32).collect();
+    for i in 0..k {
+        let r = splitmix64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let j = i + (r as usize % (idx.len() - i));
+        idx.swap(i, j);
+    }
+    let mut picked: Vec<Ipv6Addr> = idx[..k].iter().map(|&i| matches[i as usize]).collect();
+    picked.sort_unstable();
+    picked
+}
+
 fn build_query(members: &[MemberSpec], spec: (u8, u8, u8, u8, u8)) -> Query {
     let (qsel, plen, protos_raw, minlast_raw, alias_raw) = spec;
     let mut q = Query::all();
-    if qsel % 3 != 0 && !members.is_empty() {
+    if qsel % 11 == 10 {
+        // A cluster nobody lives in: an empty candidate range.
+        q = q.under(Prefix::new(u128_to_addr(BASE | (7 << 32)), 96));
+    } else if qsel % 3 != 0 && !members.is_empty() {
         let (hi, lo, _, _) = members[usize::from(qsel) % members.len()];
-        // Lengths from /0 to /128, biased into the populated range.
-        let len = match plen % 4 {
+        // Lengths from /0 to /128, biased into the populated range;
+        // /120 and /124 cut a cluster's 256 addresses mid-word.
+        let len = match plen % 6 {
             0 => 96,
             1 => 112,
             2 => u8::min(plen, 128),
-            _ => 128,
+            3 => 128,
+            4 => 120,
+            _ => 124,
         };
         q = q.under(Prefix::new(member_addr(hi, lo), len));
     }
@@ -120,13 +194,13 @@ fn build_query(members: &[MemberSpec], spec: (u8, u8, u8, u8, u8)) -> Query {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// select / count / select_set / pagination / sampling all agree
     /// with the brute-force oracle over the same view.
     #[test]
     fn query_engine_matches_oracle(
-        members in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>(), any::<u8>()), 0..120),
+        members in arb_members(),
         do_expire in any::<bool>(),
         qspec in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
         limit in 1usize..16,
@@ -146,6 +220,11 @@ proptest! {
             .collect();
         prop_assert_eq!(&got, &expect);
         prop_assert_eq!(view.count(&q), expect.len());
+        prop_assert_eq!(view.count(&q), view.select(&q).len());
+
+        // stats: popcounts agree with a row walk, scoped and unscoped.
+        prop_assert_eq!(view.stats(None), stats_oracle(&h, &aliased, None));
+        prop_assert_eq!(view.stats(q.prefix), stats_oracle(&h, &aliased, q.prefix));
 
         // The set form holds the same members.
         let set = view.select_set(&q);
@@ -181,6 +260,8 @@ proptest! {
         for a in &s1 {
             prop_assert!(universe.contains(a), "sampled non-member {a}");
         }
+        // …and pick for pick the dense reference's sample.
+        prop_assert_eq!(&s1, &reference_sample(&expect, k, seed));
 
         // A view rebuilt from the same ground truth samples and pages
         // identically (replica determinism).

@@ -208,11 +208,12 @@ fn run(args: &[String]) -> Result<(), String> {
     );
     if let Some(c) = report.cache {
         println!(
-            "cache: {:.1}% hit rate ({} hits / {} lookups), {} inserted, {} retired, {} evicted",
+            "cache: {:.1}% hit rate ({} hits / {} lookups), {} inserted, {} deferred as first sightings, {} retired, {} evicted",
             c.hit_rate() * 100.0,
             c.hits,
             c.hits + c.misses,
             c.inserts,
+            c.deferred,
             c.retired,
             c.evicted,
         );
