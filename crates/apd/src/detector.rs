@@ -156,8 +156,9 @@ impl Apd {
         let (targets, back): (Vec<Ipv6Addr>, Vec<(usize, u8)>) =
             fan.into_iter().map(|(a, pi, b)| (a, (pi, b))).unzip();
 
-        let icmp_scan = scanner.scan(&targets, &IcmpEchoModule);
-        let tcp_scan = scanner.scan(&targets, &TcpSynModule::with_synopt(80));
+        // One layout, walked once, for both passes.
+        let [icmp_scan, tcp_scan] =
+            scanner.scan_each(&targets, [&IcmpEchoModule, &TcpSynModule::with_synopt(80)]);
 
         let mut report = DayReport {
             observations: order

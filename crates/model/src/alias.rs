@@ -8,9 +8,9 @@
 //! different system and stays silent).
 
 use crate::fingerprint::MachineId;
-use expanse_addr::{nybbles::nybble, Prefix};
+use expanse_addr::Prefix;
 use expanse_packet::ProtoSet;
-use expanse_trie::PrefixTrie;
+use expanse_trie::{PrefixTrie, RangeTable};
 use std::net::Ipv6Addr;
 
 /// One aliased region.
@@ -26,42 +26,78 @@ pub struct AliasRegion {
 }
 
 /// The alias table: regions keyed by prefix, longest-prefix matched.
+///
+/// The regions live in a trie; every insert re-freezes it into a
+/// [`RangeTable`] that [`AliasTable::resolve`] answers from with one
+/// binary search. Each carve-out branch is a range of its own there,
+/// holding whatever serves it (a region further out, or nobody), so no
+/// lookup ever walks the covering regions. The model inserts only while
+/// it is built, and reads on every probe after.
 #[derive(Debug, Clone, Default)]
 pub struct AliasTable {
     trie: PrefixTrie<AliasRegion>,
+    /// `resolve`'s answer per range of the address space.
+    serving: RangeTable<Option<(Prefix, AliasRegion)>>,
+}
+
+/// The branch `region` at `p` carves out, as the sub-prefix one nybble
+/// longer — if the carve applies (nybble-aligned and at most /124).
+fn carved(p: Prefix, region: &AliasRegion) -> Option<Prefix> {
+    let branch = region.carve_branch.filter(|&b| b < 16)?;
+    (p.len() <= 124 && p.len().is_multiple_of(4)).then(|| p.subprefix(4, u128::from(branch)))
+}
+
+/// The region serving `addr` among those at most `max_len` long, by
+/// walking every covering region: the most specific one that does not
+/// carve `addr` out. The definition the frozen table is built from.
+fn walk_resolve(
+    trie: &PrefixTrie<AliasRegion>,
+    addr: Ipv6Addr,
+    max_len: u8,
+) -> Option<(Prefix, AliasRegion)> {
+    // Covering regions arrive shortest first: the last one that does
+    // not carve `addr` out is the most specific region serving it.
+    let mut serving = None;
+    for (p, r) in trie.matches(addr).take_while(|(p, _)| p.len() <= max_len) {
+        if !carved(p, r).is_some_and(|c| c.contains(addr)) {
+            serving = Some((p, *r));
+        }
+    }
+    serving
 }
 
 impl AliasTable {
     /// Create a new instance.
     pub fn new() -> Self {
-        AliasTable {
-            trie: PrefixTrie::new(),
-        }
+        AliasTable::default()
     }
 
     /// Register a region.
     pub fn insert(&mut self, prefix: Prefix, region: AliasRegion) {
         self.trie.insert(prefix, region);
+        self.serving = self.freeze();
+    }
+
+    /// Every region resolves to itself; each carved branch without a
+    /// region of its own resolves to what serves it from further out.
+    fn freeze(&self) -> RangeTable<Option<(Prefix, AliasRegion)>> {
+        let mut serving: PrefixTrie<Option<(Prefix, AliasRegion)>> =
+            self.trie.iter().map(|(p, r)| (p, Some((p, *r)))).collect();
+        for (p, r) in self.trie.iter() {
+            if let Some(c) = carved(p, r).filter(|c| self.trie.get(*c).is_none()) {
+                serving.insert(c, walk_resolve(&self.trie, c.first(), c.len() - 1));
+            }
+        }
+        RangeTable::freeze(&serving)
     }
 
     /// The aliased region responsible for `addr`, if any. Honours
     /// carve-outs: an address in a region's carved branch resolves to
-    /// `None` unless a more specific region covers it.
+    /// the next region out that serves it, or `None`, unless a more
+    /// specific region covers it.
+    #[inline]
     pub fn resolve(&self, addr: Ipv6Addr) -> Option<(Prefix, AliasRegion)> {
-        // Covering regions arrive shortest first: the last one that does
-        // not carve `addr` out is the most specific region serving it.
-        let mut serving = None;
-        for (p, r) in self.trie.matches(addr) {
-            let carved = r.carve_branch.is_some_and(|branch| {
-                p.len() <= 124
-                    && p.len() % 4 == 0
-                    && nybble(addr, usize::from(p.len()) / 4) == branch
-            });
-            if !carved {
-                serving = Some((p, *r));
-            }
-        }
-        serving
+        *self.serving.longest_match(addr)?.1
     }
 
     /// Number of regions.
@@ -163,6 +199,81 @@ mod tests {
         // /68 above covers the whole branch though, so pick another test
         // point outside p64 entirely.
         assert!(t.resolve("2001:db8:1:3::1".parse().unwrap()).is_none());
+    }
+
+    /// Regions nest down four spine addresses that share long prefixes —
+    /// one sits in the `0xf` branch under `/64`, one in the `0x3` branch
+    /// under `/120` — at nybble and non-nybble lengths, each with a carve
+    /// branch or none (16 and 17 are no nybble, so they carve nothing).
+    fn arb_regions() -> impl proptest::prelude::Strategy<Value = Vec<(Prefix, AliasRegion)>> {
+        use proptest::prelude::Strategy;
+        const S: u128 = 0x2001_0db8_0001_0002_0000_0000_0000_0000;
+        const SPINES: [u128; 4] = [S, S | (0xf << 60), S | (0x3 << 4), S ^ (1 << 127)];
+        const LENS: [u8; 16] = [
+            0, 3, 32, 48, 61, 64, 66, 68, 72, 116, 118, 120, 122, 124, 126, 128,
+        ];
+        let one = (0usize..4, 0usize..16, 0u8..24, 0u32..8);
+        proptest::collection::vec(one, 0..12).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(spine, len, carve, m)| {
+                    let r = AliasRegion {
+                        carve_branch: (carve < 18).then_some(carve),
+                        ..region(m)
+                    };
+                    (Prefix::from_bits(SPINES[spine], LENS[len]), r)
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The frozen table answers what walking every covering region
+        /// answers, at every address where either could change.
+        #[test]
+        fn frozen_resolve_equals_the_covering_walk(
+            regions in arb_regions(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u128>(), 8),
+        ) {
+            let mut t = AliasTable::new();
+            for (p, r) in &regions {
+                t.insert(*p, *r);
+            }
+            let mut edges: Vec<Prefix> = t.prefixes();
+            edges.extend(t.iter().filter_map(|(p, r)| carved(p, r)));
+            let mut probes: Vec<u128> = Vec::new();
+            for p in &edges {
+                let (first, last) = (p.bits(), expanse_addr::addr_to_u128(p.last()));
+                probes.extend([first, last, first.wrapping_sub(1), last.wrapping_add(1)]);
+                probes.extend(noise.iter().map(|n| first | (n & !expanse_addr::prefix::mask(p.len()))));
+            }
+            for q in probes {
+                let addr = expanse_addr::u128_to_addr(q);
+                proptest::prop_assert_eq!(t.resolve(addr), walk_resolve(&t.trie, addr, 128), "{}", addr);
+            }
+        }
+    }
+
+    #[test]
+    fn carve_below_a_non_nybble_region_falls_back_to_it() {
+        let mut t = AliasTable::new();
+        let p64: Prefix = "2001:db8:1:2::/64".parse().unwrap();
+        t.insert(
+            p64,
+            AliasRegion {
+                carve_branch: Some(0xf),
+                ..region(1)
+            },
+        );
+        // A /66 between the /64 and its carved /68 serves the carve.
+        t.insert("2001:db8:1:2:c000::/66".parse().unwrap(), region(4));
+        let (p, r) = t.resolve("2001:db8:1:2:f000::1".parse().unwrap()).unwrap();
+        assert_eq!((p.len(), r.machine), (66, MachineId(4)));
+        assert_eq!(
+            t.resolve("2001:db8:1:2:1::1".parse().unwrap()).unwrap().0,
+            p64
+        );
     }
 
     #[test]

@@ -2,34 +2,36 @@
 
 use crate::ids::{AsCategory, AsInfo, Asn};
 use expanse_addr::Prefix;
-use expanse_trie::PrefixTrie;
+use expanse_trie::{PrefixTrie, RangeTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv6Addr;
 
 /// The global routing table: announced prefixes and their origin ASes.
+///
+/// Read on every probe and never changed once built, so the table is
+/// frozen into a [`RangeTable`]: a route lookup is one binary search.
 #[derive(Debug, Clone)]
 pub struct BgpTable {
-    trie: PrefixTrie<Asn>,
+    routes: RangeTable<Asn>,
     list: Vec<(Prefix, Asn)>,
 }
 
 impl BgpTable {
-    /// Build from announcements.
+    /// Build from announcements (a later announcement of the same
+    /// prefix replaces the origin of an earlier one).
     pub fn new(announcements: Vec<(Prefix, Asn)>) -> Self {
-        let mut trie = PrefixTrie::new();
-        for (p, asn) in &announcements {
-            trie.insert(*p, *asn);
-        }
+        let trie: PrefixTrie<Asn> = announcements.iter().copied().collect();
         BgpTable {
-            trie,
+            routes: RangeTable::freeze(&trie),
             list: announcements,
         }
     }
 
     /// Longest-prefix match: the covering announcement for `addr`.
+    #[inline]
     pub fn lookup(&self, addr: Ipv6Addr) -> Option<(Prefix, Asn)> {
-        self.trie.longest_match(addr).map(|(p, a)| (p, *a))
+        self.routes.longest_match(addr).map(|(p, a)| (p, *a))
     }
 
     /// Origin AS only.

@@ -13,10 +13,10 @@ use crate::scenario::ScenarioResponder;
 use crate::InternetModel;
 use expanse_addr::fanout::splitmix64;
 use expanse_addr::{addr_to_u128, Prefix};
-use expanse_netsim::{Delivery, Duration, Network, SynProxy, Time, TokenBucket};
+use expanse_netsim::{Deliveries, Duration, Network, SynProxy, Time, TokenBucket};
 use expanse_packet::{
-    dns, icmpv6, quic, Datagram, Icmpv6Message, ProtoSet, Protocol, TcpFlags, TcpSegment,
-    Transport, UdpDatagram,
+    dns, icmpv6, proto, quic, udp, Datagram, Icmpv6Message, Ipv6Header, PacketError, ProtoSet,
+    Protocol, TcpFlags, TcpView, TransportView, UdpDatagram,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -116,10 +116,81 @@ impl Route {
     }
 }
 
+/// One probe frame as the engine handles it: when it arrived, its
+/// header and route, and its bytes as received.
+struct Probe<'a> {
+    now: Time,
+    hdr: Ipv6Header,
+    route: Route,
+    frame: &'a [u8],
+}
+
 /// What an ICMPv6 error quotes of the frame that caused it: the IPv6
 /// header and the leading payload bytes, as received.
-fn invoking_quote(frame: &[u8]) -> Vec<u8> {
-    frame[..frame.len().min(88)].to_vec()
+fn invoking_quote(frame: &[u8]) -> &[u8] {
+    &frame[..frame.len().min(88)]
+}
+
+/// The transport part of one reply, borrowing what it echoes from the
+/// probe; [`InternetModel::reply`] writes it, framed, into the caller's
+/// delivery buffer.
+enum Body<'a> {
+    /// An ICMPv6 message.
+    Icmp(Icmpv6Message<&'a [u8]>),
+    /// A TCP segment.
+    Tcp(TcpView<'a>),
+    /// A DNS response from port 53 to `dst_port`, answering `query`.
+    Dns { dst_port: u16, query: &'a [u8] },
+    /// A QUIC version negotiation from port 443 to `dst_port`, answering
+    /// the client Initial `initial`.
+    VersionNegotiation {
+        dst_port: u16,
+        initial: quic::QuicView<'a>,
+    },
+}
+
+impl Body<'_> {
+    /// Append the whole datagram from `src` to `dst`; fails (and then
+    /// must be dropped) only when a DNS query cannot be answered.
+    fn emit(
+        &self,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        hop_limit: u8,
+        out: &mut Vec<u8>,
+    ) -> Result<(), PacketError> {
+        match self {
+            Body::Icmp(m) => Datagram::append_with(out, src, dst, proto::ICMPV6, hop_limit, |b| {
+                m.emit_into(src, dst, b);
+                Ok(())
+            }),
+            Body::Tcp(s) => Datagram::append_with(out, src, dst, proto::TCP, hop_limit, |b| {
+                s.emit_into(src, dst, b);
+                Ok(())
+            }),
+            Body::Dns { dst_port, query } => {
+                Datagram::append_with(out, src, dst, proto::UDP, hop_limit, |b| {
+                    udp::emit_with(53, *dst_port, src, dst, b, |b| {
+                        dns::build_response_into(query, 0, 1, b)
+                    })
+                })
+            }
+            Body::VersionNegotiation { dst_port, initial } => {
+                Datagram::append_with(out, src, dst, proto::UDP, hop_limit, |b| {
+                    udp::emit_with(443, *dst_port, src, dst, b, |b| {
+                        let versions = [1, 0x6b33_43cf];
+                        quic::QuicLongHeader::version_negotiation_into(
+                            initial.scid,
+                            initial.dcid,
+                            &versions,
+                            b,
+                        );
+                        Ok(())
+                    })
+                })
+            }
+        }
+    }
 }
 
 /// Which responder answers a destination address.
@@ -159,7 +230,7 @@ impl InternetModel {
     /// merges across *protocols* and *days* instead (§5.2).
     fn lost(&self, day: u16, dst: Ipv6Addr, proto_tag: u8, extra: u64) -> bool {
         let mut p = self.config.base_loss;
-        if self.lossy_trie.longest_match(dst).is_some() {
+        if self.lossy.covers_addr(dst) {
             p = self.config.lossy_prefix_loss;
         }
         let key = splitmix64(
@@ -229,26 +300,21 @@ impl InternetModel {
         churn::client_online(salt, day, now.0 / 1_000_000_000)
     }
 
+    /// Append the reply to `probe` sent from `src` with hop limit
+    /// `hop_limit` to `out`, arriving one round trip after `now`.
     fn reply(
         &self,
-        now: Time,
-        probe_dst: Ipv6Addr,
-        reply_src: Ipv6Addr,
-        reply_dst: Ipv6Addr,
+        out: &mut Deliveries,
+        probe: &Probe<'_>,
+        src: Ipv6Addr,
         hop_limit: u8,
-        body: Transport,
-    ) -> Delivery {
-        let key = splitmix64(addr_to_u128(probe_dst) as u64 ^ now.0);
-        let at = now + self.rtt(probe_dst, key);
-        let datagram = match body {
-            Transport::Icmpv6(m) => Datagram::icmpv6(reply_src, reply_dst, hop_limit, m),
-            Transport::Tcp(s) => Datagram::tcp(reply_src, reply_dst, hop_limit, &s),
-            Transport::Udp(u) => Datagram::udp(reply_src, reply_dst, hop_limit, &u),
-            Transport::Other(nh, payload) => {
-                Datagram::new(reply_src, reply_dst, nh, hop_limit, payload)
-            }
-        };
-        Delivery::new(at, datagram.emit())
+        body: Body<'_>,
+    ) {
+        let (now, dst) = (probe.now, probe.hdr.dst);
+        let key = splitmix64(addr_to_u128(dst) as u64 ^ now.0);
+        let at = now + self.rtt(dst, key);
+        // An unanswerable DNS query is no reply.
+        let _ = out.try_push_with(at, |buf| body.emit(src, probe.hdr.src, hop_limit, buf));
     }
 
     /// The one longest-prefix match a frame costs; `None` for unrouted
@@ -269,11 +335,11 @@ impl InternetModel {
     fn handle_icmp(
         &self,
         ds: &mut DayState,
-        now: Time,
-        hdr: &expanse_packet::Ipv6Header,
-        route: Route,
-        msg: Icmpv6Message,
-    ) -> Vec<Delivery> {
+        p: &Probe<'_>,
+        msg: Icmpv6Message<&[u8]>,
+        out: &mut Deliveries,
+    ) {
+        let (now, route) = (p.now, p.route);
         // Only echo requests are answered.
         let Icmpv6Message::EchoRequest {
             ident,
@@ -281,13 +347,13 @@ impl InternetModel {
             payload,
         } = msg
         else {
-            return Vec::new();
+            return;
         };
-        let dst = hdr.dst;
+        let dst = p.hdr.dst;
         // ICMP rate limiting (§5.1 case 4).
-        for (p, bucket) in &mut ds.icmp_buckets {
-            if p.contains(dst) && !bucket.try_consume(now) {
-                return Vec::new();
+        for (prefix, bucket) in &mut ds.icmp_buckets {
+            if prefix.contains(dst) && !bucket.try_consume(now) {
+                return;
             }
         }
         let responder = self.resolve(ds, dst);
@@ -298,47 +364,35 @@ impl InternetModel {
                 protos,
                 kind,
             } => (machine, protos, Some(kind)),
-            Responder::Nobody => return Vec::new(),
+            Responder::Nobody => return,
         };
         if !self.serves_today(ds.day, dst, protos, Protocol::Icmp) {
-            return Vec::new();
+            return;
         }
         if let Some(k) = kind {
             if !self.client_gate(ds.day, dst, k, now) {
-                return Vec::new();
+                return;
             }
         }
         if self.lost(ds.day, dst, 0, u64::from(ident) << 16 | u64::from(seq)) {
-            return Vec::new();
+            return;
         }
         let m = &self.population.machines[machine.0 as usize];
         let flavor = splitmix64(addr_to_u128(dst) as u64 ^ now.0 ^ 0x1c1c);
         let ttl = route.observed_ttl(m.reply_ittl(flavor));
-        vec![self.reply(
-            now,
-            dst,
-            dst,
-            hdr.src,
-            ttl,
-            Transport::Icmpv6(Icmpv6Message::EchoReply {
-                ident,
-                seq,
-                payload,
-            }),
-        )]
+        let echo = Icmpv6Message::EchoReply {
+            ident,
+            seq,
+            payload,
+        };
+        self.reply(out, p, dst, ttl, Body::Icmp(echo));
     }
 
-    fn handle_tcp(
-        &self,
-        ds: &mut DayState,
-        now: Time,
-        hdr: &expanse_packet::Ipv6Header,
-        route: Route,
-        seg: TcpSegment,
-    ) -> Vec<Delivery> {
+    fn handle_tcp(&self, ds: &mut DayState, p: &Probe<'_>, seg: TcpView<'_>, out: &mut Deliveries) {
+        let (now, hdr, route) = (p.now, &p.hdr, p.route);
         if !seg.flags.contains(TcpFlags::SYN) || seg.flags.contains(TcpFlags::ACK) {
             // Only SYN probes are modelled; ACK/RST probes get nothing.
-            return Vec::new();
+            return;
         }
         let dst = hdr.dst;
         let proto = match seg.dst_port {
@@ -354,15 +408,15 @@ impl InternetModel {
         );
         // SYN proxy (§5.1's /80 case): counts SYNs to the protected
         // prefix; when hot, answers everything.
-        for (p, proxy) in &mut ds.syn_proxies {
-            if p.contains(dst) {
+        for (prefix, proxy) in &mut ds.syn_proxies {
+            if prefix.contains(dst) {
                 if proxy.on_syn(now) {
                     let m = &self.population.machines[0];
                     let reply = m.syn_ack(&seg, self.abs_ns(ds.day, now), tuple_key, 0);
                     let ttl = route.observed_ttl(64);
-                    return vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Tcp(reply))];
+                    self.reply(out, p, dst, ttl, Body::Tcp(reply.segment()));
                 }
-                return Vec::new();
+                return;
             }
         }
         let responder = self.resolve(ds, dst);
@@ -373,7 +427,7 @@ impl InternetModel {
                 protos,
                 kind,
             } => (machine, protos, Some(kind)),
-            Responder::Nobody => return Vec::new(),
+            Responder::Nobody => return,
         };
         if self.lost(
             ds.day,
@@ -381,7 +435,7 @@ impl InternetModel {
             1 + (seg.dst_port % 7) as u8,
             u64::from(seg.seq),
         ) {
-            return Vec::new();
+            return;
         }
         let serves = matches!(seg.dst_port, 80 | 443)
             && self.serves_today(ds.day, dst, protos, proto)
@@ -391,10 +445,10 @@ impl InternetModel {
         if serves {
             let reply = m.syn_ack(&seg, self.abs_ns(ds.day, now), tuple_key, flavor);
             let ttl = route.observed_ttl(m.reply_ittl(flavor));
-            vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Tcp(reply))]
+            self.reply(out, p, dst, ttl, Body::Tcp(reply.segment()));
         } else if kind.is_some() {
             // Live host, closed port: RST-ACK.
-            let rst = TcpSegment {
+            let rst = TcpView {
                 src_port: seg.dst_port,
                 dst_port: seg.src_port,
                 seq: 0,
@@ -402,26 +456,23 @@ impl InternetModel {
                 flags: TcpFlags::RST_ACK,
                 window: 0,
                 urgent: 0,
-                options: Vec::new(),
-                payload: Vec::new(),
+                options: &[],
+                payload: &[],
             };
             let ttl = route.observed_ttl(m.reply_ittl(flavor));
-            vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Tcp(rst))]
-        } else {
-            Vec::new()
+            self.reply(out, p, dst, ttl, Body::Tcp(rst));
         }
     }
 
     fn handle_udp(
         &self,
         ds: &DayState,
-        now: Time,
-        hdr: &expanse_packet::Ipv6Header,
-        route: Route,
-        u: UdpDatagram,
-        frame: &[u8],
-    ) -> Vec<Delivery> {
-        let dst = hdr.dst;
+        p: &Probe<'_>,
+        u: UdpDatagram<&[u8]>,
+        out: &mut Deliveries,
+    ) {
+        let (now, route) = (p.now, p.route);
+        let dst = p.hdr.dst;
         let responder = self.resolve(ds, dst);
         let (machine, protos, kind) = match responder {
             Responder::Alias { machine, protos } => (machine, protos, None),
@@ -430,7 +481,7 @@ impl InternetModel {
                 protos,
                 kind,
             } => (machine, protos, Some(kind)),
-            Responder::Nobody => return Vec::new(),
+            Responder::Nobody => return,
         };
         if self.lost(
             ds.day,
@@ -438,62 +489,50 @@ impl InternetModel {
             3 + (u.dst_port % 5) as u8,
             u64::from(u.src_port),
         ) {
-            return Vec::new();
+            return;
         }
         if kind.is_some_and(|k| !self.client_gate(ds.day, dst, k, now)) {
-            return Vec::new();
+            return;
         }
         let m = &self.population.machines[machine.0 as usize];
         let flavor = splitmix64(addr_to_u128(dst) as u64 ^ 0xd4d4);
         let ttl = route.observed_ttl(m.reply_ittl(flavor));
-        match u.dst_port {
-            53 if self.serves_today(ds.day, dst, protos, Protocol::Udp53) => {
-                let Ok(resp) = dns::build_response(&u.payload, 0, 1) else {
-                    return Vec::new();
-                };
-                let reply = UdpDatagram::new(53, u.src_port, resp);
-                vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Udp(reply))]
-            }
+        let body = match u.dst_port {
+            53 if self.serves_today(ds.day, dst, protos, Protocol::Udp53) => Body::Dns {
+                dst_port: u.src_port,
+                query: u.payload,
+            },
             443 if self.serves_today(ds.day, dst, protos, Protocol::Udp443) => {
-                let Ok(init) = quic::QuicLongHeader::parse(&u.payload) else {
-                    return Vec::new();
+                let Ok(initial) = quic::QuicView::parse(u.payload) else {
+                    return;
                 };
-                let vn = quic::QuicLongHeader::version_negotiation(
-                    &init.scid,
-                    &init.dcid,
-                    &[1, 0x6b33_43cf],
-                );
-                let reply = UdpDatagram::new(443, u.src_port, vn);
-                vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Udp(reply))]
+                Body::VersionNegotiation {
+                    dst_port: u.src_port,
+                    initial,
+                }
             }
-            _ if kind.is_some() => {
-                // Live host, closed UDP port: ICMPv6 port unreachable,
-                // quoting the header + leading payload bytes as received.
-                let invoking = invoking_quote(frame);
-                let msg = Icmpv6Message::DestUnreachable {
-                    code: icmpv6::unreach_code::PORT_UNREACHABLE,
-                    invoking,
-                };
-                vec![self.reply(now, dst, dst, hdr.src, ttl, Transport::Icmpv6(msg))]
-            }
-            _ => Vec::new(),
-        }
+            // Live host, closed UDP port: ICMPv6 port unreachable,
+            // quoting the header + leading payload bytes as received.
+            _ if kind.is_some() => Body::Icmp(Icmpv6Message::DestUnreachable {
+                code: icmpv6::unreach_code::PORT_UNREACHABLE,
+                invoking: invoking_quote(p.frame),
+            }),
+            _ => return,
+        };
+        self.reply(out, p, dst, ttl, body);
     }
 
     /// Time-exceeded handling for traceroute (hop_limit shorter than the
-    /// path).
-    fn handle_hops(
-        &self,
-        ds: &DayState,
-        now: Time,
-        hdr: &expanse_packet::Ipv6Header,
-        route: Route,
-        frame: &[u8],
-    ) -> Option<Vec<Delivery>> {
+    /// path). Returns whether the probe burned out in transit (answered
+    /// or not); `false` means it reaches its destination.
+    fn handle_hops(&self, ds: &DayState, p: &Probe<'_>, out: &mut Deliveries) -> bool {
+        let (hdr, route) = (&p.hdr, p.route);
         let dst = hdr.dst;
-        let cat = route.category?;
+        let Some(cat) = route.category else {
+            return false;
+        };
         if hdr.hop_limit >= route.path_len {
-            return None; // reaches the destination; caller continues
+            return false; // reaches the destination; caller continues
         }
         let hop = hdr.hop_limit.max(1);
         // Per-hop responsiveness: some routers never answer, and hop
@@ -502,59 +541,67 @@ impl InternetModel {
             (addr_to_u128(dst) >> 80) as u64 ^ u64::from(hop) ^ self.config.seed ^ 0x40b5,
         );
         if hop_key % 100 < 12 {
-            return Some(Vec::new()); // silent router
+            return true; // silent router
         }
         if self.lost(ds.day, dst, 0x70 ^ hop, u64::from(hop)) {
-            return Some(Vec::new());
+            return true;
         }
         let hop_addr = self.paths.hop_addr(dst, route.prefix, cat, hop);
-        let invoking = invoking_quote(frame);
-        let msg = Icmpv6Message::TimeExceeded { code: 0, invoking };
+        let msg = Icmpv6Message::TimeExceeded {
+            code: 0,
+            invoking: invoking_quote(p.frame),
+        };
         let ttl = 255u8.saturating_sub(hop);
-        Some(vec![self.reply(
-            now,
-            dst,
-            hop_addr,
-            hdr.src,
-            ttl,
-            Transport::Icmpv6(msg),
-        )])
+        self.reply(out, p, hop_addr, ttl, Body::Icmp(msg));
+        true
     }
 }
 
 impl InternetModel {
-    /// The full engine, against an explicit day state. This is the seam
-    /// the parallel scan fan-out builds on: the model stays shared and
-    /// immutable while every probe stream owns its day state.
-    pub(crate) fn inject_with(&self, ds: &mut DayState, now: Time, frame: &[u8]) -> Vec<Delivery> {
+    /// The full engine, against an explicit day state, appending every
+    /// reply to `out`. This is the seam the parallel scan fan-out builds
+    /// on: the model stays shared and immutable while every probe stream
+    /// owns its day state.
+    pub(crate) fn inject_with(
+        &self,
+        ds: &mut DayState,
+        now: Time,
+        frame: &[u8],
+        out: &mut Deliveries,
+    ) {
         let Ok((hdr, transport)) = Datagram::parse_transport(frame) else {
-            return Vec::new();
+            return;
         };
         // Unrouted space: silence (border routers dropping martians).
         let Some(route) = self.route(hdr.dst) else {
-            return Vec::new();
+            return;
+        };
+        let p = Probe {
+            now,
+            hdr,
+            route,
+            frame,
         };
         // Hop-limited probes burn out in transit.
-        if let Some(out) = self.handle_hops(ds, now, &hdr, route, frame) {
-            return out;
+        if self.handle_hops(ds, &p, out) {
+            return;
         }
         match transport {
-            Transport::Icmpv6(msg) => self.handle_icmp(ds, now, &hdr, route, msg),
-            Transport::Tcp(seg) => self.handle_tcp(ds, now, &hdr, route, seg),
-            Transport::Udp(u) => self.handle_udp(ds, now, &hdr, route, u, frame),
-            _ => Vec::new(),
+            TransportView::Icmpv6(msg) => self.handle_icmp(ds, &p, msg, out),
+            TransportView::Tcp(seg) => self.handle_tcp(ds, &p, seg, out),
+            TransportView::Udp(u) => self.handle_udp(ds, &p, u, out),
+            TransportView::Other(..) => {}
         }
     }
 }
 
 impl Network for InternetModel {
-    fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery> {
+    fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
         // Split-borrow dance: lift the day state out so the engine can
         // borrow the model immutably alongside it.
         let mut ds = std::mem::replace(&mut self.day_state, DayState::detached());
-        let out = self.inject_with(&mut ds, now, frame);
+        self.inject_with(&mut ds, now, frame, out);
         self.day_state = ds;
-        out
     }
 }
 
@@ -568,8 +615,8 @@ pub struct ScanView<'a> {
 }
 
 impl Network for ScanView<'_> {
-    fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery> {
-        self.model.inject_with(&mut self.day, now, frame)
+    fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
+        self.model.inject_with(&mut self.day, now, frame, out);
     }
 }
 
@@ -597,7 +644,8 @@ impl expanse_netsim::SnapshotNetwork for InternetModel {
 mod tests {
     use super::*;
     use crate::{InternetModel, ModelConfig};
-    use expanse_packet::Datagram;
+    use expanse_netsim::Delivery;
+    use expanse_packet::{Datagram, TcpSegment};
 
     fn model() -> InternetModel {
         InternetModel::build(ModelConfig::tiny(11))
@@ -650,7 +698,7 @@ mod tests {
                     assert_eq!(h.src, addr);
                     assert_eq!(h.dst, vantage());
                     match t {
-                        Transport::Icmpv6(Icmpv6Message::EchoReply { ident, seq, .. }) => {
+                        TransportView::Icmpv6(Icmpv6Message::EchoReply { ident, seq, .. }) => {
                             assert_eq!((ident, seq), (0x42, 7));
                         }
                         other => panic!("wrong reply {other:?}"),
@@ -690,7 +738,7 @@ mod tests {
             let d = out.first()?;
             let (h, t) = Datagram::parse_transport(&d.frame).unwrap();
             assert!(
-                matches!(t, Transport::Icmpv6(Icmpv6Message::EchoReply { .. })),
+                matches!(t, TransportView::Icmpv6(Icmpv6Message::EchoReply { .. })),
                 "hop limit {hop}: {t:?}"
             );
             Some(h.hop_limit)
@@ -758,7 +806,7 @@ mod tests {
             let out = m.inject(Time::from_millis(u64::from(hop)), &echo(addr, hop));
             for d in out {
                 let (h, t) = Datagram::parse_transport(&d.frame).unwrap();
-                if let Transport::Icmpv6(Icmpv6Message::TimeExceeded { .. }) = t {
+                if let TransportView::Icmpv6(Icmpv6Message::TimeExceeded { .. }) = t {
                     te += 1;
                     assert_ne!(h.src, addr, "TE must come from a router, not the target");
                 }
@@ -812,10 +860,10 @@ mod tests {
             if let Some(d) = out.first() {
                 let (_, t) = Datagram::parse_transport(&d.frame).unwrap();
                 match t {
-                    Transport::Udp(r) => {
+                    TransportView::Udp(r) => {
                         assert_eq!(r.src_port, 53);
                         assert_eq!(r.dst_port, 40000);
-                        let h = dns::DnsHeader::parse(&r.payload).unwrap();
+                        let h = dns::DnsHeader::parse(r.payload).unwrap();
                         assert!(h.qr);
                         assert_eq!(h.id, 0x1234);
                     }
@@ -841,7 +889,7 @@ mod tests {
             if let Some(d) = m.inject(Time::from_millis(2), &frame).first() {
                 let (_, t) = Datagram::parse_transport(&d.frame).unwrap();
                 match t {
-                    Transport::Tcp(r) => {
+                    TransportView::Tcp(r) => {
                         assert!(r.flags.contains(TcpFlags::SYN_ACK));
                         assert_eq!(r.ack, 1001);
                         assert!(!r.options.is_empty());

@@ -9,11 +9,46 @@
 //! inconsistent counts).
 
 use expanse_addr::fanout::splitmix64;
-use expanse_packet::{TcpFlags, TcpOption, TcpSegment};
+use expanse_packet::{TcpFlags, TcpOption, TcpOptionBlock, TcpView};
 
 /// Index into the model's machine table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MachineId(pub u32);
+
+/// The SYN-ACK a machine answers a SYN with, built on the stack: the
+/// reply's fields and its options' wire bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct SynAck {
+    /// Source port (the probe's destination port).
+    pub src_port: u16,
+    /// Destination port (the probe's source port).
+    pub dst_port: u16,
+    /// Sequence number.
+    pub seq: u32,
+    /// Acknowledgment: the probe's sequence number plus one.
+    pub ack: u32,
+    /// Advertised receive window.
+    pub window: u16,
+    /// The options, in the machine's layout.
+    pub options: TcpOptionBlock,
+}
+
+impl SynAck {
+    /// The segment to emit.
+    pub fn segment(&self) -> TcpView<'_> {
+        TcpView {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: TcpFlags::SYN_ACK,
+            window: self.window,
+            urgent: 0,
+            options: self.options.as_bytes(),
+            payload: &[],
+        }
+    }
+}
 
 /// TCP timestamp option behaviour.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,55 +207,53 @@ impl Machine {
     /// * `flavor_key` — per-probe key (drives pathologies)
     pub fn syn_ack(
         &self,
-        probe: &TcpSegment,
+        probe: &TcpView<'_>,
         abs_ns: u64,
         tuple_key: u64,
         flavor_key: u64,
-    ) -> TcpSegment {
+    ) -> SynAck {
         let (_, mss, wscale, wsize, layout) = self.effective(flavor_key);
-        let mut options = Vec::new();
+        let mut options = TcpOptionBlock::new();
         let ts = self
             .tsval(abs_ns, tuple_key)
-            .map(|tsval| TcpOption::Timestamps {
+            .map(|tsval| TcpOption::<&[u8]>::Timestamps {
                 tsval,
                 tsecr: probe.timestamps().map_or(0, |(v, _)| v),
             });
+        let mut push = |o: TcpOption<&[u8]>| options.push(&o);
         match layout {
             OptLayout::Standard => {
-                options.push(TcpOption::Mss(mss));
-                options.push(TcpOption::SackPermitted);
+                push(TcpOption::Mss(mss));
+                push(TcpOption::SackPermitted);
                 if let Some(t) = ts {
-                    options.push(t);
+                    push(t);
                 }
-                options.push(TcpOption::Nop);
-                options.push(TcpOption::WindowScale(wscale));
+                push(TcpOption::Nop);
+                push(TcpOption::WindowScale(wscale));
             }
             OptLayout::NoTimestamps => {
-                options.push(TcpOption::Mss(mss));
-                options.push(TcpOption::SackPermitted);
-                options.push(TcpOption::Nop);
-                options.push(TcpOption::WindowScale(wscale));
+                push(TcpOption::Mss(mss));
+                push(TcpOption::SackPermitted);
+                push(TcpOption::Nop);
+                push(TcpOption::WindowScale(wscale));
             }
             OptLayout::NoSack => {
-                options.push(TcpOption::Mss(mss));
-                options.push(TcpOption::Nop);
-                options.push(TcpOption::WindowScale(wscale));
+                push(TcpOption::Mss(mss));
+                push(TcpOption::Nop);
+                push(TcpOption::WindowScale(wscale));
                 if let Some(t) = ts {
-                    options.push(t);
+                    push(t);
                 }
             }
-            OptLayout::MssOnly => options.push(TcpOption::Mss(mss)),
+            OptLayout::MssOnly => push(TcpOption::Mss(mss)),
         }
-        TcpSegment {
+        SynAck {
             src_port: probe.dst_port,
             dst_port: probe.src_port,
             seq: splitmix64(self.salt ^ tuple_key ^ abs_ns) as u32,
             ack: probe.seq.wrapping_add(1),
-            flags: TcpFlags::SYN_ACK,
             window: wsize,
-            urgent: 0,
             options,
-            payload: Vec::new(),
         }
     }
 
@@ -233,12 +266,27 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expanse_packet::TcpSegment;
+
+    /// `m`'s SYN-ACK to `probe`, through the wire view a SYN arrives as.
+    fn syn_ack(
+        m: &Machine,
+        probe: &TcpSegment,
+        abs_ns: u64,
+        tuple: u64,
+        flavor: u64,
+    ) -> TcpSegment {
+        let a: std::net::Ipv6Addr = "2001:db8::1".parse().unwrap();
+        let bytes = probe.emit(a, a);
+        let view = TcpView::parse(a, a, &bytes).unwrap();
+        m.syn_ack(&view, abs_ns, tuple, flavor).segment().to_owned()
+    }
 
     #[test]
     fn syn_ack_echoes_probe() {
         let m = Machine::linux_like(1);
         let probe = TcpSegment::syn_with_options(40000, 80, 12345, 777);
-        let reply = m.syn_ack(&probe, 0, 9, 9);
+        let reply = syn_ack(&m, &probe, 0, 9, 9);
         assert_eq!(reply.src_port, 80);
         assert_eq!(reply.dst_port, 40000);
         assert_eq!(reply.ack, 12346);
@@ -297,7 +345,7 @@ mod tests {
         };
         let probe = TcpSegment::syn_with_options(1, 80, 1, 1);
         let texts: std::collections::HashSet<String> = (0..32u64)
-            .map(|k| m.syn_ack(&probe, 0, 0, k).options_text())
+            .map(|k| syn_ack(&m, &probe, 0, 0, k).options_text())
             .collect();
         assert_eq!(texts.len(), 2, "{texts:?}");
     }
@@ -309,7 +357,7 @@ mod tests {
             ..Machine::linux_like(6)
         };
         let probe = TcpSegment::syn(1, 80, 1);
-        assert_eq!(m.syn_ack(&probe, 0, 0, 0).options_text(), "MSS");
+        assert_eq!(syn_ack(&m, &probe, 0, 0, 0).options_text(), "MSS");
     }
 
     #[test]
@@ -320,6 +368,6 @@ mod tests {
         };
         assert_eq!(m.tsval(123, 1), None);
         let probe = TcpSegment::syn(1, 80, 1);
-        assert_eq!(m.syn_ack(&probe, 0, 0, 0).options_text(), "MSS-SACK-N-WS");
+        assert_eq!(syn_ack(&m, &probe, 0, 0, 0).options_text(), "MSS-SACK-N-WS");
     }
 }

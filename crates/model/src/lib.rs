@@ -52,7 +52,7 @@ pub use scheme::Scheme;
 pub use sources::{Source, SourceId};
 
 use expanse_addr::Prefix;
-use expanse_trie::PrefixTrie;
+use expanse_trie::{PrefixSet, RangeTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -79,8 +79,8 @@ pub struct InternetModel {
     pub paths: paths::PathModel,
     /// Adversarial periphery scenario layer (empty when disabled).
     pub scenario: scenario::ScenarioState,
-    /// Lossy prefixes as a trie for per-packet lookup.
-    pub(crate) lossy_trie: PrefixTrie<()>,
+    /// Lossy prefixes, frozen for one search per packet.
+    pub(crate) lossy: RangeTable<()>,
     pub(crate) day_state: engine::DayState,
     /// `(asn, slot in ases)`, sorted by ASN for binary search.
     as_index: Vec<(Asn, usize)>,
@@ -115,10 +115,7 @@ impl InternetModel {
             announcements.dedup();
         }
         let bgp_table = bgp::BgpTable::new(announcements);
-        let mut lossy_trie = PrefixTrie::new();
-        for p in &population.lossy {
-            lossy_trie.insert(*p, ());
-        }
+        let lossy_trie: PrefixSet = population.lossy.iter().map(|p| (*p, ())).collect();
         let mut as_index: Vec<(Asn, usize)> =
             ases.iter().enumerate().map(|(i, a)| (a.asn, i)).collect();
         as_index.sort_unstable();
@@ -129,7 +126,7 @@ impl InternetModel {
             population,
             paths,
             scenario,
-            lossy_trie,
+            lossy: RangeTable::freeze(&lossy_trie),
             // placeholder, replaced below (DayState::new needs &self)
             day_state: engine::DayState::detached(),
             as_index,

@@ -29,7 +29,7 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use loss::KeyedLoss;
-pub use network::{Delivery, Network, SnapshotNetwork};
+pub use network::{Deliveries, Delivery, Network, SnapshotNetwork};
 pub use ratelimit::TokenBucket;
 pub use synproxy::SynProxy;
 pub use throttle::{ThrottledNetwork, ThrottledSnapshot};

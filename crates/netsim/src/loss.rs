@@ -27,6 +27,7 @@ impl KeyedLoss {
     ///
     /// # Panics
     /// Panics if `p` is outside [0, 1].
+    #[inline]
     pub fn new(seed: u64, p: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&p),
@@ -41,6 +42,7 @@ impl KeyedLoss {
     }
 
     /// Should the packet identified by `key` be dropped?
+    #[inline]
     pub fn drops(&self, key: u64) -> bool {
         if self.p <= 0.0 {
             return false;

@@ -20,15 +20,142 @@ impl Delivery {
     }
 }
 
+/// The frames a network sends back, in one reusable buffer: a byte
+/// arena plus an `(arrival, range)` entry per frame, in the order the
+/// network produced them.
+///
+/// [`Deliveries::clear`] keeps both allocations, so a prober that hands
+/// the same buffer to every [`Network::inject_into`] of a scan stops
+/// allocating once it has held its largest burst: a probe's answer is
+/// written straight into the arena, never into a `Vec` of its own.
+#[derive(Debug, Clone, Default)]
+pub struct Deliveries {
+    bytes: Vec<u8>,
+    entries: Vec<Entry>,
+}
+
+/// One frame of a [`Deliveries`]: when it arrives and where its bytes
+/// sit in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    at: Time,
+    start: usize,
+    end: usize,
+}
+
+impl Deliveries {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Deliveries::default()
+    }
+
+    /// Drop every frame, keeping the capacity.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.entries.clear();
+    }
+
+    /// Number of frames held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Does the buffer hold no frame?
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Frame `i` with its arrival time.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<(Time, &[u8])> {
+        let e = self.entries.get(i)?;
+        Some((e.at, &self.bytes[e.start..e.end]))
+    }
+
+    /// The frames with their arrival times, in the order they were added.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Time, &[u8])> + '_ {
+        self.entries
+            .iter()
+            .map(|e| (e.at, &self.bytes[e.start..e.end]))
+    }
+
+    /// Add a copy of `frame`, arriving at `at`.
+    #[inline]
+    pub fn push(&mut self, at: Time, frame: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(frame);
+        let end = self.bytes.len();
+        self.entries.push(Entry { at, start, end });
+    }
+
+    /// Add the frame `emit` appends to the arena, arriving at `at`: a
+    /// network answers without building the frame anywhere else. On
+    /// `Err` whatever `emit` wrote is taken back and no frame is added.
+    pub fn try_push_with<E>(
+        &mut self,
+        at: Time,
+        emit: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let start = self.bytes.len();
+        if let Err(e) = emit(&mut self.bytes) {
+            self.bytes.truncate(start);
+            return Err(e);
+        }
+        let end = self.bytes.len();
+        self.entries.push(Entry { at, start, end });
+        Ok(())
+    }
+
+    /// Keep only the frames from index `from` on for which `keep` says
+    /// so, asking in order; the frames before `from` stay as they are.
+    /// (Dropped frames' bytes stay in the arena until the next clear.)
+    pub fn retain_from(&mut self, from: usize, mut keep: impl FnMut(Time, &[u8]) -> bool) {
+        let mut kept = from;
+        for i in from..self.entries.len() {
+            let e = self.entries[i];
+            if keep(e.at, &self.bytes[e.start..e.end]) {
+                self.entries[kept] = e;
+                kept += 1;
+            }
+        }
+        self.entries.truncate(kept);
+    }
+
+    /// The frames as owned [`Delivery`]s.
+    pub fn to_vec(&self) -> Vec<Delivery> {
+        self.iter()
+            .map(|(at, frame)| Delivery::new(at, frame.to_vec()))
+            .collect()
+    }
+}
+
 /// Anything that behaves like a network attached to the prober's NIC.
 ///
-/// `inject` consumes one outgoing frame at virtual time `now` and returns
-/// every response frame the network will ever send for it, already stamped
-/// with arrival times (≥ `now`). Determinism contract: identical call
-/// sequences produce identical deliveries.
+/// [`Network::inject_into`] consumes one outgoing frame at virtual time
+/// `now` and appends every response frame the network will ever send
+/// for it to the caller's [`Deliveries`], already stamped with arrival
+/// times (≥ `now`); what the buffer held before is left alone.
+///
+/// Determinism contract: identical call sequences produce identical
+/// deliveries — the same frames, byte for byte, with the same arrival
+/// times, in the same order — whichever buffer they are written into
+/// and whatever it held before.
 pub trait Network {
-    /// Inject one outgoing frame at `now`; returns every response delivery.
-    fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery>;
+    /// Inject one outgoing frame at `now`; append every response
+    /// delivery to `out`.
+    fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries);
+
+    /// [`Network::inject_into`] into a fresh buffer, returned as owned
+    /// deliveries: the convenient form for tests and one-off probes.
+    fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery> {
+        let mut out = Deliveries::new();
+        self.inject_into(now, frame, &mut out);
+        out.to_vec()
+    }
 }
 
 /// A network that can hand out cheap independent snapshots of itself.
@@ -76,13 +203,79 @@ pub trait SnapshotNetwork: Network {
 }
 
 impl<N: Network + ?Sized> Network for &mut N {
-    fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery> {
-        (**self).inject(now, frame)
+    fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
+        (**self).inject_into(now, frame, out);
     }
 }
 
 impl<N: Network + ?Sized> Network for Box<N> {
-    fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery> {
-        (**self).inject(now, frame)
+    fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
+        (**self).inject_into(now, frame, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frames_keep_their_order_times_and_bytes() {
+        let mut d = Deliveries::new();
+        d.push(Time(5), b"abc");
+        d.try_push_with(Time(3), |out| {
+            out.extend_from_slice(b"de");
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        d.push(Time(9), b"");
+        let got: Vec<(Time, &[u8])> = d.iter().collect();
+        assert_eq!(
+            got,
+            [(Time(5), &b"abc"[..]), (Time(3), b"de"), (Time(9), b"")]
+        );
+        assert_eq!(d.get(1), Some((Time(3), &b"de"[..])));
+        assert_eq!(d.get(3), None);
+        assert_eq!(d.to_vec()[0], Delivery::new(Time(5), b"abc".to_vec()));
+    }
+
+    #[test]
+    fn retain_from_leaves_the_prefix_and_asks_in_order() {
+        let mut d = Deliveries::new();
+        for (i, f) in [b"a", b"b", b"c", b"d"].iter().enumerate() {
+            d.push(Time(i as u64), *f);
+        }
+        let mut asked = Vec::new();
+        d.retain_from(1, |at, frame| {
+            asked.push(at.0);
+            frame != b"c"
+        });
+        assert_eq!(asked, [1, 2, 3]);
+        let kept: Vec<&[u8]> = d.iter().map(|(_, f)| f).collect();
+        assert_eq!(kept, [b"a", b"b", b"d"]);
+    }
+
+    #[test]
+    fn a_failed_push_leaves_nothing_behind() {
+        let mut d = Deliveries::new();
+        d.push(Time(1), b"kept");
+        let failed = d.try_push_with(Time(2), |out| {
+            out.extend_from_slice(b"half a frame");
+            Err("no")
+        });
+        assert_eq!(failed, Err("no"));
+        d.push(Time(3), b"next");
+        assert_eq!(d.len(), 2);
+        assert_eq!(d.bytes, b"keptnext");
+    }
+
+    #[test]
+    fn clear_keeps_the_capacity() {
+        let mut d = Deliveries::new();
+        d.push(Time(1), &[7; 100]);
+        let (bytes, entries) = (d.bytes.capacity(), d.entries.capacity());
+        d.clear();
+        assert!(d.is_empty());
+        d.push(Time(2), &[8; 100]);
+        assert_eq!((d.bytes.capacity(), d.entries.capacity()), (bytes, entries));
     }
 }

@@ -10,29 +10,26 @@
 //! parallel fan-out streams start from identical budgets and the scan
 //! grid stays byte-identical regardless of executor shape.
 
-use crate::network::{Delivery, Network, SnapshotNetwork};
+use crate::network::{Deliveries, Network, SnapshotNetwork};
 use crate::ratelimit::TokenBucket;
 use crate::time::Time;
 use expanse_addr::Prefix;
-use expanse_packet::{Datagram, Transport};
+use expanse_packet::{Datagram, TransportView};
 
-/// Keep each delivery unless it is an ICMPv6 frame sourced from a
-/// throttled prefix whose bucket is out of tokens.
-fn gate(routers: &mut [(Prefix, TokenBucket)], deliveries: Vec<Delivery>) -> Vec<Delivery> {
-    deliveries
-        .into_iter()
-        .filter(|d| {
-            let Ok((hdr, Transport::Icmpv6(_))) = Datagram::parse_transport(&d.frame) else {
-                return true;
-            };
-            for (p, bucket) in routers.iter_mut() {
-                if p.contains(hdr.src) {
-                    return bucket.try_consume(d.at);
-                }
+/// Keep each delivery from index `from` on unless it is an ICMPv6 frame
+/// sourced from a throttled prefix whose bucket is out of tokens.
+fn gate(routers: &mut [(Prefix, TokenBucket)], out: &mut Deliveries, from: usize) {
+    out.retain_from(from, |at, frame| {
+        let Ok((hdr, TransportView::Icmpv6(_))) = Datagram::parse_transport(frame) else {
+            return true;
+        };
+        for (p, bucket) in routers.iter_mut() {
+            if p.contains(hdr.src) {
+                return bucket.try_consume(at);
             }
-            true
-        })
-        .collect()
+        }
+        true
+    });
 }
 
 /// A wrapper that throttles ICMPv6 responses per router prefix.
@@ -77,9 +74,10 @@ impl<N> ThrottledNetwork<N> {
 }
 
 impl<N: Network> Network for ThrottledNetwork<N> {
-    fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery> {
-        let out = self.inner.inject(now, frame);
-        gate(&mut self.routers, out)
+    fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
+        let from = out.len();
+        self.inner.inject_into(now, frame, out);
+        gate(&mut self.routers, out, from);
     }
 }
 
@@ -93,9 +91,10 @@ pub struct ThrottledSnapshot<'a, N: SnapshotNetwork + 'a> {
 }
 
 impl<'a, N: SnapshotNetwork + 'a> Network for ThrottledSnapshot<'a, N> {
-    fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery> {
-        let out = self.inner.inject(now, frame);
-        gate(&mut self.routers, out)
+    fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
+        let from = out.len();
+        self.inner.inject_into(now, frame, out);
+        gate(&mut self.routers, out, from);
     }
 }
 
@@ -129,17 +128,17 @@ mod tests {
     struct Echoer;
 
     impl Network for Echoer {
-        fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery> {
+        fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
             let Ok((
                 h,
-                Transport::Icmpv6(Icmpv6Message::EchoRequest {
+                TransportView::Icmpv6(Icmpv6Message::EchoRequest {
                     ident,
                     seq,
                     payload,
                 }),
             )) = Datagram::parse_transport(frame)
             else {
-                return Vec::new();
+                return;
             };
             let reply = Datagram::icmpv6(
                 h.dst,
@@ -148,10 +147,10 @@ mod tests {
                 Icmpv6Message::EchoReply {
                     ident,
                     seq,
-                    payload,
+                    payload: payload.to_vec(),
                 },
             );
-            vec![Delivery::new(now + Duration::from_millis(1), reply.emit())]
+            out.push(now + Duration::from_millis(1), &reply.emit());
         }
     }
 

@@ -16,14 +16,17 @@ impl Time {
     pub const ZERO: Time = Time(0);
 
     /// From secs.
+    #[inline]
     pub fn from_secs(s: u64) -> Self {
         Time(s * 1_000_000_000)
     }
     /// From millis.
+    #[inline]
     pub fn from_millis(ms: u64) -> Self {
         Time(ms * 1_000_000)
     }
     /// From micros.
+    #[inline]
     pub fn from_micros(us: u64) -> Self {
         Time(us * 1_000)
     }
@@ -36,6 +39,7 @@ impl Time {
         self.0 / 1_000_000
     }
     /// Saturating difference.
+    #[inline]
     pub fn since(self, earlier: Time) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
@@ -46,14 +50,17 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     /// From secs.
+    #[inline]
     pub fn from_secs(s: u64) -> Self {
         Duration(s * 1_000_000_000)
     }
     /// From millis.
+    #[inline]
     pub fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000_000)
     }
     /// From micros.
+    #[inline]
     pub fn from_micros(us: u64) -> Self {
         Duration(us * 1_000)
     }
@@ -70,12 +77,14 @@ impl Duration {
 
 impl Add<Duration> for Time {
     type Output = Time;
+    #[inline]
     fn add(self, rhs: Duration) -> Time {
         Time(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<Duration> for Time {
+    #[inline]
     fn add_assign(&mut self, rhs: Duration) {
         self.0 += rhs.0;
     }
@@ -83,6 +92,7 @@ impl AddAssign<Duration> for Time {
 
 impl Sub<Time> for Time {
     type Output = Duration;
+    #[inline]
     fn sub(self, rhs: Time) -> Duration {
         Duration(self.0.checked_sub(rhs.0).expect("time went backwards"))
     }
@@ -90,6 +100,7 @@ impl Sub<Time> for Time {
 
 impl Add<Duration> for Duration {
     type Output = Duration;
+    #[inline]
     fn add(self, rhs: Duration) -> Duration {
         Duration(self.0 + rhs.0)
     }

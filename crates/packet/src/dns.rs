@@ -138,6 +138,18 @@ fn skip_name(buf: &[u8], mut pos: usize) -> Result<usize, PacketError> {
 /// The simulator's DNS hosts use this; the prober only checks
 /// [`DnsHeader`] fields, so record contents are opaque 16-byte blobs.
 pub fn build_response(query: &[u8], rcode: u8, answers: u16) -> Result<Vec<u8>, PacketError> {
+    let mut out = Vec::new();
+    build_response_into(query, rcode, answers, &mut out)?;
+    Ok(out)
+}
+
+/// [`build_response`], appended to `out` (left untouched on error).
+pub fn build_response_into(
+    query: &[u8],
+    rcode: u8,
+    answers: u16,
+    out: &mut Vec<u8>,
+) -> Result<(), PacketError> {
     let h = DnsHeader::parse(query)?;
     if h.qr {
         return Err(PacketError::Malformed("response to a response"));
@@ -151,7 +163,7 @@ pub fn build_response(query: &[u8], rcode: u8, answers: u16) -> Result<Vec<u8>, 
             return Err(PacketError::Truncated);
         }
     }
-    let mut out = Vec::with_capacity(pos + usize::from(answers) * 28);
+    out.reserve(pos + usize::from(answers) * 28);
     out.extend_from_slice(&h.id.to_be_bytes());
     let flags: u16 = 0x8180 | u16::from(rcode); // QR + RD + RA
     out.extend_from_slice(&flags.to_be_bytes());
@@ -169,7 +181,7 @@ pub fn build_response(query: &[u8], rcode: u8, answers: u16) -> Result<Vec<u8>, 
         addr[15] = i as u8 + 1;
         out.extend_from_slice(&addr);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

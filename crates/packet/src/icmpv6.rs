@@ -30,9 +30,11 @@ pub mod unreach_code {
     pub const PORT_UNREACHABLE: u8 = 4;
 }
 
-/// A parsed ICMPv6 message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Icmpv6Message {
+/// An ICMPv6 message, generic over the bytes it carries: the default
+/// `Vec<u8>` owns them, and [`Icmpv6Message::view`] yields an
+/// `Icmpv6Message<&[u8]>` borrowing them from the frame it parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Icmpv6Message<B = Vec<u8>> {
     /// Echo request with identifier, sequence number, and payload.
     EchoRequest {
         /// Echo identifier (zmap validation field).
@@ -40,7 +42,7 @@ pub enum Icmpv6Message {
         /// Echo sequence number.
         seq: u16,
         /// Opaque payload bytes, echoed back by the peer.
-        payload: Vec<u8>,
+        payload: B,
     },
     /// Echo reply mirroring the request's fields.
     EchoReply {
@@ -49,7 +51,7 @@ pub enum Icmpv6Message {
         /// Echoed sequence number.
         seq: u16,
         /// Echoed payload.
-        payload: Vec<u8>,
+        payload: B,
     },
     /// Destination unreachable; carries the leading bytes of the invoking
     /// packet (used by traceroute and UDP port-closed detection).
@@ -57,7 +59,7 @@ pub enum Icmpv6Message {
         /// Unreachable code (see [`unreach_code`]).
         code: u8,
         /// Leading bytes of the packet that triggered the error.
-        invoking: Vec<u8>,
+        invoking: B,
     },
     /// Hop limit exceeded in transit; carries the invoking packet — the
     /// bread and butter of traceroute.
@@ -65,7 +67,7 @@ pub enum Icmpv6Message {
         /// Time-exceeded code (0 = hop limit exceeded in transit).
         code: u8,
         /// Leading bytes of the packet that triggered the error.
-        invoking: Vec<u8>,
+        invoking: B,
     },
     /// Any other type, preserved raw.
     Other {
@@ -74,7 +76,7 @@ pub enum Icmpv6Message {
         /// Raw code.
         code: u8,
         /// Message body after the 4-byte header.
-        body: Vec<u8>,
+        body: B,
     },
 }
 
@@ -115,7 +117,7 @@ pub fn emit_echo(
     emit_parts(msg_type, 0, [&[i0, i1, s0, s1], payload], src, dst, out);
 }
 
-impl Icmpv6Message {
+impl<B: AsRef<[u8]>> Icmpv6Message<B> {
     /// The ICMPv6 type byte.
     pub fn msg_type(&self) -> u8 {
         match self {
@@ -131,10 +133,10 @@ impl Icmpv6Message {
     pub fn wire_len(&self) -> usize {
         match self {
             Icmpv6Message::EchoRequest { payload, .. }
-            | Icmpv6Message::EchoReply { payload, .. } => 8 + payload.len(),
+            | Icmpv6Message::EchoReply { payload, .. } => 8 + payload.as_ref().len(),
             Icmpv6Message::DestUnreachable { invoking, .. }
-            | Icmpv6Message::TimeExceeded { invoking, .. } => 8 + invoking.len(),
-            Icmpv6Message::Other { body, .. } => 4 + body.len(),
+            | Icmpv6Message::TimeExceeded { invoking, .. } => 8 + invoking.as_ref().len(),
+            Icmpv6Message::Other { body, .. } => 4 + body.as_ref().len(),
         }
     }
 
@@ -158,22 +160,36 @@ impl Icmpv6Message {
                 ident,
                 seq,
                 payload,
-            } => emit_echo(self.msg_type(), *ident, *seq, payload, src, dst, out),
+            } => emit_echo(
+                self.msg_type(),
+                *ident,
+                *seq,
+                payload.as_ref(),
+                src,
+                dst,
+                out,
+            ),
             Icmpv6Message::DestUnreachable { code, invoking }
             | Icmpv6Message::TimeExceeded { code, invoking } => {
                 // The second header word is unused.
-                emit_parts(self.msg_type(), *code, [&[0; 4], invoking], src, dst, out);
+                let parts = [&[0; 4], invoking.as_ref()];
+                emit_parts(self.msg_type(), *code, parts, src, dst, out);
             }
             Icmpv6Message::Other {
                 icmp_type,
                 code,
                 body,
-            } => emit_parts(*icmp_type, *code, [&[], body], src, dst, out),
+            } => emit_parts(*icmp_type, *code, [&[], body.as_ref()], src, dst, out),
         }
     }
+}
 
-    /// Parse and verify the checksum.
-    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<Icmpv6Message, PacketError> {
+impl<'a> Icmpv6Message<&'a [u8]> {
+    /// Parse and verify the checksum, borrowing the variable-length
+    /// fields from `buf`: the one ICMPv6 parser
+    /// ([`Icmpv6Message::parse`] is this plus [`Icmpv6Message::to_owned`]).
+    #[inline]
+    pub fn view(src: Ipv6Addr, dst: Ipv6Addr, buf: &'a [u8]) -> Result<Self, PacketError> {
         if buf.len() < 4 {
             return Err(PacketError::Truncated);
         }
@@ -188,7 +204,7 @@ impl Icmpv6Message {
                 }
                 let ident = u16::from_be_bytes([buf[4], buf[5]]);
                 let seq = u16::from_be_bytes([buf[6], buf[7]]);
-                let payload = buf[8..].to_vec();
+                let payload = &buf[8..];
                 Ok(if icmp_type == types::ECHO_REQUEST {
                     Icmpv6Message::EchoRequest {
                         ident,
@@ -207,7 +223,7 @@ impl Icmpv6Message {
                 if buf.len() < 8 {
                     return Err(PacketError::Truncated);
                 }
-                let invoking = buf[8..].to_vec();
+                let invoking = &buf[8..];
                 Ok(if icmp_type == types::DEST_UNREACHABLE {
                     Icmpv6Message::DestUnreachable { code, invoking }
                 } else {
@@ -217,9 +233,57 @@ impl Icmpv6Message {
             _ => Ok(Icmpv6Message::Other {
                 icmp_type,
                 code,
-                body: buf[4..].to_vec(),
+                body: &buf[4..],
             }),
         }
+    }
+
+    /// The owned message: each borrowed field copied out.
+    pub fn to_owned(&self) -> Icmpv6Message {
+        match *self {
+            Icmpv6Message::EchoRequest {
+                ident,
+                seq,
+                payload,
+            } => Icmpv6Message::EchoRequest {
+                ident,
+                seq,
+                payload: payload.to_vec(),
+            },
+            Icmpv6Message::EchoReply {
+                ident,
+                seq,
+                payload,
+            } => Icmpv6Message::EchoReply {
+                ident,
+                seq,
+                payload: payload.to_vec(),
+            },
+            Icmpv6Message::DestUnreachable { code, invoking } => Icmpv6Message::DestUnreachable {
+                code,
+                invoking: invoking.to_vec(),
+            },
+            Icmpv6Message::TimeExceeded { code, invoking } => Icmpv6Message::TimeExceeded {
+                code,
+                invoking: invoking.to_vec(),
+            },
+            Icmpv6Message::Other {
+                icmp_type,
+                code,
+                body,
+            } => Icmpv6Message::Other {
+                icmp_type,
+                code,
+                body: body.to_vec(),
+            },
+        }
+    }
+}
+
+impl Icmpv6Message {
+    /// Parse and verify the checksum into an owned message.
+    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<Icmpv6Message, PacketError> {
+        Icmpv6Message::view(src, dst, buf).map(|m| m.to_owned())
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::icmpv6::Icmpv6Message;
 use crate::tcp::TcpSegment;
 use crate::udp::UdpDatagram;
-use crate::{proto, PacketError};
+use crate::{proto, PacketError, TransportView};
 use std::net::Ipv6Addr;
 
 /// Length of the fixed IPv6 header in bytes.
@@ -32,6 +32,7 @@ pub struct Ipv6Header {
 
 impl Ipv6Header {
     /// Emit the 40 header bytes.
+    #[inline]
     pub fn emit(&self) -> [u8; HEADER_LEN] {
         let mut b = [0u8; HEADER_LEN];
         let vtf: u32 =
@@ -46,6 +47,7 @@ impl Ipv6Header {
     }
 
     /// Parse the fixed header from the front of `buf`.
+    #[inline]
     pub fn parse(buf: &[u8]) -> Result<Ipv6Header, PacketError> {
         if buf.len() < HEADER_LEN {
             return Err(PacketError::Truncated);
@@ -152,11 +154,27 @@ impl Datagram {
         body: impl FnOnce(&mut Vec<u8>),
     ) {
         frame.clear();
-        frame.extend_from_slice(&[0; HEADER_LEN]);
-        body(frame);
-        let payload_len = frame.len() - HEADER_LEN;
+        Datagram::append_with(frame, src, dst, next_header, hop_limit, body);
+    }
+
+    /// [`Datagram::emit_with`] without the clear: the frame is appended
+    /// to whatever `out` already holds (one arena of many frames).
+    /// Returns what `body` returns.
+    pub fn append_with<R>(
+        out: &mut Vec<u8>,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        next_header: u8,
+        hop_limit: u8,
+        body: impl FnOnce(&mut Vec<u8>) -> R,
+    ) -> R {
+        let start = out.len();
+        out.extend_from_slice(&[0; HEADER_LEN]);
+        let r = body(out);
+        let payload_len = out.len() - start - HEADER_LEN;
         let header = Datagram::header_for(src, dst, next_header, hop_limit, payload_len);
-        frame[..HEADER_LEN].copy_from_slice(&header.emit());
+        out[start..start + HEADER_LEN].copy_from_slice(&header.emit());
+        r
     }
 
     /// Serialize header + payload.
@@ -179,6 +197,7 @@ impl Datagram {
 
     /// The parsed header and the borrowed body of a full datagram,
     /// length-checked as [`Datagram::parse`] documents.
+    #[inline]
     fn split(buf: &[u8]) -> Result<(Ipv6Header, &[u8]), PacketError> {
         let header = Ipv6Header::parse(buf)?;
         let body = &buf[HEADER_LEN..];
@@ -190,16 +209,19 @@ impl Datagram {
 
     /// Parse and decode the transport payload in one step, straight off
     /// the borrowed frame (same length and checksum checks as
-    /// [`Datagram::parse`] + [`crate::Transport::parse`], no body copy).
-    pub fn parse_transport(buf: &[u8]) -> Result<(Ipv6Header, crate::Transport), PacketError> {
+    /// [`Datagram::parse`] + [`crate::Transport::parse`]): nothing is
+    /// copied, the view's variable-length fields point into `buf`.
+    #[inline]
+    pub fn parse_transport(buf: &[u8]) -> Result<(Ipv6Header, TransportView<'_>), PacketError> {
         let (header, body) = Datagram::split(buf)?;
-        Ok((header, crate::Transport::parse(&header, body)?))
+        Ok((header, TransportView::parse(&header, body)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::transport_frames;
 
     fn addr(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -253,37 +275,13 @@ mod tests {
         assert_eq!(Datagram::parse(&bytes), Err(PacketError::BadLength));
     }
 
-    /// One well-formed frame per transport, each with a non-empty
-    /// payload so a payload bit can be flipped.
-    fn transport_frames() -> Vec<(&'static str, Vec<u8>)> {
-        let (s, d) = (addr("2001:db8::1"), addr("2001:db8::2"));
-        let echo = Icmpv6Message::EchoRequest {
-            ident: 7,
-            seq: 9,
-            payload: b"expanse".to_vec(),
-        };
-        let seg = TcpSegment {
-            payload: b"hello".to_vec(),
-            ..TcpSegment::syn_with_options(40000, 80, 1, 2)
-        };
-        let udp = UdpDatagram::new(40000, 53, b"query".to_vec());
-        vec![
-            ("icmpv6", Datagram::icmpv6(s, d, 64, echo).emit()),
-            ("tcp", Datagram::tcp(s, d, 64, &seg).emit()),
-            ("udp", Datagram::udp(s, d, 64, &udp).emit()),
-        ]
-    }
-
     #[test]
     fn parse_transport_agrees_with_two_step_parse() {
         for (name, frame) in transport_frames() {
             let d = Datagram::parse(&frame).unwrap();
             let t = crate::Transport::parse(&d.header, &d.payload).unwrap();
-            assert_eq!(
-                Datagram::parse_transport(&frame),
-                Ok((d.header, t)),
-                "{name}"
-            );
+            let (h, view) = Datagram::parse_transport(&frame).unwrap();
+            assert_eq!((h, view.to_owned()), (d.header, t), "{name}");
         }
     }
 

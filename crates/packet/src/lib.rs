@@ -6,13 +6,17 @@
 //! fingerprinting code honest instead of mocked.
 //!
 //! Design follows the smoltcp idiom of explicit representation structs with
-//! `emit`/`parse` pairs. The representations own their variable-length
-//! fields ([`Vec<u8>`]): the simulator stores packets in event queues, so
-//! ownership is the natural shape. The per-probe path avoids the copies
-//! around them — every `emit` has an `emit_into` that appends to a
-//! caller's buffer, [`Datagram::emit_with`] frames one in place, and
-//! [`Datagram::parse_transport`] parses off the borrowed frame — because
-//! a scan sends hundreds of thousands of probes a virtual day.
+//! `emit`/`parse` pairs. Each transport has one parser, and it borrows:
+//! [`Datagram::parse_transport`] yields a [`TransportView`] whose
+//! variable-length fields point into the frame, with every length and
+//! checksum check done; the owned representations ([`Transport`] and the
+//! types under it, holding [`Vec<u8>`]s) are that view's `to_owned()`.
+//! Emission is as frugal: every `emit` has an `emit_into` that appends to
+//! a caller's buffer, and [`Datagram::emit_with`] / [`Datagram::append_with`]
+//! frame one in place. A probe's round trip through the simulator —
+//! emit, parse, answer, parse the answer — therefore copies nothing onto
+//! the heap, which matters because a scan sends hundreds of thousands of
+//! probes a virtual day.
 //!
 //! Layers:
 //! - [`ipv6`] — fixed 40-byte IPv6 header + full datagram framing
@@ -34,10 +38,13 @@ pub mod quic;
 pub mod tcp;
 pub mod udp;
 
+#[cfg(test)]
+mod oracle;
+
 pub use icmpv6::Icmpv6Message;
 pub use ipv6::{Datagram, Ipv6Header};
 pub use probe::{ProtoSet, Protocol};
-pub use tcp::{TcpFlags, TcpOption, TcpSegment};
+pub use tcp::{TcpFlags, TcpOption, TcpOptionBlock, TcpSegment, TcpView};
 pub use udp::UdpDatagram;
 
 use std::fmt;
@@ -98,17 +105,46 @@ impl Transport {
     /// Parse the payload of `header` according to its next-header field,
     /// verifying transport checksums against the pseudo-header.
     pub fn parse(header: &Ipv6Header, payload: &[u8]) -> Result<Transport, PacketError> {
-        match header.next_header {
-            proto::ICMPV6 => Ok(Transport::Icmpv6(Icmpv6Message::parse(
-                header.src, header.dst, payload,
-            )?)),
-            proto::TCP => Ok(Transport::Tcp(TcpSegment::parse(
-                header.src, header.dst, payload,
-            )?)),
-            proto::UDP => Ok(Transport::Udp(UdpDatagram::parse(
-                header.src, header.dst, payload,
-            )?)),
-            other => Ok(Transport::Other(other, payload.to_vec())),
+        TransportView::parse(header, payload).map(|t| t.to_owned())
+    }
+}
+
+/// [`Transport`] over borrowed bytes: what a prober or the simulator
+/// reads off a frame without copying it ([`Datagram::parse_transport`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransportView<'a> {
+    /// Icmpv6.
+    Icmpv6(Icmpv6Message<&'a [u8]>),
+    /// A TCP segment.
+    Tcp(TcpView<'a>),
+    /// A UDP datagram.
+    Udp(UdpDatagram<&'a [u8]>),
+    /// Unknown next-header: raw payload.
+    Other(u8, &'a [u8]),
+}
+
+impl<'a> TransportView<'a> {
+    /// Parse the payload of `header` according to its next-header field,
+    /// verifying transport checksums against the pseudo-header: the one
+    /// transport parser.
+    #[inline]
+    pub fn parse(header: &Ipv6Header, payload: &'a [u8]) -> Result<Self, PacketError> {
+        let (src, dst) = (header.src, header.dst);
+        Ok(match header.next_header {
+            proto::ICMPV6 => TransportView::Icmpv6(Icmpv6Message::view(src, dst, payload)?),
+            proto::TCP => TransportView::Tcp(TcpView::parse(src, dst, payload)?),
+            proto::UDP => TransportView::Udp(UdpDatagram::view(src, dst, payload)?),
+            other => TransportView::Other(other, payload),
+        })
+    }
+
+    /// The owned payload: every borrowed field copied out.
+    pub fn to_owned(&self) -> Transport {
+        match self {
+            TransportView::Icmpv6(m) => Transport::Icmpv6(m.to_owned()),
+            TransportView::Tcp(s) => Transport::Tcp(s.to_owned()),
+            TransportView::Udp(u) => Transport::Udp(u.to_owned()),
+            TransportView::Other(nh, payload) => Transport::Other(*nh, payload.to_vec()),
         }
     }
 }

@@ -60,6 +60,12 @@ impl QuicLongHeader {
     /// supported versions appended (RFC 8999 §6).
     pub fn version_negotiation(dcid: &[u8], scid: &[u8], versions: &[u32]) -> Vec<u8> {
         let mut out = Vec::new();
+        Self::version_negotiation_into(dcid, scid, versions, &mut out);
+        out
+    }
+
+    /// [`QuicLongHeader::version_negotiation`], appended to `out`.
+    pub fn version_negotiation_into(dcid: &[u8], scid: &[u8], versions: &[u32], out: &mut Vec<u8>) {
         out.push(0x80); // long header form bit
         out.extend_from_slice(&0u32.to_be_bytes());
         out.push(dcid.len() as u8);
@@ -69,11 +75,37 @@ impl QuicLongHeader {
         for v in versions {
             out.extend_from_slice(&v.to_be_bytes());
         }
-        out
     }
 
     /// Parse any long-header packet.
     pub fn parse(buf: &[u8]) -> Result<QuicLongHeader, PacketError> {
+        QuicView::parse(buf).map(|v| v.to_owned())
+    }
+
+    /// Is this a version negotiation packet?
+    pub fn is_version_negotiation(&self) -> bool {
+        self.version == 0
+    }
+}
+
+/// A QUIC long header over borrowed bytes: the one long-header parser
+/// ([`QuicLongHeader::parse`] is it plus [`QuicView::to_owned`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuicView<'a> {
+    /// QUIC version field (0 = version negotiation).
+    pub version: u32,
+    /// Destination connection id.
+    pub dcid: &'a [u8],
+    /// Source connection id.
+    pub scid: &'a [u8],
+    /// For version negotiation packets: the version list, 4 bytes per
+    /// version; empty otherwise.
+    versions: &'a [u8],
+}
+
+impl<'a> QuicView<'a> {
+    /// Parse any long-header packet.
+    pub fn parse(buf: &'a [u8]) -> Result<Self, PacketError> {
         if buf.len() < 7 {
             return Err(PacketError::Truncated);
         }
@@ -87,37 +119,51 @@ impl QuicLongHeader {
         if dcid_len > 20 || pos + dcid_len > buf.len() {
             return Err(PacketError::Malformed("dcid"));
         }
-        let dcid = buf[pos..pos + dcid_len].to_vec();
+        let dcid = &buf[pos..pos + dcid_len];
         pos += dcid_len;
         let scid_len = usize::from(*buf.get(pos).ok_or(PacketError::Truncated)?);
         pos += 1;
         if scid_len > 20 || pos + scid_len > buf.len() {
             return Err(PacketError::Malformed("scid"));
         }
-        let scid = buf[pos..pos + scid_len].to_vec();
+        let scid = &buf[pos..pos + scid_len];
         pos += scid_len;
-        let mut supported_versions = Vec::new();
+        let mut versions: &[u8] = &[];
         if version == 0 {
             // Version negotiation: rest is a version list.
-            let rest = &buf[pos..];
-            if rest.is_empty() || !rest.len().is_multiple_of(4) {
+            versions = &buf[pos..];
+            if versions.is_empty() || !versions.len().is_multiple_of(4) {
                 return Err(PacketError::Malformed("version list"));
             }
-            for c in rest.chunks_exact(4) {
-                supported_versions.push(u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
-            }
         }
-        Ok(QuicLongHeader {
+        Ok(QuicView {
             version,
             dcid,
             scid,
-            supported_versions,
+            versions,
         })
     }
 
     /// Is this a version negotiation packet?
     pub fn is_version_negotiation(&self) -> bool {
         self.version == 0
+    }
+
+    /// The versions a version negotiation packet lists.
+    pub fn supported_versions(&self) -> impl Iterator<Item = u32> + 'a {
+        self.versions
+            .chunks_exact(4)
+            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
+    }
+
+    /// The owned header: connection ids and versions copied out.
+    pub fn to_owned(&self) -> QuicLongHeader {
+        QuicLongHeader {
+            version: self.version,
+            dcid: self.dcid.to_vec(),
+            scid: self.scid.to_vec(),
+            supported_versions: self.supported_versions().collect(),
+        }
     }
 }
 

@@ -71,9 +71,11 @@ impl fmt::Display for TcpFlags {
     }
 }
 
-/// A TCP option as it appears on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TcpOption {
+/// A TCP option as it appears on the wire, generic over the bytes of an
+/// unknown option's data: the default `Vec<u8>` owns them, and parsing
+/// yields `TcpOption<&[u8]>` borrowing them from the segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TcpOption<B = Vec<u8>> {
     /// End of option list (kind 0).
     Eol,
     /// No-operation padding (kind 1).
@@ -96,11 +98,37 @@ pub enum TcpOption {
         /// Option kind byte.
         kind: u8,
         /// Option data (between length byte and next option).
-        data: Vec<u8>,
+        data: B,
     },
 }
 
-impl TcpOption {
+/// One *optionstext* token (§5.4): a name, or `U` and an unknown kind.
+#[derive(Debug, Clone, Copy)]
+enum Token {
+    Name(&'static str),
+    Unknown(u8),
+}
+
+impl Token {
+    /// Bytes the token renders to.
+    fn len(self) -> usize {
+        match self {
+            Token::Name(name) => name.len(),
+            Token::Unknown(kind) => 2 + usize::from(kind >= 10) + usize::from(kind >= 100),
+        }
+    }
+}
+
+impl fmt::Display for Token {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Token::Name(name) => f.write_str(name),
+            Token::Unknown(kind) => write!(f, "U{kind}"),
+        }
+    }
+}
+
+impl<B: AsRef<[u8]>> TcpOption<B> {
     /// Encoded length in bytes.
     pub fn wire_len(&self) -> usize {
         match self {
@@ -109,100 +137,225 @@ impl TcpOption {
             TcpOption::WindowScale(_) => 3,
             TcpOption::SackPermitted => 2,
             TcpOption::Timestamps { .. } => 10,
-            TcpOption::Unknown { data, .. } => 2 + data.len(),
+            TcpOption::Unknown { data, .. } => 2 + data.as_ref().len(),
+        }
+    }
+
+    fn token(&self) -> Token {
+        match self {
+            TcpOption::Eol => Token::Name("E"),
+            TcpOption::Nop => Token::Name("N"),
+            TcpOption::Mss(_) => Token::Name("MSS"),
+            TcpOption::WindowScale(_) => Token::Name("WS"),
+            TcpOption::SackPermitted => Token::Name("SACK"),
+            TcpOption::Timestamps { .. } => Token::Name("TS"),
+            TcpOption::Unknown { kind, .. } => Token::Unknown(*kind),
         }
     }
 
     /// The *optionstext* token (§5.4): order-preserving, value-free.
     pub fn text_token(&self) -> String {
-        match self {
-            TcpOption::Eol => "E".to_string(),
-            TcpOption::Nop => "N".to_string(),
-            TcpOption::Mss(_) => "MSS".to_string(),
-            TcpOption::WindowScale(_) => "WS".to_string(),
-            TcpOption::SackPermitted => "SACK".to_string(),
-            TcpOption::Timestamps { .. } => "TS".to_string(),
-            TcpOption::Unknown { kind, .. } => format!("U{kind}"),
-        }
+        self.token().to_string()
     }
 
-    fn emit_into(&self, out: &mut Vec<u8>) {
+    /// The option with its data borrowed.
+    pub fn as_view(&self) -> TcpOption<&[u8]> {
         match self {
-            TcpOption::Eol => out.push(0),
-            TcpOption::Nop => out.push(1),
-            TcpOption::Mss(v) => {
-                out.extend_from_slice(&[2, 4]);
-                out.extend_from_slice(&v.to_be_bytes());
-            }
-            TcpOption::WindowScale(v) => out.extend_from_slice(&[3, 3, *v]),
-            TcpOption::SackPermitted => out.extend_from_slice(&[4, 2]),
-            TcpOption::Timestamps { tsval, tsecr } => {
-                out.extend_from_slice(&[8, 10]);
-                out.extend_from_slice(&tsval.to_be_bytes());
-                out.extend_from_slice(&tsecr.to_be_bytes());
-            }
-            TcpOption::Unknown { kind, data } => {
-                out.push(*kind);
-                out.push((data.len() + 2) as u8);
-                out.extend_from_slice(data);
-            }
+            TcpOption::Eol => TcpOption::Eol,
+            TcpOption::Nop => TcpOption::Nop,
+            TcpOption::Mss(v) => TcpOption::Mss(*v),
+            TcpOption::WindowScale(v) => TcpOption::WindowScale(*v),
+            TcpOption::SackPermitted => TcpOption::SackPermitted,
+            TcpOption::Timestamps { tsval, tsecr } => TcpOption::Timestamps {
+                tsval: *tsval,
+                tsecr: *tsecr,
+            },
+            TcpOption::Unknown { kind, data } => TcpOption::Unknown {
+                kind: *kind,
+                data: data.as_ref(),
+            },
         }
     }
+}
 
+impl TcpOption<&[u8]> {
+    /// The owned option: unknown data copied out.
+    pub fn to_owned(&self) -> TcpOption {
+        match *self {
+            TcpOption::Eol => TcpOption::Eol,
+            TcpOption::Nop => TcpOption::Nop,
+            TcpOption::Mss(v) => TcpOption::Mss(v),
+            TcpOption::WindowScale(v) => TcpOption::WindowScale(v),
+            TcpOption::SackPermitted => TcpOption::SackPermitted,
+            TcpOption::Timestamps { tsval, tsecr } => TcpOption::Timestamps { tsval, tsecr },
+            TcpOption::Unknown { kind, data } => TcpOption::Unknown {
+                kind,
+                data: data.to_vec(),
+            },
+        }
+    }
+}
+
+impl TcpOption {
     /// Parse all options from an options block. Stops at EOL. Malformed
     /// lengths yield `PacketError::Malformed`.
-    pub fn parse_all(mut buf: &[u8]) -> Result<Vec<TcpOption>, PacketError> {
-        // Options average four bytes (the §5.4 probe set is 5 in 20):
-        // sized once for the common case, none for an empty block.
-        let mut out = Vec::with_capacity(buf.len().div_ceil(4));
-        while let Some(&kind) = buf.first() {
-            match kind {
-                0 => {
-                    out.push(TcpOption::Eol);
-                    break;
+    pub fn parse_all(buf: &[u8]) -> Result<Vec<TcpOption>, PacketError> {
+        RawOptions(buf).map(|o| o.map(|o| o.to_owned())).collect()
+    }
+}
+
+/// The options of a block, decoded one at a time off the wire bytes; an
+/// EOL is yielded and ends the walk, and so does the first malformed
+/// option (as its error).
+#[derive(Clone)]
+struct RawOptions<'a>(&'a [u8]);
+
+impl<'a> Iterator for RawOptions<'a> {
+    type Item = Result<TcpOption<&'a [u8]>, PacketError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let buf = self.0;
+        let &kind = buf.first()?;
+        let (opt, len) = match kind {
+            0 => (TcpOption::Eol, buf.len()),
+            1 => (TcpOption::Nop, 1),
+            _ => {
+                let Some(&len) = buf.get(1) else {
+                    self.0 = &[];
+                    return Some(Err(PacketError::Malformed("tcp option header")));
+                };
+                let len = usize::from(len);
+                if len < 2 || len > buf.len() {
+                    self.0 = &[];
+                    return Some(Err(PacketError::Malformed("tcp option length")));
                 }
-                1 => {
-                    out.push(TcpOption::Nop);
-                    buf = &buf[1..];
-                }
-                _ => {
-                    if buf.len() < 2 {
-                        return Err(PacketError::Malformed("tcp option header"));
-                    }
-                    let len = usize::from(buf[1]);
-                    if len < 2 || len > buf.len() {
-                        return Err(PacketError::Malformed("tcp option length"));
-                    }
-                    let data = &buf[2..len];
-                    let opt = match (kind, data.len()) {
-                        (2, 2) => TcpOption::Mss(u16::from_be_bytes([data[0], data[1]])),
-                        (3, 1) => TcpOption::WindowScale(data[0]),
-                        (4, 0) => TcpOption::SackPermitted,
-                        (8, 8) => TcpOption::Timestamps {
-                            tsval: u32::from_be_bytes([data[0], data[1], data[2], data[3]]),
-                            tsecr: u32::from_be_bytes([data[4], data[5], data[6], data[7]]),
-                        },
-                        _ => TcpOption::Unknown {
-                            kind,
-                            data: data.to_vec(),
-                        },
-                    };
-                    out.push(opt);
-                    buf = &buf[len..];
-                }
+                let data = &buf[2..len];
+                let opt = match (kind, data.len()) {
+                    (2, 2) => TcpOption::Mss(u16::from_be_bytes([data[0], data[1]])),
+                    (3, 1) => TcpOption::WindowScale(data[0]),
+                    (4, 0) => TcpOption::SackPermitted,
+                    (8, 8) => TcpOption::Timestamps {
+                        tsval: u32::from_be_bytes([data[0], data[1], data[2], data[3]]),
+                        tsecr: u32::from_be_bytes([data[4], data[5], data[6], data[7]]),
+                    },
+                    _ => TcpOption::Unknown { kind, data },
+                };
+                (opt, len)
+            }
+        };
+        self.0 = &buf[len..];
+        Some(Ok(opt))
+    }
+}
+
+/// An options block under construction, on the stack: wire bytes, at
+/// most the 40 a TCP header has room for.
+#[derive(Debug, Clone, Copy)]
+pub struct TcpOptionBlock {
+    bytes: [u8; 40],
+    len: u8,
+}
+
+impl Default for TcpOptionBlock {
+    fn default() -> Self {
+        TcpOptionBlock {
+            bytes: [0; 40],
+            len: 0,
+        }
+    }
+}
+
+impl TcpOptionBlock {
+    /// An empty block.
+    pub fn new() -> Self {
+        TcpOptionBlock::default()
+    }
+
+    /// Append one option's wire bytes.
+    ///
+    /// # Panics
+    /// Panics if the block would exceed 40 bytes.
+    pub fn push<B: AsRef<[u8]>>(&mut self, opt: &TcpOption<B>) {
+        let start = usize::from(self.len);
+        let end = start + opt.wire_len();
+        assert!(end <= self.bytes.len(), "TCP options exceed 40 bytes");
+        let out = &mut self.bytes[start..end];
+        match opt {
+            TcpOption::Eol => out[0] = 0,
+            TcpOption::Nop => out[0] = 1,
+            TcpOption::Mss(v) => {
+                out[..2].copy_from_slice(&[2, 4]);
+                out[2..].copy_from_slice(&v.to_be_bytes());
+            }
+            TcpOption::WindowScale(v) => out.copy_from_slice(&[3, 3, *v]),
+            TcpOption::SackPermitted => out.copy_from_slice(&[4, 2]),
+            TcpOption::Timestamps { tsval, tsecr } => {
+                out[..2].copy_from_slice(&[8, 10]);
+                out[2..6].copy_from_slice(&tsval.to_be_bytes());
+                out[6..].copy_from_slice(&tsecr.to_be_bytes());
+            }
+            TcpOption::Unknown { kind, data } => {
+                out[0] = *kind;
+                out[1] = (data.as_ref().len() + 2) as u8;
+                out[2..].copy_from_slice(data.as_ref());
             }
         }
-        Ok(out)
+        self.len = end as u8;
+    }
+
+    /// The wire bytes so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+/// The options of the paper's fingerprinting SYN, `MSS-SACK-TS-N-WS`,
+/// with MSS and window scale set to 1 (§5.4).
+fn fingerprint_options(tsval: u32) -> [TcpOption<&'static [u8]>; 5] {
+    [
+        TcpOption::Mss(1),
+        TcpOption::SackPermitted,
+        TcpOption::Timestamps { tsval, tsecr: 0 },
+        TcpOption::Nop,
+        TcpOption::WindowScale(1),
+    ]
+}
+
+impl TcpOptionBlock {
+    /// The options block of the paper's fingerprinting SYN
+    /// ([`TcpSegment::syn_with_options`]).
+    pub fn fingerprint(tsval: u32) -> Self {
+        let mut block = TcpOptionBlock::new();
+        for opt in &fingerprint_options(tsval) {
+            block.push(opt);
+        }
+        block
     }
 }
 
 /// Join option tokens into the optionstext string, e.g. `MSS-SACK-TS-N-WS`.
 pub fn options_text(options: &[TcpOption]) -> String {
-    options
-        .iter()
-        .map(TcpOption::text_token)
-        .collect::<Vec<_>>()
-        .join("-")
+    text_of(options.iter().map(TcpOption::token))
+}
+
+/// The optionstext of `tokens`, written into one allocation of exactly
+/// its length.
+fn text_of(tokens: impl Iterator<Item = Token> + Clone) -> String {
+    let len = tokens.clone().map(|t| t.len() + 1).sum::<usize>();
+    let mut text = String::with_capacity(len.saturating_sub(1));
+    for (i, token) in tokens.enumerate() {
+        if i > 0 {
+            text.push('-');
+        }
+        match token {
+            Token::Name(name) => text.push_str(name),
+            Token::Unknown(kind) => {
+                use fmt::Write as _;
+                let _ = write!(text, "U{kind}");
+            }
+        }
+    }
+    text
 }
 
 /// A TCP segment (header + payload).
@@ -228,6 +381,184 @@ pub struct TcpSegment {
     pub payload: Vec<u8>,
 }
 
+/// A TCP segment over borrowed bytes: what [`TcpView::parse`] reads off
+/// a frame (the one TCP parser — [`TcpSegment::parse`] is it plus
+/// [`TcpView::to_owned`]), and what [`TcpView::emit_into`] writes (the
+/// one TCP emitter) without an owned segment behind it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpView<'a> {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Sequence number.
+    pub seq: u32,
+    /// Acknowledgment number.
+    pub ack: u32,
+    /// TCP flag bits.
+    pub flags: TcpFlags,
+    /// Advertised receive window.
+    pub window: u16,
+    /// Urgent pointer (unused by probes).
+    pub urgent: u16,
+    /// The options block as wire bytes, up to (not including) an
+    /// end-of-list; at most 40 bytes. [`TcpView::parse`] guarantees it is
+    /// well formed; the option walk stops at the first malformed option.
+    pub options: &'a [u8],
+    /// Payload bytes.
+    pub payload: &'a [u8],
+}
+
+impl<'a> TcpView<'a> {
+    /// Parse and verify the checksum, borrowing options and payload.
+    #[inline]
+    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &'a [u8]) -> Result<Self, PacketError> {
+        if buf.len() < 20 {
+            return Err(PacketError::Truncated);
+        }
+        if !verify_transport(src, dst, proto::TCP, buf) {
+            return Err(PacketError::BadChecksum);
+        }
+        let offset_flags = u16::from_be_bytes([buf[12], buf[13]]);
+        let header_len = usize::from(offset_flags >> 12) * 4;
+        if header_len < 20 || header_len > buf.len() {
+            return Err(PacketError::BadLength);
+        }
+        // Check every option up to an EOL, and keep the block short of
+        // it: trailing zero padding is no option.
+        let block = &buf[20..header_len];
+        let mut walk = RawOptions(block);
+        let mut end = 0;
+        while let Some(opt) = walk.next() {
+            if opt? == TcpOption::Eol {
+                break;
+            }
+            end = block.len() - walk.0.len();
+        }
+        Ok(TcpView {
+            src_port: u16::from_be_bytes([buf[0], buf[1]]),
+            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
+            seq: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
+            ack: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
+            flags: TcpFlags((offset_flags & 0xff) as u8),
+            window: u16::from_be_bytes([buf[14], buf[15]]),
+            urgent: u16::from_be_bytes([buf[18], buf[19]]),
+            options: &block[..end],
+            payload: &buf[header_len..],
+        })
+    }
+
+    /// A SYN probe over the options block `options` (wire bytes): the
+    /// borrowed form of [`TcpSegment::syn`] and
+    /// [`TcpSegment::syn_with_options`].
+    pub fn syn(src_port: u16, dst_port: u16, seq: u32, options: &'a [u8]) -> Self {
+        TcpView {
+            src_port,
+            dst_port,
+            seq,
+            ack: 0,
+            flags: TcpFlags::SYN,
+            window: 65535,
+            urgent: 0,
+            options,
+            payload: &[],
+        }
+    }
+
+    /// The options in wire order.
+    pub fn options(&self) -> impl Iterator<Item = TcpOption<&'a [u8]>> + Clone + 'a {
+        RawOptions(self.options).map_while(Result::ok)
+    }
+
+    /// Header length in bytes (data offset × 4): the options padded to a
+    /// multiple of 4.
+    pub fn header_len(&self) -> usize {
+        20 + self.options.len().div_ceil(4) * 4
+    }
+
+    /// Append the segment, checksummed for transmission between `src`
+    /// and `dst` (the checksum covers only the appended segment).
+    ///
+    /// # Panics
+    /// Panics if the padded options exceed the 40-byte TCP limit.
+    pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
+        let header_len = self.header_len();
+        assert!(header_len <= 60, "TCP options exceed 40 bytes");
+        let start = out.len();
+        let offset_flags = ((header_len as u16 / 4) << 12) | u16::from(self.flags.0);
+        let mut fixed = [0u8; 20]; // the checksum (16..18) is patched below
+        fixed[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        fixed[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        fixed[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        fixed[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        fixed[12..14].copy_from_slice(&offset_flags.to_be_bytes());
+        fixed[14..16].copy_from_slice(&self.window.to_be_bytes());
+        fixed[18..20].copy_from_slice(&self.urgent.to_be_bytes());
+        out.extend_from_slice(&fixed);
+        out.extend_from_slice(self.options);
+        out.resize(start + header_len, 0); // zero padding after options
+        out.extend_from_slice(self.payload);
+        let ck = transport_checksum(src, dst, proto::TCP, &out[start..]);
+        out[start + 16..start + 18].copy_from_slice(&ck.to_be_bytes());
+    }
+
+    /// The owned segment: options decoded, payload copied out.
+    pub fn to_owned(&self) -> TcpSegment {
+        TcpSegment {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: self.flags,
+            window: self.window,
+            urgent: self.urgent,
+            options: self.options().map(|o| o.to_owned()).collect(),
+            payload: self.payload.to_vec(),
+        }
+    }
+
+    /// Fetch the MSS option value, if present.
+    pub fn mss(&self) -> Option<u16> {
+        self.options().find_map(mss)
+    }
+
+    /// Fetch the window-scale option value, if present.
+    pub fn window_scale(&self) -> Option<u8> {
+        self.options().find_map(window_scale)
+    }
+
+    /// Fetch the timestamps option, if present.
+    pub fn timestamps(&self) -> Option<(u32, u32)> {
+        self.options().find_map(timestamps)
+    }
+
+    /// The optionstext of this segment, built in one allocation.
+    pub fn options_text(&self) -> String {
+        text_of(self.options().map(|o| o.token()))
+    }
+}
+
+fn mss(o: TcpOption<&[u8]>) -> Option<u16> {
+    match o {
+        TcpOption::Mss(v) => Some(v),
+        _ => None,
+    }
+}
+
+fn window_scale(o: TcpOption<&[u8]>) -> Option<u8> {
+    match o {
+        TcpOption::WindowScale(v) => Some(v),
+        _ => None,
+    }
+}
+
+fn timestamps(o: TcpOption<&[u8]>) -> Option<(u32, u32)> {
+    match o {
+        TcpOption::Timestamps { tsval, tsecr } => Some((tsval, tsecr)),
+        _ => None,
+    }
+}
+
 impl TcpSegment {
     /// A bare SYN probe.
     pub fn syn(src_port: u16, dst_port: u16, seq: u32) -> Self {
@@ -248,13 +579,10 @@ impl TcpSegment {
     /// and window scale set to 1 to trigger differing replies (§5.4).
     pub fn syn_with_options(src_port: u16, dst_port: u16, seq: u32, tsval: u32) -> Self {
         let mut s = TcpSegment::syn(src_port, dst_port, seq);
-        s.options = vec![
-            TcpOption::Mss(1),
-            TcpOption::SackPermitted,
-            TcpOption::Timestamps { tsval, tsecr: 0 },
-            TcpOption::Nop,
-            TcpOption::WindowScale(1),
-        ];
+        s.options = fingerprint_options(tsval)
+            .iter()
+            .map(TcpOption::to_owned)
+            .collect();
         s
     }
 
@@ -285,80 +613,50 @@ impl TcpSegment {
     /// # Panics
     /// Panics if the padded options exceed the 40-byte TCP limit.
     pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
-        let header_len = self.header_len();
-        assert!(header_len <= 60, "TCP options exceed 40 bytes");
-        let start = out.len();
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        let offset_flags = ((header_len as u16 / 4) << 12) | u16::from(self.flags.0);
-        out.extend_from_slice(&offset_flags.to_be_bytes());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.urgent.to_be_bytes());
+        let mut block = TcpOptionBlock::new();
         for opt in &self.options {
-            opt.emit_into(out);
+            block.push(opt);
         }
-        out.resize(start + header_len, 0); // zero padding after options
-        out.extend_from_slice(&self.payload);
-        let ck = transport_checksum(src, dst, proto::TCP, &out[start..]);
-        out[start + 16..start + 18].copy_from_slice(&ck.to_be_bytes());
+        self.view(block.as_bytes()).emit_into(src, dst, out);
     }
 
-    /// Parse and verify the checksum.
-    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<TcpSegment, PacketError> {
-        if buf.len() < 20 {
-            return Err(PacketError::Truncated);
-        }
-        if !verify_transport(src, dst, proto::TCP, buf) {
-            return Err(PacketError::BadChecksum);
-        }
-        let offset_flags = u16::from_be_bytes([buf[12], buf[13]]);
-        let header_len = usize::from(offset_flags >> 12) * 4;
-        if header_len < 20 || header_len > buf.len() {
-            return Err(PacketError::BadLength);
-        }
-        let mut options = TcpOption::parse_all(&buf[20..header_len])?;
-        // Strip trailing zero padding artifacts: an EOL followed by nothing.
-        while options.last() == Some(&TcpOption::Eol) {
-            options.pop();
-        }
-        Ok(TcpSegment {
-            src_port: u16::from_be_bytes([buf[0], buf[1]]),
-            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            seq: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-            ack: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
-            flags: TcpFlags((offset_flags & 0xff) as u8),
-            window: u16::from_be_bytes([buf[14], buf[15]]),
-            urgent: u16::from_be_bytes([buf[18], buf[19]]),
+    /// This segment's fields over the wire bytes of its options.
+    fn view<'a>(&'a self, options: &'a [u8]) -> TcpView<'a> {
+        TcpView {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: self.flags,
+            window: self.window,
+            urgent: self.urgent,
             options,
-            payload: buf[header_len..].to_vec(),
-        })
+            payload: &self.payload,
+        }
+    }
+
+    /// Parse and verify the checksum into an owned segment.
+    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<TcpSegment, PacketError> {
+        TcpView::parse(src, dst, buf).map(|s| s.to_owned())
+    }
+
+    fn options_view(&self) -> impl Iterator<Item = TcpOption<&[u8]>> + Clone {
+        self.options.iter().map(TcpOption::as_view)
     }
 
     /// Fetch the MSS option value, if present.
     pub fn mss(&self) -> Option<u16> {
-        self.options.iter().find_map(|o| match o {
-            TcpOption::Mss(v) => Some(*v),
-            _ => None,
-        })
+        self.options_view().find_map(mss)
     }
 
     /// Fetch the window-scale option value, if present.
     pub fn window_scale(&self) -> Option<u8> {
-        self.options.iter().find_map(|o| match o {
-            TcpOption::WindowScale(v) => Some(*v),
-            _ => None,
-        })
+        self.options_view().find_map(window_scale)
     }
 
     /// Fetch the timestamps option, if present.
     pub fn timestamps(&self) -> Option<(u32, u32)> {
-        self.options.iter().find_map(|o| match o {
-            TcpOption::Timestamps { tsval, tsecr } => Some((*tsval, *tsecr)),
-            _ => None,
-        })
+        self.options_view().find_map(timestamps)
     }
 
     /// The optionstext of this segment.
@@ -472,6 +770,37 @@ mod tests {
     fn eol_stops_parsing() {
         let opts = TcpOption::parse_all(&[1, 0, 2, 4, 5, 0xb4]).unwrap();
         assert_eq!(opts, vec![TcpOption::Nop, TcpOption::Eol]);
+    }
+
+    #[test]
+    fn view_reads_what_the_owned_segment_holds() {
+        let (s, d) = pair();
+        let seg = TcpSegment {
+            options: vec![
+                TcpOption::Mss(1440),
+                TcpOption::Unknown {
+                    kind: 254,
+                    data: vec![7, 7],
+                },
+                TcpOption::Timestamps { tsval: 5, tsecr: 6 },
+                TcpOption::WindowScale(3),
+            ],
+            ..TcpSegment::syn(1, 2, 3)
+        };
+        let bytes = seg.emit(s, d);
+        let view = TcpView::parse(s, d, &bytes).unwrap();
+        assert_eq!(view.to_owned(), seg);
+        assert_eq!(view.mss(), seg.mss());
+        assert_eq!(view.window_scale(), seg.window_scale());
+        assert_eq!(view.timestamps(), seg.timestamps());
+        let text = view.options_text();
+        assert_eq!(text, "MSS-U254-TS-WS");
+        assert_eq!(text, seg.options_text());
+        assert_eq!(text.capacity(), text.len(), "sized in one allocation");
+        // Emitting the view reproduces the segment's bytes.
+        let mut again = Vec::new();
+        view.emit_into(s, d, &mut again);
+        assert_eq!(again, bytes);
     }
 
     #[test]

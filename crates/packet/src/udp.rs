@@ -4,31 +4,35 @@ use crate::checksum::{transport_checksum, verify_transport};
 use crate::{proto, PacketError};
 use std::net::Ipv6Addr;
 
-/// A UDP datagram (header + payload).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpDatagram {
+/// A UDP datagram (header + payload), generic over its payload bytes:
+/// the default `Vec<u8>` owns them, and [`UdpDatagram::view`] yields a
+/// `UdpDatagram<&[u8]>` borrowing them from the frame it parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UdpDatagram<B = Vec<u8>> {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
     pub dst_port: u16,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: B,
 }
 
-impl UdpDatagram {
+impl<B> UdpDatagram<B> {
     /// Build a datagram.
-    pub fn new(src_port: u16, dst_port: u16, payload: Vec<u8>) -> Self {
+    pub fn new(src_port: u16, dst_port: u16, payload: B) -> Self {
         UdpDatagram {
             src_port,
             dst_port,
             payload,
         }
     }
+}
 
+impl<B: AsRef<[u8]>> UdpDatagram<B> {
     /// Encode with checksum (mandatory over IPv6; an all-zero checksum is
     /// transmitted as 0xffff per RFC 8200 §8.1).
     pub fn emit(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.payload.len());
+        let mut out = Vec::with_capacity(8 + self.payload.as_ref().len());
         self.emit_into(src, dst, &mut out);
         out
     }
@@ -37,12 +41,17 @@ impl UdpDatagram {
     /// the appended datagram).
     pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
         emit_with(self.src_port, self.dst_port, src, dst, out, |out| {
-            out.extend_from_slice(&self.payload);
+            out.extend_from_slice(self.payload.as_ref());
         });
     }
+}
 
-    /// Parse and verify checksum + length.
-    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<UdpDatagram, PacketError> {
+impl<'a> UdpDatagram<&'a [u8]> {
+    /// Parse and verify checksum + length, borrowing the payload from
+    /// `buf`: the one UDP parser ([`UdpDatagram::parse`] is this plus
+    /// [`UdpDatagram::to_owned`]).
+    #[inline]
+    pub fn view(src: Ipv6Addr, dst: Ipv6Addr, buf: &'a [u8]) -> Result<Self, PacketError> {
         if buf.len() < 8 {
             return Err(PacketError::Truncated);
         }
@@ -56,27 +65,40 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            payload: buf[8..].to_vec(),
+            payload: &buf[8..],
         })
+    }
+
+    /// The owned datagram: the payload copied out.
+    pub fn to_owned(&self) -> UdpDatagram {
+        UdpDatagram::new(self.src_port, self.dst_port, self.payload.to_vec())
+    }
+}
+
+impl UdpDatagram {
+    /// Parse and verify checksum + length into an owned datagram.
+    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<UdpDatagram, PacketError> {
+        UdpDatagram::view(src, dst, buf).map(|u| u.to_owned())
     }
 }
 
 /// Append a UDP datagram whose payload is whatever `payload` appends to
 /// `out`: what [`UdpDatagram::emit_into`] does, for a prober that builds
-/// each payload in place and has no reason to own a copy of it.
-pub fn emit_with(
+/// each payload in place and has no reason to own a copy of it. Returns
+/// what `payload` returns.
+pub fn emit_with<R>(
     src_port: u16,
     dst_port: u16,
     src: Ipv6Addr,
     dst: Ipv6Addr,
     out: &mut Vec<u8>,
-    payload: impl FnOnce(&mut Vec<u8>),
-) {
+    payload: impl FnOnce(&mut Vec<u8>) -> R,
+) -> R {
     let start = out.len();
     out.extend_from_slice(&src_port.to_be_bytes());
     out.extend_from_slice(&dst_port.to_be_bytes());
     out.extend_from_slice(&[0; 4]); // length and checksum, patched below
-    payload(out);
+    let r = payload(out);
     let len = out.len() - start;
     out[start + 4..start + 6].copy_from_slice(&(len as u16).to_be_bytes());
     let mut ck = transport_checksum(src, dst, proto::UDP, &out[start..]);
@@ -84,6 +106,7 @@ pub fn emit_with(
         ck = 0xffff;
     }
     out[start + 6..start + 8].copy_from_slice(&ck.to_be_bytes());
+    r
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property tests: emit/parse roundtrips and checksum tamper detection.
 
 use expanse_packet::{
-    tcp::options_text, Datagram, Icmpv6Message, TcpFlags, TcpOption, TcpSegment, Transport,
+    tcp::options_text, Datagram, Icmpv6Message, TcpFlags, TcpOption, TcpSegment, TransportView,
     UdpDatagram,
 };
 use proptest::prelude::*;
@@ -96,7 +96,7 @@ proptest! {
         prop_assert_eq!(hdr.dst, dst);
         prop_assert_eq!(hdr.hop_limit, hop);
         match t {
-            Transport::Udp(got) => prop_assert_eq!(got, u),
+            TransportView::Udp(got) => prop_assert_eq!(got.to_owned(), u),
             other => prop_assert!(false, "wrong transport {:?}", other),
         }
     }

@@ -8,8 +8,8 @@
 //! fields constant per flow), Time-Exceeded collection, path assembly,
 //! and router-address harvesting.
 
-use expanse_netsim::{Duration, EventQueue, Network, Time};
-use expanse_packet::{Datagram, Icmpv6Message, Transport};
+use expanse_netsim::{Deliveries, Duration, Network, Time};
+use expanse_packet::{icmpv6, proto, Datagram, Icmpv6Message, TransportView};
 use expanse_zmap6::Validator;
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
@@ -87,46 +87,59 @@ impl<N: Network> Tracer<N> {
     pub fn trace(&mut self, dst: Ipv6Addr) -> TracePath {
         let validator = Validator::new(self.cfg.seed);
         let f = validator.fields(dst);
+        let src = self.cfg.src;
         let mut hops: Vec<Option<Ipv6Addr>> = Vec::new();
         let mut reached = false;
         let mut probes_sent = 0u64;
+        // One probe buffer, one delivery buffer and one receive order
+        // serve every probe of the trace.
+        let mut probe: Vec<u8> = Vec::new();
+        let mut rx = Deliveries::new();
+        let mut due: Vec<(Time, usize)> = Vec::new();
 
         'hops: for hop in 1..=self.cfg.max_hops {
             let mut hop_addr = None;
             for attempt in 0..self.cfg.attempts {
                 probes_sent += 1;
-                let probe = Datagram::icmpv6(
-                    self.cfg.src,
-                    dst,
-                    hop,
-                    Icmpv6Message::EchoRequest {
-                        ident: f.ident,
-                        // paris-style: sequence varies per attempt only.
-                        seq: f.seq.wrapping_add(u16::from(attempt)),
-                        payload: b"expanse-trace".to_vec(),
-                    },
-                );
-                let mut rx: EventQueue<Vec<u8>> = EventQueue::new();
-                for d in self.net.inject(self.clock, &probe.emit()) {
-                    rx.push(d.at, d.frame);
-                }
+                // paris-style: sequence varies per attempt only.
+                let seq = f.seq.wrapping_add(u16::from(attempt));
+                Datagram::emit_with(&mut probe, src, dst, proto::ICMPV6, hop, |out| {
+                    let echo = icmpv6::types::ECHO_REQUEST;
+                    icmpv6::emit_echo(echo, f.ident, seq, b"expanse-trace", src, dst, out);
+                });
+                rx.clear();
+                self.net.inject_into(self.clock, &probe, &mut rx);
                 self.clock += self.cfg.wait;
-                while let Some((_, frame)) = rx.pop_due(self.clock) {
-                    let Ok((hdr, t)) = Datagram::parse_transport(&frame) else {
+                // What a receive queue pops by the end of the wait: the
+                // frames due by then, in arrival order, ties in the
+                // order they were delivered.
+                due.clear();
+                due.extend(
+                    rx.iter()
+                        .enumerate()
+                        .filter(|(_, (at, _))| *at <= self.clock)
+                        .map(|(i, (at, _))| (at, i)),
+                );
+                due.sort_unstable();
+                for &(_, i) in &due {
+                    let Some((_, frame)) = rx.get(i) else {
+                        continue;
+                    };
+                    let Ok((hdr, t)) = Datagram::parse_transport(frame) else {
                         continue;
                     };
                     match t {
-                        Transport::Icmpv6(Icmpv6Message::TimeExceeded { invoking, .. }) => {
+                        TransportView::Icmpv6(Icmpv6Message::TimeExceeded { invoking, .. }) => {
                             // Validate: the invoking packet must be ours
                             // to this destination.
-                            let Ok(orig) = expanse_packet::Ipv6Header::parse(&invoking) else {
+                            let Ok(orig) = expanse_packet::Ipv6Header::parse(invoking) else {
                                 continue;
                             };
-                            if orig.dst == dst && orig.src == self.cfg.src {
+                            if orig.dst == dst && orig.src == src {
                                 hop_addr = Some(hdr.src);
                             }
                         }
-                        Transport::Icmpv6(Icmpv6Message::EchoReply { ident, .. })
+                        TransportView::Icmpv6(Icmpv6Message::EchoReply { ident, .. })
                             if ident == f.ident && hdr.src == dst =>
                         {
                             hops.push(Some(dst));

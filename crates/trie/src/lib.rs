@@ -19,6 +19,11 @@
 //! diverge. Removal splices out nodes left without value and with fewer
 //! than two children and recycles their slots.
 //!
+//! A table that is built once and then only read — the simulated
+//! Internet's routing table, its lossy and aliased regions — freezes its
+//! trie into a [`RangeTable`]: the prefixes cut the address space into
+//! sorted ranges, and a longest-prefix match becomes one binary search.
+//!
 //! # Example
 //!
 //! ```
@@ -36,10 +41,12 @@
 mod aggregate;
 mod iter;
 mod node;
+mod range;
 mod trie;
 
 pub use aggregate::aggregate;
 pub use iter::{Iter, MatchesIter};
+pub use range::RangeTable;
 pub use trie::PrefixTrie;
 
 /// A set of prefixes (trie with unit values) with set-flavoured helpers.

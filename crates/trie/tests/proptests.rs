@@ -1,7 +1,7 @@
 //! Property tests: the trie must agree with a brute-force model.
 
 use expanse_addr::{u128_to_addr, Prefix};
-use expanse_trie::PrefixTrie;
+use expanse_trie::{PrefixTrie, RangeTable};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -22,8 +22,57 @@ fn brute_lpm(map: &HashMap<Prefix, u32>, addr: Ipv6Addr) -> Option<(Prefix, &u32
         .map(|(p, v)| (*p, v))
 }
 
+/// Prefixes of any length in a small corner of the space, each with a
+/// chance of bringing its adjacent sibling (same length, last bit
+/// flipped) and a duplicate entry along: nested, adjacent, `/0`, `/128`
+/// and repeated prefixes all turn up.
+fn arb_prefix_set() -> impl Strategy<Value = Vec<(Prefix, u32)>> {
+    let one = (0u128..8, 0u8..=128, any::<u128>(), 0u8..4, any::<u32>());
+    proptest::collection::vec(one, 0..48).prop_map(|raw| {
+        let mut out = Vec::new();
+        for (hi, len, noise, extra, v) in raw {
+            let p = Prefix::from_bits((hi << 125) | (noise >> 3), len);
+            out.push((p, v));
+            if extra & 1 == 1 && len > 0 {
+                let sibling = p.bits() ^ (1u128 << (128 - u32::from(len)));
+                out.push((Prefix::from_bits(sibling, len), v ^ 1));
+            }
+            if extra & 2 == 2 {
+                out.push((p, v.wrapping_add(7)));
+            }
+        }
+        out
+    })
+}
+
+/// Every address where a longest match can change: each prefix's first
+/// and last address and their outside neighbours, plus the space's ends.
+fn edges(entries: &[(Prefix, u32)]) -> Vec<u128> {
+    let mut out = vec![0, u128::MAX];
+    for (p, _) in entries {
+        let (first, last) = (p.bits(), expanse_addr::addr_to_u128(p.last()));
+        out.extend([first, last, first.wrapping_sub(1), last.wrapping_add(1)]);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn frozen_table_matches_the_trie(
+        entries in arb_prefix_set(),
+        queries in proptest::collection::vec(any::<u128>(), 0..40),
+    ) {
+        let trie: PrefixTrie<u32> = entries.iter().copied().collect();
+        let frozen = RangeTable::freeze(&trie);
+        prop_assert_eq!(frozen.len(), trie.len());
+        prop_assert!(frozen.ranges() <= 2 * trie.len() + 1);
+        for q in edges(&entries).into_iter().chain(queries) {
+            let addr = u128_to_addr(q);
+            prop_assert_eq!(frozen.longest_match(addr), trie.longest_match(addr), "{}", addr);
+        }
+    }
 
     #[test]
     fn trie_matches_brute_force(

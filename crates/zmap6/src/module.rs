@@ -2,8 +2,8 @@
 
 use crate::validate::Validator;
 use expanse_packet::{
-    dns, icmpv6, proto, quic, udp, Datagram, Icmpv6Message, Protocol, TcpFlags, TcpSegment,
-    Transport,
+    dns, icmpv6, proto, quic, udp, Datagram, Icmpv6Message, Protocol, TcpFlags, TcpOptionBlock,
+    TcpView, TransportView,
 };
 use std::net::Ipv6Addr;
 
@@ -77,11 +77,13 @@ pub trait ProbeModule: Send + Sync {
     /// Classify a delivered frame: `Some((target, kind))` — the probed
     /// address the reply validates for and what it says about it — if
     /// the frame is a valid reply for this module under validator `v`.
-    /// (The observed hop limit is the caller's to read off `hdr`.)
+    /// (The observed hop limit is the caller's to read off `hdr`.) Reads
+    /// the borrowed view of the frame; only a kept reply's [`ReplyKind`]
+    /// may allocate.
     fn classify(
         &self,
         hdr: &expanse_packet::Ipv6Header,
-        transport: &Transport,
+        transport: &TransportView<'_>,
         v: &Validator,
     ) -> Option<(Ipv6Addr, ReplyKind)>;
 }
@@ -107,11 +109,11 @@ impl ProbeModule for IcmpEchoModule {
     fn classify(
         &self,
         hdr: &expanse_packet::Ipv6Header,
-        transport: &Transport,
+        transport: &TransportView<'_>,
         v: &Validator,
     ) -> Option<(Ipv6Addr, ReplyKind)> {
         match transport {
-            Transport::Icmpv6(Icmpv6Message::EchoReply { ident, seq, .. }) => {
+            TransportView::Icmpv6(Icmpv6Message::EchoReply { ident, seq, .. }) => {
                 // The reply's source is the target we probed.
                 if v.check_echo(hdr.src, *ident, *seq) {
                     Some((hdr.src, ReplyKind::EchoReply))
@@ -162,11 +164,12 @@ impl ProbeModule for TcpSynModule {
 
     fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>) {
         let f = v.fields(dst);
-        let seg = if self.with_options {
-            TcpSegment::syn_with_options(f.src_port, self.port, f.tcp_seq, f.tcp_seq ^ 0x5c5c)
+        let options = if self.with_options {
+            TcpOptionBlock::fingerprint(f.tcp_seq ^ 0x5c5c)
         } else {
-            TcpSegment::syn(f.src_port, self.port, f.tcp_seq)
+            TcpOptionBlock::new()
         };
+        let seg = TcpView::syn(f.src_port, self.port, f.tcp_seq, options.as_bytes());
         let hops = Datagram::DEFAULT_HOP_LIMIT;
         Datagram::emit_with(frame, src, dst, proto::TCP, hops, |out| {
             seg.emit_into(src, dst, out);
@@ -176,10 +179,10 @@ impl ProbeModule for TcpSynModule {
     fn classify(
         &self,
         hdr: &expanse_packet::Ipv6Header,
-        transport: &Transport,
+        transport: &TransportView<'_>,
         v: &Validator,
     ) -> Option<(Ipv6Addr, ReplyKind)> {
-        let Transport::Tcp(seg) = transport else {
+        let TransportView::Tcp(seg) = transport else {
             return None;
         };
         if seg.src_port != self.port || !v.check_tcp(hdr.src, seg.dst_port, seg.ack) {
@@ -228,15 +231,15 @@ impl ProbeModule for DnsModule {
     fn classify(
         &self,
         hdr: &expanse_packet::Ipv6Header,
-        transport: &Transport,
+        transport: &TransportView<'_>,
         v: &Validator,
     ) -> Option<(Ipv6Addr, ReplyKind)> {
         match transport {
-            Transport::Udp(u) => {
+            TransportView::Udp(u) => {
                 if u.src_port != 53 || !v.check_udp(hdr.src, u.dst_port) {
                     return None;
                 }
-                let h = dns::DnsHeader::parse(&u.payload).ok()?;
+                let h = dns::DnsHeader::parse(u.payload).ok()?;
                 if !h.qr || h.id != v.fields(hdr.src).ident {
                     return None;
                 }
@@ -248,7 +251,7 @@ impl ProbeModule for DnsModule {
                     },
                 ))
             }
-            Transport::Icmpv6(Icmpv6Message::DestUnreachable { code, invoking }) => {
+            TransportView::Icmpv6(Icmpv6Message::DestUnreachable { code, invoking }) => {
                 // Port unreachable for our own probe: extract the original
                 // destination from the invoking packet.
                 let orig = expanse_packet::Ipv6Header::parse(invoking).ok()?;
@@ -290,16 +293,16 @@ impl ProbeModule for QuicModule {
     fn classify(
         &self,
         hdr: &expanse_packet::Ipv6Header,
-        transport: &Transport,
+        transport: &TransportView<'_>,
         v: &Validator,
     ) -> Option<(Ipv6Addr, ReplyKind)> {
-        let Transport::Udp(u) = transport else {
+        let TransportView::Udp(u) = transport else {
             return None;
         };
         if u.src_port != 443 || !v.check_udp(hdr.src, u.dst_port) {
             return None;
         }
-        let p = quic::QuicLongHeader::parse(&u.payload).ok()?;
+        let p = quic::QuicView::parse(u.payload).ok()?;
         if !p.is_version_negotiation() {
             return None;
         }
@@ -311,7 +314,7 @@ impl ProbeModule for QuicModule {
         Some((
             hdr.src,
             ReplyKind::QuicVersionNegotiation {
-                versions: p.supported_versions,
+                versions: p.supported_versions().collect(),
             },
         ))
     }
@@ -331,7 +334,7 @@ pub fn standard_battery() -> Vec<Box<dyn ProbeModule>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expanse_packet::UdpDatagram;
+    use expanse_packet::{TcpSegment, UdpDatagram};
 
     fn v() -> Validator {
         Validator::new(7)
@@ -403,7 +406,7 @@ mod tests {
         // Simulate the target echoing back.
         let (hdr, t) = Datagram::parse_transport(&probe).unwrap();
         assert_eq!(hdr.dst, dst);
-        let Transport::Icmpv6(Icmpv6Message::EchoRequest {
+        let TransportView::Icmpv6(Icmpv6Message::EchoRequest {
             ident,
             seq,
             payload,
@@ -418,10 +421,11 @@ mod tests {
             Icmpv6Message::EchoReply {
                 ident,
                 seq,
-                payload,
+                payload: payload.to_vec(),
             },
         );
-        let (rhdr, rt) = Datagram::parse_transport(&reply.emit()).unwrap();
+        let bytes = reply.emit();
+        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
         let (target, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
         assert_eq!(target, dst);
         assert_eq!(kind, ReplyKind::EchoReply);
@@ -441,7 +445,8 @@ mod tests {
                 payload: vec![],
             },
         );
-        let (rhdr, rt) = Datagram::parse_transport(&reply.emit()).unwrap();
+        let bytes = reply.emit();
+        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
         assert!(IcmpEchoModule.classify(&rhdr, &rt, &v()).is_none());
     }
 
@@ -451,7 +456,9 @@ mod tests {
         let m = TcpSynModule::with_synopt(80);
         let probe = probe_frame(&m, src, dst);
         let (_, t) = Datagram::parse_transport(&probe).unwrap();
-        let Transport::Tcp(pseg) = t else { panic!() };
+        let TransportView::Tcp(pseg) = t else {
+            panic!()
+        };
         assert_eq!(pseg.options_text(), "MSS-SACK-TS-N-WS");
         assert_eq!(pseg.mss(), Some(1));
         // Build a SYN-ACK echoing correctly.
@@ -470,7 +477,8 @@ mod tests {
             payload: vec![],
         };
         let reply = Datagram::tcp(dst, src, 60, &reply_seg);
-        let (rhdr, rt) = Datagram::parse_transport(&reply.emit()).unwrap();
+        let bytes = reply.emit();
+        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
         let (target, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
         assert_eq!(target, dst);
         match kind {
@@ -500,7 +508,8 @@ mod tests {
             payload: vec![],
         };
         let reply = Datagram::tcp(dst, src, 60, &rst);
-        let (rhdr, rt) = Datagram::parse_transport(&reply.emit()).unwrap();
+        let bytes = reply.emit();
+        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
         let (_, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
         assert_eq!(kind, ReplyKind::Rst);
         assert!(!kind.is_positive());
@@ -523,7 +532,8 @@ mod tests {
             payload: vec![],
         };
         let reply = Datagram::tcp(dst, src, 60, &seg);
-        let (rhdr, rt) = Datagram::parse_transport(&reply.emit()).unwrap();
+        let bytes = reply.emit();
+        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
         assert!(m.classify(&rhdr, &rt, &v()).is_none());
     }
 
@@ -533,10 +543,11 @@ mod tests {
         let m = DnsModule;
         let probe = probe_frame(&m, src, dst);
         let (_, t) = Datagram::parse_transport(&probe).unwrap();
-        let Transport::Udp(u) = t else { panic!() };
-        let resp = dns::build_response(&u.payload, 0, 1).unwrap();
+        let TransportView::Udp(u) = t else { panic!() };
+        let resp = dns::build_response(u.payload, 0, 1).unwrap();
         let reply = Datagram::udp(dst, src, 60, &UdpDatagram::new(53, u.src_port, resp));
-        let (rhdr, rt) = Datagram::parse_transport(&reply.emit()).unwrap();
+        let bytes = reply.emit();
+        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
         let (target, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
         assert_eq!(target, dst);
         assert_eq!(
@@ -555,11 +566,12 @@ mod tests {
         let m = QuicModule;
         let probe = probe_frame(&m, src, dst);
         let (_, t) = Datagram::parse_transport(&probe).unwrap();
-        let Transport::Udp(u) = t else { panic!() };
-        let init = quic::QuicLongHeader::parse(&u.payload).unwrap();
+        let TransportView::Udp(u) = t else { panic!() };
+        let init = quic::QuicLongHeader::parse(u.payload).unwrap();
         let vn = quic::QuicLongHeader::version_negotiation(&init.scid, &init.dcid, &[1]);
         let reply = Datagram::udp(dst, src, 60, &UdpDatagram::new(443, u.src_port, vn));
-        let (rhdr, rt) = Datagram::parse_transport(&reply.emit()).unwrap();
+        let bytes = reply.emit();
+        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
         let (target, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
         assert_eq!(target, dst);
         match kind {

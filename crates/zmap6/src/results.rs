@@ -1,7 +1,7 @@
 //! Scan result containers.
 
 use crate::module::ReplyKind;
-use expanse_addr::{AddrId, AddrMap};
+use expanse_addr::{addr_to_u128, AddrId, AddrMap};
 use expanse_netsim::Time;
 use expanse_packet::{ProtoSet, Protocol};
 use std::collections::BTreeMap;
@@ -40,8 +40,8 @@ pub struct ScanResult {
     /// Duplicate replies discarded.
     pub duplicates: u64,
     /// First validated reply per target: a run sorted by `target`, one
-    /// entry per target (once [`ScanResult::settle`] has run, which
-    /// every scan entry point does before returning).
+    /// entry per target (every scan entry point settles it so before
+    /// returning).
     pub replies: Vec<ProbeReply>,
 }
 
@@ -75,19 +75,6 @@ impl ScanResult {
         at.ok().map(|i| &self.replies[i])
     }
 
-    /// Bring `replies` into its settled form — sorted by target, one
-    /// entry per target — after replies were pushed in arrival order
-    /// (the scan loop) or appended shard by shard
-    /// ([`ScanResult::absorb_shard`]). The sort is stable, so the
-    /// earliest-pushed reply of a target is the one kept; every other
-    /// counts as a duplicate (zmap's first-reply-wins dedup).
-    pub fn settle(&mut self) {
-        self.replies.sort_by_key(|r| r.target);
-        let pushed = self.replies.len();
-        self.replies.dedup_by_key(|r| r.target);
-        self.duplicates += (pushed - self.replies.len()) as u64;
-    }
-
     /// Count of positive responders.
     pub fn responsive_count(&self) -> usize {
         self.responsive().count()
@@ -102,30 +89,67 @@ impl ScanResult {
         }
     }
 
-    /// Fold a same-protocol sub-shard result in: counters add, the
-    /// shard's reply run is appended. Call [`ScanResult::settle`] once
-    /// after the last shard. Sub-shards partition the *positions* of
-    /// the target list, so for duplicate-free target lists the reply
-    /// runs are disjoint; if a target appears twice and its replies
-    /// land in two shards, the first-merged shard wins and the other
-    /// reply counts as a duplicate — mirroring the unsharded scan's
-    /// first-reply-wins accounting (`received == replies + duplicates +
-    /// malformed + unvalidated` stays intact).
+    /// One protocol's result from its sub-shards' results, each already
+    /// settled (sorted by target, one reply per target), in merge order:
+    /// counters add, and the reply runs merge into one settled run, each
+    /// reply moved once. Sub-shards partition the *positions* of the
+    /// target list, so for duplicate-free target lists the runs are
+    /// disjoint; if a target appears twice and its replies land in two
+    /// shards, the earlier shard's reply wins and the other counts as a
+    /// duplicate — mirroring the unsharded scan's first-reply-wins
+    /// accounting (`received == replies + duplicates + malformed +
+    /// unvalidated` stays intact).
     ///
     /// # Panics
-    /// Panics if `part` scanned a different protocol.
-    pub fn absorb_shard(&mut self, mut part: ScanResult) {
-        assert_eq!(
-            self.protocol, part.protocol,
-            "absorb_shard across protocols"
-        );
-        self.sent += part.sent;
-        self.blacklisted += part.blacklisted;
-        self.received += part.received;
-        self.malformed += part.malformed;
-        self.unvalidated += part.unvalidated;
-        self.duplicates += part.duplicates;
-        self.replies.append(&mut part.replies);
+    /// Panics if a part scanned another protocol.
+    pub fn from_shards(protocol: Protocol, parts: Vec<ScanResult>) -> ScanResult {
+        let mut out = ScanResult::new(protocol);
+        let mut runs = Vec::with_capacity(parts.len());
+        for part in parts {
+            assert_eq!(part.protocol, protocol, "from_shards across protocols");
+            out.sent += part.sent;
+            out.blacklisted += part.blacklisted;
+            out.received += part.received;
+            out.malformed += part.malformed;
+            out.unvalidated += part.unvalidated;
+            out.duplicates += part.duplicates;
+            runs.push(part.replies.into_iter());
+        }
+        out.replies
+            .reserve_exact(runs.iter().map(|r| r.len()).sum());
+        let head = |run: &std::vec::IntoIter<ProbeReply>| {
+            run.as_slice().first().map(|r| addr_to_u128(r.target))
+        };
+        // `(head target, run)` of every run not yet drained, in run
+        // order. Take the least head each time; ties go to the earlier
+        // run, whose reply is then the one kept.
+        let mut heads: Vec<(u128, usize)> = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(run, r)| Some((head(r)?, run)))
+            .collect();
+        while !heads.is_empty() {
+            let mut least = 0;
+            for (j, h) in heads.iter().enumerate().skip(1) {
+                if h.0 < heads[least].0 {
+                    least = j;
+                }
+            }
+            let run = heads[least].1;
+            let reply = runs[run].next().expect("a run with a head");
+            match head(&runs[run]) {
+                Some(target) => heads[least].0 = target,
+                None => {
+                    heads.remove(least);
+                }
+            }
+            if out.replies.last().is_some_and(|r| r.target == reply.target) {
+                out.duplicates += 1;
+            } else {
+                out.replies.push(reply);
+            }
+        }
+        out
     }
 }
 

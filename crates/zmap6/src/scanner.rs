@@ -17,6 +17,19 @@
 //! itself, in send order. The result does not depend on who injected
 //! what; `tests/scan_pooled.rs` pins it to the serial loop's.
 //!
+//! # One layout, shared
+//!
+//! Which target takes which send slot — the keyed permutation walked
+//! over one shard, blacklisted targets dropped (`Layout`) — depends on
+//! `(targets, seed, shard)` and nothing else: not on the probe module,
+//! the start instant or the network. Every job over the same targets in
+//! the same shard would walk the same permutation to the same slot
+//! order, so the walk is done once and the order shared: by the five
+//! battery modules of each sub-shard, and by the passes of one
+//! [`Scanner::scan_each`] (APD's ICMP and TCP passes). Sharing it cannot
+//! change a result, because no job can tell a shared order from one it
+//! walked itself.
+//!
 //! # The battery fan-out
 //!
 //! The multi-protocol battery ([`Scanner::scan_battery`]) is the
@@ -46,11 +59,12 @@ use crate::module::ProbeModule;
 use crate::permute::Permutation;
 use crate::results::{MultiScanResult, ProbeReply, ScanResult};
 use crate::validate::Validator;
-use expanse_netsim::{Duration, Network, SnapshotNetwork, Time};
+use expanse_addr::addr_to_u128;
+use expanse_netsim::{Deliveries, Duration, Network, SnapshotNetwork, Time};
 use expanse_packet::{Datagram, Protocol};
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// How the multi-protocol battery decomposes and executes.
 ///
@@ -174,21 +188,69 @@ impl<N: Network> Scanner<N> {
 /// thread spawns cost more than the probes.
 const POOL_MIN_SLOTS: usize = 4096;
 
+/// Which target takes which send slot in one shard of a scan: the keyed
+/// permutation walked and the blacklist applied, once, and shared by
+/// every job over the same targets and shard (see "One layout, shared"
+/// above).
+struct Layout {
+    /// Target index per send slot, in permuted shard order.
+    slots: Vec<u32>,
+    /// Targets the blacklist suppressed; they take no slot.
+    blacklisted: u64,
+}
+
+impl Layout {
+    /// Lay out shard `shard` of `shards` over `targets`.
+    fn new(cfg: &ScanConfig, targets: &[Ipv6Addr], shard: u64, shards: u64) -> Self {
+        let mut layout = Layout {
+            slots: Vec::new(),
+            blacklisted: 0,
+        };
+        if targets.is_empty() {
+            return layout;
+        }
+        assert!(
+            u32::try_from(targets.len()).is_ok(),
+            "target list beyond u32 positions"
+        );
+        let perm = Permutation::new(targets.len() as u64, cfg.seed);
+        let positions = perm.shard(shard, shards);
+        // The walk's length is known: one allocation, not a doubling
+        // chain.
+        layout.slots.reserve_exact(positions.size_hint().0);
+        for idx in positions {
+            if cfg.blacklist.contains(targets[idx as usize]) {
+                layout.blacklisted += 1;
+            } else {
+                layout.slots.push(idx as u32);
+            }
+        }
+        layout
+    }
+}
+
+/// One sub-shard of the battery grid: its `(shard, total)` selection and
+/// its layout, walked by whichever of its cells runs first — inside the
+/// worker pool, not before it — and shared by the others.
+struct SubShard {
+    shard: u64,
+    total: u64,
+    layout: OnceLock<Layout>,
+}
+
 /// The send side of one scan job, fixed before the first probe leaves.
 ///
 /// A scan never reacts to its replies, so which target takes which send
-/// slot, and the instant each slot's probe leaves, are known up front:
-/// any part of the job can be injected anywhere, in any order, as long
-/// as the network answers it the same — and the receive side is a sort.
+/// slot (the shared [`Layout`]), and the instant each slot's probe
+/// leaves, are known up front: any part of the job can be injected
+/// anywhere, in any order, as long as the network answers it the same —
+/// and the receive side is a sort.
 struct Job<'a> {
     cfg: &'a ScanConfig,
     module: &'a dyn ProbeModule,
     validator: Validator,
     targets: &'a [Ipv6Addr],
-    /// Target index per send slot, in permuted shard order.
-    slots: Vec<u32>,
-    /// Targets the blacklist suppressed; they take no slot.
-    blacklisted: u64,
+    layout: &'a Layout,
     start: Time,
     gap: Duration,
     /// The end of the cooldown after the last slot: later deliveries are
@@ -202,54 +264,50 @@ struct Collected {
     received: u64,
     malformed: u64,
     unvalidated: u64,
-    /// Validated replies, each with its place in the receive queue's
-    /// tie-break order: `(send slot, index within that inject)`.
-    replies: Vec<(usize, usize, ProbeReply)>,
+    /// Where each validated reply goes, in push order.
+    arrivals: Vec<Arrival>,
+    /// The replies themselves, parallel to `arrivals`; each is taken
+    /// exactly once when the job settles.
+    replies: Vec<Option<ProbeReply>>,
     /// Slots left to the caller because their destination is stateful.
     deferred: Vec<usize>,
 }
 
+/// A validated reply's place in the settled result, as a compact sort
+/// key: by target, then in the order a receive queue pops — arrival
+/// time, then push order (send slot, then order within that inject,
+/// which `id` follows) — with `id` its ordinal among the replies the
+/// job collected.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Arrival {
+    target: u128,
+    at: Time,
+    slot: u32,
+    id: u32,
+}
+
 impl<'a> Job<'a> {
-    /// Lay out shard `shard` of `shards` over `targets`.
+    /// A job sending `module`'s probes along `layout` from `start`.
     fn new(
         cfg: &'a ScanConfig,
         start: Time,
         targets: &'a [Ipv6Addr],
+        layout: &'a Layout,
         module: &'a dyn ProbeModule,
-        shard: u64,
-        shards: u64,
     ) -> Self {
         let mut job = Job {
             cfg,
             module,
             validator: Validator::new(cfg.seed),
             targets,
-            slots: Vec::new(),
-            blacklisted: 0,
+            layout,
             start,
             gap: Duration(1_000_000_000 / cfg.rate_pps.max(1)),
             end: start,
         };
-        if targets.is_empty() {
-            return job;
+        if !targets.is_empty() {
+            job.end = job.clock(layout.slots.len()) + cfg.cooldown;
         }
-        assert!(
-            u32::try_from(targets.len()).is_ok(),
-            "target list beyond u32 positions"
-        );
-        let perm = Permutation::new(targets.len() as u64, cfg.seed);
-        let positions = perm.shard(shard, shards);
-        // The walk's length is known: one allocation, not a doubling
-        // chain (a cell lays out its job on a fresh worker thread).
-        job.slots.reserve_exact(positions.size_hint().0);
-        for idx in positions {
-            if cfg.blacklist.contains(targets[idx as usize]) {
-                job.blacklisted += 1;
-            } else {
-                job.slots.push(idx as u32);
-            }
-        }
-        job.end = job.clock(job.slots.len()) + cfg.cooldown;
         job
     }
 
@@ -261,6 +319,10 @@ impl<'a> Job<'a> {
     /// Inject `slots` into `net`, each at its own clock, and classify
     /// what comes back by the job's end. Slots whose destination `defer`
     /// claims are skipped and handed back instead.
+    ///
+    /// One probe buffer and one delivery buffer serve the whole walk, and
+    /// replies are read through borrowed views: a probe whose reply is
+    /// not kept allocates nothing once the buffers have grown.
     fn collect<M: Network>(
         &self,
         net: &mut M,
@@ -268,24 +330,26 @@ impl<'a> Job<'a> {
         defer: impl Fn(Ipv6Addr) -> bool,
     ) -> Collected {
         let mut out = Collected::default();
-        // Every probe of the walk is emitted into this one buffer.
-        let mut frame: Vec<u8> = Vec::new();
+        let mut probe: Vec<u8> = Vec::new();
+        let mut deliveries = Deliveries::new();
         for slot in slots {
-            let dst = self.targets[self.slots[slot] as usize];
+            let dst = self.targets[self.layout.slots[slot] as usize];
             if defer(dst) {
                 out.deferred.push(slot);
                 continue;
             }
             self.module
-                .emit_probe(self.cfg.src, dst, &self.validator, &mut frame);
+                .emit_probe(self.cfg.src, dst, &self.validator, &mut probe);
             let now = self.clock(slot);
-            for (nth, d) in net.inject(now, &frame).into_iter().enumerate() {
-                debug_assert!(d.at >= now, "delivery before its probe left");
-                if d.at > self.end {
+            deliveries.clear();
+            net.inject_into(now, &probe, &mut deliveries);
+            for (at, frame) in deliveries.iter() {
+                debug_assert!(at >= now, "delivery before its probe left");
+                if at > self.end {
                     continue;
                 }
                 out.received += 1;
-                let Ok((hdr, transport)) = Datagram::parse_transport(&d.frame) else {
+                let Ok((hdr, transport)) = Datagram::parse_transport(frame) else {
                     out.malformed += 1;
                     continue;
                 };
@@ -294,14 +358,19 @@ impl<'a> Job<'a> {
                     out.unvalidated += 1;
                     continue;
                 };
-                let reply = ProbeReply {
+                out.arrivals.push(Arrival {
+                    target: addr_to_u128(target),
+                    at,
+                    slot: slot as u32,
+                    id: out.replies.len() as u32,
+                });
+                out.replies.push(Some(ProbeReply {
                     target,
                     from: hdr.src,
-                    at: d.at,
+                    at,
                     ttl: hdr.hop_limit,
                     kind,
-                };
-                out.replies.push((slot, nth, reply));
+                }));
             }
         }
         out
@@ -309,23 +378,41 @@ impl<'a> Job<'a> {
 
     /// Put the collected parts in receive order and settle the result.
     /// Returns it with the job's end time.
-    fn finish(self, parts: Vec<Collected>) -> (ScanResult, Time) {
+    ///
+    /// Settling is one sort of compact [`Arrival`] keys — a receive queue
+    /// pops in arrival order, ties in push order, and the first reply
+    /// per target wins — after which each reply moves once, into place.
+    fn finish(self, mut parts: Vec<Collected>) -> (ScanResult, Time) {
         let mut result = ScanResult::new(self.module.protocol());
-        result.sent = self.slots.len() as u64;
-        result.blacklisted = self.blacklisted;
-        let mut arrivals = Vec::with_capacity(parts.iter().map(|p| p.replies.len()).sum());
-        for mut part in parts {
-            result.received += part.received;
-            result.malformed += part.malformed;
-            result.unvalidated += part.unvalidated;
-            arrivals.append(&mut part.replies);
+        result.sent = self.layout.slots.len() as u64;
+        result.blacklisted = self.layout.blacklisted;
+        // `firsts[p]`: the ordinal of part `p`'s first reply among all.
+        let mut firsts = Vec::with_capacity(parts.len());
+        let mut keys = Vec::with_capacity(parts.iter().map(|p| p.replies.len()).sum());
+        for c in &parts {
+            result.received += c.received;
+            result.malformed += c.malformed;
+            result.unvalidated += c.unvalidated;
+            let first = u32::try_from(keys.len()).expect("replies beyond u32 ordinals");
+            firsts.push(first);
+            keys.extend(c.arrivals.iter().map(|a| Arrival {
+                id: first + a.id,
+                ..*a
+            }));
         }
-        // The order a receive queue pops in: arrival time, ties in push
-        // order — and pushes happen slot by slot, delivery by delivery.
-        arrivals.sort_unstable_by_key(|(slot, nth, reply)| (reply.at, *slot, *nth));
-        result.replies = arrivals.into_iter().map(|(_, _, reply)| reply).collect();
-        // First reply wins (zmap dedup); duplicates are counted.
-        result.settle();
+        keys.sort_unstable();
+        let pushed = keys.len();
+        keys.dedup_by_key(|k| k.target);
+        result.duplicates = (pushed - keys.len()) as u64;
+        result.replies = keys
+            .iter()
+            .map(|k| {
+                let part = firsts.partition_point(|&f| f <= k.id) - 1;
+                parts[part].replies[(k.id - firsts[part]) as usize]
+                    .take()
+                    .expect("each reply settles once")
+            })
+            .collect();
         (result, self.end)
     }
 }
@@ -351,6 +438,27 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         self.scan_pooled(expanse_addr::worker_threads(), targets, module)
     }
 
+    /// [`Scanner::scan`] with each module in turn, every scan starting
+    /// where the previous one ended — exactly what that many `scan`
+    /// calls return — over one slot layout: the permutation is walked
+    /// once, not once per module (see the module docs, "One layout,
+    /// shared").
+    pub fn scan_each<const M: usize>(
+        &mut self,
+        targets: &[Ipv6Addr],
+        modules: [&dyn ProbeModule; M],
+    ) -> [ScanResult; M] {
+        let layout = self.layout(targets);
+        let workers = expanse_addr::worker_threads();
+        modules.map(|module| self.scan_laid_out(workers, targets, &layout, module))
+    }
+
+    /// The configured shard's layout over `targets`.
+    fn layout(&self, targets: &[Ipv6Addr]) -> Layout {
+        let (shard, shards) = self.cfg.shard;
+        Layout::new(&self.cfg, targets, shard, shards)
+    }
+
     /// [`Scanner::scan`] on `workers` workers.
     fn scan_pooled(
         &mut self,
@@ -358,9 +466,20 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         targets: &[Ipv6Addr],
         module: &dyn ProbeModule,
     ) -> ScanResult {
-        let (shard, shards) = self.cfg.shard;
-        let job = Job::new(&self.cfg, self.clock, targets, module, shard, shards);
-        let n = job.slots.len();
+        let layout = self.layout(targets);
+        self.scan_laid_out(workers, targets, &layout, module)
+    }
+
+    /// [`Scanner::scan_pooled`] along a layout already made.
+    fn scan_laid_out(
+        &mut self,
+        workers: usize,
+        targets: &[Ipv6Addr],
+        layout: &Layout,
+        module: &dyn ProbeModule,
+    ) -> ScanResult {
+        let job = Job::new(&self.cfg, self.clock, targets, layout, module);
+        let n = layout.slots.len();
         let n_ranges = if n < POOL_MIN_SLOTS {
             1
         } else {
@@ -386,35 +505,13 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         result
     }
 
-    /// One battery cell: shard `shard` of `shards`, every slot against
-    /// `net` (the cell's own snapshot), starting at `start`. Pure in its
-    /// inputs — this is the unit the battery fan-out distributes.
-    fn scan_job<M: Network>(
-        net: &mut M,
-        cfg: &ScanConfig,
-        start: Time,
-        targets: &[Ipv6Addr],
-        module: &dyn ProbeModule,
-        shard: u64,
-        shards: u64,
-    ) -> (ScanResult, Time) {
-        let job = Job::new(cfg, start, targets, module, shard, shards);
-        let all = job.collect(net, 0..job.slots.len(), |_| false);
-        job.finish(vec![all])
-    }
-
-    /// Run the paper's whole §6 battery over `targets`: one pass per
-    /// protocol, each split into [`Fanout::shards_per_protocol`]
-    /// sub-shards, merged per-address. The worker pool or the one-thread
-    /// walk executes the grid per `cfg.fanout.parallel`; both produce
-    /// identical results for the same configuration.
     pub fn scan_battery(
         &mut self,
         targets: &[Ipv6Addr],
         modules: &[Box<dyn ProbeModule>],
     ) -> MultiScanResult {
-        let cells = self.battery_cells(targets, modules);
-        self.merge_battery(modules, cells, None)
+        let passes = self.battery_passes(targets, modules);
+        self.merge_battery(passes, None)
     }
 
     /// [`Scanner::scan_battery`], resolving each responsive address to a
@@ -430,151 +527,175 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         modules: &[Box<dyn ProbeModule>],
         resolve: &mut dyn FnMut(Ipv6Addr) -> expanse_addr::AddrId,
     ) -> MultiScanResult {
-        let cells = self.battery_cells(targets, modules);
-        self.merge_battery(modules, cells, Some(resolve))
+        let passes = self.battery_passes(targets, modules);
+        self.merge_battery(passes, Some(resolve))
     }
 
-    /// The battery grid's cells, from the executor `cfg.fanout.parallel`
-    /// names.
-    fn battery_cells(
+    /// One result per module — its sub-shards' cells joined, in
+    /// sub-shard order — from the executor `cfg.fanout.parallel` names.
+    fn battery_passes(
         &mut self,
         targets: &[Ipv6Addr],
         modules: &[Box<dyn ProbeModule>],
-    ) -> Vec<Option<(ScanResult, Time)>> {
-        if self.cfg.fanout.parallel {
-            self.battery_cells_parallel(targets, modules)
+    ) -> Vec<(ScanResult, Time)> {
+        let workers = if self.cfg.fanout.parallel {
+            expanse_addr::worker_threads()
         } else {
-            self.battery_cells_serial(targets, modules)
+            1
+        };
+        let subs: Vec<SubShard> = self
+            .battery_shards()
+            .into_iter()
+            .map(|(shard, total)| SubShard {
+                shard,
+                total,
+                layout: OnceLock::new(),
+            })
+            .collect();
+        let mut cells = if workers == 1 {
+            self.battery_cells_serial(targets, &subs, modules)
+        } else {
+            self.battery_cells_parallel(workers, targets, &subs, modules)
         }
+        .into_iter();
+        modules
+            .iter()
+            .map(|module| join_pass(module.protocol(), cells.by_ref().take(subs.len())))
+            .collect()
+    }
+
+    /// One battery cell: `module` along sub-shard `sub`'s layout (walked
+    /// here if no other cell of the sub-shard has yet), every slot
+    /// against a fresh snapshot of the network, starting at the
+    /// scanner's clock. Pure in its inputs — this is the unit the
+    /// battery fan-out distributes.
+    fn battery_cell(
+        &self,
+        targets: &[Ipv6Addr],
+        sub: &SubShard,
+        module: &dyn ProbeModule,
+    ) -> (ScanResult, Time) {
+        let layout = sub
+            .layout
+            .get_or_init(|| Layout::new(&self.cfg, targets, sub.shard, sub.total));
+        let job = Job::new(&self.cfg, self.clock, targets, layout, module);
+        let all = job.collect(&mut self.net.snapshot(), 0..layout.slots.len(), |_| false);
+        job.finish(vec![all])
     }
 
     /// One-thread executor for the battery grid's cells: the reference
     /// the determinism checks compare the pool against.
     fn battery_cells_serial(
-        &mut self,
+        &self,
         targets: &[Ipv6Addr],
+        subs: &[SubShard],
         modules: &[Box<dyn ProbeModule>],
-    ) -> Vec<Option<(ScanResult, Time)>> {
-        let grid = self.battery_grid(modules.len());
-        let mut cells: Vec<Option<(ScanResult, Time)>> = Vec::with_capacity(grid.len());
-        for &(m, job, jobs) in &grid {
-            let mut net = self.net.snapshot();
-            cells.push(Some(Self::scan_job(
-                &mut net,
-                &self.cfg,
-                self.clock,
-                targets,
-                modules[m].as_ref(),
-                job,
-                jobs,
-            )));
-        }
-        cells
+    ) -> Vec<(ScanResult, Time)> {
+        modules
+            .iter()
+            .flat_map(|module| {
+                subs.iter()
+                    .map(|sub| self.battery_cell(targets, sub, module.as_ref()))
+            })
+            .collect()
     }
 
     /// Worker-pool executor for the battery grid's cells, sized by
     /// [`expanse_addr::worker_threads`] (the `EXPANSE_THREADS` knob).
-    /// Each worker claims cells off a shared counter; every cell clones
-    /// the network snapshot, so execution order cannot influence results.
+    /// The grid is `(module, sub-shard)` cells, a module's sub-shards
+    /// together, modules in order. Each worker claims cells off a shared
+    /// counter; every cell clones the network snapshot, so execution
+    /// order cannot influence results.
     fn battery_cells_parallel(
-        &mut self,
+        &self,
+        workers: usize,
         targets: &[Ipv6Addr],
+        subs: &[SubShard],
         modules: &[Box<dyn ProbeModule>],
-    ) -> Vec<Option<(ScanResult, Time)>> {
-        let grid = self.battery_grid(modules.len());
-        let workers = expanse_addr::worker_threads().min(grid.len()).max(1);
-        if workers == 1 {
-            // One worker = the serial walk, minus thread/Mutex overhead;
-            // results are identical by construction.
-            return self.battery_cells_serial(targets, modules);
-        }
+    ) -> Vec<(ScanResult, Time)> {
+        let per = subs.len();
+        let n_cells = modules.len() * per;
+        let workers = workers.min(n_cells).max(1);
         let cells: Vec<Mutex<Option<(ScanResult, Time)>>> =
-            grid.iter().map(|_| Mutex::new(None)).collect();
+            (0..n_cells).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let this: &Scanner<N> = self;
         // check: allow(thread, results land in per-cell slots indexed by grid position; collection order is deterministic)
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(m, job, jobs)) = grid.get(i) else {
+                    if i >= n_cells {
                         break;
-                    };
-                    let mut net = this.net.snapshot();
-                    let out = Self::scan_job(
-                        &mut net,
-                        &this.cfg,
-                        this.clock,
-                        targets,
-                        modules[m].as_ref(),
-                        job,
-                        jobs,
-                    );
+                    }
+                    let (m, j) = (i / per, i % per);
+                    let out = self.battery_cell(targets, &subs[j], modules[m].as_ref());
                     *cells[i].lock().expect("cell lock") = Some(out);
                 });
             }
         });
+        // Every cell is filled by construction (worker panics propagate
+        // out of `thread::scope`); a hole would silently drop a
+        // sub-shard's results, so fail loudly.
         cells
             .into_iter()
-            .map(|c| c.into_inner().expect("cell lock"))
+            .map(|c| {
+                c.into_inner()
+                    .expect("cell lock")
+                    .expect("battery cell left unfilled")
+            })
             .collect()
     }
 
-    /// The fixed work grid: `(module index, sub-shard, total shards)`
-    /// cells, composing the configured zmap-level shard selection with
+    /// The sub-shards every protocol pass is split into, as `(shard,
+    /// total)`: composing the configured zmap-level shard selection with
     /// the fan-out's per-protocol sub-sharding. For outer selection
     /// `(s, T)` and `J` sub-shards, sub-shard `j` walks permutation
     /// positions `i` with `i ≡ s + T·j (mod T·J)` — a partition of the
     /// outer shard's positions.
-    fn battery_grid(&self, n_modules: usize) -> Vec<(usize, u64, u64)> {
+    fn battery_shards(&self) -> Vec<(u64, u64)> {
         let (shard, shards) = self.cfg.shard;
         let per = self.cfg.fanout.shards_per_protocol.max(1);
-        let mut grid = Vec::with_capacity(n_modules * per as usize);
-        for m in 0..n_modules {
-            for j in 0..per {
-                grid.push((m, shard + shards * j, shards * per));
-            }
-        }
-        grid
+        (0..per)
+            .map(|j| (shard + shards * j, shards * per))
+            .collect()
     }
 
-    /// Fold the grid's cells into one [`MultiScanResult`], in module
-    /// order, summing counters and concatenating the (disjoint)
-    /// per-target reply runs, settled once per protocol; the scanner
-    /// clock advances to the slowest cell's end time, like a barrier
-    /// over parallel zmap processes.
+    /// Fold the per-module passes into one [`MultiScanResult`], in
+    /// module order; the scanner clock advances to the slowest cell's
+    /// end time, like a barrier over parallel zmap processes.
     fn merge_battery(
         &mut self,
-        modules: &[Box<dyn ProbeModule>],
-        cells: Vec<Option<(ScanResult, Time)>>,
+        passes: Vec<(ScanResult, Time)>,
         mut resolve: Option<&mut dyn FnMut(Ipv6Addr) -> expanse_addr::AddrId>,
     ) -> MultiScanResult {
-        let per = self.cfg.fanout.shards_per_protocol.max(1) as usize;
         let mut multi = MultiScanResult::default();
         let mut end = self.clock;
-        let mut cells = cells.into_iter();
-        for module in modules {
-            let mut merged = ScanResult::new(module.protocol());
-            for _ in 0..per {
-                // Every cell is filled by construction (worker panics
-                // propagate out of thread::scope); a hole here would
-                // silently drop a sub-shard's results, so fail loudly.
-                let (part, cell_end) = cells
-                    .next()
-                    .expect("battery grid shorter than modules × shards")
-                    .expect("battery cell left unfilled");
-                merged.absorb_shard(part);
-                end = end.max(cell_end);
-            }
-            merged.settle();
+        for (pass, pass_end) in passes {
+            end = end.max(pass_end);
             match resolve.as_deref_mut() {
-                Some(resolve) => multi.merge_resolved(merged, resolve),
-                None => multi.merge(merged),
+                Some(resolve) => multi.merge_resolved(pass, resolve),
+                None => multi.merge(pass),
             }
         }
         self.clock = end;
         multi
     }
+}
+
+/// One protocol's pass from its sub-shards' cells, in sub-shard order:
+/// the results joined ([`ScanResult::from_shards`]) and the latest end.
+fn join_pass(
+    protocol: Protocol,
+    cells: impl Iterator<Item = (ScanResult, Time)>,
+) -> (ScanResult, Time) {
+    let mut end = Time::ZERO;
+    let parts = cells
+        .map(|(part, cell_end)| {
+            end = end.max(cell_end);
+            part
+        })
+        .collect();
+    (ScanResult::from_shards(protocol, parts), end)
 }
 
 /// Convenience: is the reply a positive service answer?
