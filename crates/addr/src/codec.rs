@@ -53,6 +53,17 @@
 //! ));
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    reason = "every decoded byte is untrusted: torn or hostile input must map to Err, not a panic"
+)]
+
 use crate::prefix::mask;
 use crate::set::AddrSet;
 use crate::table::{AddrId, AddrTable};
@@ -675,7 +686,10 @@ pub fn write_table_suffix_par<W: Write>(
     assert!(from <= t.len(), "suffix start beyond table length");
     enc.put_len(from)?;
     enc.put_len(t.len() - from)?;
-    // check: allow(index, from <= t.len() asserted above; writer-side slice of trusted state, not untrusted input)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "from <= t.len() is asserted above; a writer-side slice of trusted state"
+    )]
     for buf in crate::par::par_chunk_bytes(&t.raw()[from..], threads, encode_u128_chunk) {
         enc.put_bytes(&buf)?;
     }

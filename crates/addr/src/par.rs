@@ -13,10 +13,19 @@
 //! change *when* work happens, never *what* is produced. Each helper
 //! documents the property its determinism rests on.
 
-// The expects below propagate worker panics to the caller (`join()`
-// only fails if a worker panicked) or assert merge-loop invariants —
-// there is no error to recover from, so the audit exempts this module.
-#![cfg_attr(not(test), allow(clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    allow(
+        clippy::expect_used,
+        reason = "the expects propagate worker panics or assert merge-loop invariants; \
+                  there is no error to recover from"
+    )
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one sanctioned fan-out: each helper's output is \
+              independent of the thread count"
+)]
 
 use std::thread;
 

@@ -54,7 +54,10 @@ impl Prefix {
     /// prefix is `::/0`, which covers *everything* — see
     /// [`Prefix::is_default`] — so the name would invert its meaning.)
     #[inline]
-    #[allow(clippy::len_without_is_empty)]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "`::/0` has length zero and covers everything"
+    )]
     pub fn len(&self) -> u8 {
         self.len
     }
@@ -124,8 +127,10 @@ impl Prefix {
     /// Panics if the resulting length exceeds 128 or `index` does not fit
     /// in `extra_bits` bits.
     pub fn subprefix(&self, extra_bits: u8, index: u128) -> Prefix {
-        // Documented panic (see `# Panics` above), not a decode-path risk.
-        #[allow(clippy::expect_used)]
+        #[allow(
+            clippy::expect_used,
+            reason = "documented panic (see `# Panics` above), not a decode-path risk"
+        )]
         let new_len = self.len.checked_add(extra_bits).expect("length overflow");
         assert!(new_len <= 128, "subprefix length {new_len} out of range");
         if extra_bits < 128 {

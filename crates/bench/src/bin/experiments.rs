@@ -14,6 +14,12 @@
 //! Each run prints the report and writes `results/<id>.txt` (plus SVGs
 //! for the zesplot figures).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the per-artifact wall time goes to the console and SUMMARY.txt, \
+              never into a report"
+)]
+
 use expanse_bench::{ctx::Scale, Ctx, ALL_EXPERIMENTS};
 use std::path::PathBuf;
 

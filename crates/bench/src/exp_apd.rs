@@ -6,7 +6,7 @@ use expanse_addr::{fanout16, Prefix};
 use expanse_apd::{Apd, ApdConfig, WindowState};
 use expanse_stats::{ConcentrationCurve, Counter};
 use expanse_zesplot::{plot, render_svg, ZesConfig, ZesEntry};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Table 3: the fan-out example for 2001:db8:407:8000::/64.
 pub fn table3(_ctx: &mut Ctx) -> String {
@@ -30,7 +30,7 @@ pub fn table3(_ctx: &mut Ctx) -> String {
 
 /// Collect daily merged-branch bitmaps for interesting prefixes (the
 /// raw material for the Table 4 window sweep).
-fn daily_bitmaps(ctx: &mut Ctx, days: u16) -> HashMap<Prefix, Vec<u16>> {
+fn daily_bitmaps(ctx: &mut Ctx, days: u16) -> BTreeMap<Prefix, Vec<u16>> {
     let p = ctx.pipeline();
     // Interesting prefixes: every ground-truth aliased region at its own
     // level, plus the specials' children.
@@ -48,7 +48,7 @@ fn daily_bitmaps(ctx: &mut Ctx, days: u16) -> HashMap<Prefix, Vec<u16>> {
     plan.dedup();
 
     let mut apd = Apd::new(ApdConfig::default());
-    let mut history: HashMap<Prefix, Vec<u16>> = HashMap::new();
+    let mut history: BTreeMap<Prefix, Vec<u16>> = BTreeMap::new();
     for day in 0..days {
         p.scanner.network_mut().set_day(day);
         let report = apd.run_day(&mut p.scanner, &plan);

@@ -6,7 +6,7 @@ use expanse_entropy::{
 };
 use expanse_model::Asn;
 use expanse_zesplot::{plot, render_svg, ZesConfig, ZesEntry};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 fn cluster_report<K>(c: &Clustering<K>, what: &str, paper_k: usize) -> String {
@@ -168,7 +168,7 @@ pub fn fig3b(ctx: &mut Ctx) -> String {
         return out + "no /32 groups at this scale\n";
     }
     let c = cluster_networks(&pairs, 12, None, ctx.seed);
-    let cluster_of: HashMap<_, usize> = c.assignment.iter().cloned().collect();
+    let cluster_of: BTreeMap<_, usize> = c.assignment.iter().cloned().collect();
     let model = ctx.pipeline().model_ref();
     let entries: Vec<ZesEntry> = model
         .bgp
@@ -190,10 +190,10 @@ pub fn fig3b(ctx: &mut Ctx) -> String {
     // Heterogeneity check: short prefixes should mix clusters more than
     // long ones (paper: "the mix of clusters is more heterogeneous for
     // larger prefixes").
-    let mut short_counts: HashMap<(Asn, usize), ()> = HashMap::new();
-    let mut long_counts: HashMap<(Asn, usize), ()> = HashMap::new();
-    let mut short_as: HashMap<Asn, ()> = HashMap::new();
-    let mut long_as: HashMap<Asn, ()> = HashMap::new();
+    let mut short_counts: BTreeMap<(Asn, usize), ()> = BTreeMap::new();
+    let mut long_counts: BTreeMap<(Asn, usize), ()> = BTreeMap::new();
+    let mut short_as: BTreeMap<Asn, ()> = BTreeMap::new();
+    let mut long_as: BTreeMap<Asn, ()> = BTreeMap::new();
     for ((px, asn), e) in model.bgp.announcements().iter().zip(entries.iter()) {
         let cl = e.value as usize;
         if px.len() <= 32 {

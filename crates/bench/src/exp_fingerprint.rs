@@ -7,7 +7,7 @@ use expanse_apd::Class;
 use expanse_apd::{analyze, collect_evidence, Apd, ApdConfig};
 use expanse_zmap6::module::TcpSynModule;
 use expanse_zmap6::ReplyKind;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 /// Run APD twice over the /64-level plan and keep prefixes whose TCP
@@ -52,7 +52,7 @@ pub fn table5(ctx: &mut Ctx) -> String {
         return out + "no fully-responsive aliased /64s at this scale\n";
     }
     let reports: Vec<_> = prefixes.iter().map(|(_, ev)| analyze(ev)).collect();
-    let mut incs: HashMap<&'static str, usize> = HashMap::new();
+    let mut incs: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut cumulative: usize = 0;
     let order = ["iTTL", "Optionstext", "WScale", "MSS", "WSize"];
     let mut seen_inconsistent: Vec<bool> = vec![false; n];
@@ -111,7 +111,7 @@ pub fn table5(ctx: &mut Ctx) -> String {
 /// (known, responding) addresses — the paper's validation population.
 fn probe_known_64(
     ctx: &mut Ctx,
-    addrs_by_64: &HashMap<Prefix, Vec<Ipv6Addr>>,
+    addrs_by_64: &BTreeMap<Prefix, Vec<Ipv6Addr>>,
 ) -> Vec<(Prefix, Vec<BranchEvidence>)> {
     let p = ctx.pipeline();
     let mut all_targets: Vec<Ipv6Addr> = addrs_by_64
@@ -171,7 +171,7 @@ pub fn table6(ctx: &mut Ctx) -> String {
     p.warmup_apd(1);
     let filter = p.apd.filter();
     let (kept, _) = filter.split(&addrs);
-    let mut by64: HashMap<Prefix, Vec<Ipv6Addr>> = HashMap::new();
+    let mut by64: BTreeMap<Prefix, Vec<Ipv6Addr>> = BTreeMap::new();
     for a in kept {
         by64.entry(Prefix::new(a, 64)).or_default().push(a);
     }
@@ -224,7 +224,3 @@ pub fn table6(ctx: &mut Ctx) -> String {
     ));
     out
 }
-
-// Re-export used internally (documents the dependency).
-#[allow(unused)]
-use expanse_apd::TsVerdict as _TsVerdictDoc;

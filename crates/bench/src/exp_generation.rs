@@ -3,7 +3,7 @@
 use crate::ctx::{header, pct, Ctx};
 use expanse_packet::{ProtoSet, Protocol};
 use expanse_stats::{ConcentrationCurve, Counter};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 
 /// Run the full §7 methodology once; render either the Table 7 view
@@ -29,7 +29,7 @@ pub fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
     let filter = p.apd.filter();
     let (kept, _) = filter.split(&addrs);
     let model = p.model_ref();
-    let mut by_as: HashMap<u32, Vec<Ipv6Addr>> = HashMap::new();
+    let mut by_as: BTreeMap<u32, Vec<Ipv6Addr>> = BTreeMap::new();
     for a in &kept {
         if let Some(asn) = model.bgp.origin(*a) {
             by_as.entry(asn.0).or_default().push(*a);
@@ -50,7 +50,7 @@ pub fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
     let per_as_budget = 4_000usize;
     let mut eip_targets: Vec<Ipv6Addr> = Vec::new();
     let mut six_targets: Vec<Ipv6Addr> = Vec::new();
-    let seed_set: HashSet<Ipv6Addr> = kept.iter().copied().collect();
+    let seed_set: BTreeSet<Ipv6Addr> = kept.iter().copied().collect();
     for (_asn, seeds) in &eligible {
         let capped: Vec<Ipv6Addr> = seeds.iter().copied().take(2_000).collect();
         let eip_model = expanse_eip::train(&capped);
@@ -72,7 +72,7 @@ pub fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
     eip_targets.dedup();
     six_targets.sort();
     six_targets.dedup();
-    let eip_set: HashSet<Ipv6Addr> = eip_targets.iter().copied().collect();
+    let eip_set: BTreeSet<Ipv6Addr> = eip_targets.iter().copied().collect();
     let gen_overlap = six_targets.iter().filter(|a| eip_set.contains(a)).count();
     out.push_str(&format!(
         "generated (new, routab.): Entropy/IP {}, 6Gen {}, overlap {} ({}; paper 0.2%)\n\n",
@@ -153,7 +153,7 @@ pub fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
             out.push_str(&format!(" top{x:>4}"));
         }
         out.push('\n');
-        let mut as_sets: HashMap<&str, HashSet<u32>> = HashMap::new();
+        let mut as_sets: BTreeMap<&str, BTreeSet<u32>> = BTreeMap::new();
         for (name, resp) in [("Entropy/IP", eip_resp), ("6Gen", six_resp)] {
             let mut by_as: Counter<u32> = Counter::new();
             let mut by_pfx: Counter<(u128, u8)> = Counter::new();

@@ -4,7 +4,7 @@ use crate::ctx::{header, pct, Ctx};
 use expanse_model::crowd::{build_crowd, Platform};
 use expanse_model::rdns::build_rdns;
 use expanse_stats::{ConcentrationCurve, Counter};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 /// Fig 10 + Table 8: the rDNS data source.
@@ -27,7 +27,7 @@ pub fn fig10_table8(ctx: &mut Ctx, table8: bool) -> String {
         walk.queries,
         walk.nxdomains
     ));
-    let hitset: HashSet<Ipv6Addr> = hitlist.iter().copied().collect();
+    let hitset: BTreeSet<Ipv6Addr> = hitlist.iter().copied().collect();
     let new = walk
         .addresses
         .iter()
@@ -190,25 +190,25 @@ pub fn table9(ctx: &mut Ctx) -> String {
             .filter(|x| x.platform == platform)
             .count();
         let v6 = study.v6_count(platform);
-        let as4: HashSet<u32> = study
+        let as4: BTreeSet<u32> = study
             .participants
             .iter()
             .filter(|x| x.platform == platform)
             .map(|x| x.asn4.0)
             .collect();
-        let as6: HashSet<u32> = study
+        let as6: BTreeSet<u32> = study
             .participants
             .iter()
             .filter(|x| x.platform == platform)
             .filter_map(|x| x.asn6.map(|a| a.0))
             .collect();
-        let cc4: HashSet<&str> = study
+        let cc4: BTreeSet<&str> = study
             .participants
             .iter()
             .filter(|x| x.platform == platform)
             .map(|x| x.country)
             .collect();
-        let cc6: HashSet<&str> = study
+        let cc6: BTreeSet<&str> = study
             .participants
             .iter()
             .filter(|x| x.platform == platform && x.addr6.is_some())

@@ -18,6 +18,13 @@
 //! - `drain.forced_closes == 0` and `drain.refused_after == true`: the
 //!   drain was clean and nothing was served after it.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a wall-clock load generator: its clocks and client threads time the \
+              server and never reach a rendered artifact's bytes"
+)]
+
 use crate::ctx::{header, Ctx};
 use expanse_addr::fanout::splitmix64;
 use expanse_addr::Prefix;
@@ -124,7 +131,6 @@ struct ConnOutcome {
 
 /// One open-loop connection: a writer thread sending on schedule, a
 /// reader thread matching responses positionally and timing them.
-#[allow(clippy::too_many_arguments)]
 fn run_conn(
     addr: SocketAddr,
     framed: Arc<Vec<Vec<u8>>>,

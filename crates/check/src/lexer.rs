@@ -3,11 +3,9 @@
 //! The linter deliberately avoids a full parser (no external deps, vendored
 //! offline constraint). Instead each file is split into lines where string
 //! and char literal *contents* and comments are blanked out with spaces so
-//! that byte columns still line up, while comment text is preserved
-//! separately for the allow-annotation scanner. All downstream lints
-//! operate on this sanitized
-//! view, so `"unwrap()"` inside a string or a doc comment never trips a
-//! lint.
+//! that byte columns still line up. All downstream lints operate on this
+//! sanitized view, so `".lock("` inside a string or a doc comment never
+//! trips a lint.
 
 /// One physical source line after lexing.
 #[derive(Debug, Clone, Default)]
@@ -15,15 +13,6 @@ pub struct Line {
     /// Code with comments and literal contents replaced by spaces.
     /// String/char delimiters are kept so tokens never merge across them.
     pub code: String,
-    /// Text of every comment that starts or continues on this line.
-    pub comments: Vec<String>,
-}
-
-impl Line {
-    /// True if the sanitized code portion is blank.
-    pub fn is_code_blank(&self) -> bool {
-        self.code.trim().is_empty()
-    }
 }
 
 /// A lexed source file: sanitized lines plus `#[cfg(test)]` region spans.
@@ -51,21 +40,11 @@ enum Mode {
 pub fn lex(text: &str) -> SourceFile {
     let mut lines: Vec<Line> = Vec::new();
     let mut cur = Line::default();
-    let mut cur_comment = String::new();
     let mut mode = Mode::Normal;
     let mut chars = text.chars().peekable();
 
-    macro_rules! flush_comment {
-        () => {
-            if !cur_comment.is_empty() {
-                cur.comments.push(std::mem::take(&mut cur_comment));
-            }
-        };
-    }
-
     while let Some(c) = chars.next() {
         if c == '\n' {
-            flush_comment!();
             if mode == Mode::LineComment {
                 mode = Mode::Normal;
             }
@@ -142,10 +121,7 @@ pub fn lex(text: &str) -> SourceFile {
                 }
                 _ => cur.code.push(c),
             },
-            Mode::LineComment => {
-                cur.code.push(' ');
-                cur_comment.push(c);
-            }
+            Mode::LineComment => cur.code.push(' '),
             Mode::BlockComment(depth) => {
                 cur.code.push(' ');
                 if c == '/' && chars.peek() == Some(&'*') {
@@ -155,14 +131,11 @@ pub fn lex(text: &str) -> SourceFile {
                 } else if c == '*' && chars.peek() == Some(&'/') {
                     chars.next();
                     cur.code.push(' ');
-                    if depth == 1 {
-                        flush_comment!();
-                        mode = Mode::Normal;
+                    mode = if depth == 1 {
+                        Mode::Normal
                     } else {
-                        mode = Mode::BlockComment(depth - 1);
-                    }
-                } else {
-                    cur_comment.push(c);
+                        Mode::BlockComment(depth - 1)
+                    };
                 }
             }
             Mode::Str(escaped) => {
@@ -220,8 +193,7 @@ pub fn lex(text: &str) -> SourceFile {
             }
         }
     }
-    flush_comment!();
-    if !cur.code.is_empty() || !cur.comments.is_empty() {
+    if !cur.code.is_empty() {
         lines.push(cur);
     }
 
@@ -236,46 +208,6 @@ impl SourceFile {
     /// True if 0-based line `idx` falls inside a `#[cfg(test)]` region.
     pub fn in_test_region(&self, idx: usize) -> bool {
         self.test_regions.iter().any(|&(s, e)| idx >= s && idx <= e)
-    }
-
-    /// Find the 0-based inclusive line range of the item whose header line
-    /// contains `marker` (e.g. `"impl FrameAssembler"` or `"pub fn resume"`),
-    /// skipping matches inside test regions. The range runs from the marker
-    /// line through the line closing the item's outermost brace.
-    pub fn item_range(&self, marker: &str) -> Option<(usize, usize)> {
-        let start = self
-            .lines
-            .iter()
-            .enumerate()
-            .position(|(i, l)| l.code.contains(marker) && !self.in_test_region(i))?;
-        let end = self.match_braces_from(start)?;
-        Some((start, end))
-    }
-
-    /// From line `start`, find the first `{` and return the 0-based line
-    /// containing its matching `}`.
-    fn match_braces_from(&self, start: usize) -> Option<usize> {
-        let mut depth: i64 = 0;
-        let mut opened = false;
-        for (i, line) in self.lines.iter().enumerate().skip(start) {
-            for c in line.code.chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-                if opened && depth == 0 {
-                    return Some(i);
-                }
-            }
-            // Item with no body on the scanned line (e.g. `fn f();`) —
-            // keep scanning; markers are chosen to have bodies.
-            let _ = i;
-        }
-        None
     }
 }
 
@@ -333,8 +265,6 @@ mod tests {
 let b = x.unwrap();"#;
         let f = lex(src);
         assert!(!f.lines[0].code.contains("unwrap"));
-        assert_eq!(f.lines[0].comments.len(), 1);
-        assert!(f.lines[0].comments[0].contains("unwrap() in comment"));
         assert!(f.lines[1].code.contains(".unwrap()"));
     }
 
@@ -372,14 +302,5 @@ let b = x.unwrap();"#;
         assert!(f.in_test_region(3));
         assert!(f.in_test_region(4));
         assert!(!f.in_test_region(5));
-    }
-
-    #[test]
-    fn item_range_matches_braces() {
-        let src =
-            "struct A;\nimpl A {\n    fn f(&self) {\n        body();\n    }\n}\nfn after() {}";
-        let f = lex(src);
-        assert_eq!(f.item_range("impl A"), Some((1, 5)));
-        assert_eq!(f.item_range("fn f("), Some((2, 4)));
     }
 }

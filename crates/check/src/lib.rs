@@ -2,30 +2,32 @@
 //!
 //! A rustc-`tidy`-style static pass: token/line-level analysis over the
 //! sanitized source view produced by [`lexer`], no external parser. It
-//! enforces the invariants the test suites can only sample dynamically:
+//! enforces the two invariants the compiler cannot see:
 //!
-//! - **panic-freedom** (`panic`, `index`): decode/recovery surfaces must map
-//!   torn input to `Err`, never to a panic.
-//! - **determinism** (`hashmap`, `time`, `thread`): crates feeding the
-//!   fan-out digest or the snapshot byte stream must not depend on hash-map
-//!   iteration order, wall clocks, or ad-hoc threading.
 //! - **locking** (`lock-order`, `lock-io`): the serve daemon's locks are
 //!   acquired in one global order and never held across blocking socket I/O.
 //! - **spec-drift** (`spec-drift`): the normative docs' magic/version/
 //!   error-code tables must match the constants in code.
 //!
-//! Audited exceptions are annotated in source with a `//` comment reading
-//! `check:` + ` allow(<lint>, <reason>)` on (or directly above) the
-//! offending line. There is no other exemption mechanism: every deny
-//! finding fails the gate.
+//! Determinism (no hash-order, wall clock or ad-hoc thread inside the
+//! boundary) and panic-freedom of the decode surfaces are compiler lints:
+//! the root `clippy.toml` bans and the `#[deny(clippy::…)]` attributes on
+//! the audited items, gated by `cargo clippy -- -D warnings`. The set of
+//! determinism opt-outs is pinned by this crate's `boundary` test.
+//!
+//! There is no exemption mechanism: every finding fails the gate.
+
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary: the linter is tooling and feeds no digest"
+)]
 
 pub mod lexer;
-pub mod lints;
 pub mod locks;
 pub mod report;
 pub mod spec;
 
-use lexer::SourceFile;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -33,58 +35,15 @@ use std::path::{Path, PathBuf};
 /// Every lint id the tool can emit, with a one-line description.
 pub const LINTS: &[(&str, &str)] = &[
     (
-        "panic",
-        "unwrap/expect/panic! in a panic-audited decode surface",
-    ),
-    (
-        "index",
-        "slice/array indexing in a panic-audited decode surface",
-    ),
-    ("hashmap", "HashMap/HashSet in a determinism-audited crate"),
-    ("time", "Instant/SystemTime in a determinism-audited crate"),
-    ("thread", "thread::spawn/scope outside expanse_addr::par"),
-    (
         "lock-order",
         "lock acquired against the canonical lock order",
     ),
     ("lock-io", "lock held across a blocking socket/disk write"),
     ("spec-drift", "normative doc constant disagrees with code"),
-    ("surface", "configured audit surface not found in source"),
-    ("annotation", "malformed or unknown check annotation"),
-    ("unused-allow", "check annotation that suppresses nothing"),
 ];
 
-/// Lints that an allow annotation may suppress.
-const SUPPRESSIBLE: &[&str] = &[
-    "panic",
-    "index",
-    "hashmap",
-    "time",
-    "thread",
-    "lock-order",
-    "lock-io",
-];
-
-pub fn lint_exists(id: &str) -> bool {
-    LINTS.iter().any(|&(l, _)| l == id)
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Severity {
-    Deny,
-    Warn,
-}
-
-impl Severity {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
-/// One diagnostic: file:line, lint id, severity, message.
+/// One diagnostic: file:line, lint id, message. Every finding fails the
+/// gate.
 #[derive(Clone, Debug)]
 pub struct Finding {
     pub lint: &'static str,
@@ -92,23 +51,15 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    pub severity: Severity,
     pub message: String,
 }
 
 impl Finding {
-    pub fn at_line(
-        lint: &'static str,
-        file: &str,
-        line0: usize,
-        severity: Severity,
-        message: String,
-    ) -> Self {
+    pub fn at_line(lint: &'static str, file: &str, line0: usize, message: String) -> Self {
         Finding {
             lint,
             file: file.to_string(),
             line: line0 + 1,
-            severity,
             message,
         }
     }
@@ -118,23 +69,10 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: [{}/{}] {}",
-            self.file,
-            self.line,
-            self.lint,
-            self.severity.as_str(),
-            self.message
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.lint, self.message
         )
     }
-}
-
-/// A panic-audit surface: a file, optionally narrowed to named items.
-#[derive(Clone, Debug)]
-pub struct Surface {
-    /// Repo-relative path.
-    pub file: String,
-    /// Item header markers (e.g. `"impl FrameAssembler"`); empty = whole file.
-    pub items: Vec<String>,
 }
 
 /// A lock class participating in the canonical acquisition order.
@@ -152,11 +90,6 @@ pub struct LockClass {
 /// workspace; fixtures construct custom policies.
 #[derive(Clone, Debug, Default)]
 pub struct Policy {
-    pub panic_surfaces: Vec<Surface>,
-    /// Repo-relative path prefixes of determinism-audited code.
-    pub det_prefixes: Vec<String>,
-    /// Files exempt from the `thread` lint (the sanctioned fan-out module).
-    pub thread_exempt: Vec<String>,
     /// Repo-relative path prefixes subject to lock analysis.
     pub lock_prefixes: Vec<String>,
     pub lock_classes: Vec<LockClass>,
@@ -165,62 +98,11 @@ pub struct Policy {
     pub spec: Option<spec::SpecPolicy>,
 }
 
-/// The policy for this workspace: which surfaces are panic-audited, which
-/// crates must stay deterministic, the serve lock order, and the two
+/// The policy for this workspace: the serve lock order and the two
 /// normative docs.
 pub fn default_policy() -> Policy {
     let s = |v: &str| v.to_string();
     Policy {
-        panic_surfaces: vec![
-            // Whole-file decode surfaces: all input is untrusted bytes.
-            Surface {
-                file: s("crates/addr/src/codec.rs"),
-                items: vec![],
-            },
-            Surface {
-                file: s("crates/core/src/journal.rs"),
-                items: vec![],
-            },
-            // Item-scoped: resume/replay machinery inside a larger file.
-            Surface {
-                file: s("crates/core/src/pipeline.rs"),
-                items: vec![
-                    s("pub fn resume"),
-                    s("impl PersistedState"),
-                    s("impl<R: Read> Read for CountingReader<R>"),
-                    s("fn read_or_eof"),
-                ],
-            },
-            Surface {
-                file: s("crates/serve/src/transport.rs"),
-                items: vec![s("impl FrameAssembler")],
-            },
-        ],
-        det_prefixes: [
-            // Every crate feeding the fan-out digest or the snapshot byte
-            // stream. serve/served only consume immutable views; bench and
-            // the linter itself are tooling.
-            "crates/addr/",
-            "crates/apd/",
-            "crates/core/",
-            "crates/eip/",
-            "crates/entropy/",
-            "crates/model/",
-            "crates/netsim/",
-            "crates/packet/",
-            "crates/scamper6/",
-            "crates/sched/",
-            "crates/sixgen/",
-            "crates/stats/",
-            "crates/trie/",
-            "crates/zesplot/",
-            "crates/zmap6/",
-            "src/",
-        ]
-        .iter()
-        .map(|p| s(p))
-        .collect(),
-        thread_exempt: vec![s("crates/addr/src/par.rs")],
         lock_prefixes: vec![s("crates/serve/")],
         lock_classes: vec![
             LockClass {
@@ -279,8 +161,6 @@ pub fn default_policy() -> Policy {
 pub struct Analysis {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
-    /// Findings suppressed by a used allow annotation.
-    pub allowed: usize,
 }
 
 /// Walk the workspace under `root` and run every lint in `policy`.
@@ -302,131 +182,11 @@ pub fn run_checks(root: &Path, policy: &Policy) -> io::Result<Analysis> {
 
 /// Lint one source file (exposed for fixture tests).
 pub fn check_source(rel: &str, text: &str, policy: &Policy, analysis: &mut Analysis) {
-    let sf = lexer::lex(text);
-
-    let mut findings = Vec::new();
-    for surface in &policy.panic_surfaces {
-        if surface.file == rel {
-            findings.extend(lints::panic_index_lints(rel, &sf, surface));
-        }
-    }
-    if policy.det_prefixes.iter().any(|p| rel.starts_with(p)) {
-        let thread_exempt = policy.thread_exempt.iter().any(|f| f == rel);
-        findings.extend(lints::determinism_lints(rel, &sf, thread_exempt));
-    }
     if policy.lock_prefixes.iter().any(|p| rel.starts_with(p)) {
-        findings.extend(locks::lock_lints(rel, &sf, policy));
+        let mut findings = locks::lock_lints(rel, &lexer::lex(text), policy);
+        findings.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
+        analysis.findings.extend(findings);
     }
-
-    let (mut allows, malformed) = collect_allows(rel, &sf);
-    findings.retain(|f| {
-        if !SUPPRESSIBLE.contains(&f.lint) {
-            return true;
-        }
-        let line0 = f.line - 1;
-        let mut suppressed = false;
-        for a in allows.iter_mut() {
-            if a.target == line0 && a.lint == f.lint {
-                a.used = true;
-                suppressed = true;
-            }
-        }
-        if suppressed {
-            analysis.allowed += 1;
-        }
-        !suppressed
-    });
-    findings.extend(malformed);
-    for a in &allows {
-        if !a.used {
-            findings.push(Finding::at_line(
-                "unused-allow",
-                rel,
-                a.at,
-                Severity::Warn,
-                format!("allow({}) suppresses no finding; remove it", a.lint),
-            ));
-        }
-    }
-    findings.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
-    analysis.findings.extend(findings);
-}
-
-/// A parsed allow annotation (`check:` + ` allow(<lint>, <reason>)`).
-struct Allow {
-    /// 0-based line the comment sits on.
-    at: usize,
-    /// 0-based code line it suppresses (same line, or first code line below).
-    target: usize,
-    lint: String,
-    used: bool,
-}
-
-const ALLOW_TRIGGER: &str = "check: allow";
-
-fn collect_allows(rel: &str, sf: &SourceFile) -> (Vec<Allow>, Vec<Finding>) {
-    let mut allows = Vec::new();
-    let mut malformed = Vec::new();
-    for (i, line) in sf.lines.iter().enumerate() {
-        if sf.in_test_region(i) {
-            continue;
-        }
-        for comment in &line.comments {
-            let Some(pos) = comment.find(ALLOW_TRIGGER) else {
-                continue;
-            };
-            let rest = comment[pos + ALLOW_TRIGGER.len()..].trim_start();
-            let parsed = rest.strip_prefix('(').and_then(|r| {
-                let inner = r.split(')').next()?;
-                let (lint, reason) = inner.split_once(',')?;
-                Some((lint.trim().to_string(), reason.trim().to_string()))
-            });
-            let Some((lint, reason)) = parsed else {
-                malformed.push(Finding::at_line(
-                    "annotation",
-                    rel,
-                    i,
-                    Severity::Deny,
-                    "malformed annotation: expected `check: allow(<lint>, <reason>)`".to_string(),
-                ));
-                continue;
-            };
-            if !lint_exists(&lint) {
-                malformed.push(Finding::at_line(
-                    "annotation",
-                    rel,
-                    i,
-                    Severity::Deny,
-                    format!("annotation names unknown lint `{lint}`"),
-                ));
-                continue;
-            }
-            if reason.is_empty() {
-                malformed.push(Finding::at_line(
-                    "annotation",
-                    rel,
-                    i,
-                    Severity::Deny,
-                    format!("allow({lint}) is missing its reason"),
-                ));
-                continue;
-            }
-            let target = if sf.lines[i].is_code_blank() {
-                (i + 1..sf.lines.len())
-                    .find(|&j| !sf.lines[j].is_code_blank())
-                    .unwrap_or(i)
-            } else {
-                i
-            };
-            allows.push(Allow {
-                at: i,
-                target,
-                lint,
-                used: false,
-            });
-        }
-    }
-    (allows, malformed)
 }
 
 /// Enumerate repo-relative workspace source paths: `src/**/*.rs` and
@@ -479,56 +239,11 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> 
 mod tests {
     use super::*;
 
-    fn run_one(rel: &str, text: &str, policy: &Policy) -> Analysis {
-        let mut a = Analysis::default();
-        check_source(rel, text, policy, &mut a);
-        a
-    }
-
-    fn surface_policy(rel: &str) -> Policy {
-        Policy {
-            panic_surfaces: vec![Surface {
-                file: rel.to_string(),
-                items: vec![],
-            }],
-            ..Policy::default()
-        }
-    }
-
-    #[test]
-    fn allow_suppresses_and_is_counted() {
-        let rel = "crates/x/src/lib.rs";
-        let src = "fn f(v: &[u8]) -> u8 {\n    // check: allow(index, bounds proven above)\n    v[0]\n}\n";
-        let a = run_one(rel, src, &surface_policy(rel));
-        assert_eq!(a.allowed, 1, "{:?}", a.findings);
-        assert!(a.findings.is_empty(), "{:?}", a.findings);
-    }
-
-    #[test]
-    fn unused_allow_is_flagged() {
-        let rel = "crates/x/src/lib.rs";
-        let src = "// check: allow(panic, nothing here panics)\nfn f() {}\n";
-        let a = run_one(rel, src, &surface_policy(rel));
-        assert_eq!(a.findings.len(), 1);
-        assert_eq!(a.findings[0].lint, "unused-allow");
-        assert_eq!(a.findings[0].severity, Severity::Warn);
-    }
-
-    #[test]
-    fn malformed_and_unknown_annotations() {
-        let rel = "crates/x/src/lib.rs";
-        let src = "// check: allow(panic)\n// check: allow(not-a-lint, reason)\nfn f() {}\n";
-        let a = run_one(rel, src, &surface_policy(rel));
-        let lints: Vec<&str> = a.findings.iter().map(|f| f.lint).collect();
-        assert_eq!(lints, vec!["annotation", "annotation"]);
-    }
-
     #[test]
     fn default_policy_lints_are_registered() {
         let p = default_policy();
         for c in &p.lock_classes {
             assert!(!c.tokens.is_empty());
         }
-        assert!(lint_exists("panic") && lint_exists("spec-drift"));
     }
 }

@@ -16,7 +16,7 @@
 //! order exists precisely so each function can be judged locally.
 
 use crate::lexer::SourceFile;
-use crate::{Finding, Policy, Severity};
+use crate::{Finding, Policy};
 
 /// Whitespace-collapsed code with a per-char map back to 0-based lines.
 /// A single space survives only between two identifier chars (`let mut x`);
@@ -107,7 +107,6 @@ pub fn lock_lints(rel: &str, sf: &SourceFile, policy: &Policy) -> Vec<Finding> {
                         "lock-order",
                         rel,
                         line0,
-                        Severity::Deny,
                         format!(
                             "re-entrant acquisition of `{}` while already held — \
                              self-deadlock on a Mutex",
@@ -119,7 +118,6 @@ pub fn lock_lints(rel: &str, sf: &SourceFile, policy: &Policy) -> Vec<Finding> {
                         "lock-order",
                         rel,
                         line0,
-                        Severity::Deny,
                         format!(
                             "`{}` acquired while holding `{}` — inverts the canonical \
                              lock order ({} < {})",
@@ -148,7 +146,6 @@ pub fn lock_lints(rel: &str, sf: &SourceFile, policy: &Policy) -> Vec<Finding> {
                     "lock-io",
                     rel,
                     cc.line_of[i],
-                    Severity::Deny,
                     format!(
                         "blocking I/O while holding `{}` — drop the guard before \
                          touching the socket/disk",

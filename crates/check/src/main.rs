@@ -5,8 +5,14 @@
 //! ```
 //!
 //! One mode: print the findings, write `CHECK_report.json`, exit 1 on any
-//! deny finding. Exit 2 means the tool itself failed (bad usage,
+//! finding. Exit 2 means the tool itself failed (bad usage,
 //! unreadable workspace).
+
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary: the linter is tooling and feeds no digest"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -83,9 +89,9 @@ fn main() -> ExitCode {
     }
     print!("{}", analysis.human());
 
-    let deny = analysis.deny();
+    let deny = analysis.findings.len();
     if deny > 0 {
-        eprintln!("expanse-check: gate failed ({deny} deny findings)");
+        eprintln!("expanse-check: gate failed ({deny} findings)");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

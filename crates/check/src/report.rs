@@ -1,20 +1,12 @@
-//! Human and machine-readable output: a `file:line: [lint/severity]`
-//! listing plus `CHECK_report.json` (hand-rolled JSON; the linter keeps the
+//! Human and machine-readable output: a `file:line: [lint]` listing plus
+//! `CHECK_report.json` (hand-rolled JSON; the linter keeps the
 //! workspace's no-external-deps constraint and vendored serde is not worth
 //! wiring in for one flat document).
 
-use crate::{Analysis, Severity};
+use crate::Analysis;
 use std::collections::BTreeMap;
 
 impl Analysis {
-    /// Findings that fail the gate.
-    pub fn deny(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Deny)
-            .count()
-    }
-
     pub fn per_lint(&self) -> BTreeMap<&'static str, usize> {
         let mut map = BTreeMap::new();
         for f in &self.findings {
@@ -32,11 +24,9 @@ impl Analysis {
             out.push('\n');
         }
         out.push_str(&format!(
-            "expanse-check: {} files scanned, {} findings ({} allowed by annotation, {} deny)\n",
+            "expanse-check: {} files scanned, {} findings\n",
             self.files_scanned,
-            self.findings.len() + self.allowed,
-            self.allowed,
-            self.deny(),
+            self.findings.len(),
         ));
         out
     }
@@ -44,14 +34,9 @@ impl Analysis {
     pub fn json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": 2,\n");
+        out.push_str("  \"schema\": 3,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!(
-            "  \"findings_total\": {},\n",
-            self.findings.len() + self.allowed
-        ));
-        out.push_str(&format!("  \"allowed\": {},\n", self.allowed));
-        out.push_str(&format!("  \"deny\": {},\n", self.deny()));
+        out.push_str(&format!("  \"deny\": {},\n", self.findings.len()));
         out.push_str("  \"per_lint\": {");
         let per_lint = self.per_lint();
         let mut first = true;
@@ -66,13 +51,16 @@ impl Analysis {
         out.push_str("  \"findings\": [\n");
         for (i, f) in self.findings.iter().enumerate() {
             out.push_str(&format!(
-                "    {{ \"lint\": {}, \"file\": {}, \"line\": {}, \"severity\": {}, \"message\": {} }}{}\n",
+                "    {{ \"lint\": {}, \"file\": {}, \"line\": {}, \"message\": {} }}{}\n",
                 json_str(f.lint),
                 json_str(&f.file),
                 f.line,
-                json_str(f.severity.as_str()),
                 json_str(&f.message),
-                if i + 1 == self.findings.len() { "" } else { "," }
+                if i + 1 == self.findings.len() {
+                    ""
+                } else {
+                    ","
+                }
             ));
         }
         out.push_str("  ]\n");
@@ -111,24 +99,21 @@ mod tests {
 
     #[test]
     fn report_shapes() {
-        let f = Finding {
-            lint: "panic",
-            file: "a.rs".to_string(),
-            line: 3,
-            severity: Severity::Deny,
-            message: "`x.unwrap()` found".to_string(),
-        };
+        let f = Finding::at_line(
+            "lock-io",
+            "a.rs",
+            2,
+            "`conn.write(` under a guard".to_string(),
+        );
         let report = Analysis {
             findings: vec![f],
             files_scanned: 2,
-            allowed: 1,
         };
         let json = report.json();
-        assert!(json.contains("\"schema\": 2"));
-        assert!(json.contains("\"findings_total\": 2"));
+        assert!(json.contains("\"schema\": 3"));
         assert!(json.contains("\"deny\": 1"));
-        assert!(json.contains("\"per_lint\": {\"panic\": 1}"));
+        assert!(json.contains("\"per_lint\": {\"lock-io\": 1}"));
         let human = report.human();
-        assert!(human.contains("a.rs:3: [panic/deny]"));
+        assert!(human.contains("a.rs:3: [lock-io]"));
     }
 }

@@ -4,7 +4,7 @@
 //! constant) are themselves findings — a parser that silently no-ops when
 //! its anchor disappears is just drift with extra steps.
 
-use crate::{Finding, Severity};
+use crate::Finding;
 use std::path::Path;
 
 /// Where the normative docs and their implementing constants live.
@@ -39,13 +39,8 @@ struct Ctx {
 
 impl Ctx {
     fn drift(&mut self, file: &str, line0: usize, message: String) {
-        self.findings.push(Finding {
-            lint: "spec-drift",
-            file: file.to_string(),
-            line: line0 + 1,
-            severity: Severity::Deny,
-            message,
-        });
+        self.findings
+            .push(Finding::at_line("spec-drift", file, line0, message));
     }
 }
 

@@ -1,52 +1,27 @@
-//! Fixture-driven coverage: known-bad sources must produce exactly the
-//! expected lints, annotated sources must suppress them, and a
-//! deliberately skewed spec tree must trip `spec-drift`.
+//! Fixture-driven coverage: a known-bad source must produce exactly the
+//! expected lock lints, and a deliberately skewed spec tree must trip
+//! `spec-drift`.
 //!
 //! The fixture files live in `tests/fixtures/` — outside any `src/`
 //! directory, so the workspace walker never scans them and cargo never
 //! compiles them.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary, like the crate under test"
+)]
+
 use std::path::{Path, PathBuf};
 
 use expanse_check::spec::{spec_lints, SpecPolicy};
-use expanse_check::{check_source, Analysis, LockClass, Policy, Surface};
+use expanse_check::{check_source, Analysis, LockClass, Policy};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// A policy auditing nothing: each test enables exactly the surface its
-/// fixture exercises, so fixtures never cross-contaminate lints.
-fn empty_policy() -> Policy {
-    Policy {
-        panic_surfaces: vec![],
-        det_prefixes: vec![],
-        thread_exempt: vec![],
-        lock_prefixes: vec![],
-        lock_classes: vec![],
-        io_tokens: vec![],
-        spec: None,
-    }
-}
-
-fn panic_policy(rel: &str) -> Policy {
-    Policy {
-        panic_surfaces: vec![Surface {
-            file: rel.to_string(),
-            items: vec![],
-        }],
-        ..empty_policy()
-    }
-}
-
-fn det_policy(rel: &str) -> Policy {
-    Policy {
-        det_prefixes: vec![rel.to_string()],
-        ..empty_policy()
-    }
 }
 
 fn lock_policy(rel: &str) -> Policy {
@@ -65,7 +40,7 @@ fn lock_policy(rel: &str) -> Policy {
             },
         ],
         io_tokens: vec!["conn.write(".to_string()],
-        ..empty_policy()
+        spec: None,
     }
 }
 
@@ -80,55 +55,6 @@ fn lint_multiset(rel: &str, name: &str, policy: &Policy) -> (Vec<String>, Analys
         .collect();
     lints.sort();
     (lints, analysis)
-}
-
-#[test]
-fn panic_fixture_reports_every_short_circuit_site() {
-    let rel = "fix/panic_bad.rs";
-    let (lints, analysis) = lint_multiset(rel, "panic_bad.rs", &panic_policy(rel));
-    // unwrap, panic!, expect, unreachable!, todo!, unimplemented! = 6
-    // panic findings; `bytes[1]` = 1 index finding. The test module's
-    // unwrap and indexing are exempt.
-    assert_eq!(
-        lints,
-        vec!["index", "panic", "panic", "panic", "panic", "panic", "panic"],
-        "findings: {:#?}",
-        analysis.findings
-    );
-    assert_eq!(analysis.allowed, 0);
-}
-
-#[test]
-fn allow_annotations_suppress_and_are_audited() {
-    let rel = "fix/panic_allowed.rs";
-    let (lints, analysis) = lint_multiset(rel, "panic_allowed.rs", &panic_policy(rel));
-    // The annotated unwrap, the annotated index, and `bytes[0]` under a
-    // wrong-lint allow: two suppressions land, the no-op allow becomes
-    // `unused-allow`, the unknown lint becomes `annotation`, and the
-    // unprotected index still fires.
-    assert_eq!(
-        lints,
-        vec!["annotation", "index", "unused-allow"],
-        "findings: {:#?}",
-        analysis.findings
-    );
-    assert_eq!(analysis.allowed, 2);
-}
-
-#[test]
-fn determinism_fixture_reports_collections_clocks_threads() {
-    let rel = "fix/determinism_bad.rs";
-    let (lints, analysis) = lint_multiset(rel, "determinism_bad.rs", &det_policy(rel));
-    // Findings are per occurrence: HashMap ×3 (import + annotation +
-    // constructor), HashSet ×3, Instant ×2, SystemTime ×2,
-    // thread::spawn ×1. BTreeMap stays silent, and the annotated HashSet
-    // is suppressed and counted.
-    let counts = |l: &str| lints.iter().filter(|x| x.as_str() == l).count();
-    assert_eq!(counts("hashmap"), 6, "findings: {:#?}", analysis.findings);
-    assert_eq!(counts("time"), 4, "findings: {:#?}", analysis.findings);
-    assert_eq!(counts("thread"), 1, "findings: {:#?}", analysis.findings);
-    assert_eq!(lints.len(), 11);
-    assert_eq!(analysis.allowed, 1);
 }
 
 #[test]
@@ -353,11 +279,6 @@ fn workspace_has_no_deny_findings() {
         .unwrap();
     let policy = expanse_check::default_policy();
     let analysis = expanse_check::run_checks(&root, &policy).unwrap();
-    let deny: Vec<String> = analysis
-        .findings
-        .iter()
-        .filter(|f| f.severity == expanse_check::Severity::Deny)
-        .map(|f| f.to_string())
-        .collect();
+    let deny: Vec<String> = analysis.findings.iter().map(|f| f.to_string()).collect();
     assert_eq!(deny, Vec::<String>::new());
 }

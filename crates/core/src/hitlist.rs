@@ -438,11 +438,14 @@ impl Hitlist {
         // cursor saturates at its own length.
         let mut base = 0usize;
         let mut dbase = 0usize;
-        // check: allow(thread, workers write disjoint pre-split column slices; digest equality across thread counts is pinned by tests)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "workers write disjoint pre-split column slices; digest equality \
+                      across thread counts is pinned by tests"
+        )]
         std::thread::scope(|s| {
             for piece in pass.chunks(chunk) {
-                // chunks() never yields an empty slice.
-                #[allow(clippy::expect_used)]
+                #[allow(clippy::expect_used, reason = "chunks() never yields an empty slice")]
                 let hi = piece.last().expect("chunks are non-empty").0.index() + 1;
                 let (l_head, l_rest) = std::mem::take(&mut last).split_at_mut(hi - base);
                 last = l_rest;
@@ -630,7 +633,6 @@ impl Hitlist {
 
     /// Decode one row's mutable columns written by
     /// [`Hitlist::encode_row`].
-    #[allow(clippy::type_complexity)]
     fn decode_row<R: Read>(
         dec: &mut Decoder<R>,
     ) -> Result<(SourceMask, SourceId, u16, ProtoSet, u16, bool), CodecError> {

@@ -25,6 +25,17 @@
 //! The byte format is specified normatively in
 //! `docs/SNAPSHOT_FORMAT.md`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    reason = "journal bytes are untrusted: a torn or corrupt journal must map to Err, not a panic"
+)]
+
 use crate::pipeline::{JournalReplay, Pipeline, PipelineConfig};
 use expanse_addr::CodecError;
 use expanse_model::ModelConfig;

@@ -481,8 +481,10 @@ impl Pipeline {
         let multi = self
             .scanner
             .scan_battery_resolved(targets, &standard_battery(), &mut |a| {
-                // Scan targets were drawn from the hitlist above.
-                #[allow(clippy::expect_used)]
+                #[allow(
+                    clippy::expect_used,
+                    reason = "scan targets were drawn from the hitlist above"
+                )]
                 let id = hl.id_of(a).expect("responder not in hitlist");
                 id
             });
@@ -684,6 +686,16 @@ impl Pipeline {
     /// Readers that only need the journaled *state* (not a runnable
     /// pipeline) should use [`PersistedState::load`] instead: it skips
     /// the model rebuild entirely.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        reason = "replays untrusted journal bytes: torn input must map to Err, not a panic"
+    )]
     pub fn resume<R: Read>(
         model_cfg: ModelConfig,
         cfg: PipelineConfig,
@@ -832,6 +844,16 @@ pub struct PersistedState {
     pub sched: Scheduler,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    reason = "replays untrusted journal bytes: torn input must map to Err, not a panic"
+)]
 impl PersistedState {
     /// Decode one base envelope (`EXP6PIPE`).
     fn decode_base<R: Read>(apd_cfg: ApdConfig, r: &mut R) -> Result<PersistedState, CodecError> {
@@ -994,6 +1016,16 @@ struct CountingReader<R> {
     count: u64,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    reason = "replays untrusted journal bytes: torn input must map to Err, not a panic"
+)]
 impl<R: Read> Read for CountingReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
@@ -1014,10 +1046,23 @@ enum ReadOutcome {
 
 /// Fill `buf` from `r`, distinguishing a clean EOF before the first
 /// byte from a torn read partway through.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    reason = "replays untrusted journal bytes: torn input must map to Err, not a panic"
+)]
 fn read_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<ReadOutcome, CodecError> {
     let mut filled = 0;
     while filled < buf.len() {
-        // check: allow(index, loop guard keeps filled < buf.len(); slices a local buffer, not untrusted input)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the loop guard keeps filled < buf.len(); slices a local buffer"
+        )]
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Ok(if filled == 0 {

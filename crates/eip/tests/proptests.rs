@@ -3,7 +3,7 @@
 use expanse_addr::{u128_to_addr, Prefix};
 use expanse_eip::{segment, train};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 /// Seeds with controllable structure: a /48 site, `n_subnets` subnets,
@@ -43,7 +43,7 @@ proptest! {
         let model = train(&seeds);
         let out = model.generate(budget);
         prop_assert!(out.len() <= budget);
-        let set: HashSet<&Ipv6Addr> = out.iter().collect();
+        let set: BTreeSet<&Ipv6Addr> = out.iter().collect();
         prop_assert_eq!(set.len(), out.len(), "duplicates in generation");
     }
 

@@ -169,14 +169,14 @@ mod tests {
         let c = cluster_networks(&groups, 8, Some(2), 11);
         assert_eq!(c.clusters.len(), 2);
         // Every even key in one cluster, odd in the other.
-        let even_cluster: std::collections::HashSet<usize> = c
+        let even_cluster: std::collections::BTreeSet<usize> = c
             .assignment
             .iter()
             .filter(|(k, _)| k % 2 == 0)
             .map(|(_, c)| *c)
             .collect();
         assert_eq!(even_cluster.len(), 1);
-        let odd_cluster: std::collections::HashSet<usize> = c
+        let odd_cluster: std::collections::BTreeSet<usize> = c
             .assignment
             .iter()
             .filter(|(k, _)| k % 2 == 1)

@@ -199,7 +199,7 @@ mod tests {
         let r = kmeans(&pts, 3, 7, 5);
         // Same-label points must share a cluster.
         for li in 0..3 {
-            let clusters: std::collections::HashSet<usize> = labels
+            let clusters: std::collections::BTreeSet<usize> = labels
                 .iter()
                 .zip(&r.assignment)
                 .filter(|(l, _)| **l == li)

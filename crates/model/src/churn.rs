@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn day_tokens_vary() {
-        let toks: std::collections::HashSet<u32> =
+        let toks: std::collections::BTreeSet<u32> =
             (0..50u16).map(|d| rate_limit_day_tokens(1, d)).collect();
         assert!(toks.len() > 3, "tokens should vary across days: {toks:?}");
         assert!(toks.iter().all(|t| (4..=10).contains(t)));

@@ -1070,7 +1070,7 @@ mod tests {
         assert!(
             counts
                 .iter()
-                .collect::<std::collections::HashSet<_>>()
+                .collect::<std::collections::BTreeSet<_>>()
                 .len()
                 > 1,
             "daily variation expected: {counts:?}"

@@ -330,7 +330,7 @@ mod tests {
             pathology: Pathology::FlakyIttl,
             ..Machine::linux_like(4)
         };
-        let vals: std::collections::HashSet<u8> = (0..32u64).map(|k| m.reply_ittl(k)).collect();
+        let vals: std::collections::BTreeSet<u8> = (0..32u64).map(|k| m.reply_ittl(k)).collect();
         assert_eq!(vals, [64u8, 255].into_iter().collect());
         // Healthy machine never flips.
         let healthy = Machine::linux_like(4);
@@ -344,7 +344,7 @@ mod tests {
             ..Machine::linux_like(5)
         };
         let probe = TcpSegment::syn_with_options(1, 80, 1, 1);
-        let texts: std::collections::HashSet<String> = (0..32u64)
+        let texts: std::collections::BTreeSet<String> = (0..32u64)
             .map(|k| syn_ack(&m, &probe, 0, 0, k).options_text())
             .collect();
         assert_eq!(texts.len(), 2, "{texts:?}");

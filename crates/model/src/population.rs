@@ -860,7 +860,7 @@ mod tests {
         let pop = build_tiny();
         // Every site pool's first addresses must be live hosts... at least
         // a large fraction of hosts must come from pools.
-        let pool_set: std::collections::HashSet<Ipv6Addr> = pop
+        let pool_set: std::collections::BTreeSet<Ipv6Addr> = pop
             .sites
             .iter()
             .flat_map(|s| s.addrs.iter().copied())

@@ -209,7 +209,7 @@ mod tests {
             .collect();
         let tree = build_rdns(&model, &hitlist);
         assert!(tree.len() > 500);
-        let hitset: std::collections::HashSet<u128> =
+        let hitset: std::collections::BTreeSet<u128> =
             hitlist.iter().map(|a| addr_to_u128(*a)).collect();
         let overlap = tree.keys.iter().filter(|k| hitset.contains(k)).count();
         let share = overlap as f64 / tree.len() as f64;

@@ -65,6 +65,13 @@
 //! assert!(responsive > 0);
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary: the serving layer reads immutable views, \
+              and its clocks, threads and hash-keyed caches never reach a digest or a \
+              snapshot byte"
+)]
 // The serving layer defines a persistent wire protocol
 // (docs/SERVE_PROTOCOL.md); like expanse-addr, every public item must
 // say what it is.

@@ -372,8 +372,10 @@ fn get_addrs<R: std::io::Read>(dec: &mut Decoder<R>) -> Result<Vec<Ipv6Addr>, Co
 
 /// Encode a request into one framed byte vector (outer length prefix
 /// included).
-// Encoding into a Vec is infallible; the expects document that.
-#[allow(clippy::expect_used)]
+#[allow(
+    clippy::expect_used,
+    reason = "encoding into a Vec is infallible; the expects document that"
+)]
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut envelope = Vec::new();
     let mut enc = Encoder::new(&mut envelope, &REQUEST_MAGIC, PROTOCOL_VERSION)
@@ -478,8 +480,10 @@ fn get_record<R: std::io::Read>(dec: &mut Decoder<R>) -> Result<WireRecord, Code
 }
 
 /// Encode a response into one framed byte vector.
-// Encoding into a Vec is infallible; the expects document that.
-#[allow(clippy::expect_used)]
+#[allow(
+    clippy::expect_used,
+    reason = "encoding into a Vec is infallible; the expects document that"
+)]
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut envelope = Vec::new();
     let mut enc = Encoder::new(&mut envelope, &RESPONSE_MAGIC, PROTOCOL_VERSION)

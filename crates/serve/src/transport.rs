@@ -146,6 +146,16 @@ pub struct FrameAssembler {
     at: usize,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    reason = "assembles frames from untrusted peer bytes: a hostile length must map to an error frame, not a panic"
+)]
 impl FrameAssembler {
     /// An empty assembler enforcing `max_frame_len` (envelopes above
     /// it yield [`OversizedFrame`] without being buffered).

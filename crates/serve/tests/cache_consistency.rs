@@ -3,6 +3,12 @@
 //! request — including the wire encodings that only become equal after
 //! canonicalization (the clamped-limit regression this file pins).
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary, like the crate under test"
+)]
+
 use expanse_core::Hitlist;
 use expanse_model::SourceId;
 use expanse_serve::pool::MAX_RESULT_ADDRS;

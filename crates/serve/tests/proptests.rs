@@ -3,6 +3,12 @@
 //! agrees with a brute-force oracle computed from the ground-truth
 //! hitlist, and pagination cursors survive epoch swaps.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary, like the crate under test"
+)]
+
 use expanse_addr::fanout::splitmix64;
 use expanse_addr::{addr_to_u128, u128_to_addr, Prefix};
 use expanse_core::Hitlist;

@@ -9,6 +9,12 @@
 //!    in-flight result: a pinned view is immutable, and the publisher
 //!    returns while readers still hold their pins.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary, like the crate under test"
+)]
+
 use expanse_addr::{addr_to_u128, u128_to_addr, Prefix};
 use expanse_core::{Pipeline, PipelineConfig, SchedConfig};
 use expanse_model::ModelConfig;

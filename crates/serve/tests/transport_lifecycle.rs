@@ -9,6 +9,12 @@
 //! per-client rate-limit rejection frames, the accept limit, and UDS
 //! round trips.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary, like the crate under test"
+)]
+
 use expanse_core::Hitlist;
 use expanse_model::SourceId;
 use expanse_serve::protocol::{

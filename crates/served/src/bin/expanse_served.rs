@@ -16,6 +16,13 @@
 //! their pinned epochs, then the process exits and prints a drain
 //! report.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary: the daemon's clocks and threads never \
+              reach a digest or a snapshot byte"
+)]
+
 use expanse_core::{Pipeline, PipelineConfig};
 use expanse_model::ModelConfig;
 use expanse_serve::{

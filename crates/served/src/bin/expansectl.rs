@@ -1,6 +1,13 @@
 //! `expansectl`: query and inspect a running `expanse-served` daemon
 //! over its TCP or (typically) unix-domain socket.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary: the daemon's clocks and threads never \
+              reach a digest or a snapshot byte"
+)]
+
 use expanse_serve::{BindAddr, Query, Request, ResponseBody, ServeClient};
 use expanse_served::{render, Flags};
 use std::time::Duration;

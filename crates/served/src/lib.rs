@@ -5,6 +5,12 @@
 //! transport-shaped lives in `expanse-serve` where it is testable
 //! without processes.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "outside the determinism boundary: the daemon's clocks and threads never \
+              reach a digest or a snapshot byte"
+)]
 #![deny(missing_docs)]
 
 pub mod flags;

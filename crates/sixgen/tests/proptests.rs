@@ -3,7 +3,7 @@
 use expanse_addr::u128_to_addr;
 use expanse_sixgen::{generate, grow_regions, Region, SixGenConfig};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 fn arb_addrs() -> impl Strategy<Value = Vec<Ipv6Addr>> {
@@ -34,7 +34,7 @@ proptest! {
             );
         }
         // Region seed counts sum to the distinct seed count.
-        let distinct: HashSet<&Ipv6Addr> = seeds.iter().collect();
+        let distinct: BTreeSet<&Ipv6Addr> = seeds.iter().collect();
         let total: usize = regions.iter().map(|r| r.seeds).sum();
         prop_assert_eq!(total, distinct.len());
     }
@@ -65,7 +65,7 @@ proptest! {
         let regions = grow_regions(&seeds, &SixGenConfig::default());
         let out = generate(&regions, budget);
         prop_assert!(out.len() <= budget);
-        let set: HashSet<&Ipv6Addr> = out.iter().collect();
+        let set: BTreeSet<&Ipv6Addr> = out.iter().collect();
         prop_assert_eq!(set.len(), out.len(), "duplicates");
         for a in &out {
             prop_assert!(

@@ -3,7 +3,7 @@
 use expanse_addr::{u128_to_addr, Prefix};
 use expanse_trie::{PrefixTrie, RangeTable};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -15,7 +15,7 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
 }
 
 /// Brute-force LPM over a map of prefixes.
-fn brute_lpm(map: &HashMap<Prefix, u32>, addr: Ipv6Addr) -> Option<(Prefix, &u32)> {
+fn brute_lpm(map: &BTreeMap<Prefix, u32>, addr: Ipv6Addr) -> Option<(Prefix, &u32)> {
     map.iter()
         .filter(|(p, _)| p.contains(addr))
         .max_by_key(|(p, _)| p.len())
@@ -80,7 +80,7 @@ proptest! {
         queries in proptest::collection::vec(any::<u128>(), 0..40),
     ) {
         let mut trie = PrefixTrie::new();
-        let mut map: HashMap<Prefix, u32> = HashMap::new();
+        let mut map: BTreeMap<Prefix, u32> = BTreeMap::new();
         for (p, v) in entries {
             trie.insert(p, v);
             map.insert(p, v);
@@ -101,7 +101,7 @@ proptest! {
         entries in proptest::collection::vec((arb_prefix(), any::<u32>()), 1..30),
     ) {
         let mut trie = PrefixTrie::new();
-        let mut map: HashMap<Prefix, u32> = HashMap::new();
+        let mut map: BTreeMap<Prefix, u32> = BTreeMap::new();
         for (p, v) in &entries {
             trie.insert(*p, *v);
             map.insert(*p, *v);

@@ -102,13 +102,13 @@ impl Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn is_a_permutation() {
         for n in [1u64, 2, 7, 16, 100, 1000, 4097] {
             let p = Permutation::new(n, 42);
-            let seen: HashSet<u64> = p.iter().collect();
+            let seen: BTreeSet<u64> = p.iter().collect();
             assert_eq!(seen.len() as u64, n, "n={n}");
             assert!(seen.iter().all(|&x| x < n), "n={n}");
         }

@@ -619,7 +619,11 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         let cells: Vec<Mutex<Option<(ScanResult, Time)>>> =
             (0..n_cells).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        // check: allow(thread, results land in per-cell slots indexed by grid position; collection order is deterministic)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "results land in per-cell slots indexed by grid position; \
+                      collection order is deterministic"
+        )]
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
@@ -866,10 +870,10 @@ mod tests {
             .map(|i| expanse_addr::keyed_random_addr(p48, i))
             .collect();
         let battery = crate::module::standard_battery();
-        let mut sent_per_protocol: std::collections::HashMap<Protocol, u64> =
-            std::collections::HashMap::new();
-        let mut seen: std::collections::HashMap<Protocol, Vec<Ipv6Addr>> =
-            std::collections::HashMap::new();
+        let mut sent_per_protocol: std::collections::BTreeMap<Protocol, u64> =
+            std::collections::BTreeMap::new();
+        let mut seen: std::collections::BTreeMap<Protocol, Vec<Ipv6Addr>> =
+            std::collections::BTreeMap::new();
         for shard in 0..3u64 {
             let model = InternetModel::build(ModelConfig::tiny(21));
             let mut cfg = ScanConfig {

@@ -79,7 +79,7 @@ fn main() {
 
     // Fig 3b-style: BGP prefixes colored by dominant entropy cluster
     // (unsized plot).
-    let cluster_of_32: std::collections::HashMap<_, usize> =
+    let cluster_of_32: std::collections::BTreeMap<_, usize> =
         clustering.assignment.iter().cloned().collect();
     let entries3b: Vec<ZesEntry> = model
         .bgp

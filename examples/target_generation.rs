@@ -7,7 +7,7 @@ use expanse::eip;
 use expanse::model::{AsCategory, InternetModel, ModelConfig};
 use expanse::sixgen;
 use expanse::zmap6::{module::IcmpEchoModule, ScanConfig, Scanner};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 fn main() {
@@ -57,7 +57,7 @@ fn main() {
     let six_targets = sixgen::generate(&regions, budget);
 
     // ---- overlap (the paper finds only 0.2 %) ----------------------------
-    let eip_set: HashSet<&Ipv6Addr> = eip_targets.iter().collect();
+    let eip_set: BTreeSet<&Ipv6Addr> = eip_targets.iter().collect();
     let overlap = six_targets.iter().filter(|a| eip_set.contains(a)).count();
     println!(
         "\ngenerated: Entropy/IP {}, 6Gen {}, overlap {} ({:.2}%)",
@@ -68,7 +68,7 @@ fn main() {
     );
 
     // ---- probe the generated targets --------------------------------------
-    let seed_set: HashSet<&Ipv6Addr> = seeds.iter().collect();
+    let seed_set: BTreeSet<&Ipv6Addr> = seeds.iter().collect();
     let mut scanner = Scanner::new(model, ScanConfig::default());
     for (name, targets) in [("Entropy/IP", &eip_targets), ("6Gen", &six_targets)] {
         let fresh: Vec<Ipv6Addr> = targets

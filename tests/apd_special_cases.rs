@@ -62,7 +62,7 @@ fn rate_limited_120s_flap_across_days_and_window_stabilizes() {
         day_bitmaps.push(report.get(&prefixes[0]).unwrap().merged());
     }
     // Single-day views differ across days (the flapping).
-    let distinct: std::collections::HashSet<u16> = day_bitmaps.iter().copied().collect();
+    let distinct: std::collections::BTreeSet<u16> = day_bitmaps.iter().copied().collect();
     assert!(
         distinct.len() > 1,
         "rate-limited prefix should answer different branches on different days: {day_bitmaps:?}"

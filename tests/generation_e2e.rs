@@ -5,7 +5,7 @@ use expanse::eip;
 use expanse::model::{AsCategory, InternetModel, ModelConfig};
 use expanse::sixgen;
 use expanse::zmap6::{module::IcmpEchoModule, ScanConfig, Scanner};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 fn seeds_and_model() -> (Vec<Ipv6Addr>, InternetModel) {
@@ -43,7 +43,7 @@ fn both_generators_produce_valid_targets() {
 #[test]
 fn generators_overlap_little() {
     let (seeds, _model) = seeds_and_model();
-    let eip_targets: HashSet<Ipv6Addr> = eip::train(&seeds).generate(800).into_iter().collect();
+    let eip_targets: BTreeSet<Ipv6Addr> = eip::train(&seeds).generate(800).into_iter().collect();
     let six_targets = sixgen::generate(
         &sixgen::grow_regions(&seeds, &sixgen::SixGenConfig::default()),
         800,
@@ -66,7 +66,7 @@ fn generated_targets_find_some_responsive_hosts() {
     // address so half the live hosts are genuinely unknown.
     let (pool, model) = seeds_and_model();
     let seeds: Vec<Ipv6Addr> = pool.iter().copied().step_by(2).collect();
-    let seed_set: HashSet<Ipv6Addr> = seeds.iter().copied().collect();
+    let seed_set: BTreeSet<Ipv6Addr> = seeds.iter().copied().collect();
     let eip_targets: Vec<Ipv6Addr> = eip::train(&seeds)
         .generate(3000)
         .into_iter()
