@@ -1143,6 +1143,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the hook is `Send`, so what it records goes through a mutex; one thread locks it"
+    )]
     fn day_end_hook_fires_with_advanced_day_and_survives() {
         let mut p = tiny_pipeline();
         p.collect_sources(30);

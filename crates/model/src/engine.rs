@@ -1080,6 +1080,10 @@ mod tests {
     /// One adversarial world for every case of the `stateful` property:
     /// the model is not `Clone`, and a build per case would dominate.
     /// State left by earlier cases only widens what the property meets.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test harness runs cases on several threads; they share the world in turn"
+    )]
     fn shared_world() -> std::sync::MutexGuard<'static, InternetModel> {
         static WORLD: std::sync::OnceLock<std::sync::Mutex<InternetModel>> =
             std::sync::OnceLock::new();

@@ -30,10 +30,11 @@
 //! keys whose hashes collide only admit the second of them one offer
 //! early; what a hit returns is always keyed by the full bytes.
 
+use crate::sync::Lock;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Sizing and retention policy for a [`ResponseCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,7 +129,7 @@ impl Inner {
 /// and the publish observer.
 pub struct ResponseCache {
     cfg: CacheConfig,
-    inner: Mutex<Inner>,
+    inner: Lock<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -139,11 +140,11 @@ pub struct ResponseCache {
 
 impl std::fmt::Debug for ResponseCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let (epochs, bytes) = self.inner.with(|inner| (inner.epochs.len(), inner.bytes));
         f.debug_struct("ResponseCache")
             .field("cfg", &self.cfg)
-            .field("epochs", &inner.epochs.len())
-            .field("bytes", &inner.bytes)
+            .field("epochs", &epochs)
+            .field("bytes", &bytes)
             .field("stats", &self.stats())
             .finish()
     }
@@ -158,7 +159,7 @@ impl ResponseCache {
                 keep_epochs: cfg.keep_epochs.max(1),
                 ..cfg
             },
-            inner: Mutex::new(Inner {
+            inner: Lock::new(Inner {
                 epochs: BTreeMap::new(),
                 bytes: 0,
                 min_keep: 0,
@@ -174,13 +175,11 @@ impl ResponseCache {
 
     /// The cached framed response for `(epoch, key)`, if present.
     pub fn get(&self, epoch: u64, key: &[u8]) -> Option<Arc<[u8]>> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let hit = inner
-            .epochs
-            .get(&epoch)
-            .and_then(|e| e.entries.get(key))
-            .cloned();
-        drop(inner);
+        let hit = self.inner.with(|inner| {
+            (inner.epochs.get(&epoch))
+                .and_then(|e| e.entries.get(key))
+                .cloned()
+        });
         match hit {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -208,38 +207,39 @@ impl ResponseCache {
         let mut hasher = DefaultHasher::new();
         hasher.write(&key);
         let sighting = hasher.finish();
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if epoch < inner.min_keep {
-            return;
-        }
-        let seen = inner
-            .epochs
-            .get(&epoch)
-            .is_some_and(|e| e.seen.contains(&sighting));
-        let need = if seen { entry_bytes } else { SIGHTING_BYTES };
-        // Evict from the oldest epoch until the addition fits. Never
-        // evict from the offer's own epoch ahead of adding to it — if
-        // only this epoch remains and the budget still doesn't fit,
-        // skip the offer instead of thrashing.
-        while inner.bytes + need > self.cfg.max_bytes {
-            let Some(entries) = inner.drop_oldest(epoch) else {
+        self.inner.with(|inner| {
+            if epoch < inner.min_keep {
                 return;
+            }
+            let seen = inner
+                .epochs
+                .get(&epoch)
+                .is_some_and(|e| e.seen.contains(&sighting));
+            let need = if seen { entry_bytes } else { SIGHTING_BYTES };
+            // Evict from the oldest epoch until the addition fits. Never
+            // evict from the offer's own epoch ahead of adding to it — if
+            // only this epoch remains and the budget still doesn't fit,
+            // skip the offer instead of thrashing.
+            while inner.bytes + need > self.cfg.max_bytes {
+                let Some(entries) = inner.drop_oldest(epoch) else {
+                    return;
+                };
+                self.evicted.fetch_add(entries, Ordering::Relaxed);
+            }
+            let slot = inner.epochs.entry(epoch).or_default();
+            let added = if !seen {
+                slot.seen.insert(sighting);
+                self.deferred.fetch_add(1, Ordering::Relaxed);
+                SIGHTING_BYTES
+            } else if slot.entries.insert(key, Arc::from(response)).is_none() {
+                self.inserts.fetch_add(1, Ordering::Relaxed);
+                entry_bytes
+            } else {
+                0
             };
-            self.evicted.fetch_add(entries, Ordering::Relaxed);
-        }
-        let slot = inner.epochs.entry(epoch).or_default();
-        let added = if !seen {
-            slot.seen.insert(sighting);
-            self.deferred.fetch_add(1, Ordering::Relaxed);
-            SIGHTING_BYTES
-        } else if slot.entries.insert(key, Arc::from(response)).is_none() {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-            entry_bytes
-        } else {
-            0
-        };
-        slot.bytes += added;
-        inner.bytes += added;
+            slot.bytes += added;
+            inner.bytes += added;
+        });
     }
 
     /// Epoch-retirement hook: called (via a registry
@@ -248,17 +248,18 @@ impl ResponseCache {
     /// epochs older than the `keep_epochs` most recent.
     pub fn on_publish(&self, new_epoch: u64) {
         let min_keep = new_epoch.saturating_sub(self.cfg.keep_epochs - 1);
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.min_keep = inner.min_keep.max(min_keep);
-        while let Some(entries) = inner.drop_oldest(min_keep) {
-            self.retired.fetch_add(entries, Ordering::Relaxed);
-        }
+        self.inner.with(|inner| {
+            inner.min_keep = inner.min_keep.max(min_keep);
+            while let Some(entries) = inner.drop_oldest(min_keep) {
+                self.retired.fetch_add(entries, Ordering::Relaxed);
+            }
+        });
     }
 
     /// Bytes currently charged to the budget (keys + values +
     /// sightings).
     pub fn bytes(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).bytes
+        self.inner.with(|inner| inner.bytes)
     }
 
     /// Lifetime counters.
@@ -309,6 +310,14 @@ mod tests {
         assert!(c.get(2, b"key").is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.inserts, s.deferred), (1, 4, 1, 2));
+    }
+
+    #[test]
+    fn debug_shows_epochs_and_bytes() {
+        let c = cache(1 << 20, 2);
+        admit(&c, 1, b"k", b"v");
+        let shown = format!("{c:?}");
+        assert!(shown.contains("epochs: 1, bytes: 10"), "{shown}");
     }
 
     #[test]

@@ -48,6 +48,10 @@
 //! - [`limiter`]: per-client token-bucket admission control, reusing
 //!   the simulator's bucket on a wall clock.
 //!
+//! Every lock in the crate goes through one private `sync` module, whose
+//! closures let no guard outlive its call: no lock is ever taken while
+//! another is held, and debug builds assert it.
+//!
 //! ```
 //! use expanse_core::{Pipeline, PipelineConfig};
 //! use expanse_model::ModelConfig;
@@ -67,10 +71,8 @@
 
 #![allow(
     clippy::disallowed_types,
-    clippy::disallowed_methods,
     reason = "outside the determinism boundary: the serving layer reads immutable views, \
-              and its clocks, threads and hash-keyed caches never reach a digest or a \
-              snapshot byte"
+              and its clocks and hash-keyed caches never reach a digest or a snapshot byte"
 )]
 // The serving layer defines a persistent wire protocol
 // (docs/SERVE_PROTOCOL.md); like expanse-addr, every public item must
@@ -83,6 +85,7 @@ pub mod pool;
 pub mod protocol;
 pub mod query;
 pub mod registry;
+mod sync;
 pub mod transport;
 pub mod view;
 

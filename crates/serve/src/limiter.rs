@@ -11,12 +11,12 @@
 //! connection stays alive — rejecting is cheaper than serving, which
 //! is the point of admission control.
 
+use crate::sync::Lock;
 use expanse_netsim::ratelimit::TokenBucket;
 use expanse_netsim::time::Time;
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Who a connection is, for rate-limiting purposes.
@@ -68,7 +68,7 @@ const MAX_TRACKED_CLIENTS: usize = 4096;
 pub struct AdmissionControl {
     cfg: RateLimitConfig,
     start: Instant,
-    buckets: Mutex<HashMap<ClientKey, TokenBucket>>,
+    buckets: Lock<HashMap<ClientKey, TokenBucket>>,
     admitted: AtomicU64,
     rejected: AtomicU64,
 }
@@ -85,7 +85,7 @@ impl AdmissionControl {
         AdmissionControl {
             cfg,
             start: Instant::now(),
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Lock::new(HashMap::new()),
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         }
@@ -101,18 +101,18 @@ impl AdmissionControl {
     /// token from the client's bucket (created full on first sight).
     pub fn admit(&self, key: &ClientKey) -> bool {
         let now = self.now();
-        let mut buckets = self.buckets.lock().unwrap_or_else(|e| e.into_inner());
-        if buckets.len() > MAX_TRACKED_CLIENTS && !buckets.contains_key(key) {
-            // Shed idle state: a bucket refilled to capacity is
-            // indistinguishable from a fresh one.
-            let cap = self.cfg.burst;
-            buckets.retain(|_, b| b.available(now) < cap);
-        }
-        let bucket = buckets
-            .entry(key.clone())
-            .or_insert_with(|| TokenBucket::new(self.cfg.burst, self.cfg.qps));
-        let ok = bucket.try_consume(now);
-        drop(buckets);
+        let ok = self.buckets.with(|buckets| {
+            if buckets.len() > MAX_TRACKED_CLIENTS && !buckets.contains_key(key) {
+                // Shed idle state: a bucket refilled to capacity is
+                // indistinguishable from a fresh one.
+                let cap = self.cfg.burst;
+                buckets.retain(|_, b| b.available(now) < cap);
+            }
+            let bucket = buckets
+                .entry(key.clone())
+                .or_insert_with(|| TokenBucket::new(self.cfg.burst, self.cfg.qps));
+            bucket.try_consume(now)
+        });
         if ok {
             self.admitted.fetch_add(1, Ordering::Relaxed);
         } else {

@@ -62,6 +62,18 @@ pub const ERR_SHUTTING_DOWN: u8 = 5;
 /// the write deadline. The connection is closed after this frame.
 pub const ERR_TIMEOUT: u8 = 6;
 
+/// Every `ERR_*` code with its constant's name, in code order — the
+/// error table of `docs/SERVE_PROTOCOL.md` lists the same six (the
+/// root `normative_docs` test diffs the two).
+pub const ERROR_CODES: [(u8, &str); 6] = [
+    (ERR_MALFORMED, "ERR_MALFORMED"),
+    (ERR_OVERLOADED, "ERR_OVERLOADED"),
+    (ERR_RATE_LIMITED, "ERR_RATE_LIMITED"),
+    (ERR_FRAME_TOO_LARGE, "ERR_FRAME_TOO_LARGE"),
+    (ERR_SHUTTING_DOWN, "ERR_SHUTTING_DOWN"),
+    (ERR_TIMEOUT, "ERR_TIMEOUT"),
+];
+
 /// Per-response cap on `Select` limits and `Sample` sizes: 2¹⁶
 /// addresses is ~1 MiB of payload, comfortably inside the protocol's
 /// 16 MiB frame ceiling. A client asking for more pages through with

@@ -19,16 +19,22 @@
 //!
 //! These invariants are stated for consumers in `ARCHITECTURE.md` and
 //! enforced by `tests/swap_consistency.rs`.
+//!
+//! Both of the registry's locks are leaves (see the private `sync` module):
+//! `publish` clones the observer list out and releases its lock before
+//! calling anyone, so an observer may take any lock in the crate,
+//! including this registry's own.
 
+use crate::sync::{Lock, RwCell};
 use crate::view::SnapshotView;
 use std::fmt;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 /// A publish observer: called with `(retired_epoch, new_epoch)` after
 /// every [`SnapshotRegistry::publish`] pointer swap. Observers run
-/// *outside* the registry's lock, on the publisher's thread — pinning
-/// and publishing from an observer is allowed (the response cache uses
-/// one to age out entries whose epoch was retired).
+/// *outside* the registry's locks, on the publisher's thread — pinning,
+/// publishing and registering from an observer are allowed (the
+/// response cache uses one to age out entries whose epoch was retired).
 pub type PublishObserver = Box<dyn Fn(u64, u64) + Send + Sync>;
 
 /// A pinned epoch: the view to query plus the epoch number it was
@@ -45,22 +51,15 @@ pub struct Pinned {
 
 /// The epoch-swap registry. See the [module](self) docs.
 pub struct SnapshotRegistry {
-    current: RwLock<Pinned>,
-    observers: Mutex<Vec<PublishObserver>>,
+    current: RwCell<Pinned>,
+    observers: Lock<Vec<Arc<PublishObserver>>>,
 }
 
 impl fmt::Debug for SnapshotRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SnapshotRegistry")
             .field("epoch", &self.epoch())
-            .field(
-                "observers",
-                &self
-                    .observers
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .len(),
-            )
+            .field("observers", &self.observers.with(|o| o.len()))
             .finish()
     }
 }
@@ -69,22 +68,20 @@ impl SnapshotRegistry {
     /// Start a registry at epoch 0 with an initial view.
     pub fn new(view: SnapshotView) -> SnapshotRegistry {
         SnapshotRegistry {
-            current: RwLock::new(Pinned {
+            current: RwCell::new(Pinned {
                 epoch: 0,
                 view: Arc::new(view),
             }),
-            observers: Mutex::new(Vec::new()),
+            observers: Lock::new(Vec::new()),
         }
     }
 
-    /// Register a [`PublishObserver`]. Observers never see a publish
-    /// they were registered after the swap of; each is retained for
+    /// Register a [`PublishObserver`]. An observer sees every publish
+    /// whose swap happens after it is registered; each is retained for
     /// the registry's lifetime.
     pub fn on_publish(&self, observer: PublishObserver) {
-        self.observers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(observer);
+        let observer = Arc::new(observer);
+        self.observers.with(|o| o.push(observer));
     }
 
     /// Pin the current epoch: one `Arc` clone under the read lock.
@@ -92,26 +89,21 @@ impl SnapshotRegistry {
     /// returned [`Pinned`], not re-pin per step, to get epoch-stable
     /// results.
     pub fn pin(&self) -> Pinned {
-        self.current
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.current.with_read(Pinned::clone)
     }
 
     /// Publish a new view, returning its epoch. The write lock is held
     /// only for the pointer swap — in-flight readers keep their pinned
     /// `Arc` and are neither waited for nor disturbed. Registered
-    /// [`PublishObserver`]s run after the swap, outside the lock, with
+    /// [`PublishObserver`]s run after the swap, outside every lock, with
     /// `(retired_epoch, new_epoch)`.
     pub fn publish(&self, view: SnapshotView) -> u64 {
-        let new_epoch = {
-            let mut cur = self.current.write().unwrap_or_else(|e| e.into_inner());
+        let new_epoch = self.current.with_write(|cur| {
             cur.epoch += 1;
             cur.view = Arc::new(view);
             cur.epoch
-        };
-        let observers = self.observers.lock().unwrap_or_else(|e| e.into_inner());
-        for obs in observers.iter() {
+        });
+        for obs in self.observers.with(|o| o.clone()) {
             obs(new_epoch - 1, new_epoch);
         }
         new_epoch
@@ -119,7 +111,7 @@ impl SnapshotRegistry {
 
     /// The current epoch number.
     pub fn epoch(&self) -> u64 {
-        self.current.read().unwrap_or_else(|e| e.into_inner()).epoch
+        self.current.with_read(|cur| cur.epoch)
     }
 }
 
@@ -129,6 +121,8 @@ mod tests {
     use crate::query::Query;
     use expanse_core::Hitlist;
     use expanse_model::SourceId;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn view_of(n: u128, day: u16) -> SnapshotView {
         let mut h = Hitlist::new();
@@ -151,5 +145,46 @@ mod tests {
         assert_eq!(new.epoch, 1);
         assert_eq!(new.view.count(&Query::all()), 5);
         assert_eq!(reg.epoch(), 1);
+    }
+
+    #[test]
+    fn debug_takes_each_lock_alone() {
+        let reg = SnapshotRegistry::new(view_of(1, 1));
+        reg.on_publish(Box::new(|_, _| {}));
+        assert_eq!(
+            format!("{reg:?}"),
+            "SnapshotRegistry { epoch: 0, observers: 1 }"
+        );
+    }
+
+    #[test]
+    fn an_observer_may_publish_and_register() {
+        // The observer re-enters the registry once, on epoch 1. Run on
+        // its own thread so a self-deadlock fails the test instead of
+        // hanging it.
+        let reg = Arc::new(SnapshotRegistry::new(view_of(1, 1)));
+        let weak = Arc::downgrade(&reg);
+        reg.on_publish(Box::new(move |_, new_epoch| {
+            if new_epoch == 1 {
+                let reg = weak.upgrade().expect("registry alive");
+                reg.on_publish(Box::new(|_, _| {}));
+                assert_eq!(reg.publish(view_of(3, 3)), 2);
+            }
+        }));
+        let (tx, rx) = mpsc::channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a watchdog thread: the test outlives a deadlocked publish"
+        )]
+        std::thread::spawn(move || {
+            let epoch = reg.publish(view_of(2, 2));
+            let _ = tx.send((epoch, reg.epoch(), reg.pin().view.count(&Query::all())));
+        });
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            got,
+            Ok((1, 2, 3)),
+            "publish from an observer deadlocked or panicked"
+        );
     }
 }

@@ -39,6 +39,12 @@
 //! The transport behavior (timeouts, error frames, drain semantics) is
 //! specified normatively in the transport section of
 //! `docs/SERVE_PROTOCOL.md`.
+//!
+//! Its two locks — the connection table and the gate's counter — are
+//! leaves of the private `sync` module like every other, and no socket
+//! is read or written under either: the gate's permit is a count, not a
+//! held guard, and debug builds assert the rest on every socket read
+//! and write.
 
 use crate::cache::{CacheConfig, CacheStats, ResponseCache};
 use crate::limiter::{AdmissionControl, ClientKey, RateLimitConfig};
@@ -48,6 +54,7 @@ use crate::protocol::{
     ERR_TIMEOUT,
 };
 use crate::registry::SnapshotRegistry;
+use crate::sync::{self, Monitor};
 use expanse_addr::CodecError;
 use std::collections::HashMap;
 use std::fmt;
@@ -56,7 +63,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Socket-level poll granularity: blocking reads/writes use this as
@@ -261,6 +268,7 @@ impl Conn {
 
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        sync::assert_unlocked();
         match self {
             Conn::Tcp(s) => s.read(buf),
             Conn::Unix(s) => s.read(buf),
@@ -270,6 +278,7 @@ impl Read for Conn {
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        sync::assert_unlocked();
         match self {
             Conn::Tcp(s) => s.write(buf),
             Conn::Unix(s) => s.write(buf),
@@ -465,8 +474,7 @@ impl StatCells {
 /// A counting gate: at most `max` holders at once; `acquire` blocks.
 struct Gate {
     max: usize,
-    held: Mutex<usize>,
-    freed: Condvar,
+    held: Monitor<usize>,
 }
 
 struct GateGuard<'a>(&'a Gate);
@@ -475,26 +483,20 @@ impl Gate {
     fn new(max: usize) -> Gate {
         Gate {
             max: max.max(1),
-            held: Mutex::new(0),
-            freed: Condvar::new(),
+            held: Monitor::new(0),
         }
     }
 
     fn acquire(&self) -> GateGuard<'_> {
-        let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
-        while *held >= self.max {
-            held = self.freed.wait(held).unwrap_or_else(|e| e.into_inner());
-        }
-        *held += 1;
+        (self.held).wait_then(|held| *held >= self.max, |held| *held += 1);
         GateGuard(self)
     }
 }
 
 impl Drop for GateGuard<'_> {
     fn drop(&mut self) {
-        let mut held = self.0.held.lock().unwrap_or_else(|e| e.into_inner());
-        *held -= 1;
-        self.0.freed.notify_one();
+        self.0.held.with(|held| *held -= 1);
+        self.0.held.notify_one();
     }
 }
 
@@ -512,8 +514,8 @@ struct Shared {
     limiter: Option<AdmissionControl>,
     draining: AtomicBool,
     stopped: AtomicBool,
-    conns: Mutex<ConnTable>,
-    conns_changed: Condvar,
+    /// Notified whenever a connection leaves the table.
+    conns: Monitor<ConnTable>,
     inflight: Gate,
     stats: StatCells,
 }
@@ -566,11 +568,10 @@ impl Server {
             limiter,
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
-            conns: Mutex::new(ConnTable {
+            conns: Monitor::new(ConnTable {
                 next_id: 0,
                 live: HashMap::new(),
             }),
-            conns_changed: Condvar::new(),
             stats: StatCells::default(),
         });
         let mut sockets = Vec::with_capacity(binds.len());
@@ -581,6 +582,10 @@ impl Server {
             addrs.push(sock.local_addr()?);
             sockets.push(sock);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one accept thread per listener; the daemon is outside the determinism boundary"
+        )]
         let accept_threads = sockets
             .into_iter()
             .map(|sock| {
@@ -613,12 +618,7 @@ impl Server {
 
     /// Live connection count.
     pub fn connections(&self) -> usize {
-        self.shared
-            .conns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .live
-            .len()
+        self.shared.conns.with(|table| table.live.len())
     }
 
     /// Has a drain been initiated?
@@ -642,37 +642,22 @@ impl Server {
     pub fn drain(mut self) -> DrainReport {
         let t0 = Instant::now();
         self.begin_drain();
-        let grace = self.shared.cfg.drain_grace;
-        let mut forced_closes = 0u64;
-        {
-            let mut table = self.shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            // Phase 1: wait for a clean drain until the grace deadline.
-            while !table.live.is_empty() && t0.elapsed() < grace {
-                let wait = (grace - t0.elapsed()).min(Duration::from_millis(50));
-                table = self
-                    .shared
-                    .conns_changed
-                    .wait_timeout(table, wait)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-            // Phase 2: force-close stragglers and wait for their
-            // handlers to observe the closed socket.
-            if !table.live.is_empty() {
-                forced_closes = table.live.len() as u64;
+        let grace_left = self.shared.cfg.drain_grace.saturating_sub(t0.elapsed());
+        let busy = |table: &mut ConnTable| !table.live.is_empty();
+        // Phase 1: wait for a clean drain until the grace deadline, then
+        // force-close stragglers (`shutdown` does not block).
+        let forced_closes = self
+            .shared
+            .conns
+            .wait_timeout_then(grace_left, busy, |table| {
                 for conn in table.live.values() {
                     conn.shutdown();
                 }
-                let force_deadline = Instant::now() + Duration::from_secs(2);
-                while !table.live.is_empty() && Instant::now() < force_deadline {
-                    table = self
-                        .shared
-                        .conns_changed
-                        .wait_timeout(table, Duration::from_millis(50))
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
-                }
-            }
+                table.live.len() as u64
+            });
+        // Phase 2: wait for their handlers to observe the closed socket.
+        if forced_closes > 0 {
+            (self.shared.conns).wait_timeout_then(Duration::from_secs(2), busy, |_| ());
         }
         self.shared.stopped.store(true, Ordering::SeqCst);
         for h in self.accept_threads.drain(..) {
@@ -714,30 +699,36 @@ fn accept_loop(shared: &Arc<Shared>, sock: &ListenSocket) {
                     reject(shared, conn, ERR_SHUTTING_DOWN);
                     continue;
                 }
-                let mut table = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-                if table.live.len() >= shared.cfg.max_connections {
-                    drop(table);
+                let Ok(closer) = conn.try_clone() else {
+                    continue;
+                };
+                let id = shared.conns.with(|table| {
+                    (table.live.len() < shared.cfg.max_connections).then(|| {
+                        let id = table.next_id;
+                        table.next_id += 1;
+                        table.live.insert(id, closer);
+                        id
+                    })
+                });
+                let Some(id) = id else {
                     shared
                         .stats
                         .rejected_overloaded
                         .fetch_add(1, Ordering::Relaxed);
                     reject(shared, conn, ERR_OVERLOADED);
                     continue;
-                }
-                let Ok(closer) = conn.try_clone() else {
-                    continue;
                 };
-                let id = table.next_id;
-                table.next_id += 1;
-                table.live.insert(id, closer);
-                drop(table);
                 let shared = Arc::clone(shared);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one handler thread per connection; the daemon is outside the \
+                              determinism boundary"
+                )]
                 std::thread::spawn(move || {
                     let mut conn = conn;
                     handle_conn(&shared, &mut conn, &key);
-                    let mut table = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-                    table.live.remove(&id);
-                    shared.conns_changed.notify_all();
+                    shared.conns.with(|table| table.live.remove(&id));
+                    shared.conns.notify_all();
                 });
             }
             Err(e) if would_block(&e) => std::thread::sleep(ACCEPT_TICK),
@@ -1027,6 +1018,10 @@ impl ServeClient {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the gate test runs contending threads"
+)]
 mod tests {
     use super::*;
     use crate::protocol::encode_request;
@@ -1144,5 +1139,44 @@ mod tests {
             h.join().unwrap();
         }
         assert!(peak.load(Ordering::SeqCst) <= 2);
+    }
+
+    #[test]
+    fn drain_force_closes_a_stalled_frame_at_the_grace_deadline() {
+        let view = crate::SnapshotView::from_hitlist(1, &expanse_core::Hitlist::new(), Vec::new());
+        let cfg = ServerConfig {
+            drain_grace: Duration::from_millis(50),
+            ..ServerConfig::default()
+        };
+        let listen = BindAddr::Tcp("127.0.0.1:0".parse().unwrap());
+        let registry = Arc::new(SnapshotRegistry::new(view));
+        let server = Server::start(registry, &[listen], cfg).unwrap();
+        let mut client = ServeClient::connect(&server.local_addrs()[0]).unwrap();
+        // Half a length prefix: the frame's 5 s read deadline outlasts
+        // the grace period, so only a force-close ends the connection.
+        client.send_raw(&[1, 0]).unwrap();
+        for _ in 0..400 {
+            if server.connections() == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.connections(), 1);
+        let report = server.drain();
+        assert_eq!(report.forced_closes, 1);
+        assert!(matches!(
+            client.recv_frame(),
+            Err(ClientError::Closed | ClientError::Io(_))
+        ));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "socket I/O while a lock is held")]
+    fn a_socket_write_under_a_lock_panics() {
+        let (a, _b) = UnixStream::pair().unwrap();
+        let mut conn = Conn::Unix(a);
+        let table = sync::Lock::new(());
+        table.with(|_| write_all_deadline(&mut conn, b"x", Duration::from_secs(1)));
     }
 }

@@ -393,6 +393,10 @@ mod tests {
                 view.stats(None),
             )
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "two readers race for the lazy index build"
+        )]
         let (a, b) = std::thread::scope(|s| {
             let a = s.spawn(first_query);
             let b = s.spawn(first_query);

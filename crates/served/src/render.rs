@@ -1,23 +1,14 @@
 //! Human rendering of wire responses for `expansectl` output.
 
-use expanse_serve::protocol::{
-    ERR_FRAME_TOO_LARGE, ERR_MALFORMED, ERR_OVERLOADED, ERR_RATE_LIMITED, ERR_SHUTTING_DOWN,
-    ERR_TIMEOUT,
-};
+use expanse_serve::protocol::ERROR_CODES;
 use expanse_serve::{Response, ResponseBody};
 use std::fmt::Write;
 
 /// The spec name of an `ERR_*` wire code.
 pub fn err_name(code: u8) -> &'static str {
-    match code {
-        ERR_MALFORMED => "ERR_MALFORMED",
-        ERR_OVERLOADED => "ERR_OVERLOADED",
-        ERR_RATE_LIMITED => "ERR_RATE_LIMITED",
-        ERR_FRAME_TOO_LARGE => "ERR_FRAME_TOO_LARGE",
-        ERR_SHUTTING_DOWN => "ERR_SHUTTING_DOWN",
-        ERR_TIMEOUT => "ERR_TIMEOUT",
-        _ => "ERR_UNKNOWN",
-    }
+    (ERROR_CODES.iter())
+        .find(|&&(c, _)| c == code)
+        .map_or("ERR_UNKNOWN", |&(_, name)| name)
 }
 
 /// Render one response as the text `expansectl` prints: an
@@ -102,7 +93,14 @@ mod tests {
 
     #[test]
     fn error_codes_have_spec_names() {
-        for (code, name) in [(1u8, "ERR_MALFORMED"), (5, "ERR_SHUTTING_DOWN")] {
+        for (code, name) in [
+            (1u8, "ERR_MALFORMED"),
+            (2, "ERR_OVERLOADED"),
+            (3, "ERR_RATE_LIMITED"),
+            (4, "ERR_FRAME_TOO_LARGE"),
+            (5, "ERR_SHUTTING_DOWN"),
+            (6, "ERR_TIMEOUT"),
+        ] {
             assert_eq!(err_name(code), name);
         }
         assert_eq!(err_name(200), "ERR_UNKNOWN");

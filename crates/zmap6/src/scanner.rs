@@ -621,8 +621,9 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         let next = AtomicUsize::new(0);
         #[expect(
             clippy::disallowed_methods,
-            reason = "results land in per-cell slots indexed by grid position; \
-                      collection order is deterministic"
+            reason = "results land in per-cell slots indexed by grid position, each behind \
+                      its own cell lock that one worker takes once; collection order is \
+                      deterministic"
         )]
         std::thread::scope(|s| {
             for _ in 0..workers {
