@@ -80,6 +80,7 @@
 #![deny(missing_docs)]
 
 pub mod cache;
+mod conn;
 pub mod limiter;
 pub mod pool;
 pub mod protocol;

@@ -1,58 +1,34 @@
 //! Real transport for the serve wire protocol: TCP and unix-domain
-//! listeners, connection lifecycle, and graceful drain.
+//! listeners, connection lifecycle, and graceful drain, specified in
+//! `docs/SERVE_PROTOCOL.md` §6. Around the sans-IO core — frames in,
+//! responses out in request order, each answered by [`crate::handle`]:
 //!
-//! Everything below [`Server`] keeps the sans-IO layers intact — a
-//! connection is still "length-prefixed request frames in, response
-//! frames out in request order", each envelope answered by
-//! [`crate::handle`]. What this module adds is the machinery a
-//! long-lived daemon needs around that core:
+//! - **Policy, sans-IO**: the private `conn::ConnState` assembles a
+//!   connection's frames and owns its read, write and idle deadlines,
+//!   the drain-done check, and which error frame and close reason end
+//!   it. It takes time as a `Duration` and never sees a socket; the
+//!   per-connection driver here is the only code that reads a
+//!   connection's socket or clock.
+//! - **Backpressure**: a connection serves its requests serially, and a
+//!   bounded gate caps server-wide *execution*: a permit covers one
+//!   [`crate::handle`] call and is released before the response is
+//!   written, so a client that stops reading never holds a slot.
+//! - **Scale layers**: an optional [`ResponseCache`] and optional
+//!   per-client [`AdmissionControl`], handed to [`crate::handle`].
+//! - **Graceful drain**: [`Server::drain`] refuses new connections
+//!   with [`ERR_SHUTTING_DOWN`] while existing ones finish on their
+//!   pinned epochs, force-closing stragglers at the grace deadline.
 //!
-//! - **Per-connection buffering**: an incremental [`FrameAssembler`]
-//!   turns arbitrary read chunks into whole envelopes, holding at most
-//!   one partial frame (bounded by the frame ceiling) plus one read
-//!   chunk per connection.
-//! - **Lifecycle**: accept limits, idle timeouts, read deadlines for
-//!   half-sent frames (slow senders), write deadlines for clients that
-//!   stop reading responses, and oversized-frame rejection. A frame
-//!   that decodes but is garbage gets an in-band error and the
-//!   connection lives on; a frame whose *length* cannot be trusted
-//!   kills only its own connection, never the listener.
-//! - **Backpressure**: a bounded in-flight gate. Connections handle
-//!   requests serially (request N + 1 is not read until response N is
-//!   written), so a slow client's queue lives in its own socket, and
-//!   the gate caps the server-wide concurrent *execution*: a permit
-//!   covers one [`crate::handle`] call and is released before the
-//!   response is written, so a client that stops reading costs its own
-//!   connection (until the write deadline) and never an execution slot.
-//! - **Scale layers**: an optional [`ResponseCache`] keyed by
-//!   `(epoch, canonical request bytes)` and optional per-client
-//!   [`AdmissionControl`], handed to [`crate::handle`] per request.
-//! - **Graceful drain**: [`Server::begin_drain`] stops admitting new
-//!   connections (each is answered with one
-//!   [`ERR_SHUTTING_DOWN`] frame
-//!   and closed) while existing connections finish everything already
-//!   in flight against their pinned epochs; [`Server::drain`] then
-//!   waits for them, force-closing stragglers only at the grace
-//!   deadline. Epoch swaps during drain are safe by construction: a
-//!   request pins its view before executing, and pins are immutable.
-//!
-//! The transport behavior (timeouts, error frames, drain semantics) is
-//! specified normatively in the transport section of
-//! `docs/SERVE_PROTOCOL.md`.
-//!
-//! Its two locks — the connection table and the gate's counter — are
-//! leaves of the private `sync` module like every other, and no socket
-//! is read or written under either: the gate's permit is a count, not a
-//! held guard, and debug builds assert the rest on every socket read
-//! and write.
+//! Its two locks (the connection table, the gate's counter) are leaves
+//! of the private `sync` module; debug builds assert on every socket
+//! read and write that neither is held.
 
 use crate::cache::{CacheConfig, CacheStats, ResponseCache};
+use crate::conn::{Close, ConnState, Step};
+pub use crate::conn::{FrameAssembler, OversizedFrame};
 use crate::limiter::{AdmissionControl, ClientKey, RateLimitConfig};
 use crate::pool::{error_frame, handle, Outcome};
-use crate::protocol::{
-    self, decode_response, Response, ERR_FRAME_TOO_LARGE, ERR_OVERLOADED, ERR_SHUTTING_DOWN,
-    ERR_TIMEOUT,
-};
+use crate::protocol::{self, decode_response, Response, ERR_OVERLOADED, ERR_SHUTTING_DOWN};
 use crate::registry::SnapshotRegistry;
 use crate::sync::{self, Monitor};
 use expanse_addr::CodecError;
@@ -66,23 +42,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Socket-level poll granularity: blocking reads/writes use this as
-/// their syscall timeout so handler loops can observe drain flags and
-/// enforce wall-clock deadlines that are longer than one tick.
-const TICK: Duration = Duration::from_millis(25);
+/// Socket-level poll granularity: the syscall timeout of every blocking
+/// read and write, so drivers see drain flags and their deadlines.
+pub(crate) const TICK: Duration = Duration::from_millis(25);
 
 /// Accept-loop poll granularity (listeners run nonblocking so drain
 /// can stop them without a wakeup connection).
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
-/// Per-connection read chunk size. One chunk plus one partial frame
-/// bounds a connection's receive buffering.
+/// Read chunk size: one chunk plus one partial frame bounds a
+/// connection's receive buffering.
 const READ_CHUNK: usize = 16 * 1024;
 
-// ---- addresses -------------------------------------------------------
-
-/// Where a server listens or a client connects: `tcp:IP:PORT` or
-/// `uds:PATH`.
+/// Where a server listens or a client connects: `tcp:IP:PORT` or `uds:PATH`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BindAddr {
     /// A TCP socket address (numeric; port 0 binds ephemeral).
@@ -121,110 +93,6 @@ impl fmt::Display for BindAddr {
     }
 }
 
-// ---- frame assembly --------------------------------------------------
-
-/// The error a [`FrameAssembler`] can hit: a length prefix beyond the
-/// configured ceiling. The stream cannot be resynchronized past an
-/// untrusted length, so the connection must close.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OversizedFrame {
-    /// The claimed envelope length.
-    pub len: u32,
-    /// The ceiling it exceeded.
-    pub max: u32,
-}
-
-impl fmt::Display for OversizedFrame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "frame length {} exceeds ceiling {}", self.len, self.max)
-    }
-}
-
-impl std::error::Error for OversizedFrame {}
-
-/// Incremental, sans-IO frame assembly: push arbitrary byte chunks in,
-/// pull whole envelopes (without their length prefix) out. Holds at
-/// most one partial frame; consumed bytes are compacted away, so the
-/// buffer is bounded by the frame ceiling plus one push.
-#[derive(Debug)]
-pub struct FrameAssembler {
-    max_frame_len: u32,
-    buf: Vec<u8>,
-    at: usize,
-}
-
-#[deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    reason = "assembles frames from untrusted peer bytes: a hostile length must map to an error frame, not a panic"
-)]
-impl FrameAssembler {
-    /// An empty assembler enforcing `max_frame_len` (envelopes above
-    /// it yield [`OversizedFrame`] without being buffered).
-    pub fn new(max_frame_len: u32) -> FrameAssembler {
-        FrameAssembler {
-            max_frame_len,
-            buf: Vec::new(),
-            at: 0,
-        }
-    }
-
-    /// Append freshly read bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing: everything before `at` is consumed.
-        if self.at > 0 {
-            self.buf.drain(..self.at);
-            self.at = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// The next complete envelope, if one is buffered.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, OversizedFrame> {
-        let avail = self.buf.get(self.at..).unwrap_or_default();
-        let Some(&[l0, l1, l2, l3]) = avail.first_chunk::<4>() else {
-            return Ok(None);
-        };
-        let len = u32::from_le_bytes([l0, l1, l2, l3]);
-        if len > self.max_frame_len {
-            return Err(OversizedFrame {
-                len,
-                max: self.max_frame_len,
-            });
-        }
-        // `4 + len` can only exceed `usize` under a near-word-limit
-        // `max_frame_len` on a 32-bit target; such a frame can never
-        // complete, so report it as still-assembling and let the read
-        // deadline close the connection.
-        let Some(end) = usize::try_from(len).ok().and_then(|l| l.checked_add(4)) else {
-            return Ok(None);
-        };
-        let Some(envelope) = avail.get(4..end) else {
-            return Ok(None);
-        };
-        let frame = envelope.to_vec();
-        self.at += end;
-        Ok(Some(frame))
-    }
-
-    /// Is a partial frame (or unconsumed partial length) pending?
-    pub fn mid_frame(&self) -> bool {
-        self.at < self.buf.len()
-    }
-
-    /// Bytes currently buffered and not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.at
-    }
-}
-
-// ---- sockets ---------------------------------------------------------
-
 /// One accepted or dialed stream, TCP or unix-domain.
 #[derive(Debug)]
 enum Conn {
@@ -233,23 +101,17 @@ enum Conn {
 }
 
 impl Conn {
-    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
+    /// Make every blocking read and write return after one [`TICK`].
+    fn set_tick_timeouts(&self) -> io::Result<()> {
+        let tick = Some(TICK);
         match self {
-            Conn::Tcp(s) => s.set_read_timeout(d),
-            Conn::Unix(s) => s.set_read_timeout(d),
+            Conn::Tcp(s) => s.set_read_timeout(tick).and(s.set_write_timeout(tick)),
+            Conn::Unix(s) => s.set_read_timeout(tick).and(s.set_write_timeout(tick)),
         }
     }
 
-    fn set_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_write_timeout(d),
-            Conn::Unix(s) => s.set_write_timeout(d),
-        }
-    }
-
-    /// A second handle on the same socket (duplicated fd): the
-    /// connection table keeps one so drain can force-close the
-    /// connection from another thread.
+    /// A second handle on the socket (a duplicated fd): the connection
+    /// table keeps one so drain can force-close it from another thread.
     fn try_clone(&self) -> io::Result<Conn> {
         Ok(match self {
             Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
@@ -264,31 +126,47 @@ impl Conn {
             Conn::Unix(s) => s.shutdown(std::net::Shutdown::Both),
         };
     }
-}
 
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+    /// One read, never under a lock.
+    fn read(&mut self, buf: &mut [u8]) -> Io {
         sync::assert_unlocked();
-        match self {
+        Io::of(match self {
             Conn::Tcp(s) => s.read(buf),
             Conn::Unix(s) => s.read(buf),
-        }
+        })
+    }
+
+    /// One write, never under a lock.
+    fn write(&mut self, buf: &[u8]) -> Io {
+        sync::assert_unlocked();
+        Io::of(match self {
+            Conn::Tcp(s) => s.write(buf),
+            Conn::Unix(s) => s.write(buf),
+        })
     }
 }
 
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        sync::assert_unlocked();
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
+/// What one socket read or write did, told apart once for server and
+/// client: `n > 0` bytes moved, the peer closed, a [`TICK`] passed with
+/// nothing moved, a signal asks for a retry, or the socket failed.
+enum Io {
+    Moved(usize),
+    Closed,
+    Tick,
+    Retry,
+    Failed(io::Error),
+}
 
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
+impl Io {
+    fn of(result: io::Result<usize>) -> Io {
+        match result {
+            Ok(0) => Io::Closed,
+            Ok(n) => Io::Moved(n),
+            Err(e) => match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => Io::Tick,
+                io::ErrorKind::Interrupted => Io::Retry,
+                _ => Io::Failed(e),
+            },
         }
     }
 }
@@ -301,29 +179,23 @@ enum ListenSocket {
 }
 
 impl ListenSocket {
-    fn bind(addr: &BindAddr) -> io::Result<ListenSocket> {
+    /// Bind nonblocking (see [`ACCEPT_TICK`]); returns the resolved address.
+    fn bind(addr: &BindAddr) -> io::Result<(ListenSocket, BindAddr)> {
         match addr {
-            BindAddr::Tcp(a) => Ok(ListenSocket::Tcp(TcpListener::bind(a)?)),
+            BindAddr::Tcp(a) => {
+                let l = TcpListener::bind(a)?;
+                l.set_nonblocking(true)?;
+                let resolved = BindAddr::Tcp(l.local_addr()?);
+                Ok((ListenSocket::Tcp(l), resolved))
+            }
             BindAddr::Unix(p) => {
                 // The daemon owns its socket path: a stale file from a
                 // previous run would otherwise wedge every restart.
                 let _ = std::fs::remove_file(p);
-                Ok(ListenSocket::Unix(UnixListener::bind(p)?, p.clone()))
+                let l = UnixListener::bind(p)?;
+                l.set_nonblocking(true)?;
+                Ok((ListenSocket::Unix(l, p.clone()), addr.clone()))
             }
-        }
-    }
-
-    fn local_addr(&self) -> io::Result<BindAddr> {
-        match self {
-            ListenSocket::Tcp(l) => l.local_addr().map(BindAddr::Tcp),
-            ListenSocket::Unix(_, p) => Ok(BindAddr::Unix(p.clone())),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            ListenSocket::Tcp(l) => l.set_nonblocking(nb),
-            ListenSocket::Unix(l, _) => l.set_nonblocking(nb),
         }
     }
 
@@ -350,37 +222,31 @@ impl ListenSocket {
     }
 }
 
-// ---- server configuration and stats ----------------------------------
-
 /// Everything tunable about a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Concurrent-connection ceiling; connection number N + 1 is
     /// answered with one [`ERR_OVERLOADED`] frame and closed.
     pub max_connections: usize,
-    /// Server-wide cap on requests executing at once (the bounded
-    /// request queue: connections block here, which stops them reading,
-    /// which backpressures their clients through TCP).
+    /// Server-wide cap on requests executing at once: a connection that
+    /// waits here stops reading, which backpressures its client.
     pub max_inflight: usize,
     /// How long a started frame may stay incomplete before the sender
-    /// is rejected as too slow ([`ERR_TIMEOUT`], close).
+    /// is rejected as too slow ([`protocol::ERR_TIMEOUT`], close).
     pub read_timeout: Duration,
     /// How long writing one response may take before the receiver is
-    /// rejected as too slow (close; counted in
-    /// [`ServerStats::write_timeouts`]).
+    /// cut off (close; [`ServerStats::write_timeouts`]).
     pub write_timeout: Duration,
     /// How long a connection may sit with no traffic (and no partial
     /// frame) before it is closed quietly.
     pub idle_timeout: Duration,
-    /// Envelope-length ceiling for incoming frames (capped by
-    /// [`protocol::MAX_FRAME_LEN`]).
+    /// Envelope-length ceiling for requests (at most [`protocol::MAX_FRAME_LEN`]).
     pub max_frame_len: u32,
     /// Response cache policy; `None` disables caching.
     pub cache: Option<CacheConfig>,
     /// Per-client admission control; `None` admits everything.
     pub rate: Option<RateLimitConfig>,
-    /// How long [`Server::drain`] waits for connections to finish
-    /// before force-closing them.
+    /// How long [`Server::drain`] waits before force-closing connections.
     pub drain_grace: Duration,
 }
 
@@ -417,22 +283,19 @@ pub struct ServerStats {
     pub rate_limited: u64,
     /// Connections closed for an oversized frame length.
     pub oversized_frames: u64,
-    /// Connections closed because a frame stayed incomplete past the
-    /// read deadline.
+    /// Connections closed for a frame incomplete at the read deadline.
     pub read_timeouts: u64,
-    /// Connections closed because a response could not be written in
-    /// time (or the peer vanished mid-write).
+    /// Connections closed for a response unwritten at the write
+    /// deadline, or a peer that vanished mid-write.
     pub write_timeouts: u64,
 }
 
 /// What [`Server::drain`] observed.
 #[derive(Debug, Clone, Copy)]
 pub struct DrainReport {
-    /// Wall-clock time from drain start to the last connection
-    /// closing.
+    /// Wall-clock time from drain start to the last connection closing.
     pub drain: Duration,
-    /// Connections force-closed at the grace deadline (0 on a clean
-    /// drain).
+    /// Connections force-closed at the grace deadline (0 when clean).
     pub forced_closes: u64,
     /// Final server counters.
     pub stats: ServerStats,
@@ -467,9 +330,18 @@ impl StatCells {
             write_timeouts: self.write_timeouts.load(Ordering::Relaxed),
         }
     }
-}
 
-// ---- bounded in-flight gate ------------------------------------------
+    /// Count a connection's close reason in its counter, if it has one.
+    fn closed(&self, why: Close) {
+        let cell = match why {
+            Close::ReadTimeout => &self.read_timeouts,
+            Close::Oversized => &self.oversized_frames,
+            Close::WriteTimeout => &self.write_timeouts,
+            Close::Peer | Close::Idle | Close::Drained => return,
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 /// A counting gate: at most `max` holders at once; `acquire` blocks.
 struct Gate {
@@ -500,8 +372,7 @@ impl Drop for GateGuard<'_> {
     }
 }
 
-// ---- the server ------------------------------------------------------
-
+#[derive(Default)]
 struct ConnTable {
     next_id: u64,
     live: HashMap<u64, Conn>,
@@ -520,9 +391,8 @@ struct Shared {
     stats: StatCells,
 }
 
-/// The daemon core: one or more listeners (TCP, unix-domain, or both)
-/// serving a shared [`SnapshotRegistry`] with per-connection handler
-/// threads. See the [module](self) docs for the lifecycle contract.
+/// The daemon core: TCP and/or unix-domain listeners serving a shared
+/// [`SnapshotRegistry`], one handler thread per connection.
 pub struct Server {
     shared: Arc<Shared>,
     accept_threads: Vec<std::thread::JoinHandle<()>>,
@@ -568,20 +438,12 @@ impl Server {
             limiter,
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
-            conns: Monitor::new(ConnTable {
-                next_id: 0,
-                live: HashMap::new(),
-            }),
+            conns: Monitor::new(ConnTable::default()),
             stats: StatCells::default(),
         });
-        let mut sockets = Vec::with_capacity(binds.len());
-        let mut addrs = Vec::with_capacity(binds.len());
-        for b in binds {
-            let sock = ListenSocket::bind(b)?;
-            sock.set_nonblocking(true)?;
-            addrs.push(sock.local_addr()?);
-            sockets.push(sock);
-        }
+        let bound = binds.iter().map(ListenSocket::bind);
+        let (sockets, addrs): (Vec<_>, Vec<_>) =
+            bound.collect::<io::Result<Vec<_>>>()?.into_iter().unzip();
         #[expect(
             clippy::disallowed_methods,
             reason = "one accept thread per listener; the daemon is outside the determinism boundary"
@@ -600,8 +462,7 @@ impl Server {
         })
     }
 
-    /// The resolved listen addresses (a `tcp:IP:0` bind reports its
-    /// actual ephemeral port).
+    /// The resolved listen addresses (a `tcp:IP:0` bind reports its port).
     pub fn local_addrs(&self) -> &[BindAddr] {
         &self.addrs
     }
@@ -611,34 +472,30 @@ impl Server {
         self.shared.stats.snapshot()
     }
 
-    /// Current cache counters, when a cache is configured.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.shared.cache.as_ref().map(|c| c.stats())
-    }
-
     /// Live connection count.
     pub fn connections(&self) -> usize {
         self.shared.conns.with(|table| table.live.len())
     }
 
-    /// Has a drain been initiated?
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
-    /// Start draining without waiting: listeners reject every new
-    /// connection with one [`ERR_SHUTTING_DOWN`] frame; existing
-    /// connections finish what is already in flight and close.
+    /// Start draining without waiting: new connections get one
+    /// [`ERR_SHUTTING_DOWN`] frame; existing ones finish and close.
     pub fn begin_drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
     }
 
-    /// Drain and stop: initiates drain (if [`Server::begin_drain`]
-    /// didn't already), waits for every connection to finish —
-    /// force-closing any still alive at the `drain_grace` deadline —
-    /// then stops the listeners and returns the final counters. After
-    /// this returns, nothing is listening and no response will ever
-    /// again be written.
+    /// Stop the listeners and join their threads.
+    fn stop(&mut self) {
+        self.begin_drain();
+        self.shared.stopped.store(true, Ordering::SeqCst);
+        for h in self.accept_threads.drain(..) {
+            let _ = h.join();
+        }
+    }
+
+    /// Drain and stop: begin the drain, wait for every connection to
+    /// finish — force-closing any alive at the `drain_grace` deadline —
+    /// then stop the listeners. After this returns, nothing listens and
+    /// no response is ever written again.
     pub fn drain(mut self) -> DrainReport {
         let t0 = Instant::now();
         self.begin_drain();
@@ -659,10 +516,7 @@ impl Server {
         if forced_closes > 0 {
             (self.shared.conns).wait_timeout_then(Duration::from_secs(2), busy, |_| ());
         }
-        self.shared.stopped.store(true, Ordering::SeqCst);
-        for h in self.accept_threads.drain(..) {
-            let _ = h.join();
-        }
+        self.stop();
         DrainReport {
             drain: t0.elapsed(),
             forced_closes,
@@ -673,30 +527,20 @@ impl Server {
 }
 
 impl Drop for Server {
+    /// Stops the listeners; handlers wind down on their own deadlines.
     fn drop(&mut self) {
-        // An un-drained drop still stops the listeners; connection
-        // handlers wind down on their own timeouts.
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.stopped.store(true, Ordering::SeqCst);
-        for h in self.accept_threads.drain(..) {
-            let _ = h.join();
-        }
+        self.stop();
     }
 }
 
-// ---- accept + connection handling ------------------------------------
-
 fn accept_loop(shared: &Arc<Shared>, sock: &ListenSocket) {
+    let stats = &shared.stats;
     while !shared.stopped.load(Ordering::SeqCst) {
         match sock.accept() {
             Ok((conn, key)) => {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                stats.accepted.fetch_add(1, Ordering::Relaxed);
                 if shared.draining.load(Ordering::SeqCst) {
-                    shared
-                        .stats
-                        .rejected_shutdown
-                        .fetch_add(1, Ordering::Relaxed);
-                    reject(shared, conn, ERR_SHUTTING_DOWN);
+                    reject(shared, conn, ERR_SHUTTING_DOWN, &stats.rejected_shutdown);
                     continue;
                 }
                 let Ok(closer) = conn.try_clone() else {
@@ -711,11 +555,7 @@ fn accept_loop(shared: &Arc<Shared>, sock: &ListenSocket) {
                     })
                 });
                 let Some(id) = id else {
-                    shared
-                        .stats
-                        .rejected_overloaded
-                        .fetch_add(1, Ordering::Relaxed);
-                    reject(shared, conn, ERR_OVERLOADED);
+                    reject(shared, conn, ERR_OVERLOADED, &stats.rejected_overloaded);
                     continue;
                 };
                 let shared = Arc::clone(shared);
@@ -725,61 +565,50 @@ fn accept_loop(shared: &Arc<Shared>, sock: &ListenSocket) {
                               determinism boundary"
                 )]
                 std::thread::spawn(move || {
-                    let mut conn = conn;
-                    handle_conn(&shared, &mut conn, &key);
+                    handle_conn(&shared, conn, &key);
                     shared.conns.with(|table| table.live.remove(&id));
                     shared.conns.notify_all();
                 });
             }
-            Err(e) if would_block(&e) => std::thread::sleep(ACCEPT_TICK),
             Err(_) => std::thread::sleep(ACCEPT_TICK),
         }
     }
     sock.cleanup();
 }
 
-/// Best-effort rejection of a connection at accept time: one Error
-/// frame, then close. Positionally this frame answers no request —
-/// clients must treat an excess Error frame as connection-level status
-/// (see docs/SERVE_PROTOCOL.md §6).
-fn reject(shared: &Shared, mut conn: Conn, code: u8) {
+/// Best-effort rejection at accept time, counted in `counter`: one Error
+/// frame, then close. The frame answers no request: clients treat it as
+/// connection-level status (docs/SERVE_PROTOCOL.md §6.1).
+fn reject(shared: &Shared, mut conn: Conn, code: u8, counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
     let frame = error_frame(&shared.registry, code);
-    let _ = conn.set_write_timeout(Some(TICK));
+    let _ = conn.set_tick_timeouts();
     let _ = write_all_deadline(&mut conn, &frame, Duration::from_millis(250));
 }
 
-fn would_block(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Write the whole buffer within `timeout`; socket timeouts are one
-/// [`TICK`] so the wall-clock deadline is enforced precisely.
-fn write_all_deadline(conn: &mut Conn, bytes: &[u8], timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
+/// Write all of `bytes`; after each [`TICK`] that moved nothing,
+/// `patient` says whether to wait on. `false` when a write fell short.
+fn write_all(conn: &mut Conn, bytes: &[u8], mut patient: impl FnMut() -> bool) -> bool {
     let mut at = 0usize;
     while at < bytes.len() {
         match conn.write(&bytes[at..]) {
-            Ok(0) => return false,
-            Ok(n) => at += n,
-            Err(e) if would_block(&e) => {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
+            Io::Moved(n) => at += n,
+            Io::Tick if patient() => {}
+            Io::Retry => {}
+            Io::Tick | Io::Closed | Io::Failed(_) => return false,
         }
     }
     true
 }
 
-/// Serve one envelope on a connection: permit → [`handle`] → release
-/// → count → write. Returns `false` when the connection must close
-/// (write failure/timeout).
-fn serve_frame(shared: &Shared, conn: &mut Conn, key: &ClientKey, envelope: &[u8]) -> bool {
+/// [`write_all`] within `timeout` of wall-clock time.
+fn write_all_deadline(conn: &mut Conn, bytes: &[u8], timeout: Duration) -> bool {
+    let deadline = Instant::now() + timeout;
+    write_all(conn, bytes, || Instant::now() < deadline)
+}
+
+/// Execute one envelope: permit → [`handle`] → release → count.
+fn serve_frame(shared: &Shared, key: &ClientKey, envelope: &[u8]) -> Arc<[u8]> {
     let (bytes, outcome) = {
         // The bounded request queue: block here (not reading further
         // requests) until a server-wide execution slot frees up. The
@@ -805,97 +634,68 @@ fn serve_frame(shared: &Shared, conn: &mut Conn, key: &ClientKey, envelope: &[u8
             stats.rate_limited.fetch_add(1, Ordering::Relaxed);
         }
     }
-    if !write_all_deadline(conn, &bytes, shared.cfg.write_timeout) {
-        stats.write_timeouts.fetch_add(1, Ordering::Relaxed);
-        return false;
-    }
-    true
+    bytes
 }
 
-/// The per-connection loop. Requests are handled strictly serially —
-/// response N is fully written before request N + 1 is read — so the
-/// server buffers at most one partial frame per connection and a slow
+/// The per-connection driver, the only code that reads a connection's
+/// socket or clock: one read per event, every decision [`ConnState`]'s.
+/// Response N is written before request N + 1 is read, so a slow
 /// client backpressures itself.
-fn handle_conn(shared: &Shared, conn: &mut Conn, key: &ClientKey) {
-    let _ = conn.set_read_timeout(Some(TICK));
-    let _ = conn.set_write_timeout(Some(TICK));
-    let mut asm = FrameAssembler::new(shared.cfg.max_frame_len);
+fn handle_conn(shared: &Shared, mut conn: Conn, key: &ClientKey) {
+    let _ = conn.set_tick_timeouts();
+    let opened = Instant::now();
+    let now = || opened.elapsed();
+    let mut st = ConnState::new(&shared.cfg, now());
     let mut chunk = vec![0u8; READ_CHUNK];
-    let mut last_activity = Instant::now();
-    // Deadline for completing the frame currently mid-assembly.
-    let mut frame_deadline: Option<Instant> = None;
-    loop {
-        // Serve every complete frame already buffered.
-        loop {
-            match asm.next_frame() {
-                Ok(Some(frame)) => {
-                    if !serve_frame(shared, conn, key, &frame) {
-                        return;
+    // One frame under the write deadline, which no drain overrides.
+    let write = |conn: &mut Conn, st: &mut ConnState<'_>, frame: &[u8]| {
+        st.on_write(now());
+        let patient = || matches!(st.on_tick(now(), false), Step::Wait);
+        write_all(conn, frame, patient)
+    };
+    let close = loop {
+        let step = match st.next_frame() {
+            Step::Wait => {
+                let draining = shared.draining.load(Ordering::SeqCst);
+                match conn.read(&mut chunk) {
+                    Io::Moved(n) => {
+                        st.on_bytes(now(), &chunk[..n]);
+                        continue;
                     }
-                    last_activity = Instant::now();
-                    frame_deadline = asm
-                        .mid_frame()
-                        .then(|| Instant::now() + shared.cfg.read_timeout);
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    shared
-                        .stats
-                        .oversized_frames
-                        .fetch_add(1, Ordering::Relaxed);
-                    let frame = error_frame(&shared.registry, ERR_FRAME_TOO_LARGE);
-                    let _ = write_all_deadline(conn, &frame, shared.cfg.write_timeout);
-                    return;
+                    Io::Tick => st.on_tick(now(), draining),
+                    Io::Retry => continue,
+                    Io::Closed | Io::Failed(_) => break Close::Peer,
                 }
             }
+            step => step,
+        };
+        match step {
+            Step::Serve(envelope) => {
+                if !write(&mut conn, &mut st, &serve_frame(shared, key, &envelope)) {
+                    break Close::WriteTimeout;
+                }
+                st.on_written(now());
+            }
+            Step::Fail(code, why) => {
+                let _ = write(&mut conn, &mut st, &error_frame(&shared.registry, code));
+                break why;
+            }
+            Step::Close(why) => break why,
+            Step::Wait => {}
         }
-        let draining = shared.draining.load(Ordering::SeqCst);
-        match conn.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                asm.push(&chunk[..n]);
-                last_activity = Instant::now();
-                if asm.mid_frame() && frame_deadline.is_none() {
-                    frame_deadline = Some(Instant::now() + shared.cfg.read_timeout);
-                }
-            }
-            Err(e) if would_block(&e) => {
-                if draining && !asm.mid_frame() {
-                    // Everything in flight has been answered and the
-                    // socket is quiet: this connection's drain is done.
-                    return;
-                }
-                if let Some(d) = frame_deadline {
-                    if Instant::now() >= d {
-                        shared.stats.read_timeouts.fetch_add(1, Ordering::Relaxed);
-                        let frame = error_frame(&shared.registry, ERR_TIMEOUT);
-                        let _ = write_all_deadline(conn, &frame, shared.cfg.write_timeout);
-                        return;
-                    }
-                }
-                if Instant::now().duration_since(last_activity) >= shared.cfg.idle_timeout {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
+    };
+    shared.stats.closed(close);
 }
-
-// ---- client ----------------------------------------------------------
 
 /// What can go wrong on the client side of a connection.
 #[derive(Debug)]
 pub enum ClientError {
     /// A socket-level failure (includes an exceeded deadline).
     Io(io::Error),
-    /// The server closed the stream with no pending frame — a clean
-    /// close (drain, idle timeout, or rejection after its one status
-    /// frame).
+    /// The server closed the stream cleanly: drain, idle timeout, or a
+    /// rejection after its one status frame.
     Closed,
-    /// A frame arrived but did not decode (checksum, version, or
-    /// layout).
+    /// A frame arrived but did not decode (checksum, version, layout).
     Codec(CodecError),
     /// The server announced a frame larger than the client's ceiling.
     Oversized(OversizedFrame),
@@ -914,16 +714,20 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+/// The client's exceeded-deadline error.
+fn timed_out(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::TimedOut, format!("{what} deadline exceeded"))
+}
+
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
     }
 }
 
-/// A small blocking client for the wire protocol: `expansectl`, the
-/// load generator, and the transport tests all speak through it.
-/// Requests and responses match positionally, exactly as on the
-/// server; [`ServeClient::call`] is the one-request convenience.
+/// A small blocking client: `expansectl`, the load generator and the
+/// transport tests speak through it. Responses match requests by
+/// position; [`ServeClient::call`] is the one-request convenience.
 #[derive(Debug)]
 pub struct ServeClient {
     conn: Conn,
@@ -932,8 +736,7 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connect to a server (TCP or unix-domain), with a 10 s default
-    /// receive deadline.
+    /// Connect (TCP or unix-domain), with a 10 s default deadline.
     pub fn connect(addr: &BindAddr) -> io::Result<ServeClient> {
         let conn = match addr {
             BindAddr::Tcp(a) => {
@@ -943,8 +746,7 @@ impl ServeClient {
             }
             BindAddr::Unix(p) => Conn::Unix(UnixStream::connect(p)?),
         };
-        conn.set_read_timeout(Some(TICK))?;
-        conn.set_write_timeout(Some(TICK))?;
+        conn.set_tick_timeouts()?;
         Ok(ServeClient {
             conn,
             asm: FrameAssembler::new(protocol::MAX_FRAME_LEN),
@@ -962,17 +764,10 @@ impl ServeClient {
         self.send_raw(&protocol::encode_request(req))
     }
 
-    /// Send pre-framed bytes verbatim (tests use this to send
-    /// deliberately broken frames).
+    /// Send pre-framed bytes verbatim (how tests send broken frames).
     pub fn send_raw(&mut self, framed: &[u8]) -> io::Result<()> {
-        if write_all_deadline(&mut self.conn, framed, self.timeout) {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "send deadline exceeded",
-            ))
-        }
+        let sent = write_all_deadline(&mut self.conn, framed, self.timeout);
+        sent.then_some(()).ok_or_else(|| timed_out("send"))
     }
 
     /// Receive the next raw envelope (without its length prefix).
@@ -980,26 +775,15 @@ impl ServeClient {
         let deadline = Instant::now() + self.timeout;
         let mut chunk = vec![0u8; READ_CHUNK];
         loop {
-            match self.asm.next_frame() {
-                Ok(Some(frame)) => return Ok(frame),
-                Ok(None) => {}
-                Err(o) => return Err(ClientError::Oversized(o)),
+            if let Some(frame) = self.asm.next_frame().map_err(ClientError::Oversized)? {
+                return Ok(frame);
             }
             match self.conn.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(ClientError::Closed);
-                }
-                Ok(n) => self.asm.push(&chunk[..n]),
-                Err(e) if would_block(&e) => {
-                    if Instant::now() >= deadline {
-                        return Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "recv deadline exceeded",
-                        )));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ClientError::Io(e)),
+                Io::Moved(n) => self.asm.push(&chunk[..n]),
+                Io::Closed => return Err(ClientError::Closed),
+                Io::Tick if Instant::now() >= deadline => return Err(timed_out("recv").into()),
+                Io::Tick | Io::Retry => {}
+                Io::Failed(e) => return Err(ClientError::Io(e)),
             }
         }
     }
@@ -1116,6 +900,40 @@ mod tests {
             BindAddr::parse("tcp:[::1]:0").unwrap().to_string(),
             "tcp:[::1]:0"
         );
+    }
+
+    #[test]
+    fn close_reasons_count_one_to_one() {
+        let counted = |why| {
+            let cells = StatCells::default();
+            cells.closed(why);
+            cells.snapshot()
+        };
+        let none = ServerStats::default();
+        assert_eq!(
+            counted(Close::ReadTimeout),
+            ServerStats {
+                read_timeouts: 1,
+                ..none
+            }
+        );
+        assert_eq!(
+            counted(Close::Oversized),
+            ServerStats {
+                oversized_frames: 1,
+                ..none
+            }
+        );
+        assert_eq!(
+            counted(Close::WriteTimeout),
+            ServerStats {
+                write_timeouts: 1,
+                ..none
+            }
+        );
+        for quiet in [Close::Peer, Close::Idle, Close::Drained] {
+            assert_eq!(counted(quiet), none);
+        }
     }
 
     #[test]

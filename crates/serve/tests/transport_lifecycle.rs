@@ -1,13 +1,18 @@
 //! Transport-lifecycle integration tests over **live sockets**: the
-//! named CI "Transport correctness gate" runs exactly this file.
+//! named CI "Transport correctness gate" runs this file, the
+//! `conn::tests` connection scripts and `cache_consistency`.
 //!
-//! Covered here, each against a real listener:
-//! pipelined requests answered in order, graceful drain under an epoch
-//! swap, torn / oversized / garbage frame handling, slow-reader and
-//! slow-writer clients (byte-at-a-time frames, mid-frame disconnects,
-//! never-reads-response — which must cost no execution slot),
-//! per-client rate-limit rejection frames, the accept limit, and UDS
-//! round trips.
+//! Covered here, each against a real listener: what only the socket
+//! driver can show — pipelined requests answered in order, graceful
+//! drain under an epoch swap, torn / oversized / garbage frame handling,
+//! mid-frame disconnects, a never-reading client (cut off at the write
+//! deadline, and costing no execution slot meanwhile), per-client
+//! rate-limit rejection frames, the accept limit, and UDS round trips.
+//! The connection policy's timing cases — a stalled mid-frame sender, a
+//! byte-at-a-time sender, idle closes, the frame ceiling ± 1, drain
+//! while a frame is partial, the write deadline — run as virtual-time
+//! scripts over `ConnState` (`crates/serve/src/conn.rs`), with no
+//! sleeps.
 
 #![allow(
     clippy::disallowed_types,
@@ -18,14 +23,14 @@
 use expanse_core::Hitlist;
 use expanse_model::SourceId;
 use expanse_serve::protocol::{
-    decode_response, encode_request, ERR_FRAME_TOO_LARGE, ERR_MALFORMED, ERR_OVERLOADED,
-    ERR_RATE_LIMITED, ERR_SHUTTING_DOWN, ERR_TIMEOUT, MAX_FRAME_LEN,
+    encode_request, ERR_FRAME_TOO_LARGE, ERR_MALFORMED, ERR_OVERLOADED, ERR_RATE_LIMITED,
+    ERR_SHUTTING_DOWN, MAX_FRAME_LEN,
 };
 use expanse_serve::{
-    BindAddr, CacheConfig, ClientError, FrameAssembler, Query, RateLimitConfig, Request, Response,
-    ResponseBody, ServeClient, Server, ServerConfig, SnapshotRegistry, SnapshotView,
+    BindAddr, CacheConfig, ClientError, Query, RateLimitConfig, Request, Response, ResponseBody,
+    ServeClient, Server, ServerConfig, SnapshotRegistry, SnapshotView,
 };
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -264,57 +269,6 @@ fn oversized_frame_length_closes_only_its_connection() {
 }
 
 // ---- slow clients ----------------------------------------------------
-
-#[test]
-fn byte_at_a_time_sender_is_served() {
-    let (_r, server, addr) = start_tcp(5, test_config());
-    let BindAddr::Tcp(sa) = addr else { panic!() };
-    let mut stream = TcpStream::connect(sa).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    // Dribble a valid request one byte at a time, fast enough to stay
-    // inside the 400 ms mid-frame deadline.
-    for &b in &encode_request(&Request::Ping) {
-        stream.write_all(&[b]).expect("write byte");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut asm = FrameAssembler::new(MAX_FRAME_LEN);
-    let mut chunk = [0u8; 1024];
-    let frame = loop {
-        if let Some(f) = asm.next_frame().expect("well-formed") {
-            break f;
-        }
-        let n = stream.read(&mut chunk).expect("read");
-        assert!(n > 0, "server closed on a patient slow sender");
-        asm.push(&chunk[..n]);
-    };
-    let resp = decode_response(&frame).expect("decodes");
-    assert!(matches!(resp.body, ResponseBody::Pong { .. }));
-    drop(stream);
-    let report = server.drain();
-    assert_eq!(report.stats.read_timeouts, 0);
-}
-
-#[test]
-fn stalled_mid_frame_sender_times_out_with_error_frame() {
-    let (_r, server, addr) = start_tcp(5, test_config());
-    let mut client = ServeClient::connect(&addr).expect("connect");
-    // First half of a frame, then silence: the read deadline (400 ms)
-    // must fire, answer ERR_TIMEOUT, and close.
-    let framed = encode_request(&Request::Ping);
-    client.send_raw(&framed[..framed.len() / 2]).expect("half");
-    let t0 = Instant::now();
-    expect_error(&client.recv().expect("timeout frame"), ERR_TIMEOUT);
-    assert!(matches!(client.recv(), Err(ClientError::Closed)));
-    assert!(
-        t0.elapsed() >= Duration::from_millis(300),
-        "timed out implausibly fast"
-    );
-    let report = server.drain();
-    assert_eq!(report.stats.read_timeouts, 1);
-}
 
 #[test]
 fn mid_frame_disconnect_leaves_listener_healthy() {
