@@ -58,7 +58,7 @@ pub use iter::AddrIter;
 pub use mac::MacAddr;
 pub use par::worker_threads;
 pub use prefix::{Prefix, PrefixParseError};
-pub use set::AddrSet;
+pub use set::{AddrSet, IdBits};
 pub use sorted::SortedView;
 pub use table::{AddrId, AddrMap, AddrTable};
 

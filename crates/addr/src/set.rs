@@ -166,6 +166,51 @@ impl FromIterator<AddrId> for AddrSet {
     }
 }
 
+/// A membership bitmap over ids: the constant-time test a walk in
+/// address order ([`AddrTable::sorted`]) asks of a set whose
+/// [`AddrSet::contains`] would binary-search. Bit `i` speaks for id `i`.
+#[derive(Debug, Clone, Default)]
+pub struct IdBits {
+    words: Vec<u64>,
+}
+
+impl IdBits {
+    /// Set or clear `id`'s bit.
+    #[inline]
+    pub fn set(&mut self, id: AddrId, on: bool) {
+        let (w, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if w >= self.words.len() {
+            if !on {
+                return;
+            }
+            self.words.resize(w + 1, 0);
+        }
+        if on {
+            self.words[w] |= bit;
+        } else {
+            self.words[w] &= !bit;
+        }
+    }
+
+    /// Is `id`'s bit set?
+    #[inline]
+    pub fn contains(&self, id: AddrId) -> bool {
+        self.words
+            .get(id.index() / 64)
+            .is_some_and(|w| w >> (id.index() % 64) & 1 == 1)
+    }
+}
+
+impl FromIterator<AddrId> for IdBits {
+    fn from_iter<I: IntoIterator<Item = AddrId>>(iter: I) -> Self {
+        let mut bits = IdBits::default();
+        for id in iter {
+            bits.set(id, true);
+        }
+        bits
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +240,17 @@ mod tests {
         let d: Vec<usize> = a.difference(&b).iter().map(AddrId::index).collect();
         assert_eq!(d, vec![1, 3]);
         assert!(AddrSet::new().union(&AddrSet::new()).is_empty());
+    }
+
+    #[test]
+    fn id_bits_set_clear_and_test_past_the_end() {
+        let id = AddrId::from_index;
+        let mut b: IdBits = [3, 64, 200].into_iter().map(id).collect();
+        assert!(b.contains(id(3)) && b.contains(id(64)) && b.contains(id(200)));
+        assert!(!b.contains(id(4)) && !b.contains(id(10_000)));
+        b.set(id(64), false);
+        b.set(id(10_000), false);
+        assert!(!b.contains(id(64)) && !b.contains(id(10_000)));
     }
 
     #[test]

@@ -1,31 +1,19 @@
-//! [`SortedView`]: a sorted-by-address permutation over an
-//! [`AddrTable`].
-//!
-//! The interned store numbers addresses by *insertion* order — the right
-//! order for append-only columns and journal suffixes, but useless for
-//! range questions like "every member under `2001:db8::/32`". A
-//! [`SortedView`] is the missing index: one `Vec<AddrId>` permutation of
-//! the table sorted by the 128-bit address value, built once per
-//! immutable snapshot, answering any prefix-range query with two binary
-//! searches over the permutation (no per-query scan, no trie build).
-//!
-//! The view is a *snapshot* index: it covers exactly the first
-//! [`SortedView::len`] ids of the table it was built from. Interning
-//! more addresses afterwards does not invalidate it (ids never move) —
-//! it simply doesn't cover the new tail. The serving layer builds one
-//! per published [`epoch`](https://en.wikipedia.org/wiki/Read-copy-update)
-//! and never mutates it.
+//! [`SortedView`]: an [`AddrTable`]'s ids in address order, the index
+//! for range questions like "every member under `2001:db8::/32`": a
+//! prefix's members are one contiguous run of it. The table keeps one
+//! as derived state ([`AddrTable::sorted`]); ids never move, so a batch
+//! of new rows is sorted on its own and merged in.
 
 use crate::prefix::Prefix;
-use crate::set::AddrSet;
 use crate::table::{AddrId, AddrTable};
+use std::ops::Range;
 
 /// A permutation of an [`AddrTable`]'s ids, sorted by address value.
 ///
 /// # Example
 ///
 /// ```
-/// use expanse_addr::{AddrTable, Prefix, SortedView};
+/// use expanse_addr::{AddrTable, Prefix};
 /// use std::net::Ipv6Addr;
 ///
 /// let mut table = AddrTable::new();
@@ -33,10 +21,10 @@ use crate::table::{AddrId, AddrTable};
 /// for s in ["2001:db8:2::1", "2001:db8:1::1", "2001:db9::1"] {
 ///     table.intern(s.parse().unwrap());
 /// }
-/// let view = SortedView::build(&table);
+/// let view = table.sorted();
 /// let pfx: Prefix = "2001:db8::/32".parse().unwrap();
 /// // Two members fall under the prefix, returned in address order.
-/// let hits: Vec<_> = view.range(&table, pfx).to_vec();
+/// let hits = &view.as_slice()[view.positions(&table, pfx)];
 /// assert_eq!(hits.len(), 2);
 /// assert_eq!(table.addr(hits[0]), "2001:db8:1::1".parse::<Ipv6Addr>().unwrap());
 /// assert_eq!(table.addr(hits[1]), "2001:db8:2::1".parse::<Ipv6Addr>().unwrap());
@@ -48,28 +36,33 @@ pub struct SortedView {
 }
 
 impl SortedView {
-    /// Build the permutation for `table`'s current contents.
+    /// Extend the permutation over every id of `raw` (the table's
+    /// address column), `O(n + k log k)` for `k` ids past [`len`]:
+    /// those sort on their own, then merge in from the back, so an old
+    /// id below every new address is never touched. Addresses are
+    /// unique, so the order is total.
     ///
-    /// Addresses are unique by construction (the table interns), so the
-    /// order is total and the build is a single `O(n log n)` sort of
-    /// the dense id range keyed by the raw address column.
-    pub fn build(table: &AddrTable) -> SortedView {
-        SortedView::build_par(table, 1)
+    /// [`len`]: SortedView::len
+    pub(crate) fn merge_from(&mut self, raw: &[u128]) {
+        let done = self.perm.len();
+        let key = |id: &AddrId| raw[id.index()];
+        let mut tail: Vec<AddrId> = (done..raw.len()).map(AddrId::from_index).collect();
+        tail.sort_unstable_by_key(key);
+        self.perm.resize(raw.len(), AddrId::from_index(0));
+        let (mut old, mut at) = (done, raw.len());
+        while let Some(&new) = tail.last() {
+            at -= 1;
+            if old > 0 && key(&self.perm[old - 1]) > key(&new) {
+                old -= 1;
+                self.perm[at] = self.perm[old];
+            } else {
+                self.perm[at] = new;
+                tail.pop();
+            }
+        }
     }
 
-    /// [`SortedView::build`] on up to `threads` workers: contiguous id
-    /// chunks sort concurrently, then merge k-way. Addresses are unique,
-    /// so the sorted order is total and the result is byte-identical to
-    /// the serial build for every thread count — this is the parallel
-    /// half of `SnapshotView::publish`'s day-end fan-out.
-    pub fn build_par(table: &AddrTable, threads: usize) -> SortedView {
-        let mut perm: Vec<AddrId> = (0..table.len()).map(AddrId::from_index).collect();
-        let raw = table.raw();
-        crate::par::par_sort_by_key(&mut perm, threads, |&id| raw[id.index()]);
-        SortedView { perm }
-    }
-
-    /// Number of ids covered (the table length at build time).
+    /// Number of ids covered.
     pub fn len(&self) -> usize {
         self.perm.len()
     }
@@ -90,44 +83,51 @@ impl SortedView {
         &self.perm
     }
 
-    /// The ids whose addresses fall under `prefix`, in ascending
-    /// address order, as a slice of the permutation.
-    ///
-    /// Two binary searches bound the run: prefixes cover a contiguous
-    /// `[first, last]` address interval, and the permutation is sorted
-    /// by address, so the members are exactly one contiguous slice.
+    /// The positions in [`SortedView::as_slice`] of the ids whose
+    /// addresses fall under `prefix`: one contiguous run.
     ///
     /// # Panics
-    /// Panics if the view was built from a different (or since-shrunk)
-    /// table — ids out of range index past the address column.
-    pub fn range<'a>(&'a self, table: &AddrTable, prefix: Prefix) -> &'a [AddrId] {
-        &self.perm[self.positions(table, prefix)]
+    /// Panics if the view belongs to a different table — ids out of
+    /// range index past the address column.
+    pub fn positions(&self, table: &AddrTable, prefix: Prefix) -> Range<usize> {
+        self.positions_from(table, prefix, 0)
     }
 
-    /// [`SortedView::range`] as positions into the permutation
-    /// ([`SortedView::as_slice`]) — what an index laid out over sorted
-    /// positions needs.
+    /// [`SortedView::positions`] of a prefix whose run starts at or
+    /// after position `from`, found by galloping from there: a walk
+    /// over ascending prefixes pays the log of each step, not of the
+    /// table.
     ///
     /// # Panics
-    /// As [`SortedView::range`].
-    pub fn positions(&self, table: &AddrTable, prefix: Prefix) -> std::ops::Range<usize> {
-        let lo = prefix.bits();
+    /// As [`SortedView::positions`], or if `from` is past
+    /// [`SortedView::len`].
+    pub fn positions_from(&self, table: &AddrTable, prefix: Prefix, from: usize) -> Range<usize> {
         let hi = crate::addr_to_u128(prefix.last());
-        let start = self.perm.partition_point(|&id| table.bits(id) < lo);
-        let end = self.perm[start..].partition_point(|&id| table.bits(id) <= hi) + start;
-        start..end
+        let start = from + gallop(&self.perm[from..], |id| table.bits(id) < prefix.bits());
+        start..start + gallop(&self.perm[start..], |id| table.bits(id) <= hi)
     }
+}
 
-    /// [`SortedView::range`] as an [`AddrSet`] (sorted by id), ready for
-    /// set algebra against live sets, baselines, or other query results.
-    pub fn range_set(&self, table: &AddrTable, prefix: Prefix) -> AddrSet {
-        AddrSet::from_unsorted(self.range(table, prefix).to_vec())
+/// The first index of `ids` that is not `below`, for a `below` that
+/// holds on a prefix of `ids`: doubling steps bracket it, then a binary
+/// search inside the last step finds it.
+fn gallop(ids: &[AddrId], below: impl Fn(AddrId) -> bool) -> usize {
+    let (mut done, mut step) = (0, 1);
+    while done + step <= ids.len() && below(ids[done + step - 1]) {
+        done += step;
+        step *= 2;
     }
+    let bracket = &ids[done..ids.len().min(done + step)];
+    done + bracket.partition_point(|&id| below(id))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn range<'a>(v: &'a SortedView, t: &AddrTable, p: Prefix) -> &'a [AddrId] {
+        &v.as_slice()[v.positions(t, p)]
+    }
 
     fn table_of(bits: &[u128]) -> AddrTable {
         let mut t = AddrTable::new();
@@ -140,49 +140,56 @@ mod tests {
     #[test]
     fn empty_table_empty_ranges() {
         let t = AddrTable::new();
-        let v = SortedView::build(&t);
+        let v = t.sorted();
         assert!(v.is_empty());
-        assert!(v.range(&t, Prefix::DEFAULT).is_empty());
+        assert!(range(&v, &t, Prefix::DEFAULT).is_empty());
     }
 
     #[test]
     fn permutation_is_address_sorted() {
         let t = table_of(&[500, 3, 42, 7, u128::MAX, 0]);
-        let v = SortedView::build(&t);
+        let v = t.sorted();
         let order: Vec<u128> = v.iter().map(|id| t.bits(id)).collect();
         assert_eq!(order, vec![0, 3, 7, 42, 500, u128::MAX]);
         // The default route covers everything.
-        assert_eq!(v.range(&t, Prefix::DEFAULT).len(), t.len());
+        assert_eq!(range(&v, &t, Prefix::DEFAULT).len(), t.len());
     }
 
     #[test]
     fn range_bounds_are_inclusive() {
         // /126 starting at 8 covers exactly 8..=11.
         let t = table_of(&[7, 8, 9, 11, 12]);
-        let v = SortedView::build(&t);
+        let v = t.sorted();
         let p = Prefix::from_bits(8, 126);
-        let hits: Vec<u128> = v.range(&t, p).iter().map(|&id| t.bits(id)).collect();
+        let hits: Vec<u128> = range(&v, &t, p).iter().map(|&id| t.bits(id)).collect();
         assert_eq!(hits, vec![8, 9, 11]);
         // A prefix with no members yields an empty slice, not a panic.
-        assert!(v.range(&t, Prefix::from_bits(1 << 90, 60)).is_empty());
+        assert!(range(&v, &t, Prefix::from_bits(1 << 90, 60)).is_empty());
     }
 
     #[test]
-    fn range_set_is_id_sorted() {
-        let t = table_of(&[20, 10, 30]);
-        let v = SortedView::build(&t);
-        let s = v.range_set(&t, Prefix::from_bits(0, 122));
-        // Ids 0 (=20) and 1 (=10) both fall under 0/122 (0..=63).
-        let ids: Vec<usize> = s.iter().map(AddrId::index).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+    fn galloping_finds_the_runs_binary_search_finds() {
+        let t = table_of(&(0..300u128).map(|v| v * 3).collect::<Vec<_>>());
+        let v = t.sorted();
+        let mut from = 0;
+        for bits in (0..1000u128).step_by(7) {
+            let p = Prefix::from_bits(bits, 124);
+            let run = v.positions_from(&t, p, from);
+            assert_eq!(run, v.positions(&t, p), "{p:?}");
+            from = run.start;
+        }
+        assert_eq!(
+            v.positions_from(&t, Prefix::DEFAULT, t.len()),
+            t.len()..t.len()
+        );
     }
 
     #[test]
     fn host_prefix_finds_exactly_one() {
         let t = table_of(&[1, 2, 3]);
-        let v = SortedView::build(&t);
+        let v = t.sorted();
         let p = Prefix::host(crate::u128_to_addr(2));
-        let hits = v.range(&t, p);
+        let hits = range(&v, &t, p);
         assert_eq!(hits.len(), 1);
         assert_eq!(t.bits(hits[0]), 2);
     }

@@ -19,10 +19,13 @@
 //!
 //! Ids are assigned in insertion order and are **never reused or
 //! reordered**, so ascending-id iteration is insertion-order iteration
-//! and persists across days.
+//! and persists across days. Address order is derived state beside it
+//! ([`AddrTable::sorted`]), kept by merging each batch of new rows in.
 
 use crate::fanout::splitmix64;
+use crate::sorted::SortedView;
 use crate::{addr_to_u128, u128_to_addr};
+use std::borrow::Cow;
 use std::net::Ipv6Addr;
 
 /// Dense handle for one interned address.
@@ -79,6 +82,10 @@ pub struct AddrTable {
     addrs: Vec<u128>,
     /// Open-addressing index: slot → id. Power-of-two length.
     slots: Vec<u32>,
+    /// The ids up to the last [`AddrTable::merge_order`], in address
+    /// order. Derived, never encoded; empty on a table that never
+    /// merges.
+    order: SortedView,
 }
 
 /// One well-mixed 64-bit hash of the 128 address bits.
@@ -97,7 +104,7 @@ impl AddrTable {
     pub fn with_capacity(n: usize) -> Self {
         let mut t = AddrTable {
             addrs: Vec::with_capacity(n),
-            slots: Vec::new(),
+            ..AddrTable::default()
         };
         t.rebuild_slots(n);
         t
@@ -199,6 +206,35 @@ impl AddrTable {
             .iter()
             .enumerate()
             .map(|(i, &v)| (AddrId(i as u32), u128_to_addr(v)))
+    }
+
+    /// Every id in address order. Borrowed when the kept order is
+    /// current — a table that merges after each batch of interns
+    /// ([`AddrTable::merge_order`]) pays nothing here; otherwise a copy
+    /// merged the same way.
+    pub fn sorted(&self) -> Cow<'_, SortedView> {
+        if self.order.len() == self.addrs.len() {
+            Cow::Borrowed(&self.order)
+        } else {
+            let mut order = self.order.clone();
+            order.merge_from(&self.addrs);
+            Cow::Owned(order)
+        }
+    }
+
+    /// The kept order as of the last [`AddrTable::merge_order`]: it
+    /// covers the ids interned before that call, all of them until the
+    /// next intern. [`AddrTable::sorted`] is the complete order.
+    pub fn order(&self) -> &SortedView {
+        &self.order
+    }
+
+    /// Merge the ids interned since the last call into the kept order,
+    /// at `O(n + k log k)` for `k` new ids.
+    pub fn merge_order(&mut self) {
+        if self.order.len() < self.addrs.len() {
+            self.order.merge_from(&self.addrs);
+        }
     }
 
     /// Re-key the slot array for at least `want` entries.

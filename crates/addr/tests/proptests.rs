@@ -1,8 +1,10 @@
 //! Property-based tests for address primitives.
 
+use expanse_addr::codec::{read_table, read_table_suffix, write_table, write_table_suffix};
+use expanse_addr::codec::{Decoder, Encoder};
 use expanse_addr::{
     addr_to_u128, fanout16, keyed_random_addr, nybbles, prefix::mask, u128_to_addr, AddrId,
-    AddrSet, AddrTable, Prefix, SortedView,
+    AddrSet, AddrTable, Prefix,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -14,6 +16,62 @@ fn arb_addr() -> impl Strategy<Value = Ipv6Addr> {
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u128>(), 0u8..=128).prop_map(|(bits, len)| Prefix::from_bits(bits, len))
+}
+
+/// One way a table grows or is rebuilt.
+#[derive(Debug, Clone)]
+enum TableOp {
+    /// Intern one address; the kept order goes stale.
+    One(u128),
+    /// Intern a batch, then merge it into the kept order.
+    Batch(Vec<u128>),
+    /// Round-trip the table through `write_table` / `read_table`.
+    Reload,
+    /// Rebuild the first `at / 256` of the rows (merged or not), then
+    /// append the rest through `write_table_suffix` / `read_table_suffix`.
+    Suffix(u8, bool),
+}
+
+/// Small values repeat (the intern dedup path); large ones spread.
+fn arb_bits() -> impl Strategy<Value = u128> {
+    prop_oneof![0u128..64, any::<u128>()]
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        arb_bits().prop_map(TableOp::One),
+        proptest::collection::vec(arb_bits(), 0..40).prop_map(TableOp::Batch),
+        Just(TableOp::Reload),
+        (any::<u8>(), any::<bool>()).prop_map(|(at, merged)| TableOp::Suffix(at, merged)),
+    ]
+}
+
+const MAGIC: [u8; 8] = *b"TESTMAGC";
+
+fn reload(t: &AddrTable) -> AddrTable {
+    let mut buf = Vec::new();
+    let mut enc = Encoder::new(&mut buf, &MAGIC, 1).unwrap();
+    write_table(&mut enc, t).unwrap();
+    enc.finish().unwrap();
+    read_table(&mut Decoder::new(buf.as_slice(), &MAGIC, 1).unwrap()).unwrap()
+}
+
+fn via_suffix(t: &AddrTable, at: u8, merged: bool) -> AddrTable {
+    let from = t.len() * usize::from(at) / 256;
+    let mut base = AddrTable::new();
+    for &v in &t.raw()[..from] {
+        base.intern_u128(v);
+    }
+    if merged {
+        base.merge_order();
+    }
+    let mut buf = Vec::new();
+    let mut enc = Encoder::new(&mut buf, &MAGIC, 1).unwrap();
+    write_table_suffix(&mut enc, t, from).unwrap();
+    enc.finish().unwrap();
+    let mut dec = Decoder::new(buf.as_slice(), &MAGIC, 1).unwrap();
+    read_table_suffix(&mut dec, &mut base).unwrap();
+    base
 }
 
 proptest! {
@@ -183,7 +241,7 @@ proptest! {
         for &off in &near {
             table.intern_u128(p.bits() | (off & !mask(p.len())));
         }
-        let view = SortedView::build(&table);
+        let view = table.sorted();
 
         // Oracle: scan every interned address.
         let mut expect: Vec<u128> = table
@@ -194,14 +252,66 @@ proptest! {
             .collect();
         expect.sort_unstable();
 
-        let got: Vec<u128> = view.range(&table, p).iter().map(|&id| table.bits(id)).collect();
+        let got: Vec<u128> = view.as_slice()[view.positions(&table, p)]
+            .iter()
+            .map(|&id| table.bits(id))
+            .collect();
         prop_assert_eq!(&got, &expect, "range members/order diverge from full scan");
 
-        // The AddrSet form holds the same members, id-sorted.
-        let set = view.range_set(&table, p);
-        prop_assert_eq!(set.len(), expect.len());
-        for id in set.iter() {
-            prop_assert!(p.contains(table.addr(id)));
-        }
+        // Galloping from any position at or before the run finds it too.
+        let run = view.positions(&table, p);
+        prop_assert_eq!(view.positions_from(&table, p, run.start / 2), run.clone());
+        prop_assert_eq!(view.positions_from(&table, p, run.start), run);
     }
+
+    #[test]
+    fn kept_order_equals_a_fresh_sort(ops in proptest::collection::vec(arb_table_op(), 0..24)) {
+        let mut t = AddrTable::new();
+        for op in ops {
+            match op {
+                TableOp::One(v) => {
+                    t.intern_u128(v);
+                }
+                TableOp::Batch(vs) => {
+                    for v in vs {
+                        t.intern_u128(v);
+                    }
+                    t.merge_order();
+                }
+                TableOp::Reload => t = reload(&t),
+                TableOp::Suffix(at, merged) => t = via_suffix(&t, at, merged),
+            }
+            let mut fresh = t.raw().to_vec();
+            fresh.sort_unstable();
+            let sorted: Vec<u128> = t.sorted().iter().map(|id| t.bits(id)).collect();
+            prop_assert_eq!(&sorted, &fresh, "the order is not a sort of raw()");
+            // The kept order, current or not, sorts exactly the ids it covers.
+            let kept = t.order().as_slice();
+            prop_assert!(kept.windows(2).all(|w| t.bits(w[0]) < t.bits(w[1])));
+            prop_assert!(kept.iter().all(|id| id.index() < kept.len()));
+        }
+        t.merge_order();
+        prop_assert_eq!(t.order().len(), t.len());
+    }
+}
+
+/// Batches of thousands of rows, each merged into all the rows before
+/// it, leave the kept order a fresh sort.
+#[test]
+fn large_batches_merge_into_a_fresh_sort() {
+    let mut t = AddrTable::new();
+    let mut x = 0x9e37_79b9_7f4a_7c15u128;
+    for _ in 0..3 {
+        for _ in 0..5000 {
+            x = x
+                .wrapping_mul(0x2545_f491_4f6c_dd1d)
+                .wrapping_add(0x1405_7b7e);
+            t.intern_u128(x.rotate_left(64));
+        }
+        t.merge_order();
+    }
+    let mut fresh = t.raw().to_vec();
+    fresh.sort_unstable();
+    let kept: Vec<u128> = t.order().iter().map(|id| t.bits(id)).collect();
+    assert_eq!(kept, fresh);
 }

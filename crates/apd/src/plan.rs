@@ -6,7 +6,7 @@
 //! — and separately probes BGP-announced prefixes as announced.
 
 use expanse_addr::prefix::mask;
-use expanse_addr::{addr_to_u128, AddrSet, AddrTable, Prefix};
+use expanse_addr::{addr_to_u128, AddrSet, AddrTable, IdBits, Prefix};
 use std::net::Ipv6Addr;
 
 /// Planning parameters.
@@ -52,22 +52,31 @@ fn levels(cfg: &PlanConfig) -> Vec<u8> {
 /// Build the target-based probe plan for a hitlist given as an address
 /// slice.
 pub fn plan_targets(hitlist: &[Ipv6Addr], cfg: &PlanConfig) -> Vec<Prefix> {
-    plan_targets_iter(hitlist.iter().copied(), cfg)
+    let mut addrs: Vec<u128> = hitlist.iter().map(|&a| addr_to_u128(a)).collect();
+    addrs.sort_unstable();
+    plan_sorted(&addrs, cfg)
 }
 
 /// Build the target-based probe plan straight off the interned store:
-/// the pipeline passes its [`AddrTable`] and the live [`AddrSet`]
-/// instead of materializing an owned address vector every day.
+/// the pipeline passes its [`AddrTable`] and the live [`AddrSet`], and
+/// the table's kept address order ([`AddrTable::sorted`]) restricted to
+/// `ids` is already the sorted input — no per-day sort.
 pub fn plan_targets_set(table: &AddrTable, ids: &AddrSet, cfg: &PlanConfig) -> Vec<Prefix> {
-    plan_targets_iter(ids.addrs(table), cfg)
+    let live: IdBits = ids.iter().collect();
+    let addrs: Vec<u128> = table
+        .sorted()
+        .iter()
+        .filter(|&id| live.contains(id))
+        .map(|id| table.bits(id))
+        .collect();
+    plan_sorted(&addrs, cfg)
 }
 
-fn plan_targets_iter(hitlist: impl Iterator<Item = Ipv6Addr>, cfg: &PlanConfig) -> Vec<Prefix> {
+/// The plan over ascending addresses.
+fn plan_sorted(addrs: &[u128], cfg: &PlanConfig) -> Vec<Prefix> {
     // Sorted addresses put every prefix's members next to each other at
     // every level, so counting is one run-length pass per level over a
     // flat vector — no map: a run *is* a prefix and its length the count.
-    let mut addrs: Vec<u128> = hitlist.map(addr_to_u128).collect();
-    addrs.sort_unstable();
     let mut out: Vec<Prefix> = Vec::new();
     for level in levels(cfg) {
         // `mask` guards the shift at levels 0 and 128.

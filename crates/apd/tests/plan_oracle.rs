@@ -6,8 +6,8 @@
 //! algorithm (on an ordered map, so the oracle itself is deterministic);
 //! the two must agree on every address multiset and configuration.
 
-use expanse_addr::{u128_to_addr, Prefix};
-use expanse_apd::{plan_targets, PlanConfig};
+use expanse_addr::{u128_to_addr, AddrSet, AddrTable, Prefix};
+use expanse_apd::{plan_targets, plan_targets_set, PlanConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -62,6 +62,35 @@ proptest! {
     #[test]
     fn sorted_runs_equal_per_level_counting(addrs in arb_addrs(), cfg in arb_cfg()) {
         prop_assert_eq!(plan_targets(&addrs, &cfg), reference_plan(&addrs, &cfg));
+    }
+
+    /// The table's address order restricted to a live subset plans like
+    /// a sort of the subset's addresses. Rows left out of `live` are
+    /// the table's tombstones; the order is merged half-way, so its
+    /// tail is stale.
+    #[test]
+    fn set_plan_walks_the_table_order(
+        addrs in arb_addrs(),
+        live_mask in collection::vec(any::<bool>(), 200),
+        cfg in arb_cfg(),
+    ) {
+        let mut table = AddrTable::new();
+        let mut live = Vec::new();
+        for (i, &a) in addrs.iter().enumerate() {
+            let (id, new) = table.intern_u128(expanse_addr::addr_to_u128(a));
+            if new && live_mask[i] {
+                live.push(id);
+            }
+            if i == addrs.len() / 2 {
+                table.merge_order();
+            }
+        }
+        let live = AddrSet::from_sorted(live);
+        let live_addrs: Vec<Ipv6Addr> = live.addrs(&table).collect();
+        prop_assert_eq!(
+            plan_targets_set(&table, &live, &cfg),
+            plan_targets(&live_addrs, &cfg)
+        );
     }
 }
 

@@ -267,6 +267,7 @@ impl Hitlist {
     /// many were new. An address re-added after expiry revives its old
     /// id (and counts as new, with fresh provenance and a fresh
     /// `added_day`, so retention grants it a full grace window again).
+    /// The table's address order takes the batch in one merge.
     pub fn add_from(&mut self, source: SourceId, addrs: &[Ipv6Addr], day: u16) -> usize {
         let mut new = 0;
         for &a in addrs {
@@ -301,7 +302,14 @@ impl Hitlist {
                 }
             }
         }
+        self.table.merge_order();
         new
+    }
+
+    /// Merge rows a decode or replay appended into the table's address
+    /// order: once per load, not once per record.
+    pub(crate) fn merge_order(&mut self) {
+        self.table.merge_order();
     }
 
     /// Total unique live addresses.

@@ -6,7 +6,7 @@
 use crate::hitlist::Hitlist;
 use crate::longitudinal::Ledger;
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder, PrefixRun};
-use expanse_addr::{addr_to_u128, AddrId, AddrMap, AddrSet, Prefix};
+use expanse_addr::{AddrId, AddrMap, AddrSet, IdBits, Prefix};
 use expanse_apd::{Apd, ApdConfig, PlanConfig};
 use expanse_model::{InternetModel, ModelConfig, Source, SourceId};
 use expanse_netsim::Time;
@@ -294,13 +294,14 @@ impl Pipeline {
         // it (routers harvested mid-day join tomorrow's view).
         let live = self.hitlist.live_set();
         let (aliased_now, plan_prefixes, apd_probes) = self.detect_aliases(day, &live);
-        let (kept, removed) = self.filter_aliased(&aliased_now, &live);
+        let (kept_ids, kept, removed) = self.filter_aliased(&aliased_now, &live);
         let kept_len = kept.len();
-        let (targets, sched_plan) = self.schedule_targets(day, kept, &aliased_now);
+        let (target_ids, targets, sched_plan) =
+            self.schedule_targets(day, kept_ids, kept, &aliased_now);
         let (routers_found, trace_probes) = self.trace_routers(day, &targets, sched_plan.as_ref());
         let (mut multi, battery_digest) = self.probe_battery(&targets);
         let day_pass = self.record_day_pass(day, &multi);
-        self.account_probes(day, &targets, &day_pass);
+        self.account_probes(day, &target_ids, &day_pass);
         let expired_today = self.expire_members(day);
 
         let report = StageReport {
@@ -392,35 +393,40 @@ impl Pipeline {
     }
 
     /// Stage 2, alias filter: split the day's live members on today's
-    /// aliased prefixes. Returns the non-aliased targets, materialized
-    /// once in id (= insertion) order — the same byte-for-byte target
-    /// list the fan-out grid's snapshot workers partition — and the
-    /// number of members removed.
-    fn filter_aliased(&self, aliased_now: &[Prefix], live: &AddrSet) -> (Vec<Ipv6Addr>, u64) {
+    /// aliased prefixes. Returns the non-aliased targets as ids and
+    /// materialized once in id (= insertion) order — the same
+    /// byte-for-byte target list the fan-out grid's snapshot workers
+    /// partition — and the number of members removed.
+    fn filter_aliased(
+        &self,
+        aliased_now: &[Prefix],
+        live: &AddrSet,
+    ) -> (AddrSet, Vec<Ipv6Addr>, u64) {
         let filter = expanse_apd::AliasFilter::new(aliased_now.iter().copied());
         let (kept_ids, removed) = filter.split_set(self.hitlist.table(), live);
         let kept = kept_ids.addrs(self.hitlist.table()).collect();
-        (kept, removed.len() as u64)
+        (kept_ids, kept, removed.len() as u64)
     }
 
     /// Stage 3, probe scheduling. Enabled: the scheduler plans the day
     /// (budget, caps, splits) and the battery scans the admitted subset
     /// — still an id-order subsequence of `kept`, so the degenerate
     /// config reproduces the fixed grid byte-for-byte. Disabled: `kept`
-    /// scans whole.
+    /// scans whole. The targets come back as ids too.
     fn schedule_targets(
         &mut self,
         day: u16,
+        kept_ids: AddrSet,
         kept: Vec<Ipv6Addr>,
         aliased_now: &[Prefix],
-    ) -> (Vec<Ipv6Addr>, Option<SchedPlan>) {
+    ) -> (AddrSet, Vec<Ipv6Addr>, Option<SchedPlan>) {
         if !self.cfg.sched.enabled {
-            return (kept, None);
+            return (kept_ids, kept, None);
         }
         let (groups, demands) = sched_demands(&kept);
         let mut plan = self.sched_plan(day, &demands, aliased_now);
-        let targets = sched_admit(day, &kept, &groups, &mut plan);
-        (targets, Some(plan))
+        let (ids, targets) = sched_admit(day, &kept_ids, &kept, &groups, &mut plan);
+        (ids, targets, Some(plan))
     }
 
     /// Scheduling step 2 of 3: plan the day's demands against the
@@ -512,27 +518,26 @@ impl Pipeline {
     /// `probes_spent` counters make yield-per-probe computable on both
     /// the fixed and scheduled paths; the scheduler additionally folds
     /// the outcomes back into its queue when it planned the day.
-    fn account_probes(&mut self, day: u16, targets: &[Ipv6Addr], day_pass: &[(AddrId, ProtoSet)]) {
-        // One `(covering /48 bits, is a responder)` mark per target and
-        // per responder, sorted: each /48 is then one run.
-        let net_mask = expanse_addr::prefix::mask(SCHED_PREFIX_LEN);
+    fn account_probes(&mut self, day: u16, targets: &AddrSet, day_pass: &[(AddrId, ProtoSet)]) {
+        // The table's address order puts each /48's members in one run:
+        // count the targets and responders of each run.
         let table = self.hitlist.table();
-        let mut marks: Vec<(u128, bool)> = Vec::with_capacity(targets.len() + day_pass.len());
-        marks.extend(targets.iter().map(|&a| (addr_to_u128(a) & net_mask, false)));
-        marks.extend(
-            day_pass
-                .iter()
-                .map(|&(id, _)| (table.bits(id) & net_mask, true)),
-        );
-        marks.sort_unstable();
-        let outcomes: Vec<(Prefix, u64, u64)> = marks
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|run| {
-                let found = run.iter().filter(|mark| mark.1).count();
-                let net = Prefix::from_bits(run[0].0, SCHED_PREFIX_LEN);
-                (net, (run.len() - found) as u64, found as u64)
-            })
-            .collect();
+        let order = table.sorted();
+        let targeted: IdBits = targets.iter().collect();
+        let found: IdBits = day_pass.iter().map(|&(id, _)| id).collect();
+        let mut outcomes: Vec<(Prefix, u64, u64)> = Vec::new();
+        let mut at = 0;
+        while let Some(&first) = order.as_slice().get(at) {
+            let net = Prefix::from_bits(table.bits(first), SCHED_PREFIX_LEN);
+            let run = order.positions_from(table, net, at);
+            let members = &order.as_slice()[run.clone()];
+            let count = |bits: &IdBits| members.iter().filter(|&&id| bits.contains(id)).count();
+            let (spent, hits) = (count(&targeted) as u64, count(&found) as u64);
+            if spent + hits > 0 {
+                outcomes.push((net, spent, hits));
+            }
+            at = run.end;
+        }
         for &(net, spent, _) in &outcomes {
             self.hitlist.charge_probes(net, spent);
         }
@@ -773,10 +778,11 @@ fn sched_demands(kept: &[Ipv6Addr]) -> (Groups, Vec<PrefixDemand>) {
 /// byte-identical there.
 fn sched_admit(
     day: u16,
+    kept_ids: &AddrSet,
     kept: &[Ipv6Addr],
     groups: &Groups,
     plan: &mut SchedPlan,
-) -> Vec<Ipv6Addr> {
+) -> (AddrSet, Vec<Ipv6Addr>) {
     let mut qgroups = Groups::new();
     for (&net, members) in groups {
         for &a in members {
@@ -807,10 +813,12 @@ fn sched_admit(
             }
         }
     }
-    kept.iter()
-        .copied()
-        .filter(|a| selected.contains(a))
-        .collect()
+    let (ids, targets) = kept_ids
+        .iter()
+        .zip(kept)
+        .filter(|(_, a)| selected.contains(a))
+        .unzip();
+    (AddrSet::from_sorted(ids), targets)
 }
 
 /// The pipeline's journaled persistent state, decoupled from the
@@ -985,6 +993,7 @@ impl PersistedState {
             replay.deltas_applied += 1;
             replay.journal_bytes = r.count;
         }
+        st.hitlist.merge_order();
         Ok((st, replay))
     }
 }

@@ -160,12 +160,21 @@ impl<'c> ConnState<'c> {
         }
     }
 
-    /// Bytes read at `now`.
-    pub(crate) fn on_bytes(&mut self, now: Duration, bytes: &[u8]) {
+    /// Bytes read at `now`, and the step they lead to. A frame they
+    /// complete is served even past its read deadline; one they leave
+    /// incomplete past it fails, so a sender that drips bytes faster
+    /// than the socket tick cannot hold a frame open forever.
+    pub(crate) fn on_bytes(&mut self, now: Duration, bytes: &[u8]) -> Step {
         self.asm.push(bytes);
         self.active_at = now;
         if self.asm.mid_frame() {
             self.frame_at.get_or_insert(now);
+        }
+        match (self.next_frame(), self.frame_at) {
+            (Step::Wait, Some(at)) if now.saturating_sub(at) >= self.cfg.read_timeout => {
+                Step::Fail(ERR_TIMEOUT, Close::ReadTimeout)
+            }
+            (step, _) => step,
         }
     }
 
@@ -267,8 +276,7 @@ mod tests {
                         }
                         Some((at, bytes)) => {
                             t = t.max(*at);
-                            st.on_bytes(ms(t), bytes);
-                            continue;
+                            st.on_bytes(ms(t), bytes)
                         }
                         None if t + tick > s.until => return seen,
                         None => {
@@ -357,6 +365,13 @@ mod tests {
             .enumerate()
             .map(|(i, &b)| (2 * i as u64, vec![b]));
         let last_byte = 2 * (ping.len() as u64 - 1);
+        // One byte every 20 ms, inside every socket tick: only the
+        // bytes themselves can see the deadline pass.
+        let slow_drip = framed(64, 7)
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| (20 * i as u64, vec![b]))
+            .collect();
         let scripts = [
             Script {
                 expect: vec![(400, Error(ERR_TIMEOUT)), (400, Closed(Close::ReadTimeout))],
@@ -401,6 +416,10 @@ mod tests {
                     cfg(400, 400, 5000),
                     drip.chain([(200, vec![])]).collect(),
                 )
+            },
+            Script {
+                expect: vec![(400, Error(ERR_TIMEOUT)), (400, Closed(Close::ReadTimeout))],
+                ..script("slow-drip sender", cfg(400, 400, 5000), slow_drip)
             },
             Script {
                 reads_from: 300,

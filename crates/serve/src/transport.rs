@@ -658,10 +658,7 @@ fn handle_conn(shared: &Shared, mut conn: Conn, key: &ClientKey) {
             Step::Wait => {
                 let draining = shared.draining.load(Ordering::SeqCst);
                 match conn.read(&mut chunk) {
-                    Io::Moved(n) => {
-                        st.on_bytes(now(), &chunk[..n]);
-                        continue;
-                    }
+                    Io::Moved(n) => st.on_bytes(now(), &chunk[..n]),
                     Io::Tick => st.on_tick(now(), draining),
                     Io::Retry => continue,
                     Io::Closed | Io::Failed(_) => break Close::Peer,

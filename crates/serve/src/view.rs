@@ -1,13 +1,13 @@
 //! [`SnapshotView`]: one immutable, shareable view of a published day.
 //!
 //! A view is a *copy* of the pipeline's queryable state — the interned
-//! address column plus every responsiveness/provenance column, the
-//! aliased-prefix classification, and two derived indexes (the
-//! sorted-by-address permutation and the alias LPM trie). Copying is
-//! deliberate: the pipeline keeps mutating tomorrow's state while
-//! readers hold today's view, and an immutable snapshot needs no locks
-//! on the query path. Views are published through
-//! [`crate::SnapshotRegistry`] and shared as `Arc<SnapshotView>`.
+//! address column with the address order the table keeps, every
+//! responsiveness/provenance column, the aliased-prefix classification
+//! and its LPM trie. Copying is deliberate: the pipeline keeps mutating
+//! tomorrow's state while readers hold today's view, and an immutable
+//! snapshot needs no locks on the query path. Views are published
+//! through [`crate::SnapshotRegistry`] and shared as
+//! `Arc<SnapshotView>`.
 //!
 //! A third index, the `PredicateIndex` the query engine evaluates
 //! filters on, is derived from the same columns but only when the first
@@ -107,7 +107,7 @@ pub(crate) fn range_mask(w: usize, span: &Range<usize>) -> u64 {
 
 impl PredicateIndex {
     fn build(view: &SnapshotView) -> PredicateIndex {
-        let perm = view.sorted.as_slice();
+        let perm = view.sorted().as_slice();
         let empty = vec![0u64; perm.len().div_ceil(64)];
         let mut ix = PredicateIndex {
             alive: empty.clone(),
@@ -133,11 +133,11 @@ impl PredicateIndex {
         }
         // A prefix's members are one contiguous run of the sorted
         // permutation, so "covered by some aliased prefix" is the union
-        // of those runs: two binary searches per prefix, not a
+        // of those runs: two searches per prefix, not a
         // longest-prefix match per row. Nested prefixes re-mark bits
         // their cover already set.
         for &p in &view.aliased {
-            set_range(&mut ix.aliased, view.sorted.positions(&view.table, p));
+            set_range(&mut ix.aliased, view.sorted().positions(&view.table, p));
         }
         ix
     }
@@ -149,7 +149,6 @@ pub struct SnapshotView {
     /// Completed probing days (the pipeline's day counter at publish).
     day: u16,
     table: AddrTable,
-    sorted: SortedView,
     sources: Vec<SourceMask>,
     last_responsive: Vec<u16>,
     protos: Vec<ProtoSet>,
@@ -193,23 +192,19 @@ impl SnapshotView {
     }
 
     /// The shared constructor both publish paths funnel through: copy
-    /// the hitlist columns, index them (address-sorted permutation +
-    /// alias LPM trie), and freeze. `aliased` must be sorted ascending
-    /// (as [`expanse_apd::Apd::aliased_prefixes`] returns it).
+    /// the hitlist columns with the table's address order, index the
+    /// aliased prefixes (LPM trie), and freeze. `aliased` must be sorted
+    /// ascending (as [`expanse_apd::Apd::aliased_prefixes`] returns it).
     pub fn from_hitlist(day: u16, hitlist: &Hitlist, aliased: Vec<Prefix>) -> SnapshotView {
         debug_assert!(aliased.windows(2).all(|w| w[0] < w[1]));
         let cols = hitlist.columns();
-        let table = cols.table.clone();
-        // The sorted permutation's keys (the raw address bits) are
-        // distinct, so the parallel sort is deterministic at every
-        // thread count.
-        let sorted = SortedView::build_par(&table, expanse_addr::worker_threads());
+        let mut table = cols.table.clone();
+        table.merge_order();
         let live = hitlist.live_set();
         let alias_trie = aliased.iter().map(|&p| (p, ())).collect();
         SnapshotView {
             day,
             table,
-            sorted,
             sources: cols.sources.to_vec(),
             last_responsive: cols.last_responsive.to_vec(),
             protos: cols.protos.to_vec(),
@@ -267,9 +262,9 @@ impl SnapshotView {
         &self.live
     }
 
-    /// The sorted-by-address permutation.
+    /// Every id in address order: the table's, merged at publish.
     pub fn sorted(&self) -> &SortedView {
-        &self.sorted
+        self.table.order()
     }
 
     /// The aliased prefixes the view was published with, ascending.
