@@ -431,30 +431,24 @@ impl<R: Read> Decoder<R> {
 
 /// Write an [`AddrTable`]'s raw address column. Ids are implicit in
 /// the order: entry `i` is the address behind `AddrId` `i`.
+///
+/// The column's byte image is produced on
+/// [`worker_threads`](crate::par::worker_threads) workers: contiguous
+/// chunks are serialized to little-endian buffers concurrently, then fed
+/// through the encoder in chunk order — the checksum is a byte-stream
+/// fold, so the envelope is the same for every thread count
+/// (`docs/SNAPSHOT_FORMAT.md` §6).
 pub fn write_table<W: Write>(enc: &mut Encoder<W>, t: &AddrTable) -> Result<(), CodecError> {
-    write_table_par(enc, t, 1)
-}
-
-/// [`write_table`] with the column's byte image produced on up to
-/// `threads` workers. Contiguous chunks are serialized to little-endian
-/// buffers concurrently, then fed through the encoder in chunk order —
-/// the checksum is a byte-stream fold, so the envelope is identical to
-/// the serial write for every thread count (`docs/SNAPSHOT_FORMAT.md`
-/// §6).
-pub fn write_table_par<W: Write>(
-    enc: &mut Encoder<W>,
-    t: &AddrTable,
-    threads: usize,
-) -> Result<(), CodecError> {
     enc.put_len(t.len())?;
+    let threads = crate::par::worker_threads();
     for buf in crate::par::par_chunk_bytes(t.raw(), threads, encode_u128_chunk) {
         enc.put_bytes(&buf)?;
     }
     Ok(())
 }
 
-/// Chunk serializer for a `u128` column (shared by the parallel table
-/// and table-suffix writers).
+/// Chunk serializer for a `u128` column (shared by the table and
+/// table-suffix writers).
 fn encode_u128_chunk(chunk: &[u128], buf: &mut Vec<u8>) {
     buf.reserve(chunk.len() * 16);
     for &v in chunk {
@@ -666,26 +660,19 @@ impl PrefixRun {
 /// This is the append-only building block of the snapshot journal: ids
 /// are never reused or reordered, so "the table since the last record"
 /// is exactly a suffix of the address column.
+///
+/// The suffix bytes are produced on
+/// [`worker_threads`](crate::par::worker_threads) workers, chunked and
+/// concatenated as in [`write_table`].
 pub fn write_table_suffix<W: Write>(
     enc: &mut Encoder<W>,
     t: &AddrTable,
     from: usize,
 ) -> Result<(), CodecError> {
-    write_table_suffix_par(enc, t, from, 1)
-}
-
-/// [`write_table_suffix`] with the suffix bytes produced on up to
-/// `threads` workers (same chunk-and-concatenate scheme as
-/// [`write_table_par`]; byte-identical output for every thread count).
-pub fn write_table_suffix_par<W: Write>(
-    enc: &mut Encoder<W>,
-    t: &AddrTable,
-    from: usize,
-    threads: usize,
-) -> Result<(), CodecError> {
     assert!(from <= t.len(), "suffix start beyond table length");
     enc.put_len(from)?;
     enc.put_len(t.len() - from)?;
+    let threads = crate::par::worker_threads();
     #[expect(
         clippy::indexing_slicing,
         reason = "from <= t.len() is asserted above; a writer-side slice of trusted state"

@@ -1,8 +1,9 @@
 //! Worker-thread sizing and deterministic fan-out primitives.
 //!
-//! Every multi-core stage in the workspace — the scan battery grid, the
-//! daily merge and responsiveness passes, snapshot encode, the serve
-//! worker pool, the bench drivers — sizes itself with
+//! Every multi-core stage on the pipeline path — the scan battery grid,
+//! a single scan job's slot ranges, the day pass's sort and ledger
+//! joins, snapshot and journal encode — runs on the helpers here, the
+//! only code on that path that starts a thread, and sizes itself with
 //! [`worker_threads`]: `EXPANSE_THREADS` when set (the CI determinism
 //! lanes pin it to 1, 2, and 8), otherwise
 //! [`std::thread::available_parallelism`].
@@ -27,6 +28,7 @@
               independent of the thread count"
 )]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Parallel fan-out below this many items costs more in thread spawns
@@ -110,14 +112,17 @@ where
 }
 
 /// Map a slice through `f` on up to `threads` workers, preserving input
-/// order. Each worker owns one contiguous chunk; results are
-/// concatenated in chunk order, so the output equals the serial
-/// `items.iter().map(f).collect()` for any thread count — `f` must be a
-/// pure function of its input for that contract to hold.
+/// order. Workers claim the next unclaimed item off a shared counter,
+/// so an item that runs long holds up one worker, not a fixed share of
+/// the slice; each result is put back at its item's position, so the
+/// output equals the serial `items.iter().map(f).collect()` for any
+/// thread count — `f` must be a pure function of its input for that
+/// contract to hold.
 ///
 /// There is no small-input serial fallback: this is for *few,
-/// heavyweight* items (e.g. one merge-join per ledger row) where the
-/// per-item cost, not the item count, justifies the threads.
+/// heavyweight* items (a battery cell, a scan job's slot range, one
+/// merge-join per ledger row) where the per-item cost, not the item
+/// count, justifies the threads.
 pub fn par_map_coarse<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -129,21 +134,32 @@ where
     if threads == 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<U> = Vec::with_capacity(n);
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done: Vec<(usize, U)> = Vec::new();
+        loop {
+            // The counter only hands out indices; results reach the
+            // caller through `join`, which orders them.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                let f = &f;
-                s.spawn(move || c.iter().map(f).collect::<Vec<U>>())
-            })
-            .collect();
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(claim)).collect();
         for h in handles {
-            out.extend(h.join().expect("par_map_coarse worker panicked"));
+            for (i, out) in h.join().expect("par_map_coarse worker panicked") {
+                slots[i] = Some(out);
+            }
         }
     });
-    out
+    slots
+        .into_iter()
+        .map(|out| out.expect("every item is claimed once"))
+        .collect()
 }
 
 /// Serialize a slice to bytes on up to `threads` workers: each worker

@@ -414,81 +414,24 @@ impl Hitlist {
         }
     }
 
-    /// [`Hitlist::mark_responsive_id`] over a whole day's sorted pass,
-    /// fanned out over up to `threads` workers. `pass` must be strictly
-    /// ascending by id (the pipeline's day pass is); each worker owns a
-    /// contiguous id range and the matching disjoint column sub-slices,
-    /// applying exactly the per-row semantics of
-    /// [`Hitlist::mark_responsive_id`] — so the resulting columns and
-    /// dirty bits are identical to the serial loop for every thread
-    /// count.
-    pub fn mark_responsive_batch(&mut self, day: u16, pass: &[(AddrId, ProtoSet)], threads: usize) {
-        debug_assert!(day < NEVER, "day saturates the sentinel");
+    /// [`Hitlist::mark_responsive_id`] over a whole day's pass, strictly
+    /// ascending by id (the pipeline's day pass is). One serial loop:
+    /// two column writes per responder cost less than starting a
+    /// worker at any day size the pipeline reaches. `_threads` is
+    /// ignored; the signature stays for existing callers.
+    pub fn mark_responsive_batch(
+        &mut self,
+        day: u16,
+        pass: &[(AddrId, ProtoSet)],
+        _threads: usize,
+    ) {
         debug_assert!(
             pass.windows(2).all(|w| w[0].0 < w[1].0),
             "day pass must be strictly ascending by id"
         );
-        let n = pass.len();
-        let threads = threads.clamp(1, n.max(1));
-        if threads == 1 || n < 4096 {
-            for &(id, protos) in pass {
-                self.mark_responsive_id(id, day, protos);
-            }
-            return;
+        for &(id, protos) in pass {
+            self.mark_responsive_id(id, day, protos);
         }
-        let chunk = n.div_ceil(threads);
-        let synced = self.synced_rows;
-        let mut last = self.last_responsive.as_mut_slice();
-        let mut protos_col = self.protos.as_mut_slice();
-        let mut dirty = self.dirty.as_mut_slice();
-        // Column offset already handed to earlier workers; the dirty
-        // column is shorter (it only covers pre-sync rows), so its
-        // cursor saturates at its own length.
-        let mut base = 0usize;
-        let mut dbase = 0usize;
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "workers write disjoint pre-split column slices; digest equality \
-                      across thread counts is pinned by tests"
-        )]
-        std::thread::scope(|s| {
-            for piece in pass.chunks(chunk) {
-                #[allow(clippy::expect_used, reason = "chunks() never yields an empty slice")]
-                let hi = piece.last().expect("chunks are non-empty").0.index() + 1;
-                let (l_head, l_rest) = std::mem::take(&mut last).split_at_mut(hi - base);
-                last = l_rest;
-                let (p_head, p_rest) = std::mem::take(&mut protos_col).split_at_mut(hi - base);
-                protos_col = p_rest;
-                let dhi = hi.min(synced);
-                let (d_head, d_rest) = std::mem::take(&mut dirty).split_at_mut(dhi - dbase);
-                dirty = d_rest;
-                let lo = base;
-                base = hi;
-                dbase = dhi;
-                s.spawn(move || {
-                    for &(id, protos) in piece {
-                        let i = id.index() - lo;
-                        let e = &mut l_head[i];
-                        if *e == NEVER || *e < day {
-                            *e = day;
-                            p_head[i] = protos;
-                            if i < d_head.len() {
-                                d_head[i] |= DIRTY_LAST;
-                            }
-                        } else if *e == day {
-                            let p = &mut p_head[i];
-                            let widened = p.union(protos);
-                            if widened != *p {
-                                *p = widened;
-                                if i < d_head.len() {
-                                    d_head[i] |= DIRTY_LAST;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
     }
 
     /// Last day `addr` answered, if ever.
@@ -604,7 +547,8 @@ impl Hitlist {
     /// Rows changed since the last sync point, as the delta record will
     /// carry them: `(appended, rewritten, last-responsive writes,
     /// tombstone flips)`.
-    pub fn delta_size(&self) -> (usize, usize, usize, usize) {
+    #[cfg(test)]
+    fn delta_size(&self) -> (usize, usize, usize, usize) {
         let count = |pred: fn(u8) -> bool| self.dirty.iter().filter(|&&d| pred(d)).count();
         (
             self.table.len() - self.synced_rows,
@@ -676,22 +620,15 @@ impl Hitlist {
     ///
     /// Ids never move, so this is the complete difference between the
     /// sync-point state and now.
-    pub fn encode_delta<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        self.encode_delta_par(enc, 1)
-    }
-
-    /// [`Hitlist::encode_delta`] with the record's sections produced on
-    /// up to `threads` workers. Contiguous chunks of the fixed-width
-    /// sections (table suffix, appended and rewritten rows) are
-    /// serialized to buffers concurrently and fed through the
+    ///
+    /// The fixed-width sections (table suffix, appended and rewritten
+    /// rows) are serialized in contiguous chunks on
+    /// [`expanse_addr::worker_threads`] workers and fed through the
     /// (checksummed) encoder in chunk order, so the journal bytes are
-    /// identical to the serial encode for every thread count.
-    pub fn encode_delta_par<W: Write>(
-        &self,
-        enc: &mut Encoder<W>,
-        threads: usize,
-    ) -> Result<(), CodecError> {
-        codec::write_table_suffix_par(enc, &self.table, self.synced_rows, threads)?;
+    /// the same for every thread count.
+    pub fn encode_delta<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
+        let threads = expanse_addr::worker_threads();
+        codec::write_table_suffix(enc, &self.table, self.synced_rows)?;
         let appended: Vec<usize> = (self.synced_rows..self.table.len()).collect();
         for buf in par_chunk_bytes(&appended, threads, |c, buf| {
             for &i in c {
@@ -812,21 +749,15 @@ impl Hitlist {
     /// Serialize the full hitlist state — interner plus every
     /// provenance/responsiveness column and the expiry tombstones —
     /// into an open snapshot envelope.
+    ///
+    /// The interner column and every per-row column are serialized in
+    /// contiguous chunks on [`expanse_addr::worker_threads`] workers and
+    /// fed through the checksummed encoder in chunk order, so the
+    /// snapshot bytes are the same for every thread count
+    /// (`docs/SNAPSHOT_FORMAT.md` §6).
     pub fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        self.encode_par(enc, 1)
-    }
-
-    /// [`Hitlist::encode`] with the interner column and every
-    /// per-row column serialized on up to `threads` workers. Chunk
-    /// buffers are fed through the checksummed encoder in order, so the
-    /// snapshot bytes are identical to the serial encode for every
-    /// thread count (`docs/SNAPSHOT_FORMAT.md` §6).
-    pub fn encode_par<W: Write>(
-        &self,
-        enc: &mut Encoder<W>,
-        threads: usize,
-    ) -> Result<(), CodecError> {
-        codec::write_table_par(enc, &self.table, threads)?;
+        let threads = expanse_addr::worker_threads();
+        codec::write_table(enc, &self.table)?;
         for buf in par_chunk_bytes(&self.sources, threads, |c, buf| {
             for m in c {
                 buf.extend_from_slice(&m.0.to_le_bytes());

@@ -106,9 +106,9 @@ pub struct DailySnapshot {
     pub expired_today: usize,
     /// Probes sent today (APD + battery + traceroute).
     pub probes_sent: u64,
-    /// Canonical digest of the battery's merged scan result. Identical
-    /// across the serial and parallel fan-out executors; the published
-    /// daily files carry it as a reproducibility stamp.
+    /// Canonical digest of the battery's merged scan result. The same
+    /// at every worker count; the published daily files carry it as a
+    /// reproducibility stamp.
     pub battery_digest: u64,
 }
 
@@ -279,9 +279,9 @@ impl Pipeline {
     }
 
     /// [`Pipeline::run_day`], also returning the battery's merged scan
-    /// result (the fan-out determinism guard compares these across
-    /// executors). The snapshot takes ownership of the merged responsive
-    /// map; the returned result carries the per-protocol breakdown.
+    /// result (the fan-out determinism guard pins its digest). The
+    /// snapshot takes ownership of the merged responsive map; the
+    /// returned result carries the per-protocol breakdown.
     ///
     /// The body is the day's stage list and nothing else: the eight
     /// stages are the private methods below, in this order.
@@ -590,8 +590,7 @@ impl Pipeline {
         for &p in &self.hot_prefixes {
             codec::write_prefix(&mut enc, p)?;
         }
-        self.hitlist
-            .encode_par(&mut enc, expanse_addr::worker_threads())?;
+        self.hitlist.encode(&mut enc)?;
         self.ledger.encode(&mut enc)?;
         self.apd.encode(&mut enc)?;
         self.sched.encode(&mut enc)?;
@@ -644,8 +643,7 @@ impl Pipeline {
                 run.write(&mut enc, p)?;
             }
         }
-        self.hitlist
-            .encode_delta_par(&mut enc, expanse_addr::worker_threads())?;
+        self.hitlist.encode_delta(&mut enc)?;
         self.ledger.encode_delta(&mut enc)?;
         self.apd.encode_delta(&mut enc)?;
         self.sched.encode_delta(&mut enc)?;

@@ -34,7 +34,7 @@ pub fn execute(pin: &Pinned, req: &Request) -> Response {
     let view = &pin.view;
     let body = match req.canonical() {
         Request::Ping => ResponseBody::Pong {
-            live: view.live_set().len() as u64,
+            live: view.live_count(),
         },
         Request::Lookup { addr } => ResponseBody::Record {
             found: view.lookup(addr).map(Into::into),

@@ -154,7 +154,9 @@ pub struct SnapshotView {
     protos: Vec<ProtoSet>,
     added_day: Vec<u16>,
     alive: Vec<bool>,
-    live: AddrSet,
+    /// Live rows at publish: the hitlist's count, so a `Ping` reads it
+    /// instead of walking `alive`.
+    live: u64,
     aliased: Vec<Prefix>,
     alias_trie: PrefixTrie<()>,
     /// Built by the first query that filters (see [`PredicateIndex`]).
@@ -200,7 +202,6 @@ impl SnapshotView {
         let cols = hitlist.columns();
         let mut table = cols.table.clone();
         table.merge_order();
-        let live = hitlist.live_set();
         let alias_trie = aliased.iter().map(|&p| (p, ())).collect();
         SnapshotView {
             day,
@@ -210,7 +211,7 @@ impl SnapshotView {
             protos: cols.protos.to_vec(),
             added_day: cols.added_day.to_vec(),
             alive: cols.alive.to_vec(),
-            live,
+            live: hitlist.len() as u64,
             aliased,
             alias_trie,
             index: OnceLock::new(),
@@ -256,10 +257,20 @@ impl SnapshotView {
         &self.table
     }
 
+    /// How many rows are live (the hitlist's count at publish).
+    pub(crate) fn live_count(&self) -> u64 {
+        self.live
+    }
+
     /// The live member set (sorted by id), for set algebra against
-    /// query results.
-    pub fn live_set(&self) -> &AddrSet {
-        &self.live
+    /// query results — built from the `alive` column on each call.
+    pub fn live_set(&self) -> AddrSet {
+        AddrSet::from_sorted(
+            (0..self.alive.len())
+                .filter(|&i| self.alive[i])
+                .map(AddrId::from_index)
+                .collect(),
+        )
     }
 
     /// Every id in address order: the table's, merged at publish.

@@ -38,5 +38,5 @@ pub use blacklist::Blacklist;
 pub use module::{standard_battery, ProbeModule, ReplyKind, SynAckInfo};
 pub use permute::Permutation;
 pub use results::{MultiScanResult, ProbeReply, ScanResult};
-pub use scanner::{responsive_sets, ScanConfig, Scanner};
+pub use scanner::{ScanConfig, Scanner};
 pub use validate::Validator;

@@ -230,11 +230,6 @@ impl MultiScanResult {
             .zip(self.responsive.values().copied())
     }
 
-    /// Addresses answering at least one protocol.
-    pub fn responsive_addrs(&self) -> Vec<Ipv6Addr> {
-        self.responsive.sorted_addrs()
-    }
-
     /// Move the merged responsive map out (the per-protocol results
     /// stay). The daily pipeline hands it to the snapshot instead of
     /// cloning; compute [`MultiScanResult::digest`] first if the full
@@ -427,7 +422,7 @@ mod tests {
         assert!(set.contains(Protocol::Icmp));
         assert!(set.contains(Protocol::Udp53));
         assert_eq!(set.len(), 2);
-        assert_eq!(m.responsive_addrs().len(), 1);
+        assert_eq!(m.responsive.len(), 1);
     }
 
     #[test]

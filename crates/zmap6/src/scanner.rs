@@ -38,12 +38,13 @@
 //! independent jobs** — one per `(protocol, sub-shard)` pair, the
 //! sub-shards carved by the same keyed permutation zmap uses for
 //! `--shards` — and each job runs against its own snapshot of the
-//! network starting from the same virtual instant. Because the
-//! decomposition is fixed by [`Fanout`] (not by the executing thread
-//! count), a worker pool and a sequential loop ([`Fanout::parallel`]
-//! picks) produce **identical** [`MultiScanResult`]s;
-//! `tests/fanout_determinism.rs` in `expanse-core` holds that
-//! guarantee.
+//! network starting from the same virtual instant. The decomposition is
+//! fixed by [`ScanConfig::shards_per_protocol`], not by the worker
+//! count: the cells go through [`expanse_addr::par::par_map_coarse`]
+//! like a single scan's slot ranges, and come back in grid order, so
+//! the [`MultiScanResult`] is the same on one worker or eight; the
+//! battery's unit tests sweep the worker count against results
+//! recorded before the grid went onto that pool.
 //!
 //! The price of independence is deliberate: destination-side middlebox
 //! state (ICMP token buckets, SYN-proxy counters) is *private per job*,
@@ -63,44 +64,7 @@ use expanse_addr::addr_to_u128;
 use expanse_netsim::{Deliveries, Duration, Network, SnapshotNetwork, Time};
 use expanse_packet::{Datagram, Protocol};
 use std::net::Ipv6Addr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// How the multi-protocol battery decomposes and executes.
-///
-/// The decomposition (`shards_per_protocol`) fixes the *work grid* and
-/// therefore the results; `parallel` only chooses whether a worker pool
-/// or a sequential loop walks that grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fanout {
-    /// Sub-shards each protocol pass is split into. Results depend on
-    /// this value (each sub-shard has its own virtual clock), so it is
-    /// part of the scan configuration, not an execution detail.
-    pub shards_per_protocol: u64,
-    /// Execute the grid on a worker pool sized to the machine. `false`
-    /// walks the identical grid serially — same results, one core.
-    pub parallel: bool,
-}
-
-impl Default for Fanout {
-    fn default() -> Self {
-        Fanout {
-            shards_per_protocol: 8,
-            parallel: true,
-        }
-    }
-}
-
-impl Fanout {
-    /// A serial executor over the same grid (for A/B determinism checks
-    /// and single-core baselines).
-    pub fn serial(self) -> Self {
-        Fanout {
-            parallel: false,
-            ..self
-        }
-    }
-}
+use std::sync::OnceLock;
 
 /// Scanner configuration.
 #[derive(Debug, Clone)]
@@ -117,8 +81,11 @@ pub struct ScanConfig {
     pub shard: (u64, u64),
     /// Never-probe prefixes (§10.1 scanning ethics).
     pub blacklist: Blacklist,
-    /// Battery decomposition and execution policy.
-    pub fanout: Fanout,
+    /// Sub-shards each protocol pass of the battery is split into.
+    /// Results depend on this value (each sub-shard has its own virtual
+    /// clock), so it is part of the scan configuration, not an
+    /// execution detail.
+    pub shards_per_protocol: u64,
 }
 
 impl Default for ScanConfig {
@@ -130,7 +97,7 @@ impl Default for ScanConfig {
             cooldown: Duration::from_secs(5),
             shard: (0, 1),
             blacklist: Blacklist::new(),
-            fanout: Fanout::default(),
+            shards_per_protocol: 8,
         }
     }
 }
@@ -505,12 +472,16 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         result
     }
 
+    /// The multi-protocol battery over `targets`: the `(module,
+    /// sub-shard)` grid (see "The battery fan-out" above) on
+    /// [`expanse_addr::worker_threads`] workers, folded in module
+    /// order. The clock advances to the slowest cell's end.
     pub fn scan_battery(
         &mut self,
         targets: &[Ipv6Addr],
         modules: &[Box<dyn ProbeModule>],
     ) -> MultiScanResult {
-        let passes = self.battery_passes(targets, modules);
+        let passes = self.battery_passes(expanse_addr::worker_threads(), targets, modules);
         self.merge_battery(passes, None)
     }
 
@@ -518,31 +489,30 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
     /// caller-domain id *during* the merge (see
     /// [`MultiScanResult::merge_resolved`]) — the pipeline passes its
     /// hitlist lookup here instead of re-hashing every responder after
-    /// the battery returns. Executor choice follows `cfg.fanout.parallel`
-    /// exactly as in [`Scanner::scan_battery`]; the resolver only runs
-    /// on the serial merge fold, so it needs no synchronization.
+    /// the battery returns. The resolver only runs on the merge fold,
+    /// after the grid is back, so it needs no synchronization.
     pub fn scan_battery_resolved(
         &mut self,
         targets: &[Ipv6Addr],
         modules: &[Box<dyn ProbeModule>],
         resolve: &mut dyn FnMut(Ipv6Addr) -> expanse_addr::AddrId,
     ) -> MultiScanResult {
-        let passes = self.battery_passes(targets, modules);
+        let passes = self.battery_passes(expanse_addr::worker_threads(), targets, modules);
         self.merge_battery(passes, Some(resolve))
     }
 
     /// One result per module — its sub-shards' cells joined, in
-    /// sub-shard order — from the executor `cfg.fanout.parallel` names.
+    /// sub-shard order — with the `(module, sub-shard)` grid mapped
+    /// over `workers` workers. A module's sub-shards are adjacent in the
+    /// grid, modules in order; every cell runs against its own snapshot
+    /// of the network, so which worker runs a cell, and when, cannot
+    /// change it.
     fn battery_passes(
-        &mut self,
+        &self,
+        workers: usize,
         targets: &[Ipv6Addr],
         modules: &[Box<dyn ProbeModule>],
     ) -> Vec<(ScanResult, Time)> {
-        let workers = if self.cfg.fanout.parallel {
-            expanse_addr::worker_threads()
-        } else {
-            1
-        };
         let subs: Vec<SubShard> = self
             .battery_shards()
             .into_iter()
@@ -552,11 +522,13 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
                 layout: OnceLock::new(),
             })
             .collect();
-        let mut cells = if workers == 1 {
-            self.battery_cells_serial(targets, &subs, modules)
-        } else {
-            self.battery_cells_parallel(workers, targets, &subs, modules)
-        }
+        let grid: Vec<(&dyn ProbeModule, &SubShard)> = modules
+            .iter()
+            .flat_map(|module| subs.iter().map(move |sub| (module.as_ref(), sub)))
+            .collect();
+        let mut cells = expanse_addr::par::par_map_coarse(&grid, workers, |&(module, sub)| {
+            self.battery_cell(targets, sub, module)
+        })
         .into_iter();
         modules
             .iter()
@@ -583,74 +555,6 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         job.finish(vec![all])
     }
 
-    /// One-thread executor for the battery grid's cells: the reference
-    /// the determinism checks compare the pool against.
-    fn battery_cells_serial(
-        &self,
-        targets: &[Ipv6Addr],
-        subs: &[SubShard],
-        modules: &[Box<dyn ProbeModule>],
-    ) -> Vec<(ScanResult, Time)> {
-        modules
-            .iter()
-            .flat_map(|module| {
-                subs.iter()
-                    .map(|sub| self.battery_cell(targets, sub, module.as_ref()))
-            })
-            .collect()
-    }
-
-    /// Worker-pool executor for the battery grid's cells, sized by
-    /// [`expanse_addr::worker_threads`] (the `EXPANSE_THREADS` knob).
-    /// The grid is `(module, sub-shard)` cells, a module's sub-shards
-    /// together, modules in order. Each worker claims cells off a shared
-    /// counter; every cell clones the network snapshot, so execution
-    /// order cannot influence results.
-    fn battery_cells_parallel(
-        &self,
-        workers: usize,
-        targets: &[Ipv6Addr],
-        subs: &[SubShard],
-        modules: &[Box<dyn ProbeModule>],
-    ) -> Vec<(ScanResult, Time)> {
-        let per = subs.len();
-        let n_cells = modules.len() * per;
-        let workers = workers.min(n_cells).max(1);
-        let cells: Vec<Mutex<Option<(ScanResult, Time)>>> =
-            (0..n_cells).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "results land in per-cell slots indexed by grid position, each behind \
-                      its own cell lock that one worker takes once; collection order is \
-                      deterministic"
-        )]
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_cells {
-                        break;
-                    }
-                    let (m, j) = (i / per, i % per);
-                    let out = self.battery_cell(targets, &subs[j], modules[m].as_ref());
-                    *cells[i].lock().expect("cell lock") = Some(out);
-                });
-            }
-        });
-        // Every cell is filled by construction (worker panics propagate
-        // out of `thread::scope`); a hole would silently drop a
-        // sub-shard's results, so fail loudly.
-        cells
-            .into_iter()
-            .map(|c| {
-                c.into_inner()
-                    .expect("cell lock")
-                    .expect("battery cell left unfilled")
-            })
-            .collect()
-    }
-
     /// The sub-shards every protocol pass is split into, as `(shard,
     /// total)`: composing the configured zmap-level shard selection with
     /// the fan-out's per-protocol sub-sharding. For outer selection
@@ -659,7 +563,7 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
     /// outer shard's positions.
     fn battery_shards(&self) -> Vec<(u64, u64)> {
         let (shard, shards) = self.cfg.shard;
-        let per = self.cfg.fanout.shards_per_protocol.max(1);
+        let per = self.cfg.shards_per_protocol.max(1);
         (0..per)
             .map(|j| (shard + shards * j, shards * per))
             .collect()
@@ -706,18 +610,6 @@ fn join_pass(
 /// Convenience: is the reply a positive service answer?
 pub fn positive(reply: &ProbeReply) -> bool {
     reply.kind.is_positive()
-}
-
-/// Derive the per-protocol responsive sets from a battery result.
-pub fn responsive_sets(multi: &MultiScanResult) -> Vec<(Protocol, Vec<Ipv6Addr>)> {
-    Protocol::ALL
-        .iter()
-        .map(|p| {
-            let scan = multi.by_protocol.get(p);
-            let positive = scan.map(|r| r.responsive().collect());
-            (*p, positive.unwrap_or_default())
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -815,13 +707,7 @@ mod tests {
             .collect();
         let multi = s.scan_battery(&targets, &crate::module::standard_battery());
         // Aliased CDN hooks answer ICMP + TCP80 + TCP443 but not DNS.
-        let sets = responsive_sets(&multi);
-        let get = |p: Protocol| {
-            sets.iter()
-                .find(|(q, _)| *q == p)
-                .map(|(_, v)| v.len())
-                .unwrap_or(0)
-        };
+        let get = |p: Protocol| multi.by_protocol[&p].responsive().count();
         assert!(get(Protocol::Icmp) >= 15);
         assert!(get(Protocol::Tcp80) >= 15);
         assert_eq!(get(Protocol::Udp53), 0);
@@ -830,8 +716,15 @@ mod tests {
         assert!(any.1.len() >= 2, "{:?}", any);
     }
 
+    /// The battery over 200 targets of an aliased hook: its digest,
+    /// probes sent and end clock (ns), recorded on the commit before the
+    /// grid went onto `par_map_coarse`, where the one-thread and
+    /// worker-pool executors agreed.
+    const RECORDED_HOOK_BATTERY: (u64, u64, u64) =
+        (16_902_901_003_111_753_134, 1_000, 5_000_250_000);
+
     #[test]
-    fn parallel_and_serial_battery_identical() {
+    fn battery_matches_recorded() {
         let p48 = InternetModel::build(ModelConfig::tiny(21))
             .population
             .special
@@ -839,21 +732,13 @@ mod tests {
         let targets: Vec<Ipv6Addr> = (0..200u64)
             .map(|i| expanse_addr::keyed_random_addr(p48, i))
             .collect();
-        let battery = crate::module::standard_battery();
-        let run = |parallel: bool| {
-            let model = InternetModel::build(ModelConfig::tiny(21));
-            let mut cfg = ScanConfig::default();
-            cfg.fanout.parallel = parallel;
-            let mut s = Scanner::new(model, cfg);
-            let multi = s.scan_battery(&targets, &battery);
-            (multi, s.now())
-        };
-        let (serial, serial_end) = run(false);
-        let (parallel, parallel_end) = run(true);
-        assert_eq!(serial, parallel, "fan-out must not change results");
-        assert_eq!(serial.digest(), parallel.digest());
-        assert_eq!(serial_end, parallel_end, "clock advance must match");
-        assert!(serial.total_sent() >= 200 * 5 - 100);
+        let model = InternetModel::build(ModelConfig::tiny(21));
+        let mut s = Scanner::new(model, ScanConfig::default());
+        let multi = s.scan_battery(&targets, &crate::module::standard_battery());
+        assert_eq!(
+            (multi.digest(), multi.total_sent(), s.now().0),
+            RECORDED_HOOK_BATTERY
+        );
     }
 
     #[test]
@@ -877,11 +762,11 @@ mod tests {
             std::collections::BTreeMap::new();
         for shard in 0..3u64 {
             let model = InternetModel::build(ModelConfig::tiny(21));
-            let mut cfg = ScanConfig {
+            let cfg = ScanConfig {
                 shard: (shard, 3),
+                shards_per_protocol: 4,
                 ..ScanConfig::default()
             };
-            cfg.fanout.shards_per_protocol = 4;
             let mut s = Scanner::new(model, cfg);
             let multi = s.scan_battery(&targets, &battery);
             for (p, r) in &multi.by_protocol {
@@ -916,13 +801,29 @@ mod tests {
         let battery = crate::module::standard_battery();
         for shards in [1u64, 3, 8, 64] {
             let model = InternetModel::build(ModelConfig::tiny(21));
-            let mut cfg = ScanConfig::default();
-            cfg.fanout.shards_per_protocol = shards;
+            let cfg = ScanConfig {
+                shards_per_protocol: shards,
+                ..ScanConfig::default()
+            };
             let mut s = Scanner::new(model, cfg);
             let multi = s.scan_battery(&targets, &battery);
             for r in multi.by_protocol.values() {
                 assert_eq!(r.sent, 37, "shards={shards}");
             }
+        }
+    }
+
+    /// The configuration the worker sweeps scan a target mix with:
+    /// shard 1 of 3, the mix's prefixes blacklisted.
+    fn mix_config(blacklisted: Vec<expanse_addr::Prefix>) -> ScanConfig {
+        let mut blacklist = Blacklist::new();
+        for p in blacklisted {
+            blacklist.add(p);
+        }
+        ScanConfig {
+            shard: (1, 3),
+            blacklist,
+            ..ScanConfig::default()
         }
     }
 
@@ -935,15 +836,7 @@ mod tests {
         (targets, blacklisted): (Vec<Ipv6Addr>, Vec<expanse_addr::Prefix>),
         recorded: common::Fingerprint,
     ) {
-        let mut blacklist = Blacklist::new();
-        for p in blacklisted {
-            blacklist.add(p);
-        }
-        let cfg = ScanConfig {
-            shard: (1, 3),
-            blacklist,
-            ..ScanConfig::default()
-        };
+        let cfg = mix_config(blacklisted);
         let tcp = TcpSynModule::with_synopt(80);
         let modules: [&dyn ProbeModule; 4] = [&IcmpEchoModule, &tcp, &IcmpEchoModule, &tcp];
         let run = |workers: usize| -> Vec<(ScanResult, Time)> {
@@ -990,6 +883,63 @@ mod tests {
         let mix = common::mix(net.inner());
         assert!(mix.0.iter().all(|t| net.stateful(*t)));
         sweep_workers(common::throttled, mix, common::RECORDED_THROTTLED);
+    }
+
+    /// Two batteries back to back over a world's target mix
+    /// ([`mix_config`]): per battery its digest, probes sent and the
+    /// clock after it. Recorded on the commit before the grid
+    /// went onto `par_map_coarse`, where the one-thread and worker-pool
+    /// executors agreed.
+    type BatteryFingerprint = [u64; 6];
+    const RECORDED_BATTERY_PLAIN: BatteryFingerprint = [
+        11_458_194_885_761_383_009,
+        61_445,
+        5_015_410_000,
+        3_214_360_779_333_795_516,
+        61_445,
+        10_030_820_000,
+    ];
+    const RECORDED_BATTERY_ADVERSARIAL: BatteryFingerprint = [
+        4_303_127_825_968_148_511,
+        62_060,
+        5_015_560_000,
+        17_872_716_209_054_444_964,
+        62_060,
+        10_031_120_000,
+    ];
+
+    /// The battery grid on 1, 2, 3 and 8 workers: every pass of both
+    /// batteries is equal across worker counts, and the batteries match
+    /// their recorded fingerprint.
+    fn sweep_battery_workers(build: impl Fn() -> InternetModel, recorded: BatteryFingerprint) {
+        let (targets, blacklisted) = common::mix(&build());
+        let cfg = mix_config(blacklisted);
+        let battery = crate::module::standard_battery();
+        let run = |workers: usize| {
+            let mut s = Scanner::new(build(), cfg.clone());
+            let mut day = || {
+                let passes = s.battery_passes(workers, &targets, &battery);
+                let multi = s.merge_battery(passes.clone(), None);
+                (passes, multi.digest(), multi.total_sent(), s.now().0)
+            };
+            [day(), day()]
+        };
+        let one = run(1);
+        let [(_, d1, n1, t1), (_, d2, n2, t2)] = &one;
+        assert_eq!([*d1, *n1, *t1, *d2, *n2, *t2], recorded);
+        for workers in [2, 3, 8] {
+            assert_eq!(run(workers), one, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn battery_is_worker_count_independent() {
+        sweep_battery_workers(common::plain, RECORDED_BATTERY_PLAIN);
+    }
+
+    #[test]
+    fn battery_is_worker_count_independent_on_the_adversarial_world() {
+        sweep_battery_workers(common::adversarial, RECORDED_BATTERY_ADVERSARIAL);
     }
 
     #[test]

@@ -26,9 +26,6 @@ const OPT_OUTS: &[&str] = &[
     "crates/serve/src/transport.rs: #[expect(clippy::disallowed_methods)]",
     // The one sanctioned fan-out module.
     "crates/addr/src/par.rs: #![expect(clippy::disallowed_methods)]",
-    // Two scoped thread pools whose output is pinned across thread counts.
-    "crates/core/src/hitlist.rs: #[expect(clippy::disallowed_methods)]",
-    "crates/zmap6/src/scanner.rs: #[expect(clippy::disallowed_methods)]",
     // The bench harness's wall clocks, which never enter a report.
     "crates/bench/src/bin/experiments.rs: #![expect(clippy::disallowed_types)]",
     "crates/bench/src/exp_serve_load.rs: #![expect(clippy::disallowed_types, clippy::disallowed_methods)]",
