@@ -58,22 +58,29 @@ pub fn keyed_random_addr(prefix: Prefix, salt: u64) -> Ipv6Addr {
 /// # Panics
 /// Panics if `prefix.len() > 124` (no room for the 4-bit fan-out).
 pub fn fanout16(prefix: Prefix, salt: u64) -> Vec<FanoutTarget> {
+    fanout16_iter(prefix, salt).collect()
+}
+
+/// [`fanout16`] without the allocation: the same 16 targets, in branch
+/// order.
+///
+/// # Panics
+/// Panics if `prefix.len() > 124` (no room for the 4-bit fan-out).
+pub fn fanout16_iter(prefix: Prefix, salt: u64) -> impl Iterator<Item = FanoutTarget> {
     assert!(
         prefix.len() <= 124,
         "fan-out requires a prefix of length <= 124, got /{}",
         prefix.len()
     );
-    (0..16u8)
-        .map(|branch| {
-            let subprefix = prefix.subprefix(4, u128::from(branch));
-            let addr = keyed_random_addr(subprefix, salt ^ u64::from(branch));
-            FanoutTarget {
-                branch,
-                subprefix,
-                addr,
-            }
-        })
-        .collect()
+    (0..16u8).map(move |branch| {
+        let subprefix = prefix.subprefix(4, u128::from(branch));
+        let addr = keyed_random_addr(subprefix, salt ^ u64::from(branch));
+        FanoutTarget {
+            branch,
+            subprefix,
+            addr,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub mod sorted;
 pub mod table;
 
 pub use codec::{CodecError, Decoder, Encoder};
-pub use fanout::{fanout16, keyed_random_addr, FanoutTarget};
+pub use fanout::{fanout16, fanout16_iter, keyed_random_addr, FanoutTarget};
 pub use iter::AddrIter;
 pub use mac::MacAddr;
 pub use par::worker_threads;

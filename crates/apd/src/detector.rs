@@ -7,7 +7,7 @@
 //! within the sliding window.
 
 use crate::window::WindowState;
-use expanse_addr::{fanout16, Prefix};
+use expanse_addr::{addr_to_u128, fanout16_iter, u128_to_addr, Prefix};
 use expanse_netsim::SnapshotNetwork;
 use expanse_zmap6::module::{IcmpEchoModule, TcpSynModule};
 use expanse_zmap6::{ProbeReply, Scanner};
@@ -72,6 +72,110 @@ fn record_reply(
     replies[usize::from(branch)] = Some(reply);
 }
 
+/// One day's fan-out: the distinct targets of every planned prefix,
+/// sorted, with the `(observation slot, branch)` pairs that drew each.
+struct Fanout {
+    /// Every target once, ascending.
+    targets: Vec<Ipv6Addr>,
+    /// `back[i]`: the first `(slot, branch)` that drew `targets[i]`.
+    back: Vec<(u32, u8)>,
+    /// `(i, slot, branch)` for every further pair that drew
+    /// `targets[i]`, ascending by `i`. Two prefixes draw the same target
+    /// rarely, but a planned /124 and its planned /120 parent always
+    /// do: a /124's sixteen targets are all of its addresses.
+    shared: Vec<(u32, u32, u8)>,
+}
+
+impl Fanout {
+    /// The fan-out of `order` (distinct prefixes, ascending), observation
+    /// slot `s` being `order[s]`.
+    fn new(order: &[Prefix], salt: u64) -> Self {
+        // `(address high half, low half, slot, branch)`: sorts like the
+        // address, in 24 bytes where a `u128` key would take 32.
+        let mut fan: Vec<(u64, u64, u32, u8)> = Vec::with_capacity(order.len() * 16);
+        for (slot, p) in order.iter().enumerate() {
+            let slot = u32::try_from(slot).expect("plan beyond u32 prefixes");
+            fan.extend(fanout16_iter(*p, salt).map(|t| {
+                let a = addr_to_u128(t.addr);
+                ((a >> 64) as u64, a as u64, slot, t.branch)
+            }));
+        }
+        fan.sort_unstable();
+        let mut out = Fanout {
+            targets: Vec::with_capacity(fan.len()),
+            back: Vec::with_capacity(fan.len()),
+            shared: Vec::new(),
+        };
+        let mut last = None;
+        for (hi, lo, slot, branch) in fan {
+            if last == Some((hi, lo)) {
+                let i = out.targets.len() - 1;
+                out.shared.push((i as u32, slot, branch));
+            } else {
+                out.targets
+                    .push(u128_to_addr((u128::from(hi) << 64) | u128::from(lo)));
+                out.back.push((slot, branch));
+                last = Some((hi, lo));
+            }
+        }
+        out
+    }
+
+    /// Hand each reply of one pass — sorted by target, like `targets` —
+    /// to every `(slot, branch)` that drew its target, in one forward
+    /// walk. §5.1's /116 carve case: a reply from a *different* address
+    /// does not count for the probed branch.
+    fn attribute(&self, replies: Vec<ProbeReply>, mut record: impl FnMut(u32, u8, ProbeReply)) {
+        let mut i = 0;
+        let mut shared = self.shared.iter().peekable();
+        for reply in replies {
+            if !reply.kind.is_positive() || reply.from != reply.target {
+                continue;
+            }
+            let key = addr_to_u128(reply.target);
+            while self.targets.get(i).is_some_and(|t| addr_to_u128(*t) < key) {
+                i += 1;
+            }
+            if self.targets.get(i) != Some(&reply.target) {
+                continue;
+            }
+            while shared.next_if(|s| (s.0 as usize) < i).is_some() {}
+            while let Some(&(_, slot, branch)) = shared.next_if(|s| s.0 as usize == i) {
+                record(slot, branch, reply.clone());
+            }
+            let (slot, branch) = self.back[i];
+            record(slot, branch, reply);
+        }
+    }
+}
+
+/// Update `map` at each key of `updates` (ascending, distinct): `update`
+/// the entries it has, found in one forward walk, and `open` the others,
+/// inserted after it.
+fn walk_sorted<V, T>(
+    map: &mut BTreeMap<Prefix, V>,
+    mut updates: impl Iterator<Item = (Prefix, T)>,
+    update: impl Fn(&mut V, T),
+    open: impl Fn(T) -> V,
+) {
+    let Some(first) = updates.next() else {
+        return;
+    };
+    let mut opened = Vec::new();
+    let mut entries = map.range_mut(first.0..).peekable();
+    let mut prev = None;
+    for (p, t) in std::iter::once(first).chain(updates) {
+        debug_assert!(prev < Some(p), "updates not ascending");
+        prev = Some(p);
+        while entries.next_if(|(q, _)| **q < p).is_some() {}
+        match entries.next_if(|(q, _)| **q == p) {
+            Some((_, v)) => update(v, t),
+            None => opened.push((p, open(t))),
+        }
+    }
+    map.extend(opened);
+}
+
 /// One day's report across all probed prefixes.
 #[derive(Debug, Clone, Default)]
 pub struct DayReport {
@@ -123,42 +227,28 @@ impl Apd {
 
     /// Probe all `prefixes` once (one "day"), update window state, and
     /// return the raw observations. Probing batches the fan-out targets
-    /// of every prefix into two scans (one per protocol), zmap-style.
+    /// of every prefix into two scans (one per protocol), zmap-style. A
+    /// target that two planned prefixes draw is probed once, and its
+    /// reply counts for the branch of each.
     pub fn run_day<N: SnapshotNetwork + Sync>(
         &mut self,
         scanner: &mut Scanner<N>,
         prefixes: &[Prefix],
     ) -> DayReport {
         // One observation per distinct prefix, in prefix order (the
-        // pipeline's plan already arrives that way).
+        // pipeline's plan already arrives that way). A repeated prefix
+        // would only draw its 16 targets again, so the fan-out is of
+        // `order` too.
         let mut order: Vec<Prefix> = prefixes.to_vec();
         order.sort();
         order.dedup();
-
-        // The combined target list with back-references `(target, plan
-        // index, branch)`. Collisions across overlapping prefixes are
-        // possible (e.g. /64 and /68 plans): sorted by target then plan
-        // index, keeping the first of each target means the first plan
-        // wins and the branch simply gets probed once.
-        let mut fan: Vec<(Ipv6Addr, usize, u8)> = Vec::with_capacity(prefixes.len() * 16);
-        for (pi, p) in prefixes.iter().enumerate() {
-            fan.extend(
-                fanout16(*p, self.cfg.salt)
-                    .into_iter()
-                    .map(|t| (t.addr, pi, t.branch)),
-            );
-        }
-        fan.sort_unstable();
-        fan.dedup_by_key(|f| f.0);
-        // Split the address column off for the scans; `back[i]` keeps
-        // the `(plan index, branch)` of `targets[i]`, so no second copy
-        // of the addresses rides through the probing.
-        let (targets, back): (Vec<Ipv6Addr>, Vec<(usize, u8)>) =
-            fan.into_iter().map(|(a, pi, b)| (a, (pi, b))).unzip();
+        let fan = Fanout::new(&order, self.cfg.salt);
 
         // One layout, walked once, for both passes.
-        let [icmp_scan, tcp_scan] =
-            scanner.scan_each(&targets, [&IcmpEchoModule, &TcpSynModule::with_synopt(80)]);
+        let [icmp_scan, tcp_scan] = scanner.scan_each(
+            &fan.targets,
+            [&IcmpEchoModule, &TcpSynModule::with_synopt(80)],
+        );
 
         let mut report = DayReport {
             observations: order
@@ -166,49 +256,48 @@ impl Apd {
                 .map(|p| (*p, DayObservation::default()))
                 .collect(),
             probes_sent: icmp_scan.sent + tcp_scan.sent,
-            targets: targets.len() as u64,
+            targets: fan.targets.len() as u64,
         };
-        // The observation a reply belongs to, with its branch. §5.1's
-        // /116 carve case: a reply from a *different* address does not
-        // count for the probed branch.
-        let slot_of = |reply: &ProbeReply| {
-            if !reply.kind.is_positive() || reply.from != reply.target {
-                return None;
-            }
-            let (pi, branch) = back[targets.binary_search(&reply.target).ok()?];
-            let slot = order.binary_search(&prefixes[pi]).ok()?;
-            Some((slot, branch))
-        };
-        for reply in icmp_scan.replies {
-            if let Some((slot, branch)) = slot_of(&reply) {
-                let obs = &mut report.observations[slot].1;
-                record_reply(&mut obs.icmp, &mut obs.icmp_replies, branch, reply);
-            }
-        }
-        for reply in tcp_scan.replies {
-            if let Some((slot, branch)) = slot_of(&reply) {
-                let obs = &mut report.observations[slot].1;
-                record_reply(&mut obs.tcp, &mut obs.tcp_replies, branch, reply);
-            }
-        }
+        let observations = &mut report.observations;
+        fan.attribute(icmp_scan.replies, |slot, branch, reply| {
+            let obs = &mut observations[slot as usize].1;
+            record_reply(&mut obs.icmp, &mut obs.icmp_replies, branch, reply);
+        });
+        fan.attribute(tcp_scan.replies, |slot, branch, reply| {
+            let obs = &mut observations[slot as usize].1;
+            record_reply(&mut obs.tcp, &mut obs.tcp_replies, branch, reply);
+        });
 
-        // Update sliding windows.
-        for (p, obs) in &report.observations {
-            self.push_day(*p, obs.merged());
-        }
+        self.push_days(report.observations.iter().map(|(p, o)| (*p, o.merged())));
         report
     }
 
-    /// Record one day's merged branch bitmap for `p`, opening its
-    /// window on first sight, and count the push towards the next
-    /// journal delta.
-    pub(crate) fn push_day(&mut self, p: Prefix, merged: u16) {
-        self.windows
-            .entry(p)
-            .or_insert_with(|| WindowState::new(self.cfg.window))
-            .push_day(merged);
-        let pushes = self.dirty.entry(p).or_insert(0);
-        *pushes = pushes.saturating_add(1);
+    /// Record one day's merged branch bitmap per prefix — `days`
+    /// ascending by prefix, each prefix once — opening a window on
+    /// first sight, and count each push towards the next journal delta:
+    /// one ordered walk over each map.
+    pub(crate) fn push_days(
+        &mut self,
+        days: impl IntoIterator<Item = (Prefix, u16), IntoIter: Clone>,
+    ) {
+        let days = days.into_iter();
+        let window = self.cfg.window;
+        walk_sorted(
+            &mut self.windows,
+            days.clone(),
+            |w, merged| w.push_day(merged),
+            |merged| {
+                let mut w = WindowState::new(window);
+                w.push_day(merged);
+                w
+            },
+        );
+        walk_sorted(
+            &mut self.dirty,
+            days,
+            |pushes, _| *pushes = pushes.saturating_add(1),
+            |_| 1,
+        );
     }
 
     /// Current windowed classification: prefixes whose branches have all
@@ -360,6 +449,106 @@ mod tests {
         let report = apd.run_day(&mut s, &hooks);
         assert_eq!(report.targets, 16);
         assert_eq!(report.probes_sent, 32); // 16 ICMP + 16 TCP
+    }
+
+    /// FNV-1a over the `Debug` rendering of `value`: every field of
+    /// every reply, bitmap and window, in order.
+    fn fingerprint(value: &impl std::fmt::Debug) -> u64 {
+        format!("{value:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// A plan over everything a day meets: every 4-bit level from /64
+    /// to /120 nested inside a CDN hook, the hook itself, listed twice,
+    /// the /116 carve, unrouted space, the partial /96 — out of order.
+    /// No two of its prefixes share a fan-out target.
+    fn mixed_plan(s: &mut Scanner<InternetModel>) -> Vec<Prefix> {
+        let special = &s.network_mut().population.special;
+        let hook = special.cdn_hook_48s[0];
+        let mut plan = vec![special.carve116, hook, special.partial96];
+        let mut p = hook.subprefix(16, 0x5a5a);
+        while p.len() <= 120 {
+            plan.push(p);
+            p = p.subprefix(4, u128::from(p.len() % 16));
+        }
+        plan.push("3fff:0:0:2::/64".parse().unwrap());
+        plan.push(hook);
+        plan
+    }
+
+    /// Two days of [`mixed_plan`]: per day the fingerprint of the
+    /// report's observations, its probe and target counts and the
+    /// scanner clock after it; then the windows and the pushes
+    /// pending for the next journal delta. Recorded on the commit before
+    /// the fan-out was built, attributed and windowed in ordered passes.
+    const RECORDED_RUN_DAY: [u64; 10] = [
+        6_168_614_895_754_918_262,
+        608,
+        304,
+        10_006_080_000,
+        1_544_521_032_161_822_665,
+        608,
+        304,
+        20_012_160_000,
+        17_438_650_388_111_514_190,
+        18_374_089_036_749_365_177,
+    ];
+
+    #[test]
+    fn run_day_matches_recorded() {
+        let mut s = scanner();
+        let plan = mixed_plan(&mut s);
+        let mut apd = Apd::new(ApdConfig::default());
+        let mut pin = Vec::new();
+        for day in 0..2 {
+            s.network_mut().set_day(day);
+            let report = apd.run_day(&mut s, &plan);
+            assert_eq!(
+                report.targets,
+                16 * report.observations.len() as u64,
+                "fan-out targets collide"
+            );
+            pin.extend([
+                fingerprint(&report.observations),
+                report.probes_sent,
+                report.targets,
+                s.now().0,
+            ]);
+        }
+        pin.extend([fingerprint(&apd.windows), fingerprint(&apd.dirty)]);
+        assert_eq!(pin, RECORDED_RUN_DAY);
+    }
+
+    /// A /120 and one of its /124 branches share a fan-out target: a
+    /// /124's sixteen targets are all of its addresses. The target's
+    /// reply counts for both, whichever comes first in the plan.
+    #[test]
+    fn shared_target_answers_for_every_prefix_that_drew_it() {
+        for outer_first in [true, false] {
+            let mut s = scanner();
+            let hook = s.network_mut().population.special.cdn_hook_48s[2];
+            let p120 = hook.subprefix(72, 0x00c0_ffee_0000_0001_0203);
+            let p124 = p120.subprefix(4, 0x7);
+            let plan = if outer_first {
+                vec![p120, p124]
+            } else {
+                vec![p124, p120]
+            };
+            let mut apd = Apd::new(ApdConfig::default());
+            for day in 0..2 {
+                s.network_mut().set_day(day);
+                let report = apd.run_day(&mut s, &plan);
+                assert_eq!(report.targets, 31, "exactly one target is shared");
+            }
+            assert_eq!(
+                apd.aliased_prefixes(),
+                vec![p120, p124],
+                "outer first: {outer_first}"
+            );
+        }
     }
 
     #[test]

@@ -230,8 +230,7 @@ mod tests {
         // p1 goes partial mid-way; p2 becomes and stays aliased (its
         // half-days merge inside the window).
         for (d1, d2) in [(0xffffu16, 0x00ff), (0x0001, 0xff00), (0xffff, 0x0000)] {
-            apd.push_day(p1, d1);
-            apd.push_day(p2, d2);
+            apd.push_days([(p1, d1), (p2, d2)]);
         }
 
         let mut buf = Vec::new();
@@ -295,15 +294,13 @@ mod tests {
         let p1: Prefix = "2001:db8:1::/48".parse().unwrap();
         let p2: Prefix = "2001:db8:2::/48".parse().unwrap();
         let p3: Prefix = "2001:db8:3::/48".parse().unwrap();
-        apd.push_day(p1, 0x00ff);
-        apd.push_day(p2, 0xffff);
+        apd.push_days([(p1, 0x00ff), (p2, 0xffff)]);
         apd.mark_synced();
         let mut replica = full_roundtrip(&apd);
 
         // One existing window advances, one brand-new prefix appears;
         // p2 is untouched and must not be in the delta.
-        apd.push_day(p1, 0xff00);
-        apd.push_day(p3, 0xffff);
+        apd.push_days([(p1, 0xff00), (p3, 0xffff)]);
         assert_eq!(apd.delta_prefixes(), 2);
 
         let delta = delta_bytes(&apd);
@@ -345,14 +342,13 @@ mod tests {
         // the last only the full-entry fallback can carry.
         for gap in [1usize, cfg.window + 1, cfg.window + 2] {
             let mut apd = Apd::new(cfg.clone());
-            apd.push_day(old, 0x0f0f);
-            apd.push_day(old, 0xffff);
+            apd.push_days([(old, 0x0f0f)]);
+            apd.push_days([(old, 0xffff)]);
             apd.mark_synced();
             let flips_at_sync = apd.windows[&old].flips();
             let mut replica = full_roundtrip(&apd);
             for &d in &days[..gap] {
-                apd.push_day(old, d);
-                apd.push_day(new, !d);
+                apd.push_days([(old, d), (new, !d)]);
             }
             let delta = delta_bytes(&apd);
             apply(&mut replica, &delta).unwrap();

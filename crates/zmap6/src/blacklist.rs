@@ -46,9 +46,10 @@ impl Blacklist {
         Ok(bl)
     }
 
-    /// Is `addr` blacklisted?
+    /// Is `addr` blacklisted? An empty blacklist answers without a
+    /// lookup, so a layout walk over it only gathers its targets.
     pub fn contains(&self, addr: Ipv6Addr) -> bool {
-        self.set.covers_addr(addr)
+        self.len > 0 && self.set.covers_addr(addr)
     }
 
     /// Number of blacklist entries.

@@ -30,6 +30,11 @@
 //! change a result, because no job can tell a shared order from one it
 //! walked itself.
 //!
+//! The layout holds each slot's destination address, not its index
+//! into the target list. The walk gathers every target once, already
+//! in send order. A pass then reads its slots front to back, so each
+//! probe costs one random read per layout, not one per pass.
+//!
 //! # The battery fan-out
 //!
 //! The multi-protocol battery ([`Scanner::scan_battery`]) is the
@@ -155,15 +160,23 @@ impl<N: Network> Scanner<N> {
 /// thread spawns cost more than the probes.
 const POOL_MIN_SLOTS: usize = 4096;
 
+/// Permutation positions a layout walk computes before gathering their
+/// targets.
+const GATHER_BATCH: usize = 512;
+
 /// Which target takes which send slot in one shard of a scan: the keyed
 /// permutation walked and the blacklist applied, once, and shared by
 /// every job over the same targets and shard (see "One layout, shared"
 /// above).
 struct Layout {
-    /// Target index per send slot, in permuted shard order.
-    slots: Vec<u32>,
+    /// Destination per send slot, in permuted shard order: the one
+    /// gather from the target list, so a pass reads its slots in order.
+    slots: Vec<Ipv6Addr>,
     /// Targets the blacklist suppressed; they take no slot.
     blacklisted: u64,
+    /// The target list was empty: a job along this layout sends
+    /// nothing and waits out no cooldown.
+    idle: bool,
 }
 
 impl Layout {
@@ -172,8 +185,9 @@ impl Layout {
         let mut layout = Layout {
             slots: Vec::new(),
             blacklisted: 0,
+            idle: targets.is_empty(),
         };
-        if targets.is_empty() {
+        if layout.idle {
             return layout;
         }
         assert!(
@@ -181,18 +195,29 @@ impl Layout {
             "target list beyond u32 positions"
         );
         let perm = Permutation::new(targets.len() as u64, cfg.seed);
-        let positions = perm.shard(shard, shards);
+        let mut positions = perm.shard(shard, shards);
         // The walk's length is known: one allocation, not a doubling
         // chain.
         layout.slots.reserve_exact(positions.size_hint().0);
-        for idx in positions {
-            if cfg.blacklist.contains(targets[idx as usize]) {
-                layout.blacklisted += 1;
-            } else {
-                layout.slots.push(idx as u32);
+        // Positions are computed a batch at a time, then gathered: a
+        // loop of independent loads keeps many cache misses in flight,
+        // one interleaved with the Feistel rounds only a few.
+        let mut batch = Vec::with_capacity(GATHER_BATCH);
+        loop {
+            batch.clear();
+            batch.extend(positions.by_ref().take(GATHER_BATCH));
+            if batch.is_empty() {
+                return layout;
+            }
+            for &idx in &batch {
+                let dst = targets[idx as usize];
+                if cfg.blacklist.contains(dst) {
+                    layout.blacklisted += 1;
+                } else {
+                    layout.slots.push(dst);
+                }
             }
         }
-        layout
     }
 }
 
@@ -216,7 +241,6 @@ struct Job<'a> {
     cfg: &'a ScanConfig,
     module: &'a dyn ProbeModule,
     validator: Validator,
-    targets: &'a [Ipv6Addr],
     layout: &'a Layout,
     start: Time,
     gap: Duration,
@@ -258,7 +282,6 @@ impl<'a> Job<'a> {
     fn new(
         cfg: &'a ScanConfig,
         start: Time,
-        targets: &'a [Ipv6Addr],
         layout: &'a Layout,
         module: &'a dyn ProbeModule,
     ) -> Self {
@@ -266,13 +289,12 @@ impl<'a> Job<'a> {
             cfg,
             module,
             validator: Validator::new(cfg.seed),
-            targets,
             layout,
             start,
             gap: Duration(1_000_000_000 / cfg.rate_pps.max(1)),
             end: start,
         };
-        if !targets.is_empty() {
+        if !layout.idle {
             job.end = job.clock(layout.slots.len()) + cfg.cooldown;
         }
         job
@@ -300,7 +322,7 @@ impl<'a> Job<'a> {
         let mut probe: Vec<u8> = Vec::new();
         let mut deliveries = Deliveries::new();
         for slot in slots {
-            let dst = self.targets[self.layout.slots[slot] as usize];
+            let dst = self.layout.slots[slot];
             if defer(dst) {
                 out.deferred.push(slot);
                 continue;
@@ -415,15 +437,19 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         targets: &[Ipv6Addr],
         modules: [&dyn ProbeModule; M],
     ) -> [ScanResult; M] {
-        let layout = self.layout(targets);
-        let workers = expanse_addr::worker_threads();
-        modules.map(|module| self.scan_laid_out(workers, targets, &layout, module))
+        self.scan_each_pooled(expanse_addr::worker_threads(), targets, modules)
     }
 
-    /// The configured shard's layout over `targets`.
-    fn layout(&self, targets: &[Ipv6Addr]) -> Layout {
+    /// [`Scanner::scan_each`] on `workers` workers.
+    fn scan_each_pooled<const M: usize>(
+        &mut self,
+        workers: usize,
+        targets: &[Ipv6Addr],
+        modules: [&dyn ProbeModule; M],
+    ) -> [ScanResult; M] {
         let (shard, shards) = self.cfg.shard;
-        Layout::new(&self.cfg, targets, shard, shards)
+        let layout = Layout::new(&self.cfg, targets, shard, shards);
+        modules.map(|module| self.scan_laid_out(workers, &layout, module))
     }
 
     /// [`Scanner::scan`] on `workers` workers.
@@ -433,19 +459,18 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         targets: &[Ipv6Addr],
         module: &dyn ProbeModule,
     ) -> ScanResult {
-        let layout = self.layout(targets);
-        self.scan_laid_out(workers, targets, &layout, module)
+        let [result] = self.scan_each_pooled(workers, targets, [module]);
+        result
     }
 
-    /// [`Scanner::scan_pooled`] along a layout already made.
+    /// One pass of [`Scanner::scan_each_pooled`], along its layout.
     fn scan_laid_out(
         &mut self,
         workers: usize,
-        targets: &[Ipv6Addr],
         layout: &Layout,
         module: &dyn ProbeModule,
     ) -> ScanResult {
-        let job = Job::new(&self.cfg, self.clock, targets, layout, module);
+        let job = Job::new(&self.cfg, self.clock, layout, module);
         let n = layout.slots.len();
         let n_ranges = if n < POOL_MIN_SLOTS {
             1
@@ -550,7 +575,7 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         let layout = sub
             .layout
             .get_or_init(|| Layout::new(&self.cfg, targets, sub.shard, sub.total));
-        let job = Job::new(&self.cfg, self.clock, targets, layout, module);
+        let job = Job::new(&self.cfg, self.clock, layout, module);
         let all = job.collect(&mut self.net.snapshot(), 0..layout.slots.len(), |_| false);
         job.finish(vec![all])
     }
@@ -605,11 +630,6 @@ fn join_pass(
         })
         .collect();
     (ScanResult::from_shards(protocol, parts), end)
-}
-
-/// Convenience: is the reply a positive service answer?
-pub fn positive(reply: &ProbeReply) -> bool {
-    reply.kind.is_positive()
 }
 
 #[cfg(test)]
@@ -830,7 +850,8 @@ mod tests {
     /// `tests/scan_pooled.rs` at explicit worker counts: the whole
     /// `ScanResult` of each of the four scans and the clocks between
     /// them are the same for 1, 2, 3 and 8 workers, and fingerprint to
-    /// what the serial loop left on the parent commit.
+    /// what the serial loop left on the parent commit; `scan_each` of
+    /// the first two modules returns the first two scans on any count.
     fn sweep_workers<N: SnapshotNetwork + Sync>(
         build: impl Fn() -> N,
         (targets, blacklisted): (Vec<Ipv6Addr>, Vec<expanse_addr::Prefix>),
@@ -856,6 +877,17 @@ mod tests {
         assert_eq!([d(0), d(1), t(1), d(2), d(3), t(3)], recorded);
         for workers in [2, 3, 8] {
             assert_eq!(run(workers), one, "workers={workers}");
+        }
+        // Both passes share one layout: the blacklist count, duplicates,
+        // deferred stateful slots and clock must still match.
+        for workers in [1, 2, 3, 8] {
+            let mut s = Scanner::new(build(), cfg.clone());
+            let [icmp, tcp] = s.scan_each_pooled(workers, &targets, [modules[0], modules[1]]);
+            assert_eq!(
+                (&icmp, &tcp, s.now()),
+                (&one[0].0, &one[1].0, one[1].1),
+                "scan_each, workers={workers}"
+            );
         }
     }
 
