@@ -431,29 +431,12 @@ impl<R: Read> Decoder<R> {
 
 /// Write an [`AddrTable`]'s raw address column. Ids are implicit in
 /// the order: entry `i` is the address behind `AddrId` `i`.
-///
-/// The column's byte image is produced on
-/// [`worker_threads`](crate::par::worker_threads) workers: contiguous
-/// chunks are serialized to little-endian buffers concurrently, then fed
-/// through the encoder in chunk order — the checksum is a byte-stream
-/// fold, so the envelope is the same for every thread count
-/// (`docs/SNAPSHOT_FORMAT.md` §6).
 pub fn write_table<W: Write>(enc: &mut Encoder<W>, t: &AddrTable) -> Result<(), CodecError> {
     enc.put_len(t.len())?;
-    let threads = crate::par::worker_threads();
-    for buf in crate::par::par_chunk_bytes(t.raw(), threads, encode_u128_chunk) {
-        enc.put_bytes(&buf)?;
+    for &v in t.raw() {
+        enc.put_u128(v)?;
     }
     Ok(())
-}
-
-/// Chunk serializer for a `u128` column (shared by the table and
-/// table-suffix writers).
-fn encode_u128_chunk(chunk: &[u128], buf: &mut Vec<u8>) {
-    buf.reserve(chunk.len() * 16);
-    for &v in chunk {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
 }
 
 /// Read a table written by [`write_table`], rebuilding the probe
@@ -660,10 +643,6 @@ impl PrefixRun {
 /// This is the append-only building block of the snapshot journal: ids
 /// are never reused or reordered, so "the table since the last record"
 /// is exactly a suffix of the address column.
-///
-/// The suffix bytes are produced on
-/// [`worker_threads`](crate::par::worker_threads) workers, chunked and
-/// concatenated as in [`write_table`].
 pub fn write_table_suffix<W: Write>(
     enc: &mut Encoder<W>,
     t: &AddrTable,
@@ -672,13 +651,8 @@ pub fn write_table_suffix<W: Write>(
     assert!(from <= t.len(), "suffix start beyond table length");
     enc.put_len(from)?;
     enc.put_len(t.len() - from)?;
-    let threads = crate::par::worker_threads();
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "from <= t.len() is asserted above; a writer-side slice of trusted state"
-    )]
-    for buf in crate::par::par_chunk_bytes(&t.raw()[from..], threads, encode_u128_chunk) {
-        enc.put_bytes(&buf)?;
+    for &v in t.raw().iter().skip(from) {
+        enc.put_u128(v)?;
     }
     Ok(())
 }

@@ -17,7 +17,6 @@
 //! pass is a sequential column walk.
 
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder, PrefixRun};
-use expanse_addr::par::par_chunk_bytes;
 use expanse_addr::{AddrId, AddrSet, AddrTable, Prefix};
 use expanse_model::SourceId;
 use expanse_packet::ProtoSet;
@@ -570,17 +569,15 @@ impl Hitlist {
         )
     }
 
-    /// One row's mutable columns, shared by the appended and rewritten
-    /// sections of a delta record. Writes straight bytes (mirroring the
-    /// encoder's little-endian primitives) so row chunks can be encoded
-    /// on workers and fed to the checksummed encoder in order.
-    fn encode_row_bytes(&self, i: usize, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.sources[i].0.to_le_bytes());
-        buf.push(self.first_source[i] as u8);
-        buf.extend_from_slice(&self.last_responsive[i].to_le_bytes());
-        buf.push(self.protos[i].0);
-        buf.extend_from_slice(&self.added_day[i].to_le_bytes());
-        buf.push(u8::from(self.alive[i]));
+    /// Write one row's mutable columns, shared by the appended and
+    /// rewritten sections of a delta record.
+    fn encode_row<W: Write>(&self, i: usize, enc: &mut Encoder<W>) -> Result<(), CodecError> {
+        enc.put_u16(self.sources[i].0)?;
+        put_source(enc, self.first_source[i])?;
+        enc.put_u16(self.last_responsive[i])?;
+        enc.put_u8(self.protos[i].0)?;
+        enc.put_u16(self.added_day[i])?;
+        enc.put_bool(self.alive[i])
     }
 
     /// Decode one row's mutable columns written by
@@ -620,35 +617,16 @@ impl Hitlist {
     ///
     /// Ids never move, so this is the complete difference between the
     /// sync-point state and now.
-    ///
-    /// The fixed-width sections (table suffix, appended and rewritten
-    /// rows) are serialized in contiguous chunks on
-    /// [`expanse_addr::worker_threads`] workers and fed through the
-    /// (checksummed) encoder in chunk order, so the journal bytes are
-    /// the same for every thread count.
     pub fn encode_delta<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        let threads = expanse_addr::worker_threads();
         codec::write_table_suffix(enc, &self.table, self.synced_rows)?;
-        let appended: Vec<usize> = (self.synced_rows..self.table.len()).collect();
-        for buf in par_chunk_bytes(&appended, threads, |c, buf| {
-            for &i in c {
-                self.encode_row_bytes(i, buf);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for i in self.synced_rows..self.table.len() {
+            self.encode_row(i, enc)?;
         }
         let rewritten = self.dirty_run(needs_rewrite);
         codec::write_set_gaps(enc, &rewritten)?;
-        for buf in par_chunk_bytes(rewritten.as_slice(), threads, |c, buf| {
-            for id in c {
-                self.encode_row_bytes(id.index(), buf);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for id in rewritten.iter() {
+            self.encode_row(id.index(), enc)?;
         }
-        // Gaps and run lengths depend on their predecessors, so these
-        // sections are written serially — the bytes must not depend on
-        // how rows were chunked.
         let last_writes = self.dirty_run(needs_last_write);
         codec::write_set_gaps(enc, &last_writes)?;
         write_runs(
@@ -657,11 +635,9 @@ impl Hitlist {
                 .iter()
                 .map(|id| self.last_responsive[id.index()]),
         )?;
-        let protos: Vec<u8> = last_writes
-            .iter()
-            .map(|id| self.protos[id.index()].0)
-            .collect();
-        enc.put_bytes(&protos)?;
+        for id in last_writes.iter() {
+            enc.put_u8(self.protos[id.index()].0)?;
+        }
         codec::write_set_gaps(enc, &self.dirty_run(needs_tombstone))?;
         enc.put_varint(self.spent_dirty.len() as u64)?;
         let mut run = PrefixRun::new();
@@ -748,57 +724,26 @@ impl Hitlist {
 
     /// Serialize the full hitlist state — interner plus every
     /// provenance/responsiveness column and the expiry tombstones —
-    /// into an open snapshot envelope.
-    ///
-    /// The interner column and every per-row column are serialized in
-    /// contiguous chunks on [`expanse_addr::worker_threads`] workers and
-    /// fed through the checksummed encoder in chunk order, so the
-    /// snapshot bytes are the same for every thread count
-    /// (`docs/SNAPSHOT_FORMAT.md` §6).
+    /// into an open snapshot envelope, one column after another.
     pub fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        let threads = expanse_addr::worker_threads();
         codec::write_table(enc, &self.table)?;
-        for buf in par_chunk_bytes(&self.sources, threads, |c, buf| {
-            for m in c {
-                buf.extend_from_slice(&m.0.to_le_bytes());
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for m in &self.sources {
+            enc.put_u16(m.0)?;
         }
-        for buf in par_chunk_bytes(&self.first_source, threads, |c, buf| {
-            for &s in c {
-                buf.push(s as u8);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for &s in &self.first_source {
+            put_source(enc, s)?;
         }
-        for buf in par_chunk_bytes(&self.last_responsive, threads, |c, buf| {
-            for d in c {
-                buf.extend_from_slice(&d.to_le_bytes());
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for &d in &self.last_responsive {
+            enc.put_u16(d)?;
         }
-        for buf in par_chunk_bytes(&self.protos, threads, |c, buf| {
-            for p in c {
-                buf.push(p.0);
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for p in &self.protos {
+            enc.put_u8(p.0)?;
         }
-        for buf in par_chunk_bytes(&self.added_day, threads, |c, buf| {
-            for d in c {
-                buf.extend_from_slice(&d.to_le_bytes());
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for &d in &self.added_day {
+            enc.put_u16(d)?;
         }
-        for buf in par_chunk_bytes(&self.alive, threads, |c, buf| {
-            for &a in c {
-                buf.push(u8::from(a));
-            }
-        }) {
-            enc.put_bytes(&buf)?;
+        for &a in &self.alive {
+            enc.put_bool(a)?;
         }
         write_spent(enc, self.probes_spent.iter().map(|(p, &n)| (*p, n)))?;
         Ok(())

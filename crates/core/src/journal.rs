@@ -18,9 +18,7 @@
 //! day's changes pending for the next record; and compaction goes
 //! through [`JournalStore::replace`], which [`PathStore`] implements as
 //! an atomic write-temp-then-rename — a crash mid-compaction leaves
-//! the old journal or the new one, never a ruin. The raw
-//! [`std::fs::File`] backend cannot swap atomically (it has no path);
-//! use [`PathStore`] wherever a lost journal matters.
+//! the old journal or the new one, never a ruin.
 //!
 //! The byte format is specified normatively in
 //! `docs/SNAPSHOT_FORMAT.md`.
@@ -39,19 +37,17 @@
 use crate::pipeline::{JournalReplay, Pipeline, PipelineConfig};
 use expanse_addr::CodecError;
 use expanse_model::ModelConfig;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Storage backend for a snapshot journal: an append-only byte log
 /// that can be replaced wholesale when the base is rewritten.
 ///
-/// Three backends ship with the crate: `Vec<u8>` (in-memory, the test
-/// and bench substrate), [`PathStore`] (production: appends to a file,
-/// replaces via atomic rename), and raw [`std::fs::File`] (simple, but
-/// its `replace` truncates in place — not crash-safe). The journal
-/// only ever appends, replaces, or reads the whole log — there is no
-/// random-access mutation, which is what makes torn-tail recovery
-/// sound.
+/// Two backends ship with the crate: `Vec<u8>` (in-memory, the test
+/// and bench substrate) and [`PathStore`] (appends to a file, replaces
+/// via atomic rename). The journal only ever appends, replaces, or
+/// reads the whole log — there is no random-access mutation, which is
+/// what makes torn-tail recovery sound.
 pub trait JournalStore {
     /// Append bytes at the end of the log.
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
@@ -77,29 +73,6 @@ impl JournalStore for Vec<u8> {
 
     fn read_all(&mut self) -> io::Result<Vec<u8>> {
         Ok(self.clone())
-    }
-}
-
-/// Simple single-file backend. `replace` truncates and rewrites **in
-/// place** — a crash in between loses the journal. Fine for tests and
-/// scratch runs; production deployments should use [`PathStore`].
-impl JournalStore for std::fs::File {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.seek(SeekFrom::End(0))?;
-        self.write_all(bytes)
-    }
-
-    fn replace(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.set_len(0)?;
-        self.seek(SeekFrom::Start(0))?;
-        self.write_all(bytes)
-    }
-
-    fn read_all(&mut self) -> io::Result<Vec<u8>> {
-        self.seek(SeekFrom::Start(0))?;
-        let mut buf = Vec::new();
-        self.read_to_end(&mut buf)?;
-        Ok(buf)
     }
 }
 
@@ -517,46 +490,6 @@ mod tests {
         assert_eq!(replay.deltas_applied, 1);
         assert_eq!(q.day(), p.day());
         drop(j2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn file_store_roundtrip() {
-        let path =
-            std::env::temp_dir().join(format!("expanse-journal-file-{}.bin", std::process::id()));
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap();
-        let mut p = tiny();
-        p.run_day();
-        let mut j = Journal::create(
-            file,
-            JournalPolicy {
-                compact_ratio: f64::INFINITY,
-            },
-            &mut p,
-        )
-        .unwrap();
-        p.run_day();
-        assert!(matches!(
-            j.record(&mut p).unwrap(),
-            JournalRecord::Appended { .. }
-        ));
-        let cfg = p.cfg.clone();
-        let (_, q, replay) = Journal::open(
-            j.into_store(),
-            JournalPolicy::default(),
-            ModelConfig::tiny(99),
-            cfg,
-        )
-        .unwrap();
-        assert!(!replay.torn_tail);
-        assert_eq!(replay.deltas_applied, 1);
-        assert_eq!(q.day(), p.day());
         std::fs::remove_file(&path).ok();
     }
 }

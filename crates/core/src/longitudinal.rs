@@ -105,22 +105,6 @@ impl Ledger {
     /// by id (the pipeline resolves the battery's responsive map into
     /// hitlist-id space once per day).
     pub fn record_day(&mut self, day: u16, responsive: &[(AddrId, ProtoSet)], hitlist: &Hitlist) {
-        self.record_day_threads(day, responsive, hitlist, 1);
-    }
-
-    /// [`Ledger::record_day`] with the per-row work — baseline
-    /// establishment filters and the survival merge-joins — fanned out
-    /// over up to `threads` workers. Rows are independent of each other;
-    /// values are computed in parallel and pushed in [`Fig8Row::all`]
-    /// order, so the ledger state (and its snapshot bytes) are identical
-    /// to the serial pass for every thread count.
-    pub fn record_day_threads(
-        &mut self,
-        day: u16,
-        responsive: &[(AddrId, ProtoSet)],
-        hitlist: &Hitlist,
-        threads: usize,
-    ) {
         debug_assert!(
             responsive.windows(2).all(|w| w[0].0 < w[1].0),
             "daily pass must be sorted by id"
@@ -146,15 +130,8 @@ impl Ledger {
         if !responsive.is_empty() {
             // Per-row baseline establishment: a row whose filtered set
             // is still empty takes today's responders as its baseline —
-            // on the first day *that row* has any. Rows filter the day
-            // pass independently, so they fan out per worker.
-            let pending: Vec<Fig8Row> = self
-                .baselines
-                .iter()
-                .filter(|(_, set)| set.is_empty())
-                .map(|(row, _)| *row)
-                .collect();
-            let sets = expanse_addr::par::par_map_coarse(&pending, threads, |row| {
+            // on the first day *that row* has any.
+            for (row, baseline) in self.baselines.iter_mut().filter(|(_, set)| set.is_empty()) {
                 let ids: Vec<AddrId> = responsive
                     .iter()
                     .filter(|(id, protos)| {
@@ -162,50 +139,51 @@ impl Ledger {
                     })
                     .map(|(id, _)| *id)
                     .collect();
-                AddrSet::from_sorted(ids)
-            });
-            for (row, set) in pending.into_iter().zip(sets) {
-                if set.is_empty() {
-                    continue;
-                }
-                if let Some(slot) = self.baselines.iter_mut().find(|(r, _)| *r == row) {
-                    slot.1 = set;
-                }
+                *baseline = AddrSet::from_sorted(ids);
             }
         }
-        // One merge-join per row against the sorted day pass; rows are
-        // independent, so the joins run on workers and the results are
-        // appended in row order afterwards. Unestablished rows stay NaN,
-        // keeping every series aligned with days_recorded.
-        let alive =
-            expanse_addr::par::par_map_coarse(&self.baselines, threads, |(row, baseline)| {
-                if baseline.is_empty() {
-                    f64::NAN
-                } else {
-                    let mut n = 0usize;
-                    let base = baseline.as_slice();
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while i < base.len() && j < responsive.len() {
-                        match base[i].cmp(&responsive[j].0) {
-                            std::cmp::Ordering::Less => i += 1,
-                            std::cmp::Ordering::Greater => j += 1,
-                            std::cmp::Ordering::Equal => {
-                                if row.counts(responsive[j].1) {
-                                    n += 1;
-                                }
-                                i += 1;
-                                j += 1;
+        // One merge-join per row against the sorted day pass.
+        // Unestablished rows stay NaN, keeping every series aligned
+        // with days_recorded.
+        self.survival.resize(Fig8Row::all().len(), Vec::new());
+        for ((row, baseline), series) in self.baselines.iter().zip(&mut self.survival) {
+            series.push(if baseline.is_empty() {
+                f64::NAN
+            } else {
+                let mut n = 0usize;
+                let base = baseline.as_slice();
+                let (mut i, mut j) = (0usize, 0usize);
+                while i < base.len() && j < responsive.len() {
+                    match base[i].cmp(&responsive[j].0) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            if row.counts(responsive[j].1) {
+                                n += 1;
                             }
+                            i += 1;
+                            j += 1;
                         }
                     }
-                    n as f64 / baseline.len() as f64
                 }
+                n as f64 / baseline.len() as f64
             });
-        self.survival.resize(Fig8Row::all().len(), Vec::new());
-        for (series, alive) in self.survival.iter_mut().zip(alive) {
-            series.push(alive);
         }
         self.days_recorded += 1;
+    }
+
+    /// [`Ledger::record_day`]: the rows' filters and merge-joins cost
+    /// less than starting a worker at any day size the pipeline
+    /// reaches. `_threads` is ignored; the signature stays for existing
+    /// callers.
+    pub fn record_day_threads(
+        &mut self,
+        day: u16,
+        responsive: &[(AddrId, ProtoSet)],
+        hitlist: &Hitlist,
+        _threads: usize,
+    ) {
+        self.record_day(day, responsive, hitlist);
     }
 
     /// The survival series for a row (`NaN` for empty baselines).

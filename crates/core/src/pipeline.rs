@@ -502,14 +502,12 @@ impl Pipeline {
     /// responders, written to the ledger and the hitlist's
     /// responsiveness columns. Sorted by id for the ledger's
     /// merge-joins; ids are distinct (one per responder), so the
-    /// parallel sort is deterministic.
+    /// unstable sort has one result.
     fn record_day_pass(&mut self, day: u16, multi: &MultiScanResult) -> Vec<(AddrId, ProtoSet)> {
-        let threads = expanse_addr::worker_threads();
         let mut day_pass: Vec<(AddrId, ProtoSet)> = multi.resolved_pairs().collect();
-        expanse_addr::par::par_sort_by_key(&mut day_pass, threads, |&(id, _)| id);
-        self.ledger
-            .record_day_threads(day, &day_pass, &self.hitlist, threads);
-        self.hitlist.mark_responsive_batch(day, &day_pass, threads);
+        day_pass.sort_unstable_by_key(|&(id, _)| id);
+        self.ledger.record_day(day, &day_pass, &self.hitlist);
+        self.hitlist.mark_responsive_batch(day, &day_pass, 1);
         day_pass
     }
 

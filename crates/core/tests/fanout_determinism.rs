@@ -1,4 +1,4 @@
-//! Determinism guard for the battery fan-out and the chunked encoders:
+//! Determinism guard for the battery fan-out and the snapshot encoders:
 //! a default-configured pipeline's day, and the snapshot and journal
 //! bytes written after it, equal constants recorded on the commit
 //! before the battery grid went onto `par_map_coarse` — where the
@@ -147,8 +147,8 @@ const RECORDED_ENCODE: (usize, u64) = (395_209, 5_935_508_678_274_063_236);
 /// After a `save_full` and one more day: the hitlist's delta encode.
 const RECORDED_DELTA: (usize, u64) = (7_974, 8_060_163_531_768_665_639);
 
-/// The chunked encoders — snapshot encode, delta encode — write the
-/// bytes recorded before they lost their thread-count parameter.
+/// The snapshot encode and the delta encode write the bytes recorded
+/// before they lost their thread-count parameter.
 #[test]
 fn encodes_match_recorded_bytes() {
     let mut p = pipeline(ModelConfig::tiny(77));

@@ -156,8 +156,7 @@ impl<N: Network> Scanner<N> {
 }
 
 /// A single job goes onto the worker pool only at or above this many
-/// send slots (the floor `AliasFilter::split_set` uses): below it the
-/// thread spawns cost more than the probes.
+/// send slots: below it the thread spawns cost more than the probes.
 const POOL_MIN_SLOTS: usize = 4096;
 
 /// Permutation positions a layout walk computes before gathering their
