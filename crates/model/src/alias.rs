@@ -75,12 +75,14 @@ impl AliasTable {
     /// Register a region.
     pub fn insert(&mut self, prefix: Prefix, region: AliasRegion) {
         self.trie.insert(prefix, region);
-        self.serving = self.freeze();
+        self.serving = RangeTable::freeze(&self.serving_trie());
     }
 
-    /// Every region resolves to itself; each carved branch without a
+    /// What [`AliasTable::resolve`]'s frozen table holds, as a trie:
+    /// every region resolves to itself; each carved branch without a
     /// region of its own resolves to what serves it from further out.
-    fn freeze(&self) -> RangeTable<Option<(Prefix, AliasRegion)>> {
+    /// The engine's fused destination table is built from it too.
+    pub(crate) fn serving_trie(&self) -> PrefixTrie<Option<(Prefix, AliasRegion)>> {
         let mut serving: PrefixTrie<Option<(Prefix, AliasRegion)>> =
             self.trie.iter().map(|(p, r)| (p, Some((p, *r)))).collect();
         for (p, r) in self.trie.iter() {
@@ -88,7 +90,7 @@ impl AliasTable {
                 serving.insert(c, walk_resolve(&self.trie, c.first(), c.len() - 1));
             }
         }
-        RangeTable::freeze(&serving)
+        serving
     }
 
     /// The aliased region responsible for `addr`, if any. Honours

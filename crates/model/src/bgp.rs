@@ -28,6 +28,12 @@ impl BgpTable {
         }
     }
 
+    /// The routes as a trie: one origin per announced prefix, the last
+    /// announcement of a prefix winning.
+    pub(crate) fn trie(&self) -> PrefixTrie<Asn> {
+        self.list.iter().copied().collect()
+    }
+
     /// Longest-prefix match: the covering announcement for `addr`.
     #[inline]
     pub fn lookup(&self, addr: Ipv6Addr) -> Option<(Prefix, Asn)> {

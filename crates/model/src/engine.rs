@@ -1,14 +1,29 @@
 //! The packet-answering engine: `InternetModel` as a [`Network`].
 //!
 //! Every probe the scanners emit lands here as raw IPv6 bytes. The engine
-//! routes it (BGP + hop model), applies weather (loss, ICMP rate limits,
-//! SYN proxies), resolves the responder (aliased region, live host, or
-//! nobody), and emits byte-exact replies.
+//! decides its destination (the fused destination table, the hop model
+//! and who answers), applies weather (loss, ICMP rate limits, SYN
+//! proxies), and emits byte-exact replies.
+//!
+//! # Decide once per destination, answer once per frame
+//!
+//! What the engine needs to know about a destination — its covering
+//! announcement and origin category, the path length, the alias region,
+//! host or scenario responder behind it, whether it is lossy and which
+//! middleboxes sit in front of it — depends on the destination and the
+//! day, never on the frame. `InternetModel::decide_in` computes it as
+//! a compact [`Decision`]; answering a frame reads only the frame, the
+//! decision and the per-view middlebox state. A frame injected without
+//! a decision is decided on the spot, and a decision whose destination
+//! or day is not the frame's is decided afresh, so a caller that keeps
+//! decisions (the battery, five frames per destination) gets the same
+//! bytes as one that does not.
 
 use crate::churn;
+use crate::dest::{Dest, NONE};
 use crate::fingerprint::MachineId;
 use crate::host::HostKind;
-use crate::ids::AsCategory;
+use crate::ids::{AsCategory, Asn};
 use crate::scenario::ScenarioResponder;
 use crate::InternetModel;
 use expanse_addr::fanout::splitmix64;
@@ -26,8 +41,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DayState {
     pub day: u16,
-    pub icmp_buckets: Vec<(Prefix, TokenBucket)>,
-    pub syn_proxies: Vec<(Prefix, SynProxy)>,
+    /// One bucket per prefix of [`InternetModel::icmp_bucket_prefixes`],
+    /// by slot; the fused destination table says which slots cover an
+    /// address.
+    pub icmp_buckets: Vec<TokenBucket>,
+    /// One proxy per prefix of the population's `syn_proxy` list, by
+    /// slot.
+    pub syn_proxies: Vec<SynProxy>,
     /// The scenario layer's per-day responder table (rotation hosts of
     /// the current epoch, today's temporary privacy addresses). Shared
     /// read-only across snapshots — only the buckets above are per-view
@@ -37,37 +57,26 @@ pub(crate) struct DayState {
 
 impl DayState {
     pub(crate) fn new(model: &InternetModel, day: u16) -> Self {
-        let mut icmp_buckets: Vec<(Prefix, TokenBucket)> =
-            std::iter::once(model.population.special.rate_limit_parent)
-                .map(|p| {
-                    let tokens = churn::rate_limit_day_tokens(model.config.seed, day);
-                    (
-                        p,
-                        TokenBucket::new(f64::from(tokens), 0.02), // barely refills
-                    )
-                })
-                .collect();
-        // Scenario throttled last-hop routers: one bucket per router /64.
+        // The rate-limited parent's budget changes daily and barely
+        // refills; then one bucket per scenario throttled-router /64.
         // ScenarioConfig::validate guarantees positive bucket parameters
-        // whenever this list is non-empty.
+        // whenever that list is non-empty.
+        let tokens = churn::rate_limit_day_tokens(model.config.seed, day);
+        let mut icmp_buckets = vec![TokenBucket::new(f64::from(tokens), 0.02)];
         let sc = &model.config.scenario;
-        for p in &model.scenario.throttled {
-            icmp_buckets.push((
-                *p,
-                TokenBucket::new(sc.throttle_capacity, sc.throttle_refill_per_sec),
-            ));
-        }
+        icmp_buckets.extend(
+            model
+                .scenario
+                .throttled
+                .iter()
+                .map(|_| TokenBucket::new(sc.throttle_capacity, sc.throttle_refill_per_sec)),
+        );
         let syn_proxies = model
             .population
             .special
             .syn_proxy
             .iter()
-            .map(|p| {
-                (
-                    *p,
-                    SynProxy::new(Duration::from_secs(20), 12, Duration::from_secs(120)),
-                )
-            })
+            .map(|_| SynProxy::new(Duration::from_secs(20), 12, Duration::from_secs(120)))
             .collect();
         let scenario_hosts = if model.scenario.enabled() {
             Arc::new(model.scenario.day_hosts(day))
@@ -94,35 +103,68 @@ impl DayState {
     }
 }
 
-/// A frame's destination route, resolved once per frame: the covering
-/// announcement, its origin's category, and the forwarding path length.
-#[derive(Debug, Clone, Copy)]
-struct Route {
-    /// The longest-matching announced prefix.
-    prefix: Prefix,
-    /// The origin AS's category; `None` for an AS missing from the
-    /// roster (the hop model then treats the path as opaque).
-    category: Option<AsCategory>,
-    /// Hops to the destination, with an unknown category counted as
-    /// [`AsCategory::Enterprise`].
+/// What the engine decides about one destination on one day, before
+/// any frame to it is answered: its entry in the fused destination
+/// table, the forwarding path length and who answers. Made by
+/// [`expanse_netsim::SnapshotNetwork::decide`] and read by
+/// [`expanse_netsim::SnapshotNetwork::inject_decided`], which decides
+/// afresh for a frame whose destination or day is not this one's.
+///
+/// It is valid for the model it was made on as long as that model is
+/// not changed through `&mut` other than by `set_day` (which the day
+/// check covers); snapshots borrow the model, so a caller that keeps
+/// decisions beside its snapshots cannot break this.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decision {
+    dst: Ipv6Addr,
+    /// The fused-table entry covering `dst`, or [`NONE`].
+    dest: u32,
+    responder: Responder,
+    day: u16,
+    /// Hops to the destination, with an origin missing from the roster
+    /// counted as [`AsCategory::Enterprise`]; 0 for unrouted space.
     path_len: u8,
 }
 
-impl Route {
-    /// The hop limit a reply arrives with: machine initial TTL minus the
-    /// return path length.
-    fn observed_ttl(self, ittl: u8) -> u8 {
-        ittl.saturating_sub(self.path_len)
-    }
+// The battery keeps one decision per send slot.
+const _: () = assert!(std::mem::size_of::<Decision>() <= 32);
+
+/// The fused destination table's answer for one address, spelled out:
+/// each prefix set's part of what a [`Decision`] reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Destination {
+    /// The covering announcement, and its origin's roster category
+    /// (`None` for an origin missing from the roster).
+    pub route: Option<(Prefix, Asn, Option<AsCategory>)>,
+    /// The alias region serving the address, carve-outs applied.
+    pub alias: Option<(Prefix, crate::alias::AliasRegion)>,
+    /// Is the address under a lossy prefix?
+    pub lossy: bool,
+    /// The prefixes of the ICMP buckets covering it, in day-state
+    /// order: the rate-limited parent, then the scenario's throttled
+    /// routers.
+    pub icmp_buckets: Vec<Prefix>,
+    /// The first SYN proxy covering it, in day-state order.
+    pub syn_proxy: Option<Prefix>,
 }
 
 /// One probe frame as the engine handles it: when it arrived, its
-/// header and route, and its bytes as received.
+/// header and its destination's entry and decision, and its bytes as
+/// received.
 struct Probe<'a> {
     now: Time,
     hdr: Ipv6Header,
-    route: Route,
+    dest: &'a Dest,
+    decision: &'a Decision,
     frame: &'a [u8],
+}
+
+impl Probe<'_> {
+    /// The hop limit a reply arrives with: machine initial TTL minus the
+    /// return path length.
+    fn observed_ttl(&self, ittl: u8) -> u8 {
+        ittl.saturating_sub(self.decision.path_len)
+    }
 }
 
 /// What an ICMPv6 error quotes of the frame that caused it: the IPv6
@@ -208,7 +250,30 @@ enum Responder {
     Nobody,
 }
 
+impl Responder {
+    /// The answering machine, its protocols and, for a host, its kind.
+    fn parts(self) -> Option<(MachineId, ProtoSet, Option<HostKind>)> {
+        match self {
+            Responder::Alias { machine, protos } => Some((machine, protos, None)),
+            Responder::Host {
+                machine,
+                protos,
+                kind,
+            } => Some((machine, protos, Some(kind))),
+            Responder::Nobody => None,
+        }
+    }
+}
+
 impl InternetModel {
+    /// The prefixes of the day state's ICMP buckets, by slot: the
+    /// rate-limited parent (§5.1 case 4), then the scenario's throttled
+    /// last-hop routers.
+    pub(crate) fn icmp_bucket_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
+        std::iter::once(self.population.special.rate_limit_parent)
+            .chain(self.scenario.throttled.iter().copied())
+    }
+
     /// Absolute nanoseconds for timestamp counters: day offset + intra-day
     /// virtual time.
     fn abs_ns(&self, day: u16, now: Time) -> u64 {
@@ -228,11 +293,13 @@ impl InternetModel {
     /// key deliberately ignores retransmission attempts: a same-day retry
     /// of the same probe meets the same fate, which is why the paper
     /// merges across *protocols* and *days* instead (§5.2).
-    fn lost(&self, day: u16, dst: Ipv6Addr, proto_tag: u8, extra: u64) -> bool {
-        let mut p = self.config.base_loss;
-        if self.lossy.covers_addr(dst) {
-            p = self.config.lossy_prefix_loss;
-        }
+    fn lost(&self, day: u16, p: &Probe<'_>, proto_tag: u8, extra: u64) -> bool {
+        let dst = p.hdr.dst;
+        let loss = if p.dest.lossy {
+            self.config.lossy_prefix_loss
+        } else {
+            self.config.base_loss
+        };
         let key = splitmix64(
             (addr_to_u128(dst) as u64)
                 ^ (addr_to_u128(dst) >> 64) as u64
@@ -240,12 +307,13 @@ impl InternetModel {
                 ^ (u64::from(day) << 40)
                 ^ extra,
         );
-        expanse_netsim::KeyedLoss::new(self.config.seed ^ 0x10c5, p).drops(key)
+        expanse_netsim::KeyedLoss::new(self.config.seed ^ 0x10c5, loss).drops(key)
     }
 
-    /// Resolve who answers `dst` at probe-day granularity.
-    fn resolve(&self, ds: &DayState, dst: Ipv6Addr) -> Responder {
-        if let Some((_, region)) = self.population.aliases.resolve(dst) {
+    /// Resolve who answers `dst` (covered by `dest`) at probe-day
+    /// granularity.
+    fn resolve(&self, ds: &DayState, dst: Ipv6Addr, dest: &Dest) -> Responder {
+        if let Some((_, region)) = self.dests.alias(dest) {
             return Responder::Alias {
                 machine: region.machine,
                 protos: region.protos,
@@ -270,6 +338,56 @@ impl InternetModel {
             };
         }
         Responder::Nobody
+    }
+
+    /// Everything about `dst` on `ds`'s day that does not depend on a
+    /// frame: one fused-table search, the path length and the responder.
+    pub(crate) fn decide_in(&self, ds: &DayState, dst: Ipv6Addr) -> Decision {
+        let at = self.dests.find(dst);
+        let dest = self.dests.get(at);
+        // Unrouted space is never answered: nothing more to decide.
+        let (path_len, responder) = if dest.route == NONE {
+            (0, Responder::Nobody)
+        } else {
+            let category = dest.category.unwrap_or(AsCategory::Enterprise);
+            (
+                self.paths.path_len(dst, category),
+                self.resolve(ds, dst, dest),
+            )
+        };
+        Decision {
+            dst,
+            dest: at,
+            responder,
+            day: ds.day,
+            path_len,
+        }
+    }
+
+    /// What the fused destination table holds for `dst`, part by part.
+    pub fn destination(&self, dst: Ipv6Addr) -> Destination {
+        let d = self.dests.lookup(dst);
+        let buckets: Vec<Prefix> = self.icmp_bucket_prefixes().collect();
+        Destination {
+            route: self
+                .dests
+                .route(d)
+                .map(|(prefix, asn)| (prefix, asn, d.category)),
+            alias: self.dests.alias(d).copied(),
+            lossy: d.lossy,
+            icmp_buckets: self
+                .dests
+                .buckets(d)
+                .iter()
+                .map(|&slot| buckets[slot as usize])
+                .collect(),
+            syn_proxy: self
+                .population
+                .special
+                .syn_proxy
+                .get(d.proxy as usize)
+                .copied(),
+        }
     }
 
     /// Does `protos` serve `proto` *today* (QUIC flapping applied)?
@@ -317,21 +435,6 @@ impl InternetModel {
         let _ = out.try_push_with(at, |buf| body.emit(src, probe.hdr.src, hop_limit, buf));
     }
 
-    /// The one longest-prefix match a frame costs; `None` for unrouted
-    /// space.
-    fn route(&self, dst: Ipv6Addr) -> Option<Route> {
-        let (prefix, asn) = self.bgp.lookup(dst)?;
-        let category = self.as_category(asn);
-        let path_len = self
-            .paths
-            .path_len(dst, category.unwrap_or(AsCategory::Enterprise));
-        Some(Route {
-            prefix,
-            category,
-            path_len,
-        })
-    }
-
     fn handle_icmp(
         &self,
         ds: &mut DayState,
@@ -339,7 +442,7 @@ impl InternetModel {
         msg: Icmpv6Message<&[u8]>,
         out: &mut Deliveries,
     ) {
-        let (now, route) = (p.now, p.route);
+        let now = p.now;
         // Only echo requests are answered.
         let Icmpv6Message::EchoRequest {
             ident,
@@ -350,21 +453,15 @@ impl InternetModel {
             return;
         };
         let dst = p.hdr.dst;
-        // ICMP rate limiting (§5.1 case 4).
-        for (prefix, bucket) in &mut ds.icmp_buckets {
-            if prefix.contains(dst) && !bucket.try_consume(now) {
+        // ICMP rate limiting (§5.1 case 4): every covering bucket, in
+        // slot order, until one is out of tokens.
+        for &slot in self.dests.buckets(p.dest) {
+            if !ds.icmp_buckets[slot as usize].try_consume(now) {
                 return;
             }
         }
-        let responder = self.resolve(ds, dst);
-        let (machine, protos, kind) = match responder {
-            Responder::Alias { machine, protos } => (machine, protos, None),
-            Responder::Host {
-                machine,
-                protos,
-                kind,
-            } => (machine, protos, Some(kind)),
-            Responder::Nobody => return,
+        let Some((machine, protos, kind)) = p.decision.responder.parts() else {
+            return;
         };
         if !self.serves_today(ds.day, dst, protos, Protocol::Icmp) {
             return;
@@ -374,12 +471,12 @@ impl InternetModel {
                 return;
             }
         }
-        if self.lost(ds.day, dst, 0, u64::from(ident) << 16 | u64::from(seq)) {
+        if self.lost(ds.day, p, 0, u64::from(ident) << 16 | u64::from(seq)) {
             return;
         }
         let m = &self.population.machines[machine.0 as usize];
         let flavor = splitmix64(addr_to_u128(dst) as u64 ^ now.0 ^ 0x1c1c);
-        let ttl = route.observed_ttl(m.reply_ittl(flavor));
+        let ttl = p.observed_ttl(m.reply_ittl(flavor));
         let echo = Icmpv6Message::EchoReply {
             ident,
             seq,
@@ -389,7 +486,7 @@ impl InternetModel {
     }
 
     fn handle_tcp(&self, ds: &mut DayState, p: &Probe<'_>, seg: TcpView<'_>, out: &mut Deliveries) {
-        let (now, hdr, route) = (p.now, &p.hdr, p.route);
+        let (now, hdr) = (p.now, &p.hdr);
         if !seg.flags.contains(TcpFlags::SYN) || seg.flags.contains(TcpFlags::ACK) {
             // Only SYN probes are modelled; ACK/RST probes get nothing.
             return;
@@ -406,35 +503,21 @@ impl InternetModel {
                 ^ addr_to_u128(dst) as u64
                 ^ (addr_to_u128(dst) >> 64) as u64,
         );
-        // SYN proxy (§5.1's /80 case): counts SYNs to the protected
-        // prefix; when hot, answers everything.
-        for (prefix, proxy) in &mut ds.syn_proxies {
-            if prefix.contains(dst) {
-                if proxy.on_syn(now) {
-                    let m = &self.population.machines[0];
-                    let reply = m.syn_ack(&seg, self.abs_ns(ds.day, now), tuple_key, 0);
-                    let ttl = route.observed_ttl(64);
-                    self.reply(out, p, dst, ttl, Body::Tcp(reply.segment()));
-                }
-                return;
+        // SYN proxy (§5.1's /80 case): the first covering proxy counts
+        // SYNs to its prefix; when hot, answers everything.
+        if let Some(proxy) = ds.syn_proxies.get_mut(p.dest.proxy as usize) {
+            if proxy.on_syn(now) {
+                let m = &self.population.machines[0];
+                let reply = m.syn_ack(&seg, self.abs_ns(ds.day, now), tuple_key, 0);
+                let ttl = p.observed_ttl(64);
+                self.reply(out, p, dst, ttl, Body::Tcp(reply.segment()));
             }
+            return;
         }
-        let responder = self.resolve(ds, dst);
-        let (machine, protos, kind) = match responder {
-            Responder::Alias { machine, protos } => (machine, protos, None),
-            Responder::Host {
-                machine,
-                protos,
-                kind,
-            } => (machine, protos, Some(kind)),
-            Responder::Nobody => return,
+        let Some((machine, protos, kind)) = p.decision.responder.parts() else {
+            return;
         };
-        if self.lost(
-            ds.day,
-            dst,
-            1 + (seg.dst_port % 7) as u8,
-            u64::from(seg.seq),
-        ) {
+        if self.lost(ds.day, p, 1 + (seg.dst_port % 7) as u8, u64::from(seg.seq)) {
             return;
         }
         let serves = matches!(seg.dst_port, 80 | 443)
@@ -444,7 +527,7 @@ impl InternetModel {
         let flavor = splitmix64(addr_to_u128(dst) as u64 ^ now.0 ^ u64::from(seg.dst_port));
         if serves {
             let reply = m.syn_ack(&seg, self.abs_ns(ds.day, now), tuple_key, flavor);
-            let ttl = route.observed_ttl(m.reply_ittl(flavor));
+            let ttl = p.observed_ttl(m.reply_ittl(flavor));
             self.reply(out, p, dst, ttl, Body::Tcp(reply.segment()));
         } else if kind.is_some() {
             // Live host, closed port: RST-ACK.
@@ -459,7 +542,7 @@ impl InternetModel {
                 options: &[],
                 payload: &[],
             };
-            let ttl = route.observed_ttl(m.reply_ittl(flavor));
+            let ttl = p.observed_ttl(m.reply_ittl(flavor));
             self.reply(out, p, dst, ttl, Body::Tcp(rst));
         }
     }
@@ -471,24 +554,12 @@ impl InternetModel {
         u: UdpDatagram<&[u8]>,
         out: &mut Deliveries,
     ) {
-        let (now, route) = (p.now, p.route);
+        let now = p.now;
         let dst = p.hdr.dst;
-        let responder = self.resolve(ds, dst);
-        let (machine, protos, kind) = match responder {
-            Responder::Alias { machine, protos } => (machine, protos, None),
-            Responder::Host {
-                machine,
-                protos,
-                kind,
-            } => (machine, protos, Some(kind)),
-            Responder::Nobody => return,
+        let Some((machine, protos, kind)) = p.decision.responder.parts() else {
+            return;
         };
-        if self.lost(
-            ds.day,
-            dst,
-            3 + (u.dst_port % 5) as u8,
-            u64::from(u.src_port),
-        ) {
+        if self.lost(ds.day, p, 3 + (u.dst_port % 5) as u8, u64::from(u.src_port)) {
             return;
         }
         if kind.is_some_and(|k| !self.client_gate(ds.day, dst, k, now)) {
@@ -496,7 +567,7 @@ impl InternetModel {
         }
         let m = &self.population.machines[machine.0 as usize];
         let flavor = splitmix64(addr_to_u128(dst) as u64 ^ 0xd4d4);
-        let ttl = route.observed_ttl(m.reply_ittl(flavor));
+        let ttl = p.observed_ttl(m.reply_ittl(flavor));
         let body = match u.dst_port {
             53 if self.serves_today(ds.day, dst, protos, Protocol::Udp53) => Body::Dns {
                 dst_port: u.src_port,
@@ -525,13 +596,17 @@ impl InternetModel {
     /// Time-exceeded handling for traceroute (hop_limit shorter than the
     /// path). Returns whether the probe burned out in transit (answered
     /// or not); `false` means it reaches its destination.
+    ///
+    /// The hop model reads an origin missing from the roster as an
+    /// opaque path (nothing burns out), where the reply TTL falls back
+    /// to `Enterprise`.
     fn handle_hops(&self, ds: &DayState, p: &Probe<'_>, out: &mut Deliveries) -> bool {
-        let (hdr, route) = (&p.hdr, p.route);
+        let hdr = &p.hdr;
         let dst = hdr.dst;
-        let Some(cat) = route.category else {
+        let Some(cat) = p.dest.category else {
             return false;
         };
-        if hdr.hop_limit >= route.path_len {
+        if hdr.hop_limit >= p.decision.path_len {
             return false; // reaches the destination; caller continues
         }
         let hop = hdr.hop_limit.max(1);
@@ -543,10 +618,13 @@ impl InternetModel {
         if hop_key % 100 < 12 {
             return true; // silent router
         }
-        if self.lost(ds.day, dst, 0x70 ^ hop, u64::from(hop)) {
+        if self.lost(ds.day, p, 0x70 ^ hop, u64::from(hop)) {
             return true;
         }
-        let hop_addr = self.paths.hop_addr(dst, route.prefix, cat, hop);
+        let Some((route, _)) = self.dests.route(p.dest) else {
+            return true;
+        };
+        let hop_addr = self.paths.hop_addr(dst, route, cat, hop);
         let msg = Icmpv6Message::TimeExceeded {
             code: 0,
             invoking: invoking_quote(p.frame),
@@ -561,10 +639,13 @@ impl InternetModel {
     /// The full engine, against an explicit day state, appending every
     /// reply to `out`. This is the seam the parallel scan fan-out builds
     /// on: the model stays shared and immutable while every probe stream
-    /// owns its day state.
+    /// owns its day state. `hint` is a decision the caller kept for the
+    /// frame's destination; it is used only if it was made for that
+    /// destination on this day state's day.
     pub(crate) fn inject_with(
         &self,
         ds: &mut DayState,
+        hint: Option<&Decision>,
         now: Time,
         frame: &[u8],
         out: &mut Deliveries,
@@ -572,14 +653,24 @@ impl InternetModel {
         let Ok((hdr, transport)) = Datagram::parse_transport(frame) else {
             return;
         };
-        // Unrouted space: silence (border routers dropping martians).
-        let Some(route) = self.route(hdr.dst) else {
-            return;
+        let fresh;
+        let decision = match hint {
+            Some(d) if d.dst == hdr.dst && d.day == ds.day => d,
+            _ => {
+                fresh = self.decide_in(ds, hdr.dst);
+                &fresh
+            }
         };
+        let dest = self.dests.get(decision.dest);
+        // Unrouted space: silence (border routers dropping martians).
+        if dest.route == NONE {
+            return;
+        }
         let p = Probe {
             now,
             hdr,
-            route,
+            dest,
+            decision,
             frame,
         };
         // Hop-limited probes burn out in transit.
@@ -600,7 +691,7 @@ impl Network for InternetModel {
         // Split-borrow dance: lift the day state out so the engine can
         // borrow the model immutably alongside it.
         let mut ds = std::mem::replace(&mut self.day_state, DayState::detached());
-        self.inject_with(&mut ds, now, frame, out);
+        self.inject_with(&mut ds, None, now, frame, out);
         self.day_state = ds;
     }
 }
@@ -616,12 +707,13 @@ pub struct ScanView<'a> {
 
 impl Network for ScanView<'_> {
     fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
-        self.model.inject_with(&mut self.day, now, frame, out);
+        self.model.inject_with(&mut self.day, None, now, frame, out);
     }
 }
 
 impl expanse_netsim::SnapshotNetwork for InternetModel {
     type Snapshot<'a> = ScanView<'a>;
+    type Decision = Decision;
 
     fn snapshot(&self) -> ScanView<'_> {
         ScanView {
@@ -630,13 +722,26 @@ impl expanse_netsim::SnapshotNetwork for InternetModel {
         }
     }
 
+    fn decide(&self, dst: Ipv6Addr) -> Decision {
+        self.decide_in(&self.day_state, dst)
+    }
+
+    fn inject_decided(
+        snap: &mut ScanView<'_>,
+        decision: &Decision,
+        now: Time,
+        frame: &[u8],
+        out: &mut Deliveries,
+    ) {
+        snap.model
+            .inject_with(&mut snap.day, Some(decision), now, frame, out);
+    }
+
     /// The buckets and proxies are all a [`ScanView`] owns, and the
     /// engine consults each only for destinations under its prefix —
     /// everything else is answered from the shared immutable world.
     fn stateful(&self, dst: Ipv6Addr) -> bool {
-        let ds = &self.day_state;
-        ds.icmp_buckets.iter().any(|(p, _)| p.contains(dst))
-            || ds.syn_proxies.iter().any(|(p, _)| p.contains(dst))
+        self.dests.lookup(dst).stateful()
     }
 }
 
@@ -753,7 +858,7 @@ mod tests {
         let ghost = crate::ids::Asn(1);
         assert_eq!(m.as_category(ghost), None);
         let announced = m.bgp.announcements().iter().map(|(p, _)| (*p, ghost));
-        m.bgp = crate::bgp::BgpTable::new(announced.collect());
+        m.set_routes(crate::bgp::BgpTable::new(announced.collect()));
 
         let enterprise = m.paths.path_len(addr, AsCategory::Enterprise);
         assert_eq!(
@@ -1232,6 +1337,48 @@ mod tests {
             }
             proptest::prop_assert_eq!(&early.day, &early_day);
             proptest::prop_assert_eq!(&fresh.day, &late_day);
+        }
+
+        /// The decision seam's contract: on a snapshot, a frame answered
+        /// with the model's decision for its destination gets the
+        /// deliveries `inject_into` gives it, byte for byte, and leaves
+        /// the same day state — for every kind of destination, middlebox,
+        /// unrouted and scenario ones and hop-limited frames included. A
+        /// decision made for another destination or another day is
+        /// ignored.
+        #[test]
+        fn decided_frames_answer_as_undecided_ones(
+            picks in proptest::collection::vec(
+                (proptest::any::<u32>(), 0u8..3, proptest::any::<u32>(), 0u64..20_000_000),
+                1..64,
+            ),
+            misled_by in proptest::any::<u32>(),
+        ) {
+            use expanse_netsim::SnapshotNetwork;
+            let m = shared_world();
+            let other_day = DayState::new(&m, m.day() + 1);
+            let (mut plain, mut decided, mut misled) = (m.snapshot(), m.snapshot(), m.snapshot());
+            let mut got = Deliveries::new();
+            for (i, &(pick, transport, key, us)) in picks.iter().enumerate() {
+                let dst = pick_dst(&m, pick);
+                let (at, frame) = (Time::from_micros(us), probe(dst, transport, key));
+                let want = plain.inject(at, &frame);
+
+                got.clear();
+                InternetModel::inject_decided(&mut decided, &m.decide(dst), at, &frame, &mut got);
+                proptest::prop_assert_eq!(&got.to_vec(), &want);
+
+                let wrong = if i % 2 == 0 {
+                    m.decide(pick_dst(&m, pick ^ misled_by))
+                } else {
+                    m.decide_in(&other_day, dst)
+                };
+                got.clear();
+                InternetModel::inject_decided(&mut misled, &wrong, at, &frame, &mut got);
+                proptest::prop_assert_eq!(&got.to_vec(), &want);
+            }
+            proptest::prop_assert_eq!(&decided.day, &plain.day);
+            proptest::prop_assert_eq!(&misled.day, &plain.day);
         }
     }
 }

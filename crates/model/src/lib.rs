@@ -33,6 +33,7 @@ pub mod bgp;
 pub mod churn;
 pub mod config;
 pub mod crowd;
+mod dest;
 pub mod engine;
 pub mod fingerprint;
 pub mod host;
@@ -45,14 +46,13 @@ pub mod scheme;
 pub mod sources;
 
 pub use config::ModelConfig;
-pub use engine::ScanView;
+pub use engine::{Decision, Destination, ScanView};
 pub use ids::{AsCategory, AsInfo, Asn};
 pub use population::{Population, SitePool, SpecialPrefixes};
 pub use scheme::Scheme;
 pub use sources::{Source, SourceId};
 
 use expanse_addr::Prefix;
-use expanse_trie::{PrefixSet, RangeTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -72,15 +72,24 @@ pub struct InternetModel {
     /// The AS roster.
     pub ases: Vec<AsInfo>,
     /// The global routing table.
+    ///
+    /// Read it freely, but replace it only through
+    /// [`InternetModel::set_routes`]: the engine answers every frame
+    /// from a destination table fused from the routes at build time,
+    /// and only that call re-derives it. A table assigned here directly
+    /// would leave the engine routing by the old one.
     pub bgp: bgp::BgpTable,
-    /// Population.
+    /// Population. Not to be changed after [`InternetModel::build`]:
+    /// the engine's fused destination table is derived from its alias
+    /// regions, lossy prefixes and middlebox prefixes at build time.
     pub population: Population,
     /// Forwarding-path model (hop counts, router identities).
     pub paths: paths::PathModel,
     /// Adversarial periphery scenario layer (empty when disabled).
     pub scenario: scenario::ScenarioState,
-    /// Lossy prefixes, frozen for one search per packet.
-    pub(crate) lossy: RangeTable<()>,
+    /// Routes, alias regions, lossy and middlebox prefixes, fused for
+    /// one search per destination.
+    pub(crate) dests: dest::DestTable,
     pub(crate) day_state: engine::DayState,
     /// `(asn, slot in ases)`, sorted by ASN for binary search.
     as_index: Vec<(Asn, usize)>,
@@ -115,7 +124,6 @@ impl InternetModel {
             announcements.dedup();
         }
         let bgp_table = bgp::BgpTable::new(announcements);
-        let lossy_trie: PrefixSet = population.lossy.iter().map(|p| (*p, ())).collect();
         let mut as_index: Vec<(Asn, usize)> =
             ases.iter().enumerate().map(|(i, a)| (a.asn, i)).collect();
         as_index.sort_unstable();
@@ -126,13 +134,22 @@ impl InternetModel {
             population,
             paths,
             scenario,
-            lossy: RangeTable::freeze(&lossy_trie),
-            // placeholder, replaced below (DayState::new needs &self)
+            // placeholders, replaced below (both are derived from &self)
+            dests: dest::DestTable::default(),
             day_state: engine::DayState::detached(),
             as_index,
         };
+        model.dests = dest::DestTable::build(&model);
         model.day_state = engine::DayState::new(&model, 0);
         model
+    }
+
+    /// Replace the routing table, re-deriving the fused destination
+    /// table the engine answers from: the one way to change
+    /// [`InternetModel::bgp`] after [`InternetModel::build`].
+    pub fn set_routes(&mut self, bgp: bgp::BgpTable) {
+        self.bgp = bgp;
+        self.dests = dest::DestTable::build(self);
     }
 
     /// Advance the model to probing day `day` (resets middlebox state,

@@ -176,14 +176,55 @@ pub trait Network {
 /// modeling cost, for the destinations [`SnapshotNetwork::stateful`]
 /// clears: their frames meet no state a snapshot owns, so it does not
 /// matter which snapshot — or the network itself — answers them.
+///
+/// # Deciding a destination once
+///
+/// Much of what a network does with a frame depends only on where the
+/// frame goes and on the network's current state, not on the frame: for
+/// the simulated Internet, the route, the path length and who answers.
+/// A prober that sends several frames to one destination (the battery
+/// sends five) can have that part done once: [`SnapshotNetwork::decide`]
+/// returns it as a [`SnapshotNetwork::Decision`], and
+/// [`SnapshotNetwork::inject_decided`] answers a frame on a snapshot
+/// with it.
+///
+/// Contract: `inject_decided(snap, &net.decide(dst), now, frame, out)`
+/// appends exactly what `snap.inject_into(now, frame, out)` would, and
+/// leaves `snap` in the same state, for every frame. A decision is a
+/// hint, never an input: one made for another destination than the
+/// frame's, or under state the snapshot no longer shares (another day
+/// of the simulated Internet), is ignored and the frame decided afresh,
+/// so a wrong hint costs time, not answers.
 pub trait SnapshotNetwork: Network {
     /// The per-stream handle; borrows `self` immutably.
     type Snapshot<'a>: Network + Send
     where
         Self: 'a;
 
+    /// Everything about one destination that every frame to it would
+    /// otherwise recompute.
+    type Decision: Send + Sync;
+
     /// Take a snapshot of the current network state.
     fn snapshot(&self) -> Self::Snapshot<'_>;
+
+    /// Decide `dst` against the current network state.
+    fn decide(&self, dst: Ipv6Addr) -> Self::Decision;
+
+    /// [`Network::inject_into`] on `snap`, with `decision` standing in
+    /// for the work it covers when it was made for the frame's
+    /// destination (see "Deciding a destination once" above). The
+    /// default ignores the decision.
+    fn inject_decided(
+        snap: &mut Self::Snapshot<'_>,
+        decision: &Self::Decision,
+        now: Time,
+        frame: &[u8],
+        out: &mut Deliveries,
+    ) {
+        let _ = decision;
+        snap.inject_into(now, frame, out);
+    }
 
     /// Can a frame to `dst` read or change state that a snapshot owns?
     ///

@@ -15,6 +15,7 @@ use crate::ratelimit::TokenBucket;
 use crate::time::Time;
 use expanse_addr::Prefix;
 use expanse_packet::{Datagram, TransportView};
+use std::net::Ipv6Addr;
 
 /// Keep each delivery from index `from` on unless it is an ICMPv6 frame
 /// sourced from a throttled prefix whose bucket is out of tokens.
@@ -106,12 +107,31 @@ impl<N: SnapshotNetwork> SnapshotNetwork for ThrottledNetwork<N> {
         = ThrottledSnapshot<'a, N>
     where
         Self: 'a;
+    type Decision = N::Decision;
 
     fn snapshot(&self) -> ThrottledSnapshot<'_, N> {
         ThrottledSnapshot {
             inner: self.inner.snapshot(),
             routers: self.routers.clone(),
         }
+    }
+
+    fn decide(&self, dst: Ipv6Addr) -> N::Decision {
+        self.inner.decide(dst)
+    }
+
+    /// The inner network answers with the decision; the gate reads
+    /// only the replies.
+    fn inject_decided(
+        snap: &mut ThrottledSnapshot<'_, N>,
+        decision: &N::Decision,
+        now: Time,
+        frame: &[u8],
+        out: &mut Deliveries,
+    ) {
+        let from = out.len();
+        N::inject_decided(&mut snap.inner, decision, now, frame, out);
+        gate(&mut snap.routers, out, from);
     }
 }
 
@@ -120,7 +140,6 @@ mod tests {
     use super::*;
     use crate::time::Duration;
     use expanse_packet::Icmpv6Message;
-    use std::net::Ipv6Addr;
 
     /// Echoes every ICMPv6 echo request after 1 ms; stateless, so it can
     /// trivially hand out snapshots of itself.
@@ -156,10 +175,13 @@ mod tests {
 
     impl SnapshotNetwork for Echoer {
         type Snapshot<'a> = Echoer;
+        type Decision = ();
 
         fn snapshot(&self) -> Echoer {
             Echoer
         }
+
+        fn decide(&self, _: Ipv6Addr) {}
     }
 
     fn vantage() -> Ipv6Addr {
@@ -227,6 +249,20 @@ mod tests {
         let net = ThrottledNetwork::new(Echoer).with_router(router64(), 1.0, 1.0);
         assert!(net.stateful(router64().addr_at(1)));
         assert!(net.stateful(other), "throttles key on the reply source");
+    }
+
+    #[test]
+    fn decided_frames_pass_the_same_gate() {
+        let base = ThrottledNetwork::new(Echoer).with_router(router64(), 2.0, 0.001);
+        let dst = router64().addr_at(1);
+        let (mut plain, mut decided) = (base.snapshot(), base.snapshot());
+        let mut out = Deliveries::new();
+        for i in 0..5u16 {
+            let (at, frame) = (Time::from_millis(u64::from(i)), echo_to(dst, i));
+            out.clear();
+            ThrottledNetwork::inject_decided(&mut decided, &base.decide(dst), at, &frame, &mut out);
+            assert_eq!(out.to_vec(), plain.inject(at, &frame), "probe {i}");
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! than two children and recycles their slots.
 //!
 //! A table that is built once and then only read — the simulated
-//! Internet's routing table, its lossy and aliased regions — freezes its
+//! Internet's routing table, its aliased regions, the destination table
+//! its engine fuses from those and its other prefix sets — freezes its
 //! trie into a [`RangeTable`]: the prefixes cut the address space into
 //! sorted ranges, and a longest-prefix match becomes one binary search.
 //!

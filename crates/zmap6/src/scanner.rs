@@ -35,6 +35,15 @@
 //! in send order. A pass then reads its slots front to back, so each
 //! probe costs one random read per layout, not one per pass.
 //!
+//! Beside each battery layout sits each slot's
+//! [`Decision`](SnapshotNetwork::Decision): what the network would
+//! otherwise work out anew for every frame to that destination (for the
+//! simulated Internet: route, path length, responder), made once and
+//! read by all five module cells. [`Scanner::scan`] and
+//! [`Scanner::scan_each`] keep none: APD's two passes would save one
+//! decision of two per destination, and its ≈ 250 k slots would cost
+//! ≈ 8 MB of decisions on every full-APD day.
+//!
 //! # The battery fan-out
 //!
 //! The multi-protocol battery ([`Scanner::scan_battery`]) is the
@@ -50,6 +59,16 @@
 //! the [`MultiScanResult`] is the same on one worker or eight; the
 //! battery's unit tests sweep the worker count against results
 //! recorded before the grid went onto that pool.
+//!
+//! Each sub-shard's layout, and the decision for each of its slots, is
+//! built by whichever of its five cells runs first, inside the pool, and
+//! shared by the others: every cell answers a slot's frame through
+//! [`SnapshotNetwork::inject_decided`] with the slot's decision, so a
+//! destination is decided once per day, not once per protocol. The
+//! decisions are made against the network itself, which no cell's
+//! snapshot changes, and a decision changes no answer (the
+//! [`SnapshotNetwork`] contract), so which cell makes them cannot move
+//! a result either.
 //!
 //! The price of independence is deliberate: destination-side middlebox
 //! state (ICMP token buckets, SYN-proxy counters) is *private per job*,
@@ -220,13 +239,14 @@ impl Layout {
     }
 }
 
-/// One sub-shard of the battery grid: its `(shard, total)` selection and
-/// its layout, walked by whichever of its cells runs first — inside the
-/// worker pool, not before it — and shared by the others.
-struct SubShard {
+/// One sub-shard of the battery grid: its `(shard, total)` selection, its
+/// layout and the network's decision for each send slot, made by
+/// whichever of its cells runs first — inside the worker pool, not
+/// before it — and shared by the others.
+struct SubShard<D> {
     shard: u64,
     total: u64,
-    layout: OnceLock<Layout>,
+    laid_out: OnceLock<(Layout, Vec<D>)>,
 }
 
 /// The send side of one scan job, fixed before the first probe leaves.
@@ -304,18 +324,19 @@ impl<'a> Job<'a> {
         self.start + Duration(self.gap.0 * slot as u64)
     }
 
-    /// Inject `slots` into `net`, each at its own clock, and classify
-    /// what comes back by the job's end. Slots whose destination `defer`
-    /// claims are skipped and handed back instead.
+    /// Inject `slots`, each at its own clock, through `inject(slot, now,
+    /// probe, out)`, and classify what comes back by the job's end.
+    /// Slots whose destination `defer` claims are skipped and handed
+    /// back instead.
     ///
     /// One probe buffer and one delivery buffer serve the whole walk, and
     /// replies are read through borrowed views: a probe whose reply is
     /// not kept allocates nothing once the buffers have grown.
-    fn collect<M: Network>(
+    fn collect(
         &self,
-        net: &mut M,
         slots: impl Iterator<Item = usize>,
         defer: impl Fn(Ipv6Addr) -> bool,
+        mut inject: impl FnMut(usize, Time, &[u8], &mut Deliveries),
     ) -> Collected {
         let mut out = Collected::default();
         let mut probe: Vec<u8> = Vec::new();
@@ -330,7 +351,7 @@ impl<'a> Job<'a> {
                 .emit_probe(self.cfg.src, dst, &self.validator, &mut probe);
             let now = self.clock(slot);
             deliveries.clear();
-            net.inject_into(now, &probe, &mut deliveries);
+            inject(slot, now, &probe, &mut deliveries);
             for (at, frame) in deliveries.iter() {
                 debug_assert!(at >= now, "delivery before its probe left");
                 if at > self.end {
@@ -483,14 +504,24 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
             .collect();
         let net = &self.net;
         let mut parts = expanse_addr::par::par_map_coarse(&ranges, ranges.len(), |range| {
-            job.collect(&mut net.snapshot(), range.clone(), |dst| net.stateful(dst))
+            let mut snap = net.snapshot();
+            job.collect(
+                range.clone(),
+                |dst| net.stateful(dst),
+                |_, now, probe, out| snap.inject_into(now, probe, out),
+            )
         });
         // Ranges ascend, so their leftovers concatenate in send order.
         let deferred: Vec<usize> = parts
             .iter_mut()
             .flat_map(|p| std::mem::take(&mut p.deferred))
             .collect();
-        parts.push(job.collect(&mut self.net, deferred.into_iter(), |_| false));
+        let net = &mut self.net;
+        parts.push(job.collect(
+            deferred.into_iter(),
+            |_| false,
+            |_, now, probe, out| net.inject_into(now, probe, out),
+        ));
         let (result, end) = job.finish(parts);
         self.clock = end;
         result
@@ -537,16 +568,16 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         targets: &[Ipv6Addr],
         modules: &[Box<dyn ProbeModule>],
     ) -> Vec<(ScanResult, Time)> {
-        let subs: Vec<SubShard> = self
+        let subs: Vec<SubShard<N::Decision>> = self
             .battery_shards()
             .into_iter()
             .map(|(shard, total)| SubShard {
                 shard,
                 total,
-                layout: OnceLock::new(),
+                laid_out: OnceLock::new(),
             })
             .collect();
-        let grid: Vec<(&dyn ProbeModule, &SubShard)> = modules
+        let grid: Vec<(&dyn ProbeModule, &SubShard<N::Decision>)> = modules
             .iter()
             .flat_map(|module| subs.iter().map(move |sub| (module.as_ref(), sub)))
             .collect();
@@ -561,21 +592,31 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
     }
 
     /// One battery cell: `module` along sub-shard `sub`'s layout (walked
-    /// here if no other cell of the sub-shard has yet), every slot
-    /// against a fresh snapshot of the network, starting at the
-    /// scanner's clock. Pure in its inputs — this is the unit the
-    /// battery fan-out distributes.
+    /// and decided here if no other cell of the sub-shard has yet), every
+    /// slot answered with its decision by a fresh snapshot of the
+    /// network, starting at the scanner's clock. Pure in its inputs —
+    /// this is the unit the battery fan-out distributes.
     fn battery_cell(
         &self,
         targets: &[Ipv6Addr],
-        sub: &SubShard,
+        sub: &SubShard<N::Decision>,
         module: &dyn ProbeModule,
     ) -> (ScanResult, Time) {
-        let layout = sub
-            .layout
-            .get_or_init(|| Layout::new(&self.cfg, targets, sub.shard, sub.total));
+        let net = &self.net;
+        let (layout, decisions) = sub.laid_out.get_or_init(|| {
+            let layout = Layout::new(&self.cfg, targets, sub.shard, sub.total);
+            let decisions = layout.slots.iter().map(|&dst| net.decide(dst)).collect();
+            (layout, decisions)
+        });
         let job = Job::new(&self.cfg, self.clock, layout, module);
-        let all = job.collect(&mut self.net.snapshot(), 0..layout.slots.len(), |_| false);
+        let mut snap = net.snapshot();
+        let all = job.collect(
+            0..layout.slots.len(),
+            |_| false,
+            |slot, now, probe, out| {
+                N::inject_decided(&mut snap, &decisions[slot], now, probe, out);
+            },
+        );
         job.finish(vec![all])
     }
 

@@ -1,15 +1,18 @@
 //! The simulated Internet answers every probe from frozen range tables;
 //! for each address a tiny-scale day actually probes — every battery
-//! target and every APD fan-out target — they must answer what the
-//! tries they were frozen from answer: the same covering announcement,
-//! the same serving alias region.
+//! target and every APD fan-out target — and for the addresses on
+//! either side of every range edge, they must answer what the prefix
+//! sets they were frozen from answer, each asked on its own: the same
+//! covering announcement and roster category, the same serving alias
+//! region, the same lossy membership, and the same ICMP buckets and SYN
+//! proxy in front of it.
 
 use expanse::addr::fanout::fanout16;
 use expanse::addr::nybbles::nybble;
-use expanse::addr::Prefix;
+use expanse::addr::{addr_to_u128, u128_to_addr, Prefix};
 use expanse::core::{Pipeline, PipelineConfig};
 use expanse::model::alias::AliasRegion;
-use expanse::model::{Asn, ModelConfig};
+use expanse::model::{Asn, Destination, InternetModel, ModelConfig};
 use expanse::trie::PrefixTrie;
 use std::net::Ipv6Addr;
 
@@ -33,6 +36,91 @@ fn walk_resolve(
     serving
 }
 
+/// A model's prefix sets, each on its own, as tries and lists.
+struct Sets {
+    routes: PrefixTrie<Asn>,
+    regions: PrefixTrie<AliasRegion>,
+    lossy: PrefixTrie<()>,
+    /// The day state's ICMP buckets in slot order: the rate-limited
+    /// parent, then the scenario's throttled routers.
+    buckets: Vec<Prefix>,
+    proxies: Vec<Prefix>,
+}
+
+impl Sets {
+    fn of(model: &InternetModel) -> Sets {
+        let special = &model.population.special;
+        Sets {
+            routes: model.bgp.announcements().iter().copied().collect(),
+            regions: model
+                .population
+                .aliases
+                .iter()
+                .map(|(p, r)| (p, *r))
+                .collect(),
+            lossy: model.population.lossy.iter().map(|p| (*p, ())).collect(),
+            buckets: std::iter::once(special.rate_limit_parent)
+                .chain(model.scenario.throttled.iter().copied())
+                .collect(),
+            proxies: special.syn_proxy.clone(),
+        }
+    }
+
+    /// What the sets answer for `a`.
+    fn destination(&self, model: &InternetModel, a: Ipv6Addr) -> Destination {
+        let route = self.routes.longest_match(a).map(|(p, &asn)| {
+            let roster = model.ases.iter().find(|info| info.asn == asn);
+            (p, asn, roster.map(|info| info.category))
+        });
+        Destination {
+            route,
+            alias: walk_resolve(&self.regions, a),
+            lossy: self.lossy.longest_match(a).is_some(),
+            icmp_buckets: self
+                .buckets
+                .iter()
+                .copied()
+                .filter(|p| p.contains(a))
+                .collect(),
+            syn_proxy: self.proxies.iter().copied().find(|p| p.contains(a)),
+        }
+    }
+
+    /// Every address next to a range edge of the fused table: the first
+    /// and last address of every prefix of every set, and their
+    /// outside neighbours. (The fused table's ranges start and end only
+    /// where some set's prefix does.)
+    fn edges(&self, model: &InternetModel) -> Vec<Ipv6Addr> {
+        let carves = model.population.aliases.iter().filter_map(|(p, r)| {
+            let branch = r
+                .carve_branch
+                .filter(|_| p.len() <= 124 && p.len() % 4 == 0)?;
+            Some(p.subprefix(4, u128::from(branch)))
+        });
+        let prefixes: Vec<Prefix> = self
+            .routes
+            .prefixes()
+            .into_iter()
+            .chain(self.regions.prefixes())
+            .chain(carves)
+            .chain(self.lossy.prefixes())
+            .chain(self.buckets.iter().copied())
+            .chain(self.proxies.iter().copied())
+            .collect();
+        let mut edges: Vec<Ipv6Addr> = prefixes
+            .iter()
+            .flat_map(|p| {
+                let (first, last) = (addr_to_u128(p.first()), addr_to_u128(p.last()));
+                [first.wrapping_sub(1), first, last, last.wrapping_add(1)]
+            })
+            .map(u128_to_addr)
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+}
+
 #[test]
 fn probed_targets_route_and_resolve_as_through_the_tries() {
     let model_cfg = ModelConfig::tiny(7);
@@ -53,33 +141,53 @@ fn probed_targets_route_and_resolve_as_through_the_tries() {
     assert!(!battery.is_empty() && !apd.is_empty());
 
     let model = p.scanner.network();
-    let routes: PrefixTrie<Asn> = model.bgp.announcements().iter().copied().collect();
-    let regions: PrefixTrie<AliasRegion> = model
-        .population
-        .aliases
-        .iter()
-        .map(|(p, r)| (p, *r))
-        .collect();
+    let sets = Sets::of(model);
     // What APD sends when it plans an alias region itself: its 16-way
     // fan-out, one branch per nybble — the carved branch included.
-    let regional: Vec<Ipv6Addr> = regions
+    let regional: Vec<Ipv6Addr> = sets
+        .regions
         .iter()
         .filter(|(prefix, _)| prefix.len() <= 124)
         .flat_map(|(prefix, _)| fanout16(prefix, p.cfg.apd.salt))
         .map(|t| t.addr)
         .collect();
-    let mut aliased = 0;
+    let (mut aliased, mut lossy, mut bucketed) = (0, 0, 0);
     for &a in battery.iter().chain(&apd).chain(&regional) {
-        let route = routes.longest_match(a).map(|(p, asn)| (p, *asn));
+        let want = sets.destination(model, a);
+        let route = want.route.map(|(p, asn, _)| (p, asn));
         assert_eq!(model.bgp.lookup(a), route, "route of {a}");
-        let region = walk_resolve(&regions, a);
         assert_eq!(
             model.population.aliases.resolve(a),
-            region,
+            want.alias,
             "alias region of {a}"
         );
-        aliased += usize::from(region.is_some());
+        aliased += usize::from(want.alias.is_some());
+        lossy += usize::from(want.lossy);
+        bucketed += usize::from(!want.icmp_buckets.is_empty());
+        assert_eq!(model.destination(a), want, "fused entry of {a}");
     }
-    // The fan-out reaches into aliased space, so both answers were asked.
-    assert!(aliased > 0);
+    // The fan-out reaches into aliased, lossy and rate-limited space, so
+    // those answers were asked.
+    assert!(aliased > 0 && lossy > 0 && bucketed > 0);
+}
+
+#[test]
+fn fused_range_edges_answer_as_the_separate_sets() {
+    for cfg in [ModelConfig::tiny(7), ModelConfig::adversarial(7)] {
+        let model = InternetModel::build(cfg);
+        let sets = Sets::of(&model);
+        let edges = sets.edges(&model);
+        let (mut throttled, mut proxied) = (0, 0);
+        for &a in &edges {
+            let want = sets.destination(&model, a);
+            let throttles = |p: &Prefix| model.scenario.throttled.contains(p);
+            throttled += usize::from(want.icmp_buckets.iter().any(throttles));
+            proxied += usize::from(want.syn_proxy.is_some());
+            assert_eq!(model.destination(a), want, "fused entry of {a}");
+        }
+        assert!(proxied > 0, "no edge met a SYN proxy");
+        if model.scenario.enabled() {
+            assert!(throttled > 0, "no edge met a throttled router");
+        }
+    }
 }
