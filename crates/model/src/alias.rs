@@ -10,7 +10,7 @@
 use crate::fingerprint::MachineId;
 use expanse_addr::Prefix;
 use expanse_packet::ProtoSet;
-use expanse_trie::{PrefixTrie, RangeTable};
+use expanse_trie::PrefixTrie;
 use std::net::Ipv6Addr;
 
 /// One aliased region.
@@ -27,17 +27,13 @@ pub struct AliasRegion {
 
 /// The alias table: regions keyed by prefix, longest-prefix matched.
 ///
-/// The regions live in a trie; every insert re-freezes it into a
-/// [`RangeTable`] that [`AliasTable::resolve`] answers from with one
-/// binary search. Each carve-out branch is a range of its own there,
-/// holding whatever serves it (a region further out, or nobody), so no
-/// lookup ever walks the covering regions. The model inserts only while
-/// it is built, and reads on every probe after.
+/// The regions live in a trie, and [`AliasTable::resolve`] walks the
+/// regions covering an address. Only ground truth and analysis call it:
+/// the engine answers probes from its fused destination table, which
+/// freezes `AliasTable::serving_trie` once per model.
 #[derive(Debug, Clone, Default)]
 pub struct AliasTable {
     trie: PrefixTrie<AliasRegion>,
-    /// `resolve`'s answer per range of the address space.
-    serving: RangeTable<Option<(Prefix, AliasRegion)>>,
 }
 
 /// The branch `region` at `p` carves out, as the sub-prefix one nybble
@@ -49,7 +45,7 @@ fn carved(p: Prefix, region: &AliasRegion) -> Option<Prefix> {
 
 /// The region serving `addr` among those at most `max_len` long, by
 /// walking every covering region: the most specific one that does not
-/// carve `addr` out. The definition the frozen table is built from.
+/// carve `addr` out.
 fn walk_resolve(
     trie: &PrefixTrie<AliasRegion>,
     addr: Ipv6Addr,
@@ -75,13 +71,13 @@ impl AliasTable {
     /// Register a region.
     pub fn insert(&mut self, prefix: Prefix, region: AliasRegion) {
         self.trie.insert(prefix, region);
-        self.serving = RangeTable::freeze(&self.serving_trie());
     }
 
-    /// What [`AliasTable::resolve`]'s frozen table holds, as a trie:
-    /// every region resolves to itself; each carved branch without a
-    /// region of its own resolves to what serves it from further out.
-    /// The engine's fused destination table is built from it too.
+    /// [`AliasTable::resolve`] as a trie whose longest match is the
+    /// answer: every region resolves to itself; each carved branch
+    /// without a region of its own resolves to what serves it from
+    /// further out. The engine's fused destination table is built from
+    /// it.
     pub(crate) fn serving_trie(&self) -> PrefixTrie<Option<(Prefix, AliasRegion)>> {
         let mut serving: PrefixTrie<Option<(Prefix, AliasRegion)>> =
             self.trie.iter().map(|(p, r)| (p, Some((p, *r)))).collect();
@@ -97,9 +93,8 @@ impl AliasTable {
     /// carve-outs: an address in a region's carved branch resolves to
     /// the next region out that serves it, or `None`, unless a more
     /// specific region covers it.
-    #[inline]
     pub fn resolve(&self, addr: Ipv6Addr) -> Option<(Prefix, AliasRegion)> {
-        *self.serving.longest_match(addr)?.1
+        walk_resolve(&self.trie, addr, 128)
     }
 
     /// Number of regions.
@@ -231,7 +226,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// The frozen table answers what walking every covering region
+        /// [`AliasTable::serving_trie`], frozen as the fused destination
+        /// table freezes it, answers what walking every covering region
         /// answers, at every address where either could change.
         #[test]
         fn frozen_resolve_equals_the_covering_walk(
@@ -250,9 +246,11 @@ mod tests {
                 probes.extend([first, last, first.wrapping_sub(1), last.wrapping_add(1)]);
                 probes.extend(noise.iter().map(|n| first | (n & !expanse_addr::prefix::mask(p.len()))));
             }
+            let frozen = expanse_trie::RangeTable::freeze(&t.serving_trie());
             for q in probes {
                 let addr = expanse_addr::u128_to_addr(q);
-                proptest::prop_assert_eq!(t.resolve(addr), walk_resolve(&t.trie, addr, 128), "{}", addr);
+                let got = frozen.longest_match(addr).and_then(|(_, s)| *s);
+                proptest::prop_assert_eq!(got, t.resolve(addr), "{}", addr);
             }
         }
     }

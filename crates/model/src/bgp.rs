@@ -9,8 +9,10 @@ use std::net::Ipv6Addr;
 
 /// The global routing table: announced prefixes and their origin ASes.
 ///
-/// Read on every probe and never changed once built, so the table is
-/// frozen into a [`RangeTable`]: a route lookup is one binary search.
+/// Never changed once built, so the table is frozen into a
+/// [`RangeTable`]: a route lookup is one binary search. Reports and
+/// experiments look routes up here; the engine routes probes through
+/// its fused destination table, built from `BgpTable::trie`.
 #[derive(Debug, Clone)]
 pub struct BgpTable {
     routes: RangeTable<Asn>,

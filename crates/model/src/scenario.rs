@@ -6,15 +6,12 @@
 //! This module layers four such behaviours over a built [`Population`]:
 //!
 //! 1. **Prefix rotation** — delegated /56s whose hosts renumber every K
-//!    days. Renumber events are replayed through the simulator's
-//!    [`EventQueue`]; addresses from earlier epochs become *rotation
-//!    ghosts* that never answer again.
+//!    days ([`churn::rotation_epoch`]); addresses from earlier epochs
+//!    become *rotation ghosts* that never answer again.
 //! 2. **RFC 4941 privacy churn** — hosts whose temporary IID regenerates
 //!    daily while a stable EUI-64 service address persists.
 //! 3. **Throttled last-hop routers** — /64s whose ICMPv6 responses sit
-//!    behind a per-router token bucket (wired into the engine's day
-//!    state; see also `expanse_netsim::ThrottledNetwork` for the
-//!    composable wrapper form).
+//!    behind a per-router token bucket in the engine's day state.
 //! 4. **Periphery alias fabrics** — whole /64s answering on every probed
 //!    address, registered as genuine [`crate::alias::AliasTable`] regions so
 //!    [`crate::InternetModel::truth_aliased`] stays the single source of
@@ -42,7 +39,6 @@ use crate::ids::AsCategory;
 use crate::population::Population;
 use expanse_addr::fanout::splitmix64;
 use expanse_addr::{addr_to_u128, keyed_random_addr, u128_to_addr, Prefix};
-use expanse_netsim::{EventQueue, Time};
 use expanse_packet::{ProtoSet, Protocol};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -231,29 +227,6 @@ impl ScenarioState {
             || !self.throttled.is_empty()
     }
 
-    /// Rotation epoch active on `day`, derived by replaying the renumber
-    /// schedule through the simulator's [`EventQueue`] (renumber events
-    /// fire at epoch boundaries; the latest event due by `day` wins).
-    /// Agrees with [`churn::rotation_epoch`] by construction.
-    pub fn rotation_epoch(&self, day: u16) -> u16 {
-        if self.rotation_period == 0 {
-            return 0;
-        }
-        let mut q = EventQueue::new();
-        for k in 1..=day / self.rotation_period {
-            q.push(
-                Time::from_secs(u64::from(k) * u64::from(self.rotation_period) * churn::DAY_SECS),
-                k,
-            );
-        }
-        let now = Time::from_secs(u64::from(day) * churn::DAY_SECS);
-        let mut epoch = 0;
-        while let Some((_, k)) = q.pop_due(now) {
-            epoch = k;
-        }
-        epoch
-    }
-
     /// The addresses `rp` serves during `epoch`.
     pub fn rotation_addrs(&self, rp: &RotatingPrefix, epoch: u16) -> Vec<Ipv6Addr> {
         (0..rp.hosts as u64)
@@ -279,7 +252,7 @@ impl ScenarioState {
     /// by the engine on every `set_day`.
     pub(crate) fn day_hosts(&self, day: u16) -> BTreeMap<u128, ScenarioResponder> {
         let mut out = BTreeMap::new();
-        let epoch = self.rotation_epoch(day);
+        let epoch = churn::rotation_epoch(day, self.rotation_period);
         for rp in &self.rotating {
             for a in self.rotation_addrs(rp, epoch) {
                 out.insert(
@@ -311,7 +284,7 @@ impl ScenarioState {
     /// per-day sample out of each alias fabric — fabric space is
     /// infinite, so sources only ever see samples of it.
     pub fn feed(&self, day: u16) -> Vec<Ipv6Addr> {
-        let epoch = self.rotation_epoch(day);
+        let epoch = churn::rotation_epoch(day, self.rotation_period);
         let mut out: Vec<Ipv6Addr> = Vec::new();
         for rp in &self.rotating {
             out.extend(self.rotation_addrs(rp, epoch));
@@ -340,7 +313,7 @@ impl ScenarioState {
     /// longer answer on `day` — rotation addresses of earlier epochs and
     /// temporary privacy addresses of earlier days.
     pub fn ghosts(&self, day: u16) -> Vec<Ipv6Addr> {
-        let epoch = self.rotation_epoch(day);
+        let epoch = churn::rotation_epoch(day, self.rotation_period);
         let mut out: Vec<Ipv6Addr> = Vec::new();
         for rp in &self.rotating {
             for e in 0..epoch {
@@ -395,18 +368,6 @@ mod tests {
             // Fabrics are genuine alias regions: truth_aliased covers
             // arbitrary addresses inside.
             assert!(m.truth_aliased(keyed_random_addr(*f, 99)));
-        }
-    }
-
-    #[test]
-    fn event_queue_epoch_matches_pure_helper() {
-        let m = model();
-        for day in 0..40u16 {
-            assert_eq!(
-                m.scenario.rotation_epoch(day),
-                churn::rotation_epoch(day, m.scenario.rotation_period),
-                "day {day}"
-            );
         }
     }
 
@@ -468,5 +429,34 @@ mod tests {
             assert_eq!(fa, b.scenario.feed(day));
             assert!(!fa.is_empty());
         }
+    }
+
+    /// Days 0–11 of the adversarial world cross rotation boundaries:
+    /// each day's feed, ghosts and day-host table, digested together,
+    /// match the digest recorded while epochs still came from replaying
+    /// renumber events through an event queue.
+    #[test]
+    fn rotation_days_match_their_recorded_digest() {
+        let m = InternetModel::build(ModelConfig::adversarial(11));
+        let s = &m.scenario;
+        assert!((1..6).contains(&s.rotation_period), "no boundary crossed");
+        let mut bytes: Vec<u8> = Vec::new();
+        for day in 0..12u16 {
+            for addrs in [s.feed(day), s.ghosts(day)] {
+                bytes.extend((addrs.len() as u64).to_le_bytes());
+                bytes.extend(addrs.iter().flat_map(|a| a.octets()));
+            }
+            let hosts = s.day_hosts(day);
+            bytes.extend((hosts.len() as u64).to_le_bytes());
+            for (a, (machine, protos, kind)) in hosts {
+                bytes.extend(a.to_le_bytes());
+                bytes.extend(machine.0.to_le_bytes());
+                bytes.extend([protos.0, kind as u8]);
+            }
+        }
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(fnv, 5_149_593_981_876_545_014, "digest {fnv}");
     }
 }

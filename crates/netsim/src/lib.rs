@@ -1,4 +1,4 @@
-//! Deterministic discrete-event network simulation substrate.
+//! Deterministic network simulation substrate.
 //!
 //! The probers in this workspace (`expanse-zmap6`, `expanse-scamper6`)
 //! are *sans-IO*: they build byte-exact packets and hand them to a
@@ -7,30 +7,24 @@
 //! provides the shared machinery:
 //!
 //! - [`time`]: virtual time ([`Time`]), nanosecond precision
-//! - [`event`]: a stable min-heap event queue
-//! - [`ratelimit`]: token buckets (ICMP rate limiting, §5.1's /120 case)
+//! - [`ratelimit`]: token buckets (ICMP rate limiting, §5.1's /120 case,
+//!   and throttled last-hop routers)
 //! - [`loss`]: deterministic keyed packet loss (Bernoulli)
 //! - [`synproxy`]: the SYN-proxy middlebox of §5.1's /80 anomaly
 //! - [`network`]: the [`Network`] and [`SnapshotNetwork`] traits
-//! - [`throttle`]: per-router ICMPv6 response throttling as a
-//!   snapshot-preserving wrapper (last-hop rate limits, RFC 4443 §2.4f)
 //!
 //! Everything is deterministic: "randomness" is keyed hashing of packet
 //! bytes and a seed, so a simulation re-run reproduces byte-identical
 //! traces.
 
-pub mod event;
 pub mod loss;
 pub mod network;
 pub mod ratelimit;
 pub mod synproxy;
-pub mod throttle;
 pub mod time;
 
-pub use event::EventQueue;
 pub use loss::KeyedLoss;
 pub use network::{Deliveries, Delivery, Network, SnapshotNetwork};
 pub use ratelimit::TokenBucket;
 pub use synproxy::SynProxy;
-pub use throttle::{ThrottledNetwork, ThrottledSnapshot};
 pub use time::{Duration, Time};

@@ -36,11 +36,6 @@ impl KeyedLoss {
         KeyedLoss { seed, p }
     }
 
-    /// No loss at all.
-    pub fn none() -> Self {
-        KeyedLoss { seed: 0, p: 0.0 }
-    }
-
     /// Should the packet identified by `key` be dropped?
     #[inline]
     pub fn drops(&self, key: u64) -> bool {
@@ -74,7 +69,6 @@ mod tests {
             assert!(!never.drops(k));
             assert!(always.drops(k));
         }
-        assert!(!KeyedLoss::none().drops(7));
     }
 
     #[test]

@@ -83,15 +83,6 @@ impl Deliveries {
             .map(|e| (e.at, &self.bytes[e.start..e.end]))
     }
 
-    /// Add a copy of `frame`, arriving at `at`.
-    #[inline]
-    pub fn push(&mut self, at: Time, frame: &[u8]) {
-        let start = self.bytes.len();
-        self.bytes.extend_from_slice(frame);
-        let end = self.bytes.len();
-        self.entries.push(Entry { at, start, end });
-    }
-
     /// Add the frame `emit` appends to the arena, arriving at `at`: a
     /// network answers without building the frame anywhere else. On
     /// `Err` whatever `emit` wrote is taken back and no frame is added.
@@ -108,21 +99,6 @@ impl Deliveries {
         let end = self.bytes.len();
         self.entries.push(Entry { at, start, end });
         Ok(())
-    }
-
-    /// Keep only the frames from index `from` on for which `keep` says
-    /// so, asking in order; the frames before `from` stay as they are.
-    /// (Dropped frames' bytes stay in the arena until the next clear.)
-    pub fn retain_from(&mut self, from: usize, mut keep: impl FnMut(Time, &[u8]) -> bool) {
-        let mut kept = from;
-        for i in from..self.entries.len() {
-            let e = self.entries[i];
-            if keep(e.at, &self.bytes[e.start..e.end]) {
-                self.entries[kept] = e;
-                kept += 1;
-            }
-        }
-        self.entries.truncate(kept);
     }
 
     /// The frames as owned [`Delivery`]s.
@@ -213,18 +189,14 @@ pub trait SnapshotNetwork: Network {
 
     /// [`Network::inject_into`] on `snap`, with `decision` standing in
     /// for the work it covers when it was made for the frame's
-    /// destination (see "Deciding a destination once" above). The
-    /// default ignores the decision.
+    /// destination (see "Deciding a destination once" above).
     fn inject_decided(
         snap: &mut Self::Snapshot<'_>,
         decision: &Self::Decision,
         now: Time,
         frame: &[u8],
         out: &mut Deliveries,
-    ) {
-        let _ = decision;
-        snap.inject_into(now, frame, out);
-    }
+    );
 
     /// Can a frame to `dst` read or change state that a snapshot owns?
     ///
@@ -233,23 +205,12 @@ pub trait SnapshotNetwork: Network {
     /// and from any snapshot of it, however many other frames either
     /// has seen, and mutates neither. Callers may then answer such
     /// frames from any snapshot in any order; frames to stateful
-    /// destinations must reach one network in send order. The default
-    /// claims nothing (`true`): correct for every implementor, and what
-    /// a wrapper whose state is keyed on something other than the
-    /// destination has to keep.
-    fn stateful(&self, dst: Ipv6Addr) -> bool {
-        let _ = dst;
-        true
-    }
+    /// destinations must reach one network in send order. `true` is
+    /// always a correct answer, only a slower one.
+    fn stateful(&self, dst: Ipv6Addr) -> bool;
 }
 
 impl<N: Network + ?Sized> Network for &mut N {
-    fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
-        (**self).inject_into(now, frame, out);
-    }
-}
-
-impl<N: Network + ?Sized> Network for Box<N> {
     fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries) {
         (**self).inject_into(now, frame, out);
     }
@@ -259,16 +220,20 @@ impl<N: Network + ?Sized> Network for Box<N> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn frames_keep_their_order_times_and_bytes() {
-        let mut d = Deliveries::new();
-        d.push(Time(5), b"abc");
-        d.try_push_with(Time(3), |out| {
-            out.extend_from_slice(b"de");
+    fn push(d: &mut Deliveries, at: Time, frame: &[u8]) {
+        d.try_push_with(at, |out| {
+            out.extend_from_slice(frame);
             Ok::<(), ()>(())
         })
         .unwrap();
-        d.push(Time(9), b"");
+    }
+
+    #[test]
+    fn frames_keep_their_order_times_and_bytes() {
+        let mut d = Deliveries::new();
+        push(&mut d, Time(5), b"abc");
+        push(&mut d, Time(3), b"de");
+        push(&mut d, Time(9), b"");
         let got: Vec<(Time, &[u8])> = d.iter().collect();
         assert_eq!(
             got,
@@ -280,31 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn retain_from_leaves_the_prefix_and_asks_in_order() {
-        let mut d = Deliveries::new();
-        for (i, f) in [b"a", b"b", b"c", b"d"].iter().enumerate() {
-            d.push(Time(i as u64), *f);
-        }
-        let mut asked = Vec::new();
-        d.retain_from(1, |at, frame| {
-            asked.push(at.0);
-            frame != b"c"
-        });
-        assert_eq!(asked, [1, 2, 3]);
-        let kept: Vec<&[u8]> = d.iter().map(|(_, f)| f).collect();
-        assert_eq!(kept, [b"a", b"b", b"d"]);
-    }
-
-    #[test]
     fn a_failed_push_leaves_nothing_behind() {
         let mut d = Deliveries::new();
-        d.push(Time(1), b"kept");
+        push(&mut d, Time(1), b"kept");
         let failed = d.try_push_with(Time(2), |out| {
             out.extend_from_slice(b"half a frame");
             Err("no")
         });
         assert_eq!(failed, Err("no"));
-        d.push(Time(3), b"next");
+        push(&mut d, Time(3), b"next");
         assert_eq!(d.len(), 2);
         assert_eq!(d.bytes, b"keptnext");
     }
@@ -312,11 +261,11 @@ mod tests {
     #[test]
     fn clear_keeps_the_capacity() {
         let mut d = Deliveries::new();
-        d.push(Time(1), &[7; 100]);
+        push(&mut d, Time(1), &[7; 100]);
         let (bytes, entries) = (d.bytes.capacity(), d.entries.capacity());
         d.clear();
         assert!(d.is_empty());
-        d.push(Time(2), &[8; 100]);
+        push(&mut d, Time(2), &[8; 100]);
         assert_eq!((d.bytes.capacity(), d.entries.capacity()), (bytes, entries));
     }
 }

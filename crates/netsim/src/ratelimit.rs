@@ -6,7 +6,7 @@
 //! paper's cross-protocol + sliding-window countermeasures (§5.2) — can be
 //! reproduced.
 
-use crate::time::{Duration, Time};
+use crate::time::Time;
 
 /// A token bucket: `capacity` tokens, refilled continuously at
 /// `refill_per_sec` tokens per second.
@@ -58,17 +58,6 @@ impl TokenBucket {
         self.refill(now);
         self.tokens
     }
-
-    /// Earliest time at which one token will be available.
-    pub fn next_available(&mut self, now: Time) -> Time {
-        self.refill(now);
-        if self.tokens >= 1.0 {
-            now
-        } else {
-            let deficit = 1.0 - self.tokens;
-            now + Duration((deficit / self.refill_per_sec * 1e9).ceil() as u64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,16 +86,6 @@ mod tests {
     fn capacity_caps_refill() {
         let mut b = TokenBucket::new(2.0, 1000.0);
         assert!((b.available(Time::from_secs(100)) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn next_available_estimate() {
-        let mut b = TokenBucket::new(1.0, 1.0);
-        assert!(b.try_consume(Time::ZERO));
-        let t = b.next_available(Time::ZERO);
-        assert_eq!(t, Time::from_secs(1));
-        // After waiting until t, consumption must succeed.
-        assert!(b.try_consume(t));
     }
 
     #[test]

@@ -1,36 +1,9 @@
 //! Property tests for the simulation substrate.
 
-use expanse_netsim::{Duration, EventQueue, Time, TokenBucket};
+use expanse_netsim::{Duration, Time, TokenBucket};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn event_queue_pops_sorted_and_stable(
-        events in proptest::collection::vec((0u64..1000, any::<u32>()), 0..200),
-    ) {
-        let mut q = EventQueue::new();
-        for (t, payload) in &events {
-            q.push(Time(*t), *payload);
-        }
-        let mut popped: Vec<(Time, u32)> = Vec::new();
-        while let Some(e) = q.pop() {
-            popped.push(e);
-        }
-        prop_assert_eq!(popped.len(), events.len());
-        // Time-sorted.
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-        }
-        // Stable: equal-time events keep insertion order.
-        let mut expected: Vec<(Time, u32)> = events
-            .iter()
-            .map(|(t, p)| (Time(*t), *p))
-            .collect();
-        // Stable sort by time only.
-        expected.sort_by_key(|(t, _)| *t);
-        prop_assert_eq!(popped, expected);
-    }
-
     #[test]
     fn token_bucket_never_overspends(
         capacity in 1.0f64..32.0,

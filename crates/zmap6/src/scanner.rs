@@ -949,14 +949,6 @@ mod tests {
         sweep_workers(common::adversarial, mix, common::RECORDED_ADVERSARIAL);
     }
 
-    #[test]
-    fn pooled_scan_leaves_an_opaque_wrapper_serial() {
-        let net = common::throttled();
-        let mix = common::mix(net.inner());
-        assert!(mix.0.iter().all(|t| net.stateful(*t)));
-        sweep_workers(common::throttled, mix, common::RECORDED_THROTTLED);
-    }
-
     /// Two batteries back to back over a world's target mix
     /// ([`mix_config`]): per battery its digest, probes sent and the
     /// clock after it. Recorded on the commit before the grid

@@ -6,7 +6,6 @@
 
 use expanse_addr::{keyed_random_addr, Prefix};
 use expanse_model::{InternetModel, ModelConfig};
-use expanse_netsim::ThrottledNetwork;
 use std::net::Ipv6Addr;
 
 /// What one world's scan sequence left behind: the digests of the first
@@ -34,15 +33,6 @@ pub const RECORDED_ADVERSARIAL: Fingerprint = [
     12_772_909_139_968_156_788,
     20_496_480_000,
 ];
-/// The plain world behind a [`ThrottledNetwork`] (every slot stateful).
-pub const RECORDED_THROTTLED: Fingerprint = [
-    268_310_421_336_149_526,
-    17_561_221_096_330_672_830,
-    10_245_780_000,
-    12_996_277_331_252_340_187,
-    15_644_771_115_708_597_598,
-    20_491_560_000,
-];
 
 pub fn plain() -> InternetModel {
     InternetModel::build(ModelConfig::tiny(21))
@@ -50,16 +40,6 @@ pub fn plain() -> InternetModel {
 
 pub fn adversarial() -> InternetModel {
     InternetModel::build(ModelConfig::adversarial(21))
-}
-
-/// The plain world with ICMPv6 from two of the aliased hooks throttled
-/// outside the model.
-pub fn throttled() -> ThrottledNetwork<InternetModel> {
-    let model = plain();
-    let hooks = model.population.special.cdn_hook_48s.clone();
-    ThrottledNetwork::new(model)
-        .with_router(hooks[0], 40.0, 200.0)
-        .with_router(hooks[1], 5.0, 0.01)
 }
 
 /// ≥ 20 k targets over everything a scan can meet: the ICMP

@@ -8,9 +8,10 @@
 use expanse::addr::Prefix;
 use expanse::apd::{Apd, ApdConfig};
 use expanse::model::{InternetModel, ModelConfig};
-use expanse::netsim::ThrottledNetwork;
+use expanse::zmap6::module::IcmpEchoModule;
 use expanse::zmap6::{ScanConfig, Scanner};
 use std::collections::BTreeSet;
+use std::net::Ipv6Addr;
 
 /// The labeled prefix universe: the scenario's alias fabrics as
 /// positives; honest non-aliased /64 sites plus the scenario's own
@@ -45,22 +46,38 @@ fn score(flagged: &BTreeSet<Prefix>, positives: &[Prefix]) -> (f64, f64) {
     (precision, recall)
 }
 
-#[test]
-fn apd_accuracy_on_labeled_adversarial_prefixes() {
-    let model = InternetModel::build(ModelConfig::adversarial(907));
-    let (positives, negatives) = labeled_universe(&model);
-    let mut plan: Vec<Prefix> = positives.iter().chain(negatives.iter()).copied().collect();
+/// The labeled prefixes as one sorted, deduplicated APD plan.
+fn plan(positives: &[Prefix], negatives: &[Prefix]) -> Vec<Prefix> {
+    let mut plan: Vec<Prefix> = positives.iter().chain(negatives).copied().collect();
     plan.sort();
     plan.dedup();
+    plan
+}
 
+/// Run APD over `plan` on days 0–3 of `model`, each day after an
+/// ICMPv6 echo scan of `routers` on the same scanner: the prefixes APD
+/// flags, and how many of the routers answered over the four days.
+fn run_apd(
+    model: InternetModel,
+    plan: &[Prefix],
+    routers: &[Ipv6Addr],
+) -> (BTreeSet<Prefix>, usize) {
     let mut s = Scanner::new(model, ScanConfig::default());
     let mut apd = Apd::new(ApdConfig::default());
+    let mut answered = 0;
     for day in 0..4u16 {
         s.network_mut().set_day(day);
-        apd.run_day(&mut s, &plan);
+        answered += s.scan(routers, &IcmpEchoModule).replies.len();
+        apd.run_day(&mut s, plan);
     }
-    let flagged: BTreeSet<Prefix> = apd.aliased_prefixes().into_iter().collect();
-    let (precision, recall) = score(&flagged, &positives);
+    (apd.aliased_prefixes().into_iter().collect(), answered)
+}
+
+/// Precision ≥ 0.95, recall ≥ 0.9, and none of the labeled honest
+/// prefixes flagged: every false positive evicts a real residential
+/// prefix from the hitlist.
+fn assert_accurate(flagged: &BTreeSet<Prefix>, positives: &[Prefix], negatives: &[Prefix]) {
+    let (precision, recall) = score(flagged, positives);
     assert!(
         precision >= 0.95,
         "APD precision {precision:.3} below 0.95 (flagged {flagged:?})"
@@ -69,45 +86,45 @@ fn apd_accuracy_on_labeled_adversarial_prefixes() {
         recall >= 0.9,
         "APD recall {recall:.3} below 0.9 (flagged {flagged:?})"
     );
-    // And none of the labeled honest prefixes may be flagged: every
-    // false positive evicts a real residential prefix from the hitlist.
-    for n in &negatives {
+    for n in negatives {
         assert!(!flagged.contains(n), "honest prefix {n} flagged as aliased");
     }
 }
 
 #[test]
-fn apd_accuracy_survives_last_hop_throttling() {
-    // Same labeled universe, but the scanner's view of the world now
-    // passes through an external ThrottledNetwork that rate-limits
-    // ICMPv6 out of every throttled router and rotating prefix — on top
-    // of the engine's own per-router buckets. Starving the negatives'
-    // replies must not create false positives, and the fabrics (which
-    // are not throttled) must still be caught.
+fn apd_accuracy_on_labeled_adversarial_prefixes() {
     let model = InternetModel::build(ModelConfig::adversarial(907));
     let (positives, negatives) = labeled_universe(&model);
-    let mut plan: Vec<Prefix> = positives.iter().chain(negatives.iter()).copied().collect();
-    plan.sort();
-    plan.dedup();
+    let (flagged, _) = run_apd(model, &plan(&positives, &negatives), &[]);
+    assert_accurate(&flagged, &positives, &negatives);
+}
 
-    let mut net = ThrottledNetwork::new(model);
-    for p in negatives.clone() {
-        net = net.with_router(p, 2.0, 0.01);
-    }
-    let mut s = Scanner::new(net, ScanConfig::default());
-    let mut apd = Apd::new(ApdConfig::default());
-    for day in 0..4u16 {
-        s.network_mut().inner_mut().set_day(day);
-        apd.run_day(&mut s, &plan);
-    }
-    let flagged: BTreeSet<Prefix> = apd.aliased_prefixes().into_iter().collect();
-    let (precision, recall) = score(&flagged, &positives);
+#[test]
+fn apd_accuracy_survives_last_hop_throttling() {
+    // The same world, with the engine's throttled last-hop routers
+    // starved: a 2-token bucket refilling once every 100 s. Starving
+    // the router /64s' ICMPv6 must not make them look aliased, and the
+    // fabrics (which are not throttled) must still be caught.
+    let preset = ModelConfig::adversarial(907);
+    let mut starved = preset.clone();
+    starved.scenario.throttle_capacity = 2.0;
+    starved.scenario.throttle_refill_per_sec = 0.01;
+    let model = InternetModel::build(starved);
+    let (positives, negatives) = labeled_universe(&model);
+    let plan = plan(&positives, &negatives);
+    // APD's fan-out targets in a router /64 hold no host under either
+    // budget, so the budget shows in what the routers themselves answer.
+    let routers: Vec<Ipv6Addr> = model
+        .scenario
+        .throttled
+        .iter()
+        .flat_map(|p| (1..=4).map(|k| p.addr_at(k)))
+        .collect();
+    let (flagged, answered) = run_apd(model, &plan, &routers);
+    let (_, preset_answered) = run_apd(InternetModel::build(preset), &plan, &routers);
     assert!(
-        precision >= 0.95,
-        "throttled-path APD precision {precision:.3} below 0.95 (flagged {flagged:?})"
+        answered < preset_answered,
+        "the starved budget starved nothing: {answered} vs {preset_answered} echo replies"
     );
-    assert!(
-        recall >= 0.9,
-        "throttled-path APD recall {recall:.3} below 0.9 (flagged {flagged:?})"
-    );
+    assert_accurate(&flagged, &positives, &negatives);
 }
