@@ -5,7 +5,7 @@ use crate::ctx::{header, pct, Ctx};
 use expanse_addr::{fanout16, keyed_random_addr, Prefix};
 use expanse_apd::{Apd, ApdConfig};
 use expanse_entropy::{fingerprints_by_32, sse_curve};
-use expanse_netsim::Network;
+use expanse_netsim::{Deliveries, Network};
 use expanse_zmap6::module::{IcmpEchoModule, ProbeModule};
 use expanse_zmap6::Validator;
 
@@ -23,6 +23,7 @@ pub fn fanout(ctx: &mut Ctx) -> String {
     ));
     let validator = Validator::new(1);
     let mut probe: Vec<u8> = Vec::new();
+    let mut replies = Deliveries::new();
     let trials = 200u64;
     let mut random_false_positive = 0usize;
     let mut fanout_false_positive = 0usize;
@@ -31,12 +32,13 @@ pub fn fanout(ctx: &mut Ctx) -> String {
         let all_respond = (0..16u64).all(|k| {
             let t = keyed_random_addr(p96, trial * 1000 + k);
             IcmpEchoModule.emit_probe(p.cfg.scan.src, t, &validator, &mut probe);
-            let replies = p
-                .scanner
+            replies.clear();
+            let now = expanse_netsim::Time::from_micros(trial * 100 + k);
+            p.scanner
                 .network_mut()
-                .inject(expanse_netsim::Time::from_micros(trial * 100 + k), &probe);
-            replies.iter().any(|d| {
-                expanse_packet::Datagram::parse_transport(&d.frame)
+                .inject_into(now, &probe, &mut replies);
+            replies.iter().any(|(_, frame)| {
+                expanse_packet::Datagram::parse_transport(frame)
                     .ok()
                     .and_then(|(h, tr)| IcmpEchoModule.classify(&h, &tr, &validator))
                     .is_some_and(|(target, kind)| target == t && kind.is_positive())
@@ -48,10 +50,12 @@ pub fn fanout(ctx: &mut Ctx) -> String {
         // Fan-out method: one probe per /100 branch.
         let all_branches = fanout16(p96, trial).iter().all(|ft| {
             IcmpEchoModule.emit_probe(p.cfg.scan.src, ft.addr, &validator, &mut probe);
-            let replies = p.scanner.network_mut().inject(
-                expanse_netsim::Time::from_micros(900_000 + trial * 100 + u64::from(ft.branch)),
-                &probe,
-            );
+            replies.clear();
+            let now =
+                expanse_netsim::Time::from_micros(900_000 + trial * 100 + u64::from(ft.branch));
+            p.scanner
+                .network_mut()
+                .inject_into(now, &probe, &mut replies);
             !replies.is_empty()
         });
         if all_branches {

@@ -221,12 +221,7 @@ impl Body<'_> {
                 Datagram::append_with(out, src, dst, proto::UDP, hop_limit, |b| {
                     udp::emit_with(443, *dst_port, src, dst, b, |b| {
                         let versions = [1, 0x6b33_43cf];
-                        quic::QuicLongHeader::version_negotiation_into(
-                            initial.scid,
-                            initial.dcid,
-                            &versions,
-                            b,
-                        );
+                        quic::version_negotiation_into(initial.scid, initial.dcid, &versions, b);
                         Ok(())
                     })
                 })
@@ -749,8 +744,7 @@ impl expanse_netsim::SnapshotNetwork for InternetModel {
 mod tests {
     use super::*;
     use crate::{InternetModel, ModelConfig};
-    use expanse_netsim::Delivery;
-    use expanse_packet::{Datagram, TcpSegment};
+    use expanse_packet::TcpOptionBlock;
 
     fn model() -> InternetModel {
         InternetModel::build(ModelConfig::tiny(11))
@@ -761,17 +755,25 @@ mod tests {
     }
 
     fn echo(dst: Ipv6Addr, hop: u8) -> Vec<u8> {
-        Datagram::icmpv6(
-            vantage(),
-            dst,
-            hop,
-            Icmpv6Message::EchoRequest {
-                ident: 0x42,
-                seq: 7,
-                payload: vec![0xab; 8],
-            },
-        )
-        .emit()
+        let mut frame = Vec::new();
+        Datagram::emit_with(&mut frame, vantage(), dst, proto::ICMPV6, hop, |out| {
+            let request = icmpv6::types::ECHO_REQUEST;
+            icmpv6::emit_echo(request, 0x42, 7, &[0xab; 8], vantage(), dst, out)
+        });
+        frame
+    }
+
+    /// Every frame `net` sends back for `frame` at `now`, in a fresh
+    /// buffer.
+    fn inject(net: &mut impl Network, now: Time, frame: &[u8]) -> Deliveries {
+        let mut out = Deliveries::new();
+        net.inject_into(now, frame, &mut out);
+        out
+    }
+
+    /// The frames of `d` with their arrival times, copied out to compare.
+    fn frames(d: &Deliveries) -> Vec<(Time, Vec<u8>)> {
+        d.iter().map(|(at, frame)| (at, frame.to_vec())).collect()
     }
 
     #[test]
@@ -797,9 +799,13 @@ mod tests {
         'outer: for addr in keys.into_iter().take(8) {
             for day in 0..5 {
                 m.set_day(day);
-                let out = m.inject(Time::from_millis(u64::from(day) * 10), &echo(addr, 64));
-                if let Some(d) = out.first() {
-                    let (h, t) = Datagram::parse_transport(&d.frame).unwrap();
+                let out = inject(
+                    &mut m,
+                    Time::from_millis(u64::from(day) * 10),
+                    &echo(addr, 64),
+                );
+                if let Some((at, frame)) = out.get(0) {
+                    let (h, t) = Datagram::parse_transport(frame).unwrap();
                     assert_eq!(h.src, addr);
                     assert_eq!(h.dst, vantage());
                     match t {
@@ -808,7 +814,7 @@ mod tests {
                         }
                         other => panic!("wrong reply {other:?}"),
                     }
-                    assert!(d.at > Time::ZERO);
+                    assert!(at > Time::ZERO);
                     got = true;
                     break 'outer;
                 }
@@ -839,9 +845,9 @@ mod tests {
         keys.sort_unstable();
         let now = Time::from_millis(3);
         let reply_ttl = |m: &mut InternetModel, addr: Ipv6Addr, hop: u8| {
-            let out = m.inject(now, &echo(addr, hop));
-            let d = out.first()?;
-            let (h, t) = Datagram::parse_transport(&d.frame).unwrap();
+            let out = inject(m, now, &echo(addr, hop));
+            let (_, frame) = out.get(0)?;
+            let (h, t) = Datagram::parse_transport(frame).unwrap();
             assert!(
                 matches!(t, TransportView::Icmpv6(Icmpv6Message::EchoReply { .. })),
                 "hop limit {hop}: {t:?}"
@@ -884,7 +890,7 @@ mod tests {
     #[test]
     fn unrouted_space_is_silent() {
         let mut m = model();
-        let out = m.inject(Time::ZERO, &echo("3fff::1".parse().unwrap(), 64));
+        let out = inject(&mut m, Time::ZERO, &echo("3fff::1".parse().unwrap(), 64));
         assert!(out.is_empty());
     }
 
@@ -895,7 +901,7 @@ mod tests {
         let mut answered = 0;
         for i in 0..20u64 {
             let addr = expanse_addr::keyed_random_addr(p48, i);
-            if !m.inject(Time::from_millis(i), &echo(addr, 64)).is_empty() {
+            if !inject(&mut m, Time::from_millis(i), &echo(addr, 64)).is_empty() {
                 answered += 1;
             }
         }
@@ -908,9 +914,9 @@ mod tests {
         let addr = m.population.sites[0].addrs[0];
         let mut te = 0;
         for hop in 1..=3u8 {
-            let out = m.inject(Time::from_millis(u64::from(hop)), &echo(addr, hop));
-            for d in out {
-                let (h, t) = Datagram::parse_transport(&d.frame).unwrap();
+            let out = inject(&mut m, Time::from_millis(u64::from(hop)), &echo(addr, hop));
+            for (_, frame) in out.iter() {
+                let (h, t) = Datagram::parse_transport(frame).unwrap();
                 if let TransportView::Icmpv6(Icmpv6Message::TimeExceeded { .. }) = t {
                     te += 1;
                     assert_ne!(h.src, addr, "TE must come from a router, not the target");
@@ -936,7 +942,7 @@ mod tests {
             .expect("a ghost exists");
         for day in 0..3 {
             m.set_day(day);
-            assert!(m.inject(Time::ZERO, &echo(ghost, 64)).is_empty());
+            assert!(inject(&mut m, Time::ZERO, &echo(ghost, 64)).is_empty());
         }
     }
 
@@ -955,15 +961,18 @@ mod tests {
             .map(|(a, _)| a)
             .next()
             .expect("dns host");
-        let q = dns::DnsQuery::new(0x1234, "example.com", dns::qtype::AAAA).emit();
-        let u = UdpDatagram::new(40000, 53, q);
-        let frame = Datagram::udp(vantage(), addr, 64, &u).emit();
+        let mut frame = Vec::new();
+        Datagram::emit_with(&mut frame, vantage(), addr, proto::UDP, 64, |out| {
+            udp::emit_with(40000, 53, vantage(), addr, out, |out| {
+                dns::emit_query(0x1234, "example.com", dns::qtype::AAAA, true, out)
+            })
+        });
         let mut got = false;
         for day in 0..5 {
             m.set_day(day);
-            let out = m.inject(Time::from_millis(1), &frame);
-            if let Some(d) = out.first() {
-                let (_, t) = Datagram::parse_transport(&d.frame).unwrap();
+            let out = inject(&mut m, Time::from_millis(1), &frame);
+            if let Some((_, reply)) = out.get(0) {
+                let (_, t) = Datagram::parse_transport(reply).unwrap();
                 match t {
                     TransportView::Udp(r) => {
                         assert_eq!(r.src_port, 53);
@@ -986,13 +995,17 @@ mod tests {
         let mut m = model();
         let p48 = m.population.special.cdn_hook_48s[0];
         let addr = expanse_addr::keyed_random_addr(p48, 9);
-        let seg = TcpSegment::syn_with_options(54321, 80, 1000, 77);
-        let frame = Datagram::tcp(vantage(), addr, 64, &seg).emit();
+        let options = TcpOptionBlock::fingerprint(77);
+        let seg = TcpView::syn(54321, 80, 1000, options.as_bytes());
+        let mut frame = Vec::new();
+        Datagram::emit_with(&mut frame, vantage(), addr, proto::TCP, 64, |out| {
+            seg.emit_into(vantage(), addr, out)
+        });
         let mut got = false;
         for day in 0..5 {
             m.set_day(day);
-            if let Some(d) = m.inject(Time::from_millis(2), &frame).first() {
-                let (_, t) = Datagram::parse_transport(&d.frame).unwrap();
+            if let Some((_, reply)) = inject(&mut m, Time::from_millis(2), &frame).get(0) {
+                let (_, t) = Datagram::parse_transport(reply).unwrap();
                 match t {
                     TransportView::Tcp(r) => {
                         assert!(r.flags.contains(TcpFlags::SYN_ACK));
@@ -1016,17 +1029,14 @@ mod tests {
         for day in 0..4 {
             m.set_day(day);
             assert!(
-                m.inject(Time::ZERO, &echo(carved, 64)).is_empty(),
+                inject(&mut m, Time::ZERO, &echo(carved, 64)).is_empty(),
                 "carved branch answered on day {day}"
             );
         }
         let mut answered = 0;
         for b in 1..16u128 {
             let a = expanse_addr::keyed_random_addr(p116.subprefix(4, b), 3);
-            if !m
-                .inject(Time::from_millis(b as u64), &echo(a, 64))
-                .is_empty()
-            {
+            if !inject(&mut m, Time::from_millis(b as u64), &echo(a, 64)).is_empty() {
                 answered += 1;
             }
         }
@@ -1041,10 +1051,7 @@ mod tests {
         let mut answered = 0;
         for i in 0..16u128 {
             let a = expanse_addr::keyed_random_addr(parent.subprefix(4, i % 16), i as u64);
-            if !m
-                .inject(Time::from_millis(i as u64), &echo(a, 64))
-                .is_empty()
-            {
+            if !inject(&mut m, Time::from_millis(i as u64), &echo(a, 64)).is_empty() {
                 answered += 1;
             }
         }
@@ -1065,8 +1072,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|(i, a)| {
-                !m.inject(Time::from_millis(*i as u64 * 50), &echo(**a, 64))
-                    .is_empty()
+                !inject(&mut m, Time::from_millis(*i as u64 * 50), &echo(**a, 64)).is_empty()
             })
             .count();
         assert!(answered >= 1, "epoch-0 rotation hosts silent on day 0");
@@ -1075,8 +1081,7 @@ mod tests {
         m.set_day(ghost_day);
         for (i, a) in e0.iter().enumerate() {
             assert!(
-                m.inject(Time::from_millis(i as u64 * 50), &echo(*a, 64))
-                    .is_empty(),
+                inject(&mut m, Time::from_millis(i as u64 * 50), &echo(*a, 64)).is_empty(),
                 "ghost {a} answered on day {ghost_day}"
             );
         }
@@ -1093,8 +1098,7 @@ mod tests {
             .enumerate()
             .filter(|(i, ph)| {
                 let a = m.scenario.privacy_addr(ph, 2);
-                !m.inject(Time::from_millis(*i as u64 * 50), &echo(a, 64))
-                    .is_empty()
+                !inject(&mut m, Time::from_millis(*i as u64 * 50), &echo(a, 64)).is_empty()
             })
             .count();
         assert!(answered >= 1, "no day-2 privacy address answered");
@@ -1103,8 +1107,7 @@ mod tests {
         for (i, ph) in hosts.iter().enumerate() {
             let stale = m.scenario.privacy_addr(ph, 2);
             assert!(
-                m.inject(Time::from_millis(i as u64 * 50), &echo(stale, 64))
-                    .is_empty(),
+                inject(&mut m, Time::from_millis(i as u64 * 50), &echo(stale, 64)).is_empty(),
                 "stale privacy address {stale} answered"
             );
         }
@@ -1113,7 +1116,8 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|(i, ph)| {
-                !m.inject(
+                !inject(
+                    &mut m,
                     Time::from_millis(400 + *i as u64 * 50),
                     &echo(ph.stable, 64),
                 )
@@ -1133,8 +1137,7 @@ mod tests {
         let answered = (0..16u128)
             .filter(|i| {
                 let a = p64.addr_at(1 + (i % 4));
-                !m.inject(Time::from_millis(*i as u64), &echo(a, 64))
-                    .is_empty()
+                !inject(&mut m, Time::from_millis(*i as u64), &echo(a, 64)).is_empty()
             })
             .count();
         assert!(
@@ -1150,7 +1153,7 @@ mod tests {
         let answered = (0..20u64)
             .filter(|i| {
                 let a = expanse_addr::keyed_random_addr(f, *i);
-                !m.inject(Time::from_millis(*i), &echo(a, 64)).is_empty()
+                !inject(&mut m, Time::from_millis(*i), &echo(a, 64)).is_empty()
             })
             .count();
         assert!(answered >= 17, "alias fabric answered {answered}/20");
@@ -1165,8 +1168,7 @@ mod tests {
             (0..16u128)
                 .filter(|i| {
                     let a = expanse_addr::keyed_random_addr(parent.subprefix(4, i % 16), *i as u64);
-                    !m.inject(Time::from_millis(*i as u64), &echo(a, 64))
-                        .is_empty()
+                    !inject(m, Time::from_millis(*i as u64), &echo(a, 64)).is_empty()
                 })
                 .count()
         };
@@ -1254,36 +1256,31 @@ mod tests {
         };
         let port = [80, 443, 53, 8080][(key >> 8) as usize % 4];
         let src_port = 32768 + (key >> 16) as u16 % 16384;
+        let (src, mut frame) = (vantage(), Vec::new());
         match transport {
-            0 => Datagram::icmpv6(
-                vantage(),
-                dst,
-                hop,
-                Icmpv6Message::EchoRequest {
-                    ident: key as u16,
-                    seq: (key >> 16) as u16,
-                    payload: vec![0xab; 8],
-                },
-            ),
+            0 => Datagram::emit_with(&mut frame, src, dst, proto::ICMPV6, hop, |out| {
+                let request = icmpv6::types::ECHO_REQUEST;
+                let (ident, seq) = (key as u16, (key >> 16) as u16);
+                icmpv6::emit_echo(request, ident, seq, &[0xab; 8], src, dst, out)
+            }),
             1 => {
-                let seg = TcpSegment::syn_with_options(src_port, port, key, key ^ 0x5a5a);
-                Datagram::tcp(vantage(), dst, hop, &seg)
+                let options = TcpOptionBlock::fingerprint(key ^ 0x5a5a);
+                let seg = TcpView::syn(src_port, port, key, options.as_bytes());
+                Datagram::emit_with(&mut frame, src, dst, proto::TCP, hop, |out| {
+                    seg.emit_into(src, dst, out)
+                })
             }
-            _ => {
-                let payload = if port == 443 {
-                    quic::QuicLongHeader::initial(&key.to_be_bytes(), &[7; 8])
-                } else {
-                    dns::DnsQuery::new(key as u16, "example.com", dns::qtype::AAAA).emit()
-                };
-                Datagram::udp(
-                    vantage(),
-                    dst,
-                    hop,
-                    &UdpDatagram::new(src_port, port, payload),
-                )
-            }
+            _ => Datagram::emit_with(&mut frame, src, dst, proto::UDP, hop, |out| {
+                udp::emit_with(src_port, port, src, dst, out, |out| {
+                    if port == 443 {
+                        quic::initial_into(&key.to_be_bytes(), &[7; 8], out)
+                    } else {
+                        dns::emit_query(key as u16, "example.com", dns::qtype::AAAA, true, out)
+                    }
+                })
+            }),
         }
-        .emit()
+        frame
     }
 
     proptest::proptest! {
@@ -1312,7 +1309,7 @@ mod tests {
             for (i, p) in middlebox_prefixes(&m).into_iter().enumerate() {
                 for k in 0..14u32 {
                     let dst = expanse_addr::keyed_random_addr(p, u64::from(k));
-                    m.inject(clock(picks[0].3 + u64::from(k)), &probe(dst, (i as u8 + k as u8) % 2, k | 1));
+                    inject(&mut *m, clock(picks[0].3 + u64::from(k)), &probe(dst, (i as u8 + k as u8) % 2, k | 1));
                 }
             }
             let late_day = m.day_state.clone();
@@ -1324,16 +1321,16 @@ mod tests {
                 .filter(|&(dst, ..)| !m.stateful(dst))
                 .map(|(dst, transport, key, us)| (clock(us), probe(dst, transport, key)))
                 .collect();
-            let from_model: Vec<Vec<Delivery>> =
-                cleared.iter().map(|(at, f)| m.inject(*at, f)).collect();
+            let from_model: Vec<_> =
+                cleared.iter().map(|(at, f)| frames(&inject(&mut *m, *at, f))).collect();
             proptest::prop_assert_eq!(&m.day_state, &late_day);
 
             let mut early = ScanView { model: &m, day: early_day.clone() };
             let mut fresh = m.snapshot();
             // Snapshots may answer in any order.
             for ((at, f), want) in cleared.iter().zip(&from_model).rev() {
-                proptest::prop_assert_eq!(&early.inject(*at, f), want);
-                proptest::prop_assert_eq!(&fresh.inject(*at, f), want);
+                proptest::prop_assert_eq!(&frames(&inject(&mut early, *at, f)), want);
+                proptest::prop_assert_eq!(&frames(&inject(&mut fresh, *at, f)), want);
             }
             proptest::prop_assert_eq!(&early.day, &early_day);
             proptest::prop_assert_eq!(&fresh.day, &late_day);
@@ -1362,11 +1359,11 @@ mod tests {
             for (i, &(pick, transport, key, us)) in picks.iter().enumerate() {
                 let dst = pick_dst(&m, pick);
                 let (at, frame) = (Time::from_micros(us), probe(dst, transport, key));
-                let want = plain.inject(at, &frame);
+                let want = frames(&inject(&mut plain, at, &frame));
 
                 got.clear();
                 InternetModel::inject_decided(&mut decided, &m.decide(dst), at, &frame, &mut got);
-                proptest::prop_assert_eq!(&got.to_vec(), &want);
+                proptest::prop_assert_eq!(&frames(&got), &want);
 
                 let wrong = if i % 2 == 0 {
                     m.decide(pick_dst(&m, pick ^ misled_by))
@@ -1375,7 +1372,7 @@ mod tests {
                 };
                 got.clear();
                 InternetModel::inject_decided(&mut misled, &wrong, at, &frame, &mut got);
-                proptest::prop_assert_eq!(&got.to_vec(), &want);
+                proptest::prop_assert_eq!(&frames(&got), &want);
             }
             proptest::prop_assert_eq!(&decided.day, &plain.day);
             proptest::prop_assert_eq!(&misled.day, &plain.day);

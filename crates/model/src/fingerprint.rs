@@ -266,27 +266,23 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expanse_packet::TcpSegment;
 
     /// `m`'s SYN-ACK to `probe`, through the wire view a SYN arrives as.
-    fn syn_ack(
-        m: &Machine,
-        probe: &TcpSegment,
-        abs_ns: u64,
-        tuple: u64,
-        flavor: u64,
-    ) -> TcpSegment {
+    fn syn_ack(m: &Machine, probe: &TcpView<'_>, abs_ns: u64, tuple: u64, flavor: u64) -> SynAck {
         let a: std::net::Ipv6Addr = "2001:db8::1".parse().unwrap();
-        let bytes = probe.emit(a, a);
+        let mut bytes = Vec::new();
+        probe.emit_into(a, a, &mut bytes);
         let view = TcpView::parse(a, a, &bytes).unwrap();
-        m.syn_ack(&view, abs_ns, tuple, flavor).segment().to_owned()
+        m.syn_ack(&view, abs_ns, tuple, flavor)
     }
 
     #[test]
     fn syn_ack_echoes_probe() {
         let m = Machine::linux_like(1);
-        let probe = TcpSegment::syn_with_options(40000, 80, 12345, 777);
+        let options = TcpOptionBlock::fingerprint(777);
+        let probe = TcpView::syn(40000, 80, 12345, options.as_bytes());
         let reply = syn_ack(&m, &probe, 0, 9, 9);
+        let reply = reply.segment();
         assert_eq!(reply.src_port, 80);
         assert_eq!(reply.dst_port, 40000);
         assert_eq!(reply.ack, 12346);
@@ -343,9 +339,10 @@ mod tests {
             pathology: Pathology::FlakyOptions,
             ..Machine::linux_like(5)
         };
-        let probe = TcpSegment::syn_with_options(1, 80, 1, 1);
+        let options = TcpOptionBlock::fingerprint(1);
+        let probe = TcpView::syn(1, 80, 1, options.as_bytes());
         let texts: std::collections::BTreeSet<String> = (0..32u64)
-            .map(|k| syn_ack(&m, &probe, 0, 0, k).options_text())
+            .map(|k| syn_ack(&m, &probe, 0, 0, k).segment().options_text())
             .collect();
         assert_eq!(texts.len(), 2, "{texts:?}");
     }
@@ -356,8 +353,9 @@ mod tests {
             layout: OptLayout::MssOnly,
             ..Machine::linux_like(6)
         };
-        let probe = TcpSegment::syn(1, 80, 1);
-        assert_eq!(syn_ack(&m, &probe, 0, 0, 0).options_text(), "MSS");
+        let probe = TcpView::syn(1, 80, 1, &[]);
+        let reply = syn_ack(&m, &probe, 0, 0, 0);
+        assert_eq!(reply.segment().options_text(), "MSS");
     }
 
     #[test]
@@ -367,7 +365,8 @@ mod tests {
             ..Machine::linux_like(7)
         };
         assert_eq!(m.tsval(123, 1), None);
-        let probe = TcpSegment::syn(1, 80, 1);
-        assert_eq!(syn_ack(&m, &probe, 0, 0, 0).options_text(), "MSS-SACK-N-WS");
+        let probe = TcpView::syn(1, 80, 1, &[]);
+        let reply = syn_ack(&m, &probe, 0, 0, 0);
+        assert_eq!(reply.segment().options_text(), "MSS-SACK-N-WS");
     }
 }

@@ -13,18 +13,18 @@
 //!
 //! ```
 //! use expanse_model::{InternetModel, ModelConfig};
-//! use expanse_netsim::{Network, Time};
-//! use expanse_packet::{Datagram, Icmpv6Message};
+//! use expanse_netsim::{Deliveries, Network, Time};
+//! use expanse_packet::{icmpv6, proto, Datagram};
 //!
 //! let mut net = InternetModel::build(ModelConfig::tiny(42));
+//! let src = "2001:db8:ffff::1".parse().unwrap();
 //! let target = net.population.special.cdn_hook_48s[0].first();
-//! let probe = Datagram::icmpv6(
-//!     "2001:db8:ffff::1".parse().unwrap(),
-//!     target,
-//!     64,
-//!     Icmpv6Message::EchoRequest { ident: 1, seq: 1, payload: vec![] },
-//! );
-//! let replies = net.inject(Time::ZERO, &probe.emit());
+//! let mut probe = Vec::new();
+//! Datagram::emit_with(&mut probe, src, target, proto::ICMPV6, 64, |out| {
+//!     icmpv6::emit_echo(icmpv6::types::ECHO_REQUEST, 1, 1, &[], src, target, out)
+//! });
+//! let mut replies = Deliveries::new();
+//! net.inject_into(Time::ZERO, &probe, &mut replies);
 //! assert!(!replies.is_empty(), "aliased prefixes answer everything");
 //! ```
 

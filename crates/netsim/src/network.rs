@@ -4,25 +4,11 @@
 use crate::time::Time;
 use std::net::Ipv6Addr;
 
-/// A frame delivered back to the prober at a virtual time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delivery {
-    /// When the frame arrives at the prober's interface.
-    pub at: Time,
-    /// Raw IPv6 datagram bytes.
-    pub frame: Vec<u8>,
-}
-
-impl Delivery {
-    /// Create a new instance.
-    pub fn new(at: Time, frame: Vec<u8>) -> Self {
-        Delivery { at, frame }
-    }
-}
-
 /// The frames a network sends back, in one reusable buffer: a byte
 /// arena plus an `(arrival, range)` entry per frame, in the order the
-/// network produced them.
+/// network produced them. It is the one form a reply takes: a prober or
+/// a test reads each frame as borrowed bytes with its arrival time
+/// ([`Deliveries::get`], [`Deliveries::iter`]).
 ///
 /// [`Deliveries::clear`] keeps both allocations, so a prober that hands
 /// the same buffer to every [`Network::inject_into`] of a scan stops
@@ -100,13 +86,6 @@ impl Deliveries {
         self.entries.push(Entry { at, start, end });
         Ok(())
     }
-
-    /// The frames as owned [`Delivery`]s.
-    pub fn to_vec(&self) -> Vec<Delivery> {
-        self.iter()
-            .map(|(at, frame)| Delivery::new(at, frame.to_vec()))
-            .collect()
-    }
 }
 
 /// Anything that behaves like a network attached to the prober's NIC.
@@ -124,14 +103,6 @@ pub trait Network {
     /// Inject one outgoing frame at `now`; append every response
     /// delivery to `out`.
     fn inject_into(&mut self, now: Time, frame: &[u8], out: &mut Deliveries);
-
-    /// [`Network::inject_into`] into a fresh buffer, returned as owned
-    /// deliveries: the convenient form for tests and one-off probes.
-    fn inject(&mut self, now: Time, frame: &[u8]) -> Vec<Delivery> {
-        let mut out = Deliveries::new();
-        self.inject_into(now, frame, &mut out);
-        out.to_vec()
-    }
 }
 
 /// A network that can hand out cheap independent snapshots of itself.
@@ -241,7 +212,6 @@ mod tests {
         );
         assert_eq!(d.get(1), Some((Time(3), &b"de"[..])));
         assert_eq!(d.get(3), None);
-        assert_eq!(d.to_vec()[0], Delivery::new(Time(5), b"abc".to_vec()));
     }
 
     #[test]

@@ -19,43 +19,9 @@ pub mod qtype {
     pub const PTR: u16 = 12;
 }
 
-/// A DNS query with one question.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DnsQuery {
-    /// DNS transaction id.
-    pub id: u16,
-    /// Queried name (dotted form).
-    pub qname: String,
-    /// Query type.
-    pub qtype: u16,
-    /// Recursion desired.
-    pub rd: bool,
-}
-
-impl DnsQuery {
-    /// Standard recursive query.
-    pub fn new(id: u16, qname: &str, qtype: u16) -> Self {
-        DnsQuery {
-            id,
-            qname: qname.to_string(),
-            qtype,
-            rd: true,
-        }
-    }
-
-    /// Encode to wire bytes.
-    ///
-    /// # Panics
-    /// Panics if a label exceeds 63 bytes.
-    pub fn emit(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(17 + self.qname.len());
-        emit_query(self.id, &self.qname, self.qtype, self.rd, &mut out);
-        out
-    }
-}
-
-/// Append the wire bytes of a one-question query: what
-/// [`DnsQuery::emit`] produces, from borrowed fields.
+/// Append the wire bytes of a one-question query for `qname` (dotted
+/// form), class IN, with transaction id `id` and recursion desired if
+/// `rd`.
 ///
 /// # Panics
 /// Panics if a label exceeds 63 bytes.
@@ -132,18 +98,12 @@ fn skip_name(buf: &[u8], mut pos: usize) -> Result<usize, PacketError> {
     }
 }
 
-/// Build a minimal response to `query` bytes: echoes id and question,
-/// sets QR/RA, given rcode, and `answers` synthetic A/AAAA-shaped records.
+/// Append a minimal response to `query` bytes to `out` (left untouched
+/// on error): echoes id and question, sets QR/RA, given rcode, and
+/// `answers` synthetic A/AAAA-shaped records.
 ///
 /// The simulator's DNS hosts use this; the prober only checks
 /// [`DnsHeader`] fields, so record contents are opaque 16-byte blobs.
-pub fn build_response(query: &[u8], rcode: u8, answers: u16) -> Result<Vec<u8>, PacketError> {
-    let mut out = Vec::new();
-    build_response_into(query, rcode, answers, &mut out)?;
-    Ok(out)
-}
-
-/// [`build_response`], appended to `out` (left untouched on error).
 pub fn build_response_into(
     query: &[u8],
     rcode: u8,
@@ -188,10 +148,21 @@ pub fn build_response_into(
 mod tests {
     use super::*;
 
+    fn query(id: u16, qname: &str, qtype: u16) -> Vec<u8> {
+        let mut out = Vec::new();
+        emit_query(id, qname, qtype, true, &mut out);
+        out
+    }
+
+    fn response(query: &[u8], rcode: u8, answers: u16) -> Result<Vec<u8>, PacketError> {
+        let mut out = Vec::new();
+        build_response_into(query, rcode, answers, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn query_emit_shape() {
-        let q = DnsQuery::new(0x1234, "example.com", qtype::AAAA);
-        let b = q.emit();
+        let b = query(0x1234, "example.com", qtype::AAAA);
         assert_eq!(&b[0..2], &[0x12, 0x34]);
         // 12 header + 1+7 + 1+3 + 1 root + 4 = 29
         assert_eq!(b.len(), 29);
@@ -204,8 +175,8 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let q = DnsQuery::new(7, "ns1.example.org", qtype::A).emit();
-        let r = build_response(&q, 0, 2).unwrap();
+        let q = query(7, "ns1.example.org", qtype::A);
+        let r = response(&q, 0, 2).unwrap();
         let h = DnsHeader::parse(&r).unwrap();
         assert!(h.qr);
         assert_eq!(h.id, 7);
@@ -216,8 +187,8 @@ mod tests {
 
     #[test]
     fn nxdomain_response() {
-        let q = DnsQuery::new(9, "nope.invalid", qtype::PTR).emit();
-        let r = build_response(&q, 3, 0).unwrap();
+        let q = query(9, "nope.invalid", qtype::PTR);
+        let r = response(&q, 3, 0).unwrap();
         let h = DnsHeader::parse(&r).unwrap();
         assert_eq!(h.rcode, 3);
         assert_eq!(h.ancount, 0);
@@ -225,9 +196,11 @@ mod tests {
 
     #[test]
     fn reject_response_to_response() {
-        let q = DnsQuery::new(7, "a.b", qtype::A).emit();
-        let r = build_response(&q, 0, 1).unwrap();
-        assert!(build_response(&r, 0, 1).is_err());
+        let q = query(7, "a.b", qtype::A);
+        let r = response(&q, 0, 1).unwrap();
+        let mut out = vec![0xee];
+        assert!(build_response_into(&r, 0, 1, &mut out).is_err());
+        assert_eq!(out, [0xee], "left untouched on error");
     }
 
     #[test]
@@ -244,10 +217,9 @@ mod tests {
 
     #[test]
     fn root_name_query() {
-        let q = DnsQuery::new(1, ".", qtype::NS);
-        let b = q.emit();
+        let b = query(1, ".", qtype::NS);
         assert_eq!(b[12], 0); // root label only
-        let r = build_response(&b, 0, 1).unwrap();
+        let r = response(&b, 0, 1).unwrap();
         assert_eq!(DnsHeader::parse(&r).unwrap().ancount, 1);
     }
 }

@@ -30,9 +30,10 @@ pub mod unreach_code {
     pub const PORT_UNREACHABLE: u8 = 4;
 }
 
-/// An ICMPv6 message, generic over the bytes it carries: the default
-/// `Vec<u8>` owns them, and [`Icmpv6Message::view`] yields an
-/// `Icmpv6Message<&[u8]>` borrowing them from the frame it parsed.
+/// An ICMPv6 message, generic over the bytes it carries:
+/// [`Icmpv6Message::view`] yields an `Icmpv6Message<&[u8]>` borrowing
+/// them from the frame it parsed, and [`Icmpv6Message::emit_into`]
+/// writes any form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Icmpv6Message<B = Vec<u8>> {
     /// Echo request with identifier, sequence number, and payload.
@@ -129,26 +130,8 @@ impl<B: AsRef<[u8]>> Icmpv6Message<B> {
         }
     }
 
-    /// Encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            Icmpv6Message::EchoRequest { payload, .. }
-            | Icmpv6Message::EchoReply { payload, .. } => 8 + payload.as_ref().len(),
-            Icmpv6Message::DestUnreachable { invoking, .. }
-            | Icmpv6Message::TimeExceeded { invoking, .. } => 8 + invoking.as_ref().len(),
-            Icmpv6Message::Other { body, .. } => 4 + body.as_ref().len(),
-        }
-    }
-
-    /// Encode with checksum for transmission between `src` and `dst`.
-    pub fn emit(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        self.emit_into(src, dst, &mut out);
-        out
-    }
-
-    /// [`Icmpv6Message::emit`], appended to `out` (the checksum covers
-    /// only the appended message).
+    /// Append the message to `out`, checksummed for transmission between
+    /// `src` and `dst` (the checksum covers only the appended message).
     pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
         match self {
             Icmpv6Message::EchoRequest {
@@ -186,8 +169,7 @@ impl<B: AsRef<[u8]>> Icmpv6Message<B> {
 
 impl<'a> Icmpv6Message<&'a [u8]> {
     /// Parse and verify the checksum, borrowing the variable-length
-    /// fields from `buf`: the one ICMPv6 parser
-    /// ([`Icmpv6Message::parse`] is this plus [`Icmpv6Message::to_owned`]).
+    /// fields from `buf`: the one ICMPv6 parser.
     #[inline]
     pub fn view(src: Ipv6Addr, dst: Ipv6Addr, buf: &'a [u8]) -> Result<Self, PacketError> {
         if buf.len() < 4 {
@@ -237,54 +219,6 @@ impl<'a> Icmpv6Message<&'a [u8]> {
             }),
         }
     }
-
-    /// The owned message: each borrowed field copied out.
-    pub fn to_owned(&self) -> Icmpv6Message {
-        match *self {
-            Icmpv6Message::EchoRequest {
-                ident,
-                seq,
-                payload,
-            } => Icmpv6Message::EchoRequest {
-                ident,
-                seq,
-                payload: payload.to_vec(),
-            },
-            Icmpv6Message::EchoReply {
-                ident,
-                seq,
-                payload,
-            } => Icmpv6Message::EchoReply {
-                ident,
-                seq,
-                payload: payload.to_vec(),
-            },
-            Icmpv6Message::DestUnreachable { code, invoking } => Icmpv6Message::DestUnreachable {
-                code,
-                invoking: invoking.to_vec(),
-            },
-            Icmpv6Message::TimeExceeded { code, invoking } => Icmpv6Message::TimeExceeded {
-                code,
-                invoking: invoking.to_vec(),
-            },
-            Icmpv6Message::Other {
-                icmp_type,
-                code,
-                body,
-            } => Icmpv6Message::Other {
-                icmp_type,
-                code,
-                body: body.to_vec(),
-            },
-        }
-    }
-}
-
-impl Icmpv6Message {
-    /// Parse and verify the checksum into an owned message.
-    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<Icmpv6Message, PacketError> {
-        Icmpv6Message::view(src, dst, buf).map(|m| m.to_owned())
-    }
 }
 
 #[cfg(test)]
@@ -298,17 +232,24 @@ mod tests {
         )
     }
 
+    fn emit(msg: &Icmpv6Message<&[u8]>) -> Vec<u8> {
+        let (s, d) = pair();
+        let mut bytes = Vec::new();
+        msg.emit_into(s, d, &mut bytes);
+        bytes
+    }
+
     #[test]
     fn echo_roundtrip() {
         let (s, d) = pair();
         let msg = Icmpv6Message::EchoRequest {
             ident: 0xbeef,
             seq: 42,
-            payload: b"expanse".to_vec(),
+            payload: &b"expanse"[..],
         };
-        let bytes = msg.emit(s, d);
+        let bytes = emit(&msg);
         assert_eq!(bytes[0], 128);
-        assert_eq!(Icmpv6Message::parse(s, d, &bytes).unwrap(), msg);
+        assert_eq!(Icmpv6Message::view(s, d, &bytes), Ok(msg));
     }
 
     #[test]
@@ -317,22 +258,20 @@ mod tests {
         let msg = Icmpv6Message::EchoReply {
             ident: 1,
             seq: 2,
-            payload: vec![],
+            payload: &[][..],
         };
-        let bytes = msg.emit(s, d);
-        assert_eq!(Icmpv6Message::parse(s, d, &bytes).unwrap(), msg);
+        assert_eq!(Icmpv6Message::view(s, d, &emit(&msg)), Ok(msg));
     }
 
     #[test]
     fn time_exceeded_carries_invoking_packet() {
         let (s, d) = pair();
-        let invoking = vec![0x60, 0, 0, 0, 0, 0];
-        let msg = Icmpv6Message::TimeExceeded {
+        let invoking = [0x60, 0, 0, 0, 0, 0];
+        let bytes = emit(&Icmpv6Message::TimeExceeded {
             code: 0,
-            invoking: invoking.clone(),
-        };
-        let bytes = msg.emit(s, d);
-        match Icmpv6Message::parse(s, d, &bytes).unwrap() {
+            invoking: &invoking,
+        });
+        match Icmpv6Message::view(s, d, &bytes).unwrap() {
             Icmpv6Message::TimeExceeded {
                 code: 0,
                 invoking: inv,
@@ -349,19 +288,19 @@ mod tests {
         let msg = Icmpv6Message::EchoRequest {
             ident: 1,
             seq: 1,
-            payload: vec![1, 2, 3, 4],
+            payload: &[1, 2, 3, 4][..],
         };
-        let mut bytes = msg.emit(s, d);
+        let mut bytes = emit(&msg);
         bytes[9] ^= 0x01;
         assert_eq!(
-            Icmpv6Message::parse(s, d, &bytes),
+            Icmpv6Message::view(s, d, &bytes),
             Err(PacketError::BadChecksum)
         );
         // Also: valid bytes but wrong addresses (checksum covers them).
-        let bytes = msg.emit(s, d);
+        let bytes = emit(&msg);
         let e: Ipv6Addr = "2001:db8::3".parse().unwrap();
         assert_eq!(
-            Icmpv6Message::parse(s, e, &bytes),
+            Icmpv6Message::view(s, e, &bytes),
             Err(PacketError::BadChecksum)
         );
     }
@@ -372,9 +311,8 @@ mod tests {
         let msg = Icmpv6Message::Other {
             icmp_type: 135, // neighbor solicitation
             code: 0,
-            body: vec![9, 9],
+            body: &[9, 9][..],
         };
-        let bytes = msg.emit(s, d);
-        assert_eq!(Icmpv6Message::parse(s, d, &bytes).unwrap(), msg);
+        assert_eq!(Icmpv6Message::view(s, d, &emit(&msg)), Ok(msg));
     }
 }

@@ -1,9 +1,6 @@
 //! The fixed IPv6 header (RFC 8200) and full-datagram framing.
 
-use crate::icmpv6::Icmpv6Message;
-use crate::tcp::TcpSegment;
-use crate::udp::UdpDatagram;
-use crate::{proto, PacketError, TransportView};
+use crate::{PacketError, TransportView};
 use std::net::Ipv6Addr;
 
 /// Length of the fixed IPv6 header in bytes.
@@ -73,78 +70,20 @@ impl Ipv6Header {
     }
 }
 
-/// A complete IPv6 datagram: header plus raw payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Datagram {
-    /// Header.
-    pub header: Ipv6Header,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
-}
+/// Full-datagram framing: the fixed header written around a transport
+/// body in a caller's buffer, and read back off a frame. Never
+/// constructed — a datagram lives as bytes.
+pub enum Datagram {}
 
 impl Datagram {
     /// Default hop limit for probe packets (matches Linux default).
     pub const DEFAULT_HOP_LIMIT: u8 = 64;
 
-    /// Build a datagram around an already-encoded transport payload.
-    pub fn new(
-        src: Ipv6Addr,
-        dst: Ipv6Addr,
-        next_header: u8,
-        hop_limit: u8,
-        payload: Vec<u8>,
-    ) -> Self {
-        Datagram {
-            header: Datagram::header_for(src, dst, next_header, hop_limit, payload.len()),
-            payload,
-        }
-    }
-
-    /// The header of a datagram carrying `payload_len` transport bytes.
-    fn header_for(
-        src: Ipv6Addr,
-        dst: Ipv6Addr,
-        next_header: u8,
-        hop_limit: u8,
-        payload_len: usize,
-    ) -> Ipv6Header {
-        let payload_len =
-            u16::try_from(payload_len).expect("payload exceeds 64 KiB (jumbograms unsupported)");
-        Ipv6Header {
-            src,
-            dst,
-            next_header,
-            hop_limit,
-            traffic_class: 0,
-            flow_label: 0,
-            payload_len,
-        }
-    }
-
-    /// Build an ICMPv6 datagram (computes the transport checksum).
-    pub fn icmpv6(src: Ipv6Addr, dst: Ipv6Addr, hop_limit: u8, msg: Icmpv6Message) -> Self {
-        let payload = msg.emit(src, dst);
-        Datagram::new(src, dst, proto::ICMPV6, hop_limit, payload)
-    }
-
-    /// Build a TCP datagram (computes the transport checksum).
-    pub fn tcp(src: Ipv6Addr, dst: Ipv6Addr, hop_limit: u8, seg: &TcpSegment) -> Self {
-        let payload = seg.emit(src, dst);
-        Datagram::new(src, dst, proto::TCP, hop_limit, payload)
-    }
-
-    /// Build a UDP datagram (computes the transport checksum).
-    pub fn udp(src: Ipv6Addr, dst: Ipv6Addr, hop_limit: u8, dgram: &UdpDatagram) -> Self {
-        let payload = dgram.emit(src, dst);
-        Datagram::new(src, dst, proto::UDP, hop_limit, payload)
-    }
-
     /// Emit a whole frame into a reused buffer: `frame` is cleared, the
     /// fixed header written, `body` appends the transport bytes (an
-    /// `emit_into` of this crate), and the payload length is patched in.
-    /// Byte for byte what `Datagram::new(.., body bytes).emit()` returns,
-    /// without the intermediate payload and frame vectors — a prober
-    /// sends hundreds of thousands of probes a scan from one buffer.
+    /// `emit_into` of this crate), and the payload length is patched in —
+    /// a prober sends hundreds of thousands of probes a scan from one
+    /// buffer.
     pub fn emit_with(
         frame: &mut Vec<u8>,
         src: Ipv6Addr,
@@ -171,49 +110,33 @@ impl Datagram {
         let start = out.len();
         out.extend_from_slice(&[0; HEADER_LEN]);
         let r = body(out);
-        let payload_len = out.len() - start - HEADER_LEN;
-        let header = Datagram::header_for(src, dst, next_header, hop_limit, payload_len);
+        let payload_len = u16::try_from(out.len() - start - HEADER_LEN)
+            .expect("payload exceeds 64 KiB (jumbograms unsupported)");
+        let header = Ipv6Header {
+            src,
+            dst,
+            next_header,
+            hop_limit,
+            traffic_class: 0,
+            flow_label: 0,
+            payload_len,
+        };
         out[start..start + HEADER_LEN].copy_from_slice(&header.emit());
         r
     }
 
-    /// Serialize header + payload.
-    pub fn emit(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.header.emit());
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Parse a full datagram; the payload length field must match the
-    /// buffer exactly (the simulator never fragments).
-    pub fn parse(buf: &[u8]) -> Result<Datagram, PacketError> {
-        let (header, body) = Datagram::split(buf)?;
-        Ok(Datagram {
-            header,
-            payload: body.to_vec(),
-        })
-    }
-
-    /// The parsed header and the borrowed body of a full datagram,
-    /// length-checked as [`Datagram::parse`] documents.
+    /// Parse a full datagram and decode its transport payload in one
+    /// step, straight off the borrowed frame: the payload length must
+    /// match the buffer exactly (the simulator never fragments) and the
+    /// transport checksum must verify. Nothing is copied; the view's
+    /// variable-length fields point into `buf`.
     #[inline]
-    fn split(buf: &[u8]) -> Result<(Ipv6Header, &[u8]), PacketError> {
+    pub fn parse_transport(buf: &[u8]) -> Result<(Ipv6Header, TransportView<'_>), PacketError> {
         let header = Ipv6Header::parse(buf)?;
         let body = &buf[HEADER_LEN..];
         if body.len() != usize::from(header.payload_len) {
             return Err(PacketError::BadLength);
         }
-        Ok((header, body))
-    }
-
-    /// Parse and decode the transport payload in one step, straight off
-    /// the borrowed frame (same length and checksum checks as
-    /// [`Datagram::parse`] + [`crate::Transport::parse`]): nothing is
-    /// copied, the view's variable-length fields point into `buf`.
-    #[inline]
-    pub fn parse_transport(buf: &[u8]) -> Result<(Ipv6Header, TransportView<'_>), PacketError> {
-        let (header, body) = Datagram::split(buf)?;
         Ok((header, TransportView::parse(&header, body)?))
     }
 }
@@ -222,6 +145,7 @@ impl Datagram {
 mod tests {
     use super::*;
     use crate::oracle::transport_frames;
+    use crate::{proto, Icmpv6Message, TcpOptionBlock, TcpView, UdpDatagram};
 
     fn addr(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -268,20 +192,26 @@ mod tests {
 
     #[test]
     fn datagram_length_must_match() {
-        let d = Datagram::new(addr("::1"), addr("::2"), 17, 64, vec![1, 2, 3]);
-        let mut bytes = d.emit();
-        assert_eq!(Datagram::parse(&bytes).unwrap(), d);
+        let mut bytes = Vec::new();
+        Datagram::emit_with(&mut bytes, addr("::1"), addr("::2"), 99, 64, |out| {
+            out.extend_from_slice(&[1, 2, 3])
+        });
+        let (h, t) = Datagram::parse_transport(&bytes).unwrap();
+        assert_eq!(h.payload_len, 3);
+        assert_eq!(t, TransportView::Other(99, &[1, 2, 3]));
         bytes.push(0); // trailing junk
-        assert_eq!(Datagram::parse(&bytes), Err(PacketError::BadLength));
+        assert_eq!(
+            Datagram::parse_transport(&bytes),
+            Err(PacketError::BadLength)
+        );
     }
 
     #[test]
     fn parse_transport_agrees_with_two_step_parse() {
         for (name, frame) in transport_frames() {
-            let d = Datagram::parse(&frame).unwrap();
-            let t = crate::Transport::parse(&d.header, &d.payload).unwrap();
-            let (h, view) = Datagram::parse_transport(&frame).unwrap();
-            assert_eq!((h, view.to_owned()), (d.header, t), "{name}");
+            let h = Ipv6Header::parse(&frame).unwrap();
+            let t = TransportView::parse(&h, &frame[HEADER_LEN..]).unwrap();
+            assert_eq!(Datagram::parse_transport(&frame), Ok((h, t)), "{name}");
         }
     }
 
@@ -318,33 +248,60 @@ mod tests {
     }
 
     #[test]
-    fn emit_with_equals_owned_emit() {
+    fn emit_with_frames_each_transport_in_place() {
         let (s, d) = (addr("2001:db8::1"), addr("2001:db8::2"));
         let echo = Icmpv6Message::EchoRequest {
             ident: 7,
             seq: 9,
-            payload: b"expanse".to_vec(),
+            payload: &b"expanse"[..],
         };
-        let seg = TcpSegment::syn_with_options(40000, 80, 1, 2);
-        let udp = UdpDatagram::new(40000, 53, b"query".to_vec());
-        // One buffer across all three: each emit starts from a clean frame.
+        let options = TcpOptionBlock::fingerprint(2);
+        let seg = TcpView::syn(40000, 80, 1, options.as_bytes());
+        let udp = UdpDatagram::new(40000, 53, &b"query"[..]);
+        // One buffer across all of them: each emit starts from a clean frame.
         let mut frame = vec![0xaa; 7];
+        let check = |frame: &[u8], next_header, hop_limit, want: TransportView<'_>| {
+            let header = Ipv6Header {
+                src: s,
+                dst: d,
+                next_header,
+                hop_limit,
+                traffic_class: 0,
+                flow_label: 0,
+                payload_len: (frame.len() - HEADER_LEN) as u16,
+            };
+            assert_eq!(Datagram::parse_transport(frame), Ok((header, want)));
+        };
         Datagram::emit_with(&mut frame, s, d, proto::ICMPV6, 64, |out| {
             echo.emit_into(s, d, out)
         });
-        assert_eq!(frame, Datagram::icmpv6(s, d, 64, echo.clone()).emit());
+        check(&frame, proto::ICMPV6, 64, TransportView::Icmpv6(echo));
+        let from_message = frame.clone();
         Datagram::emit_with(&mut frame, s, d, proto::ICMPV6, 64, |out| {
             crate::icmpv6::emit_echo(128, 7, 9, b"expanse", s, d, out)
         });
-        assert_eq!(frame, Datagram::icmpv6(s, d, 64, echo).emit());
+        assert_eq!(frame, from_message, "emit_echo writes the echo message");
         Datagram::emit_with(&mut frame, s, d, proto::TCP, 63, |out| {
             seg.emit_into(s, d, out)
         });
-        assert_eq!(frame, Datagram::tcp(s, d, 63, &seg).emit());
+        check(&frame, proto::TCP, 63, TransportView::Tcp(seg));
         Datagram::emit_with(&mut frame, s, d, proto::UDP, 62, |out| {
             udp.emit_into(s, d, out)
         });
-        assert_eq!(frame, Datagram::udp(s, d, 62, &udp).emit());
+        check(&frame, proto::UDP, 62, TransportView::Udp(udp));
+        let udp_frame = frame;
+
+        // Appended to an arena, each frame is what emit_with writes alone.
+        let mut arena = vec![0xbb; 3];
+        let tcp_end = Datagram::append_with(&mut arena, s, d, proto::TCP, 63, |out| {
+            seg.emit_into(s, d, out);
+            out.len()
+        });
+        Datagram::append_with(&mut arena, s, d, proto::UDP, 62, |out| {
+            udp.emit_into(s, d, out)
+        });
+        check(&arena[3..tcp_end], proto::TCP, 63, TransportView::Tcp(seg));
+        assert_eq!(arena[tcp_end..], udp_frame);
     }
 
     #[test]

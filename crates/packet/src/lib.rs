@@ -5,18 +5,16 @@
 //! raw socket would impose. This keeps checksum, TCP-option, and
 //! fingerprinting code honest instead of mocked.
 //!
-//! Design follows the smoltcp idiom of explicit representation structs with
-//! `emit`/`parse` pairs. Each transport has one parser, and it borrows:
-//! [`Datagram::parse_transport`] yields a [`TransportView`] whose
-//! variable-length fields point into the frame, with every length and
-//! checksum check done; the owned representations ([`Transport`] and the
-//! types under it, holding [`Vec<u8>`]s) are that view's `to_owned()`.
-//! Emission is as frugal: every `emit` has an `emit_into` that appends to
-//! a caller's buffer, and [`Datagram::emit_with`] / [`Datagram::append_with`]
-//! frame one in place. A probe's round trip through the simulator —
-//! emit, parse, answer, parse the answer — therefore copies nothing onto
-//! the heap, which matters because a scan sends hundreds of thousands of
-//! probes a virtual day.
+//! A frame has one form: bytes in a caller's buffer. Each message has
+//! one emitter, an `emit_into` (or free `emit_*` function) that appends
+//! it to that buffer, and [`Datagram::emit_with`] /
+//! [`Datagram::append_with`] frame it in place. Each transport has one
+//! parser, and it borrows: [`Datagram::parse_transport`] yields a
+//! [`TransportView`] whose variable-length fields point into the frame,
+//! with every length and checksum check done. A probe's round trip
+//! through the simulator — emit, parse, answer, parse the answer —
+//! therefore copies nothing onto the heap, which matters because a scan
+//! sends hundreds of thousands of probes a virtual day.
 //!
 //! Layers:
 //! - [`ipv6`] — fixed 40-byte IPv6 header + full datagram framing
@@ -44,7 +42,7 @@ mod oracle;
 pub use icmpv6::Icmpv6Message;
 pub use ipv6::{Datagram, Ipv6Header};
 pub use probe::{ProtoSet, Protocol};
-pub use tcp::{TcpFlags, TcpOption, TcpOptionBlock, TcpSegment, TcpView};
+pub use tcp::{TcpFlags, TcpOption, TcpOptionBlock, TcpView};
 pub use udp::UdpDatagram;
 
 use std::fmt;
@@ -88,29 +86,9 @@ impl fmt::Display for PacketError {
 
 impl std::error::Error for PacketError {}
 
-/// Parsed transport-layer payload of an IPv6 datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Transport {
-    /// Icmpv6.
-    Icmpv6(Icmpv6Message),
-    /// A TCP segment.
-    Tcp(TcpSegment),
-    /// A UDP datagram.
-    Udp(UdpDatagram),
-    /// Unknown next-header: raw payload preserved.
-    Other(u8, Vec<u8>),
-}
-
-impl Transport {
-    /// Parse the payload of `header` according to its next-header field,
-    /// verifying transport checksums against the pseudo-header.
-    pub fn parse(header: &Ipv6Header, payload: &[u8]) -> Result<Transport, PacketError> {
-        TransportView::parse(header, payload).map(|t| t.to_owned())
-    }
-}
-
-/// [`Transport`] over borrowed bytes: what a prober or the simulator
-/// reads off a frame without copying it ([`Datagram::parse_transport`]).
+/// The parsed transport-layer payload of an IPv6 datagram, over borrowed
+/// bytes: what a prober or the simulator reads off a frame without
+/// copying it ([`Datagram::parse_transport`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportView<'a> {
     /// Icmpv6.
@@ -137,16 +115,6 @@ impl<'a> TransportView<'a> {
             other => TransportView::Other(other, payload),
         })
     }
-
-    /// The owned payload: every borrowed field copied out.
-    pub fn to_owned(&self) -> Transport {
-        match self {
-            TransportView::Icmpv6(m) => Transport::Icmpv6(m.to_owned()),
-            TransportView::Tcp(s) => Transport::Tcp(s.to_owned()),
-            TransportView::Udp(u) => Transport::Udp(u.to_owned()),
-            TransportView::Other(nh, payload) => Transport::Other(*nh, payload.to_vec()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -161,13 +129,14 @@ mod tests {
         let echo = Icmpv6Message::EchoRequest {
             ident: 7,
             seq: 1,
-            payload: vec![1, 2, 3],
+            payload: &[1, 2, 3][..],
         };
-        let dgram = Datagram::icmpv6(src, dst, 64, echo.clone());
-        let bytes = dgram.emit();
-        let parsed = Datagram::parse(&bytes).unwrap();
-        match Transport::parse(&parsed.header, &parsed.payload).unwrap() {
-            Transport::Icmpv6(m) => assert_eq!(m, echo),
+        let mut bytes = Vec::new();
+        Datagram::emit_with(&mut bytes, src, dst, proto::ICMPV6, 64, |out| {
+            echo.emit_into(src, dst, out)
+        });
+        match Datagram::parse_transport(&bytes).unwrap().1 {
+            TransportView::Icmpv6(m) => assert_eq!(m, echo),
             other => panic!("wrong transport: {other:?}"),
         }
     }
@@ -184,9 +153,9 @@ mod tests {
             flow_label: 0,
             payload_len: 2,
         };
-        match Transport::parse(&header, &[0xaa, 0xbb]).unwrap() {
-            Transport::Other(99, p) => assert_eq!(p, vec![0xaa, 0xbb]),
-            other => panic!("wrong transport: {other:?}"),
-        }
+        assert_eq!(
+            TransportView::parse(&header, &[0xaa, 0xbb]),
+            Ok(TransportView::Other(99, &[0xaa, 0xbb][..]))
+        );
     }
 }

@@ -5,10 +5,120 @@ use crate::checksum::{transport_checksum, verify_transport};
 use crate::icmpv6::types;
 use crate::ipv6::HEADER_LEN;
 use crate::{
-    proto, quic, Datagram, Icmpv6Message, Ipv6Header, PacketError, TcpOption, TcpSegment,
-    Transport, UdpDatagram,
+    proto, quic, Datagram, Icmpv6Message, Ipv6Header, PacketError, TcpFlags, TcpOption,
+    TcpOptionBlock, TcpView, TransportView, UdpDatagram,
 };
 use std::net::Ipv6Addr;
+
+/// The transport payload of a datagram, every field owned: what the
+/// reference parser returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Transport {
+    Icmpv6(Icmpv6Message),
+    Tcp(TcpSegment),
+    Udp(UdpDatagram),
+    Other(u8, Vec<u8>),
+}
+
+/// A TCP segment with its options decoded and every field owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct TcpSegment {
+    src_port: u16,
+    dst_port: u16,
+    seq: u32,
+    ack: u32,
+    flags: TcpFlags,
+    window: u16,
+    urgent: u16,
+    options: Vec<TcpOption>,
+    payload: Vec<u8>,
+}
+
+/// `view` with every borrowed field copied out, to compare with the
+/// reference parser's result.
+fn owned(view: TransportView<'_>) -> Transport {
+    match view {
+        TransportView::Icmpv6(m) => Transport::Icmpv6(match m {
+            Icmpv6Message::EchoRequest {
+                ident,
+                seq,
+                payload,
+            } => Icmpv6Message::EchoRequest {
+                ident,
+                seq,
+                payload: payload.to_vec(),
+            },
+            Icmpv6Message::EchoReply {
+                ident,
+                seq,
+                payload,
+            } => Icmpv6Message::EchoReply {
+                ident,
+                seq,
+                payload: payload.to_vec(),
+            },
+            Icmpv6Message::DestUnreachable { code, invoking } => Icmpv6Message::DestUnreachable {
+                code,
+                invoking: invoking.to_vec(),
+            },
+            Icmpv6Message::TimeExceeded { code, invoking } => Icmpv6Message::TimeExceeded {
+                code,
+                invoking: invoking.to_vec(),
+            },
+            Icmpv6Message::Other {
+                icmp_type,
+                code,
+                body,
+            } => Icmpv6Message::Other {
+                icmp_type,
+                code,
+                body: body.to_vec(),
+            },
+        }),
+        TransportView::Tcp(s) => Transport::Tcp(TcpSegment {
+            src_port: s.src_port,
+            dst_port: s.dst_port,
+            seq: s.seq,
+            ack: s.ack,
+            flags: s.flags,
+            window: s.window,
+            urgent: s.urgent,
+            options: s.options().map(owned_option).collect(),
+            payload: s.payload.to_vec(),
+        }),
+        TransportView::Udp(u) => {
+            Transport::Udp(UdpDatagram::new(u.src_port, u.dst_port, u.payload.to_vec()))
+        }
+        TransportView::Other(nh, payload) => Transport::Other(nh, payload.to_vec()),
+    }
+}
+
+fn owned_option(opt: TcpOption<&[u8]>) -> TcpOption {
+    match opt {
+        TcpOption::Eol => TcpOption::Eol,
+        TcpOption::Nop => TcpOption::Nop,
+        TcpOption::Mss(v) => TcpOption::Mss(v),
+        TcpOption::WindowScale(v) => TcpOption::WindowScale(v),
+        TcpOption::SackPermitted => TcpOption::SackPermitted,
+        TcpOption::Timestamps { tsval, tsecr } => TcpOption::Timestamps { tsval, tsecr },
+        TcpOption::Unknown { kind, data } => TcpOption::Unknown {
+            kind,
+            data: data.to_vec(),
+        },
+    }
+}
+
+/// The frame `body` writes the transport bytes of, from `src` to `dst`.
+fn frame(
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    next_header: u8,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut frame = Vec::new();
+    Datagram::emit_with(&mut frame, src, dst, next_header, 64, body);
+    frame
+}
 
 /// One well-formed frame per transport and message shape, each with a
 /// non-empty checksummed payload so a payload bit can be flipped.
@@ -17,57 +127,63 @@ pub(crate) fn transport_frames() -> Vec<(&'static str, Vec<u8>)> {
         "2001:db8::1".parse().unwrap(),
         "2001:db8::2".parse().unwrap(),
     );
+    let icmpv6 =
+        |msg: Icmpv6Message<&[u8]>| frame(s, d, proto::ICMPV6, |out| msg.emit_into(s, d, out));
+    let tcp = |seg: TcpView<'_>| frame(s, d, proto::TCP, |out| seg.emit_into(s, d, out));
+    let udp = |u: UdpDatagram<&[u8]>| frame(s, d, proto::UDP, |out| u.emit_into(s, d, out));
     let echo = Icmpv6Message::EchoRequest {
         ident: 7,
         seq: 9,
-        payload: b"expanse".to_vec(),
+        payload: &b"expanse"[..],
     };
-    let seg = TcpSegment {
-        payload: b"hello".to_vec(),
-        ..TcpSegment::syn_with_options(40000, 80, 1, 2)
+    let fingerprint = TcpOptionBlock::fingerprint(2);
+    let seg = TcpView {
+        payload: b"hello",
+        ..TcpView::syn(40000, 80, 1, fingerprint.as_bytes())
     };
-    let udp = UdpDatagram::new(40000, 53, b"query".to_vec());
-    let quote = Datagram::udp(d, s, 64, &udp).emit();
+    let query = UdpDatagram::new(40000, 53, &b"query"[..]);
+    let quote = frame(d, s, proto::UDP, |out| query.emit_into(d, s, out));
     let unreach = Icmpv6Message::DestUnreachable {
         code: 4,
-        invoking: quote[..quote.len().min(88)].to_vec(),
+        invoking: &quote[..quote.len().min(88)],
     };
     let exceeded = Icmpv6Message::TimeExceeded {
         code: 0,
-        invoking: quote.clone(),
+        invoking: &quote[..],
     };
     let other = Icmpv6Message::Other {
         icmp_type: 135,
         code: 0,
-        body: vec![9; 20],
+        body: &[9; 20][..],
     };
     // A SYN-ACK whose options end in an unknown kind and zero padding.
-    let synack = TcpSegment {
-        flags: crate::TcpFlags::SYN_ACK,
-        options: vec![
-            TcpOption::Mss(1440),
-            TcpOption::Nop,
-            TcpOption::Unknown {
-                kind: 254,
-                data: vec![0xaa, 0xbb, 0xcc],
-            },
-        ],
-        payload: vec![1],
-        ..TcpSegment::syn(80, 40000, 7)
+    let mut options = TcpOptionBlock::new();
+    for opt in [
+        TcpOption::Mss(1440),
+        TcpOption::Nop,
+        TcpOption::Unknown {
+            kind: 254,
+            data: &[0xaa, 0xbb, 0xcc][..],
+        },
+    ] {
+        options.push(&opt);
+    }
+    let synack = TcpView {
+        flags: TcpFlags::SYN_ACK,
+        payload: &[1],
+        ..TcpView::syn(80, 40000, 7, options.as_bytes())
     };
-    let initial = quic::QuicLongHeader::initial(&[1; 8], &[2; 8]);
+    let mut initial = Vec::new();
+    quic::initial_into(&[1; 8], &[2; 8], &mut initial);
     vec![
-        ("icmpv6", Datagram::icmpv6(s, d, 64, echo).emit()),
-        ("tcp", Datagram::tcp(s, d, 64, &seg).emit()),
-        ("udp", Datagram::udp(s, d, 64, &udp).emit()),
-        ("unreachable", Datagram::icmpv6(s, d, 64, unreach).emit()),
-        ("time-exceeded", Datagram::icmpv6(s, d, 64, exceeded).emit()),
-        ("icmpv6-other", Datagram::icmpv6(s, d, 64, other).emit()),
-        ("syn-ack", Datagram::tcp(s, d, 64, &synack).emit()),
-        (
-            "quic",
-            Datagram::udp(s, d, 64, &UdpDatagram::new(1, 443, initial)).emit(),
-        ),
+        ("icmpv6", icmpv6(echo)),
+        ("tcp", tcp(seg)),
+        ("udp", udp(query)),
+        ("unreachable", icmpv6(unreach)),
+        ("time-exceeded", icmpv6(exceeded)),
+        ("icmpv6-other", icmpv6(other)),
+        ("syn-ack", tcp(synack)),
+        ("quic", udp(UdpDatagram::new(1, 443, &initial[..]))),
     ]
 }
 
@@ -232,7 +348,7 @@ fn reference_udp(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<UdpDatagram
 
 /// The view parse, made owned, against the reference.
 fn check(name: &str, what: &str, frame: &[u8]) {
-    let got = Datagram::parse_transport(frame).map(|(h, t)| (h, t.to_owned()));
+    let got = Datagram::parse_transport(frame).map(|(h, t)| (h, owned(t)));
     assert_eq!(got, reference_parse(frame), "{name}: {what}");
 }
 
@@ -284,6 +400,6 @@ fn views_parse_every_truncation_and_byte_flip_like_the_owned_parser() {
 #[test]
 fn unknown_next_header_views_its_payload() {
     let src: Ipv6Addr = "::1".parse().unwrap();
-    let frame = Datagram::new(src, src, 99, 1, vec![0xaa, 0xbb]).emit();
+    let frame = frame(src, src, 99, |out| out.extend_from_slice(&[0xaa, 0xbb]));
     check("next header 99", "as emitted", &frame);
 }

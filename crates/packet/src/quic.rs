@@ -16,80 +16,37 @@ pub const PROBE_VERSION: u32 = 0x1a2a_3a4a;
 /// Minimum Initial size demanded by QUIC anti-amplification rules.
 pub const MIN_INITIAL_SIZE: usize = 1200;
 
-/// A QUIC long-header packet in the pre-crypto shape the prober uses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuicLongHeader {
-    /// QUIC version field (0 = version negotiation).
-    pub version: u32,
-    /// Destination connection id.
-    pub dcid: Vec<u8>,
-    /// Source connection id.
-    pub scid: Vec<u8>,
-    /// For version negotiation packets: the versions the peer supports.
-    pub supported_versions: Vec<u32>,
+/// Append a client Initial-shaped probe, padded to `MIN_INITIAL_SIZE`.
+///
+/// # Panics
+/// Panics if a connection id exceeds 20 bytes.
+pub fn initial_into(dcid: &[u8], scid: &[u8], out: &mut Vec<u8>) {
+    assert!(dcid.len() <= 20 && scid.len() <= 20, "cid too long");
+    let start = out.len();
+    out.push(0xc0); // long header, fixed bit, type=Initial
+    out.extend_from_slice(&PROBE_VERSION.to_be_bytes());
+    out.push(dcid.len() as u8);
+    out.extend_from_slice(dcid);
+    out.push(scid.len() as u8);
+    out.extend_from_slice(scid);
+    out.resize(start + MIN_INITIAL_SIZE, 0);
 }
 
-impl QuicLongHeader {
-    /// Build a client Initial-shaped probe, padded to `MIN_INITIAL_SIZE`.
-    ///
-    /// # Panics
-    /// Panics if a connection id exceeds 20 bytes.
-    pub fn initial(dcid: &[u8], scid: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MIN_INITIAL_SIZE);
-        Self::initial_into(dcid, scid, &mut out);
-        out
-    }
-
-    /// [`QuicLongHeader::initial`], appended to `out`.
-    ///
-    /// # Panics
-    /// Panics if a connection id exceeds 20 bytes.
-    pub fn initial_into(dcid: &[u8], scid: &[u8], out: &mut Vec<u8>) {
-        assert!(dcid.len() <= 20 && scid.len() <= 20, "cid too long");
-        let start = out.len();
-        out.push(0xc0); // long header, fixed bit, type=Initial
-        out.extend_from_slice(&PROBE_VERSION.to_be_bytes());
-        out.push(dcid.len() as u8);
-        out.extend_from_slice(dcid);
-        out.push(scid.len() as u8);
-        out.extend_from_slice(scid);
-        out.resize(start + MIN_INITIAL_SIZE, 0);
-    }
-
-    /// Build a Version Negotiation reply: version field zero, server's
-    /// supported versions appended (RFC 8999 §6).
-    pub fn version_negotiation(dcid: &[u8], scid: &[u8], versions: &[u32]) -> Vec<u8> {
-        let mut out = Vec::new();
-        Self::version_negotiation_into(dcid, scid, versions, &mut out);
-        out
-    }
-
-    /// [`QuicLongHeader::version_negotiation`], appended to `out`.
-    pub fn version_negotiation_into(dcid: &[u8], scid: &[u8], versions: &[u32], out: &mut Vec<u8>) {
-        out.push(0x80); // long header form bit
-        out.extend_from_slice(&0u32.to_be_bytes());
-        out.push(dcid.len() as u8);
-        out.extend_from_slice(dcid);
-        out.push(scid.len() as u8);
-        out.extend_from_slice(scid);
-        for v in versions {
-            out.extend_from_slice(&v.to_be_bytes());
-        }
-    }
-
-    /// Parse any long-header packet.
-    pub fn parse(buf: &[u8]) -> Result<QuicLongHeader, PacketError> {
-        QuicView::parse(buf).map(|v| v.to_owned())
-    }
-
-    /// Is this a version negotiation packet?
-    pub fn is_version_negotiation(&self) -> bool {
-        self.version == 0
+/// Append a Version Negotiation reply: version field zero, the server's
+/// supported versions after the connection ids (RFC 8999 §6).
+pub fn version_negotiation_into(dcid: &[u8], scid: &[u8], versions: &[u32], out: &mut Vec<u8>) {
+    out.push(0x80); // long header form bit
+    out.extend_from_slice(&0u32.to_be_bytes());
+    out.push(dcid.len() as u8);
+    out.extend_from_slice(dcid);
+    out.push(scid.len() as u8);
+    out.extend_from_slice(scid);
+    for v in versions {
+        out.extend_from_slice(&v.to_be_bytes());
     }
 }
 
-/// A QUIC long header over borrowed bytes: the one long-header parser
-/// ([`QuicLongHeader::parse`] is it plus [`QuicView::to_owned`]).
+/// A QUIC long header over borrowed bytes: the one long-header parser.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuicView<'a> {
     /// QUIC version field (0 = version negotiation).
@@ -155,56 +112,55 @@ impl<'a> QuicView<'a> {
             .chunks_exact(4)
             .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
     }
-
-    /// The owned header: connection ids and versions copied out.
-    pub fn to_owned(&self) -> QuicLongHeader {
-        QuicLongHeader {
-            version: self.version,
-            dcid: self.dcid.to_vec(),
-            scid: self.scid.to_vec(),
-            supported_versions: self.supported_versions().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn version_negotiation(dcid: &[u8], scid: &[u8], versions: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        version_negotiation_into(dcid, scid, versions, &mut out);
+        out
+    }
+
     #[test]
     fn initial_shape() {
-        let b = QuicLongHeader::initial(&[1, 2, 3, 4, 5, 6, 7, 8], &[9, 9]);
-        assert_eq!(b.len(), MIN_INITIAL_SIZE);
-        let p = QuicLongHeader::parse(&b).unwrap();
+        let mut b = vec![0xee; 3];
+        initial_into(&[1, 2, 3, 4, 5, 6, 7, 8], &[9, 9], &mut b);
+        assert_eq!(b.len(), 3 + MIN_INITIAL_SIZE, "appended, padded");
+        let p = QuicView::parse(&b[3..]).unwrap();
         assert_eq!(p.version, PROBE_VERSION);
-        assert_eq!(p.dcid, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(p.scid, vec![9, 9]);
+        assert_eq!(p.dcid, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(p.scid, [9, 9]);
         assert!(!p.is_version_negotiation());
+        assert_eq!(p.supported_versions().count(), 0);
     }
 
     #[test]
     fn version_negotiation_roundtrip() {
-        let vn = QuicLongHeader::version_negotiation(&[7], &[8], &[1, 0x6b33_43cf]);
-        let p = QuicLongHeader::parse(&vn).unwrap();
+        let vn = version_negotiation(&[7], &[8], &[1, 0x6b33_43cf]);
+        let p = QuicView::parse(&vn).unwrap();
         assert!(p.is_version_negotiation());
-        assert_eq!(p.supported_versions, vec![1, 0x6b33_43cf]);
-        assert_eq!(p.dcid, vec![7]);
+        assert_eq!(p.supported_versions().collect::<Vec<_>>(), [1, 0x6b33_43cf]);
+        assert_eq!(p.dcid, [7]);
+        assert_eq!(p.scid, [8]);
     }
 
     #[test]
     fn short_header_rejected() {
-        assert!(QuicLongHeader::parse(&[0x40; 20]).is_err());
-        assert!(QuicLongHeader::parse(&[0xc0, 0, 0]).is_err());
+        assert!(QuicView::parse(&[0x40; 20]).is_err());
+        assert!(QuicView::parse(&[0xc0, 0, 0]).is_err());
     }
 
     #[test]
     fn bad_version_list_rejected() {
-        let mut vn = QuicLongHeader::version_negotiation(&[7], &[8], &[1]);
+        let mut vn = version_negotiation(&[7], &[8], &[1]);
         vn.push(0xff); // version list no longer a multiple of 4
-        assert!(QuicLongHeader::parse(&vn).is_err());
+        assert!(QuicView::parse(&vn).is_err());
         // Empty version list also malformed.
-        let vn2 = QuicLongHeader::version_negotiation(&[7], &[8], &[]);
-        assert!(QuicLongHeader::parse(&vn2).is_err());
+        let vn2 = version_negotiation(&[7], &[8], &[]);
+        assert!(QuicView::parse(&vn2).is_err());
     }
 
     #[test]
@@ -213,6 +169,6 @@ mod tests {
         b.extend_from_slice(&1u32.to_be_bytes());
         b.push(21); // dcid_len > 20
         b.extend_from_slice(&[0; 30]);
-        assert!(QuicLongHeader::parse(&b).is_err());
+        assert!(QuicView::parse(&b).is_err());
     }
 }

@@ -72,8 +72,8 @@ impl fmt::Display for TcpFlags {
 }
 
 /// A TCP option as it appears on the wire, generic over the bytes of an
-/// unknown option's data: the default `Vec<u8>` owns them, and parsing
-/// yields `TcpOption<&[u8]>` borrowing them from the segment.
+/// unknown option's data: parsing yields `TcpOption<&[u8]>` borrowing
+/// them from the segment, and [`TcpOptionBlock::push`] writes any form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpOption<B = Vec<u8>> {
     /// End of option list (kind 0).
@@ -119,15 +119,6 @@ impl Token {
     }
 }
 
-impl fmt::Display for Token {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Token::Name(name) => f.write_str(name),
-            Token::Unknown(kind) => write!(f, "U{kind}"),
-        }
-    }
-}
-
 impl<B: AsRef<[u8]>> TcpOption<B> {
     /// Encoded length in bytes.
     pub fn wire_len(&self) -> usize {
@@ -151,56 +142,6 @@ impl<B: AsRef<[u8]>> TcpOption<B> {
             TcpOption::Timestamps { .. } => Token::Name("TS"),
             TcpOption::Unknown { kind, .. } => Token::Unknown(*kind),
         }
-    }
-
-    /// The *optionstext* token (§5.4): order-preserving, value-free.
-    pub fn text_token(&self) -> String {
-        self.token().to_string()
-    }
-
-    /// The option with its data borrowed.
-    pub fn as_view(&self) -> TcpOption<&[u8]> {
-        match self {
-            TcpOption::Eol => TcpOption::Eol,
-            TcpOption::Nop => TcpOption::Nop,
-            TcpOption::Mss(v) => TcpOption::Mss(*v),
-            TcpOption::WindowScale(v) => TcpOption::WindowScale(*v),
-            TcpOption::SackPermitted => TcpOption::SackPermitted,
-            TcpOption::Timestamps { tsval, tsecr } => TcpOption::Timestamps {
-                tsval: *tsval,
-                tsecr: *tsecr,
-            },
-            TcpOption::Unknown { kind, data } => TcpOption::Unknown {
-                kind: *kind,
-                data: data.as_ref(),
-            },
-        }
-    }
-}
-
-impl TcpOption<&[u8]> {
-    /// The owned option: unknown data copied out.
-    pub fn to_owned(&self) -> TcpOption {
-        match *self {
-            TcpOption::Eol => TcpOption::Eol,
-            TcpOption::Nop => TcpOption::Nop,
-            TcpOption::Mss(v) => TcpOption::Mss(v),
-            TcpOption::WindowScale(v) => TcpOption::WindowScale(v),
-            TcpOption::SackPermitted => TcpOption::SackPermitted,
-            TcpOption::Timestamps { tsval, tsecr } => TcpOption::Timestamps { tsval, tsecr },
-            TcpOption::Unknown { kind, data } => TcpOption::Unknown {
-                kind,
-                data: data.to_vec(),
-            },
-        }
-    }
-}
-
-impl TcpOption {
-    /// Parse all options from an options block. Stops at EOL. Malformed
-    /// lengths yield `PacketError::Malformed`.
-    pub fn parse_all(buf: &[u8]) -> Result<Vec<TcpOption>, PacketError> {
-        RawOptions(buf).map(|o| o.map(|o| o.to_owned())).collect()
     }
 }
 
@@ -307,84 +248,28 @@ impl TcpOptionBlock {
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes[..usize::from(self.len)]
     }
-}
 
-/// The options of the paper's fingerprinting SYN, `MSS-SACK-TS-N-WS`,
-/// with MSS and window scale set to 1 (§5.4).
-fn fingerprint_options(tsval: u32) -> [TcpOption<&'static [u8]>; 5] {
-    [
-        TcpOption::Mss(1),
-        TcpOption::SackPermitted,
-        TcpOption::Timestamps { tsval, tsecr: 0 },
-        TcpOption::Nop,
-        TcpOption::WindowScale(1),
-    ]
-}
-
-impl TcpOptionBlock {
-    /// The options block of the paper's fingerprinting SYN
-    /// ([`TcpSegment::syn_with_options`]).
+    /// The options block of the paper's fingerprinting SYN,
+    /// `MSS-SACK-TS-N-WS` with MSS and window scale set to 1 to trigger
+    /// differing replies (§5.4).
     pub fn fingerprint(tsval: u32) -> Self {
         let mut block = TcpOptionBlock::new();
-        for opt in &fingerprint_options(tsval) {
-            block.push(opt);
+        for opt in [
+            TcpOption::<&[u8]>::Mss(1),
+            TcpOption::SackPermitted,
+            TcpOption::Timestamps { tsval, tsecr: 0 },
+            TcpOption::Nop,
+            TcpOption::WindowScale(1),
+        ] {
+            block.push(&opt);
         }
         block
     }
 }
 
-/// Join option tokens into the optionstext string, e.g. `MSS-SACK-TS-N-WS`.
-pub fn options_text(options: &[TcpOption]) -> String {
-    text_of(options.iter().map(TcpOption::token))
-}
-
-/// The optionstext of `tokens`, written into one allocation of exactly
-/// its length.
-fn text_of(tokens: impl Iterator<Item = Token> + Clone) -> String {
-    let len = tokens.clone().map(|t| t.len() + 1).sum::<usize>();
-    let mut text = String::with_capacity(len.saturating_sub(1));
-    for (i, token) in tokens.enumerate() {
-        if i > 0 {
-            text.push('-');
-        }
-        match token {
-            Token::Name(name) => text.push_str(name),
-            Token::Unknown(kind) => {
-                use fmt::Write as _;
-                let _ = write!(text, "U{kind}");
-            }
-        }
-    }
-    text
-}
-
-/// A TCP segment (header + payload).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpSegment {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Sequence number.
-    pub seq: u32,
-    /// Acknowledgment number.
-    pub ack: u32,
-    /// TCP flag bits.
-    pub flags: TcpFlags,
-    /// Advertised receive window.
-    pub window: u16,
-    /// Urgent pointer (unused by probes).
-    pub urgent: u16,
-    /// TCP options in wire order.
-    pub options: Vec<TcpOption>,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
-}
-
 /// A TCP segment over borrowed bytes: what [`TcpView::parse`] reads off
-/// a frame (the one TCP parser — [`TcpSegment::parse`] is it plus
-/// [`TcpView::to_owned`]), and what [`TcpView::emit_into`] writes (the
-/// one TCP emitter) without an owned segment behind it.
+/// a frame (the one TCP parser) and what [`TcpView::emit_into`] writes
+/// (the one TCP emitter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpView<'a> {
     /// Source port.
@@ -448,9 +333,9 @@ impl<'a> TcpView<'a> {
         })
     }
 
-    /// A SYN probe over the options block `options` (wire bytes): the
-    /// borrowed form of [`TcpSegment::syn`] and
-    /// [`TcpSegment::syn_with_options`].
+    /// A SYN probe over the options block `options` (wire bytes): empty
+    /// for a bare SYN, [`TcpOptionBlock::fingerprint`] for the paper's
+    /// fingerprinting SYN.
     pub fn syn(src_port: u16, dst_port: u16, seq: u32, options: &'a [u8]) -> Self {
         TcpView {
             src_port,
@@ -502,166 +387,49 @@ impl<'a> TcpView<'a> {
         out[start + 16..start + 18].copy_from_slice(&ck.to_be_bytes());
     }
 
-    /// The owned segment: options decoded, payload copied out.
-    pub fn to_owned(&self) -> TcpSegment {
-        TcpSegment {
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            seq: self.seq,
-            ack: self.ack,
-            flags: self.flags,
-            window: self.window,
-            urgent: self.urgent,
-            options: self.options().map(|o| o.to_owned()).collect(),
-            payload: self.payload.to_vec(),
-        }
-    }
-
     /// Fetch the MSS option value, if present.
     pub fn mss(&self) -> Option<u16> {
-        self.options().find_map(mss)
+        self.options().find_map(|o| match o {
+            TcpOption::Mss(v) => Some(v),
+            _ => None,
+        })
     }
 
     /// Fetch the window-scale option value, if present.
     pub fn window_scale(&self) -> Option<u8> {
-        self.options().find_map(window_scale)
+        self.options().find_map(|o| match o {
+            TcpOption::WindowScale(v) => Some(v),
+            _ => None,
+        })
     }
 
     /// Fetch the timestamps option, if present.
     pub fn timestamps(&self) -> Option<(u32, u32)> {
-        self.options().find_map(timestamps)
+        self.options().find_map(|o| match o {
+            TcpOption::Timestamps { tsval, tsecr } => Some((tsval, tsecr)),
+            _ => None,
+        })
     }
 
-    /// The optionstext of this segment, built in one allocation.
+    /// The optionstext of this segment (§5.4), e.g. `MSS-SACK-TS-N-WS`,
+    /// written into one allocation of exactly its length.
     pub fn options_text(&self) -> String {
-        text_of(self.options().map(|o| o.token()))
-    }
-}
-
-fn mss(o: TcpOption<&[u8]>) -> Option<u16> {
-    match o {
-        TcpOption::Mss(v) => Some(v),
-        _ => None,
-    }
-}
-
-fn window_scale(o: TcpOption<&[u8]>) -> Option<u8> {
-    match o {
-        TcpOption::WindowScale(v) => Some(v),
-        _ => None,
-    }
-}
-
-fn timestamps(o: TcpOption<&[u8]>) -> Option<(u32, u32)> {
-    match o {
-        TcpOption::Timestamps { tsval, tsecr } => Some((tsval, tsecr)),
-        _ => None,
-    }
-}
-
-impl TcpSegment {
-    /// A bare SYN probe.
-    pub fn syn(src_port: u16, dst_port: u16, seq: u32) -> Self {
-        TcpSegment {
-            src_port,
-            dst_port,
-            seq,
-            ack: 0,
-            flags: TcpFlags::SYN,
-            window: 65535,
-            urgent: 0,
-            options: Vec::new(),
-            payload: Vec::new(),
+        let tokens = self.options().map(|o| o.token());
+        let len = tokens.clone().map(|t| t.len() + 1).sum::<usize>();
+        let mut text = String::with_capacity(len.saturating_sub(1));
+        for (i, token) in tokens.enumerate() {
+            if i > 0 {
+                text.push('-');
+            }
+            match token {
+                Token::Name(name) => text.push_str(name),
+                Token::Unknown(kind) => {
+                    use fmt::Write as _;
+                    let _ = write!(text, "U{kind}");
+                }
+            }
         }
-    }
-
-    /// The paper's fingerprinting SYN: options `MSS-SACK-TS-N-WS` with MSS
-    /// and window scale set to 1 to trigger differing replies (§5.4).
-    pub fn syn_with_options(src_port: u16, dst_port: u16, seq: u32, tsval: u32) -> Self {
-        let mut s = TcpSegment::syn(src_port, dst_port, seq);
-        s.options = fingerprint_options(tsval)
-            .iter()
-            .map(TcpOption::to_owned)
-            .collect();
-        s
-    }
-
-    /// The options block length, padded to a multiple of 4.
-    fn options_len_padded(&self) -> usize {
-        let raw: usize = self.options.iter().map(TcpOption::wire_len).sum();
-        raw.div_ceil(4) * 4
-    }
-
-    /// Header length in bytes (data offset × 4).
-    pub fn header_len(&self) -> usize {
-        20 + self.options_len_padded()
-    }
-
-    /// Encode with checksum for transmission between `src` and `dst`.
-    ///
-    /// # Panics
-    /// Panics if the padded options exceed the 40-byte TCP limit.
-    pub fn emit(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.header_len() + self.payload.len());
-        self.emit_into(src, dst, &mut out);
-        out
-    }
-
-    /// [`TcpSegment::emit`], appended to `out` (the checksum covers only
-    /// the appended segment).
-    ///
-    /// # Panics
-    /// Panics if the padded options exceed the 40-byte TCP limit.
-    pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
-        let mut block = TcpOptionBlock::new();
-        for opt in &self.options {
-            block.push(opt);
-        }
-        self.view(block.as_bytes()).emit_into(src, dst, out);
-    }
-
-    /// This segment's fields over the wire bytes of its options.
-    fn view<'a>(&'a self, options: &'a [u8]) -> TcpView<'a> {
-        TcpView {
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            seq: self.seq,
-            ack: self.ack,
-            flags: self.flags,
-            window: self.window,
-            urgent: self.urgent,
-            options,
-            payload: &self.payload,
-        }
-    }
-
-    /// Parse and verify the checksum into an owned segment.
-    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<TcpSegment, PacketError> {
-        TcpView::parse(src, dst, buf).map(|s| s.to_owned())
-    }
-
-    fn options_view(&self) -> impl Iterator<Item = TcpOption<&[u8]>> + Clone {
-        self.options.iter().map(TcpOption::as_view)
-    }
-
-    /// Fetch the MSS option value, if present.
-    pub fn mss(&self) -> Option<u16> {
-        self.options_view().find_map(mss)
-    }
-
-    /// Fetch the window-scale option value, if present.
-    pub fn window_scale(&self) -> Option<u8> {
-        self.options_view().find_map(window_scale)
-    }
-
-    /// Fetch the timestamps option, if present.
-    pub fn timestamps(&self) -> Option<(u32, u32)> {
-        self.options_view().find_map(timestamps)
-    }
-
-    /// The optionstext of this segment.
-    pub fn options_text(&self) -> String {
-        options_text(&self.options)
+        text
     }
 }
 
@@ -676,13 +444,36 @@ mod tests {
         )
     }
 
+    fn block(options: &[TcpOption<&[u8]>]) -> TcpOptionBlock {
+        let mut block = TcpOptionBlock::new();
+        for opt in options {
+            block.push(opt);
+        }
+        block
+    }
+
+    fn emit(seg: &TcpView<'_>) -> Vec<u8> {
+        let (s, d) = pair();
+        let mut bytes = Vec::new();
+        seg.emit_into(s, d, &mut bytes);
+        bytes
+    }
+
+    /// The options block a SYN carrying the raw bytes `options` parses
+    /// back to.
+    fn parse_options(options: &[u8]) -> Result<Vec<u8>, PacketError> {
+        let (s, d) = pair();
+        let bytes = emit(&TcpView::syn(1, 2, 3, options));
+        Ok(TcpView::parse(s, d, &bytes)?.options.to_vec())
+    }
+
     #[test]
     fn bare_syn_roundtrip() {
         let (s, d) = pair();
-        let seg = TcpSegment::syn(54321, 80, 0xdeadbeef);
-        let bytes = seg.emit(s, d);
+        let seg = TcpView::syn(54321, 80, 0xdeadbeef, &[]);
+        let bytes = emit(&seg);
         assert_eq!(bytes.len(), 20);
-        let parsed = TcpSegment::parse(s, d, &bytes).unwrap();
+        let parsed = TcpView::parse(s, d, &bytes).unwrap();
         assert_eq!(parsed, seg);
         assert!(parsed.flags.contains(TcpFlags::SYN));
         assert!(!parsed.flags.contains(TcpFlags::ACK));
@@ -691,10 +482,23 @@ mod tests {
     #[test]
     fn options_roundtrip_preserves_order() {
         let (s, d) = pair();
-        let seg = TcpSegment::syn_with_options(1000, 443, 1, 777);
-        let bytes = seg.emit(s, d);
-        let parsed = TcpSegment::parse(s, d, &bytes).unwrap();
-        assert_eq!(parsed.options, seg.options);
+        let options = TcpOptionBlock::fingerprint(777);
+        let bytes = emit(&TcpView::syn(1000, 443, 1, options.as_bytes()));
+        let parsed = TcpView::parse(s, d, &bytes).unwrap();
+        assert_eq!(parsed.options, options.as_bytes());
+        assert_eq!(
+            parsed.options().collect::<Vec<_>>(),
+            [
+                TcpOption::Mss(1),
+                TcpOption::SackPermitted,
+                TcpOption::Timestamps {
+                    tsval: 777,
+                    tsecr: 0
+                },
+                TcpOption::Nop,
+                TcpOption::WindowScale(1),
+            ]
+        );
         assert_eq!(parsed.options_text(), "MSS-SACK-TS-N-WS");
         assert_eq!(parsed.mss(), Some(1));
         assert_eq!(parsed.window_scale(), Some(1));
@@ -706,20 +510,22 @@ mod tests {
         // "MSS-SACK-TS-N-WS would represent a packet that set the Maximum
         // Segment Size, Selective ACK, Timestamps, a padding byte, and
         // Window Scale options."
-        let opts = vec![
+        let opts = block(&[
             TcpOption::Mss(1440),
             TcpOption::SackPermitted,
             TcpOption::Timestamps { tsval: 1, tsecr: 0 },
             TcpOption::Nop,
             TcpOption::WindowScale(7),
-        ];
-        assert_eq!(options_text(&opts), "MSS-SACK-TS-N-WS");
+        ]);
+        let seg = TcpView::syn(1, 2, 3, opts.as_bytes());
+        assert_eq!(seg.options_text(), "MSS-SACK-TS-N-WS");
     }
 
     #[test]
     fn payload_and_flags() {
         let (s, d) = pair();
-        let seg = TcpSegment {
+        let opts = block(&[TcpOption::Mss(1440)]);
+        let seg = TcpView {
             src_port: 80,
             dst_port: 54321,
             seq: 1,
@@ -727,10 +533,11 @@ mod tests {
             flags: TcpFlags::SYN_ACK,
             window: 14600,
             urgent: 0,
-            options: vec![TcpOption::Mss(1440)],
-            payload: b"hello".to_vec(),
+            options: opts.as_bytes(),
+            payload: b"hello",
         };
-        let parsed = TcpSegment::parse(s, d, &seg.emit(s, d)).unwrap();
+        let bytes = emit(&seg);
+        let parsed = TcpView::parse(s, d, &bytes).unwrap();
         assert_eq!(parsed, seg);
         assert_eq!(parsed.flags.to_string(), "SYN|ACK");
     }
@@ -738,77 +545,81 @@ mod tests {
     #[test]
     fn checksum_enforced() {
         let (s, d) = pair();
-        let mut bytes = TcpSegment::syn(1, 2, 3).emit(s, d);
+        let mut bytes = emit(&TcpView::syn(1, 2, 3, &[]));
         bytes[4] ^= 1;
-        assert_eq!(
-            TcpSegment::parse(s, d, &bytes),
-            Err(PacketError::BadChecksum)
-        );
+        assert_eq!(TcpView::parse(s, d, &bytes), Err(PacketError::BadChecksum));
     }
 
     #[test]
     fn malformed_option_length_rejected() {
-        assert!(TcpOption::parse_all(&[2, 10, 0]).is_err()); // claims 10, has 3
-        assert!(TcpOption::parse_all(&[2, 1]).is_err()); // len < 2
-        assert!(TcpOption::parse_all(&[2]).is_err()); // no length byte
+        let length = Err(PacketError::Malformed("tcp option length"));
+        assert_eq!(parse_options(&[2, 10, 0]), length); // claims 10, has 4
+        assert_eq!(parse_options(&[2, 1]), length); // len < 2
+        assert_eq!(
+            parse_options(&[1, 1, 1, 2]), // no length byte
+            Err(PacketError::Malformed("tcp option header"))
+        );
     }
 
     #[test]
     fn unknown_option_preserved() {
-        let opts = TcpOption::parse_all(&[254, 4, 0xaa, 0xbb]).unwrap();
+        let (s, d) = pair();
+        let bytes = emit(&TcpView::syn(1, 2, 3, &[254, 4, 0xaa, 0xbb]));
+        let parsed = TcpView::parse(s, d, &bytes).unwrap();
         assert_eq!(
-            opts,
-            vec![TcpOption::Unknown {
+            parsed.options().collect::<Vec<_>>(),
+            [TcpOption::Unknown {
                 kind: 254,
-                data: vec![0xaa, 0xbb]
+                data: &[0xaa, 0xbb][..]
             }]
         );
-        assert_eq!(options_text(&opts), "U254");
+        assert_eq!(parsed.options_text(), "U254");
     }
 
     #[test]
     fn eol_stops_parsing() {
-        let opts = TcpOption::parse_all(&[1, 0, 2, 4, 5, 0xb4]).unwrap();
-        assert_eq!(opts, vec![TcpOption::Nop, TcpOption::Eol]);
+        // An MSS after the EOL is not read, and a malformed option there
+        // is no error.
+        let (s, d) = pair();
+        for options in [&[1, 0, 2, 4, 5, 0xb4][..], &[1, 0, 2, 99]] {
+            let bytes = emit(&TcpView::syn(1, 2, 3, options));
+            let parsed = TcpView::parse(s, d, &bytes).unwrap();
+            assert_eq!(parsed.options, [1]);
+            assert_eq!(parsed.options().collect::<Vec<_>>(), [TcpOption::Nop]);
+            assert_eq!(parsed.mss(), None);
+        }
+        assert_eq!(parse_options(&[0, 2, 1]), Ok(vec![]));
     }
 
     #[test]
-    fn view_reads_what_the_owned_segment_holds() {
+    fn view_reads_the_options_it_was_emitted_with() {
         let (s, d) = pair();
-        let seg = TcpSegment {
-            options: vec![
-                TcpOption::Mss(1440),
-                TcpOption::Unknown {
-                    kind: 254,
-                    data: vec![7, 7],
-                },
-                TcpOption::Timestamps { tsval: 5, tsecr: 6 },
-                TcpOption::WindowScale(3),
-            ],
-            ..TcpSegment::syn(1, 2, 3)
-        };
-        let bytes = seg.emit(s, d);
+        let opts = block(&[
+            TcpOption::Mss(1440),
+            TcpOption::Unknown {
+                kind: 254,
+                data: &[7, 7],
+            },
+            TcpOption::Timestamps { tsval: 5, tsecr: 6 },
+            TcpOption::WindowScale(3),
+        ]);
+        let seg = TcpView::syn(1, 2, 3, opts.as_bytes());
+        let bytes = emit(&seg);
         let view = TcpView::parse(s, d, &bytes).unwrap();
-        assert_eq!(view.to_owned(), seg);
-        assert_eq!(view.mss(), seg.mss());
-        assert_eq!(view.window_scale(), seg.window_scale());
-        assert_eq!(view.timestamps(), seg.timestamps());
+        assert_eq!(view, seg, "padding stripped, every field read back");
+        assert_eq!(view.mss(), Some(1440));
+        assert_eq!(view.window_scale(), Some(3));
+        assert_eq!(view.timestamps(), Some((5, 6)));
         let text = view.options_text();
         assert_eq!(text, "MSS-U254-TS-WS");
-        assert_eq!(text, seg.options_text());
         assert_eq!(text.capacity(), text.len(), "sized in one allocation");
         // Emitting the view reproduces the segment's bytes.
-        let mut again = Vec::new();
-        view.emit_into(s, d, &mut again);
-        assert_eq!(again, bytes);
+        assert_eq!(emit(&view), bytes);
     }
 
     #[test]
     fn header_len_padding() {
-        let seg = TcpSegment {
-            options: vec![TcpOption::WindowScale(1)], // 3 bytes -> pad to 4
-            ..TcpSegment::syn(1, 2, 3)
-        };
-        assert_eq!(seg.header_len(), 24);
+        let opts = block(&[TcpOption::WindowScale(1)]); // 3 bytes -> pad to 4
+        assert_eq!(TcpView::syn(1, 2, 3, opts.as_bytes()).header_len(), 24);
     }
 }

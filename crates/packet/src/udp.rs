@@ -5,8 +5,9 @@ use crate::{proto, PacketError};
 use std::net::Ipv6Addr;
 
 /// A UDP datagram (header + payload), generic over its payload bytes:
-/// the default `Vec<u8>` owns them, and [`UdpDatagram::view`] yields a
-/// `UdpDatagram<&[u8]>` borrowing them from the frame it parsed.
+/// [`UdpDatagram::view`] yields a `UdpDatagram<&[u8]>` borrowing them
+/// from the frame it parsed, and [`UdpDatagram::emit_into`] writes any
+/// form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpDatagram<B = Vec<u8>> {
     /// Source port.
@@ -29,16 +30,9 @@ impl<B> UdpDatagram<B> {
 }
 
 impl<B: AsRef<[u8]>> UdpDatagram<B> {
-    /// Encode with checksum (mandatory over IPv6; an all-zero checksum is
-    /// transmitted as 0xffff per RFC 8200 §8.1).
-    pub fn emit(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.payload.as_ref().len());
-        self.emit_into(src, dst, &mut out);
-        out
-    }
-
-    /// [`UdpDatagram::emit`], appended to `out` (the checksum covers only
-    /// the appended datagram).
+    /// Append the datagram to `out`, checksummed for transmission between
+    /// `src` and `dst` (the checksum covers only the appended datagram;
+    /// see [`emit_with`]).
     pub fn emit_into(&self, src: Ipv6Addr, dst: Ipv6Addr, out: &mut Vec<u8>) {
         emit_with(self.src_port, self.dst_port, src, dst, out, |out| {
             out.extend_from_slice(self.payload.as_ref());
@@ -48,8 +42,7 @@ impl<B: AsRef<[u8]>> UdpDatagram<B> {
 
 impl<'a> UdpDatagram<&'a [u8]> {
     /// Parse and verify checksum + length, borrowing the payload from
-    /// `buf`: the one UDP parser ([`UdpDatagram::parse`] is this plus
-    /// [`UdpDatagram::to_owned`]).
+    /// `buf`: the one UDP parser.
     #[inline]
     pub fn view(src: Ipv6Addr, dst: Ipv6Addr, buf: &'a [u8]) -> Result<Self, PacketError> {
         if buf.len() < 8 {
@@ -68,24 +61,14 @@ impl<'a> UdpDatagram<&'a [u8]> {
             payload: &buf[8..],
         })
     }
-
-    /// The owned datagram: the payload copied out.
-    pub fn to_owned(&self) -> UdpDatagram {
-        UdpDatagram::new(self.src_port, self.dst_port, self.payload.to_vec())
-    }
-}
-
-impl UdpDatagram {
-    /// Parse and verify checksum + length into an owned datagram.
-    pub fn parse(src: Ipv6Addr, dst: Ipv6Addr, buf: &[u8]) -> Result<UdpDatagram, PacketError> {
-        UdpDatagram::view(src, dst, buf).map(|u| u.to_owned())
-    }
 }
 
 /// Append a UDP datagram whose payload is whatever `payload` appends to
-/// `out`: what [`UdpDatagram::emit_into`] does, for a prober that builds
-/// each payload in place and has no reason to own a copy of it. Returns
-/// what `payload` returns.
+/// `out`, checksummed for transmission between `src` and `dst`
+/// (mandatory over IPv6; an all-zero checksum is transmitted as 0xffff
+/// per RFC 8200 §8.1): for a prober that builds each payload in place
+/// and has no reason to own a copy of it. Returns what `payload`
+/// returns.
 pub fn emit_with<R>(
     src_port: u16,
     dst_port: u16,
@@ -120,32 +103,35 @@ mod tests {
         )
     }
 
+    fn emit(u: &UdpDatagram<&[u8]>) -> Vec<u8> {
+        let (s, d) = pair();
+        let mut bytes = Vec::new();
+        u.emit_into(s, d, &mut bytes);
+        bytes
+    }
+
     #[test]
     fn roundtrip() {
         let (s, d) = pair();
-        let u = UdpDatagram::new(40000, 53, b"query".to_vec());
-        let bytes = u.emit(s, d);
-        assert_eq!(UdpDatagram::parse(s, d, &bytes).unwrap(), u);
+        let u = UdpDatagram::new(40000, 53, &b"query"[..]);
+        assert_eq!(UdpDatagram::view(s, d, &emit(&u)), Ok(u));
     }
 
     #[test]
     fn length_enforced() {
         let (s, d) = pair();
-        let mut bytes = UdpDatagram::new(1, 2, vec![7; 4]).emit(s, d);
+        let mut bytes = emit(&UdpDatagram::new(1, 2, &[7; 4][..]));
         bytes.push(0);
-        assert_eq!(
-            UdpDatagram::parse(s, d, &bytes),
-            Err(PacketError::BadLength)
-        );
+        assert_eq!(UdpDatagram::view(s, d, &bytes), Err(PacketError::BadLength));
     }
 
     #[test]
     fn checksum_enforced() {
         let (s, d) = pair();
-        let mut bytes = UdpDatagram::new(1, 2, vec![7; 4]).emit(s, d);
+        let mut bytes = emit(&UdpDatagram::new(1, 2, &[7; 4][..]));
         bytes[8] ^= 0xff;
         assert_eq!(
-            UdpDatagram::parse(s, d, &bytes),
+            UdpDatagram::view(s, d, &bytes),
             Err(PacketError::BadChecksum)
         );
     }
@@ -153,7 +139,7 @@ mod tests {
     #[test]
     fn empty_payload_ok() {
         let (s, d) = pair();
-        let u = UdpDatagram::new(9, 9, vec![]);
-        assert_eq!(UdpDatagram::parse(s, d, &u.emit(s, d)).unwrap(), u);
+        let u = UdpDatagram::new(9, 9, &[][..]);
+        assert_eq!(UdpDatagram::view(s, d, &emit(&u)), Ok(u));
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests: emit/parse roundtrips and checksum tamper detection.
 
 use expanse_packet::{
-    tcp::options_text, Datagram, Icmpv6Message, TcpFlags, TcpOption, TcpSegment, TransportView,
+    proto, Datagram, Icmpv6Message, TcpFlags, TcpOption, TcpOptionBlock, TcpView, TransportView,
     UdpDatagram,
 };
 use proptest::prelude::*;
@@ -23,7 +23,56 @@ fn arb_tcp_option() -> impl Strategy<Value = TcpOption> {
         Just(TcpOption::SackPermitted),
         (any::<u32>(), any::<u32>())
             .prop_map(|(tsval, tsecr)| TcpOption::Timestamps { tsval, tsecr }),
+        // The kinds that never decode as a known option.
+        (
+            prop_oneof![5u8..=7, 9u8..=255],
+            proptest::collection::vec(any::<u8>(), 0..=6),
+        )
+            .prop_map(|(kind, data)| TcpOption::Unknown { kind, data }),
     ]
+}
+
+/// `opts` as an options block, or `None` past the 40 bytes a TCP
+/// header has room for.
+fn block(opts: &[TcpOption]) -> Option<TcpOptionBlock> {
+    if opts.iter().map(TcpOption::wire_len).sum::<usize>() > 40 {
+        return None;
+    }
+    let mut block = TcpOptionBlock::new();
+    for opt in opts {
+        block.push(opt);
+    }
+    Some(block)
+}
+
+/// `opt` with its data borrowed, as a parsed segment yields it.
+fn borrowed(opt: &TcpOption) -> TcpOption<&[u8]> {
+    match opt {
+        TcpOption::Eol => TcpOption::Eol,
+        TcpOption::Nop => TcpOption::Nop,
+        TcpOption::Mss(v) => TcpOption::Mss(*v),
+        TcpOption::WindowScale(v) => TcpOption::WindowScale(*v),
+        TcpOption::SackPermitted => TcpOption::SackPermitted,
+        TcpOption::Timestamps { tsval, tsecr } => TcpOption::Timestamps {
+            tsval: *tsval,
+            tsecr: *tsecr,
+        },
+        TcpOption::Unknown { kind, data } => TcpOption::Unknown { kind: *kind, data },
+    }
+}
+
+/// The optionstext §5.4 gives `opts`, spelled out token by token.
+fn expected_text(opts: &[TcpOption]) -> String {
+    let token = |opt: &TcpOption| match opt {
+        TcpOption::Eol => "E".to_string(),
+        TcpOption::Nop => "N".to_string(),
+        TcpOption::Mss(_) => "MSS".to_string(),
+        TcpOption::WindowScale(_) => "WS".to_string(),
+        TcpOption::SackPermitted => "SACK".to_string(),
+        TcpOption::Timestamps { .. } => "TS".to_string(),
+        TcpOption::Unknown { kind, .. } => format!("U{kind}"),
+    };
+    opts.iter().map(token).collect::<Vec<_>>().join("-")
 }
 
 proptest! {
@@ -32,9 +81,10 @@ proptest! {
         src in arb_addr(), dst in arb_addr(),
         ident in any::<u16>(), seq in any::<u16>(), payload in arb_payload(),
     ) {
-        let msg = Icmpv6Message::EchoRequest { ident, seq, payload };
-        let bytes = msg.emit(src, dst);
-        prop_assert_eq!(Icmpv6Message::parse(src, dst, &bytes).unwrap(), msg);
+        let msg = Icmpv6Message::EchoRequest { ident, seq, payload: &payload[..] };
+        let mut bytes = Vec::new();
+        msg.emit_into(src, dst, &mut bytes);
+        prop_assert_eq!(Icmpv6Message::view(src, dst, &bytes), Ok(msg));
     }
 
     #[test]
@@ -42,12 +92,13 @@ proptest! {
         src in arb_addr(), dst in arb_addr(),
         seq in any::<u16>(), flip_bit in 0usize..64,
     ) {
-        let msg = Icmpv6Message::EchoRequest { ident: 1, seq, payload: vec![0; 8] };
-        let mut bytes = msg.emit(src, dst);
+        let msg = Icmpv6Message::EchoRequest { ident: 1, seq, payload: &[0; 8][..] };
+        let mut bytes = Vec::new();
+        msg.emit_into(src, dst, &mut bytes);
         let byte = flip_bit / 8 % bytes.len();
         bytes[byte] ^= 1 << (flip_bit % 8);
         // Any single-bit flip must be caught by the Internet checksum.
-        prop_assert!(Icmpv6Message::parse(src, dst, &bytes).is_err());
+        prop_assert!(Icmpv6Message::view(src, dst, &bytes).is_err());
     }
 
     #[test]
@@ -59,18 +110,20 @@ proptest! {
         opts in proptest::collection::vec(arb_tcp_option(), 0..5),
         payload in arb_payload(),
     ) {
-        let seg = TcpSegment {
+        let Some(block) = block(&opts) else { return Ok(()) };
+        let seg = TcpView {
             src_port: sp, dst_port: dp, seq, ack,
             flags: TcpFlags(flags), window, urgent: 0,
-            options: opts, payload,
+            options: block.as_bytes(), payload: &payload,
         };
-        if seg.header_len() > 60 { return Ok(()); }
-        let bytes = seg.emit(src, dst);
-        let parsed = TcpSegment::parse(src, dst, &bytes).unwrap();
-        // Padding may append NOP-invisible bytes, but we only pad with
-        // zeros after the declared options, and parsing strips EOL, so the
-        // roundtrip must be exact.
+        let mut bytes = Vec::new();
+        seg.emit_into(src, dst, &mut bytes);
+        let parsed = TcpView::parse(src, dst, &bytes).unwrap();
+        // Emission pads with zeros after the declared options, and
+        // parsing stops at that EOL, so the roundtrip must be exact.
         prop_assert_eq!(parsed, seg);
+        let want: Vec<_> = opts.iter().map(borrowed).collect();
+        prop_assert_eq!(parsed.options().collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -78,9 +131,10 @@ proptest! {
         src in arb_addr(), dst in arb_addr(),
         sp in any::<u16>(), dp in any::<u16>(), payload in arb_payload(),
     ) {
-        let u = UdpDatagram::new(sp, dp, payload);
-        let bytes = u.emit(src, dst);
-        prop_assert_eq!(UdpDatagram::parse(src, dst, &bytes).unwrap(), u);
+        let u = UdpDatagram::new(sp, dp, &payload[..]);
+        let mut bytes = Vec::new();
+        u.emit_into(src, dst, &mut bytes);
+        prop_assert_eq!(UdpDatagram::view(src, dst, &bytes), Ok(u));
     }
 
     #[test]
@@ -88,17 +142,18 @@ proptest! {
         src in arb_addr(), dst in arb_addr(),
         hop in any::<u8>(), payload in arb_payload(),
     ) {
-        let u = UdpDatagram::new(1000, 53, payload);
-        let d = Datagram::udp(src, dst, hop, &u);
-        let bytes = d.emit();
+        let u = UdpDatagram::new(1000, 53, &payload[..]);
+        let mut bytes = vec![0xee; 9];
+        Datagram::emit_with(&mut bytes, src, dst, proto::UDP, hop, |out| {
+            u.emit_into(src, dst, out)
+        });
         let (hdr, t) = Datagram::parse_transport(&bytes).unwrap();
         prop_assert_eq!(hdr.src, src);
         prop_assert_eq!(hdr.dst, dst);
         prop_assert_eq!(hdr.hop_limit, hop);
-        match t {
-            TransportView::Udp(got) => prop_assert_eq!(got.to_owned(), u),
-            other => prop_assert!(false, "wrong transport {:?}", other),
-        }
+        prop_assert_eq!(hdr.next_header, proto::UDP);
+        prop_assert_eq!(usize::from(hdr.payload_len), 8 + payload.len());
+        prop_assert_eq!(t, TransportView::Udp(u));
     }
 
     #[test]
@@ -106,12 +161,10 @@ proptest! {
         src in arb_addr(), dst in arb_addr(),
         opts in proptest::collection::vec(arb_tcp_option(), 0..6),
     ) {
-        let seg = TcpSegment {
-            options: opts.clone(),
-            ..TcpSegment::syn(1, 2, 3)
-        };
-        if seg.header_len() > 60 { return Ok(()); }
-        let parsed = TcpSegment::parse(src, dst, &seg.emit(src, dst)).unwrap();
-        prop_assert_eq!(parsed.options_text(), options_text(&opts));
+        let Some(block) = block(&opts) else { return Ok(()) };
+        let mut bytes = Vec::new();
+        TcpView::syn(1, 2, 3, block.as_bytes()).emit_into(src, dst, &mut bytes);
+        let parsed = TcpView::parse(src, dst, &bytes).unwrap();
+        prop_assert_eq!(parsed.options_text(), expected_text(&opts));
     }
 }

@@ -285,7 +285,7 @@ impl ProbeModule for QuicModule {
         let hops = Datagram::DEFAULT_HOP_LIMIT;
         Datagram::emit_with(frame, src, dst, proto::UDP, hops, |out| {
             udp::emit_with(f.src_port, 443, src, dst, out, |out| {
-                quic::QuicLongHeader::initial_into(&dcid, &scid, out);
+                quic::initial_into(&dcid, &scid, out);
             });
         });
     }
@@ -334,7 +334,7 @@ pub fn standard_battery() -> Vec<Box<dyn ProbeModule>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expanse_packet::{TcpSegment, UdpDatagram};
+    use expanse_packet::{TcpOption, UdpDatagram};
 
     fn v() -> Validator {
         Validator::new(7)
@@ -355,47 +355,151 @@ mod tests {
         frame
     }
 
+    /// The frame `dst` sends back to `src`, its transport bytes written
+    /// by `body`.
+    fn reply(
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        next_header: u8,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        let mut frame = Vec::new();
+        Datagram::emit_with(&mut frame, dst, src, next_header, 60, body);
+        frame
+    }
+
+    fn classify(m: &dyn ProbeModule, frame: &[u8]) -> Option<(Ipv6Addr, ReplyKind)> {
+        let (hdr, t) = Datagram::parse_transport(frame).unwrap();
+        m.classify(&hdr, &t, &v())
+    }
+
+    /// The transport of a probe frame, its IPv6 header checked.
+    fn transport(frame: &[u8], next_header: u8) -> TransportView<'_> {
+        let (h, t) = Datagram::parse_transport(frame).unwrap();
+        assert_eq!((h.src, h.dst), pair());
+        assert_eq!((h.next_header, h.hop_limit), (next_header, 64));
+        t
+    }
+
     #[test]
-    fn probes_are_the_owned_datagrams_byte_for_byte() {
+    fn probes_parse_back_to_their_fields() {
         let (src, dst) = pair();
         let f = v().fields(dst);
-        let hops = Datagram::DEFAULT_HOP_LIMIT;
+        let frame = probe_frame(&IcmpEchoModule, src, dst);
         let echo = Icmpv6Message::EchoRequest {
             ident: f.ident,
             seq: f.seq,
-            payload: b"expanse-probe".to_vec(),
+            payload: &b"expanse-probe"[..],
         };
         assert_eq!(
-            probe_frame(&IcmpEchoModule, src, dst),
-            Datagram::icmpv6(src, dst, hops, echo).emit()
+            transport(&frame, proto::ICMPV6),
+            TransportView::Icmpv6(echo)
         );
-        let syn = TcpSegment::syn_with_options(f.src_port, 443, f.tcp_seq, f.tcp_seq ^ 0x5c5c);
-        assert_eq!(
-            probe_frame(&TcpSynModule::with_synopt(443), src, dst),
-            Datagram::tcp(src, dst, hops, &syn).emit()
-        );
-        let bare = TcpSegment::syn(f.src_port, 80, f.tcp_seq);
-        assert_eq!(
-            probe_frame(&TcpSynModule::new(80), src, dst),
-            Datagram::tcp(src, dst, hops, &bare).emit()
-        );
-        let query = dns::DnsQuery::new(f.ident, DNS_PROBE_NAME, dns::qtype::AAAA);
-        assert_eq!(
-            probe_frame(&DnsModule, src, dst),
-            Datagram::udp(
-                src,
-                dst,
-                hops,
-                &UdpDatagram::new(f.src_port, 53, query.emit())
-            )
-            .emit()
-        );
-        let initial =
-            quic::QuicLongHeader::initial(&f.tcp_seq.to_be_bytes(), &f.ident.to_be_bytes());
-        assert_eq!(
-            probe_frame(&QuicModule, src, dst),
-            Datagram::udp(src, dst, hops, &UdpDatagram::new(f.src_port, 443, initial)).emit()
-        );
+
+        for m in [TcpSynModule::with_synopt(443), TcpSynModule::new(80)] {
+            let frame = probe_frame(&m, src, dst);
+            let TransportView::Tcp(seg) = transport(&frame, proto::TCP) else {
+                panic!("port {}: not TCP", m.port)
+            };
+            assert_eq!((seg.src_port, seg.dst_port), (f.src_port, m.port));
+            assert_eq!((seg.seq, seg.ack, seg.flags), (f.tcp_seq, 0, TcpFlags::SYN));
+            assert_eq!((seg.window, seg.payload), (65535, &[][..]));
+            if m.with_options {
+                assert_eq!(seg.options_text(), "MSS-SACK-TS-N-WS");
+                assert_eq!((seg.mss(), seg.window_scale()), (Some(1), Some(1)));
+                assert_eq!(seg.timestamps(), Some((f.tcp_seq ^ 0x5c5c, 0)));
+            } else {
+                assert_eq!(seg.options, [], "a bare SYN");
+            }
+        }
+
+        let frame = probe_frame(&DnsModule, src, dst);
+        let TransportView::Udp(u) = transport(&frame, proto::UDP) else {
+            panic!("DNS probe is not UDP")
+        };
+        assert_eq!((u.src_port, u.dst_port), (f.src_port, 53));
+        let h = dns::DnsHeader::parse(u.payload).unwrap();
+        assert_eq!((h.id, h.qr, h.qdcount, h.ancount), (f.ident, false, 1, 0));
+        let question = b"\x04ipv6\x07expanse\x07example\x03com\x00\x00\x1c\x00\x01";
+        assert_eq!(&u.payload[12..], question, "AAAA, class IN");
+
+        let frame = probe_frame(&QuicModule, src, dst);
+        let TransportView::Udp(u) = transport(&frame, proto::UDP) else {
+            panic!("QUIC probe is not UDP")
+        };
+        assert_eq!((u.src_port, u.dst_port), (f.src_port, 443));
+        assert_eq!(u.payload.len(), quic::MIN_INITIAL_SIZE);
+        let q = quic::QuicView::parse(u.payload).unwrap();
+        assert_eq!(q.version, quic::PROBE_VERSION);
+        assert_eq!(q.dcid, f.tcp_seq.to_be_bytes());
+        assert_eq!(q.scid, f.ident.to_be_bytes());
+    }
+
+    /// Each module's probe from `2001:db8::1` to `2001:db8::2` under
+    /// `Validator::new(7)`: its length and its bytes in hex, trailing
+    /// zero padding left out.
+    const RECORDED: [(&dyn ProbeModule, usize, &str); 5] = [
+        (
+            &IcmpEchoModule,
+            61,
+            concat!(
+                "6000000000153a4020010db800000000000000000000000120010db800000000",
+                "00000000000000028000cefa2aa73c49657870616e73652d70726f6265",
+            ),
+        ),
+        (
+            &TcpSynModule {
+                port: 443,
+                with_options: true,
+            },
+            80,
+            concat!(
+                "600000000028064020010db800000000000000000000000120010db800000000",
+                "0000000000000002a2da01bb1ba9c03c00000000a002ffffb9bf000002040001",
+                "0402080a1ba99c600000000001030301",
+            ),
+        ),
+        (
+            &TcpSynModule {
+                port: 80,
+                with_options: false,
+            },
+            60,
+            concat!(
+                "600000000014064020010db800000000000000000000000120010db800000000",
+                "0000000000000002a2da00501ba9c03c000000005002ffffd55d",
+            ),
+        ),
+        (
+            &DnsModule,
+            90,
+            concat!(
+                "600000000032114020010db800000000000000000000000120010db800000000",
+                "0000000000000002a2da0035003214402aa70100000100000000000004697076",
+                "3607657870616e7365076578616d706c6503636f6d00001c0001",
+            ),
+        ),
+        (
+            &QuicModule,
+            1248,
+            concat!(
+                "6000000004b8114020010db800000000000000000000000120010db800000000",
+                "0000000000000002a2da01bb04b83d0ac01a2a3a4a041ba9c03c022aa7",
+            ),
+        ),
+    ];
+
+    #[test]
+    fn probes_match_the_recorded_bytes() {
+        let (src, dst) = pair();
+        for (m, len, hex) in RECORDED {
+            let mut want: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            want.resize(len, 0);
+            assert_eq!(probe_frame(m, src, dst), want, "{:?}", m.protocol());
+        }
     }
 
     #[test]
@@ -414,19 +518,11 @@ mod tests {
         else {
             panic!("not an echo request");
         };
-        let reply = Datagram::icmpv6(
-            dst,
-            src,
-            60,
-            Icmpv6Message::EchoReply {
-                ident,
-                seq,
-                payload: payload.to_vec(),
-            },
-        );
-        let bytes = reply.emit();
-        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
-        let (target, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
+        let bytes = reply(src, dst, proto::ICMPV6, |out| {
+            let echo_reply = icmpv6::types::ECHO_REPLY;
+            icmpv6::emit_echo(echo_reply, ident, seq, payload, dst, src, out)
+        });
+        let (target, kind) = classify(&m, &bytes).unwrap();
         assert_eq!(target, dst);
         assert_eq!(kind, ReplyKind::EchoReply);
         assert_eq!(hdr.src, src);
@@ -435,19 +531,16 @@ mod tests {
     #[test]
     fn icmp_rejects_wrong_ident() {
         let (src, dst) = pair();
-        let reply = Datagram::icmpv6(
-            dst,
-            src,
-            60,
-            Icmpv6Message::EchoReply {
-                ident: 0xdead,
-                seq: 0xbeef,
-                payload: vec![],
-            },
-        );
-        let bytes = reply.emit();
-        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
-        assert!(IcmpEchoModule.classify(&rhdr, &rt, &v()).is_none());
+        let bytes = reply(src, dst, proto::ICMPV6, |out| {
+            let echo_reply = icmpv6::types::ECHO_REPLY;
+            icmpv6::emit_echo(echo_reply, 0xdead, 0xbeef, &[], dst, src, out)
+        });
+        assert!(classify(&IcmpEchoModule, &bytes).is_none());
+    }
+
+    /// The TCP reply `seg` from `dst` to `src`.
+    fn tcp_reply(src: Ipv6Addr, dst: Ipv6Addr, seg: &TcpView<'_>) -> Vec<u8> {
+        reply(src, dst, proto::TCP, |out| seg.emit_into(dst, src, out))
     }
 
     #[test]
@@ -462,7 +555,10 @@ mod tests {
         assert_eq!(pseg.options_text(), "MSS-SACK-TS-N-WS");
         assert_eq!(pseg.mss(), Some(1));
         // Build a SYN-ACK echoing correctly.
-        let reply_seg = TcpSegment {
+        let mut options = TcpOptionBlock::new();
+        options.push(&TcpOption::<&[u8]>::Mss(1440));
+        options.push(&TcpOption::<&[u8]>::SackPermitted);
+        let reply_seg = TcpView {
             src_port: 80,
             dst_port: pseg.src_port,
             seq: 1,
@@ -470,16 +566,10 @@ mod tests {
             flags: TcpFlags::SYN_ACK,
             window: 65535,
             urgent: 0,
-            options: vec![
-                expanse_packet::TcpOption::Mss(1440),
-                expanse_packet::TcpOption::SackPermitted,
-            ],
-            payload: vec![],
+            options: options.as_bytes(),
+            payload: &[],
         };
-        let reply = Datagram::tcp(dst, src, 60, &reply_seg);
-        let bytes = reply.emit();
-        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
-        let (target, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
+        let (target, kind) = classify(&m, &tcp_reply(src, dst, &reply_seg)).unwrap();
         assert_eq!(target, dst);
         match kind {
             ReplyKind::SynAck(info) => {
@@ -496,7 +586,7 @@ mod tests {
         let (src, dst) = pair();
         let m = TcpSynModule::new(443);
         let f = v().fields(dst);
-        let rst = TcpSegment {
+        let rst = TcpView {
             src_port: 443,
             dst_port: f.src_port,
             seq: 0,
@@ -504,13 +594,10 @@ mod tests {
             flags: TcpFlags::RST_ACK,
             window: 0,
             urgent: 0,
-            options: vec![],
-            payload: vec![],
+            options: &[],
+            payload: &[],
         };
-        let reply = Datagram::tcp(dst, src, 60, &rst);
-        let bytes = reply.emit();
-        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
-        let (_, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
+        let (_, kind) = classify(&m, &tcp_reply(src, dst, &rst)).unwrap();
         assert_eq!(kind, ReplyKind::Rst);
         assert!(!kind.is_positive());
     }
@@ -520,7 +607,7 @@ mod tests {
         let (src, dst) = pair();
         let m = TcpSynModule::new(80);
         let f = v().fields(dst);
-        let seg = TcpSegment {
+        let seg = TcpView {
             src_port: 80,
             dst_port: f.src_port,
             seq: 1,
@@ -528,13 +615,10 @@ mod tests {
             flags: TcpFlags::SYN_ACK,
             window: 1,
             urgent: 0,
-            options: vec![],
-            payload: vec![],
+            options: &[],
+            payload: &[],
         };
-        let reply = Datagram::tcp(dst, src, 60, &seg);
-        let bytes = reply.emit();
-        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
-        assert!(m.classify(&rhdr, &rt, &v()).is_none());
+        assert!(classify(&m, &tcp_reply(src, dst, &seg)).is_none());
     }
 
     #[test]
@@ -544,11 +628,11 @@ mod tests {
         let probe = probe_frame(&m, src, dst);
         let (_, t) = Datagram::parse_transport(&probe).unwrap();
         let TransportView::Udp(u) = t else { panic!() };
-        let resp = dns::build_response(u.payload, 0, 1).unwrap();
-        let reply = Datagram::udp(dst, src, 60, &UdpDatagram::new(53, u.src_port, resp));
-        let bytes = reply.emit();
-        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
-        let (target, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
+        let mut resp = Vec::new();
+        dns::build_response_into(u.payload, 0, 1, &mut resp).unwrap();
+        let answer = UdpDatagram::new(53, u.src_port, &resp[..]);
+        let bytes = reply(src, dst, proto::UDP, |out| answer.emit_into(dst, src, out));
+        let (target, kind) = classify(&m, &bytes).unwrap();
         assert_eq!(target, dst);
         assert_eq!(
             kind,
@@ -567,12 +651,12 @@ mod tests {
         let probe = probe_frame(&m, src, dst);
         let (_, t) = Datagram::parse_transport(&probe).unwrap();
         let TransportView::Udp(u) = t else { panic!() };
-        let init = quic::QuicLongHeader::parse(u.payload).unwrap();
-        let vn = quic::QuicLongHeader::version_negotiation(&init.scid, &init.dcid, &[1]);
-        let reply = Datagram::udp(dst, src, 60, &UdpDatagram::new(443, u.src_port, vn));
-        let bytes = reply.emit();
-        let (rhdr, rt) = Datagram::parse_transport(&bytes).unwrap();
-        let (target, kind) = m.classify(&rhdr, &rt, &v()).unwrap();
+        let init = quic::QuicView::parse(u.payload).unwrap();
+        let mut vn = Vec::new();
+        quic::version_negotiation_into(init.scid, init.dcid, &[1], &mut vn);
+        let answer = UdpDatagram::new(443, u.src_port, &vn[..]);
+        let bytes = reply(src, dst, proto::UDP, |out| answer.emit_into(dst, src, out));
+        let (target, kind) = classify(&m, &bytes).unwrap();
         assert_eq!(target, dst);
         match kind {
             ReplyKind::QuicVersionNegotiation { versions } => assert_eq!(versions, vec![1]),

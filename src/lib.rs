@@ -8,7 +8,8 @@
 //! - [`trie`]: longest-prefix-match radix trie
 //! - [`stats`]: entropy, CDFs, conditional matrices, regression
 //! - [`packet`]: IPv6/ICMPv6/TCP/UDP wire formats
-//! - [`netsim`]: deterministic discrete-event network simulator
+//! - [`netsim`]: deterministic network simulation substrate (virtual
+//!   time, middleboxes, the `Network` seam)
 //! - [`model`]: synthetic IPv6 Internet (ASes, schemes, hosts, sources)
 //! - [`zmap6`]: ZMapv6-style stateless prober
 //! - [`scamper6`]: traceroute engine
