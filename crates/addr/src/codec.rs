@@ -15,9 +15,8 @@
 //! [`Decoder::finish`]. All integers are little-endian; collections are
 //! length-prefixed (`u64`). Layers above compose their own payloads out
 //! of the primitive `put_*`/`get_*` calls inside one shared envelope
-//! (see `expanse_core::Pipeline::save_full`), while the standalone
-//! [`save_table`]/[`load_table`] and [`save_set`]/[`load_set`] pairs
-//! wrap a single structure in its own envelope.
+//! (see `expanse_core::Pipeline::save_full`); [`write_table`] and
+//! [`write_set`] are two such payloads.
 //!
 //! Corrupted input — truncation, wrong magic, unknown version, a failed
 //! checksum, or structurally invalid payloads (duplicate table entries,
@@ -32,23 +31,30 @@
 //! # Example: a checksummed round-trip
 //!
 //! ```
-//! use expanse_addr::codec::{load_table, save_table, CodecError};
+//! use expanse_addr::codec::{read_table, write_table, CodecError, Decoder, Encoder};
 //! use expanse_addr::AddrTable;
 //!
 //! let mut table = AddrTable::new();
 //! let id = table.intern("2001:db8::1".parse().unwrap());
 //!
-//! let mut bytes = Vec::new();
-//! save_table(&mut bytes, &table).unwrap();
+//! let mut enc = Encoder::new(Vec::new(), b"EXAMPLE1", 1).unwrap();
+//! write_table(&mut enc, &table).unwrap();
+//! let mut bytes = enc.finish().unwrap();
+//! let load = |bytes: &[u8]| -> Result<_, CodecError> {
+//!     let mut dec = Decoder::new(bytes, b"EXAMPLE1", 1)?;
+//!     let table = read_table(&mut dec)?;
+//!     dec.finish()?;
+//!     Ok(table)
+//! };
 //! // Every id comes back exactly as issued before the save…
-//! let restored = load_table(bytes.as_slice()).unwrap();
+//! let restored = load(&bytes).unwrap();
 //! assert_eq!(restored.addr(id), table.addr(id));
 //!
 //! // …and a single flipped bit in the stored address (the payload
 //! // starts after magic + version + length prefix) fails the checksum.
 //! bytes[18] ^= 0x01;
 //! assert!(matches!(
-//!     load_table(bytes.as_slice()),
+//!     load(&bytes),
 //!     Err(CodecError::ChecksumMismatch { .. })
 //! ));
 //! ```
@@ -82,12 +88,6 @@ use std::io::{self, Read, Write};
 /// (see `docs/SNAPSHOT_FORMAT.md`). Older journals are regenerated by
 /// re-running, not migrated.
 pub const CODEC_VERSION: u16 = 4;
-
-/// Envelope magic for a standalone [`AddrTable`] snapshot.
-pub const TABLE_MAGIC: [u8; 8] = *b"EXPADDRT";
-
-/// Envelope magic for a standalone [`AddrSet`] snapshot.
-pub const SET_MAGIC: [u8; 8] = *b"EXPADDRS";
 
 /// Reject length prefixes beyond this (2^40 entries) as corruption
 /// rather than attempting the allocation.
@@ -684,40 +684,6 @@ pub fn read_table_suffix<R: Read>(
     Ok(n)
 }
 
-// ---- standalone envelopes -------------------------------------------
-
-/// Save one [`AddrTable`] in its own checksummed envelope.
-pub fn save_table<W: Write>(w: W, t: &AddrTable) -> Result<(), CodecError> {
-    let mut enc = Encoder::new(w, &TABLE_MAGIC, CODEC_VERSION)?;
-    write_table(&mut enc, t)?;
-    enc.finish()?;
-    Ok(())
-}
-
-/// Load an [`AddrTable`] saved by [`save_table`].
-pub fn load_table<R: Read>(r: R) -> Result<AddrTable, CodecError> {
-    let mut dec = Decoder::new(r, &TABLE_MAGIC, CODEC_VERSION)?;
-    let t = read_table(&mut dec)?;
-    dec.finish()?;
-    Ok(t)
-}
-
-/// Save one [`AddrSet`] in its own checksummed envelope.
-pub fn save_set<W: Write>(w: W, s: &AddrSet) -> Result<(), CodecError> {
-    let mut enc = Encoder::new(w, &SET_MAGIC, CODEC_VERSION)?;
-    write_set(&mut enc, s)?;
-    enc.finish()?;
-    Ok(())
-}
-
-/// Load an [`AddrSet`] saved by [`save_set`].
-pub fn load_set<R: Read>(r: R) -> Result<AddrSet, CodecError> {
-    let mut dec = Decoder::new(r, &SET_MAGIC, CODEC_VERSION)?;
-    let s = read_set(&mut dec)?;
-    dec.finish()?;
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,29 +739,39 @@ mod tests {
 
     #[test]
     fn payload_corruption_fails_checksum() {
+        let magic = *b"TESTMAGC";
+        let load = |bytes: &[u8]| -> Result<AddrTable, CodecError> {
+            let mut dec = Decoder::new(bytes, &magic, 1)?;
+            let t = read_table(&mut dec)?;
+            dec.finish()?;
+            Ok(t)
+        };
         let mut t = AddrTable::new();
         t.intern_u128(0x2001_0db8 << 96);
         let mut buf = Vec::new();
-        save_table(&mut buf, &t).unwrap();
-        assert!(load_table(buf.as_slice()).is_ok());
+        let mut enc = Encoder::new(&mut buf, &magic, 1).unwrap();
+        write_table(&mut enc, &t).unwrap();
+        enc.finish().unwrap();
+        assert!(load(&buf).is_ok());
         // Flip one bit inside the stored address: the table still
         // decodes structurally (one unique entry), so only the checksum
         // can catch it.
         let in_addr = 8 + 2 + 8 + 3; // magic + version + len prefix + 3
         buf[in_addr] ^= 0x10;
         assert!(matches!(
-            load_table(buf.as_slice()),
+            load(&buf),
             Err(CodecError::ChecksumMismatch { .. })
         ));
     }
 
     #[test]
     fn version_gate() {
+        let magic = *b"TESTMAGC";
         let mut buf = Vec::new();
-        let enc = Encoder::new(&mut buf, &TABLE_MAGIC, 2).unwrap();
+        let enc = Encoder::new(&mut buf, &magic, 2).unwrap();
         enc.finish().unwrap();
         assert!(matches!(
-            Decoder::new(buf.as_slice(), &TABLE_MAGIC, 1),
+            Decoder::new(buf.as_slice(), &magic, 1),
             Err(CodecError::UnsupportedVersion {
                 found: 2,
                 supported: 1
@@ -805,7 +781,7 @@ mod tests {
         buf[8] = 0;
         buf[9] = 0;
         assert!(matches!(
-            Decoder::new(buf.as_slice(), &TABLE_MAGIC, 1),
+            Decoder::new(buf.as_slice(), &magic, 1),
             Err(CodecError::UnsupportedVersion { .. })
         ));
     }
@@ -862,13 +838,14 @@ mod tests {
 
     #[test]
     fn prefix_validation() {
+        let magic = *b"TESTMAGC";
         let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf, &TABLE_MAGIC, 1).unwrap();
+        let mut enc = Encoder::new(&mut buf, &magic, 1).unwrap();
         // Host bits set beyond /64.
         enc.put_u128(0x2001_0db8 << 96 | 0xff).unwrap();
         enc.put_u8(64).unwrap();
         enc.finish().unwrap();
-        let mut dec = Decoder::new(buf.as_slice(), &TABLE_MAGIC, 1).unwrap();
+        let mut dec = Decoder::new(buf.as_slice(), &magic, 1).unwrap();
         assert!(matches!(
             read_prefix(&mut dec),
             Err(CodecError::Corrupt("prefix has host bits set"))

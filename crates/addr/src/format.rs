@@ -32,26 +32,6 @@ pub fn write_expanded(out: &mut String, a: Ipv6Addr) {
     );
 }
 
-/// Parse one address per line, skipping blank lines and `#` comments.
-///
-/// Returns `(addresses, bad_line_numbers)`; bad lines (1-based) are
-/// reported rather than silently dropped so ingest bugs are visible.
-pub fn parse_addr_lines(input: &str) -> (Vec<Ipv6Addr>, Vec<usize>) {
-    let mut addrs = Vec::new();
-    let mut bad = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match line.parse::<Ipv6Addr>() {
-            Ok(a) => addrs.push(a),
-            Err(_) => bad.push(i + 1),
-        }
-    }
-    (addrs, bad)
-}
-
 /// Render a prefix list, one per line, sorted — the aliased-prefix file
 /// format of the paper's hitlist service.
 pub fn prefix_lines(prefixes: &[Prefix]) -> String {
@@ -73,14 +53,6 @@ mod tests {
     fn expanded_form() {
         let a: Ipv6Addr = "2001:db8::1".parse().unwrap();
         assert_eq!(expanded(a), "2001:0db8:0000:0000:0000:0000:0000:0001");
-    }
-
-    #[test]
-    fn parse_lines_with_comments_and_errors() {
-        let input = "# header\n2001:db8::1\n\nnot-an-addr\n::2\n";
-        let (addrs, bad) = parse_addr_lines(input);
-        assert_eq!(addrs.len(), 2);
-        assert_eq!(bad, vec![4]);
     }
 
     #[test]

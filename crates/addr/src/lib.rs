@@ -13,7 +13,7 @@
 //! the [`fanout`] module implements it deterministically so that repeated
 //! scans probe reproducible targets.
 //!
-//! The [`table`] and [`set`] modules hold the workspace's interned
+//! The `table` and `set` modules hold the workspace's interned
 //! address store: [`AddrTable`] issues dense, stable [`AddrId`] handles
 //! for unique addresses, [`AddrSet`] is a sorted id run with linear-merge
 //! set algebra, and [`AddrMap`] is a self-interning columnar map. The
@@ -43,18 +43,16 @@
 pub mod codec;
 pub mod fanout;
 pub mod format;
-pub mod iter;
-pub mod mac;
+mod mac;
 pub mod nybbles;
 pub mod par;
 pub mod prefix;
-pub mod set;
-pub mod sorted;
-pub mod table;
+mod set;
+mod sorted;
+mod table;
 
 pub use codec::{CodecError, Decoder, Encoder};
 pub use fanout::{fanout16, fanout16_iter, keyed_random_addr, FanoutTarget};
-pub use iter::AddrIter;
 pub use mac::MacAddr;
 pub use par::worker_threads;
 pub use prefix::{Prefix, PrefixParseError};
@@ -78,7 +76,7 @@ pub fn u128_to_addr(v: u128) -> Ipv6Addr {
 
 /// Interface identifier (IID): the low 64 bits of an address.
 #[inline]
-pub fn iid(a: Ipv6Addr) -> u64 {
+pub(crate) fn iid(a: Ipv6Addr) -> u64 {
     addr_to_u128(a) as u64
 }
 

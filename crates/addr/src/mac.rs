@@ -14,13 +14,8 @@ pub struct MacAddr([u8; 6]);
 
 impl MacAddr {
     /// Build from raw octets.
-    pub const fn new(octets: [u8; 6]) -> Self {
+    pub(crate) const fn new(octets: [u8; 6]) -> Self {
         MacAddr(octets)
-    }
-
-    /// The raw octets.
-    pub const fn octets(&self) -> [u8; 6] {
-        self.0
     }
 
     /// The 24-bit Organizationally Unique Identifier (vendor code).

@@ -46,34 +46,6 @@ pub fn from_nybbles(n: &[u8; NYBBLES]) -> Ipv6Addr {
     u128_to_addr(v)
 }
 
-/// Return a copy of `a` with nybble `i` replaced by `val`.
-///
-/// # Panics
-/// Panics if `i >= 32` or `val > 15`.
-#[inline]
-pub fn with_nybble(a: Ipv6Addr, i: usize, val: u8) -> Ipv6Addr {
-    assert!(i < NYBBLES, "nybble index {i} out of range");
-    assert!(val <= 0xf, "nybble value {val} out of range");
-    let shift = 124 - 4 * i;
-    let cleared = addr_to_u128(a) & !(0xfu128 << shift);
-    u128_to_addr(cleared | (u128::from(val) << shift))
-}
-
-/// The address as a 32-character lowercase hex string (no colons).
-///
-/// This is the representation Entropy/IP and 6Gen operate on.
-pub fn hex_string(a: Ipv6Addr) -> String {
-    format!("{:032x}", addr_to_u128(a))
-}
-
-/// Parse a 32-character hex string back into an address.
-pub fn from_hex_string(s: &str) -> Option<Ipv6Addr> {
-    if s.len() != 32 {
-        return None;
-    }
-    u128::from_str_radix(s, 16).ok().map(u128_to_addr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,29 +75,6 @@ mod tests {
         assert_eq!(from_nybbles(&nybbles(zero)), zero);
         let all = a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff");
         assert_eq!(from_nybbles(&nybbles(all)), all);
-    }
-
-    #[test]
-    fn with_nybble_sets_only_target() {
-        let x = a("2001:db8::1");
-        let y = with_nybble(x, 16, 0xf);
-        assert_eq!(nybble(y, 16), 0xf);
-        for i in 0..NYBBLES {
-            if i != 16 {
-                assert_eq!(nybble(y, i), nybble(x, i), "nybble {i} changed");
-            }
-        }
-    }
-
-    #[test]
-    fn hex_string_roundtrip() {
-        let x = a("2001:db8:407:8000:151:2900:77e9:3a8");
-        let s = hex_string(x);
-        assert_eq!(s.len(), 32);
-        assert_eq!(s, "20010db8040780000151290077e903a8");
-        assert_eq!(from_hex_string(&s), Some(x));
-        assert_eq!(from_hex_string("xyz"), None);
-        assert_eq!(from_hex_string(&s[..31]), None);
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl Prefix {
         other.len >= self.len && other.bits & mask(self.len) == self.bits
     }
 
-    /// The `len`-bit prefix covering `addr`.
-    pub fn of(addr: Ipv6Addr, len: u8) -> Self {
-        Prefix::new(addr, len)
-    }
-
     /// Parent prefix one bit shorter, or `None` at the default route.
     pub fn parent(&self) -> Option<Prefix> {
         if self.len == 0 {
@@ -151,15 +146,6 @@ impl Prefix {
     pub fn subprefixes(&self, extra_bits: u8) -> impl Iterator<Item = Prefix> + '_ {
         let n: u128 = 1 << extra_bits;
         (0..n).map(move |i| self.subprefix(extra_bits, i))
-    }
-
-    /// Offset of `addr` within this prefix (0 for the network address).
-    pub fn offset_of(&self, addr: Ipv6Addr) -> Option<u128> {
-        if self.contains(addr) {
-            Some(addr_to_u128(addr) & !mask(self.len))
-        } else {
-            None
-        }
     }
 
     /// Address at `offset` within the prefix.
@@ -327,9 +313,7 @@ mod tests {
     fn offsets() {
         let x = p("2001:db8::/64");
         let a: Ipv6Addr = "2001:db8::42".parse().unwrap();
-        assert_eq!(x.offset_of(a), Some(0x42));
         assert_eq!(x.addr_at(0x42), a);
-        assert_eq!(x.offset_of("2001:db9::".parse().unwrap()), None);
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl AddrSet {
     }
 
     /// Build from ids in any order, with duplicates.
-    pub fn from_unsorted(mut ids: Vec<AddrId>) -> Self {
+    pub(crate) fn from_unsorted(mut ids: Vec<AddrId>) -> Self {
         ids.sort_unstable();
         ids.dedup();
         AddrSet { ids }

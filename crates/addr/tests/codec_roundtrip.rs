@@ -4,10 +4,7 @@
 //! primitives (varint, front-coded prefix run, gap-coded id run) are
 //! checked against the fixed-width encodings they replace.
 
-use expanse_addr::codec::{
-    self, load_set, load_table, save_set, save_table, CodecError, Decoder, Encoder, PrefixRun,
-    CODEC_VERSION, SET_MAGIC, TABLE_MAGIC,
-};
+use expanse_addr::codec::{self, CodecError, Decoder, Encoder, PrefixRun};
 use expanse_addr::{AddrId, AddrSet, AddrTable, Prefix};
 use proptest::prelude::*;
 
@@ -181,9 +178,8 @@ proptest! {
     #[test]
     fn table_roundtrip_preserves_ids(vals in proptest::collection::vec(any::<u128>(), 0..300)) {
         let t = table_from(&vals);
-        let mut buf = Vec::new();
-        save_table(&mut buf, &t).unwrap();
-        let back = load_table(buf.as_slice()).unwrap();
+        let buf = sealed(|enc| codec::write_table(enc, &t).unwrap());
+        let back = opened(&buf, codec::read_table).unwrap();
         prop_assert_eq!(back.len(), t.len());
         for (id, a) in t.iter() {
             // Same id resolves to the same address, and lookup agrees.
@@ -206,9 +202,8 @@ proptest! {
     #[test]
     fn set_roundtrip(ids in proptest::collection::vec(0usize..5000, 0..300)) {
         let s: AddrSet = ids.iter().map(|&i| AddrId::from_index(i)).collect();
-        let mut buf = Vec::new();
-        save_set(&mut buf, &s).unwrap();
-        let back = load_set(buf.as_slice()).unwrap();
+        let buf = sealed(|enc| codec::write_set(enc, &s).unwrap());
+        let back = opened(&buf, codec::read_set).unwrap();
         prop_assert_eq!(back, s);
     }
 
@@ -218,10 +213,9 @@ proptest! {
         cut in any::<u64>(),
     ) {
         let t = table_from(&vals);
-        let mut buf = Vec::new();
-        save_table(&mut buf, &t).unwrap();
+        let buf = sealed(|enc| codec::write_table(enc, &t).unwrap());
         let keep = cut as usize % buf.len(); // strictly less than the full length
-        prop_assert!(load_table(&buf[..keep]).is_err(), "truncated load must error");
+        prop_assert!(opened(&buf[..keep], codec::read_table).is_err(), "truncated load must error");
     }
 
     #[test]
@@ -231,14 +225,13 @@ proptest! {
         bit in 0u8..8,
     ) {
         let t = table_from(&vals);
-        let mut buf = Vec::new();
-        save_table(&mut buf, &t).unwrap();
+        let mut buf = sealed(|enc| codec::write_table(enc, &t).unwrap());
         let at = pos as usize % buf.len();
         buf[at] ^= 1 << bit;
         // Any single-bit corruption must surface as an error: the
         // checksum covers magic, version, and payload, and the trailing
         // checksum bytes themselves then disagree with the computed one.
-        prop_assert!(load_table(buf.as_slice()).is_err(), "flipped bit at {at} accepted");
+        prop_assert!(opened(&buf, codec::read_table).is_err(), "flipped bit at {at} accepted");
     }
 
     #[test]
@@ -248,23 +241,17 @@ proptest! {
         bit in 0u8..8,
     ) {
         let s: AddrSet = ids.iter().map(|&i| AddrId::from_index(i)).collect();
-        let mut buf = Vec::new();
-        save_set(&mut buf, &s).unwrap();
+        let mut buf = sealed(|enc| codec::write_set(enc, &s).unwrap());
         let at = pos as usize % buf.len();
         buf[at] ^= 1 << bit;
-        prop_assert!(load_set(buf.as_slice()).is_err());
+        prop_assert!(opened(&buf, codec::read_set).is_err());
     }
 
     #[test]
     fn prefix_roundtrip(bits in any::<u128>(), len in 0u8..=128) {
         let p = Prefix::from_bits(bits, len);
-        let mut buf = Vec::new();
-        let mut enc = Encoder::new(&mut buf, &TABLE_MAGIC, CODEC_VERSION).unwrap();
-        codec::write_prefix(&mut enc, p).unwrap();
-        enc.finish().unwrap();
-        let mut dec = Decoder::new(buf.as_slice(), &TABLE_MAGIC, CODEC_VERSION).unwrap();
-        prop_assert_eq!(codec::read_prefix(&mut dec).unwrap(), p);
-        dec.finish().unwrap();
+        let buf = sealed(|enc| codec::write_prefix(enc, p).unwrap());
+        prop_assert_eq!(opened(&buf, codec::read_prefix).unwrap(), p);
     }
 }
 
@@ -390,52 +377,52 @@ fn gap_run_rejects_ids_out_of_handle_range() {
 #[test]
 fn bad_magic_rejected() {
     let t = table_from(&[1, 2, 3]);
-    let mut buf = Vec::new();
-    save_table(&mut buf, &t).unwrap();
-    // A set envelope is not a table envelope.
+    let mut buf = sealed(|enc| codec::write_table(enc, &t).unwrap());
+    // An envelope of another kind is not this one.
     assert!(matches!(
-        load_set(buf.as_slice()),
-        Err(CodecError::BadMagic { expected, .. }) if expected == SET_MAGIC
+        Decoder::new(buf.as_slice(), b"OTHERENV", 1),
+        Err(CodecError::BadMagic { expected, .. }) if expected == *b"OTHERENV"
     ));
     // Garbage magic.
     buf[0] ^= 0xff;
     assert!(matches!(
-        load_table(buf.as_slice()),
+        opened(&buf, codec::read_table),
         Err(CodecError::BadMagic { .. })
     ));
 }
 
 #[test]
 fn empty_input_is_truncation() {
-    assert!(matches!(load_table(&[][..]), Err(CodecError::Io(_))));
+    assert!(matches!(
+        opened(&[], codec::read_table),
+        Err(CodecError::Io(_))
+    ));
 }
 
 #[test]
 fn duplicate_table_entries_rejected() {
     // Hand-craft a table payload with a duplicated address; the
     // checksum is valid, so the structural check must catch it.
-    let mut buf = Vec::new();
-    let mut enc = Encoder::new(&mut buf, &TABLE_MAGIC, CODEC_VERSION).unwrap();
-    enc.put_len(2).unwrap();
-    enc.put_u128(77).unwrap();
-    enc.put_u128(77).unwrap();
-    enc.finish().unwrap();
+    let buf = sealed(|enc| {
+        enc.put_len(2).unwrap();
+        enc.put_u128(77).unwrap();
+        enc.put_u128(77).unwrap();
+    });
     assert!(matches!(
-        load_table(buf.as_slice()),
+        opened(&buf, codec::read_table),
         Err(CodecError::Corrupt("duplicate address in table"))
     ));
 }
 
 #[test]
 fn unsorted_set_rejected() {
-    let mut buf = Vec::new();
-    let mut enc = Encoder::new(&mut buf, &SET_MAGIC, CODEC_VERSION).unwrap();
-    enc.put_len(2).unwrap();
-    enc.put_u32(9).unwrap();
-    enc.put_u32(4).unwrap();
-    enc.finish().unwrap();
+    let buf = sealed(|enc| {
+        enc.put_len(2).unwrap();
+        enc.put_u32(9).unwrap();
+        enc.put_u32(4).unwrap();
+    });
     assert!(matches!(
-        load_set(buf.as_slice()),
+        opened(&buf, codec::read_set),
         Err(CodecError::Corrupt("set ids not strictly increasing"))
     ));
 }
@@ -445,24 +432,18 @@ fn table_length_beyond_handle_range_rejected() {
     // A claimed length that fits the generic 2^40 cap but exceeds the
     // u32 id space must reject before the interner's capacity assert
     // could trip mid-decode.
-    let mut buf = Vec::new();
-    let mut enc = Encoder::new(&mut buf, &TABLE_MAGIC, CODEC_VERSION).unwrap();
-    enc.put_u64(u64::from(u32::MAX)).unwrap();
-    enc.finish().unwrap();
+    let buf = sealed(|enc| enc.put_u64(u64::from(u32::MAX)).unwrap());
     assert!(matches!(
-        load_table(buf.as_slice()),
+        opened(&buf, codec::read_table),
         Err(CodecError::Corrupt("table length out of handle range"))
     ));
 }
 
 #[test]
 fn oversized_length_prefix_rejected() {
-    let mut buf = Vec::new();
-    let mut enc = Encoder::new(&mut buf, &SET_MAGIC, CODEC_VERSION).unwrap();
-    enc.put_u64(u64::MAX).unwrap();
-    enc.finish().unwrap();
+    let buf = sealed(|enc| enc.put_u64(u64::MAX).unwrap());
     assert!(matches!(
-        load_set(buf.as_slice()),
+        opened(&buf, codec::read_set),
         Err(CodecError::Corrupt("implausible length prefix"))
     ));
 }

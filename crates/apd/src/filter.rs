@@ -25,7 +25,6 @@ pub enum Verdict {
 #[derive(Debug, Clone, Default)]
 pub struct AliasFilter {
     trie: PrefixTrie<Verdict>,
-    n_aliased: usize,
 }
 
 impl AliasFilter {
@@ -42,9 +41,7 @@ impl AliasFilter {
     /// Record an explicit verdict for a prefix (multi-level detection
     /// feeds both aliased and non-aliased levels so LPM can carve).
     pub fn mark(&mut self, p: Prefix, v: Verdict) {
-        if self.trie.insert(p, v).is_none() && v == Verdict::Aliased {
-            self.n_aliased += 1;
-        }
+        self.trie.insert(p, v);
     }
 
     /// Is `addr` inside an aliased prefix, by longest-prefix match?
@@ -95,20 +92,6 @@ impl AliasFilter {
         let (removed, kept) = ids.iter().partition(|&id| aliased.contains(id));
         (AddrSet::from_sorted(kept), AddrSet::from_sorted(removed))
     }
-
-    /// Number of aliased prefixes in the filter.
-    pub fn aliased_count(&self) -> usize {
-        self.n_aliased
-    }
-
-    /// The aliased prefixes (sorted).
-    pub fn aliased_prefixes(&self) -> Vec<Prefix> {
-        self.trie
-            .iter()
-            .filter(|(_, v)| **v == Verdict::Aliased)
-            .map(|(p, _)| p)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -136,18 +119,6 @@ mod tests {
         let (kept, removed) = f.split(&addrs);
         assert_eq!(kept.len(), 1);
         assert_eq!(removed.len(), 2);
-    }
-
-    #[test]
-    fn counts() {
-        let mut f = AliasFilter::new([
-            "2001:db8::/48".parse().unwrap(),
-            "2001:db9::/48".parse().unwrap(),
-        ]);
-        assert_eq!(f.aliased_count(), 2);
-        f.mark("2001:db8::/48".parse().unwrap(), Verdict::Aliased); // dup
-        assert_eq!(f.aliased_count(), 2);
-        assert_eq!(f.aliased_prefixes().len(), 2);
     }
 
     #[test]

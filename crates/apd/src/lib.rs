@@ -6,16 +6,16 @@
 //! *half* of all hitlist addresses. This crate implements the full
 //! detection pipeline:
 //!
-//! - [`plan`]: which prefixes to test — every known /64 plus deeper
+//! - `plan`: which prefixes to test — every known /64 plus deeper
 //!   4-bit levels down to /124 gated on >100 known targets, and
 //!   BGP-announced prefixes as-is
-//! - [`detector`]: 16-way nybble fan-out probing (one pseudo-random
+//! - `detector`: 16-way nybble fan-out probing (one pseudo-random
 //!   address per subprefix, Table 3) on ICMPv6 + TCP/80 with
 //!   cross-protocol merging
-//! - [`window`]: the multi-day sliding window that stabilizes lossy and
+//! - `window`: the multi-day sliding window that stabilizes lossy and
 //!   ICMP-rate-limited prefixes (Table 4)
-//! - [`filter`]: longest-prefix-match filtering of hitlist addresses
-//! - [`persist`]: checksummed snapshot encode/decode of the window
+//! - `filter`: longest-prefix-match filtering of hitlist addresses
+//! - `persist`: checksummed snapshot encode/decode of the window
 //!   state, for the pipeline's save/resume path
 //! - [`murdock`]: the static-/96 baseline of Murdock et al. for the
 //!   §5.5 comparison
@@ -23,13 +23,13 @@
 //!   WScale, MSS, WSize, TCP-timestamp same/monotonic/R²) validating
 //!   that detected prefixes behave like one machine
 
-pub mod detector;
-pub mod filter;
+mod detector;
+mod filter;
 pub mod fingerprint;
 pub mod murdock;
-pub mod persist;
-pub mod plan;
-pub mod window;
+mod persist;
+mod plan;
+mod window;
 
 pub use detector::{Apd, ApdConfig, DayObservation, DayReport};
 pub use filter::{AliasFilter, Verdict};

@@ -130,11 +130,6 @@ impl Apd {
         self.dirty.clear();
     }
 
-    /// Prefixes whose window state changed since the last sync point.
-    pub fn delta_prefixes(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// Serialize what happened to every window touched since the last
     /// sync point into an open delta frame: the window length once,
     /// then per prefix (sorted, front-coded) the day bitmaps pushed
@@ -301,7 +296,7 @@ mod tests {
         // One existing window advances, one brand-new prefix appears;
         // p2 is untouched and must not be in the delta.
         apd.push_days([(p1, 0xff00), (p3, 0xffff)]);
-        assert_eq!(apd.delta_prefixes(), 2);
+        assert_eq!(apd.dirty.len(), 2);
 
         let delta = delta_bytes(&apd);
         // Envelope (18) + window + count, then per prefix its front
@@ -311,7 +306,7 @@ mod tests {
 
         assert_eq!(replica.windows, apd.windows);
         assert_eq!(replica.aliased_prefixes(), apd.aliased_prefixes());
-        assert_eq!(replica.delta_prefixes(), 0, "apply ends at a sync point");
+        assert_eq!(replica.dirty.len(), 0, "apply ends at a sync point");
 
         // A delta saved under a different window length is a config
         // mismatch on apply, exactly like the full snapshot path.

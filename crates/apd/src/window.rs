@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 /// Per-prefix window state.
 ///
-/// Fields are crate-visible for the snapshot codec ([`crate::persist`]):
+/// Fields are crate-visible for the snapshot codec (`crate::persist`):
 /// the whole struct is persistent detector state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowState {
@@ -49,12 +49,12 @@ impl WindowState {
     }
 
     /// Branch bitmap merged over the window.
-    pub fn windowed(&self) -> u16 {
+    pub(crate) fn windowed(&self) -> u16 {
         self.days.iter().fold(0, |acc, d| acc | d)
     }
 
     /// Aliased under the windowed view: every branch responded.
-    pub fn aliased(&self) -> bool {
+    pub(crate) fn aliased(&self) -> bool {
         !self.days.is_empty() && self.windowed() == 0xffff
     }
 

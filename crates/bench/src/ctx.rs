@@ -29,7 +29,7 @@ impl Scale {
     }
 
     /// The model configuration this scale expands to.
-    pub fn model_config(self, seed: u64) -> ModelConfig {
+    pub(crate) fn model_config(self, seed: u64) -> ModelConfig {
         match self {
             Scale::Small => ModelConfig::tiny(seed),
             Scale::Mid => ModelConfig {
@@ -44,7 +44,7 @@ impl Scale {
     }
 
     /// The `n ≥ 100` clustering gate, scaled with the population.
-    pub fn min_cluster_addrs(self) -> usize {
+    pub(crate) fn min_cluster_addrs(self) -> usize {
         match self {
             Scale::Small => 50,
             Scale::Mid => 100,
@@ -79,7 +79,7 @@ impl Ctx {
 
     /// The shared pipeline (model + sources + hitlist), built on first
     /// use with all sources fully collected.
-    pub fn pipeline(&mut self) -> &mut Pipeline {
+    pub(crate) fn pipeline(&mut self) -> &mut Pipeline {
         if self.pipeline.is_none() {
             let model_cfg = self.scale.model_config(self.seed);
             let runup = model_cfg.runup_days;
@@ -92,12 +92,12 @@ impl Ctx {
 
     /// The full hitlist address vector (materialized from the shared
     /// pipeline's interned store, insertion order).
-    pub fn hitlist_addrs(&mut self) -> Vec<Ipv6Addr> {
+    pub(crate) fn hitlist_addrs(&mut self) -> Vec<Ipv6Addr> {
         self.pipeline().hitlist.iter().collect()
     }
 
     /// The shared hitlist by reference.
-    pub fn hitlist(&mut self) -> &Hitlist {
+    pub(crate) fn hitlist(&mut self) -> &Hitlist {
         let _ = self.pipeline();
         &self.pipeline.as_ref().expect("built").hitlist
     }
@@ -110,11 +110,11 @@ impl Ctx {
 }
 
 /// Format a share as `12.3%`.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
 /// Pretty header for a report section.
-pub fn header(title: &str, paper_ref: &str) -> String {
+pub(crate) fn header(title: &str, paper_ref: &str) -> String {
     format!("=== {title} ===\n    (paper: {paper_ref})\n\n")
 }

@@ -11,7 +11,7 @@ use expanse_zmap6::Validator;
 
 /// abl-fanout: does the nybble fan-out avoid the partial-aliasing trap
 /// that purely random probes fall into? (§5.1 case 3.)
-pub fn fanout(ctx: &mut Ctx) -> String {
+pub(crate) fn fanout(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Ablation: fan-out probes vs purely random probes on a partially aliased /96",
         "§5.1 case 3",
@@ -81,7 +81,7 @@ pub fn fanout(ctx: &mut Ctx) -> String {
 
 /// abl-crossproto: single-protocol vs cross-protocol merged APD under
 /// loss (the §5.2 mechanism).
-pub fn crossproto(ctx: &mut Ctx) -> String {
+pub(crate) fn crossproto(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Ablation: ICMP-only vs ICMP+TCP merged APD on lossy aliased prefixes",
         "§5.2",
@@ -149,7 +149,7 @@ pub fn crossproto(ctx: &mut Ctx) -> String {
 
 /// abl-gating: what the >100-target gate trades away (§5.4's deep-dive
 /// into 699 consistent-but-undetected prefixes).
-pub fn gating(ctx: &mut Ctx) -> String {
+pub(crate) fn gating(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Ablation: the >100-target gate vs probing deeper levels everywhere",
         "§5.1/§5.4 deep dive",
@@ -206,7 +206,7 @@ pub fn gating(ctx: &mut Ctx) -> String {
 /// abl-cluster-as: entropy clustering at other aggregate granularities
 /// (§4.2: "We provide supplemental results obtained from clustering
 /// based on ASes, BGP prefixes, and other fingerprints").
-pub fn cluster_as(ctx: &mut Ctx) -> String {
+pub(crate) fn cluster_as(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Ablation: entropy clustering by AS and by BGP prefix",
         "§4.2 supplemental",
@@ -271,7 +271,7 @@ shape: the same scheme motifs appear at every granularity — the
 /// abl-bgp-apd: APD over BGP-announced prefixes as-is (§5.1: "The former
 /// source allows us to understand the aliased prefix phenomenon on a
 /// global scale, even for prefixes where we do not have any targets").
-pub fn bgp_apd(ctx: &mut Ctx) -> String {
+pub(crate) fn bgp_apd(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Ablation: BGP-announced-prefix APD vs target-based APD",
         "§5.1 BGP-based probing",
@@ -334,7 +334,7 @@ shape: the two views are complementary — BGP probing sees the global
 }
 
 /// abl-elbow: the SSE-vs-k curves behind the k≈6 / k≈4 choices.
-pub fn elbow(ctx: &mut Ctx) -> String {
+pub(crate) fn elbow(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Ablation: elbow curves for full-address and IID clustering",
         "§4 elbow method",

@@ -9,7 +9,7 @@ use expanse_zesplot::{plot, render_svg, ZesConfig, ZesEntry};
 use std::collections::BTreeMap;
 
 /// Table 3: the fan-out example for 2001:db8:407:8000::/64.
-pub fn table3(_ctx: &mut Ctx) -> String {
+pub(crate) fn table3(_ctx: &mut Ctx) -> String {
     let mut out = header(
         "Table 3: multi-level APD fan-out for 2001:0db8:0407:8000::/64",
         "Table 3",
@@ -60,7 +60,7 @@ fn daily_bitmaps(ctx: &mut Ctx, days: u16) -> BTreeMap<Prefix, Vec<u16>> {
 }
 
 /// Table 4: sliding-window length vs unstable prefix count.
-pub fn table4(ctx: &mut Ctx) -> String {
+pub(crate) fn table4(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Table 4: impact of the sliding window on unstable prefix count",
         "Table 4",
@@ -104,7 +104,7 @@ pub fn table4(ctx: &mut Ctx) -> String {
 }
 
 /// Fig 4: prefix/AS concentration for aliased vs non-aliased vs all.
-pub fn fig4(ctx: &mut Ctx) -> String {
+pub(crate) fn fig4(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 4: prefix and AS distribution for aliased, non-aliased, all addresses",
         "Fig 4",
@@ -184,7 +184,7 @@ pub fn fig4(ctx: &mut Ctx) -> String {
 
 /// Fig 5: zesplots of ICMP responses without APD and of detected aliased
 /// prefixes (the "hook").
-pub fn fig5(ctx: &mut Ctx) -> String {
+pub(crate) fn fig5(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 5: ICMP responses before APD filtering vs detected aliased prefixes",
         "Fig 5a/5b",
@@ -284,7 +284,7 @@ pub fn fig5(ctx: &mut Ctx) -> String {
 }
 
 /// §5.5: ours vs Murdock et al.
-pub fn murdock(ctx: &mut Ctx) -> String {
+pub(crate) fn murdock(ctx: &mut Ctx) -> String {
     let mut out = header(
         "§5.5: multi-level fan-out APD vs Murdock et al.'s static /96",
         "§5.5",

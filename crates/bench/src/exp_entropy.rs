@@ -28,7 +28,7 @@ fn cluster_report<K>(c: &Clustering<K>, what: &str, paper_k: usize) -> String {
 }
 
 /// Clusters of full-address fingerprints F9_32 over /32s (Fig 2a).
-pub fn fig2a(ctx: &mut Ctx) -> String {
+pub(crate) fn fig2a(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 2a: /32 prefixes clustered by full-address entropy fingerprints (F9_32)",
         "Fig 2a",
@@ -66,7 +66,7 @@ pub fn fig2a(ctx: &mut Ctx) -> String {
 }
 
 /// Clusters of IID fingerprints F17_32 (Fig 2b).
-pub fn fig2b(ctx: &mut Ctx) -> String {
+pub(crate) fn fig2b(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 2b: /32 prefixes clustered by IID entropy fingerprints (F17_32)",
         "Fig 2b",
@@ -104,7 +104,7 @@ pub fn fig2b(ctx: &mut Ctx) -> String {
 }
 
 /// Clusters restricted to UDP/53 responders (Fig 3a).
-pub fn fig3a(ctx: &mut Ctx) -> String {
+pub(crate) fn fig3a(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 3a: /32s of UDP/53-responsive addresses, clustered (F9_32)",
         "Fig 3a",
@@ -155,7 +155,7 @@ pub fn fig3a(ctx: &mut Ctx) -> String {
 }
 
 /// BGP prefixes colored by their /32's cluster (Fig 3b, unsized zesplot).
-pub fn fig3b(ctx: &mut Ctx) -> String {
+pub(crate) fn fig3b(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 3b: BGP prefixes colored by entropy cluster (unsized zesplot)",
         "Fig 3b",

@@ -41,7 +41,7 @@ fn aliased_64_evidence(ctx: &mut Ctx) -> Vec<(Prefix, Vec<BranchEvidence>)> {
 }
 
 /// Table 5: per-test inconsistency counts over aliased prefixes.
-pub fn table5(ctx: &mut Ctx) -> String {
+pub(crate) fn table5(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Table 5: fingerprint consistency of fully-TCP-responsive aliased /64s",
         "Table 5",
@@ -156,7 +156,7 @@ fn probe_known_64(
 }
 
 /// Table 6: validation — aliased vs non-aliased consistency shares.
-pub fn table6(ctx: &mut Ctx) -> String {
+pub(crate) fn table6(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Table 6: validation — consistency of aliased vs non-aliased prefixes",
         "Table 6",

@@ -8,7 +8,7 @@ use std::net::Ipv6Addr;
 
 /// Run the full §7 methodology once; render either the Table 7 view
 /// (protocol combinations) or the Fig 9 view (AS/prefix distributions).
-pub fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
+pub(crate) fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
     let mut out = if fig9 {
         header(
             "Fig 9: prefix/AS distribution of responsive generated addresses",

@@ -8,7 +8,7 @@ use expanse_stats::{CondMatrix, Counter};
 use expanse_zesplot::{plot, render_svg, ZesConfig, ZesEntry};
 
 /// Fig 6: BGP prefixes colored by ICMP-responsive (non-aliased) counts.
-pub fn fig6(ctx: &mut Ctx) -> String {
+pub(crate) fn fig6(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 6: BGP prefixes by non-aliased ICMP-responsive address count",
         "Fig 6",
@@ -74,7 +74,7 @@ pub fn fig6(ctx: &mut Ctx) -> String {
 }
 
 /// Fig 7: conditional response-probability matrix.
-pub fn fig7(ctx: &mut Ctx) -> String {
+pub(crate) fn fig7(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 7: conditional probability of responsiveness between services",
         "Fig 7",
@@ -127,7 +127,7 @@ pub fn fig7(ctx: &mut Ctx) -> String {
 }
 
 /// Fig 8: longitudinal responsiveness over 14 days per source.
-pub fn fig8(ctx: &mut Ctx) -> String {
+pub(crate) fn fig8(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 8: responsiveness over 14 days relative to the day-0 baseline",
         "Fig 8",

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 /// Fig 10 + Table 8: the rDNS data source.
-pub fn fig10_table8(ctx: &mut Ctx, table8: bool) -> String {
+pub(crate) fn fig10_table8(ctx: &mut Ctx, table8: bool) -> String {
     let mut out = if table8 {
         header("Table 8: top rDNS ASes in input / ICMP / TCP80", "Table 8")
     } else {
@@ -176,7 +176,7 @@ pub fn fig10_table8(ctx: &mut Ctx, table8: bool) -> String {
 }
 
 /// Table 9 + §9.3: the crowdsourcing study.
-pub fn table9(ctx: &mut Ctx) -> String {
+pub(crate) fn table9(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Table 9: crowdsourcing client distribution + §9.3 responsiveness",
         "Table 9 / §9.3",

@@ -29,7 +29,7 @@ const DAYS: u16 = 10;
 const WINDOW: u16 = 5;
 
 /// Run the bench; writes `BENCH_scenarios.json` next to the reports.
-pub fn bench_scenarios(ctx: &mut Ctx) -> String {
+pub(crate) fn bench_scenarios(ctx: &mut Ctx) -> String {
     let mut out = header(
         "BENCH: adversarial periphery scenarios (churn, throttling, alias fabrics)",
         "§6 unbiasing stress, not a paper figure",

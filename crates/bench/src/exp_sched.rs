@@ -76,7 +76,7 @@ fn run_days(model_cfg: &ModelConfig, sched: SchedConfig, cap: Option<u64>) -> Ru
 }
 
 /// Run the bench; writes `BENCH_sched.json` next to the reports.
-pub fn bench_sched(ctx: &mut Ctx) -> String {
+pub(crate) fn bench_sched(ctx: &mut Ctx) -> String {
     let mut out = header(
         "BENCH: feedback scheduler vs fixed grid under a probe budget",
         "§5.1 probing economics, not a paper figure",

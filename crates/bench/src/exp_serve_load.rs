@@ -309,7 +309,7 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
 /// Run the load bench; writes `BENCH_serve_load.json` next to the
 /// reports. `EXPANSE_SERVE_LOAD_SECS` overrides the load duration (the
 /// nightly soak lane sets it high).
-pub fn bench_serve_load(ctx: &mut Ctx) -> String {
+pub(crate) fn bench_serve_load(ctx: &mut Ctx) -> String {
     let mut out = header(
         "BENCH: serve-load — open-loop load + drain proof over real TCP",
         "transport CI lane, not a paper figure",

@@ -9,7 +9,7 @@ use expanse_zesplot::{plot, render_svg, ZesConfig, ZesEntry};
 /// Table 1: this work vs prior hitlists. Prior rows are the paper's
 /// published numbers (they are literature values, not reproducible
 /// measurements); our row is measured from the pipeline.
-pub fn table1(ctx: &mut Ctx) -> String {
+pub(crate) fn table1(ctx: &mut Ctx) -> String {
     let mut out = header("Table 1: comparison with previous hitlists", "Table 1");
     let p = ctx.pipeline();
     let hit = &p.hitlist;
@@ -51,7 +51,7 @@ pub fn table1(ctx: &mut Ctx) -> String {
 }
 
 /// Table 2: per-source IPs / new IPs / ASes / prefixes / top-AS shares.
-pub fn table2(ctx: &mut Ctx) -> String {
+pub(crate) fn table2(ctx: &mut Ctx) -> String {
     let mut out = header("Table 2: overview of hitlist sources", "Table 2");
     let p = ctx.pipeline();
     let rows = source_table(&p.hitlist, p.model_ref());
@@ -93,7 +93,7 @@ pub fn table2(ctx: &mut Ctx) -> String {
 }
 
 /// Fig 1a: cumulative runup of sources over the collection period.
-pub fn fig1a(ctx: &mut Ctx) -> String {
+pub(crate) fn fig1a(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 1a: cumulative runup of IPv6 addresses per source",
         "Fig 1a",
@@ -132,7 +132,7 @@ pub fn fig1a(ctx: &mut Ctx) -> String {
 }
 
 /// Fig 1b: AS-concentration CDFs per source.
-pub fn fig1b(ctx: &mut Ctx) -> String {
+pub(crate) fn fig1b(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 1b: fraction of addresses in the top-X ASes, per source",
         "Fig 1b",
@@ -175,7 +175,7 @@ pub fn fig1b(ctx: &mut Ctx) -> String {
 }
 
 /// Fig 1c: zesplot of hitlist addresses over announced BGP prefixes.
-pub fn fig1c(ctx: &mut Ctx) -> String {
+pub(crate) fn fig1c(ctx: &mut Ctx) -> String {
     let mut out = header(
         "Fig 1c: hitlist addresses mapped to BGP prefixes (zesplot)",
         "Fig 1c",

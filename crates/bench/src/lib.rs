@@ -12,18 +12,18 @@
 //! `ARCHITECTURE.md` is the system inventory.
 
 pub mod ctx;
-pub mod exp_ablations;
-pub mod exp_apd;
-pub mod exp_entropy;
-pub mod exp_fingerprint;
-pub mod exp_generation;
+mod exp_ablations;
+mod exp_apd;
+mod exp_entropy;
+mod exp_fingerprint;
+mod exp_generation;
 pub mod exp_pipeline;
-pub mod exp_probing;
-pub mod exp_rdns_crowd;
-pub mod exp_scenarios;
-pub mod exp_sched;
-pub mod exp_serve_load;
-pub mod exp_sources;
+mod exp_probing;
+mod exp_rdns_crowd;
+mod exp_scenarios;
+mod exp_sched;
+mod exp_serve_load;
+mod exp_sources;
 
 pub use ctx::Ctx;
 

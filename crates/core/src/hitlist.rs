@@ -40,18 +40,13 @@ const _: () = assert!(
 
 impl SourceMask {
     /// Add a source to the set.
-    pub fn with(self, s: SourceId) -> SourceMask {
+    pub(crate) fn with(self, s: SourceId) -> SourceMask {
         SourceMask(self.0 | (1 << s as u16))
     }
 
     /// Contains.
-    pub fn contains(self, s: SourceId) -> bool {
+    pub(crate) fn contains(self, s: SourceId) -> bool {
         self.0 & (1 << s as u16) != 0
-    }
-
-    /// Is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -350,25 +345,13 @@ impl Hitlist {
             .map(|(_, a)| a)
     }
 
-    /// Sources of one address.
-    pub fn sources_of(&self, a: Ipv6Addr) -> SourceMask {
-        self.id_of(a)
-            .map(|id| self.sources_of_id(id))
-            .unwrap_or_default()
-    }
-
     /// Sources of one member by id.
-    pub fn sources_of_id(&self, id: AddrId) -> SourceMask {
+    pub(crate) fn sources_of_id(&self, id: AddrId) -> SourceMask {
         self.sources[id.index()]
     }
 
-    /// Membership test.
-    pub fn contains(&self, a: Ipv6Addr) -> bool {
-        self.id_of(a).is_some()
-    }
-
     /// Addresses a source contributed (whether or not first).
-    pub fn of_source(&self, s: SourceId) -> Vec<Ipv6Addr> {
+    pub(crate) fn of_source(&self, s: SourceId) -> Vec<Ipv6Addr> {
         self.table
             .iter()
             .filter(|(id, _)| self.alive[id.index()] && self.sources[id.index()].contains(s))
@@ -377,7 +360,7 @@ impl Hitlist {
     }
 
     /// Addresses a source contributed *first* (Table 2's "new IPs").
-    pub fn new_of_source(&self, s: SourceId) -> Vec<Ipv6Addr> {
+    pub(crate) fn new_of_source(&self, s: SourceId) -> Vec<Ipv6Addr> {
         self.table
             .iter()
             .filter(|(id, _)| self.alive[id.index()] && self.first_source[id.index()] == s)
@@ -396,7 +379,7 @@ impl Hitlist {
     /// of the pipeline's dense daily responsiveness pass. A later day
     /// replaces the protocol set; a repeated mark on the same day
     /// unions into it.
-    pub fn mark_responsive_id(&mut self, id: AddrId, day: u16, protos: ProtoSet) {
+    pub(crate) fn mark_responsive_id(&mut self, id: AddrId, day: u16, protos: ProtoSet) {
         debug_assert!(day < NEVER, "day saturates the sentinel");
         let e = &mut self.last_responsive[id.index()];
         if *e == NEVER || *e < day {
@@ -413,7 +396,7 @@ impl Hitlist {
         }
     }
 
-    /// [`Hitlist::mark_responsive_id`] over a whole day's pass, strictly
+    /// `Hitlist::mark_responsive_id` over a whole day's pass, strictly
     /// ascending by id (the pipeline's day pass is). One serial loop:
     /// two column writes per responder cost less than starting a
     /// worker at any day size the pipeline reaches. `_threads` is
@@ -511,12 +494,6 @@ impl Hitlist {
         }
         *self.probes_spent.entry(net).or_insert(0) += n;
         self.spent_dirty.insert(net);
-    }
-
-    /// Cumulative probing cost charged to exactly `net` (not aggregated
-    /// over covered prefixes); `0` if never charged.
-    pub fn probes_spent_under(&self, net: Prefix) -> u64 {
-        self.probes_spent.get(&net).copied().unwrap_or(0)
     }
 
     /// Every charged prefix with its cumulative spend, ascending.
@@ -809,6 +786,14 @@ mod tests {
     use super::*;
     use expanse_packet::Protocol;
 
+    fn sources_of(h: &Hitlist, a: Ipv6Addr) -> SourceMask {
+        h.id_of(a).map(|id| h.sources_of_id(id)).unwrap_or_default()
+    }
+
+    fn probes_spent_under(h: &Hitlist, net: Prefix) -> u64 {
+        h.probes_spent.get(&net).copied().unwrap_or(0)
+    }
+
     fn a(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
     }
@@ -839,7 +824,7 @@ mod tests {
         // Revival clears the column with the rest of the row.
         h.add_from(SourceId::Ct, &[a("::2")], 0);
         h.expire_unresponsive(10, 3);
-        assert!(!h.contains(a("::2")));
+        assert!(h.id_of(a("::2")).is_none());
         h.add_from(SourceId::Fdns, &[a("::2")], 10);
         assert_eq!(h.protos_of(a("::2")), ProtoSet::EMPTY);
     }
@@ -852,9 +837,9 @@ mod tests {
         let n2 = h.add_from(SourceId::Fdns, &[a("::2"), a("::3")], 0);
         assert_eq!(n2, 1, "::2 already present");
         assert_eq!(h.len(), 3);
-        assert!(h.sources_of(a("::2")).contains(SourceId::DomainLists));
-        assert!(h.sources_of(a("::2")).contains(SourceId::Fdns));
-        assert!(!h.sources_of(a("::1")).contains(SourceId::Fdns));
+        assert!(sources_of(&h, a("::2")).contains(SourceId::DomainLists));
+        assert!(sources_of(&h, a("::2")).contains(SourceId::Fdns));
+        assert!(!sources_of(&h, a("::1")).contains(SourceId::Fdns));
         // New-IP attribution goes to the first source.
         assert_eq!(h.new_of_source(SourceId::Fdns), vec![a("::3")]);
         assert_eq!(h.of_source(SourceId::Fdns).len(), 2);
@@ -903,8 +888,8 @@ mod tests {
         assert_eq!(removed, 3);
         let left: Vec<Ipv6Addr> = h.iter().collect();
         assert_eq!(left, &addrs[..1]);
-        assert!(h.contains(addrs[0]));
-        assert!(!h.contains(addrs[1]));
+        assert!(h.id_of(addrs[0]).is_some());
+        assert!(h.id_of(addrs[1]).is_none());
         // Early days: nothing expires (cutoff saturates to 0).
         let mut h2 = Hitlist::new();
         h2.add_from(SourceId::Ct, &addrs, 0);
@@ -917,14 +902,14 @@ mod tests {
         h.add_from(SourceId::Ct, &[a("::1"), a("::2")], 0);
         h.mark_responsive(a("::1"), 8, icmp());
         assert_eq!(h.expire_unresponsive(10, 3), 1);
-        assert!(!h.contains(a("::2")));
+        assert!(h.id_of(a("::2")).is_none());
         // Re-added by a different source: counts as new, fresh
         // provenance, same id (insertion position preserved).
         assert_eq!(h.add_from(SourceId::Fdns, &[a("::2")], 10), 1);
-        assert!(h.contains(a("::2")));
+        assert!(h.id_of(a("::2")).is_some());
         assert_eq!(h.last_responsive(a("::2")), None);
         assert_eq!(h.new_of_source(SourceId::Fdns), vec![a("::2")]);
-        assert!(!h.sources_of(a("::2")).contains(SourceId::Ct));
+        assert!(!sources_of(&h, a("::2")).contains(SourceId::Ct));
         let order: Vec<Ipv6Addr> = h.iter().collect();
         assert_eq!(order, vec![a("::1"), a("::2")]);
     }
@@ -943,7 +928,7 @@ mod tests {
             .with(SourceId::Bitnodes);
         assert!(m.contains(SourceId::Scamper));
         assert!(!m.contains(SourceId::Ct));
-        assert!(SourceMask::default().is_empty());
+        assert_eq!(SourceMask::default().0, 0);
     }
 
     #[test]
@@ -1000,7 +985,7 @@ mod tests {
             0,
             "still inside revival grace"
         );
-        assert!(h.contains(a("::1")));
+        assert!(h.id_of(a("::1")).is_some());
         // Responding extends its life past the insertion-based grace.
         h.mark_responsive(a("::1"), 12, icmp());
         assert_eq!(h.expire_unresponsive(14, 3), 0);
@@ -1105,7 +1090,7 @@ mod tests {
         // p1 grows, p3 appears; p2 is untouched and must not travel.
         h.charge_probes(p1, 5);
         h.charge_probes(p3, 7);
-        assert_eq!(h.probes_spent_under(p1), 15);
+        assert_eq!(probes_spent_under(&h, p1), 15);
 
         let mut delta = Vec::new();
         let mut enc = Encoder::new(&mut delta, b"HITDTEST", 1).unwrap();
@@ -1116,9 +1101,9 @@ mod tests {
         dec.finish().unwrap();
 
         assert_eq!(full_bytes(&replica), full_bytes(&h));
-        assert_eq!(replica.probes_spent_under(p1), 15);
-        assert_eq!(replica.probes_spent_under(p2), 4);
-        assert_eq!(replica.probes_spent_under(p3), 7);
+        assert_eq!(probes_spent_under(&replica, p1), 15);
+        assert_eq!(probes_spent_under(&replica, p2), 4);
+        assert_eq!(probes_spent_under(&replica, p3), 7);
         assert_eq!(
             replica.probes_spent().collect::<Vec<_>>(),
             vec![(p1, 15), (p2, 4), (p3, 7)]
@@ -1193,13 +1178,13 @@ mod tests {
         );
         for addr in h.iter() {
             assert_eq!(back.id_of(addr), h.id_of(addr), "{addr}");
-            assert_eq!(back.sources_of(addr), h.sources_of(addr), "{addr}");
+            assert_eq!(sources_of(&back, addr), sources_of(&h, addr), "{addr}");
             assert_eq!(back.last_responsive(addr), h.last_responsive(addr));
             assert_eq!(back.protos_of(addr), h.protos_of(addr), "{addr}");
         }
         // Tombstones preserved: ::2 and ::3 are expired in both.
-        assert!(!back.contains(a("::2")));
-        assert!(!back.contains(a("::3")));
+        assert!(back.id_of(a("::2")).is_none());
+        assert!(back.id_of(a("::3")).is_none());
         // added_day preserved: the day-9 revival of ::4 still has its
         // grace window after the round-trip (cutoff 8 < 9)...
         let mut b2 = back.clone();
@@ -1211,7 +1196,7 @@ mod tests {
             1,
             "::4 must expire at cutoff 10"
         );
-        assert!(b2.contains(a("::1")));
-        assert!(!b2.contains(a("::4")));
+        assert!(b2.id_of(a("::1")).is_some());
+        assert!(b2.id_of(a("::4")).is_none());
     }
 }

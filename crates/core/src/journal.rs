@@ -38,7 +38,7 @@ use crate::pipeline::{JournalReplay, Pipeline, PipelineConfig};
 use expanse_addr::CodecError;
 use expanse_model::ModelConfig;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Storage backend for a snapshot journal: an append-only byte log
 /// that can be replaced wholesale when the base is rewritten.
@@ -94,11 +94,6 @@ impl PathStore {
         PathStore { path: path.into() }
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// The sibling path compaction stages the fresh log at.
     fn tmp_path(&self) -> PathBuf {
         let mut name = self.path.file_name().unwrap_or_default().to_os_string();
@@ -145,7 +140,7 @@ pub struct JournalPolicy {
     /// larger values trade slower restarts (more records to replay) for
     /// rarer rewrites. Values ≤ 0 compact on every record; non-finite
     /// values (`f64::INFINITY`, NaN) never compact — the log grows
-    /// until [`Journal::compact`] is called explicitly.
+    /// until `Journal::compact` is called explicitly.
     pub compact_ratio: f64,
 }
 
@@ -270,7 +265,7 @@ impl<S: JournalStore> Journal<S> {
     /// policy, on create, after a torn-tail reopen, and on the first
     /// record after a failed append; call it directly to bound restart
     /// time before a planned shutdown.
-    pub fn compact(&mut self, p: &mut Pipeline) -> Result<u64, CodecError> {
+    pub(crate) fn compact(&mut self, p: &mut Pipeline) -> Result<u64, CodecError> {
         let mut buf = Vec::new();
         p.write_full(&mut buf)?;
         self.store.replace(&buf)?;
@@ -289,11 +284,6 @@ impl<S: JournalStore> Journal<S> {
     /// Delta bytes appended since the base was last written.
     pub fn delta_bytes(&self) -> u64 {
         self.delta_bytes
-    }
-
-    /// Consume the journal, handing the store back.
-    pub fn into_store(self) -> S {
-        self.store
     }
 }
 
@@ -343,7 +333,7 @@ mod tests {
         assert!(appended > 0, "no delta was ever appended");
         // Reopen replays to the same state: recording continues cleanly.
         let cfg = p.cfg.clone();
-        let store = j.into_store();
+        let store = j.store;
         let (mut j2, mut q, replay) =
             Journal::open(store, JournalPolicy::default(), ModelConfig::tiny(99), cfg).unwrap();
         assert!(!replay.torn_tail);
@@ -364,7 +354,7 @@ mod tests {
         let j = Journal::create(Vec::new(), JournalPolicy::default(), &mut p).unwrap();
         let cfg = p.cfg.clone();
         let (j2, mut q, _) = Journal::open(
-            j.into_store(),
+            j.store,
             JournalPolicy::default(),
             ModelConfig::tiny(99),
             cfg,
@@ -380,7 +370,7 @@ mod tests {
         };
         let cfg = q.cfg.clone();
         let (j3, _, replay) = Journal::open(
-            j2.into_store(),
+            j2.store,
             JournalPolicy::default(),
             ModelConfig::tiny(99),
             cfg,
@@ -445,7 +435,7 @@ mod tests {
         ));
         let cfg = p.cfg.clone();
         let (_, q, replay) = Journal::open(
-            j.into_store().0,
+            j.store.0,
             JournalPolicy::default(),
             ModelConfig::tiny(99),
             cfg,
@@ -476,7 +466,7 @@ mod tests {
             JournalRecord::Appended { .. }
         ));
         // The staging file never outlives a replace.
-        assert!(!j.into_store().tmp_path().exists());
+        assert!(!j.store.tmp_path().exists());
 
         let cfg = p.cfg.clone();
         let (j2, q, replay) = Journal::open(

@@ -5,12 +5,12 @@
 //! system end to end.
 //!
 //! The daily cycle of §6: collect addresses from the seven sources
-//! ([`hitlist`]), detect and filter aliased prefixes (via
+//! (`hitlist`), detect and filter aliased prefixes (via
 //! [`expanse_apd`]), learn router addresses with traceroute (via
 //! [`expanse_scamper6`]), probe responsiveness on five protocols (via
 //! [`expanse_zmap6`]), and track longitudinal stability
-//! ([`longitudinal`]). [`service`] renders the published artifacts
-//! (daily hitlist + aliased-prefix files); [`report`] derives the
+//! (`longitudinal`). [`service`] renders the published artifacts
+//! (daily hitlist + aliased-prefix files); `report` derives the
 //! Table 2 source statistics.
 //!
 //! ```no_run
@@ -28,19 +28,19 @@
 //! );
 //! ```
 
-pub mod hitlist;
-pub mod journal;
-pub mod longitudinal;
+mod hitlist;
+mod journal;
+mod longitudinal;
 pub mod pipeline;
-pub mod report;
+mod report;
 pub mod service;
 
 pub use hitlist::{Hitlist, HitlistColumns, SourceMask};
 pub use journal::{Journal, JournalPolicy, JournalRecord, JournalStore, PathStore};
 pub use longitudinal::{Fig8Row, Ledger};
 pub use pipeline::{
-    DailySnapshot, DayEndHook, JournalReplay, PersistedState, Pipeline, PipelineConfig,
-    RetentionConfig, StageReport,
+    DailySnapshot, JournalReplay, PersistedState, Pipeline, PipelineConfig, RetentionConfig,
+    StageReport,
 };
 pub use report::{render_source_table, source_table, total_row, SourceRow};
 // The scheduler rides through the pipeline's journal and status

@@ -29,7 +29,7 @@ pub enum Fig8Row {
 
 impl Fig8Row {
     /// Label.
-    pub fn label(self) -> String {
+    pub(crate) fn label(self) -> String {
         match self {
             Fig8Row::Source(s) => s.name().to_string(),
             Fig8Row::SourceQuic(s) => format!("{} QUIC", s.name()),
@@ -96,7 +96,7 @@ pub struct Ledger {
 
 impl Ledger {
     /// Create a new instance.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Ledger::default()
     }
 
@@ -104,7 +104,12 @@ impl Ledger {
     /// dense pass: `(hitlist id, answering protocols)` sorted ascending
     /// by id (the pipeline resolves the battery's responsive map into
     /// hitlist-id space once per day).
-    pub fn record_day(&mut self, day: u16, responsive: &[(AddrId, ProtoSet)], hitlist: &Hitlist) {
+    pub(crate) fn record_day(
+        &mut self,
+        day: u16,
+        responsive: &[(AddrId, ProtoSet)],
+        hitlist: &Hitlist,
+    ) {
         debug_assert!(
             responsive.windows(2).all(|w| w[0].0 < w[1].0),
             "daily pass must be sorted by id"
@@ -172,7 +177,7 @@ impl Ledger {
         self.days_recorded += 1;
     }
 
-    /// [`Ledger::record_day`]: the rows' filters and merge-joins cost
+    /// `Ledger::record_day`: the rows' filters and merge-joins cost
     /// less than starting a worker at any day size the pipeline
     /// reaches. `_threads` is ignored; the signature stays for existing
     /// callers.
@@ -206,11 +211,6 @@ impl Ledger {
         self.days_recorded
     }
 
-    /// The first recorded day, if any day was recorded yet.
-    pub fn first_day(&self) -> Option<u16> {
-        self.first_day
-    }
-
     /// Serialize baselines, survival series, and the day counters into
     /// an open snapshot envelope. Rows are written in [`Fig8Row::all`]
     /// order.
@@ -235,7 +235,7 @@ impl Ledger {
     }
 
     /// Rebuild a ledger from [`Ledger::encode`] output.
-    pub fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Ledger, CodecError> {
+    pub(crate) fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Ledger, CodecError> {
         let first_day = match dec.get_u8()? {
             0 => None,
             1 => Some(dec.get_u16()?),
@@ -308,15 +308,9 @@ impl Ledger {
 
     /// Declare the current state a journal sync point: the next
     /// [`Ledger::encode_delta`] is relative to exactly this state.
-    pub fn mark_synced(&mut self) {
+    pub(crate) fn mark_synced(&mut self) {
         self.synced_days = self.days_recorded;
         self.synced_established = established(&self.baselines);
-    }
-
-    /// Days recorded since the last sync point (what the next delta
-    /// record will carry per row).
-    pub fn delta_days(&self) -> u16 {
-        self.days_recorded - self.synced_days
     }
 
     /// Serialize everything recorded since the last sync point into an
@@ -325,7 +319,7 @@ impl Ledger {
     /// established its baseline inside the window (each row's baseline
     /// is write-once, but rows establish on different days), and each
     /// row's survival suffix.
-    pub fn encode_delta<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
+    pub(crate) fn encode_delta<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
         enc.put_u16(self.synced_days)?;
         enc.put_u16(self.days_recorded)?;
         match self.first_day {
@@ -353,7 +347,7 @@ impl Ledger {
     /// Apply a delta written by [`Ledger::encode_delta`]. The delta must
     /// follow this exact state (the stored base day count is checked);
     /// afterwards this state *is* the new sync point.
-    pub fn apply_delta<R: Read>(&mut self, dec: &mut Decoder<R>) -> Result<(), CodecError> {
+    pub(crate) fn apply_delta<R: Read>(&mut self, dec: &mut Decoder<R>) -> Result<(), CodecError> {
         let base = dec.get_u16()?;
         if base != self.days_recorded {
             return Err(CodecError::Corrupt("ledger delta does not follow its base"));
@@ -554,7 +548,7 @@ mod tests {
             0
         );
         assert_eq!(ledger.days(), 2);
-        assert_eq!(ledger.first_day(), Some(3));
+        assert_eq!(ledger.first_day, Some(3));
         // Pre-baseline days are recorded as NaN, keeping series aligned.
         let row = Fig8Row::Source(SourceId::DomainLists);
         assert_eq!(ledger.series(row).len(), 2);
@@ -667,7 +661,7 @@ mod tests {
         dec.finish().unwrap();
 
         assert_eq!(back.days(), ledger.days());
-        assert_eq!(back.first_day(), ledger.first_day());
+        assert_eq!(back.first_day, ledger.first_day);
         for row in Fig8Row::all() {
             assert_eq!(back.baseline_len(row), ledger.baseline_len(row));
             let (a, b) = (back.series(row), ledger.series(row));
@@ -710,7 +704,7 @@ mod tests {
 
         ledger.record_day(4, &mk_responsive(&h, &addrs, true), &h); // baselines land
         ledger.record_day(5, &mk_responsive(&h, &addrs[..3], false), &h);
-        assert_eq!(ledger.delta_days(), 2);
+        assert_eq!(ledger.days_recorded - ledger.synced_days, 2);
 
         let mut delta = Vec::new();
         let mut enc = Encoder::new(&mut delta, b"LEDDTEST", 1).unwrap();

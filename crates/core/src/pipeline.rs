@@ -193,7 +193,7 @@ pub struct Pipeline {
 /// [`Pipeline::run_day_full`]. The serving daemon uses one to publish
 /// each completed day as a fresh registry epoch without the driver loop
 /// having to know about registries.
-pub type DayEndHook = Box<dyn FnMut(&Pipeline, &DailySnapshot) + Send>;
+pub(crate) type DayEndHook = Box<dyn FnMut(&Pipeline, &DailySnapshot) + Send>;
 
 impl Pipeline {
     /// Build a pipeline over a fresh model.

@@ -23,7 +23,7 @@
 //! assert!(!generated.is_empty());
 //! ```
 
-pub mod model;
+mod model;
 pub mod segment;
 
 pub use model::{train, EipModel, ValueDist};

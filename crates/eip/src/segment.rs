@@ -25,7 +25,7 @@ pub enum Band {
 
 impl Band {
     /// Classify a normalized entropy value into its band.
-    pub fn of(h: f64) -> Band {
+    pub(crate) fn of(h: f64) -> Band {
         if h < 0.025 {
             Band::Constant
         } else if h < 0.3 {
@@ -50,7 +50,7 @@ pub struct Segment {
 }
 
 /// Maximum segment length in nybbles (values fit in u64: 16 nybbles).
-pub const MAX_SEGMENT_LEN: usize = 8;
+pub(crate) const MAX_SEGMENT_LEN: usize = 8;
 
 /// Per-nybble entropy profile of a seed set.
 pub fn entropy_profile(addrs: &[Ipv6Addr]) -> [f64; 32] {
@@ -97,7 +97,7 @@ pub fn segment(addrs: &[Ipv6Addr]) -> Vec<Segment> {
 }
 
 /// Extract a segment's value from an address.
-pub fn segment_value(addr: Ipv6Addr, seg: &Segment) -> u64 {
+pub(crate) fn segment_value(addr: Ipv6Addr, seg: &Segment) -> u64 {
     let mut v = 0u64;
     for j in seg.start..seg.start + seg.len {
         v = (v << 4) | u64::from(nybble(addr, j));
@@ -106,7 +106,7 @@ pub fn segment_value(addr: Ipv6Addr, seg: &Segment) -> u64 {
 }
 
 /// Write a segment value into a partial address (u128, left-aligned).
-pub fn apply_segment(bits: u128, seg: &Segment, value: u64) -> u128 {
+pub(crate) fn apply_segment(bits: u128, seg: &Segment, value: u64) -> u128 {
     let width = 4 * seg.len as u32;
     let shift = 128 - 4 * seg.start as u32 - width;
     let mask = if width >= 128 {

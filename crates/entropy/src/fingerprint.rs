@@ -10,9 +10,6 @@ use expanse_stats::entropy::normalized_entropy16;
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
-/// The paper's minimum sample size per network (eq. 1: `n ≥ 100`).
-pub const MIN_ADDRS: usize = 100;
-
 /// An entropy fingerprint over a nybble range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fingerprint {
@@ -43,7 +40,7 @@ impl Fingerprint {
     ///
     /// # Panics
     /// Panics on a bad nybble range or an empty set.
-    pub fn compute_set(table: &AddrTable, ids: &AddrSet, a: usize, b: usize) -> Fingerprint {
+    pub(crate) fn compute_set(table: &AddrTable, ids: &AddrSet, a: usize, b: usize) -> Fingerprint {
         assert!(!ids.is_empty(), "empty address sample");
         Fingerprint::compute_counts(a, b, |j, counts| {
             for addr in ids.addrs(table) {
@@ -72,34 +69,6 @@ impl Fingerprint {
     /// Full-address fingerprint past the /32 boundary: `F9_32` (Fig 2a).
     pub fn full(addrs: &[Ipv6Addr]) -> Fingerprint {
         Fingerprint::compute(addrs, 9, 32)
-    }
-
-    /// IID-only fingerprint: `F17_32` (Fig 2b).
-    pub fn iid(addrs: &[Ipv6Addr]) -> Fingerprint {
-        Fingerprint::compute(addrs, 17, 32)
-    }
-
-    /// Dimensionality.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Is the fingerprint empty? (Never; constructor forbids.)
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Squared Euclidean distance to another fingerprint.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn d2(&self, other: &[f64]) -> f64 {
-        assert_eq!(self.values.len(), other.len(), "dimension mismatch");
-        self.values
-            .iter()
-            .zip(other)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum()
     }
 }
 
@@ -140,7 +109,7 @@ pub fn fingerprint_groups<K: Ord + Clone>(
 /// [`fingerprint_groups`] over an interned sample: buckets are id runs
 /// against the shared [`AddrTable`], so grouping a hundred-million-entry
 /// hitlist allocates 4-byte ids per bucket instead of copied addresses.
-pub fn fingerprint_groups_set<K: Ord + Clone>(
+pub(crate) fn fingerprint_groups_set<K: Ord + Clone>(
     table: &AddrTable,
     ids: &AddrSet,
     a: usize,
@@ -196,6 +165,15 @@ mod tests {
     use super::*;
     use expanse_addr::u128_to_addr;
 
+    fn d2(f: &Fingerprint, other: &[f64]) -> f64 {
+        assert_eq!(f.values.len(), other.len(), "dimension mismatch");
+        f.values
+            .iter()
+            .zip(other)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum()
+    }
+
     fn counter_addrs(n: u128) -> Vec<Ipv6Addr> {
         (1..=n)
             .map(|i| u128_to_addr((0x2001_0db8u128 << 96) | i))
@@ -205,7 +183,7 @@ mod tests {
     #[test]
     fn counter_profile_shape() {
         let f = Fingerprint::full(&counter_addrs(256));
-        assert_eq!(f.len(), 24);
+        assert_eq!(f.values.len(), 24);
         assert_eq!(f.first_nybble, 9);
         // Nybbles 9..30 constant; the last two carry the counter.
         assert!(f.values[..21].iter().all(|&h| h == 0.0), "{:?}", f.values);
@@ -214,8 +192,8 @@ mod tests {
 
     #[test]
     fn iid_fingerprint_range() {
-        let f = Fingerprint::iid(&counter_addrs(16));
-        assert_eq!(f.len(), 16);
+        let f = Fingerprint::compute(&counter_addrs(16), 17, 32);
+        assert_eq!(f.values.len(), 16);
         assert_eq!(f.first_nybble, 17);
     }
 
@@ -225,9 +203,9 @@ mod tests {
             first_nybble: 1,
             values: vec![0.0, 1.0],
         };
-        assert_eq!(f.d2(&[0.0, 1.0]), 0.0);
-        assert_eq!(f.d2(&[1.0, 1.0]), 1.0);
-        assert_eq!(f.d2(&[1.0, 0.0]), 2.0);
+        assert_eq!(d2(&f, &[0.0, 1.0]), 0.0);
+        assert_eq!(d2(&f, &[1.0, 1.0]), 1.0);
+        assert_eq!(d2(&f, &[1.0, 0.0]), 2.0);
     }
 
     #[test]

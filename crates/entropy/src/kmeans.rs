@@ -9,15 +9,13 @@ use rand::{Rng, SeedableRng};
 
 /// Result of one k-means run.
 #[derive(Debug, Clone)]
-pub struct KMeansResult {
+pub(crate) struct KMeansResult {
     /// Cluster centroids, `k × dim`.
     pub centroids: Vec<Vec<f64>>,
     /// Cluster index per input point.
     pub assignment: Vec<usize>,
     /// Sum of squared errors (eq. 6).
     pub sse: f64,
-    /// Lloyd iterations executed.
-    pub iterations: usize,
 }
 
 fn d2(a: &[f64], b: &[f64]) -> f64 {
@@ -62,7 +60,7 @@ fn init_pp(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
 ///
 /// # Panics
 /// Panics if `k == 0`, `points` is empty, or dimensions are ragged.
-pub fn kmeans(points: &[Vec<f64>], k: usize, seed: u64, n_init: usize) -> KMeansResult {
+pub(crate) fn kmeans(points: &[Vec<f64>], k: usize, seed: u64, n_init: usize) -> KMeansResult {
     assert!(k > 0, "k must be positive");
     assert!(!points.is_empty(), "no points to cluster");
     let dim = points[0].len();
@@ -131,7 +129,6 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, seed: u64, n_init: usize) -> KMeans
                 centroids,
                 assignment,
                 sse,
-                iterations,
             });
         }
     }

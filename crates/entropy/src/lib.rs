@@ -1,8 +1,8 @@
 //! `expanse-entropy`: entropy clustering of IPv6 networks (§4 of the
 //! paper).
 //!
-//! The pipeline: per-network nybble [`fingerprint`]s → [`kmeans()`] with
-//! k-means++ seeding and the elbow method → [`cluster`] summaries with
+//! The pipeline: per-network nybble `fingerprint`s → `kmeans()` with
+//! k-means++ seeding and the elbow method → `cluster` summaries with
 //! popularity and per-nybble median entropy, matching Figures 2 and 3.
 //!
 //! ```
@@ -23,13 +23,12 @@
 //! assert_eq!(clustering.clusters.len(), 2);
 //! ```
 
-pub mod cluster;
-pub mod fingerprint;
-pub mod kmeans;
+mod cluster;
+mod fingerprint;
+mod kmeans;
 
 pub use cluster::{cluster_networks, render_clusters, ClusterSummary, Clustering};
 pub use fingerprint::{
-    fingerprint_groups, fingerprint_groups_set, fingerprints_by_32, fingerprints_by_32_set,
-    Fingerprint, MIN_ADDRS,
+    fingerprint_groups, fingerprints_by_32, fingerprints_by_32_set, Fingerprint,
 };
-pub use kmeans::{elbow, kmeans, sse_curve, KMeansResult};
+pub use kmeans::{elbow, sse_curve};

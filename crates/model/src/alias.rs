@@ -64,12 +64,12 @@ fn walk_resolve(
 
 impl AliasTable {
     /// Create a new instance.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AliasTable::default()
     }
 
     /// Register a region.
-    pub fn insert(&mut self, prefix: Prefix, region: AliasRegion) {
+    pub(crate) fn insert(&mut self, prefix: Prefix, region: AliasRegion) {
         self.trie.insert(prefix, region);
     }
 
@@ -97,30 +97,9 @@ impl AliasTable {
         walk_resolve(&self.trie, addr, 128)
     }
 
-    /// Number of regions.
-    pub fn len(&self) -> usize {
-        self.trie.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
-    }
-
-    /// All region prefixes.
-    pub fn prefixes(&self) -> Vec<Prefix> {
-        self.trie.prefixes()
-    }
-
     /// Iterate regions.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &AliasRegion)> + '_ {
         self.trie.iter()
-    }
-
-    /// Ground truth check used by experiment validation: is `p` (exactly)
-    /// a registered aliased region?
-    pub fn contains_region(&self, p: Prefix) -> bool {
-        self.trie.get(p).is_some()
     }
 }
 
@@ -238,7 +217,7 @@ mod tests {
             for (p, r) in &regions {
                 t.insert(*p, *r);
             }
-            let mut edges: Vec<Prefix> = t.prefixes();
+            let mut edges: Vec<Prefix> = t.trie.prefixes();
             edges.extend(t.iter().filter_map(|(p, r)| carved(p, r)));
             let mut probes: Vec<u128> = Vec::new();
             for p in &edges {
@@ -281,8 +260,8 @@ mod tests {
         let mut t = AliasTable::new();
         let p: Prefix = "2001:db8:47::/48".parse().unwrap();
         t.insert(p, region(1));
-        assert!(t.contains_region(p));
-        assert!(!t.contains_region("2001:db8:47::/52".parse().unwrap()));
-        assert_eq!(t.len(), 1);
+        assert!(t.trie.get(p).is_some());
+        assert!(t.trie.get("2001:db8:47::/52".parse().unwrap()).is_none());
+        assert_eq!(t.trie.len(), 1);
     }
 }

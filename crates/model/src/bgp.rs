@@ -22,7 +22,7 @@ pub struct BgpTable {
 impl BgpTable {
     /// Build from announcements (a later announcement of the same
     /// prefix replaces the origin of an earlier one).
-    pub fn new(announcements: Vec<(Prefix, Asn)>) -> Self {
+    pub(crate) fn new(announcements: Vec<(Prefix, Asn)>) -> Self {
         let trie: PrefixTrie<Asn> = announcements.iter().copied().collect();
         BgpTable {
             routes: RangeTable::freeze(&trie),
@@ -70,7 +70,11 @@ impl BgpTable {
 /// every AS gets one or more /32s (big players get shorter aggregates),
 /// and some announce more-specific /48s out of their aggregates. The
 /// global unicast space used is `2000::/3`.
-pub fn allocate(ases: &[AsInfo], mean_prefixes_per_as: f64, seed: u64) -> Vec<(Prefix, Asn)> {
+pub(crate) fn allocate(
+    ases: &[AsInfo],
+    mean_prefixes_per_as: f64,
+    seed: u64,
+) -> Vec<(Prefix, Asn)> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xb69b_0bb5);
     let mut out = Vec::new();
     // Global /32 counter: walk the 2000::/3 space deterministically.

@@ -8,7 +8,7 @@
 use expanse_addr::fanout::splitmix64;
 
 /// Seconds in a day.
-pub const DAY_SECS: u64 = 86_400;
+pub(crate) const DAY_SECS: u64 = 86_400;
 
 /// Map a hash to [0, 1).
 #[inline]
@@ -22,7 +22,7 @@ fn unit(h: u64) -> f64 {
 /// Session lengths are log-uniform between ~33 minutes and 16 hours,
 /// giving median ≈ 3 h and a mean pulled toward the paper's ≈ 8 h by the
 /// long tail (§9.3).
-pub fn client_session(salt: u64, day: u16) -> Option<(u64, u64)> {
+pub(crate) fn client_session(salt: u64, day: u16) -> Option<(u64, u64)> {
     let k = splitmix64(salt ^ (u64::from(day) << 32) ^ 0x5e55_1044);
     // 15 % of days a dynamic client never shows up.
     if unit(k) < 0.15 {
@@ -38,7 +38,7 @@ pub fn client_session(salt: u64, day: u16) -> Option<(u64, u64)> {
 }
 
 /// Is a dynamic client online at `(day, secs)`?
-pub fn client_online(salt: u64, day: u16, secs: u64) -> bool {
+pub(crate) fn client_online(salt: u64, day: u16, secs: u64) -> bool {
     match client_session(salt, day) {
         Some((start, len)) => secs >= start && secs < start + len,
         None => false,
@@ -47,7 +47,7 @@ pub fn client_online(salt: u64, day: u16, secs: u64) -> bool {
 
 /// Does a QUIC-flaky prefix serve QUIC on `day`? (§6.3's Akamai/HDNet
 /// flapping: up with probability `up_rate`, independently per day.)
-pub fn quic_up(salt: u64, day: u16, up_rate: f64) -> bool {
+pub(crate) fn quic_up(salt: u64, day: u16, up_rate: f64) -> bool {
     unit(splitmix64(salt ^ u64::from(day) ^ 0x41c4_a41a)) < up_rate
 }
 
@@ -55,14 +55,14 @@ pub fn quic_up(salt: u64, day: u16, up_rate: f64) -> bool {
 /// advances every `period` days (the delegating ISP renumbers the
 /// customer, and every host inside the prefix moves to fresh addresses).
 /// A zero period means "never rotates" and pins epoch 0.
-pub fn rotation_epoch(day: u16, period: u16) -> u16 {
+pub(crate) fn rotation_epoch(day: u16, period: u16) -> u16 {
     day.checked_div(period).unwrap_or(0)
 }
 
 /// Daily jitter for ICMP-rate-limited prefixes: the number of tokens the
 /// bucket starts the day with (4..=10), so the set of answered fan-out
 /// branches varies day-to-day (§5.1 case 4).
-pub fn rate_limit_day_tokens(salt: u64, day: u16) -> u32 {
+pub(crate) fn rate_limit_day_tokens(salt: u64, day: u16) -> u32 {
     4 + (splitmix64(salt ^ (u64::from(day) << 16) ^ 0x7a7e) % 7) as u32
 }
 

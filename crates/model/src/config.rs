@@ -55,7 +55,7 @@ impl Default for ScenarioConfig {
 
 impl ScenarioConfig {
     /// Is any adversarial behaviour switched on?
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.rotating_56s > 0
             || self.privacy_hosts > 0
             || self.fabric_64s > 0
@@ -218,7 +218,7 @@ impl ModelConfig {
     ///
     /// # Panics
     /// Panics on out-of-range probabilities or empty populations.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         for (name, p) in [
             ("aliased_prefix_fraction", self.aliased_prefix_fraction),
             ("aliased_addr_share", self.aliased_addr_share),

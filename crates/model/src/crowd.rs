@@ -222,11 +222,6 @@ impl CrowdStudy {
             .filter(|p| p.platform == platform && p.addr6.is_some())
             .count()
     }
-
-    /// All collected IPv6 addresses.
-    pub fn v6_addrs(&self) -> Vec<Ipv6Addr> {
-        self.participants.iter().filter_map(|p| p.addr6).collect()
-    }
 }
 
 #[cfg(test)]
@@ -309,8 +304,8 @@ mod tests {
     fn addresses_live_in_eyeball_space() {
         let m = InternetModel::build(ModelConfig::tiny(4));
         let s = build_crowd(&m);
-        for a in s.v6_addrs().iter().take(200) {
-            let asn = m.bgp.origin(*a).expect("routed");
+        for a in s.participants.iter().filter_map(|p| p.addr6).take(200) {
+            let asn = m.bgp.origin(a).expect("routed");
             let cat = m.as_category(asn).unwrap();
             assert_eq!(cat, AsCategory::IspEyeball, "{a}");
         }

@@ -61,7 +61,7 @@ impl Dest {
     };
 
     /// Does a frame to this destination meet middlebox state?
-    pub fn stateful(&self) -> bool {
+    pub(crate) fn stateful(&self) -> bool {
         self.buckets.0 != self.buckets.1 || self.proxy != NONE
     }
 }
@@ -94,7 +94,7 @@ pub(crate) struct DestTable {
 impl DestTable {
     /// Fuse `model`'s routes, alias regions, lossy prefixes and
     /// middlebox prefixes.
-    pub fn build(model: &InternetModel) -> Self {
+    pub(crate) fn build(model: &InternetModel) -> Self {
         let mut table = DestTable::default();
         let mut own: BTreeMap<Prefix, Own> = BTreeMap::new();
         for (p, asn) in model.bgp.trie().iter() {
@@ -161,37 +161,37 @@ impl DestTable {
 
     /// The index of the entry covering `dst`, or [`NONE`].
     #[inline]
-    pub fn find(&self, dst: Ipv6Addr) -> u32 {
+    pub(crate) fn find(&self, dst: Ipv6Addr) -> u32 {
         self.ranges.longest_match(dst).map_or(NONE, |(_, &i)| i)
     }
 
     /// Entry `at`; an address no key covers resolves to an empty entry.
     #[inline]
-    pub fn get(&self, at: u32) -> &Dest {
+    pub(crate) fn get(&self, at: u32) -> &Dest {
         self.dests.get(at as usize).unwrap_or(&Dest::OUTSIDE)
     }
 
     /// The entry covering `dst`.
     #[inline]
-    pub fn lookup(&self, dst: Ipv6Addr) -> &Dest {
+    pub(crate) fn lookup(&self, dst: Ipv6Addr) -> &Dest {
         self.get(self.find(dst))
     }
 
     /// The announcement `dest` is routed by.
-    pub fn route(&self, dest: &Dest) -> Option<(Prefix, Asn)> {
+    pub(crate) fn route(&self, dest: &Dest) -> Option<(Prefix, Asn)> {
         self.routes.get(dest.route as usize).copied()
     }
 
     /// The alias region serving `dest`.
     #[inline]
-    pub fn alias(&self, dest: &Dest) -> Option<&(Prefix, AliasRegion)> {
+    pub(crate) fn alias(&self, dest: &Dest) -> Option<&(Prefix, AliasRegion)> {
         self.aliases.get(dest.alias as usize)
     }
 
     /// The day-state slots of the ICMP buckets covering `dest`, in
     /// day-state order.
     #[inline]
-    pub fn buckets(&self, dest: &Dest) -> &[u32] {
+    pub(crate) fn buckets(&self, dest: &Dest) -> &[u32] {
         &self.bucket_slots[dest.buckets.0 as usize..dest.buckets.1 as usize]
     }
 }

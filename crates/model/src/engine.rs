@@ -864,7 +864,8 @@ mod tests {
         let ghost = crate::ids::Asn(1);
         assert_eq!(m.as_category(ghost), None);
         let announced = m.bgp.announcements().iter().map(|(p, _)| (*p, ghost));
-        m.set_routes(crate::bgp::BgpTable::new(announced.collect()));
+        m.bgp = crate::bgp::BgpTable::new(announced.collect());
+        m.dests = crate::dest::DestTable::build(&m);
 
         let enterprise = m.paths.path_len(addr, AsCategory::Enterprise);
         assert_eq!(
@@ -1235,7 +1236,7 @@ mod tests {
             }
             4 => expanse_addr::u128_to_addr((0x3fffu128 << 112) | u128::from(k)),
             5 => {
-                let feed = m.scenario_feed(m.day());
+                let feed = m.scenario_feed(m.day_state.day);
                 feed[nth(feed.len())]
             }
             6 => expanse_addr::keyed_random_addr(pop.special.partial96, k),
@@ -1353,7 +1354,7 @@ mod tests {
         ) {
             use expanse_netsim::SnapshotNetwork;
             let m = shared_world();
-            let other_day = DayState::new(&m, m.day() + 1);
+            let other_day = DayState::new(&m, m.day_state.day + 1);
             let (mut plain, mut decided, mut misled) = (m.snapshot(), m.snapshot(), m.snapshot());
             let mut got = Deliveries::new();
             for (i, &(pick, transport, key, us)) in picks.iter().enumerate() {

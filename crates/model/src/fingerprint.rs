@@ -35,7 +35,7 @@ pub struct SynAck {
 
 impl SynAck {
     /// The segment to emit.
-    pub fn segment(&self) -> TcpView<'_> {
+    pub(crate) fn segment(&self) -> TcpView<'_> {
         TcpView {
             src_port: self.src_port,
             dst_port: self.dst_port,
@@ -127,7 +127,7 @@ pub struct Machine {
 
 impl Machine {
     /// A plain Linux-server-like personality.
-    pub fn linux_like(salt: u64) -> Machine {
+    pub(crate) fn linux_like(salt: u64) -> Machine {
         Machine {
             ittl: 64,
             mss: 1440,
@@ -142,7 +142,7 @@ impl Machine {
 
     /// Timestamp value at absolute time `abs_ns` for a flow identified by
     /// `tuple_key` (hash of src/dst addresses).
-    pub fn tsval(&self, abs_ns: u64, tuple_key: u64) -> Option<u32> {
+    pub(crate) fn tsval(&self, abs_ns: u64, tuple_key: u64) -> Option<u32> {
         match self.ts {
             TsBehavior::None => None,
             TsBehavior::GlobalMonotonic { rate_hz, offset } => {
@@ -205,7 +205,7 @@ impl Machine {
     /// * `abs_ns` — absolute virtual time (for timestamps)
     /// * `tuple_key` — hash of the 〈src, dst〉 address pair
     /// * `flavor_key` — per-probe key (drives pathologies)
-    pub fn syn_ack(
+    pub(crate) fn syn_ack(
         &self,
         probe: &TcpView<'_>,
         abs_ns: u64,
@@ -258,7 +258,7 @@ impl Machine {
     }
 
     /// The initial TTL a reply leaves the machine with (pathology-aware).
-    pub fn reply_ittl(&self, flavor_key: u64) -> u8 {
+    pub(crate) fn reply_ittl(&self, flavor_key: u64) -> u8 {
         self.effective(flavor_key).0
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::fingerprint::MachineId;
 use crate::ids::Asn;
-use expanse_packet::{ProtoSet, Protocol};
+use expanse_packet::ProtoSet;
 
 /// What a live address is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,31 +19,6 @@ pub enum HostKind {
     CpeRouter,
     /// End-user client (Bitnodes / crowdsourcing).
     Client,
-}
-
-impl HostKind {
-    /// The default protocol stack for the kind (before firewall policy).
-    pub fn default_protos(self, quic: bool) -> ProtoSet {
-        match self {
-            HostKind::WebServer => {
-                let base = ProtoSet::only(Protocol::Icmp)
-                    .with(Protocol::Tcp80)
-                    .with(Protocol::Tcp443);
-                if quic {
-                    base.with(Protocol::Udp443)
-                } else {
-                    base
-                }
-            }
-            HostKind::DnsServer => ProtoSet::only(Protocol::Icmp).with(Protocol::Udp53),
-            HostKind::MixedServer => ProtoSet::only(Protocol::Icmp)
-                .with(Protocol::Tcp80)
-                .with(Protocol::Tcp443)
-                .with(Protocol::Udp53),
-            HostKind::CoreRouter | HostKind::CpeRouter => ProtoSet::only(Protocol::Icmp),
-            HostKind::Client => ProtoSet::only(Protocol::Icmp),
-        }
-    }
 }
 
 /// Longitudinal stability class (Fig 8 of the paper: servers decay by a
@@ -82,7 +57,7 @@ pub struct HostProfile {
 
 impl HostProfile {
     /// Is the address alive on probing day `day`?
-    pub fn online(&self, day: u16) -> bool {
+    pub(crate) fn online(&self, day: u16) -> bool {
         self.spawn_day <= day && day < self.death_day
     }
 }
@@ -90,20 +65,6 @@ impl HostProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_protocol_stacks() {
-        assert!(HostKind::WebServer
-            .default_protos(true)
-            .contains(Protocol::Udp443));
-        assert!(!HostKind::WebServer
-            .default_protos(false)
-            .contains(Protocol::Udp443));
-        assert!(HostKind::DnsServer
-            .default_protos(false)
-            .contains(Protocol::Udp53));
-        assert_eq!(HostKind::CpeRouter.default_protos(true).len(), 1);
-    }
 
     #[test]
     fn online_window() {

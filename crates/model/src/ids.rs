@@ -46,7 +46,7 @@ impl AsCategory {
     /// Share of ASes in each category (sums to 1). CDNs are few but huge;
     /// enterprises are many but tiny — mirroring the concentration the
     /// paper reports per source (Table 2).
-    pub fn population_share(self) -> f64 {
+    pub(crate) fn population_share(self) -> f64 {
         match self {
             AsCategory::Cdn => 0.01,
             AsCategory::Hoster => 0.15,
@@ -58,7 +58,7 @@ impl AsCategory {
     }
 
     /// Short tag for synthetic org names.
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             AsCategory::Cdn => "cdn",
             AsCategory::Hoster => "host",
@@ -83,7 +83,7 @@ pub struct AsInfo {
 
 impl AsInfo {
     /// Create a new instance.
-    pub fn new(asn: Asn, category: AsCategory, ordinal: usize) -> Self {
+    pub(crate) fn new(asn: Asn, category: AsCategory, ordinal: usize) -> Self {
         AsInfo {
             asn,
             name: format!("{}-{:04}", category.tag(), ordinal),

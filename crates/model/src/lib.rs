@@ -30,19 +30,19 @@
 
 pub mod alias;
 pub mod bgp;
-pub mod churn;
+mod churn;
 pub mod config;
 pub mod crowd;
 mod dest;
-pub mod engine;
+mod engine;
 pub mod fingerprint;
 pub mod host;
-pub mod ids;
-pub mod paths;
-pub mod population;
+mod ids;
+mod paths;
+mod population;
 pub mod rdns;
 pub mod scenario;
-pub mod scheme;
+mod scheme;
 pub mod sources;
 
 pub use config::ModelConfig;
@@ -52,7 +52,6 @@ pub use population::{Population, SitePool, SpecialPrefixes};
 pub use scheme::Scheme;
 pub use sources::{Source, SourceId};
 
-use expanse_addr::Prefix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -73,18 +72,18 @@ pub struct InternetModel {
     pub ases: Vec<AsInfo>,
     /// The global routing table.
     ///
-    /// Read it freely, but replace it only through
-    /// [`InternetModel::set_routes`]: the engine answers every frame
-    /// from a destination table fused from the routes at build time,
-    /// and only that call re-derives it. A table assigned here directly
-    /// would leave the engine routing by the old one.
+    /// Read it freely, but do not replace it after
+    /// [`InternetModel::build`]: the engine answers every frame from a
+    /// destination table fused from the routes at build time, so a
+    /// table assigned here would leave the engine routing by the old
+    /// one.
     pub bgp: bgp::BgpTable,
     /// Population. Not to be changed after [`InternetModel::build`]:
     /// the engine's fused destination table is derived from its alias
     /// regions, lossy prefixes and middlebox prefixes at build time.
     pub population: Population,
     /// Forwarding-path model (hop counts, router identities).
-    pub paths: paths::PathModel,
+    pub(crate) paths: paths::PathModel,
     /// Adversarial periphery scenario layer (empty when disabled).
     pub scenario: scenario::ScenarioState,
     /// Routes, alias regions, lossy and middlebox prefixes, fused for
@@ -144,23 +143,10 @@ impl InternetModel {
         model
     }
 
-    /// Replace the routing table, re-deriving the fused destination
-    /// table the engine answers from: the one way to change
-    /// [`InternetModel::bgp`] after [`InternetModel::build`].
-    pub fn set_routes(&mut self, bgp: bgp::BgpTable) {
-        self.bgp = bgp;
-        self.dests = dest::DestTable::build(self);
-    }
-
     /// Advance the model to probing day `day` (resets middlebox state,
     /// changes churn/flapping outcomes).
     pub fn set_day(&mut self, day: u16) {
         self.day_state = engine::DayState::new(self, day);
-    }
-
-    /// Current probing day.
-    pub fn day(&self) -> u16 {
-        self.day_state.day
     }
 
     fn as_info(&self, asn: Asn) -> Option<&AsInfo> {
@@ -169,7 +155,7 @@ impl InternetModel {
     }
 
     /// Category of an AS.
-    pub fn as_category(&self, asn: Asn) -> Option<AsCategory> {
+    pub(crate) fn as_category(&self, asn: Asn) -> Option<AsCategory> {
         self.as_info(asn).map(|a| a.category)
     }
 
@@ -183,46 +169,24 @@ impl InternetModel {
         self.population.aliases.resolve(addr).is_some()
     }
 
-    /// Ground truth: covering BGP prefix.
-    pub fn bgp_prefix_of(&self, addr: std::net::Ipv6Addr) -> Option<Prefix> {
-        self.bgp.lookup(addr).map(|(p, _)| p)
-    }
-
     /// Scenario ground truth: what hitlist sources would learn on `day`
     /// (empty with the scenario layer disabled). See
-    /// [`scenario::ScenarioState::feed`].
+    /// `scenario::ScenarioState::feed`.
     pub fn scenario_feed(&self, day: u16) -> Vec<std::net::Ipv6Addr> {
         self.scenario.feed(day)
     }
 
     /// Scenario ground truth: previously-feedable addresses that can no
     /// longer answer on `day` — rotation ghosts and expired temporary
-    /// privacy addresses. See [`scenario::ScenarioState::ghosts`].
+    /// privacy addresses. See `scenario::ScenarioState::ghosts`.
     pub fn scenario_ghosts(&self, day: u16) -> Vec<std::net::Ipv6Addr> {
         self.scenario.ghosts(day)
-    }
-
-    /// Ground truth: would the model answer a probe to `addr` on `day`
-    /// on at least one protocol, ignoring loss and rate limiting?
-    /// Covers aliased regions, the static population, and the scenario
-    /// layer's per-day responders.
-    pub fn truth_responsive(&self, day: u16, addr: std::net::Ipv6Addr) -> bool {
-        if self.population.aliases.resolve(addr).is_some() {
-            return true;
-        }
-        if let Some(h) = self.population.hosts.get(addr) {
-            if h.online(day) && !h.protos.is_empty() {
-                return true;
-            }
-        }
-        let key = expanse_addr::addr_to_u128(addr);
-        self.scenario.enabled() && self.scenario.day_hosts(day).contains_key(&key)
     }
 }
 
 /// Build the AS roster with category mix per
 /// [`AsCategory::population_share`].
-pub fn build_ases(config: &ModelConfig) -> Vec<AsInfo> {
+pub(crate) fn build_ases(config: &ModelConfig) -> Vec<AsInfo> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xa5e5);
     let mut out = Vec::with_capacity(config.n_as);
     let mut next_asn = 64500u32;
@@ -270,7 +234,7 @@ mod tests {
         let b = InternetModel::build(ModelConfig::tiny(1));
         assert_eq!(a.ases.len(), b.ases.len());
         assert_eq!(a.bgp.len(), b.bgp.len());
-        assert_eq!(a.population.live_hosts(), b.population.live_hosts());
+        assert_eq!(a.population.hosts.len(), b.population.hosts.len());
     }
 
     #[test]
@@ -299,15 +263,15 @@ mod tests {
         let m = InternetModel::build(ModelConfig::tiny(4));
         let hook = m.population.special.cdn_hook_48s[0];
         assert!(m.truth_aliased(hook.first()));
-        let p = m.bgp_prefix_of(hook.first()).unwrap();
+        let (p, _) = m.bgp.lookup(hook.first()).unwrap();
         assert!(p.covers(&hook) || hook.covers(&p));
     }
 
     #[test]
     fn day_advances() {
         let mut m = InternetModel::build(ModelConfig::tiny(5));
-        assert_eq!(m.day(), 0);
+        assert_eq!(m.day_state.day, 0);
         m.set_day(7);
-        assert_eq!(m.day(), 7);
+        assert_eq!(m.day_state.day, 7);
     }
 }

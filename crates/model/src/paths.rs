@@ -13,7 +13,7 @@ use std::net::Ipv6Addr;
 
 /// Path model parameters (derived from the master seed).
 #[derive(Debug, Clone, Copy)]
-pub struct PathModel {
+pub(crate) struct PathModel {
     seed: u64,
     /// The /32 transit backbone routers live in.
     transit_net: Prefix,
@@ -21,7 +21,7 @@ pub struct PathModel {
 
 /// CPE vendor OUIs with paper-like concentration (§3: 47.9 % ZTE,
 /// 47.7 % AVM, 1.2 % Huawei, long tail).
-pub const CPE_OUIS: [([u8; 3], &str); 3] = [
+pub(crate) const CPE_OUIS: [([u8; 3], &str); 3] = [
     ([0x00, 0x1e, 0x73], "ZTE"),
     ([0xbc, 0x05, 0x43], "AVM"),
     ([0x00, 0x25, 0x9e], "Huawei"),
@@ -29,7 +29,7 @@ pub const CPE_OUIS: [([u8; 3], &str); 3] = [
 
 impl PathModel {
     /// Create a new instance.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         PathModel {
             seed,
             // A dedicated backbone /32 outside allocated space.
@@ -39,7 +39,7 @@ impl PathModel {
 
     /// Total forwarding hops from the vantage to `dst` (the destination
     /// answers at hop `len`). Deterministic per destination /48.
-    pub fn path_len(&self, dst: Ipv6Addr, category: AsCategory) -> u8 {
+    pub(crate) fn path_len(&self, dst: Ipv6Addr, category: AsCategory) -> u8 {
         let key = expanse_addr::addr_to_u128(dst) >> 80; // /48 granularity
         let base = 4 + (splitmix64(key as u64 ^ self.seed) % 4) as u8; // 4..7
         match category {
@@ -56,7 +56,7 @@ impl PathModel {
     /// penultimate hop is an edge router inside the destination AS; for
     /// eyeball destinations the last hop before delivery is the customer
     /// CPE (an EUI-64 address *inside the destination /64's site*).
-    pub fn hop_addr(
+    pub(crate) fn hop_addr(
         &self,
         dst: Ipv6Addr,
         dst_prefix: Prefix,
@@ -89,7 +89,7 @@ impl PathModel {
     /// The CPE router address for a customer /64 — the *same* derivation
     /// the hop model uses, so population building and traceroute agree on
     /// CPE identities.
-    pub fn cpe_addr(&self, customer64: Prefix) -> Ipv6Addr {
+    pub(crate) fn cpe_addr(&self, customer64: Prefix) -> Ipv6Addr {
         debug_assert_eq!(customer64.len(), 64);
         let key = splitmix64(self.seed ^ (customer64.bits() >> 64) as u64 ^ CPE_KEY);
         let oui = pick_cpe_oui(key);
@@ -99,7 +99,7 @@ impl PathModel {
 }
 
 /// Pick a CPE vendor OUI with the paper's concentration.
-pub fn pick_cpe_oui(key: u64) -> [u8; 3] {
+pub(crate) fn pick_cpe_oui(key: u64) -> [u8; 3] {
     match splitmix64(key) % 1000 {
         0..=478 => CPE_OUIS[0].0,
         479..=955 => CPE_OUIS[1].0,

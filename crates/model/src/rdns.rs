@@ -36,21 +36,11 @@ pub struct WalkStats {
 
 impl RdnsTree {
     /// Build from any address iterator.
-    pub fn new(addrs: impl IntoIterator<Item = Ipv6Addr>) -> Self {
+    pub(crate) fn new(addrs: impl IntoIterator<Item = Ipv6Addr>) -> Self {
         let mut keys: Vec<u128> = addrs.into_iter().map(addr_to_u128).collect();
         keys.sort_unstable();
         keys.dedup();
         RdnsTree { keys }
-    }
-
-    /// Number of PTR records.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Is the tree empty?
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Does any record exist under the `depth`-nybble path `prefix`
@@ -184,7 +174,7 @@ mod tests {
     #[test]
     fn empty_tree() {
         let tree = RdnsTree::new(std::iter::empty());
-        assert!(tree.is_empty());
+        assert!(tree.keys.is_empty());
         let stats = tree.walk();
         assert!(stats.addresses.is_empty());
         assert_eq!(stats.queries, 16); // one round at the root
@@ -194,7 +184,7 @@ mod tests {
     fn dedup() {
         let a: Ipv6Addr = "2001:db8::1".parse().unwrap();
         let tree = RdnsTree::new(vec![a, a, a]);
-        assert_eq!(tree.len(), 1);
+        assert_eq!(tree.keys.len(), 1);
     }
 
     #[test]
@@ -208,11 +198,11 @@ mod tests {
             .take(2000)
             .collect();
         let tree = build_rdns(&model, &hitlist);
-        assert!(tree.len() > 500);
+        assert!(tree.keys.len() > 500);
         let hitset: std::collections::BTreeSet<u128> =
             hitlist.iter().map(|a| addr_to_u128(*a)).collect();
         let overlap = tree.keys.iter().filter(|k| hitset.contains(k)).count();
-        let share = overlap as f64 / tree.len() as f64;
+        let share = overlap as f64 / tree.keys.len() as f64;
         assert!(share < 0.3, "rDNS should be mostly new, overlap={share}");
     }
 }

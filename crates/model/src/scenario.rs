@@ -6,7 +6,7 @@
 //! This module layers four such behaviours over a built [`Population`]:
 //!
 //! 1. **Prefix rotation** — delegated /56s whose hosts renumber every K
-//!    days ([`churn::rotation_epoch`]); addresses from earlier epochs
+//!    days (`churn::rotation_epoch`); addresses from earlier epochs
 //!    become *rotation ghosts* that never answer again.
 //! 2. **RFC 4941 privacy churn** — hosts whose temporary IID regenerates
 //!    daily while a stable EUI-64 service address persists.
@@ -23,12 +23,11 @@
 //! a byte-identical model.
 //!
 //! **Ground-truth export contract** (what `bench-scenarios` scores
-//! against): [`ScenarioState::feed`] is what sources would learn on a
-//! day, [`ScenarioState::ghosts`] is the subset of previously-fed
-//! addresses that can no longer answer, and
-//! [`crate::InternetModel::truth_responsive`] says whether the model
-//! would answer a given address on a given day (ignoring loss and
-//! throttling).
+//! against): `ScenarioState::feed` is what sources would learn on a
+//! day, and `ScenarioState::ghosts` is the subset of previously-fed
+//! addresses that can no longer answer. `bench-scenarios` reads them
+//! through [`crate::InternetModel::scenario_feed`] and
+//! [`crate::InternetModel::scenario_ghosts`].
 
 use crate::alias::AliasRegion;
 use crate::churn;
@@ -228,7 +227,7 @@ impl ScenarioState {
     }
 
     /// The addresses `rp` serves during `epoch`.
-    pub fn rotation_addrs(&self, rp: &RotatingPrefix, epoch: u16) -> Vec<Ipv6Addr> {
+    pub(crate) fn rotation_addrs(&self, rp: &RotatingPrefix, epoch: u16) -> Vec<Ipv6Addr> {
         (0..rp.hosts as u64)
             .map(|j| {
                 keyed_random_addr(
@@ -240,7 +239,7 @@ impl ScenarioState {
     }
 
     /// The temporary privacy address of `ph` on `day`.
-    pub fn privacy_addr(&self, ph: &PrivacyHost, day: u16) -> Ipv6Addr {
+    pub(crate) fn privacy_addr(&self, ph: &PrivacyHost, day: u16) -> Ipv6Addr {
         keyed_random_addr(
             ph.prefix,
             splitmix64(ph.salt ^ (u64::from(day) << 16) ^ 0x4941),
@@ -283,7 +282,7 @@ impl ScenarioState {
     /// privacy addresses, throttled router addresses) plus a small
     /// per-day sample out of each alias fabric — fabric space is
     /// infinite, so sources only ever see samples of it.
-    pub fn feed(&self, day: u16) -> Vec<Ipv6Addr> {
+    pub(crate) fn feed(&self, day: u16) -> Vec<Ipv6Addr> {
         let epoch = churn::rotation_epoch(day, self.rotation_period);
         let mut out: Vec<Ipv6Addr> = Vec::new();
         for rp in &self.rotating {
@@ -312,7 +311,7 @@ impl ScenarioState {
     /// Ground truth: previously-feedable scenario addresses that can no
     /// longer answer on `day` — rotation addresses of earlier epochs and
     /// temporary privacy addresses of earlier days.
-    pub fn ghosts(&self, day: u16) -> Vec<Ipv6Addr> {
+    pub(crate) fn ghosts(&self, day: u16) -> Vec<Ipv6Addr> {
         let epoch = churn::rotation_epoch(day, self.rotation_period);
         let mut out: Vec<Ipv6Addr> = Vec::new();
         for rp in &self.rotating {

@@ -46,28 +46,11 @@ impl Scheme {
         Scheme::Eui64Mixed,
     ];
 
-    /// Short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheme::TinyCounter => "tiny-counter",
-            Scheme::StructuredCounter => "structured-counter",
-            Scheme::RandomIid => "random-iid",
-            Scheme::ServiceWords => "service-words",
-            Scheme::Eui64Cpe => "eui64-cpe",
-            Scheme::Eui64Mixed => "eui64-mixed",
-        }
-    }
-
-    /// Does this scheme produce `ff:fe` SLAAC addresses?
-    pub fn is_eui64(self) -> bool {
-        matches!(self, Scheme::Eui64Cpe | Scheme::Eui64Mixed)
-    }
-
     /// Generate `n` distinct addresses under `site` (site length ≤ 64).
     ///
     /// # Panics
     /// Panics if `site.len() > 64`.
-    pub fn generate(self, site: Prefix, n: usize, seed: u64) -> Vec<Ipv6Addr> {
+    pub(crate) fn generate(self, site: Prefix, n: usize, seed: u64) -> Vec<Ipv6Addr> {
         assert!(site.len() <= 64, "site must be /64 or shorter");
         let mut rng = StdRng::seed_from_u64(
             seed ^ (site.bits() >> 64) as u64 ^ site.bits() as u64 ^ u64::from(site.len()),

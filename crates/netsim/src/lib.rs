@@ -9,18 +9,18 @@
 //! - [`time`]: virtual time ([`Time`]), nanosecond precision
 //! - [`ratelimit`]: token buckets (ICMP rate limiting, §5.1's /120 case,
 //!   and throttled last-hop routers)
-//! - [`loss`]: deterministic keyed packet loss (Bernoulli)
-//! - [`synproxy`]: the SYN-proxy middlebox of §5.1's /80 anomaly
-//! - [`network`]: the [`Network`] and [`SnapshotNetwork`] traits
+//! - `loss`: deterministic keyed packet loss (Bernoulli)
+//! - `synproxy`: the SYN-proxy middlebox of §5.1's /80 anomaly
+//! - `network`: the [`Network`] and [`SnapshotNetwork`] traits
 //!
 //! Everything is deterministic: "randomness" is keyed hashing of packet
 //! bytes and a seed, so a simulation re-run reproduces byte-identical
 //! traces.
 
-pub mod loss;
-pub mod network;
+mod loss;
+mod network;
 pub mod ratelimit;
-pub mod synproxy;
+mod synproxy;
 pub mod time;
 
 pub use loss::KeyedLoss;

@@ -42,12 +42,6 @@ impl Deliveries {
         self.entries.clear();
     }
 
-    /// Number of frames held.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Does the buffer hold no frame?
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -224,7 +218,7 @@ mod tests {
         });
         assert_eq!(failed, Err("no"));
         push(&mut d, Time(3), b"next");
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.iter().count(), 2);
         assert_eq!(d.bytes, b"keptnext");
     }
 

@@ -67,7 +67,7 @@ mod tests {
     #[test]
     fn burst_then_starve() {
         let mut b = TokenBucket::new(3.0, 1.0);
-        let t = Time::from_secs(0);
+        let t = Time::ZERO;
         assert!(b.try_consume(t));
         assert!(b.try_consume(t));
         assert!(b.try_consume(t));
@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn capacity_caps_refill() {
         let mut b = TokenBucket::new(2.0, 1000.0);
-        assert!((b.available(Time::from_secs(100)) - 2.0).abs() < 1e-9);
+        assert!((b.available(Time::from_millis(100_000)) - 2.0).abs() < 1e-9);
     }
 
     #[test]

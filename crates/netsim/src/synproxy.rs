@@ -57,7 +57,7 @@ impl SynProxy {
     }
 
     /// Is the proxy currently answering everything?
-    pub fn is_active(&self, now: Time) -> bool {
+    pub(crate) fn is_active(&self, now: Time) -> bool {
         self.active_until.is_some_and(|t| now <= t)
     }
 }
@@ -73,23 +73,23 @@ mod tests {
     #[test]
     fn inactive_below_threshold() {
         let mut p = proxy();
-        assert!(!p.on_syn(Time::from_secs(0)));
-        assert!(!p.on_syn(Time::from_secs(1)));
-        assert!(!p.is_active(Time::from_secs(2)));
+        assert!(!p.on_syn(Time::ZERO));
+        assert!(!p.on_syn(Time::from_millis(1_000)));
+        assert!(!p.is_active(Time::from_millis(2_000)));
     }
 
     #[test]
     fn activates_at_threshold() {
         let mut p = proxy();
-        p.on_syn(Time::from_secs(0));
-        p.on_syn(Time::from_secs(1));
+        p.on_syn(Time::ZERO);
+        p.on_syn(Time::from_millis(1_000));
         assert!(
-            p.on_syn(Time::from_secs(2)),
+            p.on_syn(Time::from_millis(2_000)),
             "third SYN within window activates"
         );
-        assert!(p.is_active(Time::from_secs(30)));
+        assert!(p.is_active(Time::from_millis(30_000)));
         assert!(
-            !p.is_active(Time::from_secs(100)),
+            !p.is_active(Time::from_millis(100_000)),
             "deactivates after active_for"
         );
     }
@@ -98,7 +98,7 @@ mod tests {
     fn slow_syns_never_activate() {
         let mut p = proxy();
         for i in 0..10 {
-            assert!(!p.on_syn(Time::from_secs(i * 100)), "syn {i}");
+            assert!(!p.on_syn(Time::from_millis(i * 100_000)), "syn {i}");
         }
     }
 
@@ -106,13 +106,13 @@ mod tests {
     fn reactivation_extends() {
         let mut p = proxy();
         for i in 0..3 {
-            p.on_syn(Time::from_secs(i));
+            p.on_syn(Time::from_millis(i * 1000));
         }
-        assert!(p.is_active(Time::from_secs(60)));
+        assert!(p.is_active(Time::from_millis(60_000)));
         // Burst again near expiry: extends.
         for i in 0..3 {
-            p.on_syn(Time::from_secs(61 + i));
+            p.on_syn(Time::from_millis((61 + i) * 1000));
         }
-        assert!(p.is_active(Time::from_secs(120)));
+        assert!(p.is_active(Time::from_millis(120_000)));
     }
 }

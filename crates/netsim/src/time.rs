@@ -15,11 +15,6 @@ impl Time {
     /// The zero value.
     pub const ZERO: Time = Time(0);
 
-    /// From secs.
-    #[inline]
-    pub fn from_secs(s: u64) -> Self {
-        Time(s * 1_000_000_000)
-    }
     /// From millis.
     #[inline]
     pub fn from_millis(ms: u64) -> Self {
@@ -34,13 +29,9 @@ impl Time {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-    /// As millis.
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
     /// Saturating difference.
     #[inline]
-    pub fn since(self, earlier: Time) -> Duration {
+    pub(crate) fn since(self, earlier: Time) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
 }
@@ -65,13 +56,8 @@ impl Duration {
         Duration(us * 1_000)
     }
     /// As secs f64.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-    /// Multiply by a non-negative float (e.g. jitter factors).
-    pub fn mul_f64(self, f: f64) -> Duration {
-        assert!(f >= 0.0, "negative duration factor");
-        Duration((self.0 as f64 * f) as u64)
     }
 }
 
@@ -124,17 +110,19 @@ mod tests {
 
     #[test]
     fn arithmetic() {
-        let t = Time::from_secs(1) + Duration::from_millis(500);
+        let t = Time::from_millis(1_000) + Duration::from_millis(500);
         assert_eq!(t, Time(1_500_000_000));
-        assert_eq!(t - Time::from_secs(1), Duration::from_millis(500));
-        assert_eq!(t.as_millis(), 1500);
+        assert_eq!(t - Time::from_millis(1_000), Duration::from_millis(500));
     }
 
     #[test]
     fn since_saturates() {
-        assert_eq!(Time::from_secs(1).since(Time::from_secs(2)), Duration::ZERO);
         assert_eq!(
-            Time::from_secs(2).since(Time::from_secs(1)),
+            Time::from_millis(1_000).since(Time::from_millis(2_000)),
+            Duration::ZERO
+        );
+        assert_eq!(
+            Time::from_millis(2_000).since(Time::from_millis(1_000)),
             Duration::from_secs(1)
         );
     }
@@ -142,13 +130,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "time went backwards")]
     fn sub_underflow_panics() {
-        let _ = Time::from_secs(1) - Time::from_secs(2);
-    }
-
-    #[test]
-    fn mul_f64() {
-        assert_eq!(Duration::from_secs(2).mul_f64(0.5), Duration::from_secs(1));
-        assert_eq!(Duration::from_secs(1).mul_f64(0.0), Duration::ZERO);
+        let _ = Time::from_millis(1_000) - Time::from_millis(2_000);
     }
 
     #[test]

@@ -14,18 +14,18 @@ use std::net::Ipv6Addr;
 /// QUIC probe's 1 200-byte Initial is summed twice per probe (at emit and
 /// at the receiver's verify).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Accum(u64);
+pub(crate) struct Accum(u64);
 
 impl Accum {
     /// Fresh accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Accum(0)
     }
 
     /// Add a big-endian byte slice, which starts on a 16-bit word
     /// boundary (an odd tail is zero-padded).
     #[inline]
-    pub fn data(self, bytes: &[u8]) -> Self {
+    pub(crate) fn data(self, bytes: &[u8]) -> Self {
         let le = |w: &[u8]| u64::from(u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
         let mut lanes = [0u64; 4];
         let mut blocks = bytes.chunks_exact(16);
@@ -52,21 +52,27 @@ impl Accum {
 
     /// Add one 16-bit word.
     #[inline]
-    pub fn word(mut self, w: u16) -> Self {
+    pub(crate) fn word(mut self, w: u16) -> Self {
         self.0 += u64::from(w);
         self
     }
 
     /// Add a 32-bit value (two 16-bit words).
     #[inline]
-    pub fn dword(mut self, d: u32) -> Self {
+    pub(crate) fn dword(mut self, d: u32) -> Self {
         self.0 += u64::from(d);
         self
     }
 
     /// Add the IPv6 pseudo-header for an upper-layer packet.
     #[inline]
-    pub fn pseudo_header(self, src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, len: u32) -> Self {
+    pub(crate) fn pseudo_header(
+        self,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        next_header: u8,
+        len: u32,
+    ) -> Self {
         // An address is four big-endian 32-bit words.
         let words = |a: Ipv6Addr| {
             let v = u128::from(a);
@@ -81,7 +87,7 @@ impl Accum {
 
     /// Fold and complement into the final checksum value.
     #[inline]
-    pub fn finish(self) -> u16 {
+    pub(crate) fn finish(self) -> u16 {
         !fold(self.0)
     }
 }
@@ -99,7 +105,12 @@ fn fold(mut s: u64) -> u16 {
 /// Checksum of an upper-layer packet (`payload` must contain the transport
 /// header with its checksum field zeroed).
 #[inline]
-pub fn transport_checksum(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, payload: &[u8]) -> u16 {
+pub(crate) fn transport_checksum(
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    next_header: u8,
+    payload: &[u8],
+) -> u16 {
     Accum::new()
         .pseudo_header(src, dst, next_header, payload.len() as u32)
         .data(payload)
@@ -111,7 +122,12 @@ pub fn transport_checksum(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, payload
 /// before complementing ⇒ complemented result is 0xffff... we check by
 /// recomputing).
 #[inline]
-pub fn verify_transport(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, payload: &[u8]) -> bool {
+pub(crate) fn verify_transport(
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    next_header: u8,
+    payload: &[u8],
+) -> bool {
     // Sum including the transmitted checksum must be 0xffff before the
     // final complement; `finish` complements, so the result must be 0.
     Accum::new()

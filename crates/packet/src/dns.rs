@@ -11,12 +11,8 @@ use crate::PacketError;
 pub mod qtype {
     /// A.
     pub const A: u16 = 1;
-    /// Ns.
-    pub const NS: u16 = 2;
     /// Aaaa.
     pub const AAAA: u16 = 28;
-    /// Ptr.
-    pub const PTR: u16 = 12;
 }
 
 /// Append the wire bytes of a one-question query for `qname` (dotted
@@ -148,6 +144,10 @@ pub fn build_response_into(
 mod tests {
     use super::*;
 
+    /// Query types only these tests send.
+    const NS: u16 = 2;
+    const PTR: u16 = 12;
+
     fn query(id: u16, qname: &str, qtype: u16) -> Vec<u8> {
         let mut out = Vec::new();
         emit_query(id, qname, qtype, true, &mut out);
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn nxdomain_response() {
-        let q = query(9, "nope.invalid", qtype::PTR);
+        let q = query(9, "nope.invalid", PTR);
         let r = response(&q, 3, 0).unwrap();
         let h = DnsHeader::parse(&r).unwrap();
         assert_eq!(h.rcode, 3);
@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn root_name_query() {
-        let b = query(1, ".", qtype::NS);
+        let b = query(1, ".", NS);
         assert_eq!(b[12], 0); // root label only
         let r = response(&b, 0, 1).unwrap();
         assert_eq!(DnsHeader::parse(&r).unwrap().ancount, 1);

@@ -7,11 +7,9 @@ use std::net::Ipv6Addr;
 /// ICMPv6 type numbers.
 pub mod types {
     /// Destination unreachable.
-    pub const DEST_UNREACHABLE: u8 = 1;
-    /// Packet too big.
-    pub const PACKET_TOO_BIG: u8 = 2;
+    pub(crate) const DEST_UNREACHABLE: u8 = 1;
     /// Time (hop limit) exceeded in transit.
-    pub const TIME_EXCEEDED: u8 = 3;
+    pub(crate) const TIME_EXCEEDED: u8 = 3;
     /// Echo request (ping).
     pub const ECHO_REQUEST: u8 = 128;
     /// Echo reply (pong).
@@ -20,12 +18,6 @@ pub mod types {
 
 /// Destination-unreachable codes (RFC 4443 §3.1).
 pub mod unreach_code {
-    /// No route to destination.
-    pub const NO_ROUTE: u8 = 0;
-    /// Communication administratively prohibited.
-    pub const ADMIN_PROHIBITED: u8 = 1;
-    /// Address unreachable.
-    pub const ADDR_UNREACHABLE: u8 = 3;
     /// Port unreachable.
     pub const PORT_UNREACHABLE: u8 = 4;
 }
@@ -120,7 +112,7 @@ pub fn emit_echo(
 
 impl<B: AsRef<[u8]>> Icmpv6Message<B> {
     /// The ICMPv6 type byte.
-    pub fn msg_type(&self) -> u8 {
+    pub(crate) fn msg_type(&self) -> u8 {
         match self {
             Icmpv6Message::EchoRequest { .. } => types::ECHO_REQUEST,
             Icmpv6Message::EchoReply { .. } => types::ECHO_REPLY,

@@ -4,7 +4,7 @@ use crate::{PacketError, TransportView};
 use std::net::Ipv6Addr;
 
 /// Length of the fixed IPv6 header in bytes.
-pub const HEADER_LEN: usize = 40;
+pub(crate) const HEADER_LEN: usize = 40;
 
 /// The fixed IPv6 header. Extension headers are not modelled — the paper's
 /// probes never emit them and the simulator never needs them (documented
@@ -30,7 +30,7 @@ pub struct Ipv6Header {
 impl Ipv6Header {
     /// Emit the 40 header bytes.
     #[inline]
-    pub fn emit(&self) -> [u8; HEADER_LEN] {
+    pub(crate) fn emit(&self) -> [u8; HEADER_LEN] {
         let mut b = [0u8; HEADER_LEN];
         let vtf: u32 =
             (6u32 << 28) | (u32::from(self.traffic_class) << 20) | (self.flow_label & 0x000f_ffff);

@@ -17,23 +17,23 @@
 //! sends hundreds of thousands of probes a virtual day.
 //!
 //! Layers:
-//! - [`ipv6`] — fixed 40-byte IPv6 header + full datagram framing
+//! - `ipv6` — fixed 40-byte IPv6 header + full datagram framing
 //! - [`icmpv6`] — echo request/reply, destination unreachable, time exceeded
-//! - [`tcp`] — segments with full option support (MSS, WScale, SACK-permitted,
+//! - `tcp` — segments with full option support (MSS, WScale, SACK-permitted,
 //!   timestamps) — §5.4 of the paper fingerprints aliased prefixes via the
 //!   `MSS-SACK-TS-WS` option set
 //! - [`udp`] — datagrams
 //! - [`dns`] — minimal DNS queries/responses for the UDP/53 probe
 //! - [`quic`] — minimal QUIC Initial / Version Negotiation for UDP/443
-//! - [`checksum`] — the Internet checksum with the IPv6 pseudo-header
+//! - `checksum` — the Internet checksum with the IPv6 pseudo-header
 
-pub mod checksum;
+mod checksum;
 pub mod dns;
 pub mod icmpv6;
-pub mod ipv6;
-pub mod probe;
+mod ipv6;
+mod probe;
 pub mod quic;
-pub mod tcp;
+mod tcp;
 pub mod udp;
 
 #[cfg(test)]

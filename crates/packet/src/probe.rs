@@ -29,17 +29,6 @@ impl Protocol {
         Protocol::Udp443,
     ];
 
-    /// Destination port, if port-based.
-    pub fn port(self) -> Option<u16> {
-        match self {
-            Protocol::Icmp => None,
-            Protocol::Tcp80 => Some(80),
-            Protocol::Tcp443 => Some(443),
-            Protocol::Udp53 => Some(53),
-            Protocol::Udp443 => Some(443),
-        }
-    }
-
     /// Stable index 0..5 (bit position in [`ProtoSet`]).
     pub fn index(self) -> usize {
         match self {
@@ -98,12 +87,6 @@ impl ProtoSet {
     #[must_use]
     pub fn with(self, p: Protocol) -> ProtoSet {
         ProtoSet(self.0 | (1 << p.index()))
-    }
-
-    /// Remove a protocol.
-    #[must_use]
-    pub fn without(self, p: Protocol) -> ProtoSet {
-        ProtoSet(self.0 & !(1 << p.index()))
     }
 
     /// Membership test.
@@ -183,7 +166,6 @@ mod tests {
         assert!(s.contains(Protocol::Udp53));
         assert!(!s.contains(Protocol::Tcp80));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.without(Protocol::Icmp).len(), 1);
         assert_eq!(ProtoSet::ALL.len(), 5);
         assert!(ProtoSet::EMPTY.is_empty());
     }
@@ -208,12 +190,5 @@ mod tests {
         assert_eq!(s.to_string(), "ICMP+UDP/443");
         assert_eq!(ProtoSet::EMPTY.to_string(), "∅");
         assert_eq!(Protocol::Tcp80.to_string(), "TCP/80");
-    }
-
-    #[test]
-    fn ports() {
-        assert_eq!(Protocol::Icmp.port(), None);
-        assert_eq!(Protocol::Udp443.port(), Some(443));
-        assert_eq!(Protocol::Tcp80.port(), Some(80));
     }
 }

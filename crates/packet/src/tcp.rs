@@ -17,17 +17,17 @@ pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
     /// FIN: no more data from sender.
-    pub const FIN: TcpFlags = TcpFlags(0x01);
+    pub(crate) const FIN: TcpFlags = TcpFlags(0x01);
     /// SYN: synchronize sequence numbers.
     pub const SYN: TcpFlags = TcpFlags(0x02);
     /// RST: reset the connection.
     pub const RST: TcpFlags = TcpFlags(0x04);
     /// Psh.
-    pub const PSH: TcpFlags = TcpFlags(0x08);
+    pub(crate) const PSH: TcpFlags = TcpFlags(0x08);
     /// Acknowledgment number.
     pub const ACK: TcpFlags = TcpFlags(0x10);
     /// URG: urgent pointer significant.
-    pub const URG: TcpFlags = TcpFlags(0x20);
+    pub(crate) const URG: TcpFlags = TcpFlags(0x20);
     /// SYN|ACK, the fingerprint-bearing reply.
     pub const SYN_ACK: TcpFlags = TcpFlags(0x12);
     /// RST|ACK, the "port closed" reply.
@@ -36,11 +36,6 @@ impl TcpFlags {
     /// Does `self` contain all bits of `other`?
     pub fn contains(self, other: TcpFlags) -> bool {
         self.0 & other.0 == other.0
-    }
-
-    /// Union of flag sets.
-    pub fn union(self, other: TcpFlags) -> TcpFlags {
-        TcpFlags(self.0 | other.0)
     }
 }
 
@@ -357,7 +352,7 @@ impl<'a> TcpView<'a> {
 
     /// Header length in bytes (data offset × 4): the options padded to a
     /// multiple of 4.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         20 + self.options.len().div_ceil(4) * 4
     }
 

@@ -56,7 +56,7 @@ pub struct TracePath {
 
 impl TracePath {
     /// All router addresses discovered on this path.
-    pub fn routers(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
+    pub(crate) fn routers(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
         self.hops.iter().flatten().copied()
     }
 }
@@ -78,13 +78,8 @@ impl<N: Network> Tracer<N> {
         }
     }
 
-    /// Access the underlying network.
-    pub fn network_mut(&mut self) -> &mut N {
-        &mut self.net
-    }
-
     /// Trace the path to `dst`.
-    pub fn trace(&mut self, dst: Ipv6Addr) -> TracePath {
+    pub(crate) fn trace(&mut self, dst: Ipv6Addr) -> TracePath {
         let validator = Validator::new(self.cfg.seed);
         let f = validator.fields(dst);
         let src = self.cfg.src;
@@ -221,7 +216,7 @@ mod tests {
     #[test]
     fn traces_reach_aliased_targets() {
         let mut t = tracer();
-        let p48 = t.network_mut().population.special.cdn_hook_48s[0];
+        let p48 = t.net.population.special.cdn_hook_48s[0];
         let dst = expanse_addr::keyed_random_addr(p48, 5);
         let path = t.trace(dst);
         assert!(path.reached, "aliased target should answer: {path:?}");
@@ -236,7 +231,7 @@ mod tests {
         let mut t = tracer();
         // Take an eyeball site address.
         let site = t
-            .network_mut()
+            .net
             .population
             .sites
             .iter()
@@ -268,7 +263,7 @@ mod tests {
     fn harvest_collects_many_routers() {
         let mut t = tracer();
         let targets: Vec<Ipv6Addr> = t
-            .network_mut()
+            .net
             .population
             .sites
             .iter()
@@ -297,12 +292,12 @@ mod tests {
     fn deterministic() {
         let mut a = tracer();
         let mut b = tracer();
-        let dst = a.network_mut().population.sites[0].addrs[0];
+        let dst = a.net.population.sites[0].addrs[0];
         let pa = a.trace(dst);
         let pb = b.trace(dst);
         assert_eq!(pa.hops, pb.hops);
         assert_eq!(pa.reached, pb.reached);
-        let targets: Vec<Ipv6Addr> = a.network_mut().population.sites[..20]
+        let targets: Vec<Ipv6Addr> = a.net.population.sites[..20]
             .iter()
             .map(|s| s.addrs[0])
             .collect();

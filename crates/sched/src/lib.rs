@@ -33,7 +33,7 @@
 
 #![deny(missing_docs)]
 
-pub mod persist;
+mod persist;
 
 use expanse_addr::Prefix;
 use expanse_entropy::Fingerprint;
@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 
 /// `last_scanned` sentinel: the prefix has never been scheduled.
-pub const NEVER_SCANNED: u16 = 0xffff;
+pub(crate) const NEVER_SCANNED: u16 = 0xffff;
 
 /// Scheduling granularity: entries, caps, and spend accounting are all
 /// keyed by the covering prefix of this length.
@@ -125,7 +125,7 @@ pub struct PrefixEntry {
     pub spent: u64,
     /// Cumulative responsive addresses credited to those slots.
     pub found: u64,
-    /// Last day this prefix was scheduled; [`NEVER_SCANNED`] if never.
+    /// Last day this prefix was scheduled; `NEVER_SCANNED` if never.
     pub last_scanned: u16,
     /// An APD verdict covers this whole prefix: it is alias space and
     /// gets zero priority.
@@ -139,7 +139,7 @@ pub struct PrefixEntry {
 
 impl PrefixEntry {
     /// A fresh, never-scanned entry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PrefixEntry {
             spent: 0,
             found: 0,
@@ -311,7 +311,7 @@ pub struct Scheduler {
 /// is `64 × days-since-scan` (clamped at 64 days), with a `4096`
 /// never-scanned boost. Pure integer math — no floats, no overflow
 /// (≤ 2²⁰ × 2¹³ < 2⁶⁴).
-pub fn priority(e: &PrefixEntry, candidates: u64, day: u16) -> u64 {
+pub(crate) fn priority(e: &PrefixEntry, candidates: u64, day: u16) -> u64 {
     if e.aliased {
         return 0;
     }
@@ -358,21 +358,6 @@ impl Scheduler {
     /// An empty scheduler (no history, nothing dirty).
     pub fn new() -> Self {
         Scheduler::default()
-    }
-
-    /// Tracked /48 entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// No entries tracked yet?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entry for a /48, if tracked.
-    pub fn entry(&self, net: Prefix) -> Option<&PrefixEntry> {
-        self.entries.get(&net)
     }
 
     /// Suspect (nearly-aliased, not yet aliased) /48s, ascending —
@@ -680,7 +665,7 @@ mod tests {
         let suspect = p48("2001:db8:100::/48");
         let plan = s.plan_day(&cfg, 1, &demands, &[covering], &[suspect]);
         assert_eq!(plan.quotas.get(&p48("2001:db8:1::/48")), None);
-        assert!(s.entry(p48("2001:db8:1::/48")).unwrap().aliased);
+        assert!(s.entries.get(&p48("2001:db8:1::/48")).unwrap().aliased);
         // The suspect still scans (demoted) and gets a follow-up job.
         assert!(plan.quotas.contains_key(&suspect));
         assert_eq!(plan.suspects, vec![suspect]);
@@ -702,7 +687,7 @@ mod tests {
         let net = p48("2001:db8:1::/48");
         let fabric: Prefix = "2001:db8:1:1::/64".parse().unwrap();
         let plan = s.plan_day(&cfg, 1, &[demand("2001:db8:1::/48", 30)], &[fabric], &[]);
-        let e = s.entry(net).unwrap();
+        let e = s.entries.get(&net).unwrap();
         assert!(!e.aliased);
         assert!(e.suspect);
         assert_eq!(plan.quotas.get(&net), Some(&30));

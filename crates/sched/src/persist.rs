@@ -104,11 +104,6 @@ impl Scheduler {
         self.dirty.clear();
     }
 
-    /// Entries whose feedback state changed since the last sync point.
-    pub fn delta_prefixes(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// Serialize the scalars plus every entry touched since the last
     /// sync point into an open delta frame. Entries are never removed,
     /// so rewriting the touched ones (sorted and front-coded, full
@@ -185,7 +180,7 @@ mod tests {
         assert_eq!(back.entries, s.entries);
         assert_eq!(back.last_budget, 500);
         assert_eq!(back.last_used, 150);
-        assert_eq!(back.delta_prefixes(), 0, "decode lands at a sync point");
+        assert_eq!(back.dirty.len(), 0, "decode lands at a sync point");
     }
 
     #[test]
@@ -203,7 +198,7 @@ mod tests {
         s.record_day(2, &[(p1, 5, 1), (p3, 30, 9)]);
         s.last_budget = 64;
         s.last_used = 35;
-        assert_eq!(s.delta_prefixes(), 2);
+        assert_eq!(s.dirty.len(), 2);
 
         let mut delta = Vec::new();
         let mut enc = Encoder::new(&mut delta, b"SCHDTEST", 1).unwrap();
@@ -216,7 +211,7 @@ mod tests {
         assert_eq!(replica.entries, s.entries);
         assert_eq!(replica.last_budget, 64);
         assert_eq!(replica.last_used, 35);
-        assert_eq!(replica.delta_prefixes(), 0, "apply ends at a sync point");
+        assert_eq!(replica.dirty.len(), 0, "apply ends at a sync point");
     }
 
     #[test]
@@ -300,7 +295,7 @@ mod tests {
         let buf = craft(9, 7, 3, 0b11);
         let mut dec = Decoder::new(buf.as_slice(), b"SCHSTEST", 1).unwrap();
         let s = Scheduler::decode(&mut dec).unwrap();
-        let e = s.entry("2001:db8::/48".parse().unwrap()).unwrap();
+        let e = s.entries.get(&"2001:db8::/48".parse().unwrap()).unwrap();
         assert!(e.aliased && e.suspect);
     }
 

@@ -124,7 +124,7 @@ impl Inner {
     }
 }
 
-/// The response cache. See the [module](self) docs. All methods take
+/// The response cache. See the module docs. All methods take
 /// `&self`; the cache is shared (`Arc`) between connection handlers
 /// and the publish observer.
 pub struct ResponseCache {
@@ -194,7 +194,7 @@ impl ResponseCache {
 
     /// Offer the framed response for `(epoch, key)`. The first offer
     /// of a key in an epoch only records a sighting; the second stores
-    /// the response (see the [module](self) docs). Either evicts
+    /// the response (see the module docs). Either evicts
     /// oldest-epoch state if the byte budget requires it; an offer for
     /// an already-retired epoch is dropped. A racing duplicate insert
     /// is harmless (both values are byte-identical by the
@@ -243,7 +243,7 @@ impl ResponseCache {
     }
 
     /// Epoch-retirement hook: called (via a registry
-    /// [`PublishObserver`](crate::registry::PublishObserver)) when
+    /// `PublishObserver`) when
     /// `new_epoch` is published. Drops every entry and sighting of
     /// epochs older than the `keep_epochs` most recent.
     pub fn on_publish(&self, new_epoch: u64) {
@@ -254,12 +254,6 @@ impl ResponseCache {
                 self.retired.fetch_add(entries, Ordering::Relaxed);
             }
         });
-    }
-
-    /// Bytes currently charged to the budget (keys + values +
-    /// sightings).
-    pub fn bytes(&self) -> usize {
-        self.inner.with(|inner| inner.bytes)
     }
 
     /// Lifetime counters.
@@ -278,6 +272,11 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes currently charged to the budget.
+    fn bytes(c: &ResponseCache) -> usize {
+        c.inner.with(|inner| inner.bytes)
+    }
 
     fn cache(max_bytes: usize, keep: u64) -> ResponseCache {
         ResponseCache::new(CacheConfig {
@@ -326,11 +325,11 @@ mod tests {
         for i in 0..1000u32 {
             c.put(1, i.to_le_bytes().to_vec(), &[0; 512]);
         }
-        assert_eq!(c.bytes(), 1000 * SIGHTING_BYTES);
+        assert_eq!(bytes(&c), 1000 * SIGHTING_BYTES);
         let s = c.stats();
         assert_eq!((s.inserts, s.deferred), (0, 1000));
         c.on_publish(3);
-        assert_eq!(c.bytes(), 0);
+        assert_eq!(bytes(&c), 0);
         assert_eq!(c.stats().retired, 0, "no entry went with the sightings");
     }
 
@@ -352,10 +351,10 @@ mod tests {
         let c = cache(1 << 20, 2);
         admit(&c, 4, b"k", b"v");
         c.on_publish(5);
-        let held = c.bytes();
+        let held = bytes(&c);
         // A request pinned on epoch 3 finishes after epoch 3 retired.
         admit(&c, 3, b"late", b"v");
-        assert_eq!(c.bytes(), held);
+        assert_eq!(bytes(&c), held);
         assert!(c.get(3, b"late").is_none());
         let s = c.stats();
         assert_eq!((s.inserts, s.deferred), (1, 1));
@@ -371,7 +370,7 @@ mod tests {
         assert!(c.get(2, &[2; 8]).is_some());
         assert!(c.get(3, &[3; 8]).is_some());
         assert_eq!(c.stats().evicted, 1);
-        assert!(c.bytes() <= 80);
+        assert!(bytes(&c) <= 80);
     }
 
     #[test]
@@ -381,21 +380,21 @@ mod tests {
         // usable after the map has been fully drained.
         let c = cache(80, 10);
         c.put(1, vec![1; 8], &[0; 24]);
-        assert_eq!(c.bytes(), 8, "a sighting is charged");
+        assert_eq!(bytes(&c), 8, "a sighting is charged");
         c.put(1, vec![1; 8], &[0; 24]);
-        assert_eq!(c.bytes(), 40);
+        assert_eq!(bytes(&c), 40);
         c.put(1, vec![1; 8], &[9; 24]); // same key: replaced, not re-counted
-        assert_eq!(c.bytes(), 40);
+        assert_eq!(bytes(&c), 40);
         admit(&c, 2, &[2; 8], &[0; 24]); // 80 — at budget
         c.put(3, vec![3; 8], &[0; 24]); // evicts epoch 1, sighting included
-        assert_eq!(c.bytes(), 48);
+        assert_eq!(bytes(&c), 48);
         c.put(3, vec![3; 8], &[0; 24]);
-        assert_eq!(c.bytes(), 80);
+        assert_eq!(bytes(&c), 80);
         assert_eq!(c.stats().evicted, 1);
         c.on_publish(20); // retires every epoch
-        assert_eq!(c.bytes(), 0);
+        assert_eq!(bytes(&c), 0);
         admit(&c, 20, b"k", b"v");
-        assert_eq!(c.bytes(), 2 + SIGHTING_BYTES);
+        assert_eq!(bytes(&c), 2 + SIGHTING_BYTES);
         assert!(c.get(20, b"k").is_some());
     }
 
@@ -404,12 +403,12 @@ mod tests {
         let c = cache(24, 2);
         admit(&c, 1, &[0; 8], &[0; 64]);
         assert!(c.get(1, &[0; 8]).is_none());
-        assert_eq!(c.bytes(), 0, "a key that can never fit is not sighted");
+        assert_eq!(bytes(&c), 0, "a key that can never fit is not sighted");
         // A same-epoch entry that can't fit doesn't evict its peers.
         admit(&c, 2, &[1; 4], &[0; 4]); // 8 + 8
         admit(&c, 2, &[2; 4], &[0; 16]); // sighted (24), never stored
         assert!(c.get(2, &[1; 4]).is_some());
         assert!(c.get(2, &[2; 4]).is_none());
-        assert_eq!(c.bytes(), 24);
+        assert_eq!(bytes(&c), 24);
     }
 }

@@ -101,13 +101,8 @@ impl FrameAssembler {
     }
 
     /// Is a partial frame (or unconsumed partial length) pending?
-    pub fn mid_frame(&self) -> bool {
+    pub(crate) fn mid_frame(&self) -> bool {
         self.at < self.buf.len()
-    }
-
-    /// Bytes currently buffered and not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.at
     }
 }
 
@@ -481,5 +476,82 @@ mod tests {
         for s in &scripts {
             assert_eq!(run(s), s.expect, "script {:?}", s.name);
         }
+    }
+
+    /// Bytes buffered and not yet consumed.
+    fn buffered(asm: &FrameAssembler) -> usize {
+        asm.buf.len() - asm.at
+    }
+
+    #[test]
+    fn assembler_reassembles_byte_at_a_time() {
+        let framed = encode_request(&Request::Ping);
+        let mut asm = FrameAssembler::new(crate::protocol::MAX_FRAME_LEN);
+        for &b in &framed[..framed.len() - 1] {
+            asm.push(&[b]);
+            assert!(asm.next_frame().unwrap().is_none());
+            assert!(asm.mid_frame());
+        }
+        asm.push(&framed[framed.len() - 1..]);
+        let frame = asm.next_frame().unwrap().expect("complete");
+        assert_eq!(frame, framed[4..].to_vec());
+        assert!(!asm.mid_frame());
+        assert_eq!(buffered(&asm), 0);
+    }
+
+    #[test]
+    fn assembler_splits_coalesced_frames() {
+        let mut stream = encode_request(&Request::Ping);
+        stream.extend_from_slice(&encode_request(&Request::Lookup {
+            addr: "::1".parse().unwrap(),
+        }));
+        let mut asm = FrameAssembler::new(crate::protocol::MAX_FRAME_LEN);
+        asm.push(&stream);
+        assert!(asm.next_frame().unwrap().is_some());
+        assert!(asm.next_frame().unwrap().is_some());
+        assert!(asm.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn assembler_rejects_oversized_length_without_buffering_it() {
+        let mut asm = FrameAssembler::new(1024);
+        asm.push(&u32::MAX.to_le_bytes());
+        let err = asm.next_frame().unwrap_err();
+        assert_eq!(err.len, u32::MAX);
+        assert_eq!(err.max, 1024);
+        assert!(buffered(&asm) < 8, "length was not allocated");
+    }
+
+    #[test]
+    fn assembler_resumes_after_partial_length_and_partial_body() {
+        // Regression: the length prefix may straddle pushes, and a
+        // complete prefix with a torn body must leave the buffer
+        // untouched so a later push completes the frame.
+        let mut asm = FrameAssembler::new(1024);
+        asm.push(&[3, 0]);
+        assert!(asm.next_frame().unwrap().is_none());
+        asm.push(&[0, 0, 9]);
+        assert!(asm.next_frame().unwrap().is_none());
+        assert_eq!(buffered(&asm), 5);
+        asm.push(&[8, 7]);
+        assert_eq!(asm.next_frame().unwrap().unwrap(), vec![9, 8, 7]);
+        assert_eq!(buffered(&asm), 0);
+    }
+
+    #[test]
+    fn assembler_yields_zero_length_frame_at_exact_boundary() {
+        let mut asm = FrameAssembler::new(1024);
+        asm.push(&0u32.to_le_bytes());
+        assert_eq!(asm.next_frame().unwrap().unwrap(), Vec::<u8>::new());
+        assert!(asm.next_frame().unwrap().is_none());
+        assert!(!asm.mid_frame());
+    }
+
+    #[test]
+    fn assembler_accepts_frame_exactly_at_the_ceiling() {
+        let mut asm = FrameAssembler::new(8);
+        asm.push(&8u32.to_le_bytes());
+        asm.push(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(asm.next_frame().unwrap().unwrap().len(), 8);
     }
 }

@@ -37,15 +37,15 @@
 //!   envelope into its framed response (decode, admission, pin, cache,
 //!   [`execute`], encode); the socket loop and every in-memory harness
 //!   call it.
-//! - [`transport`]: the real daemon front — TCP and unix-domain
+//! - `transport`: the real daemon front — TCP and unix-domain
 //!   listeners with connection lifecycle, a bounded gate on concurrent
 //!   execution, and graceful drain across epoch swaps (the
 //!   `expanse-served` binary is a thin shell around [`Server`]).
-//! - [`cache`]: an encoded-response cache keyed by `(epoch, canonical
+//! - `cache`: an encoded-response cache keyed by `(epoch, canonical
 //!   request bytes)` — a response is admitted the second time its key
 //!   is asked for; entries never invalidate, they age out when their
 //!   epoch retires.
-//! - [`limiter`]: per-client token-bucket admission control, reusing
+//! - `limiter`: per-client token-bucket admission control, reusing
 //!   the simulator's bucket on a wall clock.
 //!
 //! Every lock in the crate goes through one private `sync` module, whose
@@ -79,25 +79,25 @@
 // say what it is.
 #![deny(missing_docs)]
 
-pub mod cache;
+mod cache;
 mod conn;
-pub mod limiter;
+mod limiter;
 pub mod pool;
 pub mod protocol;
-pub mod query;
-pub mod registry;
+mod query;
+mod registry;
 mod sync;
-pub mod transport;
-pub mod view;
+mod transport;
+mod view;
 
 pub use cache::{CacheConfig, CacheStats, ResponseCache};
+pub use conn::{FrameAssembler, OversizedFrame};
 pub use limiter::{AdmissionControl, ClientKey, RateLimitConfig};
 pub use pool::{execute, handle, handle_envelope, Outcome};
 pub use protocol::{Request, Response, ResponseBody, WireRecord};
 pub use query::{AliasScope, Page, Query};
-pub use registry::{Pinned, PublishObserver, SnapshotRegistry};
+pub use registry::{Pinned, SnapshotRegistry};
 pub use transport::{
-    BindAddr, ClientError, DrainReport, FrameAssembler, ServeClient, Server, ServerConfig,
-    ServerStats,
+    BindAddr, ClientError, DrainReport, ServeClient, Server, ServerConfig, ServerStats,
 };
 pub use view::{AddrRecord, SnapshotView, ViewStats};

@@ -16,7 +16,6 @@ use expanse_netsim::ratelimit::TokenBucket;
 use expanse_netsim::time::Time;
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Who a connection is, for rate-limiting purposes.
@@ -69,8 +68,6 @@ pub struct AdmissionControl {
     cfg: RateLimitConfig,
     start: Instant,
     buckets: Lock<HashMap<ClientKey, TokenBucket>>,
-    admitted: AtomicU64,
-    rejected: AtomicU64,
 }
 
 impl AdmissionControl {
@@ -86,8 +83,6 @@ impl AdmissionControl {
             cfg,
             start: Instant::now(),
             buckets: Lock::new(HashMap::new()),
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
         }
     }
 
@@ -101,7 +96,7 @@ impl AdmissionControl {
     /// token from the client's bucket (created full on first sight).
     pub fn admit(&self, key: &ClientKey) -> bool {
         let now = self.now();
-        let ok = self.buckets.with(|buckets| {
+        self.buckets.with(|buckets| {
             if buckets.len() > MAX_TRACKED_CLIENTS && !buckets.contains_key(key) {
                 // Shed idle state: a bucket refilled to capacity is
                 // indistinguishable from a fresh one.
@@ -112,21 +107,7 @@ impl AdmissionControl {
                 .entry(key.clone())
                 .or_insert_with(|| TokenBucket::new(self.cfg.burst, self.cfg.qps));
             bucket.try_consume(now)
-        });
-        if ok {
-            self.admitted.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
-    }
-
-    /// `(admitted, rejected)` lifetime counters.
-    pub fn counts(&self) -> (u64, u64) {
-        (
-            self.admitted.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-        )
+        })
     }
 }
 
@@ -147,7 +128,6 @@ mod tests {
         assert!(!ac.admit(&a), "burst exhausted");
         // Another client's bucket is untouched.
         assert!(ac.admit(&b));
-        assert_eq!(ac.counts(), (3, 1));
     }
 
     #[test]

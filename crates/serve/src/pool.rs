@@ -5,7 +5,7 @@
 //! [`FrameAssembler`](crate::FrameAssembler) yields) and returns the
 //! response frame; it is the only code in the crate that decodes,
 //! admits, pins, probes the cache, executes and encodes a request, so
-//! the socket loop ([`crate::transport`]) and every in-memory harness
+//! the socket loop (`crate::transport`) and every in-memory harness
 //! answer through the same lines. Each request pins its own epoch: a
 //! publish landing between two requests means the later one answers
 //! from the new epoch while an already-pinned one finishes on the old,

@@ -660,11 +660,13 @@ mod tests {
             addr: "2001:db8::1".parse().unwrap(),
         });
         roundtrip_req(Request::Select {
-            query: Query::all()
-                .under("2001:db8::/32".parse().unwrap())
-                .on_protocols(ProtoSet::only(Protocol::Tcp443))
-                .responsive_since(3)
-                .non_aliased(),
+            query: Query {
+                min_last_responsive: Some(3),
+                ..Query::all()
+                    .under("2001:db8::/32".parse().unwrap())
+                    .on_protocols(ProtoSet::only(Protocol::Tcp443))
+                    .non_aliased()
+            },
             cursor: Some(42),
             limit: 100,
         });

@@ -18,7 +18,7 @@
 
 use crate::view::{range_mask, words_of, PredicateIndex, SnapshotView, ViewStats};
 use expanse_addr::fanout::splitmix64;
-use expanse_addr::{addr_to_u128, AddrId, AddrSet, Prefix};
+use expanse_addr::{addr_to_u128, AddrId, Prefix};
 use expanse_packet::{ProtoSet, Protocol};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -89,12 +89,6 @@ impl Query {
     /// Require the member to have answered a probe at all.
     pub fn responsive(mut self) -> Query {
         self.min_last_responsive = Some(0);
-        self
-    }
-
-    /// Require the member's last answer to be on day `day` or later.
-    pub fn responsive_since(mut self, day: u16) -> Query {
-        self.min_last_responsive = Some(day);
         self
     }
 
@@ -251,13 +245,6 @@ impl SnapshotView {
     pub fn select(&self, q: &Query) -> Vec<AddrId> {
         let m = Matcher::new(self, q);
         m.positions().map(|pos| m.id_at(pos)).collect()
-    }
-
-    /// All matching ids as an id-sorted [`AddrSet`], for set algebra
-    /// (union/intersect/difference against other queries' results,
-    /// ledger baselines, or the live set).
-    pub fn select_set(&self, q: &Query) -> AddrSet {
-        AddrSet::from_unsorted(self.select(q))
     }
 
     /// How many members match.

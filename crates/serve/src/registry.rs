@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// *outside* the registry's locks, on the publisher's thread — pinning,
 /// publishing and registering from an observer are allowed (the
 /// response cache uses one to age out entries whose epoch was retired).
-pub type PublishObserver = Box<dyn Fn(u64, u64) + Send + Sync>;
+pub(crate) type PublishObserver = Box<dyn Fn(u64, u64) + Send + Sync>;
 
 /// A pinned epoch: the view to query plus the epoch number it was
 /// published under (responses echo it, so clients can detect swaps).
@@ -49,7 +49,7 @@ pub struct Pinned {
     pub view: Arc<SnapshotView>,
 }
 
-/// The epoch-swap registry. See the [module](self) docs.
+/// The epoch-swap registry. See the module docs.
 pub struct SnapshotRegistry {
     current: RwCell<Pinned>,
     observers: Lock<Vec<Arc<PublishObserver>>>,
@@ -76,7 +76,7 @@ impl SnapshotRegistry {
         }
     }
 
-    /// Register a [`PublishObserver`]. An observer sees every publish
+    /// Register a `PublishObserver`. An observer sees every publish
     /// whose swap happens after it is registered; each is retained for
     /// the registry's lifetime.
     pub fn on_publish(&self, observer: PublishObserver) {
@@ -95,7 +95,7 @@ impl SnapshotRegistry {
     /// Publish a new view, returning its epoch. The write lock is held
     /// only for the pointer swap — in-flight readers keep their pinned
     /// `Arc` and are neither waited for nor disturbed. Registered
-    /// [`PublishObserver`]s run after the swap, outside every lock, with
+    /// `PublishObserver`s run after the swap, outside every lock, with
     /// `(retired_epoch, new_epoch)`.
     pub fn publish(&self, view: SnapshotView) -> u64 {
         let new_epoch = self.current.with_write(|cur| {
@@ -110,7 +110,7 @@ impl SnapshotRegistry {
     }
 
     /// The current epoch number.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.current.with_read(|cur| cur.epoch)
     }
 }

@@ -24,8 +24,7 @@
 //! read and write that neither is held.
 
 use crate::cache::{CacheConfig, CacheStats, ResponseCache};
-use crate::conn::{Close, ConnState, Step};
-pub use crate::conn::{FrameAssembler, OversizedFrame};
+use crate::conn::{Close, ConnState, FrameAssembler, OversizedFrame, Step};
 use crate::limiter::{AdmissionControl, ClientKey, RateLimitConfig};
 use crate::pool::{error_frame, handle, Outcome};
 use crate::protocol::{self, decode_response, Response, ERR_OVERLOADED, ERR_SHUTTING_DOWN};
@@ -472,11 +471,6 @@ impl Server {
         self.shared.stats.snapshot()
     }
 
-    /// Live connection count.
-    pub fn connections(&self) -> usize {
-        self.shared.conns.with(|table| table.live.len())
-    }
-
     /// Start draining without waiting: new connections get one
     /// [`ERR_SHUTTING_DOWN`] frame; existing ones finish and close.
     pub fn begin_drain(&self) {
@@ -805,79 +799,9 @@ impl ServeClient {
 )]
 mod tests {
     use super::*;
-    use crate::protocol::encode_request;
-    use crate::Request;
 
-    #[test]
-    fn assembler_reassembles_byte_at_a_time() {
-        let framed = encode_request(&Request::Ping);
-        let mut asm = FrameAssembler::new(protocol::MAX_FRAME_LEN);
-        for &b in &framed[..framed.len() - 1] {
-            asm.push(&[b]);
-            assert!(asm.next_frame().unwrap().is_none());
-            assert!(asm.mid_frame());
-        }
-        asm.push(&framed[framed.len() - 1..]);
-        let frame = asm.next_frame().unwrap().expect("complete");
-        assert_eq!(frame, framed[4..].to_vec());
-        assert!(!asm.mid_frame());
-        assert_eq!(asm.buffered(), 0);
-    }
-
-    #[test]
-    fn assembler_splits_coalesced_frames() {
-        let mut stream = encode_request(&Request::Ping);
-        stream.extend_from_slice(&encode_request(&Request::Lookup {
-            addr: "::1".parse().unwrap(),
-        }));
-        let mut asm = FrameAssembler::new(protocol::MAX_FRAME_LEN);
-        asm.push(&stream);
-        assert!(asm.next_frame().unwrap().is_some());
-        assert!(asm.next_frame().unwrap().is_some());
-        assert!(asm.next_frame().unwrap().is_none());
-    }
-
-    #[test]
-    fn assembler_rejects_oversized_length_without_buffering_it() {
-        let mut asm = FrameAssembler::new(1024);
-        asm.push(&u32::MAX.to_le_bytes());
-        let err = asm.next_frame().unwrap_err();
-        assert_eq!(err.len, u32::MAX);
-        assert_eq!(err.max, 1024);
-        assert!(asm.buffered() < 8, "length was not allocated");
-    }
-
-    #[test]
-    fn assembler_resumes_after_partial_length_and_partial_body() {
-        // Regression: the length prefix may straddle pushes, and a
-        // complete prefix with a torn body must leave the buffer
-        // untouched so a later push completes the frame.
-        let mut asm = FrameAssembler::new(1024);
-        asm.push(&[3, 0]);
-        assert!(asm.next_frame().unwrap().is_none());
-        asm.push(&[0, 0, 9]);
-        assert!(asm.next_frame().unwrap().is_none());
-        assert_eq!(asm.buffered(), 5);
-        asm.push(&[8, 7]);
-        assert_eq!(asm.next_frame().unwrap().unwrap(), vec![9, 8, 7]);
-        assert_eq!(asm.buffered(), 0);
-    }
-
-    #[test]
-    fn assembler_yields_zero_length_frame_at_exact_boundary() {
-        let mut asm = FrameAssembler::new(1024);
-        asm.push(&0u32.to_le_bytes());
-        assert_eq!(asm.next_frame().unwrap().unwrap(), Vec::<u8>::new());
-        assert!(asm.next_frame().unwrap().is_none());
-        assert!(!asm.mid_frame());
-    }
-
-    #[test]
-    fn assembler_accepts_frame_exactly_at_the_ceiling() {
-        let mut asm = FrameAssembler::new(8);
-        asm.push(&8u32.to_le_bytes());
-        asm.push(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(asm.next_frame().unwrap().unwrap().len(), 8);
+    fn connections(server: &Server) -> usize {
+        server.shared.conns.with(|table| table.live.len())
     }
 
     #[test]
@@ -971,12 +895,12 @@ mod tests {
         // the grace period, so only a force-close ends the connection.
         client.send_raw(&[1, 0]).unwrap();
         for _ in 0..400 {
-            if server.connections() == 1 {
+            if connections(&server) == 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(server.connections(), 1);
+        assert_eq!(connections(&server), 1);
         let report = server.drain();
         assert_eq!(report.forced_closes, 1);
         assert!(matches!(

@@ -143,7 +143,7 @@ impl PredicateIndex {
     }
 }
 
-/// One immutable published view. See the [module](self) docs.
+/// One immutable published view. See the module docs.
 #[derive(Debug, Clone)]
 pub struct SnapshotView {
     /// Completed probing days (the pipeline's day counter at publish).
@@ -224,7 +224,7 @@ impl SnapshotView {
     /// pass the same journaled state (live pipeline or
     /// [`PersistedState`]), which is what keeps the reported ranking
     /// identical across them.
-    pub fn with_sched(mut self, sched: Scheduler) -> SnapshotView {
+    pub(crate) fn with_sched(mut self, sched: Scheduler) -> SnapshotView {
         self.sched = sched;
         self
     }
@@ -233,7 +233,7 @@ impl SnapshotView {
     /// figures plus the top-`k` queue entries by canonical priority.
     /// Empty (zero budget, no entries) when the view was published
     /// without scheduler state.
-    pub fn sched_status(&self, k: usize) -> SchedStatus {
+    pub(crate) fn sched_status(&self, k: usize) -> SchedStatus {
         self.sched.status(self.day, k)
     }
 
@@ -285,7 +285,7 @@ impl SnapshotView {
 
     /// The most specific aliased prefix covering `addr`, if any —
     /// longest-prefix-match tagging over the published alias set.
-    pub fn alias_covering(&self, addr: Ipv6Addr) -> Option<Prefix> {
+    pub(crate) fn alias_covering(&self, addr: Ipv6Addr) -> Option<Prefix> {
         self.alias_trie.longest_match(addr).map(|(p, _)| p)
     }
 
@@ -293,7 +293,7 @@ impl SnapshotView {
     ///
     /// # Panics
     /// Panics if `id` was not issued by this view's table.
-    pub fn record(&self, id: AddrId) -> AddrRecord {
+    pub(crate) fn record(&self, id: AddrId) -> AddrRecord {
         let i = id.index();
         let addr = self.table.addr(id);
         let last = self.last_responsive[i];

@@ -102,7 +102,28 @@ fn server_config(f: &Flags) -> Result<ServerConfig, String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, &["simulate", "no-cache", "help"])?;
+    let f = Flags::parse(
+        args,
+        &[
+            "listen",
+            "journal",
+            "days",
+            "day-ms",
+            "seed",
+            "runup",
+            "max-conns",
+            "max-inflight",
+            "read-timeout-ms",
+            "write-timeout-ms",
+            "idle-timeout-ms",
+            "drain-grace-ms",
+            "cache-mb",
+            "keep-epochs",
+            "qps",
+            "burst",
+        ],
+        &["simulate", "no-cache", "help"],
+    )?;
     if f.has("help") {
         print!("{USAGE}");
         return Ok(());

@@ -50,7 +50,11 @@ fn query_from(f: &Flags) -> Result<Query, String> {
 }
 
 fn run(args: &[String]) -> Result<String, String> {
-    let f = Flags::parse(args, &["help"])?;
+    let f = Flags::parse(
+        args,
+        &["to", "timeout-ms", "under", "cursor", "seed"],
+        &["help"],
+    )?;
     if f.has("help") || f.positional().is_empty() {
         return Ok(USAGE.to_string());
     }

@@ -1,13 +1,14 @@
 //! A tiny `--flag value` argument parser (no external crates in the
 //! build image, and the two binaries need exactly this much).
 //!
-//! Grammar: `--name value` pairs, repeatable; names listed as boolean
-//! take no value; everything else is positional. `--` ends flag
-//! parsing.
+//! Grammar: `--name value` pairs for the names listed as taking a
+//! value, repeatable; names listed as boolean take no value; any other
+//! `--name` is an error, so a misspelled flag never passes silently;
+//! everything else is positional. `--` ends flag parsing.
 
 use std::str::FromStr;
 
-/// Parsed command-line flags. See the [module](self) docs for the
+/// Parsed command-line flags. See the module docs for the
 /// grammar.
 #[derive(Debug, Default)]
 pub struct Flags {
@@ -17,9 +18,9 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parse `args` (program name already stripped); `boolean` names
-    /// the flags that take no value.
-    pub fn parse(args: &[String], boolean: &[&str]) -> Result<Flags, String> {
+    /// Parse `args` (program name already stripped); `valued` names the
+    /// flags that take a value and `boolean` the ones that take none.
+    pub fn parse(args: &[String], valued: &[&str], boolean: &[&str]) -> Result<Flags, String> {
         let mut f = Flags::default();
         let mut it = args.iter();
         while let Some(tok) = it.next() {
@@ -30,11 +31,13 @@ impl Flags {
             if let Some(name) = tok.strip_prefix("--") {
                 if boolean.contains(&name) {
                     f.bools.push(name.to_string());
-                } else {
+                } else if valued.contains(&name) {
                     let Some(val) = it.next() else {
                         return Err(format!("--{name} needs a value"));
                     };
                     f.pairs.push((name.to_string(), val.clone()));
+                } else {
+                    return Err(format!("unknown flag --{name}"));
                 }
             } else {
                 f.positional.push(tok.clone());
@@ -115,6 +118,7 @@ mod tests {
                 "--days",
                 "3",
             ]),
+            &["listen", "days"],
             &["no-cache"],
         )
         .unwrap();
@@ -131,8 +135,23 @@ mod tests {
 
     #[test]
     fn missing_value_and_double_dash() {
-        assert!(Flags::parse(&args(&["--listen"]), &[]).is_err());
-        let f = Flags::parse(&args(&["--", "--listen", "x"]), &[]).unwrap();
+        assert!(Flags::parse(&args(&["--listen"]), &["listen"], &[]).is_err());
+        let f = Flags::parse(&args(&["--", "--listen", "x"]), &[], &[]).unwrap();
         assert_eq!(f.positional(), ["--listen", "x"]);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        // A misspelled valued flag must not swallow the next token.
+        let err = Flags::parse(
+            &args(&["--qsp", "100", "--simulate"]),
+            &["qps"],
+            &["simulate"],
+        )
+        .unwrap_err();
+        assert_eq!(err, "unknown flag --qsp");
+        // Nor may a boolean one pass as a valued one.
+        let err = Flags::parse(&args(&["--no-cahce", "status"]), &[], &["no-cache"]).unwrap_err();
+        assert_eq!(err, "unknown flag --no-cahce");
     }
 }

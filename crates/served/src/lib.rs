@@ -13,7 +13,7 @@
 )]
 #![deny(missing_docs)]
 
-pub mod flags;
+mod flags;
 pub mod render;
 
 pub use flags::Flags;

@@ -5,7 +5,7 @@ use expanse_serve::{Response, ResponseBody};
 use std::fmt::Write;
 
 /// The spec name of an `ERR_*` wire code.
-pub fn err_name(code: u8) -> &'static str {
+pub(crate) fn err_name(code: u8) -> &'static str {
     (ERROR_CODES.iter())
         .find(|&&(c, _)| c == code)
         .map_or("ERR_UNKNOWN", |&(_, name)| name)

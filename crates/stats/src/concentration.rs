@@ -26,11 +26,6 @@ impl ConcentrationCurve {
         self.sizes.len()
     }
 
-    /// Total mass.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Fraction of total mass in the `x` largest groups (x ≥ groups → 1.0).
     pub fn fraction_in_top(&self, x: usize) -> f64 {
         if self.total == 0 {
@@ -38,37 +33,6 @@ impl ConcentrationCurve {
         }
         let s: u64 = self.sizes.iter().take(x).sum();
         s as f64 / self.total as f64
-    }
-
-    /// The whole curve as `(x, fraction)` points for x = 1..=groups.
-    pub fn points(&self) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(self.sizes.len());
-        let mut acc = 0u64;
-        for (i, &s) in self.sizes.iter().enumerate() {
-            acc += s;
-            out.push((i + 1, acc as f64 / self.total.max(1) as f64));
-        }
-        out
-    }
-
-    /// Sampled curve at logarithmically spaced x values (for compact
-    /// table output mirroring the paper's log-x axes).
-    pub fn log_points(&self) -> Vec<(usize, f64)> {
-        let mut xs: Vec<usize> = Vec::new();
-        let mut x = 1usize;
-        while x < self.groups() {
-            xs.push(x);
-            // 1,2,5,10,20,50,... decade stepping
-            x = match xs.len() % 3 {
-                1 => x * 2,
-                2 => x * 5 / 2,
-                _ => x * 2,
-            };
-        }
-        xs.push(self.groups().max(1));
-        xs.into_iter()
-            .map(|x| (x, self.fraction_in_top(x)))
-            .collect()
     }
 
     /// Gini-style evenness summary in [0, 1]: 0 = perfectly even groups,
@@ -97,7 +61,7 @@ mod tests {
     fn top_fraction_basics() {
         let c = ConcentrationCurve::from_counts([10, 30, 60]);
         assert_eq!(c.groups(), 3);
-        assert_eq!(c.total(), 100);
+        assert_eq!(c.total, 100);
         assert!((c.fraction_in_top(1) - 0.6).abs() < 1e-12);
         assert!((c.fraction_in_top(2) - 0.9).abs() < 1e-12);
         assert!((c.fraction_in_top(3) - 1.0).abs() < 1e-12);
@@ -112,17 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn points_monotone_to_one() {
-        let c = ConcentrationCurve::from_counts([7, 1, 2, 90]);
-        let pts = c.points();
-        assert_eq!(pts.len(), 4);
-        for w in pts.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn gini_extremes() {
         let even = ConcentrationCurve::from_counts([10, 10, 10, 10]);
         assert!(even.gini().abs() < 1e-12);
@@ -130,14 +83,5 @@ mod tests {
         assert!(skewed.gini() > 0.7);
         let empty = ConcentrationCurve::from_counts([]);
         assert_eq!(empty.gini(), 0.0);
-    }
-
-    #[test]
-    fn log_points_cover_range() {
-        let c = ConcentrationCurve::from_counts(vec![1u64; 1000]);
-        let pts = c.log_points();
-        assert_eq!(pts.first().unwrap().0, 1);
-        assert_eq!(pts.last().unwrap().0, 1000);
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 }

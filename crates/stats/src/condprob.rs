@@ -23,13 +23,8 @@ impl CondMatrix {
     }
 
     /// Number of labels.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.labels.len()
-    }
-
-    /// Label names.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
     }
 
     /// Record one item with the given label-membership bitmask
@@ -46,23 +41,6 @@ impl CondMatrix {
                 }
             }
         }
-    }
-
-    /// Record one item from a slice of booleans (length = label count).
-    pub fn record(&mut self, membership: &[bool]) {
-        assert_eq!(membership.len(), self.n(), "membership length mismatch");
-        let mut mask = 0u32;
-        for (i, &m) in membership.iter().enumerate() {
-            if m {
-                mask |= 1 << i;
-            }
-        }
-        self.record_mask(mask);
-    }
-
-    /// Number of items carrying label `x`.
-    pub fn count(&self, x: usize) -> u64 {
-        self.joint[x][x]
     }
 
     /// `P[Y | X]`, or `None` if no item carried X.
@@ -105,8 +83,8 @@ mod tests {
     #[test]
     fn diagonal_is_one() {
         let mut m = CondMatrix::new(&["a", "b"]);
-        m.record(&[true, false]);
-        m.record(&[true, true]);
+        m.record_mask(0b01);
+        m.record_mask(0b11);
         assert_eq!(m.cond(0, 0), Some(1.0));
         assert_eq!(m.cond(1, 1), Some(1.0));
     }
@@ -116,45 +94,29 @@ mod tests {
         let mut m = CondMatrix::new(&["http", "https"]);
         // 3 http-only, 1 both -> P[https|http] = 1/4, P[http|https] = 1.
         for _ in 0..3 {
-            m.record(&[true, false]);
+            m.record_mask(0b01);
         }
-        m.record(&[true, true]);
+        m.record_mask(0b11);
         assert_eq!(m.cond(1, 0), Some(0.25));
         assert_eq!(m.cond(0, 1), Some(1.0));
-        assert_eq!(m.count(0), 4);
-        assert_eq!(m.count(1), 1);
+        assert_eq!(m.joint[0][0], 4);
+        assert_eq!(m.joint[1][1], 1);
     }
 
     #[test]
     fn empty_base_is_none() {
         let mut m = CondMatrix::new(&["a", "b"]);
-        m.record(&[true, false]);
+        m.record_mask(0b01);
         assert_eq!(m.cond(0, 1), None);
-    }
-
-    #[test]
-    fn mask_and_bool_agree() {
-        let mut a = CondMatrix::new(&["x", "y", "z"]);
-        let mut b = CondMatrix::new(&["x", "y", "z"]);
-        a.record(&[true, false, true]);
-        b.record_mask(0b101);
-        assert_eq!(a.joint, b.joint);
     }
 
     #[test]
     fn render_contains_all_labels() {
         let mut m = CondMatrix::new(&["icmp", "tcp80"]);
-        m.record(&[true, true]);
+        m.record_mask(0b11);
         let r = m.render();
         assert!(r.contains("icmp"));
         assert!(r.contains("tcp80"));
         assert!(r.contains("1.000"));
-    }
-
-    #[test]
-    #[should_panic(expected = "membership length mismatch")]
-    fn wrong_len_panics() {
-        let mut m = CondMatrix::new(&["a"]);
-        m.record(&[true, false]);
     }
 }

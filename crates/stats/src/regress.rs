@@ -53,13 +53,6 @@ pub fn ols(points: &[(f64, f64)]) -> Option<OlsFit> {
     })
 }
 
-/// Is a sequence strictly monotonically increasing?
-///
-/// Used for the "timestamps are monotonic for the whole prefix" check.
-pub fn strictly_increasing<T: PartialOrd>(xs: &[T]) -> bool {
-    xs.windows(2).all(|w| w[0] < w[1])
-}
-
 /// Is a sequence non-decreasing?
 pub fn non_decreasing<T: PartialOrd>(xs: &[T]) -> bool {
     xs.windows(2).all(|w| w[0] <= w[1])
@@ -115,11 +108,7 @@ mod tests {
 
     #[test]
     fn monotonicity_checks() {
-        assert!(strictly_increasing(&[1, 2, 3]));
-        assert!(!strictly_increasing(&[1, 2, 2]));
         assert!(non_decreasing(&[1, 2, 2]));
         assert!(!non_decreasing(&[2, 1]));
-        assert!(strictly_increasing::<u32>(&[]));
-        assert!(strictly_increasing(&[42]));
     }
 }

@@ -27,7 +27,7 @@ impl<K: Ord + Clone> Counter<K> {
     }
 
     /// Add `n` observations of `key`.
-    pub fn add(&mut self, key: K, n: u64) {
+    pub(crate) fn add(&mut self, key: K, n: u64) {
         *self.counts.entry(key).or_insert(0) += n;
         self.total += n;
     }

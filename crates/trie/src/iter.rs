@@ -22,13 +22,6 @@ impl<'a, V> Iter<'a, V> {
             stack: vec![top],
         }
     }
-
-    pub(crate) fn empty() -> Self {
-        Iter {
-            nodes: &[],
-            stack: Vec::new(),
-        }
-    }
 }
 
 impl<'a, V> Iterator for Iter<'a, V> {

@@ -174,11 +174,6 @@ impl<V> RangeTable<V> {
         Some((*p, v))
     }
 
-    /// Does any stored prefix cover `addr`?
-    pub fn covers_addr(&self, addr: Ipv6Addr) -> bool {
-        self.longest_match(addr).is_some()
-    }
-
     /// Number of stored prefixes.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -46,12 +46,6 @@ impl<V> PrefixTrie<V> {
         self.len == 0
     }
 
-    /// Number of live nodes, the root included: stored prefixes plus the
-    /// valueless branching points between them. An empty trie has one.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-
     #[inline]
     fn node(&self, slot: u32) -> &Node<V> {
         &self.nodes[slot as usize]
@@ -154,16 +148,6 @@ impl<V> PrefixTrie<V> {
         self.nodes[slot as usize].value.as_mut()
     }
 
-    /// Exact-match lookup, inserting a default value if absent.
-    pub fn get_or_insert_with(&mut self, prefix: Prefix, f: impl FnOnce() -> V) -> &mut V {
-        let slot = self.find_or_create(prefix);
-        let value = &mut self.nodes[slot as usize].value;
-        if value.is_none() {
-            self.len += 1;
-        }
-        value.get_or_insert_with(f)
-    }
-
     /// Remove a prefix, returning its value. Prunes the branch: a node
     /// left without value and with fewer than two children is spliced
     /// out and its slot recycled.
@@ -231,12 +215,6 @@ impl<V> PrefixTrie<V> {
         best.map(|(n, v)| (Prefix::from_bits(n.bits, n.len), v))
     }
 
-    /// Shortest-prefix match: the least specific stored prefix covering
-    /// `addr`. Useful for finding covering aggregates.
-    pub fn shortest_match(&self, addr: Ipv6Addr) -> Option<(Prefix, &V)> {
-        self.matches(addr).next()
-    }
-
     /// All stored prefixes covering `addr`, from shortest to longest.
     pub fn matches(&self, addr: Ipv6Addr) -> MatchesIter<'_, V> {
         MatchesIter::new(self, addr)
@@ -247,53 +225,9 @@ impl<V> PrefixTrie<V> {
         Iter::new(&self.nodes, ROOT)
     }
 
-    /// Iterate over stored prefixes covered by `within` (including itself).
-    pub fn iter_within(&self, within: Prefix) -> Iter<'_, V> {
-        match self.subtree(within) {
-            Some(slot) => Iter::new(&self.nodes, slot),
-            None => Iter::empty(),
-        }
-    }
-
-    /// Slot of the topmost node `p` covers: the root of everything
-    /// stored at or under `p`.
-    fn subtree(&self, p: Prefix) -> Option<u32> {
-        let (bits, len) = (p.bits(), p.len());
-        let mut slot = ROOT;
-        loop {
-            let n = self.node(slot);
-            // `n` covers `p`, so equal length means `n` is `p`.
-            if n.len == len {
-                return Some(slot);
-            }
-            let child = n.child_toward(bits);
-            if child == NIL {
-                return None;
-            }
-            let c = self.node(child);
-            if !c.covers(bits, len) {
-                // Not on `p`'s path: under `p`, or beside it.
-                return (c.len > len && common_len(c.bits, bits) >= len).then_some(child);
-            }
-            slot = child;
-        }
-    }
-
-    /// Do any stored prefixes intersect `p` (cover it or be covered by it)?
-    pub fn intersects(&self, p: Prefix) -> bool {
-        // A stored prefix covering `p`'s first address either covers `p`
-        // or lies inside it; any other prefix inside `p` is in its subtree.
-        self.shortest_match(p.first()).is_some() || self.iter_within(p).next().is_some()
-    }
-
     /// Collect all stored prefixes (sorted by address then length).
     pub fn prefixes(&self) -> Vec<Prefix> {
         self.iter().map(|(p, _)| p).collect()
-    }
-
-    /// Clear the trie.
-    pub fn clear(&mut self) {
-        *self = PrefixTrie::new();
     }
 }
 
@@ -327,6 +261,12 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// Live nodes, the root included: stored prefixes plus the valueless
+    /// branching points between them. An empty trie has one.
+    fn node_count<V>(t: &PrefixTrie<V>) -> usize {
+        t.nodes.len() - t.free.len()
+    }
+
     #[test]
     fn insert_get_remove() {
         let mut t = PrefixTrie::new();
@@ -340,7 +280,7 @@ mod tests {
         assert_eq!(t.remove(p("2001:db8::/32")), None);
         assert!(t.is_empty());
         // Removal pruned the path.
-        assert_eq!(t.node_count(), 1);
+        assert_eq!(node_count(&t), 1);
     }
 
     #[test]
@@ -368,16 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn shortest_match_finds_aggregate() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("2001:db8::/32"), 32);
-        t.insert(p("2001:db8:407::/48"), 48);
-        let (px, v) = t.shortest_match(a("2001:db8:407::1")).unwrap();
-        assert_eq!(*v, 32);
-        assert_eq!(px.len(), 32);
-    }
-
-    #[test]
     fn host_route_matching() {
         let mut t = PrefixTrie::new();
         t.insert(Prefix::host(a("2001:db8::1")), ());
@@ -386,46 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_with_counts() {
-        let mut t: PrefixTrie<u32> = PrefixTrie::new();
-        *t.get_or_insert_with(p("2001:db8::/32"), || 0) += 1;
-        *t.get_or_insert_with(p("2001:db8::/32"), || 0) += 1;
-        assert_eq!(t.get(p("2001:db8::/32")), Some(&2));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn iter_within_subtree() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("2001:db8::/32"), 0);
-        t.insert(p("2001:db8:1::/48"), 1);
-        t.insert(p("2001:db8:2::/48"), 2);
-        t.insert(p("2001:db9::/32"), 3);
-        let inside: Vec<_> = t
-            .iter_within(p("2001:db8::/32"))
-            .map(|(q, v)| (q, *v))
-            .collect();
-        assert_eq!(inside.len(), 3);
-        assert!(inside.iter().all(|(q, _)| p("2001:db8::/32").covers(q)));
-        assert!(t.iter_within(p("3000::/16")).next().is_none());
-    }
-
-    #[test]
-    fn intersects_detects_both_directions() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("2001:db8:407::/48"), ());
-        assert!(t.intersects(p("2001:db8::/32"))); // covered-by direction
-        assert!(t.intersects(p("2001:db8:407:1::/64"))); // covering direction
-        assert!(!t.intersects(p("2001:db9::/32")));
-    }
-
-    #[test]
     fn default_route_value() {
         let mut t = PrefixTrie::new();
         t.insert(Prefix::DEFAULT, "d");
         assert_eq!(t.get(Prefix::DEFAULT), Some(&"d"));
         assert_eq!(t.longest_match(a("::1")).unwrap().1, &"d");
-        assert_eq!(t.shortest_match(a("::1")).unwrap().1, &"d");
     }
 
     #[test]
@@ -434,5 +329,39 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(t.prefixes(), vec![p("2001:db8::/32"), p("2001:db9::/32")]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random inserts and removes over nesting and diverging prefixes:
+        /// at most one fork per stored prefix stays live, and removing
+        /// everything prunes every branch back to the root.
+        #[test]
+        fn removal_prunes_every_branch(
+            steps in proptest::collection::vec((proptest::prelude::any::<bool>(), 0usize..28), 1..80),
+        ) {
+            let spine: u128 = 0x2001_0db8_0407_8000_0123_4567_89ab_cdef;
+            let lens = [0u8, 1, 2, 3, 16, 31, 32, 33, 48, 64, 96, 126, 127, 128];
+            let mut pool: Vec<Prefix> = lens.iter().map(|&l| Prefix::from_bits(spine, l)).collect();
+            for &len in &lens[1..] {
+                pool.push(Prefix::from_bits(spine ^ (1u128 << (128 - u32::from(len))), len));
+            }
+            pool.push(p("2a00::/12"));
+            let mut t = PrefixTrie::new();
+            for (insert, pick) in steps {
+                let q = pool[pick % pool.len()];
+                if insert {
+                    t.insert(q, ());
+                } else {
+                    t.remove(q);
+                }
+                proptest::prop_assert!(node_count(&t) <= 2 * t.len() + 1);
+            }
+            for q in t.prefixes() {
+                proptest::prop_assert!(t.remove(q).is_some());
+            }
+            proptest::prop_assert_eq!(node_count(&t), 1);
+        }
     }
 }

@@ -16,7 +16,6 @@ mod squarify;
 mod svg;
 
 pub use squarify::{layout, Rect};
-
 pub use svg::render_svg;
 
 use expanse_addr::Prefix;
@@ -73,74 +72,6 @@ pub struct ZesPlot {
 /// normalized later.
 fn area_weight(len: u8) -> f64 {
     1.25f64.powi(-i32::from(len))
-}
-
-/// Build a *nested* zesplot: more-specific input prefixes are drawn in
-/// the top half of their covering input prefix's rectangle, as the
-/// original zesplot tool does ("More-specific subprefixes are plotted in
-/// the top half of that prefix's rectangle").
-///
-/// One nesting level is rendered: every covered prefix is assigned to
-/// its least-specific covering entry. Top-level prefixes tile the canvas
-/// exactly as [`plot`] would.
-pub fn plot_nested(entries: Vec<ZesEntry>, config: ZesConfig) -> ZesPlot {
-    // Split entries into top-level and covered.
-    let mut top: Vec<ZesEntry> = Vec::new();
-    let mut children: Vec<(usize, ZesEntry)> = Vec::new(); // (top index, entry)
-    let mut sorted = entries;
-    sorted.sort_by(|a, b| {
-        a.prefix
-            .len()
-            .cmp(&b.prefix.len())
-            .then_with(|| a.asn.cmp(&b.asn))
-            .then_with(|| a.prefix.cmp(&b.prefix))
-    });
-    for e in sorted {
-        match top
-            .iter()
-            .position(|t| t.prefix.covers(&e.prefix) && t.prefix != e.prefix)
-        {
-            Some(i) => children.push((i, e)),
-            None => top.push(e),
-        }
-    }
-    // Lay out the top level.
-    let top_plot = plot(top, config.clone());
-    let mut all_entries = top_plot.entries.clone();
-    let mut all_rects = top_plot.rects.clone();
-    // Lay out each parent's children inside the top half of its rect.
-    for (parent_idx, parent_rect) in top_plot.rects.iter().enumerate() {
-        let parent_prefix = top_plot.entries[parent_idx].prefix;
-        let mine: Vec<ZesEntry> = children
-            .iter()
-            .filter(|(_, e)| parent_prefix.covers(&e.prefix))
-            .map(|(_, e)| e.clone())
-            .collect();
-        if mine.is_empty() {
-            continue;
-        }
-        let areas: Vec<f64> = if config.sized {
-            mine.iter().map(|e| area_weight(e.prefix.len())).collect()
-        } else {
-            vec![1.0; mine.len()]
-        };
-        let half_h = parent_rect.h / 2.0;
-        let sub = layout(&areas, parent_rect.w, half_h);
-        for (e, r) in mine.into_iter().zip(sub) {
-            all_entries.push(e);
-            all_rects.push(Rect {
-                x: parent_rect.x + r.x,
-                y: parent_rect.y + r.y,
-                w: r.w,
-                h: r.h,
-            });
-        }
-    }
-    ZesPlot {
-        entries: all_entries,
-        rects: all_rects,
-        config,
-    }
 }
 
 /// Build a zesplot: sort by `{len, asn, prefix}`, lay out, attach rects.
@@ -235,53 +166,6 @@ mod tests {
         let areas: Vec<f64> = p.rects.iter().map(|r| r.w * r.h).collect();
         for a in &areas {
             assert!((a - areas[0]).abs() < 1.0, "{areas:?}");
-        }
-    }
-
-    #[test]
-    fn nested_children_sit_in_parents_top_half() {
-        let mut e = entries();
-        e.push(ZesEntry {
-            prefix: "2001:db8:47::/48".parse().unwrap(), // inside 2001:db8::/32
-            asn: 2,
-            value: 7.0,
-        });
-        e.push(ZesEntry {
-            prefix: "2001:db8:47:1::/64".parse().unwrap(), // also inside
-            asn: 2,
-            value: 3.0,
-        });
-        let p = plot_nested(e, ZesConfig::default());
-        // 4 top-level + 2 children.
-        assert_eq!(p.entries.len(), 6);
-        let parent_idx = p
-            .entries
-            .iter()
-            .position(|x| x.prefix == "2001:db8::/32".parse().unwrap())
-            .unwrap();
-        let parent = p.rects[parent_idx];
-        for (e, r) in p.entries.iter().zip(&p.rects) {
-            if e.prefix == "2001:db8:47::/48".parse().unwrap()
-                || e.prefix == "2001:db8:47:1::/64".parse().unwrap()
-            {
-                assert!(r.x >= parent.x - 1e-6);
-                assert!(r.x + r.w <= parent.x + parent.w + 1e-4);
-                assert!(r.y >= parent.y - 1e-6);
-                assert!(
-                    r.y + r.h <= parent.y + parent.h / 2.0 + 1e-4,
-                    "child must sit in the TOP half: {r:?} in {parent:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn nested_without_overlaps_equals_flat() {
-        let p_flat = plot(entries(), ZesConfig::default());
-        let p_nest = plot_nested(entries(), ZesConfig::default());
-        assert_eq!(p_flat.entries.len(), p_nest.entries.len());
-        for (a, b) in p_flat.rects.iter().zip(&p_nest.rects) {
-            assert_eq!(a, b, "no covered prefixes -> identical layout");
         }
     }
 

@@ -9,12 +9,12 @@
 //! - **stateless validation** ([`validate`]) — probe fields are a keyed
 //!   hash of the destination, so replies validate without per-target
 //!   state;
-//! - **pseudorandom target permutation** ([`permute`]) — a keyed Feistel
+//! - **pseudorandom target permutation** (`permute`) — a keyed Feistel
 //!   permutation with sharding (zmap uses a multiplicative cyclic group;
 //!   same contract);
-//! - **the scan loop** ([`scanner`]) — rate-limited sends over a
+//! - **the scan loop** (`scanner`) — rate-limited sends over a
 //!   [`expanse_netsim::Network`], validated receive path, per-protocol
-//!   and merged results ([`results`]).
+//!   and merged results (`results`).
 //!
 //! ```no_run
 //! use expanse_zmap6::{ScanConfig, Scanner, module::IcmpEchoModule};
@@ -27,11 +27,11 @@
 //! println!("{} responsive", result.responsive_count());
 //! ```
 
-pub mod blacklist;
+mod blacklist;
 pub mod module;
-pub mod permute;
-pub mod results;
-pub mod scanner;
+mod permute;
+mod results;
+mod scanner;
 pub mod validate;
 
 pub use blacklist::Blacklist;

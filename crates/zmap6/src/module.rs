@@ -137,14 +137,6 @@ pub struct TcpSynModule {
 }
 
 impl TcpSynModule {
-    /// Create a new instance.
-    pub fn new(port: u16) -> Self {
-        TcpSynModule {
-            port,
-            with_options: false,
-        }
-    }
-
     /// The `synopt` fingerprinting variant.
     pub fn with_synopt(port: u16) -> Self {
         TcpSynModule {
@@ -271,7 +263,7 @@ impl ProbeModule for DnsModule {
 /// UDP/443 QUIC module: greasing-version Initial; a Version Negotiation
 /// reply counts.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct QuicModule;
+pub(crate) struct QuicModule;
 
 impl ProbeModule for QuicModule {
     fn protocol(&self) -> Protocol {
@@ -396,7 +388,13 @@ mod tests {
             TransportView::Icmpv6(echo)
         );
 
-        for m in [TcpSynModule::with_synopt(443), TcpSynModule::new(80)] {
+        for m in [
+            TcpSynModule::with_synopt(443),
+            TcpSynModule {
+                port: 80,
+                with_options: false,
+            },
+        ] {
             let frame = probe_frame(&m, src, dst);
             let TransportView::Tcp(seg) = transport(&frame, proto::TCP) else {
                 panic!("port {}: not TCP", m.port)
@@ -584,7 +582,10 @@ mod tests {
     #[test]
     fn tcp_rst_is_recorded_not_positive() {
         let (src, dst) = pair();
-        let m = TcpSynModule::new(443);
+        let m = TcpSynModule {
+            port: 443,
+            with_options: false,
+        };
         let f = v().fields(dst);
         let rst = TcpView {
             src_port: 443,
@@ -605,7 +606,10 @@ mod tests {
     #[test]
     fn wrong_ack_rejected() {
         let (src, dst) = pair();
-        let m = TcpSynModule::new(80);
+        let m = TcpSynModule {
+            port: 80,
+            with_options: false,
+        };
         let f = v().fields(dst);
         let seg = TcpView {
             src_port: 80,

@@ -42,16 +42,6 @@ impl Permutation {
         }
     }
 
-    /// Domain size.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// Is the domain empty? (Never true; constructor forbids it.)
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     #[inline]
     fn feistel(&self, x: u64) -> u64 {
         let mask = (1u64 << self.half_bits) - 1;
@@ -80,17 +70,12 @@ impl Permutation {
         x
     }
 
-    /// Iterate the full permutation.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.n).map(move |i| self.at(i))
-    }
-
     /// Iterate one shard of `total` (round-robin split, zmap's
     /// `--shards` / `--shard`).
     ///
     /// # Panics
     /// Panics if `shard >= total` or `total == 0`.
-    pub fn shard(&self, shard: u64, total: u64) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn shard(&self, shard: u64, total: u64) -> impl Iterator<Item = u64> + '_ {
         assert!(total > 0 && shard < total, "bad shard {shard}/{total}");
         // Positions `shard, shard + total, …`: a stride, so a shard of a
         // 40-cell battery grid walks n/40 positions, not all n.
@@ -104,11 +89,15 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    fn iter(p: &Permutation) -> impl Iterator<Item = u64> + '_ {
+        (0..p.n).map(move |i| p.at(i))
+    }
+
     #[test]
     fn is_a_permutation() {
         for n in [1u64, 2, 7, 16, 100, 1000, 4097] {
             let p = Permutation::new(n, 42);
-            let seen: BTreeSet<u64> = p.iter().collect();
+            let seen: BTreeSet<u64> = iter(&p).collect();
             assert_eq!(seen.len() as u64, n, "n={n}");
             assert!(seen.iter().all(|&x| x < n), "n={n}");
         }
@@ -116,10 +105,10 @@ mod tests {
 
     #[test]
     fn keyed() {
-        let a: Vec<u64> = Permutation::new(1000, 1).iter().collect();
-        let b: Vec<u64> = Permutation::new(1000, 2).iter().collect();
+        let a: Vec<u64> = iter(&Permutation::new(1000, 1)).collect();
+        let b: Vec<u64> = iter(&Permutation::new(1000, 2)).collect();
         assert_ne!(a, b);
-        let c: Vec<u64> = Permutation::new(1000, 1).iter().collect();
+        let c: Vec<u64> = iter(&Permutation::new(1000, 1)).collect();
         assert_eq!(a, c);
     }
 
@@ -127,7 +116,7 @@ mod tests {
     fn looks_shuffled() {
         // Consecutive outputs should not be consecutive integers.
         let p = Permutation::new(10_000, 7);
-        let out: Vec<u64> = p.iter().take(100).collect();
+        let out: Vec<u64> = iter(&p).take(100).collect();
         let consecutive = out
             .windows(2)
             .filter(|w| w[1] == w[0] + 1 || w[0] == w[1] + 1)

@@ -47,7 +47,7 @@ pub struct ScanResult {
 
 impl ScanResult {
     /// Create a new instance.
-    pub fn new(protocol: Protocol) -> Self {
+    pub(crate) fn new(protocol: Protocol) -> Self {
         ScanResult {
             protocol,
             sent: 0,
@@ -102,7 +102,7 @@ impl ScanResult {
     ///
     /// # Panics
     /// Panics if a part scanned another protocol.
-    pub fn from_shards(protocol: Protocol, parts: Vec<ScanResult>) -> ScanResult {
+    pub(crate) fn from_shards(protocol: Protocol, parts: Vec<ScanResult>) -> ScanResult {
         let mut out = ScanResult::new(protocol);
         let mut runs = Vec::with_capacity(parts.len());
         for part in parts {
@@ -167,7 +167,7 @@ pub struct MultiScanResult {
     /// `responsive`'s insertion order: entry *i* is the resolved id of
     /// the *i*-th distinct responder (protocols in merge order, each
     /// protocol's new responders in target order). Filled only by
-    /// [`MultiScanResult::merge_resolved`] (the pipeline resolves
+    /// `MultiScanResult::merge_resolved` (the pipeline resolves
     /// against its hitlist during the merge itself, instead of a
     /// per-responder hash lookup afterwards); stays empty under plain
     /// [`MultiScanResult::merge`]. Excluded from equality — it mirrors
@@ -187,7 +187,11 @@ impl MultiScanResult {
     /// [`MultiScanResult::responsive_ids`] in `responsive` insertion
     /// order). Mixing resolved and plain merges on one result would
     /// desync the two columns, so don't.
-    pub fn merge_resolved(&mut self, r: ScanResult, resolve: &mut dyn FnMut(Ipv6Addr) -> AddrId) {
+    pub(crate) fn merge_resolved(
+        &mut self,
+        r: ScanResult,
+        resolve: &mut dyn FnMut(Ipv6Addr) -> AddrId,
+    ) {
         self.merge_impl(r, Some(resolve));
     }
 
@@ -216,7 +220,7 @@ impl MultiScanResult {
     ///
     /// # Panics
     /// Panics if the result was not built with
-    /// [`MultiScanResult::merge_resolved`] throughout (the columns must
+    /// `MultiScanResult::merge_resolved` throughout (the columns must
     /// be parallel).
     pub fn resolved_pairs(&self) -> impl Iterator<Item = (AddrId, ProtoSet)> + '_ {
         assert_eq!(

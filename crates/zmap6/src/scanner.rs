@@ -153,11 +153,6 @@ impl<N: Network> Scanner<N> {
         &self.net
     }
 
-    /// The scan configuration.
-    pub fn config(&self) -> &ScanConfig {
-        &self.cfg
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.clock
@@ -542,7 +537,7 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
 
     /// [`Scanner::scan_battery`], resolving each responsive address to a
     /// caller-domain id *during* the merge (see
-    /// [`MultiScanResult::merge_resolved`]) — the pipeline passes its
+    /// `MultiScanResult::merge_resolved`) — the pipeline passes its
     /// hitlist lookup here instead of re-hashing every responder after
     /// the battery returns. The resolver only runs on the merge fold,
     /// after the grid is back, so it needs no synchronization.

@@ -52,20 +52,20 @@ impl Validator {
     }
 
     /// Validate an ICMP echo reply's ident/seq against target `dst`.
-    pub fn check_echo(&self, dst: Ipv6Addr, ident: u16, seq: u16) -> bool {
+    pub(crate) fn check_echo(&self, dst: Ipv6Addr, ident: u16, seq: u16) -> bool {
         let f = self.fields(dst);
         f.ident == ident && f.seq == seq
     }
 
     /// Validate a TCP reply: destination port must be our ephemeral port
     /// and the peer must acknowledge `tcp_seq + 1`.
-    pub fn check_tcp(&self, dst: Ipv6Addr, dst_port: u16, ack: u32) -> bool {
+    pub(crate) fn check_tcp(&self, dst: Ipv6Addr, dst_port: u16, ack: u32) -> bool {
         let f = self.fields(dst);
         f.src_port == dst_port && ack == f.tcp_seq.wrapping_add(1)
     }
 
     /// Validate a UDP reply's destination port.
-    pub fn check_udp(&self, dst: Ipv6Addr, dst_port: u16) -> bool {
+    pub(crate) fn check_udp(&self, dst: Ipv6Addr, dst_port: u16) -> bool {
         self.fields(dst).src_port == dst_port
     }
 }

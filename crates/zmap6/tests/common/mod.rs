@@ -12,11 +12,11 @@ use std::net::Ipv6Addr;
 /// ICMP + TCP/80 scans, the clock after them, then the same for a
 /// second pair run right after — which reads the bucket and proxy state
 /// the first pair left.
-pub type Fingerprint = [u64; 6];
+pub(crate) type Fingerprint = [u64; 6];
 
 /// [`Fingerprint`]s of the serial event-queue scan loop, recorded on
 /// the commit before the scan job went onto the worker pool.
-pub const RECORDED_PLAIN: Fingerprint = [
+pub(crate) const RECORDED_PLAIN: Fingerprint = [
     13_679_804_073_795_178_727,
     17_561_221_096_330_672_830,
     10_245_780_000,
@@ -25,7 +25,7 @@ pub const RECORDED_PLAIN: Fingerprint = [
     20_491_560_000,
 ];
 /// The adversarial world (throttled last-hop /64s in the day state).
-pub const RECORDED_ADVERSARIAL: Fingerprint = [
+pub(crate) const RECORDED_ADVERSARIAL: Fingerprint = [
     3_060_298_423_986_867_007,
     2_691_181_534_831_703_082,
     10_248_240_000,
@@ -34,11 +34,11 @@ pub const RECORDED_ADVERSARIAL: Fingerprint = [
     20_496_480_000,
 ];
 
-pub fn plain() -> InternetModel {
+pub(crate) fn plain() -> InternetModel {
     InternetModel::build(ModelConfig::tiny(21))
 }
 
-pub fn adversarial() -> InternetModel {
+pub(crate) fn adversarial() -> InternetModel {
     InternetModel::build(ModelConfig::adversarial(21))
 }
 
@@ -47,7 +47,7 @@ pub fn adversarial() -> InternetModel {
 /// /64s, aliased hooks, every live host, routed and unrouted ghosts,
 /// one target listed twice, and two blacklisted prefixes (returned
 /// second) with targets inside.
-pub fn mix(model: &InternetModel) -> (Vec<Ipv6Addr>, Vec<Prefix>) {
+pub(crate) fn mix(model: &InternetModel) -> (Vec<Ipv6Addr>, Vec<Prefix>) {
     let special = &model.population.special;
     let mut targets: Vec<Ipv6Addr> = Vec::new();
     let mut fill = |p: Prefix, n: u64| {

@@ -7,7 +7,7 @@
 //! directions, and a doc anchor that vanishes (a reworded sentence, a
 //! renamed table header) fails as loudly as a wrong number.
 
-use expanse::addr::codec::{CODEC_VERSION, SET_MAGIC, TABLE_MAGIC};
+use expanse::addr::codec::CODEC_VERSION;
 use expanse::core::pipeline::{DELTA_MAGIC, PIPELINE_MAGIC};
 use expanse::serve::protocol::{
     ERROR_CODES, MAX_FRAME_LEN, MAX_RESULT_ADDRS, PROTOCOL_VERSION, REQUEST_MAGIC, RESPONSE_MAGIC,
@@ -79,10 +79,7 @@ fn assert_magics(doc: &str, code: &[[u8; 8]]) {
 #[test]
 fn snapshot_format_matches_the_codec() {
     assert_eq!(doc_version(SNAPSHOT_DOC), u64::from(CODEC_VERSION));
-    assert_magics(
-        SNAPSHOT_DOC,
-        &[TABLE_MAGIC, SET_MAGIC, PIPELINE_MAGIC, DELTA_MAGIC],
-    );
+    assert_magics(SNAPSHOT_DOC, &[PIPELINE_MAGIC, DELTA_MAGIC]);
 }
 
 #[test]
