@@ -3,9 +3,8 @@
 //! The hitlist layers pass address *collections* around constantly —
 //! the live hitlist, the APD-kept subset, per-source slices, baseline
 //! cohorts. As sorted runs of dense ids they cost 4 bytes per member,
-//! set algebra is a linear merge walk instead of hashing, and because
-//! ids are issued in insertion order, ascending-id iteration doubles as
-//! insertion-order iteration. Materializing concrete [`Ipv6Addr`]s is
+//! and because ids are issued in insertion order, ascending-id
+//! iteration doubles as insertion-order iteration. Materializing concrete [`Ipv6Addr`]s is
 //! deferred to [`AddrSet::addrs`], which resolves against the owning
 //! [`AddrTable`] on demand.
 
@@ -26,13 +25,10 @@ use std::net::Ipv6Addr;
 ///     .map(|s| table.intern(s.parse().unwrap()))
 ///     .collect();
 ///
-/// let evens: AddrSet = [ids[0], ids[2]].into_iter().collect();
-/// let low: AddrSet = [ids[0], ids[1]].into_iter().collect();
-/// // Set algebra is a linear merge over the sorted id runs…
-/// assert_eq!(evens.intersect(&low).len(), 1);
-/// assert_eq!(evens.union(&low).len(), 3);
-/// assert_eq!(evens.difference(&low).len(), 1);
-/// // …and members resolve to addresses against the owning table.
+/// // Members are kept as a sorted, deduplicated id run…
+/// let evens: AddrSet = [ids[2], ids[0], ids[2]].into_iter().collect();
+/// assert_eq!(evens.len(), 2);
+/// // …and resolve to addresses against the owning table.
 /// let addrs: Vec<Ipv6Addr> = evens.addrs(&table).collect();
 /// assert_eq!(addrs[0], "2001:db8::1".parse::<Ipv6Addr>().unwrap());
 /// ```
@@ -73,11 +69,6 @@ impl AddrSet {
         self.ids.is_empty()
     }
 
-    /// Membership test (binary search).
-    pub fn contains(&self, id: AddrId) -> bool {
-        self.ids.binary_search(&id).is_ok()
-    }
-
     /// The ids as a sorted slice.
     pub fn as_slice(&self) -> &[AddrId] {
         &self.ids
@@ -93,71 +84,6 @@ impl AddrSet {
     pub fn addrs<'a>(&'a self, table: &'a AddrTable) -> impl Iterator<Item = Ipv6Addr> + 'a {
         self.ids.iter().map(|&id| table.addr(id))
     }
-
-    /// Set union (linear merge).
-    pub fn union(&self, other: &AddrSet) -> AddrSet {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.ids[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.ids[i..]);
-        out.extend_from_slice(&other.ids[j..]);
-        AddrSet { ids: out }
-    }
-
-    /// Set intersection (linear merge).
-    pub fn intersect(&self, other: &AddrSet) -> AddrSet {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        AddrSet { ids: out }
-    }
-
-    /// Set difference: members of `self` not in `other` (linear merge).
-    pub fn difference(&self, other: &AddrSet) -> AddrSet {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.ids[i..]);
-        AddrSet { ids: out }
-    }
 }
 
 impl FromIterator<AddrId> for AddrSet {
@@ -167,8 +93,8 @@ impl FromIterator<AddrId> for AddrSet {
 }
 
 /// A membership bitmap over ids: the constant-time test a walk in
-/// address order ([`AddrTable::sorted`]) asks of a set whose
-/// [`AddrSet::contains`] would binary-search. Bit `i` speaks for id `i`.
+/// address order ([`AddrTable::sorted`]) asks of an [`AddrSet`]. Bit
+/// `i` speaks for id `i`.
 #[derive(Debug, Clone, Default)]
 pub struct IdBits {
     words: Vec<u64>,
@@ -225,21 +151,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         let ids: Vec<usize> = s.iter().map(AddrId::index).collect();
         assert_eq!(ids, vec![1, 3, 5]);
-        assert!(s.contains(AddrId::from_index(3)));
-        assert!(!s.contains(AddrId::from_index(2)));
-    }
-
-    #[test]
-    fn algebra() {
-        let a = set(&[1, 2, 3, 7]);
-        let b = set(&[2, 4, 7, 9]);
-        let u: Vec<usize> = a.union(&b).iter().map(AddrId::index).collect();
-        assert_eq!(u, vec![1, 2, 3, 4, 7, 9]);
-        let i: Vec<usize> = a.intersect(&b).iter().map(AddrId::index).collect();
-        assert_eq!(i, vec![2, 7]);
-        let d: Vec<usize> = a.difference(&b).iter().map(AddrId::index).collect();
-        assert_eq!(d, vec![1, 3]);
-        assert!(AddrSet::new().union(&AddrSet::new()).is_empty());
     }
 
     #[test]

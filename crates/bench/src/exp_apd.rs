@@ -217,7 +217,6 @@ pub(crate) fn fig5(ctx: &mut Ctx) -> String {
         ZesConfig {
             sized: false,
             label: "ICMP responses (no APD)".into(),
-            ..ZesConfig::default()
         },
     );
     ctx.write("fig5a_responses_no_apd.svg", &render_svg(&za));
@@ -263,7 +262,6 @@ pub(crate) fn fig5(ctx: &mut Ctx) -> String {
         ZesConfig {
             sized: false,
             label: "detected aliased prefixes".into(),
-            ..ZesConfig::default()
         },
     );
     ctx.write("fig5b_aliased_prefixes.svg", &render_svg(&zb));

@@ -215,7 +215,6 @@ pub(crate) fn fig3b(ctx: &mut Ctx) -> String {
         ZesConfig {
             sized: false,
             label: "entropy cluster id".into(),
-            ..ZesConfig::default()
         },
     );
     ctx.write("fig3b_clusters_zesplot.svg", &render_svg(&zp));

@@ -60,8 +60,7 @@ pub(crate) fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
                 .into_iter()
                 .filter(|a| !seed_set.contains(a)),
         );
-        let regions =
-            expanse_sixgen::grow_regions(&capped, &expanse_sixgen::SixGenConfig::default());
+        let regions = expanse_sixgen::grow_regions(&capped);
         six_targets.extend(
             expanse_sixgen::generate(&regions, per_as_budget)
                 .into_iter()

@@ -46,7 +46,6 @@ pub(crate) fn fig6(ctx: &mut Ctx) -> String {
         ZesConfig {
             sized: false,
             label: "ICMP responses".into(),
-            ..ZesConfig::default()
         },
     );
     ctx.write("fig6_responses_zesplot.svg", &render_svg(&zp));

@@ -204,8 +204,8 @@ pub(crate) fn fig1c(ctx: &mut Ctx) -> String {
     let zp = plot(
         entries,
         ZesConfig {
+            sized: true,
             label: "hitlist addresses".into(),
-            ..ZesConfig::default()
         },
     );
     let svg = render_svg(&zp);

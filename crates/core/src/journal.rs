@@ -275,16 +275,6 @@ impl<S: JournalStore> Journal<S> {
         self.poisoned = false;
         Ok(self.base_bytes)
     }
-
-    /// Size of the current base envelope.
-    pub fn base_bytes(&self) -> u64 {
-        self.base_bytes
-    }
-
-    /// Delta bytes appended since the base was last written.
-    pub fn delta_bytes(&self) -> u64 {
-        self.delta_bytes
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +302,7 @@ mod tests {
         let mut p = tiny();
         p.run_day();
         let mut j = Journal::create(Vec::new(), JournalPolicy::default(), &mut p).unwrap();
-        let base = j.base_bytes();
+        let base = j.base_bytes;
         assert!(base > 0);
         // Daily deltas are a small fraction of the base; they append
         // until their sum crosses the base size, then the log resets.
@@ -323,10 +313,10 @@ mod tests {
                 JournalRecord::Appended { bytes } => {
                     appended += 1;
                     assert!(bytes > 0);
-                    assert!(j.delta_bytes() <= j.base_bytes());
+                    assert!(j.delta_bytes <= j.base_bytes);
                 }
                 JournalRecord::Compacted { .. } => {
-                    assert_eq!(j.delta_bytes(), 0);
+                    assert_eq!(j.delta_bytes, 0);
                 }
             }
         }
@@ -360,7 +350,7 @@ mod tests {
             cfg,
         )
         .unwrap();
-        assert_eq!(j2.delta_bytes(), 0, "base-only log has no delta bytes");
+        assert_eq!(j2.delta_bytes, 0, "base-only log has no delta bytes");
 
         let mut j2 = j2;
         q.run_day();
@@ -377,7 +367,7 @@ mod tests {
         )
         .unwrap();
         assert!(!replay.torn_tail);
-        assert_eq!(j3.delta_bytes(), bytes);
+        assert_eq!(j3.delta_bytes, bytes);
         assert_eq!(replay.journal_bytes - replay.base_bytes, bytes);
     }
 
@@ -392,7 +382,7 @@ mod tests {
             j.record(&mut p).unwrap(),
             JournalRecord::Compacted { .. }
         ));
-        assert_eq!(j.delta_bytes(), 0);
+        assert_eq!(j.delta_bytes, 0);
     }
 
     /// A store whose appends fail must not advance the pipeline's sync

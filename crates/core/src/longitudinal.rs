@@ -206,11 +206,6 @@ impl Ledger {
             .map_or(0, |(_, s)| s.len())
     }
 
-    /// Days recorded so far.
-    pub fn days(&self) -> u16 {
-        self.days_recorded
-    }
-
     /// Serialize baselines, survival series, and the day counters into
     /// an open snapshot envelope. Rows are written in [`Fig8Row::all`]
     /// order.
@@ -547,7 +542,7 @@ mod tests {
             ledger.baseline_len(Fig8Row::Source(SourceId::DomainLists)),
             0
         );
-        assert_eq!(ledger.days(), 2);
+        assert_eq!(ledger.days_recorded, 2);
         assert_eq!(ledger.first_day, Some(3));
         // Pre-baseline days are recorded as NaN, keeping series aligned.
         let row = Fig8Row::Source(SourceId::DomainLists);
@@ -660,7 +655,7 @@ mod tests {
         let back = Ledger::decode(&mut dec).unwrap();
         dec.finish().unwrap();
 
-        assert_eq!(back.days(), ledger.days());
+        assert_eq!(back.days_recorded, ledger.days_recorded);
         assert_eq!(back.first_day, ledger.first_day);
         for row in Fig8Row::all() {
             assert_eq!(back.baseline_len(row), ledger.baseline_len(row));

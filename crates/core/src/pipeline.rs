@@ -469,7 +469,6 @@ impl Pipeline {
         let cfg = TraceConfig {
             src: self.cfg.scan.src,
             seed: self.cfg.scan.seed ^ 0x7ace,
-            ..TraceConfig::default()
         };
         let harvest = Tracer::new(self.scanner.network_mut(), cfg).harvest(&trace_targets);
         self.hitlist

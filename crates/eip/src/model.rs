@@ -153,22 +153,6 @@ impl EipModel {
             .unwrap_or(&self.marginals[i])
     }
 
-    /// Joint probability of a full address under the chain model.
-    pub fn probability(&self, addr: Ipv6Addr) -> f64 {
-        let mut p = 1.0;
-        let mut prev = 0u64;
-        for (i, seg) in self.segments.iter().enumerate() {
-            let v = segment_value(addr, seg);
-            let d = self.dist(i, prev);
-            match d.entries.iter().find(|(x, _)| *x == v) {
-                Some((_, q)) => p *= q,
-                None => return 0.0,
-            }
-            prev = v;
-        }
-        p
-    }
-
     /// Generate up to `budget` addresses in **descending probability
     /// order** — the exhaustive best-first walk of the Bayesian network.
     pub fn generate(&self, budget: usize) -> Vec<Ipv6Addr> {
@@ -271,12 +255,63 @@ mod tests {
         }
     }
 
+    /// Joint probability of a full address under the chain model: the
+    /// order [`EipModel::generate`] promises to walk in.
+    fn probability(m: &EipModel, addr: Ipv6Addr) -> f64 {
+        let mut p = 1.0;
+        let mut prev = 0u64;
+        for (i, seg) in m.segments.iter().enumerate() {
+            let v = segment_value(addr, seg);
+            match m.dist(i, prev).entries.iter().find(|(x, _)| *x == v) {
+                Some((_, q)) => p *= q,
+                None => return 0.0,
+            }
+            prev = v;
+        }
+        p
+    }
+
+    /// Seeds with controllable structure: a /48 site, `n_subnets`
+    /// subnets, counter IIDs.
+    fn structured_seeds(site_id: u16, n_subnets: u8, n: usize) -> Vec<Ipv6Addr> {
+        let base = (0x2001_0db8u128 << 96) | (u128::from(site_id) << 80);
+        (0..n)
+            .map(|i| {
+                let subnet = (i % usize::from(n_subnets.max(1))) as u128;
+                u128_to_addr(base | (subnet << 64) | (1 + i as u128 / 4))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn generated_addresses_have_positive_probability(
+            site in proptest::prelude::any::<u16>(), subnets in 1u8..6,
+        ) {
+            let model = train(&structured_seeds(site, subnets, 200));
+            for a in model.generate(100) {
+                proptest::prop_assert!(probability(&model, a) > 0.0, "{a} has zero probability");
+            }
+        }
+
+        #[test]
+        fn generation_descends_in_probability(site in proptest::prelude::any::<u16>(), subnets in 1u8..6) {
+            let model = train(&structured_seeds(site, subnets, 200));
+            let probs: Vec<f64> = model.generate(80).iter().map(|a| probability(&model, *a)).collect();
+            for w in probs.windows(2) {
+                proptest::prop_assert!(w[0] >= w[1] - 1e-12, "{:?}", &probs[..8.min(probs.len())]);
+            }
+        }
+    }
+
     #[test]
     fn generates_in_descending_probability() {
         let m = train(&seeds());
         let gen = m.generate(50);
         assert!(!gen.is_empty());
-        let probs: Vec<f64> = gen.iter().map(|a| m.probability(*a)).collect();
+        let probs: Vec<f64> = gen.iter().map(|a| probability(&m, *a)).collect();
         for w in probs.windows(2) {
             assert!(
                 w[0] >= w[1] - 1e-12,
@@ -325,7 +360,7 @@ mod tests {
     #[test]
     fn probability_zero_for_foreign_address() {
         let m = train(&seeds());
-        assert_eq!(m.probability("2a00::1".parse().unwrap()), 0.0);
+        assert_eq!(probability(&m, "2a00::1".parse().unwrap()), 0.0);
     }
 
     /// Two trainings in one process: no container's iteration order may

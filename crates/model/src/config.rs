@@ -1,10 +1,19 @@
-//! Model configuration: every knob of the synthetic Internet.
+//! Model configuration: the knobs of the synthetic Internet that
+//! callers vary. The paper-cited rates no caller varies (alias and loss
+//! shares, survival rates, QUIC flapping) are constants beside their
+//! readers in `population` and `engine`; `ModelConfig::validate`
+//! checks them with the rest.
 //!
 //! The defaults target the paper's *proportions* at roughly 1:100 of its
 //! absolute scale (≈550 k hitlist addresses instead of 55.1 M). Tests use
 //! [`ModelConfig::tiny`]; the experiment harness uses
 //! [`ModelConfig::default`] (or `paper_scale(f)` for sweeps).
 
+use crate::engine::{BASE_LOSS, LOSSY_PREFIX_LOSS, QUIC_FLAP_UP_RATE};
+use crate::population::{
+    ALIASED_ADDR_SHARE, ALIASED_PREFIX_FRACTION, CLIENT_DAILY_SURVIVAL, CPE_DAILY_SURVIVAL,
+    LOSSY_PREFIX_FRACTION, SERVER_DAILY_SURVIVAL,
+};
 use serde::{Deserialize, Serialize};
 
 /// Knobs for the adversarial periphery scenarios (rotating delegated
@@ -85,44 +94,17 @@ pub struct ModelConfig {
     pub ghost_ratio: f64,
 
     // ---- aliasing (§5) -------------------------------------------------
-    /// Fraction of announced prefixes that contain an aliased region.
-    /// Paper: 1.5 % of prefixes are aliased.
-    pub aliased_prefix_fraction: f64,
     /// Number of Amazon-like aliased /48s under the dominant CDN AS
     /// (the "hook" of Fig 5b; 189 in the paper).
     pub cdn_aliased_48s: usize,
-    /// Fraction of the hitlist address volume that the sources draw from
-    /// inside aliased prefixes. Paper: 46.6 % of addresses fall away when
-    /// aliased prefixes are filtered.
-    pub aliased_addr_share: f64,
     /// Fraction of aliased machines with a fingerprint pathology
     /// (time-variant option values; Table 5 finds ≈5.7 % inconsistent).
     pub alias_pathology_rate: f64,
 
     // ---- network weather ------------------------------------------------
-    /// Base per-packet loss probability on clean paths.
-    pub base_loss: f64,
-    /// Fraction of prefixes with high-loss paths (candidates for the
-    /// sliding-window rescue of §5.2).
-    pub lossy_prefix_fraction: f64,
-    /// Loss probability within high-loss prefixes.
-    pub lossy_prefix_loss: f64,
     /// Number of ICMP-rate-limited /120 prefixes (§5.1 case 4: six
     /// neighbouring /120s flapping).
     pub rate_limited_120s: usize,
-    /// Number of SYN-proxy-protected /80 prefixes (§5.1 case).
-    pub syn_proxy_80s: usize,
-
-    // ---- longitudinal behaviour (Fig 8) ---------------------------------
-    /// Daily survival probability of server addresses (DL/FDNS/CT/AXFR).
-    pub server_daily_survival: f64,
-    /// Daily survival probability of CPE/scamper router addresses.
-    pub cpe_daily_survival: f64,
-    /// Daily survival probability of client addresses (Bitnodes).
-    pub client_daily_survival: f64,
-    /// Probability a QUIC-flaky prefix answers QUIC on a given day
-    /// (the Akamai/HDNet flapping of §6.3).
-    pub quic_flap_up_rate: f64,
 
     // ---- simulated days --------------------------------------------------
     /// Length of the source runup history (Fig 1a), in days.
@@ -142,19 +124,9 @@ impl Default for ModelConfig {
             mean_prefixes_per_as: 4.0,
             n_live_hosts: 40_000,
             ghost_ratio: 9.0,
-            aliased_prefix_fraction: 0.015,
             cdn_aliased_48s: 189,
-            aliased_addr_share: 0.466,
             alias_pathology_rate: 0.057,
-            base_loss: 0.01,
-            lossy_prefix_fraction: 0.01,
-            lossy_prefix_loss: 0.35,
             rate_limited_120s: 6,
-            syn_proxy_80s: 1,
-            server_daily_survival: 0.9985,
-            cpe_daily_survival: 0.973,
-            client_daily_survival: 0.984,
-            quic_flap_up_rate: 0.78,
             runup_days: 280,
             scenario: ScenarioConfig::default(),
         }
@@ -177,7 +149,6 @@ impl ModelConfig {
             // rate keeps Table 5's inconsistency mechanics observable.
             alias_pathology_rate: 0.25,
             rate_limited_120s: 2,
-            syn_proxy_80s: 1,
             runup_days: 30,
             ..ModelConfig::default()
         }
@@ -220,16 +191,16 @@ impl ModelConfig {
     /// Panics on out-of-range probabilities or empty populations.
     pub(crate) fn validate(&self) {
         for (name, p) in [
-            ("aliased_prefix_fraction", self.aliased_prefix_fraction),
-            ("aliased_addr_share", self.aliased_addr_share),
+            ("ALIASED_PREFIX_FRACTION", ALIASED_PREFIX_FRACTION),
+            ("ALIASED_ADDR_SHARE", ALIASED_ADDR_SHARE),
             ("alias_pathology_rate", self.alias_pathology_rate),
-            ("base_loss", self.base_loss),
-            ("lossy_prefix_fraction", self.lossy_prefix_fraction),
-            ("lossy_prefix_loss", self.lossy_prefix_loss),
-            ("server_daily_survival", self.server_daily_survival),
-            ("cpe_daily_survival", self.cpe_daily_survival),
-            ("client_daily_survival", self.client_daily_survival),
-            ("quic_flap_up_rate", self.quic_flap_up_rate),
+            ("BASE_LOSS", BASE_LOSS),
+            ("LOSSY_PREFIX_FRACTION", LOSSY_PREFIX_FRACTION),
+            ("LOSSY_PREFIX_LOSS", LOSSY_PREFIX_LOSS),
+            ("SERVER_DAILY_SURVIVAL", SERVER_DAILY_SURVIVAL),
+            ("CPE_DAILY_SURVIVAL", CPE_DAILY_SURVIVAL),
+            ("CLIENT_DAILY_SURVIVAL", CLIENT_DAILY_SURVIVAL),
+            ("QUIC_FLAP_UP_RATE", QUIC_FLAP_UP_RATE),
         ] {
             assert!((0.0..=1.0).contains(&p), "{name} = {p} out of [0,1]");
         }
@@ -325,7 +296,7 @@ mod tests {
     #[should_panic(expected = "out of [0,1]")]
     fn bad_probability_caught() {
         let cfg = ModelConfig {
-            base_loss: 1.5,
+            alias_pathology_rate: 1.5,
             ..ModelConfig::default()
         };
         cfg.validate();

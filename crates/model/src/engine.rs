@@ -37,6 +37,14 @@ use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
+/// Base per-packet loss probability on clean paths.
+pub(crate) const BASE_LOSS: f64 = 0.01;
+/// Loss probability within high-loss prefixes.
+pub(crate) const LOSSY_PREFIX_LOSS: f64 = 0.35;
+/// Probability a QUIC-flaky prefix answers QUIC on a given day (the
+/// Akamai/HDNet flapping of §6.3).
+pub(crate) const QUIC_FLAP_UP_RATE: f64 = 0.78;
+
 /// Per-day mutable middlebox state, rebuilt on `set_day`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DayState {
@@ -291,9 +299,9 @@ impl InternetModel {
     fn lost(&self, day: u16, p: &Probe<'_>, proto_tag: u8, extra: u64) -> bool {
         let dst = p.hdr.dst;
         let loss = if p.dest.lossy {
-            self.config.lossy_prefix_loss
+            LOSSY_PREFIX_LOSS
         } else {
-            self.config.base_loss
+            BASE_LOSS
         };
         let key = splitmix64(
             (addr_to_u128(dst) as u64)
@@ -394,11 +402,7 @@ impl InternetModel {
             // QUIC-flaky prefixes: service comes and goes by day (§6.3).
             let net48 = addr_to_u128(dst) >> 80;
             if splitmix64(net48 as u64 ^ self.config.seed ^ 0xf1a9) % 100 < 35 {
-                return churn::quic_up(
-                    net48 as u64 ^ self.config.seed,
-                    day,
-                    self.config.quic_flap_up_rate,
-                );
+                return churn::quic_up(net48 as u64 ^ self.config.seed, day, QUIC_FLAP_UP_RATE);
             }
         }
         true

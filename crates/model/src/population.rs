@@ -16,6 +16,25 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 
+/// Fraction of announced prefixes that contain an aliased region.
+/// Paper: 1.5 % of prefixes are aliased.
+pub(crate) const ALIASED_PREFIX_FRACTION: f64 = 0.015;
+/// Fraction of the hitlist address volume that the sources draw from
+/// inside aliased prefixes. Paper: 46.6 % of addresses fall away when
+/// aliased prefixes are filtered.
+pub(crate) const ALIASED_ADDR_SHARE: f64 = 0.466;
+/// Fraction of prefixes with high-loss paths (candidates for the
+/// sliding-window rescue of §5.2).
+pub(crate) const LOSSY_PREFIX_FRACTION: f64 = 0.01;
+/// Number of SYN-proxy-protected /80 prefixes (§5.1 case).
+const SYN_PROXY_80S: u128 = 1;
+/// Daily survival probability of server addresses (DL/FDNS/CT/AXFR).
+pub(crate) const SERVER_DAILY_SURVIVAL: f64 = 0.9985;
+/// Daily survival probability of CPE/scamper router addresses.
+pub(crate) const CPE_DAILY_SURVIVAL: f64 = 0.973;
+/// Daily survival probability of client addresses (Bitnodes).
+pub(crate) const CLIENT_DAILY_SURVIVAL: f64 = 0.984;
+
 /// One allocation site: an announced prefix with an addressing scheme and
 /// its sampled address pool (live hosts first, then ghosts).
 #[derive(Debug, Clone)]
@@ -275,9 +294,9 @@ impl<'a> Builder<'a> {
     fn death_day(&mut self, stability: StabilityClass) -> u16 {
         let survival = match stability {
             StabilityClass::Permanent => return u16::MAX,
-            StabilityClass::Server => self.cfg.server_daily_survival,
-            StabilityClass::Cpe => self.cfg.cpe_daily_survival,
-            StabilityClass::Client => self.cfg.client_daily_survival,
+            StabilityClass::Server => SERVER_DAILY_SURVIVAL,
+            StabilityClass::Cpe => CPE_DAILY_SURVIVAL,
+            StabilityClass::Client => CLIENT_DAILY_SURVIVAL,
         };
         // Geometric: death on the first day the survival coin fails.
         let u: f64 = self.rng.random_range(0.0f64..1.0).max(1e-12);
@@ -513,7 +532,7 @@ impl<'a> Builder<'a> {
 
         // ---- lossy ordinary prefixes ---------------------------------------
         for (p, _) in announcements {
-            if self.rng.random_range(0.0..1.0) < self.cfg.lossy_prefix_fraction {
+            if self.rng.random_range(0.0..1.0) < LOSSY_PREFIX_FRACTION {
                 lossy.push(*p);
             }
         }
@@ -673,8 +692,7 @@ impl<'a> Builder<'a> {
         }
 
         // --- scattered aliased prefixes of various lengths -------------------
-        let n_scattered =
-            ((announcements.len() as f64 * self.cfg.aliased_prefix_fraction) as usize).max(8);
+        let n_scattered = ((announcements.len() as f64 * ALIASED_PREFIX_FRACTION) as usize).max(8);
         let candidates: Vec<(Prefix, Asn)> = announcements
             .iter()
             .filter(|(p, _)| p.len() <= 48)
@@ -762,17 +780,17 @@ impl<'a> Builder<'a> {
             .collect();
 
         // SYN-proxied /80s.
-        let syn_proxy: Vec<Prefix> = (0..self.cfg.syn_proxy_80s as u128)
+        let syn_proxy: Vec<Prefix> = (0..SYN_PROXY_80S)
             .map(|i| host_agg.subprefix(48, 0x5151_0000_0000 + i))
             .collect();
 
         // --- alias pool: the addresses sources will sample -------------------
-        // Volume: aliased_addr_share of the final hitlist. Computed from
+        // Volume: ALIASED_ADDR_SHARE of the final hitlist. Computed from
         // the expected non-aliased pool size.
         let non_aliased: usize =
             self.cfg.n_live_hosts + (self.cfg.n_live_hosts as f64 * self.cfg.ghost_ratio) as usize;
-        let want = ((non_aliased as f64) * self.cfg.aliased_addr_share
-            / (1.0 - self.cfg.aliased_addr_share)) as usize;
+        let want =
+            ((non_aliased as f64) * ALIASED_ADDR_SHARE / (1.0 - ALIASED_ADDR_SHARE)) as usize;
         // Concentrate on the dominant CDN's hook (Table 2's 89.7%-style
         // top-AS skew): ~84% outer hook, ~13% inner hook, 3% scattered.
         let outer: Vec<Prefix> = cdn_hook_48s.clone();

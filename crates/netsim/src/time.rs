@@ -42,12 +42,12 @@ impl Duration {
 
     /// From secs.
     #[inline]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         Duration(s * 1_000_000_000)
     }
     /// From millis.
     #[inline]
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000_000)
     }
     /// From micros.

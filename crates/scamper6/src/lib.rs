@@ -14,17 +14,18 @@ use expanse_zmap6::Validator;
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
+/// Largest hop limit tried.
+const MAX_HOPS: u8 = 16;
+/// Attempts per hop (scamper default 2).
+const ATTEMPTS: u8 = 2;
+/// Per-hop reply wait.
+const WAIT: Duration = Duration::from_millis(500);
+
 /// Traceroute configuration.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Vantage source address.
     pub src: Ipv6Addr,
-    /// Largest hop limit tried.
-    pub max_hops: u8,
-    /// Attempts per hop (scamper default 2).
-    pub attempts: u8,
-    /// Per-hop reply wait.
-    pub wait: Duration,
     /// Validation secret.
     pub seed: u64,
 }
@@ -33,9 +34,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             src: "2001:db8:ffff::1".parse().expect("valid vantage"),
-            max_hops: 16,
-            attempts: 2,
-            wait: Duration::from_millis(500),
             seed: 0x7ace,
         }
     }
@@ -92,9 +90,9 @@ impl<N: Network> Tracer<N> {
         let mut rx = Deliveries::new();
         let mut due: Vec<(Time, usize)> = Vec::new();
 
-        'hops: for hop in 1..=self.cfg.max_hops {
+        'hops: for hop in 1..=MAX_HOPS {
             let mut hop_addr = None;
-            for attempt in 0..self.cfg.attempts {
+            for attempt in 0..ATTEMPTS {
                 probes_sent += 1;
                 // paris-style: sequence varies per attempt only.
                 let seq = f.seq.wrapping_add(u16::from(attempt));
@@ -104,7 +102,7 @@ impl<N: Network> Tracer<N> {
                 });
                 rx.clear();
                 self.net.inject_into(self.clock, &probe, &mut rx);
-                self.clock += self.cfg.wait;
+                self.clock += WAIT;
                 // What a receive queue pops by the end of the wait: the
                 // frames due by then, in arrival order, ties in the
                 // order they were delivered.

@@ -21,11 +21,10 @@
 //!   [`expanse_core::PersistedState`] path). Both constructions yield
 //!   query-identical views.
 //! - [`Query`]: point lookups, prefix-range queries, per-protocol and
-//!   freshness filters, aliased/non-aliased scoping, set algebra over
-//!   [`expanse_addr::AddrSet`], deterministic seeded sampling, and
-//!   cursor-based pagination whose cursors survive epoch swaps —
-//!   evaluated on per-view predicate bitsets, so a page costs its
-//!   matches, not the rows its filter skips.
+//!   freshness filters, aliased/non-aliased scoping, deterministic
+//!   seeded sampling, and cursor-based pagination whose cursors
+//!   survive epoch swaps — evaluated on per-view predicate bitsets, so
+//!   a page costs its matches, not the rows its filter skips.
 //! - [`SnapshotRegistry`]: the concurrency model — an epoch/RCU-style
 //!   registry that atomically publishes day *N + 1* while in-flight
 //!   readers drain on day *N*. Publishing never blocks queries; a
@@ -65,7 +64,7 @@
 //! let registry = SnapshotRegistry::new(SnapshotView::publish(&pipeline));
 //! let pinned = registry.pin();
 //! // …and query the pinned view: readers never see a later publish.
-//! let responsive = pinned.view.count(&Query::all().responsive());
+//! let responsive = pinned.view.stats(None).responsive;
 //! assert!(responsive > 0);
 //! ```
 
@@ -94,7 +93,7 @@ pub use cache::{CacheConfig, CacheStats, ResponseCache};
 pub use conn::{FrameAssembler, OversizedFrame};
 pub use limiter::{AdmissionControl, ClientKey, RateLimitConfig};
 pub use pool::{execute, handle, handle_envelope, Outcome};
-pub use protocol::{Request, Response, ResponseBody, WireRecord};
+pub use protocol::{Request, Response, ResponseBody};
 pub use query::{AliasScope, Page, Query};
 pub use registry::{Pinned, SnapshotRegistry};
 pub use transport::{

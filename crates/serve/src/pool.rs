@@ -37,7 +37,7 @@ pub fn execute(pin: &Pinned, req: &Request) -> Response {
             live: view.live_count(),
         },
         Request::Lookup { addr } => ResponseBody::Record {
-            found: view.lookup(addr).map(Into::into),
+            found: view.lookup(addr),
         },
         Request::Select {
             query,

@@ -174,40 +174,6 @@ impl Request {
     }
 }
 
-/// One member record as it travels on the wire (the view-internal id
-/// is not part of the public surface; addresses are the key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireRecord {
-    /// The address.
-    pub addr: Ipv6Addr,
-    /// Live (not expired by retention)?
-    pub alive: bool,
-    /// Contributing-source bitmask.
-    pub sources: SourceMask,
-    /// Last responsive day, if ever.
-    pub last_responsive: Option<u16>,
-    /// Protocols answered on that day.
-    pub protos: ProtoSet,
-    /// Insertion (or last revival) day.
-    pub added_day: u16,
-    /// Most specific covering aliased prefix, if any.
-    pub aliased: Option<Prefix>,
-}
-
-impl From<AddrRecord> for WireRecord {
-    fn from(r: AddrRecord) -> WireRecord {
-        WireRecord {
-            addr: r.addr,
-            alive: r.alive,
-            sources: r.sources,
-            last_responsive: r.last_responsive,
-            protos: r.protos,
-            added_day: r.added_day,
-            aliased: r.aliased,
-        }
-    }
-}
-
 /// The kind-specific part of a response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResponseBody {
@@ -219,7 +185,7 @@ pub enum ResponseBody {
     /// Answer to [`Request::Lookup`].
     Record {
         /// The record, or `None` if the address was never a member.
-        found: Option<WireRecord>,
+        found: Option<AddrRecord>,
     },
     /// Answer to [`Request::Select`].
     Page {
@@ -462,7 +428,7 @@ pub fn decode_request(envelope: &[u8]) -> Result<Request, CodecError> {
 
 // ---- responses -------------------------------------------------------
 
-fn put_record<W: std::io::Write>(enc: &mut Encoder<W>, r: &WireRecord) -> Result<(), CodecError> {
+fn put_record<W: std::io::Write>(enc: &mut Encoder<W>, r: &AddrRecord) -> Result<(), CodecError> {
     enc.put_u128(addr_to_u128(r.addr))?;
     enc.put_bool(r.alive)?;
     enc.put_u16(r.sources.0)?;
@@ -472,7 +438,7 @@ fn put_record<W: std::io::Write>(enc: &mut Encoder<W>, r: &WireRecord) -> Result
     put_opt_prefix(enc, r.aliased)
 }
 
-fn get_record<R: std::io::Read>(dec: &mut Decoder<R>) -> Result<WireRecord, CodecError> {
+fn get_record<R: std::io::Read>(dec: &mut Decoder<R>) -> Result<AddrRecord, CodecError> {
     let addr = u128_to_addr(dec.get_u128()?);
     let alive = dec.get_bool()?;
     let sources = SourceMask(dec.get_u16()?);
@@ -480,7 +446,7 @@ fn get_record<R: std::io::Read>(dec: &mut Decoder<R>) -> Result<WireRecord, Code
     let protos = get_protos(dec)?;
     let added_day = dec.get_u16()?;
     let aliased = get_opt_prefix(dec)?;
-    Ok(WireRecord {
+    Ok(AddrRecord {
         addr,
         alive,
         sources,
@@ -702,7 +668,7 @@ mod tests {
             ResponseBody::Pong { live: 7 },
             ResponseBody::Record { found: None },
             ResponseBody::Record {
-                found: Some(WireRecord {
+                found: Some(AddrRecord {
                     addr: addrs[0],
                     alive: true,
                     sources: SourceMask(3),

@@ -240,18 +240,6 @@ impl SnapshotView {
         }
     }
 
-    /// All matching ids in ascending **address** order (the canonical
-    /// result order; pagination pages through exactly this sequence).
-    pub fn select(&self, q: &Query) -> Vec<AddrId> {
-        let m = Matcher::new(self, q);
-        m.positions().map(|pos| m.id_at(pos)).collect()
-    }
-
-    /// How many members match.
-    pub fn count(&self, q: &Query) -> usize {
-        Matcher::new(self, q).count()
-    }
-
     /// Aggregate statistics, scoped to `prefix` if given.
     pub fn stats(&self, prefix: Option<Prefix>) -> ViewStats {
         let span = self.span(prefix);
@@ -269,8 +257,8 @@ impl SnapshotView {
     /// One page of matches strictly after `cursor` (exclusive), at most
     /// `limit` long. The first page passes `cursor: None`; subsequent
     /// pages pass the previous page's [`Page::next`]. Concatenating
-    /// pages reproduces [`SnapshotView::select`] exactly, and
-    /// `next: None` always means the walk is exhausted.
+    /// pages yields every match exactly once, in ascending address
+    /// order, and `next: None` always means the walk is exhausted.
     ///
     /// `limit` is clamped to at least 1: a zero-limit page could never
     /// make progress, so its `next` could only either lie about

@@ -118,7 +118,6 @@ impl SnapshotRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Query;
     use expanse_core::Hitlist;
     use expanse_model::SourceId;
     use std::sync::mpsc;
@@ -138,12 +137,12 @@ mod tests {
         assert_eq!(old.epoch, 0);
         assert_eq!(reg.publish(view_of(5, 2)), 1);
         // The old pin still answers from day 1's state…
-        assert_eq!(old.view.count(&Query::all()), 3);
+        assert_eq!(old.view.stats(None).live, 3);
         assert_eq!(old.view.days_complete(), 1);
         // …while new pins see day 2.
         let new = reg.pin();
         assert_eq!(new.epoch, 1);
-        assert_eq!(new.view.count(&Query::all()), 5);
+        assert_eq!(new.view.stats(None).live, 5);
         assert_eq!(reg.epoch(), 1);
     }
 
@@ -178,7 +177,7 @@ mod tests {
         )]
         std::thread::spawn(move || {
             let epoch = reg.publish(view_of(2, 2));
-            let _ = tx.send((epoch, reg.epoch(), reg.pin().view.count(&Query::all())));
+            let _ = tx.send((epoch, reg.epoch(), reg.pin().view.stats(None).live));
         });
         let got = rx.recv_timeout(Duration::from_secs(10));
         assert_eq!(

@@ -27,11 +27,11 @@ use std::net::Ipv6Addr;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Everything a point lookup reports about one hitlist member.
+/// Everything a point lookup reports about one hitlist member, as it
+/// travels on the wire (addresses are the key; the view's internal ids
+/// are not part of the public surface).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddrRecord {
-    /// The member's stable id in the view's table.
-    pub id: AddrId,
     /// The address.
     pub addr: Ipv6Addr,
     /// Is the row live (not expired by retention)?
@@ -136,7 +136,7 @@ impl PredicateIndex {
         // of those runs: two searches per prefix, not a
         // longest-prefix match per row. Nested prefixes re-mark bits
         // their cover already set.
-        for &p in &view.aliased {
+        for (p, ()) in &view.alias_trie {
             set_range(&mut ix.aliased, view.sorted().positions(&view.table, p));
         }
         ix
@@ -157,7 +157,6 @@ pub struct SnapshotView {
     /// Live rows at publish: the hitlist's count, so a `Ping` reads it
     /// instead of walking `alive`.
     live: u64,
-    aliased: Vec<Prefix>,
     alias_trie: PrefixTrie<()>,
     /// Built by the first query that filters (see [`PredicateIndex`]).
     index: OnceLock<PredicateIndex>,
@@ -212,7 +211,6 @@ impl SnapshotView {
             added_day: cols.added_day.to_vec(),
             alive: cols.alive.to_vec(),
             live: hitlist.len() as u64,
-            aliased,
             alias_trie,
             index: OnceLock::new(),
             sched: Scheduler::new(),
@@ -262,8 +260,8 @@ impl SnapshotView {
         self.live
     }
 
-    /// The live member set (sorted by id), for set algebra against
-    /// query results — built from the `alive` column on each call.
+    /// The live member set (sorted by id), built from the `alive`
+    /// column on each call.
     pub fn live_set(&self) -> AddrSet {
         AddrSet::from_sorted(
             (0..self.alive.len())
@@ -278,27 +276,18 @@ impl SnapshotView {
         self.table.order()
     }
 
-    /// The aliased prefixes the view was published with, ascending.
-    pub fn aliased_prefixes(&self) -> &[Prefix] {
-        &self.aliased
-    }
-
     /// The most specific aliased prefix covering `addr`, if any —
     /// longest-prefix-match tagging over the published alias set.
     pub(crate) fn alias_covering(&self, addr: Ipv6Addr) -> Option<Prefix> {
         self.alias_trie.longest_match(addr).map(|(p, _)| p)
     }
 
-    /// The full record behind an id issued by this view's table.
-    ///
-    /// # Panics
-    /// Panics if `id` was not issued by this view's table.
-    pub(crate) fn record(&self, id: AddrId) -> AddrRecord {
-        let i = id.index();
-        let addr = self.table.addr(id);
+    /// Point lookup: the record for `addr`, if it was ever a member
+    /// (tombstoned rows report `alive: false`).
+    pub fn lookup(&self, addr: Ipv6Addr) -> Option<AddrRecord> {
+        let i = self.table.lookup(addr)?.index();
         let last = self.last_responsive[i];
-        AddrRecord {
-            id,
+        Some(AddrRecord {
             addr,
             alive: self.alive[i],
             sources: self.sources[i],
@@ -306,13 +295,7 @@ impl SnapshotView {
             protos: self.protos[i],
             added_day: self.added_day[i],
             aliased: self.alias_covering(addr),
-        }
-    }
-
-    /// Point lookup: the record for `addr`, if it was ever a member
-    /// (tombstoned rows report `alive: false`).
-    pub fn lookup(&self, addr: Ipv6Addr) -> Option<AddrRecord> {
-        self.table.lookup(addr).map(|id| self.record(id))
+        })
     }
 
     /// The predicate index, built on first use. Concurrent first

@@ -43,8 +43,9 @@ fn tiny_pipeline() -> Pipeline {
 
 /// A representative wire-request battery over a view's actual
 /// contents: lookups (hits and a miss), prefix walks with filters and
-/// a pagination chain, samples, and stats.
-fn battery(view: &SnapshotView) -> Vec<Request> {
+/// a pagination chain, samples, and stats. `aliased` is the alias set
+/// the view was published with.
+fn battery(view: &SnapshotView, aliased: &[Prefix]) -> Vec<Request> {
     let mut reqs = vec![Request::Ping];
     let live: Vec<Ipv6Addr> = view
         .live_set()
@@ -62,7 +63,7 @@ fn battery(view: &SnapshotView) -> Vec<Request> {
         .iter()
         .flat_map(|&a| [Prefix::new(a, 32), Prefix::new(a, 48)])
         .collect();
-    prefixes.extend(view.aliased_prefixes().iter().copied().take(2));
+    prefixes.extend(aliased.iter().copied().take(2));
     prefixes.dedup();
     for p in prefixes {
         reqs.push(Request::Select {
@@ -154,12 +155,10 @@ fn journal_view_serves_byte_identically_to_live_view() {
         live.live_set().len() > 100,
         "world too small to be probative"
     );
-    assert!(
-        !live.aliased_prefixes().is_empty(),
-        "want aliased prefixes in the battery"
-    );
+    let aliased = p.apd.aliased_prefixes();
+    assert!(!aliased.is_empty(), "want aliased prefixes in the battery");
 
-    let reqs = battery(&live);
+    let reqs = battery(&live, &aliased);
     assert!(reqs.len() > 20);
     // Same epoch (0) on both registries; multi-threaded on one side to
     // show thread count cannot leak into results.
@@ -181,13 +180,14 @@ fn publish_neither_blocks_readers_nor_mutates_pinned_results() {
     let mut p = tiny_pipeline();
     p.run_day();
     let view_a = SnapshotView::publish(&p);
+    let aliased_a = p.apd.aliased_prefixes();
     p.run_day();
     let view_b = SnapshotView::publish(&p);
 
     let reg = Arc::new(SnapshotRegistry::new(view_a));
     // Expected epoch-0 answers, computed before any publish.
     let pin0 = reg.pin();
-    let reqs = battery(&pin0.view);
+    let reqs = battery(&pin0.view, &aliased_a);
     let expected: Vec<_> = reqs.iter().map(|r| execute(&pin0, r)).collect();
     drop(pin0);
 
@@ -238,6 +238,7 @@ fn concurrent_publish_stress_keeps_every_response_epoch_consistent() {
     let mut p = tiny_pipeline();
     p.run_day();
     let first = SnapshotView::publish(&p);
+    let aliased_first = p.apd.aliased_prefixes();
     // Three more published days to swap through.
     let later: Vec<SnapshotView> = (0..3)
         .map(|_| {
@@ -248,7 +249,7 @@ fn concurrent_publish_stress_keeps_every_response_epoch_consistent() {
     let views: Vec<Arc<SnapshotView>> = std::iter::once(first).chain(later).map(Arc::new).collect();
 
     let reg = Arc::new(SnapshotRegistry::new((*views[0]).clone()));
-    let reqs = battery(&views[0]);
+    let reqs = battery(&views[0], &aliased_first);
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let reg_pub = Arc::clone(&reg);

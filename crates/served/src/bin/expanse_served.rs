@@ -86,17 +86,24 @@ fn server_config(f: &Flags) -> Result<ServerConfig, String> {
     cfg.cache = if f.has("no-cache") {
         None
     } else {
+        let mb = f.parsed("cache-mb", 64usize)?;
         Some(CacheConfig {
-            max_bytes: f.parsed("cache-mb", 64usize)? << 20,
+            max_bytes: mb
+                .checked_mul(1 << 20)
+                .ok_or_else(|| format!("--cache-mb: {mb} MiB does not fit in memory"))?,
             keep_epochs: f.parsed("keep-epochs", 2u64)?,
         })
     };
     if let Some(qps) = f.parsed_opt::<f64>("qps")? {
-        if qps <= 0.0 {
-            return Err("--qps must be positive".into());
-        }
         let burst = f.parsed("burst", qps * 2.0)?;
+        for (name, v) in [("qps", qps), ("burst", burst)] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("--{name} must be a positive number, got {v}"));
+            }
+        }
         cfg.rate = Some(RateLimitConfig { qps, burst });
+    } else if f.get("burst").is_some() {
+        return Err("--burst needs --qps".into());
     }
     Ok(cfg)
 }
@@ -247,4 +254,32 @@ fn run(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The error `server_config` gives for `args`.
+    fn rejected(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let f = Flags::parse(&args, &["qps", "burst", "cache-mb"], &[]).expect("flags parse");
+        server_config(&f).expect_err("bad flags accepted")
+    }
+
+    #[test]
+    fn bad_rate_flags_are_rejected_by_name() {
+        assert!(rejected(&["--qps", "10", "--burst", "0"]).starts_with("--burst"));
+        assert!(rejected(&["--qps", "10", "--burst", "-1"]).starts_with("--burst"));
+        assert!(rejected(&["--qps", "10", "--burst", "inf"]).starts_with("--burst"));
+        assert!(rejected(&["--qps", "nan"]).starts_with("--qps"));
+        assert!(rejected(&["--qps", "inf"]).starts_with("--qps"));
+        assert!(rejected(&["--qps", "0"]).starts_with("--qps"));
+        assert!(rejected(&["--burst", "5"]).starts_with("--burst"));
+    }
+
+    #[test]
+    fn a_cache_budget_past_usize_is_rejected_not_wrapped() {
+        assert!(rejected(&["--cache-mb", "17592186044416"]).starts_with("--cache-mb"));
+    }
 }

@@ -9,13 +9,13 @@
 //! a budget.
 //!
 //! ```
-//! use expanse_sixgen::{grow_regions, generate, SixGenConfig};
+//! use expanse_sixgen::{grow_regions, generate};
 //! use expanse_addr::u128_to_addr;
 //!
 //! let seeds: Vec<_> = (1..=40u128)
 //!     .map(|i| u128_to_addr((0x2001_0db8u128 << 96) | i))
 //!     .collect();
-//! let regions = grow_regions(&seeds, &SixGenConfig::default());
+//! let regions = grow_regions(&seeds);
 //! let targets = generate(&regions, 100);
 //! assert!(!targets.is_empty());
 //! ```
@@ -23,33 +23,6 @@
 use expanse_addr::nybbles::{from_nybbles, nybbles, NYBBLES};
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
-
-/// Configuration for region growth.
-#[derive(Debug, Clone)]
-pub struct SixGenConfig {
-    /// A seed joins an existing region only if the grown region's size
-    /// stays at or below this bound (keeps boxes scannable).
-    pub max_region_size: u128,
-    /// Minimum density (seeds / size) for a region to survive growth.
-    pub min_density: f64,
-    /// Maximum number of regions retained (densest first).
-    pub max_regions: usize,
-    /// A seed may join a region only if the region's density after
-    /// growth stays within this factor of its density before (guards
-    /// against outliers exploding a dense box).
-    pub max_dilution: f64,
-}
-
-impl Default for SixGenConfig {
-    fn default() -> Self {
-        SixGenConfig {
-            max_region_size: 1 << 20,
-            min_density: 1e-6,
-            max_regions: 4096,
-            max_dilution: 8.0,
-        }
-    }
-}
 
 /// A combinatorial box: per nybble position, a bitmask of allowed values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,11 +117,23 @@ impl Region {
     }
 }
 
+/// A seed joins an existing region only if the grown region's size
+/// stays at or below this bound (keeps boxes scannable).
+const MAX_REGION_SIZE: u128 = 1 << 20;
+/// Minimum density (seeds / size) for a region to survive growth.
+const MIN_DENSITY: f64 = 1e-6;
+/// Maximum number of regions retained (densest first).
+const MAX_REGIONS: usize = 4096;
+/// A seed may join a region only if the region's density after growth
+/// stays within this factor of its density before (guards against
+/// outliers exploding a dense box).
+const MAX_DILUTION: f64 = 8.0;
+
 /// Grow regions from seeds: single-pass greedy assignment (each seed
 /// joins the region whose growth costs the least size inflation, if the
 /// result stays within bounds; otherwise it founds a new region),
 /// followed by a density filter.
-pub fn grow_regions(seeds: &[Ipv6Addr], cfg: &SixGenConfig) -> Vec<Region> {
+pub fn grow_regions(seeds: &[Ipv6Addr]) -> Vec<Region> {
     let mut regions: Vec<Region> = Vec::new();
     let mut seen: BTreeSet<Ipv6Addr> = BTreeSet::new();
     for &seed in seeds {
@@ -165,8 +150,8 @@ pub fn grow_regions(seeds: &[Ipv6Addr], cfg: &SixGenConfig) -> Vec<Region> {
             }
             let gs = r.grown_size(seed);
             let new_density = (r.seeds + 1) as f64 / gs as f64;
-            if gs <= cfg.max_region_size
-                && new_density * cfg.max_dilution >= r.density()
+            if gs <= MAX_REGION_SIZE
+                && new_density * MAX_DILUTION >= r.density()
                 && best.is_none_or(|(_, b)| gs < b)
             {
                 best = Some((i, gs));
@@ -177,13 +162,13 @@ pub fn grow_regions(seeds: &[Ipv6Addr], cfg: &SixGenConfig) -> Vec<Region> {
             None => regions.push(Region::of(seed)),
         }
     }
-    regions.retain(|r| r.density() >= cfg.min_density);
+    regions.retain(|r| r.density() >= MIN_DENSITY);
     regions.sort_by(|a, b| {
         b.density()
             .partial_cmp(&a.density())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    regions.truncate(cfg.max_regions);
+    regions.truncate(MAX_REGIONS);
     regions
 }
 
@@ -238,7 +223,7 @@ mod tests {
 
     #[test]
     fn grow_regions_clusters_dense_seeds() {
-        let regions = grow_regions(&seeds_two_clusters(), &SixGenConfig::default());
+        let regions = grow_regions(&seeds_two_clusters());
         assert!(regions.len() >= 2, "{}", regions.len());
         // The 50-seed cluster must coalesce into one region (the outlier
         // stays a density-1 singleton, which sorts first).
@@ -247,13 +232,13 @@ mod tests {
         assert!(biggest.density() > 0.5);
         // All regions respect the size bound.
         for r in &regions {
-            assert!(r.size() <= SixGenConfig::default().max_region_size || r.seeds == 1);
+            assert!(r.size() <= MAX_REGION_SIZE || r.seeds == 1);
         }
     }
 
     #[test]
     fn generation_prioritizes_dense_regions() {
-        let regions = grow_regions(&seeds_two_clusters(), &SixGenConfig::default());
+        let regions = grow_regions(&seeds_two_clusters());
         let targets = generate(&regions, 64);
         assert!(!targets.is_empty());
         assert!(targets.len() <= 64);
@@ -286,29 +271,28 @@ mod tests {
     #[test]
     fn duplicate_seeds_ignored() {
         let a: Ipv6Addr = "2001:db8::1".parse().unwrap();
-        let regions = grow_regions(&[a, a, a], &SixGenConfig::default());
+        let regions = grow_regions(&[a, a, a]);
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].seeds, 1);
     }
 
     #[test]
     fn empty_seeds_empty_regions() {
-        let regions = grow_regions(&[], &SixGenConfig::default());
+        let regions = grow_regions(&[]);
         assert!(regions.is_empty());
         assert!(generate(&regions, 10).is_empty());
     }
 
     #[test]
     fn budget_zero() {
-        let regions = grow_regions(&seeds_two_clusters(), &SixGenConfig::default());
+        let regions = grow_regions(&seeds_two_clusters());
         assert!(generate(&regions, 0).is_empty());
     }
 
     #[test]
     fn deterministic() {
-        let cfg = SixGenConfig::default();
-        let a = generate(&grow_regions(&seeds_two_clusters(), &cfg), 50);
-        let b = generate(&grow_regions(&seeds_two_clusters(), &cfg), 50);
+        let a = generate(&grow_regions(&seeds_two_clusters()), 50);
+        let b = generate(&grow_regions(&seeds_two_clusters()), 50);
         assert_eq!(a, b);
     }
 }

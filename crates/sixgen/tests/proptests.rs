@@ -1,7 +1,7 @@
 //! Property tests for 6Gen region algebra and generation.
 
 use expanse_addr::u128_to_addr;
-use expanse_sixgen::{generate, grow_regions, Region, SixGenConfig};
+use expanse_sixgen::{generate, grow_regions, Region};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
@@ -25,7 +25,7 @@ proptest! {
 
     #[test]
     fn regions_cover_their_seeds(seeds in arb_addrs()) {
-        let regions = grow_regions(&seeds, &SixGenConfig::default());
+        let regions = grow_regions(&seeds);
         // Every (distinct) seed is inside at least one region.
         for s in &seeds {
             prop_assert!(
@@ -54,7 +54,7 @@ proptest! {
 
     #[test]
     fn regions_sorted_by_density(seeds in arb_addrs()) {
-        let regions = grow_regions(&seeds, &SixGenConfig::default());
+        let regions = grow_regions(&seeds);
         for w in regions.windows(2) {
             prop_assert!(w[0].density() >= w[1].density() - 1e-12);
         }
@@ -62,7 +62,7 @@ proptest! {
 
     #[test]
     fn generation_members_and_budget(seeds in arb_addrs(), budget in 0usize..500) {
-        let regions = grow_regions(&seeds, &SixGenConfig::default());
+        let regions = grow_regions(&seeds);
         let out = generate(&regions, budget);
         prop_assert!(out.len() <= budget);
         let set: BTreeSet<&Ipv6Addr> = out.iter().collect();
@@ -77,7 +77,7 @@ proptest! {
 
     #[test]
     fn enumerate_cap_exact(seeds in arb_addrs(), cap in 1usize..200) {
-        let regions = grow_regions(&seeds, &SixGenConfig::default());
+        let regions = grow_regions(&seeds);
         if let Some(r) = regions.first() {
             let out = r.enumerate(cap);
             prop_assert_eq!(out.len() as u128, r.size().min(cap as u128));

@@ -21,11 +21,6 @@ impl ConcentrationCurve {
         ConcentrationCurve { sizes, total }
     }
 
-    /// Number of (non-empty) groups.
-    pub fn groups(&self) -> usize {
-        self.sizes.len()
-    }
-
     /// Fraction of total mass in the `x` largest groups (x ≥ groups → 1.0).
     pub fn fraction_in_top(&self, x: usize) -> f64 {
         if self.total == 0 {
@@ -60,7 +55,7 @@ mod tests {
     #[test]
     fn top_fraction_basics() {
         let c = ConcentrationCurve::from_counts([10, 30, 60]);
-        assert_eq!(c.groups(), 3);
+        assert_eq!(c.sizes.len(), 3);
         assert_eq!(c.total, 100);
         assert!((c.fraction_in_top(1) - 0.6).abs() < 1e-12);
         assert!((c.fraction_in_top(2) - 0.9).abs() < 1e-12);
@@ -71,7 +66,7 @@ mod tests {
     #[test]
     fn ignores_empty_groups() {
         let c = ConcentrationCurve::from_counts([0, 5, 0, 5]);
-        assert_eq!(c.groups(), 2);
+        assert_eq!(c.sizes.len(), 2);
         assert!((c.fraction_in_top(1) - 0.5).abs() < 1e-12);
     }
 

@@ -12,9 +12,9 @@ pub(crate) const ROOT: u32 = 0;
 /// may be many bits longer than its parent. `children[b]` is the arena
 /// slot of the subtree whose bit `len` is `b`.
 ///
-/// Invariant (kept by insert and remove): a node other than the root
-/// either stores a value or has both children, so every leaf stores a
-/// value and no subtree is empty.
+/// Invariant (kept by insert): a node other than the root either
+/// stores a value or has both children, so every leaf stores a value
+/// and no subtree is empty.
 #[derive(Debug, Clone)]
 pub(crate) struct Node<V> {
     pub(crate) bits: u128,

@@ -173,21 +173,6 @@ impl<V> RangeTable<V> {
         let (p, v) = self.entries.get(self.slots[range] as usize)?;
         Some((*p, v))
     }
-
-    /// Number of stored prefixes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of ranges the prefixes cut the address space into.
-    pub fn ranges(&self) -> usize {
-        self.starts.len()
-    }
 }
 
 #[cfg(test)]
@@ -204,8 +189,8 @@ mod tests {
     #[test]
     fn empty_table_matches_nothing() {
         let t: RangeTable<u8> = RangeTable::freeze(&PrefixTrie::new());
-        assert!(t.is_empty());
-        assert_eq!(t.ranges(), 1);
+        assert!(t.entries.is_empty());
+        assert_eq!(t.starts.len(), 1);
         assert!(t.longest_match(a("::")).is_none());
         assert!(t
             .longest_match(a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"))
@@ -230,7 +215,7 @@ mod tests {
         assert_eq!(hit("2001:db8:408::"), Some((32, "corp")));
         assert_eq!(hit("2001:db9::"), None);
         // Uncovered, /32, /48, /64, /48 again, /32 again, uncovered.
-        assert_eq!(t.ranges(), 7);
+        assert_eq!(t.starts.len(), 7);
     }
 
     #[test]
@@ -247,7 +232,7 @@ mod tests {
         assert_eq!(t.longest_match(a("::")).map(|(_, v)| *v), Some(1));
         assert_eq!(t.longest_match(a("::1")).map(|(_, v)| *v), Some(0));
         assert_eq!(t.longest_match(top).map(|(_, v)| *v), Some(2));
-        assert_eq!(t.ranges(), 3);
+        assert_eq!(t.starts.len(), 3);
     }
 
     #[test]
@@ -264,6 +249,23 @@ mod tests {
             t.longest_match(a("2001:db8:8000::")).map(|(_, v)| *v),
             Some(2)
         );
-        assert_eq!(t.ranges(), 4);
+        assert_eq!(t.starts.len(), 4);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Freezing keeps every stored prefix, and `n` prefixes cut the
+        /// space into at most `2n + 1` ranges.
+        #[test]
+        fn freeze_keeps_every_prefix_in_at_most_2n_plus_1_ranges(
+            raw in proptest::collection::vec((proptest::prelude::any::<u128>(), 0u8..=128), 0..40),
+        ) {
+            let trie: PrefixTrie<()> = raw.iter().map(|&(b, l)| (Prefix::from_bits(b, l), ())).collect();
+            let t = RangeTable::freeze(&trie);
+            let n = trie.iter().count();
+            proptest::prop_assert_eq!(t.entries.len(), n);
+            proptest::prop_assert!(t.starts.len() <= 2 * n + 1);
+        }
     }
 }

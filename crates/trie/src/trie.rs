@@ -1,4 +1,4 @@
-//! The trie proper: insert, get, remove, longest-prefix match.
+//! The trie proper: insert, get, longest-prefix match.
 
 use crate::iter::{Iter, MatchesIter};
 use crate::node::{bit, common_len, Node, NIL, ROOT};
@@ -13,11 +13,9 @@ use std::net::Ipv6Addr;
 /// branching point* on the key's path, not one per bit.
 #[derive(Debug, Clone)]
 pub struct PrefixTrie<V> {
-    /// The arena. Slot [`ROOT`] is `::/0`; freed slots are listed in
-    /// `free` and reused by the next insert.
+    /// The arena. Slot [`ROOT`] is `::/0`; nothing is ever removed, so
+    /// every slot is live.
     pub(crate) nodes: Vec<Node<V>>,
-    free: Vec<u32>,
-    len: usize,
 }
 
 impl<V> Default for PrefixTrie<V> {
@@ -31,19 +29,7 @@ impl<V> PrefixTrie<V> {
     pub fn new() -> Self {
         PrefixTrie {
             nodes: vec![Node::new(0, 0, None)],
-            free: Vec::new(),
-            len: 0,
         }
-    }
-
-    /// Number of stored prefixes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the trie empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     #[inline]
@@ -52,10 +38,6 @@ impl<V> PrefixTrie<V> {
     }
 
     fn alloc(&mut self, node: Node<V>) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.nodes[slot as usize] = node;
-            return slot;
-        }
         let slot = u32::try_from(self.nodes.len()).unwrap_or(NIL);
         assert!(slot != NIL, "PrefixTrie arena full");
         self.nodes.push(node);
@@ -130,64 +112,12 @@ impl<V> PrefixTrie<V> {
     /// was already present.
     pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
         let slot = self.find_or_create(prefix);
-        let old = self.nodes[slot as usize].value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+        self.nodes[slot as usize].value.replace(value)
     }
 
     /// Exact-match lookup.
     pub fn get(&self, prefix: Prefix) -> Option<&V> {
         self.node(self.find(prefix)?).value.as_ref()
-    }
-
-    /// Exact-match mutable lookup.
-    pub fn get_mut(&mut self, prefix: Prefix) -> Option<&mut V> {
-        let slot = self.find(prefix)?;
-        self.nodes[slot as usize].value.as_mut()
-    }
-
-    /// Remove a prefix, returning its value. Prunes the branch: a node
-    /// left without value and with fewer than two children is spliced
-    /// out and its slot recycled.
-    pub fn remove(&mut self, prefix: Prefix) -> Option<V> {
-        let (bits, len) = (prefix.bits(), prefix.len());
-        let (mut grandparent, mut parent, mut slot) = (NIL, NIL, ROOT);
-        while self.node(slot).len != len {
-            let child = self.node(slot).child_toward(bits);
-            if child == NIL || !self.node(child).covers(bits, len) {
-                return None;
-            }
-            (grandparent, parent, slot) = (parent, slot, child);
-        }
-        let out = self.nodes[slot as usize].value.take()?;
-        self.len -= 1;
-        if self.splice_out(parent, slot) {
-            // The parent lost a child; it may be a bare fork no longer.
-            self.splice_out(grandparent, parent);
-        }
-        Some(out)
-    }
-
-    /// Unlink `slot` from `parent` if it stores no value and has at most
-    /// one child (which then takes its place). The root (`parent ==
-    /// NIL`) always stays. Returns whether `parent` lost a child
-    /// outright.
-    fn splice_out(&mut self, parent: u32, slot: u32) -> bool {
-        let n = self.node(slot);
-        if parent == NIL || n.value.is_some() {
-            return false;
-        }
-        let heir = match n.children {
-            [NIL, only] | [only, NIL] => only,
-            _ => return false,
-        };
-        let side = bit(n.bits, self.node(parent).len);
-        self.nodes[parent as usize].children[side] = heir;
-        self.nodes[slot as usize].children = [NIL, NIL];
-        self.free.push(slot);
-        heir == NIL
     }
 
     /// Longest-prefix match: the most specific stored prefix covering
@@ -261,26 +191,15 @@ mod tests {
         s.parse().unwrap()
     }
 
-    /// Live nodes, the root included: stored prefixes plus the valueless
-    /// branching points between them. An empty trie has one.
-    fn node_count<V>(t: &PrefixTrie<V>) -> usize {
-        t.nodes.len() - t.free.len()
-    }
-
     #[test]
-    fn insert_get_remove() {
+    fn insert_get() {
         let mut t = PrefixTrie::new();
-        assert!(t.is_empty());
+        assert_eq!(t.iter().count(), 0);
         assert_eq!(t.insert(p("2001:db8::/32"), 1), None);
         assert_eq!(t.insert(p("2001:db8::/32"), 2), Some(1));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.iter().count(), 1);
         assert_eq!(t.get(p("2001:db8::/32")), Some(&2));
         assert_eq!(t.get(p("2001:db8::/33")), None);
-        assert_eq!(t.remove(p("2001:db8::/32")), Some(2));
-        assert_eq!(t.remove(p("2001:db8::/32")), None);
-        assert!(t.is_empty());
-        // Removal pruned the path.
-        assert_eq!(node_count(&t), 1);
     }
 
     #[test]
@@ -334,12 +253,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Random inserts and removes over nesting and diverging prefixes:
-        /// at most one fork per stored prefix stays live, and removing
-        /// everything prunes every branch back to the root.
+        /// Random inserts over nesting and diverging prefixes: at most
+        /// one fork per stored prefix joins the arena, the root included.
         #[test]
-        fn removal_prunes_every_branch(
-            steps in proptest::collection::vec((proptest::prelude::any::<bool>(), 0usize..28), 1..80),
+        fn inserts_add_at_most_one_fork_per_prefix(
+            picks in proptest::collection::vec(0usize..28, 1..80),
         ) {
             let spine: u128 = 0x2001_0db8_0407_8000_0123_4567_89ab_cdef;
             let lens = [0u8, 1, 2, 3, 16, 31, 32, 33, 48, 64, 96, 126, 127, 128];
@@ -349,19 +267,10 @@ mod tests {
             }
             pool.push(p("2a00::/12"));
             let mut t = PrefixTrie::new();
-            for (insert, pick) in steps {
-                let q = pool[pick % pool.len()];
-                if insert {
-                    t.insert(q, ());
-                } else {
-                    t.remove(q);
-                }
-                proptest::prop_assert!(node_count(&t) <= 2 * t.len() + 1);
+            for pick in picks {
+                t.insert(pool[pick % pool.len()], ());
+                proptest::prop_assert!(t.nodes.len() <= 2 * t.iter().count() + 1);
             }
-            for q in t.prefixes() {
-                proptest::prop_assert!(t.remove(q).is_some());
-            }
-            proptest::prop_assert_eq!(node_count(&t), 1);
         }
     }
 }

@@ -31,28 +31,18 @@ pub struct ZesEntry {
     pub value: f64,
 }
 
+/// Canvas width in pixels.
+const WIDTH: f64 = 800.0;
+/// Canvas height in pixels.
+const HEIGHT: f64 = 500.0;
+
 /// Plot configuration.
 #[derive(Debug, Clone)]
 pub struct ZesConfig {
-    /// Canvas width in pixels.
-    pub width: f64,
-    /// Canvas height in pixels.
-    pub height: f64,
     /// Sized (area ∝ prefix size) or unsized (uniform boxes) plot.
     pub sized: bool,
     /// Legend/label for the color scale.
     pub label: String,
-}
-
-impl Default for ZesConfig {
-    fn default() -> Self {
-        ZesConfig {
-            width: 800.0,
-            height: 500.0,
-            sized: true,
-            label: "addresses".to_string(),
-        }
-    }
 }
 
 /// A laid-out plot ready for rendering.
@@ -91,7 +81,7 @@ pub fn plot(mut entries: Vec<ZesEntry>, config: ZesConfig) -> ZesPlot {
     } else {
         vec![1.0; entries.len()]
     };
-    let rects = layout(&areas, config.width, config.height);
+    let rects = layout(&areas, WIDTH, HEIGHT);
     ZesPlot {
         entries,
         rects,
@@ -102,6 +92,13 @@ pub fn plot(mut entries: Vec<ZesEntry>, config: ZesConfig) -> ZesPlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sized() -> ZesConfig {
+        ZesConfig {
+            sized: true,
+            label: "addresses".to_string(),
+        }
+    }
 
     fn entries() -> Vec<ZesEntry> {
         let specs = [
@@ -122,7 +119,7 @@ mod tests {
 
     #[test]
     fn ordering_is_len_then_asn() {
-        let p = plot(entries(), ZesConfig::default());
+        let p = plot(entries(), sized());
         let lens: Vec<u8> = p.entries.iter().map(|e| e.prefix.len()).collect();
         assert_eq!(lens, vec![19, 32, 32, 48]);
         // The two /32s ordered by ASN.
@@ -132,25 +129,24 @@ mod tests {
 
     #[test]
     fn rects_tile_the_canvas() {
-        let cfg = ZesConfig::default();
-        let p = plot(entries(), cfg.clone());
+        let p = plot(entries(), sized());
         assert_eq!(p.rects.len(), p.entries.len());
         let total: f64 = p.rects.iter().map(|r| r.w * r.h).sum();
         assert!(
-            (total - cfg.width * cfg.height).abs() < 1.0,
+            (total - WIDTH * HEIGHT).abs() < 1.0,
             "area {total} vs canvas {}",
-            cfg.width * cfg.height
+            WIDTH * HEIGHT
         );
         for r in &p.rects {
             assert!(r.x >= -1e-9 && r.y >= -1e-9);
-            assert!(r.x + r.w <= cfg.width + 1e-6);
-            assert!(r.y + r.h <= cfg.height + 1e-6);
+            assert!(r.x + r.w <= WIDTH + 1e-6);
+            assert!(r.y + r.h <= HEIGHT + 1e-6);
         }
     }
 
     #[test]
     fn sized_gives_larger_area_to_shorter_prefix() {
-        let p = plot(entries(), ZesConfig::default());
+        let p = plot(entries(), sized());
         let a19 = p.rects[0].w * p.rects[0].h;
         let a48 = p.rects[3].w * p.rects[3].h;
         assert!(a19 > a48, "a19={a19} a48={a48}");
@@ -160,7 +156,7 @@ mod tests {
     fn unsized_gives_equal_areas() {
         let cfg = ZesConfig {
             sized: false,
-            ..ZesConfig::default()
+            ..sized()
         };
         let p = plot(entries(), cfg);
         let areas: Vec<f64> = p.rects.iter().map(|r| r.w * r.h).collect();
@@ -176,8 +172,8 @@ mod tests {
         for e in e2.iter_mut() {
             e.value *= 7.0;
         }
-        let a = plot(entries(), ZesConfig::default());
-        let b = plot(e2, ZesConfig::default());
+        let a = plot(entries(), sized());
+        let b = plot(e2, sized());
         for (ra, rb) in a.rects.iter().zip(&b.rects) {
             assert_eq!(ra, rb);
         }

@@ -1,6 +1,6 @@
 //! SVG rendering of laid-out zesplots.
 
-use crate::ZesPlot;
+use crate::{ZesPlot, HEIGHT, WIDTH};
 
 /// Map a value to a white→yellow→red heat color on a log scale relative
 /// to `max` (zero → white, like the paper's plots).
@@ -24,15 +24,15 @@ pub fn render_svg(plot: &ZesPlot) -> String {
     let mut out = String::with_capacity(plot.entries.len() * 160 + 512);
     out.push_str(&format!(
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.0}" height="{:.0}" viewBox="0 0 {:.0} {:.0}">"#,
-        cfg.width,
-        cfg.height + 24.0,
-        cfg.width,
-        cfg.height + 24.0
+        WIDTH,
+        HEIGHT + 24.0,
+        WIDTH,
+        HEIGHT + 24.0
     ));
     out.push('\n');
     out.push_str(&format!(
         r#"<text x="4" y="{:.0}" font-family="monospace" font-size="12">{} prefixes, color = {} (log scale, max {})</text>"#,
-        cfg.height + 16.0,
+        HEIGHT + 16.0,
         plot.entries.len(),
         cfg.label,
         max
@@ -71,7 +71,11 @@ mod tests {
                 value: 0.0,
             },
         ];
-        plot(entries, ZesConfig::default())
+        let cfg = ZesConfig {
+            sized: true,
+            label: "addresses".to_string(),
+        };
+        plot(entries, cfg)
     }
 
     #[test]

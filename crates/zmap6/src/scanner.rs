@@ -90,17 +90,21 @@ use expanse_packet::{Datagram, Protocol};
 use std::net::Ipv6Addr;
 use std::sync::OnceLock;
 
+/// Probes per (virtual) second. The scanner is sans-IO: the rate only
+/// stamps virtual send times.
+const RATE_PPS: u64 = 100_000;
+/// Virtual time between two consecutive probes.
+const GAP: Duration = Duration(1_000_000_000 / RATE_PPS);
+/// How long to keep listening after the last probe.
+const COOLDOWN: Duration = Duration::from_secs(5);
+
 /// Scanner configuration.
 #[derive(Debug, Clone)]
 pub struct ScanConfig {
     /// Source address probes are sent from.
     pub src: Ipv6Addr,
-    /// Probes per (virtual) second.
-    pub rate_pps: u64,
     /// Scan secret (drives validation and the target permutation).
     pub seed: u64,
-    /// How long to keep listening after the last probe.
-    pub cooldown: Duration,
     /// Shard selection `(shard, total)`, zmap's `--shard/--shards`.
     pub shard: (u64, u64),
     /// Never-probe prefixes (§10.1 scanning ethics).
@@ -116,9 +120,7 @@ impl Default for ScanConfig {
     fn default() -> Self {
         ScanConfig {
             src: "2001:db8:ffff::1".parse().expect("valid vantage"),
-            rate_pps: 100_000,
             seed: 0x5ca9,
-            cooldown: Duration::from_secs(5),
             shard: (0, 1),
             blacklist: Blacklist::new(),
             shards_per_protocol: 8,
@@ -257,7 +259,6 @@ struct Job<'a> {
     validator: Validator,
     layout: &'a Layout,
     start: Time,
-    gap: Duration,
     /// The end of the cooldown after the last slot: later deliveries are
     /// never received. (An empty target list ends where it starts.)
     end: Time,
@@ -305,18 +306,17 @@ impl<'a> Job<'a> {
             validator: Validator::new(cfg.seed),
             layout,
             start,
-            gap: Duration(1_000_000_000 / cfg.rate_pps.max(1)),
             end: start,
         };
         if !layout.idle {
-            job.end = job.clock(layout.slots.len()) + cfg.cooldown;
+            job.end = job.clock(layout.slots.len()) + COOLDOWN;
         }
         job
     }
 
     /// When slot `slot`'s probe leaves (`slots.len()`: the send loop's end).
     fn clock(&self, slot: usize) -> Time {
-        self.start + Duration(self.gap.0 * slot as u64)
+        self.start + Duration(GAP.0 * slot as u64)
     }
 
     /// Inject `slots`, each at its own clock, through `inject(slot, now,
@@ -1012,14 +1012,7 @@ mod tests {
     #[test]
     fn virtual_time_advances_with_rate() {
         let model = InternetModel::build(ModelConfig::tiny(21));
-        let mut s = Scanner::new(
-            model,
-            ScanConfig {
-                rate_pps: 1000,
-                cooldown: Duration::from_secs(1),
-                ..ScanConfig::default()
-            },
-        );
+        let mut s = Scanner::new(model, ScanConfig::default());
         let p48 = s.network_mut().population.special.cdn_hook_48s[0];
         let targets: Vec<Ipv6Addr> = (0..100u64)
             .map(|i| expanse_addr::keyed_random_addr(p48, i))
@@ -1027,7 +1020,7 @@ mod tests {
         let before = s.now();
         s.scan(&targets, &IcmpEchoModule);
         let elapsed = s.now() - before;
-        // 100 probes at 1000 pps = 0.1 s + 1 s cooldown.
-        assert_eq!(elapsed, Duration::from_millis(1100));
+        // 100 probes at `RATE_PPS` = 1 ms, then the cooldown.
+        assert_eq!(elapsed, Duration::from_millis(1) + COOLDOWN);
     }
 }

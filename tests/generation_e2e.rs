@@ -28,7 +28,7 @@ fn both_generators_produce_valid_targets() {
     let eip_targets = eip_model.generate(500);
     assert!(!eip_targets.is_empty());
 
-    let regions = sixgen::grow_regions(&seeds, &sixgen::SixGenConfig::default());
+    let regions = sixgen::grow_regions(&seeds);
     let six_targets = sixgen::generate(&regions, 500);
     assert!(!six_targets.is_empty());
 
@@ -44,10 +44,7 @@ fn both_generators_produce_valid_targets() {
 fn generators_overlap_little() {
     let (seeds, _model) = seeds_and_model();
     let eip_targets: BTreeSet<Ipv6Addr> = eip::train(&seeds).generate(800).into_iter().collect();
-    let six_targets = sixgen::generate(
-        &sixgen::grow_regions(&seeds, &sixgen::SixGenConfig::default()),
-        800,
-    );
+    let six_targets = sixgen::generate(&sixgen::grow_regions(&seeds), 800);
     let overlap = six_targets
         .iter()
         .filter(|a| eip_targets.contains(a))
