@@ -17,7 +17,7 @@ use expanse_sched::{
     SPLIT_PREFIX_LEN,
 };
 use expanse_zmap6::{standard_battery, MultiScanResult, ScanConfig, Scanner};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::Ipv6Addr;
 
@@ -423,9 +423,9 @@ impl Pipeline {
         if !self.cfg.sched.enabled {
             return (kept_ids, kept, None);
         }
-        let (groups, demands) = sched_demands(&kept);
-        let mut plan = self.sched_plan(day, &demands, aliased_now);
-        let (ids, targets) = sched_admit(day, &kept_ids, &kept, &groups, &mut plan);
+        let (order, demands) = sched_demands(&kept);
+        let plan = self.sched_plan(day, &demands, aliased_now);
+        let (ids, targets) = sched_admit(day, &kept_ids, &kept, &order, &demands, &plan);
         (ids, targets, Some(plan))
     }
 
@@ -729,43 +729,54 @@ impl Pipeline {
     }
 }
 
-/// The kept members grouped by covering /48, id order within a group.
-type Groups = BTreeMap<Prefix, Vec<Ipv6Addr>>;
-
 /// Scheduling step 1 of 3: group the kept members by covering /48 and
 /// build one [`PrefixDemand`] per group (candidate count + a bounded
 /// sorted sample for the entropy fingerprint and follow-up traces).
-fn sched_demands(kept: &[Ipv6Addr]) -> (Groups, Vec<PrefixDemand>) {
-    let mut groups = Groups::new();
-    for &a in kept {
-        groups
-            .entry(Prefix::new(a, SCHED_PREFIX_LEN))
-            .or_default()
-            .push(a);
-    }
-    let demands = groups
+///
+/// The groups come back as runs: `kept`'s positions sorted by
+/// `(/48, position)`, so each /48's members are one run in id order.
+/// The demands are ascending by /48 too, and each one's candidate
+/// count is its run's length.
+fn sched_demands(kept: &[Ipv6Addr]) -> (Vec<usize>, Vec<PrefixDemand>) {
+    let host_bits = 128 - u32::from(SCHED_PREFIX_LEN);
+    // One sort key per member: its /48 above its position.
+    let mut keys: Vec<u128> = kept
         .iter()
-        .map(|(&net, members)| {
-            let mut sample: Vec<Ipv6Addr> =
-                members.iter().copied().take(MAX_DEMAND_SAMPLE).collect();
+        .enumerate()
+        .map(|(pos, &a)| u128::from(a) >> host_bits << 64 | pos as u128)
+        .collect();
+    keys.sort_unstable();
+    let pos = |key: u128| key as u64 as usize;
+    let demands = keys
+        .chunk_by(|a, b| a >> 64 == b >> 64)
+        .map(|run| {
+            let mut sample: Vec<Ipv6Addr> = run
+                .iter()
+                .take(MAX_DEMAND_SAMPLE)
+                .map(|&key| kept[pos(key)])
+                .collect();
             sample.sort_unstable();
             PrefixDemand {
-                net,
-                candidates: members.len() as u64,
+                net: Prefix::from_bits(run[0] >> 64 << host_bits, SCHED_PREFIX_LEN),
+                candidates: run.len() as u64,
                 sample,
             }
         })
         .collect();
-    (groups, demands)
+    (keys.into_iter().map(pos).collect(), demands)
 }
 
 /// Scheduling step 3 of 3: admit members against the plan's per-prefix
-/// quotas. Members regroup under their quota key (/52 child when the
-/// /48 was split, the /48 itself otherwise) and a rotated window of
-/// each group is admitted: the window's start offset advances by
-/// `quota` positions per day, so a /48 held under its cap cycles
-/// through *all* its members across days instead of re-probing the
-/// same head.
+/// quotas. Within its /48's run, each member falls under its quota key
+/// (its /52 child when that child holds a quota — the /48 was split —
+/// the /48 itself otherwise), and a rotated window of each key's
+/// members is admitted: the window's start offset advances by `quota`
+/// positions per day, so a /48 held under its cap cycles through *all*
+/// its members across days instead of re-probing the same head.
+///
+/// A window never exceeds its key's quota, so it is exactly what
+/// [`SchedPlan::admit`] accepts when called member by member; the
+/// quotas are read once per run and never consumed.
 ///
 /// The returned list is an id-order subsequence of `kept`; with the
 /// degenerate config every member is admitted and the list *is*
@@ -775,43 +786,61 @@ fn sched_admit(
     day: u16,
     kept_ids: &AddrSet,
     kept: &[Ipv6Addr],
-    groups: &Groups,
-    plan: &mut SchedPlan,
+    order: &[usize],
+    demands: &[PrefixDemand],
+    plan: &SchedPlan,
 ) -> (AddrSet, Vec<Ipv6Addr>) {
-    let mut qgroups = Groups::new();
-    for (&net, members) in groups {
-        for &a in members {
-            let p52 = Prefix::new(a, SPLIT_PREFIX_LEN);
-            let key = if plan.quotas.contains_key(&p52) {
-                p52
-            } else {
-                net
-            };
-            qgroups.entry(key).or_default().push(a);
-        }
-    }
-    let mut selected: BTreeSet<Ipv6Addr> = BTreeSet::new();
-    for (key, members) in &qgroups {
-        let Some(&quota) = plan.quotas.get(key) else {
-            continue;
-        };
+    // Bit `i` admits `kept[i]`.
+    let mut selected = vec![0u64; kept.len().div_ceil(64)];
+    let mut admit_window = |members: &[usize], quota: Option<&u64>| {
         let m = members.len();
-        let q = quota.min(m as u64) as usize;
-        if q == 0 {
+        let q = quota.map_or(0, |&quota| quota.min(m as u64) as usize);
+        let start = if q >= m {
+            0
+        } else {
+            (usize::from(day) * q) % m
+        };
+        for &pos in members[start..].iter().chain(&members[..start]).take(q) {
+            selected[pos / 64] |= 1 << (pos % 64);
+        }
+    };
+    let child_bits = 128 - u32::from(SPLIT_PREFIX_LEN);
+    let child = |bits: u128| (bits >> child_bits & 0xf) as usize;
+    let mut rest = order;
+    let mut regrouped = Vec::new();
+    for d in demands {
+        let (run, tail) = rest.split_at(d.candidates as usize);
+        rest = tail;
+        // The quotas under this /48: its own, and each /52 child's.
+        let own = plan.quotas.get(&d.net);
+        let mut children: [Option<&u64>; 16] = [None; 16];
+        let span = Prefix::from_bits(d.net.bits(), SPLIT_PREFIX_LEN)
+            ..=Prefix::from_bits(d.net.bits() | 0xf << child_bits, SPLIT_PREFIX_LEN);
+        for (p, q) in plan.quotas.range(span) {
+            children[child(p.bits())] = Some(q);
+        }
+        if children.iter().all(Option::is_none) {
+            admit_window(run, own);
             continue;
         }
-        let start = if q >= m { 0 } else { (day as usize * q) % m };
-        for i in 0..q {
-            let a = members[(start + i) % m];
-            if plan.admit(a) {
-                selected.insert(a);
-            }
+        // Split: a member's key is its child when that child holds a
+        // quota, else the /48 (`None`). A stable sort by key keeps id
+        // order within each key.
+        let key =
+            |pos: usize| Some(child(u128::from(kept[pos]))).filter(|&c| children[c].is_some());
+        regrouped.clear();
+        regrouped.extend_from_slice(run);
+        regrouped.sort_by_key(|&pos| key(pos));
+        for members in regrouped.chunk_by(|&a, &b| key(a) == key(b)) {
+            admit_window(members, key(members[0]).map_or(own, |c| children[c]));
         }
     }
     let (ids, targets) = kept_ids
         .iter()
         .zip(kept)
-        .filter(|(_, a)| selected.contains(a))
+        .enumerate()
+        .filter(|&(pos, _)| selected[pos / 64] >> (pos % 64) & 1 == 1)
+        .map(|(_, (id, &a))| (id, a))
         .unzip();
     (AddrSet::from_sorted(ids), targets)
 }
@@ -1106,6 +1135,148 @@ const MAX_FRAME_LEN: u64 = 1 << 32;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expanse_addr::AddrTable;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The kept members grouped by covering /48, id order within a group.
+    type Groups = BTreeMap<Prefix, Vec<Ipv6Addr>>;
+
+    /// Reference for [`sched_demands`]: a `BTreeMap` regroup.
+    fn sched_demands_reference(kept: &[Ipv6Addr]) -> (Groups, Vec<PrefixDemand>) {
+        let mut groups = Groups::new();
+        for &a in kept {
+            groups
+                .entry(Prefix::new(a, SCHED_PREFIX_LEN))
+                .or_default()
+                .push(a);
+        }
+        let demands = groups
+            .iter()
+            .map(|(&net, members)| {
+                let mut sample: Vec<Ipv6Addr> =
+                    members.iter().copied().take(MAX_DEMAND_SAMPLE).collect();
+                sample.sort_unstable();
+                PrefixDemand {
+                    net,
+                    candidates: members.len() as u64,
+                    sample,
+                }
+            })
+            .collect();
+        (groups, demands)
+    }
+
+    /// Reference for [`sched_admit`]: regroup every member under its
+    /// quota key, then admit each group's rotated window one member at
+    /// a time through [`SchedPlan::admit`].
+    fn sched_admit_reference(
+        day: u16,
+        kept_ids: &AddrSet,
+        kept: &[Ipv6Addr],
+        groups: &Groups,
+        plan: &mut SchedPlan,
+    ) -> (AddrSet, Vec<Ipv6Addr>) {
+        let mut qgroups = Groups::new();
+        for (&net, members) in groups {
+            for &a in members {
+                let p52 = Prefix::new(a, SPLIT_PREFIX_LEN);
+                let key = if plan.quotas.contains_key(&p52) {
+                    p52
+                } else {
+                    net
+                };
+                qgroups.entry(key).or_default().push(a);
+            }
+        }
+        let mut selected: BTreeSet<Ipv6Addr> = BTreeSet::new();
+        for (key, members) in &qgroups {
+            let Some(&quota) = plan.quotas.get(key) else {
+                continue;
+            };
+            let m = members.len();
+            let q = quota.min(m as u64) as usize;
+            if q == 0 {
+                continue;
+            }
+            let start = if q >= m { 0 } else { (day as usize * q) % m };
+            for i in 0..q {
+                let a = members[(start + i) % m];
+                if plan.admit(a) {
+                    selected.insert(a);
+                }
+            }
+        }
+        let (ids, targets) = kept_ids
+            .iter()
+            .zip(kept)
+            .filter(|(_, a)| selected.contains(a))
+            .unzip();
+        (AddrSet::from_sorted(ids), targets)
+    }
+
+    /// The six /48s the admission oracle draws from.
+    fn oracle_net(i: u8) -> Prefix {
+        Prefix::from_bits((0x2001_0db8_0000 + u128::from(i)) << 80, SCHED_PREFIX_LEN)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// The runs-and-bitset admission against the `BTreeMap` regroup
+        /// and per-member `SchedPlan::admit` it replaced. Each /48 gets
+        /// no quota, a /48 quota (zero, below, at or above its member
+        /// count), or /52 child quotas (some zero, some children
+        /// without one, sometimes beside a /48 quota); the day makes
+        /// most rotated windows wrap.
+        #[test]
+        fn admission_matches_the_btreemap_reference(
+            members in collection::vec((0u8..6, 0u8..16, 0u8..4, any::<u16>()), 0..300),
+            modes in collection::vec((0u8..4, 0u64..40, collection::vec(0u64..6, 16)), 6),
+            day in any::<u16>(),
+        ) {
+            let mut table = AddrTable::new();
+            let mut ids = Vec::new();
+            let mut kept = Vec::new();
+            for &(net, child, sub, low) in &members {
+                // Few distinct /52s and few addresses per /52, so groups
+                // are both large and small.
+                let bits = oracle_net(net).bits()
+                    | u128::from(child) << 76
+                    | u128::from(sub) << 64
+                    | u128::from(low % 64);
+                let (id, new) = table.intern_u128(bits);
+                if new {
+                    ids.push(id);
+                    kept.push(table.addr(id));
+                }
+            }
+            let kept_ids = AddrSet::from_sorted(ids);
+
+            let mut plan = SchedPlan::default();
+            for (i, (mode, quota, child_quotas)) in modes.iter().enumerate() {
+                let net = oracle_net(i as u8);
+                if matches!(mode, 1 | 3) {
+                    plan.quotas.insert(net, *quota);
+                }
+                if *mode >= 2 {
+                    for (c, child) in net.subprefixes(4).enumerate() {
+                        // Quota 5 means "no quota for this child".
+                        if child_quotas[c] < 5 {
+                            plan.quotas.insert(child, child_quotas[c]);
+                        }
+                    }
+                }
+            }
+
+            let (groups, want_demands) = sched_demands_reference(&kept);
+            let (order, demands) = sched_demands(&kept);
+            prop_assert_eq!(&demands, &want_demands);
+            let want = sched_admit_reference(day, &kept_ids, &kept, &groups, &mut plan.clone());
+            let got = sched_admit(day, &kept_ids, &kept, &order, &demands, &plan);
+            prop_assert_eq!(got, want);
+        }
+    }
 
     fn tiny_pipeline() -> Pipeline {
         // Keep test days cheap.

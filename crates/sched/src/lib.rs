@@ -213,40 +213,29 @@ pub struct SchedPlan {
     /// Admission quotas: `/52` entries for split prefixes, `/48`
     /// entries otherwise. [`SchedPlan::admit`] consumes them.
     pub quotas: BTreeMap<Prefix, u64>,
-    /// The configured budget this plan was drawn against.
-    pub budget: u64,
     /// Slots allocated by the planner.
     pub budget_used: u64,
-    /// Per-/48 slots actually admitted so far (see [`SchedPlan::admit`]).
-    pub spent: BTreeMap<Prefix, u64>,
-    /// Planner-detected violations of the per-/48 cap; an invariant
-    /// counter that must stay zero (the bench gate pins it).
-    pub cap_violations: u64,
     /// Suspect /48s to union into the APD probing plan.
     pub suspects: Vec<Prefix>,
 }
 
 impl SchedPlan {
     /// Admit one battery candidate against the plan's quotas: `true`
-    /// consumes a slot (charged to its /52 child if the /48 was split,
-    /// else the /48 itself), `false` means the prefix's allocation is
+    /// consumes a slot (from its /52 child's quota if the /48 was
+    /// split, else the /48's own), `false` means the prefix's allocation is
     /// exhausted — or was never selected — and the address is skipped
     /// today. Deterministic: admission depends only on quota state and
     /// call order.
     pub fn admit(&mut self, addr: Ipv6Addr) -> bool {
-        let p48 = Prefix::new(addr, SCHED_PREFIX_LEN);
-        let key = {
-            let p52 = Prefix::new(addr, SPLIT_PREFIX_LEN);
-            if self.quotas.contains_key(&p52) {
-                p52
-            } else {
-                p48
-            }
+        let p52 = Prefix::new(addr, SPLIT_PREFIX_LEN);
+        let key = if self.quotas.contains_key(&p52) {
+            p52
+        } else {
+            Prefix::new(addr, SCHED_PREFIX_LEN)
         };
         match self.quotas.get_mut(&key) {
             Some(q) if *q > 0 => {
                 *q -= 1;
-                *self.spent.entry(p48).or_insert(0) += 1;
                 true
             }
             _ => false,
@@ -344,13 +333,62 @@ fn demand_entropy(cfg: &SchedConfig, d: &PrefixDemand) -> f64 {
     f.values.iter().sum::<f64>() / f.values.len() as f64
 }
 
-/// Does an APD verdict prefix overlap a /48 entry (cover it, or sit
-/// inside it)?
-fn overlaps(verdict: Prefix, net: Prefix) -> bool {
-    if verdict.len() <= net.len() {
-        verdict.covers(&net)
-    } else {
-        net.covers(&verdict)
+/// A verdict list (APD aliased prefixes, or suspects) indexed for the
+/// two questions the flag refresh asks of a /48: does a verdict cover
+/// it, and does a verdict lie strictly inside it? Each is one binary
+/// search.
+struct Verdicts {
+    /// `[first, last]` address ranges of the verdicts at or above the
+    /// /48, merged where they nest: ascending and disjoint.
+    covering: Vec<(u128, u128)>,
+    /// Network bits of the verdicts longer than a /48, ascending.
+    inside: Vec<u128>,
+}
+
+impl Verdicts {
+    /// Index `verdicts`, given in any order (a copy is sorted only when
+    /// they are not already).
+    fn new(verdicts: &[Prefix]) -> Self {
+        let mut sorted = Vec::new();
+        let verdicts = if verdicts.is_sorted() {
+            verdicts
+        } else {
+            sorted.extend_from_slice(verdicts);
+            sorted.sort_unstable();
+            &sorted
+        };
+        let mut covering: Vec<(u128, u128)> = Vec::new();
+        let mut inside = Vec::new();
+        for v in verdicts {
+            if v.len() > SCHED_PREFIX_LEN {
+                inside.push(v.bits());
+                continue;
+            }
+            let (first, last) = (v.bits(), u128::from(v.last()));
+            match covering.last_mut() {
+                Some((_, end)) if first <= *end => *end = (*end).max(last),
+                _ => covering.push((first, last)),
+            }
+        }
+        Verdicts { covering, inside }
+    }
+
+    /// Does a verdict at or above the /48 cover `net`?
+    fn covers(&self, net: Prefix) -> bool {
+        let i = self
+            .covering
+            .partition_point(|&(first, _)| first <= net.bits());
+        i.checked_sub(1)
+            .and_then(|i| self.covering.get(i))
+            .is_some_and(|&(_, last)| net.bits() <= last)
+    }
+
+    /// Does a verdict longer than the /48 lie inside `net`?
+    fn has_inside(&self, net: Prefix) -> bool {
+        let i = self.inside.partition_point(|&bits| bits < net.bits());
+        self.inside
+            .get(i)
+            .is_some_and(|&bits| bits <= u128::from(net.last()))
     }
 }
 
@@ -382,7 +420,13 @@ impl Scheduler {
     /// [`Job::FollowUpTrace`] when `cfg.followup_targets > 0`.
     ///
     /// Deterministic: demands are keyed by prefix, the priority is
-    /// integer-valued, and ties break on ascending prefix.
+    /// integer-valued, and ties break on ascending prefix. The inputs
+    /// may come in any order.
+    ///
+    /// Cost: O((d + a) log a) for the flag refresh — each verdict list
+    /// of `a` prefixes is indexed once, then asked two binary searches
+    /// per demand — and O(d log d) for the priority order, for `d`
+    /// demands.
     pub fn plan_day(
         &mut self,
         cfg: &SchedConfig,
@@ -391,10 +435,7 @@ impl Scheduler {
         aliased: &[Prefix],
         suspects: &[Prefix],
     ) -> SchedPlan {
-        let mut plan = SchedPlan {
-            budget: cfg.daily_budget,
-            ..SchedPlan::default()
-        };
+        let mut plan = SchedPlan::default();
 
         // Refresh the APD flags on every demanded entry; only actual
         // transitions dirty the journal. A verdict at or above the /48
@@ -402,18 +443,16 @@ impl Scheduler {
         // strictly inside it leaves the filtered candidates honest but
         // marks the neighbourhood suspect — the fixed grid still probes
         // those members, so starving them would break the degenerate
-        // oracle (and waste real coverage).
+        // oracle (and waste real coverage). A suspect verdict marks the
+        // /48 it covers or lies inside.
+        let (aliased, suspects) = (Verdicts::new(aliased), Verdicts::new(suspects));
         for d in demands {
             debug_assert_eq!(d.net.len(), SCHED_PREFIX_LEN, "demands are keyed by /48");
             let e = self.entries.entry(d.net).or_default();
-            let is_aliased = aliased
-                .iter()
-                .any(|&a| a.len() <= d.net.len() && a.covers(&d.net));
-            let interior_fabric = !is_aliased
-                && aliased
-                    .iter()
-                    .any(|&a| a.len() > d.net.len() && d.net.covers(&a));
-            let is_suspect = interior_fabric || suspects.iter().any(|&s| overlaps(s, d.net));
+            let is_aliased = aliased.covers(d.net);
+            let interior_fabric = !is_aliased && aliased.has_inside(d.net);
+            let is_suspect =
+                interior_fabric || suspects.covers(d.net) || suspects.has_inside(d.net);
             if e.aliased != is_aliased || e.suspect != is_suspect {
                 e.aliased = is_aliased;
                 e.suspect = is_suspect;
@@ -440,9 +479,6 @@ impl Scheduler {
             let take = d.candidates.min(cfg.per_48_cap).min(remaining);
             if take == 0 {
                 continue;
-            }
-            if take > cfg.per_48_cap {
-                plan.cap_violations += 1; // unreachable by construction
             }
             remaining -= take;
             plan.budget_used += take;
@@ -573,6 +609,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p48(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -597,9 +634,9 @@ mod tests {
         let demands = vec![demand("2001:db8:1::/48", 100), demand("2001:db8:2::/48", 7)];
         let mut plan = s.plan_day(&cfg, 3, &demands, &[], &[]);
         assert_eq!(plan.budget_used, 107);
-        assert_eq!(plan.cap_violations, 0);
         assert!(plan.suspects.is_empty());
         for d in &demands {
+            assert_eq!(plan.quotas.get(&d.net), Some(&d.candidates));
             for i in 0..d.candidates {
                 assert!(
                     plan.admit(d.net.addr_at(i as u128)),
@@ -608,6 +645,8 @@ mod tests {
                 );
             }
         }
+        // Every slot was consumed, and no quota was overdrawn.
+        assert!(plan.quotas.values().all(|&q| q == 0));
     }
 
     #[test]
@@ -624,15 +663,13 @@ mod tests {
         let mut s = Scheduler::new();
         let demands = vec![demand("2001:db8:1::/48", 500)];
         let mut plan = s.plan_day(&cfg, 0, &demands, &[], &[]);
-        assert_eq!(plan.cap_violations, 0);
-        let mut admitted = 0u64;
-        for i in 0..500u128 {
-            if plan.admit(demands[0].net.addr_at(i)) {
-                admitted += 1;
-            }
-        }
-        assert_eq!(admitted, 10);
-        assert_eq!(plan.spent.get(&demands[0].net), Some(&10));
+        assert_eq!(plan.quotas.get(&demands[0].net), Some(&10));
+        let admitted: Vec<u128> = (0..500u128)
+            .filter(|&i| plan.admit(demands[0].net.addr_at(i)))
+            .collect();
+        // The first ten calls take the cap; every later one is refused.
+        assert_eq!(admitted, (0..10).collect::<Vec<_>>());
+        assert_eq!(plan.quotas.get(&demands[0].net), Some(&0));
     }
 
     #[test]
@@ -723,13 +760,115 @@ mod tests {
         assert_eq!(plan.quotas.len(), 16);
         assert!(plan.quotas.keys().all(|p| p.len() == SPLIT_PREFIX_LEN));
         assert_eq!(plan.quotas.values().sum::<u64>(), 64);
-        // Admission charges the /52 child but accounts at the /48.
+        // Admission charges the member's /52 child, never the /48.
+        let child = Prefix::new(sample[0], SPLIT_PREFIX_LEN);
         assert!(plan.admit(sample[0]));
-        assert_eq!(plan.spent.get(&net), Some(&1));
+        assert_eq!(plan.quotas.get(&child), Some(&3));
+        assert_eq!(plan.quotas.get(&net), None);
+        assert_eq!(plan.quotas.values().sum::<u64>(), 63);
         assert!(matches!(
             plan.jobs[0].job,
             Job::EchoScanPrefix { sample_k: 4, .. } // largest /52 quota
         ));
+    }
+
+    /// The demanded /48s live under one /45, so verdicts from /32 to
+    /// /64 cover several of them, all, or lie inside one.
+    const BASE45: u128 = 0x2001_0db8_0010 << 80;
+
+    /// A verdict: the network bits of /48 number `idx` plus a /64
+    /// below it, masked to `len`. Lengths favour the /45–/48 span and
+    /// the exact /48, and the low bits are often zero, so a verdict
+    /// and a longer or shorter one often share their first address.
+    fn arb_verdict() -> impl Strategy<Value = Prefix> {
+        (
+            0u128..9,
+            prop_oneof![Just(0u128), 0u128..4, any::<u16>().prop_map(u128::from)],
+            prop_oneof![32u8..=64, 45u8..=48, Just(48u8), 49u8..=64],
+        )
+            .prop_map(|(idx, low, len)| Prefix::from_bits(BASE45 + (idx << 80) + (low << 64), len))
+    }
+
+    /// `list`, with each of its first `twins.len()` verdicts repeated
+    /// at the length `twins` gives it (same first address), the whole
+    /// list doubled when `dup`, and reversed and rotated out of order
+    /// when `shuffle > 0`.
+    fn verdict_list(mut list: Vec<Prefix>, twins: &[u8], dup: bool, shuffle: usize) -> Vec<Prefix> {
+        let extra: Vec<Prefix> = list
+            .iter()
+            .zip(twins)
+            .map(|(v, &len)| Prefix::from_bits(v.bits(), len))
+            .collect();
+        list.extend(extra);
+        if dup {
+            list.extend(list.clone());
+        }
+        list.sort_unstable();
+        if shuffle > 0 && !list.is_empty() {
+            list.reverse();
+            let k = shuffle % list.len();
+            list.rotate_left(k);
+        }
+        list
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `plan_day`'s flag refresh against the definition it replaced:
+        /// aliased when an aliased verdict at or above the /48 covers
+        /// it; suspect when an aliased verdict lies strictly inside an
+        /// unaliased /48, or a suspect verdict covers it or lies inside
+        /// it. Exactly the flag transitions are dirtied.
+        #[test]
+        fn flag_refresh_matches_the_naive_scan(
+            picks in collection::vec(0u128..9, 0..12),
+            initial in collection::vec((0u128..9, any::<bool>(), any::<bool>()), 0..6),
+            aliased in collection::vec(arb_verdict(), 0..10),
+            alias_twins in collection::vec(32u8..=64, 0..4),
+            suspects in collection::vec(arb_verdict(), 0..6),
+            suspect_twins in collection::vec(32u8..=64, 0..3),
+            (dup, shuffle_a, shuffle_s, reverse_d) in (any::<bool>(), 0usize..4, 0usize..4, any::<bool>()),
+        ) {
+            let aliased = verdict_list(aliased, &alias_twins, dup, shuffle_a);
+            let suspects = verdict_list(suspects, &suspect_twins, !dup, shuffle_s);
+            let net = |idx: u128| Prefix::from_bits(BASE45 + (idx << 80), SCHED_PREFIX_LEN);
+            let mut nets: Vec<Prefix> = picks.iter().map(|&i| net(i)).collect();
+            nets.sort_unstable();
+            nets.dedup();
+            if reverse_d {
+                nets.reverse();
+            }
+            let demands: Vec<PrefixDemand> = nets
+                .iter()
+                .map(|&net| PrefixDemand { net, candidates: 1, sample: Vec::new() })
+                .collect();
+
+            let mut s = Scheduler::new();
+            for &(idx, aliased, suspect) in &initial {
+                let e = PrefixEntry { aliased, suspect, ..PrefixEntry::new() };
+                s.entries.insert(net(idx), e);
+            }
+            let before = s.entries.clone();
+            s.plan_day(&SchedConfig::degenerate(), 0, &demands, &aliased, &suspects);
+
+            let mut dirty = BTreeSet::new();
+            for &n in &nets {
+                let is_aliased = aliased.iter().any(|a| a.len() <= 48 && a.covers(&n));
+                let inside = aliased.iter().any(|a| a.len() > 48 && n.covers(a));
+                let overlaps = |v: &Prefix| {
+                    if v.len() <= n.len() { v.covers(&n) } else { n.covers(v) }
+                };
+                let is_suspect = (!is_aliased && inside) || suspects.iter().any(overlaps);
+                let e = s.entries[&n];
+                prop_assert_eq!((e.aliased, e.suspect), (is_aliased, is_suspect), "{}", n);
+                let old = before.get(&n).copied().unwrap_or_default();
+                if (old.aliased, old.suspect) != (is_aliased, is_suspect) {
+                    dirty.insert(n);
+                }
+            }
+            prop_assert_eq!(&s.dirty, &dirty);
+        }
     }
 
     #[test]
