@@ -18,6 +18,12 @@
 //! or day is not the frame's is decided afresh, so a caller that keeps
 //! decisions (the battery, five frames per destination) gets the same
 //! bytes as one that does not.
+//!
+//! The decision also says when no frame to its destination can be
+//! answered or change anything ([`Reach::Silent`]): the destination is
+//! unrouted, or nobody answers it, no ICMP bucket or SYN proxy sits in
+//! front of it, and the frame reaches it without expiring at a router on
+//! the way. A scanner leaves such probes unsent.
 
 use crate::churn;
 use crate::dest::{Dest, NONE};
@@ -28,7 +34,7 @@ use crate::scenario::ScenarioResponder;
 use crate::InternetModel;
 use expanse_addr::fanout::splitmix64;
 use expanse_addr::{addr_to_u128, Prefix};
-use expanse_netsim::{Deliveries, Duration, Network, SynProxy, Time, TokenBucket};
+use expanse_netsim::{Deliveries, Duration, Network, Reach, SynProxy, Time, TokenBucket};
 use expanse_packet::{
     dns, icmpv6, proto, quic, udp, Datagram, Icmpv6Message, Ipv6Header, PacketError, ProtoSet,
     Protocol, TcpFlags, TcpView, TransportView, UdpDatagram,
@@ -116,7 +122,8 @@ impl DayState {
 /// table, the forwarding path length and who answers. Made by
 /// [`expanse_netsim::SnapshotNetwork::decide`] and read by
 /// [`expanse_netsim::SnapshotNetwork::inject_decided`], which decides
-/// afresh for a frame whose destination or day is not this one's.
+/// afresh for a frame whose destination or day is not this one's, and by
+/// [`expanse_netsim::SnapshotNetwork::reach`].
 ///
 /// It is valid for the model it was made on as long as that model is
 /// not changed through `&mut` other than by `set_day` (which the day
@@ -738,9 +745,26 @@ impl expanse_netsim::SnapshotNetwork for InternetModel {
 
     /// The buckets and proxies are all a [`ScanView`] owns, and the
     /// engine consults each only for destinations under its prefix —
-    /// everything else is answered from the shared immutable world.
-    fn stateful(&self, dst: Ipv6Addr) -> bool {
-        self.dests.lookup(dst).stateful()
+    /// everything else is answered from the shared immutable world. Of
+    /// that, a destination is silent when it is unrouted, or when nobody
+    /// answers it and no router on the way can: its origin is off the
+    /// roster (an opaque path) or the frame outlives the path.
+    fn reach(&self, dst: Ipv6Addr, decision: &Decision, hop_limit: u8) -> Reach {
+        if decision.dst != dst || decision.day != self.day_state.day {
+            return Reach::Stateful;
+        }
+        let dest = self.dests.get(decision.dest);
+        if dest.route == NONE {
+            Reach::Silent
+        } else if dest.stateful() {
+            Reach::Stateful
+        } else if decision.responder == Responder::Nobody
+            && (dest.category.is_none() || hop_limit >= decision.path_len)
+        {
+            Reach::Silent
+        } else {
+            Reach::Stateless
+        }
     }
 }
 
@@ -1189,7 +1213,7 @@ mod tests {
         );
     }
 
-    /// One adversarial world for every case of the `stateful` property:
+    /// One adversarial world for every case of the `reach` properties:
     /// the model is not `Clone`, and a build per case would dominate.
     /// State left by earlier cases only widens what the property meets.
     #[expect(
@@ -1251,14 +1275,19 @@ mod tests {
         }
     }
 
-    /// An ICMPv6 echo, a TCP SYN or a UDP probe to `dst`; one in five
-    /// hop-limited like a traceroute probe.
-    fn probe(dst: Ipv6Addr, transport: u8, key: u32) -> Vec<u8> {
-        let hop = if key.is_multiple_of(5) {
+    /// The hop limit of [`probe`]'s frame for `key`.
+    fn probe_hops(key: u32) -> u8 {
+        if key.is_multiple_of(5) {
             1 + (key % 7) as u8
         } else {
             64
-        };
+        }
+    }
+
+    /// An ICMPv6 echo, a TCP SYN or a UDP probe to `dst`; one in five
+    /// hop-limited like a traceroute probe.
+    fn probe(dst: Ipv6Addr, transport: u8, key: u32) -> Vec<u8> {
+        let hop = probe_hops(key);
         let port = [80, 443, 53, 8080][(key >> 8) as usize % 4];
         let src_port = 32768 + (key >> 16) as u16 % 16384;
         let (src, mut frame) = (vantage(), Vec::new());
@@ -1291,10 +1320,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
-        /// The `SnapshotNetwork::stateful` contract: a frame to a
-        /// destination it clears gets the same deliveries from the model
-        /// and from any snapshot, whatever state either is in, and
-        /// changes neither.
+        /// The `SnapshotNetwork::reach` contract for what it does not
+        /// call stateful: a frame to such a destination gets the same
+        /// deliveries from the model and from any snapshot, whatever
+        /// state either is in, and changes neither.
         #[test]
         fn stateless_destinations_answer_alike_from_model_and_snapshots(
             picks in proptest::collection::vec(
@@ -1304,8 +1333,12 @@ mod tests {
         ) {
             use expanse_netsim::SnapshotNetwork;
             let mut m = shared_world();
+            let stateful = |m: &InternetModel, dst: Ipv6Addr, hop: u8| {
+                m.reach(dst, &m.decide(dst), hop) == Reach::Stateful
+            };
             for p in middlebox_prefixes(&m) {
-                proptest::prop_assert!(m.stateful(expanse_addr::keyed_random_addr(p, 3)));
+                let dst = expanse_addr::keyed_random_addr(p, 3);
+                proptest::prop_assert!(stateful(&m, dst, 64));
             }
             // Stateful traffic between two captures of the day state:
             // drain the buckets, trip the proxies.
@@ -1323,7 +1356,7 @@ mod tests {
             let cleared: Vec<(Time, Vec<u8>)> = picks
                 .iter()
                 .map(|&(pick, transport, key, us)| (pick_dst(&m, pick), transport, key, us))
-                .filter(|&(dst, ..)| !m.stateful(dst))
+                .filter(|&(dst, _, key, _)| !stateful(&m, dst, probe_hops(key)))
                 .map(|(dst, transport, key, us)| (clock(us), probe(dst, transport, key)))
                 .collect();
             let from_model: Vec<_> =
@@ -1381,6 +1414,55 @@ mod tests {
             }
             proptest::prop_assert_eq!(&decided.day, &plain.day);
             proptest::prop_assert_eq!(&misled.day, &plain.day);
+        }
+
+        /// The `SnapshotNetwork::reach` contract for silence: a frame to
+        /// a destination its decision calls silent at the frame's hop
+        /// limit gets no delivery from the model or from a snapshot, and
+        /// changes neither, whatever state either is in — middlebox,
+        /// unrouted and scenario destinations and hop-limited frames
+        /// included. A decision made for another destination or on
+        /// another day reads stateful, never silent.
+        #[test]
+        fn silent_destinations_answer_nothing(
+            picks in proptest::collection::vec(
+                (proptest::any::<u32>(), 0u8..3, proptest::any::<u32>(), 0u64..20_000_000),
+                1..64,
+            ),
+            misled_by in proptest::any::<u32>(),
+        ) {
+            use expanse_netsim::SnapshotNetwork;
+            let mut m = shared_world();
+            let other_day = DayState::new(&m, m.day_state.day + 1);
+            let mut got = Deliveries::new();
+            for &(pick, transport, key, us) in &picks {
+                let dst = pick_dst(&m, pick);
+                let (at, frame, hop) = (Time::from_micros(us), probe(dst, transport, key), probe_hops(key));
+                let decision = m.decide(dst);
+                let reach = m.reach(dst, &decision, hop);
+                if pick % 8 == 4 {
+                    proptest::prop_assert_eq!(reach, Reach::Silent, "unrouted {}", dst);
+                }
+
+                let other = pick_dst(&m, pick ^ misled_by);
+                if other != dst {
+                    proptest::prop_assert_eq!(m.reach(dst, &m.decide(other), hop), Reach::Stateful);
+                }
+                let yesterday = m.decide_in(&other_day, dst);
+                proptest::prop_assert_eq!(m.reach(dst, &yesterday, hop), Reach::Stateful);
+
+                if reach != Reach::Silent {
+                    continue;
+                }
+                let before = m.day_state.clone();
+                proptest::prop_assert!(inject(&mut *m, at, &frame).is_empty(), "model answered {}", dst);
+                proptest::prop_assert_eq!(&m.day_state, &before);
+                let mut snap = m.snapshot();
+                got.clear();
+                InternetModel::inject_decided(&mut snap, &decision, at, &frame, &mut got);
+                proptest::prop_assert!(got.is_empty(), "snapshot answered {}", dst);
+                proptest::prop_assert_eq!(&snap.day, &before);
+            }
         }
     }
 }

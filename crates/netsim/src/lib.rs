@@ -24,7 +24,7 @@ mod synproxy;
 pub mod time;
 
 pub use loss::KeyedLoss;
-pub use network::{Deliveries, Network, SnapshotNetwork};
+pub use network::{Deliveries, Network, Reach, SnapshotNetwork};
 pub use ratelimit::TokenBucket;
 pub use synproxy::SynProxy;
 pub use time::{Duration, Time};

@@ -114,9 +114,10 @@ pub trait Network {
 /// stream count as part of the experiment configuration.
 ///
 /// A single probe stream can also be spread over snapshots without any
-/// modeling cost, for the destinations [`SnapshotNetwork::stateful`]
-/// clears: their frames meet no state a snapshot owns, so it does not
-/// matter which snapshot — or the network itself — answers them.
+/// modeling cost, for the destinations [`SnapshotNetwork::reach`] does
+/// not call [`Reach::Stateful`]: their frames meet no state a snapshot
+/// owns, so it does not matter which snapshot — or the network itself —
+/// answers them.
 ///
 /// # Deciding a destination once
 ///
@@ -127,7 +128,9 @@ pub trait Network {
 /// sends five) can have that part done once: [`SnapshotNetwork::decide`]
 /// returns it as a [`SnapshotNetwork::Decision`], and
 /// [`SnapshotNetwork::inject_decided`] answers a frame on a snapshot
-/// with it.
+/// with it. The same decision says how far a frame can reach
+/// ([`SnapshotNetwork::reach`]): a prober need not send a frame at all
+/// when nothing behind its destination can answer it.
 ///
 /// Contract: `inject_decided(snap, &net.decide(dst), now, frame, out)`
 /// appends exactly what `snap.inject_into(now, frame, out)` would, and
@@ -135,7 +138,8 @@ pub trait Network {
 /// hint, never an input: one made for another destination than the
 /// frame's, or under state the snapshot no longer shares (another day
 /// of the simulated Internet), is ignored and the frame decided afresh,
-/// so a wrong hint costs time, not answers.
+/// and `reach` reads it as [`Reach::Stateful`], so a wrong hint costs
+/// time, not answers.
 pub trait SnapshotNetwork: Network {
     /// The per-stream handle; borrows `self` immutably.
     type Snapshot<'a>: Network + Send
@@ -163,16 +167,30 @@ pub trait SnapshotNetwork: Network {
         out: &mut Deliveries,
     );
 
-    /// Can a frame to `dst` read or change state that a snapshot owns?
-    ///
-    /// Contract: when this returns `false`, injecting a frame addressed
-    /// to `dst` at time `t` yields the same deliveries from the network
-    /// and from any snapshot of it, however many other frames either
-    /// has seen, and mutates neither. Callers may then answer such
-    /// frames from any snapshot in any order; frames to stateful
-    /// destinations must reach one network in send order. `true` is
-    /// always a correct answer, only a slower one.
-    fn stateful(&self, dst: Ipv6Addr) -> bool;
+    /// How far a frame to `dst` with a hop limit of at least `hop_limit`
+    /// can reach, read from `decision` (see [`Reach`]). A decision not
+    /// made for `dst` on the network's current state reads
+    /// [`Reach::Stateful`]: that answer is always correct, only slower.
+    fn reach(&self, dst: Ipv6Addr, decision: &Self::Decision, hop_limit: u8) -> Reach;
+}
+
+/// How far the frames to one destination can reach into a
+/// [`SnapshotNetwork`], from least to most: what a prober may do with
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reach {
+    /// Nothing answers: injecting such a frame — into the network or
+    /// into any snapshot of it, at any time — appends no delivery and
+    /// changes neither. A prober may leave it unsent.
+    Silent,
+    /// Such a frame gets the same deliveries from the network and from
+    /// any snapshot of it, however many other frames either has seen,
+    /// and mutates neither: a prober may answer it from any snapshot in
+    /// any order.
+    Stateless,
+    /// Such a frame may read or change state a snapshot owns: frames to
+    /// it must reach one network in send order.
+    Stateful,
 }
 
 impl<N: Network + ?Sized> Network for &mut N {

@@ -71,7 +71,9 @@ pub trait ProbeModule: Send + Sync {
     fn protocol(&self) -> Protocol;
 
     /// Write the probe frame for `dst` into `frame` (cleared first): the
-    /// scan loop sends every probe of a job from one reused buffer.
+    /// scan loop sends every probe of a job from one reused buffer. The
+    /// frame's hop limit is [`Datagram::DEFAULT_HOP_LIMIT`]: the scan
+    /// loop leaves unsent the probes the network proves silent at it.
     fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>);
 
     /// Classify a delivered frame: `Some((target, kind))` — the probed

@@ -12,10 +12,23 @@
 //! slot, index within the inject)` over what was collected. Both
 //! callers run that one loop: a battery cell injects every slot into
 //! its own snapshot, and [`Scanner::scan`] spreads the slots over
-//! worker snapshots, keeping only the
-//! [`stateful`](SnapshotNetwork::stateful) destinations for the network
-//! itself, in send order. The result does not depend on who injected
-//! what; `tests/scan_pooled.rs` pins it to the serial loop's.
+//! worker snapshots, keeping only the [`Reach::Stateful`] destinations
+//! for the network itself, in send order. The result does not depend on
+//! who injected what; `tests/scan_pooled.rs` pins it to the serial
+//! loop's.
+//!
+//! # A silent slot costs a decision, not a frame
+//!
+//! Each slot's destination is decided once
+//! ([`SnapshotNetwork::decide`]), and the decision says how far the
+//! slot's probe can reach ([`SnapshotNetwork::reach`], at the hop limit
+//! every module's probe carries). A [`Reach::Silent`] slot — no frame
+//! to it is answered or changes any state; for the simulated Internet,
+//! unrouted space and the addresses nobody and nothing on the way
+//! answers — still counts as sent and keeps its send instant, but its
+//! probe is neither emitted nor injected: its delivery list would be
+//! empty, so the result cannot tell. Most of an alias-detection
+//! fan-out is silent. `tests/silent_slots.rs` counts the frames.
 //!
 //! # One layout, shared
 //!
@@ -39,10 +52,14 @@
 //! [`Decision`](SnapshotNetwork::Decision): what the network would
 //! otherwise work out anew for every frame to that destination (for the
 //! simulated Internet: route, path length, responder), made once and
-//! read by all five module cells. [`Scanner::scan`] and
-//! [`Scanner::scan_each`] keep none: APD's two passes would save one
-//! decision of two per destination, and its ≈ 250 k slots would cost
-//! ≈ 8 MB of decisions on every full-APD day.
+//! read by all five module cells, which skip its silent slots.
+//! [`Scanner::scan`] and [`Scanner::scan_each`] keep none: each pass
+//! decides a slot as it walks it, skips it if silent, defers it if
+//! stateful and otherwise answers it with that decision. Keeping the
+//! decisions across APD's two passes would save one decision of two per
+//! destination, and its ≈ 250 k slots would cost ≈ 8 MB of decisions on
+//! every full-APD day; a prototype that fused the two passes to decide
+//! once measured ≈ 4 % for ≈ 5 MB more peak memory.
 //!
 //! # The battery fan-out
 //!
@@ -85,7 +102,7 @@ use crate::permute::Permutation;
 use crate::results::{MultiScanResult, ProbeReply, ScanResult};
 use crate::validate::Validator;
 use expanse_addr::addr_to_u128;
-use expanse_netsim::{Deliveries, Duration, Network, SnapshotNetwork, Time};
+use expanse_netsim::{Deliveries, Duration, Network, Reach, SnapshotNetwork, Time};
 use expanse_packet::{Datagram, Protocol};
 use std::net::Ipv6Addr;
 use std::sync::OnceLock;
@@ -93,6 +110,9 @@ use std::sync::OnceLock;
 /// Probes per (virtual) second. The scanner is sans-IO: the rate only
 /// stamps virtual send times.
 const RATE_PPS: u64 = 100_000;
+/// The hop limit every module's probe carries: what the scan loop asks
+/// the network's [`SnapshotNetwork::reach`] about.
+const PROBE_HOPS: u8 = Datagram::DEFAULT_HOP_LIMIT;
 /// Virtual time between two consecutive probes.
 const GAP: Duration = Duration(1_000_000_000 / RATE_PPS);
 /// How long to keep listening after the last probe.
@@ -264,6 +284,18 @@ struct Job<'a> {
     end: Time,
 }
 
+/// What a job does with one send slot's probe, by how far the network
+/// says it can reach ([`Reach`]).
+enum Fate<D> {
+    /// Nothing can answer it: the slot counts as sent, but its probe is
+    /// neither emitted nor injected.
+    Skip,
+    /// Hand the slot back, for the network itself in send order.
+    Defer,
+    /// Emit the probe and inject it with `D`.
+    Inject(D),
+}
+
 /// What injecting some of a job's slots brought back by the job's end.
 #[derive(Default)]
 struct Collected {
@@ -275,7 +307,8 @@ struct Collected {
     /// The replies themselves, parallel to `arrivals`; each is taken
     /// exactly once when the job settles.
     replies: Vec<Option<ProbeReply>>,
-    /// Slots left to the caller because their destination is stateful.
+    /// Slots left to the caller because their destination is
+    /// [`Reach::Stateful`].
     deferred: Vec<usize>,
 }
 
@@ -319,34 +352,38 @@ impl<'a> Job<'a> {
         self.start + Duration(GAP.0 * slot as u64)
     }
 
-    /// Inject `slots`, each at its own clock, through `inject(slot, now,
-    /// probe, out)`, and classify what comes back by the job's end.
-    /// Slots whose destination `defer` claims are skipped and handed
-    /// back instead.
+    /// Walk `slots` and give each the fate `fate(slot, dst)` picks: a
+    /// probe to inject goes through `inject(decision, now, probe, out)`
+    /// at its slot's clock, and what comes back by the job's end is
+    /// classified; a deferred slot is handed back instead.
     ///
     /// One probe buffer and one delivery buffer serve the whole walk, and
     /// replies are read through borrowed views: a probe whose reply is
     /// not kept allocates nothing once the buffers have grown.
-    fn collect(
+    fn collect<D>(
         &self,
         slots: impl Iterator<Item = usize>,
-        defer: impl Fn(Ipv6Addr) -> bool,
-        mut inject: impl FnMut(usize, Time, &[u8], &mut Deliveries),
+        mut fate: impl FnMut(usize, Ipv6Addr) -> Fate<D>,
+        mut inject: impl FnMut(D, Time, &[u8], &mut Deliveries),
     ) -> Collected {
         let mut out = Collected::default();
         let mut probe: Vec<u8> = Vec::new();
         let mut deliveries = Deliveries::new();
         for slot in slots {
             let dst = self.layout.slots[slot];
-            if defer(dst) {
-                out.deferred.push(slot);
-                continue;
-            }
+            let decision = match fate(slot, dst) {
+                Fate::Skip => continue,
+                Fate::Defer => {
+                    out.deferred.push(slot);
+                    continue;
+                }
+                Fate::Inject(decision) => decision,
+            };
             self.module
                 .emit_probe(self.cfg.src, dst, &self.validator, &mut probe);
             let now = self.clock(slot);
             deliveries.clear();
-            inject(slot, now, &probe, &mut deliveries);
+            inject(decision, now, &probe, &mut deliveries);
             for (at, frame) in deliveries.iter() {
                 debug_assert!(at >= now, "delivery before its probe left");
                 if at > self.end {
@@ -432,12 +469,13 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
     /// order is all a result depends on, so a job of 4096 send slots
     /// or more is spread over [`expanse_addr::worker_threads`] workers —
     /// each walks a contiguous range of slots against its own snapshot
-    /// — except for the probes to [`SnapshotNetwork::stateful`]
-    /// destinations, which reach the network itself afterwards, in send
-    /// order with their original clocks: middlebox state ends the scan
-    /// where a one-thread walk leaves it, and the result is identical
-    /// for any worker count. The network must not deliver a frame
-    /// before the `now` of the inject that caused it.
+    /// — except for the probes to [`Reach::Stateful`] destinations, which
+    /// reach the network itself afterwards, in send order with their
+    /// original clocks: middlebox state ends the scan where a one-thread
+    /// walk leaves it, and the result is identical for any worker
+    /// count. Probes to [`Reach::Silent`] destinations take their slot
+    /// but are never sent. The network must not deliver a frame before
+    /// the `now` of the inject that caused it.
     pub fn scan(&mut self, targets: &[Ipv6Addr], module: &dyn ProbeModule) -> ScanResult {
         self.scan_pooled(expanse_addr::worker_threads(), targets, module)
     }
@@ -502,8 +540,17 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
             let mut snap = net.snapshot();
             job.collect(
                 range.clone(),
-                |dst| net.stateful(dst),
-                |_, now, probe, out| snap.inject_into(now, probe, out),
+                |_, dst| {
+                    let decision = net.decide(dst);
+                    match net.reach(dst, &decision, PROBE_HOPS) {
+                        Reach::Silent => Fate::Skip,
+                        Reach::Stateless => Fate::Inject(decision),
+                        Reach::Stateful => Fate::Defer,
+                    }
+                },
+                |decision, now, probe, out| {
+                    N::inject_decided(&mut snap, &decision, now, probe, out);
+                },
             )
         });
         // Ranges ascend, so their leftovers concatenate in send order.
@@ -514,8 +561,8 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         let net = &mut self.net;
         parts.push(job.collect(
             deferred.into_iter(),
-            |_| false,
-            |_, now, probe, out| net.inject_into(now, probe, out),
+            |_, _| Fate::Inject(()),
+            |(), now, probe, out| net.inject_into(now, probe, out),
         ));
         let (result, end) = job.finish(parts);
         self.clock = end;
@@ -588,9 +635,9 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
 
     /// One battery cell: `module` along sub-shard `sub`'s layout (walked
     /// and decided here if no other cell of the sub-shard has yet), every
-    /// slot answered with its decision by a fresh snapshot of the
-    /// network, starting at the scanner's clock. Pure in its inputs —
-    /// this is the unit the battery fan-out distributes.
+    /// slot that is not silent answered with its decision by a fresh
+    /// snapshot of the network, starting at the scanner's clock. Pure in
+    /// its inputs — this is the unit the battery fan-out distributes.
     fn battery_cell(
         &self,
         targets: &[Ipv6Addr],
@@ -607,9 +654,12 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         let mut snap = net.snapshot();
         let all = job.collect(
             0..layout.slots.len(),
-            |_| false,
-            |slot, now, probe, out| {
-                N::inject_decided(&mut snap, &decisions[slot], now, probe, out);
+            |slot, dst| match net.reach(dst, &decisions[slot], PROBE_HOPS) {
+                Reach::Silent => Fate::Skip,
+                Reach::Stateless | Reach::Stateful => Fate::Inject(&decisions[slot]),
+            },
+            |decision, now, probe, out| {
+                N::inject_decided(&mut snap, decision, now, probe, out);
             },
         );
         job.finish(vec![all])
@@ -926,11 +976,16 @@ mod tests {
         }
     }
 
+    /// Does `net` leave frames to `dst` to the network itself?
+    fn stateful<N: SnapshotNetwork>(net: &N, dst: Ipv6Addr) -> bool {
+        net.reach(dst, &net.decide(dst), PROBE_HOPS) == Reach::Stateful
+    }
+
     #[test]
     fn pooled_scan_is_worker_count_independent() {
         let net = common::plain();
         let mix = common::mix(&net);
-        let stateful = mix.0.iter().filter(|t| net.stateful(**t)).count();
+        let stateful = mix.0.iter().filter(|t| stateful(&net, **t)).count();
         assert!((500..mix.0.len() / 8).contains(&stateful), "{stateful}");
         sweep_workers(common::plain, mix, common::RECORDED_PLAIN);
     }
@@ -939,7 +994,7 @@ mod tests {
     fn pooled_scan_keeps_throttled_64s_in_send_order() {
         let net = common::adversarial();
         let p64 = net.scenario.throttled[0];
-        assert!(net.stateful(p64.addr_at(1)));
+        assert!(stateful(&net, p64.addr_at(1)));
         let mix = common::mix(&net);
         sweep_workers(common::adversarial, mix, common::RECORDED_ADVERSARIAL);
     }
