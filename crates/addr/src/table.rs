@@ -289,18 +289,14 @@ impl<V> AddrMap<V> {
         self.vals.is_empty()
     }
 
-    /// The value for `a`, inserting `default` first if absent, with the
-    /// entry's map-local id and whether the address was newly inserted —
-    /// what a caller tracking a side column parallel to insertion order
-    /// needs (the scan battery's merge keeps the hitlist-id column of its
-    /// responsive map in sync this way).
+    /// The value for `a`, inserting `default` first if absent.
     #[inline]
-    pub fn entry_or_full(&mut self, a: Ipv6Addr, default: V) -> (AddrId, bool, &mut V) {
+    pub fn entry_or(&mut self, a: Ipv6Addr, default: V) -> &mut V {
         let (id, new) = self.table.intern_u128(addr_to_u128(a));
         if new {
             self.vals.push(default);
         }
-        (id, new, &mut self.vals[id.index()])
+        &mut self.vals[id.index()]
     }
 
     /// Insert or overwrite the value for `a`; returns `true` when the
@@ -439,9 +435,9 @@ mod tests {
     #[test]
     fn map_entry_and_order() {
         let mut m: AddrMap<u32> = AddrMap::new();
-        *m.entry_or_full(a("::2"), 0).2 += 5;
-        *m.entry_or_full(a("::1"), 0).2 += 1;
-        *m.entry_or_full(a("::2"), 0).2 += 1;
+        *m.entry_or(a("::2"), 0) += 5;
+        *m.entry_or(a("::1"), 0) += 1;
+        *m.entry_or(a("::2"), 0) += 1;
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(a("::2")), Some(&6));
         assert_eq!(m.get(a("::3")), None);
@@ -455,12 +451,12 @@ mod tests {
     fn map_eq_is_order_insensitive() {
         let mut x: AddrMap<u8> = AddrMap::new();
         let mut y: AddrMap<u8> = AddrMap::new();
-        x.entry_or_full(a("::1"), 7);
-        x.entry_or_full(a("::2"), 9);
-        y.entry_or_full(a("::2"), 9);
-        y.entry_or_full(a("::1"), 7);
+        x.entry_or(a("::1"), 7);
+        x.entry_or(a("::2"), 9);
+        y.entry_or(a("::2"), 9);
+        y.entry_or(a("::1"), 7);
         assert_eq!(x, y);
-        *y.entry_or_full(a("::2"), 0).2 = 8;
+        *y.entry_or(a("::2"), 0) = 8;
         assert_ne!(x, y);
     }
 }

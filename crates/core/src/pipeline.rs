@@ -114,8 +114,8 @@ pub struct DailySnapshot {
 
 /// What each stage of one day did, as exact counts: the same for a
 /// given seed on every machine and at every thread count. Probes are
-/// split by job kind (APD echo fan-out, follow-up traces, the
-/// responsiveness battery), the way `expanse-sched` types its jobs.
+/// split by the stage that sends them (APD echo fan-out, follow-up
+/// traces, the responsiveness battery).
 ///
 /// Counts only — where the day's *time* went is what the repo
 /// benchmark's `--trace 1` reports. The report is read through

@@ -88,8 +88,6 @@ pub struct EipModel {
     /// Chain conditionals: `cond[i][prev_value]` = distribution of
     /// segment i given segment i-1's value (i ≥ 1).
     pub conditionals: Vec<BTreeMap<u64, ValueDist>>,
-    /// Number of training seeds.
-    pub n_seeds: usize,
 }
 
 /// Train a model on a seed set.
@@ -136,7 +134,6 @@ pub fn train(seeds: &[Ipv6Addr]) -> EipModel {
         segments,
         marginals,
         conditionals,
-        n_seeds: seeds.len(),
     }
 }
 
@@ -247,7 +244,7 @@ mod tests {
     fn train_builds_chain() {
         let m = train(&seeds());
         assert_eq!(m.segments.len(), m.marginals.len());
-        assert!(m.n_seeds == 180);
+        assert_eq!(m.conditionals.len(), m.segments.len());
         // Marginals are normalized.
         for d in &m.marginals {
             let mass: f64 = d.entries.iter().map(|e| e.1).sum();

@@ -24,7 +24,7 @@ pub enum HostKind {
 /// Longitudinal stability class (Fig 8 of the paper: servers decay by a
 /// few percent over 14 days, CPE routers lose 32 %, clients churn fast).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StabilityClass {
+pub(crate) enum StabilityClass {
     /// Never goes away (anchors, e.g. RIPE-Atlas-like probes).
     Permanent,
     /// Server-grade stability.
@@ -47,8 +47,6 @@ pub struct HostProfile {
     /// The machine terminating this address (shared for multi-address
     /// machines).
     pub machine: MachineId,
-    /// Longitudinal stability class.
-    pub stability: StabilityClass,
     /// First probing day this address exists (0 = since before the scan).
     pub spawn_day: u16,
     /// First probing day this address is gone (u16::MAX = never dies).
@@ -73,7 +71,6 @@ mod tests {
             kind: HostKind::WebServer,
             protos: ProtoSet::ALL,
             machine: MachineId(0),
-            stability: StabilityClass::Server,
             spawn_day: 2,
             death_day: 5,
         };

@@ -458,7 +458,6 @@ impl<'a> Builder<'a> {
                             kind,
                             protos,
                             machine,
-                            stability,
                             spawn_day: 0,
                             death_day: self.death_day(stability),
                         },
@@ -511,7 +510,6 @@ impl<'a> Builder<'a> {
                         ProtoSet::EMPTY
                     },
                     machine,
-                    stability: StabilityClass::Cpe,
                     spawn_day: 0,
                     death_day: self.death_day(StabilityClass::Cpe),
                 },
@@ -603,7 +601,6 @@ impl<'a> Builder<'a> {
                         kind: HostKind::WebServer,
                         protos,
                         machine,
-                        stability: StabilityClass::Server,
                         spawn_day: 0,
                         death_day: self.death_day(StabilityClass::Server),
                     },

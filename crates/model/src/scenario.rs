@@ -33,7 +33,7 @@ use crate::alias::AliasRegion;
 use crate::churn;
 use crate::config::ScenarioConfig;
 use crate::fingerprint::{Machine, MachineId};
-use crate::host::{HostKind, HostProfile, StabilityClass};
+use crate::host::{HostKind, HostProfile};
 use crate::ids::AsCategory;
 use crate::population::Population;
 use expanse_addr::fanout::splitmix64;
@@ -161,7 +161,6 @@ pub(crate) fn build(cfg: &ScenarioConfig, seed: u64, population: &mut Population
                     .with(Protocol::Tcp80)
                     .with(Protocol::Tcp443),
                 machine,
-                stability: StabilityClass::Permanent,
                 spawn_day: 0,
                 death_day: u16::MAX,
             },
@@ -205,7 +204,6 @@ pub(crate) fn build(cfg: &ScenarioConfig, seed: u64, population: &mut Population
                     kind: HostKind::CpeRouter,
                     protos: ProtoSet::only(Protocol::Icmp),
                     machine,
-                    stability: StabilityClass::Permanent,
                     spawn_day: 0,
                     death_day: u16::MAX,
                 },

@@ -165,14 +165,10 @@ impl<N: Network> Tracer<N> {
     /// Scamper hitlist source.
     pub fn harvest(&mut self, targets: &[Ipv6Addr]) -> HarvestResult {
         let mut routers: BTreeSet<Ipv6Addr> = BTreeSet::new();
-        let mut reached = 0usize;
         let mut probes = 0u64;
         for &dst in targets {
             let path = self.trace(dst);
             probes += path.probes_sent;
-            if path.reached {
-                reached += 1;
-            }
             for r in path.routers() {
                 if r != dst {
                     routers.insert(r);
@@ -181,8 +177,6 @@ impl<N: Network> Tracer<N> {
         }
         HarvestResult {
             routers: routers.into_iter().collect(),
-            targets_traced: targets.len(),
-            targets_reached: reached,
             probes_sent: probes,
         }
     }
@@ -193,10 +187,6 @@ impl<N: Network> Tracer<N> {
 pub struct HarvestResult {
     /// Unique router addresses discovered (destinations excluded).
     pub routers: Vec<Ipv6Addr>,
-    /// Targets traced.
-    pub targets_traced: usize,
-    /// Targets that answered.
-    pub targets_reached: usize,
     /// Probes sent.
     pub probes_sent: u64,
 }
@@ -270,7 +260,10 @@ mod tests {
             .take(60)
             .collect();
         let h = t.harvest(&targets);
-        assert_eq!(h.targets_traced, targets.len());
+        // Every target was traced: the probes are the traces' sum.
+        let mut fresh = tracer();
+        let traced: u64 = targets.iter().map(|&d| fresh.trace(d).probes_sent).sum();
+        assert_eq!(h.probes_sent, traced);
         assert!(h.routers.len() >= 8, "routers={}", h.routers.len());
         assert!(h.probes_sent > 100);
         // A healthy share of harvested routers are CPE (ff:fe).

@@ -4,12 +4,12 @@
 //!
 //! The daily battery probes every kept hitlist member uniformly; a real
 //! scanner allocates probes where new addresses are expected. This
-//! crate models that allocation as a queue of typed [`Job`]s (the
-//! prefix-crab shape): [`Job::EchoScanPrefix`] splits-and-samples a
-//! /48 whose response entropy says it is heterogeneous, and
-//! [`Job::FollowUpTrace`] confirms suspicious ranges with traceroute.
-//! Priorities come from signals the workspace already produces —
-//! historical yield per probe and freshness (the hitlist's
+//! crate plans that allocation as exactly what the day reads
+//! ([`SchedPlan`]): admission quotas per /48 — or per /52 child when
+//! the /48's sample entropy says it is heterogeneous — and the
+//! follow-up trace targets that confirm suspicious ranges with
+//! traceroute. Priorities come from signals the workspace already
+//! produces — historical yield per probe and freshness (the hitlist's
 //! `probes_spent` accounting), aliased-prefix verdicts (APD), and
 //! per-prefix entropy fingerprints (`expanse_entropy`).
 //!
@@ -71,11 +71,9 @@ pub struct SchedConfig {
     /// span) at or above which a prefix is split into /52 children.
     /// Values above `1.0` disable splitting (entropy is normalized).
     pub split_entropy: f64,
-    /// Minimum sample size before an entropy fingerprint is computed;
-    /// smaller prefixes are never split.
-    pub entropy_min_sample: usize,
-    /// Targets handed to each [`Job::FollowUpTrace`] job; `0` disables
-    /// follow-up tracing and the suspect feedback into the APD plan.
+    /// Trace targets drawn from each planned suspect's sample (see
+    /// [`SchedPlan::trace_targets`]); `0` disables follow-up tracing
+    /// and the suspect feedback into the APD plan.
     pub followup_targets: usize,
 }
 
@@ -86,7 +84,6 @@ impl Default for SchedConfig {
             daily_budget: u64::MAX,
             per_48_cap: u64::MAX,
             split_entropy: 2.0,
-            entropy_min_sample: 16,
             followup_targets: 0,
         }
     }
@@ -112,7 +109,6 @@ impl SchedConfig {
             daily_budget,
             per_48_cap,
             split_entropy: 0.35,
-            entropy_min_sample: 16,
             followup_targets: 8,
         }
     }
@@ -171,52 +167,15 @@ pub struct PrefixDemand {
     pub sample: Vec<Ipv6Addr>,
 }
 
-/// A typed unit of scheduled work (the prefix-crab job shapes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Job {
-    /// Probe a prefix: when issued for a split /48, each /52 child is
-    /// sampled with `sample_k` target slots; unsplit, `sample_k` is the
-    /// whole prefix's slot count.
-    EchoScanPrefix {
-        /// The prefix being scanned (always the /48 entry key).
-        net: Prefix,
-        /// Target slots per sampled unit (clamped to `u32`).
-        sample_k: u32,
-    },
-    /// Confirm a suspicious range: traceroute these members to their
-    /// last-hop routers before believing their responses.
-    FollowUpTrace {
-        /// Trace targets, drawn from the prefix's demand sample.
-        targets: Vec<Ipv6Addr>,
-    },
-}
-
-/// One queue item as planned for today, for introspection and tracing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedJob {
-    /// The /48 the job belongs to.
-    pub net: Prefix,
-    /// The computed priority it was queued at.
-    pub priority: u64,
-    /// Budget slots allocated to it.
-    pub spend: u64,
-    /// The job payload.
-    pub job: Job,
-}
-
 /// The outcome of [`Scheduler::plan_day`]: per-prefix admission quotas
-/// plus the planned job list.
+/// plus the follow-up trace targets.
 #[derive(Debug, Clone, Default)]
 pub struct SchedPlan {
-    /// Today's queue, highest priority first.
-    pub jobs: Vec<PlannedJob>,
     /// Admission quotas: `/52` entries for split prefixes, `/48`
     /// entries otherwise. [`SchedPlan::admit`] consumes them.
     pub quotas: BTreeMap<Prefix, u64>,
-    /// Slots allocated by the planner.
-    pub budget_used: u64,
-    /// Suspect /48s to union into the APD probing plan.
-    pub suspects: Vec<Prefix>,
+    /// Follow-up trace targets, highest-priority suspect first.
+    trace: Vec<Ipv6Addr>,
 }
 
 impl SchedPlan {
@@ -242,15 +201,11 @@ impl SchedPlan {
         }
     }
 
-    /// All follow-up trace targets across today's jobs, in queue order.
+    /// The follow-up trace targets: each planned suspect's first
+    /// [`SchedConfig::followup_targets`] sample members, suspects in
+    /// priority order (ties on ascending prefix).
     pub fn trace_targets(&self) -> Vec<Ipv6Addr> {
-        let mut out = Vec::new();
-        for pj in &self.jobs {
-            if let Job::FollowUpTrace { targets } = &pj.job {
-                out.extend_from_slice(targets);
-            }
-        }
-        out
+        self.trace.clone()
     }
 }
 
@@ -322,11 +277,15 @@ pub(crate) fn priority(e: &PrefixEntry, candidates: u64, day: u16) -> u64 {
     }
 }
 
+/// Minimum sample size before an entropy fingerprint is computed;
+/// smaller prefixes are never split.
+const ENTROPY_MIN_SAMPLE: usize = 16;
+
 /// Mean normalized nybble entropy of a demand's sample over nybbles
 /// 13–16 (the /48 → /64 span), or `0.0` when the sample is too small
 /// to fingerprint.
-fn demand_entropy(cfg: &SchedConfig, d: &PrefixDemand) -> f64 {
-    if d.sample.len() < cfg.entropy_min_sample.max(1) {
+fn demand_entropy(d: &PrefixDemand) -> f64 {
+    if d.sample.len() < ENTROPY_MIN_SAMPLE {
         return 0.0;
     }
     let f = Fingerprint::compute(&d.sample, 13, 16);
@@ -415,9 +374,10 @@ impl Scheduler {
     /// `cfg.daily_budget` slots in priority order, never exceeding
     /// `cfg.per_48_cap` per /48. Prefixes whose sample entropy clears
     /// `cfg.split_entropy` are split into /52 children with the
-    /// allocation weighted by the sample's per-child member counts;
-    /// suspects additionally queue a
-    /// [`Job::FollowUpTrace`] when `cfg.followup_targets > 0`.
+    /// allocation weighted by the sample's per-child member counts.
+    /// Each suspect that gets slots also hands its first
+    /// `cfg.followup_targets` sample members to the plan's trace list,
+    /// in the same priority order.
     ///
     /// Deterministic: demands are keyed by prefix, the priority is
     /// integer-valued, and ties break on ascending prefix. The inputs
@@ -481,10 +441,7 @@ impl Scheduler {
                 continue;
             }
             remaining -= take;
-            plan.budget_used += take;
-            let e = self.entries.get(&d.net).copied().unwrap_or_default();
-
-            let split = split_on && take >= 16 && demand_entropy(cfg, d) >= cfg.split_entropy;
+            let split = split_on && take >= 16 && demand_entropy(d) >= cfg.split_entropy;
             let sampled: u64 = d.sample.len() as u64;
             if split && sampled > 0 {
                 // Weight the allocation by the sample's observed /52
@@ -514,56 +471,21 @@ impl Scheduler {
                     }
                     i += 1;
                 }
-                let mut sample_k = 0u64;
-                for (i, child) in d.net.subprefixes(4).enumerate() {
-                    if quotas[i] > 0 {
-                        plan.quotas.insert(child, quotas[i]);
-                        sample_k = sample_k.max(quotas[i]);
+                for (child, &q) in d.net.subprefixes(4).zip(&quotas) {
+                    if q > 0 {
+                        plan.quotas.insert(child, q);
                     }
                 }
-                plan.jobs.push(PlannedJob {
-                    net: d.net,
-                    priority: prio,
-                    spend: take,
-                    job: Job::EchoScanPrefix {
-                        net: d.net,
-                        sample_k: sample_k.min(u64::from(u32::MAX)) as u32,
-                    },
-                });
             } else {
                 plan.quotas.insert(d.net, take);
-                plan.jobs.push(PlannedJob {
-                    net: d.net,
-                    priority: prio,
-                    spend: take,
-                    job: Job::EchoScanPrefix {
-                        net: d.net,
-                        sample_k: take.min(u64::from(u32::MAX)) as u32,
-                    },
-                });
             }
-            if e.suspect && !e.aliased && cfg.followup_targets > 0 {
-                let targets: Vec<Ipv6Addr> = d
-                    .sample
-                    .iter()
-                    .take(cfg.followup_targets)
-                    .copied()
-                    .collect();
-                if !targets.is_empty() {
-                    plan.jobs.push(PlannedJob {
-                        net: d.net,
-                        priority: prio,
-                        spend: 0,
-                        job: Job::FollowUpTrace { targets },
-                    });
-                }
-                plan.suspects.push(d.net);
+            if self.entries.get(&d.net).is_some_and(|e| e.suspect) {
+                plan.trace
+                    .extend(d.sample.iter().take(cfg.followup_targets));
             }
         }
-        plan.suspects.sort();
-        plan.suspects.dedup();
         self.last_budget = cfg.daily_budget;
-        self.last_used = plan.budget_used;
+        self.last_used = cfg.daily_budget - remaining;
         plan
     }
 
@@ -633,8 +555,9 @@ mod tests {
         let mut s = Scheduler::new();
         let demands = vec![demand("2001:db8:1::/48", 100), demand("2001:db8:2::/48", 7)];
         let mut plan = s.plan_day(&cfg, 3, &demands, &[], &[]);
-        assert_eq!(plan.budget_used, 107);
-        assert!(plan.suspects.is_empty());
+        assert_eq!(s.status(3, 0).used, 107);
+        assert!(s.suspect_prefixes().is_empty());
+        assert!(plan.trace_targets().is_empty());
         for d in &demands {
             assert_eq!(plan.quotas.get(&d.net), Some(&d.candidates));
             for i in 0..d.candidates {
@@ -684,7 +607,38 @@ mod tests {
         // The whole budget lands on the high-yield prefix.
         assert_eq!(plan.quotas.get(&p48("2001:db8:2::/48")), Some(&20));
         assert_eq!(plan.quotas.get(&p48("2001:db8:1::/48")), None);
-        assert_eq!(plan.budget_used, 20);
+        assert_eq!(s.status(5, 0).used, 20);
+    }
+
+    #[test]
+    fn follow_up_traces_come_in_priority_order() {
+        let cfg = SchedConfig::budgeted(1000, 100);
+        let mut s = Scheduler::new();
+        // Two suspects with different yield histories — the stronger one
+        // at the higher prefix, so prefix order alone would list it last
+        // — and one clean /48 between them.
+        let (weak, clean, strong) = (
+            p48("2001:db8:1::/48"),
+            p48("2001:db8:2::/48"),
+            p48("2001:db8:3::/48"),
+        );
+        s.record_day(0, &[(weak, 100, 1), (clean, 100, 50), (strong, 100, 90)]);
+        let demands = vec![
+            demand("2001:db8:1::/48", 20),
+            demand("2001:db8:2::/48", 20),
+            demand("2001:db8:3::/48", 20),
+        ];
+        let plan = s.plan_day(&cfg, 5, &demands, &[], &[weak, strong]);
+        assert_eq!(s.suspect_prefixes(), vec![weak, strong]);
+        let first = |net: Prefix| -> Vec<Ipv6Addr> {
+            (0..cfg.followup_targets as u128)
+                .map(|i| net.addr_at(i))
+                .collect()
+        };
+        assert_eq!(plan.trace_targets(), [first(strong), first(weak)].concat());
+        let quotas: u64 = plan.quotas.values().sum();
+        assert_eq!(quotas, 60);
+        assert_eq!(s.status(5, 3).used, quotas);
     }
 
     #[test]
@@ -703,9 +657,8 @@ mod tests {
         let plan = s.plan_day(&cfg, 1, &demands, &[covering], &[suspect]);
         assert_eq!(plan.quotas.get(&p48("2001:db8:1::/48")), None);
         assert!(s.entries.get(&p48("2001:db8:1::/48")).unwrap().aliased);
-        // The suspect still scans (demoted) and gets a follow-up job.
+        // The suspect still scans (demoted) and gets follow-up traces.
         assert!(plan.quotas.contains_key(&suspect));
-        assert_eq!(plan.suspects, vec![suspect]);
         let traces = plan.trace_targets();
         assert_eq!(traces.len(), cfg.followup_targets);
         assert!(traces.iter().all(|&a| suspect.contains(a)));
@@ -729,7 +682,9 @@ mod tests {
         assert!(e.suspect);
         assert_eq!(plan.quotas.get(&net), Some(&30));
         // Suspect feedback: traced and fed back to the APD plan.
-        assert_eq!(plan.suspects, vec![net]);
+        let traces = plan.trace_targets();
+        assert_eq!(traces.len(), cfg.followup_targets);
+        assert!(traces.iter().all(|&a| net.contains(a)));
         assert_eq!(s.suspect_prefixes(), vec![net]);
     }
 
@@ -737,7 +692,6 @@ mod tests {
     fn high_entropy_prefix_splits_into_52s() {
         let mut cfg = SchedConfig::budgeted(64, 64);
         cfg.split_entropy = 0.1;
-        cfg.entropy_min_sample = 16;
         let net = p48("2001:db8:1::/48");
         // Spread the sample across all 16 /52 children: maximal nybble-13
         // entropy, so the prefix must split.
@@ -760,16 +714,14 @@ mod tests {
         assert_eq!(plan.quotas.len(), 16);
         assert!(plan.quotas.keys().all(|p| p.len() == SPLIT_PREFIX_LEN));
         assert_eq!(plan.quotas.values().sum::<u64>(), 64);
+        // The largest /52 quota.
+        assert_eq!(plan.quotas.values().max(), Some(&4));
         // Admission charges the member's /52 child, never the /48.
         let child = Prefix::new(sample[0], SPLIT_PREFIX_LEN);
         assert!(plan.admit(sample[0]));
         assert_eq!(plan.quotas.get(&child), Some(&3));
         assert_eq!(plan.quotas.get(&net), None);
         assert_eq!(plan.quotas.values().sum::<u64>(), 63);
-        assert!(matches!(
-            plan.jobs[0].job,
-            Job::EchoScanPrefix { sample_k: 4, .. } // largest /52 quota
-        ));
     }
 
     /// The demanded /48s live under one /45, so verdicts from /32 to

@@ -7,7 +7,9 @@
 //!   the paper: *"After the APD probing, we perform longest-prefix matching
 //!   to determine whether a specific IPv6 address falls into an aliased
 //!   prefix or not"*),
-//! - per-prefix response ledgers in the pipeline.
+//! - the scanner's blacklist (`expanse-zmap6`), the served view's
+//!   aliased-prefix lookups (`expanse-serve`), and the aggregation of
+//!   the published aliased-prefix list ([`aggregate()`]).
 //!
 //! The trie is a path-compressed binary radix trie in a `Vec` arena:
 //! each node stores the full `(bits, len)` of the prefix it stands for
@@ -16,8 +18,8 @@
 //! per stored branching point on the key's path instead of one pointer
 //! chase per bit. Values live only on nodes that correspond to inserted
 //! prefixes; the other nodes are forks where two stored prefixes
-//! diverge. Removal splices out nodes left without value and with fewer
-//! than two children and recycles their slots.
+//! diverge. A trie only grows: there is no removal, so no slot is ever
+//! freed.
 //!
 //! A table that is built once and then only read — the simulated
 //! Internet's routing table, its aliased regions, the destination table

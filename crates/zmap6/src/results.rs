@@ -167,9 +167,9 @@ pub struct MultiScanResult {
     /// `responsive`'s insertion order: entry *i* is the resolved id of
     /// the *i*-th distinct responder (protocols in merge order, each
     /// protocol's new responders in target order). Filled only by
-    /// `MultiScanResult::merge_resolved` (the pipeline resolves
-    /// against its hitlist during the merge itself, instead of a
-    /// per-responder hash lookup afterwards); stays empty under plain
+    /// [`crate::Scanner::scan_battery_resolved`] (the pipeline resolves
+    /// against its hitlist once per responder, instead of a hash lookup
+    /// per reply); stays empty under plain
     /// [`MultiScanResult::merge`]. Excluded from equality — it mirrors
     /// `responsive`'s keys through an external table, adding no
     /// information of its own.
@@ -179,36 +179,10 @@ pub struct MultiScanResult {
 impl MultiScanResult {
     /// Fold one protocol scan in.
     pub fn merge(&mut self, r: ScanResult) {
-        self.merge_impl(r, None);
-    }
-
-    /// [`MultiScanResult::merge`], resolving each *newly* responsive
-    /// address to a caller-domain id (pushed onto
-    /// [`MultiScanResult::responsive_ids`] in `responsive` insertion
-    /// order). Mixing resolved and plain merges on one result would
-    /// desync the two columns, so don't.
-    pub(crate) fn merge_resolved(
-        &mut self,
-        r: ScanResult,
-        resolve: &mut dyn FnMut(Ipv6Addr) -> AddrId,
-    ) {
-        self.merge_impl(r, Some(resolve));
-    }
-
-    fn merge_impl(
-        &mut self,
-        r: ScanResult,
-        mut resolve: Option<&mut dyn FnMut(Ipv6Addr) -> AddrId>,
-    ) {
         for reply in &r.replies {
             if reply.kind.is_positive() {
-                let (_, new, e) = self.responsive.entry_or_full(reply.target, ProtoSet::EMPTY);
+                let e = self.responsive.entry_or(reply.target, ProtoSet::EMPTY);
                 *e = e.with(r.protocol);
-                if new {
-                    if let Some(resolve) = resolve.as_deref_mut() {
-                        self.responsive_ids.push(resolve(reply.target));
-                    }
-                }
             }
         }
         self.by_protocol.insert(r.protocol, r);
@@ -219,9 +193,9 @@ impl MultiScanResult {
     /// column.
     ///
     /// # Panics
-    /// Panics if the result was not built with
-    /// `MultiScanResult::merge_resolved` throughout (the columns must
-    /// be parallel).
+    /// Panics if the result was not built by
+    /// [`crate::Scanner::scan_battery_resolved`] (the columns must be
+    /// parallel).
     pub fn resolved_pairs(&self) -> impl Iterator<Item = (AddrId, ProtoSet)> + '_ {
         assert_eq!(
             self.responsive_ids.len(),

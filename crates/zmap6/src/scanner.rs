@@ -579,23 +579,23 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         modules: &[Box<dyn ProbeModule>],
     ) -> MultiScanResult {
         let passes = self.battery_passes(expanse_addr::worker_threads(), targets, modules);
-        self.merge_battery(passes, None)
+        self.merge_battery(passes)
     }
 
-    /// [`Scanner::scan_battery`], resolving each responsive address to a
-    /// caller-domain id *during* the merge (see
-    /// `MultiScanResult::merge_resolved`) — the pipeline passes its
-    /// hitlist lookup here instead of re-hashing every responder after
-    /// the battery returns. The resolver only runs on the merge fold,
-    /// after the grid is back, so it needs no synchronization.
+    /// [`Scanner::scan_battery`], then each distinct responder resolved
+    /// to a caller-domain id, in `responsive` insertion order, into
+    /// [`MultiScanResult::responsive_ids`] — the pipeline passes its
+    /// hitlist lookup here, so it runs once per responder. The resolver
+    /// runs after the grid is back, so it needs no synchronization.
     pub fn scan_battery_resolved(
         &mut self,
         targets: &[Ipv6Addr],
         modules: &[Box<dyn ProbeModule>],
         resolve: &mut dyn FnMut(Ipv6Addr) -> expanse_addr::AddrId,
     ) -> MultiScanResult {
-        let passes = self.battery_passes(expanse_addr::worker_threads(), targets, modules);
-        self.merge_battery(passes, Some(resolve))
+        let mut multi = self.scan_battery(targets, modules);
+        multi.responsive_ids = multi.responsive.keys().map(resolve).collect();
+        multi
     }
 
     /// One result per module — its sub-shards' cells joined, in
@@ -682,19 +682,12 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
     /// Fold the per-module passes into one [`MultiScanResult`], in
     /// module order; the scanner clock advances to the slowest cell's
     /// end time, like a barrier over parallel zmap processes.
-    fn merge_battery(
-        &mut self,
-        passes: Vec<(ScanResult, Time)>,
-        mut resolve: Option<&mut dyn FnMut(Ipv6Addr) -> expanse_addr::AddrId>,
-    ) -> MultiScanResult {
+    fn merge_battery(&mut self, passes: Vec<(ScanResult, Time)>) -> MultiScanResult {
         let mut multi = MultiScanResult::default();
         let mut end = self.clock;
         for (pass, pass_end) in passes {
             end = end.max(pass_end);
-            match resolve.as_deref_mut() {
-                Some(resolve) => multi.merge_resolved(pass, resolve),
-                None => multi.merge(pass),
-            }
+            multi.merge(pass);
         }
         self.clock = end;
         multi
@@ -1033,7 +1026,7 @@ mod tests {
             let mut s = Scanner::new(build(), cfg.clone());
             let mut day = || {
                 let passes = s.battery_passes(workers, &targets, &battery);
-                let multi = s.merge_battery(passes.clone(), None);
+                let multi = s.merge_battery(passes.clone());
                 (passes, multi.digest(), multi.total_sent(), s.now().0)
             };
             [day(), day()]
