@@ -186,6 +186,9 @@ pub struct DayReport {
     pub probes_sent: u64,
     /// Unique target addresses probed (each gets 2 probes).
     pub targets: u64,
+    /// Of the targets, those the network did not prove silent: the
+    /// ones whose probes left as frames.
+    pub answerable: u64,
 }
 
 impl DayReport {
@@ -244,7 +247,7 @@ impl Apd {
         order.dedup();
         let fan = Fanout::new(&order, self.cfg.salt);
 
-        // One layout, walked once, for both passes.
+        // One layout, each target decided once, for both passes.
         let [icmp_scan, tcp_scan] = scanner.scan_each(
             &fan.targets,
             [&IcmpEchoModule, &TcpSynModule::with_synopt(80)],
@@ -257,6 +260,7 @@ impl Apd {
                 .collect(),
             probes_sent: icmp_scan.sent + tcp_scan.sent,
             targets: fan.targets.len() as u64,
+            answerable: icmp_scan.answerable,
         };
         let observations = &mut report.observations;
         fan.attribute(icmp_scan.replies, |slot, branch, reply| {

@@ -19,11 +19,12 @@ use expanse_packet::Protocol;
 /// run.
 const DAYS: usize = 7;
 
-/// The report's eleven counts under their JSON keys, in stage order.
-fn counts(r: &StageReport) -> [(&'static str, u64); 11] {
+/// The report's twelve counts under their JSON keys, in stage order.
+fn counts(r: &StageReport) -> [(&'static str, u64); 12] {
     [
         ("plan_prefixes", r.plan_prefixes),
         ("apd_probes", r.apd_probes),
+        ("apd_answerable", r.apd_answerable),
         ("kept", r.kept),
         ("removed", r.removed),
         ("admitted", r.admitted),
@@ -102,7 +103,7 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
     ));
 
     let json = format!(
-        "{{\n  \"schema\": 7,\n  \"scale\": \"{scale}\",\n  \"hitlist\": {hitlist},\n  \
+        "{{\n  \"schema\": 8,\n  \"scale\": \"{scale}\",\n  \"hitlist\": {hitlist},\n  \
          \"days\": [\n{}\n  ],\n  \
          \"snapshot\": {{ \"bytes\": {snapshot_bytes} }},\n  \
          \"journal\": {{ \"delta_days\": {DAYS}, \"delta_bytes_per_day\": {delta_mean:.1}, \

@@ -22,7 +22,7 @@ fn two_runs_write_the_committed_record_and_no_timing_key() {
     let first = record("pipeline_record_1");
     assert_eq!(first, record("pipeline_record_2"));
     assert_eq!(first, include_str!("../../../BENCH_pipeline.json"));
-    assert!(first.contains("\"schema\": 7"));
+    assert!(first.contains("\"schema\": 8"));
     for timing in ["_per_s", "_s\"", "threads", "cores", "speedup"] {
         assert!(!first.contains(timing), "{timing} in {first}");
     }

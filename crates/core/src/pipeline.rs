@@ -127,6 +127,9 @@ pub struct StageReport {
     pub plan_prefixes: u64,
     /// APD fan-out probes sent.
     pub apd_probes: u64,
+    /// APD fan-out targets the network did not prove silent: each is
+    /// probed by a frame per protocol, the others by none.
+    pub apd_answerable: u64,
     /// Live members at day start that survived the alias filter.
     pub kept: u64,
     /// Live members at day start under an aliased prefix.
@@ -293,7 +296,8 @@ impl Pipeline {
         // plan, the alias split, and the battery targets all derive from
         // it (routers harvested mid-day join tomorrow's view).
         let live = self.hitlist.live_set();
-        let (aliased_now, plan_prefixes, apd_probes) = self.detect_aliases(day, &live);
+        let (aliased_now, plan_prefixes, apd_probes, apd_answerable) =
+            self.detect_aliases(day, &live);
         let (kept_ids, kept, removed) = self.filter_aliased(&aliased_now, &live);
         let kept_len = kept.len();
         let (target_ids, targets, sched_plan) =
@@ -307,6 +311,7 @@ impl Pipeline {
         let report = StageReport {
             plan_prefixes,
             apd_probes,
+            apd_answerable,
             kept: kept_len as u64,
             removed,
             admitted: targets.len() as u64,
@@ -345,8 +350,9 @@ impl Pipeline {
     /// Stage 1, aliased prefix detection: plan (full every
     /// `full_apd_every` days, the hot set between), probe, slide the
     /// windows, classify. Returns today's aliased prefixes (sorted), the
-    /// plan size and the probes sent.
-    fn detect_aliases(&mut self, day: u16, live: &AddrSet) -> (Vec<Prefix>, u64, u64) {
+    /// plan size, the probes sent and the fan-out targets the network
+    /// did not prove silent.
+    fn detect_aliases(&mut self, day: u16, live: &AddrSet) -> (Vec<Prefix>, u64, u64, u64) {
         let mut plan: Vec<Prefix> = if day.is_multiple_of(self.cfg.full_apd_every) {
             expanse_apd::plan_targets_set(self.hitlist.table(), live, &self.cfg.plan)
         } else {
@@ -372,9 +378,10 @@ impl Pipeline {
         // set, the LPM filter, and the snapshot all read this vector
         // (it is only current *after* today's window update above).
         let aliased_now = self.apd.aliased_prefixes();
-        let mut probes = 0;
+        let (mut probes, mut answerable) = (0, 0);
         if let Some(report) = report {
             probes = report.probes_sent;
+            answerable = report.answerable;
             // Maintain the hot set from today's evidence: a prefix at
             // ≥ 14/16 branches is nearly aliased and worth daily
             // attention — but once the windowed detector classifies it
@@ -389,7 +396,7 @@ impl Pipeline {
                 }
             }
         }
-        (aliased_now, plan.len() as u64, probes)
+        (aliased_now, plan.len() as u64, probes, answerable)
     }
 
     /// Stage 2, alias filter: split the day's live members on today's

@@ -51,6 +51,9 @@ fn checked_days(p: &mut Pipeline, days: usize, feed: bool, admits: Admits) -> Ve
                 snap.probes_sent,
                 r.apd_probes + r.trace_probes + r.battery_probes
             );
+            // Two probes per fan-out target, one per protocol, and
+            // the silent targets' probes among them leave no frame.
+            assert!(2 * r.apd_answerable <= r.apd_probes);
             assert_eq!(r.kept + r.removed, live_at_start);
             assert_eq!(r.kept, snap.hitlist_after_apd as u64);
             match admits {
@@ -78,6 +81,7 @@ fn fixed() -> [StageReport; 3] {
     let day0 = StageReport {
         plan_prefixes: 6_779,
         apd_probes: 216_888,
+        apd_answerable: 17_302,
         kept: 8_916,
         removed: 7_476,
         admitted: 8_916,

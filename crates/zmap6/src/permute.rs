@@ -70,17 +70,36 @@ impl Permutation {
         x
     }
 
-    /// Iterate one shard of `total` (round-robin split, zmap's
-    /// `--shards` / `--shard`).
+    /// How many positions shard `shard` of `total` holds (round-robin
+    /// split, zmap's `--shards` / `--shard`): positions `shard, shard +
+    /// total, …` below `n`.
     ///
     /// # Panics
     /// Panics if `shard >= total` or `total == 0`.
-    pub(crate) fn shard(&self, shard: u64, total: u64) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn shard_len(&self, shard: u64, total: u64) -> u64 {
         assert!(total > 0 && shard < total, "bad shard {shard}/{total}");
-        // Positions `shard, shard + total, …`: a stride, so a shard of a
-        // 40-cell battery grid walks n/40 positions, not all n.
-        let stride = usize::try_from(total).unwrap_or(usize::MAX);
-        (shard..self.n).step_by(stride).map(move |i| self.at(i))
+        self.n.saturating_sub(shard).div_ceil(total)
+    }
+
+    /// The elements at the shard's positions `ks` (its `k`-th position
+    /// is `shard + k·total`): a stride, so a shard of a 40-cell battery
+    /// grid walks n/40 positions, not all n, and a range of them starts
+    /// where it starts.
+    ///
+    /// # Panics
+    /// Panics if `shard >= total`, `total == 0` or `ks` runs past
+    /// [`Permutation::shard_len`].
+    pub(crate) fn shard(
+        &self,
+        shard: u64,
+        total: u64,
+        ks: std::ops::Range<u64>,
+    ) -> impl Iterator<Item = u64> + '_ {
+        assert!(
+            ks.end <= self.shard_len(shard, total),
+            "positions past the shard"
+        );
+        ks.map(move |k| self.at(shard + k * total))
     }
 }
 
@@ -129,7 +148,7 @@ mod tests {
         let p = Permutation::new(997, 3);
         let mut all: Vec<u64> = Vec::new();
         for s in 0..4 {
-            all.extend(p.shard(s, 4));
+            all.extend(p.shard(s, 4, 0..p.shard_len(s, 4)));
         }
         all.sort_unstable();
         let want: Vec<u64> = (0..997).collect();
@@ -142,12 +161,20 @@ mod tests {
         for (n, total) in [(1u64, 1u64), (10, 3), (997, 4), (40, 40), (5, 8), (64, 7)] {
             let p = Permutation::new(n, 11);
             for shard in 0..total {
-                let got: Vec<u64> = p.shard(shard, total).collect();
+                let len = p.shard_len(shard, total);
+                let got: Vec<u64> = p.shard(shard, total, 0..len).collect();
                 let want: Vec<u64> = (0..n)
                     .filter(|i| i % total == shard)
                     .map(|i| p.at(i))
                     .collect();
                 assert_eq!(got, want, "n={n} shard={shard}/{total}");
+                // A range of positions is that slice of the walk.
+                let tail: Vec<u64> = p.shard(shard, total, len.min(1)..len).collect();
+                assert_eq!(
+                    tail,
+                    want[want.len().min(1)..],
+                    "n={n} shard={shard}/{total}"
+                );
             }
         }
     }

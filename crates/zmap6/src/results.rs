@@ -29,6 +29,9 @@ pub struct ScanResult {
     pub protocol: Protocol,
     /// Probes sent.
     pub sent: u64,
+    /// Of them, those the network did not prove silent: the probes
+    /// emitted. The others kept their send slot but left no frame.
+    pub answerable: u64,
     /// Targets suppressed by the blacklist (never probed).
     pub blacklisted: u64,
     /// Frames received.
@@ -51,6 +54,7 @@ impl ScanResult {
         ScanResult {
             protocol,
             sent: 0,
+            answerable: 0,
             blacklisted: 0,
             received: 0,
             malformed: 0,
@@ -108,6 +112,7 @@ impl ScanResult {
         for part in parts {
             assert_eq!(part.protocol, protocol, "from_shards across protocols");
             out.sent += part.sent;
+            out.answerable += part.answerable;
             out.blacklisted += part.blacklisted;
             out.received += part.received;
             out.malformed += part.malformed;

@@ -10,56 +10,53 @@
 //! state for the destination; and the receive side — a queue popped in
 //! `(arrival time, push order)` — is a sort by `(arrival time, send
 //! slot, index within the inject)` over what was collected. Both
-//! callers run that one loop: a battery cell injects every slot into
-//! its own snapshot, and [`Scanner::scan`] spreads the slots over
-//! worker snapshots, keeping only the [`Reach::Stateful`] destinations
-//! for the network itself, in send order. The result does not depend on
-//! who injected what; `tests/scan_pooled.rs` pins it to the serial
-//! loop's.
+//! callers run that one loop: a battery cell injects every answerable
+//! slot into its own snapshot, and [`Scanner::scan`] spreads the
+//! answerable slots over worker snapshots, keeping only the
+//! [`Reach::Stateful`] destinations for the network itself, in send
+//! order. The result does not depend on who injected what;
+//! `tests/scan_pooled.rs` pins it to the serial loop's.
 //!
-//! # A silent slot costs a decision, not a frame
-//!
-//! Each slot's destination is decided once
-//! ([`SnapshotNetwork::decide`]), and the decision says how far the
-//! slot's probe can reach ([`SnapshotNetwork::reach`], at the hop limit
-//! every module's probe carries). A [`Reach::Silent`] slot — no frame
-//! to it is answered or changes any state; for the simulated Internet,
-//! unrouted space and the addresses nobody and nothing on the way
-//! answers — still counts as sent and keeps its send instant, but its
-//! probe is neither emitted nor injected: its delivery list would be
-//! empty, so the result cannot tell. Most of an alias-detection
-//! fan-out is silent. `tests/silent_slots.rs` counts the frames.
-//!
-//! # One layout, shared
+//! # A layout decides each target once
 //!
 //! Which target takes which send slot — the keyed permutation walked
-//! over one shard, blacklisted targets dropped (`Layout`) — depends on
-//! `(targets, seed, shard)` and nothing else: not on the probe module,
-//! the start instant or the network. Every job over the same targets in
-//! the same shard would walk the same permutation to the same slot
-//! order, so the walk is done once and the order shared: by the five
-//! battery modules of each sub-shard, and by the passes of one
-//! [`Scanner::scan_each`] (APD's ICMP and TCP passes). Sharing it cannot
-//! change a result, because no job can tell a shared order from one it
-//! walked itself.
+//! over one shard, blacklisted targets dropped — depends on `(targets,
+//! seed, shard)` alone, and how far a slot's probe can reach on the
+//! network's decision for its destination ([`SnapshotNetwork::decide`],
+//! read by [`SnapshotNetwork::reach`] at the hop limit every module's
+//! probe carries). A `Layout` works out both before any probe leaves:
 //!
-//! The layout holds each slot's destination address, not its index
-//! into the target list. The walk gathers every target once, already
-//! in send order. A pass then reads its slots front to back, so each
-//! probe costs one random read per layout, not one per pass.
+//! 1. the walk: the shard's permutation positions, in send order, as
+//!    target indices;
+//! 2. the classification: each of the shard's targets, in target order,
+//!    is blacklisted, silent or answerable — the last with its
+//!    decision. Target order, not send order: consecutive decisions
+//!    search neighbouring parts of the network's tables;
+//! 3. the stitch: the walk again, numbering the send slots (a
+//!    blacklisted target takes none) and keeping the answerable ones
+//!    only, as `(slot, destination, reach, decision)` in send order.
 //!
-//! Beside each battery layout sits each slot's
-//! [`Decision`](SnapshotNetwork::Decision): what the network would
-//! otherwise work out anew for every frame to that destination (for the
-//! simulated Internet: route, path length, responder), made once and
-//! read by all five module cells, which skip its silent slots.
-//! [`Scanner::scan`] and [`Scanner::scan_each`] keep none: each pass
-//! decides a slot as it walks it, skips it if silent, defers it if
-//! stateful and otherwise answers it with that decision. Keeping the
-//! decisions across APD's two passes would save one decision of two per
-//! destination, and its ≈ 250 k slots would cost ≈ 8 MB of decisions on
-//! every full-APD day; a prototype that fused the two passes to decide
-//! once measured ≈ 4 % for ≈ 5 MB more peak memory.
+//! Each step runs on the worker pool in contiguous ranges, of positions
+//! or of targets, and the ranges' slot counts are stitched in order, so
+//! the layout is the same on any worker count.
+//!
+//! A [`Reach::Silent`] slot — no frame to it is answered or changes any
+//! state; for the simulated Internet, unrouted space and the addresses
+//! nobody and nothing on the way answers — still counts as sent and
+//! keeps its send instant, but no job walks it: its probe is neither
+//! emitted nor injected, since its delivery list would be empty and the
+//! result cannot tell. Most of an alias-detection fan-out is silent
+//! (≈ 90 % of a full-APD day's targets), and the layout keeps neither a
+//! slot nor a decision for it. `tests/silent_slots.rs` counts the frames
+//! and the decisions.
+//!
+//! Every job over the same targets and shard would lay them out alike,
+//! so a layout is shared: by the passes of one [`Scanner::scan_each`]
+//! (APD's ICMP and TCP passes), and by the five battery cells of each
+//! sub-shard. Between two passes the network itself sees only frames to
+//! stateful destinations, and by [`Reach`]'s contract those change
+//! nothing a silent or stateless destination's frames meet: the
+//! decisions made before the first pass hold for the next.
 //!
 //! # The battery fan-out
 //!
@@ -77,9 +74,9 @@
 //! battery's unit tests sweep the worker count against results
 //! recorded before the grid went onto that pool.
 //!
-//! Each sub-shard's layout, and the decision for each of its slots, is
-//! built by whichever of its five cells runs first, inside the pool, and
-//! shared by the others: every cell answers a slot's frame through
+//! Each sub-shard's layout is built by whichever of its five cells runs
+//! first, inside the pool and on that cell's worker alone, and shared by
+//! the others: every cell answers each answerable slot's frame through
 //! [`SnapshotNetwork::inject_decided`] with the slot's decision, so a
 //! destination is decided once per day, not once per protocol. The
 //! decisions are made against the network itself, which no cell's
@@ -102,9 +99,11 @@ use crate::permute::Permutation;
 use crate::results::{MultiScanResult, ProbeReply, ScanResult};
 use crate::validate::Validator;
 use expanse_addr::addr_to_u128;
+use expanse_addr::par::par_map_coarse;
 use expanse_netsim::{Deliveries, Duration, Network, Reach, SnapshotNetwork, Time};
 use expanse_packet::{Datagram, Protocol};
 use std::net::Ipv6Addr;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Probes per (virtual) second. The scanner is sans-IO: the rate only
@@ -191,79 +190,180 @@ impl<N: Network> Scanner<N> {
     }
 }
 
-/// A single job goes onto the worker pool only at or above this many
-/// send slots: below it the thread spawns cost more than the probes.
+/// A layout's positions and targets, and a pass's answerable slots, go
+/// onto the worker pool only at or above this many: below it the thread
+/// spawns cost more than the work.
 const POOL_MIN_SLOTS: usize = 4096;
 
-/// Permutation positions a layout walk computes before gathering their
-/// targets.
-const GATHER_BATCH: usize = 512;
+/// `0..n` in contiguous ranges, one per worker — one below
+/// [`POOL_MIN_SLOTS`].
+fn ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
+    let parts = if n < POOL_MIN_SLOTS {
+        1
+    } else {
+        workers.max(1)
+    };
+    let per = n.div_ceil(parts).max(1);
+    (0..n)
+        .step_by(per)
+        .map(|lo| lo..(lo + per).min(n))
+        .collect()
+}
 
-/// Which target takes which send slot in one shard of a scan: the keyed
-/// permutation walked and the blacklist applied, once, and shared by
-/// every job over the same targets and shard (see "One layout, shared"
-/// above).
-struct Layout {
-    /// Destination per send slot, in permuted shard order: the one
-    /// gather from the target list, so a pass reads its slots in order.
-    slots: Vec<Ipv6Addr>,
+/// A target's class in a layout: blacklisted, silent, or (any smaller
+/// value) its rank among the layout's answerable targets in target
+/// order. A target outside the shard is classed silent unread.
+const BLACKLISTED: u32 = u32::MAX;
+const SILENT: u32 = u32::MAX - 1;
+
+/// One send slot the network did not prove silent.
+struct Slot<D> {
+    /// Its place in send order, which fixes when its probe leaves.
+    at: u32,
+    dst: Ipv6Addr,
+    /// [`Reach::Stateless`] or [`Reach::Stateful`].
+    reach: Reach,
+    decision: D,
+}
+
+/// Which target takes which send slot in one shard of a scan, and which
+/// slots can answer: worked out once, with one decision per target, and
+/// shared by every job over the same targets and shard (see "A layout
+/// decides each target once" above).
+struct Layout<D> {
+    /// Send slots: the shard's targets the blacklist left.
+    sent: u64,
     /// Targets the blacklist suppressed; they take no slot.
     blacklisted: u64,
+    /// The slots the network did not prove silent, in send order.
+    answerable: Vec<Slot<D>>,
     /// The target list was empty: a job along this layout sends
     /// nothing and waits out no cooldown.
     idle: bool,
 }
 
-impl Layout {
-    /// Lay out shard `shard` of `shards` over `targets`.
-    fn new(cfg: &ScanConfig, targets: &[Ipv6Addr], shard: u64, shards: u64) -> Self {
+impl<D: Send + Sync> Layout<D> {
+    /// Lay out shard `shard` of `shards` over `targets` on `workers`
+    /// workers, deciding each of the shard's targets once on `net`.
+    fn new<N: SnapshotNetwork<Decision = D> + Sync>(
+        net: &N,
+        cfg: &ScanConfig,
+        targets: &[Ipv6Addr],
+        (shard, shards): (u64, u64),
+        workers: usize,
+    ) -> Self {
         let mut layout = Layout {
-            slots: Vec::new(),
+            sent: 0,
             blacklisted: 0,
+            answerable: Vec::new(),
             idle: targets.is_empty(),
         };
         if layout.idle {
             return layout;
         }
         assert!(
-            u32::try_from(targets.len()).is_ok(),
+            targets.len() < SILENT as usize,
             "target list beyond u32 positions"
         );
         let perm = Permutation::new(targets.len() as u64, cfg.seed);
-        let mut positions = perm.shard(shard, shards);
-        // The walk's length is known: one allocation, not a doubling
-        // chain.
-        layout.slots.reserve_exact(positions.size_hint().0);
-        // Positions are computed a batch at a time, then gathered: a
-        // loop of independent loads keeps many cache misses in flight,
-        // one interleaved with the Feistel rounds only a few.
-        let mut batch = Vec::with_capacity(GATHER_BATCH);
-        loop {
-            batch.clear();
-            batch.extend(positions.by_ref().take(GATHER_BATCH));
-            if batch.is_empty() {
-                return layout;
-            }
-            for &idx in &batch {
-                let dst = targets[idx as usize];
-                if cfg.blacklist.contains(dst) {
-                    layout.blacklisted += 1;
+
+        // 1. The walk: the shard's target indices, in send order.
+        let positions = ranges(perm.shard_len(shard, shards) as usize, workers);
+        let order: Vec<u32> = par_map_coarse(&positions, workers, |ks| {
+            let ks = ks.start as u64..ks.end as u64;
+            perm.shard(shard, shards, ks)
+                .map(|t| t as u32)
+                .collect::<Vec<u32>>()
+        })
+        .concat();
+
+        // 2. The classification, in target order, of the shard's targets
+        // only: the `i`-th is `member(i)`, all targets unless the scan is
+        // sharded.
+        let members = (shards > 1).then(|| {
+            let mut members = order.clone();
+            members.sort_unstable();
+            members
+        });
+        let member = |i: usize| members.as_ref().map_or(i as u32, |m| m[i]);
+        let n_members = members.as_ref().map_or(targets.len(), Vec::len);
+        let parts = par_map_coarse(&ranges(n_members, workers), workers, |ms| {
+            let mut class = Vec::with_capacity(ms.len());
+            let mut loud = Vec::new();
+            for i in ms.clone() {
+                let dst = targets[member(i) as usize];
+                class.push(if cfg.blacklist.contains(dst) {
+                    BLACKLISTED
                 } else {
-                    layout.slots.push(dst);
+                    let decision = net.decide(dst);
+                    match net.reach(dst, &decision, PROBE_HOPS) {
+                        Reach::Silent => SILENT,
+                        reach => {
+                            loud.push(Some((reach, decision)));
+                            loud.len() as u32 - 1
+                        }
+                    }
+                });
+            }
+            (class, loud)
+        });
+        let mut class = vec![SILENT; targets.len()];
+        let mut loud = Vec::new();
+        let mut i = 0;
+        for (part, part_loud) in parts {
+            let first = loud.len() as u32;
+            for c in part {
+                class[member(i) as usize] = if c < SILENT { first + c } else { c };
+                i += 1;
+            }
+            loud.extend(part_loud);
+        }
+
+        // 3. The stitch: the walk's send slots numbered, per range and
+        // then across ranges in order, the answerable ones kept.
+        let walks = par_map_coarse(&ranges(order.len(), workers), workers, |ps| {
+            let (mut slots, mut blacklisted, mut kept) = (0u32, 0u64, Vec::new());
+            for &t in &order[ps.clone()] {
+                match class[t as usize] {
+                    BLACKLISTED => blacklisted += 1,
+                    SILENT => slots += 1,
+                    rank => {
+                        kept.push((slots, t, rank));
+                        slots += 1;
+                    }
                 }
             }
+            (slots, blacklisted, kept)
+        });
+        layout.answerable.reserve_exact(loud.len());
+        for (slots, blacklisted, kept) in walks {
+            let first = layout.sent as u32;
+            layout
+                .answerable
+                .extend(kept.into_iter().map(|(at, t, rank)| {
+                    let (reach, decision) =
+                        loud[rank as usize].take().expect("a target takes one slot");
+                    Slot {
+                        at: first + at,
+                        dst: targets[t as usize],
+                        reach,
+                        decision,
+                    }
+                }));
+            layout.sent += u64::from(slots);
+            layout.blacklisted += blacklisted;
         }
+        layout
     }
 }
 
-/// One sub-shard of the battery grid: its `(shard, total)` selection, its
-/// layout and the network's decision for each send slot, made by
-/// whichever of its cells runs first — inside the worker pool, not
-/// before it — and shared by the others.
+/// One sub-shard of the battery grid: its `(shard, total)` selection and
+/// its layout, built by whichever of its cells runs first — inside the
+/// worker pool, not before it — and shared by the others.
 struct SubShard<D> {
     shard: u64,
     total: u64,
-    laid_out: OnceLock<(Layout, Vec<D>)>,
+    laid_out: OnceLock<Layout<D>>,
 }
 
 /// The send side of one scan job, fixed before the first probe leaves.
@@ -273,27 +373,15 @@ struct SubShard<D> {
 /// leaves, are known up front: any part of the job can be injected
 /// anywhere, in any order, as long as the network answers it the same —
 /// and the receive side is a sort.
-struct Job<'a> {
+struct Job<'a, D> {
     cfg: &'a ScanConfig,
     module: &'a dyn ProbeModule,
     validator: Validator,
-    layout: &'a Layout,
+    layout: &'a Layout<D>,
     start: Time,
     /// The end of the cooldown after the last slot: later deliveries are
     /// never received. (An empty target list ends where it starts.)
     end: Time,
-}
-
-/// What a job does with one send slot's probe, by how far the network
-/// says it can reach ([`Reach`]).
-enum Fate<D> {
-    /// Nothing can answer it: the slot counts as sent, but its probe is
-    /// neither emitted nor injected.
-    Skip,
-    /// Hand the slot back, for the network itself in send order.
-    Defer,
-    /// Emit the probe and inject it with `D`.
-    Inject(D),
 }
 
 /// What injecting some of a job's slots brought back by the job's end.
@@ -307,9 +395,6 @@ struct Collected {
     /// The replies themselves, parallel to `arrivals`; each is taken
     /// exactly once when the job settles.
     replies: Vec<Option<ProbeReply>>,
-    /// Slots left to the caller because their destination is
-    /// [`Reach::Stateful`].
-    deferred: Vec<usize>,
 }
 
 /// A validated reply's place in the settled result, as a compact sort
@@ -325,12 +410,12 @@ struct Arrival {
     id: u32,
 }
 
-impl<'a> Job<'a> {
+impl<'a, D> Job<'a, D> {
     /// A job sending `module`'s probes along `layout` from `start`.
     fn new(
         cfg: &'a ScanConfig,
         start: Time,
-        layout: &'a Layout,
+        layout: &'a Layout<D>,
         module: &'a dyn ProbeModule,
     ) -> Self {
         let mut job = Job {
@@ -342,48 +427,41 @@ impl<'a> Job<'a> {
             end: start,
         };
         if !layout.idle {
-            job.end = job.clock(layout.slots.len()) + COOLDOWN;
+            job.end = job.clock(layout.sent) + COOLDOWN;
         }
         job
     }
 
-    /// When slot `slot`'s probe leaves (`slots.len()`: the send loop's end).
-    fn clock(&self, slot: usize) -> Time {
-        self.start + Duration(GAP.0 * slot as u64)
+    /// When slot `slot`'s probe leaves (`layout.sent`: the send loop's
+    /// end).
+    fn clock(&self, slot: u64) -> Time {
+        self.start + Duration(GAP.0 * slot)
     }
 
-    /// Walk `slots` and give each the fate `fate(slot, dst)` picks: a
-    /// probe to inject goes through `inject(decision, now, probe, out)`
-    /// at its slot's clock, and what comes back by the job's end is
-    /// classified; a deferred slot is handed back instead.
+    /// Emit each of `slots`' probes and hand it to `inject(decision,
+    /// now, probe, out)` at its slot's clock; classify what comes back
+    /// by the job's end.
     ///
     /// One probe buffer and one delivery buffer serve the whole walk, and
     /// replies are read through borrowed views: a probe whose reply is
     /// not kept allocates nothing once the buffers have grown.
-    fn collect<D>(
+    fn collect<'s>(
         &self,
-        slots: impl Iterator<Item = usize>,
-        mut fate: impl FnMut(usize, Ipv6Addr) -> Fate<D>,
-        mut inject: impl FnMut(D, Time, &[u8], &mut Deliveries),
-    ) -> Collected {
+        slots: impl Iterator<Item = &'s Slot<D>>,
+        mut inject: impl FnMut(&D, Time, &[u8], &mut Deliveries),
+    ) -> Collected
+    where
+        D: 's,
+    {
         let mut out = Collected::default();
         let mut probe: Vec<u8> = Vec::new();
         let mut deliveries = Deliveries::new();
         for slot in slots {
-            let dst = self.layout.slots[slot];
-            let decision = match fate(slot, dst) {
-                Fate::Skip => continue,
-                Fate::Defer => {
-                    out.deferred.push(slot);
-                    continue;
-                }
-                Fate::Inject(decision) => decision,
-            };
             self.module
-                .emit_probe(self.cfg.src, dst, &self.validator, &mut probe);
-            let now = self.clock(slot);
+                .emit_probe(self.cfg.src, slot.dst, &self.validator, &mut probe);
+            let now = self.clock(u64::from(slot.at));
             deliveries.clear();
-            inject(decision, now, &probe, &mut deliveries);
+            inject(&slot.decision, now, &probe, &mut deliveries);
             for (at, frame) in deliveries.iter() {
                 debug_assert!(at >= now, "delivery before its probe left");
                 if at > self.end {
@@ -402,7 +480,7 @@ impl<'a> Job<'a> {
                 out.arrivals.push(Arrival {
                     target: addr_to_u128(target),
                     at,
-                    slot: slot as u32,
+                    slot: slot.at,
                     id: out.replies.len() as u32,
                 });
                 out.replies.push(Some(ProbeReply {
@@ -425,7 +503,8 @@ impl<'a> Job<'a> {
     /// per target wins — after which each reply moves once, into place.
     fn finish(self, mut parts: Vec<Collected>) -> (ScanResult, Time) {
         let mut result = ScanResult::new(self.module.protocol());
-        result.sent = self.layout.slots.len() as u64;
+        result.sent = self.layout.sent;
+        result.answerable = self.layout.answerable.len() as u64;
         result.blacklisted = self.layout.blacklisted;
         // `firsts[p]`: the ordinal of part `p`'s first reply among all.
         let mut firsts = Vec::with_capacity(parts.len());
@@ -466,25 +545,26 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
     /// Replies are received in the order `(arrival time, send slot,
     /// index within that probe's deliveries)` up to the end of the
     /// cooldown, and the first validated reply per target wins. That
-    /// order is all a result depends on, so a job of 4096 send slots
-    /// or more is spread over [`expanse_addr::worker_threads`] workers —
-    /// each walks a contiguous range of slots against its own snapshot
-    /// — except for the probes to [`Reach::Stateful`] destinations, which
-    /// reach the network itself afterwards, in send order with their
-    /// original clocks: middlebox state ends the scan where a one-thread
-    /// walk leaves it, and the result is identical for any worker
-    /// count. Probes to [`Reach::Silent`] destinations take their slot
-    /// but are never sent. The network must not deliver a frame before
-    /// the `now` of the inject that caused it.
+    /// order is all a result depends on, so a job of 4096 answerable
+    /// slots or more (the slots [`Reach::Silent`] leaves) is spread over
+    /// [`expanse_addr::worker_threads`] workers — each walks a
+    /// contiguous range of them against its own snapshot — except for
+    /// the probes to [`Reach::Stateful`] destinations, which reach the
+    /// network itself afterwards, in send order with their original
+    /// clocks: middlebox state ends the scan where a one-thread walk
+    /// leaves it, and the result is identical for any worker count.
+    /// Probes to silent destinations take their slot but are never
+    /// sent. The network must not deliver a frame before the `now` of
+    /// the inject that caused it.
     pub fn scan(&mut self, targets: &[Ipv6Addr], module: &dyn ProbeModule) -> ScanResult {
         self.scan_pooled(expanse_addr::worker_threads(), targets, module)
     }
 
     /// [`Scanner::scan`] with each module in turn, every scan starting
     /// where the previous one ended — exactly what that many `scan`
-    /// calls return — over one slot layout: the permutation is walked
-    /// once, not once per module (see the module docs, "One layout,
-    /// shared").
+    /// calls return — over one layout: each target is decided once, not
+    /// once per module (see the module docs, "A layout decides each
+    /// target once").
     pub fn scan_each<const M: usize>(
         &mut self,
         targets: &[Ipv6Addr],
@@ -500,9 +580,8 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         targets: &[Ipv6Addr],
         modules: [&dyn ProbeModule; M],
     ) -> [ScanResult; M] {
-        let (shard, shards) = self.cfg.shard;
-        let layout = Layout::new(&self.cfg, targets, shard, shards);
-        modules.map(|module| self.scan_laid_out(workers, &layout, module))
+        let layout = Layout::new(&self.net, &self.cfg, targets, self.cfg.shard, workers);
+        modules.map(|module| self.pass(workers, &layout, module))
     }
 
     /// [`Scanner::scan`] on `workers` workers.
@@ -516,53 +595,34 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         result
     }
 
-    /// One pass of [`Scanner::scan_each_pooled`], along its layout.
-    fn scan_laid_out(
+    /// One pass of [`Scanner::scan_each_pooled`] along its layout: the
+    /// stateless slots in contiguous ranges on `workers` workers, each
+    /// range against its own snapshot, then the stateful slots on the
+    /// network itself, in send order.
+    fn pass(
         &mut self,
         workers: usize,
-        layout: &Layout,
+        layout: &Layout<N::Decision>,
         module: &dyn ProbeModule,
     ) -> ScanResult {
         let job = Job::new(&self.cfg, self.clock, layout, module);
-        let n = layout.slots.len();
-        let n_ranges = if n < POOL_MIN_SLOTS {
-            1
-        } else {
-            workers.max(1)
-        };
-        let per_range = n.div_ceil(n_ranges).max(1);
-        let ranges: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(per_range)
-            .map(|lo| lo..(lo + per_range).min(n))
-            .collect();
+        let slots = &layout.answerable;
         let net = &self.net;
-        let mut parts = expanse_addr::par::par_map_coarse(&ranges, ranges.len(), |range| {
+        let mut parts = par_map_coarse(&ranges(slots.len(), workers), workers, |range| {
             let mut snap = net.snapshot();
             job.collect(
-                range.clone(),
-                |_, dst| {
-                    let decision = net.decide(dst);
-                    match net.reach(dst, &decision, PROBE_HOPS) {
-                        Reach::Silent => Fate::Skip,
-                        Reach::Stateless => Fate::Inject(decision),
-                        Reach::Stateful => Fate::Defer,
-                    }
-                },
+                slots[range.clone()]
+                    .iter()
+                    .filter(|s| s.reach == Reach::Stateless),
                 |decision, now, probe, out| {
-                    N::inject_decided(&mut snap, &decision, now, probe, out);
+                    N::inject_decided(&mut snap, decision, now, probe, out);
                 },
             )
         });
-        // Ranges ascend, so their leftovers concatenate in send order.
-        let deferred: Vec<usize> = parts
-            .iter_mut()
-            .flat_map(|p| std::mem::take(&mut p.deferred))
-            .collect();
         let net = &mut self.net;
         parts.push(job.collect(
-            deferred.into_iter(),
-            |_, _| Fate::Inject(()),
-            |(), now, probe, out| net.inject_into(now, probe, out),
+            slots.iter().filter(|s| s.reach == Reach::Stateful),
+            |_, now, probe, out| net.inject_into(now, probe, out),
         ));
         let (result, end) = job.finish(parts);
         self.clock = end;
@@ -623,7 +683,7 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
             .iter()
             .flat_map(|module| subs.iter().map(move |sub| (module.as_ref(), sub)))
             .collect();
-        let mut cells = expanse_addr::par::par_map_coarse(&grid, workers, |&(module, sub)| {
+        let mut cells = par_map_coarse(&grid, workers, |&(module, sub)| {
             self.battery_cell(targets, sub, module)
         })
         .into_iter();
@@ -633,11 +693,12 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
             .collect()
     }
 
-    /// One battery cell: `module` along sub-shard `sub`'s layout (walked
-    /// and decided here if no other cell of the sub-shard has yet), every
-    /// slot that is not silent answered with its decision by a fresh
-    /// snapshot of the network, starting at the scanner's clock. Pure in
-    /// its inputs — this is the unit the battery fan-out distributes.
+    /// One battery cell: `module` along sub-shard `sub`'s layout (laid
+    /// out here, on this worker alone, if no other cell of the sub-shard
+    /// has yet), every answerable slot answered with its decision by a
+    /// fresh snapshot of the network, starting at the scanner's clock.
+    /// Pure in its inputs — this is the unit the battery fan-out
+    /// distributes.
     fn battery_cell(
         &self,
         targets: &[Ipv6Addr],
@@ -645,23 +706,14 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         module: &dyn ProbeModule,
     ) -> (ScanResult, Time) {
         let net = &self.net;
-        let (layout, decisions) = sub.laid_out.get_or_init(|| {
-            let layout = Layout::new(&self.cfg, targets, sub.shard, sub.total);
-            let decisions = layout.slots.iter().map(|&dst| net.decide(dst)).collect();
-            (layout, decisions)
-        });
+        let layout = sub
+            .laid_out
+            .get_or_init(|| Layout::new(net, &self.cfg, targets, (sub.shard, sub.total), 1));
         let job = Job::new(&self.cfg, self.clock, layout, module);
         let mut snap = net.snapshot();
-        let all = job.collect(
-            0..layout.slots.len(),
-            |slot, dst| match net.reach(dst, &decisions[slot], PROBE_HOPS) {
-                Reach::Silent => Fate::Skip,
-                Reach::Stateless | Reach::Stateful => Fate::Inject(&decisions[slot]),
-            },
-            |decision, now, probe, out| {
-                N::inject_decided(&mut snap, decision, now, probe, out);
-            },
-        );
+        let all = job.collect(layout.answerable.iter(), |decision, now, probe, out| {
+            N::inject_decided(&mut snap, decision, now, probe, out);
+        });
         job.finish(vec![all])
     }
 
@@ -944,7 +996,10 @@ mod tests {
             modules.iter().map(scan).collect()
         };
         let one = run(1);
-        assert!(one[0].0.sent as usize >= POOL_MIN_SLOTS, "below the floor");
+        assert!(
+            one[0].0.answerable as usize >= POOL_MIN_SLOTS,
+            "below the floor"
+        );
         assert!(one[0].0.blacklisted > 0 && one[0].0.duplicates > 0);
         let digest = |r: &ScanResult| {
             let mut multi = MultiScanResult::default();

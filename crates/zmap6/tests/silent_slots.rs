@@ -1,10 +1,14 @@
-//! The scanner sends nothing the network proves silent.
+//! The scanner sends nothing the network proves silent, and decides
+//! each target once.
 //!
 //! A send slot whose destination the network's decision calls
 //! [`Reach::Silent`] is counted as sent but never emitted or injected.
 //! A counting wrapper over the simulated Internet checks that: the
 //! frames that reach the network and its snapshots are exactly the
 //! non-silent slots, and every result and clock equals the bare model's.
+//! It also counts the decisions per address: a scan, both passes of a
+//! `scan_each` and a battery each decide every send slot's destination
+//! once, and no target outside the shard or on the blacklist at all.
 
 mod common;
 
@@ -16,14 +20,21 @@ use expanse_zmap6::module::{IcmpEchoModule, TcpSynModule};
 use expanse_zmap6::{
     standard_battery, Blacklist, MultiScanResult, Permutation, ProbeModule, ScanConfig, Scanner,
 };
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The simulated Internet, counting every frame injected into it or
-/// into any of its snapshots.
+/// into any of its snapshots, and every decision it makes.
 struct Counting {
     model: InternetModel,
     frames: AtomicU64,
+    /// The addresses whose decisions are counted one by one: sorted,
+    /// distinct, with a counter each.
+    watched: Vec<Ipv6Addr>,
+    decisions: Vec<AtomicU64>,
+    /// Decisions about any other address.
+    unwatched: AtomicU64,
 }
 
 /// A snapshot of a [`Counting`] network, counting into its network's
@@ -34,10 +45,17 @@ struct CountingView<'a> {
 }
 
 impl Counting {
-    fn new(model: InternetModel) -> Self {
+    /// `model`, counting the decisions about each of `watch` apart.
+    fn new(model: InternetModel, watch: &[Ipv6Addr]) -> Self {
+        let mut watched = watch.to_vec();
+        watched.sort_unstable();
+        watched.dedup();
         Counting {
             model,
             frames: AtomicU64::new(0),
+            decisions: watched.iter().map(|_| AtomicU64::new(0)).collect(),
+            watched,
+            unwatched: AtomicU64::new(0),
         }
     }
 
@@ -45,6 +63,29 @@ impl Counting {
     fn take(&self) -> u64 {
         self.frames.swap(0, Ordering::Relaxed)
     }
+
+    /// The decisions made since the last call: how many about each
+    /// watched address decided at all, and how many about the others.
+    fn take_decisions(&self) -> (BTreeMap<Ipv6Addr, u64>, u64) {
+        let per_addr = self
+            .watched
+            .iter()
+            .zip(&self.decisions)
+            .map(|(a, n)| (*a, n.swap(0, Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        (per_addr, self.unwatched.swap(0, Ordering::Relaxed))
+    }
+}
+
+/// Each of `slots`' destinations decided once per slot it takes: what
+/// [`Counting::take_decisions`] reads after one layout over them.
+fn once_each(slots: &[Ipv6Addr]) -> (BTreeMap<Ipv6Addr, u64>, u64) {
+    let mut per_addr = BTreeMap::new();
+    for &a in slots {
+        *per_addr.entry(a).or_default() += 1;
+    }
+    (per_addr, 0)
 }
 
 impl Network for Counting {
@@ -73,6 +114,11 @@ impl SnapshotNetwork for Counting {
     }
 
     fn decide(&self, dst: Ipv6Addr) -> Decision {
+        let counter = match self.watched.binary_search(&dst) {
+            Ok(i) => &self.decisions[i],
+            Err(_) => &self.unwatched,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         self.model.decide(dst)
     }
 
@@ -105,7 +151,10 @@ fn unrouted_targets_send_no_frame_and_keep_the_clock() {
     let n = 5_000u64;
     let targets: Vec<Ipv6Addr> = (0..n).map(|i| keyed_random_addr(unrouted, i)).collect();
     let mut bare = Scanner::new(common::plain(), ScanConfig::default());
-    let mut counted = Scanner::new(Counting::new(common::plain()), ScanConfig::default());
+    let mut counted = Scanner::new(
+        Counting::new(common::plain(), &targets),
+        ScanConfig::default(),
+    );
     assert_eq!(non_silent(bare.network(), &targets), 0);
 
     // 5 000 slots at 100 000 probes a second, then a 5 s cooldown.
@@ -114,7 +163,9 @@ fn unrouted_targets_send_no_frame_and_keep_the_clock() {
     let [icmp, syn] = counted.scan_each(&targets, [&IcmpEchoModule, &tcp]);
     assert_eq!((icmp.sent, syn.sent), (n, n));
     assert_eq!(icmp.received + syn.received, 0);
+    assert_eq!((icmp.answerable, syn.answerable), (0, 0));
     assert_eq!(counted.network().take(), 0, "frames sent to silent slots");
+    assert_eq!(counted.network().take_decisions(), once_each(&targets));
     assert_eq!(counted.now(), Time::ZERO + pass + pass);
     assert_eq!(
         bare.scan_each(&targets, [&IcmpEchoModule, &tcp]),
@@ -126,6 +177,7 @@ fn unrouted_targets_send_no_frame_and_keep_the_clock() {
     let multi = counted.scan_battery(&targets, &battery);
     assert_eq!(multi.total_sent(), battery.len() as u64 * n);
     assert_eq!(counted.network().take(), 0, "frames sent by the battery");
+    assert_eq!(counted.network().take_decisions(), once_each(&targets));
     assert_eq!(
         bare.scan_battery(&targets, &battery).digest(),
         multi.digest()
@@ -165,7 +217,9 @@ fn slots(cfg: &ScanConfig, targets: &[Ipv6Addr], blacklisted: &[Prefix]) -> Vec<
 /// stateful ones, the network itself — and the scans still fingerprint
 /// to the recorded serial loop; each battery cell injects its
 /// sub-shard's non-silent slots, and the battery equals the bare
-/// model's.
+/// model's. Each scan, `scan_each`'s two passes together, and the
+/// battery's grid each decide every slot's destination once, and no
+/// other target.
 fn injects_the_non_silent_slots(build: fn() -> InternetModel, recorded: common::Fingerprint) {
     let model = build();
     let (targets, blacklisted) = common::mix(&model);
@@ -174,12 +228,14 @@ fn injects_the_non_silent_slots(build: fn() -> InternetModel, recorded: common::
     let (sent, loud) = (slots.len() as u64, non_silent(&model, &slots));
     assert!(1_000 < loud && loud < sent / 2, "{loud} of {sent}");
 
-    let mut s = Scanner::new(Counting::new(model), cfg.clone());
+    let decided_once = once_each(&slots);
+    let mut s = Scanner::new(Counting::new(model, &targets), cfg.clone());
     let tcp = TcpSynModule::with_synopt(80);
     let scan = |s: &mut Scanner<Counting>, module: &dyn ProbeModule| {
         let r = s.scan(&targets, module);
-        assert_eq!(r.sent, sent);
+        assert_eq!((r.sent, r.answerable), (sent, loud));
         assert_eq!(s.network().take(), loud, "{:?}", r.protocol);
+        assert_eq!(s.network().take_decisions(), decided_once);
         let mut multi = MultiScanResult::default();
         multi.merge(r);
         multi.digest()
@@ -192,12 +248,20 @@ fn injects_the_non_silent_slots(build: fn() -> InternetModel, recorded: common::
     }
     assert_eq!(got, recorded);
 
+    // Both passes along one layout: one decision per slot, not two.
+    let mut each = Scanner::new(Counting::new(build(), &targets), cfg.clone());
+    let [icmp, syn] = each.scan_each(&targets, [&IcmpEchoModule, &tcp]);
+    assert_eq!((icmp.answerable, syn.answerable), (loud, loud));
+    assert_eq!(each.network().take(), 2 * loud);
+    assert_eq!(each.network().take_decisions(), decided_once);
+
     let battery = standard_battery();
-    let mut counted = Scanner::new(Counting::new(build()), cfg.clone());
+    let mut counted = Scanner::new(Counting::new(build(), &targets), cfg.clone());
     let multi = counted.scan_battery(&targets, &battery);
     let modules = battery.len() as u64;
     assert_eq!(multi.total_sent(), modules * sent);
     assert_eq!(counted.network().take(), modules * loud);
+    assert_eq!(counted.network().take_decisions(), decided_once);
     let mut bare = Scanner::new(build(), cfg);
     assert_eq!(
         bare.scan_battery(&targets, &battery).digest(),
