@@ -22,7 +22,6 @@ mod exp_probing;
 mod exp_rdns_crowd;
 mod exp_scenarios;
 mod exp_sched;
-mod exp_serve_load;
 mod exp_sources;
 
 pub use ctx::Ctx;
@@ -60,7 +59,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "abl-cluster-as",
     "abl-bgp-apd",
     "bench-pipeline",
-    "bench-serve-load",
     "bench-scenarios",
     "bench-sched",
 ];
@@ -99,7 +97,6 @@ pub fn run(id: &str, ctx: &mut Ctx) -> Option<String> {
         "abl-cluster-as" => exp_ablations::cluster_as(ctx),
         "abl-bgp-apd" => exp_ablations::bgp_apd(ctx),
         "bench-pipeline" => exp_pipeline::bench_pipeline(ctx),
-        "bench-serve-load" => exp_serve_load::bench_serve_load(ctx),
         "bench-scenarios" => exp_scenarios::bench_scenarios(ctx),
         "bench-sched" => exp_sched::bench_sched(ctx),
         _ => return None,

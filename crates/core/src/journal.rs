@@ -139,8 +139,10 @@ pub struct JournalPolicy {
     /// base size and amortizes the rewrite over `base/delta` days;
     /// larger values trade slower restarts (more records to replay) for
     /// rarer rewrites. Values ≤ 0 compact on every record; non-finite
-    /// values (`f64::INFINITY`, NaN) never compact — the log grows
-    /// until `Journal::compact` is called explicitly.
+    /// values (`f64::INFINITY`, NaN) never compact by policy — the log
+    /// then grows, and the base is rewritten only by
+    /// [`Journal::create`], by a [`Journal::open`] that found a torn
+    /// tail, and by the first [`Journal::record`] after a failed append.
     pub compact_ratio: f64,
 }
 
@@ -261,10 +263,9 @@ impl<S: JournalStore> Journal<S> {
     }
 
     /// Replace the log with a fresh base envelope of the pipeline's
-    /// current state; returns the base size. Runs automatically per
-    /// policy, on create, after a torn-tail reopen, and on the first
-    /// record after a failed append; call it directly to bound restart
-    /// time before a planned shutdown.
+    /// current state; returns the base size. It runs on create, by
+    /// policy, after a torn-tail reopen, and on the first record after
+    /// a failed append — nowhere else.
     pub(crate) fn compact(&mut self, p: &mut Pipeline) -> Result<u64, CodecError> {
         let mut buf = Vec::new();
         p.write_full(&mut buf)?;

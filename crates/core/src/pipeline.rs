@@ -167,9 +167,11 @@ pub struct Pipeline {
     /// Longitudinal responsiveness ledger.
     pub ledger: Ledger,
     /// The probe scheduler's feedback queue (per-/48 yield history and
-    /// APD flags). Always maintained and persisted — only *consulted*
-    /// when [`SchedConfig::enabled`] is set, so flipping the switch on
-    /// a resumed journal starts from real history, not a cold queue.
+    /// APD flags). Always persisted, but planned and recorded only
+    /// while [`SchedConfig::enabled`] is set: history accrues only
+    /// while the switch is on, so flipping it on for a resumed journal
+    /// starts from whatever the queue held when it was last on — a
+    /// cold queue if it never was.
     pub sched: Scheduler,
     /// Prefixes worth re-probing between full APD runs: a sorted set,
     /// pruned when a prefix is classified aliased or goes cold (a

@@ -66,24 +66,6 @@ const ADVERSARIAL_SAVE: (usize, u64, u64) = (
     8_265_905_069_709_357_353,
 );
 
-/// Distinct fan-out targets of today's full APD plan — the send slots
-/// of each of the day's two APD scans. A single scan goes onto the
-/// worker pool from 4096 slots up (`POOL_MIN_SLOTS` in
-/// `expanse-zmap6`); the pinned digests must cover that path, not only
-/// the one-thread fallback below it.
-fn apd_fanout(p: &Pipeline) -> usize {
-    let live = p.hitlist.live_set();
-    let plan = expanse_apd::plan_targets_set(p.hitlist.table(), &live, &p.cfg.plan);
-    let mut targets: Vec<_> = plan
-        .iter()
-        .flat_map(|q| expanse_addr::fanout16(*q, p.apd.cfg.salt))
-        .map(|t| t.addr)
-        .collect();
-    targets.sort_unstable();
-    targets.dedup();
-    targets.len()
-}
-
 /// Three days of `model`: digests, probe counts, and the final full
 /// snapshot's (length, payload hash, envelope hash). `feed` ingests the
 /// model's scenario feed before each day, as the bench harness does.
@@ -110,11 +92,16 @@ fn run(
             let addrs = p.model_ref().scenario_feed(today);
             p.hitlist.add_from(SourceId::RipeAtlas, &addrs, today);
         }
-        if p.day().is_multiple_of(full_apd_every) {
-            let slots = apd_fanout(&p);
-            assert!(slots >= 4096, "day {day}: APD fan-out of {slots}");
-        }
+        let full_apd = p.day().is_multiple_of(full_apd_every);
         let snap = p.run_day();
+        // A single scan goes onto the worker pool from 4096 answerable
+        // slots up (`POOL_MIN_SLOTS` in `expanse-zmap6`): the pinned
+        // digests must cover that path, not only the one-thread
+        // fallback below it.
+        if full_apd {
+            let slots = p.last_report().apd_answerable;
+            assert!(slots >= 4096, "day {day}: {slots} answerable APD slots");
+        }
         digests[day] = snap.battery_digest;
         probes[day] = snap.probes_sent;
     }

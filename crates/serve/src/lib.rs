@@ -32,7 +32,7 @@
 //! - [`protocol`]: a small sans-IO, length-prefixed request/response
 //!   wire format (the same checksummed-envelope idiom as
 //!   [`expanse_addr::codec`]), specified in `docs/SERVE_PROTOCOL.md`.
-//! - [`pool`]: the one request path — [`handle`] turns a request
+//! - `pool`: the one request path — [`handle`] turns a request
 //!   envelope into its framed response (decode, admission, pin, cache,
 //!   [`execute`], encode); the socket loop and every in-memory harness
 //!   call it.
@@ -81,7 +81,7 @@
 mod cache;
 mod conn;
 mod limiter;
-pub mod pool;
+mod pool;
 pub mod protocol;
 mod query;
 mod registry;

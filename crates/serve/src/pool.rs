@@ -22,8 +22,6 @@ use crate::protocol::{
 use crate::registry::{Pinned, SnapshotRegistry};
 use std::sync::Arc;
 
-pub use crate::protocol::MAX_RESULT_ADDRS;
-
 /// Execute one decoded request against a pinned epoch.
 ///
 /// The request is [canonicalized](Request::canonical) first, so a

@@ -716,9 +716,10 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// A small blocking client: `expansectl`, the load generator and the
-/// transport tests speak through it. Responses match requests by
-/// position; [`ServeClient::call`] is the one-request convenience.
+/// A small blocking client: `expansectl`, the repo benchmark's serve
+/// workloads and the transport tests speak through it. Responses match
+/// requests by position; [`ServeClient::call`] is the one-request
+/// convenience.
 #[derive(Debug)]
 pub struct ServeClient {
     conn: Conn,

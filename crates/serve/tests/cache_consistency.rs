@@ -11,7 +11,7 @@
 
 use expanse_core::Hitlist;
 use expanse_model::SourceId;
-use expanse_serve::pool::MAX_RESULT_ADDRS;
+use expanse_serve::protocol::MAX_RESULT_ADDRS;
 use expanse_serve::protocol::{encode_request, encode_response};
 use expanse_serve::{
     execute, handle, handle_envelope, AliasScope, BindAddr, CacheConfig, ClientKey, Outcome, Query,

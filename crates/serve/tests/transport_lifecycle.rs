@@ -4,7 +4,12 @@
 //!
 //! Covered here, each against a real listener: what only the socket
 //! driver can show — pipelined requests answered in order, graceful
-//! drain under an epoch swap, torn / oversized / garbage frame handling,
+//! drain under an epoch swap, four connections pipelining mixed
+//! requests while three epochs publish
+//! (`concurrent_pipelined_connections_follow_epoch_swaps`: nothing
+//! lost or undecodable, epochs never regress on a connection, a clean
+//! drain, the cache's `inserts + deferred ≤ misses`), torn / oversized
+//! / garbage frame handling,
 //! mid-frame disconnects, a never-reading client (cut off at the write
 //! deadline, and costing no execution slot meanwhile), per-client
 //! rate-limit rejection frames, the accept limit, and UDS round trips.
@@ -20,6 +25,7 @@
     reason = "outside the determinism boundary, like the crate under test"
 )]
 
+use expanse_addr::Prefix;
 use expanse_core::Hitlist;
 use expanse_model::SourceId;
 use expanse_serve::protocol::{
@@ -30,9 +36,11 @@ use expanse_serve::{
     BindAddr, CacheConfig, ClientError, Query, RateLimitConfig, Request, Response, ResponseBody,
     ServeClient, Server, ServerConfig, SnapshotRegistry, SnapshotView,
 };
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn view_of(n: u128, day: u16) -> SnapshotView {
@@ -219,6 +227,166 @@ fn drain_finishes_in_flight_requests_across_epoch_swap() {
     // Nothing listens after the drain completes.
     let BindAddr::Tcp(sa) = addr else { panic!() };
     assert!(TcpStream::connect_timeout(&sa, Duration::from_millis(300)).is_err());
+}
+
+// ---- concurrent load across epoch swaps ------------------------------
+
+/// Requests in one pipelined burst.
+const BURST: usize = 32;
+
+/// Request `i` of a mixed pool over `view_of(n, _)`'s addresses
+/// `1..=n`: lookups that hit and that miss, prefix pages, samples and
+/// prefix stats.
+fn mixed_request(i: usize, n: u128) -> Request {
+    let addr = expanse_addr::u128_to_addr(1 + i as u128 % n);
+    match i % 5 {
+        0 => Request::Lookup { addr },
+        1 => Request::Lookup {
+            addr: expanse_addr::u128_to_addr(n + 1 + i as u128),
+        },
+        2 => Request::Select {
+            query: Query::all().under(Prefix::new(addr, 120 + (i % 8) as u8)),
+            cursor: None,
+            limit: 16,
+        },
+        3 => Request::Sample {
+            query: Query::all(),
+            k: 8,
+            seed: i as u64,
+        },
+        _ => Request::Stats {
+            prefix: Some(Prefix::new(addr, 124)),
+        },
+    }
+}
+
+/// Write one pre-framed burst in a single send, then read its `BURST`
+/// responses, recording each one's epoch.
+fn pipeline_burst(
+    client: &mut ServeClient,
+    burst: &[u8],
+    epochs: &mut Vec<u64>,
+) -> Result<(), String> {
+    client.send_raw(burst).map_err(|e| format!("send: {e}"))?;
+    for i in 0..BURST {
+        let resp = client.recv().map_err(|e| format!("response {i}: {e}"))?;
+        if let ResponseBody::Error { code } = resp.body {
+            return Err(format!("response {i}: error frame {code}"));
+        }
+        epochs.push(resp.epoch);
+    }
+    Ok(())
+}
+
+#[test]
+fn concurrent_pipelined_connections_follow_epoch_swaps() {
+    const CONNS: usize = 4;
+    const SWAPS: u16 = 3;
+    // Bursts answered per connection, on average, before each publish.
+    const BURSTS_PER_EPOCH: usize = 8;
+    let (registry, server, addr) = start_tcp(200, test_config());
+    let bursts: Vec<Vec<u8>> = (0..6)
+        .map(|b| {
+            (b * BURST..(b + 1) * BURST)
+                .flat_map(|i| encode_request(&mixed_request(i, 200)))
+                .collect()
+        })
+        .collect();
+    let first_epoch = registry.pin().epoch;
+    let answered = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let barrier = Barrier::new(CONNS + 1);
+    let mut final_epoch = first_epoch;
+    let logs: Vec<Result<(usize, Vec<u64>), String>> = std::thread::scope(|s| {
+        let conns: Vec<_> = (0..CONNS)
+            .map(|c| {
+                let (bursts, answered, stop, barrier, addr) =
+                    (&bursts, &answered, &stop, &barrier, &addr);
+                s.spawn(move || {
+                    let (mut sent, mut epochs) = (0, Vec::new());
+                    let load = ServeClient::connect(addr)
+                        .map_err(|e| format!("connect: {e}"))
+                        .and_then(|mut client| {
+                            client.set_timeout(Duration::from_secs(2));
+                            let mut round = c;
+                            while !stop.load(Ordering::Acquire) {
+                                sent += BURST;
+                                pipeline_burst(
+                                    &mut client,
+                                    &bursts[round % bursts.len()],
+                                    &mut epochs,
+                                )?;
+                                answered.fetch_add(BURST, Ordering::Relaxed);
+                                round += 1;
+                            }
+                            Ok(client)
+                        });
+                    // Failed or not, every connection meets the
+                    // publisher here, so nobody waits on a dead thread.
+                    barrier.wait();
+                    let mut client = load?;
+                    sent += BURST;
+                    pipeline_burst(&mut client, &bursts[c], &mut epochs)?;
+                    Ok((sent, epochs))
+                })
+            })
+            .collect();
+        for day in 2..2 + SWAPS {
+            let want = usize::from(day - 1) * CONNS * BURSTS_PER_EPOCH * BURST;
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while answered.load(Ordering::Relaxed) < want && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            final_epoch = registry.publish(view_of(200 + u128::from(day), day));
+        }
+        stop.store(true, Ordering::Release);
+        barrier.wait();
+        conns
+            .into_iter()
+            .map(|h| h.join().expect("connection thread"))
+            .collect()
+    });
+
+    let (mut sent, mut received) = (0, 0);
+    let mut served_by = BTreeSet::new();
+    for (c, log) in logs.into_iter().enumerate() {
+        let (conn_sent, epochs) = log.unwrap_or_else(|e| panic!("connection {c}: {e}"));
+        // Serial execution per connection: epochs never regress.
+        assert!(
+            epochs.windows(2).all(|w| w[0] <= w[1]),
+            "connection {c} went back in epoch: {epochs:?}"
+        );
+        // The final burst was sent after the last publish.
+        assert!(
+            epochs[epochs.len() - BURST..]
+                .iter()
+                .all(|&e| e == final_epoch),
+            "connection {c} ended off epoch {final_epoch}: {epochs:?}"
+        );
+        sent += conn_sent;
+        received += epochs.len();
+        served_by.extend(epochs);
+    }
+    assert_eq!(received, sent, "a response went missing");
+    // The load spanned every publish, not just the last one.
+    assert_eq!(
+        served_by,
+        (first_epoch..=final_epoch).collect(),
+        "epochs that served the load"
+    );
+
+    let report = server.drain();
+    assert_eq!(report.stats.requests, sent as u64);
+    assert_eq!(report.stats.malformed, 0);
+    assert_eq!(report.forced_closes, 0, "drain must be clean");
+    // Every miss offers its response at most once, and an offer is a
+    // first sighting (deferred), an insert, or dropped.
+    let cache = report.cache.expect("cache configured");
+    assert!(cache.hits > 0, "the load repeated no key: {cache:?}");
+    assert!(
+        cache.inserts + cache.deferred <= cache.misses,
+        "more offers than misses: {cache:?}"
+    );
 }
 
 // ---- malformed / oversized / torn frames -----------------------------

@@ -7,8 +7,8 @@
 //!   `PersistedState` path) and serve that single epoch;
 //! - `--simulate`: run the full probing pipeline in-process, one
 //!   virtual day every `--day-ms`, publishing each completed day as a
-//!   fresh epoch — a live epoch-swapping server, used by the CI soak
-//!   lane.
+//!   fresh epoch — a live epoch-swapping server, the one CI's daemon
+//!   flag gate starts.
 //!
 //! The daemon drains gracefully on `drain` (or EOF) on stdin, or after
 //! `--days N` in simulate mode: listeners reject new connections with

@@ -26,9 +26,8 @@ const OPT_OUTS: &[&str] = &[
     "crates/serve/src/transport.rs: #[expect(clippy::disallowed_methods)]",
     // The one sanctioned fan-out module.
     "crates/addr/src/par.rs: #![expect(clippy::disallowed_methods)]",
-    // The bench harness's wall clocks, which never enter a report.
+    // The bench harness's wall clock, which never enters a report.
     "crates/bench/src/bin/experiments.rs: #![expect(clippy::disallowed_types)]",
-    "crates/bench/src/exp_serve_load.rs: #![expect(clippy::disallowed_types, clippy::disallowed_methods)]",
 ];
 
 /// Every ban opt-out outside `#[cfg(test)]` items in `text`, reduced to
