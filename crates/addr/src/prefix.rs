@@ -9,8 +9,8 @@ use std::str::FromStr;
 ///
 /// Ordering is lexicographic on `(bits, len)`, which sorts prefixes in
 /// address order with shorter (covering) prefixes before their
-/// more-specifics — the natural order for trie dumps and zesplot input
-/// pipelines (which then re-sort by `(len, asn)`).
+/// more-specifics — the order of a prefix table's entries and of
+/// zesplot input pipelines (which then re-sort by `(len, asn)`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
     bits: u128,

@@ -9,7 +9,7 @@
 //! verdict wins per address.
 
 use expanse_addr::{AddrSet, AddrTable, IdBits, Prefix};
-use expanse_trie::PrefixTrie;
+use expanse_trie::RangeTable;
 use std::net::Ipv6Addr;
 
 /// Verdict for a prefix level.
@@ -24,29 +24,22 @@ pub enum Verdict {
 /// The LPM filter.
 #[derive(Debug, Clone, Default)]
 pub struct AliasFilter {
-    trie: PrefixTrie<Verdict>,
+    verdicts: RangeTable<Verdict>,
 }
 
 impl AliasFilter {
     /// Build from a set of aliased prefixes only (everything else
     /// implicitly non-aliased).
     pub fn new(aliased: impl IntoIterator<Item = Prefix>) -> Self {
-        let mut f = AliasFilter::default();
-        for p in aliased {
-            f.mark(p, Verdict::Aliased);
-        }
-        f
-    }
-
-    /// Record an explicit verdict for a prefix (multi-level detection
-    /// feeds both aliased and non-aliased levels so LPM can carve).
-    pub fn mark(&mut self, p: Prefix, v: Verdict) {
-        self.trie.insert(p, v);
+        aliased.into_iter().map(|p| (p, Verdict::Aliased)).collect()
     }
 
     /// Is `addr` inside an aliased prefix, by longest-prefix match?
     pub fn is_aliased(&self, addr: Ipv6Addr) -> bool {
-        matches!(self.trie.longest_match(addr), Some((_, Verdict::Aliased)))
+        matches!(
+            self.verdicts.longest_match(addr),
+            Some((_, Verdict::Aliased))
+        )
     }
 
     /// Split a hitlist into (kept, removed).
@@ -65,8 +58,8 @@ impl AliasFilter {
 
     /// Split an interned hitlist into (kept, removed) id sets, in
     /// ascending-id (= insertion) order, as [`AliasFilter::split`] splits
-    /// the same addresses. No per-row match: marks come in [`Prefix`]
-    /// order, where a cover precedes everything it covers, and a mark
+    /// the same addresses. No per-row match: verdicts come in [`Prefix`]
+    /// order, where a cover precedes everything it covers, and a verdict
     /// that overturns its nearest cover's verdict paints its run of the
     /// table's address order ([`AddrTable::sorted`]) into an id bitmap.
     /// Every row so ends with its longest match's verdict.
@@ -75,7 +68,7 @@ impl AliasFilter {
         let mut aliased = IdBits::default();
         let mut covers: Vec<(Prefix, Verdict)> = Vec::new();
         let mut from = 0;
-        for (p, &v) in self.trie.iter() {
+        for (p, &v) in self.verdicts.iter() {
             while covers.last().is_some_and(|(c, _)| !c.covers(&p)) {
                 covers.pop();
             }
@@ -94,15 +87,30 @@ impl AliasFilter {
     }
 }
 
+impl FromIterator<(Prefix, Verdict)> for AliasFilter {
+    /// Build from explicit verdicts (multi-level detection feeds both
+    /// aliased and non-aliased levels so LPM can carve); of a prefix
+    /// given twice, the later verdict stands.
+    fn from_iter<I: IntoIterator<Item = (Prefix, Verdict)>>(verdicts: I) -> Self {
+        AliasFilter {
+            verdicts: verdicts.into_iter().collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn lpm_decides() {
-        let mut f = AliasFilter::new(["2001:db8::/48".parse().unwrap()]);
-        // Carve a non-aliased /52 inside.
-        f.mark("2001:db8:0:1000::/52".parse().unwrap(), Verdict::NonAliased);
+        // Carve a non-aliased /52 inside an aliased /48.
+        let f: AliasFilter = [
+            ("2001:db8::/48".parse().unwrap(), Verdict::Aliased),
+            ("2001:db8:0:1000::/52".parse().unwrap(), Verdict::NonAliased),
+        ]
+        .into_iter()
+        .collect();
         assert!(f.is_aliased("2001:db8::1".parse().unwrap()));
         assert!(!f.is_aliased("2001:db8:0:1234::1".parse().unwrap()));
         assert!(!f.is_aliased("2001:db9::1".parse().unwrap()));

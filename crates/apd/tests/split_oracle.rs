@@ -3,7 +3,7 @@
 //!
 //! `AliasFilter::split_set` paints each marked prefix's run of the
 //! table's address order into an id bitmap; `AliasFilter::split` asks
-//! the trie once per address. Over nested `Aliased` / `NonAliased`
+//! the prefix table once per address. Over nested `Aliased` / `NonAliased`
 //! marks, live subsets of a table with dead rows, and a table order
 //! that is current or stale, the two must keep and remove the same
 //! addresses in the same (id) order.
@@ -41,10 +41,7 @@ proptest! {
         marks in collection::vec(arb_mark(), 0..24),
         merged in any::<bool>(),
     ) {
-        let mut filter = AliasFilter::default();
-        for (p, v) in marks {
-            filter.mark(p, v);
-        }
+        let filter: AliasFilter = marks.into_iter().collect();
         let mut table = AddrTable::new();
         let mut live = Vec::new();
         for (i, &low) in lows.iter().enumerate() {
@@ -69,9 +66,13 @@ proptest! {
 #[test]
 fn carve_out_inside_a_carve_out() {
     let p = |s: &str| -> Prefix { s.parse().unwrap() };
-    let mut filter = AliasFilter::new([p("2001:db8::/48")]);
-    filter.mark(p("2001:db8::/52"), Verdict::NonAliased);
-    filter.mark(p("2001:db8::/56"), Verdict::Aliased);
+    let filter: AliasFilter = [
+        (p("2001:db8::/48"), Verdict::Aliased),
+        (p("2001:db8::/52"), Verdict::NonAliased),
+        (p("2001:db8::/56"), Verdict::Aliased),
+    ]
+    .into_iter()
+    .collect();
     let mut table = AddrTable::new();
     let ids: AddrSet = ["2001:db8:0:100::1", "2001:db8:0:1::1", "2001:db8:0:f000::1"]
         .iter()

@@ -397,10 +397,9 @@ impl Hitlist {
     }
 
     /// `Hitlist::mark_responsive_id` over a whole day's pass, strictly
-    /// ascending by id (the pipeline's day pass is). One serial loop:
-    /// two column writes per responder cost less than starting a
-    /// worker at any day size the pipeline reaches. `_threads` is
-    /// ignored; the signature stays for existing callers.
+    /// ascending by id. `_threads` is ignored. The repo benchmark's
+    /// staged twin of the pipeline day is its only caller; the
+    /// pipeline's own day pass runs the same loop inline.
     pub fn mark_responsive_batch(
         &mut self,
         day: u16,

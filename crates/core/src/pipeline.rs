@@ -515,7 +515,13 @@ impl Pipeline {
         let mut day_pass: Vec<(AddrId, ProtoSet)> = multi.resolved_pairs().collect();
         day_pass.sort_unstable_by_key(|&(id, _)| id);
         self.ledger.record_day(day, &day_pass, &self.hitlist);
-        self.hitlist.mark_responsive_batch(day, &day_pass, 1);
+        debug_assert!(
+            day_pass.windows(2).all(|w| w[0].0 < w[1].0),
+            "day pass must be strictly ascending by id"
+        );
+        for &(id, protos) in &day_pass {
+            self.hitlist.mark_responsive_id(id, day, protos);
+        }
         day_pass
     }
 

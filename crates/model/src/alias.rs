@@ -2,15 +2,15 @@
 //!
 //! §5 of the paper: *"a single machine responding to all addresses in a
 //! possibly large prefix"* (IP_FREEBIND-style full-prefix binds, as CDNs
-//! deploy). The model keeps a trie of aliased regions; the engine answers
-//! any address inside one from the region's machine, except in *carve-out*
-//! branches (§5.1's /116 case, where the `0x0` branch is handled by a
-//! different system and stays silent).
+//! deploy). The model keeps a frozen prefix table of aliased regions;
+//! the engine answers any address inside one from the region's machine,
+//! except in *carve-out* branches (§5.1's /116 case, where the `0x0`
+//! branch is handled by a different system and stays silent).
 
 use crate::fingerprint::MachineId;
 use expanse_addr::Prefix;
 use expanse_packet::ProtoSet;
-use expanse_trie::PrefixTrie;
+use expanse_trie::RangeTable;
 use std::net::Ipv6Addr;
 
 /// One aliased region.
@@ -27,13 +27,14 @@ pub struct AliasRegion {
 
 /// The alias table: regions keyed by prefix, longest-prefix matched.
 ///
-/// The regions live in a trie, and [`AliasTable::resolve`] walks the
-/// regions covering an address. Only ground truth and analysis call it:
-/// the engine answers probes from its fused destination table, which
-/// freezes `AliasTable::serving_trie` once per model.
+/// The regions live in a [`RangeTable`], and [`AliasTable::resolve`]
+/// walks the regions covering an address. Only ground truth and
+/// analysis call it: the engine answers probes from its fused
+/// destination table, which is built from `AliasTable::serving` once
+/// per model.
 #[derive(Debug, Clone, Default)]
 pub struct AliasTable {
-    trie: PrefixTrie<AliasRegion>,
+    regions: RangeTable<AliasRegion>,
 }
 
 /// The branch `region` at `p` carves out, as the sub-prefix one nybble
@@ -47,46 +48,47 @@ fn carved(p: Prefix, region: &AliasRegion) -> Option<Prefix> {
 /// walking every covering region: the most specific one that does not
 /// carve `addr` out.
 fn walk_resolve(
-    trie: &PrefixTrie<AliasRegion>,
+    regions: &RangeTable<AliasRegion>,
     addr: Ipv6Addr,
     max_len: u8,
 ) -> Option<(Prefix, AliasRegion)> {
-    // Covering regions arrive shortest first: the last one that does
-    // not carve `addr` out is the most specific region serving it.
-    let mut serving = None;
-    for (p, r) in trie.matches(addr).take_while(|(p, _)| p.len() <= max_len) {
-        if !carved(p, r).is_some_and(|c| c.contains(addr)) {
-            serving = Some((p, *r));
-        }
-    }
-    serving
+    regions
+        .covering(addr)
+        .filter(|(p, _)| p.len() <= max_len)
+        .find(|(p, r)| !carved(*p, r).is_some_and(|c| c.contains(addr)))
+        .map(|(p, r)| (p, *r))
 }
 
 impl AliasTable {
-    /// Create a new instance.
-    pub(crate) fn new() -> Self {
-        AliasTable::default()
+    /// The table of `regions`; a later region at a prefix replaces an
+    /// earlier one.
+    pub(crate) fn new(regions: impl IntoIterator<Item = (Prefix, AliasRegion)>) -> Self {
+        AliasTable {
+            regions: regions.into_iter().collect(),
+        }
     }
 
-    /// Register a region.
-    pub(crate) fn insert(&mut self, prefix: Prefix, region: AliasRegion) {
-        self.trie.insert(prefix, region);
+    /// Add `regions` to the table, which is collected again: a region
+    /// at a prefix the table holds replaces the one there.
+    pub(crate) fn extend(&mut self, regions: impl IntoIterator<Item = (Prefix, AliasRegion)>) {
+        *self = AliasTable::new(self.iter().map(|(p, r)| (p, *r)).chain(regions));
     }
 
-    /// [`AliasTable::resolve`] as a trie whose longest match is the
+    /// [`AliasTable::resolve`] as a table whose longest match is the
     /// answer: every region resolves to itself; each carved branch
     /// without a region of its own resolves to what serves it from
     /// further out. The engine's fused destination table is built from
     /// it.
-    pub(crate) fn serving_trie(&self) -> PrefixTrie<Option<(Prefix, AliasRegion)>> {
-        let mut serving: PrefixTrie<Option<(Prefix, AliasRegion)>> =
-            self.trie.iter().map(|(p, r)| (p, Some((p, *r)))).collect();
-        for (p, r) in self.trie.iter() {
-            if let Some(c) = carved(p, r).filter(|c| self.trie.get(*c).is_none()) {
-                serving.insert(c, walk_resolve(&self.trie, c.first(), c.len() - 1));
-            }
-        }
-        serving
+    pub(crate) fn serving(&self) -> RangeTable<Option<(Prefix, AliasRegion)>> {
+        let carves = self
+            .iter()
+            .filter_map(|(p, r)| carved(p, r))
+            .filter(|c| self.regions.get(*c).is_none())
+            .map(|c| (c, walk_resolve(&self.regions, c.first(), c.len() - 1)));
+        self.iter()
+            .map(|(p, r)| (p, Some((p, *r))))
+            .chain(carves)
+            .collect()
     }
 
     /// The aliased region responsible for `addr`, if any. Honours
@@ -94,12 +96,12 @@ impl AliasTable {
     /// the next region out that serves it, or `None`, unless a more
     /// specific region covers it.
     pub fn resolve(&self, addr: Ipv6Addr) -> Option<(Prefix, AliasRegion)> {
-        walk_resolve(&self.trie, addr, 128)
+        walk_resolve(&self.regions, addr, 128)
     }
 
     /// Iterate regions.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &AliasRegion)> + '_ {
-        self.trie.iter()
+        self.regions.iter()
     }
 }
 
@@ -118,8 +120,7 @@ mod tests {
 
     #[test]
     fn resolve_hits_inside_region() {
-        let mut t = AliasTable::new();
-        t.insert("2001:db8:47::/48".parse().unwrap(), region(1));
+        let t = AliasTable::new([("2001:db8:47::/48".parse().unwrap(), region(1))]);
         let (p, r) = t
             .resolve("2001:db8:47:abcd::1234".parse().unwrap())
             .unwrap();
@@ -130,9 +131,10 @@ mod tests {
 
     #[test]
     fn more_specific_region_wins() {
-        let mut t = AliasTable::new();
-        t.insert("2001:db8::/32".parse().unwrap(), region(1));
-        t.insert("2001:db8:1::/48".parse().unwrap(), region(2));
+        let t = AliasTable::new([
+            ("2001:db8::/32".parse().unwrap(), region(1)),
+            ("2001:db8:1::/48".parse().unwrap(), region(2)),
+        ]);
         let (_, r) = t.resolve("2001:db8:1::9".parse().unwrap()).unwrap();
         assert_eq!(r.machine, MachineId(2));
         let (_, r) = t.resolve("2001:db8:2::9".parse().unwrap()).unwrap();
@@ -141,15 +143,14 @@ mod tests {
 
     #[test]
     fn carve_branch_is_silent() {
-        let mut t = AliasTable::new();
         let p: Prefix = "2001:db8:0:1::/116".parse().unwrap();
-        t.insert(
+        let t = AliasTable::new([(
             p,
             AliasRegion {
                 carve_branch: Some(0),
                 ..region(3)
             },
-        );
+        )]);
         // Branch 0x0 of the /116 (nybble index 29) is carved out.
         assert!(t.resolve("2001:db8:0:1::0042".parse().unwrap()).is_none());
         // Branch 0x5 answers.
@@ -158,17 +159,18 @@ mod tests {
 
     #[test]
     fn carve_can_be_overridden_by_more_specific() {
-        let mut t = AliasTable::new();
         let p64: Prefix = "2001:db8:1:2::/64".parse().unwrap();
-        t.insert(
-            p64,
-            AliasRegion {
-                carve_branch: Some(0xf),
-                ..region(1)
-            },
-        );
-        // A more specific region inside the carved branch still serves.
-        t.insert("2001:db8:1:2:f000::/68".parse().unwrap(), region(9));
+        let t = AliasTable::new([
+            (
+                p64,
+                AliasRegion {
+                    carve_branch: Some(0xf),
+                    ..region(1)
+                },
+            ),
+            // A more specific region inside the carved branch still serves.
+            ("2001:db8:1:2:f000::/68".parse().unwrap(), region(9)),
+        ]);
         let (_, r) = t.resolve("2001:db8:1:2:f000::1".parse().unwrap()).unwrap();
         assert_eq!(r.machine, MachineId(9));
         // Elsewhere in the carve (no specific region) stays silent — the
@@ -205,48 +207,60 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// [`AliasTable::serving_trie`], frozen as the fused destination
-        /// table freezes it, answers what walking every covering region
-        /// answers, at every address where either could change.
+        /// [`AliasTable::resolve`] and the longest match of
+        /// [`AliasTable::serving`] answer what a filter over the
+        /// regions answers — the most specific region containing the
+        /// address that does not carve it out — at every address where
+        /// either could change. Of a prefix given twice, the later
+        /// region counts.
         #[test]
         fn frozen_resolve_equals_the_covering_walk(
             regions in arb_regions(),
             noise in proptest::collection::vec(proptest::prelude::any::<u128>(), 8),
         ) {
-            let mut t = AliasTable::new();
-            for (p, r) in &regions {
-                t.insert(*p, *r);
-            }
-            let mut edges: Vec<Prefix> = t.trie.prefixes();
-            edges.extend(t.iter().filter_map(|(p, r)| carved(p, r)));
+            let t = AliasTable::new(regions.iter().copied());
+            let latest: std::collections::BTreeMap<Prefix, AliasRegion> =
+                regions.iter().copied().collect();
+            let walk = |addr: Ipv6Addr| {
+                latest
+                    .iter()
+                    .filter(|(p, r)| p.contains(addr) && !carved(**p, r).is_some_and(|c| c.contains(addr)))
+                    .max_by_key(|(p, _)| p.len())
+                    .map(|(p, r)| (*p, *r))
+            };
+            let mut edges: Vec<Prefix> = latest.keys().copied().collect();
+            edges.extend(latest.iter().filter_map(|(p, r)| carved(*p, r)));
             let mut probes: Vec<u128> = Vec::new();
             for p in &edges {
                 let (first, last) = (p.bits(), expanse_addr::addr_to_u128(p.last()));
                 probes.extend([first, last, first.wrapping_sub(1), last.wrapping_add(1)]);
                 probes.extend(noise.iter().map(|n| first | (n & !expanse_addr::prefix::mask(p.len()))));
             }
-            let frozen = expanse_trie::RangeTable::freeze(&t.serving_trie());
+            let serving = t.serving();
             for q in probes {
                 let addr = expanse_addr::u128_to_addr(q);
-                let got = frozen.longest_match(addr).and_then(|(_, s)| *s);
-                proptest::prop_assert_eq!(got, t.resolve(addr), "{}", addr);
+                let want = walk(addr);
+                proptest::prop_assert_eq!(t.resolve(addr), want, "resolve {}", addr);
+                let got = serving.longest_match(addr).and_then(|(_, s)| *s);
+                proptest::prop_assert_eq!(got, want, "serving {}", addr);
             }
         }
     }
 
     #[test]
     fn carve_below_a_non_nybble_region_falls_back_to_it() {
-        let mut t = AliasTable::new();
         let p64: Prefix = "2001:db8:1:2::/64".parse().unwrap();
-        t.insert(
-            p64,
-            AliasRegion {
-                carve_branch: Some(0xf),
-                ..region(1)
-            },
-        );
-        // A /66 between the /64 and its carved /68 serves the carve.
-        t.insert("2001:db8:1:2:c000::/66".parse().unwrap(), region(4));
+        let t = AliasTable::new([
+            (
+                p64,
+                AliasRegion {
+                    carve_branch: Some(0xf),
+                    ..region(1)
+                },
+            ),
+            // A /66 between the /64 and its carved /68 serves the carve.
+            ("2001:db8:1:2:c000::/66".parse().unwrap(), region(4)),
+        ]);
         let (p, r) = t.resolve("2001:db8:1:2:f000::1".parse().unwrap()).unwrap();
         assert_eq!((p.len(), r.machine), (66, MachineId(4)));
         assert_eq!(
@@ -257,11 +271,23 @@ mod tests {
 
     #[test]
     fn ground_truth_membership() {
-        let mut t = AliasTable::new();
         let p: Prefix = "2001:db8:47::/48".parse().unwrap();
-        t.insert(p, region(1));
-        assert!(t.trie.get(p).is_some());
-        assert!(t.trie.get("2001:db8:47::/52".parse().unwrap()).is_none());
-        assert_eq!(t.trie.iter().count(), 1);
+        let mut t = AliasTable::new([(p, region(1))]);
+        assert!(t.regions.get(p).is_some());
+        assert!(t.regions.get("2001:db8:47::/52".parse().unwrap()).is_none());
+        assert_eq!(t.iter().count(), 1);
+        // A second build phase adds regions; a repeated prefix takes the
+        // later region.
+        let q: Prefix = "2001:db8:48::/48".parse().unwrap();
+        t.extend([(q, region(2)), (p, region(3))]);
+        assert_eq!(t.iter().count(), 2);
+        assert_eq!(
+            t.resolve(p.first()).map(|(_, r)| r.machine),
+            Some(MachineId(3))
+        );
+        assert_eq!(
+            t.resolve(q.first()).map(|(_, r)| r.machine),
+            Some(MachineId(2))
+        );
     }
 }

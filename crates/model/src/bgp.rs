@@ -2,7 +2,7 @@
 
 use crate::ids::{AsCategory, AsInfo, Asn};
 use expanse_addr::Prefix;
-use expanse_trie::{PrefixTrie, RangeTable};
+use expanse_trie::RangeTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv6Addr;
@@ -12,10 +12,12 @@ use std::net::Ipv6Addr;
 /// Never changed once built, so the table is frozen into a
 /// [`RangeTable`]: a route lookup is one binary search. Reports and
 /// experiments look routes up here; the engine routes probes through
-/// its fused destination table, built from `BgpTable::trie`.
+/// its fused destination table, built from the same routes.
 #[derive(Debug, Clone)]
 pub struct BgpTable {
-    routes: RangeTable<Asn>,
+    /// One origin per announced prefix, the last announcement of a
+    /// prefix winning.
+    pub(crate) routes: RangeTable<Asn>,
     list: Vec<(Prefix, Asn)>,
 }
 
@@ -23,17 +25,10 @@ impl BgpTable {
     /// Build from announcements (a later announcement of the same
     /// prefix replaces the origin of an earlier one).
     pub(crate) fn new(announcements: Vec<(Prefix, Asn)>) -> Self {
-        let trie: PrefixTrie<Asn> = announcements.iter().copied().collect();
         BgpTable {
-            routes: RangeTable::freeze(&trie),
+            routes: announcements.iter().copied().collect(),
             list: announcements,
         }
-    }
-
-    /// The routes as a trie: one origin per announced prefix, the last
-    /// announcement of a prefix winning.
-    pub(crate) fn trie(&self) -> PrefixTrie<Asn> {
-        self.list.iter().copied().collect()
     }
 
     /// Longest-prefix match: the covering announcement for `addr`.

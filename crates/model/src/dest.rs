@@ -20,7 +20,7 @@ use crate::alias::AliasRegion;
 use crate::ids::{AsCategory, Asn};
 use crate::InternetModel;
 use expanse_addr::Prefix;
-use expanse_trie::{PrefixTrie, RangeTable};
+use expanse_trie::RangeTable;
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
@@ -97,11 +97,11 @@ impl DestTable {
     pub(crate) fn build(model: &InternetModel) -> Self {
         let mut table = DestTable::default();
         let mut own: BTreeMap<Prefix, Own> = BTreeMap::new();
-        for (p, asn) in model.bgp.trie().iter() {
+        for (p, asn) in model.bgp.routes.iter() {
             own.entry(p).or_default().route = Some(table.routes.len() as u32);
             table.routes.push((p, *asn));
         }
-        for (p, serving) in model.population.aliases.serving_trie().iter() {
+        for (p, serving) in model.population.aliases.serving().iter() {
             let at = serving.map_or(NONE, |s| {
                 table.aliases.push(s);
                 table.aliases.len() as u32 - 1
@@ -123,7 +123,7 @@ impl DestTable {
         // that most closely covers it and overrides what it says itself.
         let mut open: Vec<(Prefix, Dest, Vec<u32>)> = Vec::new();
         let mut lists: BTreeMap<Vec<u32>, (u32, u32)> = BTreeMap::new();
-        let mut keys: PrefixTrie<u32> = PrefixTrie::new();
+        let mut keys: Vec<(Prefix, u32)> = Vec::with_capacity(own.len());
         for (p, own) in own {
             while open.last().is_some_and(|(q, ..)| !q.covers(&p)) {
                 open.pop();
@@ -150,12 +150,12 @@ impl DestTable {
                 });
             }
             dest.proxy = dest.proxy.min(own.proxy.unwrap_or(NONE));
-            keys.insert(p, table.dests.len() as u32);
+            keys.push((p, table.dests.len() as u32));
             table.dests.push(dest);
             open.push((p, dest, buckets));
         }
         assert!(table.dests.len() < NONE as usize, "fused table beyond u32");
-        table.ranges = RangeTable::freeze(&keys);
+        table.ranges = keys.into_iter().collect();
         table
     }
 

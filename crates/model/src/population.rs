@@ -393,7 +393,7 @@ impl<'a> Builder<'a> {
         let by_asn: BTreeMap<Asn, &AsInfo> = ases.iter().map(|a| (a.asn, a)).collect();
         let mut sites: Vec<SitePool> = Vec::new();
         let mut hosts: AddrMap<HostProfile> = AddrMap::new();
-        let mut aliases = AliasTable::new();
+        let mut aliases: Vec<(Prefix, AliasRegion)> = Vec::new();
         let mut alias_pool: Vec<Ipv6Addr> = Vec::new();
         let mut lossy: Vec<Prefix> = Vec::new();
 
@@ -539,7 +539,7 @@ impl<'a> Builder<'a> {
             sites,
             hosts,
             machines: self.machines,
-            aliases,
+            aliases: AliasTable::new(aliases),
             alias_pool,
             special,
             lossy,
@@ -620,7 +620,7 @@ impl<'a> Builder<'a> {
         &mut self,
         ases: &[AsInfo],
         announcements: &[(Prefix, Asn)],
-        aliases: &mut AliasTable,
+        aliases: &mut Vec<(Prefix, AliasRegion)>,
         alias_pool: &mut Vec<Ipv6Addr>,
         lossy: &mut Vec<Prefix>,
     ) -> SpecialPrefixes {
@@ -648,7 +648,7 @@ impl<'a> Builder<'a> {
                 }
                 let p48 = agg.subprefix(16, i as u128);
                 let machine = self.alias_machine();
-                aliases.insert(
+                aliases.push((
                     p48,
                     AliasRegion {
                         machine,
@@ -657,7 +657,7 @@ impl<'a> Builder<'a> {
                             .with(Protocol::Tcp443),
                         carve_branch: None,
                     },
-                );
+                ));
                 cdn_hook_48s.push(p48);
             }
         }
@@ -677,14 +677,14 @@ impl<'a> Builder<'a> {
             for (i, agg) in aggs.iter().cycle().take(n).enumerate() {
                 let p48 = agg.subprefix(16, (0x100 + i) as u128);
                 let machine = self.alias_machine();
-                aliases.insert(
+                aliases.push((
                     p48,
                     AliasRegion {
                         machine,
                         protos: ProtoSet::only(Protocol::Icmp).with(Protocol::Tcp80),
                         carve_branch: None,
                     },
-                );
+                ));
             }
         }
 
@@ -706,14 +706,14 @@ impl<'a> Builder<'a> {
             let idx = self.rng.random_range(0..(1u128 << extra.min(40)));
             let p = base.subprefix(extra, idx);
             let machine = self.alias_machine();
-            aliases.insert(
+            aliases.push((
                 p,
                 AliasRegion {
                     machine,
                     protos: ProtoSet::only(Protocol::Icmp).with(Protocol::Tcp80),
                     carve_branch: None,
                 },
-            );
+            ));
             // A quarter of the scattered regions sit behind lossy paths —
             // the sliding-window material of Table 4.
             if self.rng.random_range(0.0..1.0) < 0.25 {
@@ -737,32 +737,32 @@ impl<'a> Builder<'a> {
         let partial96 = host_agg.subprefix(64, 0xbad0_0000_0000_0001);
         let m = self.alias_machine();
         for branch in [0u128, 1, 2, 4, 6, 9, 10, 12, 15] {
-            aliases.insert(
+            aliases.push((
                 partial96.subprefix(4, branch),
                 AliasRegion {
                     machine: m,
                     protos: ProtoSet::only(Protocol::Icmp).with(Protocol::Tcp80),
                     carve_branch: None,
                 },
-            );
+            ));
         }
 
         // /116 with a carved 0x0 branch (answered elsewhere; silent here).
         let carve116 = host_agg.subprefix(84, 0xcafe_0000_0000_0000_0002);
         let m = self.alias_machine();
-        aliases.insert(
+        aliases.push((
             carve116,
             AliasRegion {
                 machine: m,
                 protos: ProtoSet::only(Protocol::Icmp).with(Protocol::Tcp80),
                 carve_branch: Some(0),
             },
-        );
+        ));
 
         // ICMP-rate-limited /116 containing six flapping /120s.
         let rate_limit_parent = host_agg.subprefix(84, 0x11c0_0000_0000_0000_0003);
         let m = self.alias_machine();
-        aliases.insert(
+        aliases.push((
             rate_limit_parent,
             AliasRegion {
                 machine: m,
@@ -771,7 +771,7 @@ impl<'a> Builder<'a> {
                 protos: ProtoSet::only(Protocol::Icmp),
                 carve_branch: None,
             },
-        );
+        ));
         let rate_limited: Vec<Prefix> = (0..self.cfg.rate_limited_120s as u128)
             .map(|i| rate_limit_parent.subprefix(4, i))
             .collect();
@@ -791,11 +791,15 @@ impl<'a> Builder<'a> {
         // Concentrate on the dominant CDN's hook (Table 2's 89.7%-style
         // top-AS skew): ~84% outer hook, ~13% inner hook, 3% scattered.
         let outer: Vec<Prefix> = cdn_hook_48s.clone();
-        let inner: Vec<Prefix> = aliases
+        // The other aliased /48s in prefix order, each once: the order
+        // the pool below cycles through.
+        let mut inner: Vec<Prefix> = aliases
             .iter()
-            .filter(|(p, _)| p.len() == 48 && !outer.contains(p))
-            .map(|(p, _)| p)
+            .map(|&(p, _)| p)
+            .filter(|p| p.len() == 48 && !outer.contains(p))
             .collect();
+        inner.sort_unstable();
+        inner.dedup();
         for i in 0..want {
             let roll = splitmix64(i as u64 ^ self.cfg.seed ^ 0x9001) % 100;
             let pool: &[Prefix] = if roll < 84 || inner.is_empty() {

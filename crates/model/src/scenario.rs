@@ -174,20 +174,22 @@ pub(crate) fn build(cfg: &ScenarioConfig, seed: u64, population: &mut Population
     }
 
     // (4) Periphery alias fabrics: whole /64s answering everything.
+    let mut fabrics: Vec<(Prefix, AliasRegion)> = Vec::new();
     for i in 0..cfg.fabric_64s as u64 {
         let (site, _) = eyeball[(i as usize + 2) % eyeball.len()];
         let p64 = carve(site, 64, seed, 0xfab2_1c64, i);
         let machine = new_machine(population, 0xfab_12c, i);
-        population.aliases.insert(
+        fabrics.push((
             p64,
             AliasRegion {
                 machine,
                 protos: ProtoSet::only(Protocol::Icmp).with(Protocol::Tcp80),
                 carve_branch: None,
             },
-        );
+        ));
         state.fabrics.push(p64);
     }
+    population.aliases.extend(fabrics);
 
     // (3) Throttled last-hop routers: a handful of permanent ICMP-only
     // router addresses per /64; the per-router token bucket is attached

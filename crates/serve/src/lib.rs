@@ -14,7 +14,7 @@
 //! - [`SnapshotView`]: one immutable, `Arc`-shareable view of a
 //!   published day — the interned address column, a sorted-by-address
 //!   permutation for prefix ranges, every responsiveness/provenance
-//!   column, and the aliased-prefix set in an LPM trie. Built from a
+//!   column, and the aliased-prefix set in a prefix table. Built from a
 //!   live [`expanse_core::Pipeline`] at day end, or loaded straight
 //!   from a snapshot journal without reconstructing the pipeline or
 //!   the `InternetModel` (the read-only

@@ -3,7 +3,7 @@
 //! A view is a *copy* of the pipeline's queryable state — the interned
 //! address column with the address order the table keeps, every
 //! responsiveness/provenance column, the aliased-prefix classification
-//! and its LPM trie. Copying is deliberate: the pipeline keeps mutating
+//! and its prefix table. Copying is deliberate: the pipeline keeps mutating
 //! tomorrow's state while readers hold today's view, and an immutable
 //! snapshot needs no locks on the query path. Views are published
 //! through [`crate::SnapshotRegistry`] and shared as
@@ -21,7 +21,7 @@ use expanse_core::{
     Hitlist, JournalReplay, PersistedState, Pipeline, SchedStatus, Scheduler, SourceMask,
 };
 use expanse_packet::ProtoSet;
-use expanse_trie::PrefixTrie;
+use expanse_trie::RangeTable;
 use std::io::Read;
 use std::net::Ipv6Addr;
 use std::ops::Range;
@@ -136,7 +136,7 @@ impl PredicateIndex {
         // of those runs: two searches per prefix, not a
         // longest-prefix match per row. Nested prefixes re-mark bits
         // their cover already set.
-        for (p, ()) in &view.alias_trie {
+        for (p, ()) in view.alias_table.iter() {
             set_range(&mut ix.aliased, view.sorted().positions(&view.table, p));
         }
         ix
@@ -157,7 +157,7 @@ pub struct SnapshotView {
     /// Live rows at publish: the hitlist's count, so a `Ping` reads it
     /// instead of walking `alive`.
     live: u64,
-    alias_trie: PrefixTrie<()>,
+    alias_table: RangeTable<()>,
     /// Built by the first query that filters (see [`PredicateIndex`]).
     index: OnceLock<PredicateIndex>,
     sched: Scheduler,
@@ -194,14 +194,14 @@ impl SnapshotView {
 
     /// The shared constructor both publish paths funnel through: copy
     /// the hitlist columns with the table's address order, index the
-    /// aliased prefixes (LPM trie), and freeze. `aliased` must be sorted
+    /// aliased prefixes (a prefix table), and freeze. `aliased` must be sorted
     /// ascending (as [`expanse_apd::Apd::aliased_prefixes`] returns it).
     pub fn from_hitlist(day: u16, hitlist: &Hitlist, aliased: Vec<Prefix>) -> SnapshotView {
         debug_assert!(aliased.windows(2).all(|w| w[0] < w[1]));
         let cols = hitlist.columns();
         let mut table = cols.table.clone();
         table.merge_order();
-        let alias_trie = aliased.iter().map(|&p| (p, ())).collect();
+        let alias_table = aliased.iter().map(|&p| (p, ())).collect();
         SnapshotView {
             day,
             table,
@@ -211,7 +211,7 @@ impl SnapshotView {
             added_day: cols.added_day.to_vec(),
             alive: cols.alive.to_vec(),
             live: hitlist.len() as u64,
-            alias_trie,
+            alias_table,
             index: OnceLock::new(),
             sched: Scheduler::new(),
         }
@@ -279,7 +279,7 @@ impl SnapshotView {
     /// The most specific aliased prefix covering `addr`, if any —
     /// longest-prefix-match tagging over the published alias set.
     pub(crate) fn alias_covering(&self, addr: Ipv6Addr) -> Option<Prefix> {
-        self.alias_trie.longest_match(addr).map(|(p, _)| p)
+        self.alias_table.longest_match(addr).map(|(p, _)| p)
     }
 
     /// Point lookup: the record for `addr`, if it was ever a member

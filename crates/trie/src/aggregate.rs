@@ -6,67 +6,39 @@
 //! keeps the published file proportional to the *phenomenon*, not to the
 //! probing schedule.
 
-use crate::PrefixSet;
 use expanse_addr::Prefix;
 
-/// Aggregate a set of prefixes: repeatedly replace both children of a
-/// parent with the parent itself, and drop prefixes covered by another
-/// prefix in the set. The result covers exactly the same address space
-/// with the minimum number of prefixes.
+/// Aggregate a set of prefixes: drop prefixes covered by another prefix
+/// in the set, and replace both children of a parent with the parent
+/// itself, repeatedly. The result covers exactly the same address space
+/// with the fewest prefixes, sorted.
+///
+/// One sweep in [`Prefix`] order over a stack of kept prefixes, which
+/// stay sorted and disjoint: a prefix the top covers is dropped (no
+/// deeper member can cover it), and a complete sibling pair can only
+/// be the top two, so each push merges upward while they are one.
 pub fn aggregate(prefixes: &[Prefix]) -> Vec<Prefix> {
-    // Deduplicate + drop covered prefixes via a set.
-    let mut set = PrefixSet::new();
-    let mut sorted: Vec<Prefix> = prefixes.to_vec();
-    sorted.sort(); // shorter (covering) prefixes first within equal bits
+    let mut sorted = prefixes.to_vec();
+    sorted.sort_unstable();
+    let mut kept: Vec<Prefix> = Vec::with_capacity(sorted.len());
     for p in sorted {
-        if !set.covers_addr(p.first()) || !covered_entirely(&set, p) {
-            set.add(p);
+        if kept.last().is_some_and(|top| top.covers(&p)) {
+            continue;
         }
-    }
-    let mut work: Vec<Prefix> = set
-        .iter()
-        .map(|(p, _)| p)
-        .filter(|p| {
-            // Drop anything covered by a strictly shorter member.
-            set.matches(p.first())
-                .filter(|(q, _)| q.len() < p.len())
-                .count()
-                == 0
-        })
-        .collect();
-
-    // Merge sibling pairs bottom-up until fixpoint.
-    loop {
-        work.sort();
-        let mut merged: Vec<Prefix> = Vec::with_capacity(work.len());
-        let mut changed = false;
-        let mut i = 0;
-        while i < work.len() {
-            if i + 1 < work.len() && is_sibling_pair(work[i], work[i + 1]) {
-                merged.push(work[i].parent().expect("non-root sibling"));
-                changed = true;
-                i += 2;
-            } else {
-                merged.push(work[i]);
-                i += 1;
+        kept.push(p);
+        // Two kept prefixes are distinct: one parent makes them its two
+        // children.
+        while let [.., a, b] = kept[..] {
+            match a.parent() {
+                Some(parent) if b.parent() == Some(parent) => {
+                    kept.truncate(kept.len() - 2);
+                    kept.push(parent);
+                }
+                _ => break,
             }
         }
-        work = merged;
-        if !changed {
-            break;
-        }
     }
-    work
-}
-
-/// Are `a` and `b` the two children of one parent?
-fn is_sibling_pair(a: Prefix, b: Prefix) -> bool {
-    a.len() == b.len() && !a.is_default() && a.parent() == b.parent() && a != b
-}
-
-/// Is `p` entirely covered by an existing (equal-or-shorter) member?
-fn covered_entirely(set: &PrefixSet, p: Prefix) -> bool {
-    set.matches(p.first()).any(|(q, _)| q.covers(&p))
+    kept
 }
 
 #[cfg(test)]
@@ -132,11 +104,10 @@ mod tests {
         let out = aggregate(&input);
         assert_eq!(out, vec![p("2001:db8::/32"), p("2a00::/24")]);
         // Membership equivalence on sample points.
-        let in_set = crate::PrefixSet::from_iter(input.iter().map(|q| (*q, ())));
-        let out_set = crate::PrefixSet::from_iter(out.iter().map(|q| (*q, ())));
+        let covered = |set: &[Prefix], a| set.iter().any(|q| q.contains(a));
         for i in 0..200u64 {
             let a = expanse_addr::keyed_random_addr(p("2001:da0::/27"), i);
-            assert_eq!(in_set.covers_addr(a), out_set.covers_addr(a), "{a}");
+            assert_eq!(covered(&input, a), covered(&out, a), "{a}");
         }
     }
 

@@ -1,14 +1,15 @@
-//! The frozen form of a [`PrefixTrie`]: longest-prefix match as one
-//! binary search over a sorted range table.
+//! The prefix table: longest-prefix match as one binary search over a
+//! sorted range table.
 
-use crate::trie::PrefixTrie;
 use expanse_addr::{addr_to_u128, Prefix};
 use std::net::Ipv6Addr;
 
-/// "No prefix covers this range" in [`RangeTable::slots`].
+/// "No prefix covers this range" in [`RangeTable::slots`], and "no
+/// entry encloses this one" in [`RangeTable::parents`].
 const UNCOVERED: u32 = u32::MAX;
 
-/// An immutable longest-prefix-match table.
+/// An immutable map from IPv6 prefixes to values with longest-prefix
+/// match.
 ///
 /// Stored prefixes cut the address space into maximal ranges over which
 /// the longest match does not change; the table keeps the first address
@@ -24,9 +25,8 @@ const UNCOVERED: u32 = u32::MAX;
 /// searches only that window, so its dependent loads stay few even when
 /// the table has thousands of ranges.
 ///
-/// Build it from the [`PrefixTrie`] that collected the prefixes
-/// ([`RangeTable::freeze`]); mutate the trie and freeze again if the
-/// set changes.
+/// Build it with `collect()` from `(Prefix, V)` pairs; of a prefix given
+/// twice, the later value stays. A set that changes is collected again.
 #[derive(Debug, Clone)]
 pub struct RangeTable<V> {
     /// First address of each range, ascending; `starts[0]` is `::`.
@@ -34,8 +34,13 @@ pub struct RangeTable<V> {
     /// Per range, the index into `entries` of its longest match, or
     /// [`UNCOVERED`].
     slots: Vec<u32>,
-    /// The stored prefixes in trie order, with their values.
+    /// The stored prefixes in [`Prefix`] order (address order, covering
+    /// before covered), with their values.
     entries: Vec<(Prefix, V)>,
+    /// Per entry, the index of the entry that most closely encloses it,
+    /// or [`UNCOVERED`]: following it from a longest match walks every
+    /// stored prefix covering the address.
+    parents: Vec<u32>,
     /// The directory's first address, `starts[1]`: every key below it is
     /// in range 0.
     base: u128,
@@ -51,7 +56,12 @@ pub struct RangeTable<V> {
 impl<V> RangeTable<V> {
     /// The table over `starts` (ascending, `starts[0] == 0`) and the
     /// parallel `slots` into `entries`, with its directory built.
-    fn assemble(starts: Vec<u128>, slots: Vec<u32>, entries: Vec<(Prefix, V)>) -> Self {
+    fn assemble(
+        starts: Vec<u128>,
+        slots: Vec<u32>,
+        entries: Vec<(Prefix, V)>,
+        parents: Vec<u32>,
+    ) -> Self {
         let last = starts.len() - 1;
         let Some(&base) = starts.get(1) else {
             // One range: every key is in it.
@@ -59,6 +69,7 @@ impl<V> RangeTable<V> {
                 starts,
                 slots,
                 entries,
+                parents,
                 base: u128::MAX,
                 shift: 0,
                 dir: vec![0; 3],
@@ -80,75 +91,16 @@ impl<V> RangeTable<V> {
             starts,
             slots,
             entries,
+            parents,
             base,
             shift,
             dir,
         }
     }
-}
 
-impl<V: Clone> RangeTable<V> {
-    /// Freeze `trie`'s current contents.
-    pub fn freeze(trie: &PrefixTrie<V>) -> Self {
-        let entries: Vec<(Prefix, V)> = trie.iter().map(|(p, v)| (p, v.clone())).collect();
-        assert!(
-            u32::try_from(entries.len()).is_ok_and(|n| n < UNCOVERED),
-            "RangeTable beyond u32 entries"
-        );
-        // Sweep the prefixes in trie order (address, then covering
-        // before covered) with a stack of the open ones: each push
-        // starts a range, each pop resumes the enclosing prefix's.
-        let mut cuts: Vec<(u128, u32)> = vec![(0, UNCOVERED)];
-        let mut open: Vec<(u128, u32)> = Vec::new();
-        let close_through = |open: &mut Vec<(u128, u32)>, cuts: &mut Vec<(u128, u32)>, f: u128| {
-            while let Some(&(last, _)) = open.last() {
-                if last >= f {
-                    break;
-                }
-                open.pop();
-                // `last < f <= u128::MAX`, so `last + 1` cannot overflow.
-                let resumed = open.last().map_or(UNCOVERED, |&(_, slot)| slot);
-                cuts.push((last + 1, resumed));
-            }
-        };
-        for (i, (p, _)) in entries.iter().enumerate() {
-            let first = p.bits();
-            close_through(&mut open, &mut cuts, first);
-            cuts.push((first, i as u32));
-            open.push((addr_to_u128(p.last()), i as u32));
-        }
-        close_through(&mut open, &mut cuts, u128::MAX);
-        // A later cut at the same address overrides an earlier one, and
-        // a cut that does not change the answer is no boundary.
-        let mut starts: Vec<u128> = Vec::with_capacity(cuts.len());
-        let mut slots: Vec<u32> = Vec::with_capacity(cuts.len());
-        for (start, slot) in cuts {
-            if starts.last() == Some(&start) {
-                slots.pop();
-                starts.pop();
-            }
-            if slots.last() != Some(&slot) {
-                starts.push(start);
-                slots.push(slot);
-            }
-        }
-        RangeTable::assemble(starts, slots, entries)
-    }
-}
-
-impl<V> Default for RangeTable<V> {
-    /// The table of no prefixes: one range, uncovered.
-    fn default() -> Self {
-        RangeTable::assemble(vec![0], vec![UNCOVERED], Vec::new())
-    }
-}
-
-impl<V> RangeTable<V> {
-    /// Longest-prefix match: the most specific stored prefix covering
-    /// `addr`, with its value — what [`PrefixTrie::longest_match`]
-    /// answers on the trie this was frozen from.
+    /// The entry index of `addr`'s longest match, or [`UNCOVERED`].
     #[inline]
-    pub fn longest_match(&self, addr: Ipv6Addr) -> Option<(Prefix, &V)> {
+    fn slot(&self, addr: Ipv6Addr) -> u32 {
         let key = addr_to_u128(addr);
         // The window of ranges `key` can be in: from the one holding its
         // bucket's first address to the one holding the next bucket's.
@@ -170,8 +122,107 @@ impl<V> RangeTable<V> {
             }
             len -= half;
         }
-        let (p, v) = self.entries.get(self.slots[range] as usize)?;
+        self.slots[range]
+    }
+
+    /// Longest-prefix match: the most specific stored prefix covering
+    /// `addr`, with its value.
+    #[inline]
+    pub fn longest_match(&self, addr: Ipv6Addr) -> Option<(Prefix, &V)> {
+        let (p, v) = self.entries.get(self.slot(addr) as usize)?;
         Some((*p, v))
+    }
+
+    /// Every stored prefix covering `addr`, longest first.
+    pub fn covering(&self, addr: Ipv6Addr) -> impl Iterator<Item = (Prefix, &V)> + '_ {
+        let mut at = self.slot(addr);
+        std::iter::from_fn(move || {
+            let (p, v) = self.entries.get(at as usize)?;
+            at = self.parents[at as usize];
+            Some((*p, v))
+        })
+    }
+
+    /// Exact match: the value stored at `prefix`.
+    pub fn get(&self, prefix: Prefix) -> Option<&V> {
+        let at = self.entries.binary_search_by_key(&prefix, |&(p, _)| p);
+        Some(&self.entries[at.ok()?].1)
+    }
+
+    /// The stored prefixes with their values, in [`Prefix`] order:
+    /// address order, covering prefixes before their more-specifics.
+    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> + '_ {
+        self.entries.iter().map(|(p, v)| (*p, v))
+    }
+}
+
+impl<V> FromIterator<(Prefix, V)> for RangeTable<V> {
+    /// The table of `pairs`; of a prefix given more than once, the last
+    /// value stays.
+    fn from_iter<I: IntoIterator<Item = (Prefix, V)>>(pairs: I) -> Self {
+        let mut entries: Vec<(Prefix, V)> = pairs.into_iter().collect();
+        // A stable sort keeps a repeated prefix's values in input order;
+        // `dedup_by` keeps the first of each run, so every later value
+        // moves into it.
+        entries.sort_by_key(|&(p, _)| p);
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        assert!(
+            u32::try_from(entries.len()).is_ok_and(|n| n < UNCOVERED),
+            "RangeTable beyond u32 entries"
+        );
+        // Sweep the prefixes in order with a stack of the open ones:
+        // each push starts a range, each pop resumes the enclosing
+        // prefix's, and the top of the stack is what encloses a push.
+        let mut cuts: Vec<(u128, u32)> = vec![(0, UNCOVERED)];
+        let mut open: Vec<(u128, u32)> = Vec::new();
+        let mut parents: Vec<u32> = Vec::with_capacity(entries.len());
+        let close_through = |open: &mut Vec<(u128, u32)>, cuts: &mut Vec<(u128, u32)>, f: u128| {
+            while let Some(&(last, _)) = open.last() {
+                if last >= f {
+                    break;
+                }
+                open.pop();
+                // `last < f <= u128::MAX`, so `last + 1` cannot overflow.
+                let resumed = open.last().map_or(UNCOVERED, |&(_, slot)| slot);
+                cuts.push((last + 1, resumed));
+            }
+        };
+        for (i, (p, _)) in entries.iter().enumerate() {
+            let first = p.bits();
+            close_through(&mut open, &mut cuts, first);
+            parents.push(open.last().map_or(UNCOVERED, |&(_, slot)| slot));
+            cuts.push((first, i as u32));
+            open.push((addr_to_u128(p.last()), i as u32));
+        }
+        close_through(&mut open, &mut cuts, u128::MAX);
+        // A later cut at the same address overrides an earlier one, and
+        // a cut that does not change the answer is no boundary.
+        let mut starts: Vec<u128> = Vec::with_capacity(cuts.len());
+        let mut slots: Vec<u32> = Vec::with_capacity(cuts.len());
+        for (start, slot) in cuts {
+            if starts.last() == Some(&start) {
+                slots.pop();
+                starts.pop();
+            }
+            if slots.last() != Some(&slot) {
+                starts.push(start);
+                slots.push(slot);
+            }
+        }
+        RangeTable::assemble(starts, slots, entries, parents)
+    }
+}
+
+impl<V> Default for RangeTable<V> {
+    /// The table of no prefixes: one range, uncovered.
+    fn default() -> Self {
+        RangeTable::assemble(vec![0], vec![UNCOVERED], Vec::new(), Vec::new())
     }
 }
 
@@ -188,25 +239,25 @@ mod tests {
 
     #[test]
     fn empty_table_matches_nothing() {
-        let t: RangeTable<u8> = RangeTable::freeze(&PrefixTrie::new());
+        let t: RangeTable<u8> = std::iter::empty().collect();
         assert!(t.entries.is_empty());
         assert_eq!(t.starts.len(), 1);
         assert!(t.longest_match(a("::")).is_none());
         assert!(t
             .longest_match(a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"))
             .is_none());
+        assert_eq!(t.covering(a("::1")).count(), 0);
     }
 
     #[test]
     fn nested_prefixes_resume_their_parent() {
-        let trie: PrefixTrie<&str> = [
+        let t: RangeTable<&str> = [
+            (p("2001:db8:407:1::/64"), "desk"),
             (p("2001:db8::/32"), "corp"),
             (p("2001:db8:407::/48"), "lab"),
-            (p("2001:db8:407:1::/64"), "desk"),
         ]
         .into_iter()
         .collect();
-        let t = RangeTable::freeze(&trie);
         let hit = |s: &str| t.longest_match(a(s)).map(|(q, v)| (q.len(), *v));
         assert_eq!(hit("2001:db8::1"), Some((32, "corp")));
         assert_eq!(hit("2001:db8:407::1"), Some((48, "lab")));
@@ -216,19 +267,40 @@ mod tests {
         assert_eq!(hit("2001:db9::"), None);
         // Uncovered, /32, /48, /64, /48 again, /32 again, uncovered.
         assert_eq!(t.starts.len(), 7);
+        let chain: Vec<&str> = t
+            .covering(a("2001:db8:407:1::9"))
+            .map(|(_, v)| *v)
+            .collect();
+        assert_eq!(chain, ["desk", "lab", "corp"]);
+        assert_eq!(t.parents, [UNCOVERED, 0, 1]);
+    }
+
+    #[test]
+    fn a_repeated_prefix_keeps_its_last_value() {
+        let t: RangeTable<u8> = [
+            (p("2001:db8::/32"), 1),
+            (p("2001:db8::/48"), 5),
+            (p("2001:db8::/32"), 2),
+            (p("2001:db8::/32"), 3),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(t.get(p("2001:db8::/32")), Some(&3));
+        assert_eq!(t.get(p("2001:db8::/48")), Some(&5));
+        assert_eq!(t.get(p("2001:db8::/33")), None);
+        assert_eq!(t.iter().count(), 2);
     }
 
     #[test]
     fn default_route_and_host_routes_at_the_edges() {
         let top = a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff");
-        let trie: PrefixTrie<u8> = [
+        let t: RangeTable<u8> = [
             (Prefix::DEFAULT, 0),
             (Prefix::host(a("::")), 1),
             (Prefix::host(top), 2),
         ]
         .into_iter()
         .collect();
-        let t = RangeTable::freeze(&trie);
         assert_eq!(t.longest_match(a("::")).map(|(_, v)| *v), Some(1));
         assert_eq!(t.longest_match(a("::1")).map(|(_, v)| *v), Some(0));
         assert_eq!(t.longest_match(top).map(|(_, v)| *v), Some(2));
@@ -237,10 +309,9 @@ mod tests {
 
     #[test]
     fn adjacent_prefixes_keep_their_boundary() {
-        let trie: PrefixTrie<u8> = [(p("2001:db8::/33"), 1), (p("2001:db8:8000::/33"), 2)]
+        let t: RangeTable<u8> = [(p("2001:db8::/33"), 1), (p("2001:db8:8000::/33"), 2)]
             .into_iter()
             .collect();
-        let t = RangeTable::freeze(&trie);
         assert_eq!(
             t.longest_match(a("2001:db8:7fff::")).map(|(_, v)| *v),
             Some(1)
@@ -255,15 +326,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Freezing keeps every stored prefix, and `n` prefixes cut the
-        /// space into at most `2n + 1` ranges.
+        /// The table keeps every distinct prefix, and `n` prefixes cut
+        /// the space into at most `2n + 1` ranges.
         #[test]
-        fn freeze_keeps_every_prefix_in_at_most_2n_plus_1_ranges(
+        fn keeps_every_prefix_in_at_most_2n_plus_1_ranges(
             raw in proptest::collection::vec((proptest::prelude::any::<u128>(), 0u8..=128), 0..40),
         ) {
-            let trie: PrefixTrie<()> = raw.iter().map(|&(b, l)| (Prefix::from_bits(b, l), ())).collect();
-            let t = RangeTable::freeze(&trie);
-            let n = trie.iter().count();
+            let t: RangeTable<()> = raw.iter().map(|&(b, l)| (Prefix::from_bits(b, l), ())).collect();
+            let n = raw.iter().map(|&(b, l)| Prefix::from_bits(b, l)).collect::<std::collections::BTreeSet<_>>().len();
             proptest::prop_assert_eq!(t.entries.len(), n);
             proptest::prop_assert!(t.starts.len() <= 2 * n + 1);
         }

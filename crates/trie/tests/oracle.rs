@@ -1,10 +1,13 @@
 //! Stateful oracle: random inserts and overwrites over a small pool of
-//! nesting and diverging prefixes, checked against a `BTreeMap<Prefix,
-//! V>` after every step. The pool is small so that compressed edges get
-//! split and stored values replaced many times per case.
+//! nesting and diverging prefixes. After every step the table is
+//! collected again from every pair inserted so far, in order, and
+//! checked against a `BTreeMap<Prefix, V>` that took the same inserts —
+//! so a repeated prefix must keep its last value, as `BTreeMap::insert`
+//! does. The pool is small so that prefixes nest deeply and stored
+//! values are replaced many times per case.
 
 use expanse_addr::Prefix;
-use expanse_trie::PrefixTrie;
+use expanse_trie::RangeTable;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -33,29 +36,30 @@ fn pool() -> Vec<Prefix> {
 
 type Model = BTreeMap<Prefix, u32>;
 
+/// The model's prefixes covering `addr`, longest first.
 fn covering(model: &Model, addr: Ipv6Addr) -> Vec<(Prefix, u32)> {
     let mut hits: Vec<(Prefix, u32)> = model
         .iter()
         .filter(|(p, _)| p.contains(addr))
         .map(|(p, v)| (*p, *v))
         .collect();
-    hits.sort_by_key(|(p, _)| p.len());
+    hits.sort_by_key(|(p, _)| std::cmp::Reverse(p.len()));
     hits
 }
 
-fn check(trie: &PrefixTrie<u32>, model: &Model, pool: &[Prefix]) {
-    let all: Vec<(Prefix, u32)> = trie.iter().map(|(p, v)| (p, *v)).collect();
+fn check(table: &RangeTable<u32>, model: &Model, pool: &[Prefix]) {
+    let all: Vec<(Prefix, u32)> = table.iter().map(|(p, v)| (p, *v)).collect();
     let want: Vec<(Prefix, u32)> = model.iter().map(|(p, v)| (*p, *v)).collect();
     assert_eq!(all, want, "iter() order and content");
 
     for &p in pool {
-        assert_eq!(trie.get(p), model.get(&p), "get {p}");
+        assert_eq!(table.get(p), model.get(&p), "get {p}");
         for addr in [p.first(), p.last()] {
             let hits = covering(model, addr);
-            let got: Vec<(Prefix, u32)> = trie.matches(addr).map(|(q, v)| (q, *v)).collect();
-            assert_eq!(got, hits, "matches {addr}");
-            let longest = trie.longest_match(addr).map(|(q, v)| (q, *v));
-            assert_eq!(longest, hits.last().copied(), "longest_match {addr}");
+            let got: Vec<(Prefix, u32)> = table.covering(addr).map(|(q, v)| (q, *v)).collect();
+            assert_eq!(got, hits, "covering {addr}");
+            let longest = table.longest_match(addr).map(|(q, v)| (q, *v));
+            assert_eq!(longest, hits.first().copied(), "longest_match {addr}");
         }
     }
 }
@@ -64,17 +68,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn trie_agrees_with_btreemap_after_every_step(
+    fn table_agrees_with_btreemap_after_every_step(
         steps in proptest::collection::vec((any::<u16>(), any::<u32>()), 1..80),
     ) {
         let pool = pool();
-        let mut trie: PrefixTrie<u32> = PrefixTrie::new();
+        let mut inserted: Vec<(Prefix, u32)> = Vec::new();
         let mut model = Model::new();
-        check(&trie, &model, &pool);
+        check(&RangeTable::default(), &model, &pool);
         for (pick, value) in steps {
             let p = pool[usize::from(pick) % pool.len()];
-            prop_assert_eq!(trie.insert(p, value), model.insert(p, value));
-            check(&trie, &model, &pool);
+            inserted.push((p, value));
+            model.insert(p, value);
+            let table: RangeTable<u32> = inserted.iter().copied().collect();
+            check(&table, &model, &pool);
         }
     }
 }

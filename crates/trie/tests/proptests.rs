@@ -1,7 +1,8 @@
-//! Property tests: the trie must agree with a brute-force model.
+//! Property tests: the prefix table must agree with a brute-force
+//! model, and `aggregate` with its specification.
 
-use expanse_addr::{u128_to_addr, Prefix};
-use expanse_trie::{PrefixTrie, RangeTable};
+use expanse_addr::{addr_to_u128, u128_to_addr, Prefix};
+use expanse_trie::{aggregate, RangeTable};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -45,92 +46,122 @@ fn arb_prefix_set() -> impl Strategy<Value = Vec<(Prefix, u32)>> {
     })
 }
 
-/// Every address where a longest match can change: each prefix's first
-/// and last address and their outside neighbours, plus the space's ends.
-fn edges(entries: &[(Prefix, u32)]) -> Vec<u128> {
+/// Every address where a longest match or a cover can change: each
+/// prefix's first and last address and their outside neighbours, plus
+/// the space's ends.
+fn edges<'a>(prefixes: impl IntoIterator<Item = &'a Prefix>) -> Vec<u128> {
     let mut out = vec![0, u128::MAX];
-    for (p, _) in entries {
-        let (first, last) = (p.bits(), expanse_addr::addr_to_u128(p.last()));
+    for p in prefixes {
+        let (first, last) = (p.bits(), addr_to_u128(p.last()));
         out.extend([first, last, first.wrapping_sub(1), last.wrapping_add(1)]);
     }
     out
+}
+
+/// The pairs as a map: a later value of a prefix replaces an earlier one.
+fn model(entries: &[(Prefix, u32)]) -> BTreeMap<Prefix, u32> {
+    entries.iter().copied().collect()
+}
+
+/// Prefixes between /120 and /128 under one /120, so complete sibling
+/// pairs and covers are common, or of any length near each other.
+fn arb_aggregate_input() -> impl Strategy<Value = Vec<Prefix>> {
+    const BASE: u128 = 0x2001_0db8_0000_0000_0000_0000_0000_0000;
+    let one = (0u8..4, any::<u8>(), 120u8..=128, 0u8..=128, any::<u128>());
+    proptest::collection::vec(one, 0..96).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(pick, low, dense_len, len, noise)| {
+                if pick > 0 {
+                    Prefix::from_bits(BASE | u128::from(low), dense_len)
+                } else {
+                    Prefix::from_bits(noise >> 3, len)
+                }
+            })
+            .collect()
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn frozen_table_matches_the_trie(
+    fn table_matches_brute_force(
         entries in arb_prefix_set(),
         queries in proptest::collection::vec(any::<u128>(), 0..40),
     ) {
-        let trie: PrefixTrie<u32> = entries.iter().copied().collect();
-        let frozen = RangeTable::freeze(&trie);
-        for q in edges(&entries).into_iter().chain(queries) {
+        let table: RangeTable<u32> = entries.iter().copied().collect();
+        let map = model(&entries);
+        for q in edges(map.keys()).into_iter().chain(queries) {
             let addr = u128_to_addr(q);
-            prop_assert_eq!(frozen.longest_match(addr), trie.longest_match(addr), "{}", addr);
+            prop_assert_eq!(table.longest_match(addr), brute_lpm(&map, addr), "{}", addr);
         }
     }
 
     #[test]
-    fn trie_matches_brute_force(
+    fn clustered_table_matches_brute_force(
         entries in proptest::collection::vec((arb_prefix(), any::<u32>()), 0..40),
         queries in proptest::collection::vec(any::<u128>(), 0..40),
     ) {
-        let mut trie = PrefixTrie::new();
-        let mut map: BTreeMap<Prefix, u32> = BTreeMap::new();
-        for (p, v) in entries {
-            trie.insert(p, v);
-            map.insert(p, v);
-        }
-        prop_assert_eq!(trie.iter().count(), map.len());
+        let table: RangeTable<u32> = entries.iter().copied().collect();
+        let map = model(&entries);
         for q in queries {
             let addr = u128_to_addr(q);
-            let got = trie.longest_match(addr).map(|(p, v)| (p, *v));
-            let want = brute_lpm(&map, addr).map(|(p, v)| (p, *v));
-            // Prefix lengths must agree (values may differ only if two
-            // distinct prefixes of equal length both match, impossible).
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(table.longest_match(addr), brute_lpm(&map, addr), "{}", addr);
         }
     }
 
     #[test]
-    fn insert_roundtrip(
+    fn collect_roundtrip(
         entries in proptest::collection::vec((arb_prefix(), any::<u32>()), 1..30),
     ) {
-        let mut trie = PrefixTrie::new();
-        let mut map: BTreeMap<Prefix, u32> = BTreeMap::new();
-        for (p, v) in &entries {
-            trie.insert(*p, *v);
-            map.insert(*p, *v);
-        }
-        prop_assert_eq!(trie.iter().count(), map.len());
+        let table: RangeTable<u32> = entries.iter().copied().collect();
+        let map = model(&entries);
         for (p, v) in &map {
-            prop_assert_eq!(trie.get(*p), Some(v));
+            prop_assert_eq!(table.get(*p), Some(v));
         }
-        // Iteration yields exactly the stored set.
-        let mut got: Vec<(Prefix, u32)> = trie.iter().map(|(p, v)| (p, *v)).collect();
-        let mut want: Vec<(Prefix, u32)> = map.into_iter().collect();
-        got.sort();
-        want.sort();
+        // Iteration yields exactly the stored set, in `Prefix` order.
+        let got: Vec<(Prefix, u32)> = table.iter().map(|(p, v)| (p, *v)).collect();
+        let want: Vec<(Prefix, u32)> = map.into_iter().collect();
         prop_assert_eq!(got, want);
     }
 
     #[test]
-    fn matches_agrees_with_filter(
+    fn covering_agrees_with_filter(
         entries in proptest::collection::vec(arb_prefix(), 0..30),
         q in any::<u128>(),
     ) {
-        let trie: PrefixTrie<()> = entries.iter().map(|p| (*p, ())).collect();
+        let table: RangeTable<()> = entries.iter().map(|p| (*p, ())).collect();
         let addr = u128_to_addr(q);
-        let got: Vec<Prefix> = trie.matches(addr).map(|(p, _)| p).collect();
+        let got: Vec<Prefix> = table.covering(addr).map(|(p, _)| p).collect();
         let mut want: Vec<Prefix> = entries
             .iter()
             .copied()
             .filter(|p| p.contains(addr))
             .collect();
-        want.sort_by_key(|p| p.len());
+        want.sort_by_key(|p| std::cmp::Reverse(p.len()));
         want.dedup();
         prop_assert_eq!(got, want);
+    }
+
+    /// `aggregate` against its specification: the output covers what
+    /// the input covers at every edge of either, is sorted, and no
+    /// member covers another or completes a sibling pair with one. The
+    /// minimal prefix cover of an address set is unique, so this pins
+    /// the output.
+    #[test]
+    fn aggregate_is_the_minimal_cover(input in arb_aggregate_input()) {
+        let out = aggregate(&input);
+        let covered = |set: &[Prefix], a: Ipv6Addr| set.iter().any(|p| p.contains(a));
+        for q in edges(input.iter().chain(&out)) {
+            let addr = u128_to_addr(q);
+            prop_assert_eq!(covered(&input, addr), covered(&out, addr), "{}", addr);
+        }
+        prop_assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted: {:?}", out);
+        for (i, a) in out.iter().enumerate() {
+            for b in &out[i + 1..] {
+                prop_assert!(!a.covers(b) && !b.covers(a), "{} and {} nest", a, b);
+                prop_assert!(a.parent().is_none() || a.parent() != b.parent(), "{} and {} are siblings", a, b);
+            }
+        }
     }
 }

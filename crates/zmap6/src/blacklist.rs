@@ -6,33 +6,27 @@
 //! suppressed.
 
 use expanse_addr::Prefix;
-use expanse_trie::PrefixSet;
+use expanse_trie::RangeTable;
 use std::net::Ipv6Addr;
 
-/// A set of never-probe prefixes.
+/// A set of never-probe prefixes, collected from them.
 #[derive(Debug, Clone, Default)]
 pub struct Blacklist {
-    set: PrefixSet,
-    len: usize,
+    prefixes: RangeTable<()>,
 }
 
 impl Blacklist {
-    /// An empty blacklist.
-    pub fn new() -> Self {
-        Blacklist::default()
-    }
-
-    /// Add one prefix.
-    pub fn add(&mut self, p: Prefix) {
-        if self.set.add(p) {
-            self.len += 1;
-        }
-    }
-
-    /// Is `addr` blacklisted? An empty blacklist answers without a
-    /// lookup, so a layout walk over it only gathers its targets.
+    /// Is `addr` blacklisted?
     pub(crate) fn contains(&self, addr: Ipv6Addr) -> bool {
-        self.len > 0 && self.set.covers_addr(addr)
+        self.prefixes.longest_match(addr).is_some()
+    }
+}
+
+impl FromIterator<Prefix> for Blacklist {
+    fn from_iter<I: IntoIterator<Item = Prefix>>(prefixes: I) -> Self {
+        Blacklist {
+            prefixes: prefixes.into_iter().map(|p| (p, ())).collect(),
+        }
     }
 }
 
@@ -42,20 +36,19 @@ mod tests {
 
     #[test]
     fn covered_addresses_match() {
-        let mut bl = Blacklist::new();
-        bl.add("2001:db8:bad::/48".parse().unwrap());
-        bl.add("2a00:dead::/32".parse().unwrap());
-        assert_eq!(bl.len, 2);
+        let bl: Blacklist = ["2001:db8:bad::/48", "2a00:dead::/32"]
+            .iter()
+            .map(|p| p.parse().unwrap())
+            .collect();
         assert!(bl.contains("2001:db8:bad::1".parse().unwrap()));
         assert!(bl.contains("2a00:dead:beef::9".parse().unwrap()));
         assert!(!bl.contains("2001:db8:cafe::1".parse().unwrap()));
     }
 
     #[test]
-    fn duplicates_not_double_counted() {
-        let mut bl = Blacklist::new();
-        bl.add("2001:db8::/32".parse().unwrap());
-        bl.add("2001:db8::/32".parse().unwrap());
-        assert_eq!(bl.len, 1);
+    fn empty_blacklist_covers_nothing() {
+        let bl = Blacklist::default();
+        assert!(!bl.contains("::".parse().unwrap()));
+        assert!(!bl.contains("2001:db8::1".parse().unwrap()));
     }
 }

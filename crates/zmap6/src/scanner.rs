@@ -141,7 +141,7 @@ impl Default for ScanConfig {
             src: "2001:db8:ffff::1".parse().expect("valid vantage"),
             seed: 0x5ca9,
             shard: (0, 1),
-            blacklist: Blacklist::new(),
+            blacklist: Blacklist::default(),
             shards_per_protocol: 8,
         }
     }
@@ -966,13 +966,9 @@ mod tests {
     /// The configuration the worker sweeps scan a target mix with:
     /// shard 1 of 3, the mix's prefixes blacklisted.
     fn mix_config(blacklisted: Vec<expanse_addr::Prefix>) -> ScanConfig {
-        let mut blacklist = Blacklist::new();
-        for p in blacklisted {
-            blacklist.add(p);
-        }
         ScanConfig {
             shard: (1, 3),
-            blacklist,
+            blacklist: blacklisted.into_iter().collect(),
             ..ScanConfig::default()
         }
     }

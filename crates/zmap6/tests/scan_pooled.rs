@@ -15,7 +15,7 @@ mod common;
 use common::Fingerprint;
 use expanse_netsim::SnapshotNetwork;
 use expanse_zmap6::module::{IcmpEchoModule, TcpSynModule};
-use expanse_zmap6::{Blacklist, MultiScanResult, ScanConfig, ScanResult, Scanner};
+use expanse_zmap6::{MultiScanResult, ScanConfig, ScanResult, Scanner};
 use std::net::Ipv6Addr;
 
 fn digest(r: ScanResult) -> u64 {
@@ -34,13 +34,9 @@ fn fingerprint<N: SnapshotNetwork + Sync>(
     (targets, blacklisted): (Vec<Ipv6Addr>, Vec<expanse_addr::Prefix>),
 ) -> Fingerprint {
     assert!(targets.len() >= 20_000, "{} targets", targets.len());
-    let mut blacklist = Blacklist::new();
-    for p in blacklisted {
-        blacklist.add(p);
-    }
     let cfg = ScanConfig {
         shard: (1, 3),
-        blacklist,
+        blacklist: blacklisted.into_iter().collect(),
         ..ScanConfig::default()
     };
     let mut s = Scanner::new(net, cfg);

@@ -18,7 +18,7 @@ use expanse_netsim::{Deliveries, Duration, Network, Reach, SnapshotNetwork, Time
 use expanse_packet::Datagram;
 use expanse_zmap6::module::{IcmpEchoModule, TcpSynModule};
 use expanse_zmap6::{
-    standard_battery, Blacklist, MultiScanResult, Permutation, ProbeModule, ScanConfig, Scanner,
+    standard_battery, MultiScanResult, Permutation, ProbeModule, ScanConfig, Scanner,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -188,13 +188,9 @@ fn unrouted_targets_send_no_frame_and_keep_the_clock() {
 /// The configuration the recorded fingerprints were taken with: shard 1
 /// of 3, `blacklisted` in force.
 fn mix_config(blacklisted: &[Prefix]) -> ScanConfig {
-    let mut blacklist = Blacklist::new();
-    for p in blacklisted {
-        blacklist.add(*p);
-    }
     ScanConfig {
         shard: (1, 3),
-        blacklist,
+        blacklist: blacklisted.iter().copied().collect(),
         ..ScanConfig::default()
     }
 }

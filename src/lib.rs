@@ -5,7 +5,7 @@
 //! workspace. This facade crate re-exports every subsystem:
 //!
 //! - [`addr`]: IPv6 address/nybble/prefix primitives
-//! - [`trie`]: longest-prefix-match radix trie
+//! - [`trie`]: the prefix table: longest-prefix match over sorted ranges
 //! - [`stats`]: entropy, CDFs, conditional matrices, regression
 //! - [`packet`]: IPv6/ICMPv6/TCP/UDP wire formats
 //! - [`netsim`]: deterministic network simulation substrate (virtual

@@ -102,10 +102,8 @@ fn blacklist_suppresses_probes_end_to_end() {
     // would respond.
     let model = InternetModel::build(ModelConfig::tiny(504));
     let hook = model.population.special.cdn_hook_48s[0];
-    let mut bl = expanse::zmap6::Blacklist::new();
-    bl.add(hook);
     let cfg = ScanConfig {
-        blacklist: bl,
+        blacklist: [hook].into_iter().collect(),
         ..ScanConfig::default()
     };
     let mut s = Scanner::new(model, cfg);

@@ -2,7 +2,8 @@
 //! for each address a tiny-scale day actually probes — every battery
 //! target and every APD fan-out target — and for the addresses on
 //! either side of every range edge, they must answer what the prefix
-//! sets they were frozen from answer, each asked on its own: the same
+//! sets they were frozen from answer, each asked on its own through a
+//! naive lookup (a `BTreeMap` probe at each prefix length): the same
 //! covering announcement and roster category, the same serving alias
 //! region, the same lossy membership, and the same ICMP buckets and SYN
 //! proxy in front of it.
@@ -13,34 +14,60 @@ use expanse::addr::{addr_to_u128, u128_to_addr, Prefix};
 use expanse::core::{Pipeline, PipelineConfig};
 use expanse::model::alias::AliasRegion;
 use expanse::model::{Asn, Destination, InternetModel, ModelConfig};
-use expanse::trie::PrefixTrie;
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
-/// Alias resolution by walking every region that covers `addr`,
-/// shortest first: the last one that does not carve `addr` out (a
-/// nybble-aligned region of at most /124 silences its carve branch)
-/// serves it.
-fn walk_resolve(
-    regions: &PrefixTrie<AliasRegion>,
-    addr: Ipv6Addr,
-) -> Option<(Prefix, AliasRegion)> {
-    let mut serving = None;
-    for (p, r) in regions.matches(addr) {
-        let carved = r.carve_branch.is_some_and(|branch| {
-            p.len() <= 124 && p.len() % 4 == 0 && nybble(addr, usize::from(p.len()) / 4) == branch
-        });
-        if !carved {
-            serving = Some((p, *r));
-        }
-    }
-    serving
+/// One prefix set, looked up the naive way: a `BTreeMap` probe at each
+/// prefix length the set holds, longest first. Of a prefix given
+/// twice, the later value stays.
+struct Naive<V> {
+    map: BTreeMap<Prefix, V>,
+    /// The stored prefixes' lengths, descending.
+    lens: Vec<u8>,
 }
 
-/// A model's prefix sets, each on its own, as tries and lists.
+impl<V> FromIterator<(Prefix, V)> for Naive<V> {
+    fn from_iter<I: IntoIterator<Item = (Prefix, V)>>(pairs: I) -> Self {
+        let map: BTreeMap<Prefix, V> = pairs.into_iter().collect();
+        let mut lens: Vec<u8> = map.keys().map(|p| p.len()).collect();
+        lens.sort_unstable_by(|a, b| b.cmp(a));
+        lens.dedup();
+        Naive { map, lens }
+    }
+}
+
+impl<V> Naive<V> {
+    /// The stored prefixes covering `a`, longest first.
+    fn covering(&self, a: Ipv6Addr) -> impl Iterator<Item = (Prefix, &V)> + '_ {
+        self.lens.iter().filter_map(move |&len| {
+            let (p, v) = self.map.get_key_value(&Prefix::new(a, len))?;
+            Some((*p, v))
+        })
+    }
+}
+
+/// Alias resolution by walking every region that covers `addr`,
+/// longest first: the first one that does not carve `addr` out (a
+/// nybble-aligned region of at most /124 silences its carve branch)
+/// serves it.
+fn walk_resolve(regions: &Naive<AliasRegion>, addr: Ipv6Addr) -> Option<(Prefix, AliasRegion)> {
+    regions
+        .covering(addr)
+        .find(|(p, r)| {
+            !r.carve_branch.is_some_and(|branch| {
+                p.len() <= 124
+                    && p.len() % 4 == 0
+                    && nybble(addr, usize::from(p.len()) / 4) == branch
+            })
+        })
+        .map(|(p, r)| (p, *r))
+}
+
+/// A model's prefix sets, each on its own, as naive maps and lists.
 struct Sets {
-    routes: PrefixTrie<Asn>,
-    regions: PrefixTrie<AliasRegion>,
-    lossy: PrefixTrie<()>,
+    routes: Naive<Asn>,
+    regions: Naive<AliasRegion>,
+    lossy: Naive<()>,
     /// The day state's ICMP buckets in slot order: the rate-limited
     /// parent, then the scenario's throttled routers.
     buckets: Vec<Prefix>,
@@ -68,14 +95,14 @@ impl Sets {
 
     /// What the sets answer for `a`.
     fn destination(&self, model: &InternetModel, a: Ipv6Addr) -> Destination {
-        let route = self.routes.longest_match(a).map(|(p, &asn)| {
+        let route = self.routes.covering(a).next().map(|(p, &asn)| {
             let roster = model.ases.iter().find(|info| info.asn == asn);
             (p, asn, roster.map(|info| info.category))
         });
         Destination {
             route,
             alias: walk_resolve(&self.regions, a),
-            lossy: self.lossy.longest_match(a).is_some(),
+            lossy: self.lossy.covering(a).next().is_some(),
             icmp_buckets: self
                 .buckets
                 .iter()
@@ -99,11 +126,12 @@ impl Sets {
         });
         let prefixes: Vec<Prefix> = self
             .routes
-            .prefixes()
-            .into_iter()
-            .chain(self.regions.prefixes())
+            .map
+            .keys()
+            .chain(self.regions.map.keys())
+            .copied()
             .chain(carves)
-            .chain(self.lossy.prefixes())
+            .chain(self.lossy.map.keys().copied())
             .chain(self.buckets.iter().copied())
             .chain(self.proxies.iter().copied())
             .collect();
@@ -146,9 +174,10 @@ fn probed_targets_route_and_resolve_as_through_the_tries() {
     // fan-out, one branch per nybble — the carved branch included.
     let regional: Vec<Ipv6Addr> = sets
         .regions
-        .iter()
-        .filter(|(prefix, _)| prefix.len() <= 124)
-        .flat_map(|(prefix, _)| fanout16(prefix, p.cfg.apd.salt))
+        .map
+        .keys()
+        .filter(|prefix| prefix.len() <= 124)
+        .flat_map(|&prefix| fanout16(prefix, p.cfg.apd.salt))
         .map(|t| t.addr)
         .collect();
     let (mut aliased, mut lossy, mut bucketed) = (0, 0, 0);
