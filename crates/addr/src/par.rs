@@ -37,11 +37,12 @@ use std::thread;
 /// environment variable when set to a positive integer, otherwise
 /// [`std::thread::available_parallelism`] (1 if even that is unknown).
 ///
-/// One knob for the whole workspace: pipeline walks, the scan battery,
-/// the serve pool, and the bench drivers all size themselves here, so
-/// pinning `EXPANSE_THREADS=1` forces every stage onto its serial path
-/// and `=8` exercises every fan-out — which is exactly how the CI
-/// multi-thread determinism lane uses it.
+/// Only the scanner (its battery grid and a single scan job's slot
+/// ranges) and the repo benchmark read it, so pinning
+/// `EXPANSE_THREADS=1` forces every fan-out onto its serial path and
+/// `=8` exercises every one — which is exactly how the CI multi-thread
+/// determinism lane uses it. The serve daemon's threads are per
+/// connection and do not read it.
 pub fn worker_threads() -> usize {
     if let Ok(v) = std::env::var("EXPANSE_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {

@@ -364,12 +364,7 @@ mod tests {
                 .flat_map(|sp| sp.addrs.iter())
                 .map(|a| Prefix::new(*a, 64))
                 .find(|p64| {
-                    (0..4u64).all(|k| {
-                        net.population
-                            .aliases
-                            .resolve(expanse_addr::keyed_random_addr(*p64, k))
-                            .is_none()
-                    })
+                    (0..4u64).all(|k| !net.truth_aliased(expanse_addr::keyed_random_addr(*p64, k)))
                 })
                 .expect("a non-aliased site /64 exists")
         };

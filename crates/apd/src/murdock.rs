@@ -117,7 +117,7 @@ mod tests {
             .iter()
             .flat_map(|s| s.addrs.iter())
             .copied()
-            .find(|a| model.population.aliases.resolve(*a).is_none())
+            .find(|a| !model.truth_aliased(*a))
             .expect("a non-aliased site address exists");
         let mut scanner = Scanner::new(model, ScanConfig::default());
         let r = detect(&mut scanner, &[host_addr], 7);

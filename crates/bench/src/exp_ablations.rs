@@ -218,11 +218,11 @@ pub(crate) fn cluster_as(ctx: &mut Ctx) -> String {
 
     // By origin AS.
     let by_as = expanse_entropy::fingerprint_groups(&addrs, 9, 32, min, |a| {
-        model.bgp.origin(a).map(|asn| asn.0)
+        model.route(a).map(|(_, asn)| asn.0)
     });
     // By covering BGP prefix.
     let by_pfx = expanse_entropy::fingerprint_groups(&addrs, 9, 32, min, |a| {
-        model.bgp.lookup(a).map(|(px, _)| (px.bits(), px.len()))
+        model.route(a).map(|(px, _)| (px.bits(), px.len()))
     });
     for (name, groups_len, pairs) in [
         (
@@ -280,7 +280,6 @@ pub(crate) fn bgp_apd(ctx: &mut Ctx) -> String {
     let p = ctx.pipeline();
     let announced: Vec<Prefix> = p
         .model_ref()
-        .bgp
         .announcements()
         .iter()
         .map(|(px, _)| *px)

@@ -140,7 +140,7 @@ pub(crate) fn fig4(ctx: &mut Ctx) -> String {
         let mut by_as: Counter<u32> = Counter::new();
         let mut by_pfx: Counter<(u128, u8)> = Counter::new();
         for a in set.iter() {
-            if let Some((px, asn)) = model.bgp.lookup(*a) {
+            if let Some((px, asn)) = model.route(*a) {
                 by_as.push(asn.0);
                 by_pfx.push((px.bits(), px.len()));
             }
@@ -198,12 +198,11 @@ pub(crate) fn fig5(ctx: &mut Ctx) -> String {
     let model = p.model_ref();
     let mut responses: Counter<(u128, u8, u32)> = Counter::new();
     for a in scan.responsive() {
-        if let Some((px, asn)) = model.bgp.lookup(a) {
+        if let Some((px, asn)) = model.route(a) {
             responses.push((px.bits(), px.len(), asn.0));
         }
     }
     let entries_a: Vec<ZesEntry> = model
-        .bgp
         .announcements()
         .iter()
         .map(|(px, asn)| ZesEntry {
@@ -240,12 +239,11 @@ pub(crate) fn fig5(ctx: &mut Ctx) -> String {
             {
                 hook48 += 1;
             }
-            if let Some((bp, asn)) = model.bgp.lookup(px.first()) {
+            if let Some((bp, asn)) = model.route(px.first()) {
                 aliased_by_bgp.push((bp.bits(), bp.len(), asn.0));
             }
         }
         let entries: Vec<ZesEntry> = model
-            .bgp
             .announcements()
             .iter()
             .map(|(px, asn)| ZesEntry {
@@ -254,7 +252,7 @@ pub(crate) fn fig5(ctx: &mut Ctx) -> String {
                 value: aliased_by_bgp.get(&(px.bits(), px.len(), asn.0)) as f64,
             })
             .collect();
-        (entries, aliased.len(), hook48, model.bgp.len())
+        (entries, aliased.len(), hook48, model.announcements().len())
     };
     let covered = entries_b.iter().filter(|e| e.value > 0.0).count();
     let zb = plot(

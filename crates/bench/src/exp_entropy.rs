@@ -171,7 +171,6 @@ pub(crate) fn fig3b(ctx: &mut Ctx) -> String {
     let cluster_of: BTreeMap<_, usize> = c.assignment.iter().cloned().collect();
     let model = ctx.pipeline().model_ref();
     let entries: Vec<ZesEntry> = model
-        .bgp
         .announcements()
         .iter()
         .filter_map(|(px, asn)| {
@@ -194,7 +193,7 @@ pub(crate) fn fig3b(ctx: &mut Ctx) -> String {
     let mut long_counts: BTreeMap<(Asn, usize), ()> = BTreeMap::new();
     let mut short_as: BTreeMap<Asn, ()> = BTreeMap::new();
     let mut long_as: BTreeMap<Asn, ()> = BTreeMap::new();
-    for ((px, asn), e) in model.bgp.announcements().iter().zip(entries.iter()) {
+    for ((px, asn), e) in model.announcements().iter().zip(entries.iter()) {
         let cl = e.value as usize;
         if px.len() <= 32 {
             short_counts.insert((*asn, cl), ());

@@ -31,7 +31,7 @@ pub(crate) fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
     let model = p.model_ref();
     let mut by_as: BTreeMap<u32, Vec<Ipv6Addr>> = BTreeMap::new();
     for a in &kept {
-        if let Some(asn) = model.bgp.origin(*a) {
+        if let Some((_, asn)) = model.route(*a) {
             by_as.entry(asn.0).or_default().push(*a);
         }
     }
@@ -157,7 +157,7 @@ pub(crate) fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
             let mut by_as: Counter<u32> = Counter::new();
             let mut by_pfx: Counter<(u128, u8)> = Counter::new();
             for a in resp.keys() {
-                if let Some((px, asn)) = model.bgp.lookup(a) {
+                if let Some((px, asn)) = model.route(a) {
                     by_as.push(asn.0);
                     by_pfx.push((px.bits(), px.len()));
                     as_sets.entry(name).or_default().insert(asn.0);

@@ -25,13 +25,12 @@ pub(crate) fn fig6(ctx: &mut Ctx) -> String {
     let mut per_prefix: Counter<(u128, u8, u32)> = Counter::new();
     let mut per_as: Counter<u32> = Counter::new();
     for a in scan.responsive() {
-        if let Some((px, asn)) = model.bgp.lookup(a) {
+        if let Some((px, asn)) = model.route(a) {
             per_prefix.push((px.bits(), px.len(), asn.0));
             per_as.push(asn.0);
         }
     }
     let entries: Vec<ZesEntry> = model
-        .bgp
         .announcements()
         .iter()
         .map(|(px, asn)| ZesEntry {

@@ -45,7 +45,7 @@ pub(crate) fn fig10_table8(ctx: &mut Ctx, table8: bool) -> String {
         .addresses
         .iter()
         .copied()
-        .filter(|a| model.bgp.lookup(*a).is_some())
+        .filter(|a| model.route(*a).is_some())
         .collect();
     out.push_str(&format!(
         "unrouted filtered: {} (paper: 2.1M of 11.7M)\n\n",
@@ -65,7 +65,7 @@ pub(crate) fn fig10_table8(ctx: &mut Ctx, table8: bool) -> String {
             let mut by_as: Counter<u32> = Counter::new();
             let mut by_pfx: Counter<(u128, u8)> = Counter::new();
             for a in set.iter() {
-                if let Some((px, asn)) = model.bgp.lookup(*a) {
+                if let Some((px, asn)) = model.route(*a) {
                     by_as.push(asn.0);
                     by_pfx.push((px.bits(), px.len()));
                 }
@@ -129,7 +129,7 @@ pub(crate) fn fig10_table8(ctx: &mut Ctx, table8: bool) -> String {
         let top5 = |addrs: &mut dyn Iterator<Item = Ipv6Addr>| -> Vec<(String, f64)> {
             let mut c: Counter<u32> = Counter::new();
             for a in addrs {
-                if let Some(asn) = model.bgp.origin(a) {
+                if let Some((_, asn)) = model.route(a) {
                     c.push(asn.0);
                 }
             }

@@ -18,7 +18,7 @@ pub(crate) fn table1(ctx: &mut Ctx) -> String {
     let mut ases: Counter<u32> = Counter::new();
     let mut pfx: Counter<(u128, u8)> = Counter::new();
     for a in hit.iter() {
-        if let Some((px, asn)) = model.bgp.lookup(a) {
+        if let Some((px, asn)) = model.route(a) {
             ases.push(asn.0);
             pfx.push((px.bits(), px.len()));
         }
@@ -150,7 +150,7 @@ pub(crate) fn fig1b(ctx: &mut Ctx) -> String {
     for s in &p.sources {
         let mut c: Counter<u32> = Counter::new();
         for a in s.all() {
-            if let Some(asn) = model.bgp.origin(*a) {
+            if let Some((_, asn)) = model.route(*a) {
                 c.push(asn.0);
             }
         }
@@ -185,12 +185,11 @@ pub(crate) fn fig1c(ctx: &mut Ctx) -> String {
     let model = p.model_ref();
     let mut per_prefix: Counter<(u128, u8, u32)> = Counter::new();
     for a in &hitlist {
-        if let Some((px, asn)) = model.bgp.lookup(*a) {
+        if let Some((px, asn)) = model.route(*a) {
             per_prefix.push((px.bits(), px.len(), asn.0));
         }
     }
     let entries: Vec<ZesEntry> = model
-        .bgp
         .announcements()
         .iter()
         .map(|(px, asn)| ZesEntry {

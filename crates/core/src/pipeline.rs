@@ -455,8 +455,9 @@ impl Pipeline {
     /// Stage 4, scamper: trace a budgeted subsample and add the routers
     /// it learns to the hitlist. Scheduled follow-up traces (suspect
     /// confirmation) take the head of the trace budget; the remainder
-    /// subsamples today's battery targets. Returns the routers found
-    /// and the probes sent.
+    /// subsamples today's battery targets. A blacklisted target is
+    /// never traced and takes no budget (§10.1). Returns the routers
+    /// found and the probes sent.
     fn trace_routers(
         &mut self,
         day: u16,
@@ -464,7 +465,9 @@ impl Pipeline {
         sched_plan: Option<&SchedPlan>,
     ) -> (usize, u64) {
         let budget = self.cfg.trace_budget;
+        let blacklist = &self.cfg.scan.blacklist;
         let mut trace_targets = sched_plan.map_or_else(Vec::new, SchedPlan::trace_targets);
+        trace_targets.retain(|&a| !blacklist.contains(a));
         trace_targets.truncate(budget);
         let seen: BTreeSet<Ipv6Addr> = trace_targets.iter().copied().collect();
         let room = budget - trace_targets.len();
@@ -472,7 +475,7 @@ impl Pipeline {
             targets
                 .iter()
                 .copied()
-                .filter(|a| !seen.contains(a))
+                .filter(|&a| !seen.contains(&a) && !blacklist.contains(a))
                 .take(room),
         );
         let cfg = TraceConfig {

@@ -31,7 +31,7 @@ pub fn source_table(hitlist: &Hitlist, model: &InternetModel) -> Vec<SourceRow> 
         let mut ases: Counter<u32> = Counter::new();
         let mut prefixes: Counter<u128> = Counter::new();
         for a in addrs {
-            if let Some((p, asn)) = model.bgp.lookup(*a) {
+            if let Some((p, asn)) = model.route(*a) {
                 ases.push(asn.0);
                 prefixes.push(p.bits() | u128::from(p.len()));
             }
@@ -72,7 +72,7 @@ pub fn total_row(hitlist: &Hitlist, model: &InternetModel) -> SourceRow {
     let mut ases: Counter<u32> = Counter::new();
     let mut prefixes: Counter<u128> = Counter::new();
     for a in hitlist.iter() {
-        if let Some((p, asn)) = model.bgp.lookup(a) {
+        if let Some((p, asn)) = model.route(a) {
             ases.push(asn.0);
             prefixes.push(p.bits() | u128::from(p.len()));
         }

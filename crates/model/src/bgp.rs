@@ -2,61 +2,8 @@
 
 use crate::ids::{AsCategory, AsInfo, Asn};
 use expanse_addr::Prefix;
-use expanse_trie::RangeTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::net::Ipv6Addr;
-
-/// The global routing table: announced prefixes and their origin ASes.
-///
-/// Never changed once built, so the table is frozen into a
-/// [`RangeTable`]: a route lookup is one binary search. Reports and
-/// experiments look routes up here; the engine routes probes through
-/// its fused destination table, built from the same routes.
-#[derive(Debug, Clone)]
-pub struct BgpTable {
-    /// One origin per announced prefix, the last announcement of a
-    /// prefix winning.
-    pub(crate) routes: RangeTable<Asn>,
-    list: Vec<(Prefix, Asn)>,
-}
-
-impl BgpTable {
-    /// Build from announcements (a later announcement of the same
-    /// prefix replaces the origin of an earlier one).
-    pub(crate) fn new(announcements: Vec<(Prefix, Asn)>) -> Self {
-        BgpTable {
-            routes: announcements.iter().copied().collect(),
-            list: announcements,
-        }
-    }
-
-    /// Longest-prefix match: the covering announcement for `addr`.
-    #[inline]
-    pub fn lookup(&self, addr: Ipv6Addr) -> Option<(Prefix, Asn)> {
-        self.routes.longest_match(addr).map(|(p, a)| (p, *a))
-    }
-
-    /// Origin AS only.
-    pub fn origin(&self, addr: Ipv6Addr) -> Option<Asn> {
-        self.lookup(addr).map(|(_, a)| a)
-    }
-
-    /// All announcements (stable order).
-    pub fn announcements(&self) -> &[(Prefix, Asn)] {
-        &self.list
-    }
-
-    /// Number of announced prefixes.
-    pub fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
-    }
-}
 
 /// Deterministically allocate address space and announcements for `ases`.
 ///
@@ -132,11 +79,10 @@ mod tests {
     #[test]
     fn every_as_has_an_aggregate() {
         let ases = mk_ases(30);
-        let table = BgpTable::new(allocate(&ases, 2.0, 7));
+        let announced = allocate(&ases, 2.0, 7);
         for info in &ases {
             assert!(
-                table
-                    .announcements()
+                announced
                     .iter()
                     .any(|(p, a)| *a == info.asn && p.len() == 32),
                 "{} lacks a /32",
@@ -148,31 +94,19 @@ mod tests {
     #[test]
     fn more_specifics_covered_by_same_as_aggregate() {
         let ases = mk_ases(40);
-        let table = BgpTable::new(allocate(&ases, 4.0, 3));
-        for (p, asn) in table.announcements() {
+        let announced = allocate(&ases, 4.0, 3);
+        for (p, asn) in &announced {
             if p.len() > 32 {
                 // The /32 covering this more-specific must exist and
                 // belong to the same AS (we never allocate overlapping
                 // space to different ASes).
-                let agg = table.lookup(p.first()).expect("covered");
+                let agg = announced
+                    .iter()
+                    .find(|(q, _)| q.len() == 32 && q.covers(p))
+                    .expect("covered");
                 assert_eq!(agg.1, *asn, "{p} originated by {asn} under {}", agg.0);
             }
         }
-    }
-
-    #[test]
-    fn lookup_prefers_most_specific() {
-        let asn_a = Asn(1);
-        let asn_b = Asn(1);
-        let table = BgpTable::new(vec![
-            ("2001:db8::/32".parse().unwrap(), asn_a),
-            ("2001:db8:1::/48".parse().unwrap(), asn_b),
-        ]);
-        let (p, _) = table.lookup("2001:db8:1::5".parse().unwrap()).unwrap();
-        assert_eq!(p.len(), 48);
-        let (p, _) = table.lookup("2001:db8:2::5".parse().unwrap()).unwrap();
-        assert_eq!(p.len(), 32);
-        assert_eq!(table.lookup("3fff::1".parse().unwrap()), None);
     }
 
     #[test]

@@ -305,7 +305,7 @@ mod tests {
         let m = InternetModel::build(ModelConfig::tiny(4));
         let s = build_crowd(&m);
         for a in s.participants.iter().filter_map(|p| p.addr6).take(200) {
-            let asn = m.bgp.origin(a).expect("routed");
+            let (_, asn) = m.route(a).expect("routed");
             let cat = m.as_category(asn).unwrap();
             assert_eq!(cat, AsCategory::IspEyeball, "{a}");
         }

@@ -380,8 +380,7 @@ impl InternetModel {
         let buckets: Vec<Prefix> = self.icmp_bucket_prefixes().collect();
         Destination {
             route: self
-                .dests
-                .route(d)
+                .announced(d)
                 .map(|(prefix, asn)| (prefix, asn, d.category)),
             alias: self.dests.alias(d).copied(),
             lossy: d.lossy,
@@ -627,7 +626,7 @@ impl InternetModel {
         if self.lost(ds.day, p, 0x70 ^ hop, u64::from(hop)) {
             return true;
         }
-        let Some((route, _)) = self.dests.route(p.dest) else {
+        let Some((route, _)) = self.announced(p.dest) else {
             return true;
         };
         let hop_addr = self.paths.hop_addr(dst, route, cat, hop);
@@ -818,7 +817,7 @@ mod tests {
                 h.protos.contains(Protocol::Icmp)
                     && h.online(0)
                     && h.kind != HostKind::Client
-                    && m.population.aliases.resolve(*a).is_none()
+                    && !m.truth_aliased(*a)
             })
             .map(|(a, _)| a)
             .collect();
@@ -864,8 +863,8 @@ mod tests {
                 h.protos.contains(Protocol::Icmp)
                     && h.online(0)
                     && h.kind != HostKind::Client
-                    && m.population.aliases.resolve(a).is_none()
-                    && m.bgp.origin(a).and_then(|asn| m.as_category(asn))
+                    && !m.truth_aliased(a)
+                    && m.route(a).and_then(|(_, asn)| m.as_category(asn))
                         == Some(AsCategory::IspEyeball)
             })
             .map(|(a, _)| a)
@@ -891,8 +890,7 @@ mod tests {
         // Re-announce the table from an AS that is not on the roster.
         let ghost = crate::ids::Asn(1);
         assert_eq!(m.as_category(ghost), None);
-        let announced = m.bgp.announcements().iter().map(|(p, _)| (*p, ghost));
-        m.bgp = crate::bgp::BgpTable::new(announced.collect());
+        m.announcements = m.announcements.iter().map(|(p, _)| (*p, ghost)).collect();
         m.dests = crate::dest::DestTable::build(&m);
 
         let enterprise = m.paths.path_len(addr, AsCategory::Enterprise);
@@ -964,9 +962,7 @@ mod tests {
             .sites
             .iter()
             .flat_map(|s| s.addrs.iter())
-            .find(|a| {
-                !m.population.hosts.contains(**a) && m.population.aliases.resolve(**a).is_none()
-            })
+            .find(|a| !m.population.hosts.contains(**a) && !m.truth_aliased(**a))
             .copied()
             .expect("a ghost exists");
         for day in 0..3 {
@@ -983,9 +979,7 @@ mod tests {
             .hosts
             .iter()
             .filter(|(a, h)| {
-                h.protos.contains(Protocol::Udp53)
-                    && h.online(0)
-                    && m.population.aliases.resolve(*a).is_none()
+                h.protos.contains(Protocol::Udp53) && h.online(0) && !m.truth_aliased(*a)
             })
             .map(|(a, _)| a)
             .next()

@@ -29,7 +29,7 @@
 //! ```
 
 pub mod alias;
-pub mod bgp;
+mod bgp;
 mod churn;
 pub mod config;
 pub mod crowd;
@@ -52,9 +52,12 @@ pub use population::{Population, SitePool, SpecialPrefixes};
 pub use scheme::Scheme;
 pub use sources::{Source, SourceId};
 
+use expanse_addr::Prefix;
+use expanse_trie::RangeTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::net::Ipv6Addr;
 
 /// The assembled synthetic Internet.
 ///
@@ -66,18 +69,12 @@ use std::collections::BTreeMap;
 /// deterministic in `config.seed`).
 #[derive(Debug)]
 pub struct InternetModel {
-    /// Plot configuration used for layout.
+    /// The configuration the model was built from.
     pub config: ModelConfig,
     /// The AS roster.
     pub ases: Vec<AsInfo>,
-    /// The global routing table.
-    ///
-    /// Read it freely, but do not replace it after
-    /// [`InternetModel::build`]: the engine answers every frame from a
-    /// destination table fused from the routes at build time, so a
-    /// table assigned here would leave the engine routing by the old
-    /// one.
-    pub bgp: bgp::BgpTable,
+    /// The BGP announcements, sorted: see [`InternetModel::announcements`].
+    announcements: Vec<(Prefix, Asn)>,
     /// Population. Not to be changed after [`InternetModel::build`]:
     /// the engine's fused destination table is derived from its alias
     /// regions, lossy prefixes and middlebox prefixes at build time.
@@ -110,26 +107,23 @@ impl InternetModel {
         // CDNs announce their aliased /48s in BGP, as Amazon does — this
         // is what makes the Fig 5 "hook" visible at BGP granularity and
         // lets BGP-based APD (§5.1) see the phenomenon without targets.
-        {
-            let tmp = bgp::BgpTable::new(announcements.clone());
-            for (p48, _) in population.aliases.iter() {
-                if p48.len() == 48 {
-                    if let Some((_, asn)) = tmp.lookup(p48.first()) {
-                        announcements.push((p48, asn));
-                    }
-                }
-            }
-            announcements.sort();
-            announcements.dedup();
-        }
-        let bgp_table = bgp::BgpTable::new(announcements);
+        let origins: RangeTable<Asn> = announcements.iter().copied().collect();
+        let hooks: Vec<(Prefix, Asn)> = population
+            .aliases
+            .iter()
+            .filter(|(p, _)| p.len() == 48)
+            .filter_map(|(p48, _)| Some((p48, *origins.longest_match(p48.first())?.1)))
+            .collect();
+        announcements.extend(hooks);
+        announcements.sort();
+        announcements.dedup();
         let mut as_index: Vec<(Asn, usize)> =
             ases.iter().enumerate().map(|(i, a)| (a.asn, i)).collect();
         as_index.sort_unstable();
         let mut model = InternetModel {
             config,
             ases,
-            bgp: bgp_table,
+            announcements,
             population,
             paths,
             scenario,
@@ -164,22 +158,39 @@ impl InternetModel {
         self.as_info(asn).map(|a| a.name.as_str())
     }
 
-    /// Ground truth: is `addr` inside a (served) aliased region?
-    pub fn truth_aliased(&self, addr: std::net::Ipv6Addr) -> bool {
-        self.population.aliases.resolve(addr).is_some()
+    /// Every BGP announcement with its origin, in [`Prefix`] order.
+    pub fn announcements(&self) -> &[(Prefix, Asn)] {
+        &self.announcements
+    }
+
+    /// Longest-prefix match: the announcement covering `addr`.
+    pub fn route(&self, addr: Ipv6Addr) -> Option<(Prefix, Asn)> {
+        self.announced(self.dests.lookup(addr))
+    }
+
+    /// The announcement `dest` is routed by.
+    pub(crate) fn announced(&self, dest: &dest::Dest) -> Option<(Prefix, Asn)> {
+        self.announcements.get(dest.route as usize).copied()
+    }
+
+    /// Ground truth: is `addr` inside a (served) aliased region? An
+    /// address in a region's carved branch is not, unless another
+    /// region serves it.
+    pub fn truth_aliased(&self, addr: Ipv6Addr) -> bool {
+        self.dests.alias(self.dests.lookup(addr)).is_some()
     }
 
     /// Scenario ground truth: what hitlist sources would learn on `day`
     /// (empty with the scenario layer disabled). See
     /// `scenario::ScenarioState::feed`.
-    pub fn scenario_feed(&self, day: u16) -> Vec<std::net::Ipv6Addr> {
+    pub fn scenario_feed(&self, day: u16) -> Vec<Ipv6Addr> {
         self.scenario.feed(day)
     }
 
     /// Scenario ground truth: previously-feedable addresses that can no
     /// longer answer on `day` — rotation ghosts and expired temporary
     /// privacy addresses. See `scenario::ScenarioState::ghosts`.
-    pub fn scenario_ghosts(&self, day: u16) -> Vec<std::net::Ipv6Addr> {
+    pub fn scenario_ghosts(&self, day: u16) -> Vec<Ipv6Addr> {
         self.scenario.ghosts(day)
     }
 }
@@ -233,7 +244,7 @@ mod tests {
         let a = InternetModel::build(ModelConfig::tiny(1));
         let b = InternetModel::build(ModelConfig::tiny(1));
         assert_eq!(a.ases.len(), b.ases.len());
-        assert_eq!(a.bgp.len(), b.bgp.len());
+        assert_eq!(a.announcements(), b.announcements());
         assert_eq!(a.population.hosts.len(), b.population.hosts.len());
     }
 
@@ -263,7 +274,7 @@ mod tests {
         let m = InternetModel::build(ModelConfig::tiny(4));
         let hook = m.population.special.cdn_hook_48s[0];
         assert!(m.truth_aliased(hook.first()));
-        let (p, _) = m.bgp.lookup(hook.first()).unwrap();
+        let (p, _) = m.route(hook.first()).unwrap();
         assert!(p.covers(&hook) || hook.covers(&p));
     }
 

@@ -863,9 +863,9 @@ mod tests {
 
     #[test]
     fn alias_pool_addresses_resolve_to_regions() {
-        let pop = build_tiny();
-        for a in pop.alias_pool.iter().take(500) {
-            assert!(pop.aliases.resolve(*a).is_some(), "{a} not in any region");
+        let m = crate::InternetModel::build(ModelConfig::tiny(7));
+        for a in m.population.alias_pool.iter().take(500) {
+            assert!(m.truth_aliased(*a), "{a} not in any region");
         }
     }
 
@@ -908,16 +908,12 @@ mod tests {
         // The /96 itself is not a region.
         assert!(!pop.aliases.iter().any(|(p, _)| p == s.partial96));
         // carve116 branch 0 silent, branch 5 resolves.
+        let m = crate::InternetModel::build(ModelConfig::tiny(7));
+        assert_eq!(m.population.special.carve116, s.carve116);
         let carved = s.carve116.subprefix(4, 0);
-        assert!(pop
-            .aliases
-            .resolve(expanse_addr::keyed_random_addr(carved, 1))
-            .is_none());
+        assert!(!m.truth_aliased(expanse_addr::keyed_random_addr(carved, 1)));
         let served = s.carve116.subprefix(4, 5);
-        assert!(pop
-            .aliases
-            .resolve(expanse_addr::keyed_random_addr(served, 1))
-            .is_some());
+        assert!(m.truth_aliased(expanse_addr::keyed_random_addr(served, 1)));
     }
 
     #[test]

@@ -398,11 +398,7 @@ mod tests {
         let sources = build_sources(&m);
         for id in [SourceId::DomainLists, SourceId::Ct] {
             let s = sources.iter().find(|s| s.id == id).unwrap();
-            let aliased = s
-                .pool
-                .iter()
-                .filter(|a| m.population.aliases.resolve(**a).is_some())
-                .count();
+            let aliased = s.pool.iter().filter(|a| m.truth_aliased(**a)).count();
             let share = aliased as f64 / s.pool.len() as f64;
             assert!(share > 0.7, "{id:?} alias share {share}");
         }
@@ -410,11 +406,7 @@ mod tests {
             .iter()
             .find(|s| s.id == SourceId::RipeAtlas)
             .unwrap();
-        let ra_aliased = ra
-            .pool
-            .iter()
-            .filter(|a| m.population.aliases.resolve(**a).is_some())
-            .count();
+        let ra_aliased = ra.pool.iter().filter(|a| m.truth_aliased(**a)).count();
         assert_eq!(ra_aliased, 0, "RIPE Atlas must not sample aliased space");
     }
 

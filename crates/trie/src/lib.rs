@@ -34,8 +34,9 @@
 //! let (pfx, v) = t.longest_match("2001:db8:407::1".parse().unwrap()).unwrap();
 //! assert_eq!(*v, "lab");
 //! assert_eq!(pfx.len(), 48);
-//! let chain: Vec<&str> = t.covering("2001:db8:407::1".parse().unwrap()).map(|(_, v)| *v).collect();
-//! assert_eq!(chain, ["lab", "corp"]);
+//! let (pfx, v) = t.longest_match("2001:db8:408::1".parse().unwrap()).unwrap();
+//! assert_eq!((*v, pfx.len()), ("corp", 32));
+//! assert!(t.longest_match("2001:db9::1".parse().unwrap()).is_none());
 //! ```
 
 mod aggregate;

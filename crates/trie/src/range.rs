@@ -4,8 +4,7 @@
 use expanse_addr::{addr_to_u128, Prefix};
 use std::net::Ipv6Addr;
 
-/// "No prefix covers this range" in [`RangeTable::slots`], and "no
-/// entry encloses this one" in [`RangeTable::parents`].
+/// "No prefix covers this range" in [`RangeTable::slots`].
 const UNCOVERED: u32 = u32::MAX;
 
 /// An immutable map from IPv6 prefixes to values with longest-prefix
@@ -37,10 +36,6 @@ pub struct RangeTable<V> {
     /// The stored prefixes in [`Prefix`] order (address order, covering
     /// before covered), with their values.
     entries: Vec<(Prefix, V)>,
-    /// Per entry, the index of the entry that most closely encloses it,
-    /// or [`UNCOVERED`]: following it from a longest match walks every
-    /// stored prefix covering the address.
-    parents: Vec<u32>,
     /// The directory's first address, `starts[1]`: every key below it is
     /// in range 0.
     base: u128,
@@ -56,12 +51,7 @@ pub struct RangeTable<V> {
 impl<V> RangeTable<V> {
     /// The table over `starts` (ascending, `starts[0] == 0`) and the
     /// parallel `slots` into `entries`, with its directory built.
-    fn assemble(
-        starts: Vec<u128>,
-        slots: Vec<u32>,
-        entries: Vec<(Prefix, V)>,
-        parents: Vec<u32>,
-    ) -> Self {
+    fn assemble(starts: Vec<u128>, slots: Vec<u32>, entries: Vec<(Prefix, V)>) -> Self {
         let last = starts.len() - 1;
         let Some(&base) = starts.get(1) else {
             // One range: every key is in it.
@@ -69,7 +59,6 @@ impl<V> RangeTable<V> {
                 starts,
                 slots,
                 entries,
-                parents,
                 base: u128::MAX,
                 shift: 0,
                 dir: vec![0; 3],
@@ -91,7 +80,6 @@ impl<V> RangeTable<V> {
             starts,
             slots,
             entries,
-            parents,
             base,
             shift,
             dir,
@@ -133,22 +121,6 @@ impl<V> RangeTable<V> {
         Some((*p, v))
     }
 
-    /// Every stored prefix covering `addr`, longest first.
-    pub fn covering(&self, addr: Ipv6Addr) -> impl Iterator<Item = (Prefix, &V)> + '_ {
-        let mut at = self.slot(addr);
-        std::iter::from_fn(move || {
-            let (p, v) = self.entries.get(at as usize)?;
-            at = self.parents[at as usize];
-            Some((*p, v))
-        })
-    }
-
-    /// Exact match: the value stored at `prefix`.
-    pub fn get(&self, prefix: Prefix) -> Option<&V> {
-        let at = self.entries.binary_search_by_key(&prefix, |&(p, _)| p);
-        Some(&self.entries[at.ok()?].1)
-    }
-
     /// The stored prefixes with their values, in [`Prefix`] order:
     /// address order, covering prefixes before their more-specifics.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> + '_ {
@@ -177,11 +149,10 @@ impl<V> FromIterator<(Prefix, V)> for RangeTable<V> {
             "RangeTable beyond u32 entries"
         );
         // Sweep the prefixes in order with a stack of the open ones:
-        // each push starts a range, each pop resumes the enclosing
-        // prefix's, and the top of the stack is what encloses a push.
+        // each push starts a range, and each pop resumes the enclosing
+        // prefix's.
         let mut cuts: Vec<(u128, u32)> = vec![(0, UNCOVERED)];
         let mut open: Vec<(u128, u32)> = Vec::new();
-        let mut parents: Vec<u32> = Vec::with_capacity(entries.len());
         let close_through = |open: &mut Vec<(u128, u32)>, cuts: &mut Vec<(u128, u32)>, f: u128| {
             while let Some(&(last, _)) = open.last() {
                 if last >= f {
@@ -196,7 +167,6 @@ impl<V> FromIterator<(Prefix, V)> for RangeTable<V> {
         for (i, (p, _)) in entries.iter().enumerate() {
             let first = p.bits();
             close_through(&mut open, &mut cuts, first);
-            parents.push(open.last().map_or(UNCOVERED, |&(_, slot)| slot));
             cuts.push((first, i as u32));
             open.push((addr_to_u128(p.last()), i as u32));
         }
@@ -215,14 +185,14 @@ impl<V> FromIterator<(Prefix, V)> for RangeTable<V> {
                 slots.push(slot);
             }
         }
-        RangeTable::assemble(starts, slots, entries, parents)
+        RangeTable::assemble(starts, slots, entries)
     }
 }
 
 impl<V> Default for RangeTable<V> {
     /// The table of no prefixes: one range, uncovered.
     fn default() -> Self {
-        RangeTable::assemble(vec![0], vec![UNCOVERED], Vec::new(), Vec::new())
+        RangeTable::assemble(vec![0], vec![UNCOVERED], Vec::new())
     }
 }
 
@@ -246,7 +216,6 @@ mod tests {
         assert!(t
             .longest_match(a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"))
             .is_none());
-        assert_eq!(t.covering(a("::1")).count(), 0);
     }
 
     #[test]
@@ -267,12 +236,6 @@ mod tests {
         assert_eq!(hit("2001:db9::"), None);
         // Uncovered, /32, /48, /64, /48 again, /32 again, uncovered.
         assert_eq!(t.starts.len(), 7);
-        let chain: Vec<&str> = t
-            .covering(a("2001:db8:407:1::9"))
-            .map(|(_, v)| *v)
-            .collect();
-        assert_eq!(chain, ["desk", "lab", "corp"]);
-        assert_eq!(t.parents, [UNCOVERED, 0, 1]);
     }
 
     #[test]
@@ -285,10 +248,8 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_eq!(t.get(p("2001:db8::/32")), Some(&3));
-        assert_eq!(t.get(p("2001:db8::/48")), Some(&5));
-        assert_eq!(t.get(p("2001:db8::/33")), None);
-        assert_eq!(t.iter().count(), 2);
+        let stored: Vec<(Prefix, u8)> = t.iter().map(|(q, v)| (q, *v)).collect();
+        assert_eq!(stored, [(p("2001:db8::/32"), 3), (p("2001:db8::/48"), 5)]);
     }
 
     #[test]

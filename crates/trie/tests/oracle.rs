@@ -53,11 +53,8 @@ fn check(table: &RangeTable<u32>, model: &Model, pool: &[Prefix]) {
     assert_eq!(all, want, "iter() order and content");
 
     for &p in pool {
-        assert_eq!(table.get(p), model.get(&p), "get {p}");
         for addr in [p.first(), p.last()] {
             let hits = covering(model, addr);
-            let got: Vec<(Prefix, u32)> = table.covering(addr).map(|(q, v)| (q, *v)).collect();
-            assert_eq!(got, hits, "covering {addr}");
             let longest = table.longest_match(addr).map(|(q, v)| (q, *v));
             assert_eq!(longest, hits.first().copied(), "longest_match {addr}");
         }

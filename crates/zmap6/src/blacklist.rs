@@ -17,7 +17,7 @@ pub struct Blacklist {
 
 impl Blacklist {
     /// Is `addr` blacklisted?
-    pub(crate) fn contains(&self, addr: Ipv6Addr) -> bool {
+    pub fn contains(&self, addr: Ipv6Addr) -> bool {
         self.prefixes.longest_match(addr).is_some()
     }
 }

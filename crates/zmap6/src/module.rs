@@ -32,14 +32,15 @@ pub enum ReplyKind {
     SynAck(SynAckInfo),
     /// RST(-ACK): host alive, port closed. Recorded, not "responsive".
     Rst,
-    /// Dnsresponse.
+    /// DNS response to the UDP/53 probe's query.
     DnsResponse {
         /// DNS response code (0 = NOERROR, 3 = NXDOMAIN).
         rcode: u8,
         /// Answers.
         answers: u16,
     },
-    /// Quicversionnegotiation.
+    /// QUIC Version Negotiation packet answering the UDP/443 probe's
+    /// Initial.
     QuicVersionNegotiation {
         /// Supported QUIC versions advertised by the server.
         versions: Vec<u32>,

@@ -2,7 +2,9 @@
 //! cases the paper root-caused, reproduced end-to-end through the real
 //! probing stack.
 
+use expanse::addr::Prefix;
 use expanse::apd::{Apd, ApdConfig};
+use expanse::core::{Pipeline, PipelineConfig};
 use expanse::model::{InternetModel, ModelConfig};
 use expanse::zmap6::{ScanConfig, Scanner};
 
@@ -114,4 +116,25 @@ fn blacklist_suppresses_probes_end_to_end() {
     assert_eq!(r.sent, 0, "no probes may leave the scanner");
     assert_eq!(r.blacklisted, 20);
     assert!(r.replies.is_empty());
+}
+
+#[test]
+fn blacklist_suppresses_every_probing_stage() {
+    // §10.1 again, for the whole day: APD, traceroute and the battery
+    // all skip what the blacklist covers — here every address.
+    let cfg = PipelineConfig {
+        scan: ScanConfig {
+            blacklist: [Prefix::DEFAULT].into_iter().collect(),
+            ..ScanConfig::default()
+        },
+        ..PipelineConfig::default()
+    };
+    let model_cfg = ModelConfig::tiny(504);
+    let mut p = Pipeline::new(model_cfg.clone(), cfg);
+    p.collect_sources(model_cfg.runup_days);
+    let snap = p.run_day();
+    let report = p.last_report();
+    assert!(report.admitted > 0, "the day had battery targets");
+    assert_eq!(report.trace_probes, 0, "no blacklisted target is traced");
+    assert_eq!(snap.probes_sent, 0, "no probe may leave the pipeline");
 }

@@ -78,7 +78,7 @@ impl Sets {
     fn of(model: &InternetModel) -> Sets {
         let special = &model.population.special;
         Sets {
-            routes: model.bgp.announcements().iter().copied().collect(),
+            routes: model.announcements().iter().copied().collect(),
             regions: model
                 .population
                 .aliases
@@ -149,6 +149,18 @@ impl Sets {
     }
 }
 
+/// The model's route and alias ground truth for `a` are what the
+/// naive sets answer.
+fn assert_answers(model: &InternetModel, a: Ipv6Addr, want: &Destination) {
+    let route = want.route.map(|(p, asn, _)| (p, asn));
+    assert_eq!(model.route(a), route, "route of {a}");
+    assert_eq!(
+        model.truth_aliased(a),
+        want.alias.is_some(),
+        "alias truth of {a}"
+    );
+}
+
 #[test]
 fn probed_targets_route_and_resolve_as_through_the_tries() {
     let model_cfg = ModelConfig::tiny(7);
@@ -183,13 +195,7 @@ fn probed_targets_route_and_resolve_as_through_the_tries() {
     let (mut aliased, mut lossy, mut bucketed) = (0, 0, 0);
     for &a in battery.iter().chain(&apd).chain(&regional) {
         let want = sets.destination(model, a);
-        let route = want.route.map(|(p, asn, _)| (p, asn));
-        assert_eq!(model.bgp.lookup(a), route, "route of {a}");
-        assert_eq!(
-            model.population.aliases.resolve(a),
-            want.alias,
-            "alias region of {a}"
-        );
+        assert_answers(model, a, &want);
         aliased += usize::from(want.alias.is_some());
         lossy += usize::from(want.lossy);
         bucketed += usize::from(!want.icmp_buckets.is_empty());
@@ -209,6 +215,7 @@ fn fused_range_edges_answer_as_the_separate_sets() {
         let (mut throttled, mut proxied) = (0, 0);
         for &a in &edges {
             let want = sets.destination(&model, a);
+            assert_answers(&model, a, &want);
             let throttles = |p: &Prefix| model.scenario.throttled.contains(p);
             throttled += usize::from(want.icmp_buckets.iter().any(throttles));
             proxied += usize::from(want.syn_proxy.is_some());
