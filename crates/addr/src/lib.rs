@@ -16,9 +16,9 @@
 //! The `table` and `set` modules hold the workspace's interned
 //! address store: [`AddrTable`] issues dense, stable [`AddrId`] handles
 //! for unique addresses, [`AddrSet`] is a sorted id run with linear-merge
-//! set algebra, and [`AddrMap`] is a self-interning columnar map. The
-//! layers above (hitlist, scan results, APD planning, entropy
-//! fingerprints) speak ids end-to-end instead of re-hashing
+//! set algebra, and [`AddrMap`] is a self-interning columnar map (the
+//! model's host table). The layers above (hitlist, APD planning,
+//! entropy fingerprints) speak ids end-to-end instead of re-hashing
 //! `Ipv6Addr` keys per day.
 //!
 //! # Example

@@ -254,16 +254,12 @@ impl AddrTable {
 }
 
 /// A columnar map from addresses to values, backed by its own interner:
-/// the replacement for per-day `HashMap<Ipv6Addr, V>` builds. Values
-/// live in one dense column parallel to the intern table, so iteration
-/// is a sequential array walk and the per-entry overhead is the
-/// table's ~22 bytes instead of a hash-map node.
+/// the model's host table, built once and then looked up per probe.
+/// Values live in one dense column parallel to the intern table, so
+/// iteration is a sequential array walk and the per-entry overhead is
+/// the table's ~22 bytes instead of a hash-map node.
 ///
-/// Insertion order is preserved (it is the intern order). Equality is
-/// **content-based**, not order-based: two maps are equal when they
-/// hold the same address → value associations, whatever order the
-/// entries arrived in — exactly the contract the fan-out determinism
-/// guard needs when merge order differs between executors.
+/// Insertion order is preserved (it is the intern order).
 #[derive(Debug, Clone, Default)]
 pub struct AddrMap<V> {
     table: AddrTable,
@@ -287,16 +283,6 @@ impl<V> AddrMap<V> {
     /// Is the map empty?
     pub fn is_empty(&self) -> bool {
         self.vals.is_empty()
-    }
-
-    /// The value for `a`, inserting `default` first if absent.
-    #[inline]
-    pub fn entry_or(&mut self, a: Ipv6Addr, default: V) -> &mut V {
-        let (id, new) = self.table.intern_u128(addr_to_u128(a));
-        if new {
-            self.vals.push(default);
-        }
-        &mut self.vals[id.index()]
     }
 
     /// Insert or overwrite the value for `a`; returns `true` when the
@@ -336,46 +322,6 @@ impl<V> AddrMap<V> {
     /// Values in insertion order.
     pub fn values(&self) -> std::slice::Iter<'_, V> {
         self.vals.iter()
-    }
-
-    /// Addresses, sorted ascending (for canonical output).
-    pub fn sorted_addrs(&self) -> Vec<Ipv6Addr> {
-        let mut v: Vec<Ipv6Addr> = self.keys().collect();
-        v.sort();
-        v
-    }
-}
-
-impl<V> IntoIterator for AddrMap<V> {
-    type Item = (Ipv6Addr, V);
-    type IntoIter = std::vec::IntoIter<(Ipv6Addr, V)>;
-
-    /// Consume into `(address, value)` pairs in insertion order.
-    fn into_iter(self) -> Self::IntoIter {
-        let addrs: Vec<Ipv6Addr> = self.table.iter().map(|(_, a)| a).collect();
-        addrs
-            .into_iter()
-            .zip(self.vals)
-            .collect::<Vec<_>>()
-            .into_iter()
-    }
-}
-
-impl<V: PartialEq> PartialEq for AddrMap<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().all(|(a, v)| other.get(a) == Some(v))
-    }
-}
-
-impl<V> FromIterator<(Ipv6Addr, V)> for AddrMap<V> {
-    /// Collect pairs; a repeated address keeps the **last** value, like
-    /// `HashMap::from_iter`.
-    fn from_iter<I: IntoIterator<Item = (Ipv6Addr, V)>>(iter: I) -> Self {
-        let mut m = AddrMap::new();
-        for (a, v) in iter {
-            m.insert(a, v);
-        }
-        m
     }
 }
 
@@ -433,30 +379,16 @@ mod tests {
     }
 
     #[test]
-    fn map_entry_and_order() {
+    fn map_insert_and_order() {
         let mut m: AddrMap<u32> = AddrMap::new();
-        *m.entry_or(a("::2"), 0) += 5;
-        *m.entry_or(a("::1"), 0) += 1;
-        *m.entry_or(a("::2"), 0) += 1;
+        assert!(m.insert(a("::2"), 5));
+        assert!(m.insert(a("::1"), 1));
+        assert!(!m.insert(a("::2"), 6));
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(a("::2")), Some(&6));
         assert_eq!(m.get(a("::3")), None);
-        // Insertion order preserved; sorted view sorted.
+        // Insertion order preserved.
         let keys: Vec<Ipv6Addr> = m.keys().collect();
         assert_eq!(keys, vec![a("::2"), a("::1")]);
-        assert_eq!(m.sorted_addrs(), vec![a("::1"), a("::2")]);
-    }
-
-    #[test]
-    fn map_eq_is_order_insensitive() {
-        let mut x: AddrMap<u8> = AddrMap::new();
-        let mut y: AddrMap<u8> = AddrMap::new();
-        x.entry_or(a("::1"), 7);
-        x.entry_or(a("::2"), 9);
-        y.entry_or(a("::2"), 9);
-        y.entry_or(a("::1"), 7);
-        assert_eq!(x, y);
-        *y.entry_or(a("::2"), 0) = 8;
-        assert_ne!(x, y);
     }
 }

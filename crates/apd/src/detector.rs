@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn detects_cdn_hook_as_aliased() {
         let mut s = scanner();
-        let hooks: Vec<Prefix> = s.network_mut().population.special.cdn_hook_48s[..4].to_vec();
+        let hooks: Vec<Prefix> = s.network_mut().population().special.cdn_hook_48s[..4].to_vec();
         let mut apd = Apd::new(ApdConfig::default());
         for day in 0..2 {
             s.network_mut().set_day(day);
@@ -358,7 +358,7 @@ mod tests {
         // which do not respond.
         let site64 = {
             let net = s.network_mut();
-            net.population
+            net.population()
                 .sites
                 .iter()
                 .flat_map(|sp| sp.addrs.iter())
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn partial96_not_aliased_but_children_are() {
         let mut s = scanner();
-        let p96 = s.network_mut().population.special.partial96;
+        let p96 = s.network_mut().population().special.partial96;
         let children: Vec<Prefix> = (0..16u128).map(|b| p96.subprefix(4, b)).collect();
         let mut plan = vec![p96];
         plan.extend(&children);
@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn carve116_shows_15_of_16() {
         let mut s = scanner();
-        let p116 = s.network_mut().population.special.carve116;
+        let p116 = s.network_mut().population().special.carve116;
         let mut apd = Apd::new(ApdConfig::default());
         let report = apd.run_day(&mut s, &[p116]);
         let obs = report.get(&p116).expect("probed prefix is observed");
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn observations_are_sorted_distinct_and_sized_on_first_reply() {
         let mut s = scanner();
-        let hooks: Vec<Prefix> = s.network_mut().population.special.cdn_hook_48s[..2].to_vec();
+        let hooks: Vec<Prefix> = s.network_mut().population().special.cdn_hook_48s[..2].to_vec();
         // Unrouted space: silent by construction.
         let silent: Prefix = "3fff:0:0:1::/64".parse().unwrap();
         // Out of order, one prefix twice.
@@ -443,7 +443,7 @@ mod tests {
     #[test]
     fn probe_accounting() {
         let mut s = scanner();
-        let hooks = vec![s.network_mut().population.special.cdn_hook_48s[0]];
+        let hooks = vec![s.network_mut().population().special.cdn_hook_48s[0]];
         let mut apd = Apd::new(ApdConfig::default());
         let report = apd.run_day(&mut s, &hooks);
         assert_eq!(report.targets, 16);
@@ -465,7 +465,7 @@ mod tests {
     /// the /116 carve, unrouted space, the partial /96 — out of order.
     /// No two of its prefixes share a fan-out target.
     fn mixed_plan(s: &mut Scanner<InternetModel>) -> Vec<Prefix> {
-        let special = &s.network_mut().population.special;
+        let special = &s.network_mut().population().special;
         let hook = special.cdn_hook_48s[0];
         let mut plan = vec![special.carve116, hook, special.partial96];
         let mut p = hook.subprefix(16, 0x5a5a);
@@ -528,7 +528,7 @@ mod tests {
     fn shared_target_answers_for_every_prefix_that_drew_it() {
         for outer_first in [true, false] {
             let mut s = scanner();
-            let hook = s.network_mut().population.special.cdn_hook_48s[2];
+            let hook = s.network_mut().population().special.cdn_hook_48s[2];
             let p120 = hook.subprefix(72, 0x00c0_ffee_0000_0001_0203);
             let p124 = p120.subprefix(4, 0x7);
             let plan = if outer_first {

@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn finds_aliased_96s_inside_hook() {
         let model = InternetModel::build(ModelConfig::tiny(66));
-        let hook = model.population.special.cdn_hook_48s[0];
+        let hook = model.population().special.cdn_hook_48s[0];
         let mut scanner = Scanner::new(model, ScanConfig::default());
         // Hitlist: a few addresses inside one aliased /48.
         let hitlist: Vec<Ipv6Addr> = (0..5u64).map(|i| keyed_random_addr(hook, i)).collect();
@@ -112,7 +112,7 @@ mod tests {
         // A site address outside every aliased region (which site index
         // that is depends on the model's random stream).
         let host_addr = model
-            .population
+            .population()
             .sites
             .iter()
             .flat_map(|s| s.addrs.iter())
@@ -135,7 +135,7 @@ mod tests {
         let model = InternetModel::build(ModelConfig::tiny(66));
         // Find a scattered aliased region deeper than /96 if present.
         let deep: Vec<Prefix> = model
-            .population
+            .population()
             .aliases
             .iter()
             .map(|(p, _)| p)

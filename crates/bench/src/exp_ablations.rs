@@ -17,7 +17,7 @@ pub(crate) fn fanout(ctx: &mut Ctx) -> String {
         "§5.1 case 3",
     );
     let p = ctx.pipeline();
-    let p96 = p.model_ref().population.special.partial96;
+    let p96 = p.model_ref().population().special.partial96;
     out.push_str(&format!(
         "{p96}: exactly 9 of its 16 /100 children are aliased\n\n"
     ));
@@ -90,14 +90,14 @@ pub(crate) fn crossproto(ctx: &mut Ctx) -> String {
     // Lossy aliased regions: the Table 4 material.
     let lossy_aliased: Vec<Prefix> = p
         .model_ref()
-        .population
+        .population()
         .aliases
         .iter()
         .map(|(px, _)| px)
         .filter(|px| {
             px.len() <= 124
                 && p.model_ref()
-                    .population
+                    .population()
                     .lossy
                     .iter()
                     .any(|l| l.covers(px) || *px == *l)
@@ -178,7 +178,7 @@ pub(crate) fn gating(ctx: &mut Ctx) -> String {
     let p = ctx.pipeline();
     let model = p.model_ref();
     let missed: Vec<Prefix> = model
-        .population
+        .population()
         .aliases
         .iter()
         .map(|(px, _)| px)

@@ -34,10 +34,10 @@ fn daily_bitmaps(ctx: &mut Ctx, days: u16) -> BTreeMap<Prefix, Vec<u16>> {
     let p = ctx.pipeline();
     // Interesting prefixes: every ground-truth aliased region at its own
     // level, plus the specials' children.
-    let specials = p.model_ref().population.special.clone();
+    let specials = p.model_ref().population().special.clone();
     let mut plan: Vec<Prefix> = p
         .model_ref()
-        .population
+        .population()
         .aliases
         .iter()
         .map(|(px, _)| px)
@@ -231,7 +231,7 @@ pub(crate) fn fig5(ctx: &mut Ctx) -> String {
         for px in &aliased {
             if px.len() == 48
                 || model
-                    .population
+                    .population()
                     .special
                     .cdn_hook_48s
                     .iter()

@@ -95,15 +95,18 @@ pub(crate) fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
         six_resp.len(),
         pct(six_resp.len() as f64 / six_targets.len().max(1) as f64),
     ));
-    let resp_overlap = six_resp.keys().filter(|a| eip_resp.contains(*a)).count();
+    let resp_overlap = six_resp
+        .iter()
+        .filter(|&&(a, _)| eip_resp.binary_search_by_key(&a, |&(b, _)| b).is_ok())
+        .count();
     out.push_str(&format!(
         "responsive overlap: {resp_overlap} (paper: 17k of 785k, higher hit rate on overlap)\n\n",
     ));
 
     if !fig9 {
         // Table 7: top-5 protocol combinations per tool.
-        let combos = |resp: &expanse_addr::AddrMap<ProtoSet>| -> Counter<u8> {
-            resp.values().map(|s| s.0).collect()
+        let combos = |resp: &[(Ipv6Addr, ProtoSet)]| -> Counter<u8> {
+            resp.iter().map(|(_, s)| s.0).collect()
         };
         let ec = combos(eip_resp);
         let sc = combos(six_resp);
@@ -132,9 +135,9 @@ pub(crate) fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
             "\n(paper's top row: ICMP-only — 66.8% of 6Gen vs 41.1% of Entropy/IP;\n\
              Entropy/IP responders are ~3x more likely to be DNS servers)\n",
         );
-        let dns_share = |resp: &expanse_addr::AddrMap<ProtoSet>| {
-            resp.values()
-                .filter(|s| s.contains(Protocol::Udp53))
+        let dns_share = |resp: &[(Ipv6Addr, ProtoSet)]| {
+            resp.iter()
+                .filter(|(_, s)| s.contains(Protocol::Udp53))
                 .count() as f64
                 / resp.len().max(1) as f64
         };
@@ -156,7 +159,7 @@ pub(crate) fn table7_fig9(ctx: &mut Ctx, fig9: bool) -> String {
         for (name, resp) in [("Entropy/IP", eip_resp), ("6Gen", six_resp)] {
             let mut by_as: Counter<u32> = Counter::new();
             let mut by_pfx: Counter<(u128, u8)> = Counter::new();
-            for a in resp.keys() {
+            for &(a, _) in resp {
                 if let Some((px, asn)) = model.route(a) {
                     by_as.push(asn.0);
                     by_pfx.push((px.bits(), px.len()));

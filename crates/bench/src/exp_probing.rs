@@ -87,7 +87,7 @@ pub(crate) fn fig7(ctx: &mut Ctx) -> String {
         .scan_battery(&kept, &expanse_zmap6::standard_battery());
     let labels: Vec<&str> = Protocol::ALL.iter().map(|q| q.name()).collect();
     let mut m = CondMatrix::new(&labels);
-    for protos in multi.responsive.values() {
+    for (_, protos) in &multi.responsive {
         let mut mask = 0u32;
         for q in protos.iter() {
             mask |= 1 << q.index();

@@ -132,17 +132,17 @@ pub(crate) fn bench_scenarios(ctx: &mut Ctx) -> String {
     // rotation shows up here as lost precision/recall.
     let (positives, negatives) = {
         let m = p.model_ref();
-        let pos: Vec<_> = m.scenario.fabrics.clone();
+        let pos: Vec<_> = m.scenario().fabrics.clone();
         let mut neg: Vec<_> = m
-            .population
+            .population()
             .sites
             .iter()
             .filter(|s| s.site.len() == 64 && !m.truth_aliased(s.site.addr_at(0)))
             .map(|s| s.site)
             .take(12)
             .collect();
-        neg.extend(m.scenario.throttled.iter().copied());
-        neg.extend(m.scenario.rotating.iter().map(|r| r.prefix));
+        neg.extend(m.scenario().throttled.iter().copied());
+        neg.extend(m.scenario().rotating.iter().map(|r| r.prefix));
         neg.sort();
         neg.dedup();
         (pos, neg)

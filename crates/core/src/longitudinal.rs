@@ -102,7 +102,7 @@ impl Ledger {
 
     /// Record one day of battery results. `responsive` is the day's
     /// dense pass: `(hitlist id, answering protocols)` sorted ascending
-    /// by id (the pipeline resolves the battery's responsive map into
+    /// by id (the pipeline resolves the battery's responder run into
     /// hitlist-id space once per day).
     pub(crate) fn record_day(
         &mut self,

@@ -6,7 +6,7 @@
 use crate::hitlist::Hitlist;
 use crate::longitudinal::Ledger;
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder, PrefixRun};
-use expanse_addr::{AddrId, AddrMap, AddrSet, IdBits, Prefix};
+use expanse_addr::{AddrId, AddrSet, IdBits, Prefix};
 use expanse_apd::{Apd, ApdConfig, PlanConfig};
 use expanse_model::{InternetModel, ModelConfig, Source, SourceId};
 use expanse_netsim::Time;
@@ -96,10 +96,10 @@ pub struct DailySnapshot {
     pub hitlist_after_apd: usize,
     /// Aliased prefixes currently classified.
     pub aliased_prefixes: Vec<Prefix>,
-    /// Per-address responsive protocol sets (non-aliased targets only),
-    /// taken over from the battery result — the snapshot owns the
-    /// columnar map, no per-day clone.
-    pub responsive: AddrMap<ProtoSet>,
+    /// Per-address responsive protocol sets (non-aliased targets only):
+    /// the battery's responder run, strictly ascending by address,
+    /// taken over from the battery result (no per-day clone).
+    pub responsive: Vec<(Ipv6Addr, ProtoSet)>,
     /// Router addresses harvested by scamper today.
     pub routers_found: usize,
     /// Members expired by the retention policy today (0 when disabled).
@@ -285,7 +285,7 @@ impl Pipeline {
 
     /// [`Pipeline::run_day`], also returning the battery's merged scan
     /// result (the fan-out determinism guard pins its digest). The
-    /// snapshot takes ownership of the merged responsive map; the
+    /// snapshot takes ownership of the responder run; the
     /// returned result carries the per-protocol breakdown.
     ///
     /// The body is the day's stage list and nothing else: the eight
@@ -329,9 +329,9 @@ impl Pipeline {
             hitlist_total: self.hitlist.len(),
             hitlist_after_apd: kept_len,
             aliased_prefixes: aliased_now,
-            // The snapshot takes the merged responsive map over; the
-            // returned MultiScanResult keeps the per-protocol results
-            // (its own responsive map is left empty).
+            // The snapshot takes the responder run over; the returned
+            // MultiScanResult keeps the per-protocol results (its own
+            // run is left empty).
             responsive: multi.take_responsive(),
             routers_found,
             expired_today,
@@ -1386,7 +1386,7 @@ mod tests {
         p.collect_sources(10);
         let snap = p.run_day();
         let filter = p.apd.filter();
-        for addr in snap.responsive.keys() {
+        for &(addr, _) in &snap.responsive {
             assert!(
                 !filter.is_aliased(addr),
                 "{addr} responsive but aliased-filtered"

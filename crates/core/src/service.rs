@@ -35,7 +35,7 @@ pub fn hitlist_file(snap: &DailySnapshot) -> String {
         "# scan digest {:016x} — identical for serial and parallel probing",
         snap.battery_digest,
     );
-    for a in snap.responsive.sorted_addrs() {
+    for &(a, _) in &snap.responsive {
         push_expanded_line(&mut out, a);
     }
     out
@@ -62,13 +62,12 @@ pub fn aliased_prefixes_file(snap: &DailySnapshot) -> String {
 /// Render per-protocol responsive lists (the service offers per-service
 /// views, e.g. only HTTPS servers — "Hitlist Tailoring", §11).
 pub fn protocol_file(snap: &DailySnapshot, proto: Protocol) -> String {
-    let mut addrs: Vec<_> = snap
+    let addrs: Vec<_> = snap
         .responsive
         .iter()
         .filter(|(_, set)| set.contains(proto))
-        .map(|(a, _)| a)
+        .map(|&(a, _)| a)
         .collect();
-    addrs.sort();
     let mut out = String::with_capacity(HEADER_ROOM + addrs.len() * ADDR_LINE);
     let _ = writeln!(
         out,
@@ -93,19 +92,19 @@ fn push_expanded_line(out: &mut String, a: std::net::Ipv6Addr) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expanse_addr::AddrMap;
     use expanse_packet::ProtoSet;
 
     fn snap() -> DailySnapshot {
-        let mut responsive: AddrMap<ProtoSet> = AddrMap::new();
-        responsive.insert(
-            "2001:db8::1".parse().unwrap(),
-            ProtoSet::only(Protocol::Icmp).with(Protocol::Tcp443),
-        );
-        responsive.insert(
-            "2001:db8::2".parse().unwrap(),
-            ProtoSet::only(Protocol::Icmp),
-        );
+        let responsive = vec![
+            (
+                "2001:db8::1".parse().unwrap(),
+                ProtoSet::only(Protocol::Icmp).with(Protocol::Tcp443),
+            ),
+            (
+                "2001:db8::2".parse().unwrap(),
+                ProtoSet::only(Protocol::Icmp),
+            ),
+        ];
         DailySnapshot {
             day: 3,
             hitlist_total: 100,
@@ -126,11 +125,9 @@ mod tests {
         assert!(f.contains("# scan digest feedbeef00420777"));
         assert!(f.contains("2001:0db8:0000:0000:0000:0000:0000:0001\n"));
         assert_eq!(f.lines().count(), 4);
-        // Sorted ascending.
+        // Strictly ascending.
         let lines: Vec<&str> = f.lines().skip(2).collect();
-        let mut sorted = lines.clone();
-        sorted.sort();
-        assert_eq!(lines, sorted);
+        assert!(lines.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

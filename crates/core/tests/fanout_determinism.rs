@@ -28,14 +28,14 @@ fn pipeline(model: ModelConfig) -> Pipeline {
 }
 
 /// Day 0 of `ModelConfig::tiny(77)`: the battery's digest, the
-/// snapshot's stamp, the responsive map's length and FNV-1a over
-/// `(address octets, protocol-set byte)` in map order, the hitlist
+/// snapshot's stamp, the responder run's length and FNV-1a over
+/// `(address octets, protocol-set byte)` in run (address) order, the hitlist
 /// before and after the alias filter, the aliased prefixes' count and
 /// FNV-1a over `(bits as little-endian, length)`, and probes sent.
 const RECORDED_DAY: DayFingerprint = DayFingerprint {
     multi: 14_679_521_244_857_042_884,
     battery: 4_156_100_604_172_024_107,
-    responsive: (3_444, 15_741_789_507_956_713_515),
+    responsive: (3_444, 1_065_642_688_949_314_537),
     hitlist_total: 15_572,
     hitlist_after_apd: 8_164,
     aliased: (1_127, 1_844_169_596_200_618_370),
@@ -56,10 +56,10 @@ struct DayFingerprint {
 #[test]
 fn default_config_day_matches_recorded() {
     let (snap, multi) = pipeline(ModelConfig::tiny(77)).run_day_full();
-    // The snapshot took ownership of the merged responsive map, so the
-    // battery digest covers `by_protocol`; the map is checked through
-    // the snapshot, and must not be empty — otherwise the equality
-    // would be vacuous.
+    // The snapshot took ownership of the responder run, so the battery
+    // digest covers `by_protocol`; the run is checked through the
+    // snapshot, and must not be empty — otherwise the equality would be
+    // vacuous.
     assert!(multi.responsive.is_empty(), "taken by the snapshot");
     assert!(!snap.responsive.is_empty(), "someone must answer");
     let responsive: Vec<u8> = snap

@@ -18,7 +18,7 @@
 //!
 //! let mut net = InternetModel::build(ModelConfig::tiny(42));
 //! let src = "2001:db8:ffff::1".parse().unwrap();
-//! let target = net.population.special.cdn_hook_48s[0].first();
+//! let target = net.population().special.cdn_hook_48s[0].first();
 //! let mut probe = Vec::new();
 //! Datagram::emit_with(&mut probe, src, target, proto::ICMPV6, 64, |out| {
 //!     icmpv6::emit_echo(icmpv6::types::ECHO_REQUEST, 1, 1, &[], src, target, out)
@@ -75,14 +75,12 @@ pub struct InternetModel {
     pub ases: Vec<AsInfo>,
     /// The BGP announcements, sorted: see [`InternetModel::announcements`].
     announcements: Vec<(Prefix, Asn)>,
-    /// Population. Not to be changed after [`InternetModel::build`]:
-    /// the engine's fused destination table is derived from its alias
-    /// regions, lossy prefixes and middlebox prefixes at build time.
-    pub population: Population,
+    /// Population: see [`InternetModel::population`].
+    population: Population,
     /// Forwarding-path model (hop counts, router identities).
     pub(crate) paths: paths::PathModel,
-    /// Adversarial periphery scenario layer (empty when disabled).
-    pub scenario: scenario::ScenarioState,
+    /// Scenario layer: see [`InternetModel::scenario`].
+    scenario: scenario::ScenarioState,
     /// Routes, alias regions, lossy and middlebox prefixes, fused for
     /// one search per destination.
     pub(crate) dests: dest::DestTable,
@@ -161,6 +159,20 @@ impl InternetModel {
     /// Every BGP announcement with its origin, in [`Prefix`] order.
     pub fn announcements(&self) -> &[(Prefix, Asn)] {
         &self.announcements
+    }
+
+    /// The population. Read-only: the fused destination table and the
+    /// day state's bucket slots are derived from its alias regions,
+    /// lossy prefixes and middlebox prefixes at build time.
+    pub fn population(&self) -> &Population {
+        &self.population
+    }
+
+    /// The adversarial periphery scenario layer (empty when disabled).
+    /// Read-only, like [`InternetModel::population`]: its throttled
+    /// prefixes are bucket slots of the day state.
+    pub fn scenario(&self) -> &scenario::ScenarioState {
+        &self.scenario
     }
 
     /// Longest-prefix match: the announcement covering `addr`.

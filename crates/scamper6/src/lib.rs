@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn traces_reach_aliased_targets() {
         let mut t = tracer();
-        let p48 = t.net.population.special.cdn_hook_48s[0];
+        let p48 = t.net.population().special.cdn_hook_48s[0];
         let dst = expanse_addr::keyed_random_addr(p48, 5);
         let path = t.trace(dst);
         assert!(path.reached, "aliased target should answer: {path:?}");
@@ -220,7 +220,7 @@ mod tests {
         // Take an eyeball site address.
         let site = t
             .net
-            .population
+            .population()
             .sites
             .iter()
             .find(|s| s.category == expanse_model::AsCategory::IspEyeball)
@@ -252,7 +252,7 @@ mod tests {
         let mut t = tracer();
         let targets: Vec<Ipv6Addr> = t
             .net
-            .population
+            .population()
             .sites
             .iter()
             .filter(|s| s.category == expanse_model::AsCategory::IspEyeball)
@@ -283,12 +283,12 @@ mod tests {
     fn deterministic() {
         let mut a = tracer();
         let mut b = tracer();
-        let dst = a.net.population.sites[0].addrs[0];
+        let dst = a.net.population().sites[0].addrs[0];
         let pa = a.trace(dst);
         let pb = b.trace(dst);
         assert_eq!(pa.hops, pb.hops);
         assert_eq!(pa.reached, pb.reached);
-        let targets: Vec<Ipv6Addr> = a.net.population.sites[..20]
+        let targets: Vec<Ipv6Addr> = a.net.population().sites[..20]
             .iter()
             .map(|s| s.addrs[0])
             .collect();

@@ -1,10 +1,11 @@
 //! Scan result containers.
 
 use crate::module::ReplyKind;
-use expanse_addr::{addr_to_u128, AddrId, AddrMap};
+use expanse_addr::{addr_to_u128, AddrId};
 use expanse_netsim::Time;
 use expanse_packet::{ProtoSet, Protocol};
 use std::collections::BTreeMap;
+use std::iter::Peekable;
 use std::net::Ipv6Addr;
 
 /// One validated reply.
@@ -118,84 +119,118 @@ impl ScanResult {
             out.malformed += part.malformed;
             out.unvalidated += part.unvalidated;
             out.duplicates += part.duplicates;
-            runs.push(part.replies.into_iter());
+            runs.push(part.replies);
         }
-        out.replies
-            .reserve_exact(runs.iter().map(|r| r.len()).sum());
-        let head = |run: &std::vec::IntoIter<ProbeReply>| {
-            run.as_slice().first().map(|r| addr_to_u128(r.target))
-        };
-        // `(head target, run)` of every run not yet drained, in run
-        // order. Take the least head each time; ties go to the earlier
-        // run, whose reply is then the one kept.
-        let mut heads: Vec<(u128, usize)> = runs
-            .iter()
-            .enumerate()
-            .filter_map(|(run, r)| Some((head(r)?, run)))
-            .collect();
-        while !heads.is_empty() {
-            let mut least = 0;
-            for (j, h) in heads.iter().enumerate().skip(1) {
-                if h.0 < heads[least].0 {
-                    least = j;
+        out.replies.reserve_exact(runs.iter().map(Vec::len).sum());
+        merge_runs(
+            runs,
+            |r| r.target,
+            |reply| {
+                if out.replies.last().is_some_and(|r| r.target == reply.target) {
+                    out.duplicates += 1;
+                } else {
+                    out.replies.push(reply);
                 }
-            }
-            let run = heads[least].1;
-            let reply = runs[run].next().expect("a run with a head");
-            match head(&runs[run]) {
-                Some(target) => heads[least].0 = target,
-                None => {
-                    heads.remove(least);
-                }
-            }
-            if out.replies.last().is_some_and(|r| r.target == reply.target) {
-                out.duplicates += 1;
-            } else {
-                out.replies.push(reply);
-            }
-        }
+            },
+        );
         out
     }
 }
 
+/// Merge `runs`, each ascending by `key`, handing every item to `fold`
+/// once in key order; equal keys go in run order. Both run merges of
+/// the crate go through it: a protocol's sub-shards
+/// ([`ScanResult::from_shards`]) and the battery's responder run
+/// ([`MultiScanResult::from_passes`]).
+fn merge_runs<I: IntoIterator>(
+    runs: impl IntoIterator<Item = I>,
+    key: impl Fn(&I::Item) -> Ipv6Addr,
+    mut fold: impl FnMut(I::Item),
+) {
+    let mut runs: Vec<Peekable<I::IntoIter>> = runs
+        .into_iter()
+        .map(|run| run.into_iter().peekable())
+        .collect();
+    let head = |run: &mut Peekable<I::IntoIter>| run.peek().map(|item| addr_to_u128(key(item)));
+    // `(head key, run)` of every run not yet drained, in run order.
+    // Take the least head each time; ties go to the earlier run.
+    let mut heads: Vec<(u128, usize)> = runs
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(run, r)| Some((head(r)?, run)))
+        .collect();
+    while !heads.is_empty() {
+        let mut least = 0;
+        for (j, h) in heads.iter().enumerate().skip(1) {
+            if h.0 < heads[least].0 {
+                least = j;
+            }
+        }
+        let run = heads[least].1;
+        let item = runs[run].next().expect("a run with a head");
+        match head(&mut runs[run]) {
+            Some(next) => heads[least].0 = next,
+            None => {
+                heads.remove(least);
+            }
+        }
+        fold(item);
+    }
+}
+
 /// Merged results across protocols (the §6 battery).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MultiScanResult {
     /// Per-protocol scan results.
     pub by_protocol: BTreeMap<Protocol, ScanResult>,
-    /// Per-address positive protocol set: a columnar interned map
-    /// (address column + `ProtoSet` column) instead of a per-day
-    /// hash-map rebuild. Its equality is content-based, so executors
-    /// that merge in different orders still compare equal.
-    pub responsive: AddrMap<ProtoSet>,
+    /// Per-address positive protocol set: one run strictly ascending by
+    /// address, each responder once, with the union of the protocols
+    /// whose replies it answered positively.
+    pub responsive: Vec<(Ipv6Addr, ProtoSet)>,
     /// Caller-domain ids of the responsive addresses, parallel to
-    /// `responsive`'s insertion order: entry *i* is the resolved id of
-    /// the *i*-th distinct responder (protocols in merge order, each
-    /// protocol's new responders in target order). Filled only by
+    /// `responsive`: entry *i* is the resolved id of its *i*-th
+    /// responder. Filled only by
     /// [`crate::Scanner::scan_battery_resolved`] (the pipeline resolves
     /// against its hitlist once per responder, instead of a hash lookup
     /// per reply); stays empty under plain
-    /// [`MultiScanResult::merge`]. Excluded from equality — it mirrors
-    /// `responsive`'s keys through an external table, adding no
-    /// information of its own.
+    /// [`MultiScanResult::from_passes`]. Excluded from equality — it
+    /// mirrors `responsive`'s addresses through an external table,
+    /// adding no information of its own.
     pub responsive_ids: Vec<AddrId>,
 }
 
 impl MultiScanResult {
-    /// Fold one protocol scan in.
-    pub fn merge(&mut self, r: ScanResult) {
-        for reply in &r.replies {
-            if reply.kind.is_positive() {
-                let e = self.responsive.entry_or(reply.target, ProtoSet::EMPTY);
-                *e = e.with(r.protocol);
-            }
+    /// The battery's result from its protocol passes: each kept under
+    /// its protocol (a later pass of the same protocol replaces an
+    /// earlier one), and their positive replies, already sorted by
+    /// target, merged into the responder run.
+    pub fn from_passes(passes: impl IntoIterator<Item = ScanResult>) -> MultiScanResult {
+        let by_protocol: BTreeMap<Protocol, ScanResult> =
+            passes.into_iter().map(|r| (r.protocol, r)).collect();
+        let mut responsive: Vec<(Ipv6Addr, ProtoSet)> = Vec::new();
+        let runs = by_protocol.values().map(|r| {
+            r.replies
+                .iter()
+                .filter(|reply| reply.kind.is_positive())
+                .map(|reply| (reply.target, r.protocol))
+        });
+        merge_runs(
+            runs,
+            |&(a, _)| a,
+            |(a, p)| match responsive.last_mut() {
+                Some((last, set)) if *last == a => *set = set.with(p),
+                _ => responsive.push((a, ProtoSet::only(p))),
+            },
+        );
+        MultiScanResult {
+            by_protocol,
+            responsive,
+            responsive_ids: Vec::new(),
         }
-        self.by_protocol.insert(r.protocol, r);
     }
 
-    /// The day's `(id, protocols)` pairs in `responsive` insertion
-    /// order, zipping the resolved id column against the protocol-set
-    /// column.
+    /// The day's `(id, protocols)` pairs in address order, zipping the
+    /// resolved id column against the responder run.
     ///
     /// # Panics
     /// Panics if the result was not built by
@@ -205,19 +240,19 @@ impl MultiScanResult {
         assert_eq!(
             self.responsive_ids.len(),
             self.responsive.len(),
-            "responsive_ids out of step with the responsive map"
+            "responsive_ids out of step with the responder run"
         );
         self.responsive_ids
             .iter()
             .copied()
-            .zip(self.responsive.values().copied())
+            .zip(self.responsive.iter().map(|&(_, set)| set))
     }
 
-    /// Move the merged responsive map out (the per-protocol results
-    /// stay). The daily pipeline hands it to the snapshot instead of
-    /// cloning; compute [`MultiScanResult::digest`] first if the full
-    /// digest is wanted.
-    pub fn take_responsive(&mut self) -> AddrMap<ProtoSet> {
+    /// Move the responder run out (the per-protocol results stay). The
+    /// daily pipeline hands it to the snapshot instead of cloning;
+    /// compute [`MultiScanResult::digest`] first if the full digest is
+    /// wanted.
+    pub fn take_responsive(&mut self) -> Vec<(Ipv6Addr, ProtoSet)> {
         std::mem::take(&mut self.responsive)
     }
 
@@ -228,12 +263,11 @@ impl MultiScanResult {
 
     /// A canonical FNV-1a digest over every field of every reply, walked
     /// in place: protocols in `Protocol` order, each protocol's replies
-    /// in target order, then the responsive map sorted by address. The
-    /// encoding is injective (variable-length fields are
-    /// length-prefixed), so equal results always produce equal digests
-    /// and unequal results collide only at ordinary 64-bit hash odds;
-    /// the fan-out determinism guard and the throughput bench compare
-    /// this.
+    /// in target order, then the responder run. The encoding is
+    /// injective (variable-length fields are length-prefixed), so equal
+    /// results always produce equal digests and unequal results collide
+    /// only at ordinary 64-bit hash odds; the fan-out determinism guard
+    /// and the throughput bench compare this.
     /// Allocation-free per reply (runs once per virtual day over the
     /// whole merged battery, so it must stay off the daily loop's back).
     pub fn digest(&self) -> u64 {
@@ -262,11 +296,8 @@ impl MultiScanResult {
                 h.eat_kind(&reply.kind);
             }
         }
-        let mut responsive: Vec<(Ipv6Addr, ProtoSet)> =
-            self.responsive.iter().map(|(a, set)| (a, *set)).collect();
-        responsive.sort_unstable_by_key(|&(a, _)| a);
-        h.eat(&(responsive.len() as u64).to_le_bytes());
-        for (a, set) in responsive {
+        h.eat(&(self.responsive.len() as u64).to_le_bytes());
+        for (a, set) in &self.responsive {
             h.eat(&a.octets());
             h.eat(&[set.0]);
         }
@@ -275,9 +306,10 @@ impl MultiScanResult {
 }
 
 /// Equality ignores [`MultiScanResult::responsive_ids`]: the id column
-/// mirrors `responsive`'s keys through an external table, so it adds
-/// nothing to the content the digest and the determinism guards compare
-/// (and a plain [`MultiScanResult::merge`] leaves it empty).
+/// mirrors `responsive`'s addresses through an external table, so it
+/// adds nothing to the content the digest and the determinism guards
+/// compare (and a plain [`MultiScanResult::from_passes`] leaves it
+/// empty).
 impl PartialEq for MultiScanResult {
     fn eq(&self, other: &Self) -> bool {
         self.by_protocol == other.by_protocol && self.responsive == other.responsive
@@ -388,10 +420,11 @@ mod tests {
 
     #[test]
     fn multi_merge_builds_protosets() {
-        let mut m = MultiScanResult::default();
         let mut icmp = ScanResult::new(Protocol::Icmp);
         icmp.replies.push(reply("::1", ReplyKind::EchoReply));
-        m.merge(icmp);
+        icmp.replies.push(reply("::3", ReplyKind::EchoReply));
+        let mut tcp = ScanResult::new(Protocol::Tcp80);
+        tcp.replies.push(reply("::2", ReplyKind::Rst));
         let mut dns = ScanResult::new(Protocol::Udp53);
         dns.replies.push(reply(
             "::1",
@@ -400,12 +433,17 @@ mod tests {
                 answers: 1,
             },
         ));
-        m.merge(dns);
-        let set = *m.responsive.get("::1".parse().unwrap()).unwrap();
-        assert!(set.contains(Protocol::Icmp));
-        assert!(set.contains(Protocol::Udp53));
-        assert_eq!(set.len(), 2);
-        assert_eq!(m.responsive.len(), 1);
+        let m = MultiScanResult::from_passes([dns, tcp, icmp]);
+        let both = ProtoSet::only(Protocol::Icmp).with(Protocol::Udp53);
+        let icmp_only = ProtoSet::only(Protocol::Icmp);
+        assert_eq!(
+            m.responsive,
+            [
+                ("::1".parse().unwrap(), both),
+                ("::3".parse().unwrap(), icmp_only)
+            ]
+        );
+        assert_eq!(m.by_protocol.len(), 3);
     }
 
     #[test]

@@ -642,8 +642,8 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         self.merge_battery(passes)
     }
 
-    /// [`Scanner::scan_battery`], then each distinct responder resolved
-    /// to a caller-domain id, in `responsive` insertion order, into
+    /// [`Scanner::scan_battery`], then each responder resolved to a
+    /// caller-domain id, in the responder run's address order, into
     /// [`MultiScanResult::responsive_ids`] — the pipeline passes its
     /// hitlist lookup here, so it runs once per responder. The resolver
     /// runs after the grid is back, so it needs no synchronization.
@@ -654,7 +654,7 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
         resolve: &mut dyn FnMut(Ipv6Addr) -> expanse_addr::AddrId,
     ) -> MultiScanResult {
         let mut multi = self.scan_battery(targets, modules);
-        multi.responsive_ids = multi.responsive.keys().map(resolve).collect();
+        multi.responsive_ids = multi.responsive.iter().map(|&(a, _)| resolve(a)).collect();
         multi
     }
 
@@ -731,16 +731,16 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
             .collect()
     }
 
-    /// Fold the per-module passes into one [`MultiScanResult`], in
-    /// module order; the scanner clock advances to the slowest cell's
-    /// end time, like a barrier over parallel zmap processes.
+    /// Fold the per-module passes into one [`MultiScanResult`]
+    /// ([`MultiScanResult::from_passes`]); the scanner clock advances to
+    /// the slowest cell's end time, like a barrier over parallel zmap
+    /// processes.
     fn merge_battery(&mut self, passes: Vec<(ScanResult, Time)>) -> MultiScanResult {
-        let mut multi = MultiScanResult::default();
         let mut end = self.clock;
-        for (pass, pass_end) in passes {
+        let multi = MultiScanResult::from_passes(passes.into_iter().map(|(pass, pass_end)| {
             end = end.max(pass_end);
-            multi.merge(pass);
-        }
+            pass
+        }));
         self.clock = end;
         multi
     }
@@ -780,7 +780,7 @@ mod tests {
     #[test]
     fn scans_aliased_prefix_fully() {
         let mut s = scanner();
-        let p48 = s.network_mut().population.special.cdn_hook_48s[0];
+        let p48 = s.network_mut().population().special.cdn_hook_48s[0];
         let targets: Vec<Ipv6Addr> = (0..50u64)
             .map(|i| expanse_addr::keyed_random_addr(p48, i))
             .collect();
@@ -808,7 +808,7 @@ mod tests {
     #[test]
     fn tcp_scan_of_alias_returns_synacks() {
         let mut s = scanner();
-        let p48 = s.network_mut().population.special.cdn_hook_48s[1];
+        let p48 = s.network_mut().population().special.cdn_hook_48s[1];
         let targets: Vec<Ipv6Addr> = (0..30u64)
             .map(|i| expanse_addr::keyed_random_addr(p48, i))
             .collect();
@@ -827,7 +827,7 @@ mod tests {
     #[test]
     fn shards_cover_disjoint_targets() {
         let model = InternetModel::build(ModelConfig::tiny(21));
-        let p48 = model.population.special.cdn_hook_48s[0];
+        let p48 = model.population().special.cdn_hook_48s[0];
         let targets: Vec<Ipv6Addr> = (0..40u64)
             .map(|i| expanse_addr::keyed_random_addr(p48, i))
             .collect();
@@ -851,7 +851,7 @@ mod tests {
     #[test]
     fn battery_merges_protocols() {
         let mut s = scanner();
-        let p48 = s.network_mut().population.special.cdn_hook_48s[0];
+        let p48 = s.network_mut().population().special.cdn_hook_48s[0];
         let targets: Vec<Ipv6Addr> = (0..20u64)
             .map(|i| expanse_addr::keyed_random_addr(p48, i))
             .collect();
@@ -862,7 +862,7 @@ mod tests {
         assert!(get(Protocol::Tcp80) >= 15);
         assert_eq!(get(Protocol::Udp53), 0);
         // Per-address protocol sets populated.
-        let any = multi.responsive.iter().next().unwrap();
+        let any = multi.responsive.first().unwrap();
         assert!(any.1.len() >= 2, "{:?}", any);
     }
 
@@ -876,7 +876,7 @@ mod tests {
     #[test]
     fn battery_matches_recorded() {
         let p48 = InternetModel::build(ModelConfig::tiny(21))
-            .population
+            .population()
             .special
             .cdn_hook_48s[0];
         let targets: Vec<Ipv6Addr> = (0..200u64)
@@ -899,7 +899,7 @@ mod tests {
         // target set — every target probed exactly once per protocol
         // across the instances, none double-probed or skipped.
         let p48 = InternetModel::build(ModelConfig::tiny(21))
-            .population
+            .population()
             .special
             .cdn_hook_48s[0];
         let targets: Vec<Ipv6Addr> = (0..41u64)
@@ -942,7 +942,7 @@ mod tests {
         // Whatever the sub-shard count, every target is probed exactly
         // once per protocol (the grid partitions the permutation).
         let p48 = InternetModel::build(ModelConfig::tiny(21))
-            .population
+            .population()
             .special
             .cdn_hook_48s[0];
         let targets: Vec<Ipv6Addr> = (0..37u64)
@@ -997,11 +997,7 @@ mod tests {
             "below the floor"
         );
         assert!(one[0].0.blacklisted > 0 && one[0].0.duplicates > 0);
-        let digest = |r: &ScanResult| {
-            let mut multi = MultiScanResult::default();
-            multi.merge(r.clone());
-            multi.digest()
-        };
+        let digest = |r: &ScanResult| MultiScanResult::from_passes([r.clone()]).digest();
         let (d, t) = (|i: usize| digest(&one[i].0), |i: usize| one[i].1 .0);
         assert_eq!([d(0), d(1), t(1), d(2), d(3), t(3)], recorded);
         for workers in [2, 3, 8] {
@@ -1037,7 +1033,7 @@ mod tests {
     #[test]
     fn pooled_scan_keeps_throttled_64s_in_send_order() {
         let net = common::adversarial();
-        let p64 = net.scenario.throttled[0];
+        let p64 = net.scenario().throttled[0];
         assert!(stateful(&net, p64.addr_at(1)));
         let mix = common::mix(&net);
         sweep_workers(common::adversarial, mix, common::RECORDED_ADVERSARIAL);
@@ -1112,7 +1108,7 @@ mod tests {
     fn virtual_time_advances_with_rate() {
         let model = InternetModel::build(ModelConfig::tiny(21));
         let mut s = Scanner::new(model, ScanConfig::default());
-        let p48 = s.network_mut().population.special.cdn_hook_48s[0];
+        let p48 = s.network_mut().population().special.cdn_hook_48s[0];
         let targets: Vec<Ipv6Addr> = (0..100u64)
             .map(|i| expanse_addr::keyed_random_addr(p48, i))
             .collect();

@@ -48,7 +48,7 @@ pub(crate) fn adversarial() -> InternetModel {
 /// one target listed twice, and two blacklisted prefixes (returned
 /// second) with targets inside.
 pub(crate) fn mix(model: &InternetModel) -> (Vec<Ipv6Addr>, Vec<Prefix>) {
-    let special = &model.population.special;
+    let special = &model.population().special;
     let mut targets: Vec<Ipv6Addr> = Vec::new();
     let mut fill = |p: Prefix, n: u64| {
         targets.extend((0..n).map(|i| keyed_random_addr(p, i)));
@@ -57,21 +57,21 @@ pub(crate) fn mix(model: &InternetModel) -> (Vec<Ipv6Addr>, Vec<Prefix>) {
     for p in &special.syn_proxy {
         fill(*p, 400);
     }
-    for p in &model.scenario.throttled {
+    for p in &model.scenario().throttled {
         fill(*p, 100);
     }
     for p in &special.cdn_hook_48s {
         fill(*p, 500);
     }
-    for site in &model.population.sites {
+    for site in &model.population().sites {
         fill(site.site, 40);
     }
     let unrouted: Prefix = "3fff::/20".parse().expect("valid prefix");
     fill(unrouted, 3000);
-    for site in &model.population.sites {
+    for site in &model.population().sites {
         targets.extend(&site.addrs);
     }
-    targets.extend(model.population.hosts.keys());
+    targets.extend(model.population().hosts.keys());
     let dup = keyed_random_addr(special.cdn_hook_48s[0], 7);
     targets.push(dup);
     let blacklist = vec![

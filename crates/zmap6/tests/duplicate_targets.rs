@@ -1,6 +1,6 @@
 //! First-reply-wins accounting when one responsive address is listed
-//! twice, and the shape of the reply run (`replies` strictly sorted by
-//! target, `ScanResult::get`).
+//! twice, and the shape of the reply runs (`replies` strictly sorted by
+//! target, `ScanResult::get`, and the battery's responder run).
 //!
 //! The duplicate sits at two permutation positions that land in
 //! different battery sub-shards, so the merge (not the scan job) has to
@@ -10,11 +10,12 @@
 
 use expanse_addr::keyed_random_addr;
 use expanse_model::{InternetModel, ModelConfig};
-use expanse_packet::Protocol;
+use expanse_packet::{ProtoSet, Protocol};
 use expanse_zmap6::module::IcmpEchoModule;
 use expanse_zmap6::{
     standard_battery, MultiScanResult, Permutation, ScanConfig, ScanResult, Scanner,
 };
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 const N: u64 = 200;
@@ -41,7 +42,7 @@ fn model() -> InternetModel {
 /// address at permutation position 0 — sub-shard 0's first probe —
 /// repeated at position 17 = 1 + 8·2, sub-shard 1's third probe.
 fn targets() -> (Vec<Ipv6Addr>, Ipv6Addr) {
-    let p48 = model().population.special.cdn_hook_48s[0];
+    let p48 = model().population().special.cdn_hook_48s[0];
     let mut targets: Vec<Ipv6Addr> = (0..N).map(|i| keyed_random_addr(p48, i)).collect();
     let perm = Permutation::new(N, ScanConfig::default().seed);
     let (first, second) = (perm.at(0) as usize, perm.at(17) as usize);
@@ -72,6 +73,20 @@ fn assert_accounted(r: &ScanResult) {
 fn duplicate_across_sub_shards_keeps_the_first_merged_reply() {
     let (targets, dup) = targets();
     let multi = battery();
+    // The responder run: each address once, strictly ascending, with
+    // the union over the protocol passes of every positive reply's
+    // protocol.
+    let mut oracle: BTreeMap<Ipv6Addr, ProtoSet> = BTreeMap::new();
+    for (&protocol, r) in &multi.by_protocol {
+        for a in r.responsive() {
+            let set = oracle.entry(a).or_insert(ProtoSet::EMPTY);
+            *set = set.with(protocol);
+        }
+    }
+    assert!(oracle.values().any(|set| set.len() > 1), "a vacuous union");
+    assert!(multi.responsive.windows(2).all(|w| w[0].0 < w[1].0));
+    assert_eq!(multi.responsive, oracle.into_iter().collect::<Vec<_>>());
+
     assert_eq!(multi.digest(), RECORDED_DIGEST);
 
     for (protocol, sent, received, replies, duplicates) in RECORDED {

@@ -24,9 +24,7 @@ fn digest(r: ScanResult) -> u64 {
         r.replies.len() as u64 + r.duplicates + r.malformed + r.unvalidated,
         "every received frame is a reply, a duplicate, or rejected"
     );
-    let mut multi = MultiScanResult::default();
-    multi.merge(r);
-    multi.digest()
+    MultiScanResult::from_passes([r]).digest()
 }
 
 fn fingerprint<N: SnapshotNetwork + Sync>(
@@ -59,7 +57,7 @@ fn plain_world_matches_the_serial_loop() {
 #[test]
 fn adversarial_world_matches_the_serial_loop() {
     let net = common::adversarial();
-    assert!(!net.scenario.throttled.is_empty());
+    assert!(!net.scenario().throttled.is_empty());
     let mix = common::mix(&net);
     assert_eq!(fingerprint(net, mix), common::RECORDED_ADVERSARIAL);
 }

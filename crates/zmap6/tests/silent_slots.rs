@@ -232,9 +232,7 @@ fn injects_the_non_silent_slots(build: fn() -> InternetModel, recorded: common::
         assert_eq!((r.sent, r.answerable), (sent, loud));
         assert_eq!(s.network().take(), loud, "{:?}", r.protocol);
         assert_eq!(s.network().take_decisions(), decided_once);
-        let mut multi = MultiScanResult::default();
-        multi.merge(r);
-        multi.digest()
+        MultiScanResult::from_passes([r]).digest()
     };
     let mut got = [0u64; 6];
     for pair in got.chunks_mut(3) {

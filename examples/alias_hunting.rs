@@ -13,7 +13,7 @@ use expanse::zmap6::{ScanConfig, Scanner};
 
 fn main() {
     let model = InternetModel::build(ModelConfig::tiny(7));
-    let specials = model.population.special.clone();
+    let specials = model.population().special.clone();
     let mut scanner = Scanner::new(model, ScanConfig::default());
 
     // ---- multi-level detection over the specials ---------------------

@@ -49,8 +49,8 @@ fn main() {
     for proto in Protocol::ALL {
         let n = snap
             .responsive
-            .values()
-            .filter(|set| set.contains(proto))
+            .iter()
+            .filter(|(_, set)| set.contains(proto))
             .count();
         println!("  {proto:<8} {n}");
     }

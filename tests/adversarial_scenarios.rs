@@ -17,21 +17,21 @@ use std::net::Ipv6Addr;
 /// positives; honest non-aliased /64 sites plus the scenario's own
 /// throttled router /64s and rotating /56s as negatives.
 fn labeled_universe(model: &InternetModel) -> (Vec<Prefix>, Vec<Prefix>) {
-    let positives = model.scenario.fabrics.clone();
+    let positives = model.scenario().fabrics.clone();
     assert!(
         !positives.is_empty(),
         "adversarial preset must build fabrics"
     );
     let mut negatives: Vec<Prefix> = model
-        .population
+        .population()
         .sites
         .iter()
         .filter(|s| s.site.len() == 64 && !model.truth_aliased(s.site.addr_at(0)))
         .map(|s| s.site)
         .take(12)
         .collect();
-    negatives.extend(model.scenario.throttled.iter().copied());
-    negatives.extend(model.scenario.rotating.iter().map(|r| r.prefix));
+    negatives.extend(model.scenario().throttled.iter().copied());
+    negatives.extend(model.scenario().rotating.iter().map(|r| r.prefix));
     negatives.sort();
     negatives.dedup();
     assert!(negatives.len() >= 10, "want a meaningful negative pool");
@@ -115,7 +115,7 @@ fn apd_accuracy_survives_last_hop_throttling() {
     // APD's fan-out targets in a router /64 hold no host under either
     // budget, so the budget shows in what the routers themselves answer.
     let routers: Vec<Ipv6Addr> = model
-        .scenario
+        .scenario()
         .throttled
         .iter()
         .flat_map(|p| (1..=4).map(|k| p.addr_at(k)))

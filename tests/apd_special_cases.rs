@@ -21,7 +21,7 @@ fn syn_proxy_80_answers_a_minority_of_tcp_probes() {
     // responses over time... a SYN proxy activated only after a certain
     // threshold of connection attempts."
     let mut s = scanner(501);
-    let p80 = s.network_mut().population.special.syn_proxy[0];
+    let p80 = s.network_mut().population().special.syn_proxy[0];
     let mut apd = Apd::new(ApdConfig::default());
     let mut partial_days = 0;
     for day in 0..4u16 {
@@ -52,7 +52,7 @@ fn rate_limited_120s_flap_across_days_and_window_stabilizes() {
     // Paper case 4: six neighbouring /120s flap day-to-day due to ICMP
     // rate limiting; the sliding window absorbs it.
     let mut s = scanner(502);
-    let prefixes = s.network_mut().population.special.rate_limited.clone();
+    let prefixes = s.network_mut().population().special.rate_limited.clone();
     let mut apd = Apd::new(ApdConfig {
         window: 3,
         ..ApdConfig::default()
@@ -76,7 +76,7 @@ fn rate_limited_120s_flap_across_days_and_window_stabilizes() {
 #[test]
 fn partial96_described_by_multi_level_not_by_parent() {
     let mut s = scanner(503);
-    let p96 = s.network_mut().population.special.partial96;
+    let p96 = s.network_mut().population().special.partial96;
     let children: Vec<_> = (0..16u128).map(|b| p96.subprefix(4, b)).collect();
     let mut plan = vec![p96];
     plan.extend(&children);
@@ -103,7 +103,7 @@ fn blacklist_suppresses_probes_end_to_end() {
     // §10.1 ethics: blacklisted prefixes are never probed, even if they
     // would respond.
     let model = InternetModel::build(ModelConfig::tiny(504));
-    let hook = model.population.special.cdn_hook_48s[0];
+    let hook = model.population().special.cdn_hook_48s[0];
     let cfg = ScanConfig {
         blacklist: [hook].into_iter().collect(),
         ..ScanConfig::default()

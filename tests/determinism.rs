@@ -15,11 +15,7 @@ fn pipeline_day_is_reproducible() {
             snap.hitlist_total,
             snap.hitlist_after_apd,
             snap.aliased_prefixes,
-            {
-                let mut v: Vec<_> = snap.responsive.into_iter().collect();
-                v.sort();
-                v
-            },
+            snap.responsive,
             snap.probes_sent,
         )
     };
@@ -40,7 +36,7 @@ fn different_seeds_differ() {
 fn scans_reproducible_across_scanner_instances() {
     let scan = || {
         let model = InternetModel::build(ModelConfig::tiny(5));
-        let hook = model.population.special.cdn_hook_48s[0];
+        let hook = model.population().special.cdn_hook_48s[0];
         let targets: Vec<_> = (0..64u64)
             .map(|i| expanse::addr::keyed_random_addr(hook, i))
             .collect();

@@ -76,18 +76,18 @@ struct Sets {
 
 impl Sets {
     fn of(model: &InternetModel) -> Sets {
-        let special = &model.population.special;
+        let special = &model.population().special;
         Sets {
             routes: model.announcements().iter().copied().collect(),
             regions: model
-                .population
+                .population()
                 .aliases
                 .iter()
                 .map(|(p, r)| (p, *r))
                 .collect(),
-            lossy: model.population.lossy.iter().map(|p| (*p, ())).collect(),
+            lossy: model.population().lossy.iter().map(|p| (*p, ())).collect(),
             buckets: std::iter::once(special.rate_limit_parent)
-                .chain(model.scenario.throttled.iter().copied())
+                .chain(model.scenario().throttled.iter().copied())
                 .collect(),
             proxies: special.syn_proxy.clone(),
         }
@@ -118,7 +118,7 @@ impl Sets {
     /// outside neighbours. (The fused table's ranges start and end only
     /// where some set's prefix does.)
     fn edges(&self, model: &InternetModel) -> Vec<Ipv6Addr> {
-        let carves = model.population.aliases.iter().filter_map(|(p, r)| {
+        let carves = model.population().aliases.iter().filter_map(|(p, r)| {
             let branch = r
                 .carve_branch
                 .filter(|_| p.len() <= 124 && p.len() % 4 == 0)?;
@@ -216,13 +216,13 @@ fn fused_range_edges_answer_as_the_separate_sets() {
         for &a in &edges {
             let want = sets.destination(&model, a);
             assert_answers(&model, a, &want);
-            let throttles = |p: &Prefix| model.scenario.throttled.contains(p);
+            let throttles = |p: &Prefix| model.scenario().throttled.contains(p);
             throttled += usize::from(want.icmp_buckets.iter().any(throttles));
             proxied += usize::from(want.syn_proxy.is_some());
             assert_eq!(model.destination(a), want, "fused entry of {a}");
         }
         assert!(proxied > 0, "no edge met a SYN proxy");
-        if model.scenario.enabled() {
+        if model.scenario().enabled() {
             assert!(throttled > 0, "no edge met a throttled router");
         }
     }

@@ -11,7 +11,7 @@ use std::net::Ipv6Addr;
 fn seeds_and_model() -> (Vec<Ipv6Addr>, InternetModel) {
     let model = InternetModel::build(ModelConfig::tiny(2001));
     let site = model
-        .population
+        .population()
         .sites
         .iter()
         .filter(|s| s.category == AsCategory::Hoster && s.addrs.len() >= 80)

@@ -52,8 +52,8 @@ fn sources_to_service_files() {
     // ICMP dominates responsiveness (Fig 7's strongest row).
     let icmp = snap
         .responsive
-        .values()
-        .filter(|s| s.contains(Protocol::Icmp))
+        .iter()
+        .filter(|(_, s)| s.contains(Protocol::Icmp))
         .count();
     assert!(
         icmp * 10 >= snap.responsive.len() * 8,
@@ -96,7 +96,7 @@ fn responsive_addresses_never_aliased() {
     let mut p = pipeline(1003);
     p.collect_sources(10);
     let snap = p.run_day();
-    for a in snap.responsive.keys() {
+    for &(a, _) in &snap.responsive {
         assert!(
             !p.apd.filter().is_aliased(a),
             "{a} both responsive and filtered"
