@@ -4,8 +4,9 @@
 //! Not a paper artifact, and not a stopwatch — where a day's *time* goes
 //! is the repo benchmark's job (`benchmark/ --trace 1`). This builds its
 //! own pipeline (so a `--smoke` pass and a standalone run agree), runs
-//! real days, and writes `BENCH_pipeline.json` from
-//! [`Pipeline::last_report`] and the journal: stage counts per day,
+//! real days, and writes `BENCH_pipeline.json` from each day's
+//! [`DailySnapshot::report`](expanse_core::DailySnapshot::report) and
+//! the journal: stage counts per day,
 //! snapshot and delta bytes, render bytes. Nothing in it depends on the
 //! machine or the thread count, so the copy committed at the repo root
 //! is a golden record CI compares byte-for-byte.
@@ -67,7 +68,7 @@ pub fn bench_pipeline(ctx: &mut Ctx) -> String {
     let mut last_snapshot = None;
     for _ in 0..DAYS {
         let snap = p.run_day();
-        let counts = counts(&p.last_report());
+        let counts = counts(&snap.report);
         let before = journal.len();
         p.append_delta(&mut journal).expect("append_delta");
         let delta_bytes = journal.len() - before;

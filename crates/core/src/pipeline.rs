@@ -85,23 +85,23 @@ impl Default for PipelineConfig {
     }
 }
 
-/// One day's outcome.
+/// One day's outcome, returned by [`Pipeline::run_day`]: what the day
+/// publishes, and in [`DailySnapshot::report`] what each stage did. The
+/// pipeline keeps neither; a caller that wants an older day's record
+/// keeps its snapshot.
 #[derive(Debug, Clone)]
 pub struct DailySnapshot {
     /// Probing day.
     pub day: u16,
-    /// Hitlist size before/after the aliased-prefix filter.
+    /// Live hitlist members at day end (today's alias-filter survivors
+    /// are [`StageReport::kept`]).
     pub hitlist_total: usize,
-    /// Hitlist after apd.
-    pub hitlist_after_apd: usize,
     /// Aliased prefixes currently classified.
     pub aliased_prefixes: Vec<Prefix>,
     /// Per-address responsive protocol sets (non-aliased targets only):
     /// the battery's responder run, strictly ascending by address,
     /// taken over from the battery result (no per-day clone).
     pub responsive: Vec<(Ipv6Addr, ProtoSet)>,
-    /// Router addresses harvested by scamper today.
-    pub routers_found: usize,
     /// Members expired by the retention policy today (0 when disabled).
     pub expired_today: usize,
     /// Probes sent today (APD + battery + traceroute).
@@ -110,6 +110,10 @@ pub struct DailySnapshot {
     /// at every worker count; the published daily files carry it as a
     /// reproducibility stamp.
     pub battery_digest: u64,
+    /// What each stage did today, as exact counts. Carried beside the
+    /// published outputs, never in them: no save, journal record or
+    /// digest holds it.
+    pub report: StageReport,
 }
 
 /// What each stage of one day did, as exact counts: the same for a
@@ -118,8 +122,8 @@ pub struct DailySnapshot {
 /// traces, the responsiveness battery).
 ///
 /// Counts only — where the day's *time* went is what the repo
-/// benchmark's `--trace 1` reports. The report is read through
-/// [`Pipeline::last_report`] and is never encoded, journaled or
+/// benchmark's `--trace 1` reports. The report is the day's
+/// [`DailySnapshot::report`] and is never encoded, journaled or
 /// digested.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageReport {
@@ -185,20 +189,7 @@ pub struct Pipeline {
     /// The day counter as of the last journal sync point; each delta
     /// frame names it so frames replay strictly in order.
     synced_day: u16,
-    /// Day-end observer (see [`Pipeline::on_day_end`]); not persisted —
-    /// a resumed pipeline starts with no hook.
-    day_end_hook: Option<DayEndHook>,
-    /// See [`Pipeline::last_report`]; not persisted either.
-    last_report: StageReport,
 }
-
-/// A day-end observer: called with the pipeline (post-day state, day
-/// counter already advanced, [`Pipeline::last_report`] already the
-/// day's) and the day's snapshot at the end of every
-/// [`Pipeline::run_day_full`]. The serving daemon uses one to publish
-/// each completed day as a fresh registry epoch without the driver loop
-/// having to know about registries.
-pub(crate) type DayEndHook = Box<dyn FnMut(&Pipeline, &DailySnapshot) + Send>;
 
 impl Pipeline {
     /// Build a pipeline over a fresh model.
@@ -218,24 +209,7 @@ impl Pipeline {
             day: 0,
             synced_hot: BTreeSet::new(),
             synced_day: 0,
-            day_end_hook: None,
-            last_report: StageReport::default(),
         }
-    }
-
-    /// Install the day-end observer (replacing any previous one). The
-    /// hook runs at the very end of every [`Pipeline::run_day_full`],
-    /// after the day counter advances, with shared access to the
-    /// pipeline — so it can build a
-    /// snapshot view of the completed day. It is not persisted: a
-    /// resumed pipeline starts bare.
-    pub fn on_day_end(&mut self, hook: DayEndHook) {
-        self.day_end_hook = Some(hook);
-    }
-
-    /// The underlying model.
-    pub fn model(&mut self) -> &mut InternetModel {
-        self.scanner.network_mut()
     }
 
     /// Shared access to the underlying model.
@@ -273,14 +247,6 @@ impl Pipeline {
     /// scan of non-aliased targets, ledger update.
     pub fn run_day(&mut self) -> DailySnapshot {
         self.run_day_full().0
-    }
-
-    /// The [`StageReport`] of the last day this pipeline ran — all zero
-    /// before the first. It lives beside the snapshot, never in it: no
-    /// save, journal record or digest carries it, so a resumed pipeline
-    /// starts at zero again.
-    pub fn last_report(&self) -> StageReport {
-        self.last_report
     }
 
     /// [`Pipeline::run_day`], also returning the battery's merged scan
@@ -327,25 +293,17 @@ impl Pipeline {
         let snapshot = DailySnapshot {
             day,
             hitlist_total: self.hitlist.len(),
-            hitlist_after_apd: kept_len,
             aliased_prefixes: aliased_now,
             // The snapshot takes the responder run over; the returned
             // MultiScanResult keeps the per-protocol results (its own
             // run is left empty).
             responsive: multi.take_responsive(),
-            routers_found,
             expired_today,
             probes_sent: report.apd_probes + report.trace_probes + report.battery_probes,
             battery_digest,
+            report,
         };
-        self.last_report = report;
         self.day += 1;
-        // Take/call/put-back so the hook can read `&self` (it observes
-        // the post-day pipeline) while being stored inside it.
-        if let Some(mut hook) = self.day_end_hook.take() {
-            hook(self, &snapshot);
-            self.day_end_hook = Some(hook);
-        }
         (snapshot, multi)
     }
 
@@ -740,8 +698,6 @@ impl Pipeline {
             hot_prefixes: st.hot_prefixes,
             day: st.day,
             synced_day: st.day,
-            day_end_hook: None,
-            last_report: StageReport::default(),
         };
         Ok((p, replay))
     }
@@ -1007,15 +963,14 @@ impl PersistedState {
             journal_bytes: base_bytes,
         };
         loop {
-            let mut lenb = [0u8; 8];
-            match read_or_eof(r, &mut lenb)? {
-                ReadOutcome::Eof => break,
-                ReadOutcome::Partial => {
-                    replay.torn_tail = true;
-                    break;
-                }
-                ReadOutcome::Full => {}
-            }
+            // `read_to_end` retries `Interrupted` and stops only at EOF
+            // or the 8th byte: none is a clean end, 1–7 a torn record.
+            let mut prefix = Vec::with_capacity(8);
+            r.by_ref().take(8).read_to_end(&mut prefix)?;
+            let Ok(lenb) = <[u8; 8]>::try_from(prefix.as_slice()) else {
+                replay.torn_tail = !prefix.is_empty();
+                break;
+            };
             let frame_len = u64::from_le_bytes(lenb);
             if !(MIN_FRAME_LEN..=MAX_FRAME_LEN).contains(&frame_len) {
                 replay.torn_tail = true;
@@ -1083,51 +1038,6 @@ impl<R: Read> Read for CountingReader<R> {
         self.count += n as u64;
         Ok(n)
     }
-}
-
-/// Outcome of [`read_or_eof`].
-enum ReadOutcome {
-    /// The buffer was filled.
-    Full,
-    /// Not a single byte was available: a clean end of the journal.
-    Eof,
-    /// Some bytes arrived, then EOF: a torn record.
-    Partial,
-}
-
-/// Fill `buf` from `r`, distinguishing a clean EOF before the first
-/// byte from a torn read partway through.
-#[deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    reason = "replays untrusted journal bytes: torn input must map to Err, not a panic"
-)]
-fn read_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<ReadOutcome, CodecError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "the loop guard keeps filled < buf.len(); slices a local buffer"
-        )]
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(CodecError::Io(e)),
-        }
-    }
-    Ok(ReadOutcome::Full)
 }
 
 /// Envelope magic for a full pipeline snapshot (the journal base).
@@ -1325,7 +1235,7 @@ mod tests {
         assert!(p.hitlist.len() > 3000, "hitlist={}", p.hitlist.len());
         let snap = p.run_day();
         assert_eq!(snap.day, 0);
-        assert!(snap.hitlist_after_apd < snap.hitlist_total);
+        assert!((snap.report.kept as usize) < snap.hitlist_total);
         assert!(
             !snap.aliased_prefixes.is_empty(),
             "APD should find the CDN hooks"
@@ -1336,30 +1246,11 @@ mod tests {
     }
 
     #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the hook is `Send`, so what it records goes through a mutex; one thread locks it"
-    )]
-    fn day_end_hook_fires_with_advanced_day_and_survives() {
-        let mut p = tiny_pipeline();
-        p.collect_sources(30);
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = seen.clone();
-        p.on_day_end(Box::new(move |p, snap| {
-            // The counter has already advanced past the completed day.
-            sink.lock().unwrap().push((p.day(), snap.day));
-        }));
-        p.run_day();
-        p.run_day();
-        assert_eq!(*seen.lock().unwrap(), vec![(1, 0), (2, 1)]);
-    }
-
-    #[test]
     fn apd_removes_roughly_the_aliased_share() {
         let mut p = tiny_pipeline();
         p.collect_sources(30);
         let snap = p.run_day();
-        let removed = snap.hitlist_total - snap.hitlist_after_apd;
+        let removed = snap.hitlist_total - snap.report.kept as usize;
         let share = removed as f64 / snap.hitlist_total as f64;
         // Paper: 46.6 % of addresses fall in aliased prefixes. The tiny
         // model is noisier; accept a broad band around it.
@@ -1376,7 +1267,7 @@ mod tests {
         p.collect_sources(30);
         let before = p.hitlist.len();
         let snap = p.run_day();
-        assert!(snap.routers_found > 0);
+        assert!(snap.report.routers > 0);
         assert!(p.hitlist.len() >= before);
     }
 

@@ -28,7 +28,7 @@ pub fn hitlist_file(snap: &DailySnapshot) -> String {
         "# expanse IPv6 hitlist — day {} — {} responsive of {} non-aliased targets",
         snap.day,
         snap.responsive.len(),
-        snap.hitlist_after_apd,
+        snap.report.kept,
     );
     let _ = writeln!(
         out,
@@ -92,6 +92,7 @@ fn push_expanded_line(out: &mut String, a: std::net::Ipv6Addr) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::StageReport;
     use expanse_packet::ProtoSet;
 
     fn snap() -> DailySnapshot {
@@ -108,13 +109,15 @@ mod tests {
         DailySnapshot {
             day: 3,
             hitlist_total: 100,
-            hitlist_after_apd: 50,
             aliased_prefixes: vec!["2001:db8:47::/48".parse().unwrap()],
             responsive,
-            routers_found: 0,
             expired_today: 0,
             probes_sent: 500,
             battery_digest: 0xfeed_beef_0042_0777,
+            report: StageReport {
+                kept: 50,
+                ..StageReport::default()
+            },
         }
     }
 

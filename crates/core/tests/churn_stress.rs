@@ -222,8 +222,7 @@ fn full_apd_day_delta_fits_its_size_budget() {
     let mut journal = Vec::new();
     p.save_full(&mut journal).expect("base");
     for day in 0..3 {
-        p.run_day();
-        let report = p.last_report();
+        let report = p.run_day().report;
         assert!(report.plan_prefixes > 1000 && report.responders > 1000);
         let before = journal.len();
         p.append_delta(&mut journal).expect("append_delta");

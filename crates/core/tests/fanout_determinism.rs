@@ -77,7 +77,7 @@ fn default_config_day_matches_recorded() {
         battery: snap.battery_digest,
         responsive: (snap.responsive.len(), fnv1a(&responsive)),
         hitlist_total: snap.hitlist_total,
-        hitlist_after_apd: snap.hitlist_after_apd,
+        hitlist_after_apd: snap.report.kept as usize,
         aliased: (snap.aliased_prefixes.len(), fnv1a(&aliased)),
         probes_sent: snap.probes_sent,
     };

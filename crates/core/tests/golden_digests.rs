@@ -99,7 +99,7 @@ fn run(
         // digests must cover that path, not only the one-thread
         // fallback below it.
         if full_apd {
-            let slots = p.last_report().apd_answerable;
+            let slots = snap.report.apd_answerable;
             assert!(slots >= 4096, "day {day}: {slots} answerable APD slots");
         }
         digests[day] = snap.battery_digest;

@@ -2,6 +2,8 @@
 //! full saves and delta appends replays to a state byte-identical to
 //! the straight-line run, and a journal truncated anywhere inside its
 //! last delta record resumes cleanly from the previous record.
+//! Replay reads through any [`Read`]: one that is interrupted before
+//! every read and yields a byte at a time replays like a slice.
 //!
 //! The per-day reference states are computed once (straight-line run,
 //! full snapshot after every day) and shared across properties.
@@ -9,6 +11,7 @@
 use expanse_core::{Pipeline, PipelineConfig, RetentionConfig};
 use expanse_model::ModelConfig;
 use proptest::prelude::*;
+use std::io::{self, Read};
 use std::sync::OnceLock;
 
 const SEED: u64 = 1717;
@@ -133,6 +136,76 @@ proptest! {
             reference()[days - 1].clone(),
             "cut at {} did not recover to the previous record",
             cut
+        );
+    }
+}
+
+/// A reader that fails with `Interrupted` before every read and then
+/// yields one byte: the slowest a `BufReader<File>` may legally be.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    interrupt: bool,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.interrupt = !self.interrupt;
+        if self.interrupt {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        match (self.bytes.split_first(), buf.first_mut()) {
+            (Some((&b, rest)), Some(slot)) => {
+                *slot = b;
+                self.bytes = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+/// A clean three-delta journal, the same journal cut inside its last
+/// length prefix, and cut inside its last frame: each replays through
+/// a [`Trickle`] to the state and the [`expanse_core::JournalReplay`]
+/// that the plain slice gives.
+#[test]
+fn interrupted_one_byte_reads_replay_like_a_slice() {
+    let mut p = fresh();
+    let mut journal = Vec::new();
+    p.save_full(&mut journal).expect("base");
+    let mut last = 0;
+    for _ in 0..3 {
+        p.run_day();
+        last = journal.len();
+        p.append_delta(&mut journal).expect("append_delta");
+    }
+    let cuts = [
+        (journal.len(), 3, false),
+        (last + 3, 2, true),
+        (last + 8 + 20, 2, true),
+    ];
+    for (cut, deltas, torn) in cuts {
+        let bytes = &journal[..cut];
+        let (mut plain, plain_replay) =
+            Pipeline::resume(ModelConfig::tiny(SEED), config(), &mut &bytes[..])
+                .expect("slice resume");
+        let mut trickle = Trickle {
+            bytes,
+            interrupt: false,
+        };
+        let (mut trickled, trickled_replay) =
+            Pipeline::resume(ModelConfig::tiny(SEED), config(), &mut trickle)
+                .expect("trickle resume");
+        assert_eq!(
+            (plain_replay.deltas_applied, plain_replay.torn_tail),
+            (deltas, torn),
+            "cut at {cut}"
+        );
+        assert_eq!(trickled_replay, plain_replay, "cut at {cut}");
+        assert_eq!(
+            state_bytes(&mut trickled),
+            state_bytes(&mut plain),
+            "cut at {cut}"
         );
     }
 }

@@ -10,6 +10,8 @@
 //!
 //! Retention expiry is enabled so the guard also covers the
 //! accumulate→expire→publish lifecycle (expiry counts must match too).
+//! Each day's [`StageReport`] is compared as well: it is never
+//! persisted, so a resumed day must recount every stage exactly.
 //!
 //! Delta records replay APD day bitmaps rather than carry windows
 //! whole, so the guard also drives records that span one day, a full
@@ -19,7 +21,9 @@
 use expanse_addr::codec::{Encoder, CODEC_VERSION};
 use expanse_addr::{CodecError, Prefix};
 use expanse_core::pipeline::{DELTA_MAGIC, PIPELINE_MAGIC};
-use expanse_core::{service, PersistedState, Pipeline, PipelineConfig, RetentionConfig};
+use expanse_core::{
+    service, PersistedState, Pipeline, PipelineConfig, RetentionConfig, StageReport,
+};
 use expanse_model::{ModelConfig, SourceId};
 
 const SEED: u64 = 4242;
@@ -55,6 +59,7 @@ struct DayOutput {
     hitlist_file: String,
     aliased_prefixes_file: String,
     expired_today: usize,
+    report: StageReport,
 }
 
 fn drive(p: &mut Pipeline, days: usize) -> Vec<DayOutput> {
@@ -67,6 +72,7 @@ fn drive(p: &mut Pipeline, days: usize) -> Vec<DayOutput> {
                 hitlist_file: service::hitlist_file(&snap),
                 aliased_prefixes_file: service::aliased_prefixes_file(&snap),
                 expired_today: snap.expired_today,
+                report: snap.report,
             }
         })
         .collect()

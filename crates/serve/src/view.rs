@@ -164,8 +164,8 @@ pub struct SnapshotView {
 }
 
 impl SnapshotView {
-    /// Build a view of a live pipeline's current state — the publish
-    /// hook, called at day end after [`Pipeline::run_day`].
+    /// Build a view of a live pipeline's current state — what a caller
+    /// publishes after each [`Pipeline::run_day`] returns.
     pub fn publish(p: &Pipeline) -> SnapshotView {
         SnapshotView::from_hitlist(p.day(), &p.hitlist, p.apd.aliased_prefixes())
             .with_sched(p.sched.clone())

@@ -10,6 +10,10 @@
 //!   fresh epoch — a live epoch-swapping server, the one CI's daemon
 //!   flag gate starts.
 //!
+//! Every argument is read or rejected: a stray positional, a repeated
+//! flag, or an option the chosen source or cache setting would ignore
+//! exits 2 with a message naming it, before anything binds or builds.
+//!
 //! The daemon drains gracefully on `drain` (or EOF) on stdin, or after
 //! `--days N` in simulate mode: listeners reject new connections with
 //! one `ERR_SHUTTING_DOWN` frame, in-flight requests finish against
@@ -72,6 +76,106 @@ fn main() {
     }
 }
 
+/// Flags that take a value.
+const VALUED: &[&str] = &[
+    "listen",
+    "journal",
+    "days",
+    "day-ms",
+    "seed",
+    "runup",
+    "max-conns",
+    "max-inflight",
+    "read-timeout-ms",
+    "write-timeout-ms",
+    "idle-timeout-ms",
+    "drain-grace-ms",
+    "cache-mb",
+    "keep-epochs",
+    "qps",
+    "burst",
+];
+
+/// Flags that take none.
+const BOOLEAN: &[&str] = &["simulate", "no-cache", "help"];
+
+/// Options only `--simulate` reads.
+const SIMULATE_ONLY: &[&str] = &["days", "day-ms", "seed", "runup"];
+
+/// Where the served state comes from, with every option it reads.
+enum Source {
+    /// Serve the state in this journal as one epoch.
+    Journal(String),
+    /// Run the pipeline in-process, one epoch per completed day.
+    Simulate {
+        seed: u64,
+        runup: u32,
+        days: u32,
+        day_ms: u64,
+    },
+}
+
+/// Everything `run` needs, checked before anything binds or builds.
+struct Args {
+    listens: Vec<BindAddr>,
+    server: ServerConfig,
+    source: Source,
+}
+
+/// Parse and check the command line: `Ok(None)` for `--help`. Every
+/// argument given is read, or its rejection names it.
+fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
+    let f = Flags::parse(args, VALUED, BOOLEAN)?;
+    if f.has("help") {
+        return Ok(None);
+    }
+    if let Some(arg) = f.positional().first() {
+        return Err(format!("unexpected argument {arg:?}"));
+    }
+    // `--listen` is the one flag that repeats; any other would keep
+    // only its last value.
+    if let Some(name) = VALUED
+        .iter()
+        .find(|&&n| n != "listen" && f.get_all(n).len() > 1)
+    {
+        return Err(format!("--{name} given more than once"));
+    }
+    let listens: Vec<BindAddr> = f
+        .get_all("listen")
+        .into_iter()
+        .map(BindAddr::parse)
+        .collect::<Result<_, _>>()?;
+    if listens.is_empty() {
+        return Err("at least one --listen tcp:IP:PORT or --listen uds:PATH is required".into());
+    }
+    Ok(Some(Args {
+        listens,
+        server: server_config(&f)?,
+        source: source(&f)?,
+    }))
+}
+
+fn source(f: &Flags) -> Result<Source, String> {
+    match (f.get("journal"), f.has("simulate")) {
+        (Some(_), true) => Err("--journal and --simulate are mutually exclusive".into()),
+        (Some(path), false) => {
+            if let Some(name) = SIMULATE_ONLY.iter().find(|n| f.get(n).is_some()) {
+                return Err(format!(
+                    "--{name} is a --simulate option; --journal serves one fixed epoch"
+                ));
+            }
+            Ok(Source::Journal(path.to_string()))
+        }
+        (None, true) => Ok(Source::Simulate {
+            seed: f.parsed("seed", 7)?,
+            runup: f.parsed("runup", 30)?,
+            days: f.parsed("days", 3)?,
+            day_ms: f.parsed("day-ms", 200)?,
+        }),
+        (None, false) => Err("a source is required: --journal PATH or --simulate".into()),
+    }
+}
+
 fn server_config(f: &Flags) -> Result<ServerConfig, String> {
     let mut cfg = ServerConfig::default();
     cfg.max_connections = f.parsed("max-conns", cfg.max_connections)?;
@@ -84,14 +188,24 @@ fn server_config(f: &Flags) -> Result<ServerConfig, String> {
     cfg.idle_timeout = ms("idle-timeout-ms", cfg.idle_timeout)?;
     cfg.drain_grace = ms("drain-grace-ms", cfg.drain_grace)?;
     cfg.cache = if f.has("no-cache") {
+        if let Some(name) = ["cache-mb", "keep-epochs"]
+            .into_iter()
+            .find(|n| f.get(n).is_some())
+        {
+            return Err(format!("--{name} conflicts with --no-cache"));
+        }
         None
     } else {
         let mb = f.parsed("cache-mb", 64usize)?;
+        let keep_epochs = f.parsed("keep-epochs", 2u64)?;
+        if keep_epochs == 0 {
+            return Err("--keep-epochs must be at least 1, got 0".into());
+        }
         Some(CacheConfig {
             max_bytes: mb
                 .checked_mul(1 << 20)
                 .ok_or_else(|| format!("--cache-mb: {mb} MiB does not fit in memory"))?,
-            keep_epochs: f.parsed("keep-epochs", 2u64)?,
+            keep_epochs,
         })
     };
     if let Some(qps) = f.parsed_opt::<f64>("qps")? {
@@ -109,75 +223,51 @@ fn server_config(f: &Flags) -> Result<ServerConfig, String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(
-        args,
-        &[
-            "listen",
-            "journal",
-            "days",
-            "day-ms",
-            "seed",
-            "runup",
-            "max-conns",
-            "max-inflight",
-            "read-timeout-ms",
-            "write-timeout-ms",
-            "idle-timeout-ms",
-            "drain-grace-ms",
-            "cache-mb",
-            "keep-epochs",
-            "qps",
-            "burst",
-        ],
-        &["simulate", "no-cache", "help"],
-    )?;
-    if f.has("help") {
+    let Some(Args {
+        listens,
+        server: cfg,
+        source,
+    }) = parse_args(args)?
+    else {
         print!("{USAGE}");
         return Ok(());
-    }
-    let listens: Vec<BindAddr> = f
-        .get_all("listen")
-        .into_iter()
-        .map(BindAddr::parse)
-        .collect::<Result<_, _>>()?;
-    if listens.is_empty() {
-        return Err("at least one --listen tcp:IP:PORT or --listen uds:PATH is required".into());
-    }
-    let cfg = server_config(&f)?;
+    };
 
     // ---- the data source: journal or in-process pipeline -------------
-    let mut pipeline: Option<Pipeline> = None;
-    let registry = if let Some(path) = f.get("journal") {
-        if f.has("simulate") {
-            return Err("--journal and --simulate are mutually exclusive".into());
+    let mut simulation: Option<(Pipeline, u32, u64)> = None;
+    let registry = match source {
+        Source::Journal(path) => {
+            let file = std::fs::File::open(&path).map_err(|e| format!("open {path}: {e}"))?;
+            let apd = PipelineConfig::default().apd;
+            let (view, replay) =
+                SnapshotView::load_journal(apd, &mut std::io::BufReader::new(file))
+                    .map_err(|e| format!("load journal {path}: {e:?}"))?;
+            if replay.torn_tail {
+                eprintln!("warning: journal has a torn tail; serving the last complete record");
+            }
+            println!(
+                "journal {path}: day {}, {} deltas applied",
+                view.days_complete(),
+                replay.deltas_applied
+            );
+            Arc::new(SnapshotRegistry::new(view))
         }
-        let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-        let apd = PipelineConfig::default().apd;
-        let (view, replay) = SnapshotView::load_journal(apd, &mut std::io::BufReader::new(file))
-            .map_err(|e| format!("load journal {path}: {e:?}"))?;
-        if replay.torn_tail {
-            eprintln!("warning: journal has a torn tail; serving the last complete record");
+        Source::Simulate {
+            seed,
+            runup,
+            days,
+            day_ms,
+        } => {
+            let mut p = Pipeline::new(ModelConfig::tiny(seed), PipelineConfig::default());
+            p.collect_sources(runup);
+            println!(
+                "simulate: seed {seed}, {} addresses ingested, epoch 0 is the pre-probe view",
+                p.hitlist.len()
+            );
+            let registry = Arc::new(SnapshotRegistry::new(SnapshotView::publish(&p)));
+            simulation = Some((p, days, day_ms));
+            registry
         }
-        println!(
-            "journal {path}: day {}, {} deltas applied",
-            view.days_complete(),
-            replay.deltas_applied
-        );
-        Arc::new(SnapshotRegistry::new(view))
-    } else if f.has("simulate") {
-        let seed = f.parsed("seed", 7u64)?;
-        let runup = f.parsed("runup", 30u32)?;
-        let mut p = Pipeline::new(ModelConfig::tiny(seed), PipelineConfig::default());
-        p.collect_sources(runup);
-        println!(
-            "simulate: seed {seed}, {} addresses ingested, epoch 0 is the pre-probe view",
-            p.hitlist.len()
-        );
-        let registry = Arc::new(SnapshotRegistry::new(SnapshotView::publish(&p)));
-        pipeline = Some(p);
-        registry
-    } else {
-        return Err("a source is required: --journal PATH or --simulate".into());
     };
 
     // ---- the server --------------------------------------------------
@@ -206,22 +296,16 @@ fn run(args: &[String]) -> Result<(), String> {
             let _ = tx.send("stdin closed");
         });
     }
-    if let Some(mut p) = pipeline {
-        let days = f.parsed("days", 3u32)?;
-        let day_ms = f.parsed("day-ms", 200u64)?;
+    if let Some((mut p, days, day_ms)) = simulation {
         let reg = Arc::clone(&registry);
-        p.on_day_end(Box::new(move |p, snap| {
-            let epoch = reg.publish(SnapshotView::publish(p));
-            println!(
-                "day {} complete: epoch {epoch} published ({} members) {:?}",
-                snap.day,
-                snap.hitlist_total,
-                p.last_report()
-            );
-        }));
         std::thread::spawn(move || {
             for _ in 0..days {
-                p.run_day();
+                let snap = p.run_day();
+                let epoch = reg.publish(SnapshotView::publish(&p));
+                println!(
+                    "day {} complete: epoch {epoch} published ({} members) {:?}",
+                    snap.day, snap.hitlist_total, snap.report
+                );
                 std::thread::sleep(Duration::from_millis(day_ms));
             }
             let _ = tx.send("simulation complete");
@@ -260,11 +344,18 @@ fn run(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// The error `server_config` gives for `args`.
+    /// The error `parse_args` gives for `args` after one good
+    /// `--listen`.
     fn rejected(args: &[&str]) -> String {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        let f = Flags::parse(&args, &["qps", "burst", "cache-mb"], &[]).expect("flags parse");
-        server_config(&f).expect_err("bad flags accepted")
+        let args: Vec<String> = ["--listen", "tcp:127.0.0.1:0"]
+            .iter()
+            .chain(args)
+            .map(|a| a.to_string())
+            .collect();
+        match parse_args(&args) {
+            Err(e) => e,
+            Ok(_) => panic!("bad flags accepted: {args:?}"),
+        }
     }
 
     #[test]
@@ -281,5 +372,61 @@ mod tests {
     #[test]
     fn a_cache_budget_past_usize_is_rejected_not_wrapped() {
         assert!(rejected(&["--cache-mb", "17592186044416"]).starts_with("--cache-mb"));
+    }
+
+    #[test]
+    fn stray_positional_arguments_are_rejected_by_name() {
+        assert_eq!(rejected(&["--simulate", "5"]), r#"unexpected argument "5""#);
+        assert_eq!(
+            rejected(&["--simulate", "--", "--days"]),
+            r#"unexpected argument "--days""#
+        );
+    }
+
+    #[test]
+    fn repeated_flags_are_rejected_by_name() {
+        assert!(rejected(&["--simulate", "--seed", "1", "--seed", "2"]).starts_with("--seed"));
+        assert!(rejected(&["--journal", "a", "--journal", "b"]).starts_with("--journal"));
+    }
+
+    #[test]
+    fn simulate_options_are_rejected_with_a_journal() {
+        for name in SIMULATE_ONLY {
+            let flag = format!("--{name}");
+            let err = rejected(&["--journal", "state.journal", &flag, "1"]);
+            assert!(err.starts_with(&flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn cache_options_are_rejected_with_no_cache() {
+        for flag in ["--cache-mb", "--keep-epochs"] {
+            let err = rejected(&["--simulate", "--no-cache", flag, "4"]);
+            assert!(err.starts_with(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_kept_epochs_is_rejected_not_clamped() {
+        assert!(rejected(&["--simulate", "--keep-epochs", "0"]).starts_with("--keep-epochs"));
+    }
+
+    #[test]
+    fn a_good_flag_set_parses() {
+        let args: Vec<String> = [
+            "--listen",
+            "tcp:127.0.0.1:0",
+            "--simulate",
+            "--days",
+            "2",
+            "--keep-epochs",
+            "1",
+        ]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+        let parsed = parse_args(&args).expect("good flags").expect("not --help");
+        assert!(matches!(parsed.source, Source::Simulate { days: 2, .. }));
+        assert_eq!(parsed.server.cache.map(|c| c.keep_epochs), Some(1));
     }
 }

@@ -10,7 +10,7 @@ use expanse::model::ModelConfig;
 
 fn main() {
     let mut pipeline = Pipeline::new(ModelConfig::tiny(99), PipelineConfig::default());
-    let runup = pipeline.model().config.runup_days;
+    let runup = pipeline.model_ref().config.runup_days;
     pipeline.collect_sources(runup);
     pipeline.warmup_apd(3); // stabilize the aliased-prefix filter first
     println!(
@@ -24,7 +24,7 @@ fn main() {
         let snap = pipeline.run_day();
         println!(
             "day {day:>2}: {:>6} targets after APD, {:>5} responsive, {:>3} aliased prefixes, {:>8} probes",
-            snap.hitlist_after_apd,
+            snap.report.kept,
             snap.responsive.len(),
             snap.aliased_prefixes.len(),
             snap.probes_sent

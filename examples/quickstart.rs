@@ -15,7 +15,7 @@ fn main() {
     let mut pipeline = Pipeline::new(model_cfg, PipelineConfig::default());
 
     // Ingest everything the sources know by the end of the runup.
-    let runup_days = pipeline.model().config.runup_days;
+    let runup_days = pipeline.model_ref().config.runup_days;
     pipeline.collect_sources(runup_days);
     println!(
         "hitlist after source collection: {} addresses\n",
@@ -32,19 +32,19 @@ fn main() {
 
     println!("== de-aliasing (§5) ==");
     println!("aliased prefixes detected: {}", snap.aliased_prefixes.len());
+    let kept = snap.report.kept as usize;
     println!(
         "hitlist: {} total -> {} after aliased-prefix filtering ({:.1}% removed)",
         snap.hitlist_total,
-        snap.hitlist_after_apd,
-        100.0 * (snap.hitlist_total - snap.hitlist_after_apd) as f64
-            / snap.hitlist_total.max(1) as f64
+        kept,
+        100.0 * (snap.hitlist_total - kept) as f64 / snap.hitlist_total.max(1) as f64
     );
 
     println!("\n== responsiveness (§6) ==");
     println!(
         "{} of {} non-aliased targets responded to at least one protocol",
         snap.responsive.len(),
-        snap.hitlist_after_apd
+        kept
     );
     for proto in Protocol::ALL {
         let n = snap
@@ -56,7 +56,7 @@ fn main() {
     }
     println!(
         "\nrouters learned via traceroute today: {}",
-        snap.routers_found
+        snap.report.routers
     );
     println!("probes sent today: {}", snap.probes_sent);
 }

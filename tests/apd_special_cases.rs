@@ -133,7 +133,7 @@ fn blacklist_suppresses_every_probing_stage() {
     let mut p = Pipeline::new(model_cfg.clone(), cfg);
     p.collect_sources(model_cfg.runup_days);
     let snap = p.run_day();
-    let report = p.last_report();
+    let report = snap.report;
     assert!(report.admitted > 0, "the day had battery targets");
     assert_eq!(report.trace_probes, 0, "no blacklisted target is traced");
     assert_eq!(snap.probes_sent, 0, "no probe may leave the pipeline");

@@ -13,7 +13,7 @@ fn pipeline_day_is_reproducible() {
         let snap = p.run_day();
         (
             snap.hitlist_total,
-            snap.hitlist_after_apd,
+            snap.report,
             snap.aliased_prefixes,
             snap.responsive,
             snap.probes_sent,

@@ -25,7 +25,7 @@ fn sources_to_service_files() {
     // De-aliasing removes a large share of addresses but few prefixes
     // relative to the whole table (§5.3's asymmetry).
     let removed_share =
-        (snap.hitlist_total - snap.hitlist_after_apd) as f64 / snap.hitlist_total as f64;
+        (snap.hitlist_total - snap.report.kept as usize) as f64 / snap.hitlist_total as f64;
     assert!(
         (0.2..=0.7).contains(&removed_share),
         "aliased share {removed_share}"
@@ -77,7 +77,7 @@ fn aliased_detection_matches_ground_truth() {
             // Every detected prefix should be truly aliased (probe 3
             // random addresses as ground-truth check).
             (0..3u64).all(|k| {
-                p.model()
+                p.model_ref()
                     .truth_aliased(expanse::addr::keyed_random_addr(*pfx, 7000 + k))
             })
         })
