@@ -10,7 +10,7 @@ use crate::window::WindowState;
 use expanse_addr::{addr_to_u128, fanout16_iter, u128_to_addr, Prefix};
 use expanse_netsim::SnapshotNetwork;
 use expanse_zmap6::module::{IcmpEchoModule, TcpSynModule};
-use expanse_zmap6::{ProbeReply, Scanner};
+use expanse_zmap6::{ProbeReply, ScanResult, Scanner};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
@@ -32,19 +32,16 @@ impl Default for ApdConfig {
     }
 }
 
-/// One day's observation for one prefix.
-#[derive(Debug, Clone, Default)]
+/// One day's observation for one prefix: which of its 16 branches
+/// answered, per protocol. The replies themselves stay in the day's
+/// scan results ([`DayReport::icmp`], [`DayReport::tcp`]), where the
+/// §5.4 evidence reads them ([`crate::collect_evidence`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DayObservation {
     /// Branch bitmap: bit b = branch b answered ICMPv6.
     pub icmp: u16,
     /// Branch bitmap for TCP/80 SYN-ACKs.
     pub tcp: u16,
-    /// TCP replies per branch (for fingerprinting): 16 slots once any
-    /// branch answered TCP, empty while the whole prefix is silent.
-    pub tcp_replies: Vec<Option<ProbeReply>>,
-    /// ICMP replies per branch (TTL evidence): 16 slots once any branch
-    /// answered ICMPv6, empty before.
-    pub icmp_replies: Vec<Option<ProbeReply>>,
 }
 
 impl DayObservation {
@@ -59,17 +56,13 @@ impl DayObservation {
     }
 }
 
-/// Record `reply` for `branch`: most fan-out targets are silent, so the
-/// 16 reply slots exist only for prefixes that got an answer.
-fn record_reply(
-    bitmap: &mut u16,
-    replies: &mut Vec<Option<ProbeReply>>,
-    branch: u8,
-    reply: ProbeReply,
-) {
-    *bitmap |= 1 << branch;
-    replies.resize(16, None);
-    replies[usize::from(branch)] = Some(reply);
+/// Does `reply` count for the branch whose target it answers? Only a
+/// positive answer from the probed address itself does: §5.1's /116
+/// carve case, where a reply from a *different* address says nothing
+/// about the probed branch. Attribution, the §5.4 evidence and the
+/// Murdock baseline all count by this rule.
+pub(crate) fn counts(reply: &ProbeReply) -> bool {
+    reply.kind.is_positive() && reply.from == reply.target
 }
 
 /// One day's fan-out: the distinct targets of every planned prefix,
@@ -121,17 +114,13 @@ impl Fanout {
         out
     }
 
-    /// Hand each reply of one pass — sorted by target, like `targets` —
-    /// to every `(slot, branch)` that drew its target, in one forward
-    /// walk. §5.1's /116 carve case: a reply from a *different* address
-    /// does not count for the probed branch.
-    fn attribute(&self, replies: Vec<ProbeReply>, mut record: impl FnMut(u32, u8, ProbeReply)) {
+    /// Hand each counted reply of one pass — sorted by target, like
+    /// `targets` — to `mark` as every `(slot, branch)` that drew its
+    /// target, in one forward walk. The replies stay where they are.
+    fn attribute(&self, replies: &[ProbeReply], mut mark: impl FnMut(u32, u8)) {
         let mut i = 0;
         let mut shared = self.shared.iter().peekable();
-        for reply in replies {
-            if !reply.kind.is_positive() || reply.from != reply.target {
-                continue;
-            }
+        for reply in replies.iter().filter(|r| counts(r)) {
             let key = addr_to_u128(reply.target);
             while self.targets.get(i).is_some_and(|t| addr_to_u128(*t) < key) {
                 i += 1;
@@ -141,11 +130,32 @@ impl Fanout {
             }
             while shared.next_if(|s| (s.0 as usize) < i).is_some() {}
             while let Some(&(_, slot, branch)) = shared.next_if(|s| s.0 as usize == i) {
-                record(slot, branch, reply.clone());
+                mark(slot, branch);
             }
             let (slot, branch) = self.back[i];
-            record(slot, branch, reply);
+            mark(slot, branch);
         }
+    }
+
+    /// The branch bitmaps of `order` (the prefixes this fan-out was
+    /// built from) under one day's two passes.
+    fn observe(
+        &self,
+        order: &[Prefix],
+        icmp: &ScanResult,
+        tcp: &ScanResult,
+    ) -> Vec<(Prefix, DayObservation)> {
+        let mut observations: Vec<(Prefix, DayObservation)> = order
+            .iter()
+            .map(|p| (*p, DayObservation::default()))
+            .collect();
+        self.attribute(&icmp.replies, |slot, branch| {
+            observations[slot as usize].1.icmp |= 1 << branch;
+        });
+        self.attribute(&tcp.replies, |slot, branch| {
+            observations[slot as usize].1.tcp |= 1 << branch;
+        });
+        observations
     }
 }
 
@@ -176,12 +186,19 @@ fn walk_sorted<V, T>(
     map.extend(opened);
 }
 
-/// One day's report across all probed prefixes.
-#[derive(Debug, Clone, Default)]
+/// One day's report across all probed prefixes: the branch bitmaps
+/// the window reads, and the two passes they were read from.
+#[derive(Debug, Clone)]
 pub struct DayReport {
     /// Per-prefix branch observations for the day: one entry per
     /// distinct probed prefix, sorted by prefix.
     pub observations: Vec<(Prefix, DayObservation)>,
+    /// The day's ICMPv6 pass as the scanner settled it: every reply
+    /// once, sorted by target. A branch's reply is the one for its
+    /// fan-out target ([`ScanResult::get`]).
+    pub icmp: ScanResult,
+    /// The day's TCP/80 SYN pass, likewise.
+    pub tcp: ScanResult,
     /// Probes sent.
     pub probes_sent: u64,
     /// Unique target addresses probed (each gets 2 probes).
@@ -229,10 +246,11 @@ impl Apd {
     }
 
     /// Probe all `prefixes` once (one "day"), update window state, and
-    /// return the raw observations. Probing batches the fan-out targets
-    /// of every prefix into two scans (one per protocol), zmap-style. A
-    /// target that two planned prefixes draw is probed once, and its
-    /// reply counts for the branch of each.
+    /// return the day's bitmaps with the two scans they came from.
+    /// Probing batches the fan-out targets of every prefix into two
+    /// scans (one per protocol), zmap-style. A target that two planned
+    /// prefixes draw is probed once, and its reply counts for the branch
+    /// of each.
     pub fn run_day<N: SnapshotNetwork + Sync>(
         &mut self,
         scanner: &mut Scanner<N>,
@@ -248,30 +266,19 @@ impl Apd {
         let fan = Fanout::new(&order, self.cfg.salt);
 
         // One layout, each target decided once, for both passes.
-        let [icmp_scan, tcp_scan] = scanner.scan_each(
+        let [icmp, tcp] = scanner.scan_each(
             &fan.targets,
             [&IcmpEchoModule, &TcpSynModule::with_synopt(80)],
         );
 
-        let mut report = DayReport {
-            observations: order
-                .iter()
-                .map(|p| (*p, DayObservation::default()))
-                .collect(),
-            probes_sent: icmp_scan.sent + tcp_scan.sent,
+        let report = DayReport {
+            observations: fan.observe(&order, &icmp, &tcp),
+            probes_sent: icmp.sent + tcp.sent,
             targets: fan.targets.len() as u64,
-            answerable: icmp_scan.answerable,
+            answerable: icmp.answerable,
+            icmp,
+            tcp,
         };
-        let observations = &mut report.observations;
-        fan.attribute(icmp_scan.replies, |slot, branch, reply| {
-            let obs = &mut observations[slot as usize].1;
-            record_reply(&mut obs.icmp, &mut obs.icmp_replies, branch, reply);
-        });
-        fan.attribute(tcp_scan.replies, |slot, branch, reply| {
-            let obs = &mut observations[slot as usize].1;
-            record_reply(&mut obs.tcp, &mut obs.tcp_replies, branch, reply);
-        });
-
         self.push_days(report.observations.iter().map(|(p, o)| (*p, o.merged())));
         report
     }
@@ -327,6 +334,7 @@ impl Apd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::{collect_evidence, BranchEvidence};
     use expanse_model::{InternetModel, ModelConfig};
     use expanse_zmap6::ScanConfig;
 
@@ -410,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn observations_are_sorted_distinct_and_sized_on_first_reply() {
+    fn observations_are_sorted_distinct_and_read_off_the_scans() {
         let mut s = scanner();
         let hooks: Vec<Prefix> = s.network_mut().population().special.cdn_hook_48s[..2].to_vec();
         // Unrouted space: silent by construction.
@@ -431,12 +439,13 @@ mod tests {
 
         let quiet = report.get(&silent).expect("probed");
         assert_eq!(quiet.merged(), 0);
-        assert!(quiet.icmp_replies.is_empty() && quiet.tcp_replies.is_empty());
         let loud = report.get(&hooks[1]).expect("probed");
         assert!(loud.icmp.count_ones() >= 12, "icmp={:#06x}", loud.icmp);
-        assert_eq!(loud.icmp_replies.len(), 16);
-        for (b, reply) in loud.icmp_replies.iter().enumerate() {
-            assert_eq!(loud.icmp & (1 << b) != 0, reply.is_some(), "branch {b}");
+        for t in fanout16_iter(hooks[1], apd.cfg.salt) {
+            let bit = |map: u16| map & (1 << t.branch) != 0;
+            let counted = |scan: &ScanResult| scan.get(t.addr).is_some_and(counts);
+            assert_eq!(bit(loud.icmp), counted(&report.icmp), "branch {}", t.branch);
+            assert_eq!(bit(loud.tcp), counted(&report.tcp), "branch {}", t.branch);
         }
     }
 
@@ -478,8 +487,56 @@ mod tests {
         plan
     }
 
+    /// One observation as it was recorded while it held a copy of each
+    /// counted reply: 16 slots per protocol once a branch answered it,
+    /// none before.
+    struct Slotted {
+        obs: DayObservation,
+        tcp_replies: Vec<Option<ProbeReply>>,
+        icmp_replies: Vec<Option<ProbeReply>>,
+    }
+
+    impl std::fmt::Debug for Slotted {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("DayObservation")
+                .field("icmp", &self.obs.icmp)
+                .field("tcp", &self.obs.tcp)
+                .field("tcp_replies", &self.tcp_replies)
+                .field("icmp_replies", &self.icmp_replies)
+                .finish()
+        }
+    }
+
+    /// The report's observations with their reply slots filled from the
+    /// scans, by the rule that set their bits.
+    fn with_reply_slots(report: &DayReport, salt: u64) -> Vec<(Prefix, Slotted)> {
+        let slots = |p: Prefix, scan: &ScanResult| {
+            let replies: Vec<Option<ProbeReply>> = fanout16_iter(p, salt)
+                .map(|t| scan.get(t.addr).filter(|r| counts(r)).cloned())
+                .collect();
+            if replies.iter().any(Option::is_some) {
+                replies
+            } else {
+                Vec::new()
+            }
+        };
+        report
+            .observations
+            .iter()
+            .map(|&(p, obs)| {
+                let slotted = Slotted {
+                    obs,
+                    tcp_replies: slots(p, &report.tcp),
+                    icmp_replies: slots(p, &report.icmp),
+                };
+                (p, slotted)
+            })
+            .collect()
+    }
+
     /// Two days of [`mixed_plan`]: per day the fingerprint of the
-    /// report's observations, its probe and target counts and the
+    /// report's observations with their reply slots
+    /// ([`with_reply_slots`]), its probe and target counts and the
     /// scanner clock after it; then the windows and the pushes
     /// pending for the next journal delta. Recorded on the commit before
     /// the fan-out was built, attributed and windowed in ordered passes.
@@ -511,7 +568,7 @@ mod tests {
                 "fan-out targets collide"
             );
             pin.extend([
-                fingerprint(&report.observations),
+                fingerprint(&with_reply_slots(&report, apd.cfg.salt)),
                 report.probes_sent,
                 report.targets,
                 s.now().0,
@@ -550,14 +607,97 @@ mod tests {
         }
     }
 
+    /// One day over a /120 with its planned /124 branch (the two share
+    /// one fan-out target), an aliased CDN hook and the /116 carve. The
+    /// day's bitmaps are what the windows took in; the shared target's
+    /// one reply is the evidence of both prefixes' branches that drew
+    /// it; and a reply from an address other than the probed one counts
+    /// for nothing. The model's carved branch is silent, so that reply
+    /// is made by moving the `from` of one of the carve's counted
+    /// replies.
+    #[test]
+    fn bitmaps_and_evidence_read_each_reply_where_the_scan_left_it() {
+        let mut s = scanner();
+        let special = &s.network_mut().population().special;
+        let (hook, aliased, carve) = (
+            special.cdn_hook_48s[2],
+            special.cdn_hook_48s[0],
+            special.carve116,
+        );
+        let p120 = hook.subprefix(72, 0x00c0_ffee_0000_0001_0203);
+        let p124 = p120.subprefix(4, 0x7);
+        let plan = vec![carve, p124, aliased, p120];
+        let mut apd = Apd::new(ApdConfig::default());
+        let salt = apd.cfg.salt;
+        let report = apd.run_day(&mut s, &plan);
+        assert_eq!(report.observations.len(), 4);
+        assert_eq!(report.targets, 63, "exactly one target is shared");
+
+        for (p, o) in &report.observations {
+            assert_eq!(apd.windows[p].days.back(), Some(&o.merged()), "{p}");
+        }
+        assert!(report.get(&aliased).expect("probed").merged().count_ones() >= 12);
+
+        // Branch 7 of the /120 is one of the /124's sixteen addresses.
+        let outer = fanout16_iter(p120, salt).nth(7).expect("16 branches");
+        let inner = fanout16_iter(p124, salt)
+            .find(|t| t.addr == outer.addr)
+            .expect("the /124 draws the /120's branch-7 target");
+        let mut want = BranchEvidence::default();
+        if let Some(r) = report.icmp.get(outer.addr).filter(|r| counts(r)) {
+            want.ittl.push(crate::fingerprint::ittl(r.ttl));
+        }
+        if let Some(r) = report.tcp.get(outer.addr).filter(|r| counts(r)) {
+            want.push_syn_ack(r);
+        }
+        assert!(!want.ittl.is_empty(), "the shared target answered");
+        let bit = |p: &Prefix, branch: u8| report.get(p).expect("probed").merged() & (1 << branch);
+        assert_ne!(bit(&p120, 7), 0);
+        assert_ne!(bit(&p124, inner.branch), 0);
+        assert_eq!(collect_evidence(p120, salt, &[&report])[7], want);
+        assert_eq!(
+            collect_evidence(p124, salt, &[&report])[usize::from(inner.branch)],
+            want
+        );
+
+        // The carve: one of its counted ICMPv6 replies, from elsewhere.
+        let (branch, target) = fanout16_iter(carve, salt)
+            .find(|t| report.icmp.get(t.addr).is_some_and(counts))
+            .map(|t| (t.branch, t.addr))
+            .expect("an answering branch of the carve");
+        let at = report.icmp.replies.iter().position(|r| r.target == target);
+        let at = at.expect("the reply is in the scan");
+        let mut moved = report.clone();
+        moved.icmp.replies[at].from = fanout16_iter(carve, salt).next().expect("branch 0").addr;
+        let mut dropped = report.clone();
+        dropped.icmp.replies.remove(at);
+
+        let mut order = plan.clone();
+        order.sort();
+        let fan = Fanout::new(&order, salt);
+        let observe = |r: &DayReport| fan.observe(&order, &r.icmp, &r.tcp);
+        assert_eq!(observe(&report), report.observations);
+        assert_eq!(observe(&moved), observe(&dropped));
+        let mut want = report.observations.clone();
+        let slot = order.binary_search(&carve).expect("planned");
+        want[slot].1.icmp &= !(1 << branch);
+        assert_eq!(observe(&moved), want);
+        assert_eq!(
+            collect_evidence(carve, salt, &[&moved]),
+            collect_evidence(carve, salt, &[&dropped])
+        );
+        assert_ne!(
+            collect_evidence(carve, salt, &[&moved]),
+            collect_evidence(carve, salt, &[&report])
+        );
+    }
+
     #[test]
     fn cross_protocol_merge_rescues_icmp_loss() {
         // Construct observations directly: ICMP lost branch 3, TCP got it.
         let mut obs = DayObservation {
             icmp: !(1 << 3),
             tcp: 1 << 3,
-            tcp_replies: vec![None; 16],
-            icmp_replies: vec![None; 16],
         };
         assert!(obs.full());
         obs.tcp = 0;

@@ -5,10 +5,16 @@
 //! — the high-confidence test — expose one global TCP timestamp counter
 //! (same value, strictly monotonic across probes, or linear against
 //! receive time with R² > 0.8).
+//!
+//! The evidence is read off the detector's day reports: a prefix's
+//! branch targets are recomputed from the fan-out salt and looked up in
+//! each day's ICMPv6 and TCP scan results, counting a reply by the same
+//! rule that set the branch's bit.
 
-use crate::detector::DayObservation;
+use crate::detector::{counts, DayReport};
+use expanse_addr::{fanout16_iter, Prefix};
 use expanse_stats::regress::{non_decreasing, ols};
-use expanse_zmap6::ReplyKind;
+use expanse_zmap6::{ProbeReply, ReplyKind};
 
 /// Round an observed hop limit up to the initial TTL the stack chose
 /// (32, 64, 128, or 255 — §5.4's iTTL).
@@ -22,7 +28,7 @@ pub fn ittl(observed: u8) -> u8 {
 }
 
 /// Evidence collected for one fan-out branch across one or more days.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BranchEvidence {
     /// Observed initial TTLs (rounded, per probe).
     pub ittl: Vec<u8>,
@@ -38,29 +44,43 @@ pub struct BranchEvidence {
     pub ts: Vec<(f64, u32)>,
 }
 
-/// Merge evidence from observations (multiple days) of the same prefix.
-pub fn collect_evidence(observations: &[&DayObservation]) -> Vec<BranchEvidence> {
+/// The evidence of `prefix`'s 16 branches over `days` (one or more
+/// day reports that probed it, in order), fanned out under `salt` (the
+/// detector's [`crate::ApdConfig::salt`]). Per day and branch: the
+/// counted ICMPv6 reply's iTTL, then the counted SYN-ACK
+/// ([`BranchEvidence::push_syn_ack`]). A branch no reply counted for
+/// adds nothing.
+pub fn collect_evidence(prefix: Prefix, salt: u64, days: &[&DayReport]) -> Vec<BranchEvidence> {
     let mut out = vec![BranchEvidence::default(); 16];
-    for obs in observations {
-        for (b, ev) in out.iter_mut().enumerate() {
-            if let Some(r) = obs.icmp_replies.get(b).and_then(|r| r.as_ref()) {
+    for day in days {
+        for (t, ev) in fanout16_iter(prefix, salt).zip(&mut out) {
+            if let Some(r) = day.icmp.get(t.addr).filter(|r| counts(r)) {
                 ev.ittl.push(ittl(r.ttl));
             }
-            if let Some(r) = obs.tcp_replies.get(b).and_then(|r| r.as_ref()) {
-                ev.ittl.push(ittl(r.ttl));
-                if let ReplyKind::SynAck(info) = &r.kind {
-                    ev.opts.push(info.options_text.clone());
-                    ev.wscale.push(info.wscale);
-                    ev.mss.push(info.mss);
-                    ev.wsize.push(info.window);
-                    if let Some((tsval, _)) = info.timestamps {
-                        ev.ts.push((r.at.as_secs_f64(), tsval));
-                    }
-                }
+            if let Some(r) = day.tcp.get(t.addr).filter(|r| counts(r)) {
+                ev.push_syn_ack(r);
             }
         }
     }
     out
+}
+
+impl BranchEvidence {
+    /// Record a SYN-ACK: its iTTL, option values and timestamp. Any
+    /// other reply adds nothing.
+    pub fn push_syn_ack(&mut self, r: &ProbeReply) {
+        let ReplyKind::SynAck(info) = &r.kind else {
+            return;
+        };
+        self.ittl.push(ittl(r.ttl));
+        self.opts.push(info.options_text.clone());
+        self.wscale.push(info.wscale);
+        self.mss.push(info.mss);
+        self.wsize.push(info.window);
+        if let Some((tsval, _)) = info.timestamps {
+            self.ts.push((r.at.as_secs_f64(), tsval));
+        }
+    }
 }
 
 /// Timestamp test verdict.

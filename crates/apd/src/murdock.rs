@@ -7,6 +7,7 @@
 //! fan-out multi-level method finds more aliased space with fewer than
 //! half the probes.
 
+use crate::detector::counts;
 use expanse_addr::{keyed_random_addr, Prefix};
 use expanse_netsim::SnapshotNetwork;
 use expanse_zmap6::module::IcmpEchoModule;
@@ -60,7 +61,7 @@ pub fn detect<N: SnapshotNetwork + Sync>(
         let scan = scanner.scan(&targets, &IcmpEchoModule);
         probes_sent += scan.sent;
         for reply in &scan.replies {
-            if reply.kind.is_positive() && reply.from == reply.target {
+            if counts(reply) {
                 if let Ok(t) = targets.binary_search(&reply.target) {
                     answered[t] = true;
                 }

@@ -1,7 +1,7 @@
 //! Shared experiment context: one model + hitlist, reused across
 //! experiments so `all` doesn't rebuild the world 28 times.
 
-use expanse_core::{Hitlist, Pipeline, PipelineConfig};
+use expanse_core::{Pipeline, PipelineConfig};
 use expanse_model::ModelConfig;
 use std::net::Ipv6Addr;
 use std::path::PathBuf;
@@ -94,12 +94,6 @@ impl Ctx {
     /// pipeline's interned store, insertion order).
     pub(crate) fn hitlist_addrs(&mut self) -> Vec<Ipv6Addr> {
         self.pipeline().hitlist.iter().collect()
-    }
-
-    /// The shared hitlist by reference.
-    pub(crate) fn hitlist(&mut self) -> &Hitlist {
-        let _ = self.pipeline();
-        &self.pipeline.as_ref().expect("built").hitlist
     }
 
     /// Write an artifact file under the results dir.

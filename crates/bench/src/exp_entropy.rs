@@ -1,9 +1,7 @@
 //! §4 experiments: entropy clustering (Figures 2a, 2b, 3a, 3b).
 
 use crate::ctx::{header, pct, Ctx};
-use expanse_entropy::{
-    cluster_networks, fingerprints_by_32, fingerprints_by_32_set, render_clusters, Clustering,
-};
+use expanse_entropy::{cluster_networks, fingerprints_by_32, render_clusters, Clustering};
 use expanse_model::Asn;
 use expanse_zesplot::{plot, render_svg, ZesConfig, ZesEntry};
 use std::collections::BTreeMap;
@@ -35,12 +33,7 @@ pub(crate) fn fig2a(ctx: &mut Ctx) -> String {
     );
     let min = ctx.scale.min_cluster_addrs();
     let seed = ctx.seed;
-    // Fingerprint straight off the interned store: no owned address
-    // vector, buckets are 4-byte id runs against the shared table.
-    let groups = {
-        let h = ctx.hitlist();
-        fingerprints_by_32_set(h.table(), &h.live_set(), 9, 32, min)
-    };
+    let groups = fingerprints_by_32(&ctx.hitlist_addrs(), 9, 32, min);
     let pairs: Vec<_> = groups.iter().map(|(p, f, _)| (*p, f.clone())).collect();
     let c = cluster_networks(&pairs, 12, None, seed);
     out.push_str(&cluster_report(
@@ -73,14 +66,9 @@ pub(crate) fn fig2b(ctx: &mut Ctx) -> String {
     );
     let min = ctx.scale.min_cluster_addrs();
     let seed = ctx.seed;
-    let (full_groups, groups) = {
-        let h = ctx.hitlist();
-        let live = h.live_set();
-        (
-            fingerprints_by_32_set(h.table(), &live, 9, 32, min),
-            fingerprints_by_32_set(h.table(), &live, 17, 32, min),
-        )
-    };
+    let addrs = ctx.hitlist_addrs();
+    let full_groups = fingerprints_by_32(&addrs, 9, 32, min);
+    let groups = fingerprints_by_32(&addrs, 17, 32, min);
     let full_pairs: Vec<_> = full_groups
         .iter()
         .map(|(p, f, _)| (*p, f.clone()))

@@ -4,9 +4,8 @@ use crate::ctx::{header, pct, Ctx};
 use expanse_addr::Prefix;
 use expanse_apd::fingerprint::BranchEvidence;
 use expanse_apd::Class;
-use expanse_apd::{analyze, collect_evidence, Apd, ApdConfig};
+use expanse_apd::{analyze, collect_evidence, Apd, ApdConfig, DayReport};
 use expanse_zmap6::module::TcpSynModule;
-use expanse_zmap6::ReplyKind;
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
@@ -20,24 +19,18 @@ fn aliased_64_evidence(ctx: &mut Ctx) -> Vec<(Prefix, Vec<BranchEvidence>)> {
         .filter(|px| px.len() == 64)
         .collect();
     let mut apd = Apd::new(ApdConfig::default());
-    let mut day_obs: Vec<expanse_apd::DayReport> = Vec::new();
-    for day in 0..2u16 {
-        p.scanner.network_mut().set_day(day);
-        let report = apd.run_day(&mut p.scanner, &plan);
-        day_obs.push(report);
-    }
-    let mut out = Vec::new();
-    for px in &plan {
-        let (Some(a), Some(b)) = (day_obs[0].get(px), day_obs[1].get(px)) else {
-            continue;
-        };
-        // Paper's selection: all 16 TCP/80 probes succeeded.
-        if a.tcp != 0xffff {
-            continue;
-        }
-        out.push((*px, collect_evidence(&[a, b])));
-    }
-    out
+    let days: Vec<DayReport> = (0..2u16)
+        .map(|day| {
+            p.scanner.network_mut().set_day(day);
+            apd.run_day(&mut p.scanner, &plan)
+        })
+        .collect();
+    let salt = apd.cfg.salt;
+    plan.iter()
+        // Paper's selection: all 16 TCP/80 probes succeeded on day 0.
+        .filter(|px| days[0].get(px).is_some_and(|o| o.tcp == 0xffff))
+        .map(|px| (*px, collect_evidence(*px, salt, &[&days[0], &days[1]])))
+        .collect()
 }
 
 /// Table 5: per-test inconsistency counts over aliased prefixes.
@@ -131,16 +124,7 @@ fn probe_known_64(
             let mut ev = BranchEvidence::default();
             for scan in [&s1, &s2] {
                 if let Some(r) = scan.get(*a) {
-                    if let ReplyKind::SynAck(info) = &r.kind {
-                        ev.ittl.push(expanse_apd::ittl(r.ttl));
-                        ev.opts.push(info.options_text.clone());
-                        ev.wscale.push(info.wscale);
-                        ev.mss.push(info.mss);
-                        ev.wsize.push(info.window);
-                        if let Some((tsval, _)) = info.timestamps {
-                            ev.ts.push((r.at.as_secs_f64(), tsval));
-                        }
-                    }
+                    ev.push_syn_ack(r);
                 }
             }
             if !ev.opts.is_empty() {

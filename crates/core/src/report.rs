@@ -26,52 +26,43 @@ pub struct SourceRow {
 
 /// Compute Table 2 rows (per source) plus the Total row.
 pub fn source_table(hitlist: &Hitlist, model: &InternetModel) -> Vec<SourceRow> {
-    let mut rows = Vec::new();
-    let describe = |addrs: &[Ipv6Addr], id: SourceId, new_ips: usize| -> SourceRow {
-        let mut ases: Counter<u32> = Counter::new();
-        let mut prefixes: Counter<u128> = Counter::new();
-        for a in addrs {
-            if let Some((p, asn)) = model.route(*a) {
-                ases.push(asn.0);
-                prefixes.push(p.bits() | u128::from(p.len()));
-            }
-        }
-        let top_as = ases
-            .top_shares(3)
-            .into_iter()
-            .map(|(asn, share)| {
-                (
-                    model
-                        .as_name(expanse_model::Asn(asn))
-                        .unwrap_or("?")
-                        .to_string(),
-                    share,
-                )
-            })
-            .collect();
-        SourceRow {
-            id,
-            nature: id.nature(),
-            ips: addrs.len(),
-            new_ips,
-            n_ases: ases.distinct(),
-            n_prefixes: prefixes.distinct(),
-            top_as,
-        }
-    };
-    for id in SourceId::ALL {
-        let addrs = hitlist.of_source(id);
-        let new = hitlist.new_of_source(id).len();
-        rows.push(describe(&addrs, id, new));
-    }
-    rows
+    SourceId::ALL
+        .into_iter()
+        .map(|id| {
+            let addrs = hitlist.of_source(id);
+            let new_ips = hitlist.new_of_source(id).len();
+            row(model, id, id.nature(), addrs.len(), new_ips, addrs)
+        })
+        .collect()
 }
 
 /// Total row over the whole hitlist.
 pub fn total_row(hitlist: &Hitlist, model: &InternetModel) -> SourceRow {
+    let ips = hitlist.len();
+    // The id is unused in the Total row.
+    row(
+        model,
+        SourceId::DomainLists,
+        "Total",
+        ips,
+        ips,
+        hitlist.iter(),
+    )
+}
+
+/// One Table 2 row: `ips` and `new_ips` as given, and the distinct
+/// origin ASes and BGP prefixes of `addrs` with its top-3 AS shares.
+fn row(
+    model: &InternetModel,
+    id: SourceId,
+    nature: &'static str,
+    ips: usize,
+    new_ips: usize,
+    addrs: impl IntoIterator<Item = Ipv6Addr>,
+) -> SourceRow {
     let mut ases: Counter<u32> = Counter::new();
     let mut prefixes: Counter<u128> = Counter::new();
-    for a in hitlist.iter() {
+    for a in addrs {
         if let Some((p, asn)) = model.route(a) {
             ases.push(asn.0);
             prefixes.push(p.bits() | u128::from(p.len()));
@@ -81,20 +72,15 @@ pub fn total_row(hitlist: &Hitlist, model: &InternetModel) -> SourceRow {
         .top_shares(3)
         .into_iter()
         .map(|(asn, share)| {
-            (
-                model
-                    .as_name(expanse_model::Asn(asn))
-                    .unwrap_or("?")
-                    .to_string(),
-                share,
-            )
+            let name = model.as_name(expanse_model::Asn(asn)).unwrap_or("?");
+            (name.to_string(), share)
         })
         .collect();
     SourceRow {
-        id: SourceId::DomainLists, // unused in the Total row
-        nature: "Total",
-        ips: hitlist.len(),
-        new_ips: hitlist.len(),
+        id,
+        nature,
+        ips,
+        new_ips,
         n_ases: ases.distinct(),
         n_prefixes: prefixes.distinct(),
         top_as,

@@ -5,7 +5,7 @@
 //! entropies of nybbles `a..=b` (1-based in the paper; this module uses
 //! the paper's numbering in its API to keep figures comparable).
 
-use expanse_addr::{nybbles::nybble, AddrSet, AddrTable, Prefix};
+use expanse_addr::{nybbles::nybble, Prefix};
 use expanse_stats::entropy::normalized_entropy16;
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -27,29 +27,6 @@ impl Fingerprint {
     /// is empty.
     pub fn compute(addrs: &[Ipv6Addr], a: usize, b: usize) -> Fingerprint {
         assert!(!addrs.is_empty(), "empty address sample");
-        Fingerprint::compute_counts(a, b, |j, counts| {
-            for addr in addrs {
-                counts[usize::from(nybble(*addr, j - 1))] += 1;
-            }
-        })
-    }
-
-    /// [`Fingerprint::compute`] over an interned sample: resolves the
-    /// [`AddrSet`] against its [`AddrTable`] on the fly, no owned
-    /// address vector needed.
-    ///
-    /// # Panics
-    /// Panics on a bad nybble range or an empty set.
-    pub(crate) fn compute_set(table: &AddrTable, ids: &AddrSet, a: usize, b: usize) -> Fingerprint {
-        assert!(!ids.is_empty(), "empty address sample");
-        Fingerprint::compute_counts(a, b, |j, counts| {
-            for addr in ids.addrs(table) {
-                counts[usize::from(nybble(addr, j - 1))] += 1;
-            }
-        })
-    }
-
-    fn compute_counts(a: usize, b: usize, mut count: impl FnMut(usize, &mut [u64; 16])) -> Self {
         assert!(
             (1..=32).contains(&a) && (1..=32).contains(&b) && a <= b,
             "bad nybble range"
@@ -57,7 +34,9 @@ impl Fingerprint {
         let mut values = Vec::with_capacity(b - a + 1);
         for j in a..=b {
             let mut counts = [0u64; 16];
-            count(j, &mut counts);
+            for addr in addrs {
+                counts[usize::from(nybble(*addr, j - 1))] += 1;
+            }
             values.push(normalized_entropy16(&counts));
         }
         Fingerprint {
@@ -106,37 +85,6 @@ pub fn fingerprint_groups<K: Ord + Clone>(
     out
 }
 
-/// [`fingerprint_groups`] over an interned sample: buckets are id runs
-/// against the shared [`AddrTable`], so grouping a hundred-million-entry
-/// hitlist allocates 4-byte ids per bucket instead of copied addresses.
-pub(crate) fn fingerprint_groups_set<K: Ord + Clone>(
-    table: &AddrTable,
-    ids: &AddrSet,
-    a: usize,
-    b: usize,
-    min_addrs: usize,
-    mut group: impl FnMut(Ipv6Addr) -> Option<K>,
-) -> Vec<(K, Fingerprint, usize)> {
-    let mut buckets: BTreeMap<K, Vec<expanse_addr::AddrId>> = BTreeMap::new();
-    for id in ids.iter() {
-        if let Some(k) = group(table.addr(id)) {
-            buckets.entry(k).or_default().push(id);
-        }
-    }
-    let mut out: Vec<(K, Fingerprint, usize)> = buckets
-        .into_iter()
-        .filter(|(_, v)| v.len() >= min_addrs)
-        .map(|(k, v)| {
-            let n = v.len();
-            // Ids were visited ascending, so each bucket is sorted.
-            let set = AddrSet::from_sorted(v);
-            (k, Fingerprint::compute_set(table, &set, a, b), n)
-        })
-        .collect();
-    out.sort_by_key(|x| std::cmp::Reverse(x.2));
-    out
-}
-
 /// Convenience: group by /32 prefix (the paper's default granularity).
 pub fn fingerprints_by_32(
     addrs: &[Ipv6Addr],
@@ -145,19 +93,6 @@ pub fn fingerprints_by_32(
     min_addrs: usize,
 ) -> Vec<(Prefix, Fingerprint, usize)> {
     fingerprint_groups(addrs, a, b, min_addrs, |addr| Some(Prefix::new(addr, 32)))
-}
-
-/// [`fingerprints_by_32`] over an interned sample.
-pub fn fingerprints_by_32_set(
-    table: &AddrTable,
-    ids: &AddrSet,
-    a: usize,
-    b: usize,
-    min_addrs: usize,
-) -> Vec<(Prefix, Fingerprint, usize)> {
-    fingerprint_groups_set(table, ids, a, b, min_addrs, |addr| {
-        Some(Prefix::new(addr, 32))
-    })
 }
 
 #[cfg(test)]
@@ -230,22 +165,6 @@ mod tests {
         assert!(none.is_empty());
     }
 
-    #[test]
-    fn set_based_groups_match_slice_groups() {
-        let mut addrs = counter_addrs(150);
-        addrs.extend((1..=120u128).map(|i| u128_to_addr((0x2001_0db9u128 << 96) | i)));
-        let mut table = AddrTable::new();
-        let ids: AddrSet = addrs.iter().map(|&a| table.intern(a)).collect();
-        let by_slice = fingerprints_by_32(&addrs, 9, 32, 100);
-        let by_set = fingerprints_by_32_set(&table, &ids, 9, 32, 100);
-        assert_eq!(by_slice, by_set);
-        // Single-group fingerprint parity too.
-        assert_eq!(
-            Fingerprint::full(&addrs),
-            Fingerprint::compute_set(&table, &ids, 9, 32)
-        );
-    }
-
     /// Regression: equal-sized groups used to come back in `RandomState`
     /// order, and `cluster_networks` seeds k-means from that order.
     #[test]
@@ -261,13 +180,6 @@ mod tests {
             .map(|g| g.0)
             .collect();
         assert_eq!(got, keys);
-        let mut table = AddrTable::new();
-        let ids: AddrSet = addrs.iter().map(|&a| table.intern(a)).collect();
-        let got_set: Vec<u128> = fingerprint_groups_set(&table, &ids, 9, 32, 50, key)
-            .iter()
-            .map(|g| g.0)
-            .collect();
-        assert_eq!(got_set, keys);
     }
 
     #[test]

@@ -28,7 +28,5 @@ mod fingerprint;
 mod kmeans;
 
 pub use cluster::{cluster_networks, render_clusters, ClusterSummary, Clustering};
-pub use fingerprint::{
-    fingerprint_groups, fingerprints_by_32, fingerprints_by_32_set, Fingerprint,
-};
+pub use fingerprint::{fingerprint_groups, fingerprints_by_32, Fingerprint};
 pub use kmeans::{elbow, sse_curve};

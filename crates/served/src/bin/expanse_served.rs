@@ -18,7 +18,8 @@
 //! `--days N` in simulate mode: listeners reject new connections with
 //! one `ERR_SHUTTING_DOWN` frame, in-flight requests finish against
 //! their pinned epochs, then the process exits and prints a drain
-//! report.
+//! report. Every line goes out through `say!`, which drops write
+//! errors: a closed stdout or stderr costs the lines, not the run.
 
 #![allow(
     clippy::disallowed_types,
@@ -33,7 +34,7 @@ use expanse_serve::{
     BindAddr, CacheConfig, RateLimitConfig, Server, ServerConfig, SnapshotRegistry, SnapshotView,
 };
 use expanse_served::Flags;
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,10 +72,24 @@ server options:
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = run(&args) {
-        eprintln!("expanse-served: {e}");
+        say!(stderr, "expanse-served: {e}");
         std::process::exit(2);
     }
 }
+
+/// `println!`, or with `stderr` first `eprintln!`, dropping a write
+/// error: a reader that stops reading (a supervisor gone, `| head`)
+/// must not end the daemon, which serves and drains on without its
+/// lines.
+macro_rules! say {
+    (stderr, $($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+use say;
 
 /// Flags that take a value.
 const VALUED: &[&str] = &[
@@ -229,7 +244,7 @@ fn run(args: &[String]) -> Result<(), String> {
         source,
     }) = parse_args(args)?
     else {
-        print!("{USAGE}");
+        say!("{}", USAGE.trim_end());
         return Ok(());
     };
 
@@ -243,9 +258,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 SnapshotView::load_journal(apd, &mut std::io::BufReader::new(file))
                     .map_err(|e| format!("load journal {path}: {e:?}"))?;
             if replay.torn_tail {
-                eprintln!("warning: journal has a torn tail; serving the last complete record");
+                say!(
+                    stderr,
+                    "warning: journal has a torn tail; serving the last complete record"
+                );
             }
-            println!(
+            say!(
                 "journal {path}: day {}, {} deltas applied",
                 view.days_complete(),
                 replay.deltas_applied
@@ -260,7 +278,7 @@ fn run(args: &[String]) -> Result<(), String> {
         } => {
             let mut p = Pipeline::new(ModelConfig::tiny(seed), PipelineConfig::default());
             p.collect_sources(runup);
-            println!(
+            say!(
                 "simulate: seed {seed}, {} addresses ingested, epoch 0 is the pre-probe view",
                 p.hitlist.len()
             );
@@ -274,7 +292,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let server =
         Server::start(Arc::clone(&registry), &listens, cfg).map_err(|e| format!("bind: {e}"))?;
     for a in server.local_addrs() {
-        println!("listening {a}");
+        say!("listening {a}");
     }
 
     // ---- drain triggers ----------------------------------------------
@@ -302,9 +320,11 @@ fn run(args: &[String]) -> Result<(), String> {
             for _ in 0..days {
                 let snap = p.run_day();
                 let epoch = reg.publish(SnapshotView::publish(&p));
-                println!(
+                say!(
                     "day {} complete: epoch {epoch} published ({} members) {:?}",
-                    snap.day, snap.hitlist_total, snap.report
+                    snap.day,
+                    snap.hitlist_total,
+                    snap.report
                 );
                 std::thread::sleep(Duration::from_millis(day_ms));
             }
@@ -314,9 +334,9 @@ fn run(args: &[String]) -> Result<(), String> {
 
     // ---- serve until told to stop, then drain ------------------------
     let why = rx.recv().unwrap_or("all drain triggers gone");
-    println!("draining ({why})");
+    say!("draining ({why})");
     let report = server.drain();
-    println!(
+    say!(
         "drained in {:?}: {} requests served, {} accepts ({} rejected overloaded, {} rejected shutting-down), {} force-closed",
         report.drain,
         report.stats.requests,
@@ -326,7 +346,7 @@ fn run(args: &[String]) -> Result<(), String> {
         report.forced_closes,
     );
     if let Some(c) = report.cache {
-        println!(
+        say!(
             "cache: {:.1}% hit rate ({} hits / {} lookups), {} inserted, {} deferred as first sightings, {} retired, {} evicted",
             c.hit_rate() * 100.0,
             c.hits,

@@ -62,14 +62,13 @@ fn main() {
     // ---- fingerprint battery on one detected hook --------------------
     println!("\n== §5.4 fingerprint consistency on a detected /48 ==");
     let hook = specials.cdn_hook_48s[0];
-    let mut observations = Vec::new();
-    for day in 4..6u16 {
-        scanner.network_mut().set_day(day);
-        let report = apd.run_day(&mut scanner, &[hook]);
-        observations.push(report.get(&hook).expect("hook was probed").clone());
-    }
-    let refs: Vec<&apd::DayObservation> = observations.iter().collect();
-    let evidence = apd::collect_evidence(&refs);
+    let days: Vec<apd::DayReport> = (4..6u16)
+        .map(|day| {
+            scanner.network_mut().set_day(day);
+            apd.run_day(&mut scanner, &[hook])
+        })
+        .collect();
+    let evidence = apd::collect_evidence(hook, apd.cfg.salt, &[&days[0], &days[1]]);
     let consistency = apd::analyze(&evidence);
     println!("prefix: {hook}");
     println!("  tcp branches with evidence: {}", consistency.tcp_branches);
