@@ -4,42 +4,40 @@
 //! target IP address falls into an aliased prefix, we remove it from
 //! that day's ZMapv6 and scamper scans").
 //!
-//! Multi-level detection can mark a /64 aliased and one of its /68
-//! children non-aliased (or vice versa); LPM ensures the most specific
-//! verdict wins per address.
+//! The detector outputs aliased prefixes only, so an address is aliased
+//! exactly when some aliased prefix covers it. The day's alias split and
+//! the served view both read one [`AliasFilter`]: per address through
+//! [`AliasFilter::longest_match`], or per table through
+//! [`AliasFilter::runs`], the sorted-position runs its members occupy.
 
-use expanse_addr::{AddrSet, AddrTable, IdBits, Prefix};
+use expanse_addr::{AddrSet, AddrTable, IdBits, Prefix, SortedView};
 use expanse_trie::RangeTable;
 use std::net::Ipv6Addr;
+use std::ops::Range;
 
-/// Verdict for a prefix level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// The prefix is aliased: remove contained addresses.
-    Aliased,
-    /// The prefix is explicitly non-aliased (carves out an aliased parent).
-    NonAliased,
-}
-
-/// The LPM filter.
+/// A day's aliased prefixes, indexed for longest-prefix match.
 #[derive(Debug, Clone, Default)]
 pub struct AliasFilter {
-    verdicts: RangeTable<Verdict>,
+    prefixes: RangeTable<()>,
 }
 
 impl AliasFilter {
-    /// Build from a set of aliased prefixes only (everything else
-    /// implicitly non-aliased).
+    /// Build from a set of aliased prefixes, in any order.
     pub fn new(aliased: impl IntoIterator<Item = Prefix>) -> Self {
-        aliased.into_iter().map(|p| (p, Verdict::Aliased)).collect()
+        AliasFilter {
+            prefixes: aliased.into_iter().map(|p| (p, ())).collect(),
+        }
     }
 
-    /// Is `addr` inside an aliased prefix, by longest-prefix match?
+    /// The most specific aliased prefix covering `addr`, if any.
+    #[inline]
+    pub fn longest_match(&self, addr: Ipv6Addr) -> Option<Prefix> {
+        self.prefixes.longest_match(addr).map(|(p, ())| p)
+    }
+
+    /// Is `addr` inside an aliased prefix?
     pub fn is_aliased(&self, addr: Ipv6Addr) -> bool {
-        matches!(
-            self.verdicts.longest_match(addr),
-            Some((_, Verdict::Aliased))
-        )
+        self.longest_match(addr).is_some()
     }
 
     /// Split a hitlist into (kept, removed).
@@ -56,45 +54,42 @@ impl AliasFilter {
         (kept, removed)
     }
 
+    /// The aliased rows of `table` as runs of positions in `order` (the
+    /// table's address order), ascending and disjoint: one per outermost
+    /// prefix, as a nested one lies inside its cover's run. Each search
+    /// gallops on from where the last run ended.
+    pub fn runs<'a>(
+        &'a self,
+        table: &'a AddrTable,
+        order: &'a SortedView,
+    ) -> impl Iterator<Item = Range<usize>> + 'a {
+        let mut cover: Option<Prefix> = None;
+        let mut from = 0;
+        self.prefixes.iter().filter_map(move |(p, ())| {
+            if cover.is_some_and(|c| c.covers(&p)) {
+                return None;
+            }
+            cover = Some(p);
+            let run = order.positions_from(table, p, from);
+            from = run.end;
+            Some(run)
+        })
+    }
+
     /// Split an interned hitlist into (kept, removed) id sets, in
     /// ascending-id (= insertion) order, as [`AliasFilter::split`] splits
-    /// the same addresses. No per-row match: verdicts come in [`Prefix`]
-    /// order, where a cover precedes everything it covers, and a verdict
-    /// that overturns its nearest cover's verdict paints its run of the
-    /// table's address order ([`AddrTable::sorted`]) into an id bitmap.
-    /// Every row so ends with its longest match's verdict.
+    /// the same addresses. No per-row match: each of
+    /// [`AliasFilter::runs`] over the table's address order
+    /// ([`AddrTable::sorted`]) is painted into an id bitmap.
     pub fn split_set(&self, table: &AddrTable, ids: &AddrSet) -> (AddrSet, AddrSet) {
         let order = table.sorted();
-        let mut aliased = IdBits::default();
-        let mut covers: Vec<(Prefix, Verdict)> = Vec::new();
-        let mut from = 0;
-        for (p, &v) in self.verdicts.iter() {
-            while covers.last().is_some_and(|(c, _)| !c.covers(&p)) {
-                covers.pop();
-            }
-            let outer = covers.last().map_or(Verdict::NonAliased, |&(_, v)| v);
-            if v != outer {
-                let run = order.positions_from(table, p, from);
-                for &id in &order.as_slice()[run.clone()] {
-                    aliased.set(id, v == Verdict::Aliased);
-                }
-                from = run.start;
-            }
-            covers.push((p, v));
-        }
+        let aliased: IdBits = self
+            .runs(table, &order)
+            .flat_map(|run| &order.as_slice()[run])
+            .copied()
+            .collect();
         let (removed, kept) = ids.iter().partition(|&id| aliased.contains(id));
         (AddrSet::from_sorted(kept), AddrSet::from_sorted(removed))
-    }
-}
-
-impl FromIterator<(Prefix, Verdict)> for AliasFilter {
-    /// Build from explicit verdicts (multi-level detection feeds both
-    /// aliased and non-aliased levels so LPM can carve); of a prefix
-    /// given twice, the later verdict stands.
-    fn from_iter<I: IntoIterator<Item = (Prefix, Verdict)>>(verdicts: I) -> Self {
-        AliasFilter {
-            verdicts: verdicts.into_iter().collect(),
-        }
     }
 }
 
@@ -103,17 +98,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lpm_decides() {
-        // Carve a non-aliased /52 inside an aliased /48.
-        let f: AliasFilter = [
-            ("2001:db8::/48".parse().unwrap(), Verdict::Aliased),
-            ("2001:db8:0:1000::/52".parse().unwrap(), Verdict::NonAliased),
-        ]
-        .into_iter()
-        .collect();
-        assert!(f.is_aliased("2001:db8::1".parse().unwrap()));
-        assert!(!f.is_aliased("2001:db8:0:1234::1".parse().unwrap()));
-        assert!(!f.is_aliased("2001:db9::1".parse().unwrap()));
+    fn longest_match_names_the_most_specific_prefix() {
+        let p = |s: &str| -> Prefix { s.parse().unwrap() };
+        let f = AliasFilter::new([p("2001:db8:0:1000::/52"), p("2001:db8::/48")]);
+        let at = |s: &str| f.longest_match(s.parse().unwrap());
+        assert_eq!(at("2001:db8::1"), Some(p("2001:db8::/48")));
+        assert_eq!(at("2001:db8:0:1234::1"), Some(p("2001:db8:0:1000::/52")));
+        assert_eq!(at("2001:db9::1"), None);
     }
 
     #[test]
@@ -133,6 +124,23 @@ mod tests {
     fn empty_filter_keeps_everything() {
         let f = AliasFilter::default();
         assert!(!f.is_aliased("::1".parse().unwrap()));
+    }
+
+    #[test]
+    fn runs_skip_nested_prefixes() {
+        let p = |s: &str| -> Prefix { s.parse().unwrap() };
+        let f = AliasFilter::new([p("2001:db8::/48"), p("2001:db8::/56"), p("2001:db8:2::/48")]);
+        let mut table = AddrTable::new();
+        for a in [
+            "2001:db8::1",
+            "2001:db8:0:ff::1",
+            "2001:db8:1::1",
+            "2001:db8:2::1",
+        ] {
+            table.intern(a.parse().unwrap());
+        }
+        let order = table.sorted();
+        assert_eq!(f.runs(&table, &order).collect::<Vec<_>>(), [0..2, 3..4]);
     }
 
     #[test]

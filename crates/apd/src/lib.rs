@@ -32,7 +32,7 @@ mod plan;
 mod window;
 
 pub use detector::{Apd, ApdConfig, DayObservation, DayReport};
-pub use filter::{AliasFilter, Verdict};
+pub use filter::AliasFilter;
 pub use fingerprint::{analyze, collect_evidence, ittl, Class, ConsistencyReport, TsVerdict};
 pub use plan::{plan_bgp, plan_targets, plan_targets_set, PlanConfig};
 pub use window::WindowState;

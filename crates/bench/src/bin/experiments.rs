@@ -23,101 +23,198 @@
 use expanse_bench::{ctx::Scale, Ctx, ALL_EXPERIMENTS};
 use std::path::PathBuf;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale: Option<Scale> = None;
-    let mut seed: u64 = 20_181_031; // the paper's publication date
-    let mut out_dir = PathBuf::from("results");
+const USAGE: &str = "usage: experiments <id>...|all [--scale small|mid|full] [--seed N] [--out DIR]
+       experiments --smoke   (tiny-scale CI pass over representative ids)
+       experiments --list";
+
+/// The ids `--smoke` runs: one representative experiment per subsystem.
+const SMOKE: [&str; 7] = [
+    "table2",
+    "fig2a",
+    "table3",
+    "fig7",
+    "bench-pipeline",
+    "bench-scenarios",
+    "bench-sched",
+];
+
+/// A checked command line: the artifacts to run, each one known.
+#[derive(Debug, PartialEq)]
+struct Run {
+    scale: Scale,
+    seed: u64,
+    out: PathBuf,
+    ids: Vec<String>,
+}
+
+/// Store a flag's value, refusing a flag given twice.
+fn once<T>(slot: &mut Option<T>, flag: &str, v: T) -> Result<(), String> {
+    slot.replace(v)
+        .map_or(Ok(()), |_| Err(format!("{flag} given twice")))
+}
+
+/// Check a whole command line before any artifact runs, so a bad one
+/// is a one-line error (or [`USAGE`]), never a partial run. `Ok(None)`
+/// asks for `--list`.
+fn parse(args: &[String]) -> Result<Option<Run>, String> {
+    if args.iter().any(|a| a == "--list") {
+        return match args {
+            [_] => Ok(None),
+            _ => Err("--list takes no other argument".into()),
+        };
+    }
+    let (mut scale, mut seed, mut out, mut smoke) = (None, None, None, None);
     let mut ids: Vec<String> = Vec::new();
-    let mut smoke = false;
-    let mut it = args.into_iter();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--list" => {
-                for id in ALL_EXPERIMENTS {
-                    println!("{id}");
-                }
-                return;
-            }
-            "--smoke" => smoke = true,
+            "--smoke" => once(&mut smoke, a, ())?,
             "--scale" => {
-                let v = it.next().unwrap_or_default();
-                scale = Some(Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale {v:?} (small|mid|full)");
-                    std::process::exit(2);
-                }));
+                let v = it.next().map_or("", String::as_str);
+                let s = Scale::parse(v).ok_or(format!("unknown scale {v:?} (small|mid|full)"))?;
+                once(&mut scale, a, s)?;
             }
             "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs a number");
-                    std::process::exit(2);
-                });
+                let v = it.next().and_then(|v| v.parse().ok());
+                once(&mut seed, a, v.ok_or("--seed needs a number")?)?;
             }
-            "--out" => {
-                out_dir = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                }));
-            }
+            "--out" => once(&mut out, a, it.next().ok_or("--out needs a path")?.into())?,
             "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-            other => ids.push(other.to_string()),
+            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
+            other if ALL_EXPERIMENTS.contains(&other) => ids.push(other.to_string()),
+            other => return Err(format!("unknown experiment id {other:?}; see --list")),
         }
     }
-    if smoke {
+    if smoke.is_some() {
         // CI mode: exercise the full driver stack (model build,
         // pipeline, probing, reporting) at tiny scale on one
         // representative experiment per subsystem, so the drivers
         // cannot silently rot. Minutes, not hours — which is why it
         // owns the scale and the id list outright.
         if scale.is_some() || !ids.is_empty() {
-            eprintln!("--smoke picks its own scale and experiment ids; drop --scale/<id> args");
-            std::process::exit(2);
+            return Err(
+                "--smoke picks its own scale and experiment ids; drop --scale/<id> args".into(),
+            );
         }
         scale = Some(Scale::Small);
-        ids.extend(
-            [
-                "table2",
-                "fig2a",
-                "table3",
-                "fig7",
-                "bench-pipeline",
-                "bench-scenarios",
-                "bench-sched",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+        ids.extend(SMOKE.iter().map(|s| s.to_string()));
     }
     if ids.is_empty() {
-        eprintln!("usage: experiments <id>...|all [--scale small|mid|full] [--seed N] [--out DIR]");
-        eprintln!("       experiments --smoke   (tiny-scale CI pass over representative ids)");
-        eprintln!("       experiments --list");
-        std::process::exit(2);
+        return Err(USAGE.into());
     }
+    Ok(Some(Run {
+        scale: scale.unwrap_or(Scale::Mid),
+        seed: seed.unwrap_or(20_181_031), // the paper's publication date
+        out: out.unwrap_or_else(|| PathBuf::from("results")),
+        ids,
+    }))
+}
 
-    let mut ctx = Ctx::new(scale.unwrap_or(Scale::Mid), seed, out_dir.clone());
-    let mut summary = String::new();
-    for id in &ids {
-        let t0 = std::time::Instant::now();
-        match expanse_bench::run(id, &mut ctx) {
-            Some(report) => {
-                println!("{report}");
-                ctx.write(&format!("{id}.txt"), &report);
-                let line = format!("{id}: ok ({:.1}s)", t0.elapsed().as_secs_f64());
-                println!("--- {line} ---\n");
-                summary.push_str(&line);
-                summary.push('\n');
-            }
-            None => {
-                eprintln!("unknown experiment id {id:?}; see --list");
-                std::process::exit(2);
-            }
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let run = match parse(&args) {
+        Ok(Some(run)) => run,
+        Ok(None) => return println!("{}", ALL_EXPERIMENTS.join("\n")),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
+    };
+
+    let mut ctx = Ctx::new(run.scale, run.seed, run.out.clone());
+    let mut summary = String::new();
+    for id in &run.ids {
+        let t0 = std::time::Instant::now();
+        let report = expanse_bench::run(id, &mut ctx).expect("parse admits only known ids");
+        println!("{report}");
+        ctx.write(&format!("{id}.txt"), &report);
+        let line = format!("{id}: ok ({:.1}s)", t0.elapsed().as_secs_f64());
+        println!("--- {line} ---\n");
+        summary.push_str(&line);
+        summary.push('\n');
     }
     ctx.write("SUMMARY.txt", &summary);
-    eprintln!("results written to {}", out_dir.display());
+    eprintln!("results written to {}", run.out.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &[&str]) -> Vec<String> {
+        s.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn err(s: &[&str]) -> String {
+        parse(&args(s)).unwrap_err()
+    }
+
+    #[test]
+    fn defaults_ids_and_all() {
+        let run = parse(&args(&["table2", "--seed", "7", "fig7"])).unwrap();
+        let want = Run {
+            scale: Scale::Mid,
+            seed: 7,
+            out: PathBuf::from("results"),
+            ids: args(&["table2", "fig7"]),
+        };
+        assert_eq!(run, Some(want));
+        let Ok(Some(Run { ids, .. })) = parse(&args(&["all", "--scale", "small"])) else {
+            panic!("all runs");
+        };
+        assert_eq!(ids, ALL_EXPERIMENTS);
+        assert_eq!(parse(&args(&["--list"])).unwrap(), None);
+    }
+
+    #[test]
+    fn smoke_owns_scale_and_ids() {
+        let Ok(Some(Run { scale, ids, .. })) = parse(&args(&["--smoke", "--out", "x"])) else {
+            panic!("smoke runs");
+        };
+        assert_eq!((scale, ids), (Scale::Small, args(&SMOKE)));
+        assert!(err(&["--smoke", "table2"]).starts_with("--smoke picks"));
+        assert!(SMOKE.iter().all(|id| ALL_EXPERIMENTS.contains(id)));
+    }
+
+    #[test]
+    fn repeated_flags_are_rejected_by_name() {
+        assert_eq!(
+            err(&["all", "--seed", "1", "--seed", "2"]),
+            "--seed given twice"
+        );
+        assert_eq!(
+            err(&["all", "--scale", "small", "--scale", "mid"]),
+            "--scale given twice"
+        );
+        assert_eq!(
+            err(&["all", "--out", "a", "--out", "b"]),
+            "--out given twice"
+        );
+        assert_eq!(err(&["--smoke", "--smoke"]), "--smoke given twice");
+    }
+
+    #[test]
+    fn list_stands_alone() {
+        assert_eq!(err(&["--list", "table2"]), "--list takes no other argument");
+        assert_eq!(
+            err(&["--scale", "small", "--list"]),
+            "--list takes no other argument"
+        );
+    }
+
+    #[test]
+    fn every_id_is_checked_before_any_runs() {
+        assert_eq!(
+            err(&["table2", "bogus"]),
+            "unknown experiment id \"bogus\"; see --list"
+        );
+        assert_eq!(err(&["table2", "--bogus"]), "unknown flag --bogus");
+        assert_eq!(
+            err(&["--scale", "huge", "table2"]),
+            "unknown scale \"huge\" (small|mid|full)"
+        );
+        assert_eq!(err(&["--seed", "x"]), "--seed needs a number");
+        assert_eq!(err(&["--out"]), "--out needs a path");
+        assert_eq!(err(&[]), USAGE);
+    }
 }

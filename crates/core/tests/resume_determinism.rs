@@ -13,6 +13,10 @@
 //! Each day's [`StageReport`] is compared as well: it is never
 //! persisted, so a resumed day must recount every stage exactly.
 //!
+//! With the probe scheduler on, a journal's replay must rebuild the
+//! live scheduler exactly: no entry the plan touched but never
+//! journaled.
+//!
 //! Delta records replay APD day bitmaps rather than carry windows
 //! whole, so the guard also drives records that span one day, a full
 //! window of days, and more days than a window holds; and the version
@@ -22,7 +26,7 @@ use expanse_addr::codec::{Encoder, CODEC_VERSION};
 use expanse_addr::{CodecError, Prefix};
 use expanse_core::pipeline::{DELTA_MAGIC, PIPELINE_MAGIC};
 use expanse_core::{
-    service, PersistedState, Pipeline, PipelineConfig, RetentionConfig, StageReport,
+    service, PersistedState, Pipeline, PipelineConfig, RetentionConfig, SchedConfig, StageReport,
 };
 use expanse_model::{ModelConfig, SourceId};
 
@@ -367,6 +371,38 @@ fn records_spanning_any_number_of_days_replay_exactly() {
             "{gap}-day record: resumed save_full differs from the live one"
         );
     }
+}
+
+#[test]
+fn scheduled_journal_resumes_to_the_live_state() {
+    // A budget well under the kept set: each day's plan demands /48s it
+    // gives no slots, and neither the plan nor the journal may keep
+    // anything of those that a resumed pipeline lacks.
+    let cfg = PipelineConfig {
+        sched: SchedConfig::budgeted(400, 64),
+        ..config()
+    };
+    let mut p = Pipeline::new(ModelConfig::tiny(SEED), cfg.clone());
+    p.collect_sources(30);
+    p.warmup_apd(WARMUP);
+    let mut journal = Vec::new();
+    p.save_full(&mut journal).expect("base");
+    for _ in 0..5 {
+        drive(&mut p, 1);
+        p.append_delta(&mut journal).expect("append_delta");
+    }
+    let (mut resumed, replay) =
+        Pipeline::resume(ModelConfig::tiny(SEED), cfg, &mut journal.as_slice()).expect("resume");
+    assert_eq!((replay.deltas_applied, replay.torn_tail), (5, false));
+    assert_eq!(
+        resumed.sched.status(resumed.day(), 16),
+        p.sched.status(p.day(), 16)
+    );
+    assert_eq!(
+        state_bytes(&mut resumed),
+        state_bytes(&mut p),
+        "resumed save_full differs from the live one"
+    );
 }
 
 #[test]

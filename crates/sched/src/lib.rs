@@ -398,21 +398,24 @@ impl Scheduler {
         let mut plan = SchedPlan::default();
 
         // Refresh the APD flags on every demanded entry; only actual
-        // transitions dirty the journal. A verdict at or above the /48
-        // means the whole entry is alias space (starved); a verdict
-        // strictly inside it leaves the filtered candidates honest but
-        // marks the neighbourhood suspect — the fixed grid still probes
-        // those members, so starving them would break the degenerate
-        // oracle (and waste real coverage). A suspect verdict marks the
-        // /48 it covers or lies inside.
+        // transitions dirty the journal, and a /48 without an entry gets one
+        // only with a flag. A verdict at or above the /48 means the whole
+        // entry is alias space (starved); a verdict strictly inside it
+        // leaves the filtered candidates honest but marks the neighbourhood
+        // suspect — the fixed grid still probes those members, so starving
+        // them would break the degenerate oracle (and waste real coverage).
+        // A suspect verdict marks the /48 it covers or lies inside.
         let (aliased, suspects) = (Verdicts::new(aliased), Verdicts::new(suspects));
         for d in demands {
             debug_assert_eq!(d.net.len(), SCHED_PREFIX_LEN, "demands are keyed by /48");
-            let e = self.entries.entry(d.net).or_default();
             let is_aliased = aliased.covers(d.net);
             let interior_fabric = !is_aliased && aliased.has_inside(d.net);
             let is_suspect =
                 interior_fabric || suspects.covers(d.net) || suspects.has_inside(d.net);
+            if !is_aliased && !is_suspect && !self.entries.contains_key(&d.net) {
+                continue;
+            }
+            let e = self.entries.entry(d.net).or_default();
             if e.aliased != is_aliased || e.suspect != is_suspect {
                 e.aliased = is_aliased;
                 e.suspect = is_suspect;
@@ -812,7 +815,7 @@ mod tests {
                     if v.len() <= n.len() { v.covers(&n) } else { n.covers(v) }
                 };
                 let is_suspect = (!is_aliased && inside) || suspects.iter().any(overlaps);
-                let e = s.entries[&n];
+                let e = s.entries.get(&n).copied().unwrap_or_default();
                 prop_assert_eq!((e.aliased, e.suspect), (is_aliased, is_suspect), "{}", n);
                 let old = before.get(&n).copied().unwrap_or_default();
                 if (old.aliased, old.suspect) != (is_aliased, is_suspect) {

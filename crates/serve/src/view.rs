@@ -2,12 +2,12 @@
 //!
 //! A view is a *copy* of the pipeline's queryable state — the interned
 //! address column with the address order the table keeps, every
-//! responsiveness/provenance column, the aliased-prefix classification
-//! and its prefix table. Copying is deliberate: the pipeline keeps mutating
-//! tomorrow's state while readers hold today's view, and an immutable
-//! snapshot needs no locks on the query path. Views are published
-//! through [`crate::SnapshotRegistry`] and shared as
-//! `Arc<SnapshotView>`.
+//! responsiveness/provenance column, and the day's aliased prefixes as
+//! an [`AliasFilter`], the set the pipeline's alias split reads.
+//! Copying is deliberate: the pipeline keeps mutating tomorrow's state
+//! while readers hold today's view, and an immutable snapshot needs no
+//! locks on the query path. Views are published through
+//! [`crate::SnapshotRegistry`] and shared as `Arc<SnapshotView>`.
 //!
 //! A third index, the `PredicateIndex` the query engine evaluates
 //! filters on, is derived from the same columns but only when the first
@@ -16,12 +16,11 @@
 //! pay for it, and publishing costs what it did without it.
 
 use expanse_addr::{AddrId, AddrSet, AddrTable, Prefix, SortedView};
-use expanse_apd::ApdConfig;
+use expanse_apd::{AliasFilter, ApdConfig};
 use expanse_core::{
     Hitlist, JournalReplay, PersistedState, Pipeline, SchedStatus, Scheduler, SourceMask,
 };
 use expanse_packet::ProtoSet;
-use expanse_trie::RangeTable;
 use std::io::Read;
 use std::net::Ipv6Addr;
 use std::ops::Range;
@@ -87,14 +86,6 @@ pub(crate) fn words_of(span: &Range<usize>) -> Range<usize> {
     span.start / 64..span.end.div_ceil(64)
 }
 
-/// Set bits `span` of `words`.
-fn set_range(words: &mut [u64], span: Range<usize>) {
-    let touched = words_of(&span);
-    for (w, word) in touched.clone().zip(&mut words[touched]) {
-        *word |= range_mask(w, &span);
-    }
-}
-
 /// The bits of word `w` that lie inside `span`.
 pub(crate) fn range_mask(w: usize, span: &Range<usize>) -> u64 {
     // Bits below position `n` of word `w`.
@@ -131,13 +122,11 @@ impl PredicateIndex {
                 }
             }
         }
-        // A prefix's members are one contiguous run of the sorted
-        // permutation, so "covered by some aliased prefix" is the union
-        // of those runs: two searches per prefix, not a
-        // longest-prefix match per row. Nested prefixes re-mark bits
-        // their cover already set.
-        for (p, ()) in view.alias_table.iter() {
-            set_range(&mut ix.aliased, view.sorted().positions(&view.table, p));
+        // "Covered by some aliased prefix" is the union of the
+        // outermost prefixes' runs of the sorted permutation: two
+        // searches per prefix, not a longest-prefix match per row.
+        for i in view.aliased.runs(&view.table, view.sorted()).flatten() {
+            ix.aliased[i / 64] |= 1 << (i % 64);
         }
         ix
     }
@@ -157,7 +146,7 @@ pub struct SnapshotView {
     /// Live rows at publish: the hitlist's count, so a `Ping` reads it
     /// instead of walking `alive`.
     live: u64,
-    alias_table: RangeTable<()>,
+    aliased: AliasFilter,
     /// Built by the first query that filters (see [`PredicateIndex`]).
     index: OnceLock<PredicateIndex>,
     sched: Scheduler,
@@ -194,14 +183,11 @@ impl SnapshotView {
 
     /// The shared constructor both publish paths funnel through: copy
     /// the hitlist columns with the table's address order, index the
-    /// aliased prefixes (a prefix table), and freeze. `aliased` must be sorted
-    /// ascending (as [`expanse_apd::Apd::aliased_prefixes`] returns it).
+    /// aliased prefixes as an [`AliasFilter`], and freeze.
     pub fn from_hitlist(day: u16, hitlist: &Hitlist, aliased: Vec<Prefix>) -> SnapshotView {
-        debug_assert!(aliased.windows(2).all(|w| w[0] < w[1]));
         let cols = hitlist.columns();
         let mut table = cols.table.clone();
         table.merge_order();
-        let alias_table = aliased.iter().map(|&p| (p, ())).collect();
         SnapshotView {
             day,
             table,
@@ -211,7 +197,7 @@ impl SnapshotView {
             added_day: cols.added_day.to_vec(),
             alive: cols.alive.to_vec(),
             live: hitlist.len() as u64,
-            alias_table,
+            aliased: AliasFilter::new(aliased),
             index: OnceLock::new(),
             sched: Scheduler::new(),
         }
@@ -276,12 +262,6 @@ impl SnapshotView {
         self.table.order()
     }
 
-    /// The most specific aliased prefix covering `addr`, if any —
-    /// longest-prefix-match tagging over the published alias set.
-    pub(crate) fn alias_covering(&self, addr: Ipv6Addr) -> Option<Prefix> {
-        self.alias_table.longest_match(addr).map(|(p, _)| p)
-    }
-
     /// Point lookup: the record for `addr`, if it was ever a member
     /// (tombstoned rows report `alive: false`).
     pub fn lookup(&self, addr: Ipv6Addr) -> Option<AddrRecord> {
@@ -294,7 +274,7 @@ impl SnapshotView {
             last_responsive: (last != Hitlist::NEVER_RESPONSIVE).then_some(last),
             protos: self.protos[i],
             added_day: self.added_day[i],
-            aliased: self.alias_covering(addr),
+            aliased: self.aliased.longest_match(addr),
         })
     }
 
