@@ -20,7 +20,7 @@
               never into a report"
 )]
 
-use expanse_bench::{ctx::Scale, Ctx, ALL_EXPERIMENTS};
+use expanse_bench::{ctx::Scale, Ctx, Render, EXPERIMENTS};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: experiments <id>...|all [--scale small|mid|full] [--seed N] [--out DIR]
@@ -38,13 +38,24 @@ const SMOKE: [&str; 7] = [
     "bench-sched",
 ];
 
+/// One row of [`EXPERIMENTS`]: an artifact id and its renderer.
+type Experiment = &'static (&'static str, Render);
+
 /// A checked command line: the artifacts to run, each one known.
 #[derive(Debug, PartialEq)]
 struct Run {
     scale: Scale,
     seed: u64,
     out: PathBuf,
-    ids: Vec<String>,
+    experiments: Vec<Experiment>,
+}
+
+/// The experiment behind an id, or the error that names it.
+fn lookup(id: &str) -> Result<Experiment, String> {
+    EXPERIMENTS
+        .iter()
+        .find(|(known, _)| *known == id)
+        .ok_or_else(|| format!("unknown experiment id {id:?}; see --list"))
 }
 
 /// Store a flag's value, refusing a flag given twice.
@@ -64,7 +75,7 @@ fn parse(args: &[String]) -> Result<Option<Run>, String> {
         };
     }
     let (mut scale, mut seed, mut out, mut smoke) = (None, None, None, None);
-    let mut ids: Vec<String> = Vec::new();
+    let mut experiments = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -79,10 +90,9 @@ fn parse(args: &[String]) -> Result<Option<Run>, String> {
                 once(&mut seed, a, v.ok_or("--seed needs a number")?)?;
             }
             "--out" => once(&mut out, a, it.next().ok_or("--out needs a path")?.into())?,
-            "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
+            "all" => experiments.extend(EXPERIMENTS),
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
-            other if ALL_EXPERIMENTS.contains(&other) => ids.push(other.to_string()),
-            other => return Err(format!("unknown experiment id {other:?}; see --list")),
+            other => experiments.push(lookup(other)?),
         }
     }
     if smoke.is_some() {
@@ -91,22 +101,24 @@ fn parse(args: &[String]) -> Result<Option<Run>, String> {
         // representative experiment per subsystem, so the drivers
         // cannot silently rot. Minutes, not hours — which is why it
         // owns the scale and the id list outright.
-        if scale.is_some() || !ids.is_empty() {
+        if scale.is_some() || !experiments.is_empty() {
             return Err(
                 "--smoke picks its own scale and experiment ids; drop --scale/<id> args".into(),
             );
         }
         scale = Some(Scale::Small);
-        ids.extend(SMOKE.iter().map(|s| s.to_string()));
+        for id in SMOKE {
+            experiments.push(lookup(id)?);
+        }
     }
-    if ids.is_empty() {
+    if experiments.is_empty() {
         return Err(USAGE.into());
     }
     Ok(Some(Run {
         scale: scale.unwrap_or(Scale::Mid),
         seed: seed.unwrap_or(20_181_031), // the paper's publication date
         out: out.unwrap_or_else(|| PathBuf::from("results")),
-        ids,
+        experiments,
     }))
 }
 
@@ -114,7 +126,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run = match parse(&args) {
         Ok(Some(run)) => run,
-        Ok(None) => return println!("{}", ALL_EXPERIMENTS.join("\n")),
+        Ok(None) => {
+            for (id, _) in EXPERIMENTS {
+                println!("{id}");
+            }
+            return;
+        }
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
@@ -123,9 +140,9 @@ fn main() {
 
     let mut ctx = Ctx::new(run.scale, run.seed, run.out.clone());
     let mut summary = String::new();
-    for id in &run.ids {
+    for &(id, render) in run.experiments {
         let t0 = std::time::Instant::now();
-        let report = expanse_bench::run(id, &mut ctx).expect("parse admits only known ids");
+        let report = render(&mut ctx);
         println!("{report}");
         ctx.write(&format!("{id}.txt"), &report);
         let line = format!("{id}: ok ({:.1}s)", t0.elapsed().as_secs_f64());
@@ -149,6 +166,11 @@ mod tests {
         parse(&args(s)).unwrap_err()
     }
 
+    /// The ids a run will render, in order.
+    fn ids(run: &Run) -> Vec<&str> {
+        run.experiments.iter().map(|(id, _)| *id).collect()
+    }
+
     #[test]
     fn defaults_ids_and_all() {
         let run = parse(&args(&["table2", "--seed", "7", "fig7"])).unwrap();
@@ -156,24 +178,23 @@ mod tests {
             scale: Scale::Mid,
             seed: 7,
             out: PathBuf::from("results"),
-            ids: args(&["table2", "fig7"]),
+            experiments: vec![lookup("table2").unwrap(), lookup("fig7").unwrap()],
         };
         assert_eq!(run, Some(want));
-        let Ok(Some(Run { ids, .. })) = parse(&args(&["all", "--scale", "small"])) else {
+        let Ok(Some(all)) = parse(&args(&["all", "--scale", "small"])) else {
             panic!("all runs");
         };
-        assert_eq!(ids, ALL_EXPERIMENTS);
+        assert_eq!(all.experiments, EXPERIMENTS.iter().collect::<Vec<_>>());
         assert_eq!(parse(&args(&["--list"])).unwrap(), None);
     }
 
     #[test]
     fn smoke_owns_scale_and_ids() {
-        let Ok(Some(Run { scale, ids, .. })) = parse(&args(&["--smoke", "--out", "x"])) else {
+        let Ok(Some(run)) = parse(&args(&["--smoke", "--out", "x"])) else {
             panic!("smoke runs");
         };
-        assert_eq!((scale, ids), (Scale::Small, args(&SMOKE)));
+        assert_eq!((run.scale, ids(&run)), (Scale::Small, SMOKE.to_vec()));
         assert!(err(&["--smoke", "table2"]).starts_with("--smoke picks"));
-        assert!(SMOKE.iter().all(|id| ALL_EXPERIMENTS.contains(id)));
     }
 
     #[test]

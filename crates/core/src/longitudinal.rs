@@ -64,22 +64,12 @@ impl Fig8Row {
     }
 }
 
-/// The responsiveness ledger.
-#[derive(Debug, Clone, Default)]
+/// The responsiveness ledger: one entry per [`Fig8Row::all`] row, in
+/// that order, from construction on, each with the row's baseline and
+/// survival series.
+#[derive(Debug, Clone)]
 pub struct Ledger {
-    /// Baseline id set per row, in [`Fig8Row::all`] order, populated on
-    /// the first recorded day. An **empty** set means the row has not
-    /// established its baseline yet: establishment is per row, on the
-    /// first recorded day that row's filtered responders are non-empty.
-    /// A single all-rows-at-once establishment day would pin any row
-    /// whose protocol happened to be starved that day (QUIC flapped
-    /// off, ICMP throttled) to a permanently empty baseline and a NaN
-    /// series forever — the Fig 8 analogue of the PR 3 empty-day bug.
-    baselines: Vec<(Fig8Row, AddrSet)>,
-    /// Per row, in [`Fig8Row::all`] order, per day: surviving fraction of
-    /// the baseline (`NaN` before the row's baseline day). Empty until
-    /// the first day is recorded or decoded.
-    survival: Vec<Vec<f64>>,
+    rows: Vec<Track>,
     /// First day ever recorded; recording must then stay consecutive.
     first_day: Option<u16>,
     days_recorded: u16,
@@ -94,10 +84,40 @@ pub struct Ledger {
     synced_established: u16,
 }
 
+/// One Fig 8 row of the ledger: its baseline and its survival series.
+#[derive(Debug, Clone)]
+struct Track {
+    row: Fig8Row,
+    /// An **empty** set means the row has not established its baseline
+    /// yet: establishment is per row, on the first recorded day that
+    /// row's filtered responders are non-empty. A single all-rows-at-once
+    /// establishment day would pin any row whose protocol happened to be
+    /// starved that day (QUIC flapped off, ICMP throttled) to a
+    /// permanently empty baseline and a NaN series forever.
+    baseline: AddrSet,
+    /// Per day: surviving fraction of the baseline (`NaN` before the
+    /// row's baseline day), one value per recorded day.
+    survival: Vec<f64>,
+}
+
 impl Ledger {
     /// Create a new instance.
     pub(crate) fn new() -> Self {
-        Ledger::default()
+        let rows = Fig8Row::all()
+            .into_iter()
+            .map(|row| Track {
+                row,
+                baseline: AddrSet::new(),
+                survival: Vec::new(),
+            })
+            .collect();
+        Ledger {
+            rows,
+            first_day: None,
+            days_recorded: 0,
+            synced_days: 0,
+            synced_established: 0,
+        }
     }
 
     /// Record one day of battery results. `responsive` is the day's
@@ -126,17 +146,12 @@ impl Ledger {
                 self.days_recorded
             ),
         }
-        if self.baselines.is_empty() {
-            self.baselines = Fig8Row::all()
-                .into_iter()
-                .map(|row| (row, AddrSet::new()))
-                .collect();
-        }
-        if !responsive.is_empty() {
+        for t in &mut self.rows {
+            let row = t.row;
             // Per-row baseline establishment: a row whose filtered set
             // is still empty takes today's responders as its baseline —
             // on the first day *that row* has any.
-            for (row, baseline) in self.baselines.iter_mut().filter(|(_, set)| set.is_empty()) {
+            if t.baseline.is_empty() {
                 let ids: Vec<AddrId> = responsive
                     .iter()
                     .filter(|(id, protos)| {
@@ -144,19 +159,15 @@ impl Ledger {
                     })
                     .map(|(id, _)| *id)
                     .collect();
-                *baseline = AddrSet::from_sorted(ids);
+                t.baseline = AddrSet::from_sorted(ids);
             }
-        }
-        // One merge-join per row against the sorted day pass.
-        // Unestablished rows stay NaN, keeping every series aligned
-        // with days_recorded.
-        self.survival.resize(Fig8Row::all().len(), Vec::new());
-        for ((row, baseline), series) in self.baselines.iter().zip(&mut self.survival) {
-            series.push(if baseline.is_empty() {
+            // One merge-join against the sorted day pass; an
+            // unestablished row records NaN.
+            t.survival.push(if t.baseline.is_empty() {
                 f64::NAN
             } else {
                 let mut n = 0usize;
-                let base = baseline.as_slice();
+                let base = t.baseline.as_slice();
                 let (mut i, mut j) = (0usize, 0usize);
                 while i < base.len() && j < responsive.len() {
                     match base[i].cmp(&responsive[j].0) {
@@ -171,7 +182,7 @@ impl Ledger {
                         }
                     }
                 }
-                n as f64 / baseline.len() as f64
+                n as f64 / base.len() as f64
             });
         }
         self.days_recorded += 1;
@@ -191,38 +202,37 @@ impl Ledger {
         self.record_day(day, responsive, hitlist);
     }
 
+    /// The ledger's entry for a row, if the row is one of
+    /// [`Fig8Row::all`].
+    fn track(&self, row: Fig8Row) -> Option<&Track> {
+        self.rows.iter().find(|t| t.row == row)
+    }
+
     /// The survival series for a row (`NaN` for empty baselines).
     pub fn series(&self, row: Fig8Row) -> &[f64] {
-        let at = Fig8Row::all().iter().position(|r| *r == row);
-        at.and_then(|i| self.survival.get(i))
-            .map_or(&[], Vec::as_slice)
+        self.track(row).map_or(&[], |t| &t.survival)
     }
 
     /// Baseline size for a row.
     pub fn baseline_len(&self, row: Fig8Row) -> usize {
-        self.baselines
-            .iter()
-            .find(|(r, _)| *r == row)
-            .map_or(0, |(_, s)| s.len())
+        self.track(row).map_or(0, |t| t.baseline.len())
+    }
+
+    /// How many rows have established (non-empty) baselines.
+    fn established(&self) -> u16 {
+        self.rows.iter().filter(|t| !t.baseline.is_empty()).count() as u16
     }
 
     /// Serialize baselines, survival series, and the day counters into
     /// an open snapshot envelope. Rows are written in [`Fig8Row::all`]
     /// order.
     pub fn encode<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        match self.first_day {
-            None => enc.put_u8(0)?,
-            Some(d) => {
-                enc.put_u8(1)?;
-                enc.put_u16(d)?;
-            }
-        }
+        put_first_day(enc, self.first_day)?;
         enc.put_u16(self.days_recorded)?;
         self.encode_baselines(enc)?;
-        for row in Fig8Row::all() {
-            let series = self.series(row);
-            enc.put_len(series.len())?;
-            for &v in series {
+        for t in &self.rows {
+            enc.put_len(t.survival.len())?;
+            for &v in &t.survival {
                 enc.put_f64(v)?;
             }
         }
@@ -231,81 +241,98 @@ impl Ledger {
 
     /// Rebuild a ledger from [`Ledger::encode`] output.
     pub(crate) fn decode<R: Read>(dec: &mut Decoder<R>) -> Result<Ledger, CodecError> {
-        let first_day = match dec.get_u8()? {
-            0 => None,
-            1 => Some(dec.get_u16()?),
-            _ => return Err(CodecError::Corrupt("ledger first-day tag out of range")),
-        };
-        let days_recorded = dec.get_u16()?;
-        let baselines = Self::decode_baselines(dec)?;
-        let mut survival = Vec::new();
-        for _ in Fig8Row::all() {
+        let mut ledger = Ledger::new();
+        ledger.first_day = get_first_day(dec)?;
+        ledger.days_recorded = dec.get_u16()?;
+        ledger.fill_baselines(dec)?;
+        for t in &mut ledger.rows {
             let len = dec.get_len()?;
             // `record_day` pushes exactly one value per row per day, so
             // every series is exactly `days_recorded` long. A snapshot
             // violating that would make the delta encoder's suffix
             // slicing panic later — reject it here instead (the codec's
             // never-panic contract).
-            if len != usize::from(days_recorded) {
+            if len != usize::from(ledger.days_recorded) {
                 return Err(CodecError::Corrupt(
                     "ledger series length disagrees with day count",
                 ));
             }
-            let mut series = Vec::with_capacity(Decoder::<R>::reserve_hint(len));
+            t.survival.reserve(Decoder::<R>::reserve_hint(len));
             for _ in 0..len {
-                series.push(dec.get_f64()?);
+                t.survival.push(dec.get_f64()?);
             }
-            survival.push(series);
         }
-        let synced_established = established(&baselines);
-        Ok(Ledger {
-            synced_established,
-            baselines,
-            survival,
-            first_day,
-            days_recorded,
-            // A freshly decoded snapshot is by definition a sync point.
-            synced_days: days_recorded,
-        })
+        ledger.check_days()?;
+        // A freshly decoded snapshot is by definition a sync point.
+        ledger.mark_synced();
+        Ok(ledger)
     }
 
     /// The write-once baselines block, shared by the full snapshot and
-    /// the delta frame that carries their establishment.
+    /// the delta frame that carries their establishment: every row once
+    /// the first day is known (a day is recorded), none before.
     fn encode_baselines<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
-        enc.put_len(self.baselines.len())?;
-        for (row, set) in &self.baselines {
-            encode_row(enc, *row)?;
-            codec::write_set(enc, set)?;
+        let b = self.first_day.map_or(0, |_| self.rows.len());
+        enc.put_len(b)?;
+        for t in self.rows.iter().take(b) {
+            encode_row(enc, t.row)?;
+            codec::write_set(enc, &t.baseline)?;
         }
         Ok(())
     }
 
-    /// Decode a baselines block written by [`Ledger::encode_baselines`];
-    /// rows must arrive in [`Fig8Row::all`] order.
-    fn decode_baselines<R: Read>(
-        dec: &mut Decoder<R>,
-    ) -> Result<Vec<(Fig8Row, AddrSet)>, CodecError> {
-        let n = dec.get_len()?;
-        let rows = Fig8Row::all();
-        if n > rows.len() {
+    /// Read a baselines block written by [`Ledger::encode_baselines`]
+    /// into the rows. The block lists the first `b` rows in
+    /// [`Fig8Row::all`] order, and each row after them has no baseline.
+    /// A row whose baseline is still empty takes the carried one; an
+    /// established row must arrive unchanged.
+    fn fill_baselines<R: Read>(&mut self, dec: &mut Decoder<R>) -> Result<(), CodecError> {
+        let b = dec.get_len()?;
+        if b > self.rows.len() {
             return Err(CodecError::Corrupt("too many ledger baselines"));
         }
-        let mut baselines = Vec::with_capacity(n);
-        for &expected in rows.iter().take(n) {
-            let row = decode_row(dec)?;
-            if row != expected {
-                return Err(CodecError::Corrupt("ledger baselines out of row order"));
+        for (i, t) in self.rows.iter_mut().enumerate() {
+            let carried = if i < b {
+                if decode_row(dec)? != t.row {
+                    return Err(CodecError::Corrupt("ledger baselines out of row order"));
+                }
+                codec::read_set(dec)?
+            } else {
+                AddrSet::new()
+            };
+            if t.baseline.is_empty() {
+                t.baseline = carried;
+            } else if t.baseline != carried {
+                return Err(CodecError::Corrupt(
+                    "ledger delta rewrites an established baseline",
+                ));
             }
-            baselines.push((row, codec::read_set(dec)?));
         }
-        Ok(baselines)
+        Ok(())
+    }
+
+    /// The day rules both readers enforce, as the recorder keeps them:
+    /// the first day is known exactly when a day is recorded, and no row
+    /// has a baseline before then.
+    fn check_days(&self) -> Result<(), CodecError> {
+        if self.first_day.is_some() != (self.days_recorded > 0) {
+            Err(CodecError::Corrupt(
+                "ledger first day and day count disagree",
+            ))
+        } else if self.days_recorded == 0 && self.established() > 0 {
+            Err(CodecError::Corrupt(
+                "ledger baseline precedes the first day",
+            ))
+        } else {
+            Ok(())
+        }
     }
 
     /// Declare the current state a journal sync point: the next
     /// [`Ledger::encode_delta`] is relative to exactly this state.
     pub(crate) fn mark_synced(&mut self) {
         self.synced_days = self.days_recorded;
-        self.synced_established = established(&self.baselines);
+        self.synced_established = self.established();
     }
 
     /// Serialize everything recorded since the last sync point into an
@@ -317,22 +344,15 @@ impl Ledger {
     pub(crate) fn encode_delta<W: Write>(&self, enc: &mut Encoder<W>) -> Result<(), CodecError> {
         enc.put_u16(self.synced_days)?;
         enc.put_u16(self.days_recorded)?;
-        match self.first_day {
-            None => enc.put_u8(0)?,
-            Some(d) => {
-                enc.put_u8(1)?;
-                enc.put_u16(d)?;
-            }
-        }
-        if established(&self.baselines) > self.synced_established {
+        put_first_day(enc, self.first_day)?;
+        if self.established() > self.synced_established {
             enc.put_u8(1)?;
             self.encode_baselines(enc)?;
         } else {
             enc.put_u8(0)?;
         }
-        for row in Fig8Row::all() {
-            let series = self.series(row);
-            for &v in &series[usize::from(self.synced_days)..] {
+        for t in &self.rows {
+            for &v in &t.survival[usize::from(self.synced_days)..] {
                 enc.put_f64(v)?;
             }
         }
@@ -351,59 +371,25 @@ impl Ledger {
         if new_days < base {
             return Err(CodecError::Corrupt("ledger delta rewinds the day count"));
         }
-        let first_day = match dec.get_u8()? {
-            0 => None,
-            1 => Some(dec.get_u16()?),
-            _ => return Err(CodecError::Corrupt("ledger first-day tag out of range")),
-        };
-        match (self.first_day, first_day) {
+        match (self.first_day, get_first_day(dec)?) {
             (Some(a), Some(b)) if a == b => {}
             (Some(_), _) => {
                 return Err(CodecError::Corrupt("ledger delta changes the first day"));
             }
             (None, d) => self.first_day = d,
         }
-        // The ledger sets the first day on its first recorded day and
-        // never clears it, so the two must agree after the delta.
-        if self.first_day.is_some() != (new_days > 0) {
-            return Err(CodecError::Corrupt(
-                "ledger first day and day count disagree",
-            ));
-        }
+        self.days_recorded = new_days;
         match dec.get_u8()? {
             0 => {}
-            1 => {
-                let carried = Self::decode_baselines(dec)?;
-                if self.baselines.is_empty() {
-                    self.baselines = carried;
-                } else {
-                    // Per-row write-once merge: the carried block upserts
-                    // rows whose baseline is still empty; established
-                    // rows must arrive unchanged.
-                    if carried.len() != self.baselines.len() {
-                        return Err(CodecError::Corrupt("ledger delta baseline row set changed"));
-                    }
-                    for ((_, cur), (_, new)) in self.baselines.iter_mut().zip(carried) {
-                        if cur.is_empty() {
-                            *cur = new;
-                        } else if *cur != new {
-                            return Err(CodecError::Corrupt(
-                                "ledger delta rewrites an established baseline",
-                            ));
-                        }
-                    }
-                }
-            }
+            1 => self.fill_baselines(dec)?,
             _ => return Err(CodecError::Corrupt("ledger baseline tag out of range")),
         }
-        let delta_days = usize::from(new_days - base);
-        self.survival.resize(Fig8Row::all().len(), Vec::new());
-        for series in &mut self.survival {
-            for _ in 0..delta_days {
-                series.push(dec.get_f64()?);
+        self.check_days()?;
+        for t in &mut self.rows {
+            for _ in base..new_days {
+                t.survival.push(dec.get_f64()?);
             }
         }
-        self.days_recorded = new_days;
         self.mark_synced();
         Ok(())
     }
@@ -416,13 +402,9 @@ impl Ledger {
             out.push_str(&format!(" d{d:<4}"));
         }
         out.push('\n');
-        for row in Fig8Row::all() {
-            let base = self.baseline_len(row);
-            if base == 0 {
-                continue;
-            }
-            out.push_str(&format!("{:<14} {:>4} |", row.label(), base));
-            for v in self.series(row) {
+        for t in self.rows.iter().filter(|t| !t.baseline.is_empty()) {
+            out.push_str(&format!("{:<14} {:>4} |", t.row.label(), t.baseline.len()));
+            for v in &t.survival {
                 if v.is_nan() {
                     out.push_str("    - ");
                 } else {
@@ -435,9 +417,24 @@ impl Ledger {
     }
 }
 
-/// How many rows have established (non-empty) baselines.
-fn established(baselines: &[(Fig8Row, AddrSet)]) -> u16 {
-    baselines.iter().filter(|(_, s)| !s.is_empty()).count() as u16
+/// Write the first-day marker: tag 0, or tag 1 and the day.
+fn put_first_day<W: Write>(enc: &mut Encoder<W>, first_day: Option<u16>) -> Result<(), CodecError> {
+    match first_day {
+        None => enc.put_u8(0),
+        Some(d) => {
+            enc.put_u8(1)?;
+            enc.put_u16(d)
+        }
+    }
+}
+
+/// Read a first-day marker written by [`put_first_day`].
+fn get_first_day<R: Read>(dec: &mut Decoder<R>) -> Result<Option<u16>, CodecError> {
+    match dec.get_u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(dec.get_u16()?)),
+        _ => Err(CodecError::Corrupt("ledger first-day tag out of range")),
+    }
 }
 
 /// Encode a [`Fig8Row`] as `(tag, source)`, sharing the crate's
@@ -465,6 +462,7 @@ fn decode_row<R: Read>(dec: &mut Decoder<R>) -> Result<Fig8Row, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::net::Ipv6Addr;
 
     fn addr(i: u32) -> Ipv6Addr {
@@ -746,6 +744,195 @@ mod tests {
                 "ledger series length disagrees with day count"
             ))
         ));
+    }
+
+    /// One journal record of everything since the last sync point.
+    fn delta_bytes(l: &Ledger) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut enc = Encoder::new(&mut buf, b"LEDDTEST", 1).unwrap();
+        l.encode_delta(&mut enc).unwrap();
+        enc.finish().unwrap();
+        buf
+    }
+
+    fn apply(l: &mut Ledger, delta: &[u8]) -> Result<(), CodecError> {
+        let mut dec = Decoder::new(delta, b"LEDDTEST", 1)?;
+        l.apply_delta(&mut dec)?;
+        dec.finish().map(drop)
+    }
+
+    fn decode_bytes(bytes: &[u8]) -> Result<Ledger, CodecError> {
+        let mut dec = Decoder::new(bytes, b"LEDGTEST", 1)?;
+        let l = Ledger::decode(&mut dec)?;
+        dec.finish()?;
+        Ok(l)
+    }
+
+    /// A hand-built full ledger: the first-day marker, the day count, a
+    /// block over the first `block.len()` rows, and one series per row.
+    fn base_bytes(
+        first_day: Option<u16>,
+        days: u16,
+        block: &[AddrSet],
+        series: &[Vec<f64>],
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut enc = Encoder::new(&mut buf, b"LEDGTEST", 1).unwrap();
+        put_first_day(&mut enc, first_day).unwrap();
+        enc.put_u16(days).unwrap();
+        enc.put_len(block.len()).unwrap();
+        for (row, set) in Fig8Row::all().into_iter().zip(block) {
+            encode_row(&mut enc, row).unwrap();
+            codec::write_set(&mut enc, set).unwrap();
+        }
+        for s in series {
+            enc.put_len(s.len()).unwrap();
+            for &v in s {
+                enc.put_f64(v).unwrap();
+            }
+        }
+        enc.finish().unwrap();
+        buf
+    }
+
+    /// A replica synced before a first day on which nobody answered
+    /// must come out of that day's record in the live ledger's state:
+    /// the live ledger writes every row's (empty) baseline from then on,
+    /// and so must the replica.
+    #[test]
+    fn replica_matches_live_after_a_responder_free_first_day() {
+        let mut h = Hitlist::new();
+        h.add_from(SourceId::Ct, &[addr(1)], 0);
+        let mut live = Ledger::new();
+        let mut replica = decode_bytes(&full_bytes(&live)).unwrap();
+        live.record_day(0, &[], &h);
+        apply(&mut replica, &delta_bytes(&live)).unwrap();
+        live.mark_synced();
+        assert_eq!(full_bytes(&replica), full_bytes(&live));
+    }
+
+    /// A block over the first rows only leaves the later rows without a
+    /// baseline; the decoded ledger then records and journals every row.
+    #[test]
+    fn prefix_block_records_and_journals_two_days() {
+        let mut h = Hitlist::new();
+        let addrs: Vec<Ipv6Addr> = (0..4).map(addr).collect();
+        h.add_from(SourceId::Ct, &addrs, 0);
+        let block: Vec<AddrSet> = (0..3u8)
+            .map(|i| AddrSet::from_sorted(vec![AddrId::from_index(usize::from(i))]))
+            .collect();
+        let series = vec![vec![1.0]; Fig8Row::all().len()];
+        let bytes = base_bytes(Some(5), 1, &block, &series);
+        let mut live = decode_bytes(&bytes).unwrap();
+        let mut replica = decode_bytes(&bytes).unwrap();
+        for day in [6, 7] {
+            live.record_day(day, &mk_responsive(&h, &addrs, true), &h);
+            apply(&mut replica, &delta_bytes(&live)).unwrap();
+            live.mark_synced();
+        }
+        assert_eq!(full_bytes(&replica), full_bytes(&live));
+        for row in Fig8Row::all() {
+            assert_eq!(live.series(row).len(), 3, "{row:?}");
+        }
+        assert_eq!(live.baseline_len(Fig8Row::SourceQuic(SourceId::Ct)), 4);
+    }
+
+    /// The first day is known exactly when a day is recorded, and no
+    /// baseline precedes it: a base breaking either rule is refused
+    /// instead of panicking in the next `record_day`.
+    #[test]
+    fn decode_refuses_a_first_day_that_disagrees_with_the_day_count() {
+        let rows = Fig8Row::all().len();
+        for (first_day, days, block) in [
+            (None, 2, vec![]),
+            (Some(5), 0, vec![]),
+            (
+                None,
+                0,
+                vec![AddrSet::from_sorted(vec![AddrId::from_index(0)])],
+            ),
+        ] {
+            let series = vec![vec![0.5; usize::from(days)]; rows];
+            let err = decode_bytes(&base_bytes(first_day, days, &block, &series));
+            assert!(
+                matches!(
+                    err,
+                    Err(CodecError::Corrupt(
+                        "ledger first day and day count disagree"
+                            | "ledger baseline precedes the first day"
+                    ))
+                ),
+                "{first_day:?}, {days} days: {err:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every hand-built base either fails to decode or decodes to a
+        /// ledger that records two more days and journals each one; a
+        /// replica decoded from the same bytes applies those records and
+        /// ends in the same state, and so does a ledger resumed from the
+        /// decoded ledger's own full bytes.
+        #[test]
+        fn decoded_bases_record_and_journal_like_the_live_ledger(
+            tag in 0u8..2,
+            first in 0u16..1000,
+            days in 0u16..=8,
+            block in collection::vec(collection::vec(0usize..16, 0..4), 0..=9),
+            lens in collection::vec(0usize..=8, 9),
+            aligned in any::<bool>(),
+            values in collection::vec(0u8..4, 72),
+            passes in collection::vec(collection::vec((0u8..3, any::<bool>()), 16), 2),
+        ) {
+            let mut h = Hitlist::new();
+            for (i, s) in SourceId::ALL.iter().cycle().take(16).enumerate() {
+                h.add_from(*s, &[addr(i as u32)], 0);
+            }
+            let first_day = (tag == 1).then_some(first);
+            let block: Vec<AddrSet> = block
+                .iter()
+                .map(|ids| ids.iter().map(|&i| AddrId::from_index(i)).collect())
+                .collect();
+            let mut values = values.iter().map(|v| [f64::NAN, 0.0, 0.5, 1.0][usize::from(*v)]);
+            let series: Vec<Vec<f64>> = lens
+                .iter()
+                .map(|&len| {
+                    let len = if aligned { usize::from(days) } else { len };
+                    values.by_ref().take(len).collect()
+                })
+                .collect();
+            let bytes = base_bytes(first_day, days, &block, &series);
+            let Ok(mut live) = decode_bytes(&bytes) else {
+                return Ok(());
+            };
+            let mut replica = decode_bytes(&bytes).unwrap();
+            let mut resumed = decode_bytes(&full_bytes(&live)).unwrap();
+            let next = live.first_day.map_or(first, |f| f + live.days_recorded);
+            for (day, pass) in (next..).zip(&passes) {
+                // Member i answers ICMP (1) or nothing (0 and 2), QUIC
+                // as drawn.
+                let pass: Vec<(AddrId, ProtoSet)> = pass
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (answers, _))| *answers == 1)
+                    .map(|(i, &(_, quic))| {
+                        let mut p = ProtoSet::only(Protocol::Icmp);
+                        if quic {
+                            p = p.with(Protocol::Udp443);
+                        }
+                        (h.id_of(addr(i as u32)).unwrap(), p)
+                    })
+                    .collect();
+                live.record_day(day, &pass, &h);
+                resumed.record_day(day, &pass, &h);
+                apply(&mut replica, &delta_bytes(&live)).unwrap();
+                live.mark_synced();
+            }
+            prop_assert_eq!(full_bytes(&replica), full_bytes(&live));
+            prop_assert_eq!(full_bytes(&resumed), full_bytes(&live));
+        }
     }
 
     #[test]

@@ -374,6 +374,27 @@ fn records_spanning_any_number_of_days_replay_exactly() {
 }
 
 #[test]
+fn responder_free_first_day_resumes_to_the_live_state() {
+    // No sources collected: the first day's battery has no target, so
+    // no ledger row establishes a baseline on it. The record of that
+    // day must still leave a resumed ledger in the live one's state.
+    let mut p = Pipeline::new(ModelConfig::tiny(7), config());
+    let mut journal = Vec::new();
+    p.save_full(&mut journal).expect("base");
+    let snap = p.run_day();
+    assert!(snap.responsive.is_empty());
+    p.append_delta(&mut journal).expect("append_delta");
+    let (mut resumed, replay) =
+        Pipeline::resume(ModelConfig::tiny(7), config(), &mut journal.as_slice()).expect("resume");
+    assert_eq!((replay.deltas_applied, replay.torn_tail), (1, false));
+    assert_eq!(
+        state_bytes(&mut resumed),
+        state_bytes(&mut p),
+        "resumed save_full differs from the live one"
+    );
+}
+
+#[test]
 fn scheduled_journal_resumes_to_the_live_state() {
     // A budget well under the kept set: each day's plan demands /48s it
     // gives no slots, and neither the plan nor the journal may keep
