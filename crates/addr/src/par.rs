@@ -5,7 +5,7 @@
 //! and a single scan job's slot ranges. The helpers here are the only
 //! code on that path that starts a thread, and they size themselves
 //! with [`worker_threads`]: `EXPANSE_THREADS` when set (the CI
-//! determinism lanes pin it to 1, 2, and 8), otherwise
+//! determinism lanes pin it to 1, 2, 3 and 8), otherwise
 //! [`std::thread::available_parallelism`]. The day pass's sort, the
 //! ledger's joins and the snapshot encoders run serially: measured,
 //! none of them paid for its workers.

@@ -9,44 +9,26 @@ use expanse_addr::prefix::mask;
 use expanse_addr::{addr_to_u128, AddrSet, AddrTable, IdBits, Prefix};
 use std::net::Ipv6Addr;
 
+/// The shortest probed level: every known /64 is planned, whatever its
+/// target count.
+const MIN_LEVEL: u8 = 64;
+/// The longest probed level, and the longest announcement the BGP plan
+/// keeps: a /124 still fans out over 16 addresses.
+const MAX_LEVEL: u8 = 124;
+/// Bits between two probed levels.
+const STEP: usize = 4;
+
 /// Planning parameters.
 #[derive(Debug, Clone)]
 pub struct PlanConfig {
-    /// Smallest (shortest) level, inclusive. Paper: 64.
-    pub min_level: u8,
-    /// Largest (longest) level, inclusive. Paper: 124.
-    pub max_level: u8,
-    /// Level step in bits. Paper: 4.
-    pub step: u8,
-    /// Target-count gate for levels other than `min_level`. Paper: >100.
+    /// Target-count gate for the levels longer than /64. Paper: >100.
     pub min_targets: usize,
 }
 
 impl Default for PlanConfig {
     fn default() -> Self {
-        PlanConfig {
-            min_level: 64,
-            max_level: 124,
-            step: 4,
-            min_targets: 100,
-        }
+        PlanConfig { min_targets: 100 }
     }
-}
-
-/// The probed levels for a configuration: `min_level..=max_level` in
-/// `step`-bit increments.
-fn levels(cfg: &PlanConfig) -> Vec<u8> {
-    assert!(cfg.step > 0 && cfg.min_level <= cfg.max_level);
-    let mut out = Vec::new();
-    let mut level = cfg.min_level;
-    while level <= cfg.max_level {
-        out.push(level);
-        level = level.saturating_add(cfg.step);
-        if level == cfg.max_level.saturating_add(cfg.step) {
-            break;
-        }
-    }
-    out
 }
 
 /// Build the target-based probe plan for a hitlist given as an address
@@ -78,11 +60,10 @@ fn plan_sorted(addrs: &[u128], cfg: &PlanConfig) -> Vec<Prefix> {
     // every level, so counting is one run-length pass per level over a
     // flat vector — no map: a run *is* a prefix and its length the count.
     let mut out: Vec<Prefix> = Vec::new();
-    for level in levels(cfg) {
-        // `mask` guards the shift at levels 0 and 128.
+    for level in (MIN_LEVEL..=MAX_LEVEL).step_by(STEP) {
         let netmask = mask(level);
         for run in addrs.chunk_by(|a, b| a & netmask == b & netmask) {
-            if level == cfg.min_level || run.len() > cfg.min_targets {
+            if level == MIN_LEVEL || run.len() > cfg.min_targets {
                 out.push(Prefix::from_bits(run[0], level));
             }
         }
@@ -97,7 +78,7 @@ pub fn plan_bgp(announcements: &[Prefix]) -> Vec<Prefix> {
     let mut out: Vec<Prefix> = announcements
         .iter()
         .copied()
-        .filter(|p| p.len() <= 124)
+        .filter(|p| p.len() <= MAX_LEVEL)
         .collect();
     out.sort();
     out.dedup();
@@ -144,10 +125,7 @@ mod tests {
 
     #[test]
     fn gate_is_strictly_greater() {
-        let cfg = PlanConfig {
-            min_targets: 10,
-            ..PlanConfig::default()
-        };
+        let cfg = PlanConfig { min_targets: 10 };
         // Exactly 10 in one /96: should NOT pass (paper: "more than 100").
         let addrs: Vec<_> = (0..10u128)
             .map(|i| u128_to_addr((0x2001_0db8u128 << 96) | i))

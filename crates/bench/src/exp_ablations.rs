@@ -156,13 +156,7 @@ pub(crate) fn gating(ctx: &mut Ctx) -> String {
     );
     let addrs = ctx.hitlist_addrs();
     let gated = expanse_apd::plan_targets(&addrs, &expanse_apd::PlanConfig::default());
-    let ungated = expanse_apd::plan_targets(
-        &addrs,
-        &expanse_apd::PlanConfig {
-            min_targets: 0,
-            ..Default::default()
-        },
-    );
+    let ungated = expanse_apd::plan_targets(&addrs, &expanse_apd::PlanConfig { min_targets: 0 });
     let gated_probes = gated.len() as u64 * 32;
     let ungated_probes = ungated.len() as u64 * 32;
     out.push_str(&format!(

@@ -218,6 +218,14 @@ impl Ledger {
         self.track(row).map_or(0, |t| t.baseline.len())
     }
 
+    /// Would the next recorded day be `day`? A ledger with no recorded
+    /// day takes any day next, since APD warm-up days advance the
+    /// pipeline's day without recording one.
+    pub(crate) fn records_next(&self, day: u16) -> bool {
+        self.first_day
+            .is_none_or(|first| first.checked_add(self.days_recorded) == Some(day))
+    }
+
     /// How many rows have established (non-empty) baselines.
     fn established(&self) -> u16 {
         self.rows.iter().filter(|t| !t.baseline.is_empty()).count() as u16

@@ -192,23 +192,41 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Build a pipeline over a fresh model.
+    /// Build a pipeline over a fresh model: the pipeline a journal of
+    /// one empty state (day 0, clock 0, every section empty) resumes to.
     pub fn new(model_cfg: ModelConfig, cfg: PipelineConfig) -> Self {
+        let empty = PersistedState {
+            day: 0,
+            clock: Time::ZERO,
+            hot_prefixes: BTreeSet::new(),
+            hitlist: Hitlist::new(),
+            ledger: Ledger::new(),
+            apd: Apd::new(cfg.apd.clone()),
+            sched: Scheduler::new(),
+        };
+        Pipeline::from_state(model_cfg, cfg, empty)
+    }
+
+    /// The pipeline that continues `st`: the deterministic side rebuilt
+    /// from config, plus the one cross-day scanner scalar, the virtual
+    /// clock (reply timestamps, and so the battery digest, build on it).
+    fn from_state(model_cfg: ModelConfig, cfg: PipelineConfig, st: PersistedState) -> Self {
         let model = InternetModel::build(model_cfg);
         let sources = expanse_model::sources::build_sources(&model);
-        let scanner = Scanner::new(model, cfg.scan.clone());
+        let mut scanner = Scanner::new(model, cfg.scan.clone());
+        scanner.set_now(st.clock);
         Pipeline {
-            apd: Apd::new(cfg.apd.clone()),
             cfg,
             scanner,
-            hitlist: Hitlist::new(),
+            apd: st.apd,
+            hitlist: st.hitlist,
             sources,
-            ledger: Ledger::new(),
-            sched: Scheduler::new(),
-            hot_prefixes: BTreeSet::new(),
-            day: 0,
-            synced_hot: BTreeSet::new(),
-            synced_day: 0,
+            ledger: st.ledger,
+            sched: st.sched,
+            synced_hot: st.hot_prefixes.clone(),
+            hot_prefixes: st.hot_prefixes,
+            day: st.day,
+            synced_day: st.day,
         }
     }
 
@@ -678,28 +696,7 @@ impl Pipeline {
         r: &mut R,
     ) -> Result<(Pipeline, JournalReplay), CodecError> {
         let (st, replay) = PersistedState::load(cfg.apd.clone(), r)?;
-
-        // Rebuild the deterministic side from config, then restore the
-        // one cross-day scanner scalar: the virtual clock (reply
-        // timestamps — and so the battery digest — build on it).
-        let model = InternetModel::build(model_cfg);
-        let sources = expanse_model::sources::build_sources(&model);
-        let mut scanner = Scanner::new(model, cfg.scan.clone());
-        scanner.set_now(st.clock);
-        let p = Pipeline {
-            cfg,
-            scanner,
-            apd: st.apd,
-            hitlist: st.hitlist,
-            sources,
-            ledger: st.ledger,
-            sched: st.sched,
-            synced_hot: st.hot_prefixes.clone(),
-            hot_prefixes: st.hot_prefixes,
-            day: st.day,
-            synced_day: st.day,
-        };
-        Ok((p, replay))
+        Ok((Pipeline::from_state(model_cfg, cfg, st), replay))
     }
 }
 
@@ -882,7 +879,7 @@ impl PersistedState {
         let apd = Apd::decode(apd_cfg, &mut dec)?;
         let sched = Scheduler::decode(&mut dec)?;
         dec.finish()?;
-        Ok(PersistedState {
+        let st = PersistedState {
             day,
             clock,
             hot_prefixes,
@@ -890,7 +887,21 @@ impl PersistedState {
             ledger,
             apd,
             sched,
-        })
+        };
+        st.check_ledger_day()?;
+        Ok(st)
+    }
+
+    /// The ledger's next day must be the pipeline's day, or the next
+    /// `run_day` would record out of order.
+    fn check_ledger_day(&self) -> Result<(), CodecError> {
+        if self.ledger.records_next(self.day) {
+            Ok(())
+        } else {
+            Err(CodecError::Corrupt(
+                "ledger days do not end at the pipeline's day",
+            ))
+        }
     }
 
     /// Apply one whole, checksum-verified delta frame (the envelope
@@ -937,7 +948,7 @@ impl PersistedState {
         dec.finish()?;
         self.day = day;
         self.clock = clock;
-        Ok(())
+        self.check_ledger_day()
     }
 
     /// Replay a whole journal (base + deltas) into a state, with the

@@ -395,6 +395,35 @@ fn responder_free_first_day_resumes_to_the_live_state() {
 }
 
 #[test]
+fn ledger_days_must_end_at_the_pipeline_day() {
+    // A ledger one recorded day ahead of its pipeline, in the base and
+    // through a delta: the next `run_day` would record out of order, so
+    // both readers must refuse the journal instead of resuming it.
+    let mut ahead = fresh();
+    drive(&mut ahead, 2);
+    ahead.save_full(&mut Vec::new()).expect("sync point");
+    drive(&mut ahead, 1);
+    let refused = |journal: &[u8]| {
+        let resumed = Pipeline::resume(ModelConfig::tiny(SEED), config(), &mut &journal[..]);
+        assert!(resumed.is_err(), "resume accepted the ledger");
+        let loaded = PersistedState::load(config().apd, &mut &journal[..]);
+        assert!(loaded.is_err(), "load accepted the ledger");
+    };
+
+    let mut p = fresh();
+    drive(&mut p, 2);
+    p.ledger = ahead.ledger.clone();
+    refused(&state_bytes(&mut p));
+
+    let mut p = fresh();
+    drive(&mut p, 2);
+    let mut journal = state_bytes(&mut p);
+    p.ledger = ahead.ledger.clone();
+    p.append_delta(&mut journal).expect("append_delta");
+    refused(&journal);
+}
+
+#[test]
 fn scheduled_journal_resumes_to_the_live_state() {
     // A budget well under the kept set: each day's plan demands /48s it
     // gives no slots, and neither the plan nor the journal may keep

@@ -16,7 +16,7 @@
     reason = "policy over untrusted bytes in virtual time: no clock, thread or lock, no panic"
 )]
 
-use crate::protocol::{ERR_FRAME_TOO_LARGE, ERR_TIMEOUT};
+use crate::protocol::{ERR_FRAME_TOO_LARGE, ERR_TIMEOUT, MAX_FRAME_LEN};
 use crate::transport::ServerConfig;
 use std::fmt;
 use std::time::Duration;
@@ -144,11 +144,12 @@ pub(crate) struct ConnState<'c> {
 }
 
 impl<'c> ConnState<'c> {
-    /// A connection opened at `now`, under `cfg`'s ceiling and deadlines.
+    /// A connection opened at `now`, under the protocol's frame ceiling
+    /// and `cfg`'s deadlines.
     pub(crate) fn new(cfg: &'c ServerConfig, now: Duration) -> ConnState<'c> {
         ConnState {
             cfg,
-            asm: FrameAssembler::new(cfg.max_frame_len),
+            asm: FrameAssembler::new(MAX_FRAME_LEN),
             active_at: now,
             frame_at: None,
             write_at: None,
@@ -315,13 +316,12 @@ mod tests {
         }
     }
 
-    /// Deadlines in milliseconds and a 64-byte frame ceiling.
+    /// Deadlines in milliseconds.
     fn cfg(read: u64, write: u64, idle: u64) -> ServerConfig {
         ServerConfig {
             read_timeout: Duration::from_millis(read),
             write_timeout: Duration::from_millis(write),
             idle_timeout: Duration::from_millis(idle),
-            max_frame_len: 64,
             ..ServerConfig::default()
         }
     }
@@ -360,6 +360,7 @@ mod tests {
             .enumerate()
             .map(|(i, &b)| (2 * i as u64, vec![b]));
         let last_byte = 2 * (ping.len() as u64 - 1);
+        let ceiling = MAX_FRAME_LEN as usize;
         // One byte every 20 ms, inside every socket tick: only the
         // bytes themselves can see the deadline pass.
         let slow_drip = framed(64, 7)
@@ -431,14 +432,18 @@ mod tests {
             },
             Script {
                 expect: vec![
-                    (0, Served(vec![1; 63])),
-                    (10, Served(vec![2; 64])),
+                    (0, Served(vec![1; ceiling - 1])),
+                    (10, Served(vec![2; ceiling])),
                     (20, Closed(Close::Peer)),
                 ],
                 ..script(
                     "ceiling - 1 and ceiling",
                     cfg(400, 400, 5000),
-                    vec![(0, framed(63, 1)), (10, framed(64, 2)), (20, vec![])],
+                    vec![
+                        (0, framed(MAX_FRAME_LEN - 1, 1)),
+                        (10, framed(MAX_FRAME_LEN, 2)),
+                        (20, vec![]),
+                    ],
                 )
             },
             Script {
@@ -449,7 +454,7 @@ mod tests {
                 ..script(
                     "ceiling + 1",
                     cfg(400, 400, 5000),
-                    vec![(0, 65u32.to_le_bytes().into())],
+                    vec![(0, (MAX_FRAME_LEN + 1).to_le_bytes().into())],
                 )
             },
             Script {
@@ -486,7 +491,7 @@ mod tests {
     #[test]
     fn assembler_reassembles_byte_at_a_time() {
         let framed = encode_request(&Request::Ping);
-        let mut asm = FrameAssembler::new(crate::protocol::MAX_FRAME_LEN);
+        let mut asm = FrameAssembler::new(MAX_FRAME_LEN);
         for &b in &framed[..framed.len() - 1] {
             asm.push(&[b]);
             assert!(asm.next_frame().unwrap().is_none());
@@ -505,7 +510,7 @@ mod tests {
         stream.extend_from_slice(&encode_request(&Request::Lookup {
             addr: "::1".parse().unwrap(),
         }));
-        let mut asm = FrameAssembler::new(crate::protocol::MAX_FRAME_LEN);
+        let mut asm = FrameAssembler::new(MAX_FRAME_LEN);
         asm.push(&stream);
         assert!(asm.next_frame().unwrap().is_some());
         assert!(asm.next_frame().unwrap().is_some());

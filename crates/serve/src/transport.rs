@@ -239,8 +239,6 @@ pub struct ServerConfig {
     /// How long a connection may sit with no traffic (and no partial
     /// frame) before it is closed quietly.
     pub idle_timeout: Duration,
-    /// Envelope-length ceiling for requests (at most [`protocol::MAX_FRAME_LEN`]).
-    pub max_frame_len: u32,
     /// Response cache policy; `None` disables caching.
     pub cache: Option<CacheConfig>,
     /// Per-client admission control; `None` admits everything.
@@ -257,7 +255,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
-            max_frame_len: protocol::MAX_FRAME_LEN,
             cache: Some(CacheConfig::default()),
             rate: None,
             drain_grace: Duration::from_secs(10),
@@ -417,10 +414,6 @@ impl Server {
         cfg: ServerConfig,
     ) -> io::Result<Server> {
         assert!(!binds.is_empty(), "a server needs at least one listener");
-        let cfg = ServerConfig {
-            max_frame_len: cfg.max_frame_len.min(protocol::MAX_FRAME_LEN),
-            ..cfg
-        };
         let cache = cfg.cache.map(|c| Arc::new(ResponseCache::new(c)));
         if let Some(cache) = &cache {
             let cache = Arc::clone(cache);

@@ -3,7 +3,8 @@
 //! 1. **Journal equivalence** — a view loaded straight from a snapshot
 //!    journal (no pipeline, no model rebuild) answers every wire
 //!    request byte-identically to the view published from the live
-//!    pipeline that wrote the journal.
+//!    pipeline that wrote the journal, the scheduler's `Sched` answers
+//!    included with every pipeline feature on.
 //! 2. **Epoch pinning** — publishing day N+1 during an active
 //!    multi-threaded query run neither blocks readers nor changes any
 //!    in-flight result: a pinned view is immutable, and the publisher
@@ -16,10 +17,10 @@
 )]
 
 use expanse_addr::{addr_to_u128, u128_to_addr, Prefix};
-use expanse_core::{Pipeline, PipelineConfig, SchedConfig};
-use expanse_model::ModelConfig;
+use expanse_core::{Pipeline, PipelineConfig, RetentionConfig, SchedConfig};
+use expanse_model::{ModelConfig, SourceId};
 use expanse_packet::{ProtoSet, Protocol};
-use expanse_serve::protocol::{decode_response, encode_request};
+use expanse_serve::protocol::{decode_response, encode_request, ResponseBody};
 use expanse_serve::{
     execute, handle_envelope, AliasScope, Pinned, Query, Request, SnapshotRegistry, SnapshotView,
 };
@@ -170,6 +171,53 @@ fn journal_view_serves_byte_identically_to_live_view() {
         out_live, out_loaded,
         "journal-loaded view diverged from the live published view"
     );
+}
+
+/// Guarantee 1 with every feature on: an adversarial world, a budgeted
+/// scheduler, retention expiry and the daily scenario feed. After each
+/// journaled day, a view loaded from the journal answers the ranked
+/// `Sched` request byte-identically to the live published view.
+#[test]
+fn journal_view_answers_sched_like_live_view_every_day() {
+    let mut cfg = PipelineConfig {
+        trace_budget: 20,
+        sched: SchedConfig::budgeted(400, 64),
+        retention: RetentionConfig {
+            window: Some(4),
+            every: 1,
+        },
+        ..PipelineConfig::default()
+    };
+    cfg.plan.min_targets = 30;
+    let mut p = Pipeline::new(ModelConfig::adversarial(4047), cfg);
+    p.collect_sources(30);
+    let mut journal: Vec<u8> = Vec::new();
+    p.save_full(&mut journal).expect("save base");
+    let sched = encode_request(&Request::Sched { k: 16 });
+    for _ in 0..5 {
+        let day = p.day();
+        let feed = p.model_ref().scenario_feed(day);
+        p.hitlist.add_from(SourceId::RipeAtlas, &feed, day);
+        p.run_day();
+        p.append_delta(&mut journal).expect("append delta");
+
+        let live = SnapshotRegistry::new(SnapshotView::publish(&p));
+        let (loaded, replay) =
+            SnapshotView::load_journal(p.cfg.apd.clone(), &mut journal.as_slice()).expect("load");
+        assert!(!replay.torn_tail);
+        let loaded = SnapshotRegistry::new(loaded);
+        let answer = handle_envelope(&live, &sched[4..]);
+        assert_eq!(
+            answer,
+            handle_envelope(&loaded, &sched[4..]),
+            "day {day}: journal-loaded Sched answer diverged from the live one"
+        );
+        let body = decode_response(&answer[4..]).expect("decodes").body;
+        let ResponseBody::Sched { status } = body else {
+            panic!("day {day}: unexpected body {body:?}");
+        };
+        assert!(status.budget > 0 && !status.top.is_empty(), "day {day}");
+    }
 }
 
 /// Guarantee 2, deterministic core: a reader holding a pin observes

@@ -67,12 +67,13 @@
 //! sub-shards carved by the same keyed permutation zmap uses for
 //! `--shards` — and each job runs against its own snapshot of the
 //! network starting from the same virtual instant. The decomposition is
-//! fixed by [`ScanConfig::shards_per_protocol`], not by the worker
-//! count: the cells go through [`expanse_addr::par::par_map_coarse`]
-//! like a single scan's slot ranges, and come back in grid order, so
-//! the [`MultiScanResult`] is the same on one worker or eight; the
-//! battery's unit tests sweep the worker count against results
-//! recorded before the grid went onto that pool.
+//! fixed by the grid's constant eight sub-shards per protocol, not by
+//! the worker count: the cells go through
+//! [`expanse_addr::par::par_map_coarse`] like a single scan's slot
+//! ranges, and come back in grid order, so the [`MultiScanResult`] is
+//! the same on one worker or eight; the battery's unit tests sweep the
+//! worker count against results recorded before the grid went onto
+//! that pool.
 //!
 //! Each sub-shard's layout is built by whichever of its five cells runs
 //! first, inside the pool and on that cell's worker alone, and shared by
@@ -89,9 +90,9 @@
 //! whereas real concurrent scanners share the destination's middleboxes.
 //! Each sub-shard therefore sees a fraction of the probe pressure —
 //! e.g. eight sub-shards give a rate-limited prefix eight private token
-//! buckets — so `shards_per_protocol` is a results-affecting modeling
-//! knob, not a free tuning parameter. The pipeline's paper-shape tests
-//! pin the default (8); change it only alongside them.
+//! buckets — so the sub-shard count is a results-affecting modeling
+//! constant, not a free tuning parameter. The pipeline's paper-shape
+//! tests pin it at 8; change it only alongside them.
 
 use crate::blacklist::Blacklist;
 use crate::module::ProbeModule;
@@ -116,6 +117,11 @@ const PROBE_HOPS: u8 = Datagram::DEFAULT_HOP_LIMIT;
 const GAP: Duration = Duration(1_000_000_000 / RATE_PPS);
 /// How long to keep listening after the last probe.
 const COOLDOWN: Duration = Duration::from_secs(5);
+/// Sub-shards each protocol pass of the battery is split into. Results
+/// depend on this value (each sub-shard has its own virtual clock and
+/// middlebox state), so it is part of the scan model, not an execution
+/// detail.
+const BATTERY_SHARDS: u64 = 8;
 
 /// Scanner configuration.
 #[derive(Debug, Clone)]
@@ -128,11 +134,6 @@ pub struct ScanConfig {
     pub shard: (u64, u64),
     /// Never-probe prefixes (§10.1 scanning ethics).
     pub blacklist: Blacklist,
-    /// Sub-shards each protocol pass of the battery is split into.
-    /// Results depend on this value (each sub-shard has its own virtual
-    /// clock), so it is part of the scan configuration, not an
-    /// execution detail.
-    pub shards_per_protocol: u64,
 }
 
 impl Default for ScanConfig {
@@ -142,7 +143,6 @@ impl Default for ScanConfig {
             seed: 0x5ca9,
             shard: (0, 1),
             blacklist: Blacklist::default(),
-            shards_per_protocol: 8,
         }
     }
 }
@@ -719,15 +719,14 @@ impl<N: SnapshotNetwork + Sync> Scanner<N> {
 
     /// The sub-shards every protocol pass is split into, as `(shard,
     /// total)`: composing the configured zmap-level shard selection with
-    /// the fan-out's per-protocol sub-sharding. For outer selection
-    /// `(s, T)` and `J` sub-shards, sub-shard `j` walks permutation
-    /// positions `i` with `i ≡ s + T·j (mod T·J)` — a partition of the
-    /// outer shard's positions.
+    /// the fan-out's [`BATTERY_SHARDS`] per-protocol sub-shards. For
+    /// outer selection `(s, T)` and `J` sub-shards, sub-shard `j` walks
+    /// permutation positions `i` with `i ≡ s + T·j (mod T·J)` — a
+    /// partition of the outer shard's positions.
     fn battery_shards(&self) -> Vec<(u64, u64)> {
         let (shard, shards) = self.cfg.shard;
-        let per = self.cfg.shards_per_protocol.max(1);
-        (0..per)
-            .map(|j| (shard + shards * j, shards * per))
+        (0..BATTERY_SHARDS)
+            .map(|j| (shard + shards * j, shards * BATTERY_SHARDS))
             .collect()
     }
 
@@ -894,7 +893,7 @@ mod tests {
     #[test]
     fn battery_composes_with_outer_zmap_shards() {
         // Multi-instance scanning: three scanner instances with
-        // shard=(s,3), each sub-sharded 4 ways. The composed grid
+        // shard=(s,3), each sub-sharded by the battery grid. The composed grid
         // (`shard + shards·j` of `shards·per`) must still partition the
         // target set — every target probed exactly once per protocol
         // across the instances, none double-probed or skipped.
@@ -914,7 +913,6 @@ mod tests {
             let model = InternetModel::build(ModelConfig::tiny(21));
             let cfg = ScanConfig {
                 shard: (shard, 3),
-                shards_per_protocol: 4,
                 ..ScanConfig::default()
             };
             let mut s = Scanner::new(model, cfg);
@@ -939,8 +937,8 @@ mod tests {
 
     #[test]
     fn battery_shards_partition_sends() {
-        // Whatever the sub-shard count, every target is probed exactly
-        // once per protocol (the grid partitions the permutation).
+        // Every target is probed exactly once per protocol (the grid
+        // partitions the permutation).
         let p48 = InternetModel::build(ModelConfig::tiny(21))
             .population()
             .special
@@ -948,18 +946,11 @@ mod tests {
         let targets: Vec<Ipv6Addr> = (0..37u64)
             .map(|i| expanse_addr::keyed_random_addr(p48, i))
             .collect();
-        let battery = crate::module::standard_battery();
-        for shards in [1u64, 3, 8, 64] {
-            let model = InternetModel::build(ModelConfig::tiny(21));
-            let cfg = ScanConfig {
-                shards_per_protocol: shards,
-                ..ScanConfig::default()
-            };
-            let mut s = Scanner::new(model, cfg);
-            let multi = s.scan_battery(&targets, &battery);
-            for r in multi.by_protocol.values() {
-                assert_eq!(r.sent, 37, "shards={shards}");
-            }
+        let model = InternetModel::build(ModelConfig::tiny(21));
+        let mut s = Scanner::new(model, ScanConfig::default());
+        let multi = s.scan_battery(&targets, &crate::module::standard_battery());
+        for r in multi.by_protocol.values() {
+            assert_eq!(r.sent, 37, "protocol {:?}", r.protocol);
         }
     }
 
