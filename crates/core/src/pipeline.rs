@@ -6,16 +6,13 @@
 use crate::hitlist::Hitlist;
 use crate::longitudinal::Ledger;
 use expanse_addr::codec::{self, CodecError, Decoder, Encoder, PrefixRun};
-use expanse_addr::{AddrId, AddrSet, IdBits, Prefix};
+use expanse_addr::{AddrId, AddrSet, Prefix};
 use expanse_apd::{Apd, ApdConfig, PlanConfig};
 use expanse_model::{InternetModel, ModelConfig, Source, SourceId};
 use expanse_netsim::Time;
 use expanse_packet::ProtoSet;
 use expanse_scamper6::{TraceConfig, Tracer};
-use expanse_sched::{
-    PrefixDemand, SchedConfig, SchedPlan, Scheduler, MAX_DEMAND_SAMPLE, SCHED_PREFIX_LEN,
-    SPLIT_PREFIX_LEN,
-};
+use expanse_sched::{SchedConfig, Scheduler};
 use expanse_zmap6::{standard_battery, MultiScanResult, ScanConfig, Scanner};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -286,9 +283,9 @@ impl Pipeline {
             self.detect_aliases(day, &live);
         let (kept_ids, kept, removed) = self.filter_aliased(&aliased_now, &live);
         let kept_len = kept.len();
-        let (target_ids, targets, sched_plan) =
+        let (target_ids, targets, follow_ups) =
             self.schedule_targets(day, kept_ids, kept, &aliased_now);
-        let (routers_found, trace_probes) = self.trace_routers(day, &targets, sched_plan.as_ref());
+        let (routers_found, trace_probes) = self.trace_routers(day, &targets, follow_ups);
         let (mut multi, battery_digest) = self.probe_battery(&targets);
         let day_pass = self.record_day_pass(day, &multi);
         self.account_probes(day, &target_ids, &day_pass);
@@ -394,42 +391,28 @@ impl Pipeline {
     }
 
     /// Stage 3, probe scheduling. Enabled: the scheduler plans the day
-    /// (budget, caps, splits) and the battery scans the admitted subset
-    /// — still an id-order subsequence of `kept`, so the degenerate
-    /// config reproduces the fixed grid byte-for-byte. Disabled: `kept`
-    /// scans whole. The targets come back as ids too.
+    /// (budget, caps, splits; the hot set is the suspect signal) and the
+    /// battery scans the admitted subset — an id-order subsequence of
+    /// `kept`, so the degenerate config reproduces the fixed grid byte for
+    /// byte — plus the plan's trace targets. Disabled: all of `kept`.
     fn schedule_targets(
         &mut self,
         day: u16,
         kept_ids: AddrSet,
         kept: Vec<Ipv6Addr>,
         aliased_now: &[Prefix],
-    ) -> (AddrSet, Vec<Ipv6Addr>, Option<SchedPlan>) {
+    ) -> (AddrSet, Vec<Ipv6Addr>, Vec<Ipv6Addr>) {
         if !self.cfg.sched.enabled {
-            return (kept_ids, kept, None);
+            return (kept_ids, kept, Vec::new());
         }
-        let (order, demands) = sched_demands(&kept);
-        let plan = self.sched_plan(day, &demands, aliased_now);
-        let (ids, targets) = sched_admit(day, &kept_ids, &kept, &order, &demands, &plan);
-        (ids, targets, Some(plan))
-    }
-
-    /// Scheduling step 2 of 3: plan the day's demands against the
-    /// budget. The hot set (nearly-aliased, not yet classified) is the
-    /// suspect signal; APD verdicts are today's aliased list.
-    fn sched_plan(
-        &mut self,
-        day: u16,
-        demands: &[PrefixDemand],
-        aliased_now: &[Prefix],
-    ) -> SchedPlan {
         let suspects: Vec<Prefix> = self.hot_prefixes.iter().copied().collect();
+        let cfg = &self.cfg.sched;
         self.sched
-            .plan_day(&self.cfg.sched, day, demands, aliased_now, &suspects)
+            .schedule_day(cfg, day, &kept_ids, &kept, aliased_now, &suspects)
     }
 
     /// Stage 4, scamper: trace a budgeted subsample and add the routers
-    /// it learns to the hitlist. Scheduled follow-up traces (suspect
+    /// it learns to the hitlist. The scheduled `trace_targets` (suspect
     /// confirmation) take the head of the trace budget; the remainder
     /// subsamples today's battery targets. A blacklisted target is
     /// never traced and takes no budget (§10.1). Returns the routers
@@ -438,11 +421,10 @@ impl Pipeline {
         &mut self,
         day: u16,
         targets: &[Ipv6Addr],
-        sched_plan: Option<&SchedPlan>,
+        mut trace_targets: Vec<Ipv6Addr>,
     ) -> (usize, u64) {
         let budget = self.cfg.trace_budget;
         let blacklist = &self.cfg.scan.blacklist;
-        let mut trace_targets = sched_plan.map_or_else(Vec::new, SchedPlan::trace_targets);
         trace_targets.retain(|&a| !blacklist.contains(a));
         trace_targets.truncate(budget);
         let seen: BTreeSet<Ipv6Addr> = trace_targets.iter().copied().collect();
@@ -504,31 +486,13 @@ impl Pipeline {
         day_pass
     }
 
-    /// Stage 7, discovery-cost accounting. Per covering /48: battery
-    /// slots spent today and responders credited to them. The hitlist's
-    /// `probes_spent` counters make yield-per-probe computable on both
-    /// the fixed and scheduled paths; the scheduler additionally folds
-    /// the outcomes back into its queue when it planned the day.
+    /// Stage 7, discovery-cost accounting: the hitlist charges each /48
+    /// the battery slots [`expanse_sched::day_outcomes`] counts (so yield
+    /// per probe is computable on both paths), and the scheduler, when it
+    /// planned the day, records the responders credited to them too.
     fn account_probes(&mut self, day: u16, targets: &AddrSet, day_pass: &[(AddrId, ProtoSet)]) {
-        // The table's address order puts each /48's members in one run:
-        // count the targets and responders of each run.
-        let table = self.hitlist.table();
-        let order = table.sorted();
-        let targeted: IdBits = targets.iter().collect();
-        let found: IdBits = day_pass.iter().map(|&(id, _)| id).collect();
-        let mut outcomes: Vec<(Prefix, u64, u64)> = Vec::new();
-        let mut at = 0;
-        while let Some(&first) = order.as_slice().get(at) {
-            let net = Prefix::from_bits(table.bits(first), SCHED_PREFIX_LEN);
-            let run = order.positions_from(table, net, at);
-            let members = &order.as_slice()[run.clone()];
-            let count = |bits: &IdBits| members.iter().filter(|&&id| bits.contains(id)).count();
-            let (spent, hits) = (count(&targeted) as u64, count(&found) as u64);
-            if spent + hits > 0 {
-                outcomes.push((net, spent, hits));
-            }
-            at = run.end;
-        }
+        let responders = day_pass.iter().map(|&(id, _)| id);
+        let outcomes = expanse_sched::day_outcomes(self.hitlist.table(), targets, responders);
         for &(net, spent, _) in &outcomes {
             self.hitlist.charge_probes(net, spent);
         }
@@ -698,122 +662,6 @@ impl Pipeline {
         let (st, replay) = PersistedState::load(cfg.apd.clone(), r)?;
         Ok((Pipeline::from_state(model_cfg, cfg, st), replay))
     }
-}
-
-/// Scheduling step 1 of 3: group the kept members by covering /48 and
-/// build one [`PrefixDemand`] per group (candidate count + a bounded
-/// sorted sample for the entropy fingerprint and follow-up traces).
-///
-/// The groups come back as runs: `kept`'s positions sorted by
-/// `(/48, position)`, so each /48's members are one run in id order.
-/// The demands are ascending by /48 too, and each one's candidate
-/// count is its run's length.
-fn sched_demands(kept: &[Ipv6Addr]) -> (Vec<usize>, Vec<PrefixDemand>) {
-    let host_bits = 128 - u32::from(SCHED_PREFIX_LEN);
-    // One sort key per member: its /48 above its position.
-    let mut keys: Vec<u128> = kept
-        .iter()
-        .enumerate()
-        .map(|(pos, &a)| u128::from(a) >> host_bits << 64 | pos as u128)
-        .collect();
-    keys.sort_unstable();
-    let pos = |key: u128| key as u64 as usize;
-    let demands = keys
-        .chunk_by(|a, b| a >> 64 == b >> 64)
-        .map(|run| {
-            let mut sample: Vec<Ipv6Addr> = run
-                .iter()
-                .take(MAX_DEMAND_SAMPLE)
-                .map(|&key| kept[pos(key)])
-                .collect();
-            sample.sort_unstable();
-            PrefixDemand {
-                net: Prefix::from_bits(run[0] >> 64 << host_bits, SCHED_PREFIX_LEN),
-                candidates: run.len() as u64,
-                sample,
-            }
-        })
-        .collect();
-    (keys.into_iter().map(pos).collect(), demands)
-}
-
-/// Scheduling step 3 of 3: admit members against the plan's per-prefix
-/// quotas. Within its /48's run, each member falls under its quota key
-/// (its /52 child when that child holds a quota — the /48 was split —
-/// the /48 itself otherwise), and a rotated window of each key's
-/// members is admitted: the window's start offset advances by `quota`
-/// positions per day, so a /48 held under its cap cycles through *all*
-/// its members across days instead of re-probing the same head.
-///
-/// A window never exceeds its key's quota, so it is exactly what
-/// [`SchedPlan::admit`] accepts when called member by member; the
-/// quotas are read once per run and never consumed.
-///
-/// The returned list is an id-order subsequence of `kept`; with the
-/// degenerate config every member is admitted and the list *is*
-/// `kept`, which is what makes the scheduled and fixed paths
-/// byte-identical there.
-fn sched_admit(
-    day: u16,
-    kept_ids: &AddrSet,
-    kept: &[Ipv6Addr],
-    order: &[usize],
-    demands: &[PrefixDemand],
-    plan: &SchedPlan,
-) -> (AddrSet, Vec<Ipv6Addr>) {
-    // Bit `i` admits `kept[i]`.
-    let mut selected = vec![0u64; kept.len().div_ceil(64)];
-    let mut admit_window = |members: &[usize], quota: Option<&u64>| {
-        let m = members.len();
-        let q = quota.map_or(0, |&quota| quota.min(m as u64) as usize);
-        let start = if q >= m {
-            0
-        } else {
-            (usize::from(day) * q) % m
-        };
-        for &pos in members[start..].iter().chain(&members[..start]).take(q) {
-            selected[pos / 64] |= 1 << (pos % 64);
-        }
-    };
-    let child_bits = 128 - u32::from(SPLIT_PREFIX_LEN);
-    let child = |bits: u128| (bits >> child_bits & 0xf) as usize;
-    let mut rest = order;
-    let mut regrouped = Vec::new();
-    for d in demands {
-        let (run, tail) = rest.split_at(d.candidates as usize);
-        rest = tail;
-        // The quotas under this /48: its own, and each /52 child's.
-        let own = plan.quotas.get(&d.net);
-        let mut children: [Option<&u64>; 16] = [None; 16];
-        let span = Prefix::from_bits(d.net.bits(), SPLIT_PREFIX_LEN)
-            ..=Prefix::from_bits(d.net.bits() | 0xf << child_bits, SPLIT_PREFIX_LEN);
-        for (p, q) in plan.quotas.range(span) {
-            children[child(p.bits())] = Some(q);
-        }
-        if children.iter().all(Option::is_none) {
-            admit_window(run, own);
-            continue;
-        }
-        // Split: a member's key is its child when that child holds a
-        // quota, else the /48 (`None`). A stable sort by key keeps id
-        // order within each key.
-        let key =
-            |pos: usize| Some(child(u128::from(kept[pos]))).filter(|&c| children[c].is_some());
-        regrouped.clear();
-        regrouped.extend_from_slice(run);
-        regrouped.sort_by_key(|&pos| key(pos));
-        for members in regrouped.chunk_by(|&a, &b| key(a) == key(b)) {
-            admit_window(members, key(members[0]).map_or(own, |c| children[c]));
-        }
-    }
-    let (ids, targets) = kept_ids
-        .iter()
-        .zip(kept)
-        .enumerate()
-        .filter(|&(pos, _)| selected[pos / 64] >> (pos % 64) & 1 == 1)
-        .map(|(_, (id, &a))| (id, a))
-        .unzip();
-    (AddrSet::from_sorted(ids), targets)
 }
 
 /// The pipeline's journaled persistent state, decoupled from the
@@ -1074,148 +922,6 @@ const MAX_FRAME_LEN: u64 = 1 << 32;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expanse_addr::AddrTable;
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
-
-    /// The kept members grouped by covering /48, id order within a group.
-    type Groups = BTreeMap<Prefix, Vec<Ipv6Addr>>;
-
-    /// Reference for [`sched_demands`]: a `BTreeMap` regroup.
-    fn sched_demands_reference(kept: &[Ipv6Addr]) -> (Groups, Vec<PrefixDemand>) {
-        let mut groups = Groups::new();
-        for &a in kept {
-            groups
-                .entry(Prefix::new(a, SCHED_PREFIX_LEN))
-                .or_default()
-                .push(a);
-        }
-        let demands = groups
-            .iter()
-            .map(|(&net, members)| {
-                let mut sample: Vec<Ipv6Addr> =
-                    members.iter().copied().take(MAX_DEMAND_SAMPLE).collect();
-                sample.sort_unstable();
-                PrefixDemand {
-                    net,
-                    candidates: members.len() as u64,
-                    sample,
-                }
-            })
-            .collect();
-        (groups, demands)
-    }
-
-    /// Reference for [`sched_admit`]: regroup every member under its
-    /// quota key, then admit each group's rotated window one member at
-    /// a time through [`SchedPlan::admit`].
-    fn sched_admit_reference(
-        day: u16,
-        kept_ids: &AddrSet,
-        kept: &[Ipv6Addr],
-        groups: &Groups,
-        plan: &mut SchedPlan,
-    ) -> (AddrSet, Vec<Ipv6Addr>) {
-        let mut qgroups = Groups::new();
-        for (&net, members) in groups {
-            for &a in members {
-                let p52 = Prefix::new(a, SPLIT_PREFIX_LEN);
-                let key = if plan.quotas.contains_key(&p52) {
-                    p52
-                } else {
-                    net
-                };
-                qgroups.entry(key).or_default().push(a);
-            }
-        }
-        let mut selected: BTreeSet<Ipv6Addr> = BTreeSet::new();
-        for (key, members) in &qgroups {
-            let Some(&quota) = plan.quotas.get(key) else {
-                continue;
-            };
-            let m = members.len();
-            let q = quota.min(m as u64) as usize;
-            if q == 0 {
-                continue;
-            }
-            let start = if q >= m { 0 } else { (day as usize * q) % m };
-            for i in 0..q {
-                let a = members[(start + i) % m];
-                if plan.admit(a) {
-                    selected.insert(a);
-                }
-            }
-        }
-        let (ids, targets) = kept_ids
-            .iter()
-            .zip(kept)
-            .filter(|(_, a)| selected.contains(a))
-            .unzip();
-        (AddrSet::from_sorted(ids), targets)
-    }
-
-    /// The six /48s the admission oracle draws from.
-    fn oracle_net(i: u8) -> Prefix {
-        Prefix::from_bits((0x2001_0db8_0000 + u128::from(i)) << 80, SCHED_PREFIX_LEN)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(384))]
-
-        /// The runs-and-bitset admission against the `BTreeMap` regroup
-        /// and per-member `SchedPlan::admit` it replaced. Each /48 gets
-        /// no quota, a /48 quota (zero, below, at or above its member
-        /// count), or /52 child quotas (some zero, some children
-        /// without one, sometimes beside a /48 quota); the day makes
-        /// most rotated windows wrap.
-        #[test]
-        fn admission_matches_the_btreemap_reference(
-            members in collection::vec((0u8..6, 0u8..16, 0u8..4, any::<u16>()), 0..300),
-            modes in collection::vec((0u8..4, 0u64..40, collection::vec(0u64..6, 16)), 6),
-            day in any::<u16>(),
-        ) {
-            let mut table = AddrTable::new();
-            let mut ids = Vec::new();
-            let mut kept = Vec::new();
-            for &(net, child, sub, low) in &members {
-                // Few distinct /52s and few addresses per /52, so groups
-                // are both large and small.
-                let bits = oracle_net(net).bits()
-                    | u128::from(child) << 76
-                    | u128::from(sub) << 64
-                    | u128::from(low % 64);
-                let (id, new) = table.intern_u128(bits);
-                if new {
-                    ids.push(id);
-                    kept.push(table.addr(id));
-                }
-            }
-            let kept_ids = AddrSet::from_sorted(ids);
-
-            let mut plan = SchedPlan::default();
-            for (i, (mode, quota, child_quotas)) in modes.iter().enumerate() {
-                let net = oracle_net(i as u8);
-                if matches!(mode, 1 | 3) {
-                    plan.quotas.insert(net, *quota);
-                }
-                if *mode >= 2 {
-                    for (c, child) in net.subprefixes(4).enumerate() {
-                        // Quota 5 means "no quota for this child".
-                        if child_quotas[c] < 5 {
-                            plan.quotas.insert(child, child_quotas[c]);
-                        }
-                    }
-                }
-            }
-
-            let (groups, want_demands) = sched_demands_reference(&kept);
-            let (order, demands) = sched_demands(&kept);
-            prop_assert_eq!(&demands, &want_demands);
-            let want = sched_admit_reference(day, &kept_ids, &kept, &groups, &mut plan.clone());
-            let got = sched_admit(day, &kept_ids, &kept, &order, &demands, &plan);
-            prop_assert_eq!(got, want);
-        }
-    }
 
     fn tiny_pipeline() -> Pipeline {
         // Keep test days cheap.

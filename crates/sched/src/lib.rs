@@ -4,14 +4,14 @@
 //!
 //! The daily battery probes every kept hitlist member uniformly; a real
 //! scanner allocates probes where new addresses are expected. This
-//! crate plans that allocation as exactly what the day reads
-//! ([`SchedPlan`]): admission quotas per /48 — or per /52 child when
-//! the /48's sample entropy says it is heterogeneous — and the
-//! follow-up trace targets that confirm suspicious ranges with
-//! traceroute. Priorities come from signals the workspace already
-//! produces — historical yield per probe and freshness (the hitlist's
-//! `probes_spent` accounting), aliased-prefix verdicts (APD), and
-//! per-prefix entropy fingerprints (`expanse_entropy`).
+//! crate schedules that day ([`Scheduler::schedule_day`]): admission
+//! quotas ([`SchedPlan`]) per /48 — or per /52 child when the /48's
+//! sample entropy says it is heterogeneous — admit a day-rotated window
+//! of each quota's members, suspects get follow-up traceroute targets,
+//! and the day's per-/48 outcomes ([`day_outcomes`]) feed the queue.
+//! Priorities come from signals the workspace already produces —
+//! historical yield per probe and freshness, aliased-prefix verdicts
+//! (APD), and per-prefix entropy fingerprints (`expanse_entropy`).
 //!
 //! Two hard invariants keep a scheduled hitlist honest ("IPv6 Hitlists
 //! at Scale" is the cautionary grounding — unbounded chasing of
@@ -35,7 +35,7 @@
 
 mod persist;
 
-use expanse_addr::Prefix;
+use expanse_addr::{AddrId, AddrSet, AddrTable, IdBits, Prefix};
 use expanse_entropy::Fingerprint;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
@@ -55,6 +55,11 @@ pub const SPLIT_PREFIX_LEN: u8 = 52;
 /// nybble-entropy fingerprint and a follow-up trace pool, small enough
 /// that demand building stays O(candidates).
 pub const MAX_DEMAND_SAMPLE: usize = 64;
+
+/// Which of its /48's 16 /52 children an address's `bits` fall under.
+fn child_of(bits: u128) -> usize {
+    (bits >> (128 - u32::from(SPLIT_PREFIX_LEN)) & 0xf) as usize
+}
 
 /// Scheduler knobs. The default is **off**: the pipeline runs today's
 /// fixed grid and the scheduler is never consulted.
@@ -172,7 +177,7 @@ pub struct PrefixDemand {
 #[derive(Debug, Clone, Default)]
 pub struct SchedPlan {
     /// Admission quotas: `/52` entries for split prefixes, `/48`
-    /// entries otherwise. [`SchedPlan::admit`] consumes them.
+    /// entries otherwise. [`SchedPlan::admit`] consumes them one by one.
     pub quotas: BTreeMap<Prefix, u64>,
     /// Follow-up trace targets, highest-priority suspect first.
     trace: Vec<Ipv6Addr>,
@@ -452,27 +457,19 @@ impl Scheduler {
                 // children with no members, and admission silently
                 // underspends the budget by exactly that amount.
                 let mut counts = [0u64; 16];
-                for a in &d.sample {
-                    let nyb = (u128::from_be_bytes(a.octets())
-                        >> (128 - u32::from(SPLIT_PREFIX_LEN)))
-                        & 0xf;
-                    counts[nyb as usize] += 1;
+                for &a in &d.sample {
+                    counts[child_of(u128::from(a))] += 1;
                 }
-                let mut quotas = [0u64; 16];
-                let mut left = take;
-                for (q, &c) in quotas.iter_mut().zip(counts.iter()) {
-                    *q = take * c / sampled;
-                    left -= *q;
-                }
+                let mut quotas = counts.map(|c| take * c / sampled);
                 // Remainder round-robins over the sampled children in
                 // prefix order, so the full `take` is always assigned.
-                let mut i = 0usize;
-                while left > 0 {
-                    if counts[i % 16] > 0 {
-                        quotas[i % 16] += 1;
-                        left -= 1;
-                    }
-                    i += 1;
+                let left = take - quotas.iter().sum::<u64>();
+                for c in (0..16)
+                    .cycle()
+                    .filter(|&c| counts[c] > 0)
+                    .take(left as usize)
+                {
+                    quotas[c] += 1;
                 }
                 for (child, &q) in d.net.subprefixes(4).zip(&quotas) {
                     if q > 0 {
@@ -490,6 +487,25 @@ impl Scheduler {
         self.last_budget = cfg.daily_budget;
         self.last_used = cfg.daily_budget - remaining;
         plan
+    }
+
+    /// Plan and admit one day: `kept` (ids in `kept_ids`) grouped into
+    /// /48 demands, [`Scheduler::plan_day`] over them, and each quota's
+    /// day-rotated window admitted. Returns the admitted targets, as ids
+    /// and addresses, and the plan's [`SchedPlan::trace_targets`].
+    pub fn schedule_day(
+        &mut self,
+        cfg: &SchedConfig,
+        day: u16,
+        kept_ids: &AddrSet,
+        kept: &[Ipv6Addr],
+        aliased: &[Prefix],
+        suspects: &[Prefix],
+    ) -> (AddrSet, Vec<Ipv6Addr>, Vec<Ipv6Addr>) {
+        let (order, demands) = sched_demands(kept);
+        let plan = self.plan_day(cfg, day, &demands, aliased, suspects);
+        let (ids, targets) = sched_admit(day, kept_ids, kept, &order, &demands, &plan);
+        (ids, targets, plan.trace)
     }
 
     /// Fold one probing day's outcome back into the queue: per /48,
@@ -529,6 +545,143 @@ impl Scheduler {
             top: ranked,
         }
     }
+}
+
+/// The day's `(/48, targets, responders)` counts that
+/// [`Scheduler::record_day`] folds, ascending, /48s with neither left
+/// out: the table's address order puts each /48's members in one run.
+pub fn day_outcomes(
+    table: &AddrTable,
+    targets: &AddrSet,
+    responders: impl IntoIterator<Item = AddrId>,
+) -> Vec<(Prefix, u64, u64)> {
+    let order = table.sorted();
+    let targeted: IdBits = targets.iter().collect();
+    let found: IdBits = responders.into_iter().collect();
+    let mut outcomes: Vec<(Prefix, u64, u64)> = Vec::new();
+    let mut at = 0;
+    while let Some(&first) = order.as_slice().get(at) {
+        let net = Prefix::from_bits(table.bits(first), SCHED_PREFIX_LEN);
+        let run = order.positions_from(table, net, at);
+        let members = &order.as_slice()[run.clone()];
+        let count = |bits: &IdBits| members.iter().filter(|&&id| bits.contains(id)).count();
+        let (spent, hits) = (count(&targeted) as u64, count(&found) as u64);
+        if spent + hits > 0 {
+            outcomes.push((net, spent, hits));
+        }
+        at = run.end;
+    }
+    outcomes
+}
+
+/// Scheduling step 1 of 3: group the kept members by covering /48 and
+/// build one [`PrefixDemand`] per group (candidate count + a bounded
+/// sorted sample for the entropy fingerprint and follow-up traces).
+///
+/// The groups come back as runs: `kept`'s positions sorted by
+/// `(/48, position)`, so each /48's members are one run in id order.
+/// The demands are ascending by /48 too, and each one's candidate
+/// count is its run's length.
+fn sched_demands(kept: &[Ipv6Addr]) -> (Vec<usize>, Vec<PrefixDemand>) {
+    let host_bits = 128 - u32::from(SCHED_PREFIX_LEN);
+    // One sort key per member: its /48 above its position.
+    let mut keys: Vec<u128> = kept
+        .iter()
+        .enumerate()
+        .map(|(pos, &a)| u128::from(a) >> host_bits << 64 | pos as u128)
+        .collect();
+    keys.sort_unstable();
+    let pos = |key: u128| key as u64 as usize;
+    let demands = keys
+        .chunk_by(|a, b| a >> 64 == b >> 64)
+        .map(|run| {
+            let mut sample: Vec<Ipv6Addr> = run
+                .iter()
+                .take(MAX_DEMAND_SAMPLE)
+                .map(|&key| kept[pos(key)])
+                .collect();
+            sample.sort_unstable();
+            PrefixDemand {
+                net: Prefix::from_bits(run[0] >> 64 << host_bits, SCHED_PREFIX_LEN),
+                candidates: run.len() as u64,
+                sample,
+            }
+        })
+        .collect();
+    (keys.into_iter().map(pos).collect(), demands)
+}
+
+/// Scheduling step 3 of 3: admit members against the plan's per-prefix
+/// quotas. Within its /48's run, each member falls under its quota key
+/// (its /52 child when that child holds a quota — the /48 was split —
+/// the /48 itself otherwise), and a rotated window of each key's
+/// members is admitted: the window's start offset advances by `quota`
+/// positions per day, so a /48 held under its cap cycles through *all*
+/// its members across days instead of re-probing the same head.
+///
+/// A window never exceeds its key's quota, so it is exactly what
+/// [`SchedPlan::admit`] accepts when called member by member; the
+/// quotas are read once per run and never consumed.
+///
+/// The returned list is an id-order subsequence of `kept`; with the
+/// degenerate config every member is admitted and the list *is*
+/// `kept`, which is what makes the scheduled and fixed paths
+/// byte-identical there.
+fn sched_admit(
+    day: u16,
+    kept_ids: &AddrSet,
+    kept: &[Ipv6Addr],
+    order: &[usize],
+    demands: &[PrefixDemand],
+    plan: &SchedPlan,
+) -> (AddrSet, Vec<Ipv6Addr>) {
+    // Bit `i` admits `kept[i]`.
+    let mut selected = vec![0u64; kept.len().div_ceil(64)];
+    let mut admit_window = |members: &[usize], quota: Option<&u64>| {
+        let m = members.len();
+        let q = quota.map_or(0, |&quota| quota.min(m as u64) as usize);
+        // A run is never empty, and a full window (`q == m`) starts at 0.
+        let start = usize::from(day) * q % m;
+        for &pos in members[start..].iter().chain(&members[..start]).take(q) {
+            selected[pos / 64] |= 1 << (pos % 64);
+        }
+    };
+    let mut rest = order;
+    let mut regrouped = Vec::new();
+    for d in demands {
+        let (run, tail) = rest.split_at(d.candidates as usize);
+        rest = tail;
+        // The quotas under this /48: its own, and each /52 child's.
+        let own = plan.quotas.get(&d.net);
+        let mut children: [Option<&u64>; 16] = [None; 16];
+        let span = d.net.subprefix(4, 0)..=d.net.subprefix(4, 15);
+        for (p, q) in plan.quotas.range(span) {
+            children[child_of(p.bits())] = Some(q);
+        }
+        if children.iter().all(Option::is_none) {
+            admit_window(run, own);
+            continue;
+        }
+        // Split: a member's key is its child when that child holds a
+        // quota, else the /48 (`None`). A stable sort by key keeps id
+        // order within each key.
+        let key =
+            |pos: usize| Some(child_of(u128::from(kept[pos]))).filter(|&c| children[c].is_some());
+        regrouped.clear();
+        regrouped.extend_from_slice(run);
+        regrouped.sort_by_key(|&pos| key(pos));
+        for members in regrouped.chunk_by(|&a, &b| key(a) == key(b)) {
+            admit_window(members, key(members[0]).map_or(own, |c| children[c]));
+        }
+    }
+    let (ids, targets) = kept_ids
+        .iter()
+        .zip(kept)
+        .enumerate()
+        .filter(|&(pos, _)| selected[pos / 64] >> (pos % 64) & 1 == 1)
+        .map(|(_, (id, &a))| (id, a))
+        .unzip();
+    (AddrSet::from_sorted(ids), targets)
 }
 
 #[cfg(test)]
@@ -727,6 +880,31 @@ mod tests {
         assert_eq!(plan.quotas.values().sum::<u64>(), 63);
     }
 
+    #[test]
+    fn split_remainder_goes_to_the_lowest_sampled_children() {
+        let mut cfg = SchedConfig::budgeted(37, 37);
+        cfg.split_entropy = 0.01;
+        let net = p48("2001:db8:1::/48");
+        // Six sampled members in each of children 0, 5 and 9: 37 × 6/18
+        // floors to 12 each, and the one slot left goes to child 0.
+        let sample: Vec<Ipv6Addr> = [0u128, 5, 9]
+            .iter()
+            .flat_map(|&c| (0..6u128).map(move |i| net.addr_at(c << 76 | i)))
+            .collect();
+        let demand = PrefixDemand {
+            net,
+            candidates: 37,
+            sample,
+        };
+        let plan = Scheduler::new().plan_day(&cfg, 0, &[demand], &[], &[]);
+        let quotas: Vec<(usize, u64)> = plan
+            .quotas
+            .iter()
+            .map(|(p, &q)| (child_of(p.bits()), q))
+            .collect();
+        assert_eq!(quotas, [(0, 13), (5, 12), (9, 12)]);
+    }
+
     /// The demanded /48s live under one /45, so verdicts from /32 to
     /// /64 cover several of them, all, or lie inside one.
     const BASE45: u128 = 0x2001_0db8_0010 << 80;
@@ -859,5 +1037,204 @@ mod tests {
         assert_eq!(st.top.len(), 2);
         assert_eq!(st.top[0].net, p48("2001:db8:2::/48"));
         assert!(st.top[0].priority >= st.top[1].priority);
+    }
+
+    /// The kept members grouped by covering /48, id order within a group.
+    type Groups = BTreeMap<Prefix, Vec<Ipv6Addr>>;
+
+    /// Reference for [`sched_demands`]: a `BTreeMap` regroup.
+    fn sched_demands_reference(kept: &[Ipv6Addr]) -> (Groups, Vec<PrefixDemand>) {
+        let mut groups = Groups::new();
+        for &a in kept {
+            groups
+                .entry(Prefix::new(a, SCHED_PREFIX_LEN))
+                .or_default()
+                .push(a);
+        }
+        let demands = groups
+            .iter()
+            .map(|(&net, members)| {
+                let mut sample: Vec<Ipv6Addr> =
+                    members.iter().copied().take(MAX_DEMAND_SAMPLE).collect();
+                sample.sort_unstable();
+                PrefixDemand {
+                    net,
+                    candidates: members.len() as u64,
+                    sample,
+                }
+            })
+            .collect();
+        (groups, demands)
+    }
+
+    /// Reference for [`sched_admit`]: regroup every member under its
+    /// quota key, then admit each group's rotated window one member at
+    /// a time through [`SchedPlan::admit`].
+    fn sched_admit_reference(
+        day: u16,
+        kept_ids: &AddrSet,
+        kept: &[Ipv6Addr],
+        groups: &Groups,
+        plan: &mut SchedPlan,
+    ) -> (AddrSet, Vec<Ipv6Addr>) {
+        let mut qgroups = Groups::new();
+        for (&net, members) in groups {
+            for &a in members {
+                let p52 = Prefix::new(a, SPLIT_PREFIX_LEN);
+                let key = if plan.quotas.contains_key(&p52) {
+                    p52
+                } else {
+                    net
+                };
+                qgroups.entry(key).or_default().push(a);
+            }
+        }
+        let mut selected: BTreeSet<Ipv6Addr> = BTreeSet::new();
+        for (key, members) in &qgroups {
+            let Some(&quota) = plan.quotas.get(key) else {
+                continue;
+            };
+            let m = members.len();
+            let q = quota.min(m as u64) as usize;
+            if q == 0 {
+                continue;
+            }
+            let start = if q >= m { 0 } else { (day as usize * q) % m };
+            for i in 0..q {
+                let a = members[(start + i) % m];
+                if plan.admit(a) {
+                    selected.insert(a);
+                }
+            }
+        }
+        let (ids, targets) = kept_ids
+            .iter()
+            .zip(kept)
+            .filter(|(_, a)| selected.contains(a))
+            .unzip();
+        (AddrSet::from_sorted(ids), targets)
+    }
+
+    /// Reference for [`day_outcomes`]: a `BTreeMap` regroup of the
+    /// targets and the responders by covering /48.
+    fn day_outcomes_reference(
+        table: &AddrTable,
+        targets: &AddrSet,
+        responders: &[AddrId],
+    ) -> Vec<(Prefix, u64, u64)> {
+        let mut outcomes: BTreeMap<Prefix, (u64, u64)> = BTreeMap::new();
+        for a in targets.addrs(table) {
+            outcomes
+                .entry(Prefix::new(a, SCHED_PREFIX_LEN))
+                .or_default()
+                .0 += 1;
+        }
+        for &id in responders {
+            outcomes
+                .entry(Prefix::new(table.addr(id), SCHED_PREFIX_LEN))
+                .or_default()
+                .1 += 1;
+        }
+        outcomes
+            .into_iter()
+            .map(|(net, (spent, found))| (net, spent, found))
+            .collect()
+    }
+
+    /// The six /48s the oracles draw from.
+    fn oracle_net(i: u8) -> Prefix {
+        Prefix::from_bits((0x2001_0db8_0000 + u128::from(i)) << 80, SCHED_PREFIX_LEN)
+    }
+
+    /// An address under /48 number `net`, /52 child `child`: few
+    /// distinct /52s and few addresses per /52, so groups are both
+    /// large and small.
+    fn oracle_bits(net: u8, child: u8, sub: u8, low: u16) -> u128 {
+        oracle_net(net).bits()
+            | u128::from(child) << 76
+            | u128::from(sub) << 64
+            | u128::from(low % 64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// The runs-and-bitset admission against the `BTreeMap` regroup
+        /// and per-member `SchedPlan::admit` it replaced. Each /48 gets
+        /// no quota, a /48 quota (zero, below, at or above its member
+        /// count), or /52 child quotas (some zero, some children
+        /// without one, sometimes beside a /48 quota); the day makes
+        /// most rotated windows wrap.
+        #[test]
+        fn admission_matches_the_btreemap_reference(
+            members in collection::vec((0u8..6, 0u8..16, 0u8..4, any::<u16>()), 0..300),
+            modes in collection::vec((0u8..4, 0u64..40, collection::vec(0u64..6, 16)), 6),
+            day in any::<u16>(),
+        ) {
+            let mut table = AddrTable::new();
+            let mut ids = Vec::new();
+            let mut kept = Vec::new();
+            for &(net, child, sub, low) in &members {
+                let (id, new) = table.intern_u128(oracle_bits(net, child, sub, low));
+                if new {
+                    ids.push(id);
+                    kept.push(table.addr(id));
+                }
+            }
+            let kept_ids = AddrSet::from_sorted(ids);
+
+            let mut plan = SchedPlan::default();
+            for (i, (mode, quota, child_quotas)) in modes.iter().enumerate() {
+                let net = oracle_net(i as u8);
+                if matches!(mode, 1 | 3) {
+                    plan.quotas.insert(net, *quota);
+                }
+                if *mode >= 2 {
+                    for (c, child) in net.subprefixes(4).enumerate() {
+                        // Quota 5 means "no quota for this child".
+                        if child_quotas[c] < 5 {
+                            plan.quotas.insert(child, child_quotas[c]);
+                        }
+                    }
+                }
+            }
+
+            let (groups, want_demands) = sched_demands_reference(&kept);
+            let (order, demands) = sched_demands(&kept);
+            prop_assert_eq!(&demands, &want_demands);
+            let want = sched_admit_reference(day, &kept_ids, &kept, &groups, &mut plan.clone());
+            let got = sched_admit(day, &kept_ids, &kept, &order, &demands, &plan);
+            prop_assert_eq!(got, want);
+        }
+
+        /// The per-/48 run walk against a `BTreeMap` regroup of the
+        /// targets and responders. The table's rows span few /48s, some
+        /// rows are not targets (and some /48s hold no target at all),
+        /// the targets are a random subset of the rows, and the
+        /// responders a random subset of the targets. Equal runs, with
+        /// no /48 that saw neither.
+        #[test]
+        fn outcomes_match_the_btreemap_reference(
+            rows in collection::vec(
+                ((0u8..6, 0u8..16, 0u8..4, any::<u16>()), any::<bool>(), any::<bool>()),
+                0..300,
+            ),
+        ) {
+            let mut table = AddrTable::new();
+            let (mut targets, mut responders) = (Vec::new(), Vec::new());
+            for &((net, child, sub, low), targeted, answered) in &rows {
+                let (id, new) = table.intern_u128(oracle_bits(net, child, sub, low));
+                if new && targeted {
+                    targets.push(id);
+                    if answered {
+                        responders.push(id);
+                    }
+                }
+            }
+            let targets = AddrSet::from_sorted(targets);
+            let want = day_outcomes_reference(&table, &targets, &responders);
+            let got = day_outcomes(&table, &targets, responders.iter().copied());
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -195,6 +195,14 @@ fn server_config(f: &Flags) -> Result<ServerConfig, String> {
     let mut cfg = ServerConfig::default();
     cfg.max_connections = f.parsed("max-conns", cfg.max_connections)?;
     cfg.max_inflight = f.parsed("max-inflight", cfg.max_inflight)?;
+    for (name, n) in [
+        ("max-conns", cfg.max_connections),
+        ("max-inflight", cfg.max_inflight),
+    ] {
+        if n == 0 {
+            return Err(format!("--{name} must be at least 1, got 0"));
+        }
+    }
     let ms = |name: &str, d: Duration| -> Result<Duration, String> {
         Ok(Duration::from_millis(f.parsed(name, d.as_millis() as u64)?))
     };
@@ -429,6 +437,14 @@ mod tests {
     #[test]
     fn zero_kept_epochs_is_rejected_not_clamped() {
         assert!(rejected(&["--simulate", "--keep-epochs", "0"]).starts_with("--keep-epochs"));
+    }
+
+    #[test]
+    fn zero_ceilings_are_rejected_not_clamped() {
+        for flag in ["--max-conns", "--max-inflight"] {
+            let err = rejected(&["--simulate", flag, "0"]);
+            assert!(err.starts_with(flag), "{err}");
+        }
     }
 
     #[test]

@@ -153,8 +153,8 @@ fn run(args: &[String]) -> Result<String, String> {
     let resp = client.call(&req).map_err(|e| e.to_string())?;
 
     if pos[0] == "status" {
-        // Status = Ping (epoch, day, live) + whole-view Stats, one
-        // connection, two positionally matched responses.
+        // Status = Ping (epoch, day, live) + whole-view Stats + Sched,
+        // one connection, three positionally matched responses.
         let stats = client
             .call(&Request::Stats { prefix: None })
             .map_err(|e| e.to_string())?;

@@ -129,23 +129,18 @@ impl ProbeModule for IcmpEchoModule {
     }
 }
 
-/// TCP SYN module (ports 80/443), optionally with the §5.4
-/// fingerprinting option set (`MSS-SACK-TS-N-WS`, MSS=WS=1).
+/// TCP SYN module (ports 80/443) carrying the §5.4 fingerprinting
+/// option set (`MSS-SACK-TS-N-WS`, MSS=WS=1).
 #[derive(Debug, Clone, Copy)]
 pub struct TcpSynModule {
     /// Port.
     pub port: u16,
-    /// With options.
-    pub with_options: bool,
 }
 
 impl TcpSynModule {
-    /// The `synopt` fingerprinting variant.
+    /// The `synopt` fingerprinting SYN to `port`.
     pub fn with_synopt(port: u16) -> Self {
-        TcpSynModule {
-            port,
-            with_options: true,
-        }
+        TcpSynModule { port }
     }
 }
 
@@ -159,11 +154,7 @@ impl ProbeModule for TcpSynModule {
 
     fn emit_probe(&self, src: Ipv6Addr, dst: Ipv6Addr, v: &Validator, frame: &mut Vec<u8>) {
         let f = v.fields(dst);
-        let options = if self.with_options {
-            TcpOptionBlock::fingerprint(f.tcp_seq ^ 0x5c5c)
-        } else {
-            TcpOptionBlock::new()
-        };
+        let options = TcpOptionBlock::fingerprint(f.tcp_seq ^ 0x5c5c);
         let seg = TcpView::syn(f.src_port, self.port, f.tcp_seq, options.as_bytes());
         let hops = Datagram::DEFAULT_HOP_LIMIT;
         Datagram::emit_with(frame, src, dst, proto::TCP, hops, |out| {
@@ -393,10 +384,7 @@ mod tests {
 
         for m in [
             TcpSynModule::with_synopt(443),
-            TcpSynModule {
-                port: 80,
-                with_options: false,
-            },
+            TcpSynModule::with_synopt(80),
         ] {
             let frame = probe_frame(&m, src, dst);
             let TransportView::Tcp(seg) = transport(&frame, proto::TCP) else {
@@ -405,13 +393,9 @@ mod tests {
             assert_eq!((seg.src_port, seg.dst_port), (f.src_port, m.port));
             assert_eq!((seg.seq, seg.ack, seg.flags), (f.tcp_seq, 0, TcpFlags::SYN));
             assert_eq!((seg.window, seg.payload), (65535, &[][..]));
-            if m.with_options {
-                assert_eq!(seg.options_text(), "MSS-SACK-TS-N-WS");
-                assert_eq!((seg.mss(), seg.window_scale()), (Some(1), Some(1)));
-                assert_eq!(seg.timestamps(), Some((f.tcp_seq ^ 0x5c5c, 0)));
-            } else {
-                assert_eq!(seg.options, [], "a bare SYN");
-            }
+            assert_eq!(seg.options_text(), "MSS-SACK-TS-N-WS");
+            assert_eq!((seg.mss(), seg.window_scale()), (Some(1), Some(1)));
+            assert_eq!(seg.timestamps(), Some((f.tcp_seq ^ 0x5c5c, 0)));
         }
 
         let frame = probe_frame(&DnsModule, src, dst);
@@ -439,7 +423,7 @@ mod tests {
     /// Each module's probe from `2001:db8::1` to `2001:db8::2` under
     /// `Validator::new(7)`: its length and its bytes in hex, trailing
     /// zero padding left out.
-    const RECORDED: [(&dyn ProbeModule, usize, &str); 5] = [
+    const RECORDED: [(&dyn ProbeModule, usize, &str); 4] = [
         (
             &IcmpEchoModule,
             61,
@@ -449,26 +433,12 @@ mod tests {
             ),
         ),
         (
-            &TcpSynModule {
-                port: 443,
-                with_options: true,
-            },
+            &TcpSynModule { port: 443 },
             80,
             concat!(
                 "600000000028064020010db800000000000000000000000120010db800000000",
                 "0000000000000002a2da01bb1ba9c03c00000000a002ffffb9bf000002040001",
                 "0402080a1ba99c600000000001030301",
-            ),
-        ),
-        (
-            &TcpSynModule {
-                port: 80,
-                with_options: false,
-            },
-            60,
-            concat!(
-                "600000000014064020010db800000000000000000000000120010db800000000",
-                "0000000000000002a2da00501ba9c03c000000005002ffffd55d",
             ),
         ),
         (
@@ -585,10 +555,7 @@ mod tests {
     #[test]
     fn tcp_rst_is_recorded_not_positive() {
         let (src, dst) = pair();
-        let m = TcpSynModule {
-            port: 443,
-            with_options: false,
-        };
+        let m = TcpSynModule::with_synopt(443);
         let f = v().fields(dst);
         let rst = TcpView {
             src_port: 443,
@@ -609,10 +576,7 @@ mod tests {
     #[test]
     fn wrong_ack_rejected() {
         let (src, dst) = pair();
-        let m = TcpSynModule {
-            port: 80,
-            with_options: false,
-        };
+        let m = TcpSynModule::with_synopt(80);
         let f = v().fields(dst);
         let seg = TcpView {
             src_port: 80,
